@@ -242,6 +242,7 @@ pub fn perturbed_checkpoint(base: &Checkpoint, every: usize) -> Checkpoint {
             let members = c
                 .seq_table
                 .members_shared(g_world)
+                .cloned()
                 .expect("synthetic captures register the world ggid");
             c.seq_table.restore(g_world, seq, members);
         }

@@ -5,13 +5,16 @@
 //! generation) instead of resolving a wrong ancestor.
 
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
+use ckpt::store::delta::full_image_refs;
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, CcRank, CkptOptions, CkptTier, DeltaPolicy, ImageError,
-    PeriodicInterval, RestoreConfig, ResumeMode, SaveReceipt, StoreError, TieredStore, Tiering,
+    restore_ckpt_world, run_ckpt_world, run_ckpt_world_steps, CcRank, CkptOptions, CkptTier,
+    DeltaImage, DeltaPolicy, EveryNCollectives, ImageError, PeriodicInterval, RestoreConfig,
+    ResumeMode, SaveReceipt, StoreError, TieredStore, Tiering,
 };
+use mana_core::Protocol;
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{halo_exchange, scf_loop};
+use workloads::{halo_exchange, scf_loop, RandomWorkloadCfg, RandomWorkloadStep};
 
 fn workload(r: &mut CcRank) -> f64 {
     let energy = scf_loop(r, 20, 8);
@@ -127,6 +130,51 @@ fn live_run_delta_chain_restores_bit_identical_to_the_full_image() {
     let full_data: Vec<f64> = from_full.results().copied().collect();
     assert_eq!(chain_data, full_data, "delta-chain restore diverged");
     assert_eq!(chain_data, native_data);
+}
+
+#[test]
+fn cut_log_of_each_generation_is_a_prefix_of_the_next() {
+    // The execution log is rank-owned and harvested at each cut; a delta
+    // stores a child's cut log as "parent's + tail", which only works if
+    // a harvest never reorders what an earlier one returned. Step ranks
+    // on two workers, sub-communicators and non-blocking collectives in
+    // the schedule: ranks record on several groups, from both workers.
+    let cfg = WorldConfig::multi_node(16, 4)
+        .with_params(NetParams::slingshot11().without_jitter())
+        .with_workers(2);
+    let work = RandomWorkloadCfg::new(193, 200).with_pace_us(40);
+    let run = run_ckpt_world_steps(
+        cfg,
+        CkptOptions::native()
+            .with_protocol(Protocol::Cc)
+            .with_policy(EveryNCollectives::new(25, 4))
+            .with_resume(ResumeMode::Continue),
+        |_| RandomWorkloadStep::new(work.clone()),
+    );
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let g = &run.checkpoints;
+    assert!(g.len() >= 3, "only {} generations committed", g.len());
+    for (i, image) in g.iter().enumerate() {
+        image
+            .verify()
+            .unwrap_or_else(|v| panic!("generation {i} is not a safe cut: {v:?}"));
+    }
+    for (i, pair) in g.windows(2).enumerate() {
+        let (parent, child) = (&pair[0], &pair[1]);
+        let plen = parent.cut_events.len();
+        assert!(child.cut_events.len() > plen, "generation {i} → next grew");
+        assert!(
+            child.cut_events[..plen] == parent.cut_events[..],
+            "cut log of generation {i} is not a prefix of its successor's"
+        );
+        let known = full_image_refs(parent).into_iter().collect();
+        let delta = DeltaImage::build(i as u64 + 1, i as u64, 0, parent, &known, child);
+        assert_eq!(delta.parent_cut_prefix, plen, "delta took the prefix path");
+        assert_eq!(delta.cut_tail.len(), child.cut_events.len() - plen);
+    }
+    // The report's log continues the last cut's the same way.
+    let last = &g[g.len() - 1].cut_events;
+    assert!(run.events[..last.len()] == last[..]);
 }
 
 #[test]

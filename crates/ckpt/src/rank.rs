@@ -36,9 +36,12 @@ use std::sync::Arc;
 pub mod step;
 
 /// One rank's checkpoint-aware handle to the simulated MPI library.
-pub struct CcRank {
+pub struct CcRank<'s> {
     ctx: Ctx,
-    sh: Arc<Session>,
+    /// The session, borrowed for the rank's whole life: every wrapper
+    /// call reads it, so holding (let alone cloning) a counted handle per
+    /// rank would put a world-shared reference count on the hot path.
+    sh: &'s Session,
     rank: usize,
     targets: TargetTable,
     /// The `ckpt_epoch` the installed targets belong to. Back-to-back
@@ -62,10 +65,10 @@ pub struct CcRank {
     wall_pace_us: u64,
 }
 
-impl CcRank {
+impl<'s> CcRank<'s> {
     /// Creates the wrapper for `rank` on the session's current world and
     /// registers `MPI_COMM_WORLD`'s group.
-    pub fn new(sh: Arc<Session>, rank: usize) -> CcRank {
+    pub fn new(sh: &'s Session, rank: usize) -> CcRank<'s> {
         let world = sh.current_world();
         let ctx = Ctx::new(world, rank);
         let mut r = CcRank {
@@ -216,8 +219,8 @@ impl CcRank {
     /// against the image, installs the restored world, re-deposits the
     /// image's in-flight messages).
     fn park_for_restore(&mut self, state: RankState) {
-        let sh = Arc::clone(&self.sh);
-        sh.restore
+        self.sh
+            .restore
             .as_ref()
             .expect("cut implies restore plan")
             .reached[self.rank]
@@ -226,7 +229,7 @@ impl CcRank {
     }
 
     fn service_control(&mut self) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let ctl = &sh.control.ranks[self.rank];
         self.publish_clock();
         if sh.control.is_pending() {
@@ -245,7 +248,7 @@ impl CcRank {
     /// A cache left over from an earlier epoch is discarded first: its
     /// targets were met, not this checkpoint's.
     fn install_targets_if_new(&mut self) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let epoch = sh.control.ckpt_epoch.load(SeqCst);
         if self.targets_epoch == Some(epoch) {
             return;
@@ -262,7 +265,7 @@ impl CcRank {
 
     /// Applies every queued target update (Algorithm 3's receive path).
     fn apply_updates(&mut self) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         for u in sh.bus.drain(self.rank) {
             let changed = self.targets.raise(u.ggid, u.target);
             sh.control.ranks[self.rank]
@@ -277,7 +280,7 @@ impl CcRank {
 
     /// Publishes whether all local targets are met.
     fn publish_met(&mut self) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let met = {
             let t = sh.control.ranks[self.rank].seq_mirror.lock();
             self.targets.reached_by(&t)
@@ -289,7 +292,7 @@ impl CcRank {
     /// Returns `false` if the checkpoint ended while waiting. The wait is
     /// a scheduler yield-point: the run slot is released while parked.
     fn await_targets(&mut self) -> bool {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let ctl = &sh.control.ranks[self.rank];
         let fail = Arc::clone(self.ctx.world().fail_plane());
         self.ctx.blocked(|| {
@@ -306,16 +309,18 @@ impl CcRank {
         true
     }
 
-    /// Records a collective participation in the shared execution log.
-    /// The member list rides along as a shared handle — O(1) per call, so
-    /// the log stays O(events) even at 65 536-rank worlds.
+    /// Records a collective participation in the execution log. The
+    /// member list is passed by reference out of the rank's own mirror:
+    /// the log keeps a handle the first time it sees the group, so a
+    /// steady-state call touches nothing another rank touches.
     fn record_exec(&mut self, ggid: Ggid, seq: u64) {
-        let members = self.sh.control.ranks[self.rank]
-            .seq_mirror
-            .lock()
+        let mirror = self.sh.control.ranks[self.rank].seq_mirror.lock();
+        let members = mirror
             .members_shared(ggid)
             .expect("collective on registered group");
-        self.sh.exec_log.record(self.rank, ggid, seq, members);
+        self.sh
+            .exec_log
+            .record_shared(self.rank, ggid, seq, members);
     }
 
     // ------------------------------------------------------------------
@@ -324,9 +329,12 @@ impl CcRank {
 
     /// The collective-wrapper entry: counts the call on the group's
     /// sequence number, subject to the coordination protocol in force.
-    /// Returns the resolved lower-half communicator and the new sequence
-    /// number.
-    fn coll_gate(&mut self, vc: VComm) -> (Comm, Ggid, u64) {
+    /// Returns the group id and the new sequence number. The caller
+    /// resolves `vc` itself, by reference and *after* the gate: a restart
+    /// while parked here replaces the lower half, and a communicator
+    /// handle returned by value would be a reference-count round trip on
+    /// a handle every member shares.
+    fn coll_gate(&mut self, vc: VComm) -> (Ggid, u64) {
         match self.sh.protocol {
             Protocol::TwoPhase => return self.coll_gate_2pc(vc),
             Protocol::Cc => {
@@ -345,11 +353,8 @@ impl CcRank {
                 continue; // re-resolve against the restored lower half
             }
             self.service_control();
-            let sh = Arc::clone(&self.sh);
-            let (comm, ggid) = {
-                let (c, g) = self.vcomms.resolve(vc);
-                (c.clone(), *g)
-            };
+            let sh = self.sh;
+            let ggid = self.vcomms.resolve(vc).1;
             if !sh.control.is_pending() {
                 // Fast path, with the snapshot-race contract: increment
                 // under the mirror lock, then observe `pending`.
@@ -361,7 +366,7 @@ impl CcRank {
                     self.overshoot(ggid, seq);
                 }
                 self.record_exec(ggid, seq);
-                return (comm, ggid, seq);
+                return (ggid, seq);
             }
             // Drain mode (Algorithm 3): a rank with every target met parks
             // at the wrapper entry; a rank with ANY unmet target keeps
@@ -387,11 +392,9 @@ impl CcRank {
                 }
                 self.record_exec(ggid, seq);
                 self.publish_met();
-                return (comm, ggid, seq);
+                return (ggid, seq);
             }
             self.park_at_entry();
-            // Re-resolve on the next loop: a restart may have replaced the
-            // lower half while we were parked.
         }
     }
 
@@ -403,8 +406,8 @@ impl CcRank {
     /// the rank inside the barrier (captured via `pending_barrier` and
     /// re-issued at restart). This is what de-pipelines non-synchronizing
     /// collectives and amplifies per-rank jitter (Figure 5a).
-    fn coll_gate_2pc(&mut self, vc: VComm) -> (Comm, Ggid, u64) {
-        let sh = Arc::clone(&self.sh);
+    fn coll_gate_2pc(&mut self, vc: VComm) -> (Ggid, u64) {
+        let sh = self.sh;
         let w = wrapper_cost(self.ctx.world().params());
         self.ctx.compute(w);
         // Stop-the-world cut, phase 1: a rank that observes the intent
@@ -428,10 +431,7 @@ impl CcRank {
         let ordinal = self.tb_ordinal;
         self.tb_ordinal += 1;
         self.counters.trivial_barriers += 1;
-        let mut req = {
-            let comm = self.vcomms.resolve(vc).0.clone();
-            self.ctx.ibarrier(&comm)
-        };
+        let mut req = self.ctx.ibarrier(&self.vcomms.resolve(vc).0);
         // Test-poll until completion. The first check is a charged
         // `MPI_Test`; afterwards the loop synchronizes to the barrier's
         // exit time directly (`Ctx::try_complete`), which keeps virtual
@@ -489,18 +489,14 @@ impl CcRank {
             self.ctx.park_briefly();
         }
         // Barrier complete: every member is at this entry. Count the call
-        // and let the caller run the real collective. Re-resolve the
-        // communicator: a restart while parked replaced the lower half.
-        let (comm, ggid) = {
-            let (c, g) = self.vcomms.resolve(vc);
-            (c.clone(), *g)
-        };
+        // and let the caller run the real collective.
+        let ggid = self.vcomms.resolve(vc).1;
         let seq = sh.control.ranks[self.rank]
             .seq_mirror
             .lock()
             .increment(ggid);
         self.record_exec(ggid, seq);
-        (comm, ggid, seq)
+        (ggid, seq)
     }
 
     /// Algorithm 2's overshoot path: our increment raced the coordinator's
@@ -521,11 +517,12 @@ impl CcRank {
     /// coordinator, and pushes updates to every other member.
     fn raise_and_broadcast(&mut self, ggid: Ggid, seq: u64) {
         self.targets.raise(ggid, seq);
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let members = sh.control.ranks[self.rank]
             .seq_mirror
             .lock()
             .members_shared(ggid)
+            .cloned()
             .unwrap_or_else(|| Vec::new().into());
         sh.trace
             .push(DrainEvent::TargetRaised(self.rank, ggid, seq));
@@ -549,7 +546,7 @@ impl CcRank {
     /// wrapper entry for a raise, the quiesce signal, or the end of the
     /// checkpoint.
     fn park_at_entry(&mut self) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let ctl = &sh.control.ranks[self.rank];
         ctl.set_state(RankState::EntryParked);
         sh.trace.push(DrainEvent::Parked(self.rank));
@@ -631,7 +628,7 @@ impl CcRank {
                 self.vreqs.put_back(v, VReqState::Active(req, kind));
             }
         }
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let ctl = &sh.control.ranks[self.rank];
         *ctl.capture_slot.lock() = Some(self.build_capture(state));
         let my_gen = sh.control.resume_gen.load(SeqCst);
@@ -769,7 +766,7 @@ impl CcRank {
                 self.vcomms.rebind(v, comm, ggid);
             }
         }
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         // The image is authoritative across a restart: adopt the counters
         // the coordinator restored from the capture (they would otherwise
         // silently revert to whatever the thread last held).
@@ -788,23 +785,21 @@ impl CcRank {
     fn repost_trivial_barrier(&mut self) {
         let pb = *self.sh.control.ranks[self.rank].pending_barrier.lock();
         if let Some((vc, _ordinal)) = pb {
-            let comm = self.vcomms.resolve(VComm(vc)).0.clone();
-            self.tb_req = Some(self.ctx.ibarrier(&comm));
+            self.tb_req = Some(self.ctx.ibarrier(&self.vcomms.resolve(VComm(vc)).0));
         }
     }
 
     /// Re-posts every pending receive against the fresh lower half.
     fn repost_pending_recvs(&mut self) {
         for (v, vc, src, tag) in self.vreqs.pending_recvs() {
-            let comm = self.vcomms.resolve(vc).0.clone();
-            let req = self.ctx.irecv(&comm, src, tag);
+            let req = self.ctx.irecv(&self.vcomms.resolve(vc).0, src, tag);
             self.vreqs.replace_request(v, req);
         }
     }
 
     /// Runner hook: publishes the final capture and the `Finished` state.
     pub(crate) fn finish(&mut self) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let cap = self.build_capture(RankState::Finished);
         self.publish_clock();
         let ctl = &sh.control.ranks[self.rank];
@@ -827,12 +822,13 @@ impl CcRank {
         red: Option<RedSpec>,
     ) -> Bytes {
         self.counters.coll_blocking += 1;
-        let (comm, _g, _s) = self.coll_gate(vc);
-        let sh = Arc::clone(&self.sh);
+        self.coll_gate(vc);
+        let sh = self.sh;
         sh.control.ranks[self.rank]
             .in_collective
             .store(true, SeqCst);
-        let out = self.ctx.collective(&comm, op, root, payload, red);
+        let comm = &self.vcomms.resolve(vc).0;
+        let out = self.ctx.collective(comm, op, root, payload, red);
         sh.control.ranks[self.rank]
             .in_collective
             .store(false, SeqCst);
@@ -927,12 +923,13 @@ impl CcRank {
             self.sh.protocol.name()
         );
         self.counters.coll_nonblocking += 1;
-        let (comm, _g, _s) = self.coll_gate(vc);
-        let sh = Arc::clone(&self.sh);
+        self.coll_gate(vc);
+        let sh = self.sh;
         sh.control.ranks[self.rank]
             .in_collective
             .store(true, SeqCst);
-        let req = self.ctx.icollective(&comm, op, root, payload, red);
+        let comm = &self.vcomms.resolve(vc).0;
+        let req = self.ctx.icollective(comm, op, root, payload, red);
         sh.control.ranks[self.rank]
             .in_collective
             .store(false, SeqCst);
@@ -972,8 +969,8 @@ impl CcRank {
     pub fn isend(&mut self, vc: VComm, to: usize, tag: u32, payload: impl Into<Bytes>) -> VReq {
         self.service_control();
         self.counters.p2p_sends += 1;
-        let comm = self.vcomms.resolve(vc).0.clone();
-        let req = self.ctx.isend(&comm, to, tag, payload);
+        let comm = &self.vcomms.resolve(vc).0;
+        let req = self.ctx.isend(comm, to, tag, payload);
         self.vreqs.insert(req, VReqKind::Send)
     }
 
@@ -989,8 +986,8 @@ impl CcRank {
         self.counters.p2p_recvs += 1;
         let src = src.into();
         let tag = tag.into();
-        let comm = self.vcomms.resolve(vc).0.clone();
-        let req = self.ctx.irecv(&comm, src, tag);
+        let comm = &self.vcomms.resolve(vc).0;
+        let req = self.ctx.irecv(comm, src, tag);
         self.vreqs.insert(
             req,
             VReqKind::Recv {
@@ -1064,7 +1061,7 @@ impl CcRank {
                     }
                     self.vreqs.put_back(v, VReqState::Active(req, kind));
                     self.service_control();
-                    let sh = Arc::clone(&self.sh);
+                    let sh = self.sh;
                     if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
                         self.quiesce(if is_recv {
                             RankState::RecvParked
@@ -1089,7 +1086,7 @@ impl CcRank {
             self.park_for_restore(RankState::Quiesced);
         }
         self.service_control();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
             self.quiesce(RankState::Quiesced);
         }
@@ -1118,12 +1115,12 @@ impl CcRank {
     /// `MPI_Comm_split`.
     pub fn comm_split(&mut self, vc: VComm, color: i64, key: i64) -> Option<VComm> {
         self.counters.comm_mgmt += 1;
-        let (comm, _g, _s) = self.coll_gate(vc);
-        let sh = Arc::clone(&self.sh);
+        self.coll_gate(vc);
+        let sh = self.sh;
         sh.control.ranks[self.rank]
             .in_collective
             .store(true, SeqCst);
-        let sub = self.ctx.comm_split(&comm, color, key);
+        let sub = self.ctx.comm_split(&self.vcomms.resolve(vc).0, color, key);
         sh.control.ranks[self.rank]
             .in_collective
             .store(false, SeqCst);
@@ -1148,12 +1145,12 @@ impl CcRank {
     /// `MPI_Comm_dup`.
     pub fn comm_dup(&mut self, vc: VComm) -> VComm {
         self.counters.comm_mgmt += 1;
-        let (comm, _g, _s) = self.coll_gate(vc);
-        let sh = Arc::clone(&self.sh);
+        self.coll_gate(vc);
+        let sh = self.sh;
         sh.control.ranks[self.rank]
             .in_collective
             .store(true, SeqCst);
-        let dup = self.ctx.comm_dup(&comm);
+        let dup = self.ctx.comm_dup(&self.vcomms.resolve(vc).0);
         sh.control.ranks[self.rank]
             .in_collective
             .store(false, SeqCst);
@@ -1170,13 +1167,13 @@ impl CcRank {
     /// `MPI_Comm_create` with `members` as world ranks in group order.
     pub fn comm_create(&mut self, vc: VComm, members: Vec<usize>) -> Option<VComm> {
         self.counters.comm_mgmt += 1;
-        let (comm, _g, _s) = self.coll_gate(vc);
+        self.coll_gate(vc);
         let group = Group::new(members.clone());
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         sh.control.ranks[self.rank]
             .in_collective
             .store(true, SeqCst);
-        let sub = self.ctx.comm_create(&comm, &group);
+        let sub = self.ctx.comm_create(&self.vcomms.resolve(vc).0, &group);
         sh.control.ranks[self.rank]
             .in_collective
             .store(false, SeqCst);
@@ -1198,7 +1195,7 @@ impl CcRank {
     }
 }
 
-impl std::fmt::Debug for CcRank {
+impl std::fmt::Debug for CcRank<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CcRank")
             .field("rank", &self.rank)

@@ -35,10 +35,9 @@ use mana_core::{
 use mpisim::collective::RedSpec;
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::sched::WaitReason;
-use mpisim::{CollOp, Comm, Completion, DType, ReduceOp, Request, SrcSel, TagSel, VTime};
+use mpisim::{CollOp, Completion, DType, ReduceOp, Request, SrcSel, TagSel, VTime};
 use netmodel::wrapper_cost;
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::Arc;
 
 /// Outcome of polling a step-rank operation.
 #[derive(Debug)]
@@ -70,7 +69,7 @@ impl<T> StepPoll<T> {
 
 /// Marks this rank's restore cut reached (the first half of the blocking
 /// path's `park_for_restore`; the quiesce half is a machine).
-fn mark_restore_reached(cc: &CcRank) {
+fn mark_restore_reached(cc: &CcRank<'_>) {
     cc.sh
         .restore
         .as_ref()
@@ -83,8 +82,8 @@ fn mark_restore_reached(cc: &CcRank) {
 /// checkpoint ended while waiting, `Ready(true)` once targets are
 /// installed. Wakes arrive from target installation and `clear_pending`,
 /// both of which wake the rank's control slot.
-fn try_await_targets(cc: &mut CcRank) -> StepPoll<bool> {
-    let sh = Arc::clone(&cc.sh);
+fn try_await_targets(cc: &mut CcRank<'_>) -> StepPoll<bool> {
+    let sh = cc.sh;
     let ctl = &sh.control.ranks[cc.rank];
     if !ctl.targets_ready.load(SeqCst) && sh.control.is_pending() {
         return StepPoll::Pending(WaitReason::Event);
@@ -120,7 +119,7 @@ enum QStage {
 }
 
 impl QuiesceM {
-    fn new(cc: &mut CcRank, state: RankState) -> QuiesceM {
+    fn new(cc: &mut CcRank<'_>, state: RankState) -> QuiesceM {
         QuiesceM {
             state,
             stage: QStage::Colls {
@@ -130,7 +129,7 @@ impl QuiesceM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<()> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<()> {
         loop {
             match &mut self.stage {
                 QStage::Colls { ids, idx } => {
@@ -154,7 +153,7 @@ impl QuiesceM {
                     }
                     // Matched-but-uncompleted receives: revert into the
                     // mailbox (not an injection — see the blocking path).
-                    let world = Arc::clone(cc.ctx.world());
+                    let world = std::sync::Arc::clone(cc.ctx.world());
                     for v in cc.vreqs.active_recv_ids() {
                         if let Some(VReqState::Active(mut req, kind)) = cc.vreqs.take(v) {
                             if let Some(msg) = req.unmatch() {
@@ -164,7 +163,7 @@ impl QuiesceM {
                             cc.vreqs.put_back(v, VReqState::Active(req, kind));
                         }
                     }
-                    let sh = Arc::clone(&cc.sh);
+                    let sh = cc.sh;
                     let ctl = &sh.control.ranks[cc.rank];
                     *ctl.capture_slot.lock() = Some(cc.build_capture(self.state));
                     let my_gen = sh.control.resume_gen.load(SeqCst);
@@ -176,7 +175,7 @@ impl QuiesceM {
                     };
                 }
                 QStage::Park { my_gen, restarted } => {
-                    let sh = Arc::clone(&cc.sh);
+                    let sh = cc.sh;
                     let ctl = &sh.control.ranks[cc.rank];
                     loop {
                         let fresh = ctl.new_world.lock().take();
@@ -214,7 +213,9 @@ impl QuiesceM {
 // The drain gate (poll form of Algorithms 2 & 3)
 // ----------------------------------------------------------------------
 
-/// Poll form of [`CcRank::coll_gate`] / [`CcRank::coll_gate_2pc`].
+/// Poll form of [`CcRank::coll_gate`] / [`CcRank::coll_gate_2pc`]. Like
+/// them it yields the group id and sequence number only; the call site
+/// resolves the communicator by reference once the gate is open.
 struct GateM {
     vc: VComm,
     inner: GateKind,
@@ -226,7 +227,7 @@ enum GateKind {
 }
 
 impl GateM {
-    fn new(cc: &mut CcRank, vc: VComm) -> GateM {
+    fn new(cc: &mut CcRank<'_>, vc: VComm) -> GateM {
         let inner = match cc.sh.protocol {
             Protocol::TwoPhase => {
                 let w = wrapper_cost(cc.ctx.world().params());
@@ -245,7 +246,7 @@ impl GateM {
         GateM { vc, inner }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<(Comm, Ggid, u64)> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<(Ggid, u64)> {
         let vc = self.vc;
         match &mut self.inner {
             GateKind::Cc(g) => g.poll(cc, vc),
@@ -264,7 +265,7 @@ enum CcGate {
     Loop,
     /// Fast-path increment raced the coordinator's snapshot; await
     /// targets, then raise-and-broadcast if we overshot (Algorithm 2).
-    FastOvershoot { comm: Comm, ggid: Ggid, seq: u64 },
+    FastOvershoot { ggid: Ggid, seq: u64 },
     /// Drain mode: waiting for the coordinator's initial targets.
     AwaitTargets { ggid: Ggid },
     /// All targets met: parked at the wrapper entry (Algorithm 3).
@@ -276,7 +277,7 @@ enum CcGate {
 }
 
 impl CcGate {
-    fn poll(&mut self, cc: &mut CcRank, vc: VComm) -> StepPoll<(Comm, Ggid, u64)> {
+    fn poll(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> StepPoll<(Ggid, u64)> {
         loop {
             match std::mem::replace(self, CcGate::Loop) {
                 CcGate::Quiesce { mut m, after } => match m.poll(cc) {
@@ -303,35 +304,32 @@ impl CcGate {
                         continue;
                     }
                     cc.service_control();
-                    let sh = Arc::clone(&cc.sh);
-                    let (comm, ggid) = {
-                        let (c, g) = cc.vcomms.resolve(vc);
-                        (c.clone(), *g)
-                    };
+                    let sh = cc.sh;
+                    let ggid = cc.vcomms.resolve(vc).1;
                     if !sh.control.is_pending() {
                         // Fast path, with the snapshot-race contract:
                         // increment under the mirror lock, then observe
                         // `pending`.
                         let seq = sh.control.ranks[cc.rank].seq_mirror.lock().increment(ggid);
                         if sh.control.is_pending() {
-                            *self = CcGate::FastOvershoot { comm, ggid, seq };
+                            *self = CcGate::FastOvershoot { ggid, seq };
                             continue;
                         }
                         cc.record_exec(ggid, seq);
-                        return StepPoll::Ready((comm, ggid, seq));
+                        return StepPoll::Ready((ggid, seq));
                     }
                     *self = CcGate::AwaitTargets { ggid };
                 }
-                CcGate::FastOvershoot { comm, ggid, seq } => match try_await_targets(cc) {
+                CcGate::FastOvershoot { ggid, seq } => match try_await_targets(cc) {
                     StepPoll::Pending(r) => {
-                        *self = CcGate::FastOvershoot { comm, ggid, seq };
+                        *self = CcGate::FastOvershoot { ggid, seq };
                         return StepPoll::Pending(r);
                     }
                     StepPoll::Ready(false) => {
                         // Checkpoint ended while waiting: the overshoot is
                         // moot, the call proceeds.
                         cc.record_exec(ggid, seq);
-                        return StepPoll::Ready((comm, ggid, seq));
+                        return StepPoll::Ready((ggid, seq));
                     }
                     StepPoll::Ready(true) => {
                         cc.apply_updates();
@@ -340,7 +338,7 @@ impl CcGate {
                         }
                         cc.publish_met();
                         cc.record_exec(ggid, seq);
-                        return StepPoll::Ready((comm, ggid, seq));
+                        return StepPoll::Ready((ggid, seq));
                     }
                 },
                 CcGate::AwaitTargets { ggid } => match try_await_targets(cc) {
@@ -353,7 +351,7 @@ impl CcGate {
                     }
                     StepPoll::Ready(true) => {
                         cc.apply_updates();
-                        let sh = Arc::clone(&cc.sh);
+                        let sh = cc.sh;
                         let all_met = {
                             let t = sh.control.ranks[cc.rank].seq_mirror.lock();
                             cc.targets.reached_by(&t)
@@ -361,7 +359,6 @@ impl CcGate {
                         if !all_met {
                             // Drain step: keep executing toward the unmet
                             // targets, raising past ones (Figure 3b).
-                            let comm = cc.vcomms.resolve(vc).0.clone();
                             let seq = sh.control.ranks[cc.rank].seq_mirror.lock().increment(ggid);
                             sh.trace.push(DrainEvent::DrainStep(cc.rank, ggid, seq));
                             if seq > cc.targets.get(ggid).unwrap_or(0) {
@@ -369,7 +366,7 @@ impl CcGate {
                             }
                             cc.record_exec(ggid, seq);
                             cc.publish_met();
-                            return StepPoll::Ready((comm, ggid, seq));
+                            return StepPoll::Ready((ggid, seq));
                         }
                         // Entry effects of the entry park.
                         let ctl = &sh.control.ranks[cc.rank];
@@ -380,7 +377,7 @@ impl CcGate {
                     }
                 },
                 CcGate::Parked => {
-                    let sh = Arc::clone(&cc.sh);
+                    let sh = cc.sh;
                     if !sh.control.is_pending() {
                         *self = CcGate::ParkEpilogue;
                     } else if sh.control.phase() == CkptPhase::Quiescing {
@@ -399,14 +396,12 @@ impl CcGate {
                     }
                 }
                 CcGate::ParkEpilogue => {
-                    let sh = Arc::clone(&cc.sh);
+                    let sh = cc.sh;
                     sh.control.ranks[cc.rank].set_state(if sh.control.is_pending() {
                         RankState::Draining
                     } else {
                         RankState::Running
                     });
-                    // Re-resolve on the next loop: a restart may have
-                    // replaced the lower half while we were parked.
                 }
             }
         }
@@ -440,7 +435,7 @@ enum TwoPcGate {
 }
 
 impl TwoPcGate {
-    fn poll(&mut self, cc: &mut CcRank, vc: VComm) -> StepPoll<(Comm, Ggid, u64)> {
+    fn poll(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> StepPoll<(Ggid, u64)> {
         loop {
             match std::mem::replace(self, TwoPcGate::P1) {
                 TwoPcGate::Quiesce { mut m, after } => match m.poll(cc) {
@@ -476,7 +471,7 @@ impl TwoPcGate {
                         continue;
                     }
                     cc.service_control();
-                    let sh = Arc::clone(&cc.sh);
+                    let sh = cc.sh;
                     if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
                         *self = TwoPcGate::Quiesce {
                             m: QuiesceM::new(cc, RankState::Quiesced),
@@ -487,10 +482,7 @@ impl TwoPcGate {
                     let ordinal = cc.tb_ordinal;
                     cc.tb_ordinal += 1;
                     cc.counters.trivial_barriers += 1;
-                    let req = {
-                        let comm = cc.vcomms.resolve(vc).0.clone();
-                        cc.ctx.ibarrier(&comm)
-                    };
+                    let req = cc.ctx.ibarrier(&cc.vcomms.resolve(vc).0);
                     *self = TwoPcGate::P3 {
                         ordinal,
                         polled: false,
@@ -531,7 +523,7 @@ impl TwoPcGate {
                         continue;
                     }
                     cc.service_control();
-                    let sh = Arc::clone(&cc.sh);
+                    let sh = cc.sh;
                     if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
                         // Intent while the barrier is in flight: complete
                         // it if every member has initiated, else park
@@ -561,17 +553,14 @@ impl TwoPcGate {
     }
 
     /// Barrier complete: every member is at this entry. Count the call.
-    /// Re-resolves the communicator — a restart while parked replaced the
-    /// lower half.
-    fn enter(cc: &mut CcRank, vc: VComm) -> (Comm, Ggid, u64) {
-        let sh = Arc::clone(&cc.sh);
-        let (comm, ggid) = {
-            let (c, g) = cc.vcomms.resolve(vc);
-            (c.clone(), *g)
-        };
-        let seq = sh.control.ranks[cc.rank].seq_mirror.lock().increment(ggid);
+    fn enter(cc: &mut CcRank<'_>, vc: VComm) -> (Ggid, u64) {
+        let ggid = cc.vcomms.resolve(vc).1;
+        let seq = cc.sh.control.ranks[cc.rank]
+            .seq_mirror
+            .lock()
+            .increment(ggid);
         cc.record_exec(ggid, seq);
-        (comm, ggid, seq)
+        (ggid, seq)
     }
 }
 
@@ -581,6 +570,7 @@ impl TwoPcGate {
 
 /// Poll form of [`CcRank::collective`].
 struct CollM {
+    vc: VComm,
     op: CollOp,
     root: usize,
     payload: Option<Bytes>,
@@ -595,7 +585,7 @@ enum CollStage {
 
 impl CollM {
     fn new(
-        cc: &mut CcRank,
+        cc: &mut CcRank<'_>,
         vc: VComm,
         op: CollOp,
         root: usize,
@@ -604,6 +594,7 @@ impl CollM {
     ) -> CollM {
         cc.counters.coll_blocking += 1;
         CollM {
+            vc,
             op,
             root,
             payload: Some(payload),
@@ -612,16 +603,17 @@ impl CollM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<Bytes> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Bytes> {
         loop {
             match &mut self.stage {
                 CollStage::Gate(g) => match g.poll(cc) {
                     StepPoll::Pending(r) => return StepPoll::Pending(r),
-                    StepPoll::Ready((comm, _g, _s)) => {
-                        let sh = Arc::clone(&cc.sh);
-                        sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
+                    StepPoll::Ready(_) => {
+                        cc.sh.control.ranks[cc.rank]
+                            .in_collective
+                            .store(true, SeqCst);
                         let req = cc.ctx.coll_begin(
-                            &comm,
+                            &cc.vcomms.resolve(self.vc).0,
                             self.op,
                             self.root,
                             self.payload.take().expect("payload consumed once"),
@@ -634,8 +626,9 @@ impl CollM {
                     let Some(c) = cc.ctx.try_complete(req) else {
                         return StepPoll::Pending(WaitReason::Event);
                     };
-                    let sh = Arc::clone(&cc.sh);
-                    sh.control.ranks[cc.rank].in_collective.store(false, SeqCst);
+                    cc.sh.control.ranks[cc.rank]
+                        .in_collective
+                        .store(false, SeqCst);
                     cc.service_control();
                     return StepPoll::Ready(c.data);
                 }
@@ -656,7 +649,7 @@ struct ICollM {
 
 impl ICollM {
     fn new(
-        cc: &mut CcRank,
+        cc: &mut CcRank<'_>,
         vc: VComm,
         op: CollOp,
         root: usize,
@@ -679,14 +672,14 @@ impl ICollM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<VReq> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<VReq> {
         match self.gate.poll(cc) {
             StepPoll::Pending(r) => StepPoll::Pending(r),
-            StepPoll::Ready((comm, _g, _s)) => {
-                let sh = Arc::clone(&cc.sh);
+            StepPoll::Ready(_) => {
+                let sh = cc.sh;
                 sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
                 let req = cc.ctx.icollective(
-                    &comm,
+                    &cc.vcomms.resolve(self.vc).0,
                     self.op,
                     self.root,
                     self.payload.take().expect("payload consumed once"),
@@ -711,7 +704,7 @@ enum WaitStage {
 }
 
 impl WaitM {
-    fn new(cc: &mut CcRank, v: VReq) -> WaitM {
+    fn new(cc: &mut CcRank<'_>, v: VReq) -> WaitM {
         cc.counters.completions += 1;
         WaitM {
             v,
@@ -719,7 +712,7 @@ impl WaitM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<Completion> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Completion> {
         loop {
             match &mut self.stage {
                 WaitStage::Quiesce(m) => match m.poll(cc) {
@@ -752,7 +745,7 @@ impl WaitM {
                         }
                         cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
                         cc.service_control();
-                        let sh = Arc::clone(&cc.sh);
+                        let sh = cc.sh;
                         if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
                             self.stage = WaitStage::Quiesce(QuiesceM::new(cc, state));
                             continue;
@@ -775,11 +768,11 @@ struct SplitM {
 
 enum SplitStage {
     Gate(GateM),
-    Run { comm: Comm, req: Request, seq: u64 },
+    Run { req: Request, seq: u64 },
 }
 
 impl SplitM {
-    fn new(cc: &mut CcRank, vc: VComm, color: i64, key: i64) -> SplitM {
+    fn new(cc: &mut CcRank<'_>, vc: VComm, color: i64, key: i64) -> SplitM {
         cc.counters.comm_mgmt += 1;
         SplitM {
             vc,
@@ -789,24 +782,28 @@ impl SplitM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<Option<VComm>> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Option<VComm>> {
         loop {
             match &mut self.stage {
                 SplitStage::Gate(g) => match g.poll(cc) {
                     StepPoll::Pending(r) => return StepPoll::Pending(r),
-                    StepPoll::Ready((comm, _g, _s)) => {
-                        let sh = Arc::clone(&cc.sh);
+                    StepPoll::Ready(_) => {
+                        let sh = cc.sh;
                         sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
-                        let (req, seq) = cc.ctx.comm_split_begin(&comm, self.color, self.key);
-                        self.stage = SplitStage::Run { comm, req, seq };
+                        let parent = &cc.vcomms.resolve(self.vc).0;
+                        let (req, seq) = cc.ctx.comm_split_begin(parent, self.color, self.key);
+                        self.stage = SplitStage::Run { req, seq };
                     }
                 },
-                SplitStage::Run { comm, req, seq } => {
+                SplitStage::Run { req, seq } => {
                     let Some(c) = cc.ctx.try_complete(req) else {
                         return StepPoll::Pending(WaitReason::Event);
                     };
-                    let sub = cc.ctx.comm_split_finish(comm, *seq, self.color, &c.data);
-                    let sh = Arc::clone(&cc.sh);
+                    // The rank has not parked since the begin, so no
+                    // restart can have replaced the handle it began on.
+                    let parent = &cc.vcomms.resolve(self.vc).0;
+                    let sub = cc.ctx.comm_split_finish(parent, *seq, self.color, &c.data);
+                    let sh = cc.sh;
                     sh.control.ranks[cc.rank].in_collective.store(false, SeqCst);
                     let lower = sub.map(|c| {
                         let g = ggid_of(c.group());
@@ -838,11 +835,11 @@ struct DupM {
 
 enum DupStage {
     Gate(GateM),
-    Run { comm: Comm, req: Request, seq: u64 },
+    Run { req: Request, seq: u64 },
 }
 
 impl DupM {
-    fn new(cc: &mut CcRank, vc: VComm) -> DupM {
+    fn new(cc: &mut CcRank<'_>, vc: VComm) -> DupM {
         cc.counters.comm_mgmt += 1;
         DupM {
             vc,
@@ -850,24 +847,25 @@ impl DupM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank) -> StepPoll<VComm> {
+    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<VComm> {
         loop {
             match &mut self.stage {
                 DupStage::Gate(g) => match g.poll(cc) {
                     StepPoll::Pending(r) => return StepPoll::Pending(r),
-                    StepPoll::Ready((comm, _g, _s)) => {
-                        let sh = Arc::clone(&cc.sh);
+                    StepPoll::Ready(_) => {
+                        let sh = cc.sh;
                         sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
-                        let (req, seq) = cc.ctx.comm_dup_begin(&comm);
-                        self.stage = DupStage::Run { comm, req, seq };
+                        let (req, seq) = cc.ctx.comm_dup_begin(&cc.vcomms.resolve(self.vc).0);
+                        self.stage = DupStage::Run { req, seq };
                     }
                 },
-                DupStage::Run { comm, req, seq } => {
+                DupStage::Run { req, seq } => {
                     if cc.ctx.try_complete(req).is_none() {
                         return StepPoll::Pending(WaitReason::Event);
                     }
-                    let dup = cc.ctx.comm_dup_finish(comm, *seq);
-                    let sh = Arc::clone(&cc.sh);
+                    // As in `SplitM`: still the handle the dup began on.
+                    let dup = cc.ctx.comm_dup_finish(&cc.vcomms.resolve(self.vc).0, *seq);
+                    let sh = cc.sh;
                     sh.control.ranks[cc.rank].in_collective.store(false, SeqCst);
                     let g = ggid_of(dup.group());
                     sh.control.ranks[cc.rank]
@@ -912,14 +910,14 @@ impl Op {
 /// One rank's checkpoint-aware handle for step-function bodies: wraps a
 /// [`CcRank`] and drives its protocol machinery in poll form. See the
 /// module docs for the call protocol.
-pub struct StepRank {
-    cc: CcRank,
+pub struct StepRank<'s> {
+    cc: CcRank<'s>,
     op: Option<Op>,
 }
 
-impl StepRank {
+impl<'s> StepRank<'s> {
     /// Creates the step wrapper for `rank` on the session's current world.
-    pub fn new(sh: Arc<Session>, rank: usize) -> StepRank {
+    pub fn new(sh: &'s Session, rank: usize) -> StepRank<'s> {
         StepRank {
             cc: CcRank::new(sh, rank),
             op: None,
@@ -1177,7 +1175,7 @@ impl StepRank {
     }
 }
 
-impl std::fmt::Debug for StepRank {
+impl std::fmt::Debug for StepRank<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StepRank")
             .field("rank", &self.cc.rank())

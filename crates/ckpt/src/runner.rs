@@ -401,7 +401,7 @@ where
                     }
                     sched.attach(rank);
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut cc = CcRank::new(Arc::clone(&sh), rank);
+                        let mut cc = CcRank::new(&sh, rank);
                         let result = f(&mut cc);
                         let final_clock = cc.clock();
                         cc.finish();
@@ -493,7 +493,7 @@ where
         failures: sup_out.failures,
         final_counters,
         trace: sh.trace.clone(),
-        events: sh.exec_log.events(),
+        events: sh.exec_log.take_events(),
         backstop_expiries: sh.backstop_expiries(),
         capture_wall_s: sup_out.capture_wall_s,
         capture_overlap_s: sup_out.capture_overlap_s,

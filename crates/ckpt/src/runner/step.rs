@@ -74,12 +74,12 @@ where
 /// the same panic bookkeeping as a rank thread.
 struct CcStepObj<'a, B: StepBody> {
     rank: usize,
-    sh: Arc<Session>,
+    sh: &'a Session,
     /// The session's fault plane, cached once — it lives on the scheduler
     /// and survives every lower-half generation, so the handle never goes
     /// stale across restarts.
     fail: Arc<FailPlane>,
-    cc: StepRank,
+    cc: StepRank<'a>,
     body: B,
     out: &'a Mutex<Option<RankReport<B::Out>>>,
 }
@@ -235,11 +235,11 @@ where
     let mut spawn_err = None;
     for (rank, out) in outs.iter().enumerate() {
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cc = StepRank::new(Arc::clone(&sh), rank);
+            let cc = StepRank::new(&sh, rank);
             let body = make(rank);
             CcStepObj {
                 rank,
-                sh: Arc::clone(&sh),
+                sh: &sh,
                 fail: Arc::clone(sh.current_world().fail_plane()),
                 cc,
                 body,
@@ -326,7 +326,7 @@ where
         failures: sup_out.failures,
         final_counters,
         trace: sh.trace.clone(),
-        events: sh.exec_log.events(),
+        events: sh.exec_log.take_events(),
         backstop_expiries: sh.backstop_expiries(),
         capture_wall_s: sup_out.capture_wall_s,
         capture_overlap_s: sup_out.capture_overlap_s,

@@ -71,11 +71,12 @@ impl SeqTable {
         self.entries.get(&ggid).map(|e| &*e.members)
     }
 
-    /// Shared handle to a registered group's member list. Cloning the
-    /// returned `Arc` is how per-call consumers (the execution log, the
-    /// capture path) reference the members without copying them.
-    pub fn members_shared(&self, ggid: Ggid) -> Option<Arc<[usize]>> {
-        self.entries.get(&ggid).map(|e| Arc::clone(&e.members))
+    /// Shared handle to a registered group's member list, by reference:
+    /// per-call consumers (the execution log) look at it without touching
+    /// its reference count; consumers that keep it (a target raise's
+    /// broadcast) clone it.
+    pub fn members_shared(&self, ggid: Ggid) -> Option<&Arc<[usize]>> {
+        self.entries.get(&ggid).map(|e| &e.members)
     }
 
     /// Iterates `(ggid, entry)`.

@@ -13,7 +13,7 @@
 use crate::ggid::Ggid;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A node in the execution DAG: the `seq`-th collective on group `ggid`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,10 +40,68 @@ pub struct ExecEvent {
     pub members: Arc<[usize]>,
 }
 
+/// One rank's private part of the log: what it executed since the last
+/// harvest, 16 bytes an entry.
+#[derive(Default)]
+struct RankLog {
+    /// `(ggid, seq)` in program order.
+    entries: Vec<(Ggid, u64)>,
+    /// The member list of every group this rank has recorded on,
+    /// registered the first time the group is seen (a handful per rank).
+    groups: Vec<(Ggid, Arc<[usize]>)>,
+}
+
+impl RankLog {
+    fn members(&self, ggid: Ggid) -> Option<&Arc<[usize]>> {
+        self.groups.iter().find(|(g, _)| *g == ggid).map(|(_, m)| m)
+    }
+}
+
+struct LogInner {
+    /// Rank-owned logs in pages of doubling size: page `k` holds ranks
+    /// `2^k - 1 .. 2^(k+1) - 1`, so the table needs no rank count up
+    /// front and never moves a log once a rank has found it. A page is
+    /// allocated by the first record on it; finding a rank's log is two
+    /// loads, and the log's mutex is private to that rank (the harvester
+    /// takes it only while the rank is parked or finished).
+    pages: [OnceLock<Box<[Mutex<RankLog>]>>; usize::BITS as usize],
+    /// Everything harvested so far, in harvest order.
+    committed: Mutex<Vec<ExecEvent>>,
+}
+
 /// Shared append-only log of executed collective participations.
-#[derive(Debug, Clone, Default)]
+///
+/// Appends are **rank-owned**: [`ExecutionLog::record`] touches only the
+/// recording rank's own log, so a dense collective on thousands of ranks
+/// appends from every worker at once without sharing a lock or a cache
+/// line. Readers *harvest*: they move what each rank recorded since the
+/// previous harvest — rank by rank, each rank's events in program order
+/// — onto one committed list. The committed list only ever grows at its
+/// end, so the events of an earlier harvest are a prefix of every later
+/// one: the property delta images rely on to store a cut log as
+/// "parent's cut + tail".
+#[derive(Clone)]
 pub struct ExecutionLog {
-    inner: Arc<Mutex<Vec<ExecEvent>>>,
+    inner: Arc<LogInner>,
+}
+
+impl Default for ExecutionLog {
+    fn default() -> Self {
+        ExecutionLog {
+            inner: Arc::new(LogInner {
+                pages: std::array::from_fn(|_| OnceLock::new()),
+                committed: Mutex::new(Vec::new()),
+            }),
+        }
+    }
+}
+
+impl std::fmt::Debug for ExecutionLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExecutionLog")
+            .field("len", &self.len())
+            .finish()
+    }
 }
 
 impl ExecutionLog {
@@ -52,23 +110,86 @@ impl ExecutionLog {
         Self::default()
     }
 
-    /// Records that `rank` participated in `node`.
-    pub fn record(&self, rank: usize, ggid: Ggid, seq: u64, members: Arc<[usize]>) {
-        self.inner.lock().push(ExecEvent {
-            rank,
-            node: Node { ggid, seq },
-            members,
-        });
+    fn rank_log(&self, rank: usize) -> &Mutex<RankLog> {
+        let k = (rank + 1).ilog2();
+        let first = (1usize << k) - 1;
+        let page = self.inner.pages[k as usize]
+            .get_or_init(|| (0..=first).map(|_| Mutex::default()).collect());
+        &page[rank - first]
     }
 
-    /// Snapshot of all events.
+    /// The logs of every page any rank has recorded on, in rank order.
+    fn rank_logs(&self) -> impl Iterator<Item = (usize, &Mutex<RankLog>)> {
+        self.inner
+            .pages
+            .iter()
+            .enumerate()
+            .filter_map(|(k, page)| Some(((1usize << k) - 1, page.get()?)))
+            .flat_map(|(first, page)| {
+                page.iter()
+                    .enumerate()
+                    .map(move |(i, log)| (first + i, log))
+            })
+    }
+
+    /// Records that `rank` participated in the `seq`-th collective on
+    /// `ggid`, whose (sorted) member world ranks are `members`.
+    pub fn record(&self, rank: usize, ggid: Ggid, seq: u64, members: Arc<[usize]>) {
+        self.record_shared(rank, ggid, seq, &members);
+    }
+
+    /// [`ExecutionLog::record`] for callers that hold the member list by
+    /// reference: the handle is cloned only the first time `rank` records
+    /// on `ggid`, so the per-call path touches no shared reference count.
+    pub fn record_shared(&self, rank: usize, ggid: Ggid, seq: u64, members: &Arc<[usize]>) {
+        let mut log = self.rank_log(rank).lock();
+        if log.members(ggid).is_none() {
+            log.groups.push((ggid, Arc::clone(members)));
+        }
+        log.entries.push((ggid, seq));
+    }
+
+    /// Entries recorded since the last harvest.
+    fn unharvested(&self) -> usize {
+        self.rank_logs().map(|(_, l)| l.lock().entries.len()).sum()
+    }
+
+    /// Moves every rank's new entries onto the committed list, rank by
+    /// rank. Deterministic whenever the ranks are not recording (parked
+    /// at a cut, or finished).
+    fn harvest(&self) -> parking_lot::MutexGuard<'_, Vec<ExecEvent>> {
+        let mut committed = self.inner.committed.lock();
+        // Sized in one step: doubling a list of millions of events would
+        // briefly hold it twice.
+        committed.reserve_exact(self.unharvested());
+        for (rank, log) in self.rank_logs() {
+            let mut log = log.lock();
+            let entries = std::mem::take(&mut log.entries);
+            committed.extend(entries.into_iter().map(|(ggid, seq)| ExecEvent {
+                rank,
+                node: Node { ggid, seq },
+                members: Arc::clone(log.members(ggid).expect("group registered at record")),
+            }));
+        }
+        committed
+    }
+
+    /// Snapshot of all events: everything harvested before, then each
+    /// rank's events since, in rank order.
     pub fn events(&self) -> Vec<ExecEvent> {
-        self.inner.lock().clone()
+        self.harvest().clone()
+    }
+
+    /// All events, moved out — for the end of a run, where a snapshot
+    /// would hold a multi-million-event log twice. Later records start a
+    /// fresh list.
+    pub fn take_events(&self) -> Vec<ExecEvent> {
+        std::mem::take(&mut *self.harvest())
     }
 
     /// Number of recorded participations.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.committed.lock().len() + self.unharvested()
     }
 
     /// Whether the log is empty.
@@ -274,5 +395,35 @@ mod tests {
         l2.record(0, Ggid(1), 1, vec![0].into());
         assert_eq!(log.len(), 1);
         assert!(!log.is_empty());
+    }
+
+    #[test]
+    fn harvest_is_rank_major_and_earlier_harvests_stay_a_prefix() {
+        let log = ExecutionLog::new();
+        let m: Arc<[usize]> = vec![0, 1, 2000].into();
+        // Interleaved across ranks (and across three pages of the table).
+        log.record_shared(2000, Ggid(1), 1, &m);
+        log.record_shared(1, Ggid(1), 1, &m);
+        log.record_shared(0, Ggid(1), 1, &m);
+        log.record_shared(1, Ggid(1), 2, &m);
+        let first = log.events();
+        let order = |evs: &[ExecEvent]| -> Vec<(usize, u64)> {
+            evs.iter().map(|e| (e.rank, e.node.seq)).collect()
+        };
+        assert_eq!(order(&first), vec![(0, 1), (1, 1), (1, 2), (2000, 1)]);
+        assert!(first.iter().all(|e| Arc::ptr_eq(&e.members, &m)));
+        // A later harvest appends the new events, rank-major among
+        // themselves, behind everything harvested before.
+        log.record_shared(2000, Ggid(1), 2, &m);
+        log.record_shared(0, Ggid(1), 2, &m);
+        let second = log.events();
+        assert_eq!(second[..first.len()], first[..], "prefix preserved");
+        assert_eq!(order(&second[first.len()..]), vec![(0, 2), (2000, 2)]);
+        assert_eq!(log.len(), 6);
+        // Taking the log empties it without losing the group registry.
+        assert_eq!(log.take_events(), second);
+        assert!(log.is_empty());
+        log.record_shared(1, Ggid(1), 3, &m);
+        assert_eq!(order(&log.take_events()), vec![(1, 3)]);
     }
 }

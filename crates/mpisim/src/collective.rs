@@ -101,7 +101,8 @@ pub struct CollInstance {
     op: CollOp,
     root: usize,
     red: Option<RedSpec>,
-    world_ranks: Vec<usize>,
+    /// The group's interned member list (shared, never copied per call).
+    world_ranks: Arc<[usize]>,
     instance_id: u64,
     params: Arc<NetParams>,
     topo: Topology,
@@ -160,7 +161,7 @@ impl CollInstance {
             op,
             root,
             red,
-            world_ranks: group.members().to_vec(),
+            world_ranks: group.members_shared(),
             instance_id,
             params: env.params,
             topo: env.topo,

@@ -12,7 +12,7 @@ use crate::group::Group;
 use crate::msg::InFlightMsg;
 use crate::types::{CommId, SrcSel, TagSel};
 use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The matching criteria of a receive or probe.
@@ -49,20 +49,32 @@ impl MatchSpec<'_> {
 pub struct Mailbox {
     inner: Mutex<Vec<InFlightMsg>>,
     cv: Condvar,
-    /// Monotone count of deposits, for "did anything change" polling.
-    generation: Mutex<u64>,
+    activity: Mutex<Activity>,
     /// Step-mode wake hook: invoked on every [`Mailbox::notify_activity`]
     /// so a parked step rank learns about deposits and collective
     /// completions through its driver instead of a condition variable.
-    /// `None` for thread-representation worlds.
-    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Unset for thread-representation worlds; set at most once, so a
+    /// poke reads it without a lock or a reference count.
+    waker: OnceLock<Arc<dyn Fn() + Send + Sync>>,
+}
+
+#[derive(Default)]
+struct Activity {
+    /// Monotone count of deposits and pokes, for "did anything change"
+    /// polling.
+    generation: u64,
+    /// Threads currently inside [`Mailbox::wait_activity_since`]'s
+    /// condvar wait. A poke notifies the condvar only when this is
+    /// non-zero: a step-rank world never waits here, and an
+    /// unconditional `notify_all` is a futex call per poke.
+    waiters: usize,
 }
 
 impl std::fmt::Debug for Mailbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mailbox")
             .field("queued", &self.len())
-            .field("has_waker", &self.waker.lock().is_some())
+            .field("has_waker", &self.waker.get().is_some())
             .finish()
     }
 }
@@ -90,10 +102,18 @@ impl Mailbox {
     /// the same way they learn about deposits, so those waits stay
     /// event-driven instead of timing out.
     pub fn notify_activity(&self) {
-        *self.generation.lock() += 1;
-        self.cv.notify_all();
-        let waker = self.waker.lock().clone();
-        if let Some(w) = waker {
+        let waiting = {
+            let mut a = self.activity.lock();
+            a.generation += 1;
+            a.waiters > 0
+        };
+        // A waiter registers and starts waiting under the activity lock,
+        // so one that is not counted yet will see the new generation
+        // before it waits.
+        if waiting {
+            self.cv.notify_all();
+        }
+        if let Some(w) = self.waker.get() {
             w();
         }
     }
@@ -101,8 +121,15 @@ impl Mailbox {
     /// Installs the step-mode waker invoked on every activity
     /// notification. Wired by the world constructor from the scheduler's
     /// step-waker registry; thread-representation worlds never set it.
+    ///
+    /// # Panics
+    /// Panics if a waker is already installed: a mailbox belongs to one
+    /// rank of one lower-half generation, which has one driver.
     pub fn set_waker(&self, w: Arc<dyn Fn() + Send + Sync>) {
-        *self.waker.lock() = Some(w);
+        assert!(
+            self.waker.set(w).is_ok(),
+            "mailbox step waker installed twice"
+        );
     }
 
     /// Removes and returns the first message matching `spec`, if any.
@@ -130,7 +157,7 @@ impl Mailbox {
     /// [`Mailbox::wait_activity_since`] — a deposit landing between the
     /// scan and the wait bumps the counter and the wait returns at once.
     pub fn activity_token(&self) -> u64 {
-        *self.generation.lock()
+        self.activity.lock().generation
     }
 
     /// Blocks the calling thread until activity lands after `token` was
@@ -141,12 +168,14 @@ impl Mailbox {
     /// unchanged — callers treating `timeout` as a lost-wakeup backstop
     /// use the `false` case to record a backstop-expiry wakeup.
     pub fn wait_activity_since(&self, token: u64, timeout: Duration) -> bool {
-        let mut gen = self.generation.lock();
-        if *gen != token {
+        let mut a = self.activity.lock();
+        if a.generation != token {
             return true;
         }
-        self.cv.wait_for(&mut gen, timeout);
-        *gen != token
+        a.waiters += 1;
+        self.cv.wait_for(&mut a, timeout);
+        a.waiters -= 1;
+        a.generation != token
     }
 
     /// Blocks until the mailbox changes or `timeout` elapses. Activity
@@ -307,6 +336,58 @@ mod tests {
             t.elapsed() < Duration::from_secs(1),
             "raced deposit must not cost the timeout"
         );
+    }
+
+    /// Spins until a thread is parked in `wait_activity_since`.
+    fn await_waiter(mb: &Mailbox) {
+        while mb.activity.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_waiter_wakes_on_poke_and_on_deposit() {
+        // The waiter-gated `notify_all` must still reach a thread that is
+        // really parked: both event kinds end a 5 s wait at once, with
+        // `true` (activity seen, not a backstop expiry).
+        let pokes: [fn(&Mailbox); 2] = [Mailbox::notify_activity, |mb| mb.deposit(msg(1, 0, 1, 0))];
+        for poke in pokes {
+            let mb = Mailbox::new();
+            let token = mb.activity_token();
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    let t = std::time::Instant::now();
+                    let seen = mb.wait_activity_since(token, Duration::from_secs(5));
+                    (seen, t.elapsed())
+                });
+                await_waiter(&mb);
+                poke(&mb);
+                let (seen, waited) = waiter.join().unwrap();
+                assert!(seen, "the poke is activity, not a timeout");
+                assert!(waited < Duration::from_secs(1), "woken, not timed out");
+            });
+            assert_eq!(mb.activity.lock().waiters, 0, "waiter deregistered");
+        }
+    }
+
+    #[test]
+    fn poke_without_waiter_still_counts_and_calls_the_waker() {
+        let mb = Mailbox::new();
+        let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let h = Arc::clone(&hits);
+        mb.set_waker(Arc::new(move || {
+            h.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }));
+        let token = mb.activity_token();
+        mb.notify_activity();
+        assert_ne!(
+            mb.activity_token(),
+            token,
+            "token bumped with nobody waiting"
+        );
+        assert_eq!(hits.load(std::sync::atomic::Ordering::SeqCst), 1);
+        // The bump is what a later waiter keys on: no wait at all.
+        assert!(mb.wait_activity_since(token, Duration::from_secs(5)));
     }
 
     #[test]
