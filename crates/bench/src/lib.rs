@@ -39,7 +39,7 @@ pub use figure9::{
     figure9_to_json, tier_sweep, Figure9CapturePoint, Figure9Config, Figure9DeltaPoint,
     Figure9DrainComparison, Figure9DrainRecord, Figure9Report, Figure9TierPoint,
 };
-pub use synth::{perturbed_checkpoint, synthetic_checkpoint};
+pub use synth::{perturbed_checkpoint, synthetic_checkpoint, with_unshared_lists};
 
 /// A workload in the protocol-comparison matrix. All are 2PC-compatible
 /// (no non-blocking collectives).

@@ -250,9 +250,49 @@ pub fn perturbed_checkpoint(base: &Checkpoint, every: usize) -> Checkpoint {
     next
 }
 
+/// Returns a copy of `base`, equal to it, in which every member-list
+/// reference owns a fresh allocation — the opposite of a live run, where
+/// all references to a group share one. The wire format must not be able
+/// to tell the two apart.
+pub fn with_unshared_lists(base: &Checkpoint) -> Checkpoint {
+    let mut next = base.clone();
+    for e in &mut next.cut_events {
+        e.members = e.members.to_vec().into();
+    }
+    for c in &mut next.captures {
+        let entries: Vec<(Ggid, u64, Vec<usize>)> = c
+            .seq_table
+            .iter()
+            .map(|(g, e)| (*g, e.seq, e.members.to_vec()))
+            .collect();
+        for (g, seq, members) in entries {
+            c.seq_table.restore(g, seq, members);
+        }
+        for m in c.vcomm_members.values_mut() {
+            *m = m.to_vec().into();
+        }
+    }
+    next
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn unsharing_keeps_the_value_and_splits_every_allocation() {
+        let base = synthetic_checkpoint(16, 5);
+        let next = with_unshared_lists(&base);
+        assert_eq!(next, base);
+        let refs: Vec<_> = next.member_list_refs().collect();
+        assert_eq!(refs.len(), 16 * 6);
+        for (i, a) in refs.iter().enumerate() {
+            for b in &refs[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b));
+            }
+        }
+    }
 
     #[test]
     fn synthetic_image_is_deterministic_and_round_trips() {

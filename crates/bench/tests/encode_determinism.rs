@@ -4,8 +4,13 @@
 //! knob, never a format knob. Validated over deterministic synthetic
 //! images at the paper's 256/1024-rank operating points and over a real
 //! captured image, plus the round-trip back through `from_bytes`.
+//!
+//! Since wire v5 interns member lists the contract has a second half:
+//! bytes are a function of the image's **value**. The same image with
+//! every member list in an allocation of its own — no sharing for the
+//! encoder's per-allocation cache to find — encodes to the same bytes.
 
-use bench::synthetic_checkpoint;
+use bench::{synthetic_checkpoint, with_unshared_lists};
 use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, ResumeMode};
 use mpisim::{NetParams, VTime, WorldConfig};
 use workloads::{random_workload, RandomWorkloadCfg};
@@ -51,6 +56,44 @@ fn parallel_encode_matches_serial_on_a_real_captured_image() {
     for workers in WORKER_COUNTS {
         assert_eq!(serial, image.to_bytes_parallel(workers));
     }
+}
+
+#[test]
+fn bytes_do_not_depend_on_how_member_lists_are_allocated() {
+    // Eight ranks: the schedule's splits leave strided sub-communicators,
+    // so the member-list table is not empty.
+    let cfg = WorldConfig::single_node(8).with_params(NetParams::slingshot11().without_jitter());
+    let wl = RandomWorkloadCfg::new(13, 25);
+    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
+        random_workload(&wl, r)
+    });
+    let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
+    let paced = wl.clone().with_pace_us(20);
+    let run = run_ckpt_world(
+        cfg,
+        CkptOptions::one_checkpoint(at, ResumeMode::Continue),
+        |r| random_workload(&paced, r),
+    );
+    let image = run.checkpoints.first().expect("capture fired");
+    assert!(
+        image.member_table_range().len() > 8,
+        "the image must reference at least one non-contiguous group"
+    );
+
+    let unshared = with_unshared_lists(image);
+    assert_eq!(&unshared, image);
+    let serial = image.to_bytes();
+    assert_eq!(unshared.serialized_len(), serial.len());
+    for workers in WORKER_COUNTS {
+        assert_eq!(
+            unshared.to_bytes_parallel(workers),
+            serial,
+            "{workers}-worker encode of the unshared image diverged"
+        );
+    }
+    // A decoded image shares every list again; same bytes once more.
+    let decoded = Checkpoint::from_bytes(&serial).expect("round trip");
+    assert_eq!(decoded.to_bytes(), serial);
 }
 
 #[test]

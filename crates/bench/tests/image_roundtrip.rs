@@ -3,14 +3,21 @@
 //! *bit-identically* to the in-process `ResumeMode::Restart` path — under
 //! both the CC drain protocol and the 2PC trivial-barrier baseline — and
 //! tampered or truncated bytes must be rejected, never restored.
+//!
+//! Wire v5 writes each group member list once and a content reference
+//! everywhere else; what comes back must be indistinguishable from what
+//! went in — strided and group-order lists included — and hold every
+//! list in **one** allocation, whether the image was decoded from its own
+//! bytes or resolved through a delta chain.
 
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, Checkpoint, CkptOptions, ImageError, RestoreConfig,
-    ResumeMode,
+    restore_ckpt_world, run_ckpt_world, run_ckpt_world_steps, Checkpoint, CkptOptions, CkptTier,
+    EveryNCollectives, ImageError, RestoreConfig, ResumeMode, TieredStore,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::{random_workload, RandomWorkloadCfg};
+use std::sync::Arc;
+use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -60,6 +67,16 @@ fn capture(protocol: Protocol, n: usize, seed: u64) -> (Checkpoint, Vec<f64>, Ve
     (image, native_data, restarted)
 }
 
+/// All references to one member list share one allocation.
+fn assert_lists_are_shared(image: &Checkpoint, what: &str) {
+    let refs: Vec<_> = image.member_list_refs().collect();
+    for a in &refs {
+        for b in &refs {
+            assert_eq!(a == b, Arc::ptr_eq(a, b), "{what}: {a:?} vs {b:?}");
+        }
+    }
+}
+
 fn roundtrip_case(protocol: Protocol, n: usize, seed: u64) {
     let (image, native_data, restarted) = capture(protocol, n, seed);
 
@@ -68,6 +85,7 @@ fn roundtrip_case(protocol: Protocol, n: usize, seed: u64) {
     let decoded = Checkpoint::from_bytes(&bytes).expect("decode");
     assert_eq!(decoded, image, "decoded image differs from the capture");
     assert_eq!(decoded.to_bytes(), bytes, "re-serialization must be stable");
+    assert_lists_are_shared(&decoded, "from_bytes");
 
     // disk round trip.
     let path = std::env::temp_dir().join(format!(
@@ -115,6 +133,47 @@ fn two_phase_image_roundtrip_restores_bit_identically() {
     }
 }
 
+/// Three consecutive cuts of a 16-rank step world with split
+/// communicators, stored as full + delta + delta: the chain resolves to
+/// the newest image exactly, and the lists of the result — the root's cut
+/// prefix, both deltas' tails, every rank's chunk, inherited or inline —
+/// are each one allocation.
+#[test]
+fn depth_three_chain_of_a_split_world_resolves_with_shared_lists() {
+    let cfg = WorldConfig::multi_node(16, 4)
+        .with_params(NetParams::slingshot11().without_jitter())
+        .with_workers(2);
+    let work = RandomWorkloadCfg::new(193, 200).with_pace_us(40);
+    let run = run_ckpt_world_steps(
+        cfg,
+        CkptOptions::native()
+            .with_protocol(Protocol::Cc)
+            .with_policy(EveryNCollectives::new(25, 3))
+            .with_resume(ResumeMode::Continue),
+        |_| RandomWorkloadStep::new(work.clone()),
+    );
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    assert_eq!(run.checkpoints.len(), 3, "three cuts must commit");
+
+    let store = TieredStore::default();
+    let mut leaf = 0;
+    for (i, image) in run.checkpoints.iter().enumerate() {
+        let r = store.save(CkptTier::Lustre, Arc::new(image.clone()), i > 0, 2);
+        assert_eq!(r.delta_parent.is_some(), i > 0, "save {i}");
+        leaf = r.generation;
+    }
+    let newest = &run.checkpoints[2];
+    assert!(
+        newest.member_table_range().len() > 8,
+        "the world must have split into non-contiguous groups"
+    );
+    let loaded = store.load(leaf).expect("depth-3 chain must resolve");
+    assert_eq!(&loaded, newest);
+    assert_eq!(loaded.to_bytes(), newest.to_bytes());
+    assert_lists_are_shared(&loaded, "TieredStore::load");
+    loaded.verify().expect("the resolved cut is safe");
+}
+
 /// A corrupted or truncated image must be rejected at parse time with a
 /// typed error; restore never sees it.
 #[test]
@@ -144,11 +203,15 @@ fn corrupted_and_truncated_images_are_rejected() {
         );
     }
 
-    // An image from a future format version is refused, not misparsed.
-    let mut future = bytes.clone();
-    future[8] = 0xFE;
-    assert!(matches!(
-        Checkpoint::from_bytes(&future),
-        Err(ImageError::UnsupportedVersion(_))
-    ));
+    // An image from a future format version is refused, not misparsed —
+    // and so is one from before the member-list table (v4): there is one
+    // decoder.
+    for version in [0xFE, 4] {
+        let mut other = bytes.clone();
+        other[8] = version;
+        assert_eq!(
+            Checkpoint::from_bytes(&other),
+            Err(ImageError::UnsupportedVersion(version as u32))
+        );
+    }
 }

@@ -5,8 +5,8 @@
 //! the safe-cut oracle's failure used to panic mid-restore).
 
 use ckpt::{
-    run_ckpt_world, try_restore_ckpt_world, Checkpoint, CkptOptions, RestoreConfig, RestoreError,
-    ResumeMode,
+    run_ckpt_world, try_restore_ckpt_world, Checkpoint, CkptOptions, ImageError, RestoreConfig,
+    RestoreError, ResumeMode,
 };
 use mpisim::{NetParams, VTime, WorldConfig};
 use workloads::{random_workload, RandomWorkloadCfg};
@@ -75,6 +75,31 @@ fn partially_visited_node_is_refused() {
     })
     .expect_err("a partially-visited cut must be refused");
     assert!(matches!(err, RestoreError::UnsafeCut(_)), "got {err:?}");
+}
+
+/// A member list naming a rank outside the world would index past the
+/// per-rank control state mid-restore. The wire refuses it where it
+/// enters: the list is range-checked once, in the member-list table, and
+/// the image never reaches `try_restore_ckpt_world`.
+#[test]
+fn member_outside_the_world_is_refused_at_decode() {
+    let (mut image, _) = capture_image();
+    let n = image.n_ranks;
+    let victim = image
+        .cut_events
+        .iter()
+        .position(|e| e.members.len() > 1)
+        .expect("a real run has multi-member collectives");
+    let mut members = image.cut_events[victim].members.to_vec();
+    *members.last_mut().unwrap() = n + 3;
+    image.cut_events[victim].members = members.into();
+    let res = std::panic::catch_unwind(|| Checkpoint::from_bytes(&image.to_bytes()))
+        .expect("the decoder must not panic");
+    assert_eq!(
+        res,
+        Err(ImageError::Malformed("member table entry rank")),
+        "an out-of-world member must be a typed decode error"
+    );
 }
 
 #[test]

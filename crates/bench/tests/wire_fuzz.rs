@@ -14,7 +14,14 @@
 //!   or a well-formed image — never a panic, hang, or huge allocation;
 //! * appended **trailing garbage** must be rejected.
 //!
-//! The v4 **delta image** sections get the same treatment: flips inside
+//! The v5 **member-list table** — every distinct non-contiguous group
+//! member list written once, referenced by content id everywhere else —
+//! is aimed at directly: a repaired flip anywhere in the table, or in the
+//! id of any cut-event reference, is a typed error in both
+//! `Checkpoint::from_bytes` and `ImagePayload::from_bytes`, for full
+//! images and for delta heads.
+//!
+//! The **delta image** sections get the same treatment: flips inside
 //! content-addressed chunk bodies (checksum-repaired so they reach the
 //! chunk re-hash) are typed [`ImageError::DeltaChain`] rejections, a
 //! forged parent-generation word resolves to a typed chain error through
@@ -23,10 +30,12 @@
 //! fails with [`ImageError::DanglingParent`]. Never a panic.
 
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
+use ckpt::store::delta::full_image_refs;
 use ckpt::{
-    run_ckpt_world, Checkpoint, CkptOptions, CkptTier, ImageError, ImagePayload, ResumeMode,
-    StoreError, TieredStore,
+    run_ckpt_world, Checkpoint, ChunkPool, CkptOptions, CkptTier, DeltaImage, ImageError,
+    ImagePayload, ResumeMode, StoreError, TieredStore,
 };
+use mana_core::ExecEvent;
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
 use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
@@ -36,10 +45,12 @@ use ckpt::image::{
     IMAGE_LEN_OFFSET as LEN_OFFSET,
 };
 
-/// Captures one non-trivial image from a real run.
+/// Captures one non-trivial image from a real run: eight ranks, so the
+/// schedule's communicator splits leave strided groups and the image
+/// holds member-table entries (a 4-rank world splits into runs only).
 fn capture_image() -> Checkpoint {
-    let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
-    let wl = RandomWorkloadCfg::new(7, 25);
+    let cfg = WorldConfig::single_node(8).with_params(NetParams::slingshot11().without_jitter());
+    let wl = RandomWorkloadCfg::new(13, 25);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
         random_workload(&wl, r)
     });
@@ -50,10 +61,16 @@ fn capture_image() -> Checkpoint {
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
         |r| random_workload(&paced, r),
     );
-    run.checkpoints
+    let image = run
+        .checkpoints
         .into_iter()
         .next()
-        .expect("harness captured a checkpoint")
+        .expect("harness captured a checkpoint");
+    assert!(
+        image.member_table_range().len() > 8,
+        "the fuzzed image must hold member-table entries"
+    );
+    image
 }
 
 /// Patches the header checksum to match the (mutated) payload, so a
@@ -257,7 +274,190 @@ fn section_ranges_agree_with_parallel_encoder_output() {
 }
 
 // ---------------------------------------------------------------------
-// v4 delta / chunk sections
+// v5 member-list table and references
+// ---------------------------------------------------------------------
+
+/// Encoded size of one cut event: rank, ggid and seq words, then the
+/// member-list reference — tag + `(start, len)` for a contiguous run, tag
+/// + content id for a list held in the table.
+fn event_len(e: &ExecEvent) -> usize {
+    let run = e.members.windows(2).all(|w| w[1] == w[0] + 1);
+    24 + if run { 17 } else { 9 }
+}
+
+/// Offsets of the content-id word of every table reference in a run of
+/// encoded cut events starting at `at`.
+fn listed_id_offsets(events: &[ExecEvent], mut at: usize) -> Vec<usize> {
+    let mut ids = Vec::new();
+    for e in events {
+        let len = event_len(e);
+        if len == 24 + 9 {
+            ids.push(at + 24 + 1);
+        }
+        at += len;
+    }
+    ids
+}
+
+/// A repaired one-bit flip at each of `positions` must be refused by
+/// `decode` with a typed error — never accepted, never a panic.
+fn assert_flips_rejected<T: std::fmt::Debug>(
+    bytes: &[u8],
+    positions: impl Iterator<Item = usize>,
+    rng: &mut SplitMix64,
+    decode: impl Fn(&[u8]) -> Result<T, ImageError> + std::panic::RefUnwindSafe,
+    what: &str,
+) {
+    for pos in positions {
+        let mut m = bytes.to_vec();
+        m[pos] ^= 1u8 << rng.next_range(8);
+        fix_checksum(&mut m);
+        let res = std::panic::catch_unwind(|| decode(&m))
+            .unwrap_or_else(|_| panic!("decoder panicked on a {what} flip at {pos}"));
+        assert!(
+            matches!(
+                res,
+                Err(ImageError::Malformed(_)) | Err(ImageError::DeltaChain(_))
+            ),
+            "{what} flip at byte {pos} must fail typed, got {res:?}"
+        );
+    }
+}
+
+/// Every byte of a live image's member-list table — count word, ids,
+/// length words, members — is load-bearing: the ids are re-derived from
+/// the content, ascending order is enforced, and every reference must
+/// resolve, so no repaired flip in the table decodes.
+#[test]
+fn member_table_flips_are_always_rejected() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    let table = image.member_table_range();
+    let mut rng = SplitMix64::new(0x7AB1);
+    assert_flips_rejected(
+        &bytes,
+        table.clone(),
+        &mut rng,
+        Checkpoint::from_bytes,
+        "member-table",
+    );
+    assert_flips_rejected(
+        &bytes,
+        table,
+        &mut rng,
+        ImagePayload::from_bytes,
+        "member-table",
+    );
+}
+
+/// A flipped content id in a cut-event reference names a list the table
+/// does not hold: `Malformed`, in both decoders.
+#[test]
+fn cut_event_reference_flips_are_unknown_ids() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    // The cut log closes the payload but for the two io-seconds words.
+    let log_len: usize = image.cut_events.iter().map(event_len).sum();
+    let ids = listed_id_offsets(&image.cut_events, bytes.len() - 16 - log_len);
+    assert!(!ids.is_empty(), "no cut event references the table");
+    let mut rng = SplitMix64::new(0x1D5);
+    let every_byte = || ids.iter().flat_map(|&at| at..at + 8);
+    assert_flips_rejected(
+        &bytes,
+        every_byte(),
+        &mut rng,
+        Checkpoint::from_bytes,
+        "event-reference",
+    );
+    assert_flips_rejected(
+        &bytes,
+        every_byte(),
+        &mut rng,
+        ImagePayload::from_bytes,
+        "event-reference",
+    );
+}
+
+/// The live image as the child of a parent that saw only the first half
+/// of its cut log and different call counters on every rank: the delta
+/// carries a cut tail, every rank's chunk inline, and the member-list
+/// table for both.
+fn live_delta() -> (Checkpoint, Checkpoint, DeltaImage) {
+    let child = capture_image();
+    let mut parent = child.clone();
+    parent.cut_events.truncate(child.cut_events.len() / 2);
+    for c in &mut parent.captures {
+        c.counters.completions += 1;
+    }
+    let known = full_image_refs(&parent).into_iter().collect();
+    let delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
+    assert_eq!(delta.parent_cut_prefix, parent.cut_events.len());
+    assert_eq!(delta.new_chunks.len(), child.n_ranks);
+    assert!(
+        !delta.lists.is_empty(),
+        "the delta must carry table entries"
+    );
+    (parent, child, delta)
+}
+
+/// The same two attacks on a delta head: its member-list table and the
+/// references of its cut tail.
+#[test]
+fn delta_member_table_and_reference_flips_are_typed_errors() {
+    let (parent, child, delta) = live_delta();
+    let bytes = delta.to_bytes();
+    match decode_payload_no_panic(&bytes, "pristine live delta") {
+        Ok(ImagePayload::Delta(d)) => {
+            assert_eq!(d, delta);
+            let mut pool = ChunkPool::new();
+            pool.absorb_full(&parent);
+            pool.absorb_delta(&d);
+            assert_eq!(d.apply(&parent, &pool).as_ref(), Ok(&child));
+        }
+        other => panic!("expected a delta image, got {other:?}"),
+    }
+
+    let table = delta.member_table_range();
+    // Behind the table: the parent-prefix and tail-count words, then the
+    // tail's events.
+    let ids = listed_id_offsets(&delta.cut_tail, table.end + 16);
+    assert!(!ids.is_empty(), "no tail event references the table");
+    let mut rng = SplitMix64::new(0xD7AB);
+    assert_flips_rejected(
+        &bytes,
+        table.chain(ids.iter().flat_map(|&at| at..at + 8)),
+        &mut rng,
+        ImagePayload::from_bytes,
+        "delta-head",
+    );
+}
+
+/// A delta whose table lacks a list its rank chunks reference — nothing
+/// in the parent's prefix or the tail names it either — cannot resolve
+/// the chunk: a typed error out of `apply`, not a panic.
+#[test]
+fn chunk_reference_missing_from_the_delta_table_is_a_typed_error() {
+    let (mut parent, mut child, _) = live_delta();
+    parent.cut_events.clear();
+    child.cut_events.clear();
+    let known = full_image_refs(&parent).into_iter().collect();
+    let mut delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
+    let mut pool = ChunkPool::new();
+    pool.absorb_full(&parent);
+    pool.absorb_delta(&delta);
+    assert_eq!(delta.apply(&parent, &pool).as_ref(), Ok(&child));
+
+    delta.lists.clear();
+    let res = std::panic::catch_unwind(|| delta.apply(&parent, &pool))
+        .unwrap_or_else(|_| panic!("apply panicked on a table-less delta"));
+    assert!(
+        matches!(res, Err(ImageError::Malformed(_))),
+        "an unresolvable chunk reference must fail typed, got {res:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// delta / chunk sections
 // ---------------------------------------------------------------------
 
 /// Delta payload layout: kind byte, then `generation` and
@@ -284,7 +484,8 @@ fn delta_chain_store() -> (TieredStore, Vec<u8>) {
         .backend(CkptTier::Lustre)
         .get(2)
         .expect("leaf delta bytes");
-    (store, bytes)
+    // The store hands out shared bytes; the fuzzers mutate their own copy.
+    (store, bytes.to_vec())
 }
 
 /// Decodes an either-kind image under a panic guard.

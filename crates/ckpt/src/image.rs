@@ -20,7 +20,7 @@ use mana_core::{
 use mpisim::types::CommId;
 use mpisim::{SavedMsg, SrcSel, TagSel, VTime};
 use netmodel::NetParams;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -40,7 +40,14 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// that references a parent generation — and regroups each rank section
 /// into a volatile half (state, clock, barrier, flow counts) followed by
 /// the restart-stable half that delta images dedup by content hash.
-pub const IMAGE_VERSION: u32 = 4;
+/// Version 5 writes every distinct non-contiguous member list **once**, in
+/// a per-image member-list table ahead of the rank sections, and every
+/// reference to it (`seq_table` entries, `vcomm_members`, cut events) as
+/// an 8-byte content id — FNV-1a over the list's wire form, re-hashed by
+/// the decoder. Version 4 repeated the full list at each reference, which
+/// was 98 % of a 1024-rank image with split communicators; image size and
+/// every pass over an image are now O(references + distinct-list bytes).
+pub const IMAGE_VERSION: u32 = 5;
 
 /// Payload kind byte of a self-contained (full) image.
 pub const IMAGE_KIND_FULL: u8 = 0;
@@ -244,10 +251,27 @@ impl Checkpoint {
     // Serialization
     // ------------------------------------------------------------------
 
-    /// Payload fields that precede the per-rank capture sections, up to and
-    /// including the capture count. Shared by the counting pass (exact
-    /// pre-sizing) and the write pass, so the two can never disagree.
-    fn enc_payload_prefix<W: Wr>(&self, p: &mut W) {
+    /// Every group member-list reference the image holds — each
+    /// `seq_table` entry, each `vcomm_members` value, each cut event. In a
+    /// live or a decoded image all references to one list are one
+    /// allocation; the wire tests check exactly that.
+    pub fn member_list_refs(&self) -> impl Iterator<Item = &Arc<[usize]>> {
+        let captured = self.captures.iter().flat_map(capture_member_refs);
+        captured.chain(self.cut_events.iter().map(|e| &e.members))
+    }
+
+    /// The encode-side table and reference cache: every list the image
+    /// references, each shared allocation hashed once.
+    fn member_lists(&self) -> MemberIntern {
+        let mut lists = MemberIntern::new(self.n_ranks);
+        for m in self.member_list_refs() {
+            lists.note(m);
+        }
+        lists
+    }
+
+    /// Payload fields that precede the member-list table.
+    fn enc_preamble<W: Wr>(&self, p: &mut W) {
         p.u8(IMAGE_KIND_FULL);
         p.u64(self.epoch);
         p.usize(self.n_ranks);
@@ -258,27 +282,53 @@ impl Checkpoint {
         enc_target_map(p, &self.initial_targets);
         enc_target_map(p, &self.final_targets);
         enc_target_map(p, &self.achieved);
+    }
+
+    /// Payload fields that precede the per-rank capture sections, up to and
+    /// including the member-list table and the capture count. Shared by
+    /// the counting pass (exact pre-sizing) and the write pass, so the two
+    /// can never disagree.
+    fn enc_payload_prefix<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
+        self.enc_preamble(p);
+        lists.enc_table(p);
         p.usize(self.captures.len());
     }
 
     /// Payload fields that follow the per-rank capture sections.
-    fn enc_payload_suffix<W: Wr>(&self, p: &mut W) {
+    fn enc_payload_suffix<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
         p.usize(self.in_flight.len());
         for m in &self.in_flight {
             enc_drained(p, m);
         }
         p.usize(self.cut_events.len());
         for e in &self.cut_events {
-            enc_event(p, e);
+            enc_event(p, lists, e);
         }
         p.f64(self.io_write_secs);
         p.f64(self.io_read_secs);
     }
 
+    /// Encoded lengths of the prefix, of every capture section, and of the
+    /// suffix — the same encode code run through a byte counter.
+    fn layout(&self, lists: &MemberIntern) -> (usize, Vec<usize>, usize) {
+        let mut prefix = CountEnc::new();
+        self.enc_payload_prefix(&mut prefix, lists);
+        let mut suffix = CountEnc::new();
+        self.enc_payload_suffix(&mut suffix, lists);
+        let sections = self
+            .captures
+            .iter()
+            .map(|c| capture_section_len(lists, c))
+            .collect();
+        (prefix.count(), sections, suffix.count())
+    }
+
     /// Serializes the image: an 8-byte magic, a `u32` format version, a
     /// `u64` payload length, a `u64` FNV-1a payload checksum, then the
     /// payload. Deterministic: the same image always yields the same bytes
-    /// (maps are written sorted by key).
+    /// (maps are written sorted by key, the member-list table sorted by
+    /// content id), whether equal member lists share one allocation or
+    /// not.
     ///
     /// Zero-copy: the header is reserved up front, sections are encoded in
     /// place behind it, and length+checksum are backpatched — no temporary
@@ -296,59 +346,54 @@ impl Checkpoint {
     /// position-independent, which makes the output byte-for-byte identical
     /// to the serial encoder for any worker count.
     pub fn to_bytes_parallel(&self, workers: usize) -> Vec<u8> {
-        let section_lens: Vec<usize> = self.captures.iter().map(capture_section_len).collect();
+        let lists = self.member_lists();
+        let (prefix_len, section_lens, suffix_len) = self.layout(&lists);
         let sections_total: usize = section_lens.iter().sum();
-        let mut prefix = CountEnc::new();
-        self.enc_payload_prefix(&mut prefix);
-        let mut suffix = CountEnc::new();
-        self.enc_payload_suffix(&mut suffix);
-        let total = IMAGE_HEADER_LEN + prefix.count() + sections_total + suffix.count();
+        let total = IMAGE_HEADER_LEN + prefix_len + sections_total + suffix_len;
 
         let mut out: Vec<u8> = Vec::with_capacity(total);
-        out.raw(&IMAGE_MAGIC);
-        out.u32(IMAGE_VERSION);
-        out.usize(0); // payload length — backpatched below
-        out.u64(0); // checksum — backpatched below
-        self.enc_payload_prefix(&mut out);
+        enc_header_placeholder(&mut out);
+        self.enc_payload_prefix(&mut out, &lists);
         let cap_start = out.len();
         out.resize(cap_start + sections_total, 0);
         encode_capture_sections(
             workers,
+            &lists,
             &self.captures,
             &section_lens,
             &mut out[cap_start..cap_start + sections_total],
         );
-        self.enc_payload_suffix(&mut out);
+        self.enc_payload_suffix(&mut out, &lists);
         debug_assert_eq!(out.len(), total, "pre-sized encode drifted");
-
-        // Incremental checksum over the assembled payload, in place — the
-        // old second pass that copied the payload behind the header is gone.
-        let mut h = Fnv1a::new();
-        h.update(&out[IMAGE_HEADER_LEN..]);
-        let payload_len = (total - IMAGE_HEADER_LEN) as u64;
-        out[IMAGE_LEN_OFFSET..IMAGE_LEN_OFFSET + 8].copy_from_slice(&payload_len.to_le_bytes());
-        out[IMAGE_CHECKSUM_OFFSET..IMAGE_CHECKSUM_OFFSET + 8]
-            .copy_from_slice(&h.digest().to_le_bytes());
+        backpatch_header(&mut out);
         out
     }
 
     /// Byte range of every rank's capture section within the serialized
     /// image, in rank order. The layout is `[header][prefix][capture
-    /// sections…][suffix]`; fuzzers use this to aim mutations at section
-    /// boundaries.
+    /// sections…][suffix]`, the member-list table being part of the
+    /// prefix; fuzzers use this to aim mutations at section boundaries.
     pub fn capture_section_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let mut prefix = CountEnc::new();
-        self.enc_payload_prefix(&mut prefix);
-        let mut at = IMAGE_HEADER_LEN + prefix.count();
-        self.captures
-            .iter()
-            .map(|c| {
-                let len = capture_section_len(c);
+        let (prefix_len, section_lens, _) = self.layout(&self.member_lists());
+        let mut at = IMAGE_HEADER_LEN + prefix_len;
+        section_lens
+            .into_iter()
+            .map(|len| {
                 let r = at..at + len;
                 at += len;
                 r
             })
             .collect()
+    }
+
+    /// Byte range of the member-list table within the serialized image
+    /// (its count word included) — the wire-fuzz suite aims
+    /// checksum-repaired mutations at it.
+    pub fn member_table_range(&self) -> std::ops::Range<usize> {
+        let mut preamble = CountEnc::new();
+        self.enc_preamble(&mut preamble);
+        let start = IMAGE_HEADER_LEN + preamble.count();
+        start..start + self.member_lists().table_len()
     }
 
     /// Parses a serialized image, validating magic, version, length, and
@@ -358,6 +403,12 @@ impl Checkpoint {
     /// ([`crate::store::TieredStore::load`]).
     pub fn from_bytes(buf: &[u8]) -> Result<Checkpoint, ImageError> {
         let (payload, _checksum) = validate_image_header(buf)?;
+        Checkpoint::dec_payload(payload)
+    }
+
+    /// Decodes a full image from an authenticated payload (kind byte
+    /// included).
+    pub(crate) fn dec_payload(payload: &[u8]) -> Result<Checkpoint, ImageError> {
         let mut d = Dec::new(payload);
         match d.u8("image kind")? {
             IMAGE_KIND_FULL => {}
@@ -379,14 +430,15 @@ impl Checkpoint {
         let initial_targets = dec_target_map(&mut d, "initial targets")?;
         let final_targets = dec_target_map(&mut d, "final targets")?;
         let achieved = dec_target_map(&mut d, "achieved map")?;
+        let mut lists = MemberIntern::new(n_ranks);
+        lists.dec_table(&mut d)?;
         let n_caps = d.seq_len("capture count")?;
         if n_caps != n_ranks {
             return Err(ImageError::Malformed("capture count vs n_ranks"));
         }
-        let mut intern = MemberIntern::default();
         let mut captures = Vec::with_capacity(n_caps);
         for _ in 0..n_caps {
-            captures.push(dec_capture(&mut d, &mut intern)?);
+            captures.push(dec_capture(&mut d, &mut lists)?);
         }
         let n_msgs = d.seq_len("in-flight count")?;
         let mut in_flight = Vec::with_capacity(n_msgs);
@@ -396,7 +448,7 @@ impl Checkpoint {
         let n_events = d.seq_len("cut-event count")?;
         let mut cut_events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            cut_events.push(dec_event(&mut d, &mut intern)?);
+            cut_events.push(dec_event(&mut d, &mut lists)?);
         }
         let io_write_secs = d.f64("io_write_secs")?;
         let io_read_secs = d.f64("io_read_secs")?;
@@ -444,14 +496,29 @@ impl Checkpoint {
     }
 
     /// Size of the serialized runtime state in bytes, computed by a
-    /// counting pass — no allocation, no encode.
+    /// counting pass — nothing is encoded.
     pub fn serialized_len(&self) -> usize {
-        let mut n = CountEnc::new();
-        self.enc_payload_prefix(&mut n);
-        self.enc_payload_suffix(&mut n);
-        let sections: usize = self.captures.iter().map(capture_section_len).sum();
-        IMAGE_HEADER_LEN + n.count() + sections
+        let (prefix_len, section_lens, suffix_len) = self.layout(&self.member_lists());
+        IMAGE_HEADER_LEN + prefix_len + section_lens.iter().sum::<usize>() + suffix_len
     }
+}
+
+/// Opens `out` with the fixed image header, length and checksum zeroed
+/// until [`backpatch_header`] fills them in.
+pub(crate) fn enc_header_placeholder(out: &mut Vec<u8>) {
+    out.raw(&IMAGE_MAGIC);
+    out.u32(IMAGE_VERSION);
+    out.usize(0);
+    out.u64(0);
+}
+
+/// Writes the payload length and its FNV-1a checksum into the header of a
+/// fully-assembled image, in place — no second copy of the payload.
+pub(crate) fn backpatch_header(out: &mut [u8]) {
+    let payload = &out[IMAGE_HEADER_LEN..];
+    let (len, sum) = (payload.len() as u64, fnv1a64(payload));
+    out[IMAGE_LEN_OFFSET..IMAGE_LEN_OFFSET + 8].copy_from_slice(&len.to_le_bytes());
+    out[IMAGE_CHECKSUM_OFFSET..IMAGE_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Validates the fixed image header — magic, version, length, trailing
@@ -534,8 +601,13 @@ pub(crate) fn validate_shape(c: &Checkpoint) -> Result<(), ImageError> {
             return Err(ImageError::Malformed("in-flight message endpoint"));
         }
     }
+    // Each distinct member-list allocation is walked once, not once per
+    // event that shares it.
+    let mut checked: HashSet<usize> = HashSet::new();
     for e in &c.cut_events {
-        if e.rank >= c.n_ranks || e.members.iter().any(|&r| r >= c.n_ranks) {
+        if e.rank >= c.n_ranks
+            || (checked.insert(alloc_addr(&e.members)) && e.members.iter().any(|&r| r >= c.n_ranks))
+        {
             return Err(ImageError::Malformed("cut-event rank"));
         }
     }
@@ -543,15 +615,15 @@ pub(crate) fn validate_shape(c: &Checkpoint) -> Result<(), ImageError> {
 }
 
 /// Exact encoded size of one rank's capture section.
-fn capture_section_len(c: &RuntimeCapture) -> usize {
+fn capture_section_len(lists: &MemberIntern, c: &RuntimeCapture) -> usize {
     let mut n = CountEnc::new();
-    enc_capture(&mut n, c);
+    enc_capture(&mut n, lists, c);
     n.count()
 }
 
-fn encode_one_section(c: &RuntimeCapture, buf: &mut [u8]) {
+fn encode_one_section(lists: &MemberIntern, c: &RuntimeCapture, buf: &mut [u8]) {
     let mut w = SliceEnc::new(buf);
-    enc_capture(&mut w, c);
+    enc_capture(&mut w, lists, c);
     w.finish();
 }
 
@@ -560,6 +632,7 @@ fn encode_one_section(c: &RuntimeCapture, buf: &mut [u8]) {
 /// scoped threads.
 fn encode_capture_sections(
     workers: usize,
+    lists: &MemberIntern,
     captures: &[RuntimeCapture],
     section_lens: &[usize],
     buf: &mut [u8],
@@ -577,7 +650,7 @@ fn encode_capture_sections(
     let workers = workers.clamp(1, captures.len().max(1));
     if workers <= 1 {
         for (i, s) in sections {
-            encode_one_section(&captures[i], s);
+            encode_one_section(lists, &captures[i], s);
         }
         return;
     }
@@ -589,7 +662,7 @@ fn encode_capture_sections(
             let batch = std::mem::replace(&mut remaining, tail);
             scope.spawn(move || {
                 for (i, s) in batch {
-                    encode_one_section(&captures[i], s);
+                    encode_one_section(lists, &captures[i], s);
                 }
             });
         }
@@ -691,64 +764,266 @@ fn dec_usize_list(d: &mut Dec, what: DecodeError) -> Result<Vec<usize>, ImageErr
     Ok(v)
 }
 
-/// Upper bound on the length of a range-form member list. The explicit
-/// form is implicitly bounded by the buffer (one word per member), but a
-/// range is two words regardless of length — without a cap, a corrupted
-/// image could demand an arbitrarily large allocation before any member
-/// is validated. 2^24 ranks is two orders of magnitude past the largest
+/// Upper bound on the length of a range-form member list. A table entry
+/// is implicitly bounded by the buffer (one word per member), but a range
+/// is two words regardless of length — without a cap, a corrupted image
+/// could demand an arbitrarily large allocation before any member is
+/// validated. 2^24 ranks is two orders of magnitude past the largest
 /// supported world.
 const MAX_RANGE_MEMBERS: usize = 1 << 24;
 
-/// Group member lists, version-3 compact form: tag `1` is a contiguous
-/// ascending run `(start, len)`, tag `0` falls back to the explicit list.
-/// Order matters (member lists are in group order), so only an exactly
-/// ascending run may take the range form.
-fn enc_members<W: Wr>(e: &mut W, v: &[usize]) {
-    let contiguous = !v.is_empty() && v.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
-    if contiguous {
-        e.u8(1);
-        e.usize(v[0]);
-        e.usize(v.len());
-    } else {
-        e.u8(0);
-        enc_usize_list(e, v);
+/// How one reference to a group member list is written. A function of the
+/// list's content alone — never of which allocation holds it, or of what
+/// else the image contains — so a stable chunk re-encoded at chain
+/// resolution reproduces the bytes its descendants hashed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MemberRef {
+    /// A contiguous ascending run (the world group, every identity
+    /// subrange): tag `1`, then `(start, len)`.
+    Range { start: usize, len: usize },
+    /// Any other list — strided, or in group order — by content id into
+    /// the image's member-list table: tag `0`, then the id. The id is
+    /// FNV-1a over the list's wire form (length word, then members); the
+    /// same FNV-64 trust the chunk store places in [`crate::ChunkRef`].
+    Listed(u64),
+}
+
+impl MemberRef {
+    /// Order matters (member lists are in group order), so only an exactly
+    /// ascending run may take the range form.
+    fn of(v: &[usize]) -> MemberRef {
+        if !v.is_empty() && v.windows(2).all(|w| w[1] == w[0].wrapping_add(1)) {
+            return MemberRef::Range {
+                start: v[0],
+                len: v.len(),
+            };
+        }
+        let mut h = Fnv1a::new();
+        h.update(&(v.len() as u64).to_le_bytes());
+        for &m in v {
+            h.update(&(m as u64).to_le_bytes());
+        }
+        MemberRef::Listed(h.digest())
     }
 }
 
-/// Interning table for decoded member lists: every capture section that
-/// references the same `(start, len)` range — all 65 536 ranks name the
-/// world group — shares one allocation, keeping decode memory
-/// O(ranks + members) like the live runtime's `Arc<[usize]>` sharing.
-#[derive(Default)]
-pub(crate) struct MemberIntern(HashMap<(usize, usize), Arc<[usize]>>);
+/// Every member-list reference the restart-stable half of `c` holds.
+fn capture_member_refs(c: &RuntimeCapture) -> impl Iterator<Item = &Arc<[usize]>> {
+    let seq = c.seq_table.iter().map(|(_, entry)| &entry.members);
+    seq.chain(c.vcomm_members.values())
+}
+
+/// Address of a member-list allocation: the identity the encode-side
+/// cache and the shape check dedup by. Only meaningful while the
+/// allocation is alive.
+fn alloc_addr(m: &Arc<[usize]>) -> usize {
+    Arc::as_ptr(m) as *const usize as usize
+}
+
+/// The member lists of one image, interned by content: range-form lists
+/// by `(start, len)`, every other list by content id — the image's
+/// member-list table.
+///
+/// Decoding resolves each reference through it, so all references to one
+/// list share one allocation (decode memory stays O(ranks + members) like
+/// the live runtime's `Arc<[usize]>` sharing) and every distinct list is
+/// range-checked against the world size exactly once. Encoding first
+/// [`note`](Self::note)s every allocation the image references — a shared
+/// one is scanned and hashed once, however many references share it —
+/// and then answers [`reference`](Self::reference) per reference in O(1).
+pub(crate) struct MemberIntern {
+    n_ranks: usize,
+    ranges: HashMap<(usize, usize), Arc<[usize]>>,
+    /// The table; `BTreeMap` order is the canonical wire order.
+    lists: BTreeMap<u64, Arc<[usize]>>,
+    /// Encode-side cache: the verdict on every allocation noted so far,
+    /// by address. Holding the allocation keeps the address from being
+    /// reused while the cache lives. Never the identity of a list: two
+    /// equal lists in separate allocations get the same reference.
+    noted: HashMap<usize, (Arc<[usize]>, MemberRef)>,
+}
 
 impl MemberIntern {
-    pub(crate) fn range(&mut self, start: usize, len: usize) -> Arc<[usize]> {
-        Arc::clone(
-            self.0
-                .entry((start, len))
-                .or_insert_with(|| (start..start + len).collect()),
-        )
+    /// An empty table for an `n_ranks`-rank image.
+    pub(crate) fn new(n_ranks: usize) -> Self {
+        MemberIntern {
+            n_ranks,
+            ranges: HashMap::new(),
+            lists: BTreeMap::new(),
+            noted: HashMap::new(),
+        }
+    }
+
+    /// Registers a list an in-memory image references and returns its
+    /// reference form; later decodes of that reference hand back this
+    /// allocation. `Err` when a *different* list already holds the same
+    /// content id.
+    pub(crate) fn try_note(&mut self, m: &Arc<[usize]>) -> Result<MemberRef, ImageError> {
+        // An allocation nothing else holds has exactly one reference: a
+        // cache entry for it would never be hit.
+        let shared = Arc::strong_count(m) > 1;
+        if shared {
+            if let Some((_, r)) = self.noted.get(&alloc_addr(m)) {
+                return Ok(*r);
+            }
+        }
+        let r = MemberRef::of(m);
+        match r {
+            MemberRef::Range { start, len } => {
+                self.ranges
+                    .entry((start, len))
+                    .or_insert_with(|| Arc::clone(m));
+            }
+            MemberRef::Listed(id) => {
+                if self.lists.entry(id).or_insert_with(|| Arc::clone(m)) != m {
+                    return Err(ImageError::Malformed("member-list content id collision"));
+                }
+            }
+        }
+        if shared {
+            self.noted.insert(alloc_addr(m), (Arc::clone(m), r));
+        }
+        Ok(r)
+    }
+
+    /// [`try_note`](Self::try_note) for the encode side, where the lists
+    /// are the program's own state, not outside input.
+    ///
+    /// # Panics
+    /// Panics if two different lists of one image share an FNV-64 content
+    /// id — the content-address trust model failing, loudly rather than
+    /// as an image that decodes to the wrong group.
+    pub(crate) fn note(&mut self, m: &Arc<[usize]>) -> MemberRef {
+        self.try_note(m)
+            .expect("distinct member lists of one image have distinct content ids")
+    }
+
+    /// The one allocation every reference to `m`'s content resolves to:
+    /// notes `m`, then hands back whichever equal list came first.
+    pub(crate) fn shared(
+        &mut self,
+        m: &Arc<[usize]>,
+        what: DecodeError,
+    ) -> Result<Arc<[usize]>, ImageError> {
+        let r = self.try_note(m)?;
+        self.resolve(r, what)
+    }
+
+    /// Notes every list the restart-stable half of `c` references.
+    pub(crate) fn note_capture(&mut self, c: &RuntimeCapture) {
+        for m in capture_member_refs(c) {
+            self.note(m);
+        }
+    }
+
+    /// The reference form of `m`: the cached verdict when the allocation
+    /// was noted, computed from the content otherwise.
+    fn reference(&self, m: &Arc<[usize]>) -> MemberRef {
+        match self.noted.get(&alloc_addr(m)) {
+            Some((_, r)) => *r,
+            None => MemberRef::of(m),
+        }
+    }
+
+    /// The table's lists in canonical (content id) order.
+    pub(crate) fn table(&self) -> impl Iterator<Item = &Arc<[usize]>> {
+        self.lists.values()
+    }
+
+    /// Encoded size of the table.
+    pub(crate) fn table_len(&self) -> usize {
+        let mut n = CountEnc::new();
+        self.enc_table(&mut n);
+        n.count()
+    }
+
+    /// Writes the table: entry count, then `(id, list)` ascending by id.
+    pub(crate) fn enc_table<W: Wr>(&self, e: &mut W) {
+        e.usize(self.lists.len());
+        for (id, m) in &self.lists {
+            e.u64(*id);
+            enc_usize_list(e, m);
+        }
+    }
+
+    /// Reads a table written by [`enc_table`](Self::enc_table), checking
+    /// what the encoder guarantees: ids strictly ascending (so no id names
+    /// two lists), every entry's content hashing to its id and not in
+    /// range form, every member inside the world.
+    pub(crate) fn dec_table(&mut self, d: &mut Dec) -> Result<(), ImageError> {
+        let n = d.seq_len("member table length")?;
+        let mut prev: Option<u64> = None;
+        for _ in 0..n {
+            let id = d.u64("member table id")?;
+            if prev.is_some_and(|p| id <= p) {
+                return Err(ImageError::Malformed("member table order"));
+            }
+            prev = Some(id);
+            let list = dec_usize_list(d, "member table entry")?;
+            if MemberRef::of(&list) != MemberRef::Listed(id) {
+                return Err(ImageError::Malformed("member table entry vs its id"));
+            }
+            if list.iter().any(|&r| r >= self.n_ranks) {
+                return Err(ImageError::Malformed("member table entry rank"));
+            }
+            self.lists.insert(id, list.into());
+        }
+        Ok(())
+    }
+
+    /// Resolves a decoded reference to its shared list.
+    fn resolve(&mut self, r: MemberRef, what: DecodeError) -> Result<Arc<[usize]>, ImageError> {
+        match r {
+            MemberRef::Range { start, len } => {
+                if len == 0
+                    || len > MAX_RANGE_MEMBERS
+                    || start.checked_add(len).is_none_or(|end| end > self.n_ranks)
+                {
+                    return Err(ImageError::Malformed(what));
+                }
+                Ok(Arc::clone(
+                    self.ranges
+                        .entry((start, len))
+                        .or_insert_with(|| (start..start + len).collect()),
+                ))
+            }
+            MemberRef::Listed(id) => self
+                .lists
+                .get(&id)
+                .cloned()
+                .ok_or(ImageError::Malformed(what)),
+        }
+    }
+}
+
+fn enc_members<W: Wr>(e: &mut W, lists: &MemberIntern, m: &Arc<[usize]>) {
+    match lists.reference(m) {
+        MemberRef::Listed(id) => {
+            e.u8(0);
+            e.u64(id);
+        }
+        MemberRef::Range { start, len } => {
+            e.u8(1);
+            e.usize(start);
+            e.usize(len);
+        }
     }
 }
 
 pub(crate) fn dec_members(
     d: &mut Dec,
-    intern: &mut MemberIntern,
+    lists: &mut MemberIntern,
     what: DecodeError,
 ) -> Result<Arc<[usize]>, ImageError> {
-    match d.u8(what)? {
-        0 => Ok(dec_usize_list(d, what)?.into()),
-        1 => {
-            let start = d.usize(what)?;
-            let len = d.usize(what)?;
-            if len > MAX_RANGE_MEMBERS || start.checked_add(len).is_none() {
-                return Err(ImageError::Malformed(what));
-            }
-            Ok(intern.range(start, len))
-        }
-        _ => Err(ImageError::Malformed(what)),
-    }
+    let r = match d.u8(what)? {
+        0 => MemberRef::Listed(d.u64(what)?),
+        1 => MemberRef::Range {
+            start: d.usize(what)?,
+            len: d.usize(what)?,
+        },
+        _ => return Err(ImageError::Malformed(what)),
+    };
+    lists.resolve(r, what)
 }
 
 fn enc_counters<W: Wr>(e: &mut W, c: &CallCounters) {
@@ -864,7 +1139,7 @@ fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
     Ok(CommOpRecord { op, result })
 }
 
-fn enc_capture<W: Wr>(e: &mut W, c: &RuntimeCapture) {
+fn enc_capture<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
     // Volatile half first: identity, execution position, and the
     // per-generation flow counts. These change at every checkpoint, so
     // delta images always carry them inline.
@@ -882,10 +1157,10 @@ fn enc_capture<W: Wr>(e: &mut W, c: &RuntimeCapture) {
     e.u64(c.p2p_sent);
     e.u64(c.p2p_delivered);
     // Restart-stable half: the bytes delta images dedup by content hash.
-    enc_capture_stable(e, c);
+    enc_capture_stable(e, lists, c);
 }
 
-fn dec_capture(d: &mut Dec, intern: &mut MemberIntern) -> Result<RuntimeCapture, ImageError> {
+fn dec_capture(d: &mut Dec, lists: &mut MemberIntern) -> Result<RuntimeCapture, ImageError> {
     let rank = d.usize("capture rank")?;
     let state = match d.u8("capture state")? {
         s @ 0..=6 => RankState::from_u8(s),
@@ -902,7 +1177,7 @@ fn dec_capture(d: &mut Dec, intern: &mut MemberIntern) -> Result<RuntimeCapture,
     };
     let p2p_sent = d.u64("p2p sent")?;
     let p2p_delivered = d.u64("p2p delivered")?;
-    let stable = dec_capture_stable(d, intern)?;
+    let stable = dec_capture_stable(d, lists)?;
     Ok(stable.into_capture(rank, state, clock, pending_barrier, p2p_sent, p2p_delivered))
 }
 
@@ -910,18 +1185,18 @@ fn dec_capture(d: &mut Dec, intern: &mut MemberIntern) -> Result<RuntimeCapture,
 /// communicator creation log, pending receives, call counters, and the
 /// vcomm maps. This is exactly the byte span delta images content-address
 /// — two ranks whose stable halves encode identically share one chunk.
-pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, c: &RuntimeCapture) {
-    let mut seq: Vec<(u64, u64, &[usize])> = c
+pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
+    let mut seq: Vec<(u64, u64, &Arc<[usize]>)> = c
         .seq_table
         .iter()
-        .map(|(g, entry)| (g.0, entry.seq, &*entry.members))
+        .map(|(g, entry)| (g.0, entry.seq, &entry.members))
         .collect();
     seq.sort_unstable_by_key(|&(g, ..)| g);
     e.usize(seq.len());
     for (g, s, members) in seq {
         e.u64(g);
         e.u64(s);
-        enc_members(e, members);
+        enc_members(e, lists, members);
     }
     e.usize(c.comm_log.len());
     for r in &c.comm_log {
@@ -942,13 +1217,13 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, c: &RuntimeCapture) {
         e.u64(v);
         e.u64(id);
     }
-    let mut members: Vec<(u64, &[usize])> =
-        c.vcomm_members.iter().map(|(v, m)| (*v, &m[..])).collect();
+    let mut members: Vec<(u64, &Arc<[usize]>)> =
+        c.vcomm_members.iter().map(|(v, m)| (*v, m)).collect();
     members.sort_unstable_by_key(|&(v, _)| v);
     e.usize(members.len());
     for (v, m) in members {
         e.u64(v);
-        enc_members(e, m);
+        enc_members(e, lists, m);
     }
 }
 
@@ -993,14 +1268,14 @@ impl StableState {
 
 pub(crate) fn dec_capture_stable(
     d: &mut Dec,
-    intern: &mut MemberIntern,
+    lists: &mut MemberIntern,
 ) -> Result<StableState, ImageError> {
     let n_seq = d.seq_len("seq-table length")?;
     let mut seq_table = SeqTable::new();
     for _ in 0..n_seq {
         let g = Ggid(d.u64("seq-table ggid")?);
         let s = d.u64("seq-table seq")?;
-        let members = dec_members(d, intern, "seq-table members")?;
+        let members = dec_members(d, lists, "seq-table members")?;
         seq_table.restore(g, s, members);
     }
     let n_log = d.seq_len("comm-log length")?;
@@ -1028,7 +1303,7 @@ pub(crate) fn dec_capture_stable(
     let mut vcomm_members = HashMap::with_capacity(n_members);
     for _ in 0..n_members {
         let v = d.u64("vcomm member key")?;
-        vcomm_members.insert(v, dec_members(d, intern, "vcomm member list")?);
+        vcomm_members.insert(v, dec_members(d, lists, "vcomm member list")?);
     }
     Ok(StableState {
         seq_table,
@@ -1077,21 +1352,21 @@ pub(crate) fn dec_drained(d: &mut Dec) -> Result<DrainedMsg, ImageError> {
     })
 }
 
-pub(crate) fn enc_event<W: Wr>(e: &mut W, ev: &ExecEvent) {
+pub(crate) fn enc_event<W: Wr>(e: &mut W, lists: &MemberIntern, ev: &ExecEvent) {
     e.usize(ev.rank);
     e.u64(ev.node.ggid.0);
     e.u64(ev.node.seq);
-    enc_members(e, &ev.members);
+    enc_members(e, lists, &ev.members);
 }
 
-pub(crate) fn dec_event(d: &mut Dec, intern: &mut MemberIntern) -> Result<ExecEvent, ImageError> {
+pub(crate) fn dec_event(d: &mut Dec, lists: &mut MemberIntern) -> Result<ExecEvent, ImageError> {
     Ok(ExecEvent {
         rank: d.usize("event rank")?,
         node: Node {
             ggid: Ggid(d.u64("event ggid")?),
             seq: d.u64("event seq")?,
         },
-        members: dec_members(d, intern, "event members")?,
+        members: dec_members(d, lists, "event members")?,
     })
 }
 
@@ -1356,6 +1631,214 @@ mod tests {
         assert_eq!(
             Checkpoint::from_bytes(&c.to_bytes()),
             Err(ImageError::Malformed("world shape"))
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // v5: the member-list table
+    // ------------------------------------------------------------------
+
+    const WORLD: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    const STRIDED: [usize; 4] = [0, 2, 4, 6];
+    const GROUP_ORDER: [usize; 3] = [5, 1, 3];
+
+    /// An 8-rank image whose `seq_table`s, `vcomm_members` and cut log all
+    /// reference the same three lists: the world (range form), a strided
+    /// group and a communicator in group order (unsorted). `alloc` decides
+    /// which allocation each reference gets; the `Ggid`s are deliberately
+    /// not `ggid_of(members)`.
+    fn lists_ckpt(mut alloc: impl FnMut(&[usize]) -> Arc<[usize]>) -> Checkpoint {
+        let mut c = ckpt(Vec::new(), &[(1, 2), (7, 1), (8, 1)]);
+        c.n_ranks = 8;
+        for rank in 0..8 {
+            let mut seq_table = SeqTable::new();
+            seq_table.restore(Ggid(1), 2, alloc(&WORLD));
+            seq_table.restore(Ggid(7), 1, alloc(&STRIDED));
+            seq_table.restore(Ggid(8), 1, alloc(&GROUP_ORDER));
+            c.captures.push(RuntimeCapture {
+                rank,
+                state: RankState::Quiesced,
+                clock: VTime::from_micros(rank as f64),
+                seq_table,
+                comm_log: Vec::new(),
+                pending_recvs: Vec::new(),
+                pending_barrier: None,
+                counters: CallCounters::default(),
+                p2p_sent: 0,
+                p2p_delivered: 0,
+                vcomm_to_lower: HashMap::new(),
+                vcomm_members: [
+                    (0u64, alloc(&WORLD)),
+                    (1, alloc(&STRIDED)),
+                    (2, alloc(&GROUP_ORDER)),
+                ]
+                .into_iter()
+                .collect(),
+            });
+            for (g, members) in [(1, &WORLD[..]), (7, &STRIDED), (8, &GROUP_ORDER)] {
+                if members.contains(&rank) {
+                    c.cut_events.push(ExecEvent {
+                        rank,
+                        node: Node {
+                            ggid: Ggid(g),
+                            seq: 1,
+                        },
+                        members: alloc(members),
+                    });
+                }
+            }
+        }
+        c
+    }
+
+    /// The image as a live run holds it: one allocation per list.
+    fn shared_lists_ckpt() -> Checkpoint {
+        let mut cache: HashMap<Vec<usize>, Arc<[usize]>> = HashMap::new();
+        lists_ckpt(|v| Arc::clone(cache.entry(v.to_vec()).or_insert_with(|| v.into())))
+    }
+
+    /// Re-seals a hand-edited image so the edit reaches the structural
+    /// decoder instead of the checksum.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        backpatch_header(&mut bytes);
+        bytes
+    }
+
+    /// Both entry points refuse `bytes` with `Malformed(what)`.
+    fn assert_malformed(bytes: &[u8], what: &str) {
+        use crate::store::ImagePayload;
+        for got in [
+            Checkpoint::from_bytes(bytes).err(),
+            ImagePayload::from_bytes(bytes).err(),
+        ] {
+            match got {
+                Some(ImageError::Malformed(w)) => assert_eq!(w, what),
+                other => panic!("expected Malformed({what:?}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shared_strided_and_group_order_lists_round_trip_exactly() {
+        let c = shared_lists_ckpt();
+        let bytes = c.to_bytes();
+        assert_eq!(c.serialized_len(), bytes.len());
+        for workers in [2, 8] {
+            assert_eq!(c.to_bytes_parallel(workers), bytes, "workers={workers}");
+        }
+        let back = Checkpoint::from_bytes(&bytes).expect("round trip");
+        assert_eq!(back, c);
+        assert_eq!(back.captures[3].vcomm_members[&2][..], GROUP_ORDER);
+        assert_eq!(back.to_bytes(), bytes, "re-serialization must be stable");
+    }
+
+    #[test]
+    fn bytes_are_a_function_of_value_not_of_allocation() {
+        let shared = shared_lists_ckpt();
+        let unshared = lists_ckpt(|v| v.into());
+        assert_eq!(shared, unshared);
+        assert_eq!(shared.to_bytes(), unshared.to_bytes());
+        assert_eq!(shared.serialized_len(), unshared.serialized_len());
+    }
+
+    #[test]
+    fn decoded_references_to_one_list_share_one_allocation() {
+        // Decoded from the image that shares nothing, so the sharing below
+        // is the decoder's doing.
+        let bytes = lists_ckpt(|v| v.into()).to_bytes();
+        let back = Checkpoint::from_bytes(&bytes).unwrap();
+        let refs: Vec<_> = back.member_list_refs().collect();
+        assert_eq!(refs.len(), 8 * 6 + 8 + 4 + 3);
+        for a in &refs {
+            for b in &refs {
+                assert_eq!(a == b, Arc::ptr_eq(a, b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_list_is_written_once_and_a_reference_is_nine_bytes() {
+        let mut c = shared_lists_ckpt();
+        // Count word, then `(id, len, members…)` for the two lists that are
+        // not a contiguous run; the world stays in range form.
+        let table = c.member_table_range();
+        assert_eq!(
+            table.len(),
+            8 + (16 + 8 * STRIDED.len()) + (16 + 8 * GROUP_ORDER.len())
+        );
+        assert_eq!(
+            table.end + 8,
+            c.capture_section_ranges()[0].start,
+            "only the capture count sits between the table and the sections"
+        );
+        // One more event on the strided group: rank, ggid, seq, tag, id.
+        let before = c.serialized_len();
+        let again = c.cut_events.iter().find(|e| e.members[..] == STRIDED);
+        c.cut_events.push(again.unwrap().clone());
+        assert_eq!(c.serialized_len(), before + 8 + 8 + 8 + 1 + 8);
+    }
+
+    #[test]
+    fn tampered_member_tables_and_references_are_typed_errors() {
+        let c = shared_lists_ckpt();
+        let bytes = c.to_bytes();
+        let t = c.member_table_range();
+        // Entry 0 is `id, len, members…` right behind the count word; the
+        // order of the two entries follows their ids.
+        let first_len = u64::from_le_bytes(bytes[t.start + 16..t.start + 24].try_into().unwrap());
+        let second = t.start + 8 + 16 + 8 * first_len as usize;
+
+        // A reference to an id the table does not hold: the last event is
+        // rank 7's on the world, the one before is on a listed group.
+        let mut m = bytes.clone();
+        let last_listed_id = bytes.len() - 16 - (8 + 8 + 8 + 17) - 8;
+        m[last_listed_id] ^= 0x01;
+        assert_malformed(&resealed(m), "event members");
+
+        // An entry whose content no longer hashes to its id.
+        let mut m = bytes.clone();
+        m[t.start + 24] ^= 0x01;
+        assert_malformed(&resealed(m), "member table entry vs its id");
+
+        // One id naming two different lists.
+        let mut m = bytes.clone();
+        m.copy_within(t.start + 8..t.start + 16, second);
+        assert_malformed(&resealed(m), "member table order");
+
+        // A table that claims one entry more than it holds runs into the
+        // capture sections and fails there, typed.
+        let mut m = bytes.clone();
+        m[t.start] += 1;
+        let m = resealed(m);
+        assert!(matches!(
+            Checkpoint::from_bytes(&m),
+            Err(ImageError::Malformed(_))
+        ));
+
+        // A member outside the world inside a (correctly hashed) entry, and
+        // a range that runs past it.
+        let outside = lists_ckpt(|v| match v {
+            [0, 2, 4, 6] => [0, 2, 4, 99][..].into(),
+            v => v.into(),
+        });
+        assert_malformed(&outside.to_bytes(), "member table entry rank");
+        let overlong = lists_ckpt(|v| match v.len() {
+            8 => (0..9).collect(),
+            _ => v.into(),
+        });
+        assert_malformed(&overlong.to_bytes(), "seq-table members");
+
+        // Pristine bytes still parse.
+        assert!(Checkpoint::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn older_wire_versions_are_refused() {
+        let mut bytes = rich_ckpt().to_bytes();
+        bytes[IMAGE_VERSION_OFFSET] = 4;
+        assert_eq!(
+            Checkpoint::from_bytes(&bytes),
+            Err(ImageError::UnsupportedVersion(4))
         );
     }
 

@@ -102,8 +102,8 @@
 //! write's modeled cost from the matching `netmodel` tier model.
 //!
 //! Images on a tiered run can be **incremental**. Under a
-//! [`DeltaPolicy`], a generation is written as a [`DeltaImage`] (wire
-//! format v4, kind byte [`IMAGE_KIND_DELTA`]): only the volatile
+//! [`DeltaPolicy`], a generation is written as a [`DeltaImage`] (the
+//! same header, kind byte [`IMAGE_KIND_DELTA`]): only the volatile
 //! per-rank scalars plus the restart-stable state of ranks that
 //! *changed* since the parent generation, with unchanged state carried
 //! as content-addressed chunk references dedup'd across the whole

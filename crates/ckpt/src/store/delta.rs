@@ -11,6 +11,14 @@
 //! drained in-flight set is its own chunk, and the cut-event log is
 //! written as a parent-prefix length plus the new tail.
 //!
+//! Since wire v5 a stable chunk names its group member lists by content
+//! id instead of spelling them out (see [`crate::image::IMAGE_VERSION`]),
+//! so a chunk's bytes — and therefore its address — still depend on that
+//! rank's state alone. Every delta carries the member-list table for what
+//! it references: the lists of all its ranks' chunks, inline or inherited,
+//! and of its cut tail. A chunk taken from an ancestor decodes against the
+//! leaf's table; no list is looked up along the chain.
+//!
 //! Resolution walks the chain root → leaf through a [`ChunkPool`]: the
 //! full root contributes every rank's re-encoded stable section (encoding
 //! is deterministic, so re-encoding reproduces the chunk bytes the deltas
@@ -21,15 +29,16 @@
 //! [`ImageError`], never a panic.
 
 use crate::image::{
-    self, dec_capture_stable, dec_drained, dec_event, dec_params, dec_target_map, dec_vtime,
-    enc_capture_stable, enc_drained, enc_event, enc_params, enc_target_map, protocol_code,
-    protocol_from_code, validate_image_header, validate_shape, Checkpoint, DrainedMsg, ImageError,
-    MemberIntern, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA, IMAGE_KIND_FULL, IMAGE_MAGIC, IMAGE_VERSION,
+    self, backpatch_header, dec_capture_stable, dec_drained, dec_event, dec_params, dec_target_map,
+    dec_vtime, enc_capture_stable, enc_drained, enc_event, enc_header_placeholder, enc_params,
+    enc_target_map, protocol_code, protocol_from_code, validate_image_header, validate_shape,
+    Checkpoint, DrainedMsg, ImageError, MemberIntern, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA,
+    IMAGE_KIND_FULL,
 };
 use crate::wire::{fnv1a64, CountEnc, Dec, Wr};
 use mana_core::{ExecEvent, Ggid, Protocol, RankState, RuntimeCapture};
 use mpisim::VTime;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -91,6 +100,10 @@ pub struct DeltaImage {
     pub io_write_secs: f64,
     /// Virtual read seconds charged for this image.
     pub io_read_secs: f64,
+    /// The member-list table: every non-contiguous group member list the
+    /// rank chunks (inline or inherited) and the cut tail reference, in
+    /// content-id order.
+    pub lists: Vec<Arc<[usize]>>,
     /// How many leading cut events are shared verbatim with the parent.
     pub parent_cut_prefix: usize,
     /// Cut events beyond the shared prefix.
@@ -118,11 +131,12 @@ pub enum ImagePayload {
 
 impl ImagePayload {
     /// Parses a serialized image of either kind, validating the shared
-    /// header (magic, version, length, checksum) first.
+    /// header (magic, version, length, checksum) first — once: either
+    /// decoder then works on the authenticated payload.
     pub fn from_bytes(buf: &[u8]) -> Result<ImagePayload, ImageError> {
         let (payload, _checksum) = validate_image_header(buf)?;
         match payload.first().copied() {
-            Some(IMAGE_KIND_FULL) => Ok(ImagePayload::Full(Checkpoint::from_bytes(buf)?)),
+            Some(IMAGE_KIND_FULL) => Ok(ImagePayload::Full(Checkpoint::dec_payload(payload)?)),
             Some(IMAGE_KIND_DELTA) => Ok(ImagePayload::Delta(DeltaImage::dec_payload(payload)?)),
             Some(_) => Err(ImageError::Malformed("image kind")),
             None => Err(ImageError::Malformed("empty payload")),
@@ -130,21 +144,46 @@ impl ImagePayload {
     }
 }
 
-/// Encodes one rank's restart-stable half as a standalone chunk.
-pub(crate) fn stable_chunk_bytes(c: &RuntimeCapture) -> Vec<u8> {
+/// Encodes one rank's restart-stable half as a standalone chunk, noting
+/// the lists it references in `lists`. The bytes are a function of `c`
+/// alone: a list is referenced by content, `lists` only remembers which
+/// allocations it has hashed already (and, for a delta, what to put in
+/// its table).
+fn stable_chunk_bytes(lists: &mut MemberIntern, c: &RuntimeCapture) -> Vec<u8> {
+    lists.note_capture(c);
     let mut out: Vec<u8> = Vec::new();
-    enc_capture_stable(&mut out, c);
+    enc_capture_stable(&mut out, lists, c);
     out
 }
 
 /// Encodes the drained in-flight set as a standalone chunk.
-pub(crate) fn in_flight_chunk_bytes(in_flight: &[DrainedMsg]) -> Vec<u8> {
+fn in_flight_chunk_bytes(in_flight: &[DrainedMsg]) -> Vec<u8> {
     let mut out: Vec<u8> = Vec::new();
     out.usize(in_flight.len());
     for m in in_flight {
         enc_drained(&mut out, m);
     }
     out
+}
+
+/// Every chunk of a full image: each rank's stable half in rank order,
+/// then the in-flight set.
+fn image_chunks(image: &Checkpoint) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let mut lists = MemberIntern::new(image.n_ranks);
+    let ranks = (image.captures.iter()).map(move |c| stable_chunk_bytes(&mut lists, c));
+    ranks.chain(std::iter::once_with(|| {
+        in_flight_chunk_bytes(&image.in_flight)
+    }))
+}
+
+/// `a == b`, settled by allocation identity where the two logs share
+/// their member lists (consecutive cuts of one run do), so comparing a
+/// prefix costs O(events) instead of O(Σ members). `Arc<[usize]>`'s own
+/// `==` always compares contents: std's pointer shortcut needs `T: Sized`.
+fn same_event(a: &ExecEvent, b: &ExecEvent) -> bool {
+    a.rank == b.rank
+        && a.node == b.node
+        && (Arc::ptr_eq(&a.members, &b.members) || a.members == b.members)
 }
 
 fn chunk_ref(bytes: &[u8]) -> ChunkRef {
@@ -157,13 +196,7 @@ fn chunk_ref(bytes: &[u8]) -> ChunkRef {
 /// The chunk refs a full image contributes to its descendants' dedup set:
 /// one per rank plus the in-flight chunk.
 pub fn full_image_refs(image: &Checkpoint) -> Vec<ChunkRef> {
-    let mut refs: Vec<ChunkRef> = image
-        .captures
-        .iter()
-        .map(|c| chunk_ref(&stable_chunk_bytes(c)))
-        .collect();
-    refs.push(chunk_ref(&in_flight_chunk_bytes(&image.in_flight)));
-    refs
+    image_chunks(image).map(|b| chunk_ref(&b)).collect()
 }
 
 /// Chunk bytes available while resolving a delta chain: the root's
@@ -185,12 +218,9 @@ impl ChunkPool {
     /// deterministic, so these are byte-identical to what descendants
     /// hashed at build time).
     pub fn absorb_full(&mut self, image: &Checkpoint) {
-        for c in &image.captures {
-            let b = stable_chunk_bytes(c);
+        for b in image_chunks(image) {
             self.map.entry(chunk_ref(&b)).or_insert_with(|| b.into());
         }
-        let b = in_flight_chunk_bytes(&image.in_flight);
-        self.map.entry(chunk_ref(&b)).or_insert_with(|| b.into());
     }
 
     /// Adds a delta's inline chunks.
@@ -220,17 +250,19 @@ impl DeltaImage {
         parent_generation: u64,
         parent_checksum: u64,
         parent: &Checkpoint,
-        known: &std::collections::HashSet<ChunkRef>,
+        known: &HashSet<ChunkRef>,
         current: &Checkpoint,
     ) -> DeltaImage {
         assert_eq!(
             parent.n_ranks, current.n_ranks,
             "delta images require a same-shape parent"
         );
+        let mut lists = MemberIntern::new(current.n_ranks);
         let mut new_chunks: Vec<(ChunkRef, Vec<u8>)> = Vec::new();
+        let mut inlined: HashSet<ChunkRef> = HashSet::new();
         let mut inline = |b: Vec<u8>| -> ChunkRef {
             let r = chunk_ref(&b);
-            if !known.contains(&r) && !new_chunks.iter().any(|(x, _)| *x == r) {
+            if !known.contains(&r) && inlined.insert(r) {
                 new_chunks.push((r, b));
             }
             r
@@ -238,7 +270,7 @@ impl DeltaImage {
         let rank_refs: Vec<ChunkRef> = current
             .captures
             .iter()
-            .map(|c| inline(stable_chunk_bytes(c)))
+            .map(|c| inline(stable_chunk_bytes(&mut lists, c)))
             .collect();
         let in_flight_ref = inline(in_flight_chunk_bytes(&current.in_flight));
         new_chunks.sort_unstable_by_key(|(r, _)| (r.hash, r.len));
@@ -247,12 +279,16 @@ impl DeltaImage {
         // common case is "the parent's log is a prefix of ours".
         let plen = parent.cut_events.len();
         let (parent_cut_prefix, cut_tail) = if current.cut_events.len() >= plen
-            && current.cut_events[..plen] == parent.cut_events[..]
+            && std::iter::zip(&current.cut_events, &parent.cut_events)
+                .all(|(a, b)| same_event(a, b))
         {
             (plen, current.cut_events[plen..].to_vec())
         } else {
             (0, current.cut_events.clone())
         };
+        for e in &cut_tail {
+            lists.note(&e.members);
+        }
 
         let volatile = current
             .captures
@@ -280,6 +316,7 @@ impl DeltaImage {
             achieved: current.achieved.clone(),
             io_write_secs: current.io_write_secs,
             io_read_secs: current.io_read_secs,
+            lists: lists.table().cloned().collect(),
             parent_cut_prefix,
             cut_tail,
             in_flight_ref,
@@ -301,9 +338,22 @@ impl DeltaImage {
         if self.parent_cut_prefix > parent.cut_events.len() {
             return Err(ImageError::DeltaChain("cut prefix beyond parent log"));
         }
-        let mut cut_events = Vec::with_capacity(self.parent_cut_prefix + self.cut_tail.len());
-        cut_events.extend_from_slice(&parent.cut_events[..self.parent_cut_prefix]);
-        cut_events.extend_from_slice(&self.cut_tail);
+        // One table for the whole child: the parent's prefix allocations
+        // first, so a list the parent already holds stays one allocation
+        // across the prefix, the tail and every rank's decoded chunk.
+        let prefix = &parent.cut_events[..self.parent_cut_prefix];
+        let mut lists = MemberIntern::new(self.n_ranks);
+        for m in prefix.iter().map(|e| &e.members).chain(&self.lists) {
+            lists.try_note(m)?;
+        }
+        let mut cut_events = Vec::with_capacity(prefix.len() + self.cut_tail.len());
+        cut_events.extend_from_slice(prefix);
+        for e in &self.cut_tail {
+            cut_events.push(ExecEvent {
+                members: lists.shared(&e.members, "cut-tail members")?,
+                ..*e
+            });
+        }
 
         let in_bytes = pool
             .get(self.in_flight_ref)
@@ -318,14 +368,13 @@ impl DeltaImage {
             return Err(ImageError::DeltaChain("in-flight chunk length"));
         }
 
-        let mut intern = MemberIntern::default();
         let mut captures = Vec::with_capacity(self.n_ranks);
         for (rank, (v, r)) in self.volatile.iter().zip(&self.rank_refs).enumerate() {
             let bytes = pool
                 .get(*r)
                 .ok_or(ImageError::DeltaChain("missing stable chunk"))?;
             let mut d = Dec::new(bytes);
-            let stable = dec_capture_stable(&mut d, &mut intern)?;
+            let stable = dec_capture_stable(&mut d, &mut lists)?;
             if !d.finished() {
                 return Err(ImageError::DeltaChain("stable chunk length"));
             }
@@ -358,7 +407,22 @@ impl DeltaImage {
         Ok(ckpt)
     }
 
-    fn enc_head<W: Wr>(&self, p: &mut W) {
+    /// The encode-side table: the lists the chunks reference plus the cut
+    /// tail's, each allocation hashed once.
+    fn member_lists(&self) -> MemberIntern {
+        let mut lists = MemberIntern::new(self.n_ranks);
+        for m in self
+            .lists
+            .iter()
+            .chain(self.cut_tail.iter().map(|e| &e.members))
+        {
+            lists.note(m);
+        }
+        lists
+    }
+
+    /// Head fields that precede the member-list table.
+    fn enc_preamble<W: Wr>(&self, p: &mut W) {
         p.u8(IMAGE_KIND_DELTA);
         p.u64(self.generation);
         p.u64(self.parent_generation);
@@ -374,10 +438,15 @@ impl DeltaImage {
         enc_target_map(p, &self.achieved);
         p.f64(self.io_write_secs);
         p.f64(self.io_read_secs);
+    }
+
+    fn enc_head<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
+        self.enc_preamble(p);
+        lists.enc_table(p);
         p.usize(self.parent_cut_prefix);
         p.usize(self.cut_tail.len());
         for e in &self.cut_tail {
-            enc_event(p, e);
+            enc_event(p, lists, e);
         }
         p.u64(self.in_flight_ref.hash);
         p.u64(self.in_flight_ref.len);
@@ -404,21 +473,23 @@ impl DeltaImage {
         p.usize(self.new_chunks.len());
     }
 
-    /// Serializes the delta under the shared v4 header (magic, version,
-    /// length, FNV-1a checksum), kind byte [`IMAGE_KIND_DELTA`].
+    /// Serializes the delta under the shared image header (magic,
+    /// version, length, FNV-1a checksum), kind byte [`IMAGE_KIND_DELTA`].
+    /// Like the full encoder: pre-sized, encoded in place behind a
+    /// reserved header, length and checksum back-patched.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload: Vec<u8> = Vec::new();
-        self.enc_head(&mut payload);
+        let lists = self.member_lists();
+        let mut head = CountEnc::new();
+        self.enc_head(&mut head, &lists);
+        let chunks: usize = self.new_chunks.iter().map(|(_, b)| 16 + b.len()).sum();
+        let mut out: Vec<u8> = Vec::with_capacity(IMAGE_HEADER_LEN + head.count() + chunks);
+        enc_header_placeholder(&mut out);
+        self.enc_head(&mut out, &lists);
         for (r, b) in &self.new_chunks {
-            payload.u64(r.hash);
-            payload.bytes(b);
+            out.u64(r.hash);
+            out.bytes(b);
         }
-        let mut out: Vec<u8> = Vec::with_capacity(IMAGE_HEADER_LEN + payload.len());
-        out.raw(&IMAGE_MAGIC);
-        out.u32(IMAGE_VERSION);
-        out.usize(payload.len());
-        out.u64(fnv1a64(&payload));
-        out.raw(&payload);
+        backpatch_header(&mut out);
         out
     }
 
@@ -428,7 +499,7 @@ impl DeltaImage {
     /// boundaries.
     pub fn chunk_byte_ranges(&self) -> Vec<Range<usize>> {
         let mut head = CountEnc::new();
-        self.enc_head(&mut head);
+        self.enc_head(&mut head, &self.member_lists());
         let mut at = IMAGE_HEADER_LEN + head.count();
         self.new_chunks
             .iter()
@@ -440,6 +511,16 @@ impl DeltaImage {
                 r
             })
             .collect()
+    }
+
+    /// Byte range of the member-list table within
+    /// [`DeltaImage::to_bytes`] output (its count word included), for the
+    /// same fuzzers.
+    pub fn member_table_range(&self) -> Range<usize> {
+        let mut preamble = CountEnc::new();
+        self.enc_preamble(&mut preamble);
+        let start = IMAGE_HEADER_LEN + preamble.count();
+        start..start + self.member_lists().table_len()
     }
 
     /// Decodes a delta from an authenticated payload (kind byte
@@ -467,12 +548,13 @@ impl DeltaImage {
         let achieved = dec_target_map(&mut d, "achieved map")?;
         let io_write_secs = d.f64("io_write_secs")?;
         let io_read_secs = d.f64("io_read_secs")?;
+        let mut lists = MemberIntern::new(n_ranks);
+        lists.dec_table(&mut d)?;
         let parent_cut_prefix = d.usize("parent cut prefix")?;
         let n_tail = d.seq_len("cut-tail count")?;
-        let mut intern = MemberIntern::default();
         let mut cut_tail = Vec::with_capacity(n_tail);
         for _ in 0..n_tail {
-            cut_tail.push(dec_event(&mut d, &mut intern)?);
+            cut_tail.push(dec_event(&mut d, &mut lists)?);
         }
         let in_flight_ref = ChunkRef {
             hash: d.u64("in-flight chunk hash")?,
@@ -552,6 +634,7 @@ impl DeltaImage {
             achieved,
             io_write_secs,
             io_read_secs,
+            lists: lists.table().cloned().collect(),
             parent_cut_prefix,
             cut_tail,
             in_flight_ref,

@@ -206,15 +206,28 @@ pub trait CkptStore: Send + Sync {
     fn put(&self, gen: u64, bytes: Vec<u8>, nodes: usize);
 
     /// Retrieves generation `gen`, honoring dropped-node survivability.
-    fn get(&self, gen: u64) -> Result<Vec<u8>, StoreError>;
+    /// The bytes are shared with the store, not copied: a stored
+    /// generation is immutable until it is evicted or `put` again.
+    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError>;
 
     /// Simulates losing node `node`: every copy resident there is gone.
     fn drop_node(&self, node: usize);
 }
 
 struct StoredGen {
-    bytes: Vec<u8>,
+    /// `Arc<Vec<u8>>`, not `Arc<[u8]>`: wrapping the encoder's `Vec`
+    /// moves it, converting it to a slice would copy the image once more.
+    bytes: Arc<Vec<u8>>,
     nodes: usize,
+}
+
+impl StoredGen {
+    fn new(bytes: Vec<u8>, nodes: usize) -> Self {
+        StoredGen {
+            bytes: Arc::new(bytes),
+            nodes,
+        }
+    }
 }
 
 struct TierState {
@@ -265,10 +278,10 @@ impl CkptStore for MemoryStore {
         self.state
             .gens
             .lock()
-            .insert(gen, StoredGen { bytes, nodes });
+            .insert(gen, StoredGen::new(bytes, nodes));
     }
 
-    fn get(&self, gen: u64) -> Result<Vec<u8>, StoreError> {
+    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
         let gens = self.state.gens.lock();
         let g = gens.get(&gen).ok_or(StoreError::UnknownGeneration(gen))?;
         if let Some(&node) = self.state.dropped.lock().iter().find(|&&d| d < g.nodes) {
@@ -277,7 +290,7 @@ impl CkptStore for MemoryStore {
                 node,
             });
         }
-        Ok(g.bytes.clone())
+        Ok(Arc::clone(&g.bytes))
     }
 
     fn drop_node(&self, node: usize) {
@@ -326,10 +339,10 @@ impl CkptStore for PartnerStore {
         self.state
             .gens
             .lock()
-            .insert(gen, StoredGen { bytes, nodes });
+            .insert(gen, StoredGen::new(bytes, nodes));
     }
 
-    fn get(&self, gen: u64) -> Result<Vec<u8>, StoreError> {
+    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
         let gens = self.state.gens.lock();
         let g = gens.get(&gen).ok_or(StoreError::UnknownGeneration(gen))?;
         let dropped = self.state.dropped.lock();
@@ -343,7 +356,7 @@ impl CkptStore for PartnerStore {
                 });
             }
         }
-        Ok(g.bytes.clone())
+        Ok(Arc::clone(&g.bytes))
     }
 
     fn drop_node(&self, node: usize) {
@@ -383,14 +396,14 @@ impl CkptStore for LustreStore {
     }
 
     fn put(&self, gen: u64, bytes: Vec<u8>, nodes: usize) {
-        self.gens.lock().insert(gen, StoredGen { bytes, nodes });
+        self.gens.lock().insert(gen, StoredGen::new(bytes, nodes));
     }
 
-    fn get(&self, gen: u64) -> Result<Vec<u8>, StoreError> {
+    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
         self.gens
             .lock()
             .get(&gen)
-            .map(|g| g.bytes.clone())
+            .map(|g| Arc::clone(&g.bytes))
             .ok_or(StoreError::UnknownGeneration(gen))
     }
 
@@ -809,7 +822,7 @@ mod tests {
     fn memory_tier_dies_with_any_node() {
         let s = MemoryStore::new(MemoryTierModel::ddr());
         s.put(0, vec![1, 2, 3], 4);
-        assert_eq!(s.get(0).unwrap(), vec![1, 2, 3]);
+        assert_eq!(*s.get(0).unwrap(), vec![1, 2, 3]);
         s.drop_node(2);
         assert!(matches!(
             s.get(0),
@@ -853,7 +866,7 @@ mod tests {
         for n in 0..16 {
             s.drop_node(n);
         }
-        assert_eq!(s.get(3).unwrap(), vec![7]);
+        assert_eq!(*s.get(3).unwrap(), vec![7]);
         assert!(matches!(s.get(4), Err(StoreError::UnknownGeneration(4))));
     }
 }
