@@ -1,13 +1,17 @@
 //! End-to-end tests for the 2PC trivial-barrier protocol and its capture
 //! state, plus the p2p drain-stall watchdog (ROADMAP item 5).
 
-use ckpt::{run_ckpt_world, CkptOptions, DrainError, ResumeMode, StorageSpec, VirtualTimeSchedule};
+use ckpt::{
+    run_ckpt_world, run_ckpt_world_steps, CkptOptions, CkptRunReport, DrainError,
+    EveryNCollectives, ResumeMode, StorageSpec, VirtualTimeSchedule,
+};
 use mana_core::{DrainEvent, Protocol};
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{DType, NetParams, ReduceOp, VTime, WorldConfig};
 use netmodel::LustreModel;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::{random_workload, scf_loop, RandomWorkloadCfg, ScfStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -143,6 +147,110 @@ fn pending_barrier_and_counters_round_trip_across_restart() {
     for res in run.results() {
         assert_eq!(*res, 12.0);
     }
+}
+
+/// Runs `run` on a helper thread under a hard 20 s bound: a wedged world
+/// fails the test with the representation and run index instead of
+/// hanging the suite.
+fn run_bounded(
+    what: &'static str,
+    i: usize,
+    run: impl FnOnce() -> CkptRunReport<f64> + Send + 'static,
+) -> CkptRunReport<f64> {
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(run());
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(report) => {
+            helper
+                .join()
+                .expect("helper thread already sent its report");
+            report
+        }
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "{what} run {i} wedged: a 2PC checkpoint did not complete within 20 s \
+             (ranks parked in a trivial barrier a late arriver completed?)"
+        ),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().expect_err("helper dropped its sender"))
+        }
+    }
+}
+
+/// The 2PC free pass (ROADMAP item 1). A rank that observes the intent
+/// with its trivial barrier still incomplete parks *inside* the barrier;
+/// the last member — past its phase-1 check a few instructions before the
+/// intent became visible — can still post, complete the instance and enter
+/// the real collective, where it waits for the parked peers while the
+/// coordinator waits for it. Without the free pass this wedges within a
+/// few dozen runs at release speed on an oversubscribed worker pool; both
+/// drivers run the same gate, so both are exercised.
+#[test]
+fn two_phase_last_arriver_cannot_strand_parked_peers() {
+    const ELEMS: usize = 8;
+    let cfg = || {
+        WorldConfig::multi_node(16, 128)
+            .with_params(NetParams::slingshot11().without_jitter())
+            .with_workers(4)
+    };
+    let opts = || {
+        CkptOptions::native()
+            .with_protocol(Protocol::TwoPhase)
+            .with_policy(EveryNCollectives::new(1, 1))
+            .with_resume(ResumeMode::Continue)
+    };
+    let native = |iters: usize| -> Vec<f64> {
+        let native = CkptOptions::native().with_protocol(Protocol::Native);
+        run_ckpt_world(cfg(), native, move |r| scf_loop(r, iters, ELEMS))
+            .results()
+            .copied()
+            .collect()
+    };
+    // Whether the run's checkpoint fired. The trigger is polled from the
+    // supervising thread every 200 µs of wall time, so a host that starves
+    // that thread for a whole ~10 ms run yields a run without one (seen
+    // once in ~5000): such a run proves nothing but is not a failure.
+    let check = |what: &str, i: usize, run: CkptRunReport<f64>, want: &[f64]| -> bool {
+        assert!(run.checkpoints.len() <= 1, "{what} run {i}: one trigger");
+        assert!(
+            run.failures.is_empty(),
+            "{what} run {i}: {:?}",
+            run.failures
+        );
+        assert_eq!(run.backstop_expiries, 0, "{what} run {i}: timed wakeup");
+        let got: Vec<f64> = run.results().copied().collect();
+        assert_eq!(got, want, "{what} run {i}: results diverged from Native");
+        run.checkpoints.len() == 1
+    };
+    let enough = |what: &str, fired: usize, runs: usize| {
+        assert!(
+            fired * 10 >= runs * 9,
+            "{what}: only {fired} of {runs} runs took their checkpoint"
+        );
+    };
+
+    // The body only has to outlast the supervisor's first trigger poll;
+    // "red on the parent" is judged at release speed, and a debug build
+    // runs the same body several times slower, so it gets a shorter one.
+    let step_iters = if cfg!(debug_assertions) { 40 } else { 200 };
+    let (step_runs, thread_runs, thread_iters) = (200, 30, 60);
+    let want = native(step_iters);
+    let fired = (0..step_runs).filter(|&i| {
+        let run = run_bounded("step-rank", i, move || {
+            run_ckpt_world_steps(cfg(), opts(), |_| ScfStep::new(step_iters, ELEMS))
+        });
+        check("step-rank", i, run, &want)
+    });
+    enough("step-rank", fired.count(), step_runs);
+    let want = native(thread_iters);
+    let fired = (0..thread_runs).filter(|&i| {
+        let run = run_bounded("thread-rank", i, move || {
+            run_ckpt_world(cfg(), opts(), move |r| scf_loop(r, thread_iters, ELEMS))
+        });
+        check("thread-rank", i, run, &want)
+    });
+    enough("thread-rank", fired.count(), thread_runs);
 }
 
 /// ROADMAP item 5: a blocking receive fed by a send gated behind a

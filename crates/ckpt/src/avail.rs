@@ -533,31 +533,9 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
-    let mut campaign = Campaign::new(&cfg, opts, plan);
-    let mut restore: Option<(Arc<Checkpoint>, RestoreConfig, f64)> = None;
-    loop {
-        campaign.attempts += 1;
-        let (sh, restore_drive, rpn) = attempt_session(&cfg, &campaign, &restore);
-        let save = Arc::new(Mutex::new(SuperviseOut::default()));
-        let supervise = campaign.supervise_attempt(&sh, restore_drive, &save);
-        let injector = campaign.arm_injector(&sh, rpn);
-        let result = run_session_threads(Arc::clone(&sh), cfg.stack_size, &f, supervise);
-        if let Some((stop, handle)) = injector {
-            stop.store(true, SeqCst);
-            let _ = handle.join();
-        }
-        match result {
-            Ok(report) => return campaign.finish(report),
-            Err(RunError::Spawn(e)) => panic!("{e}"),
-            Err(RunError::Died(death)) => {
-                campaign.backstops += sh.backstop_expiries();
-                campaign.absorb(
-                    Arc::try_unwrap(save).map_or_else(|arc| arc.lock().clone(), |m| m.into_inner()),
-                );
-                restore = campaign.plan_recovery(death, cfg.n_ranks);
-            }
-        }
-    }
+    run_campaign(&cfg, opts, plan, |sh, supervise| {
+        run_session_threads(sh, cfg.stack_size, &f, supervise)
+    })
 }
 
 /// [`run_available_world`] for step-function bodies: the same campaign
@@ -573,15 +551,32 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
-    let mut campaign = Campaign::new(&cfg, opts, plan);
+    run_campaign(&cfg, opts, plan, |sh, supervise| {
+        run_session_steps(sh, cfg.stack_size, &make, supervise)
+    })
+}
+
+/// The campaign loop both representations share; `launch` runs one
+/// attempt's session under its supervision closure on whichever runner
+/// the caller's bodies need.
+fn run_campaign<R>(
+    cfg: &WorldConfig,
+    opts: AvailabilityOptions,
+    plan: FaultPlan,
+    launch: impl Fn(
+        Arc<Session>,
+        Box<dyn FnOnce() -> SuperviseOut>,
+    ) -> Result<CkptRunReport<R>, RunError>,
+) -> CkptRunReport<R> {
+    let mut campaign = Campaign::new(cfg, opts, plan);
     let mut restore: Option<(Arc<Checkpoint>, RestoreConfig, f64)> = None;
     loop {
         campaign.attempts += 1;
-        let (sh, restore_drive, rpn) = attempt_session(&cfg, &campaign, &restore);
+        let (sh, restore_drive, rpn) = attempt_session(cfg, &campaign, &restore);
         let save = Arc::new(Mutex::new(SuperviseOut::default()));
         let supervise = campaign.supervise_attempt(&sh, restore_drive, &save);
         let injector = campaign.arm_injector(&sh, rpn);
-        let result = run_session_steps(Arc::clone(&sh), cfg.stack_size, &make, supervise);
+        let result = launch(Arc::clone(&sh), Box::new(supervise));
         if let Some((stop, handle)) = injector {
             stop.store(true, SeqCst);
             let _ = handle.join();

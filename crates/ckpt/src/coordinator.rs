@@ -353,15 +353,7 @@ impl Coordinator {
 
         // Quiesce: every rank parks at its current interposition point and
         // publishes its capture.
-        while !control.ranks.iter().all(|r| {
-            matches!(
-                r.state(),
-                RankState::Quiesced
-                    | RankState::RecvParked
-                    | RankState::InTrivialBarrier
-                    | RankState::Finished
-            )
-        }) {
+        while !control.all_quiesced() {
             if let Some(e) = self.death_abort() {
                 return Err(e);
             }

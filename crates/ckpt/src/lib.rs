@@ -50,7 +50,8 @@
 //!   interposes on the CC drain protocol (sequence gate, overshoot raises,
 //!   entry parking — paper Algorithms 2 and 3) and virtualizes handles so
 //!   they survive restart. Under restore it also re-executes the captured
-//!   program up to the cut and parks there.
+//!   program up to the cut and parks there. The protocol's control flow
+//!   is the poll engine of [`rank::step`]; `CcRank` blocks on it.
 //! * [`policy`] — [`TriggerPolicy`] and the built-in policies: an explicit
 //!   [`VirtualTimeSchedule`], a production-style [`PeriodicInterval`], and
 //!   [`EveryNCollectives`] driven by the ranks' published call counters.
@@ -127,42 +128,50 @@
 //! `store_records` carries per-generation tier/bytes/back-pressure
 //! accounting ([`store::StoreRecord`]).
 //!
-//! ## Execution model: two rank representations, one semantics
+//! ## Execution model: one protocol engine, two drivers
 //!
-//! A rank body runs in one of two **representations**:
+//! The rank side of the protocols — the CC drain gate, the 2PC trivial
+//! barrier, `MPI_Wait`/`MPI_Test`, communicator creation, the
+//! quiesce/capture park — is written once, as the poll machines of
+//! [`rank::step`]: each either completes or reports that it is pending
+//! an event. A rank body runs in one of two **representations**, which
+//! differ only in who drives those machines:
 //!
-//! * **Legacy closure shim** ([`run_ckpt_world`]): the body is a closure
-//!   on its own thread (the thread *is* the rank's continuation),
-//!   multiplexed by [`mpisim::Scheduler`]: only `~num_cpus` ranks hold
-//!   run slots at any instant
+//! * **Closure bodies on threads** ([`run_ckpt_world`]): the body is a
+//!   closure on its own thread (the thread *is* the rank's
+//!   continuation), multiplexed by [`mpisim::Scheduler`]: only
+//!   `~num_cpus` ranks hold run slots at any instant
 //!   ([`mpisim::world::WorldConfig::workers`] overrides the bound),
 //!   which is what carries the paper's 512-rank worlds — and the
-//!   beyond-paper 4096-rank tier — on one host. Every park in this
-//!   crate is a scheduler **yield-point** — the drain gate's entry
-//!   park, the 2PC trivial-barrier poll, the cooperative p2p wait, and
-//!   the quiesce/capture park all release their slot for the duration
-//!   (`Ctx::blocked` / the scheduler's `blocking` bracket). The
-//!   scheduler outlives the lower half: restart builds the next
-//!   [`mpisim::World`] generation onto the same scheduler and the
-//!   parked threads wake into it.
+//!   beyond-paper 4096-rank tier — on one host. Every blocking
+//!   [`CcRank`] method builds its operation's machine on the stack and
+//!   blocks on it: poll, and while pending sleep — run slot released
+//!   (`Ctx::blocked`) — on the rank's one event counter
+//!   ([`mana_core::RankCtl::wait_event_since`]). The scheduler outlives
+//!   the lower half: restart builds the next [`mpisim::World`]
+//!   generation onto the same scheduler and the parked threads wake
+//!   into it.
 //! * **Heap step objects** ([`run_ckpt_world_steps`]): the body is a
 //!   [`StepBody`] state machine — a parked rank is a boxed object, not
 //!   a stack — driven by [`mpisim::StepDriver`] workers through
 //!   [`StepRank`]'s idempotent-start `poll_*` API (the way async bodies
-//!   lower). No per-rank OS thread or stack exists, which is what
+//!   lower), which keeps the machine of the operation in flight between
+//!   resumptions. No per-rank OS thread or stack exists, which is what
 //!   carries 65 536-rank worlds.
 //!
-//! In both representations every wait is *event-driven*: wakes come
-//! from mailbox deposits, collective completions, the update bus, and
-//! coordinator phase transitions, never from short timed polls (a
+//! Under both drivers every wait is *event-driven*: a pending rank is
+//! woken by mailbox deposits, collective completions, the update bus,
+//! and coordinator phase transitions — all of which reach a thread rank
+//! through that one event counter, whose token is read before the poll
+//! so nothing in between can be lost — never by short timed polls (a
 //! 200 µs re-check multiplied by 512 parked ranks would saturate the
 //! host exactly during capture).
 //!
 //! **Representation independence.** The checkpoint semantics cannot see
-//! which representation a rank runs under. The step engine
-//! ([`rank::step`]) mirrors the blocking wrapper paths instruction for
-//! instruction — same counter increments, same drain-gate decisions,
-//! same uncharged waits — so the virtual trajectory, the app-visible
+//! which representation a rank runs under, because there is no second
+//! implementation to drift: counter increments, drain-gate decisions,
+//! clock charges and capture publications all happen in the machines,
+//! so the virtual trajectory, the app-visible
 //! [`mana_core::CallCounters`], the `SEQ[]` tables, and the captured
 //! images are bit-identical for the same program and seed. A cut
 //! captured under one representation restores under the other
@@ -170,7 +179,8 @@
 //! driver's replay cross-check enforces the field-by-field equality of
 //! the replayed capture against the image, whichever representation
 //! re-executes the program. `bench/tests/representation_equiv.rs` pins
-//! this both ways on randomized schedules.
+//! this both ways on randomized schedules — what it now guards is the
+//! two drivers and the hand-lowered step *bodies*, not two engines.
 //!
 //! ## Availability: faults, recovery, and the Daly cadence
 //!
@@ -181,8 +191,8 @@
 //! (mid-drain, during an asynchronous background drain). An injector
 //! thread fires each event through [`Session::inject_failure`], which
 //! poisons the scheduler's shared fail plane ([`mpisim::FailPlane`]) and
-//! wakes every wait site — mailbox parks, collective waiters, drain-gate
-//! and quiesce parks, step-driver retirement — so the whole world
+//! wakes every wait site — mailbox parks, collective waiters, thread
+//! ranks' event waits, step-driver retirement — so the whole world
 //! unwinds promptly with a typed [`mpisim::RankDeath`] instead of
 //! tripping the drain watchdog as a spurious stall (dead ranks are
 //! excluded from stall accounting outright).
@@ -217,7 +227,7 @@
 //! since wall progress per rank thins out linearly once ranks outnumber
 //! workers); [`CkptOptions::with_stall_timeout`] pins it. One knob does
 //! *not* carry over: [`mpisim::world::WorldConfig::with_stack_size`]
-//! sizes the legacy shim's per-rank threads and is rejected with a
+//! sizes the thread runner's per-rank threads and is rejected with a
 //! typed [`SpawnError`] in step mode — step ranks own no stack to size.
 
 pub mod avail;

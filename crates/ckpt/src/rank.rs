@@ -11,15 +11,20 @@
 //! matched-but-uncompleted receives into the mailbox, and publishes a
 //! [`RuntimeCapture`]. At restart it attaches the fresh lower half and
 //! rebuilds its communicators directly from the captured groups.
+//!
+//! That control flow lives in the poll machines of [`step`], the one
+//! protocol engine; this file holds the rank's state, the straight-line
+//! helpers the machines call, and the **thread driver**: every blocking
+//! method here builds its operation's machine on the stack and blocks on
+//! it (`CcRank::block_on`).
 
 use crate::bus::TargetUpdate;
 use crate::session::Session;
 use bytes::Bytes;
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    ggid_of, CallCounters, CkptPhase, CommOp, DrainEvent, Ggid, Protocol, RankState,
-    RuntimeCapture, TargetTable, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable,
-    VCOMM_WORLD,
+    ggid_of, CallCounters, CommOp, DrainEvent, Ggid, RankState, RuntimeCapture, TargetTable, VComm,
+    VCommTable, VReq, VReqKind, VReqTable, VCOMM_WORLD,
 };
 use mpisim::collective::RedSpec;
 use mpisim::comm::{create_color, SplitKey};
@@ -28,10 +33,10 @@ use mpisim::{
     CollOp, Comm, Completion, Ctx, DType, Group, ReduceOp, Request, SrcSel, Status, TagSel, VTime,
     World,
 };
-use netmodel::wrapper_cost;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
+use step::{CollM, CommKind, CommM, ICollM, StepPoll, TestM, WaitM};
 
 pub mod step;
 
@@ -53,9 +58,10 @@ pub struct CcRank<'s> {
     vcomms: VCommTable,
     vreqs: VReqTable,
     counters: CallCounters,
-    /// 2PC: the live lower-half request of an in-progress trivial barrier,
-    /// kept outside [`VReqTable`] (the app never sees it) so a capture can
-    /// park around it and a continue-resume can keep polling it.
+    /// 2PC: the live lower-half request of the trivial barrier in flight
+    /// (phase 3 of the gate), kept outside [`VReqTable`] (the app never
+    /// sees it) so a capture can park around it, a restart can re-issue
+    /// it, and a continue-resume can keep polling it.
     tb_req: Option<Request>,
     /// 2PC: ordinal of the next trivial barrier this rank posts (capture
     /// metadata: identifies *which* entry the rank was parked at).
@@ -172,9 +178,6 @@ impl<'s> CcRank<'s> {
     // Control-plane servicing
     // ------------------------------------------------------------------
 
-    /// Cheap per-interposition servicing: publish the clock, pick up
-    /// targets and updates when a checkpoint is pending, clean up after a
-    /// finished one.
     /// Publishes the rank's virtual clock and collective-call total for
     /// the coordinator's trigger policies.
     fn publish_clock(&self) {
@@ -213,21 +216,9 @@ impl<'s> CcRank<'s> {
         *self.sh.control.ranks[self.rank].seq_mirror.lock() == spec.seq_table
     }
 
-    /// Parks this rank at its restore cut: marks the cut reached and runs
-    /// the ordinary quiesce/capture/resume machinery — the restore driver
-    /// plays the coordinator's role (cross-checks the replayed capture
-    /// against the image, installs the restored world, re-deposits the
-    /// image's in-flight messages).
-    fn park_for_restore(&mut self, state: RankState) {
-        self.sh
-            .restore
-            .as_ref()
-            .expect("cut implies restore plan")
-            .reached[self.rank]
-            .store(true, SeqCst);
-        self.quiesce(state);
-    }
-
+    /// Cheap per-interposition servicing: publish the clock, pick up
+    /// targets and updates when a checkpoint is pending, clean up after a
+    /// finished one.
     fn service_control(&mut self) {
         let sh = self.sh;
         let ctl = &sh.control.ranks[self.rank];
@@ -288,27 +279,6 @@ impl<'s> CcRank<'s> {
         sh.control.ranks[self.rank].targets_met.store(met, SeqCst);
     }
 
-    /// Blocks until targets for the pending checkpoint are installed.
-    /// Returns `false` if the checkpoint ended while waiting. The wait is
-    /// a scheduler yield-point: the run slot is released while parked.
-    fn await_targets(&mut self) -> bool {
-        let sh = self.sh;
-        let ctl = &sh.control.ranks[self.rank];
-        let fail = Arc::clone(self.ctx.world().fail_plane());
-        self.ctx.blocked(|| {
-            ctl.park_until(|| {
-                ctl.targets_ready.load(SeqCst) || !sh.control.is_pending() || fail.poisoned()
-            });
-        });
-        fail.die_if_poisoned();
-        if !sh.control.is_pending() {
-            self.service_control();
-            return false;
-        }
-        self.install_targets_if_new();
-        true
-    }
-
     /// Records a collective participation in the execution log. The
     /// member list is passed by reference out of the rank's own mirror:
     /// the log keeps a handle the first time it sees the group, so a
@@ -321,196 +291,6 @@ impl<'s> CcRank<'s> {
         self.sh
             .exec_log
             .record_shared(self.rank, ggid, seq, members);
-    }
-
-    // ------------------------------------------------------------------
-    // The drain gate (Algorithms 2 & 3)
-    // ------------------------------------------------------------------
-
-    /// The collective-wrapper entry: counts the call on the group's
-    /// sequence number, subject to the coordination protocol in force.
-    /// Returns the group id and the new sequence number. The caller
-    /// resolves `vc` itself, by reference and *after* the gate: a restart
-    /// while parked here replaces the lower half, and a communicator
-    /// handle returned by value would be a reference-count round trip on
-    /// a handle every member shares.
-    fn coll_gate(&mut self, vc: VComm) -> (Ggid, u64) {
-        match self.sh.protocol {
-            Protocol::TwoPhase => return self.coll_gate_2pc(vc),
-            Protocol::Cc => {
-                // The CC steady-state cost: one virtualized-handle lookup
-                // plus a `SEQ[ggid]` increment.
-                let w = wrapper_cost(self.ctx.world().params());
-                self.ctx.compute(w);
-            }
-            Protocol::Native => {}
-        }
-        loop {
-            // Restore replay: the image captured this rank parked at this
-            // wrapper entry (counters include this call, `SEQ[]` does not).
-            if self.restore_cut_due() {
-                self.park_for_restore(RankState::Quiesced);
-                continue; // re-resolve against the restored lower half
-            }
-            self.service_control();
-            let sh = self.sh;
-            let ggid = self.vcomms.resolve(vc).1;
-            if !sh.control.is_pending() {
-                // Fast path, with the snapshot-race contract: increment
-                // under the mirror lock, then observe `pending`.
-                let seq = sh.control.ranks[self.rank]
-                    .seq_mirror
-                    .lock()
-                    .increment(ggid);
-                if sh.control.is_pending() {
-                    self.overshoot(ggid, seq);
-                }
-                self.record_exec(ggid, seq);
-                return (ggid, seq);
-            }
-            // Drain mode (Algorithm 3): a rank with every target met parks
-            // at the wrapper entry; a rank with ANY unmet target keeps
-            // executing its program toward them — and every collective it
-            // runs past a target raises that target and pushes updates,
-            // the cascade of Figure 3b.
-            if !self.await_targets() {
-                continue;
-            }
-            self.apply_updates();
-            let all_met = {
-                let t = sh.control.ranks[self.rank].seq_mirror.lock();
-                self.targets.reached_by(&t)
-            };
-            if !all_met {
-                let seq = sh.control.ranks[self.rank]
-                    .seq_mirror
-                    .lock()
-                    .increment(ggid);
-                sh.trace.push(DrainEvent::DrainStep(self.rank, ggid, seq));
-                if seq > self.targets.get(ggid).unwrap_or(0) {
-                    self.raise_and_broadcast(ggid, seq);
-                }
-                self.record_exec(ggid, seq);
-                self.publish_met();
-                return (ggid, seq);
-            }
-            self.park_at_entry();
-        }
-    }
-
-    /// The 2PC gate (MANA 2019, §2.2 of the paper): a *trivial barrier* —
-    /// an internal `MPI_Ibarrier` + `MPI_Test` loop — in front of every
-    /// collective. The rank may only enter the real collective once the
-    /// barrier completes, which proves every member has reached this entry;
-    /// a checkpoint intent observed while the barrier cannot complete parks
-    /// the rank inside the barrier (captured via `pending_barrier` and
-    /// re-issued at restart). This is what de-pipelines non-synchronizing
-    /// collectives and amplifies per-rank jitter (Figure 5a).
-    fn coll_gate_2pc(&mut self, vc: VComm) -> (Ggid, u64) {
-        let sh = self.sh;
-        let w = wrapper_cost(self.ctx.world().params());
-        self.ctx.compute(w);
-        // Stop-the-world cut, phase 1: a rank that observes the intent
-        // *before* initiating its trivial barrier stops right here — its
-        // peers' barriers then (correctly) cannot complete.
-        loop {
-            // Restore replay: the image captured this rank stopped at
-            // phase 1 (this call counted, its trivial barrier not yet
-            // posted).
-            if self.restore_cut_due() {
-                self.park_for_restore(RankState::Quiesced);
-                continue;
-            }
-            self.service_control();
-            if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-                self.quiesce(RankState::Quiesced);
-                continue;
-            }
-            break;
-        }
-        let ordinal = self.tb_ordinal;
-        self.tb_ordinal += 1;
-        self.counters.trivial_barriers += 1;
-        let mut req = self.ctx.ibarrier(&self.vcomms.resolve(vc).0);
-        // Test-poll until completion. The first check is a charged
-        // `MPI_Test`; afterwards the loop synchronizes to the barrier's
-        // exit time directly (`Ctx::try_complete`), which keeps virtual
-        // time deterministic while preserving the de-pipelining cost: this
-        // rank cannot proceed before every member has arrived.
-        let mut polled = false;
-        loop {
-            let done = if polled {
-                self.ctx.try_complete(&mut req).is_some()
-            } else {
-                polled = true;
-                self.counters.completions += 1;
-                self.ctx.test(&mut req).is_some()
-            };
-            if done {
-                break;
-            }
-            // Restore replay: the image captured this rank parked inside
-            // this trivial barrier (barrier posted and first Test counted);
-            // park the same way — the barrier is re-issued against the
-            // restored lower half exactly as an in-process restart does.
-            if self.restore_cut_due() {
-                *sh.control.ranks[self.rank].pending_barrier.lock() = Some((vc.0, ordinal));
-                self.tb_req = Some(req);
-                self.park_for_restore(RankState::InTrivialBarrier);
-                req = self
-                    .tb_req
-                    .take()
-                    .expect("trivial barrier re-issued at restore");
-                *sh.control.ranks[self.rank].pending_barrier.lock() = None;
-                continue;
-            }
-            self.service_control();
-            if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-                // Intent while the barrier is in flight. Barrier-instance
-                // completion is global and monotone, so every member makes
-                // the same choice here: if all members have initiated,
-                // finish the barrier and enter the real collective;
-                // otherwise park *inside* the barrier — it is captured as
-                // pending and re-issued at restart.
-                if self.ctx.try_complete(&mut req).is_some() {
-                    break;
-                }
-                *sh.control.ranks[self.rank].pending_barrier.lock() = Some((vc.0, ordinal));
-                self.tb_req = Some(req);
-                sh.trace.push(DrainEvent::TrivialBarrierParked(self.rank));
-                self.quiesce(RankState::InTrivialBarrier);
-                req = self
-                    .tb_req
-                    .take()
-                    .expect("trivial barrier request survives the capture");
-                *sh.control.ranks[self.rank].pending_barrier.lock() = None;
-                continue;
-            }
-            self.ctx.park_briefly();
-        }
-        // Barrier complete: every member is at this entry. Count the call
-        // and let the caller run the real collective.
-        let ggid = self.vcomms.resolve(vc).1;
-        let seq = sh.control.ranks[self.rank]
-            .seq_mirror
-            .lock()
-            .increment(ggid);
-        self.record_exec(ggid, seq);
-        (ggid, seq)
-    }
-
-    /// Algorithm 2's overshoot path: our increment raced the coordinator's
-    /// snapshot. Raise the target to cover it and push updates to the other
-    /// members.
-    fn overshoot(&mut self, ggid: Ggid, seq: u64) {
-        if !self.await_targets() {
-            return;
-        }
-        self.apply_updates();
-        if seq > self.targets.get(ggid).unwrap_or(0) {
-            self.raise_and_broadcast(ggid, seq);
-        }
-        self.publish_met();
     }
 
     /// Raises `TARGET[ggid]` to `seq` locally, records the raise for the
@@ -542,145 +322,9 @@ impl<'s> CcRank<'s> {
         }
     }
 
-    /// Algorithm 3's parked receive loop: all targets met, wait at the
-    /// wrapper entry for a raise, the quiesce signal, or the end of the
-    /// checkpoint.
-    fn park_at_entry(&mut self) {
-        let sh = self.sh;
-        let ctl = &sh.control.ranks[self.rank];
-        ctl.set_state(RankState::EntryParked);
-        sh.trace.push(DrainEvent::Parked(self.rank));
-        self.publish_met();
-        // The not-pending gap between two checkpoints can be shorter than
-        // this park's wake latency: `pending` may read true here for the
-        // *next* checkpoint. The epoch is monotone, so comparing against
-        // the one we parked under catches that hand-off and sends the
-        // rank back through the gate to install the new targets.
-        let parked_epoch = sh.control.ckpt_epoch.load(SeqCst);
-        loop {
-            if !sh.control.is_pending() || sh.control.ckpt_epoch.load(SeqCst) != parked_epoch {
-                break;
-            }
-            if sh.control.phase() == CkptPhase::Quiescing {
-                self.quiesce(RankState::Quiesced);
-                break;
-            }
-            if sh.bus.has_pending(self.rank) {
-                self.apply_updates();
-                self.publish_met();
-                sh.trace.push(DrainEvent::Unparked(self.rank));
-                break;
-            }
-            // Parked at the wrapper entry: slotless until a raise, the
-            // quiesce signal, the end of the checkpoint, the next
-            // checkpoint taking over — or a world kill.
-            let rank = self.rank;
-            let fail = Arc::clone(self.ctx.world().fail_plane());
-            self.ctx.blocked(|| {
-                ctl.park_until(|| {
-                    !sh.control.is_pending()
-                        || sh.control.ckpt_epoch.load(SeqCst) != parked_epoch
-                        || sh.control.phase() != CkptPhase::Draining
-                        || sh.bus.has_pending(rank)
-                        || fail.poisoned()
-                });
-            });
-            fail.die_if_poisoned();
-        }
-        let ctl = &sh.control.ranks[self.rank];
-        ctl.set_state(if sh.control.is_pending() {
-            RankState::Draining
-        } else {
-            RankState::Running
-        });
-    }
-
     // ------------------------------------------------------------------
-    // Quiesce, capture, restore
+    // Capture and restore (called from the quiesce machine)
     // ------------------------------------------------------------------
-
-    /// Parks for capture: completes every initiated non-blocking
-    /// collective (§4.3.2), reverts matched receives, publishes the
-    /// [`RuntimeCapture`], and waits for resume — attaching a fresh lower
-    /// half first if the coordinator installed one (restart).
-    fn quiesce(&mut self, state: RankState) {
-        // §4.3.2: every initiated non-blocking collective runs to
-        // completion; all participants have initiated (targets met), so
-        // these waits terminate.
-        for v in self.vreqs.active_collectives() {
-            if let Some(VReqState::Active(mut req, _)) = self.vreqs.take(v) {
-                let c = self.ctx.wait(&mut req);
-                self.vreqs.put_back(v, VReqState::Ready(c));
-            }
-        }
-        // Matched-but-uncompleted receives: the message returns to the
-        // mailbox so the capture drain records it as in-flight. This is a
-        // revert, not an injection — the sender's flow counter already
-        // covers the message, so it must not count as a re-deposit in the
-        // drain accounting.
-        let world = Arc::clone(self.ctx.world());
-        for v in self.vreqs.active_recv_ids() {
-            if let Some(VReqState::Active(mut req, kind)) = self.vreqs.take(v) {
-                if let Some(msg) = req.unmatch() {
-                    let arrival = msg.arrival;
-                    world.revert_unmatched(msg, arrival);
-                }
-                self.vreqs.put_back(v, VReqState::Active(req, kind));
-            }
-        }
-        let sh = self.sh;
-        let ctl = &sh.control.ranks[self.rank];
-        *ctl.capture_slot.lock() = Some(self.build_capture(state));
-        let my_gen = sh.control.resume_gen.load(SeqCst);
-        ctl.set_state(state);
-        sh.trace.push(DrainEvent::Quiesced(self.rank));
-        let mut restarted = false;
-        loop {
-            // Quiesced park: the rank is captured and slotless; the
-            // coordinator (not a rank) does the capture work meanwhile.
-            let fail = Arc::clone(self.ctx.world().fail_plane());
-            self.ctx.blocked(|| {
-                ctl.park_until(|| {
-                    sh.control.resume_gen.load(SeqCst) > my_gen
-                        || (sh.control.phase() == CkptPhase::Resuming
-                            && ctl.new_world.lock().is_some())
-                        || fail.poisoned()
-                });
-            });
-            fail.die_if_poisoned();
-            let fresh = ctl.new_world.lock().take();
-            if let Some(w) = fresh {
-                self.restore_into(w);
-                restarted = true;
-                continue;
-            }
-            if sh.control.resume_gen.load(SeqCst) > my_gen {
-                break;
-            }
-        }
-        if restarted {
-            // Restore-from-image: the image's captured clock is
-            // authoritative for the restored timeline (replay accounting
-            // may drift from a capture taken mid-drain); adopt it before
-            // re-posting, so re-issued operations carry the right entry
-            // times.
-            if let Some(plan) = &sh.restore {
-                self.ctx.set_clock(plan.cuts[self.rank].clock);
-            }
-            self.repost_pending_recvs();
-            self.repost_trivial_barrier();
-        }
-        // Checkpoint-image storage I/O (Lustre write, plus read at
-        // restart) is charged to the rank's virtual clock at resume.
-        let io_ns = sh.control.ranks[self.rank]
-            .io_charge_ns
-            .swap(0, std::sync::atomic::Ordering::SeqCst);
-        if io_ns > 0 {
-            self.ctx.compute(io_ns as f64 * 1e-9);
-        }
-        self.publish_clock();
-        sh.control.ranks[self.rank].set_state(RankState::Running);
-    }
 
     /// Builds this rank's runtime capture, recording the park state it is
     /// being captured in.
@@ -809,6 +453,35 @@ impl<'s> CcRank<'s> {
     }
 
     // ------------------------------------------------------------------
+    // The thread driver
+    // ------------------------------------------------------------------
+
+    /// Drives one engine machine to completion on this rank's own thread:
+    /// poll it, and while it is `Pending` sleep — scheduler run slot
+    /// released — on the rank's one event counter, which both the control
+    /// plane ([`mana_core::RankCtl::wake`]) and the lower half (mailbox
+    /// activity, through the waker the runner installs) advance. The
+    /// token is read *before* the poll, so an event landing between "the
+    /// poll said `Pending`" and "the thread sleeps" ends the sleep at
+    /// once. This is also the thread rank's poison observation point: a
+    /// killed world wakes every rank, and the rank unwinds here instead
+    /// of polling a dead peer forever.
+    fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
+        let ctl = &self.sh.control.ranks[self.rank];
+        loop {
+            let token = ctl.event_token();
+            if let StepPoll::Ready(t) = poll(self) {
+                return t;
+            }
+            // Before sleeping as well as after every wake: a kill whose
+            // wake preceded the token would otherwise cost the backstop.
+            self.ctx.world().fail_plane().die_if_poisoned();
+            self.ctx.blocked(|| ctl.wait_event_since(token));
+            self.ctx.world().fail_plane().die_if_poisoned();
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Blocking collectives
     // ------------------------------------------------------------------
 
@@ -821,19 +494,8 @@ impl<'s> CcRank<'s> {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> Bytes {
-        self.counters.coll_blocking += 1;
-        self.coll_gate(vc);
-        let sh = self.sh;
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(true, SeqCst);
-        let comm = &self.vcomms.resolve(vc).0;
-        let out = self.ctx.collective(comm, op, root, payload, red);
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(false, SeqCst);
-        self.service_control();
-        out
+        let mut m = CollM::new(self, vc, op, root, payload, red);
+        self.block_on(|cc| m.poll(cc))
     }
 
     /// `MPI_Barrier`.
@@ -908,7 +570,9 @@ impl<'s> CcRank<'s> {
     // Non-blocking collectives (initiation counts — §4.3.1)
     // ------------------------------------------------------------------
 
-    /// Non-blocking collective entry point.
+    /// Non-blocking collective entry point. Blocks only while the gate
+    /// does (a drain in progress); the operation itself is merely
+    /// initiated.
     pub fn icollective(
         &mut self,
         vc: VComm,
@@ -917,23 +581,8 @@ impl<'s> CcRank<'s> {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> VReq {
-        assert!(
-            self.sh.protocol.supports_nonblocking_collectives(),
-            "{} does not support non-blocking collectives",
-            self.sh.protocol.name()
-        );
-        self.counters.coll_nonblocking += 1;
-        self.coll_gate(vc);
-        let sh = self.sh;
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(true, SeqCst);
-        let comm = &self.vcomms.resolve(vc).0;
-        let req = self.ctx.icollective(comm, op, root, payload, red);
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(false, SeqCst);
-        self.vreqs.insert(req, VReqKind::Coll { vcomm: vc })
+        let mut m = ICollM::new(self, vc, op, root, payload, red);
+        self.block_on(|cc| m.poll(cc))
     }
 
     /// `MPI_Ibarrier`.
@@ -1034,73 +683,15 @@ impl<'s> CcRank<'s> {
     /// `MPI_Wait`: blocks (cooperatively with the checkpoint engine) until
     /// the request completes.
     pub fn wait(&mut self, v: VReq) -> Completion {
-        self.counters.completions += 1;
-        loop {
-            match self.vreqs.take(v) {
-                None => return Completion::empty(),
-                Some(VReqState::Ready(c)) => return c,
-                Some(VReqState::Active(req, kind)) => {
-                    let is_recv = matches!(kind, VReqKind::Recv { .. });
-                    // Restore replay: the image captured this rank parked
-                    // inside this wait. The check runs *before*
-                    // `try_complete` — replay wall-clock interleaving may
-                    // have made the operation completable earlier than the
-                    // capture did, and the cut must win that race.
-                    if self.restore_cut_due() {
-                        self.vreqs.put_back(v, VReqState::Active(req, kind));
-                        self.park_for_restore(if is_recv {
-                            RankState::RecvParked
-                        } else {
-                            RankState::Quiesced
-                        });
-                        continue;
-                    }
-                    let mut req = req;
-                    if let Some(c) = self.ctx.try_complete(&mut req) {
-                        return c;
-                    }
-                    self.vreqs.put_back(v, VReqState::Active(req, kind));
-                    self.service_control();
-                    let sh = self.sh;
-                    if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-                        self.quiesce(if is_recv {
-                            RankState::RecvParked
-                        } else {
-                            RankState::Quiesced
-                        });
-                        continue;
-                    }
-                    self.ctx.park_briefly();
-                }
-            }
-        }
+        let mut m = WaitM::new(self, v);
+        self.block_on(|cc| m.poll(cc))
     }
 
     /// `MPI_Test`: non-blocking completion check (charges one poll), also
     /// cooperating with a quiesce in progress.
     pub fn test(&mut self, v: VReq) -> Option<Completion> {
-        self.counters.completions += 1;
-        // Restore replay: the image captured this rank quiesced at this
-        // test call.
-        if self.restore_cut_due() {
-            self.park_for_restore(RankState::Quiesced);
-        }
-        self.service_control();
-        let sh = self.sh;
-        if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-            self.quiesce(RankState::Quiesced);
-        }
-        match self.vreqs.take(v) {
-            None => Some(Completion::empty()),
-            Some(VReqState::Ready(c)) => Some(c),
-            Some(VReqState::Active(mut req, kind)) => match self.ctx.test(&mut req) {
-                Some(c) => Some(c),
-                None => {
-                    self.vreqs.put_back(v, VReqState::Active(req, kind));
-                    None
-                }
-            },
-        }
+        let mut m = TestM::new(self, v);
+        self.block_on(|cc| m.poll(cc))
     }
 
     /// `MPI_Waitall`.
@@ -1112,86 +703,25 @@ impl<'s> CcRank<'s> {
     // Communicator management (collective on the parent — counted)
     // ------------------------------------------------------------------
 
+    fn comm_op(&mut self, vc: VComm, kind: CommKind) -> Option<VComm> {
+        let mut m = CommM::new(self, vc, kind);
+        self.block_on(|cc| m.poll(cc))
+    }
+
     /// `MPI_Comm_split`.
     pub fn comm_split(&mut self, vc: VComm, color: i64, key: i64) -> Option<VComm> {
-        self.counters.comm_mgmt += 1;
-        self.coll_gate(vc);
-        let sh = self.sh;
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(true, SeqCst);
-        let sub = self.ctx.comm_split(&self.vcomms.resolve(vc).0, color, key);
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(false, SeqCst);
-        let lower = sub.map(|c| {
-            let g = ggid_of(c.group());
-            sh.control.ranks[self.rank]
-                .seq_mirror
-                .lock()
-                .register_group(g, c.group().sorted_members());
-            (c, g)
-        });
-        self.vcomms.record_creation(
-            CommOp::Split {
-                parent: vc,
-                color,
-                key,
-            },
-            lower,
-        )
+        self.comm_op(vc, CommKind::Split { color, key })
     }
 
     /// `MPI_Comm_dup`.
     pub fn comm_dup(&mut self, vc: VComm) -> VComm {
-        self.counters.comm_mgmt += 1;
-        self.coll_gate(vc);
-        let sh = self.sh;
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(true, SeqCst);
-        let dup = self.ctx.comm_dup(&self.vcomms.resolve(vc).0);
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(false, SeqCst);
-        let g = ggid_of(dup.group());
-        sh.control.ranks[self.rank]
-            .seq_mirror
-            .lock()
-            .register_group(g, dup.group().sorted_members());
-        self.vcomms
-            .record_creation(CommOp::Dup { parent: vc }, Some((dup, g)))
+        self.comm_op(vc, CommKind::Dup)
             .expect("dup always yields a communicator")
     }
 
     /// `MPI_Comm_create` with `members` as world ranks in group order.
     pub fn comm_create(&mut self, vc: VComm, members: Vec<usize>) -> Option<VComm> {
-        self.counters.comm_mgmt += 1;
-        self.coll_gate(vc);
-        let group = Group::new(members.clone());
-        let sh = self.sh;
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(true, SeqCst);
-        let sub = self.ctx.comm_create(&self.vcomms.resolve(vc).0, &group);
-        sh.control.ranks[self.rank]
-            .in_collective
-            .store(false, SeqCst);
-        let lower = sub.map(|c| {
-            let g = ggid_of(c.group());
-            sh.control.ranks[self.rank]
-                .seq_mirror
-                .lock()
-                .register_group(g, c.group().sorted_members());
-            (c, g)
-        });
-        self.vcomms.record_creation(
-            CommOp::Create {
-                parent: vc,
-                members,
-            },
-            lower,
-        )
+        self.comm_op(vc, CommKind::Create { members })
     }
 }
 

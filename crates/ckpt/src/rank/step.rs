@@ -1,29 +1,39 @@
-//! `StepRank`: the checkpoint-aware rank interface for step-function
-//! (heap-allocated, resumable) rank bodies.
+//! The wrapper layer's protocol engine, and `StepRank`: its poll-driven
+//! face for step-function (heap-allocated, resumable) rank bodies.
 //!
-//! This module is the poll-driven mirror of [`CcRank`]'s blocking paths:
-//! every wrapper-layer wait — the CC drain gate, the 2PC trivial barrier,
-//! `MPI_Wait`, the quiesce/capture park — is re-expressed as an explicit
+//! Every wrapper-layer wait — the CC drain gate (Algorithms 2–3), the 2PC
+//! trivial barrier, `MPI_Wait`/`MPI_Test`, communicator creation, the
+//! quiesce/capture park — is written exactly once, here, as an explicit
 //! state machine that either *completes* or returns
-//! [`StepPoll::Pending`], at which point the rank body yields back to the
-//! [`mpisim::StepDriver`] and occupies nothing but its own heap object.
+//! [`StepPoll::Pending`]. Two drivers run the machines:
 //!
-//! The protocol semantics are untouched by construction: each machine
-//! performs the same counter increments, `SEQ[]` mirror updates, trace
-//! events, target raises, and capture publications in the same order as
-//! the blocking method it mirrors, and every lower-half wait goes through
-//! the *uncharged* completion path ([`mpisim::Ctx::try_complete`] /
-//! [`mpisim::Ctx::coll_begin`]) that the blocking code's own poll loops
-//! already use — so virtual-time trajectories, checkpoint captures, and
-//! the `CallCounters`+`SEQ[]` restore-replay contract are bit-identical
-//! across the two continuation representations.
+//! * the **step driver**: [`StepRank`] keeps the machine of the operation
+//!   in flight next to the body's own state; on `Pending` the body yields
+//!   back to the [`mpisim::StepDriver`] and the rank occupies nothing but
+//!   its own heap object;
+//! * the **thread driver**: every blocking [`CcRank`] method builds the
+//!   same machine on its stack and blocks on it — poll, and on `Pending`
+//!   sleep, run slot released, on the rank's one event counter
+//!   ([`mana_core::RankCtl::wait_event_since`]) until something wakes it.
 //!
-//! Call protocol: each `poll_*` method is *idempotent-start* — the first
-//! call constructs the operation's machine (performing its entry effects,
-//! e.g. counter increments), subsequent calls resume it, and a `Ready`
-//! return clears it. A body must keep re-polling the same operation until
-//! `Ready`; starting a different operation while one is in flight is a
-//! body bug and panics.
+//! Both drivers hear the same events (control-plane wakes and, through
+//! the scheduler's rank-waker registry, mailbox deposits and collective
+//! completions), and neither adds protocol logic of its own: counter
+//! increments, `SEQ[]` mirror updates, trace events, target raises,
+//! capture publications and clock charges happen in the machines, so
+//! virtual-time trajectories, checkpoint captures, and the
+//! `CallCounters`+`SEQ[]` restore-replay contract cannot depend on how a
+//! rank waits. Every lower-half wait goes through the *uncharged*
+//! completion path ([`mpisim::Ctx::try_complete`] /
+//! [`mpisim::Ctx::coll_begin`]), which moves the clock exactly as a
+//! blocking wait would.
+//!
+//! `StepRank` call protocol: each `poll_*` method is *idempotent-start* —
+//! the first call constructs the operation's machine (performing its
+//! entry effects, e.g. counter increments), subsequent calls resume it,
+//! and a `Ready` return clears it. A body must keep re-polling the same
+//! operation until `Ready`; starting a different operation while one is
+//! in flight is a body bug and panics.
 
 use super::CcRank;
 use crate::session::Session;
@@ -35,17 +45,18 @@ use mana_core::{
 use mpisim::collective::RedSpec;
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::sched::WaitReason;
-use mpisim::{CollOp, Completion, DType, ReduceOp, Request, SrcSel, TagSel, VTime};
+use mpisim::{CollOp, Completion, DType, Group, ReduceOp, Request, SrcSel, TagSel, VTime};
 use netmodel::wrapper_cost;
 use std::sync::atomic::Ordering::SeqCst;
 
-/// Outcome of polling a step-rank operation.
+/// Outcome of polling an engine operation.
 #[derive(Debug)]
 pub enum StepPoll<T> {
     /// The operation completed with this result.
     Ready(T),
-    /// The operation cannot progress; yield to the driver with this
-    /// wait reason.
+    /// The operation cannot progress until an event wakes the rank: a
+    /// step body yields to its driver with this wait reason, a thread
+    /// rank sleeps on its event counter.
     Pending(WaitReason),
 }
 
@@ -65,23 +76,36 @@ impl<T> StepPoll<T> {
             StepPoll::Pending(r) => panic!("unwrapped a pending step poll ({r:?})"),
         }
     }
+
+    /// Transforms the `Ready` value, leaving `Pending` as it is.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> StepPoll<U> {
+        match self {
+            StepPoll::Ready(t) => StepPoll::Ready(f(t)),
+            StepPoll::Pending(r) => StepPoll::Pending(r),
+        }
+    }
 }
 
-/// Marks this rank's restore cut reached (the first half of the blocking
-/// path's `park_for_restore`; the quiesce half is a machine).
-fn mark_restore_reached(cc: &CcRank<'_>) {
-    cc.sh
-        .restore
-        .as_ref()
-        .expect("cut implies restore plan")
-        .reached[cc.rank]
-        .store(true, SeqCst);
+/// Whether this rank has just reached its restore cut (see
+/// [`CcRank::restore_cut_due`]); marks the cut reached, so this is `true`
+/// once. The caller then parks the rank there with a [`QuiesceM`]: the
+/// ordinary quiesce/capture/resume machinery, with the restore driver
+/// playing the coordinator's role (it cross-checks the replayed capture
+/// against the image, installs the restored world, re-deposits the
+/// image's in-flight messages).
+fn at_restore_cut(cc: &CcRank<'_>) -> bool {
+    let due = cc.restore_cut_due();
+    if due {
+        let plan = cc.sh.restore.as_ref().expect("cut implies restore plan");
+        plan.reached[cc.rank].store(true, SeqCst);
+    }
+    due
 }
 
-/// The poll form of [`CcRank::await_targets`]: `Ready(false)` when the
-/// checkpoint ended while waiting, `Ready(true)` once targets are
-/// installed. Wakes arrive from target installation and `clear_pending`,
-/// both of which wake the rank's control slot.
+/// Waits until targets for the pending checkpoint are installed:
+/// `Ready(false)` when the checkpoint ended while waiting, `Ready(true)`
+/// once they are. Wakes arrive from target installation and
+/// `clear_pending`, both of which wake the rank's control slot.
 fn try_await_targets(cc: &mut CcRank<'_>) -> StepPoll<bool> {
     let sh = cc.sh;
     let ctl = &sh.control.ranks[cc.rank];
@@ -100,10 +124,12 @@ fn try_await_targets(cc: &mut CcRank<'_>) -> StepPoll<bool> {
 // Quiesce machine
 // ----------------------------------------------------------------------
 
-/// The poll form of [`CcRank::quiesce`]: complete initiated non-blocking
-/// collectives, revert matched receives, publish the capture, park until
-/// resume (restoring into a fresh lower half if the coordinator installed
-/// one), then run the resume epilogue.
+/// Parks for capture: completes every initiated non-blocking collective
+/// (§4.3.2), reverts matched receives, publishes the [`RuntimeCapture`],
+/// parks until resume — attaching a fresh lower half first if the
+/// coordinator installed one (restart) — then runs the resume epilogue.
+///
+/// [`RuntimeCapture`]: mana_core::RuntimeCapture
 struct QuiesceM {
     state: RankState,
     stage: QStage,
@@ -111,8 +137,8 @@ struct QuiesceM {
 
 enum QStage {
     /// §4.3.2: run every initiated non-blocking collective to completion.
-    /// All participants have initiated, so each completes without further
-    /// waits in the steady state; the `Pending` arm is defensive.
+    /// All participants have initiated (targets met), so these waits
+    /// terminate.
     Colls { ids: Vec<VReq>, idx: usize },
     /// Captured and parked; waiting for resume or a fresh lower half.
     Park { my_gen: u64, restarted: bool },
@@ -151,8 +177,12 @@ impl QuiesceM {
                             None => *idx += 1,
                         }
                     }
-                    // Matched-but-uncompleted receives: revert into the
-                    // mailbox (not an injection — see the blocking path).
+                    // Matched-but-uncompleted receives: the message
+                    // returns to the mailbox so the capture drain records
+                    // it as in-flight. This is a revert, not an injection
+                    // — the sender's flow counter already covers the
+                    // message, so it must not count as a re-deposit in
+                    // the drain accounting.
                     let world = std::sync::Arc::clone(cc.ctx.world());
                     for v in cc.vreqs.active_recv_ids() {
                         if let Some(VReqState::Active(mut req, kind)) = cc.vreqs.take(v) {
@@ -190,35 +220,107 @@ impl QuiesceM {
                         return StepPoll::Pending(WaitReason::Event);
                     }
                     if *restarted {
+                        // Restore-from-image: the image's captured clock
+                        // is authoritative for the restored timeline
+                        // (replay accounting may drift from a capture
+                        // taken mid-drain); adopt it before re-posting, so
+                        // re-issued operations carry the right entry times.
                         if let Some(plan) = &sh.restore {
                             cc.ctx.set_clock(plan.cuts[cc.rank].clock);
                         }
                         cc.repost_pending_recvs();
                         cc.repost_trivial_barrier();
                     }
-                    let io_ns = sh.control.ranks[cc.rank].io_charge_ns.swap(0, SeqCst);
+                    // The park is over: a trivial barrier it was inside is
+                    // live again (re-issued just above, after a restart).
+                    *ctl.pending_barrier.lock() = None;
+                    // Checkpoint-image storage I/O (Lustre write, plus
+                    // read at restart) is charged to the rank's virtual
+                    // clock at resume.
+                    let io_ns = ctl.io_charge_ns.swap(0, SeqCst);
                     if io_ns > 0 {
                         cc.ctx.compute(io_ns as f64 * 1e-9);
                     }
                     cc.publish_clock();
-                    sh.control.ranks[cc.rank].set_state(RankState::Running);
+                    ctl.set_state(RankState::Running);
                     return StepPoll::Ready(());
                 }
             }
         }
     }
+
+    /// The 2PC **free pass** (MANA's `notifyFreePass`): leaves the park
+    /// *uncaptured* if the trivial barrier this rank is parked inside has
+    /// completed — `true` means the capture and `pending_barrier` are
+    /// withdrawn, `Running` is published, and the caller must take the
+    /// completed `tb_req` and go on into the real collective. (A receive
+    /// the park un-matched stays in the mailbox and re-matches at its
+    /// next completion call.)
+    ///
+    /// Parking inside the barrier is decided from one failed
+    /// `try_complete`; a member that passed its phase-1 check just before
+    /// the intent became visible can still post afterwards, complete the
+    /// instance and enter the real collective, where it needs every
+    /// parked member to follow. Invariant: **no rank is ever captured
+    /// `InTrivialBarrier` on a completed instance.** It cannot race the
+    /// capture: the member that completed the barrier stays un-parked
+    /// from its arrival until the real collective finishes, which needs
+    /// every parked member to come through here first, so the
+    /// coordinator's all-parked test ([`mana_core::CkptControl::all_quiesced`])
+    /// cannot pass in between. The wake is the instance completion
+    /// itself, which pokes every participant.
+    ///
+    /// The barrier is observed *before* the resume generation: completion
+    /// seen with the generation still unchanged happened before any
+    /// resume, i.e. before the capture this park was published for —
+    /// after a resume, finishing the barrier is the resumed gate's job,
+    /// behind the resume epilogue's clock charges. A park at a restore
+    /// cut never qualifies (no checkpoint is quiescing during a replay):
+    /// the cut must win against a replay that completes the barrier
+    /// earlier than the capture did.
+    fn free_pass(&self, cc: &mut CcRank<'_>) -> bool {
+        let QStage::Park {
+            my_gen,
+            restarted: false,
+        } = self.stage
+        else {
+            return false;
+        };
+        if !cc.tb_req.as_ref().is_some_and(Request::collective_done) {
+            return false;
+        }
+        let control = &cc.sh.control;
+        if control.resume_gen.load(SeqCst) > my_gen || control.phase() != CkptPhase::Quiescing {
+            return false;
+        }
+        let ctl = &control.ranks[cc.rank];
+        *ctl.capture_slot.lock() = None;
+        *ctl.pending_barrier.lock() = None;
+        // `Running` before the count: what `all_quiesced` relies on.
+        ctl.set_state(RankState::Running);
+        control.free_passes.fetch_add(1, SeqCst);
+        cc.sh.trace.push(DrainEvent::Unparked(cc.rank));
+        true
+    }
 }
 
 // ----------------------------------------------------------------------
-// The drain gate (poll form of Algorithms 2 & 3)
+// The drain gate (Algorithms 2 & 3) and the 2PC gate
 // ----------------------------------------------------------------------
 
-/// Poll form of [`CcRank::coll_gate`] / [`CcRank::coll_gate_2pc`]. Like
-/// them it yields the group id and sequence number only; the call site
-/// resolves the communicator by reference once the gate is open.
+/// The collective-wrapper entry: counts the call on the group's sequence
+/// number, subject to the coordination protocol in force. Yields the
+/// group id and the new sequence number only; the call site resolves
+/// `vc` itself, by reference and *after* the gate: a restart while parked
+/// here replaces the lower half, and a communicator handle returned by
+/// value would be a reference-count round trip on a handle every member
+/// shares.
 struct GateM {
     vc: VComm,
-    inner: GateKind,
+    /// The capture park in progress, if any. The gate's own state is set
+    /// to where it resumes *before* the park starts.
+    quiesce: Option<QuiesceM>,
+    kind: GateKind,
 }
 
 enum GateKind {
@@ -226,334 +328,288 @@ enum GateKind {
     TwoPc(TwoPcGate),
 }
 
+/// What a gate's state machine needs next.
+enum Next {
+    /// The gate is open: the call is counted as `(ggid, seq)`.
+    Open((Ggid, u64)),
+    /// Nothing to do until an event wakes the rank.
+    Wait,
+    /// Park for capture in this state, then carry on.
+    Quiesce(RankState),
+}
+
 impl GateM {
     fn new(cc: &mut CcRank<'_>, vc: VComm) -> GateM {
-        let inner = match cc.sh.protocol {
-            Protocol::TwoPhase => {
-                let w = wrapper_cost(cc.ctx.world().params());
-                cc.ctx.compute(w);
+        let protocol = cc.sh.protocol;
+        if protocol != Protocol::Native {
+            // The steady-state cost of the wrapper under either protocol:
+            // one virtualized-handle lookup plus a `SEQ[ggid]` increment.
+            let w = wrapper_cost(cc.ctx.world().params());
+            cc.ctx.compute(w);
+        }
+        GateM {
+            vc,
+            quiesce: None,
+            kind: if protocol == Protocol::TwoPhase {
                 GateKind::TwoPc(TwoPcGate::P1)
-            }
-            Protocol::Cc => {
-                // The CC steady-state cost: one virtualized-handle lookup
-                // plus a `SEQ[ggid]` increment.
-                let w = wrapper_cost(cc.ctx.world().params());
-                cc.ctx.compute(w);
+            } else {
                 GateKind::Cc(CcGate::Loop)
-            }
-            Protocol::Native => GateKind::Cc(CcGate::Loop),
-        };
-        GateM { vc, inner }
+            },
+        }
     }
 
     fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<(Ggid, u64)> {
-        let vc = self.vc;
-        match &mut self.inner {
-            GateKind::Cc(g) => g.poll(cc, vc),
-            GateKind::TwoPc(g) => g.poll(cc, vc),
+        loop {
+            if let Some(m) = &mut self.quiesce {
+                if m.free_pass(cc) {
+                    let req = cc.tb_req.as_mut().expect("free pass holds the barrier");
+                    let done = cc.ctx.try_complete(req);
+                    debug_assert!(done.is_some(), "free pass saw the barrier complete");
+                    return StepPoll::Ready(TwoPcGate::enter(cc, self.vc));
+                }
+                match m.poll(cc) {
+                    StepPoll::Pending(r) => return StepPoll::Pending(r),
+                    StepPoll::Ready(()) => self.quiesce = None,
+                }
+            }
+            let next = match &mut self.kind {
+                GateKind::Cc(g) => g.step(cc, self.vc),
+                GateKind::TwoPc(g) => g.step(cc, self.vc),
+            };
+            match next {
+                Next::Open(counted) => return StepPoll::Ready(counted),
+                Next::Wait => return StepPoll::Pending(WaitReason::Event),
+                Next::Quiesce(state) => self.quiesce = Some(QuiesceM::new(cc, state)),
+            }
         }
     }
 }
 
-enum CcAfter {
-    Loop,
-    ParkEpilogue,
-}
-
+#[derive(Clone, Copy)]
 enum CcGate {
     /// Top of the gate loop: restore check, servicing, fast/drain split.
     Loop,
-    /// Fast-path increment raced the coordinator's snapshot; await
-    /// targets, then raise-and-broadcast if we overshot (Algorithm 2).
+    /// Algorithm 2's overshoot path: the fast-path increment raced the
+    /// coordinator's snapshot; await targets, then raise the target to
+    /// cover it and push updates to the other members.
     FastOvershoot { ggid: Ggid, seq: u64 },
     /// Drain mode: waiting for the coordinator's initial targets.
     AwaitTargets { ggid: Ggid },
-    /// All targets met: parked at the wrapper entry (Algorithm 3).
-    Parked,
+    /// Algorithm 3's parked receive loop: all targets met, waiting at the
+    /// wrapper entry for a raise, the quiesce signal, or the end of the
+    /// checkpoint whose `ckpt_epoch` it parked under.
+    Parked { epoch: u64 },
     /// Leaving the entry park: restore the Draining/Running state.
     ParkEpilogue,
-    /// Quiescing (capture park); `after` resumes the gate.
-    Quiesce { m: QuiesceM, after: CcAfter },
 }
 
 impl CcGate {
-    fn poll(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> StepPoll<(Ggid, u64)> {
+    fn step(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> Next {
+        let sh = cc.sh;
+        let ctl = &sh.control.ranks[cc.rank];
         loop {
-            match std::mem::replace(self, CcGate::Loop) {
-                CcGate::Quiesce { mut m, after } => match m.poll(cc) {
-                    StepPoll::Pending(r) => {
-                        *self = CcGate::Quiesce { m, after };
-                        return StepPoll::Pending(r);
-                    }
-                    StepPoll::Ready(()) => {
-                        *self = match after {
-                            CcAfter::Loop => CcGate::Loop,
-                            CcAfter::ParkEpilogue => CcGate::ParkEpilogue,
-                        };
-                    }
-                },
+            match *self {
                 CcGate::Loop => {
                     // Restore replay: the image captured this rank parked
-                    // at this wrapper entry.
-                    if cc.restore_cut_due() {
-                        mark_restore_reached(cc);
-                        *self = CcGate::Quiesce {
-                            m: QuiesceM::new(cc, RankState::Quiesced),
-                            after: CcAfter::Loop,
-                        };
-                        continue;
+                    // at this wrapper entry (counters include this call,
+                    // `SEQ[]` does not). Afterwards the gate re-resolves
+                    // against the restored lower half.
+                    if at_restore_cut(cc) {
+                        return Next::Quiesce(RankState::Quiesced);
                     }
                     cc.service_control();
-                    let sh = cc.sh;
                     let ggid = cc.vcomms.resolve(vc).1;
                     if !sh.control.is_pending() {
                         // Fast path, with the snapshot-race contract:
                         // increment under the mirror lock, then observe
                         // `pending`.
-                        let seq = sh.control.ranks[cc.rank].seq_mirror.lock().increment(ggid);
+                        let seq = ctl.seq_mirror.lock().increment(ggid);
                         if sh.control.is_pending() {
                             *self = CcGate::FastOvershoot { ggid, seq };
                             continue;
                         }
                         cc.record_exec(ggid, seq);
-                        return StepPoll::Ready((ggid, seq));
+                        return Next::Open((ggid, seq));
                     }
                     *self = CcGate::AwaitTargets { ggid };
                 }
-                CcGate::FastOvershoot { ggid, seq } => match try_await_targets(cc) {
-                    StepPoll::Pending(r) => {
-                        *self = CcGate::FastOvershoot { ggid, seq };
-                        return StepPoll::Pending(r);
-                    }
-                    StepPoll::Ready(false) => {
-                        // Checkpoint ended while waiting: the overshoot is
-                        // moot, the call proceeds.
-                        cc.record_exec(ggid, seq);
-                        return StepPoll::Ready((ggid, seq));
-                    }
-                    StepPoll::Ready(true) => {
+                CcGate::FastOvershoot { ggid, seq } => {
+                    let StepPoll::Ready(installed) = try_await_targets(cc) else {
+                        return Next::Wait;
+                    };
+                    // If the checkpoint ended while waiting, the overshoot
+                    // is moot and the call simply proceeds.
+                    if installed {
                         cc.apply_updates();
                         if seq > cc.targets.get(ggid).unwrap_or(0) {
                             cc.raise_and_broadcast(ggid, seq);
                         }
                         cc.publish_met();
-                        cc.record_exec(ggid, seq);
-                        return StepPoll::Ready((ggid, seq));
                     }
-                },
+                    cc.record_exec(ggid, seq);
+                    return Next::Open((ggid, seq));
+                }
                 CcGate::AwaitTargets { ggid } => match try_await_targets(cc) {
-                    StepPoll::Pending(r) => {
-                        *self = CcGate::AwaitTargets { ggid };
-                        return StepPoll::Pending(r);
-                    }
-                    StepPoll::Ready(false) => {
-                        // Checkpoint ended: back to the gate top.
-                    }
+                    StepPoll::Pending(_) => return Next::Wait,
+                    // Checkpoint ended: back to the gate top.
+                    StepPoll::Ready(false) => *self = CcGate::Loop,
+                    // Drain mode (Algorithm 3): a rank with every target
+                    // met parks at the wrapper entry; a rank with ANY
+                    // unmet target keeps executing its program toward
+                    // them — and every collective it runs past a target
+                    // raises that target and pushes updates, the cascade
+                    // of Figure 3b.
                     StepPoll::Ready(true) => {
                         cc.apply_updates();
-                        let sh = cc.sh;
-                        let all_met = {
-                            let t = sh.control.ranks[cc.rank].seq_mirror.lock();
-                            cc.targets.reached_by(&t)
-                        };
+                        let all_met = cc.targets.reached_by(&ctl.seq_mirror.lock());
                         if !all_met {
-                            // Drain step: keep executing toward the unmet
-                            // targets, raising past ones (Figure 3b).
-                            let seq = sh.control.ranks[cc.rank].seq_mirror.lock().increment(ggid);
+                            let seq = ctl.seq_mirror.lock().increment(ggid);
                             sh.trace.push(DrainEvent::DrainStep(cc.rank, ggid, seq));
                             if seq > cc.targets.get(ggid).unwrap_or(0) {
                                 cc.raise_and_broadcast(ggid, seq);
                             }
                             cc.record_exec(ggid, seq);
                             cc.publish_met();
-                            return StepPoll::Ready((ggid, seq));
+                            return Next::Open((ggid, seq));
                         }
-                        // Entry effects of the entry park.
-                        let ctl = &sh.control.ranks[cc.rank];
                         ctl.set_state(RankState::EntryParked);
                         sh.trace.push(DrainEvent::Parked(cc.rank));
                         cc.publish_met();
-                        *self = CcGate::Parked;
+                        *self = CcGate::Parked {
+                            epoch: sh.control.ckpt_epoch.load(SeqCst),
+                        };
                     }
                 },
-                CcGate::Parked => {
-                    let sh = cc.sh;
-                    if !sh.control.is_pending() {
+                CcGate::Parked { epoch } => {
+                    // The not-pending gap between two checkpoints can be
+                    // shorter than this park's wake latency: `pending` may
+                    // read true here for the *next* checkpoint. The epoch
+                    // is monotone, so comparing against the one we parked
+                    // under catches that hand-off and sends the rank back
+                    // through the gate to install the new targets.
+                    if !sh.control.is_pending() || sh.control.ckpt_epoch.load(SeqCst) != epoch {
                         *self = CcGate::ParkEpilogue;
                     } else if sh.control.phase() == CkptPhase::Quiescing {
-                        *self = CcGate::Quiesce {
-                            m: QuiesceM::new(cc, RankState::Quiesced),
-                            after: CcAfter::ParkEpilogue,
-                        };
+                        *self = CcGate::ParkEpilogue;
+                        return Next::Quiesce(RankState::Quiesced);
                     } else if sh.bus.has_pending(cc.rank) {
                         cc.apply_updates();
                         cc.publish_met();
                         sh.trace.push(DrainEvent::Unparked(cc.rank));
                         *self = CcGate::ParkEpilogue;
                     } else {
-                        *self = CcGate::Parked;
-                        return StepPoll::Pending(WaitReason::Event);
+                        return Next::Wait;
                     }
                 }
                 CcGate::ParkEpilogue => {
-                    let sh = cc.sh;
-                    sh.control.ranks[cc.rank].set_state(if sh.control.is_pending() {
+                    ctl.set_state(if sh.control.is_pending() {
                         RankState::Draining
                     } else {
                         RankState::Running
                     });
+                    *self = CcGate::Loop;
                 }
             }
         }
     }
 }
 
-enum TpAfter {
-    P1,
-    /// Resume the test-poll loop: re-take the (possibly re-issued)
-    /// trivial-barrier request from its capture stash.
-    P3 {
-        ordinal: u64,
-        polled: bool,
-    },
-}
-
+/// The 2PC gate (MANA 2019, §2.2 of the paper): a *trivial barrier* — an
+/// internal `MPI_Ibarrier` + `MPI_Test` loop — in front of every
+/// collective. The rank may only enter the real collective once the
+/// barrier completes, which proves every member has reached this entry; a
+/// checkpoint intent observed while the barrier has not completed parks
+/// the rank inside the barrier (captured via `pending_barrier` and
+/// re-issued at restart). This is what de-pipelines non-synchronizing
+/// collectives and amplifies per-rank jitter (Figure 5a).
+#[derive(Clone, Copy)]
 enum TwoPcGate {
-    /// Phase 1: a rank that observes the intent before initiating its
-    /// trivial barrier stops right here.
+    /// Stop-the-world cut, phase 1: a rank that observes the intent
+    /// *before* initiating its trivial barrier stops right here — its
+    /// peers' barriers then (correctly) cannot complete.
     P1,
-    /// Phase 3: test-poll the trivial barrier to completion.
-    P3 {
-        ordinal: u64,
-        polled: bool,
-        req: Option<Request>,
-    },
-    Quiesce {
-        m: QuiesceM,
-        after: TpAfter,
-    },
+    /// Phase 3: test-poll the trivial barrier, held in `CcRank::tb_req`
+    /// (where a restart re-issues it), to completion.
+    P3 { ordinal: u64, polled: bool },
 }
 
 impl TwoPcGate {
-    fn poll(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> StepPoll<(Ggid, u64)> {
+    fn step(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> Next {
         loop {
-            match std::mem::replace(self, TwoPcGate::P1) {
-                TwoPcGate::Quiesce { mut m, after } => match m.poll(cc) {
-                    StepPoll::Pending(r) => {
-                        *self = TwoPcGate::Quiesce { m, after };
-                        return StepPoll::Pending(r);
-                    }
-                    StepPoll::Ready(()) => match after {
-                        TpAfter::P1 => *self = TwoPcGate::P1,
-                        TpAfter::P3 { ordinal, polled } => {
-                            let req = cc
-                                .tb_req
-                                .take()
-                                .expect("trivial barrier request survives the capture");
-                            *cc.sh.control.ranks[cc.rank].pending_barrier.lock() = None;
-                            *self = TwoPcGate::P3 {
-                                ordinal,
-                                polled,
-                                req: Some(req),
-                            };
-                        }
-                    },
-                },
+            match *self {
                 TwoPcGate::P1 => {
                     // Restore replay: the image captured this rank stopped
                     // at phase 1 (call counted, barrier not yet posted).
-                    if cc.restore_cut_due() {
-                        mark_restore_reached(cc);
-                        *self = TwoPcGate::Quiesce {
-                            m: QuiesceM::new(cc, RankState::Quiesced),
-                            after: TpAfter::P1,
-                        };
-                        continue;
+                    if at_restore_cut(cc) {
+                        return Next::Quiesce(RankState::Quiesced);
                     }
                     cc.service_control();
-                    let sh = cc.sh;
-                    if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-                        *self = TwoPcGate::Quiesce {
-                            m: QuiesceM::new(cc, RankState::Quiesced),
-                            after: TpAfter::P1,
-                        };
-                        continue;
+                    if quiescing(cc) {
+                        return Next::Quiesce(RankState::Quiesced);
                     }
                     let ordinal = cc.tb_ordinal;
                     cc.tb_ordinal += 1;
                     cc.counters.trivial_barriers += 1;
-                    let req = cc.ctx.ibarrier(&cc.vcomms.resolve(vc).0);
+                    cc.tb_req = Some(cc.ctx.ibarrier(&cc.vcomms.resolve(vc).0));
                     *self = TwoPcGate::P3 {
                         ordinal,
                         polled: false,
-                        req: Some(req),
                     };
                 }
-                TwoPcGate::P3 {
-                    ordinal,
-                    mut polled,
-                    req,
-                } => {
-                    let mut req = req.expect("live trivial-barrier request");
+                TwoPcGate::P3 { ordinal, polled } => {
+                    let req = cc.tb_req.as_mut().expect("phase 3 holds the barrier");
                     // The first check is a charged `MPI_Test`; afterwards
                     // the loop synchronizes to the barrier's exit time
-                    // directly (`Ctx::try_complete`) — see the blocking
-                    // path for why this keeps virtual time deterministic.
+                    // directly (`Ctx::try_complete`), which keeps virtual
+                    // time deterministic while preserving the
+                    // de-pipelining cost: this rank cannot proceed before
+                    // every member has arrived.
                     let done = if polled {
-                        cc.ctx.try_complete(&mut req).is_some()
+                        cc.ctx.try_complete(req).is_some()
                     } else {
-                        polled = true;
+                        *self = TwoPcGate::P3 {
+                            ordinal,
+                            polled: true,
+                        };
                         cc.counters.completions += 1;
-                        cc.ctx.test(&mut req).is_some()
+                        cc.ctx.test(req).is_some()
                     };
                     if done {
-                        return StepPoll::Ready(Self::enter(cc, vc));
+                        return Next::Open(Self::enter(cc, vc));
                     }
                     // Restore replay: the image captured this rank parked
-                    // inside this trivial barrier.
-                    if cc.restore_cut_due() {
-                        *cc.sh.control.ranks[cc.rank].pending_barrier.lock() =
-                            Some((vc.0, ordinal));
-                        cc.tb_req = Some(req);
-                        mark_restore_reached(cc);
-                        *self = TwoPcGate::Quiesce {
-                            m: QuiesceM::new(cc, RankState::InTrivialBarrier),
-                            after: TpAfter::P3 { ordinal, polled },
-                        };
-                        continue;
-                    }
-                    cc.service_control();
-                    let sh = cc.sh;
-                    if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-                        // Intent while the barrier is in flight: complete
-                        // it if every member has initiated, else park
-                        // *inside* it (captured and re-issued at restart).
-                        if cc.ctx.try_complete(&mut req).is_some() {
-                            return StepPoll::Ready(Self::enter(cc, vc));
+                    // inside this trivial barrier (barrier posted and
+                    // first Test counted); park the same way — the barrier
+                    // is re-issued against the restored lower half exactly
+                    // as an in-process restart does.
+                    if !at_restore_cut(cc) {
+                        cc.service_control();
+                        if !quiescing(cc) {
+                            return Next::Wait;
                         }
-                        *cc.sh.control.ranks[cc.rank].pending_barrier.lock() =
-                            Some((vc.0, ordinal));
-                        cc.tb_req = Some(req);
-                        sh.trace.push(DrainEvent::TrivialBarrierParked(cc.rank));
-                        *self = TwoPcGate::Quiesce {
-                            m: QuiesceM::new(cc, RankState::InTrivialBarrier),
-                            after: TpAfter::P3 { ordinal, polled },
-                        };
-                        continue;
+                        // Intent while the barrier is in flight: finish
+                        // it if every member has initiated, else park
+                        // *inside* it — captured as pending and re-issued
+                        // at restart, unless a late member still completes
+                        // it first (`QuiesceM::free_pass`).
+                        let req = cc.tb_req.as_mut().expect("phase 3 holds the barrier");
+                        if cc.ctx.try_complete(req).is_some() {
+                            return Next::Open(Self::enter(cc, vc));
+                        }
+                        let parked = DrainEvent::TrivialBarrierParked(cc.rank);
+                        cc.sh.trace.push(parked);
                     }
-                    *self = TwoPcGate::P3 {
-                        ordinal,
-                        polled,
-                        req: Some(req),
-                    };
-                    return StepPoll::Pending(WaitReason::Event);
+                    *cc.sh.control.ranks[cc.rank].pending_barrier.lock() = Some((vc.0, ordinal));
+                    return Next::Quiesce(RankState::InTrivialBarrier);
                 }
             }
         }
     }
 
-    /// Barrier complete: every member is at this entry. Count the call.
+    /// Barrier complete: every member is at this entry. Drops the spent
+    /// request and counts the call.
     fn enter(cc: &mut CcRank<'_>, vc: VComm) -> (Ggid, u64) {
+        cc.tb_req = None;
         let ggid = cc.vcomms.resolve(vc).1;
         let seq = cc.sh.control.ranks[cc.rank]
             .seq_mirror
@@ -568,8 +624,15 @@ impl TwoPcGate {
 // Operation machines
 // ----------------------------------------------------------------------
 
-/// Poll form of [`CcRank::collective`].
-struct CollM {
+/// Publishes whether the rank is inside a real collective call.
+fn set_in_collective(cc: &CcRank<'_>, inside: bool) {
+    cc.sh.control.ranks[cc.rank]
+        .in_collective
+        .store(inside, SeqCst);
+}
+
+/// A blocking collective (all specific calls route here).
+pub(super) struct CollM {
     vc: VComm,
     op: CollOp,
     root: usize,
@@ -584,7 +647,7 @@ enum CollStage {
 }
 
 impl CollM {
-    fn new(
+    pub(super) fn new(
         cc: &mut CcRank<'_>,
         vc: VComm,
         op: CollOp,
@@ -603,15 +666,13 @@ impl CollM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Bytes> {
+    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Bytes> {
         loop {
             match &mut self.stage {
                 CollStage::Gate(g) => match g.poll(cc) {
                     StepPoll::Pending(r) => return StepPoll::Pending(r),
                     StepPoll::Ready(_) => {
-                        cc.sh.control.ranks[cc.rank]
-                            .in_collective
-                            .store(true, SeqCst);
+                        set_in_collective(cc, true);
                         let req = cc.ctx.coll_begin(
                             &cc.vcomms.resolve(self.vc).0,
                             self.op,
@@ -626,9 +687,7 @@ impl CollM {
                     let Some(c) = cc.ctx.try_complete(req) else {
                         return StepPoll::Pending(WaitReason::Event);
                     };
-                    cc.sh.control.ranks[cc.rank]
-                        .in_collective
-                        .store(false, SeqCst);
+                    set_in_collective(cc, false);
                     cc.service_control();
                     return StepPoll::Ready(c.data);
                 }
@@ -637,8 +696,10 @@ impl CollM {
     }
 }
 
-/// Poll form of [`CcRank::icollective`].
-struct ICollM {
+/// A non-blocking collective initiation (initiation counts — §4.3.1). The
+/// initiation itself can pend (the gate drains); once `Ready` the request
+/// is initiated and progresses independently.
+pub(super) struct ICollM {
     vc: VComm,
     op: CollOp,
     root: usize,
@@ -648,7 +709,7 @@ struct ICollM {
 }
 
 impl ICollM {
-    fn new(
+    pub(super) fn new(
         cc: &mut CcRank<'_>,
         vc: VComm,
         op: CollOp,
@@ -672,12 +733,11 @@ impl ICollM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<VReq> {
+    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<VReq> {
         match self.gate.poll(cc) {
             StepPoll::Pending(r) => StepPoll::Pending(r),
             StepPoll::Ready(_) => {
-                let sh = cc.sh;
-                sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
+                set_in_collective(cc, true);
                 let req = cc.ctx.icollective(
                     &cc.vcomms.resolve(self.vc).0,
                     self.op,
@@ -685,198 +745,218 @@ impl ICollM {
                     self.payload.take().expect("payload consumed once"),
                     self.red,
                 );
-                sh.control.ranks[cc.rank].in_collective.store(false, SeqCst);
+                set_in_collective(cc, false);
                 StepPoll::Ready(cc.vreqs.insert(req, VReqKind::Coll { vcomm: self.vc }))
             }
         }
     }
 }
 
-/// Poll form of [`CcRank::wait`].
-struct WaitM {
-    v: VReq,
-    stage: WaitStage,
+/// Whether a checkpoint is collecting parks right now: the intent every
+/// interposition point outside the CC gate acts on.
+fn quiescing(cc: &CcRank<'_>) -> bool {
+    cc.sh.control.is_pending() && cc.sh.control.phase() == CkptPhase::Quiescing
 }
 
-enum WaitStage {
-    Poll,
-    Quiesce(QuiesceM),
+/// `MPI_Wait`: completes the request, cooperating with the checkpoint
+/// engine (servicing the control plane, parking for capture) while it
+/// cannot.
+pub(super) struct WaitM {
+    v: VReq,
+    quiesce: Option<QuiesceM>,
 }
 
 impl WaitM {
-    fn new(cc: &mut CcRank<'_>, v: VReq) -> WaitM {
+    pub(super) fn new(cc: &mut CcRank<'_>, v: VReq) -> WaitM {
         cc.counters.completions += 1;
-        WaitM {
-            v,
-            stage: WaitStage::Poll,
-        }
+        WaitM { v, quiesce: None }
     }
 
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Completion> {
+    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Completion> {
         loop {
-            match &mut self.stage {
-                WaitStage::Quiesce(m) => match m.poll(cc) {
+            if let Some(m) = &mut self.quiesce {
+                match m.poll(cc) {
                     StepPoll::Pending(r) => return StepPoll::Pending(r),
-                    StepPoll::Ready(()) => self.stage = WaitStage::Poll,
-                },
-                WaitStage::Poll => match cc.vreqs.take(self.v) {
-                    None => return StepPoll::Ready(Completion::empty()),
-                    Some(VReqState::Ready(c)) => return StepPoll::Ready(c),
-                    Some(VReqState::Active(req, kind)) => {
-                        let is_recv = matches!(kind, VReqKind::Recv { .. });
-                        let state = if is_recv {
-                            RankState::RecvParked
-                        } else {
-                            RankState::Quiesced
-                        };
-                        // Restore replay: the check runs *before*
-                        // `try_complete` — the cut must win the race
-                        // against a replay that made the operation
-                        // completable earlier than the capture did.
-                        if cc.restore_cut_due() {
-                            cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
-                            mark_restore_reached(cc);
-                            self.stage = WaitStage::Quiesce(QuiesceM::new(cc, state));
-                            continue;
-                        }
-                        let mut req = req;
+                    StepPoll::Ready(()) => self.quiesce = None,
+                }
+            }
+            match cc.vreqs.take(self.v) {
+                None => return StepPoll::Ready(Completion::empty()),
+                Some(VReqState::Ready(c)) => return StepPoll::Ready(c),
+                Some(VReqState::Active(mut req, kind)) => {
+                    let state = if matches!(kind, VReqKind::Recv { .. }) {
+                        RankState::RecvParked
+                    } else {
+                        RankState::Quiesced
+                    };
+                    // Restore replay: the image captured this rank parked
+                    // inside this wait. The check runs *before*
+                    // `try_complete` — replay wall-clock interleaving may
+                    // have made the operation completable earlier than
+                    // the capture did, and the cut must win that race.
+                    let at_cut = at_restore_cut(cc);
+                    if !at_cut {
                         if let Some(c) = cc.ctx.try_complete(&mut req) {
                             return StepPoll::Ready(c);
                         }
-                        cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
+                    }
+                    cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
+                    if !at_cut {
                         cc.service_control();
-                        let sh = cc.sh;
-                        if sh.control.is_pending() && sh.control.phase() == CkptPhase::Quiescing {
-                            self.stage = WaitStage::Quiesce(QuiesceM::new(cc, state));
-                            continue;
+                        if !quiescing(cc) {
+                            return StepPoll::Pending(WaitReason::Event);
                         }
-                        return StepPoll::Pending(WaitReason::Event);
                     }
-                },
-            }
-        }
-    }
-}
-
-/// Poll form of [`CcRank::comm_split`].
-struct SplitM {
-    vc: VComm,
-    color: i64,
-    key: i64,
-    stage: SplitStage,
-}
-
-enum SplitStage {
-    Gate(GateM),
-    Run { req: Request, seq: u64 },
-}
-
-impl SplitM {
-    fn new(cc: &mut CcRank<'_>, vc: VComm, color: i64, key: i64) -> SplitM {
-        cc.counters.comm_mgmt += 1;
-        SplitM {
-            vc,
-            color,
-            key,
-            stage: SplitStage::Gate(GateM::new(cc, vc)),
-        }
-    }
-
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Option<VComm>> {
-        loop {
-            match &mut self.stage {
-                SplitStage::Gate(g) => match g.poll(cc) {
-                    StepPoll::Pending(r) => return StepPoll::Pending(r),
-                    StepPoll::Ready(_) => {
-                        let sh = cc.sh;
-                        sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
-                        let parent = &cc.vcomms.resolve(self.vc).0;
-                        let (req, seq) = cc.ctx.comm_split_begin(parent, self.color, self.key);
-                        self.stage = SplitStage::Run { req, seq };
-                    }
-                },
-                SplitStage::Run { req, seq } => {
-                    let Some(c) = cc.ctx.try_complete(req) else {
-                        return StepPoll::Pending(WaitReason::Event);
-                    };
-                    // The rank has not parked since the begin, so no
-                    // restart can have replaced the handle it began on.
-                    let parent = &cc.vcomms.resolve(self.vc).0;
-                    let sub = cc.ctx.comm_split_finish(parent, *seq, self.color, &c.data);
-                    let sh = cc.sh;
-                    sh.control.ranks[cc.rank].in_collective.store(false, SeqCst);
-                    let lower = sub.map(|c| {
-                        let g = ggid_of(c.group());
-                        sh.control.ranks[cc.rank]
-                            .seq_mirror
-                            .lock()
-                            .register_group(g, c.group().sorted_members());
-                        (c, g)
-                    });
-                    return StepPoll::Ready(cc.vcomms.record_creation(
-                        CommOp::Split {
-                            parent: self.vc,
-                            color: self.color,
-                            key: self.key,
-                        },
-                        lower,
-                    ));
+                    self.quiesce = Some(QuiesceM::new(cc, state));
                 }
             }
         }
     }
 }
 
-/// Poll form of [`CcRank::comm_dup`].
-struct DupM {
-    vc: VComm,
-    stage: DupStage,
+/// `MPI_Test`: one charged completion check, also cooperating with a
+/// quiesce in progress — so unlike the lower half's `test` it can pend.
+pub(super) struct TestM {
+    v: VReq,
+    quiesce: Option<QuiesceM>,
+    serviced: bool,
 }
 
-enum DupStage {
+impl TestM {
+    pub(super) fn new(cc: &mut CcRank<'_>, v: VReq) -> TestM {
+        cc.counters.completions += 1;
+        // Restore replay: the image captured this rank quiesced at this
+        // test call.
+        let quiesce = at_restore_cut(cc).then(|| QuiesceM::new(cc, RankState::Quiesced));
+        TestM {
+            v,
+            quiesce,
+            serviced: false,
+        }
+    }
+
+    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Option<Completion>> {
+        loop {
+            if let Some(m) = &mut self.quiesce {
+                match m.poll(cc) {
+                    StepPoll::Pending(r) => return StepPoll::Pending(r),
+                    StepPoll::Ready(()) => self.quiesce = None,
+                }
+            }
+            if !self.serviced {
+                self.serviced = true;
+                cc.service_control();
+                if quiescing(cc) {
+                    self.quiesce = Some(QuiesceM::new(cc, RankState::Quiesced));
+                    continue;
+                }
+            }
+            return StepPoll::Ready(match cc.vreqs.take(self.v) {
+                None => Some(Completion::empty()),
+                Some(VReqState::Ready(c)) => Some(c),
+                Some(VReqState::Active(mut req, kind)) => {
+                    let done = cc.ctx.test(&mut req);
+                    if done.is_none() {
+                        cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
+                    }
+                    done
+                }
+            });
+        }
+    }
+}
+
+/// Which communicator-management call a [`CommM`] runs.
+pub(super) enum CommKind {
+    /// `MPI_Comm_split`.
+    Split { color: i64, key: i64 },
+    /// `MPI_Comm_dup`.
+    Dup,
+    /// `MPI_Comm_create` with `members` as world ranks in group order.
+    Create { members: Vec<usize> },
+}
+
+/// Communicator creation (collective on the parent — counted): gate, begin
+/// the creation's synchronizing allgather, complete it, then build and
+/// record the new communicator.
+pub(super) struct CommM {
+    vc: VComm,
+    kind: CommKind,
+    stage: CommStage,
+}
+
+enum CommStage {
     Gate(GateM),
     Run { req: Request, seq: u64 },
 }
 
-impl DupM {
-    fn new(cc: &mut CcRank<'_>, vc: VComm) -> DupM {
+impl CommM {
+    pub(super) fn new(cc: &mut CcRank<'_>, vc: VComm, kind: CommKind) -> CommM {
         cc.counters.comm_mgmt += 1;
-        DupM {
+        CommM {
             vc,
-            stage: DupStage::Gate(GateM::new(cc, vc)),
+            kind,
+            stage: CommStage::Gate(GateM::new(cc, vc)),
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<VComm> {
+    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Option<VComm>> {
         loop {
             match &mut self.stage {
-                DupStage::Gate(g) => match g.poll(cc) {
+                CommStage::Gate(g) => match g.poll(cc) {
                     StepPoll::Pending(r) => return StepPoll::Pending(r),
                     StepPoll::Ready(_) => {
-                        let sh = cc.sh;
-                        sh.control.ranks[cc.rank].in_collective.store(true, SeqCst);
-                        let (req, seq) = cc.ctx.comm_dup_begin(&cc.vcomms.resolve(self.vc).0);
-                        self.stage = DupStage::Run { req, seq };
+                        set_in_collective(cc, true);
+                        let parent = &cc.vcomms.resolve(self.vc).0;
+                        let (req, seq) = match self.kind {
+                            CommKind::Split { color, key } => {
+                                cc.ctx.comm_split_begin(parent, color, key)
+                            }
+                            CommKind::Dup => cc.ctx.comm_dup_begin(parent),
+                            CommKind::Create { .. } => cc.ctx.comm_create_begin(parent),
+                        };
+                        self.stage = CommStage::Run { req, seq };
                     }
                 },
-                DupStage::Run { req, seq } => {
-                    if cc.ctx.try_complete(req).is_none() {
+                CommStage::Run { req, seq } => {
+                    let Some(c) = cc.ctx.try_complete(req) else {
                         return StepPoll::Pending(WaitReason::Event);
-                    }
-                    // As in `SplitM`: still the handle the dup began on.
-                    let dup = cc.ctx.comm_dup_finish(&cc.vcomms.resolve(self.vc).0, *seq);
-                    let sh = cc.sh;
-                    sh.control.ranks[cc.rank].in_collective.store(false, SeqCst);
-                    let g = ggid_of(dup.group());
-                    sh.control.ranks[cc.rank]
-                        .seq_mirror
-                        .lock()
-                        .register_group(g, dup.group().sorted_members());
-                    return StepPoll::Ready(
-                        cc.vcomms
-                            .record_creation(CommOp::Dup { parent: self.vc }, Some((dup, g)))
-                            .expect("dup always yields a communicator"),
-                    );
+                    };
+                    // The rank has not parked since the begin, so no
+                    // restart can have replaced the handle it began on.
+                    let (parent, seq, vc) = (&cc.vcomms.resolve(self.vc).0, *seq, self.vc);
+                    let (sub, op) = match &mut self.kind {
+                        &mut CommKind::Split { color, key } => (
+                            cc.ctx.comm_split_finish(parent, seq, color, &c.data),
+                            CommOp::Split {
+                                parent: vc,
+                                color,
+                                key,
+                            },
+                        ),
+                        CommKind::Dup => (
+                            Some(cc.ctx.comm_dup_finish(parent, seq)),
+                            CommOp::Dup { parent: vc },
+                        ),
+                        CommKind::Create { members } => (
+                            cc.ctx
+                                .comm_create_finish(parent, seq, &Group::new(members.clone())),
+                            CommOp::Create {
+                                parent: vc,
+                                members: std::mem::take(members),
+                            },
+                        ),
+                    };
+                    set_in_collective(cc, false);
+                    let lower = sub.map(|c| {
+                        let g = ggid_of(c.group());
+                        cc.sh.control.ranks[cc.rank]
+                            .seq_mirror
+                            .lock()
+                            .register_group(g, c.group().sorted_members());
+                        (c, g)
+                    });
+                    return StepPoll::Ready(cc.vcomms.record_creation(op, lower));
                 }
             }
         }
@@ -887,8 +967,7 @@ enum Op {
     Coll(CollM),
     IColl(ICollM),
     Wait(WaitM),
-    Split(SplitM),
-    Dup(DupM),
+    Comm(CommM),
 }
 
 impl Op {
@@ -897,8 +976,11 @@ impl Op {
             Op::Coll(_) => "collective",
             Op::IColl(_) => "icollective",
             Op::Wait(_) => "wait",
-            Op::Split(_) => "comm_split",
-            Op::Dup(_) => "comm_dup",
+            Op::Comm(m) => match m.kind {
+                CommKind::Split { .. } => "comm_split",
+                CommKind::Dup => "comm_dup",
+                CommKind::Create { .. } => "comm_create",
+            },
         }
     }
 }
@@ -908,11 +990,31 @@ impl Op {
 // ----------------------------------------------------------------------
 
 /// One rank's checkpoint-aware handle for step-function bodies: wraps a
-/// [`CcRank`] and drives its protocol machinery in poll form. See the
-/// module docs for the call protocol.
+/// [`CcRank`] and holds the engine machine of the operation in flight
+/// between resumptions. See the module docs for the call protocol.
 pub struct StepRank<'s> {
     cc: CcRank<'s>,
     op: Option<Op>,
+}
+
+/// The idempotent-start protocol of every `poll_*` method: the first call
+/// builds the operation's machine (`$new`), later calls resume it, and a
+/// `Ready` result clears it.
+macro_rules! poll_op {
+    ($self:ident, $name:literal, $variant:ident, $new:expr) => {{
+        $self.expect_op($name, true);
+        if $self.op.is_none() {
+            $self.op = Some(Op::$variant($new));
+        }
+        let Some(Op::$variant(m)) = &mut $self.op else {
+            unreachable!()
+        };
+        let r = m.poll(&mut $self.cc);
+        if r.is_ready() {
+            $self.op = None;
+        }
+        r
+    }};
 }
 
 impl<'s> StepRank<'s> {
@@ -921,12 +1023,6 @@ impl<'s> StepRank<'s> {
         StepRank {
             cc: CcRank::new(sh, rank),
             op: None,
-        }
-    }
-
-    fn finish_poll<T>(&mut self, r: &StepPoll<T>) {
-        if r.is_ready() {
-            self.op = None;
         }
     }
 
@@ -1000,16 +1096,16 @@ impl<'s> StepRank<'s> {
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking entry points (single-call, like the blocking layer)
+    // Non-blocking entry points (single-call: they never pend)
     // ------------------------------------------------------------------
 
-    /// `MPI_Isend` (mirror of [`CcRank::isend`]; never pends).
+    /// `MPI_Isend` ([`CcRank::isend`]).
     pub fn isend(&mut self, vc: VComm, to: usize, tag: u32, payload: impl Into<Bytes>) -> VReq {
         self.expect_op("isend", false);
         self.cc.isend(vc, to, tag, payload)
     }
 
-    /// `MPI_Irecv` (mirror of [`CcRank::irecv`]; never pends).
+    /// `MPI_Irecv` ([`CcRank::irecv`]).
     pub fn irecv(&mut self, vc: VComm, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> VReq {
         self.expect_op("irecv", false);
         self.cc.irecv(vc, src, tag)
@@ -1029,31 +1125,18 @@ impl<'s> StepRank<'s> {
         payload: &Bytes,
         red: Option<RedSpec>,
     ) -> StepPoll<Bytes> {
-        self.expect_op("collective", true);
-        if self.op.is_none() {
-            self.op = Some(Op::Coll(CollM::new(
-                &mut self.cc,
-                vc,
-                op,
-                root,
-                payload.clone(),
-                red,
-            )));
-        }
-        let Some(Op::Coll(m)) = &mut self.op else {
-            unreachable!()
-        };
-        let r = m.poll(&mut self.cc);
-        self.finish_poll(&r);
-        r
+        poll_op!(
+            self,
+            "collective",
+            Coll,
+            CollM::new(&mut self.cc, vc, op, root, payload.clone(), red)
+        )
     }
 
     /// Poll form of [`CcRank::barrier`].
     pub fn poll_barrier(&mut self, vc: VComm) -> StepPoll<()> {
-        match self.poll_collective(vc, CollOp::Barrier, 0, &Bytes::new(), None) {
-            StepPoll::Ready(_) => StepPoll::Ready(()),
-            StepPoll::Pending(r) => StepPoll::Pending(r),
-        }
+        self.poll_collective(vc, CollOp::Barrier, 0, &Bytes::new(), None)
+            .map(|_| ())
     }
 
     /// Poll form of [`CcRank::bcast`].
@@ -1079,10 +1162,8 @@ impl<'s> StepRank<'s> {
         data: &[f64],
         op: ReduceOp,
     ) -> StepPoll<Vec<f64>> {
-        match self.poll_allreduce(vc, &encode_f64(data), DType::F64, op) {
-            StepPoll::Ready(b) => StepPoll::Ready(decode_f64(&b)),
-            StepPoll::Pending(r) => StepPoll::Pending(r),
-        }
+        self.poll_allreduce(vc, &encode_f64(data), DType::F64, op)
+            .map(|b| decode_f64(&b))
     }
 
     /// Poll form of [`CcRank::allgather`].
@@ -1090,9 +1171,7 @@ impl<'s> StepRank<'s> {
         self.poll_collective(vc, CollOp::Allgather, 0, data, None)
     }
 
-    /// Poll form of [`CcRank::icollective`]. The initiation itself can
-    /// pend (the gate drains), hence pollable; once `Ready` the request
-    /// is initiated and progresses independently.
+    /// Poll form of [`CcRank::icollective`].
     pub fn poll_icollective(
         &mut self,
         vc: VComm,
@@ -1101,23 +1180,12 @@ impl<'s> StepRank<'s> {
         payload: &Bytes,
         red: Option<RedSpec>,
     ) -> StepPoll<VReq> {
-        self.expect_op("icollective", true);
-        if self.op.is_none() {
-            self.op = Some(Op::IColl(ICollM::new(
-                &mut self.cc,
-                vc,
-                op,
-                root,
-                payload.clone(),
-                red,
-            )));
-        }
-        let Some(Op::IColl(m)) = &mut self.op else {
-            unreachable!()
-        };
-        let r = m.poll(&mut self.cc);
-        self.finish_poll(&r);
-        r
+        poll_op!(
+            self,
+            "icollective",
+            IColl,
+            ICollM::new(&mut self.cc, vc, op, root, payload.clone(), red)
+        )
     }
 
     /// Poll form of [`CcRank::iallreduce`].
@@ -1133,45 +1201,27 @@ impl<'s> StepRank<'s> {
 
     /// Poll form of [`CcRank::wait`].
     pub fn poll_wait(&mut self, v: VReq) -> StepPoll<Completion> {
-        self.expect_op("wait", true);
-        if self.op.is_none() {
-            self.op = Some(Op::Wait(WaitM::new(&mut self.cc, v)));
+        if let Some(Op::Wait(m)) = &self.op {
+            assert_eq!(m.v, v, "step rank resumed `wait` with a different request");
         }
-        let Some(Op::Wait(m)) = &mut self.op else {
-            unreachable!()
-        };
-        assert_eq!(m.v, v, "step rank resumed `wait` with a different request");
-        let r = m.poll(&mut self.cc);
-        self.finish_poll(&r);
-        r
+        poll_op!(self, "wait", Wait, WaitM::new(&mut self.cc, v))
     }
 
     /// Poll form of [`CcRank::comm_split`].
     pub fn poll_comm_split(&mut self, vc: VComm, color: i64, key: i64) -> StepPoll<Option<VComm>> {
-        self.expect_op("comm_split", true);
-        if self.op.is_none() {
-            self.op = Some(Op::Split(SplitM::new(&mut self.cc, vc, color, key)));
-        }
-        let Some(Op::Split(m)) = &mut self.op else {
-            unreachable!()
-        };
-        let r = m.poll(&mut self.cc);
-        self.finish_poll(&r);
-        r
+        let kind = CommKind::Split { color, key };
+        poll_op!(self, "comm_split", Comm, CommM::new(&mut self.cc, vc, kind))
     }
 
     /// Poll form of [`CcRank::comm_dup`].
     pub fn poll_comm_dup(&mut self, vc: VComm) -> StepPoll<VComm> {
-        self.expect_op("comm_dup", true);
-        if self.op.is_none() {
-            self.op = Some(Op::Dup(DupM::new(&mut self.cc, vc)));
-        }
-        let Some(Op::Dup(m)) = &mut self.op else {
-            unreachable!()
-        };
-        let r = m.poll(&mut self.cc);
-        self.finish_poll(&r);
-        r
+        poll_op!(
+            self,
+            "comm_dup",
+            Comm,
+            CommM::new(&mut self.cc, vc, CommKind::Dup)
+        )
+        .map(|v| v.expect("dup always yields a communicator"))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The checkpointable world runner: spawns one thread per rank (each with a
-//! [`CcRank`] wrapper) and supervises a pluggable [`TriggerPolicy`] from
-//! the calling thread.
+//! [`CcRank`] wrapper, the thread driver of the protocol engine) and
+//! supervises a pluggable [`TriggerPolicy`] from the calling thread.
 //!
 //! Capture no longer implies a resume decision: the policy only says
 //! *when* to capture, [`CkptOptions::resume`] says what this in-process
@@ -385,6 +385,13 @@ where
     // The scheduler outlives every lower-half generation: grab it once
     // here, before any restart replaces the world.
     let sched = Arc::clone(sh.current_world().scheduler());
+    // Lower-half events (deposits, collective completions, poison) advance
+    // the same per-rank event counter the control plane wakes. The routing
+    // hangs off the scheduler, so restart generations wire their fresh
+    // mailboxes to it by themselves.
+    let control = Arc::clone(&sh.control);
+    sched.install_rank_waker(Arc::new(move |rank| control.ranks[rank].wake()));
+    sh.current_world().install_rank_wakers();
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(n);
         for rank in 0..n {
@@ -463,16 +470,27 @@ where
     if let Some(e) = spawn_err {
         return Err(RunError::Spawn(e));
     }
-    if reports.iter().any(|r| r.is_none()) {
-        // At least one rank unwound without a result: the death stands.
-        // (If the injection raced completion and every rank still
-        // returned, the run is simply complete — nothing was lost.)
+    assemble_report(&sh, reports, sup_out, None)
+}
+
+/// Turns the per-rank outcomes of a finished session into its report —
+/// or into the death that ended it, when some rank left no result.
+pub(crate) fn assemble_report<R>(
+    sh: &Session,
+    reports: Vec<Option<RankReport<R>>>,
+    sup_out: SuperviseOut,
+    rank_build_rss_bytes: Option<u64>,
+) -> Result<CkptRunReport<R>, RunError> {
+    let Some(ranks) = reports.into_iter().collect::<Option<Vec<RankReport<R>>>>() else {
+        // At least one rank unwound (or was retired by the poison abort
+        // point) without a result: the death stands. (If the injection
+        // raced completion and every rank still returned, the run is
+        // simply complete — nothing was lost.)
         let death = sh
             .death()
-            .expect("rank unwound without a result or a recorded death");
+            .expect("rank ended without a result or a recorded death");
         return Err(RunError::Died(death));
-    }
-    let ranks: Vec<RankReport<R>> = reports.into_iter().map(|r| r.unwrap()).collect();
+    };
     let makespan = VTime::max_of(ranks.iter().map(|r| r.final_clock));
     let final_counters: Vec<CallCounters> = sh
         .control
@@ -498,7 +516,7 @@ where
         capture_wall_s: sup_out.capture_wall_s,
         capture_overlap_s: sup_out.capture_overlap_s,
         store_records: sup_out.store_records,
-        rank_build_rss_bytes: None,
+        rank_build_rss_bytes,
         attempts: 1,
         faults: Vec::new(),
         wasted_work_s: 0.0,

@@ -7,25 +7,26 @@
 //! every rank's whole continuation is one heap object driven by the
 //! [`mpisim::StepDriver`] worker pool. No per-rank kernel thread or stack
 //! exists, which is what lets a single host carry 65 536-rank worlds; the
-//! thread-per-rank runner remains as the compatibility shim for closure
-//! bodies.
+//! thread-per-rank runner remains for closure bodies, at tier-1 sizes.
 //!
-//! Protocol-wise the two runners are interchangeable: the step engine
-//! ([`crate::rank::step`]) performs the same counter increments, `SEQ[]`
-//! updates, and capture publications as the blocking wrapper, so images,
-//! `CallCounters`, and virtual-time trajectories are bit-identical across
-//! representations — the representation-equivalence tests restore images
-//! captured under one representation into the other.
+//! Protocol-wise the two runners are interchangeable because they are two
+//! *drivers* of one engine ([`crate::rank::step`]): the machines that run
+//! a closure body's blocking calls are the machines a step body polls, so
+//! images, `CallCounters`, and virtual-time trajectories are bit-identical
+//! across representations — the representation-equivalence tests restore
+//! images captured under one representation into the other.
 
-use super::{supervise_policy, CkptOptions, CkptRunReport, RunError, SuperviseOut};
+use super::{
+    assemble_report, supervise_policy, CkptOptions, CkptRunReport, RunError, SuperviseOut,
+};
 use crate::rank::step::StepRank;
 use crate::session::Session;
-use mana_core::{CallCounters, RankState};
+use mana_core::RankState;
 use mpisim::sched::WaitReason;
 use mpisim::world::LaunchGate;
 use mpisim::{
-    FailPlane, KilledByFault, RankReport, RankStep, SpawnError, Step, StepDriver, VTime,
-    WorldConfig, DEFAULT_RANK_STACK,
+    FailPlane, KilledByFault, RankReport, RankStep, SpawnError, Step, StepDriver, WorldConfig,
+    DEFAULT_RANK_STACK,
 };
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
@@ -218,9 +219,9 @@ where
     let driver = StepDriver::new(n, Arc::clone(sched.stats()));
     {
         let d = Arc::clone(&driver);
-        sched.install_step_waker(Arc::new(move |rank| d.wake(rank)));
+        sched.install_rank_waker(Arc::new(move |rank| d.wake(rank)));
     }
-    sh.current_world().install_step_wakers();
+    sh.current_world().install_rank_wakers();
     for rank in 0..n {
         sh.control.ranks[rank].set_waker(driver.waker(rank));
     }
@@ -295,48 +296,8 @@ where
         return Err(RunError::Spawn(e));
     }
 
-    let reports: Vec<Option<RankReport<B::Out>>> =
-        outs.into_iter().map(|m| m.into_inner()).collect();
-    if reports.iter().any(|r| r.is_none()) {
-        // A rank was retired by the poison abort point without a result:
-        // the death stands (unless every body still completed first).
-        let death = sh
-            .death()
-            .expect("rank retired without a result or a recorded death");
-        return Err(RunError::Died(death));
-    }
-    let ranks: Vec<RankReport<B::Out>> = reports.into_iter().map(|r| r.unwrap()).collect();
-    let makespan = VTime::max_of(ranks.iter().map(|r| r.final_clock));
-    let final_counters: Vec<CallCounters> = sh
-        .control
-        .ranks
-        .iter()
-        .map(|rc| {
-            rc.capture_slot
-                .lock()
-                .as_ref()
-                .map(|c| c.counters)
-                .unwrap_or_default()
-        })
-        .collect();
-    Ok(CkptRunReport {
-        ranks,
-        makespan,
-        checkpoints: sup_out.checkpoints,
-        failures: sup_out.failures,
-        final_counters,
-        trace: sh.trace.clone(),
-        events: sh.exec_log.take_events(),
-        backstop_expiries: sh.backstop_expiries(),
-        capture_wall_s: sup_out.capture_wall_s,
-        capture_overlap_s: sup_out.capture_overlap_s,
-        store_records: sup_out.store_records,
-        rank_build_rss_bytes,
-        attempts: 1,
-        faults: Vec::new(),
-        wasted_work_s: 0.0,
-        recovery_latency_s: 0.0,
-    })
+    let reports = outs.into_iter().map(|m| m.into_inner()).collect();
+    assemble_report(&sh, reports, sup_out, rank_build_rss_bytes)
 }
 
 /// Resident-set size of this process, if the platform exposes it.
@@ -425,6 +386,7 @@ mod tests {
     use super::*;
     use crate::coordinator::ResumeMode;
     use crate::policy::VirtualTimeSchedule;
+    use mpisim::VTime;
 
     #[test]
     fn step_runner_matches_thread_runner_plain() {
@@ -496,6 +458,7 @@ mod restart_tests {
     use crate::coordinator::ResumeMode;
     use crate::policy::VirtualTimeSchedule;
     use mana_core::Protocol;
+    use mpisim::VTime;
 
     fn opts(protocol: Protocol) -> CkptOptions {
         CkptOptions::default()

@@ -144,10 +144,10 @@ impl Session {
 
     /// Injects a fault into the running execution: poisons the fail plane
     /// (first injection wins), marks the victim ranks dead so stall
-    /// accounting stops expecting them, and wakes every wait path — ranks
-    /// blocked in receive scans, collective slots, or checkpoint parks
-    /// observe the poison and unwind promptly with a [`mpisim::KilledByFault`]
-    /// marker instead of draining a backstop timeout.
+    /// accounting stops expecting them, and wakes every wait path — thread
+    /// ranks asleep on their event counter observe the poison and unwind
+    /// promptly with a [`mpisim::KilledByFault`] marker instead of
+    /// draining a backstop timeout; step ranks are retired by their driver.
     ///
     /// Returns `false` if the plane was already poisoned (the earlier death
     /// stands and this one is dropped).
@@ -163,9 +163,9 @@ impl Session {
             }
         }
         // Wake order: lower-half waits first (mailboxes, collective
-        // instances), then the out-of-band checkpoint parks. Every site
-        // re-checks its predicate on wake, so the order only affects
-        // latency, not correctness.
+        // instances), then the control plane. Every site re-checks the
+        // poison flag on wake, so the order only affects latency, not
+        // correctness.
         world.poison_wake();
         for ctl in self.control.ranks.iter() {
             ctl.wake();

@@ -26,12 +26,12 @@ use mpisim::WakeupStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Lost-wakeup backstop for [`RankCtl::park_until`]. The park is
-/// event-driven — [`RankCtl::wake`] notifies under the park mutex, so a
-/// rank between its predicate check and its wait can never miss it — and
+/// Lost-wakeup backstop for [`RankCtl::wait_event_since`]. The wait is
+/// event-driven — [`RankCtl::wake`] counts the event under the park
+/// mutex, so a rank between its poll and its wait can never miss it — and
 /// this timeout is defense in depth only. It is deliberately long: every
 /// rank of a quiescing world parks here at once, and a short re-check
 /// would turn thousands of parked ranks into timed pollers for the whole
@@ -150,16 +150,29 @@ pub struct RankCtl {
     /// — otherwise the stall watchdog would report a spurious `P2pStall`
     /// for a death the injector already published as a typed event.
     dead: AtomicBool,
-    /// Park/wake for quiesced ranks.
-    park: Mutex<()>,
+    /// The rank's one wait primitive under the thread driver: every event
+    /// that can unblock it — control-plane or lower-half — is counted
+    /// here by [`RankCtl::wake`].
+    park: Mutex<ParkState>,
     park_cv: Condvar,
-    /// Step-mode wake hook: invoked by every [`RankCtl::wake`] so a
-    /// parked step rank learns about control-plane events (phase
-    /// transitions, target installs, bus sends, resume) through its
-    /// driver. `None` for thread-representation ranks.
-    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// The step driver's wake hook: invoked by every [`RankCtl::wake`] so
+    /// a parked step rank learns about the same events through its
+    /// driver. Unset for thread-driven ranks; set at most once, so a wake
+    /// reads it without a lock or a reference count.
+    waker: OnceLock<Arc<dyn Fn() + Send + Sync>>,
     /// Shared backstop-expiry accounting (the world's [`WakeupStats`]).
     stats: Arc<WakeupStats>,
+}
+
+#[derive(Default)]
+struct ParkState {
+    /// Monotone count of [`RankCtl::wake`] calls: the event token.
+    generation: u64,
+    /// Threads inside [`RankCtl::wait_event_since`]'s condvar wait. A wake
+    /// notifies only when this is non-zero: most wakes (every mailbox
+    /// deposit of a thread world, every wake of a step world) find nobody
+    /// waiting, and an unconditional `notify_all` is a futex call each.
+    waiters: usize,
 }
 
 impl RankCtl {
@@ -182,18 +195,22 @@ impl RankCtl {
             new_world: Mutex::new(None),
             replayed_comms: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
-            park: Mutex::new(()),
+            park: Mutex::new(ParkState::default()),
             park_cv: Condvar::new(),
-            waker: Mutex::new(None),
+            waker: OnceLock::new(),
             stats,
         }
     }
 
-    /// Installs the step-mode waker invoked on every [`RankCtl::wake`].
-    /// Wired by the step runner at launch; thread-representation sessions
-    /// never set it.
+    /// Installs the step driver's waker, invoked on every
+    /// [`RankCtl::wake`]. Wired by the step runner at launch; thread-driven
+    /// sessions never set it.
+    ///
+    /// # Panics
+    /// Panics if a waker is already installed: a control block belongs to
+    /// one rank of one session, which has one driver.
     pub fn set_waker(&self, w: Arc<dyn Fn() + Send + Sync>) {
-        *self.waker.lock() = Some(w);
+        assert!(self.waker.set(w).is_ok(), "rank waker installed twice");
     }
 
     /// Declares this rank dead (fault injection). Not reset by checkpoint
@@ -219,36 +236,54 @@ impl RankCtl {
         RankState::from_u8(self.state.load(Ordering::SeqCst))
     }
 
-    /// Parks the rank thread until `pred` becomes true, re-checking on
-    /// every [`RankCtl::wake`] (with the [`PARK_BACKSTOP`] lost-wakeup
-    /// timeout for defense in depth). Every rank of a quiescing world
-    /// parks here at once — outside the scheduler's worker pool — so this
-    /// wait must be event-driven: a short timed poll multiplied by
+    /// Snapshot of the event counter, for race-free waiting: take the
+    /// token *before* polling the operation, then pass it to
+    /// [`RankCtl::wait_event_since`] — an event landing between the poll
+    /// and the wait bumps the counter and the wait returns at once.
+    pub fn event_token(&self) -> u64 {
+        self.park.lock().generation
+    }
+
+    /// Blocks the calling rank thread until a [`RankCtl::wake`] lands after
+    /// `token` was taken, or the [`PARK_BACKSTOP`] lost-wakeup timeout
+    /// elapses; the caller then polls again. Every rank of a quiescing
+    /// world parks here at once — outside the scheduler's worker pool — so
+    /// this wait must be event-driven: a short timed poll multiplied by
     /// thousands of parked ranks would saturate the host exactly when the
-    /// coordinator needs it. A wait that expires the backstop without the
-    /// predicate having turned true is recorded as a backstop-expiry
-    /// wakeup.
-    pub fn park_until(&self, mut pred: impl FnMut() -> bool) {
-        let mut guard = self.park.lock();
-        while !pred() {
-            let timed_out = self.park_cv.wait_for(&mut guard, PARK_BACKSTOP).timed_out();
-            if timed_out && !pred() {
-                self.stats.record_backstop_expiry();
-            }
+    /// coordinator needs it. A wait that expires the backstop with the
+    /// counter unchanged is recorded as a backstop-expiry wakeup.
+    pub fn wait_event_since(&self, token: u64) {
+        let mut p = self.park.lock();
+        if p.generation != token {
+            return;
+        }
+        p.waiters += 1;
+        let timed_out = self.park_cv.wait_for(&mut p, PARK_BACKSTOP).timed_out();
+        p.waiters -= 1;
+        if timed_out && p.generation == token {
+            self.stats.record_backstop_expiry();
         }
     }
 
-    /// Wakes a parked rank (coordinator side). The notification is issued
-    /// under the park mutex, so a rank between its predicate check and
-    /// its wait can never miss it (the predicate's state is always
-    /// published *before* `wake` is called).
+    /// Announces an event to the rank: a phase change, target install, bus
+    /// send, resume, fresh world or poison from the control plane, or —
+    /// through the waker a runner installs into the lower half — a mailbox
+    /// deposit or collective completion. The state the event stands for
+    /// is always published *before* `wake` is called. The event is
+    /// counted under the park mutex, so a rank between its poll and its
+    /// wait cannot miss it; a waiter registers and starts waiting under
+    /// the same mutex, so one that is not counted yet will see the new
+    /// generation before it waits.
     pub fn wake(&self) {
-        {
-            let _guard = self.park.lock();
+        let waiting = {
+            let mut p = self.park.lock();
+            p.generation += 1;
+            p.waiters > 0
+        };
+        if waiting {
             self.park_cv.notify_all();
         }
-        let waker = self.waker.lock().clone();
-        if let Some(w) = waker {
+        if let Some(w) = self.waker.get() {
             w();
         }
     }
@@ -309,6 +344,11 @@ pub struct CkptControl {
     /// exceeds the value they captured, which lets the coordinator
     /// re-deposit drained messages after replay but before the app runs.
     pub resume_gen: AtomicU64,
+    /// Count of ranks that left a capture park *uncaptured* (the 2PC free
+    /// pass): the one way a park state goes back to `Running` inside a
+    /// quiesce. A rank bumps it *after* publishing `Running`;
+    /// [`CkptControl::all_quiesced`] reads it around its scan.
+    pub free_passes: AtomicU64,
     /// Per-rank blocks.
     pub ranks: Vec<RankCtl>,
 }
@@ -335,6 +375,7 @@ impl CkptControl {
             shutdown: AtomicBool::new(false),
             replayed_count: AtomicU64::new(0),
             resume_gen: AtomicU64::new(0),
+            free_passes: AtomicU64::new(0),
             ranks: (0..n_ranks)
                 .map(|_| RankCtl::new(Arc::clone(&stats)))
                 .collect(),
@@ -472,6 +513,31 @@ impl CkptControl {
             .all(|r| r.state().is_parked() || r.is_dead())
     }
 
+    /// Whether every rank is parked *for capture* (quiesced, cooperating
+    /// in a receive wait, inside a trivial barrier, or finished), as one
+    /// consistent observation although the scan reads one rank at a
+    /// time. A state read here can go stale only through a free pass.
+    /// Suppose rank `x`, read as parked, is running when the scan ends
+    /// with the count unchanged: `x`'s own count is then still to come,
+    /// so the real collective behind its barrier has not finished, so the
+    /// member `L` that completed that barrier has been running since it
+    /// arrived there — yet `L` too was read as parked, hence earlier, and
+    /// un-parked since: by a free pass of its own, whose count (made
+    /// before `L` went on to `x`'s barrier) landed inside the scan. So an
+    /// unchanged count means every state read still held at the end.
+    pub fn all_quiesced(&self) -> bool {
+        let passes = self.free_passes.load(Ordering::SeqCst);
+        self.ranks.iter().all(|r| {
+            matches!(
+                r.state(),
+                RankState::Quiesced
+                    | RankState::RecvParked
+                    | RankState::InTrivialBarrier
+                    | RankState::Finished
+            )
+        }) && self.free_passes.load(Ordering::SeqCst) == passes
+    }
+
     /// Minimum published virtual clock across ranks, in seconds.
     pub fn min_clock_secs(&self) -> f64 {
         self.ranks
@@ -567,18 +633,46 @@ mod tests {
     }
 
     #[test]
-    fn park_wake() {
+    fn event_token_closes_the_poll_to_wait_window() {
         let c = CkptControl::new(1);
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = flag.clone();
-        let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || {
-            c2.ranks[0].park_until(|| f2.load(Ordering::SeqCst));
+        let ctl = &c.ranks[0];
+        // A wake with no waiter still advances the token...
+        let token = ctl.event_token();
+        ctl.wake();
+        assert_ne!(ctl.event_token(), token, "token bumped with nobody waiting");
+        // ...so a wake landing between the token and the wait makes the
+        // wait return at once, not after the backstop, and records none.
+        let t = std::time::Instant::now();
+        ctl.wait_event_since(token);
+        assert!(
+            t.elapsed() < PARK_BACKSTOP / 2,
+            "raced wake cost the backstop"
+        );
+        assert_eq!(ctl.stats.backstop_expiries(), 0);
+    }
+
+    #[test]
+    fn parked_waiter_is_woken_by_the_gated_notify() {
+        let c = CkptControl::new(1);
+        let ctl = &c.ranks[0];
+        let token = ctl.event_token();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t = std::time::Instant::now();
+                ctl.wait_event_since(token);
+                t.elapsed()
+            });
+            // Force the interleaving: the wake must find a registered
+            // waiter, which is the only case that notifies.
+            while ctl.park.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            ctl.wake();
+            let waited = waiter.join().unwrap();
+            assert!(waited < PARK_BACKSTOP / 2, "woken, not timed out");
         });
-        std::thread::sleep(Duration::from_millis(10));
-        flag.store(true, Ordering::SeqCst);
-        c.ranks[0].wake();
-        t.join().unwrap();
+        assert_eq!(ctl.park.lock().waiters, 0, "waiter deregistered");
+        assert_eq!(ctl.stats.backstop_expiries(), 0);
     }
 
     #[test]

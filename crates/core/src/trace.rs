@@ -28,7 +28,9 @@ pub enum DrainEvent {
     DrainStep(usize, Ggid, u64),
     /// Rank reached all its targets and parked: `(rank)`.
     Parked(usize),
-    /// Rank left the parked state because a target changed: `(rank)`.
+    /// Rank left the parked state uncaptured: `(rank)`. Under CC a target
+    /// changed; under 2PC the trivial barrier it was parked inside
+    /// completed after all (the free pass).
     Unparked(usize),
     /// Rank quiesced for capture: `(rank)`.
     Quiesced(usize),

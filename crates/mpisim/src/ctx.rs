@@ -196,9 +196,9 @@ impl Ctx {
 
     /// Runs `f` — a wait that may block on a condition variable — with
     /// this rank's scheduler run slot released, re-acquiring it before
-    /// returning. Exposed for the checkpoint layer's park paths (drain
-    /// gate, trivial barrier, quiesce); all blocking waits inside `Ctx`
-    /// already use it.
+    /// returning. Exposed for the checkpoint layer's thread driver (its
+    /// one per-rank event wait); all blocking waits inside `Ctx` already
+    /// use it.
     pub fn blocked<T>(&self, f: impl FnOnce() -> T) -> T {
         self.world.sched.blocking(self.world_rank, f)
     }
@@ -268,18 +268,7 @@ impl Ctx {
         self.check_epoch(parent);
         let seq = self.bump_comm_seq(parent.id());
         let _ = self.run_collective(parent, seq, CollOp::Allgather, 0, Bytes::new(), None);
-        if !group.contains_world(self.world_rank) {
-            return None;
-        }
-        let inner = self.world.comm_for_split(
-            SplitKey {
-                parent: parent.id(),
-                seq,
-                color: crate::comm::create_color(group.members()),
-            },
-            group.clone(),
-        );
-        Some(Comm::for_world_rank(inner, self.world_rank))
+        self.comm_create_finish(parent, seq, group)
     }
 
     /// `MPI_Comm_free`.
@@ -872,18 +861,18 @@ impl Ctx {
     }
 
     // ------------------------------------------------------------------
-    // Step-mode decompositions
+    // Poll-driven decompositions
     // ------------------------------------------------------------------
     //
-    // Poll-driven halves of the blocking calls above, for rank bodies
-    // lowered to step functions: a step rank cannot sit in
-    // `blocking(wait_and_take)`, so it *begins* the operation here
-    // (entering the instance exactly like the blocking path — no
-    // initiation charge, unlike `icollective`) and then drives the
-    // returned request with [`Ctx::try_complete`], which advances the
-    // clock to the completion time just like `wait` would. The two
-    // representations therefore produce bit-identical virtual-time
-    // trajectories.
+    // Poll-driven halves of the blocking calls above, for the checkpoint
+    // layer's protocol engine: it cannot sit in `blocking(wait_and_take)`
+    // — a step rank has no thread to block, and a thread rank must keep
+    // observing the control plane while it waits — so it *begins* the
+    // operation here (entering the instance exactly like the blocking
+    // path — no initiation charge, unlike `icollective`) and then drives
+    // the returned request with [`Ctx::try_complete`], which advances the
+    // clock to the completion time just like `wait` would. Both forms
+    // therefore produce bit-identical virtual-time trajectories.
 
     fn begin_collective(
         &mut self,
@@ -910,7 +899,7 @@ impl Ctx {
     /// Begins a *blocking-semantics* collective without blocking: enters
     /// the instance at the current clock (no initiation charge) and
     /// returns the request to poll with [`Ctx::try_complete`]. The
-    /// step-mode counterpart of [`Ctx::collective`].
+    /// poll-driven counterpart of [`Ctx::collective`].
     pub fn coll_begin(
         &mut self,
         comm: &Comm,
@@ -924,7 +913,7 @@ impl Ctx {
         self.begin_collective(comm, seq, op, root, payload, red)
     }
 
-    /// Begins the allgather phase of `MPI_Comm_split` (step-mode half of
+    /// Begins the allgather phase of `MPI_Comm_split` (poll-driven half of
     /// [`Ctx::comm_split`]). Returns the request and the parent-comm
     /// ordinal the split will be registered under; pass both, plus the
     /// gathered payload from [`Ctx::try_complete`], to
@@ -947,8 +936,8 @@ impl Ctx {
     }
 
     /// Builds the split communicator from the gathered `(color, key)`
-    /// pairs. Shared by the blocking [`Ctx::comm_split`] and the step-mode
-    /// begin/finish pair — the decode is representation-independent.
+    /// pairs. Shared by the blocking [`Ctx::comm_split`] and the
+    /// poll-driven begin/finish pair — the decode is the same either way.
     pub fn comm_split_finish(
         &mut self,
         parent: &Comm,
@@ -986,7 +975,7 @@ impl Ctx {
         Some(Comm::for_world_rank(inner, self.world_rank))
     }
 
-    /// Begins the synchronization phase of `MPI_Comm_dup` (step-mode half
+    /// Begins the synchronization phase of `MPI_Comm_dup` (poll-driven half
     /// of [`Ctx::comm_dup`]). Complete the request with
     /// [`Ctx::try_complete`], then call [`Ctx::comm_dup_finish`].
     pub fn comm_dup_begin(&mut self, parent: &Comm) -> (Request, u64) {
@@ -997,7 +986,7 @@ impl Ctx {
     }
 
     /// Builds the duplicate communicator once the dup synchronization
-    /// completed. Shared by [`Ctx::comm_dup`] and the step-mode pair.
+    /// completed. Shared by [`Ctx::comm_dup`] and the poll-driven pair.
     pub fn comm_dup_finish(&mut self, parent: &Comm, seq: u64) -> Comm {
         let inner = self.world.comm_for_split(
             SplitKey {
@@ -1008,6 +997,32 @@ impl Ctx {
             parent.group().clone(),
         );
         Comm::for_world_rank(inner, self.world_rank)
+    }
+
+    /// Begins the synchronization phase of `MPI_Comm_create` (poll-driven
+    /// half of [`Ctx::comm_create`]): the same empty allgather a dup
+    /// synchronizes on. Complete the request with [`Ctx::try_complete`],
+    /// then call [`Ctx::comm_create_finish`].
+    pub fn comm_create_begin(&mut self, parent: &Comm) -> (Request, u64) {
+        self.comm_dup_begin(parent)
+    }
+
+    /// Builds the created communicator once the synchronization completed;
+    /// `None` on ranks outside `group`. Shared by [`Ctx::comm_create`] and
+    /// the poll-driven pair.
+    pub fn comm_create_finish(&mut self, parent: &Comm, seq: u64, group: &Group) -> Option<Comm> {
+        if !group.contains_world(self.world_rank) {
+            return None;
+        }
+        let inner = self.world.comm_for_split(
+            SplitKey {
+                parent: parent.id(),
+                seq,
+                color: crate::comm::create_color(group.members()),
+            },
+            group.clone(),
+        );
+        Some(Comm::for_world_rank(inner, self.world_rank))
     }
 }
 

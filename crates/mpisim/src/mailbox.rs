@@ -50,11 +50,13 @@ pub struct Mailbox {
     inner: Mutex<Vec<InFlightMsg>>,
     cv: Condvar,
     activity: Mutex<Activity>,
-    /// Step-mode wake hook: invoked on every [`Mailbox::notify_activity`]
-    /// so a parked step rank learns about deposits and collective
-    /// completions through its driver instead of a condition variable.
-    /// Unset for thread-representation worlds; set at most once, so a
-    /// poke reads it without a lock or a reference count.
+    /// The rank driver's wake hook: invoked on every
+    /// [`Mailbox::notify_activity`] so a rank parked by the checkpoint
+    /// layer — a step object, or a thread in its per-rank event wait —
+    /// learns about deposits and collective completions through its
+    /// driver instead of this mailbox's condition variable. Unset for
+    /// bare `run_world` ranks; set at most once, so a poke reads it
+    /// without a lock or a reference count.
     waker: OnceLock<Arc<dyn Fn() + Send + Sync>>,
 }
 
@@ -65,8 +67,8 @@ struct Activity {
     generation: u64,
     /// Threads currently inside [`Mailbox::wait_activity_since`]'s
     /// condvar wait. A poke notifies the condvar only when this is
-    /// non-zero: a step-rank world never waits here, and an
-    /// unconditional `notify_all` is a futex call per poke.
+    /// non-zero: a world driven through the waker never waits here, and
+    /// an unconditional `notify_all` is a futex call per poke.
     waiters: usize,
 }
 
@@ -118,18 +120,15 @@ impl Mailbox {
         }
     }
 
-    /// Installs the step-mode waker invoked on every activity
-    /// notification. Wired by the world constructor from the scheduler's
-    /// step-waker registry; thread-representation worlds never set it.
+    /// Installs the driver's waker invoked on every activity
+    /// notification. Wired by the world from the scheduler's rank-waker
+    /// registry; bare `run_world` worlds never set it.
     ///
     /// # Panics
     /// Panics if a waker is already installed: a mailbox belongs to one
     /// rank of one lower-half generation, which has one driver.
     pub fn set_waker(&self, w: Arc<dyn Fn() + Send + Sync>) {
-        assert!(
-            self.waker.set(w).is_ok(),
-            "mailbox step waker installed twice"
-        );
+        assert!(self.waker.set(w).is_ok(), "mailbox waker installed twice");
     }
 
     /// Removes and returns the first message matching `spec`, if any.

@@ -134,6 +134,16 @@ impl Request {
     pub fn is_collective(&self) -> bool {
         matches!(self.kind, Some(ReqKind::Coll { .. }))
     }
+
+    /// **Checkpoint-engine hook.** Whether this is a collective request
+    /// whose instance has completed (every participant has entered), so
+    /// [`crate::Ctx::try_complete`] would succeed. Unlike `try_complete`
+    /// it consumes nothing and moves no clock: the 2PC free pass must
+    /// *observe* its trivial barrier before deciding whether completing
+    /// it is still this park's business.
+    pub fn collective_done(&self) -> bool {
+        matches!(&self.kind, Some(ReqKind::Coll { inst, .. }) if inst.is_complete())
+    }
 }
 
 impl Default for Request {

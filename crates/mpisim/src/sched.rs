@@ -26,10 +26,10 @@
 //!   the rank still holds (idempotent, panic-path safe).
 //! * [`Scheduler::blocking`] brackets every potentially-blocking wait (the
 //!   mailbox receive wait, the collective rendezvous park, the checkpoint
-//!   layer's drain-gate / trivial-barrier / quiesce parks): the slot is
-//!   released for the duration of the closure and re-acquired FIFO
-//!   afterwards, so a world of 512 ranks multiplexes onto ~`num_cpus`
-//!   active workers and a *blocked* rank costs nothing.
+//!   layer's one per-rank event wait): the slot is released for the
+//!   duration of the closure and re-acquired FIFO afterwards, so a world
+//!   of 512 ranks multiplexes onto ~`num_cpus` active workers and a
+//!   *blocked* rank costs nothing.
 //! * [`Scheduler::yield_now`] is the cooperative yield-point used by
 //!   polling loops (`MPI_Test` loops, `park_briefly`): if any rank is
 //!   queued for a slot, the caller hands its slot to the queue head and
@@ -67,11 +67,13 @@
 //! The [`StepDriver`] resumes step objects on a bounded worker pool (the
 //! same worker budget as the run-slot pool; step ranks never attach to
 //! the slot pool itself, so an idle pool remains fully claimable by
-//! [`Scheduler::borrow_workers`] during a capture). Wakeups reuse the
-//! event plumbing the thread representation already has: every mailbox
-//! deposit / collective completion and every checkpoint-control wake is
-//! routed — through the waker a world wires up from
-//! [`Scheduler::step_waker_for`] — to [`StepDriver::wake`].
+//! [`Scheduler::borrow_workers`] during a capture). Wakeups use the one
+//! event plumbing every driven rank has: each mailbox deposit and
+//! collective completion is routed — through the waker a world wires up
+//! from [`Scheduler::rank_waker_for`] — to whoever drives the rank. A
+//! step harness installs [`StepDriver::wake`] there; the checkpoint
+//! layer's thread runner installs its per-rank event counter, so both
+//! drivers hear about exactly the same events.
 //!
 //! ## The wake protocol
 //!
@@ -211,17 +213,18 @@ pub struct Scheduler {
     /// touch it; a fault injector poisons it to abort the world promptly
     /// with a typed [`crate::fail::RankDeath`].
     fail: Arc<FailPlane>,
-    /// Step-mode waker registry: installed by a [`StepDriver`] harness so
-    /// that every lower-half generation built on this scheduler — the
-    /// restart path creates fresh mailboxes mid-run — wires its event
-    /// sources back to the driver without the harness's involvement.
-    step_wake: Mutex<Option<StepWakeFn>>,
+    /// Rank-waker registry: installed by the runner that drives the ranks
+    /// (a [`StepDriver`] harness, or the thread runner's per-rank event
+    /// wait) so that every lower-half generation built on this scheduler
+    /// — the restart path creates fresh mailboxes mid-run — wires its
+    /// event sources back to that driver without the runner's involvement.
+    rank_wake: Mutex<Option<RankWakeFn>>,
 }
 
-/// The step-mode wake routing installed via
-/// [`Scheduler::install_step_waker`]: `f(rank)` makes `rank` runnable on
-/// its driver.
-pub type StepWakeFn = Arc<dyn Fn(usize) + Send + Sync>;
+/// The wake routing installed via [`Scheduler::install_rank_waker`]:
+/// `f(rank)` tells `rank`'s driver that a lower-half event (mailbox
+/// deposit, collective completion, poison) landed for it.
+pub type RankWakeFn = Arc<dyn Fn(usize) + Send + Sync>;
 
 impl Scheduler {
     /// A scheduler for `n_ranks` ranks and `workers` run slots.
@@ -241,7 +244,7 @@ impl Scheduler {
             cvs: (0..n_ranks).map(|_| Condvar::new()).collect(),
             stats: Arc::new(WakeupStats::default()),
             fail: Arc::new(FailPlane::new()),
-            step_wake: Mutex::new(None),
+            rank_wake: Mutex::new(None),
         })
     }
 
@@ -252,19 +255,20 @@ impl Scheduler {
         &self.fail
     }
 
-    /// Installs the step-mode wake routing: `f(rank)` must make `rank`
-    /// runnable on the driver. Every world attached to this scheduler
-    /// after the call (including restart generations) wires its mailboxes
-    /// to it; the harness additionally wires checkpoint-control wake
-    /// slots. Installing replaces any previous routing.
-    pub fn install_step_waker(&self, f: StepWakeFn) {
-        *self.step_wake.lock() = Some(f);
+    /// Installs the lower half's wake routing: `f(rank)` must make `rank`
+    /// poll again — requeue it on a step driver, or advance a thread
+    /// rank's event wait. Every world attached to this scheduler after
+    /// the call (including restart generations) wires its mailboxes to
+    /// it. Installing replaces any previous routing.
+    pub fn install_rank_waker(&self, f: RankWakeFn) {
+        *self.rank_wake.lock() = Some(f);
     }
 
-    /// A per-rank waker derived from the installed step-wake routing, or
-    /// `None` when this scheduler runs thread-representation ranks.
-    pub fn step_waker_for(&self, rank: usize) -> Option<Arc<dyn Fn() + Send + Sync>> {
-        let f = self.step_wake.lock().clone()?;
+    /// A per-rank waker derived from the installed routing, or `None`
+    /// when nothing is installed (bare [`crate::run_world`] ranks, which
+    /// block inside `Ctx` and need none).
+    pub fn rank_waker_for(&self, rank: usize) -> Option<Arc<dyn Fn() + Send + Sync>> {
+        let f = self.rank_wake.lock().clone()?;
         Some(Arc::new(move || f(rank)))
     }
 
@@ -1148,12 +1152,15 @@ mod tests {
     #[test]
     fn scheduler_step_waker_registry_routes_by_rank() {
         let s = Scheduler::new(4, 2);
-        assert!(s.step_waker_for(0).is_none(), "thread mode: no routing");
+        assert!(
+            s.rank_waker_for(0).is_none(),
+            "nothing installed: no routing"
+        );
         let hits = Arc::new(Mutex::new(Vec::new()));
         let h = Arc::clone(&hits);
-        s.install_step_waker(Arc::new(move |r| h.lock().push(r)));
-        let w2 = s.step_waker_for(2).expect("installed");
-        let w0 = s.step_waker_for(0).expect("installed");
+        s.install_rank_waker(Arc::new(move |r| h.lock().push(r)));
+        let w2 = s.rank_waker_for(2).expect("installed");
+        let w0 = s.rank_waker_for(0).expect("installed");
         w2();
         w0();
         w2();

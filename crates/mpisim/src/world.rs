@@ -180,11 +180,12 @@ impl World {
         let mailboxes: Vec<Arc<Mailbox>> = (0..cfg.n_ranks)
             .map(|rank| {
                 let mb = Arc::new(Mailbox::new());
-                // Step-mode worlds route mailbox activity to the rank's
-                // step driver. The registry is per-scheduler, so restart
+                // Driven worlds route mailbox activity to whoever drives
+                // the rank (a step driver, or a thread rank's event
+                // wait). The registry is per-scheduler, so restart
                 // generations built onto the same scheduler re-wire their
                 // fresh mailboxes automatically.
-                if let Some(w) = sched.step_waker_for(rank) {
+                if let Some(w) = sched.rank_waker_for(rank) {
                     mb.set_waker(w);
                 }
                 mb
@@ -235,10 +236,10 @@ impl World {
     /// Poison broadcast for this lower half: after a fault injector
     /// publishes a death on the fail plane, this wakes every sleeper that
     /// parks on lower-half state — mailbox activity waits (receive parks,
-    /// `park_briefly`, step-rank wakers route through the mailbox waker)
+    /// `park_briefly`; driven ranks hear it through the mailbox waker)
     /// and collective-instance condvars — so they observe the poison and
-    /// unwind promptly. Checkpoint-control parks live above this crate and
-    /// are woken by the caller.
+    /// unwind promptly. The caller wakes the checkpoint control plane
+    /// itself.
     pub fn poison_wake(&self) {
         for mb in &self.mailboxes {
             mb.notify_activity();
@@ -276,15 +277,15 @@ impl World {
         &self.mailboxes[rank]
     }
 
-    /// Wires every mailbox to the scheduler's step-waker registry.
+    /// Wires every mailbox to the scheduler's rank-waker registry.
     ///
-    /// Worlds built *after* [`Scheduler::install_step_waker`] (restart
+    /// Worlds built *after* [`Scheduler::install_rank_waker`] (restart
     /// generations through [`World::with_epoch_attached`]) get this wiring
-    /// automatically; a step runner calls it on the initial world, which
-    /// necessarily predates its driver.
-    pub fn install_step_wakers(&self) {
+    /// automatically; a runner calls it on the initial world, which
+    /// necessarily predates the routing it installs.
+    pub fn install_rank_wakers(&self) {
         for (rank, mb) in self.mailboxes.iter().enumerate() {
-            if let Some(w) = self.sched.step_waker_for(rank) {
+            if let Some(w) = self.sched.rank_waker_for(rank) {
                 mb.set_waker(w);
             }
         }
