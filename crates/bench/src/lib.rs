@@ -14,7 +14,7 @@
 //! write time.
 
 use ckpt::{
-    run_ckpt_world, BodyStep, CcRank, CkptOptions, ResumeMode, StepBody, StepRank, StorageSpec,
+    run_ckpt_world, BodyStep, CcRank, CkptOptions, ResumeMode, StepBody, StorageSpec,
     VirtualTimeSchedule,
 };
 use mana_core::Protocol;
@@ -125,7 +125,7 @@ impl BenchStepBody {
 impl StepBody for BenchStepBody {
     type Out = f64;
 
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<f64> {
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
         if let Some(us) = self.pace_us.take() {
             r.set_wall_pace_us(us);
         }

@@ -1,12 +1,14 @@
 //! Adversarial drain schedules (ISSUE satellite): a rank parked in a
 //! wildcard (`ANY_SOURCE`) receive while the others drain, a non-blocking
 //! collective that is initiated but not completed when the checkpoint
-//! request lands (§4.3.1 counts initiation; §4.3.2 drains it), and the
+//! request lands (§4.3.1 counts initiation; §4.3.2 drains it), `MPI_Test`
+//! loops that a checkpoint lands inside of, and the
 //! drain-stall watchdog at scale — a healthy 256-rank drain under the
 //! batched cooperative scheduler must not be misread as a p2p stall.
 
 use ckpt::coordinator::{auto_stall_timeout, DEFAULT_STALL_TIMEOUT};
-use ckpt::{run_ckpt_world, CkptOptions, ResumeMode};
+use ckpt::{run_ckpt_world, CcRank, CkptOptions, ResumeMode};
+use mana_core::Protocol;
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{DType, NetParams, ReduceOp, SrcSel, TagSel, VTime, WorldConfig};
 use std::time::Duration;
@@ -104,6 +106,82 @@ fn initiated_nonblocking_collective_drains_at_checkpoint() {
     // §4.3.2: the drained result is correct after resume.
     for r in &run.ranks {
         assert_eq!(r.result, 0.0 + 1.0 + 2.0 + 3.0);
+    }
+}
+
+/// A relay around the ring in which every wait is an `MPI_Test` loop: each
+/// rank posts its receive and initiates an allreduce up front, spins
+/// `test` + `compute` until the token from its left neighbour arrives,
+/// works, passes the token on, and spins on the allreduce. The result
+/// folds only received data, never a poll count.
+fn test_loop_relay(r: &mut CcRank) -> f64 {
+    const WORK_STEPS: usize = 50;
+    let world = r.world_vcomm();
+    let (me, n) = (r.rank(), r.size());
+    // Every poll costs wall time, so the trigger supervisor sees the
+    // loops mid-flight.
+    r.set_wall_pace_us(50);
+    let token = r.irecv(world, (me + n - 1) % n, 3u32);
+    let sum = r.iallreduce(world, encode_f64(&[me as f64]), DType::F64, ReduceOp::Sum);
+    let work = |r: &mut CcRank| (0..WORK_STEPS).for_each(|_| r.compute(1e-6));
+    let spin = |r: &mut CcRank, v| loop {
+        if let Some(c) = r.test(v) {
+            break decode_f64(&c.data)[0];
+        }
+        r.compute(1e-6);
+    };
+    let received = if me == 0 {
+        work(r);
+        r.send(world, 1, 3, encode_f64(&[1.0]));
+        spin(r, token)
+    } else {
+        let got = spin(r, token);
+        work(r);
+        r.send(world, (me + 1) % n, 3, encode_f64(&[got + me as f64]));
+        got
+    };
+    received + 1e-3 * spin(r, sum)
+}
+
+/// A checkpoint that lands while ranks sit in `MPI_Test` loops — on a
+/// receive whose message has not been sent yet, and on an initiated
+/// allreduce — must park them at a `test` call, capture the receive as
+/// pending, and (on restart) re-post it, without the loops noticing.
+#[test]
+fn test_loop_survives_a_checkpoint() {
+    let n = 4;
+    let native = run_ckpt_world(
+        cfg(n),
+        CkptOptions::native().with_protocol(Protocol::Native),
+        test_loop_relay,
+    );
+    let reference: Vec<f64> = native.results().copied().collect();
+    assert_eq!(reference[0], 1.0 + 1.0 + 2.0 + 3.0 + 1e-3 * 6.0);
+    for mode in [ResumeMode::Continue, ResumeMode::Restart] {
+        // The token is a third of the way round when the request lands:
+        // rank 0, which receives it last, is polling for all of the drain.
+        let run = run_ckpt_world(
+            cfg(n),
+            CkptOptions::one_checkpoint(VTime::from_micros(70.0), mode),
+            test_loop_relay,
+        );
+        assert!(run.failures.is_empty(), "{mode:?}: {:?}", run.failures);
+        assert_eq!(run.checkpoints.len(), 1, "{mode:?}: checkpoint must fire");
+        let ckpt = &run.checkpoints[0];
+        ckpt.verify().expect("cut must satisfy the oracle");
+        let cap = &ckpt.captures[0];
+        assert_eq!(
+            cap.pending_recvs.len(),
+            1,
+            "{mode:?}: rank 0 must be captured inside its receive loop"
+        );
+        assert!(
+            cap.counters.completions > 1,
+            "{mode:?}: mid-loop, not at entry"
+        );
+        let results: Vec<f64> = run.results().copied().collect();
+        assert_eq!(results, reference, "{mode:?}: the loops saw the checkpoint");
+        assert_eq!(run.backstop_expiries, 0, "{mode:?}");
     }
 }
 

@@ -16,7 +16,8 @@
 //!   supervise the workload across deaths: on each one they select the
 //!   newest *viable* image from the shared [`TieredStore`] — skipping
 //!   generations still in flight when the node died and falling back
-//!   past tiers the dead node took with it ([`StoreError::NodeLost`]) —
+//!   past tiers the dead node took with it
+//!   ([`crate::StoreError::NodeLost`]) —
 //!   restore it onto the surviving topology through the ordinary
 //!   repack-at-restore path, re-arm the trigger policy, and repeat until
 //!   the workload completes. Wasted work and recovery latency per fault
@@ -34,10 +35,9 @@ use crate::image::Checkpoint;
 use crate::policy::{DalyInterval, NeverTrigger, PeriodicInterval, TriggerPolicy};
 use crate::rank::CcRank;
 use crate::restore::{drive_restore, restore_preflight, RestoreConfig};
-use crate::runner::step::{run_session_steps, StepBody};
+use crate::runner::step::{run_session, Blocking, Driver, StepBody};
 use crate::runner::{
-    min_unfinished_clock_ns, run_session_threads, supervise_loop, CkptRunReport, RunError,
-    SuperviseOut,
+    min_unfinished_clock_ns, supervise_loop, CkptRunReport, RunError, SuperviseOut,
 };
 use crate::session::{RestorePlan, Session};
 use crate::store::{CkptTier, ImageSetLayout, StoreRecord, TieredStore, Tiering};
@@ -533,14 +533,12 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
-    run_campaign(&cfg, opts, plan, |sh, supervise| {
-        run_session_threads(sh, cfg.stack_size, &f, supervise)
-    })
+    run_campaign(&cfg, opts, plan, Driver::Threads, |_| Blocking(&f))
 }
 
-/// [`run_available_world`] for step-function bodies: the same campaign
-/// loop over the heap-object representation (`make(rank)` rebuilds each
-/// rank's step body on every attempt).
+/// [`run_available_world`] for step bodies: the same campaign loop with
+/// the ranks on the worker pool (`make(rank)` rebuilds each rank's body
+/// on every attempt).
 pub fn run_available_world_steps<B, MK>(
     cfg: WorldConfig,
     opts: AvailabilityOptions,
@@ -551,23 +549,18 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
-    run_campaign(&cfg, opts, plan, |sh, supervise| {
-        run_session_steps(sh, cfg.stack_size, &make, supervise)
-    })
+    run_campaign(&cfg, opts, plan, Driver::Pool, make)
 }
 
-/// The campaign loop both representations share; `launch` runs one
-/// attempt's session under its supervision closure on whichever runner
-/// the caller's bodies need.
-fn run_campaign<R>(
+/// The campaign loop: every attempt is one session whose ranks `driver`
+/// steps under that attempt's supervision closure.
+fn run_campaign<B: StepBody>(
     cfg: &WorldConfig,
     opts: AvailabilityOptions,
     plan: FaultPlan,
-    launch: impl Fn(
-        Arc<Session>,
-        Box<dyn FnOnce() -> SuperviseOut>,
-    ) -> Result<CkptRunReport<R>, RunError>,
-) -> CkptRunReport<R> {
+    driver: Driver,
+    make: impl Fn(usize) -> B,
+) -> CkptRunReport<B::Out> {
     let mut campaign = Campaign::new(cfg, opts, plan);
     let mut restore: Option<(Arc<Checkpoint>, RestoreConfig, f64)> = None;
     loop {
@@ -576,7 +569,7 @@ fn run_campaign<R>(
         let save = Arc::new(Mutex::new(SuperviseOut::default()));
         let supervise = campaign.supervise_attempt(&sh, restore_drive, &save);
         let injector = campaign.arm_injector(&sh, rpn);
-        let result = launch(Arc::clone(&sh), Box::new(supervise));
+        let result = run_session(Arc::clone(&sh), driver, &make, supervise);
         if let Some((stop, handle)) = injector {
             stop.store(true, SeqCst);
             let _ = handle.join();

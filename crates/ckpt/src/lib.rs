@@ -51,7 +51,8 @@
 //!   entry parking — paper Algorithms 2 and 3) and virtualizes handles so
 //!   they survive restart. Under restore it also re-executes the captured
 //!   program up to the cut and parks there. The protocol's control flow
-//!   is the poll engine of [`rank::step`]; `CcRank` blocks on it.
+//!   is the poll engine of [`rank::step`]; every operation that can wait
+//!   has a `poll_*` form and a blocking form over it.
 //! * [`policy`] — [`TriggerPolicy`] and the built-in policies: an explicit
 //!   [`VirtualTimeSchedule`], a production-style [`PeriodicInterval`], and
 //!   [`EveryNCollectives`] driven by the ranks' published call counters.
@@ -73,8 +74,8 @@
 //!   worker threads), the FNV-1a checksum streams over the assembled
 //!   payload, and length+checksum are backpatched — the parallel encoder
 //!   is byte-for-byte identical to the serial one.
-//! * [`runner::run_ckpt_world`] — one thread per rank plus policy
-//!   supervision, returning every captured image for oracle verification
+//! * [`runner::run_ckpt_world`] — launches the ranks and supervises the
+//!   policy, returning every captured image for oracle verification
 //!   with [`mana_core::verify_safe_cut`]. Its report also carries
 //!   `capture_wall_s`: host wall seconds per committed capture bracket,
 //!   which the coordinator runs **in parallel on the scheduler's borrowed
@@ -86,7 +87,7 @@
 //!   continues with the image authoritative.
 //!   [`restore::try_restore_ckpt_world`] surfaces pre-flight rejections
 //!   (a cut that fails the safe-cut oracle, a malformed image, a failed
-//!   thread spawn) as a typed [`RestoreError`] instead of panicking.
+//!   launch) as a typed [`RestoreError`] instead of panicking.
 //!
 //! ## Storage tiers and delta chains
 //!
@@ -128,59 +129,70 @@
 //! `store_records` carries per-generation tier/bytes/back-pressure
 //! accounting ([`store::StoreRecord`]).
 //!
-//! ## Execution model: one protocol engine, two drivers
+//! ## Execution model: one rank type, one launcher, two drivers
 //!
 //! The rank side of the protocols — the CC drain gate, the 2PC trivial
 //! barrier, `MPI_Wait`/`MPI_Test`, communicator creation, the
 //! quiesce/capture park — is written once, as the poll machines of
 //! [`rank::step`]: each either completes or reports that it is pending
-//! an event. A rank body runs in one of two **representations**, which
-//! differ only in who drives those machines:
+//! an event. Everything around that engine also exists once:
 //!
-//! * **Closure bodies on threads** ([`run_ckpt_world`]): the body is a
-//!   closure on its own thread (the thread *is* the rank's
-//!   continuation), multiplexed by [`mpisim::Scheduler`]: only
-//!   `~num_cpus` ranks hold run slots at any instant
-//!   ([`mpisim::world::WorldConfig::workers`] overrides the bound),
-//!   which is what carries the paper's 512-rank worlds — and the
-//!   beyond-paper 4096-rank tier — on one host. Every blocking
-//!   [`CcRank`] method builds its operation's machine on the stack and
-//!   blocks on it: poll, and while pending sleep — run slot released
-//!   (`Ctx::blocked`) — on the rank's one event counter
-//!   ([`mana_core::RankCtl::wait_event_since`]). The scheduler outlives
-//!   the lower half: restart builds the next [`mpisim::World`]
-//!   generation onto the same scheduler and the parked threads wake
-//!   into it.
-//! * **Heap step objects** ([`run_ckpt_world_steps`]): the body is a
-//!   [`StepBody`] state machine — a parked rank is a boxed object, not
-//!   a stack — driven by [`mpisim::StepDriver`] workers through
-//!   [`StepRank`]'s idempotent-start `poll_*` API (the way async bodies
-//!   lower), which keeps the machine of the operation in flight between
-//!   resumptions. No per-rank OS thread or stack exists, which is what
-//!   carries 65 536-rank worlds.
+//! * **One rank type.** Each [`CcRank`] operation that can wait has a
+//!   `poll_*` form (idempotent-start: the first call builds the machine
+//!   into the rank's in-flight slot, later calls resume it, `Ready`
+//!   clears it) and a blocking form, which builds the same machine on
+//!   the stack and blocks on it: poll, and while pending sleep — run
+//!   slot released — on the rank's one event counter
+//!   ([`mana_core::RankCtl::wait_event_since`]).
+//! * **One body shape.** A rank body is a [`StepBody`]: `step` runs until
+//!   the body finishes or an operation is pending, the way an async body
+//!   lowers. A closure `Fn(&mut CcRank) -> R` is a step body that never
+//!   yields, because its blocking calls sleep on the thread it owns.
+//! * **One launcher.** `runner::step::run_session` builds every rank's
+//!   continuation all-or-nothing, steps them while supervision (trigger
+//!   policy, restore driving, fault campaign) runs on the calling
+//!   thread, and assembles the report. The plain runners, restore and the
+//!   availability supervisor are each one generic body over it.
+//!
+//! What comes in two is the **driver** that steps those objects, fixed
+//! by the entry point — never by an option:
+//!
+//! * **the worker pool** ([`run_ckpt_world_steps`] and the other `*_steps`
+//!   forms): [`mpisim::StepDriver`] resumes the objects on `~num_cpus`
+//!   workers; a parked rank is a boxed object, not a stack. No per-rank
+//!   OS thread exists, which is what carries 65 536-rank worlds.
+//! * **a thread per object** ([`run_ckpt_world`] and the other closure
+//!   forms): [`mpisim::Scheduler::run_threads`], the one place rank
+//!   threads are spawned. The thread *is* the rank's continuation,
+//!   multiplexed by [`mpisim::Scheduler`] so that only `~num_cpus` ranks
+//!   hold run slots at any instant
+//!   ([`mpisim::world::WorldConfig::workers`] overrides the bound), which
+//!   carries the paper's 512-rank worlds — and the beyond-paper 4096-rank
+//!   tier — on one host. The scheduler outlives the lower half: restart
+//!   builds the next [`mpisim::World`] generation onto the same
+//!   scheduler and the parked threads wake into it.
 //!
 //! Under both drivers every wait is *event-driven*: a pending rank is
 //! woken by mailbox deposits, collective completions, the update bus,
-//! and coordinator phase transitions — all of which reach a thread rank
-//! through that one event counter, whose token is read before the poll
-//! so nothing in between can be lost — never by short timed polls (a
+//! and coordinator phase transitions — all of which reach a sleeping
+//! thread through that one event counter, whose token is read before the
+//! poll so nothing in between can be lost — never by short timed polls (a
 //! 200 µs re-check multiplied by 512 parked ranks would saturate the
 //! host exactly during capture).
 //!
-//! **Representation independence.** The checkpoint semantics cannot see
-//! which representation a rank runs under, because there is no second
-//! implementation to drift: counter increments, drain-gate decisions,
-//! clock charges and capture publications all happen in the machines,
-//! so the virtual trajectory, the app-visible
-//! [`mana_core::CallCounters`], the `SEQ[]` tables, and the captured
-//! images are bit-identical for the same program and seed. A cut
-//! captured under one representation restores under the other
-//! ([`restore_ckpt_world_steps`] / [`restore_ckpt_world`]); the restore
-//! driver's replay cross-check enforces the field-by-field equality of
-//! the replayed capture against the image, whichever representation
-//! re-executes the program. `bench/tests/representation_equiv.rs` pins
-//! this both ways on randomized schedules — what it now guards is the
-//! two drivers and the hand-lowered step *bodies*, not two engines.
+//! **Driver independence.** The checkpoint semantics cannot see which
+//! driver steps a rank: counter increments, drain-gate decisions, clock
+//! charges and capture publications all happen in the machines, so the
+//! virtual trajectory, the app-visible [`mana_core::CallCounters`], the
+//! `SEQ[]` tables, and the captured images are bit-identical for the
+//! same program and seed (`runner::step`'s unit tests run one body
+//! object under both). What is still written twice is the *workloads*:
+//! each closure body in the `workloads` crate has a hand-lowered
+//! [`StepBody`] twin, and `bench/tests/representation_equiv.rs` pins the
+//! twins to each other by restoring a cut captured from one under the
+//! other ([`restore_ckpt_world_steps`] / [`restore_ckpt_world`]), where
+//! the restore driver cross-checks the replayed capture against the
+//! image field by field.
 //!
 //! ## Availability: faults, recovery, and the Daly cadence
 //!
@@ -191,8 +203,8 @@
 //! (mid-drain, during an asynchronous background drain). An injector
 //! thread fires each event through [`Session::inject_failure`], which
 //! poisons the scheduler's shared fail plane ([`mpisim::FailPlane`]) and
-//! wakes every wait site — mailbox parks, collective waiters, thread
-//! ranks' event waits, step-driver retirement — so the whole world
+//! wakes every wait site — mailbox parks, sleeping threads' event
+//! waits, the pool's poison retire — so the whole world
 //! unwinds promptly with a typed [`mpisim::RankDeath`] instead of
 //! tripping the drain watchdog as a spurious stall (dead ranks are
 //! excluded from stall accounting outright).
@@ -225,10 +237,7 @@
 //! model: the drain-stall watchdog window defaults to
 //! [`coordinator::auto_stall_timeout`] (grows with the world size,
 //! since wall progress per rank thins out linearly once ranks outnumber
-//! workers); [`CkptOptions::with_stall_timeout`] pins it. One knob does
-//! *not* carry over: [`mpisim::world::WorldConfig::with_stack_size`]
-//! sizes the thread runner's per-rank threads and is rejected with a
-//! typed [`SpawnError`] in step mode — step ranks own no stack to size.
+//! workers); [`CkptOptions::with_stall_timeout`] pins it.
 
 pub mod avail;
 pub mod bus;
@@ -266,8 +275,11 @@ pub use restore::{
     restore_ckpt_world, restore_ckpt_world_steps, try_restore_ckpt_world,
     try_restore_ckpt_world_steps, RestoreConfig, RestoreError,
 };
-pub use runner::step::{run_ckpt_world_steps, try_run_ckpt_world_steps, BodyStep, StepBody};
-pub use runner::{run_ckpt_world, try_run_ckpt_world, CkptOptions, CkptRunReport};
+pub use runner::step::{BodyStep, StepBody};
+pub use runner::{
+    run_ckpt_world, run_ckpt_world_steps, try_run_ckpt_world, try_run_ckpt_world_steps,
+    CkptOptions, CkptRunReport,
+};
 pub use session::Session;
 pub use store::{
     ChunkPool, ChunkRef, CkptStore, CkptTier, DeltaImage, ImagePayload, ImageSetLayout,

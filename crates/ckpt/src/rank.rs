@@ -12,11 +12,14 @@
 //! [`RuntimeCapture`]. At restart it attaches the fresh lower half and
 //! rebuilds its communicators directly from the captured groups.
 //!
-//! That control flow lives in the poll machines of [`step`], the one
-//! protocol engine; this file holds the rank's state, the straight-line
-//! helpers the machines call, and the **thread driver**: every blocking
-//! method here builds its operation's machine on the stack and blocks on
-//! it (`CcRank::block_on`).
+//! There is one rank type. That control flow lives in the poll machines
+//! of [`step`], the one protocol engine, which also defines the `poll_*`
+//! methods a body stepped by the pool ([`crate::StepBody`]) calls before
+//! it yields; this file holds the rank's state, the straight-line helpers
+//! the machines call, and the blocking methods a body that owns a thread
+//! (a closure on the thread-per-object driver) calls: each builds its
+//! operation's machine on the stack and blocks on it (`CcRank::block_on`)
+//! — the same object, the same machines.
 
 use crate::bus::TargetUpdate;
 use crate::session::Session;
@@ -36,12 +39,24 @@ use mpisim::{
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use step::{CollM, CommKind, CommM, ICollM, StepPoll, TestM, WaitM};
+use step::{CollM, CommKind, CommM, ICollM, Op, StepPoll, TestM, WaitM};
 
 pub mod step;
 
 /// One rank's checkpoint-aware handle to the simulated MPI library.
 pub struct CcRank<'s> {
+    core: RankCore<'s>,
+    /// The engine machine of the operation in flight, kept between polls
+    /// (the `poll_*` call protocol of [`step`]); `None` between operations.
+    /// Apart from [`RankCore`] so a machine can be polled in place: it
+    /// works on the whole rest of the rank.
+    op: Option<Op>,
+}
+
+/// Everything of a rank but its operation in flight: the state the
+/// engine's machines read and write, and the straight-line helpers they
+/// call.
+struct RankCore<'s> {
     ctx: Ctx,
     /// The session, borrowed for the rank's whole life: every wrapper
     /// call reads it, so holding (let alone cloning) a counted handle per
@@ -77,7 +92,7 @@ impl<'s> CcRank<'s> {
     pub fn new(sh: &'s Session, rank: usize) -> CcRank<'s> {
         let world = sh.current_world();
         let ctx = Ctx::new(world, rank);
-        let mut r = CcRank {
+        let mut core = RankCore {
             ctx,
             sh,
             rank,
@@ -90,14 +105,14 @@ impl<'s> CcRank<'s> {
             tb_ordinal: 0,
             wall_pace_us: 0,
         };
-        let wcomm = r.ctx.comm_world();
+        let wcomm = core.ctx.comm_world();
         let ggid = ggid_of(wcomm.group());
-        r.sh.control.ranks[rank]
+        sh.control.ranks[rank]
             .seq_mirror
             .lock()
             .register_group(ggid, wcomm.group().sorted_members());
-        r.vcomms.bind_world(wcomm, ggid);
-        r
+        core.vcomms.bind_world(wcomm, ggid);
+        CcRank { core, op: None }
     }
 
     // ------------------------------------------------------------------
@@ -106,32 +121,34 @@ impl<'s> CcRank<'s> {
 
     /// This rank's world rank.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.core.rank
     }
 
     /// Number of ranks in the world.
     pub fn size(&self) -> usize {
-        self.ctx.world_size()
+        self.core.ctx.world_size()
     }
 
     /// Current virtual time.
     pub fn clock(&self) -> VTime {
-        self.ctx.clock()
+        self.core.ctx.clock()
     }
 
     /// Advances the clock by `secs` of local computation and publishes the
     /// new clock, so trigger scheduling sees compute-bound progress too.
     /// Under a wall pace ([`CcRank::set_wall_pace_us`]) this additionally
-    /// sleeps, with the scheduler run slot released for the duration.
+    /// sleeps, with the scheduler run slot released for the duration (a
+    /// rank on the step pool holds no run slot: it sleeps on its pool
+    /// worker, which only narrows that worker's throughput).
     pub fn compute(&mut self, secs: f64) {
-        self.ctx.compute(secs);
-        if self.wall_pace_us > 0 {
-            let us = self.wall_pace_us;
-            self.ctx.blocked(|| {
+        self.core.ctx.compute(secs);
+        if self.core.wall_pace_us > 0 {
+            let us = self.core.wall_pace_us;
+            self.core.ctx.blocked(|| {
                 std::thread::sleep(std::time::Duration::from_micros(us));
             });
         }
-        self.publish_clock();
+        self.core.publish_clock();
     }
 
     /// Sets a wall-clock pace: every subsequent [`CcRank::compute`] call
@@ -140,7 +157,7 @@ impl<'s> CcRank<'s> {
     /// asynchronous checkpoint trigger reliably catches the run mid-flight
     /// instead of racing a wall-fast completion.
     pub fn set_wall_pace_us(&mut self, us: u64) {
-        self.wall_pace_us = us;
+        self.core.wall_pace_us = us;
     }
 
     /// Sleeps `d` of wall-clock time with this rank's scheduler run slot
@@ -151,7 +168,7 @@ impl<'s> CcRank<'s> {
     /// exactly the wall-clock interleavings (trigger windows, drain
     /// stalls) such pauses are meant to set up.
     pub fn wall_sleep(&self, d: std::time::Duration) {
-        self.ctx.blocked(|| std::thread::sleep(d));
+        self.core.ctx.blocked(|| std::thread::sleep(d));
     }
 
     /// `MPI_COMM_WORLD`'s virtual id.
@@ -161,19 +178,21 @@ impl<'s> CcRank<'s> {
 
     /// The caller's rank in the given communicator.
     pub fn comm_rank(&self, vc: VComm) -> usize {
-        self.vcomms.resolve(vc).0.rank()
+        self.core.vcomms.resolve(vc).0.rank()
     }
 
     /// Number of members of the given communicator.
     pub fn comm_size(&self, vc: VComm) -> usize {
-        self.vcomms.resolve(vc).0.size()
+        self.core.vcomms.resolve(vc).0.size()
     }
 
     /// Interposition counters so far.
     pub fn counters(&self) -> CallCounters {
-        self.counters
+        self.core.counters
     }
+}
 
+impl RankCore<'_> {
     // ------------------------------------------------------------------
     // Control-plane servicing
     // ------------------------------------------------------------------
@@ -440,34 +459,37 @@ impl<'s> CcRank<'s> {
             self.vreqs.replace_request(v, req);
         }
     }
+}
 
+impl CcRank<'_> {
     /// Runner hook: publishes the final capture and the `Finished` state.
     pub(crate) fn finish(&mut self) {
-        let sh = self.sh;
-        let cap = self.build_capture(RankState::Finished);
-        self.publish_clock();
-        let ctl = &sh.control.ranks[self.rank];
+        let core = &self.core;
+        let cap = core.build_capture(RankState::Finished);
+        core.publish_clock();
+        let ctl = &core.sh.control.ranks[core.rank];
         *ctl.capture_slot.lock() = Some(cap);
         ctl.targets_met.store(true, SeqCst);
         ctl.set_state(RankState::Finished);
     }
 
     // ------------------------------------------------------------------
-    // The thread driver
+    // Blocking on the engine
     // ------------------------------------------------------------------
 
-    /// Drives one engine machine to completion on this rank's own thread:
-    /// poll it, and while it is `Pending` sleep — scheduler run slot
-    /// released — on the rank's one event counter, which both the control
-    /// plane ([`mana_core::RankCtl::wake`]) and the lower half (mailbox
-    /// activity, through the waker the runner installs) advance. The
-    /// token is read *before* the poll, so an event landing between "the
-    /// poll said `Pending`" and "the thread sleeps" ends the sleep at
-    /// once. This is also the thread rank's poison observation point: a
-    /// killed world wakes every rank, and the rank unwinds here instead
-    /// of polling a dead peer forever.
-    fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
-        let ctl = &self.sh.control.ranks[self.rank];
+    /// Drives `poll` — one engine machine, or a whole step body on the
+    /// thread-per-object driver — to completion on the calling thread:
+    /// poll it, and while it is `Pending` sleep
+    /// — scheduler run slot released — on the rank's one event counter,
+    /// which both the control plane ([`mana_core::RankCtl::wake`]) and the
+    /// lower half (mailbox activity, through the waker the launcher
+    /// installs) advance. The token is read *before* the poll, so an
+    /// event landing between "the poll said `Pending`" and "the thread
+    /// sleeps" ends the sleep at once. This is also a thread's poison
+    /// observation point: a killed world wakes every rank, and the rank
+    /// unwinds here instead of polling a dead peer forever.
+    pub(crate) fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
+        let ctl = &self.core.sh.control.ranks[self.core.rank];
         loop {
             let token = ctl.event_token();
             if let StepPoll::Ready(t) = poll(self) {
@@ -475,9 +497,10 @@ impl<'s> CcRank<'s> {
             }
             // Before sleeping as well as after every wake: a kill whose
             // wake preceded the token would otherwise cost the backstop.
-            self.ctx.world().fail_plane().die_if_poisoned();
-            self.ctx.blocked(|| ctl.wait_event_since(token));
-            self.ctx.world().fail_plane().die_if_poisoned();
+            let ctx = &self.core.ctx;
+            ctx.world().fail_plane().die_if_poisoned();
+            ctx.blocked(|| ctl.wait_event_since(token));
+            ctx.world().fail_plane().die_if_poisoned();
         }
     }
 
@@ -494,8 +517,8 @@ impl<'s> CcRank<'s> {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> Bytes {
-        let mut m = CollM::new(self, vc, op, root, payload, red);
-        self.block_on(|cc| m.poll(cc))
+        let mut m = CollM::new(&mut self.core, vc, op, root, payload, red);
+        self.block_on(|r| m.poll(&mut r.core))
     }
 
     /// `MPI_Barrier`.
@@ -581,8 +604,8 @@ impl<'s> CcRank<'s> {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> VReq {
-        let mut m = ICollM::new(self, vc, op, root, payload, red);
-        self.block_on(|cc| m.poll(cc))
+        let mut m = ICollM::new(&mut self.core, vc, op, root, payload, red);
+        self.block_on(|r| m.poll(&mut r.core))
     }
 
     /// `MPI_Ibarrier`.
@@ -616,11 +639,13 @@ impl<'s> CcRank<'s> {
 
     /// `MPI_Isend`.
     pub fn isend(&mut self, vc: VComm, to: usize, tag: u32, payload: impl Into<Bytes>) -> VReq {
-        self.service_control();
-        self.counters.p2p_sends += 1;
-        let comm = &self.vcomms.resolve(vc).0;
-        let req = self.ctx.isend(comm, to, tag, payload);
-        self.vreqs.insert(req, VReqKind::Send)
+        self.expect_op("isend", false);
+        let core = &mut self.core;
+        core.service_control();
+        core.counters.p2p_sends += 1;
+        let comm = &core.vcomms.resolve(vc).0;
+        let req = core.ctx.isend(comm, to, tag, payload);
+        core.vreqs.insert(req, VReqKind::Send)
     }
 
     /// `MPI_Send`.
@@ -631,13 +656,15 @@ impl<'s> CcRank<'s> {
 
     /// `MPI_Irecv`.
     pub fn irecv(&mut self, vc: VComm, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> VReq {
-        self.service_control();
-        self.counters.p2p_recvs += 1;
+        self.expect_op("irecv", false);
+        let core = &mut self.core;
+        core.service_control();
+        core.counters.p2p_recvs += 1;
         let src = src.into();
         let tag = tag.into();
-        let comm = &self.vcomms.resolve(vc).0;
-        let req = self.ctx.irecv(comm, src, tag);
-        self.vreqs.insert(
+        let comm = &core.vcomms.resolve(vc).0;
+        let req = core.ctx.irecv(comm, src, tag);
+        core.vreqs.insert(
             req,
             VReqKind::Recv {
                 vcomm: vc,
@@ -683,15 +710,15 @@ impl<'s> CcRank<'s> {
     /// `MPI_Wait`: blocks (cooperatively with the checkpoint engine) until
     /// the request completes.
     pub fn wait(&mut self, v: VReq) -> Completion {
-        let mut m = WaitM::new(self, v);
-        self.block_on(|cc| m.poll(cc))
+        let mut m = WaitM::new(&mut self.core, v);
+        self.block_on(|r| m.poll(&mut r.core))
     }
 
     /// `MPI_Test`: non-blocking completion check (charges one poll), also
     /// cooperating with a quiesce in progress.
     pub fn test(&mut self, v: VReq) -> Option<Completion> {
-        let mut m = TestM::new(self, v);
-        self.block_on(|cc| m.poll(cc))
+        let mut m = TestM::new(&mut self.core, v);
+        self.block_on(|r| m.poll(&mut r.core))
     }
 
     /// `MPI_Waitall`.
@@ -704,8 +731,8 @@ impl<'s> CcRank<'s> {
     // ------------------------------------------------------------------
 
     fn comm_op(&mut self, vc: VComm, kind: CommKind) -> Option<VComm> {
-        let mut m = CommM::new(self, vc, kind);
-        self.block_on(|cc| m.poll(cc))
+        let mut m = CommM::new(&mut self.core, vc, kind);
+        self.block_on(|r| m.poll(&mut r.core))
     }
 
     /// `MPI_Comm_split`.
@@ -728,8 +755,9 @@ impl<'s> CcRank<'s> {
 impl std::fmt::Debug for CcRank<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CcRank")
-            .field("rank", &self.rank)
-            .field("clock", &self.ctx.clock())
+            .field("rank", &self.core.rank)
+            .field("clock", &self.core.ctx.clock())
+            .field("op", &self.op.as_ref().map(Op::name))
             .finish()
     }
 }

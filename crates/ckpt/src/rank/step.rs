@@ -1,23 +1,25 @@
-//! The wrapper layer's protocol engine, and `StepRank`: its poll-driven
-//! face for step-function (heap-allocated, resumable) rank bodies.
+//! The wrapper layer's protocol engine, and the `poll_*` face of
+//! [`CcRank`] that exposes it.
 //!
 //! Every wrapper-layer wait — the CC drain gate (Algorithms 2–3), the 2PC
 //! trivial barrier, `MPI_Wait`/`MPI_Test`, communicator creation, the
 //! quiesce/capture park — is written exactly once, here, as an explicit
 //! state machine that either *completes* or returns
-//! [`StepPoll::Pending`]. Two drivers run the machines:
+//! [`StepPoll::Pending`]. What happens on `Pending` is the only thing
+//! that depends on who is running the body:
 //!
-//! * the **step driver**: [`StepRank`] keeps the machine of the operation
-//!   in flight next to the body's own state; on `Pending` the body yields
-//!   back to the [`mpisim::StepDriver`] and the rank occupies nothing but
-//!   its own heap object;
-//! * the **thread driver**: every blocking [`CcRank`] method builds the
-//!   same machine on its stack and blocks on it — poll, and on `Pending`
-//!   sleep, run slot released, on the rank's one event counter
+//! * a body stepped by the **pool** ([`mpisim::StepDriver`]) calls
+//!   `poll_*`, which keeps the machine in the rank's `op` slot between
+//!   calls, and yields back to the driver; a parked rank then occupies
+//!   nothing but its own heap object;
+//! * a body that **owns a thread** ([`mpisim::Scheduler::run_threads`])
+//!   calls the blocking form, which builds the same machine on its stack
+//!   and blocks on it (`CcRank::block_on`): poll, and on `Pending` sleep,
+//!   run slot released, on the rank's one event counter
 //!   ([`mana_core::RankCtl::wait_event_since`]) until something wakes it.
 //!
-//! Both drivers hear the same events (control-plane wakes and, through
-//! the scheduler's rank-waker registry, mailbox deposits and collective
+//! Both hear the same events (control-plane wakes and, through the
+//! scheduler's rank-waker registry, mailbox deposits and collective
 //! completions), and neither adds protocol logic of its own: counter
 //! increments, `SEQ[]` mirror updates, trace events, target raises,
 //! capture publications and clock charges happen in the machines, so
@@ -28,15 +30,14 @@
 //! [`mpisim::Ctx::coll_begin`]), which moves the clock exactly as a
 //! blocking wait would.
 //!
-//! `StepRank` call protocol: each `poll_*` method is *idempotent-start* —
-//! the first call constructs the operation's machine (performing its
-//! entry effects, e.g. counter increments), subsequent calls resume it,
-//! and a `Ready` return clears it. A body must keep re-polling the same
-//! operation until `Ready`; starting a different operation while one is
-//! in flight is a body bug and panics.
+//! `poll_*` call protocol: each method is *idempotent-start* — the first
+//! call constructs the operation's machine (performing its entry effects,
+//! e.g. counter increments), subsequent calls resume it, and a `Ready`
+//! return clears it. A body must keep re-polling the same operation until
+//! `Ready`; starting a different operation while one is in flight is a
+//! body bug and panics.
 
-use super::CcRank;
-use crate::session::Session;
+use super::{CcRank, RankCore};
 use bytes::Bytes;
 use mana_core::{
     ggid_of, CkptPhase, CommOp, DrainEvent, Ggid, Protocol, RankState, VComm, VReq, VReqKind,
@@ -45,7 +46,7 @@ use mana_core::{
 use mpisim::collective::RedSpec;
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::sched::WaitReason;
-use mpisim::{CollOp, Completion, DType, Group, ReduceOp, Request, SrcSel, TagSel, VTime};
+use mpisim::{CollOp, Completion, DType, Group, ReduceOp, Request};
 use netmodel::wrapper_cost;
 use std::sync::atomic::Ordering::SeqCst;
 
@@ -55,8 +56,8 @@ pub enum StepPoll<T> {
     /// The operation completed with this result.
     Ready(T),
     /// The operation cannot progress until an event wakes the rank: a
-    /// step body yields to its driver with this wait reason, a thread
-    /// rank sleeps on its event counter.
+    /// body on the pool yields to its driver with this wait reason,
+    /// `CcRank::block_on` sleeps on the rank's event counter.
     Pending(WaitReason),
 }
 
@@ -93,7 +94,7 @@ impl<T> StepPoll<T> {
 /// playing the coordinator's role (it cross-checks the replayed capture
 /// against the image, installs the restored world, re-deposits the
 /// image's in-flight messages).
-fn at_restore_cut(cc: &CcRank<'_>) -> bool {
+fn at_restore_cut(cc: &RankCore<'_>) -> bool {
     let due = cc.restore_cut_due();
     if due {
         let plan = cc.sh.restore.as_ref().expect("cut implies restore plan");
@@ -106,7 +107,7 @@ fn at_restore_cut(cc: &CcRank<'_>) -> bool {
 /// `Ready(false)` when the checkpoint ended while waiting, `Ready(true)`
 /// once they are. Wakes arrive from target installation and
 /// `clear_pending`, both of which wake the rank's control slot.
-fn try_await_targets(cc: &mut CcRank<'_>) -> StepPoll<bool> {
+fn try_await_targets(cc: &mut RankCore<'_>) -> StepPoll<bool> {
     let sh = cc.sh;
     let ctl = &sh.control.ranks[cc.rank];
     if !ctl.targets_ready.load(SeqCst) && sh.control.is_pending() {
@@ -145,7 +146,7 @@ enum QStage {
 }
 
 impl QuiesceM {
-    fn new(cc: &mut CcRank<'_>, state: RankState) -> QuiesceM {
+    fn new(cc: &mut RankCore<'_>, state: RankState) -> QuiesceM {
         QuiesceM {
             state,
             stage: QStage::Colls {
@@ -155,7 +156,7 @@ impl QuiesceM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<()> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<()> {
         loop {
             match &mut self.stage {
                 QStage::Colls { ids, idx } => {
@@ -278,7 +279,7 @@ impl QuiesceM {
     /// cut never qualifies (no checkpoint is quiescing during a replay):
     /// the cut must win against a replay that completes the barrier
     /// earlier than the capture did.
-    fn free_pass(&self, cc: &mut CcRank<'_>) -> bool {
+    fn free_pass(&self, cc: &mut RankCore<'_>) -> bool {
         let QStage::Park {
             my_gen,
             restarted: false,
@@ -339,7 +340,7 @@ enum Next {
 }
 
 impl GateM {
-    fn new(cc: &mut CcRank<'_>, vc: VComm) -> GateM {
+    fn new(cc: &mut RankCore<'_>, vc: VComm) -> GateM {
         let protocol = cc.sh.protocol;
         if protocol != Protocol::Native {
             // The steady-state cost of the wrapper under either protocol:
@@ -358,7 +359,7 @@ impl GateM {
         }
     }
 
-    fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<(Ggid, u64)> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<(Ggid, u64)> {
         loop {
             if let Some(m) = &mut self.quiesce {
                 if m.free_pass(cc) {
@@ -404,7 +405,7 @@ enum CcGate {
 }
 
 impl CcGate {
-    fn step(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> Next {
+    fn step(&mut self, cc: &mut RankCore<'_>, vc: VComm) -> Next {
         let sh = cc.sh;
         let ctl = &sh.control.ranks[cc.rank];
         loop {
@@ -534,7 +535,7 @@ enum TwoPcGate {
 }
 
 impl TwoPcGate {
-    fn step(&mut self, cc: &mut CcRank<'_>, vc: VComm) -> Next {
+    fn step(&mut self, cc: &mut RankCore<'_>, vc: VComm) -> Next {
         loop {
             match *self {
                 TwoPcGate::P1 => {
@@ -608,7 +609,7 @@ impl TwoPcGate {
 
     /// Barrier complete: every member is at this entry. Drops the spent
     /// request and counts the call.
-    fn enter(cc: &mut CcRank<'_>, vc: VComm) -> (Ggid, u64) {
+    fn enter(cc: &mut RankCore<'_>, vc: VComm) -> (Ggid, u64) {
         cc.tb_req = None;
         let ggid = cc.vcomms.resolve(vc).1;
         let seq = cc.sh.control.ranks[cc.rank]
@@ -625,7 +626,7 @@ impl TwoPcGate {
 // ----------------------------------------------------------------------
 
 /// Publishes whether the rank is inside a real collective call.
-fn set_in_collective(cc: &CcRank<'_>, inside: bool) {
+fn set_in_collective(cc: &RankCore<'_>, inside: bool) {
     cc.sh.control.ranks[cc.rank]
         .in_collective
         .store(inside, SeqCst);
@@ -648,7 +649,7 @@ enum CollStage {
 
 impl CollM {
     pub(super) fn new(
-        cc: &mut CcRank<'_>,
+        cc: &mut RankCore<'_>,
         vc: VComm,
         op: CollOp,
         root: usize,
@@ -666,7 +667,7 @@ impl CollM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Bytes> {
+    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Bytes> {
         loop {
             match &mut self.stage {
                 CollStage::Gate(g) => match g.poll(cc) {
@@ -710,7 +711,7 @@ pub(super) struct ICollM {
 
 impl ICollM {
     pub(super) fn new(
-        cc: &mut CcRank<'_>,
+        cc: &mut RankCore<'_>,
         vc: VComm,
         op: CollOp,
         root: usize,
@@ -733,7 +734,7 @@ impl ICollM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<VReq> {
+    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<VReq> {
         match self.gate.poll(cc) {
             StepPoll::Pending(r) => StepPoll::Pending(r),
             StepPoll::Ready(_) => {
@@ -754,7 +755,7 @@ impl ICollM {
 
 /// Whether a checkpoint is collecting parks right now: the intent every
 /// interposition point outside the CC gate acts on.
-fn quiescing(cc: &CcRank<'_>) -> bool {
+fn quiescing(cc: &RankCore<'_>) -> bool {
     cc.sh.control.is_pending() && cc.sh.control.phase() == CkptPhase::Quiescing
 }
 
@@ -767,12 +768,12 @@ pub(super) struct WaitM {
 }
 
 impl WaitM {
-    pub(super) fn new(cc: &mut CcRank<'_>, v: VReq) -> WaitM {
+    pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> WaitM {
         cc.counters.completions += 1;
         WaitM { v, quiesce: None }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Completion> {
+    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Completion> {
         loop {
             if let Some(m) = &mut self.quiesce {
                 match m.poll(cc) {
@@ -823,7 +824,7 @@ pub(super) struct TestM {
 }
 
 impl TestM {
-    pub(super) fn new(cc: &mut CcRank<'_>, v: VReq) -> TestM {
+    pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> TestM {
         cc.counters.completions += 1;
         // Restore replay: the image captured this rank quiesced at this
         // test call.
@@ -835,7 +836,7 @@ impl TestM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Option<Completion>> {
+    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Option<Completion>> {
         loop {
             if let Some(m) = &mut self.quiesce {
                 match m.poll(cc) {
@@ -891,7 +892,7 @@ enum CommStage {
 }
 
 impl CommM {
-    pub(super) fn new(cc: &mut CcRank<'_>, vc: VComm, kind: CommKind) -> CommM {
+    pub(super) fn new(cc: &mut RankCore<'_>, vc: VComm, kind: CommKind) -> CommM {
         cc.counters.comm_mgmt += 1;
         CommM {
             vc,
@@ -900,7 +901,7 @@ impl CommM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut CcRank<'_>) -> StepPoll<Option<VComm>> {
+    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Option<VComm>> {
         loop {
             match &mut self.stage {
                 CommStage::Gate(g) => match g.poll(cc) {
@@ -963,7 +964,8 @@ impl CommM {
     }
 }
 
-enum Op {
+/// The machine of a rank's operation in flight (`CcRank::op`).
+pub(super) enum Op {
     Coll(CollM),
     IColl(ICollM),
     Wait(WaitM),
@@ -971,7 +973,7 @@ enum Op {
 }
 
 impl Op {
-    fn name(&self) -> &'static str {
+    pub(super) fn name(&self) -> &'static str {
         match self {
             Op::Coll(_) => "collective",
             Op::IColl(_) => "icollective",
@@ -986,16 +988,13 @@ impl Op {
 }
 
 // ----------------------------------------------------------------------
-// StepRank
+// The poll API
 // ----------------------------------------------------------------------
 
-/// One rank's checkpoint-aware handle for step-function bodies: wraps a
-/// [`CcRank`] and holds the engine machine of the operation in flight
-/// between resumptions. See the module docs for the call protocol.
-pub struct StepRank<'s> {
-    cc: CcRank<'s>,
-    op: Option<Op>,
-}
+/// The name step bodies spell the rank type by. There is one rank type;
+/// the alias goes when the frozen benchmark, which names it, is re-based
+/// (ROADMAP item 1(d)).
+pub type StepRank<'s> = CcRank<'s>;
 
 /// The idempotent-start protocol of every `poll_*` method: the first call
 /// builds the operation's machine (`$new`), later calls resume it, and a
@@ -1007,9 +1006,9 @@ macro_rules! poll_op {
             $self.op = Some(Op::$variant($new));
         }
         let Some(Op::$variant(m)) = &mut $self.op else {
-            unreachable!()
+            unreachable!("expect_op checked the operation in flight")
         };
-        let r = m.poll(&mut $self.cc);
+        let r = m.poll(&mut $self.core);
         if r.is_ready() {
             $self.op = None;
         }
@@ -1017,103 +1016,19 @@ macro_rules! poll_op {
     }};
 }
 
-impl<'s> StepRank<'s> {
-    /// Creates the step wrapper for `rank` on the session's current world.
-    pub fn new(sh: &'s Session, rank: usize) -> StepRank<'s> {
-        StepRank {
-            cc: CcRank::new(sh, rank),
-            op: None,
-        }
-    }
-
-    fn expect_op(&mut self, want: &'static str, started: bool) {
+impl CcRank<'_> {
+    /// Panics if an operation other than `want` is in flight (`started`:
+    /// whether `want` itself may be — it is a poll, not a single-call
+    /// entry point).
+    pub(super) fn expect_op(&self, want: &'static str, started: bool) {
         if let Some(op) = &self.op {
             let name = op.name();
             assert!(
                 started && name == want,
-                "step rank resumed into `{want}` with a pending `{name}` operation"
+                "rank resumed into `{want}` with a pending `{name}` operation"
             );
         }
     }
-
-    // ------------------------------------------------------------------
-    // Introspection & compute (direct passthroughs)
-    // ------------------------------------------------------------------
-
-    /// This rank's world rank.
-    pub fn rank(&self) -> usize {
-        self.cc.rank()
-    }
-
-    /// Number of ranks in the world.
-    pub fn size(&self) -> usize {
-        self.cc.size()
-    }
-
-    /// Current virtual time.
-    pub fn clock(&self) -> VTime {
-        self.cc.clock()
-    }
-
-    /// `MPI_COMM_WORLD`'s virtual id.
-    pub fn world_vcomm(&self) -> VComm {
-        self.cc.world_vcomm()
-    }
-
-    /// The caller's rank in the given communicator.
-    pub fn comm_rank(&self, vc: VComm) -> usize {
-        self.cc.comm_rank(vc)
-    }
-
-    /// Number of members of the given communicator.
-    pub fn comm_size(&self, vc: VComm) -> usize {
-        self.cc.comm_size(vc)
-    }
-
-    /// Interposition counters so far.
-    pub fn counters(&self) -> mana_core::CallCounters {
-        self.cc.counters()
-    }
-
-    /// Advances the clock by `secs` of local computation (see
-    /// [`CcRank::compute`]). Under a wall pace this sleeps *on the driver
-    /// worker* — step ranks hold no scheduler run slot, so the sleep
-    /// cannot starve slot-managed ranks, only narrow this worker's
-    /// throughput.
-    pub fn compute(&mut self, secs: f64) {
-        self.cc.compute(secs);
-    }
-
-    /// Sets the wall-clock pace of [`StepRank::compute`] (see
-    /// [`CcRank::set_wall_pace_us`]).
-    pub fn set_wall_pace_us(&mut self, us: u64) {
-        self.cc.set_wall_pace_us(us);
-    }
-
-    /// Runner hook: publishes the final capture and the `Finished` state.
-    pub(crate) fn finish(&mut self) {
-        self.cc.finish();
-    }
-
-    // ------------------------------------------------------------------
-    // Non-blocking entry points (single-call: they never pend)
-    // ------------------------------------------------------------------
-
-    /// `MPI_Isend` ([`CcRank::isend`]).
-    pub fn isend(&mut self, vc: VComm, to: usize, tag: u32, payload: impl Into<Bytes>) -> VReq {
-        self.expect_op("isend", false);
-        self.cc.isend(vc, to, tag, payload)
-    }
-
-    /// `MPI_Irecv` ([`CcRank::irecv`]).
-    pub fn irecv(&mut self, vc: VComm, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> VReq {
-        self.expect_op("irecv", false);
-        self.cc.irecv(vc, src, tag)
-    }
-
-    // ------------------------------------------------------------------
-    // Pollable operations
-    // ------------------------------------------------------------------
 
     /// Poll form of [`CcRank::collective`]. `payload` is consumed on the
     /// constructing call; re-polls ignore it.
@@ -1129,7 +1044,7 @@ impl<'s> StepRank<'s> {
             self,
             "collective",
             Coll,
-            CollM::new(&mut self.cc, vc, op, root, payload.clone(), red)
+            CollM::new(&mut self.core, vc, op, root, payload.clone(), red)
         )
     }
 
@@ -1184,7 +1099,7 @@ impl<'s> StepRank<'s> {
             self,
             "icollective",
             IColl,
-            ICollM::new(&mut self.cc, vc, op, root, payload.clone(), red)
+            ICollM::new(&mut self.core, vc, op, root, payload.clone(), red)
         )
     }
 
@@ -1202,15 +1117,20 @@ impl<'s> StepRank<'s> {
     /// Poll form of [`CcRank::wait`].
     pub fn poll_wait(&mut self, v: VReq) -> StepPoll<Completion> {
         if let Some(Op::Wait(m)) = &self.op {
-            assert_eq!(m.v, v, "step rank resumed `wait` with a different request");
+            assert_eq!(m.v, v, "rank resumed `wait` with a different request");
         }
-        poll_op!(self, "wait", Wait, WaitM::new(&mut self.cc, v))
+        poll_op!(self, "wait", Wait, WaitM::new(&mut self.core, v))
     }
 
     /// Poll form of [`CcRank::comm_split`].
     pub fn poll_comm_split(&mut self, vc: VComm, color: i64, key: i64) -> StepPoll<Option<VComm>> {
         let kind = CommKind::Split { color, key };
-        poll_op!(self, "comm_split", Comm, CommM::new(&mut self.cc, vc, kind))
+        poll_op!(
+            self,
+            "comm_split",
+            Comm,
+            CommM::new(&mut self.core, vc, kind)
+        )
     }
 
     /// Poll form of [`CcRank::comm_dup`].
@@ -1219,18 +1139,8 @@ impl<'s> StepRank<'s> {
             self,
             "comm_dup",
             Comm,
-            CommM::new(&mut self.cc, vc, CommKind::Dup)
+            CommM::new(&mut self.core, vc, CommKind::Dup)
         )
         .map(|v| v.expect("dup always yields a communicator"))
-    }
-}
-
-impl std::fmt::Debug for StepRank<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StepRank")
-            .field("rank", &self.cc.rank())
-            .field("clock", &self.cc.clock())
-            .field("op", &self.op.as_ref().map(Op::name))
-            .finish()
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A real MANA restart restores the upper half from a memory dump and
 //! replays runtime state from the image. This simulation has no memory
-//! dump: application state lives on the rank closures' stacks, so the
+//! dump: application state lives inside the rank bodies, so the
 //! upper half is rebuilt by **deterministically re-executing** the same
 //! program (`f`) up to the captured cut — the stand-in for loading the
 //! dump. The replay runs against a world equivalent to the capture's
@@ -27,8 +27,8 @@
 use crate::coordinator::{image_file_layout, Coordinator, StorageSpec};
 use crate::image::Checkpoint;
 use crate::rank::CcRank;
-use crate::runner::step::{run_session_steps, StepBody};
-use crate::runner::{run_session_threads, CkptRunReport, RunError, SuperviseOut};
+use crate::runner::step::{run_session, Blocking, Driver, StepBody};
+use crate::runner::{CkptRunReport, RunError, SuperviseOut};
 use crate::session::{RestorePlan, Session};
 use mana_core::{RankState, RuntimeCapture, Violation};
 use mpisim::{SpawnError, WorldConfig};
@@ -38,9 +38,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a checkpoint image is restored: the (possibly re-packed) target
-/// topology, the storage model charging the image read-back, and replay
-/// guard-rails.
-#[derive(Debug, Clone)]
+/// topology, the storage model charging the image read-back, and the
+/// scheduler's worker bound.
+#[derive(Debug, Clone, Default)]
 pub struct RestoreConfig {
     /// Ranks per node of the restored world; `None` keeps the capture's
     /// packing. The rank count always comes from the image.
@@ -53,30 +53,16 @@ pub struct RestoreConfig {
     /// per node → more nodes → the paper's Figure 9 scaling). `None` makes
     /// the read free.
     pub storage: Option<StorageSpec>,
-    /// Stack size for replayed rank threads.
-    pub stack_size: usize,
     /// Cooperative-scheduler worker bound for the replay and restored
     /// worlds; `None` sizes it to the host (the same knob as
     /// [`mpisim::WorldConfig::with_workers`] on the capture side).
     pub workers: Option<usize>,
-    /// Wall-clock budget for the pre-cut replay to go quiet. A program
-    /// that does not match the image never reaches its cut; the driver
-    /// panics instead of waiting forever.
-    pub replay_timeout: Duration,
 }
 
-impl Default for RestoreConfig {
-    fn default() -> Self {
-        RestoreConfig {
-            ranks_per_node: None,
-            params: None,
-            storage: None,
-            stack_size: mpisim::DEFAULT_RANK_STACK,
-            workers: None,
-            replay_timeout: Duration::from_secs(30),
-        }
-    }
-}
+/// Wall-clock budget for the pre-cut replay to go quiet. A program that
+/// does not match the image never reaches its cut; the restore driver
+/// panics instead of waiting forever.
+const REPLAY_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl RestoreConfig {
     /// Restore with the capture's own packing and parameters.
@@ -109,12 +95,6 @@ impl RestoreConfig {
         self.workers = Some(workers);
         self
     }
-
-    /// Overrides the replay watchdog window.
-    pub fn with_replay_timeout(mut self, t: Duration) -> Self {
-        self.replay_timeout = t;
-        self
-    }
 }
 
 /// Why a restore was refused before any rank ran.
@@ -136,7 +116,7 @@ pub enum RestoreError {
     /// that failed. ([`Checkpoint::from_bytes`] rejects malformed *bytes*
     /// already, so this only fires on images built or edited in memory.)
     MalformedImage(&'static str),
-    /// A replay rank thread could not be spawned; no application code ran.
+    /// A replay rank could not be launched; no application code ran.
     Spawn(SpawnError),
 }
 
@@ -177,8 +157,8 @@ impl From<SpawnError> for RestoreError {
 ///
 /// # Panics
 /// Panics on any [`RestoreError`] — use [`try_restore_ckpt_world`] to
-/// handle an unsafe or unusable image instead — and if the replay does not
-/// reach the captured cut within [`RestoreConfig::replay_timeout`] or the
+/// handle an unsafe or unusable image instead — and if the replay goes
+/// quiet for 30 s of wall clock without reaching the captured cut, or the
 /// replayed state disagrees with the image.
 pub fn restore_ckpt_world<R, F>(image: &Checkpoint, rcfg: RestoreConfig, f: F) -> CkptRunReport<R>
 where
@@ -201,23 +181,15 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
-    let (replay_cfg, restored_cfg) = restore_preflight(image, &rcfg)?;
-    let plan = RestorePlan::from_image(image);
-    let sh = Session::for_restore(replay_cfg, image.protocol, plan);
-    let sup = Arc::clone(&sh);
-    run_session_threads(sh, rcfg.stack_size, f, move || {
-        drive_restore(&sup, image, &rcfg, restored_cfg, None);
-        SuperviseOut::default()
-    })
-    .map_err(restore_run_err)
+    restore_session(image, rcfg, Driver::Threads, |_| Blocking(&f))
 }
 
-/// [`restore_ckpt_world`] for step-function bodies: the replay ranks are
-/// heap step objects ([`StepBody`]) instead of threads, driven by the
-/// step driver. `make(rank)` must build the same program the image was
-/// captured from — under either representation: the step engine parks at
-/// the identical cut with identical captured state, so images are
-/// portable across representations in both directions.
+/// [`restore_ckpt_world`] for step bodies: the replay ranks are
+/// [`StepBody`] objects stepped by the worker pool instead of closures on
+/// threads. `make(rank)` must build the same program the image was
+/// captured from — as either kind of body: the one engine parks at the
+/// identical cut with identical captured state, so images are portable
+/// between closure and step bodies in both directions.
 ///
 /// # Panics
 /// Panics where [`try_restore_ckpt_world_steps`] returns a typed
@@ -235,8 +207,7 @@ where
 }
 
 /// [`restore_ckpt_world_steps`], with pre-flight rejections surfaced as a
-/// typed [`RestoreError`]. A non-default [`RestoreConfig::stack_size`]
-/// is rejected as [`RestoreError::Spawn`] — step ranks own no stack.
+/// typed [`RestoreError`].
 pub fn try_restore_ckpt_world_steps<B, MK>(
     image: &Checkpoint,
     rcfg: RestoreConfig,
@@ -246,28 +217,34 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
+    restore_session(image, rcfg, Driver::Pool, make)
+}
+
+/// The body of the restore entry points: pre-flight, a replay session
+/// whose ranks `driver` steps, and the restore driver as its supervision.
+fn restore_session<B: StepBody>(
+    image: &Checkpoint,
+    rcfg: RestoreConfig,
+    driver: Driver,
+    make: impl Fn(usize) -> B,
+) -> Result<CkptRunReport<B::Out>, RestoreError> {
     let (replay_cfg, restored_cfg) = restore_preflight(image, &rcfg)?;
     let plan = RestorePlan::from_image(image);
     let sh = Session::for_restore(replay_cfg, image.protocol, plan);
     let sup = Arc::clone(&sh);
-    run_session_steps(sh, rcfg.stack_size, make, move || {
+    run_session(sh, driver, make, move || {
         drive_restore(&sup, image, &rcfg, restored_cfg, None);
         SuperviseOut::default()
     })
-    .map_err(restore_run_err)
-}
-
-/// Maps the internal runner error onto the restore surface. No fault
-/// injector exists on the public restore paths, so a death is a harness
-/// bug here; the availability supervisor uses its own restore driver.
-fn restore_run_err(e: RunError) -> RestoreError {
-    match e {
+    .map_err(|e| match e {
         RunError::Spawn(s) => RestoreError::Spawn(s),
+        // No fault injector exists on the public restore paths; the
+        // availability supervisor uses its own restore driving.
         RunError::Died(d) => panic!("rank death without availability supervision: {d}"),
-    }
+    })
 }
 
-/// The shared pre-flight of both restore runners: image shape and
+/// The pre-flight of every restore (plain and availability): image shape and
 /// safe-cut checks, then the replay and restored world configurations.
 pub(crate) fn restore_preflight(
     image: &Checkpoint,
@@ -284,7 +261,6 @@ pub(crate) fn restore_preflight(
         n_ranks: image.n_ranks,
         ranks_per_node: image.origin.ranks_per_node,
         params: image.origin.params.clone(),
-        stack_size: rcfg.stack_size,
         workers: rcfg.workers,
     };
     let restored_cfg = WorldConfig {
@@ -326,7 +302,7 @@ pub(crate) fn drive_restore(
         if fp != last_fp {
             last_fp = fp;
             last_change = Instant::now();
-        } else if last_change.elapsed() >= rcfg.replay_timeout {
+        } else if last_change.elapsed() >= REPLAY_TIMEOUT {
             let stuck: Vec<usize> = control
                 .ranks
                 .iter()

@@ -1,6 +1,7 @@
-//! The checkpointable world runner: spawns one thread per rank (each with a
-//! [`CcRank`] wrapper, the thread driver of the protocol engine) and
-//! supervises a pluggable [`TriggerPolicy`] from the calling thread.
+//! The checkpointable world runner: launches a session's ranks (closure
+//! bodies one thread each, step bodies on the worker pool — one launcher,
+//! `step::run_session`, either way) and supervises a pluggable
+//! [`TriggerPolicy`] from the calling thread.
 //!
 //! Capture no longer implies a resume decision: the policy only says
 //! *when* to capture, [`CkptOptions::resume`] says what this in-process
@@ -17,11 +18,11 @@ use crate::rank::CcRank;
 use crate::session::Session;
 use crate::store::{StoreRecord, Tiering};
 use mana_core::{CallCounters, DrainTrace, ExecEvent, Protocol, RankState};
-use mpisim::world::LaunchGate;
-use mpisim::{KilledByFault, RankDeath, RankReport, SpawnError, VTime, WorldConfig};
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+use mpisim::{RankDeath, RankReport, SpawnError, VTime, WorldConfig};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
+use step::{run_session, Blocking, Driver, StepBody};
 
 pub mod step;
 
@@ -137,8 +138,9 @@ impl std::fmt::Debug for CkptOptions {
 /// Why a supervised run did not produce a report.
 #[derive(Debug)]
 pub enum RunError {
-    /// A rank thread could not be spawned; the launch was aborted before
-    /// any application code ran.
+    /// A rank could not be launched (its thread failed to spawn, or its
+    /// body's constructor panicked); the launch was aborted before any
+    /// application code ran.
     Spawn(SpawnError),
     /// An injected fault killed ranks and the world unwound before the
     /// workload completed. Only the availability supervisor
@@ -200,12 +202,12 @@ pub struct CkptRunReport<R> {
     /// (generation, tier, delta parent, bytes, back-pressure), aligned
     /// with `checkpoints`. Empty without tiering.
     pub store_records: Vec<StoreRecord>,
-    /// Step-runner only: resident-set growth of this process across the
-    /// step-object build phase, divided by the rank count — the
-    /// "bytes of heap one parked rank costs" column of the Figure 7
-    /// benchmark. `None` for thread-runner runs (a parked rank there
-    /// costs a whole stack, accounted by the kernel, not the heap) and on
-    /// platforms without `/proc/self/statm`.
+    /// Worker-pool runs (`*_steps`) only: resident-set growth of this
+    /// process across the rank-object build phase, divided by the rank
+    /// count — the "bytes of heap one parked rank costs" column of the
+    /// Figure 7 benchmark. `None` for thread-per-rank runs (a parked rank
+    /// there costs a whole stack, accounted by the kernel, not the heap)
+    /// and on platforms without `/proc/self/statm`.
     pub rank_build_rss_bytes: Option<u64>,
     /// World attempts this report covers: always `1` for the plain
     /// runners; the availability supervisor counts the initial launch
@@ -229,8 +231,8 @@ impl<R> CkptRunReport<R> {
     }
 }
 
-/// Spawns one thread per rank running `f` under the checkpoint wrapper and
-/// drives `opts.policy` from the calling thread.
+/// Runs the closure body `f` on every rank under the checkpoint wrapper,
+/// one thread per rank, and drives `opts.policy` from the calling thread.
 ///
 /// A panicking rank is marked `Finished` so the coordinator's supervision
 /// loops terminate, and its panic is re-raised once every rank has
@@ -264,20 +266,65 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
+    run_policy_session(cfg, opts, Driver::Threads, |_| Blocking(&f))
+}
+
+/// [`run_ckpt_world`] for step bodies: builds one [`StepBody`] per rank
+/// (`make(rank)`) and steps them all on the worker pool — no per-rank
+/// thread or stack, the scale representation — while `opts.policy` is
+/// supervised from the calling thread.
+///
+/// # Panics
+/// Panics where [`try_run_ckpt_world_steps`] returns a typed
+/// [`SpawnError`], and re-raises rank-body panics after the pool drains.
+pub fn run_ckpt_world_steps<B, MK>(
+    cfg: WorldConfig,
+    opts: CkptOptions,
+    make: MK,
+) -> CkptRunReport<B::Out>
+where
+    B: StepBody,
+    MK: Fn(usize) -> B + Send + Sync,
+{
+    try_run_ckpt_world_steps(cfg, opts, make).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_ckpt_world_steps`], with launch failure — a panicking body
+/// constructor, e.g. a factory that refuses a rank — surfaced as a typed
+/// [`SpawnError`]. All-or-nothing like the closure form: on `Err` no rank
+/// has run any application code and no checkpoint supervision has started.
+pub fn try_run_ckpt_world_steps<B, MK>(
+    cfg: WorldConfig,
+    opts: CkptOptions,
+    make: MK,
+) -> Result<CkptRunReport<B::Out>, SpawnError>
+where
+    B: StepBody,
+    MK: Fn(usize) -> B + Send + Sync,
+{
+    run_policy_session(cfg, opts, Driver::Pool, make)
+}
+
+/// The body of the four entry points above: a fresh session whose ranks
+/// `driver` steps while the trigger policy is supervised.
+fn run_policy_session<B: StepBody>(
+    cfg: WorldConfig,
+    opts: CkptOptions,
+    driver: Driver,
+    make: impl Fn(usize) -> B,
+) -> Result<CkptRunReport<B::Out>, SpawnError> {
     assert!(
         opts.protocol.supports_checkpoint() || opts.policy.exhausted(),
         "protocol {} cannot checkpoint",
         opts.protocol.name()
     );
-    let sh = Session::new(cfg.clone(), opts.protocol);
+    let sh = Session::new(cfg, opts.protocol);
     let sup = Arc::clone(&sh);
-    run_session_threads(sh, cfg.stack_size, f, move || supervise_policy(&sup, opts)).map_err(|e| {
-        match e {
-            RunError::Spawn(s) => s,
-            // No fault injector exists on this path; a death here means a
-            // harness bug, not a survivable failure.
-            RunError::Died(d) => panic!("rank death without availability supervision: {d}"),
-        }
+    run_session(sh, driver, make, move || supervise_policy(&sup, opts)).map_err(|e| match e {
+        RunError::Spawn(s) => s,
+        // No fault injector exists on this path; a death here means a
+        // harness bug, not a survivable failure.
+        RunError::Died(d) => panic!("rank death without availability supervision: {d}"),
     })
 }
 
@@ -359,118 +406,6 @@ pub(crate) fn supervise_loop(
     out.capture_wall_s = coord.capture_wall_history();
     out.capture_overlap_s = coord.capture_overlap_history();
     out.store_records = coord.store_record_history();
-}
-
-/// The shared scaffold of [`run_ckpt_world`] and
-/// [`crate::restore_ckpt_world`]: spawn one wrapper thread per rank behind
-/// an all-or-nothing launch gate, run `supervise` on the calling thread,
-/// join, and assemble the report. If any rank thread fails to spawn the
-/// launch is aborted — already-spawned ranks return without entering `f`,
-/// `supervise` never runs, and the typed [`SpawnError`] is returned.
-pub(crate) fn run_session_threads<R, F>(
-    sh: Arc<Session>,
-    stack_size: usize,
-    f: F,
-    supervise: impl FnOnce() -> SuperviseOut,
-) -> Result<CkptRunReport<R>, RunError>
-where
-    R: Send,
-    F: Fn(&mut CcRank) -> R + Send + Sync,
-{
-    let n = sh.cfg.n_ranks;
-    let mut reports: Vec<Option<RankReport<R>>> = (0..n).map(|_| None).collect();
-    let mut sup_out = SuperviseOut::default();
-    let mut spawn_err = None;
-    let gate = Arc::new(LaunchGate::new());
-    // The scheduler outlives every lower-half generation: grab it once
-    // here, before any restart replaces the world.
-    let sched = Arc::clone(sh.current_world().scheduler());
-    // Lower-half events (deposits, collective completions, poison) advance
-    // the same per-rank event counter the control plane wakes. The routing
-    // hangs off the scheduler, so restart generations wire their fresh
-    // mailboxes to it by themselves.
-    let control = Arc::clone(&sh.control);
-    sched.install_rank_waker(Arc::new(move |rank| control.ranks[rank].wake()));
-    sh.current_world().install_rank_wakers();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let sh = Arc::clone(&sh);
-            let sched = Arc::clone(&sched);
-            let gate = Arc::clone(&gate);
-            let f = &f;
-            let spawned = std::thread::Builder::new()
-                .name(format!("ccrank-{rank}"))
-                .stack_size(stack_size)
-                .spawn_scoped(s, move || {
-                    if !gate.wait() {
-                        return None; // aborted launch: never ran `f`
-                    }
-                    sched.attach(rank);
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut cc = CcRank::new(&sh, rank);
-                        let result = f(&mut cc);
-                        let final_clock = cc.clock();
-                        cc.finish();
-                        RankReport {
-                            rank,
-                            result,
-                            final_clock,
-                        }
-                    }));
-                    // Release the run slot whether the rank returned or
-                    // panicked: a dead rank must not starve its peers.
-                    sched.detach(rank);
-                    if out.is_err() {
-                        // Unblock the coordinator: a dead rank counts as
-                        // finished so supervision loops terminate.
-                        let ctl = &sh.control.ranks[rank];
-                        ctl.targets_met.store(true, SeqCst);
-                        ctl.set_state(RankState::Finished);
-                    }
-                    Some(out)
-                });
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    spawn_err = Some(SpawnError {
-                        rank,
-                        n_ranks: n,
-                        stack_size,
-                        reason: e.to_string(),
-                    });
-                    break;
-                }
-            }
-        }
-        gate.decide(spawn_err.is_none());
-
-        if spawn_err.is_none() {
-            // Supervision (triggers or restore driving) runs on the
-            // calling thread.
-            sup_out = supervise();
-        }
-
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(Some(Ok(rep))) => reports[rank] = Some(rep),
-                Ok(None) => {} // aborted launch
-                Ok(Some(Err(p))) | Err(p) => {
-                    // A fault-injected death unwinds with the quiet
-                    // `KilledByFault` marker; it is the *expected* way a
-                    // killed world ends, not a bug to re-raise. Anything
-                    // else is a genuine rank panic.
-                    if !p.is::<KilledByFault>() {
-                        std::panic::resume_unwind(p);
-                    }
-                }
-            }
-        }
-    });
-    if let Some(e) = spawn_err {
-        return Err(RunError::Spawn(e));
-    }
-    assemble_report(&sh, reports, sup_out, None)
 }
 
 /// Turns the per-rank outcomes of a finished session into its report —

@@ -1,33 +1,29 @@
-//! The step-function world runner: rank bodies as heap-allocated
-//! resumable step objects instead of one OS thread each.
+//! The rank continuation and the one launcher.
 //!
-//! This is the scale counterpart of [`crate::run_ckpt_world`]: the
-//! application body implements
-//! [`StepBody`] — a hand-lowered state machine over a [`StepRank`] — and
-//! every rank's whole continuation is one heap object driven by the
-//! [`mpisim::StepDriver`] worker pool. No per-rank kernel thread or stack
-//! exists, which is what lets a single host carry 65 536-rank worlds; the
-//! thread-per-rank runner remains for closure bodies, at tier-1 sizes.
+//! A rank body is a [`StepBody`]: a resumable state machine over a
+//! [`CcRank`]. A closure body `Fn(&mut CcRank) -> R` is the degenerate
+//! case — a step body that never yields, because its blocking calls sleep
+//! on the thread it owns. Either way the rank's whole continuation is one
+//! `CcStepObj` (rank + body + report slot), and `run_session` is the one
+//! place such objects are built and stepped — on the
+//! [`mpisim::StepDriver`] worker pool (no per-rank thread or stack: the
+//! 65 536-rank representation) or one thread each
+//! ([`mpisim::Scheduler::run_threads`]: closure bodies, tier-1 sizes),
+//! as fixed by the public entry point that was called.
 //!
-//! Protocol-wise the two runners are interchangeable because they are two
-//! *drivers* of one engine ([`crate::rank::step`]): the machines that run
-//! a closure body's blocking calls are the machines a step body polls, so
-//! images, `CallCounters`, and virtual-time trajectories are bit-identical
-//! across representations — the representation-equivalence tests restore
-//! images captured under one representation into the other.
+//! The drivers are interchangeable because neither holds protocol logic:
+//! the machines of [`crate::rank::step`] that a closure body's blocking
+//! calls run are the machines a step body polls, so images,
+//! `CallCounters`, and virtual-time trajectories are bit-identical (the
+//! unit tests below run one body object under both).
 
-use super::{
-    assemble_report, supervise_policy, CkptOptions, CkptRunReport, RunError, SuperviseOut,
-};
-use crate::rank::step::StepRank;
+use super::{assemble_report, CkptRunReport, RunError, SuperviseOut};
+use crate::rank::step::StepPoll;
+use crate::rank::CcRank;
 use crate::session::Session;
 use mana_core::RankState;
 use mpisim::sched::WaitReason;
-use mpisim::world::LaunchGate;
-use mpisim::{
-    FailPlane, KilledByFault, RankReport, RankStep, SpawnError, Step, StepDriver, WorldConfig,
-    DEFAULT_RANK_STACK,
-};
+use mpisim::{FailPlane, RankReport, RankStep, SpawnError, Step, StepDriver};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
@@ -48,31 +44,56 @@ pub enum BodyStep<R> {
 /// async body lowers to a poll function. All rank-local application state
 /// lives in `Self` — there is no stack to park.
 pub trait StepBody: Send {
-    /// The body's result type (the closure return value of the thread
-    /// runner).
+    /// The body's result type (the return value of a closure body).
     type Out: Send;
 
     /// Advances the body as far as it can go right now.
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<Self::Out>;
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<Self::Out>;
 }
 
-/// Closures `FnMut(&mut StepRank) -> BodyStep<R>` are bodies: keep the
+/// Closures `FnMut(&mut CcRank) -> BodyStep<R>` are bodies: keep the
 /// machine state captured in the closure.
 impl<R, F> StepBody for F
 where
     R: Send,
-    F: FnMut(&mut StepRank) -> BodyStep<R> + Send,
+    F: FnMut(&mut CcRank) -> BodyStep<R> + Send,
 {
     type Out = R;
 
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<R> {
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<R> {
         self(r)
     }
 }
 
-/// One rank's complete continuation: the step engine wrapper plus the
-/// application body, adapted to the driver's [`RankStep`] interface with
-/// the same panic bookkeeping as a rank thread.
+/// A closure body `Fn(&mut CcRank) -> R` as a step body: one `step` that
+/// runs the closure to its end, never yielding — so it belongs on
+/// [`Driver::Threads`], where the closure entry points put it.
+pub(crate) struct Blocking<'f, F>(pub(crate) &'f F);
+
+impl<R, F> StepBody for Blocking<'_, F>
+where
+    R: Send,
+    F: Fn(&mut CcRank) -> R + Sync,
+{
+    type Out = R;
+
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<R> {
+        BodyStep::Done((self.0)(r))
+    }
+}
+
+/// Who steps a session's rank objects. Chosen by the public entry point
+/// (`*_steps` → the pool, closure bodies → threads), never by an option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Driver {
+    /// The [`StepDriver`] worker pool: a yield returns to the driver.
+    Pool,
+    /// One thread per object: a yield sleeps on the thread.
+    Threads,
+}
+
+/// One rank's complete continuation — the rank, the application body and
+/// the slot its report lands in — as the drivers' [`RankStep`].
 struct CcStepObj<'a, B: StepBody> {
     rank: usize,
     sh: &'a Session,
@@ -80,26 +101,41 @@ struct CcStepObj<'a, B: StepBody> {
     /// and survives every lower-half generation, so the handle never goes
     /// stale across restarts.
     fail: Arc<FailPlane>,
-    cc: StepRank<'a>,
+    driver: Driver,
+    cc: CcRank<'a>,
     body: B,
     out: &'a Mutex<Option<RankReport<B::Out>>>,
 }
 
+impl<B: StepBody> CcStepObj<'_, B> {
+    /// Counts the rank as finished so coordinator supervision terminates:
+    /// what a rank that will never publish a result leaves behind.
+    fn retire(&self) {
+        let ctl = &self.sh.control.ranks[self.rank];
+        ctl.targets_met.store(true, SeqCst);
+        ctl.set_state(RankState::Finished);
+    }
+}
+
 impl<B: StepBody> RankStep for CcStepObj<'_, B> {
     fn step(&mut self) -> Step {
-        // The step representation's single death point: a body is never
-        // resumed once the world is poisoned, so no step-engine state can
-        // observe a half-killed world. The rank is retired quietly — no
-        // result, counted finished for supervision — mirroring what a
-        // rank thread's `KilledByFault` unwind leaves behind.
+        // A body is never resumed once the world is poisoned, so no engine
+        // state can observe a half-killed world: the rank is retired
+        // quietly, without a result. (A body asleep on its own thread
+        // unwinds out of `CcRank::block_on` to the same effect.)
         if self.fail.poisoned() {
-            let ctl = &self.sh.control.ranks[self.rank];
-            ctl.targets_met.store(true, SeqCst);
-            ctl.set_state(RankState::Finished);
+            self.retire();
             return Step::Done;
         }
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.body.step(&mut self.cc)
+        let (cc, body) = (&mut self.cc, &mut self.body);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self.driver {
+            Driver::Pool => body.step(cc),
+            // The thread *is* the continuation: a yield sleeps right here,
+            // the way the body's own blocking calls do.
+            Driver::Threads => BodyStep::Done(cc.block_on(|cc| match body.step(cc) {
+                BodyStep::Done(out) => StepPoll::Ready(out),
+                BodyStep::Yield(why) => StepPoll::Pending(why),
+            })),
         }));
         match r {
             Ok(BodyStep::Yield(w)) => Step::Yield(w),
@@ -114,187 +150,117 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
                 Step::Done
             }
             Err(p) => {
-                // Same contract as a panicking rank thread: count the dead
-                // rank as finished so coordinator supervision terminates,
-                // then let the driver stash the payload and re-raise it
-                // once the pool drains.
-                let ctl = &self.sh.control.ranks[self.rank];
-                ctl.targets_met.store(true, SeqCst);
-                ctl.set_state(RankState::Finished);
+                // A dead rank counts as finished; the driver stashes the
+                // payload and re-raises it once every rank is done.
+                self.retire();
                 std::panic::resume_unwind(p);
             }
         }
     }
 }
 
-/// [`crate::run_ckpt_world`] for step-function bodies: builds one step object
-/// per rank (`make(rank)`) and drives them all on the step driver's
-/// worker pool while `opts.policy` is supervised from the calling thread.
-///
-/// # Panics
-/// Panics where [`try_run_ckpt_world_steps`] returns a typed
-/// [`SpawnError`], and re-raises rank-body panics after the pool drains.
-pub fn run_ckpt_world_steps<B, MK>(
-    cfg: WorldConfig,
-    opts: CkptOptions,
-    make: MK,
-) -> CkptRunReport<B::Out>
-where
-    B: StepBody,
-    MK: Fn(usize) -> B + Send + Sync,
-{
-    try_run_ckpt_world_steps(cfg, opts, make).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_ckpt_world_steps`], with launch failure surfaced as a typed
-/// [`SpawnError`]. Two launch-time rejections are specific to step mode:
-///
-/// * a non-default [`WorldConfig::stack_size`] — step ranks own no stack,
-///   so a caller that asked for one is running the wrong runner;
-/// * a panicking step-object constructor (the step-mode analogue of a
-///   failed thread spawn — e.g. a body factory that refuses a rank).
-///
-/// Either way the launch is all-or-nothing through the same
-/// [`LaunchGate`] as the thread runner: on `Err` no rank has run any
-/// application code and no checkpoint supervision has started.
-pub fn try_run_ckpt_world_steps<B, MK>(
-    cfg: WorldConfig,
-    opts: CkptOptions,
-    make: MK,
-) -> Result<CkptRunReport<B::Out>, SpawnError>
-where
-    B: StepBody,
-    MK: Fn(usize) -> B + Send + Sync,
-{
-    assert!(
-        opts.protocol.supports_checkpoint() || opts.policy.exhausted(),
-        "protocol {} cannot checkpoint",
-        opts.protocol.name()
-    );
-    let sh = Session::new(cfg.clone(), opts.protocol);
-    let sup = Arc::clone(&sh);
-    run_session_steps(sh, cfg.stack_size, make, move || {
-        supervise_policy(&sup, opts)
-    })
-    .map_err(|e| match e {
-        RunError::Spawn(s) => s,
-        RunError::Died(d) => panic!("rank death without availability supervision: {d}"),
-    })
-}
-
-/// The step-mode counterpart of `run_session_threads`: build every step
-/// object behind an all-or-nothing launch gate, drive them to completion
-/// on the step driver, run `supervise` on the calling thread, and
-/// assemble the report.
-pub(crate) fn run_session_steps<B, MK>(
+/// The one launcher, shared by the plain runners, restore and the
+/// availability supervisor: build every rank's continuation
+/// (`make(rank)` is its body) all-or-nothing, step them to completion on
+/// `driver` while `supervise` (triggers, or restore driving) runs on the
+/// calling thread, and assemble the report. On a launch failure — a
+/// panicking constructor, or under [`Driver::Threads`] a failed thread
+/// spawn — no rank has run any application code, `supervise` never runs,
+/// and the typed [`SpawnError`] is returned.
+pub(crate) fn run_session<B, MK>(
     sh: Arc<Session>,
-    stack_size: usize,
+    driver: Driver,
     make: MK,
     supervise: impl FnOnce() -> SuperviseOut,
 ) -> Result<CkptRunReport<B::Out>, RunError>
 where
     B: StepBody,
-    MK: Fn(usize) -> B + Send + Sync,
+    MK: Fn(usize) -> B,
 {
     let n = sh.cfg.n_ranks;
-    if stack_size != DEFAULT_RANK_STACK {
-        // Satisfying the request would be lying about memory: the whole
-        // point of the step representation is that no per-rank stack
-        // exists. Reject it the way a failed spawn is rejected.
-        return Err(RunError::Spawn(SpawnError {
-            rank: 0,
-            n_ranks: n,
-            stack_size,
-            reason: "step-function ranks own no per-rank stack; `with_stack_size` applies to \
-                     the legacy closure shim only"
-                .to_string(),
-        }));
-    }
-
-    // The driver shares the wait-path stats so its rescue-sweep expiries
-    // land in the report's zero-backstop assertion surface, and its waker
-    // registry hangs off the scheduler so restart-generation worlds wire
-    // their mailboxes automatically.
+    // The scheduler outlives every lower-half generation: grab it once,
+    // before any restart replaces the world. The wake routing hangs off
+    // it, so restart generations wire their fresh mailboxes by themselves;
+    // the initial world predates the routing and is wired here.
     let sched = Arc::clone(sh.current_world().scheduler());
-    let driver = StepDriver::new(n, Arc::clone(sched.stats()));
-    {
-        let d = Arc::clone(&driver);
-        sched.install_rank_waker(Arc::new(move |rank| d.wake(rank)));
-    }
+    let pool = (driver == Driver::Pool).then(|| {
+        // The pool shares the wait-path stats so its rescue-sweep expiries
+        // land in the report's zero-backstop assertion surface.
+        let pool = StepDriver::new(n, Arc::clone(sched.stats()));
+        for rank in 0..n {
+            sh.control.ranks[rank].set_waker(pool.waker(rank));
+        }
+        pool
+    });
+    // Lower-half events (deposits, collective completions, poison)
+    // requeue the rank on the pool, as control-plane wakes do through the
+    // hook just set — or advance the event counter the control plane
+    // wakes, which is what a rank on its own thread sleeps on.
+    sched.install_rank_waker(match &pool {
+        Some(pool) => {
+            let pool = Arc::clone(pool);
+            Arc::new(move |rank| pool.wake(rank))
+        }
+        None => {
+            let control = Arc::clone(&sh.control);
+            Arc::new(move |rank| control.ranks[rank].wake())
+        }
+    });
     sh.current_world().install_rank_wakers();
-    for rank in 0..n {
-        sh.control.ranks[rank].set_waker(driver.waker(rank));
-    }
 
     // Build phase, all-or-nothing: every rank's continuation is fully
     // allocated before any rank runs. The per-rank resident-memory column
     // comes from this bracket.
     let outs: Vec<Mutex<Option<RankReport<B::Out>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let gate = Arc::new(LaunchGate::new());
     let rss_before = resident_bytes();
     let mut objs: Vec<Box<dyn RankStep + '_>> = Vec::with_capacity(n);
-    let mut spawn_err = None;
     for (rank, out) in outs.iter().enumerate() {
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cc = StepRank::new(&sh, rank);
-            let body = make(rank);
-            CcStepObj {
-                rank,
-                sh: &sh,
-                fail: Arc::clone(sh.current_world().fail_plane()),
-                cc,
-                body,
-                out,
-            }
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| CcStepObj {
+            rank,
+            sh: &sh,
+            fail: Arc::clone(sched.fail_plane()),
+            driver,
+            cc: CcRank::new(&sh, rank),
+            body: make(rank),
+            out,
         }));
         match built {
             Ok(o) => objs.push(Box::new(o)),
             Err(_) => {
-                spawn_err = Some(SpawnError {
+                return Err(RunError::Spawn(SpawnError {
                     rank,
                     n_ranks: n,
-                    stack_size,
                     reason: "step-object construction panicked; launch aborted with no rank run"
                         .to_string(),
-                });
-                break;
+                }))
             }
         }
     }
-    let rank_build_rss_bytes = match (rss_before, resident_bytes()) {
-        (Some(b), Some(a)) if n > 0 => Some(a.saturating_sub(b) / n as u64),
+    // A rank on its own thread costs a whole stack, accounted by the
+    // kernel, not the heap: the column is the pool's.
+    let rank_build_rss_bytes = match (pool.is_some(), rss_before, resident_bytes()) {
+        (true, Some(b), Some(a)) => Some(a.saturating_sub(b) / n as u64),
         _ => None,
     };
 
-    let mut sup_out = SuperviseOut::default();
-    let workers = sh.cfg.resolved_workers();
-    std::thread::scope(|s| {
-        let driver = &driver;
-        let gate_rx = Arc::clone(&gate);
-        s.spawn(move || {
-            if !gate_rx.wait() {
-                return; // aborted launch: the objects drop unstepped
-            }
-            // The driver re-raises the first rank-body panic once the
-            // pool drains; a quiet `KilledByFault` unwind is the expected
-            // end of a killed world, not a bug.
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                driver.run(workers, objs);
-            }));
-            if let Err(p) = r {
-                if !p.is::<KilledByFault>() {
+    // Either driver re-raises the first rank-body panic once every rank is
+    // done, and swallows the quiet unwind of a killed world.
+    let sup_out = match &pool {
+        Some(pool) => {
+            let workers = sh.cfg.resolved_workers();
+            std::thread::scope(|s| {
+                let ranks = s.spawn(|| pool.run(workers, objs));
+                let sup_out = supervise();
+                if let Err(p) = ranks.join() {
                     std::panic::resume_unwind(p);
                 }
-            }
-        });
-        gate.decide(spawn_err.is_none());
-        if spawn_err.is_none() {
-            sup_out = supervise();
+                sup_out
+            })
         }
-    });
-    if let Some(e) = spawn_err {
-        return Err(RunError::Spawn(e));
-    }
+        None => sched
+            .run_threads(objs, supervise)
+            .map_err(RunError::Spawn)?,
+    };
 
     let reports = outs.into_iter().map(|m| m.into_inner()).collect();
     assemble_report(&sh, reports, sup_out, rank_build_rss_bytes)
@@ -316,17 +282,21 @@ fn resident_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests_support {
     use super::*;
-    use crate::rank::step::StepPoll;
     use mpisim::ReduceOp;
 
     /// `iters` rounds of compute + world allreduce, as an explicit state
-    /// machine: the smoke-test body for the step runner.
+    /// machine: the smoke-test body for the launcher.
     pub(crate) struct SumBody {
         iters: usize,
         it: usize,
         in_allreduce: bool,
         acc: f64,
+        hold: Option<usize>,
     }
+
+    /// Virtual time no unheld [`SumBody`] run reaches: the trigger time of
+    /// a checkpoint pinned by [`SumBody::with_hold`].
+    pub(crate) const HOLD_AT_S: f64 = 500e-6;
 
     impl SumBody {
         pub(crate) fn new(iters: usize) -> SumBody {
@@ -335,21 +305,41 @@ mod tests_support {
                 it: 0,
                 in_allreduce: false,
                 acc: 0.0,
+                hold: None,
             }
+        }
+
+        /// Pins where a checkpoint triggered at [`HOLD_AT_S`] cuts, which
+        /// two live runs otherwise never agree on (the trigger is polled
+        /// on the wall clock). Iteration `h` jumps every rank's clock past
+        /// the trigger time, so the trigger turns true only once the last
+        /// rank is about to enter that iteration's allreduce; iteration
+        /// `h + 1` then sleeps long enough on the wall for the supervisor
+        /// to request the checkpoint before any rank reaches the next
+        /// collective — where every rank therefore parks.
+        pub(crate) fn with_hold(mut self, h: usize) -> SumBody {
+            self.hold = Some(h);
+            self
         }
     }
 
     impl StepBody for SumBody {
         type Out = f64;
 
-        fn step(&mut self, r: &mut StepRank) -> BodyStep<f64> {
-            // Wall pacing so the wall-clock trigger supervisor can catch
-            // the world mid-flight (virtual time is unaffected).
-            r.set_wall_pace_us(200);
+        fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
             let w = r.world_vcomm();
             while self.it < self.iters {
                 if !self.in_allreduce {
-                    r.compute(1e-6);
+                    // Wall pacing so the wall-clock trigger supervisor can
+                    // catch the world mid-flight (virtual time is
+                    // unaffected).
+                    let (secs, pace_us) = match self.hold {
+                        Some(h) if self.it == h => (2.0 * HOLD_AT_S, 200),
+                        Some(h) if self.it == h + 1 => (1e-6, 50_000),
+                        _ => (1e-6, 200),
+                    };
+                    r.set_wall_pace_us(pace_us);
+                    r.compute(secs);
                     self.in_allreduce = true;
                 }
                 match r.poll_allreduce_f64(w, &[r.rank() as f64 + self.acc], ReduceOp::Sum) {
@@ -386,7 +376,10 @@ mod tests {
     use super::*;
     use crate::coordinator::ResumeMode;
     use crate::policy::VirtualTimeSchedule;
-    use mpisim::VTime;
+    use crate::runner::supervise_policy;
+    use crate::{run_ckpt_world_steps, try_run_ckpt_world_steps, CkptOptions};
+    use mana_core::Protocol;
+    use mpisim::{NetParams, VTime, WorldConfig};
 
     #[test]
     fn step_runner_matches_thread_runner_plain() {
@@ -430,12 +423,51 @@ mod tests {
         assert_eq!(s.backstop_expiries, 0, "step waits must be event-driven");
     }
 
+    /// The two drivers agree — as opposed to "a closure and its
+    /// hand-lowered twin agree", which is all the public entry points can
+    /// compare: here the *same* body type runs under both, with one
+    /// mid-run checkpoint (its cut pinned by the body's hold) restarting
+    /// in-process.
     #[test]
-    fn step_runner_rejects_stack_size() {
-        let cfg = WorldConfig::single_node(4).with_stack_size(1 << 20);
-        let err = try_run_ckpt_world_steps(cfg, CkptOptions::native(), |_r| SumBody::new(1))
-            .expect_err("non-default stack size must be rejected");
-        assert!(err.reason.contains("closure shim"), "typed reason: {err}");
+    fn same_body_object_under_both_drivers() {
+        for protocol in [Protocol::Cc, Protocol::TwoPhase] {
+            let run = |driver| {
+                let cfg = WorldConfig::single_node(8)
+                    .with_params(NetParams::slingshot11().without_jitter());
+                let at = VTime::from_secs(HOLD_AT_S);
+                let opts =
+                    CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol);
+                let sh = Session::new(cfg, protocol);
+                let sup = Arc::clone(&sh);
+                run_session(
+                    sh,
+                    driver,
+                    |_| SumBody::new(8).with_hold(3),
+                    move || supervise_policy(&sup, opts),
+                )
+                .expect("launch")
+            };
+            let mut pool = run(Driver::Pool);
+            let mut threads = run(Driver::Threads);
+            for r in [&mut pool, &mut threads] {
+                assert_eq!(r.checkpoints.len(), 1, "{protocol:?}: one mid-run capture");
+                assert_eq!(r.backstop_expiries, 0, "{protocol:?}: event-driven waits");
+                // The one field of an image that records *when* the
+                // request landed rather than the cut: the slowest clock
+                // published at that instant, and the held ranks publish
+                // their post-allreduce clocks in wall order.
+                r.checkpoints[0].request_clock = VTime::ZERO;
+            }
+            let results = |r: &CkptRunReport<f64>| r.results().copied().collect::<Vec<_>>();
+            assert_eq!(results(&pool), results(&threads), "{protocol:?}");
+            assert_eq!(pool.makespan, threads.makespan, "{protocol:?}");
+            assert_eq!(pool.final_counters, threads.final_counters, "{protocol:?}");
+            assert!(
+                pool.checkpoints == threads.checkpoints,
+                "{protocol:?}: the drivers captured different images"
+            );
+            assert!(pool.rank_build_rss_bytes.is_some() && threads.rank_build_rss_bytes.is_none());
+        }
     }
 
     #[test]
@@ -454,11 +486,11 @@ mod tests {
 #[cfg(test)]
 mod restart_tests {
     use super::tests_support::*;
-    use super::*;
     use crate::coordinator::ResumeMode;
     use crate::policy::VirtualTimeSchedule;
+    use crate::{run_ckpt_world_steps, CkptOptions};
     use mana_core::Protocol;
-    use mpisim::VTime;
+    use mpisim::{VTime, WorldConfig};
 
     fn opts(protocol: Protocol) -> CkptOptions {
         CkptOptions::default()

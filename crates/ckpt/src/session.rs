@@ -144,10 +144,11 @@ impl Session {
 
     /// Injects a fault into the running execution: poisons the fail plane
     /// (first injection wins), marks the victim ranks dead so stall
-    /// accounting stops expecting them, and wakes every wait path — thread
-    /// ranks asleep on their event counter observe the poison and unwind
-    /// promptly with a [`mpisim::KilledByFault`] marker instead of
-    /// draining a backstop timeout; step ranks are retired by their driver.
+    /// accounting stops expecting them, and wakes every wait path — ranks
+    /// asleep on their own thread observe the poison and unwind promptly
+    /// with a [`mpisim::KilledByFault`] marker instead of draining a
+    /// backstop timeout; ranks on the worker pool are retired at their
+    /// next step.
     ///
     /// Returns `false` if the plane was already poisoned (the earlier death
     /// stands and this one is dropped).

@@ -1,4 +1,4 @@
-//! The thread driver's wait, end to end: a rank blocked in `wait()` sleeps
+//! `CcRank::block_on`'s wait, end to end: a rank blocked in `wait()` sleeps
 //! on one per-rank event that both the control plane and the lower half
 //! advance, so either alone must release it — promptly, and without a
 //! backstop expiry.
@@ -30,8 +30,8 @@ fn spin_until(what: &str, cond: impl Fn() -> bool) {
 fn blocked_wait_wakes_on_phase_change_alone_and_on_deposit_alone() {
     let cfg = WorldConfig::single_node(2).with_params(NetParams::slingshot11().without_jitter());
     let sh = Session::new(cfg, Protocol::TwoPhase);
-    // The thread runner's wiring: lower-half events reach the rank's
-    // event counter through the scheduler's rank-waker registry.
+    // The launcher's wiring for ranks on threads: lower-half events reach
+    // the rank's event counter through the scheduler's rank-waker registry.
     let control = Arc::clone(&sh.control);
     let world = sh.current_world();
     world

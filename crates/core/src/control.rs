@@ -150,14 +150,14 @@ pub struct RankCtl {
     /// — otherwise the stall watchdog would report a spurious `P2pStall`
     /// for a death the injector already published as a typed event.
     dead: AtomicBool,
-    /// The rank's one wait primitive under the thread driver: every event
+    /// The one wait primitive of a rank on its own thread: every event
     /// that can unblock it — control-plane or lower-half — is counted
     /// here by [`RankCtl::wake`].
     park: Mutex<ParkState>,
     park_cv: Condvar,
-    /// The step driver's wake hook: invoked by every [`RankCtl::wake`] so
-    /// a parked step rank learns about the same events through its
-    /// driver. Unset for thread-driven ranks; set at most once, so a wake
+    /// The worker pool's wake hook: invoked by every [`RankCtl::wake`] so
+    /// a rank parked on the pool learns about the same events through its
+    /// driver. Unset for ranks on threads; set at most once, so a wake
     /// reads it without a lock or a reference count.
     waker: OnceLock<Arc<dyn Fn() + Send + Sync>>,
     /// Shared backstop-expiry accounting (the world's [`WakeupStats`]).
@@ -202,9 +202,9 @@ impl RankCtl {
         }
     }
 
-    /// Installs the step driver's waker, invoked on every
-    /// [`RankCtl::wake`]. Wired by the step runner at launch; thread-driven
-    /// sessions never set it.
+    /// Installs the worker pool's waker, invoked on every
+    /// [`RankCtl::wake`]. Wired by the launcher for pool-driven sessions;
+    /// sessions with a thread per rank never set it.
     ///
     /// # Panics
     /// Panics if a waker is already installed: a control block belongs to
@@ -245,7 +245,7 @@ impl RankCtl {
     }
 
     /// Blocks the calling rank thread until a [`RankCtl::wake`] lands after
-    /// `token` was taken, or the [`PARK_BACKSTOP`] lost-wakeup timeout
+    /// `token` was taken, or the `PARK_BACKSTOP` lost-wakeup timeout
     /// elapses; the caller then polls again. Every rank of a quiescing
     /// world parks here at once — outside the scheduler's worker pool — so
     /// this wait must be event-driven: a short timed poll multiplied by

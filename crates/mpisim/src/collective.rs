@@ -22,19 +22,16 @@
 //!   with 4095 ranks parked, holding a lock across an O(p) cost-model
 //!   evaluation would serialize the whole world behind it — then writes
 //!   each rank's result back into that rank's slot.
-//! * **Wakeups are batched to the scheduler's run-slot count** rather
-//!   than a thundering herd: only `wake_batch ≈ workers` waiters can
-//!   execute at once anyway, so completion wakes that many and each
-//!   collector passes a baton wakeup to the next still-parked waiter on
-//!   its way out. Completion also pokes every participant's mailbox
-//!   activity token, so slotless pollers (`Test` loops, `park_briefly`)
-//!   learn about it without a timed re-check.
+//! * **Completion is announced one way**: it pokes every participant's
+//!   mailbox activity token. Blocking waiters ([`crate::Ctx::wait`]),
+//!   slotless pollers (`Test` loops, `park_briefly`) and driven ranks
+//!   (through the mailbox waker) all learn about it the way they learn
+//!   about a deposit; the instance itself has nothing to sleep on.
 //! * **Instance lookup is sharded**: the registry spreads `(comm, seq)`
 //!   keys over independently-locked shards instead of funneling every
 //!   arrival in the world through one registry mutex.
 //!
-//! Blocking callers park on the instance condvar until completion.
-//! Non-blocking callers hold the instance inside an `MPI_Request` and poll
+//! Every caller holds the instance inside an `MPI_Request` and completes
 //! it with `test`/`wait` — once all participants have *initiated*, the
 //! operation completes "in background" at its modelled time, independent of
 //! further MPI activity, exactly the progress guarantee of MPI Example 6.36
@@ -49,7 +46,7 @@ use crate::types::CommId;
 use bytes::Bytes;
 use netmodel::collectives::CollCtx;
 use netmodel::{CollOp, NetParams, Topology, VTime};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -74,10 +71,12 @@ pub struct InstanceEnv {
     /// Participant mailboxes in group order, poked at completion so
     /// activity-token waits observe collective completions.
     pub mailboxes: Vec<Arc<Mailbox>>,
-    /// Scheduler run-slot count: the completion wakeup batch size.
+    /// Unused — completion pokes the mailboxes above and that is the
+    /// only wake — but the frozen benchmark builds this struct by literal;
+    /// goes with ROADMAP item 1(d).
     pub wake_batch: usize,
-    /// The world's fault-propagation plane: blocking waiters re-check it
-    /// on every wake and unwind instead of waiting on a dead peer.
+    /// Unused, like `wake_batch`: a waiter's poison check is in
+    /// [`crate::Ctx::wait`].
     pub fail: Arc<FailPlane>,
 }
 
@@ -117,15 +116,8 @@ pub struct CollInstance {
     /// Results collected so far; the collector that brings it to `size()`
     /// is `last` and retires the instance.
     taken: AtomicUsize,
-    /// Count of blocking waiters currently parked on `cv`.
-    waiters: Mutex<usize>,
-    cv: Condvar,
-    /// Completion wakeup batch size (≈ scheduler run slots).
-    wake_batch: usize,
     /// Participant mailboxes, poked at completion.
     mailboxes: Vec<Arc<Mailbox>>,
-    /// Fault plane checked by blocking waiters (see [`InstanceEnv::fail`]).
-    fail: Arc<FailPlane>,
 }
 
 /// Result of one rank's participation.
@@ -169,11 +161,7 @@ impl CollInstance {
             arrived: AtomicUsize::new(0),
             completed: AtomicBool::new(false),
             taken: AtomicUsize::new(0),
-            waiters: Mutex::new(0),
-            cv: Condvar::new(),
-            wake_batch: env.wake_batch.max(1),
             mailboxes: env.mailboxes,
-            fail: env.fail,
         }
     }
 
@@ -255,44 +243,6 @@ impl CollInstance {
         self.arrived.load(Ordering::Acquire)
     }
 
-    /// Blocks (wall-clock) until completion, then collects this rank's
-    /// result. Used by blocking collectives and `MPI_Wait`. Wakeups are
-    /// batched: completion wakes at most `wake_batch` waiters and every
-    /// waiter passes a baton wakeup to the next one still parked, so the
-    /// herd drains at the pace the scheduler can actually run it.
-    pub fn wait_and_take(&self, group_rank: usize) -> CollResult {
-        if !self.is_complete() {
-            {
-                let mut w = self.waiters.lock();
-                while !self.is_complete() && !self.fail.poisoned() {
-                    *w += 1;
-                    self.cv.wait(&mut w);
-                    *w -= 1;
-                }
-                // Baton: if other waiters are still parked, wake exactly
-                // one. Every parked waiter is woken either directly by
-                // completion (or the poison broadcast) or by a
-                // predecessor's baton, so none is stranded.
-                if *w > 0 {
-                    self.cv.notify_one();
-                }
-            }
-            // Out of the waiter accounting and lock scope: a poisoned
-            // world unwinds here, with a peer possibly dead and the
-            // instance forever incomplete.
-            self.fail.die_if_poisoned();
-        }
-        self.take_from_slot(group_rank)
-    }
-
-    /// Wakes every waiter parked on this instance (poison broadcast):
-    /// they re-check the fail plane and unwind instead of waiting on a
-    /// dead participant.
-    pub fn poison_wake(&self) {
-        let _w = self.waiters.lock();
-        self.cv.notify_all();
-    }
-
     /// Non-blocking collection: returns the result if complete.
     pub fn try_take(&self, group_rank: usize) -> Option<CollResult> {
         if !self.is_complete() {
@@ -353,15 +303,8 @@ impl CollInstance {
             };
         }
         self.completed.store(true, Ordering::Release);
-        // Wake a scheduler-slot-sized batch of parked waiters (they chain
-        // batons to the rest), and poke every participant's mailbox so
-        // slotless activity waits observe the completion.
-        {
-            let w = self.waiters.lock();
-            for _ in 0..self.wake_batch.min(*w) {
-                self.cv.notify_one();
-            }
-        }
+        // Poke every participant's mailbox: the one wake of a completion,
+        // whatever the participant is sleeping in.
         for mb in &self.mailboxes {
             mb.notify_activity();
         }
@@ -563,20 +506,6 @@ impl CollRegistry {
         let map = self.shard(&key).lock();
         let inst = map.get(&key)?;
         Some((inst.arrived(), inst.size()))
-    }
-
-    /// Poison broadcast: wakes every waiter parked on every in-flight
-    /// instance so they observe the fail plane. Part of
-    /// [`crate::World::poison_wake`].
-    pub fn poison_wake_all(&self) {
-        for shard in &self.shards {
-            // Clone the instances out so no waiter wakes into a held
-            // shard lock.
-            let insts: Vec<Arc<CollInstance>> = shard.lock().values().cloned().collect();
-            for inst in insts {
-                inst.poison_wake();
-            }
-        }
     }
 }
 
@@ -811,12 +740,12 @@ mod tests {
 
     #[test]
     fn concurrent_waiters_all_drain() {
-        // Batched wakeups + batons: every parked waiter of a wide
-        // instance collects its result even though completion only wakes
-        // `wake_batch` of them directly.
+        // Every participant of a wide instance asleep on its own mailbox's
+        // activity token is woken by the completion poke and collects its
+        // result through `try_take` — the wait `Ctx::wait` performs.
         let p = 32;
-        let mut e = env(p);
-        e.wake_batch = 2;
+        let e = env(p);
+        let mailboxes = e.mailboxes.clone();
         let i = Arc::new(CollInstance::new(
             (CommId(0), 0),
             CollOp::Barrier,
@@ -826,18 +755,29 @@ mod tests {
             1,
             e,
         ));
+        let take_when_poked = |i: &CollInstance, mb: &Mailbox, r: usize| loop {
+            let token = mb.activity_token();
+            if let Some(res) = i.try_take(r) {
+                break res.exit;
+            }
+            assert!(
+                mb.wait_activity_since(token, std::time::Duration::from_secs(10)),
+                "completion never poked participant {r}"
+            );
+        };
         let mut handles = Vec::new();
-        for r in 1..p {
+        for (r, mb) in mailboxes.iter().enumerate().skip(1) {
             let i = Arc::clone(&i);
+            let mb = Arc::clone(mb);
             handles.push(std::thread::spawn(move || {
                 i.enter(r, VTime::ZERO, Bytes::new(), CollOp::Barrier, 0, None);
-                i.wait_and_take(r).exit
+                take_when_poked(&i, &mb, r)
             }));
         }
         // Give waiters a moment to park, then complete the instance.
         std::thread::sleep(std::time::Duration::from_millis(20));
         i.enter(0, VTime::ZERO, Bytes::new(), CollOp::Barrier, 0, None);
-        let exit0 = i.wait_and_take(0).exit;
+        let exit0 = take_when_poked(&i, &mailboxes[0], 0);
         for h in handles {
             assert_eq!(h.join().unwrap(), exit0);
         }

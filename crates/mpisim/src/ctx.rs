@@ -33,14 +33,14 @@ use std::time::Duration;
 /// a self-driving poller the expiry is the productive path.
 const POLL_NAP: Duration = Duration::from_millis(5);
 
-/// Backstop for the slotless blocked-receive wait. *Every* rank of a
-/// large world can sit in a blocked receive at once, so the wait is
-/// event-driven — the activity token taken before the queue scan makes
-/// deposits race-proof — and the timeout only guards against a
-/// pathological lost wakeup. It is deliberately long (a short re-check
-/// would turn thousands of parked receivers into timed pollers) and every
-/// expiry is counted in [`crate::sched::WakeupStats`]: a healthy run
-/// never pays it.
+/// Backstop for [`Ctx::wait`]'s slotless sleep. *Every* rank of a large
+/// world can sit in a blocked receive or collective at once, so the wait
+/// is event-driven — the activity token taken before the completion
+/// attempt makes deposits and completions race-proof — and the timeout
+/// only guards against a pathological lost wakeup. It is deliberately
+/// long (a short re-check would turn thousands of parked waiters into
+/// timed pollers) and every expiry is counted in
+/// [`crate::sched::WakeupStats`]: a healthy run never pays it.
 const RECV_PARK: Duration = Duration::from_secs(1);
 
 /// Consecutive slot rotations a polling loop performs before it naps.
@@ -167,7 +167,7 @@ impl Ctx {
     /// this rank's mailbox activity token, so idle polls do not burn host
     /// CPU. Deposits *and* collective completions count as activity
     /// (completion pokes every participant's mailbox), so waits on either
-    /// return at once; the [`POLL_NAP`] bound only paces self-driving
+    /// return at once; the `POLL_NAP` bound only paces self-driving
     /// pollers whose progress is their own clock advance. A long unbroken
     /// streak of rotations means every slot holder is a poller waiting on
     /// something none of them produces — the streak is capped with the
@@ -196,9 +196,8 @@ impl Ctx {
 
     /// Runs `f` — a wait that may block on a condition variable — with
     /// this rank's scheduler run slot released, re-acquiring it before
-    /// returning. Exposed for the checkpoint layer's thread driver (its
-    /// one per-rank event wait); all blocking waits inside `Ctx` already
-    /// use it.
+    /// returning. Exposed for the checkpoint layer's one per-rank event
+    /// wait; [`Ctx::wait`] already uses it.
     pub fn blocked<T>(&self, f: impl FnOnce() -> T) -> T {
         self.world.sched.blocking(self.world_rank, f)
     }
@@ -235,39 +234,23 @@ impl Ctx {
     /// `(key, parent rank)`. A negative color (`MPI_UNDEFINED`) yields
     /// `None`.
     pub fn comm_split(&mut self, parent: &Comm, color: i64, key: i64) -> Option<Comm> {
-        self.check_epoch(parent);
-        let seq = self.bump_comm_seq(parent.id());
-        // Allgather (color, key) over the parent — this is both the data
-        // plane of the split and its (realistic) timing cost.
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&color.to_le_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        let gathered = self.run_collective(
-            parent,
-            seq,
-            CollOp::Allgather,
-            0,
-            Bytes::from(payload),
-            None,
-        );
+        let (mut req, seq) = self.comm_split_begin(parent, color, key);
+        let gathered = self.wait(&mut req).data;
         self.comm_split_finish(parent, seq, color, &gathered)
     }
 
     /// `MPI_Comm_dup`: duplicates `parent` (same group, fresh context id).
     pub fn comm_dup(&mut self, parent: &Comm) -> Comm {
-        self.check_epoch(parent);
-        let seq = self.bump_comm_seq(parent.id());
-        // Synchronize (and charge) like a tiny allgather.
-        let _ = self.run_collective(parent, seq, CollOp::Allgather, 0, Bytes::new(), None);
+        let (mut req, seq) = self.comm_dup_begin(parent);
+        self.wait(&mut req);
         self.comm_dup_finish(parent, seq)
     }
 
     /// `MPI_Comm_create`: collective over `parent`; ranks inside `group`
     /// get the new communicator, others get `None`.
     pub fn comm_create(&mut self, parent: &Comm, group: &Group) -> Option<Comm> {
-        self.check_epoch(parent);
-        let seq = self.bump_comm_seq(parent.id());
-        let _ = self.run_collective(parent, seq, CollOp::Allgather, 0, Bytes::new(), None);
+        let (mut req, seq) = self.comm_create_begin(parent);
+        self.wait(&mut req);
         self.comm_create_finish(parent, seq, group)
     }
 
@@ -401,62 +384,29 @@ impl Ctx {
     // ------------------------------------------------------------------
 
     /// `MPI_Wait`: blocks until the request completes; the request becomes
-    /// `MPI_REQUEST_NULL`.
+    /// `MPI_REQUEST_NULL`. One wait for sends, receives and collectives
+    /// alike: attempt the completion ([`Ctx::try_complete`], which moves
+    /// the clock exactly as a blocking wait would), and while it cannot
+    /// complete sleep — run slot released — on this rank's mailbox
+    /// activity token, which deposits, collective completions and the
+    /// poison broadcast all advance. The token is read *before* the
+    /// attempt, so an event racing it ends the sleep at once.
     pub fn wait(&mut self, req: &mut Request) -> Completion {
-        match req.kind.take() {
-            None => Completion::empty(),
-            Some(ReqKind::Send { complete_at }) => {
-                self.clock.advance_to(complete_at);
-                Completion::empty()
+        let rank = self.world_rank;
+        loop {
+            let token = self.world.mailbox(rank).activity_token();
+            if let Some(c) = self.try_complete(req) {
+                return c;
             }
-            Some(ReqKind::Recv {
-                comm,
-                src,
-                tag,
-                matched,
-            }) => {
-                let msg = match matched {
-                    Some(m) => m,
-                    None => {
-                        let world = &self.world;
-                        let rank = self.world_rank;
-                        // Blocked receive: release the run slot while
-                        // waiting on the mailbox (woken by deposits).
-                        world.sched.blocking(rank, || loop {
-                            // A poisoned world wakes every mailbox; the
-                            // sender may be dead, so unwind rather than
-                            // re-park (the runner releases the slot).
-                            world.fail_plane().die_if_poisoned();
-                            // Token before the scan: a deposit racing the
-                            // scan is seen by `wait_activity_since`, so
-                            // the long backstop is never paid for it.
-                            let token = world.mailbox(rank).activity_token();
-                            let spec = MatchSpec {
-                                comm: comm.id(),
-                                group: comm.group(),
-                                src,
-                                tag,
-                            };
-                            if let Some(m) = world.mailbox(rank).take_match(&spec) {
-                                break m;
-                            }
-                            if !world.mailbox(rank).wait_activity_since(token, RECV_PARK) {
-                                world.sched.stats().record_backstop_expiry();
-                            }
-                        })
-                    }
-                };
-                self.finish_recv(&comm, msg)
-            }
-            Some(ReqKind::Coll { inst, group_rank }) => {
-                // Collective rendezvous park: slotless until the last
-                // participant completes the instance.
-                let res = self
-                    .world
-                    .sched
-                    .blocking(self.world_rank, || inst.wait_and_take(group_rank));
-                self.finish_coll(&inst.key, res)
-            }
+            // A poisoned world wakes every mailbox; the peer may be dead,
+            // so unwind rather than re-park (the driver releases the slot).
+            let world = &self.world;
+            world.fail_plane().die_if_poisoned();
+            world.sched.blocking(rank, || {
+                if !world.mailbox(rank).wait_activity_since(token, RECV_PARK) {
+                    world.sched.stats().record_backstop_expiry();
+                }
+            });
         }
     }
 
@@ -642,38 +592,6 @@ impl Ctx {
     // Blocking collectives
     // ------------------------------------------------------------------
 
-    fn run_collective(
-        &mut self,
-        comm: &Comm,
-        seq: u64,
-        op: CollOp,
-        root: usize,
-        payload: Bytes,
-        red: Option<RedSpec>,
-    ) -> Bytes {
-        let inst = self.world.coll.get_or_create(
-            (comm.id(), seq),
-            op,
-            root,
-            red,
-            comm.group(),
-            || self.world.alloc_instance(),
-            || self.world.instance_env(comm.group()),
-        );
-        inst.enter(comm.rank(), self.clock, payload, op, root, red);
-        let group_rank = comm.rank();
-        let res = self
-            .world
-            .sched
-            .blocking(self.world_rank, || inst.wait_and_take(group_rank));
-        let key = inst.key;
-        if res.last {
-            self.world.coll.retire(key);
-        }
-        self.clock.advance_to(res.exit);
-        res.data
-    }
-
     /// Blocking collective entry point (all specific calls route here).
     pub fn collective(
         &mut self,
@@ -683,9 +601,8 @@ impl Ctx {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> Bytes {
-        self.check_epoch(comm);
-        let seq = self.bump_comm_seq(comm.id());
-        self.run_collective(comm, seq, op, root, payload, red)
+        let mut req = self.coll_begin(comm, op, root, payload, red);
+        self.wait(&mut req).data
     }
 
     /// `MPI_Barrier`.
@@ -810,19 +727,9 @@ impl Ctx {
     ) -> Request {
         self.check_epoch(comm);
         let seq = self.bump_comm_seq(comm.id());
-        let inst = self.world.coll.get_or_create(
-            (comm.id(), seq),
-            op,
-            root,
-            red,
-            comm.group(),
-            || self.world.alloc_instance(),
-            || self.world.instance_env(comm.group()),
-        );
         // Initiation cost: posting the operation.
         self.clock += self.world.params().send_overhead;
-        inst.enter(comm.rank(), self.clock, payload, op, root, red);
-        Request::coll(inst, comm.rank())
+        self.begin_collective(comm, seq, op, root, payload, red)
     }
 
     /// `MPI_Ibarrier`.
@@ -865,14 +772,14 @@ impl Ctx {
     // ------------------------------------------------------------------
     //
     // Poll-driven halves of the blocking calls above, for the checkpoint
-    // layer's protocol engine: it cannot sit in `blocking(wait_and_take)`
-    // — a step rank has no thread to block, and a thread rank must keep
-    // observing the control plane while it waits — so it *begins* the
-    // operation here (entering the instance exactly like the blocking
-    // path — no initiation charge, unlike `icollective`) and then drives
-    // the returned request with [`Ctx::try_complete`], which advances the
-    // clock to the completion time just like `wait` would. Both forms
-    // therefore produce bit-identical virtual-time trajectories.
+    // layer's protocol engine: it cannot sit in [`Ctx::wait`] — a rank on
+    // the step pool has no thread to block, and a rank on its own thread
+    // must keep observing the control plane while it waits — so it
+    // *begins* the operation here (entering the instance exactly like the
+    // blocking path — no initiation charge, unlike `icollective`) and
+    // then drives the returned request with [`Ctx::try_complete`], the
+    // same completion `wait` loops on. Both forms therefore produce
+    // bit-identical virtual-time trajectories.
 
     fn begin_collective(
         &mut self,
@@ -921,6 +828,8 @@ impl Ctx {
     pub fn comm_split_begin(&mut self, parent: &Comm, color: i64, key: i64) -> (Request, u64) {
         self.check_epoch(parent);
         let seq = self.bump_comm_seq(parent.id());
+        // Allgather (color, key) over the parent — this is both the data
+        // plane of the split and its (realistic) timing cost.
         let mut payload = Vec::with_capacity(16);
         payload.extend_from_slice(&color.to_le_bytes());
         payload.extend_from_slice(&key.to_le_bytes());
@@ -981,6 +890,7 @@ impl Ctx {
     pub fn comm_dup_begin(&mut self, parent: &Comm) -> (Request, u64) {
         self.check_epoch(parent);
         let seq = self.bump_comm_seq(parent.id());
+        // Synchronize (and charge) like a tiny allgather.
         let req = self.begin_collective(parent, seq, CollOp::Allgather, 0, Bytes::new(), None);
         (req, seq)
     }

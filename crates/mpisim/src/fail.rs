@@ -8,13 +8,13 @@
 //! * the injector publishes a [`RankDeath`] into the scheduler's
 //!   [`FailPlane`] (first death wins; a world dies once);
 //! * every sleeper is woken through its normal event channel (mailbox
-//!   activity, collective condvars, control parks) — no timed backstop is
+//!   activity, control parks) — no timed backstop is
 //!   ever relied on, so the zero-backstop-expiry invariant holds through a
 //!   kill;
 //! * each blocking wait checks the plane when it wakes (and at entry) and
-//!   unwinds its rank with a [`KilledByFault`] panic payload. The runners
-//!   recognize the payload, record the death, and return a typed error —
-//!   the marker never escapes as a user-visible panic.
+//!   unwinds its rank with a [`KilledByFault`] panic payload. The drivers
+//!   swallow the payload and the launcher turns the recorded death into
+//!   a typed error — the marker never escapes as a user-visible panic.
 //!
 //! Death is whole-world: as in real MPI, a dead rank aborts the job, and
 //! recovery means restoring a checkpoint image onto the survivors (the

@@ -21,11 +21,15 @@
 //!
 //! The contract with the rest of the system is small:
 //!
+//! * [`Scheduler::run_threads`], the **thread-per-object driver**, is
+//!   the one place rank threads are spawned: bare `run_world` ranks and
+//!   the checkpoint layer's closure bodies both run on it, as step
+//!   objects that block instead of yielding.
 //! * [`Scheduler::attach`] / [`Scheduler::detach`] bracket a rank body:
 //!   attach acquires the rank's first run slot, detach releases whatever
 //!   the rank still holds (idempotent, panic-path safe).
-//! * [`Scheduler::blocking`] brackets every potentially-blocking wait (the
-//!   mailbox receive wait, the collective rendezvous park, the checkpoint
+//! * [`Scheduler::blocking`] brackets every potentially-blocking wait
+//!   ([`crate::Ctx::wait`]'s mailbox-token sleep, the checkpoint
 //!   layer's one per-rank event wait): the slot is released for the
 //!   duration of the closure and re-acquired FIFO afterwards, so a world
 //!   of 512 ranks multiplexes onto ~`num_cpus` active workers and a
@@ -71,9 +75,9 @@
 //! event plumbing every driven rank has: each mailbox deposit and
 //! collective completion is routed — through the waker a world wires up
 //! from [`Scheduler::rank_waker_for`] — to whoever drives the rank. A
-//! step harness installs [`StepDriver::wake`] there; the checkpoint
-//! layer's thread runner installs its per-rank event counter, so both
-//! drivers hear about exactly the same events.
+//! step harness installs [`StepDriver::wake`] there; for ranks on the
+//! thread-per-object driver the checkpoint layer installs its per-rank
+//! event counter, so both drivers hear about exactly the same events.
 //!
 //! ## The wake protocol
 //!
@@ -122,7 +126,8 @@
 //! parked rank), so the zero-timed-wakeup contract is asserted for both
 //! representations by the same [`WakeupStats`] block.
 
-use crate::fail::FailPlane;
+use crate::fail::{FailPlane, KilledByFault};
+use crate::world::{LaunchGate, SpawnError, DEFAULT_RANK_STACK};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -214,8 +219,8 @@ pub struct Scheduler {
     /// with a typed [`crate::fail::RankDeath`].
     fail: Arc<FailPlane>,
     /// Rank-waker registry: installed by the runner that drives the ranks
-    /// (a [`StepDriver`] harness, or the thread runner's per-rank event
-    /// wait) so that every lower-half generation built on this scheduler
+    /// (a [`StepDriver`] harness, or a per-rank event wait for ranks on
+    /// threads) so that every lower-half generation built on this scheduler
     /// — the restart path creates fresh mailboxes mid-run — wires its
     /// event sources back to that driver without the runner's involvement.
     rank_wake: Mutex<Option<RankWakeFn>>,
@@ -390,6 +395,81 @@ impl Scheduler {
             }
         }
         out
+    }
+
+    /// The **thread-per-object driver**, [`StepDriver::run`]'s counterpart
+    /// for objects that own a stack. `objs[i]` is rank `i`'s continuation;
+    /// each gets one OS thread ([`DEFAULT_RANK_STACK`]) which attaches,
+    /// steps the object until [`Step::Done`] and detaches — also when it
+    /// panicked, so a dead rank cannot starve its peers of run slots. An
+    /// object that must wait sleeps *inside* its `step`
+    /// ([`Scheduler::blocking`]), so a [`Step::Yield`] is a cooperative
+    /// poll: rotate the run slot and step again.
+    ///
+    /// The launch is all-or-nothing: if a thread fails to spawn, the ranks
+    /// spawned before it return unstepped, `launched` never runs and the
+    /// typed [`SpawnError`] is returned. Otherwise `launched` runs on the
+    /// calling thread while the ranks do, and its value is returned once
+    /// every rank is done. The first rank panic is then re-raised — except
+    /// the quiet [`KilledByFault`] unwind, which is how a killed world ends.
+    pub fn run_threads<'a, T>(
+        &self,
+        objs: Vec<Box<dyn RankStep + 'a>>,
+        launched: impl FnOnce() -> T,
+    ) -> Result<T, SpawnError> {
+        let n_ranks = objs.len();
+        let gate = LaunchGate::new();
+        std::thread::scope(|s| {
+            let gate = &gate;
+            let mut handles = Vec::with_capacity(n_ranks);
+            let mut spawn_err = None;
+            for (rank, mut obj) in objs.into_iter().enumerate() {
+                let spawned = std::thread::Builder::new()
+                    .name(format!("rank-{rank}"))
+                    .stack_size(DEFAULT_RANK_STACK)
+                    .spawn_scoped(s, move || {
+                        if !gate.wait() {
+                            return Ok(()); // aborted launch: dropped unstepped
+                        }
+                        self.attach(rank);
+                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            while let Step::Yield(_) = obj.step() {
+                                self.yield_now(rank);
+                            }
+                        }));
+                        self.detach(rank);
+                        out
+                    });
+                match spawned {
+                    Ok(h) => handles.push(h),
+                    Err(e) => {
+                        spawn_err = Some(SpawnError {
+                            rank,
+                            n_ranks,
+                            reason: e.to_string(),
+                        });
+                        break;
+                    }
+                }
+            }
+            gate.decide(spawn_err.is_none());
+            let out = match spawn_err {
+                None => Ok(launched()),
+                Some(e) => Err(e),
+            };
+            let mut panic = None;
+            for h in handles {
+                if let Err(p) = h.join().and_then(|stepped| stepped) {
+                    if panic.is_none() && !p.is::<KilledByFault>() {
+                        panic = Some(p);
+                    }
+                }
+            }
+            if let Some(p) = panic {
+                std::panic::resume_unwind(p);
+            }
+            out
+        })
     }
 
     /// Assigns a freed slot: directly to the queue head if anyone waits,
@@ -664,10 +744,11 @@ impl StepDriver {
 
     /// Runs every step object to completion on `workers` pool threads,
     /// blocking the caller until all ranks are finished. `objs[i]` is
-    /// rank `i`'s continuation. Panics from a body are re-raised on the
-    /// caller after the pool drains (the panicking rank is marked
-    /// finished; peers blocked on it indefinitely will only make
-    /// rescue-sweep progress, as in the thread representation).
+    /// rank `i`'s continuation. The first panic from a body is re-raised
+    /// on the caller after the pool drains — except, as under
+    /// [`Scheduler::run_threads`], the quiet [`KilledByFault`] unwind (the
+    /// panicking rank is marked finished; peers blocked on it
+    /// indefinitely will only make rescue-sweep progress).
     pub fn run<'a>(&self, workers: usize, objs: Vec<Box<dyn RankStep + 'a>>) {
         assert_eq!(objs.len(), self.n_ranks(), "one step object per rank");
         let workers = workers.max(1);
@@ -681,7 +762,8 @@ impl StepDriver {
                 s.spawn(|| self.worker_loop(workers, &slots, &panics));
             }
         });
-        if let Some(p) = panics.into_inner().into_iter().next() {
+        let loud = |p: &Box<dyn std::any::Any + Send>| !p.is::<KilledByFault>();
+        if let Some(p) = panics.into_inner().into_iter().find(loud) {
             std::panic::resume_unwind(p);
         }
     }

@@ -3,11 +3,12 @@
 //! In split-process terms (paper Figure 1) a `World` **is** the lower half:
 //! mailboxes, communicator registry, and in-flight collective instances. At
 //! restart the checkpoint engine discards the old `World` and attaches a
-//! fresh one to the surviving rank threads ([`crate::Ctx::attach_world`]) —
+//! fresh one to the surviving ranks ([`crate::Ctx::attach_world`]) —
 //! nothing in here is ever saved in a checkpoint image.
 //!
-//! Rank execution is multiplexed by the batched cooperative
-//! [`Scheduler`]: each rank owns a thread (its
+//! [`run_world`] launches bare ranks — `Ctx` closures as step objects that
+//! never yield — on the thread-per-object driver
+//! ([`Scheduler::run_threads`]): each rank owns a thread (its
 //! continuation), but only `workers` ranks run at once — see
 //! [`crate::sched`] for the contract. The scheduler outlives the `World`:
 //! restart builds the next generation onto the same scheduler with
@@ -19,7 +20,7 @@ use crate::ctx::Ctx;
 use crate::group::Group;
 use crate::mailbox::Mailbox;
 use crate::msg::InFlightMsg;
-use crate::sched::Scheduler;
+use crate::sched::{RankStep, Scheduler, Step};
 use crate::types::{CommId, COMM_WORLD_ID};
 use netmodel::{NetParams, Topology, VTime};
 use parking_lot::{Mutex, RwLock};
@@ -27,8 +28,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default stack size for rank threads, shared by every runner
-/// ([`run_world`], the checkpoint runners, restore replay).
+/// Stack size of every rank thread the thread-per-object driver
+/// ([`Scheduler::run_threads`]) spawns.
 ///
 /// Rank bodies are shallow — MPI-style call chains plus the wrapper layer,
 /// no deep recursion — and a debug build of the full test battery peaks
@@ -48,10 +49,6 @@ pub struct WorldConfig {
     pub ranks_per_node: usize,
     /// Network cost parameters.
     pub params: NetParams,
-    /// Stack size for rank threads spawned by [`run_world`]
-    /// ([`DEFAULT_RANK_STACK`] unless overridden — rank bodies with deep
-    /// recursion should raise it via [`WorldConfig::with_stack_size`]).
-    pub stack_size: usize,
     /// Concurrently-running rank bound for the cooperative scheduler;
     /// `None` sizes it to the host ([`Scheduler::default_workers`]).
     pub workers: Option<usize>,
@@ -64,7 +61,6 @@ impl WorldConfig {
             n_ranks: n,
             ranks_per_node: n.max(1),
             params: NetParams::default(),
-            stack_size: DEFAULT_RANK_STACK,
             workers: None,
         }
     }
@@ -75,7 +71,6 @@ impl WorldConfig {
             n_ranks: n,
             ranks_per_node: rpn,
             params: NetParams::default(),
-            stack_size: DEFAULT_RANK_STACK,
             workers: None,
         }
     }
@@ -83,19 +78,6 @@ impl WorldConfig {
     /// Replaces the network parameters.
     pub fn with_params(mut self, params: NetParams) -> Self {
         self.params = params;
-        self
-    }
-
-    /// Overrides the per-rank thread stack size.
-    ///
-    /// **Closure-shim only.** Step-function ranks (see [`crate::sched`]'s
-    /// step-driver section) have no per-rank stack — their continuation is
-    /// a heap object — so this knob is meaningless there, and the step
-    /// runners reject a non-default value with a typed error rather than
-    /// silently ignoring it.
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "stack size must be positive");
-        self.stack_size = bytes;
         self
     }
 
@@ -209,9 +191,8 @@ impl World {
     }
 
     /// The environment a [`crate::collective::CollInstance`] for `group`
-    /// needs: cost-model inputs, the participants' mailboxes (poked at
-    /// completion), and the scheduler's run-slot count as the completion
-    /// wakeup batch size.
+    /// needs: cost-model inputs and the participants' mailboxes (poked at
+    /// completion).
     pub(crate) fn instance_env(&self, group: &Group) -> InstanceEnv {
         InstanceEnv {
             params: Arc::clone(&self.params),
@@ -235,16 +216,14 @@ impl World {
 
     /// Poison broadcast for this lower half: after a fault injector
     /// publishes a death on the fail plane, this wakes every sleeper that
-    /// parks on lower-half state — mailbox activity waits (receive parks,
-    /// `park_briefly`; driven ranks hear it through the mailbox waker)
-    /// and collective-instance condvars — so they observe the poison and
-    /// unwind promptly. The caller wakes the checkpoint control plane
-    /// itself.
+    /// parks on lower-half state — every one of them a mailbox activity
+    /// wait ([`crate::Ctx::wait`], `park_briefly`; driven ranks hear it
+    /// through the mailbox waker) — so they observe the poison and unwind
+    /// promptly. The caller wakes the checkpoint control plane itself.
     pub fn poison_wake(&self) {
         for mb in &self.mailboxes {
             mb.notify_activity();
         }
-        self.coll.poison_wake_all();
     }
 
     /// The cooperative rank scheduler this world's ranks run under.
@@ -463,8 +442,6 @@ pub struct SpawnError {
     pub rank: usize,
     /// Total ranks the launch asked for.
     pub n_ranks: usize,
-    /// Per-thread stack size requested (bytes).
-    pub stack_size: usize,
     /// The OS error.
     pub reason: String,
 }
@@ -476,7 +453,7 @@ impl std::fmt::Display for SpawnError {
             "failed to spawn rank thread {}/{} ({} KiB stack each): {}",
             self.rank,
             self.n_ranks,
-            self.stack_size >> 10,
+            DEFAULT_RANK_STACK >> 10,
             self.reason
         )
     }
@@ -484,7 +461,7 @@ impl std::fmt::Display for SpawnError {
 
 impl std::error::Error for SpawnError {}
 
-/// The all-or-nothing launch gate shared by every rank runner: rank
+/// The all-or-nothing launch gate of the thread-per-object driver: rank
 /// threads block on it before touching the scheduler or application code,
 /// and the spawning thread releases them only once *every* spawn
 /// succeeded. On a spawn failure the gate aborts instead — already-spawned
@@ -521,8 +498,28 @@ impl LaunchGate {
     }
 }
 
-/// Spawns one thread per rank (a parked continuation under the cooperative
-/// scheduler), runs `f` on each, and reports results and virtual-time
+/// A bare rank: a `Ctx` closure as a step object that never yields (it
+/// blocks inside [`Ctx::wait`] instead — it owns a thread to block).
+struct BareRank<'a, R, F> {
+    ctx: Ctx,
+    f: &'a F,
+    out: &'a Mutex<Option<RankReport<R>>>,
+}
+
+impl<R: Send, F: Fn(&mut Ctx) -> R + Sync> RankStep for BareRank<'_, R, F> {
+    fn step(&mut self) -> Step {
+        let result = (self.f)(&mut self.ctx);
+        *self.out.lock() = Some(RankReport {
+            rank: self.ctx.rank(),
+            result,
+            final_clock: self.ctx.clock(),
+        });
+        Step::Done
+    }
+}
+
+/// Runs `f` on every rank, one thread per rank (a parked continuation
+/// under the cooperative scheduler), and reports results and virtual-time
 /// makespan. At most [`WorldConfig::workers`] ranks execute concurrently.
 /// Panics in any rank propagate; the panicking rank's run slot is released
 /// first so its peers are not starved while they run down.
@@ -548,64 +545,24 @@ where
     F: Fn(&mut Ctx) -> R + Send + Sync,
 {
     let world = World::new(cfg.clone());
-    let gate = Arc::new(LaunchGate::new());
-    let mut reports: Vec<Option<RankReport<R>>> = (0..cfg.n_ranks).map(|_| None).collect();
-    let mut spawn_err = None;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(cfg.n_ranks);
-        for rank in 0..cfg.n_ranks {
-            let world = Arc::clone(&world);
-            let gate = Arc::clone(&gate);
-            let f = &f;
-            let spawned = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(cfg.stack_size)
-                .spawn_scoped(s, move || {
-                    if !gate.wait() {
-                        return None; // aborted launch: never ran `f`
-                    }
-                    let sched = Arc::clone(world.scheduler());
-                    sched.attach(rank);
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut ctx = Ctx::new(world, rank);
-                        let result = f(&mut ctx);
-                        RankReport {
-                            rank,
-                            result,
-                            final_clock: ctx.clock(),
-                        }
-                    }));
-                    sched.detach(rank);
-                    match out {
-                        Ok(rep) => Some(rep),
-                        Err(p) => std::panic::resume_unwind(p),
-                    }
-                });
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    spawn_err = Some(SpawnError {
-                        rank,
-                        n_ranks: cfg.n_ranks,
-                        stack_size: cfg.stack_size,
-                        reason: e.to_string(),
-                    });
-                    break;
-                }
-            }
-        }
-        gate.decide(spawn_err.is_none());
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(rep) => reports[rank] = rep,
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-    });
-    if let Some(e) = spawn_err {
-        return Err(e);
-    }
-    let ranks: Vec<RankReport<R>> = reports.into_iter().map(|r| r.unwrap()).collect();
+    let outs: Vec<Mutex<Option<RankReport<R>>>> =
+        (0..cfg.n_ranks).map(|_| Mutex::new(None)).collect();
+    let objs = outs
+        .iter()
+        .enumerate()
+        .map(|(rank, out)| {
+            Box::new(BareRank {
+                ctx: Ctx::new(Arc::clone(&world), rank),
+                f: &f,
+                out,
+            }) as Box<dyn RankStep + '_>
+        })
+        .collect();
+    world.scheduler().run_threads(objs, || ())?;
+    let ranks: Vec<RankReport<R>> = outs
+        .into_iter()
+        .map(|o| o.into_inner().expect("every rank ran to completion"))
+        .collect();
     let makespan = VTime::max_of(ranks.iter().map(|r| r.final_clock));
     Ok(WorldReport { ranks, makespan })
 }

@@ -29,7 +29,7 @@ pub struct RandomWorkloadCfg {
     /// wall-fast completion.
     pub pace_us: u64,
     /// Remap non-blocking collective steps onto blocking equivalents
-    /// (same rng draw sequence, so the schedule stays globally agreed).
+    /// (same rng draw sequence as the unrestricted schedule).
     /// Required under `Protocol::TwoPhase`, which refuses non-blocking
     /// collectives.
     pub blocking_only: bool,
@@ -59,6 +59,78 @@ impl RandomWorkloadCfg {
     }
 }
 
+/// One step of the schedule: what every rank does at it, with the step's
+/// random parameters already drawn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arm {
+    /// Blocking allreduce on world.
+    Allreduce,
+    /// Barrier on world.
+    Barrier,
+    /// Bcast from a random root.
+    Bcast { root: usize },
+    /// Allreduce of `[1.0, acc]`, run synchronously (blocking-only
+    /// schedules, i.e. 2PC)...
+    Allreduce2,
+    /// ...or merely initiated, to be completed a few steps later or by
+    /// the checkpoint drain.
+    IAllreduce2,
+    /// Complete all pending non-blocking collectives.
+    DrainPending,
+    /// Ring exchange: everyone sends to `(r+1)`, receives from `(r-1)`.
+    Ring,
+    /// Split by parity stripe `stripe` ranks wide; collective inside.
+    Split { stripe: usize },
+    /// Collective on the `pick`-th previously created subcomm (if any).
+    SubAllreduce { pick: usize },
+    /// Allgather on world.
+    Allgather,
+    /// Dup of world, then a barrier on the dup.
+    Dup,
+    /// Directed pair message `a → b` with a wildcard receive.
+    Pair { a: usize, b: usize, tag: u32 },
+}
+
+/// Draws step `step`'s arm for an `n`-rank world. Called exactly once per
+/// step, by every rank and by both forms of the workload, so the schedule
+/// is agreed by construction: every draw a step makes happens in here,
+/// whether or not the calling rank acts on the arm.
+pub(crate) fn draw_arm(rng: &mut SplitMix64, n: usize, step: usize, blocking_only: bool) -> Arm {
+    match rng.next_range(100) {
+        0..=19 => Arm::Allreduce,
+        20..=27 => Arm::Barrier,
+        28..=37 => Arm::Bcast {
+            root: rng.next_range(n as u64) as usize,
+        },
+        38..=52 if blocking_only => Arm::Allreduce2,
+        38..=52 => Arm::IAllreduce2,
+        // Blocking-only schedules have nothing pending: a barrier instead.
+        53..=62 if blocking_only => Arm::Barrier,
+        53..=62 => Arm::DrainPending,
+        63..=74 => Arm::Ring,
+        75..=81 => Arm::Split {
+            stripe: 1 + rng.next_range(3) as usize, // 1..=3
+        },
+        82..=86 => Arm::SubAllreduce {
+            pick: rng.next_range(8) as usize,
+        },
+        87..=92 => Arm::Allgather,
+        93..=94 => Arm::Dup,
+        _ => {
+            let a = rng.next_range(n as u64) as usize;
+            let b = if n > 1 {
+                (a + 1 + rng.next_range(n as u64 - 1) as usize) % n
+            } else {
+                a
+            };
+            // A per-step tag keeps matching deterministic even when
+            // several wildcard messages are in flight at once.
+            let tag = 1000 + step as u32;
+            Arm::Pair { a, b, tag }
+        }
+    }
+}
+
 /// Runs the workload on one rank; returns the rank's checksum.
 pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
     let n = rank.size();
@@ -85,19 +157,13 @@ pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
             % 97) as f64;
         rank.compute(1e-6 + skew * 2e-8);
 
-        // All rng draws below happen identically on every rank.
-        let op = rng.next_range(100);
-        match op {
-            // Blocking allreduce on world.
-            0..=19 => {
+        match draw_arm(&mut rng, n, step, cfg.blocking_only) {
+            Arm::Allreduce => {
                 let v = rank.allreduce_f64(world, &[acc], ReduceOp::Sum);
                 acc = 0.25 * acc + v[0] * 1e-3;
             }
-            // Barrier.
-            20..=27 => rank.barrier(world),
-            // Bcast from a random root.
-            28..=37 => {
-                let root = rng.next_range(n as u64) as usize;
+            Arm::Barrier => rank.barrier(world),
+            Arm::Bcast { root } => {
                 let data = if rank.comm_rank(world) == root {
                     encode_f64(&[acc])
                 } else {
@@ -106,34 +172,21 @@ pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
                 let out = rank.bcast(world, root, data);
                 acc += decode_f64(&out)[0] * 1e-3;
             }
-            // Non-blocking collective initiation (completed later or by
-            // the checkpoint drain). Blocking-only schedules (2PC) run the
-            // same reduction synchronously.
-            38..=52 => {
-                if cfg.blocking_only {
-                    let out =
-                        rank.allreduce(world, encode_f64(&[1.0, acc]), DType::F64, ReduceOp::Sum);
-                    acc += decode_f64(&out)[1] * 1e-4;
-                } else {
-                    let v =
-                        rank.iallreduce(world, encode_f64(&[1.0, acc]), DType::F64, ReduceOp::Sum);
-                    pending.push(v);
+            Arm::Allreduce2 => {
+                let out = rank.allreduce(world, encode_f64(&[1.0, acc]), DType::F64, ReduceOp::Sum);
+                acc += decode_f64(&out)[1] * 1e-4;
+            }
+            Arm::IAllreduce2 => {
+                let v = rank.iallreduce(world, encode_f64(&[1.0, acc]), DType::F64, ReduceOp::Sum);
+                pending.push(v);
+            }
+            Arm::DrainPending => {
+                for v in pending.drain(..) {
+                    let c = rank.wait(v);
+                    acc += decode_f64(&c.data)[1] * 1e-4;
                 }
             }
-            // Complete all pending non-blocking collectives (a barrier
-            // under blocking-only schedules, which have none pending).
-            53..=62 => {
-                if cfg.blocking_only {
-                    rank.barrier(world);
-                } else {
-                    for v in pending.drain(..) {
-                        let c = rank.wait(v);
-                        acc += decode_f64(&c.data)[1] * 1e-4;
-                    }
-                }
-            }
-            // Ring exchange: everyone sends to (r+1), receives from (r-1).
-            63..=74 => {
+            Arm::Ring => {
                 let to = (me + 1) % n;
                 let from = (me + n - 1) % n;
                 let sv = rank.isend(world, to, 5, encode_f64(&[acc]));
@@ -141,9 +194,7 @@ pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
                 acc += decode_f64(&data)[0] * 1e-3;
                 rank.wait(sv);
             }
-            // Split by schedule-chosen parity stripe; collective inside.
-            75..=81 => {
-                let stripe = 1 + rng.next_range(3) as usize; // 1..=3
+            Arm::Split { stripe } => {
                 let color = (me / stripe % 2) as i64;
                 let sub = rank
                     .comm_split(world, color, me as i64)
@@ -152,37 +203,23 @@ pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
                 acc = 0.5 * acc + 0.5 * v[0];
                 subcomms.push(sub);
             }
-            // Collective on a previously created subcomm (if any).
-            82..=86 => {
-                let pick = rng.next_range(8) as usize;
+            Arm::SubAllreduce { pick } => {
                 if let Some(&sub) = subcomms.get(pick % subcomms.len().max(1)) {
                     let v = rank.allreduce_f64(sub, &[acc], ReduceOp::Sum);
                     acc = 0.75 * acc + v[0] * 1e-3;
                 }
             }
-            // Allgather.
-            87..=92 => {
+            Arm::Allgather => {
                 let out = rank.allgather(world, encode_f64(&[acc]));
                 let s: f64 = decode_f64(&out).iter().sum();
                 acc = 0.9 * acc + s * 1e-3 / n as f64;
             }
-            // Dup of world, then a barrier on the dup.
-            93..=94 => {
+            Arm::Dup => {
                 let d = rank.comm_dup(world);
                 rank.barrier(d);
                 subcomms.push(d);
             }
-            // Directed pair message with a wildcard receive.
-            _ => {
-                let a = rng.next_range(n as u64) as usize;
-                let b = if n > 1 {
-                    (a + 1 + rng.next_range(n as u64 - 1) as usize) % n
-                } else {
-                    a
-                };
-                // A per-step tag keeps matching deterministic even when
-                // several wildcard messages are in flight at once.
-                let tag = 1000 + step as u32;
+            Arm::Pair { a, b, tag } => {
                 if a != b {
                     if me == a {
                         rank.send(world, b, tag, encode_f64(&[acc]));

@@ -1,27 +1,23 @@
 //! Step-function forms of the workloads: the same programs as
 //! [`crate::kernels`] and [`crate::random_workload`], hand-lowered to
-//! resumable state machines ([`StepBody`]) for the heap-object rank
-//! representation.
+//! resumable state machines ([`StepBody`]) that the worker pool can step.
 //!
 //! Equivalence contract: each machine issues the *identical* sequence of
-//! wrapper calls (and, for the random workload, the identical RNG draw
-//! order — including draws inside arms a rank does not act on) as its
-//! closure twin, with blocking calls decomposed exactly the way the
-//! blocking wrapper itself decomposes them (`recv` = `irecv` + `wait`,
-//! `send` = `isend` + `wait`). Same seeds therefore produce bit-identical
-//! results, counters, and checkpoint captures under either
-//! representation; the representation-equivalence tests restore images
-//! across the two.
+//! wrapper calls as its closure twin (the random workload's schedule is
+//! drawn by the one `random::draw_arm` both forms call), with blocking
+//! calls decomposed exactly the way the blocking wrapper itself
+//! decomposes them (`recv` = `irecv` + `wait`, `send` = `isend` +
+//! `wait`). Same seeds therefore produce bit-identical results, counters,
+//! and checkpoint captures under either form; the
+//! representation-equivalence tests restore images across the two.
 //!
-//! Lowering pattern: a program counter enum plus locals, with every RNG
-//! draw performed exactly once at the arm-dispatch transition (a re-poll
-//! of a pending operation must not re-draw), and pollable operations
-//! resumed through the engine's idempotent-start `poll_*` API.
+//! Lowering pattern: a program counter enum plus locals, with pollable
+//! operations resumed through the engine's idempotent-start `poll_*` API.
 
-use crate::random::RandomWorkloadCfg;
+use crate::random::{draw_arm, Arm, RandomWorkloadCfg};
 use crate::rng::SplitMix64;
 use bytes::Bytes;
-use ckpt::{BodyStep, StepBody, StepPoll, StepRank};
+use ckpt::{BodyStep, CcRank, StepBody, StepPoll};
 use mana_core::{VComm, VReq};
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{DType, ReduceOp, SrcSel, TagSel};
@@ -74,7 +70,7 @@ impl ScfStep {
 impl StepBody for ScfStep {
     type Out = f64;
 
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<f64> {
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
         let world = r.world_vcomm();
         let n = r.size() as f64;
         let local = self.local.get_or_insert_with(|| {
@@ -150,7 +146,7 @@ impl BcastPipelineStep {
 impl StepBody for BcastPipelineStep {
     type Out = f64;
 
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<f64> {
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
         let world = r.world_vcomm();
         let me = r.rank();
         loop {
@@ -247,7 +243,7 @@ impl HaloStep {
 impl StepBody for HaloStep {
     type Out = f64;
 
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<f64> {
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
         let world = r.world_vcomm();
         let n = r.size();
         let me = r.rank();
@@ -361,9 +357,8 @@ enum RandPc {
     TailBarrier,
 }
 
-/// Step form of [`crate::random_workload`]: the same schedule (every RNG
-/// draw in the same order, including draws for arms this rank does not
-/// act on) lowered to a resumable machine.
+/// Step form of [`crate::random_workload`]: the same schedule lowered to
+/// a resumable machine.
 pub struct RandomWorkloadStep {
     cfg: RandomWorkloadCfg,
     rng: SplitMix64,
@@ -395,7 +390,7 @@ impl RandomWorkloadStep {
 impl StepBody for RandomWorkloadStep {
     type Out = f64;
 
-    fn step(&mut self, r: &mut StepRank) -> BodyStep<f64> {
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
         let n = r.size();
         let me = r.rank();
         let world = r.world_vcomm();
@@ -417,45 +412,24 @@ impl StepBody for RandomWorkloadStep {
                         .wrapping_add(step as u64 * 40503)
                         % 97) as f64;
                     r.compute(1e-6 + skew * 2e-8);
-                    // Every draw below happens on every rank, exactly as
-                    // in the closure form — a re-poll never re-draws
-                    // because the draws live in this dispatch transition.
-                    let op = self.rng.next_range(100);
-                    self.pc = match op {
-                        0..=19 => RandPc::Allreduce,
-                        20..=27 => RandPc::Barrier,
-                        28..=37 => RandPc::Bcast {
-                            root: self.rng.next_range(n as u64) as usize,
-                        },
-                        38..=52 => {
-                            if self.cfg.blocking_only {
-                                RandPc::BlockingAllreduce2
-                            } else {
-                                RandPc::IAllreduce
-                            }
-                        }
-                        53..=62 => {
-                            if self.cfg.blocking_only {
-                                RandPc::Barrier
-                            } else {
-                                RandPc::DrainPending { idx: 0 }
-                            }
-                        }
-                        63..=74 => {
+                    self.pc = match draw_arm(&mut self.rng, n, step, self.cfg.blocking_only) {
+                        Arm::Allreduce => RandPc::Allreduce,
+                        Arm::Barrier => RandPc::Barrier,
+                        Arm::Bcast { root } => RandPc::Bcast { root },
+                        Arm::Allreduce2 => RandPc::BlockingAllreduce2,
+                        Arm::IAllreduce2 => RandPc::IAllreduce,
+                        Arm::DrainPending => RandPc::DrainPending { idx: 0 },
+                        Arm::Ring => {
                             let to = (me + 1) % n;
                             let from = (me + n - 1) % n;
                             let sv = r.isend(world, to, 5, encode_f64(&[acc]));
                             let rv = r.irecv(world, from, 5u32);
                             RandPc::RingRecvWait { sv, rv }
                         }
-                        75..=81 => {
-                            let stripe = 1 + self.rng.next_range(3) as usize; // 1..=3
-                            RandPc::Split {
-                                color: (me / stripe % 2) as i64,
-                            }
-                        }
-                        82..=86 => {
-                            let pick = self.rng.next_range(8) as usize;
+                        Arm::Split { stripe } => RandPc::Split {
+                            color: (me / stripe % 2) as i64,
+                        },
+                        Arm::SubAllreduce { pick } => {
                             match self.subcomms.get(pick % self.subcomms.len().max(1)) {
                                 Some(&sub) => RandPc::SubAllreduce { sub },
                                 None => {
@@ -464,26 +438,19 @@ impl StepBody for RandomWorkloadStep {
                                 }
                             }
                         }
-                        87..=92 => RandPc::Allgather,
-                        93..=94 => RandPc::Dup,
-                        _ => {
-                            let a = self.rng.next_range(n as u64) as usize;
-                            let b = if n > 1 {
-                                (a + 1 + self.rng.next_range(n as u64 - 1) as usize) % n
-                            } else {
-                                a
-                            };
-                            let tag = 1000 + step as u32;
-                            if a != b && me == a {
-                                let sv = r.isend(world, b, tag, encode_f64(&[acc]));
-                                RandPc::PairSendWait { sv }
-                            } else if a != b && me == b {
-                                let rv = r.irecv(world, SrcSel::Any, TagSel::Tag(tag));
-                                RandPc::PairRecvWait { rv }
-                            } else {
-                                self.step += 1;
-                                RandPc::StepTop
-                            }
+                        Arm::Allgather => RandPc::Allgather,
+                        Arm::Dup => RandPc::Dup,
+                        Arm::Pair { a, b, tag } if a != b && me == a => {
+                            let sv = r.isend(world, b, tag, encode_f64(&[acc]));
+                            RandPc::PairSendWait { sv }
+                        }
+                        Arm::Pair { a, b, tag } if a != b && me == b => {
+                            let rv = r.irecv(world, SrcSel::Any, TagSel::Tag(tag));
+                            RandPc::PairRecvWait { rv }
+                        }
+                        Arm::Pair { .. } => {
+                            self.step += 1;
+                            RandPc::StepTop
                         }
                     };
                 }
