@@ -20,7 +20,7 @@ use ckpt::{
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
-use workloads::{bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, ScfStep};
+use workloads::{BcastPipelineStep, HaloStep, ScfStep};
 
 pub mod availability;
 pub mod figure7;
@@ -73,18 +73,14 @@ impl BenchWorkload {
         BenchWorkload::BcastPipeline,
     ];
 
-    /// Runs `iters` iterations of this workload on one wrapped rank.
+    /// Runs `iters` iterations of this workload on one wrapped rank that
+    /// owns its thread: [`BenchWorkload::step_body`] run to completion.
     pub fn run_iters(self, iters: usize, rank: &mut CcRank) -> f64 {
-        match self {
-            BenchWorkload::Scf => scf_loop(rank, iters, 8),
-            BenchWorkload::Halo => halo_exchange(rank, iters, 8),
-            BenchWorkload::BcastPipeline => bcast_pipeline(rank, iters, 256),
-        }
+        rank.run(&mut self.step_body(iters))
     }
 
-    /// The same program as [`BenchWorkload::run_iters`] in its step-object
-    /// form (same iteration/size parameters, so a step cell is
-    /// call-for-call comparable to a closure cell).
+    /// `iters` iterations of this workload as a step body — the one
+    /// program of a cell, whichever driver steps it.
     pub fn step_body(self, iters: usize) -> BenchStepBody {
         let inner = match self {
             BenchWorkload::Scf => BenchStepKind::Scf(ScfStep::new(iters, 8)),

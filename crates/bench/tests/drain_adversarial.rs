@@ -2,7 +2,8 @@
 //! wildcard (`ANY_SOURCE`) receive while the others drain, a non-blocking
 //! collective that is initiated but not completed when the checkpoint
 //! request lands (§4.3.1 counts initiation; §4.3.2 drains it), `MPI_Test`
-//! loops that a checkpoint lands inside of, and the
+//! loops that a checkpoint lands inside of, a step-body program run
+//! inline (`CcRank::run`) between a closure's own blocking calls, and the
 //! drain-stall watchdog at scale — a healthy 256-rank drain under the
 //! batched cooperative scheduler must not be misread as a p2p stall.
 
@@ -12,7 +13,7 @@ use mana_core::Protocol;
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{DType, NetParams, ReduceOp, SrcSel, TagSel, VTime, WorldConfig};
 use std::time::Duration;
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::{random_workload, RandomWorkloadCfg, ScfStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -182,6 +183,73 @@ fn test_loop_survives_a_checkpoint() {
         let results: Vec<f64> = run.results().copied().collect();
         assert_eq!(results, reference, "{mode:?}: the loops saw the checkpoint");
         assert_eq!(run.backstop_expiries, 0, "{mode:?}");
+    }
+}
+
+const INLINE_SCF_ITERS: usize = 80;
+
+/// A closure body that runs a step-body program inline between its own
+/// blocking calls: a blocking ring exchange, then [`ScfStep`] under
+/// [`CcRank::run`] (poll machines in the rank's in-flight slot), then a
+/// blocking allgather (a machine on the stack) over what both produced.
+fn ring_then_inline_scf_then_allgather(r: &mut CcRank) -> f64 {
+    let world = r.world_vcomm();
+    let (me, n) = (r.rank(), r.size());
+    let sv = r.isend(world, (me + 1) % n, 9, encode_f64(&[me as f64]));
+    let (from_left, _) = r.recv(world, (me + n - 1) % n, 9);
+    r.wait(sv);
+    // Every SCF iteration costs wall time, so the trigger supervisor
+    // catches the world inside the `run`.
+    r.set_wall_pace_us(100);
+    let energy = r.run(&mut ScfStep::new(INLINE_SCF_ITERS, 8));
+    r.set_wall_pace_us(0);
+    let mine = energy + decode_f64(&from_left)[0];
+    let all = decode_f64(&r.allgather(world, encode_f64(&[mine])));
+    all.iter()
+        .enumerate()
+        .map(|(i, x)| x * (i + 1) as f64)
+        .sum()
+}
+
+/// A checkpoint + restart that lands while every rank is inside
+/// `CcRank::run` must park the inline body at one of its `poll_*` calls,
+/// resume it into the fresh lower half, and leave the closure's blocking
+/// calls on either side none the wiser — under both protocols.
+#[test]
+fn inline_step_body_in_a_closure_survives_a_restart() {
+    let n = 4;
+    let native = run_ckpt_world(
+        cfg(n),
+        CkptOptions::native().with_protocol(Protocol::Native),
+        ring_then_inline_scf_then_allgather,
+    );
+    let reference: Vec<f64> = native.results().copied().collect();
+    // The ring exchange before the `run` and the allgather after it are
+    // microseconds of the makespan: halfway is well inside.
+    let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
+    for protocol in [Protocol::Cc, Protocol::TwoPhase] {
+        let run = run_ckpt_world(
+            cfg(n),
+            CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol),
+            ring_then_inline_scf_then_allgather,
+        );
+        assert!(run.failures.is_empty(), "{protocol:?}: {:?}", run.failures);
+        assert_eq!(run.checkpoints.len(), 1, "{protocol:?}: must fire");
+        let ckpt = &run.checkpoints[0];
+        ckpt.verify().expect("cut must satisfy the oracle");
+        for cap in &ckpt.captures {
+            // The SCF loop makes two collectives an iteration; nothing
+            // before it makes any, and the allgather is the last call.
+            let colls = cap.counters.coll_total();
+            assert!(
+                0 < colls && colls < 2 * INLINE_SCF_ITERS as u64,
+                "{protocol:?}: rank {} captured outside the run ({colls} collectives)",
+                cap.rank
+            );
+        }
+        let results: Vec<f64> = run.results().copied().collect();
+        assert_eq!(results, reference, "{protocol:?}: the run saw the restart");
+        assert_eq!(run.backstop_expiries, 0, "{protocol:?}");
     }
 }
 

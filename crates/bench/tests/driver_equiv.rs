@@ -1,21 +1,24 @@
-//! Representation equivalence: a rank body running as a legacy closure on
-//! its own thread and the same program hand-lowered to a heap step object
-//! are *the same execution* — same results, same virtual timing, and the
-//! same checkpoint semantics, cut for cut.
+//! Driver equivalence: one program — the random workload's step body —
+//! stepped on a thread per rank (`random_workload`, i.e. `CcRank::run`)
+//! and on the worker pool (`RandomWorkloadStep` handed to the `*_steps`
+//! entry points) is *the same execution* — same results, same virtual
+//! timing, and the same checkpoint semantics, cut for cut.
 //!
 //! The sharp edge is cut-for-cut equality. Two live runs cannot be
 //! compared cut-for-cut (the wall-racy trigger lands at different app
 //! calls), so the harness pins the cut with an image and replays it under
-//! the *other* representation: restore re-executes the program to the
-//! captured `CallCounters`/`SEQ[]` cut and the restore driver
-//! cross-checks the replayed capture against the image field by field —
-//! rank state, app-visible call counters, sequence tables, communicator
-//! log, pending receives and trivial barriers, communicator membership.
-//! A restore that completes therefore *proves* the replaying
-//! representation reproduced the capturing representation's cut
-//! bit-identically; a single divergent counter or sequence number panics
-//! inside the replay check. Both directions run: closure-captured images
-//! replay under step objects, step-captured images under closures.
+//! the *other* driver: restore re-executes the program to the captured
+//! `CallCounters`/`SEQ[]` cut and the restore driver cross-checks the
+//! replayed capture against the image field by field — rank state,
+//! app-visible call counters, sequence tables, communicator log, pending
+//! receives and trivial barriers, communicator membership. A restore
+//! that completes therefore *proves* the replaying driver reproduced the
+//! capturing driver's cut bit-identically; a single divergent counter or
+//! sequence number panics inside the replay check. Since the body is the
+//! same object either way, a divergence here is a driver's: a wait that
+//! charged the clock, a wake that reordered a match, a park that moved a
+//! counter. Both directions run: thread-captured images replay on the
+//! pool, pool-captured images on threads.
 //!
 //! Randomization: the same seeded random-workload schedules as the
 //! safe-cut harness (collectives, splits/dups, ring + wildcard p2p),
@@ -46,7 +49,7 @@ fn workload_cfg(seed: u64, protocol: Protocol) -> RandomWorkloadCfg {
 }
 
 /// Native (uncheckpointed) reference results and the seed's trigger time,
-/// from a closure run. The step run must agree on both before any
+/// from a thread run. The pool run must agree on both before any
 /// checkpointing enters the picture.
 fn native_reference(n: usize, seed: u64, protocol: Protocol) -> (Vec<f64>, VTime) {
     let wl = workload_cfg(seed, protocol);
@@ -62,11 +65,11 @@ fn native_reference(n: usize, seed: u64, protocol: Protocol) -> (Vec<f64>, VTime
     assert_eq!(
         t.results().copied().collect::<Vec<_>>(),
         s.results().copied().collect::<Vec<_>>(),
-        "n={n} seed={seed} {protocol:?}: native results diverged across representations"
+        "n={n} seed={seed} {protocol:?}: native results diverged across drivers"
     );
     assert_eq!(
         t.makespan, s.makespan,
-        "n={n} seed={seed} {protocol:?}: native makespan diverged across representations"
+        "n={n} seed={seed} {protocol:?}: native makespan diverged across drivers"
     );
     let mut rng = SplitMix64::new(seed ^ 0xD1CE_BA5E);
     let frac = 0.15 + 0.6 * rng.next_f64();
@@ -74,8 +77,8 @@ fn native_reference(n: usize, seed: u64, protocol: Protocol) -> (Vec<f64>, VTime
     (t.results().copied().collect(), at)
 }
 
-/// Captures one checkpoint image under the closure representation.
-fn capture_closure(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Checkpoint> {
+/// Captures one checkpoint image with a thread per rank.
+fn capture_threads(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Checkpoint> {
     let wl = workload_cfg(seed, protocol).with_pace_us(20);
     let run = run_ckpt_world(
         cfg(n),
@@ -86,8 +89,8 @@ fn capture_closure(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option
     run.checkpoints.into_iter().next()
 }
 
-/// Captures one checkpoint image under the step representation.
-fn capture_steps(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Checkpoint> {
+/// Captures one checkpoint image on the worker pool.
+fn capture_pool(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Checkpoint> {
     let wl = workload_cfg(seed, protocol).with_pace_us(20);
     let run = run_ckpt_world_steps(
         cfg(n),
@@ -98,52 +101,52 @@ fn capture_steps(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<C
     run.checkpoints.into_iter().next()
 }
 
-/// One seed, both directions: each representation's image replays under
-/// the other representation, to completion, with the replay capture
-/// cross-check (inside the restore driver) pinning bit-identical cut
-/// state, and the continued results matching the native reference.
+/// One seed, both directions: each driver's image replays under the
+/// other driver, to completion, with the replay capture cross-check
+/// (inside the restore driver) pinning bit-identical cut state, and the
+/// continued results matching the native reference.
 fn cross_replay_case(n: usize, seed: u64, protocol: Protocol) -> bool {
     let (native, at) = native_reference(n, seed, protocol);
     let wl = workload_cfg(seed, protocol);
 
     let mut fired = false;
-    if let Some(image) = capture_closure(n, seed, protocol, at) {
+    if let Some(image) = capture_threads(n, seed, protocol, at) {
         image
             .verify()
-            .unwrap_or_else(|v| panic!("closure cut rejected: n={n} seed={seed}: {v:?}"));
-        // Closure-captured cut replayed by the step engine: the restore
-        // driver asserts the step replay reaches the exact captured
-        // CallCounters/SEQ[] state and capture image.
+            .unwrap_or_else(|v| panic!("thread cut rejected: n={n} seed={seed}: {v:?}"));
+        // Thread-captured cut replayed on the pool: the restore driver
+        // asserts the replay reaches the exact captured CallCounters/SEQ[]
+        // state and capture image.
         let swl = wl.clone();
         let restored = try_restore_ckpt_world_steps(&image, RestoreConfig::same_packing(), {
             move |_rank| RandomWorkloadStep::new(swl.clone())
         })
         .unwrap_or_else(|e| {
-            panic!("step replay of a closure-captured cut failed: n={n} seed={seed}: {e:?}")
+            panic!("pool replay of a thread-captured cut failed: n={n} seed={seed}: {e:?}")
         });
         assert_eq!(
             restored.results().copied().collect::<Vec<_>>(),
             native,
-            "n={n} seed={seed} {protocol:?}: step restore of a closure image diverged"
+            "n={n} seed={seed} {protocol:?}: pool restore of a thread image diverged"
         );
         fired = true;
     }
-    if let Some(image) = capture_steps(n, seed, protocol, at) {
+    if let Some(image) = capture_pool(n, seed, protocol, at) {
         image
             .verify()
-            .unwrap_or_else(|v| panic!("step cut rejected: n={n} seed={seed}: {v:?}"));
-        // Step-captured cut replayed by closure bodies on threads.
+            .unwrap_or_else(|v| panic!("pool cut rejected: n={n} seed={seed}: {v:?}"));
+        // Pool-captured cut replayed with a thread per rank.
         let cwl = wl.clone();
         let restored = try_restore_ckpt_world(&image, RestoreConfig::same_packing(), move |r| {
             random_workload(&cwl, r)
         })
         .unwrap_or_else(|e| {
-            panic!("closure replay of a step-captured cut failed: n={n} seed={seed}: {e:?}")
+            panic!("thread replay of a pool-captured cut failed: n={n} seed={seed}: {e:?}")
         });
         assert_eq!(
             restored.results().copied().collect::<Vec<_>>(),
             native,
-            "n={n} seed={seed} {protocol:?}: closure restore of a step image diverged"
+            "n={n} seed={seed} {protocol:?}: thread restore of a pool image diverged"
         );
         fired = true;
     }
@@ -158,7 +161,7 @@ fn sweep(n: usize, protocol: Protocol, seeds: u64) {
         }
     }
     // The trigger races completion; a rare miss is tolerated, but the
-    // sweep must exercise real cross-representation replays.
+    // sweep must exercise real cross-driver replays.
     assert!(
         fired >= seeds * 7 / 10,
         "only {fired}/{seeds} seeds produced an image at n={n} under {protocol:?}"
@@ -166,21 +169,21 @@ fn sweep(n: usize, protocol: Protocol, seeds: u64) {
 }
 
 #[test]
-fn cross_representation_replay_cc_4_ranks() {
+fn cross_driver_replay_cc_4_ranks() {
     sweep(4, Protocol::Cc, 6);
 }
 
 #[test]
-fn cross_representation_replay_cc_8_ranks() {
+fn cross_driver_replay_cc_8_ranks() {
     sweep(8, Protocol::Cc, 4);
 }
 
 #[test]
-fn cross_representation_replay_2pc_4_ranks() {
+fn cross_driver_replay_2pc_4_ranks() {
     sweep(4, Protocol::TwoPhase, 4);
 }
 
 #[test]
-fn cross_representation_replay_2pc_8_ranks() {
+fn cross_driver_replay_2pc_8_ranks() {
     sweep(8, Protocol::TwoPhase, 3);
 }

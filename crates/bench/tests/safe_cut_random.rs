@@ -6,8 +6,11 @@
 //! wildcard point-to-point), trigger a checkpoint at a seed-chosen random
 //! point, and check every captured cut with `verify_safe_cut` — an oracle
 //! *independent* of the drain implementation: it replays the execution log
-//! against the two §4.2.2 safe-state conditions. Restart runs additionally
-//! assert bit-identical continuation against an uninterrupted run.
+//! against the two §4.2.2 safe-state conditions. Each cut is also checked
+//! by the argument the paper itself makes: the run's collective DAG has a
+//! topological order, and the cut is downward-closed in it. Restart runs
+//! additionally assert bit-identical continuation against an
+//! uninterrupted run.
 //!
 //! Two tiers:
 //!
@@ -25,8 +28,10 @@
 //!   them).
 
 use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, ResumeMode};
+use mana_core::topo::{topological_sort, ExecEvent, Node};
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
+use std::collections::{BTreeMap, HashSet};
 use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
 
 const SEEDS_PER_SIZE: u64 = 50;
@@ -47,6 +52,53 @@ fn cfg(n: usize) -> WorldConfig {
 /// per node, so 512 ranks span 4 nodes and inter-node costs participate.
 fn large_cfg(n: usize) -> WorldConfig {
     WorldConfig::multi_node(n, 128).with_params(NetParams::slingshot11().without_jitter())
+}
+
+/// The paper's §4.2.2 argument, executably. `log` is a run's execution
+/// log: its nodes are the collectives `(ggid, seq)`, and every rank
+/// contributes an edge from each collective it entered to the next one it
+/// entered (a harvest lists a rank's events in program order, and later
+/// harvests behind earlier ones, so filtering by rank recovers that
+/// order). The run must have *a* topological order — no two ranks entered
+/// two collectives in opposite orders — and `cut` must be downward-closed:
+/// a rank's participation in a node is in the cut only if its
+/// participation in the node's predecessor is. That per-rank prefix
+/// property is what `verify_safe_cut`'s set invariants cannot see.
+fn check_cut_against_dag(log: &[ExecEvent], cut: &[ExecEvent]) -> Result<(), String> {
+    let mut paths: BTreeMap<usize, Vec<Node>> = BTreeMap::new();
+    for e in log {
+        paths.entry(e.rank).or_default().push(e.node);
+    }
+    let nodes: Vec<Node> = log
+        .iter()
+        .map(|e| e.node)
+        .collect::<HashSet<_>>()
+        .into_iter()
+        .collect();
+    let edges: Vec<(Node, Node)> = paths
+        .values()
+        .flat_map(|path| path.windows(2).map(|w| (w[0], w[1])))
+        .collect();
+    topological_sort(&nodes, &edges).ok_or("the execution DAG has a cycle")?;
+
+    let visits = |evs: &[ExecEvent]| -> HashSet<(usize, Node)> {
+        evs.iter().map(|e| (e.rank, e.node)).collect()
+    };
+    let in_cut = visits(cut);
+    if let Some(v) = in_cut.difference(&visits(log)).next() {
+        return Err(format!("the cut holds {v:?}, which the run never logged"));
+    }
+    for (&rank, path) in &paths {
+        for w in path.windows(2) {
+            if in_cut.contains(&(rank, w[1])) && !in_cut.contains(&(rank, w[0])) {
+                return Err(format!(
+                    "rank {rank}: {:?} is inside the cut, its predecessor {:?} outside",
+                    w[1], w[0]
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One seed: native run for reference, then a checkpointed run with the
@@ -115,6 +167,9 @@ fn one_case_sized(
     for ckpt in run.checkpoints {
         ckpt.verify().unwrap_or_else(|v| {
             panic!("safe-cut violated: n={n} seed={seed} mode={mode:?}: {v:?}")
+        });
+        check_cut_against_dag(&run.events, &ckpt.cut_events).unwrap_or_else(|why| {
+            panic!("cut is no prefix of the execution DAG: n={n} seed={seed} mode={mode:?}: {why}")
         });
         assert!(
             ckpt.targets_exactly_reached(),
@@ -328,5 +383,25 @@ fn corrupted_cut_is_rejected() {
     assert!(
         shifted.verify().is_err(),
         "oracle accepted a cut with a misattributed participation"
+    );
+
+    // Corruption 4: remove one rank's last-but-one participation — the
+    // rank then sits inside a collective whose predecessor it never
+    // entered, which no rank prefix of the run can produce. The DAG check
+    // rejects it against the intact cut's own events as the log (in which
+    // the intact cut is trivially closed).
+    assert_eq!(
+        check_cut_against_dag(&ckpt.cut_events, &ckpt.cut_events),
+        Ok(())
+    );
+    let mut holed = ckpt.clone();
+    let rank = holed.cut_events[0].rank;
+    let of_rank: Vec<usize> = (0..holed.cut_events.len())
+        .filter(|&i| holed.cut_events[i].rank == rank)
+        .collect();
+    holed.cut_events.remove(of_rank[of_rank.len() - 2]);
+    assert!(
+        check_cut_against_dag(&ckpt.cut_events, &holed.cut_events).is_err(),
+        "DAG check accepted a cut that is not a prefix of rank {rank}'s path"
     );
 }

@@ -370,7 +370,6 @@ impl Campaign {
         self.prior.checkpoints.extend(out.checkpoints);
         self.prior.failures.extend(out.failures);
         self.prior.capture_wall_s.extend(out.capture_wall_s);
-        self.prior.capture_overlap_s.extend(out.capture_overlap_s);
         self.prior.store_records.extend(out.store_records);
     }
 
@@ -452,9 +451,6 @@ impl Campaign {
         let mut walls = self.prior.capture_wall_s;
         walls.append(&mut report.capture_wall_s);
         report.capture_wall_s = walls;
-        let mut overlaps = self.prior.capture_overlap_s;
-        overlaps.append(&mut report.capture_overlap_s);
-        report.capture_overlap_s = overlaps;
         let mut records = self.prior.store_records;
         records.append(&mut report.store_records);
         report.store_records = records;

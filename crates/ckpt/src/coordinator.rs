@@ -223,17 +223,6 @@ impl Coordinator {
         self.store_records.lock().clone()
     }
 
-    /// Host wall seconds of encode+write retired off the critical path per
-    /// committed checkpoint of a tiered run (zero entries for synchronous
-    /// drains), aligned with [`Coordinator::store_record_history`].
-    pub fn capture_overlap_history(&self) -> Vec<f64> {
-        self.store_records
-            .lock()
-            .iter()
-            .map(|r| r.overlapped_wall_s)
-            .collect()
-    }
-
     /// Joins the in-flight background drain, if any. Supervision calls
     /// this before reading histories; the run must not end with an image
     /// still in flight.

@@ -124,10 +124,10 @@
 //! workers. The app-visible stall shrinks to the clone-out — unless the
 //! next trigger fires before the previous image lands, in which case
 //! the wait is charged as back-pressure. [`CkptRunReport`] splits the
-//! two: `capture_wall_s` keeps the blocking component,
-//! `capture_overlap_s` reports the overlapped remainder, and
+//! two: `capture_wall_s` keeps the blocking component, and
 //! `store_records` carries per-generation tier/bytes/back-pressure
-//! accounting ([`store::StoreRecord`]).
+//! accounting plus the overlapped remainder
+//! ([`StoreRecord::overlapped_wall_s`]).
 //!
 //! ## Execution model: one rank type, one launcher, two drivers
 //!
@@ -147,7 +147,11 @@
 //! * **One body shape.** A rank body is a [`StepBody`]: `step` runs until
 //!   the body finishes or an operation is pending, the way an async body
 //!   lowers. A closure `Fn(&mut CcRank) -> R` is a step body that never
-//!   yields, because its blocking calls sleep on the thread it owns.
+//!   yields, because its blocking calls sleep on the thread it owns — and
+//!   [`CcRank::run`] is the blocking call that runs a whole step body to
+//!   completion there, so a program exists once: the `workloads` crate
+//!   writes each as a step body, and its closure-shaped entry point
+//!   (`scf_loop`, `random_workload`, ...) is `rank.run(body)`.
 //! * **One launcher.** `runner::step::run_session` builds every rank's
 //!   continuation all-or-nothing, steps them while supervision (trigger
 //!   policy, restore driving, fault campaign) runs on the calling
@@ -160,7 +164,9 @@
 //! * **the worker pool** ([`run_ckpt_world_steps`] and the other `*_steps`
 //!   forms): [`mpisim::StepDriver`] resumes the objects on `~num_cpus`
 //!   workers; a parked rank is a boxed object, not a stack. No per-rank
-//!   OS thread exists, which is what carries 65 536-rank worlds.
+//!   OS thread exists, which is what carries 65 536-rank worlds. A body
+//!   here must yield, not sleep: a blocking call that would have to wait
+//!   panics rather than hold a worker.
 //! * **a thread per object** ([`run_ckpt_world`] and the other closure
 //!   forms): [`mpisim::Scheduler::run_threads`], the one place rank
 //!   threads are spawned. The thread *is* the rank's continuation,
@@ -185,14 +191,12 @@
 //! charges and capture publications all happen in the machines, so the
 //! virtual trajectory, the app-visible [`mana_core::CallCounters`], the
 //! `SEQ[]` tables, and the captured images are bit-identical for the
-//! same program and seed (`runner::step`'s unit tests run one body
-//! object under both). What is still written twice is the *workloads*:
-//! each closure body in the `workloads` crate has a hand-lowered
-//! [`StepBody`] twin, and `bench/tests/representation_equiv.rs` pins the
-//! twins to each other by restoring a cut captured from one under the
-//! other ([`restore_ckpt_world_steps`] / [`restore_ckpt_world`]), where
-//! the restore driver cross-checks the replayed capture against the
-//! image field by field.
+//! same program and seed. `runner::step`'s unit tests and the
+//! `drivers_agree_on_*` tests of `workloads` run one body under both;
+//! `bench/tests/driver_equiv.rs` restores a cut captured under one driver
+//! under the other ([`restore_ckpt_world_steps`] /
+//! [`restore_ckpt_world`]), where the restore driver cross-checks the
+//! replayed capture against the image field by field.
 //!
 //! ## Availability: faults, recovery, and the Daly cadence
 //!

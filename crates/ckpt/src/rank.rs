@@ -19,9 +19,11 @@
 //! the machines call, and the blocking methods a body that owns a thread
 //! (a closure on the thread-per-object driver) calls: each builds its
 //! operation's machine on the stack and blocks on it (`CcRank::block_on`)
-//! — the same object, the same machines.
+//! — the same object, the same machines — and [`CcRank::run`] blocks on a
+//! whole step body the same way.
 
 use crate::bus::TargetUpdate;
+use crate::runner::step::{BodyStep, StepBody};
 use crate::session::Session;
 use bytes::Bytes;
 use mana_core::capture::PendingRecv;
@@ -477,8 +479,8 @@ impl CcRank<'_> {
     // Blocking on the engine
     // ------------------------------------------------------------------
 
-    /// Drives `poll` — one engine machine, or a whole step body on the
-    /// thread-per-object driver — to completion on the calling thread:
+    /// Drives `poll` — one engine machine, or a whole step body
+    /// ([`CcRank::run`]) — to completion on the calling thread:
     /// poll it, and while it is `Pending` sleep
     /// — scheduler run slot released — on the rank's one event counter,
     /// which both the control plane ([`mana_core::RankCtl::wake`]) and the
@@ -488,6 +490,12 @@ impl CcRank<'_> {
     /// sleeps" ends the sleep at once. This is also a thread's poison
     /// observation point: a killed world wakes every rank, and the rank
     /// unwinds here instead of polling a dead peer forever.
+    ///
+    /// # Panics
+    /// On the `Pending` path, if the rank is stepped by the worker pool:
+    /// lower-half events reach such a rank through its driver, never
+    /// through this counter, so the sleep would hold a pool worker until
+    /// the backstop — and deadlock the pool once every worker did it.
     pub(crate) fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
         let ctl = &self.core.sh.control.ranks[self.core.rank];
         loop {
@@ -495,6 +503,10 @@ impl CcRank<'_> {
             if let StepPoll::Ready(t) = poll(self) {
                 return t;
             }
+            assert!(
+                !ctl.pool_driven(),
+                "blocking call on a pool-driven rank: use `poll_*` or a closure entry point"
+            );
             // Before sleeping as well as after every wake: a kill whose
             // wake preceded the token would otherwise cost the backstop.
             let ctx = &self.core.ctx;
@@ -502,6 +514,25 @@ impl CcRank<'_> {
             ctx.blocked(|| ctl.wait_event_since(token));
             ctx.world().fail_plane().die_if_poisoned();
         }
+    }
+
+    /// Runs a step body to completion on the calling thread: steps it,
+    /// and whenever it yields sleeps (`CcRank::block_on`) until an event
+    /// can have unblocked it. This is how a body that owns its thread —
+    /// a closure on the thread-per-object driver — runs a [`StepBody`]
+    /// program inline, between its own blocking calls, and it is all the
+    /// thread-per-object driver does with the body it is handed.
+    ///
+    /// # Panics
+    /// Panics if an operation is in flight (a `poll_*` call returned
+    /// `Pending` and was not re-polled to `Ready`), naming it; and, like
+    /// every blocking call, if the body yields on a pool-driven rank.
+    pub fn run<B: StepBody>(&mut self, body: &mut B) -> B::Out {
+        self.expect_op("run", false);
+        self.block_on(|r| match body.step(r) {
+            BodyStep::Done(out) => StepPoll::Ready(out),
+            BodyStep::Yield(why) => StepPoll::Pending(why),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -759,5 +790,26 @@ impl std::fmt::Debug for CcRank<'_> {
             .field("clock", &self.core.ctx.clock())
             .field("op", &self.op.as_ref().map(Op::name))
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mana_core::Protocol;
+    use mpisim::WorldConfig;
+
+    /// `run` is an entry point, not a resumption: a body handed to it while
+    /// the rank still owes a `poll_*` operation its re-poll would start a
+    /// second operation under the first.
+    #[test]
+    #[should_panic(expected = "rank resumed into `run` with a pending `wait` operation")]
+    fn run_with_an_operation_in_flight_names_it() {
+        let sh = Session::new(WorldConfig::single_node(2), Protocol::Cc);
+        let mut r = CcRank::new(&sh, 0);
+        // Nobody ever sends: the wait stays in flight.
+        let v = r.irecv(r.world_vcomm(), 1, 7u32);
+        assert!(!r.poll_wait(v).is_ready());
+        r.run(&mut |_: &mut CcRank| BodyStep::Done(()));
     }
 }

@@ -192,12 +192,8 @@ pub struct CkptRunReport<R> {
     /// column. Empty for restored runs. Under a tiered **async drain**
     /// this is the *blocking* component only — the clone-out plus any
     /// wait for the previous background drain; the overlapped encode+write
-    /// remainder is in [`CkptRunReport::capture_overlap_s`].
+    /// remainder is each record's [`StoreRecord::overlapped_wall_s`].
     pub capture_wall_s: Vec<f64>,
-    /// Tiered runs only: host wall seconds of encode+write retired off
-    /// the critical path per committed checkpoint (zero for synchronous
-    /// drains), aligned with `checkpoints`. Empty without tiering.
-    pub capture_overlap_s: Vec<f64>,
     /// Tiered runs only: per-committed-checkpoint storage accounting
     /// (generation, tier, delta parent, bytes, back-pressure), aligned
     /// with `checkpoints`. Empty without tiering.
@@ -336,7 +332,6 @@ pub(crate) struct SuperviseOut {
     pub(crate) checkpoints: Vec<Checkpoint>,
     pub(crate) failures: Vec<DrainError>,
     pub(crate) capture_wall_s: Vec<f64>,
-    pub(crate) capture_overlap_s: Vec<f64>,
     pub(crate) store_records: Vec<StoreRecord>,
 }
 
@@ -404,7 +399,6 @@ pub(crate) fn supervise_loop(
     // landing point, not by racing the writer thread.)
     coord.flush_drains();
     out.capture_wall_s = coord.capture_wall_history();
-    out.capture_overlap_s = coord.capture_overlap_history();
     out.store_records = coord.store_record_history();
 }
 
@@ -449,7 +443,6 @@ pub(crate) fn assemble_report<R>(
         events: sh.exec_log.take_events(),
         backstop_expiries: sh.backstop_expiries(),
         capture_wall_s: sup_out.capture_wall_s,
-        capture_overlap_s: sup_out.capture_overlap_s,
         store_records: sup_out.store_records,
         rank_build_rss_bytes,
         attempts: 1,

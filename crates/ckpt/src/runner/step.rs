@@ -3,7 +3,9 @@
 //! A rank body is a [`StepBody`]: a resumable state machine over a
 //! [`CcRank`]. A closure body `Fn(&mut CcRank) -> R` is the degenerate
 //! case — a step body that never yields, because its blocking calls sleep
-//! on the thread it owns. Either way the rank's whole continuation is one
+//! on the thread it owns, [`CcRank::run`] among them: the blocking call
+//! that runs a whole step body there. Either way the rank's whole
+//! continuation is one
 //! `CcStepObj` (rank + body + report slot), and `run_session` is the one
 //! place such objects are built and stepped — on the
 //! [`mpisim::StepDriver`] worker pool (no per-rank thread or stack: the
@@ -18,7 +20,6 @@
 //! unit tests below run one body object under both).
 
 use super::{assemble_report, CkptRunReport, RunError, SuperviseOut};
-use crate::rank::step::StepPoll;
 use crate::rank::CcRank;
 use crate::session::Session;
 use mana_core::RankState;
@@ -67,7 +68,8 @@ where
 
 /// A closure body `Fn(&mut CcRank) -> R` as a step body: one `step` that
 /// runs the closure to its end, never yielding — so it belongs on
-/// [`Driver::Threads`], where the closure entry points put it.
+/// [`Driver::Threads`], where the closure entry points put it (on the
+/// pool its first blocking call that had to wait would panic).
 pub(crate) struct Blocking<'f, F>(pub(crate) &'f F);
 
 impl<R, F> StepBody for Blocking<'_, F>
@@ -88,7 +90,8 @@ where
 pub(crate) enum Driver {
     /// The [`StepDriver`] worker pool: a yield returns to the driver.
     Pool,
-    /// One thread per object: a yield sleeps on the thread.
+    /// One thread per object: the body is run to completion on it
+    /// ([`CcRank::run`]), a yield sleeping on the thread.
     Threads,
 }
 
@@ -130,12 +133,9 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
         let (cc, body) = (&mut self.cc, &mut self.body);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self.driver {
             Driver::Pool => body.step(cc),
-            // The thread *is* the continuation: a yield sleeps right here,
-            // the way the body's own blocking calls do.
-            Driver::Threads => BodyStep::Done(cc.block_on(|cc| match body.step(cc) {
-                BodyStep::Done(out) => StepPoll::Ready(out),
-                BodyStep::Yield(why) => StepPoll::Pending(why),
-            })),
+            // The thread *is* the continuation: a yield sleeps on it, the
+            // way the body's own blocking calls do.
+            Driver::Threads => BodyStep::Done(cc.run(body)),
         }));
         match r {
             Ok(BodyStep::Yield(w)) => Step::Yield(w),
@@ -282,6 +282,7 @@ fn resident_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests_support {
     use super::*;
+    use crate::StepPoll;
     use mpisim::ReduceOp;
 
     /// `iters` rounds of compute + world allreduce, as an explicit state
@@ -423,11 +424,10 @@ mod tests {
         assert_eq!(s.backstop_expiries, 0, "step waits must be event-driven");
     }
 
-    /// The two drivers agree — as opposed to "a closure and its
-    /// hand-lowered twin agree", which is all the public entry points can
-    /// compare: here the *same* body type runs under both, with one
-    /// mid-run checkpoint (its cut pinned by the body's hold) restarting
-    /// in-process.
+    /// The two drivers agree: the *same* body type runs under both, with
+    /// one mid-run checkpoint restarting in-process — its cut pinned by
+    /// the body's hold, so the captured images can be compared whole,
+    /// which two live runs of a public entry point never allow.
     #[test]
     fn same_body_object_under_both_drivers() {
         for protocol in [Protocol::Cc, Protocol::TwoPhase] {
@@ -468,6 +468,26 @@ mod tests {
             );
             assert!(pool.rank_build_rss_bytes.is_some() && threads.rank_build_rss_bytes.is_none());
         }
+    }
+
+    /// A blocking call in a pool-stepped body would park a pool *worker*
+    /// on an event counter no lower-half event advances — a 1 s backstop
+    /// per wait, and a deadlock once every worker did it. With one worker
+    /// rank 0's barrier cannot complete before rank 1 has run at all, so
+    /// it is pending for certain.
+    #[test]
+    #[should_panic(expected = "blocking call on a pool-driven rank")]
+    fn blocking_call_on_a_pool_driven_rank_fails_loudly() {
+        run_ckpt_world_steps(
+            WorldConfig::single_node(2).with_workers(1),
+            CkptOptions::native(),
+            |_| {
+                |r: &mut CcRank| {
+                    r.barrier(r.world_vcomm());
+                    BodyStep::Done(())
+                }
+            },
+        );
     }
 
     #[test]

@@ -213,6 +213,14 @@ impl RankCtl {
         assert!(self.waker.set(w).is_ok(), "rank waker installed twice");
     }
 
+    /// Whether a worker pool steps this rank (a waker is installed): its
+    /// lower-half events go to the pool, not to the event counter a
+    /// blocking wait sleeps on.
+    #[inline]
+    pub fn pool_driven(&self) -> bool {
+        self.waker.get().is_some()
+    }
+
     /// Declares this rank dead (fault injection). Not reset by checkpoint
     /// resumes — only a fresh control plane (a recovery attempt's new
     /// session) starts ranks alive again.

@@ -8,11 +8,16 @@
 //! two runs of the same seed must produce bit-identical results — with or
 //! without checkpoints in between. That is the end-to-end property the
 //! safe-cut harness leans on.
+//!
+//! The program is written once, as the [`StepBody`] [`RandomWorkloadStep`]
+//! (a program counter enum plus locals over the rank's `poll_*` API),
+//! which the worker pool steps directly; [`random_workload`] is that body
+//! run to completion on the calling thread.
 
 use crate::rng::SplitMix64;
 use bytes::Bytes;
-use ckpt::CcRank;
-use mana_core::VComm;
+use ckpt::{BodyStep, CcRank, StepBody};
+use mana_core::{VComm, VReq};
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{DType, ReduceOp, SrcSel, TagSel};
 
@@ -59,195 +64,342 @@ impl RandomWorkloadCfg {
     }
 }
 
-/// One step of the schedule: what every rank does at it, with the step's
-/// random parameters already drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Arm {
-    /// Blocking allreduce on world.
-    Allreduce,
-    /// Barrier on world.
-    Barrier,
-    /// Bcast from a random root.
-    Bcast { root: usize },
-    /// Allreduce of `[1.0, acc]`, run synchronously (blocking-only
-    /// schedules, i.e. 2PC)...
-    Allreduce2,
-    /// ...or merely initiated, to be completed a few steps later or by
-    /// the checkpoint drain.
-    IAllreduce2,
-    /// Complete all pending non-blocking collectives.
-    DrainPending,
-    /// Ring exchange: everyone sends to `(r+1)`, receives from `(r-1)`.
-    Ring,
-    /// Split by parity stripe `stripe` ranks wide; collective inside.
-    Split { stripe: usize },
-    /// Collective on the `pick`-th previously created subcomm (if any).
-    SubAllreduce { pick: usize },
-    /// Allgather on world.
-    Allgather,
-    /// Dup of world, then a barrier on the dup.
-    Dup,
-    /// Directed pair message `a → b` with a wildcard receive.
-    Pair { a: usize, b: usize, tag: u32 },
+/// Runs the workload on one rank; returns the rank's checksum.
+/// [`RandomWorkloadStep`] run to completion.
+pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
+    rank.run(&mut RandomWorkloadStep::new(cfg.clone()))
 }
 
-/// Draws step `step`'s arm for an `n`-rank world. Called exactly once per
-/// step, by every rank and by both forms of the workload, so the schedule
-/// is agreed by construction: every draw a step makes happens in here,
-/// whether or not the calling rank acts on the arm.
-pub(crate) fn draw_arm(rng: &mut SplitMix64, n: usize, step: usize, blocking_only: bool) -> Arm {
-    match rng.next_range(100) {
-        0..=19 => Arm::Allreduce,
-        20..=27 => Arm::Barrier,
-        28..=37 => Arm::Bcast {
-            root: rng.next_range(n as u64) as usize,
-        },
-        38..=52 if blocking_only => Arm::Allreduce2,
-        38..=52 => Arm::IAllreduce2,
-        // Blocking-only schedules have nothing pending: a barrier instead.
-        53..=62 if blocking_only => Arm::Barrier,
-        53..=62 => Arm::DrainPending,
-        63..=74 => Arm::Ring,
-        75..=81 => Arm::Split {
-            stripe: 1 + rng.next_range(3) as usize, // 1..=3
-        },
-        82..=86 => Arm::SubAllreduce {
-            pick: rng.next_range(8) as usize,
-        },
-        87..=92 => Arm::Allgather,
-        93..=94 => Arm::Dup,
-        _ => {
-            let a = rng.next_range(n as u64) as usize;
-            let b = if n > 1 {
-                (a + 1 + rng.next_range(n as u64 - 1) as usize) % n
-            } else {
-                a
-            };
-            // A per-step tag keeps matching deterministic even when
-            // several wildcard messages are in flight at once.
-            let tag = 1000 + step as u32;
-            Arm::Pair { a, b, tag }
+/// Where the program stands: `StepTop` draws the step's arm, the other
+/// states are that arm's (or the tail's) operations in flight.
+enum RandPc {
+    StepTop,
+    Allreduce,
+    Barrier,
+    Bcast { root: usize },
+    BlockingAllreduce2,
+    IAllreduce,
+    DrainPending { idx: usize },
+    RingRecvWait { sv: VReq, rv: VReq },
+    RingSendWait { sv: VReq },
+    Split { color: i64 },
+    SplitAllreduce { sub: VComm },
+    SubAllreduce { sub: VComm },
+    Allgather,
+    Dup,
+    DupBarrier { d: VComm },
+    PairSendWait { sv: VReq },
+    PairRecvWait { rv: VReq },
+    TailDrain { idx: usize },
+    TailBarrier,
+}
+
+/// The random program, one rank's share:
+///
+/// ```text
+/// acc = rank + 1;  pending = [];  subcomms = []
+/// for step in 0..steps:
+///     compute(1 µs + per-(rank, step) skew)      // paced: one wall sleep here
+///     one draw from the shared generator picks the step's arm:
+///       20 %  acc <- allreduce_sum(world)
+///        8 %  barrier(world)
+///       10 %  acc <- bcast(world, random root)
+///       15 %  pending += iallreduce_sum(world)   // blocking_only: allreduce
+///       10 %  acc <- wait(each pending)          // blocking_only: barrier
+///       12 %  ring: isend(right); acc <- recv(left); wait(send)
+///        7 %  sub = comm_split(world, parity stripe); acc <- allreduce_max(sub)
+///        5 %  acc <- allreduce_sum(an earlier sub, if any)
+///        6 %  acc <- allgather(world)
+///        2 %  d = comm_dup(world); barrier(d)
+///        5 %  pair a -> b on a per-step tag: send / acc <- recv(ANY_SOURCE)
+/// acc <- wait(each pending);  barrier(world)
+/// return acc
+/// ```
+pub struct RandomWorkloadStep {
+    cfg: RandomWorkloadCfg,
+    rng: SplitMix64,
+    acc: Option<f64>,
+    pending: Vec<VReq>,
+    subcomms: Vec<VComm>,
+    step: usize,
+    paced: bool,
+    pc: RandPc,
+}
+
+impl RandomWorkloadStep {
+    /// The workload body for one rank; all ranks share `cfg`.
+    pub fn new(cfg: RandomWorkloadCfg) -> RandomWorkloadStep {
+        let rng = SplitMix64::new(cfg.seed);
+        RandomWorkloadStep {
+            cfg,
+            rng,
+            acc: None,
+            pending: Vec::new(),
+            subcomms: Vec::new(),
+            step: 0,
+            paced: false,
+            pc: RandPc::StepTop,
         }
     }
-}
 
-/// Runs the workload on one rank; returns the rank's checksum.
-pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
-    let n = rank.size();
-    let me = rank.rank();
-    let world = rank.world_vcomm();
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut acc: f64 = me as f64 + 1.0;
-    // Non-blocking collectives in flight (completed a few steps later).
-    let mut pending: Vec<mana_core::VReq> = Vec::new();
-    // Sub-communicators created by earlier split/dup steps.
-    let mut subcomms: Vec<VComm> = Vec::new();
-
-    // The pace rides on `compute` (one call per step): the wall sleep
-    // happens with the scheduler run slot released, so pacing a 512-rank
-    // world does not serialize it through the worker pool.
-    rank.set_wall_pace_us(cfg.pace_us);
-
-    for step in 0..cfg.steps {
-        // Deterministic per-rank compute skew so drains catch ranks at
-        // genuinely different points.
-        let skew = ((me as u64)
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(step as u64 * 40503)
-            % 97) as f64;
-        rank.compute(1e-6 + skew * 2e-8);
-
-        match draw_arm(&mut rng, n, step, cfg.blocking_only) {
-            Arm::Allreduce => {
-                let v = rank.allreduce_f64(world, &[acc], ReduceOp::Sum);
-                acc = 0.25 * acc + v[0] * 1e-3;
-            }
-            Arm::Barrier => rank.barrier(world),
-            Arm::Bcast { root } => {
-                let data = if rank.comm_rank(world) == root {
-                    encode_f64(&[acc])
-                } else {
-                    Bytes::new()
-                };
-                let out = rank.bcast(world, root, data);
-                acc += decode_f64(&out)[0] * 1e-3;
-            }
-            Arm::Allreduce2 => {
-                let out = rank.allreduce(world, encode_f64(&[1.0, acc]), DType::F64, ReduceOp::Sum);
-                acc += decode_f64(&out)[1] * 1e-4;
-            }
-            Arm::IAllreduce2 => {
-                let v = rank.iallreduce(world, encode_f64(&[1.0, acc]), DType::F64, ReduceOp::Sum);
-                pending.push(v);
-            }
-            Arm::DrainPending => {
-                for v in pending.drain(..) {
-                    let c = rank.wait(v);
-                    acc += decode_f64(&c.data)[1] * 1e-4;
-                }
-            }
-            Arm::Ring => {
+    /// Draws the current step's arm and enters it (the p2p arms post their
+    /// requests here). Every draw a step makes happens before anything
+    /// that depends on the calling rank, so all ranks consume the shared
+    /// generator identically whether or not they act on the arm.
+    fn draw_arm(&mut self, r: &mut CcRank, acc: f64) -> RandPc {
+        let n = r.size();
+        let me = r.rank();
+        let world = r.world_vcomm();
+        let blocking_only = self.cfg.blocking_only;
+        match self.rng.next_range(100) {
+            0..=19 => RandPc::Allreduce,
+            20..=27 => RandPc::Barrier,
+            28..=37 => RandPc::Bcast {
+                root: self.rng.next_range(n as u64) as usize,
+            },
+            38..=52 if blocking_only => RandPc::BlockingAllreduce2,
+            38..=52 => RandPc::IAllreduce,
+            // Blocking-only schedules have nothing pending: a barrier instead.
+            53..=62 if blocking_only => RandPc::Barrier,
+            53..=62 => RandPc::DrainPending { idx: 0 },
+            63..=74 => {
                 let to = (me + 1) % n;
                 let from = (me + n - 1) % n;
-                let sv = rank.isend(world, to, 5, encode_f64(&[acc]));
-                let (data, _st) = rank.recv(world, from, 5);
-                acc += decode_f64(&data)[0] * 1e-3;
-                rank.wait(sv);
+                let sv = r.isend(world, to, 5, encode_f64(&[acc]));
+                let rv = r.irecv(world, from, 5u32);
+                RandPc::RingRecvWait { sv, rv }
             }
-            Arm::Split { stripe } => {
-                let color = (me / stripe % 2) as i64;
-                let sub = rank
-                    .comm_split(world, color, me as i64)
-                    .expect("non-negative color");
-                let v = rank.allreduce_f64(sub, &[acc], ReduceOp::Max);
-                acc = 0.5 * acc + 0.5 * v[0];
-                subcomms.push(sub);
-            }
-            Arm::SubAllreduce { pick } => {
-                if let Some(&sub) = subcomms.get(pick % subcomms.len().max(1)) {
-                    let v = rank.allreduce_f64(sub, &[acc], ReduceOp::Sum);
-                    acc = 0.75 * acc + v[0] * 1e-3;
+            75..=81 => {
+                let stripe = 1 + self.rng.next_range(3) as usize; // 1..=3
+                RandPc::Split {
+                    color: (me / stripe % 2) as i64,
                 }
             }
-            Arm::Allgather => {
-                let out = rank.allgather(world, encode_f64(&[acc]));
-                let s: f64 = decode_f64(&out).iter().sum();
-                acc = 0.9 * acc + s * 1e-3 / n as f64;
+            82..=86 => {
+                let pick = self.rng.next_range(8) as usize;
+                match self.subcomms.get(pick % self.subcomms.len().max(1)) {
+                    Some(&sub) => RandPc::SubAllreduce { sub },
+                    None => self.skip(),
+                }
             }
-            Arm::Dup => {
-                let d = rank.comm_dup(world);
-                rank.barrier(d);
-                subcomms.push(d);
-            }
-            Arm::Pair { a, b, tag } => {
-                if a != b {
-                    if me == a {
-                        rank.send(world, b, tag, encode_f64(&[acc]));
-                    } else if me == b {
-                        let (data, _st) = rank.recv(world, SrcSel::Any, TagSel::Tag(tag));
-                        acc += decode_f64(&data)[0] * 1e-3;
-                    }
+            87..=92 => RandPc::Allgather,
+            93..=94 => RandPc::Dup,
+            _ => {
+                let a = self.rng.next_range(n as u64) as usize;
+                let b = if n > 1 {
+                    (a + 1 + self.rng.next_range(n as u64 - 1) as usize) % n
+                } else {
+                    a
+                };
+                // A per-step tag keeps matching deterministic even when
+                // several wildcard messages are in flight at once.
+                let tag = 1000 + self.step as u32;
+                if a != b && me == a {
+                    let sv = r.isend(world, b, tag, encode_f64(&[acc]));
+                    RandPc::PairSendWait { sv }
+                } else if a != b && me == b {
+                    let rv = r.irecv(world, SrcSel::Any, TagSel::Tag(tag));
+                    RandPc::PairRecvWait { rv }
+                } else {
+                    self.skip()
                 }
             }
         }
     }
-    // Complete leftovers and synchronize.
-    for v in pending.drain(..) {
-        let c = rank.wait(v);
-        acc += decode_f64(&c.data)[1] * 1e-4;
+
+    /// An arm this rank takes no part in: on to the next step.
+    fn skip(&mut self) -> RandPc {
+        self.step += 1;
+        RandPc::StepTop
     }
-    rank.barrier(world);
-    acc
+}
+
+impl StepBody for RandomWorkloadStep {
+    type Out = f64;
+
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
+        let n = r.size();
+        let me = r.rank();
+        let world = r.world_vcomm();
+        // The pace rides on `compute` (one call per step): the wall sleep
+        // happens with the scheduler run slot released, so pacing a
+        // 512-rank world does not serialize it through the worker pool.
+        if !self.paced {
+            r.set_wall_pace_us(self.cfg.pace_us);
+            self.paced = true;
+        }
+        let mut acc = *self.acc.get_or_insert(me as f64 + 1.0);
+        loop {
+            match self.pc {
+                RandPc::StepTop => {
+                    if self.step >= self.cfg.steps {
+                        self.pc = RandPc::TailDrain { idx: 0 };
+                        continue;
+                    }
+                    // Deterministic per-rank compute skew so drains catch
+                    // ranks at genuinely different points.
+                    let skew = ((me as u64)
+                        .wrapping_mul(0x9E37_79B9)
+                        .wrapping_add(self.step as u64 * 40503)
+                        % 97) as f64;
+                    r.compute(1e-6 + skew * 2e-8);
+                    self.pc = self.draw_arm(r, acc);
+                }
+                RandPc::Allreduce => {
+                    let v = ready!(r.poll_allreduce_f64(world, &[acc], ReduceOp::Sum));
+                    acc = 0.25 * acc + v[0] * 1e-3;
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::Barrier => {
+                    ready!(r.poll_barrier(world));
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::Bcast { root } => {
+                    let data = if r.comm_rank(world) == root {
+                        encode_f64(&[acc])
+                    } else {
+                        Bytes::new()
+                    };
+                    let out = ready!(r.poll_bcast(world, root, &data));
+                    acc += decode_f64(&out)[0] * 1e-3;
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::BlockingAllreduce2 => {
+                    let out = ready!(r.poll_allreduce(
+                        world,
+                        &encode_f64(&[1.0, acc]),
+                        DType::F64,
+                        ReduceOp::Sum
+                    ));
+                    acc += decode_f64(&out)[1] * 1e-4;
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::IAllreduce => {
+                    let v = ready!(r.poll_iallreduce(
+                        world,
+                        &encode_f64(&[1.0, acc]),
+                        DType::F64,
+                        ReduceOp::Sum
+                    ));
+                    self.pending.push(v);
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::DrainPending { idx } => {
+                    if let Some(&v) = self.pending.get(idx) {
+                        let c = ready!(r.poll_wait(v));
+                        acc += decode_f64(&c.data)[1] * 1e-4;
+                        self.pc = RandPc::DrainPending { idx: idx + 1 };
+                    } else {
+                        self.pending.clear();
+                        self.step += 1;
+                        self.pc = RandPc::StepTop;
+                    }
+                }
+                RandPc::RingRecvWait { sv, rv } => {
+                    let c = ready!(r.poll_wait(rv));
+                    acc += decode_f64(&c.data)[0] * 1e-3;
+                    self.pc = RandPc::RingSendWait { sv };
+                }
+                RandPc::RingSendWait { sv } => {
+                    ready!(r.poll_wait(sv));
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::Split { color } => {
+                    let sub = ready!(r.poll_comm_split(world, color, me as i64))
+                        .expect("non-negative color");
+                    self.pc = RandPc::SplitAllreduce { sub };
+                }
+                RandPc::SplitAllreduce { sub } => {
+                    let v = ready!(r.poll_allreduce_f64(sub, &[acc], ReduceOp::Max));
+                    acc = 0.5 * acc + 0.5 * v[0];
+                    self.subcomms.push(sub);
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::SubAllreduce { sub } => {
+                    let v = ready!(r.poll_allreduce_f64(sub, &[acc], ReduceOp::Sum));
+                    acc = 0.75 * acc + v[0] * 1e-3;
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::Allgather => {
+                    let out = ready!(r.poll_allgather(world, &encode_f64(&[acc])));
+                    let s: f64 = decode_f64(&out).iter().sum();
+                    acc = 0.9 * acc + s * 1e-3 / n as f64;
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::Dup => {
+                    let d = ready!(r.poll_comm_dup(world));
+                    self.pc = RandPc::DupBarrier { d };
+                }
+                RandPc::DupBarrier { d } => {
+                    ready!(r.poll_barrier(d));
+                    self.subcomms.push(d);
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::PairSendWait { sv } => {
+                    ready!(r.poll_wait(sv));
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::PairRecvWait { rv } => {
+                    let c = ready!(r.poll_wait(rv));
+                    acc += decode_f64(&c.data)[0] * 1e-3;
+                    self.step += 1;
+                    self.pc = RandPc::StepTop;
+                }
+                RandPc::TailDrain { idx } => {
+                    if let Some(&v) = self.pending.get(idx) {
+                        let c = ready!(r.poll_wait(v));
+                        acc += decode_f64(&c.data)[1] * 1e-4;
+                        self.pc = RandPc::TailDrain { idx: idx + 1 };
+                    } else {
+                        self.pending.clear();
+                        self.pc = RandPc::TailBarrier;
+                    }
+                }
+                RandPc::TailBarrier => {
+                    ready!(r.poll_barrier(world));
+                    return BodyStep::Done(acc);
+                }
+            }
+            self.acc = Some(acc);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{assert_drivers_agree, cfg};
     use ckpt::{run_ckpt_world, CkptOptions};
-    use mpisim::{NetParams, WorldConfig};
 
-    fn cfg(n: usize) -> WorldConfig {
-        WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
+    #[test]
+    fn drivers_agree_on_random_workload() {
+        let wl = RandomWorkloadCfg::new(11, 25);
+        assert_drivers_agree(
+            4,
+            |r| random_workload(&wl, r),
+            |_| RandomWorkloadStep::new(wl.clone()),
+        );
+    }
+
+    #[test]
+    fn drivers_agree_on_random_workload_blocking_only() {
+        let wl = RandomWorkloadCfg::new(23, 25).with_blocking_only();
+        assert_drivers_agree(
+            4,
+            |r| random_workload(&wl, r),
+            |_| RandomWorkloadStep::new(wl.clone()),
+        );
     }
 
     #[test]
