@@ -19,7 +19,7 @@ use bytes::Bytes;
 use ckpt::{CaptureOrigin, Checkpoint, DrainedMsg};
 use mana_core::RankState;
 use mana_core::{
-    ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Ggid, PendingRecv, Protocol,
+    ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, PendingRecv, Protocol,
     RuntimeCapture, SeqTable, VComm,
 };
 use mpisim::types::CommId;
@@ -209,7 +209,7 @@ pub fn synthetic_checkpoint(n_ranks: usize, seed: u64) -> Checkpoint {
         achieved,
         captures,
         in_flight,
-        cut_events: Vec::new(),
+        cut_events: Cut::default(),
         io_write_secs: 0.0,
         io_read_secs: 0.0,
     }
@@ -256,9 +256,11 @@ pub fn perturbed_checkpoint(base: &Checkpoint, every: usize) -> Checkpoint {
 /// to tell the two apart.
 pub fn with_unshared_lists(base: &Checkpoint) -> Checkpoint {
     let mut next = base.clone();
-    for e in &mut next.cut_events {
-        e.members = e.members.to_vec().into();
-    }
+    let unshared = |r: &CutRun| CutRun {
+        members: r.members.to_vec().into(),
+        ..*r
+    };
+    next.cut_events = Cut::from_runs(base.cut_events.runs().iter().map(unshared).collect());
     for c in &mut next.captures {
         let entries: Vec<(Ggid, u64, Vec<usize>)> = c
             .seq_table

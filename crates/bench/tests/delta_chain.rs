@@ -11,7 +11,7 @@ use ckpt::{
     DeltaImage, DeltaPolicy, EveryNCollectives, ImageError, PeriodicInterval, RestoreConfig,
     ResumeMode, SaveReceipt, StoreError, TieredStore, Tiering,
 };
-use mana_core::Protocol;
+use mana_core::{Cut, CutRun, Protocol};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
 use workloads::{halo_exchange, scf_loop, RandomWorkloadCfg, RandomWorkloadStep};
@@ -132,13 +132,27 @@ fn live_run_delta_chain_restores_bit_identical_to_the_full_image() {
     assert_eq!(chain_data, native_data);
 }
 
+/// `later` covers everything `earlier` does, as the same runs grown: a
+/// rank that keeps counting `SEQ[ggid]` up by one never opens a second
+/// run on a group, it extends the one it has.
+fn assert_extends(later: &Cut, earlier: &Cut, what: &str) {
+    for e in earlier.runs() {
+        let same_run = |l: &&CutRun| (l.rank, l.ggid, l.first) == (e.rank, e.ggid, e.first);
+        let l = later.runs().iter().find(same_run);
+        let l = l.unwrap_or_else(|| panic!("{what}: run {e:?} has no successor"));
+        assert!(l.last >= e.last, "{what}: {e:?} shrank to {l:?}");
+    }
+    assert!(later.len() > earlier.len(), "{what}: the cut did not grow");
+}
+
 #[test]
-fn cut_log_of_each_generation_is_a_prefix_of_the_next() {
-    // The execution log is rank-owned and harvested at each cut; a delta
-    // stores a child's cut log as "parent's + tail", which only works if
-    // a harvest never reorders what an earlier one returned. Step ranks
-    // on two workers, sub-communicators and non-blocking collectives in
-    // the schedule: ranks record on several groups, from both workers.
+fn cut_of_each_generation_extends_the_previous() {
+    // The execution log is rank-owned and read at each cut as runs; a
+    // delta carries its cut whole, which stays cheap only while a cut's
+    // size follows the number of groups and not the program's length.
+    // Step ranks on two workers, sub-communicators and non-blocking
+    // collectives in the schedule: ranks record on several groups, from
+    // both workers.
     let cfg = WorldConfig::multi_node(16, 4)
         .with_params(NetParams::slingshot11().without_jitter())
         .with_workers(2);
@@ -147,13 +161,13 @@ fn cut_log_of_each_generation_is_a_prefix_of_the_next() {
         cfg,
         CkptOptions::native()
             .with_protocol(Protocol::Cc)
-            .with_policy(EveryNCollectives::new(25, 4))
+            .with_policy(EveryNCollectives::new(15, 6))
             .with_resume(ResumeMode::Continue),
         |_| RandomWorkloadStep::new(work.clone()),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     let g = &run.checkpoints;
-    assert!(g.len() >= 3, "only {} generations committed", g.len());
+    assert_eq!(g.len(), 6, "six generations must commit");
     for (i, image) in g.iter().enumerate() {
         image
             .verify()
@@ -161,20 +175,25 @@ fn cut_log_of_each_generation_is_a_prefix_of_the_next() {
     }
     for (i, pair) in g.windows(2).enumerate() {
         let (parent, child) = (&pair[0], &pair[1]);
-        let plen = parent.cut_events.len();
-        assert!(child.cut_events.len() > plen, "generation {i} → next grew");
-        assert!(
-            child.cut_events[..plen] == parent.cut_events[..],
-            "cut log of generation {i} is not a prefix of its successor's"
+        assert_extends(
+            &child.cut_events,
+            &parent.cut_events,
+            &format!("generation {i} → next"),
         );
         let known = full_image_refs(parent).into_iter().collect();
         let delta = DeltaImage::build(i as u64 + 1, i as u64, 0, parent, &known, child);
-        assert_eq!(delta.parent_cut_prefix, plen, "delta took the prefix path");
-        assert_eq!(delta.cut_tail.len(), child.cut_events.len() - plen);
+        assert_eq!(delta.cut, child.cut_events, "a delta carries its cut whole");
     }
-    // The report's log continues the last cut's the same way.
-    let last = &g[g.len() - 1].cut_events;
-    assert!(run.events[..last.len()] == last[..]);
+    // More collectives, hardly more runs: a run per rank and group.
+    let (first, last) = (&g[0].cut_events, &g[5].cut_events);
+    assert!(last.len() >= 3 * first.len());
+    assert!(last.runs().len() <= 2 * first.runs().len());
+    // The report's full log continues the last cut the same way.
+    assert_extends(
+        &Cut::from_events(&run.events),
+        last,
+        "last cut → end of run",
+    );
 }
 
 #[test]

@@ -1,19 +1,24 @@
-//! The size gate of wire v5: an image pays for each distinct group member
-//! list **once**, and a fixed handful of bytes for every reference to it.
+//! The size gate of the image wire format: an image pays for each
+//! distinct group member list **once**, a fixed handful of bytes for
+//! every reference to it, and nothing for how long the program has run.
 //!
 //! Before v5 every `seq_table` entry, every `vcomm_members` value and
 //! every cut event of a non-contiguous group repeated the group's full
 //! member list — 8 bytes × members, per reference — which made a
-//! 1024-rank image with split communicators 98 % member lists. The bound
-//! below has no term in which a list's length multiplies a reference
-//! count; the pre-v5 encoder exceeds it several-fold on this very image.
+//! 1024-rank image with split communicators 98 % member lists. Before v6
+//! the cut was one event per collective participation since the program
+//! started: four fifths of what was left, and larger at every checkpoint.
+//! The bound below has no term in which a list's length multiplies a
+//! reference count, and none that counts collectives.
 
 use ckpt::image::IMAGE_HEADER_LEN;
-use ckpt::{run_ckpt_world_steps, Checkpoint, CkptOptions, EveryNCollectives, ResumeMode};
-use mana_core::{CommOp, Protocol};
+use ckpt::{
+    run_ckpt_world, run_ckpt_world_steps, Checkpoint, CkptOptions, EveryNCollectives, ResumeMode,
+};
+use mana_core::{CommOp, Cut, CutRun, Protocol};
 use mpisim::{NetParams, WorldConfig};
 use std::collections::HashSet;
-use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
+use workloads::{scf_loop, RandomWorkloadCfg, RandomWorkloadStep};
 
 const RANKS: usize = 64;
 
@@ -51,12 +56,12 @@ fn is_run(members: &[usize]) -> bool {
 const REF: usize = 1 + 16;
 /// A table entry besides its members: content id and length word.
 const TABLE_ENTRY: usize = 16;
-/// A cut event besides its reference: rank, ggid, seq.
-const EVENT: usize = 24;
-/// A rank section besides its containers' elements: rank, state, clock,
-/// pending barrier (tag + two words), two flow counts; five container
-/// length words; nine call counters.
-const RANK_FIXED: usize = (8 + 1 + 8 + 17 + 16) + 5 * 8 + 9 * 8;
+/// A cut run besides its reference: rank, ggid, first, last.
+const RUN: usize = 32;
+/// A rank section besides its containers' elements: the stable half's
+/// length, rank, state, clock, pending barrier (tag + two words), two
+/// flow counts; five container length words; nine call counters.
+const RANK_FIXED: usize = (8 + 8 + 1 + 8 + 17 + 16) + 5 * 8 + 9 * 8;
 /// `seq_table` entry besides its reference: ggid, seq.
 const SEQ_ENTRY: usize = 16;
 /// `vcomm_members` entry besides its reference: the vcomm id.
@@ -73,7 +78,7 @@ const PENDING_RECV: usize = 8 + 8 + 9 + 5;
 const DRAINED_MSG: usize = 8 + 8 + 8 + 4 + 8 + 8 + 8;
 /// Header; kind, epoch, n_ranks, protocol, packing, ten network
 /// parameters, request clock; length words of the three target maps, the
-/// table, the captures, the in-flight set and the cut log; the two
+/// table, the captures, the in-flight set and the cut; the two
 /// io-seconds words.
 const IMAGE_FIXED: usize = IMAGE_HEADER_LEN + (1 + 8 + 8 + 1 + 8 + 80 + 8) + 7 * 8 + 16;
 /// A target-map entry: ggid, value.
@@ -110,7 +115,7 @@ fn size_bound(image: &Checkpoint) -> usize {
         + ranks
         + image.in_flight.len() * DRAINED_MSG
         + image.in_flight_bytes()
-        + image.cut_events.len() * (EVENT + REF)
+        + image.cut_events.runs().len() * (RUN + REF)
 }
 
 #[test]
@@ -131,22 +136,62 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     // table reference is that much shorter than a range reference).
     assert!(bound - len <= 8 * refs.len(), "{len} B vs bound {bound} B");
 
-    // Pinned with 25 % headroom over the measured 2 486 B a rank. The
-    // same image with the list repeated at each of its 1 024 references to
-    // a non-contiguous group — the pre-v5 wire — is 6 558 B a rank.
+    // Pinned with 25 % headroom over the measured 844 B a rank (the v5
+    // wire, with its cut event per collective participation, wrote 2 486 B
+    // a rank for this cut, and more for every later one).
     let per_rank = len / RANKS;
-    assert!(per_rank <= 3107, "{per_rank} B per rank");
+    assert!(per_rank <= 1055, "{per_rank} B per rank");
 
-    // One more event on a group that is already in the table costs its
-    // fixed words and a 9-byte reference, whatever the group's size.
-    let again = image
-        .cut_events
+    // One more run on a group that is already in the table costs its
+    // fixed words and a 9-byte reference, whatever the group's size and
+    // however many collectives the run covers.
+    let mut runs = image.cut_events.runs().to_vec();
+    let again = runs
         .iter()
-        .find(|e| !is_run(&e.members) && e.members.len() >= 8)
-        .expect("a cut event on a non-contiguous group of eight or more")
-        .clone();
-    image.cut_events.push(again);
+        .find(|r| !is_run(&r.members) && r.members.len() >= 8)
+        .expect("a cut run on a non-contiguous group of eight or more");
+    runs.push(CutRun {
+        first: again.last + 2,
+        last: again.last + 1_000_000,
+        ..again.clone()
+    });
+    image.cut_events = Cut::from_runs(runs);
     let grown = image.serialized_len() - len;
-    assert_eq!(grown, EVENT + 1 + 8);
+    assert_eq!(grown, RUN + 1 + 8);
     assert!(grown < 64);
+}
+
+/// The image of a program that only ever talks on the world group is the
+/// same size at its 40th collective and at its 160th: per rank, `SEQ[]`
+/// and one run. (The v5 wire grew by a cut event per rank and collective:
+/// ≈ 1.6 kB a rank from each of these images to the next.)
+#[test]
+fn image_size_does_not_grow_with_run_length() {
+    const N: usize = 16;
+    let cfg = WorldConfig::multi_node(N, 4).with_params(NetParams::slingshot11().without_jitter());
+    let run = run_ckpt_world(
+        cfg,
+        CkptOptions::native()
+            .with_protocol(Protocol::Cc)
+            .with_policy(EveryNCollectives::new(40, 4))
+            .with_resume(ResumeMode::Continue),
+        |r| {
+            r.set_wall_pace_us(40);
+            scf_loop(r, 120, 8) // two collectives an iteration
+        },
+    );
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    let images = &run.checkpoints;
+    assert_eq!(images.len(), 4, "four cuts must commit");
+    for (k, image) in images.iter().enumerate() {
+        image.verify().expect("a committed cut is safe");
+        // The trigger fires once every rank has made 40·(k+1) calls; the
+        // drain may run a call or two past it.
+        let calls = image.cut_events.len() / N;
+        assert_eq!(image.cut_events.len(), calls * N, "every rank, every call");
+        assert!((40 * (k + 1)..40 * (k + 1) + 8).contains(&calls), "{calls}");
+        assert_eq!(image.cut_events.runs().len(), N);
+        assert_eq!(image.serialized_len(), images[0].serialized_len());
+        assert_eq!(image.to_bytes().len(), images[0].serialized_len());
+    }
 }

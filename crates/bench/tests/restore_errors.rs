@@ -8,8 +8,21 @@ use ckpt::{
     run_ckpt_world, try_restore_ckpt_world, Checkpoint, CkptOptions, ImageError, RestoreConfig,
     RestoreError, ResumeMode,
 };
+use mana_core::{Cut, ExecEvent};
 use mpisim::{NetParams, VTime, WorldConfig};
 use workloads::{random_workload, RandomWorkloadCfg};
+
+/// Rewrites the image's cut one participation at a time: `edit` gets the
+/// first multi-member participation's position in the cut's event list.
+fn edit_cut(image: &mut Checkpoint, edit: impl FnOnce(&mut Vec<ExecEvent>, usize)) {
+    let mut events: Vec<ExecEvent> = image.cut_events.events().collect();
+    let victim = events
+        .iter()
+        .position(|e| e.members.len() > 1)
+        .expect("a real run has multi-member collectives");
+    edit(&mut events, victim);
+    image.cut_events = Cut::from_events(&events);
+}
 
 /// A genuine, consistent image from a real 4-rank checkpointed run.
 fn capture_image() -> (Checkpoint, RandomWorkloadCfg) {
@@ -64,12 +77,7 @@ fn partially_visited_node_is_refused() {
     let (mut image, wl) = capture_image();
     // Drop one rank's visit to a collective node: the node is now visited
     // by a strict subset of its members — Invariant 2 of the oracle.
-    let victim = image
-        .cut_events
-        .iter()
-        .position(|e| e.members.len() > 1)
-        .expect("a real run has multi-member collectives");
-    image.cut_events.remove(victim);
+    edit_cut(&mut image, |events, victim| drop(events.remove(victim)));
     let err = try_restore_ckpt_world(&image, RestoreConfig::same_packing(), |r| {
         random_workload(&wl, r)
     })
@@ -85,14 +93,11 @@ fn partially_visited_node_is_refused() {
 fn member_outside_the_world_is_refused_at_decode() {
     let (mut image, _) = capture_image();
     let n = image.n_ranks;
-    let victim = image
-        .cut_events
-        .iter()
-        .position(|e| e.members.len() > 1)
-        .expect("a real run has multi-member collectives");
-    let mut members = image.cut_events[victim].members.to_vec();
-    *members.last_mut().unwrap() = n + 3;
-    image.cut_events[victim].members = members.into();
+    edit_cut(&mut image, |events, victim| {
+        let mut members = events[victim].members.to_vec();
+        *members.last_mut().unwrap() = n + 3;
+        events[victim].members = members.into();
+    });
     let res = std::panic::catch_unwind(|| Checkpoint::from_bytes(&image.to_bytes()))
         .expect("the decoder must not panic");
     assert_eq!(

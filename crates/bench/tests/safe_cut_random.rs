@@ -29,7 +29,7 @@
 
 use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, ResumeMode};
 use mana_core::topo::{topological_sort, ExecEvent, Node};
-use mana_core::Protocol;
+use mana_core::{Cut, Protocol};
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::collections::{BTreeMap, HashSet};
 use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
@@ -57,14 +57,13 @@ fn large_cfg(n: usize) -> WorldConfig {
 /// The paper's §4.2.2 argument, executably. `log` is a run's execution
 /// log: its nodes are the collectives `(ggid, seq)`, and every rank
 /// contributes an edge from each collective it entered to the next one it
-/// entered (a harvest lists a rank's events in program order, and later
-/// harvests behind earlier ones, so filtering by rank recovers that
-/// order). The run must have *a* topological order — no two ranks entered
-/// two collectives in opposite orders — and `cut` must be downward-closed:
-/// a rank's participation in a node is in the cut only if its
-/// participation in the node's predecessor is. That per-rank prefix
+/// entered (the log lists a rank's events in program order, so filtering
+/// by rank recovers it). The run must have *a* topological order — no two
+/// ranks entered two collectives in opposite orders — and `cut` must be
+/// downward-closed: a rank's participation in a node is in the cut only if
+/// its participation in the node's predecessor is. That per-rank prefix
 /// property is what `verify_safe_cut`'s set invariants cannot see.
-fn check_cut_against_dag(log: &[ExecEvent], cut: &[ExecEvent]) -> Result<(), String> {
+fn check_cut_against_dag(log: &[ExecEvent], cut: &Cut) -> Result<(), String> {
     let mut paths: BTreeMap<usize, Vec<Node>> = BTreeMap::new();
     for e in log {
         paths.entry(e.rank).or_default().push(e.node);
@@ -81,11 +80,9 @@ fn check_cut_against_dag(log: &[ExecEvent], cut: &[ExecEvent]) -> Result<(), Str
         .collect();
     topological_sort(&nodes, &edges).ok_or("the execution DAG has a cycle")?;
 
-    let visits = |evs: &[ExecEvent]| -> HashSet<(usize, Node)> {
-        evs.iter().map(|e| (e.rank, e.node)).collect()
-    };
-    let in_cut = visits(cut);
-    if let Some(v) = in_cut.difference(&visits(log)).next() {
+    let in_log: HashSet<(usize, Node)> = log.iter().map(|e| (e.rank, e.node)).collect();
+    let in_cut: HashSet<(usize, Node)> = cut.events().map(|e| (e.rank, e.node)).collect();
+    if let Some(v) = in_cut.difference(&in_log).next() {
         return Err(format!("the cut holds {v:?}, which the run never logged"));
     }
     for (&rank, path) in &paths {
@@ -355,10 +352,20 @@ fn corrupted_cut_is_rejected() {
         .expect("a checkpoint with a non-trivial cut");
     assert!(ckpt.verify().is_ok());
 
+    // The cut, one participation at a time; `corrupt` rebuilds a cut from
+    // an edited copy the way a log that recorded it would have.
+    let events: Vec<ExecEvent> = ckpt.cut_events.events().collect();
+    let corrupt = |edit: &dyn Fn(&mut Vec<ExecEvent>)| {
+        let mut events = events.clone();
+        edit(&mut events);
+        let mut image = ckpt.clone();
+        image.cut_events = Cut::from_events(&events);
+        image
+    };
+
     // Corruption 1: drop one participation — some node becomes partially
     // visited (or its rank's sequence gains a gap).
-    let mut dropped = ckpt.clone();
-    dropped.cut_events.remove(dropped.cut_events.len() / 2);
+    let dropped = corrupt(&|evs| drop(evs.remove(evs.len() / 2)));
     assert!(
         dropped.verify().is_err(),
         "oracle accepted a cut with a missing participation"
@@ -366,10 +373,11 @@ fn corrupted_cut_is_rejected() {
 
     // Corruption 2: forge an extra participation beyond the achieved
     // target for its group.
-    let mut forged = ckpt.clone();
-    let mut extra = forged.cut_events[0].clone();
-    extra.node.seq = forged.achieved[&extra.node.ggid] + 5;
-    forged.cut_events.push(extra);
+    let forged = corrupt(&|evs| {
+        let mut extra = evs[0].clone();
+        extra.node.seq = ckpt.achieved[&extra.node.ggid] + 5;
+        evs.push(extra);
+    });
     assert!(
         forged.verify().is_err(),
         "oracle accepted a forged beyond-target participation"
@@ -377,9 +385,7 @@ fn corrupted_cut_is_rejected() {
 
     // Corruption 3: shift one event onto another rank — double visit on
     // one rank, missing visit on another.
-    let mut shifted = ckpt.clone();
-    let ev = &mut shifted.cut_events[0];
-    ev.rank = (ev.rank + 1) % shifted.n_ranks;
+    let shifted = corrupt(&|evs| evs[0].rank = (evs[0].rank + 1) % ckpt.n_ranks);
     assert!(
         shifted.verify().is_err(),
         "oracle accepted a cut with a misattributed participation"
@@ -390,18 +396,14 @@ fn corrupted_cut_is_rejected() {
     // entered, which no rank prefix of the run can produce. The DAG check
     // rejects it against the intact cut's own events as the log (in which
     // the intact cut is trivially closed).
-    assert_eq!(
-        check_cut_against_dag(&ckpt.cut_events, &ckpt.cut_events),
-        Ok(())
-    );
-    let mut holed = ckpt.clone();
-    let rank = holed.cut_events[0].rank;
-    let of_rank: Vec<usize> = (0..holed.cut_events.len())
-        .filter(|&i| holed.cut_events[i].rank == rank)
+    assert_eq!(check_cut_against_dag(&events, &ckpt.cut_events), Ok(()));
+    let rank = events[0].rank;
+    let of_rank: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].rank == rank)
         .collect();
-    holed.cut_events.remove(of_rank[of_rank.len() - 2]);
+    let holed = corrupt(&|evs| drop(evs.remove(of_rank[of_rank.len() - 2])));
     assert!(
-        check_cut_against_dag(&ckpt.cut_events, &holed.cut_events).is_err(),
+        check_cut_against_dag(&events, &holed.cut_events).is_err(),
         "DAG check accepted a cut that is not a prefix of rank {rank}'s path"
     );
 }

@@ -14,12 +14,21 @@
 //!   or a well-formed image — never a panic, hang, or huge allocation;
 //! * appended **trailing garbage** must be rejected.
 //!
-//! The v5 **member-list table** — every distinct non-contiguous group
+//! The **member-list table** — every distinct non-contiguous group
 //! member list written once, referenced by content id everywhere else —
 //! is aimed at directly: a repaired flip anywhere in the table, or in the
-//! id of any cut-event reference, is a typed error in both
+//! id of any cut-run reference, is a typed error in both
 //! `Checkpoint::from_bytes` and `ImagePayload::from_bytes`, for full
 //! images and for delta heads.
+//!
+//! So are the two things wire v6 added. The **cut block** holds runs
+//! `first..=last` where v5 held one event per participation, so a forged
+//! run can claim 2⁶⁴ participations in 41 bytes: hostile bounds, ranks,
+//! members and orderings are typed errors, and nothing — decode, the
+//! oracle, `len()` — does work proportional to what a run claims. The
+//! **stable-half length word** opening every rank section is what a delta
+//! chain slices its root by: zero, too long, past the buffer or off by
+//! one, it is `Malformed` to the full decoder and to `TieredStore::load`.
 //!
 //! The **delta image** sections get the same treatment: flips inside
 //! content-addressed chunk bodies (checksum-repaired so they reach the
@@ -35,7 +44,7 @@ use ckpt::{
     run_ckpt_world, Checkpoint, ChunkPool, CkptOptions, CkptTier, DeltaImage, ImageError,
     ImagePayload, ResumeMode, StoreError, TieredStore,
 };
-use mana_core::ExecEvent;
+use mana_core::{Cut, CutRun};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
 use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
@@ -274,29 +283,45 @@ fn section_ranges_agree_with_parallel_encoder_output() {
 }
 
 // ---------------------------------------------------------------------
-// v5 member-list table and references
+// member-list table and references
 // ---------------------------------------------------------------------
 
-/// Encoded size of one cut event: rank, ggid and seq words, then the
-/// member-list reference — tag + `(start, len)` for a contiguous run, tag
-/// + content id for a list held in the table.
-fn event_len(e: &ExecEvent) -> usize {
-    let run = e.members.windows(2).all(|w| w[1] == w[0] + 1);
-    24 + if run { 17 } else { 9 }
+/// Bytes of a cut run ahead of its member-list reference: rank, ggid,
+/// first and last words.
+const RUN_WORDS: usize = 32;
+
+/// Encoded size of one cut run: its four words, then the member-list
+/// reference — tag + `(start, len)` for a contiguous group, tag + content
+/// id for a list held in the table.
+fn run_len(r: &CutRun) -> usize {
+    let contiguous = r.members.windows(2).all(|w| w[1] == w[0] + 1);
+    RUN_WORDS + if contiguous { 17 } else { 9 }
 }
 
-/// Offsets of the content-id word of every table reference in a run of
-/// encoded cut events starting at `at`.
-fn listed_id_offsets(events: &[ExecEvent], mut at: usize) -> Vec<usize> {
-    let mut ids = Vec::new();
-    for e in events {
-        let len = event_len(e);
-        if len == 24 + 9 {
-            ids.push(at + 24 + 1);
-        }
-        at += len;
-    }
-    ids
+/// Offset of every run of an encoded cut whose runs start at `at`.
+fn run_offsets(cut: &Cut, mut at: usize) -> Vec<usize> {
+    let offset_then_advance = |r: &CutRun| {
+        at += run_len(r);
+        at - run_len(r)
+    };
+    cut.runs().iter().map(offset_then_advance).collect()
+}
+
+/// Offsets of the content-id word of every table reference in an encoded
+/// cut whose runs start at `at`.
+fn listed_id_offsets(cut: &Cut, at: usize) -> Vec<usize> {
+    let listed = |(r, at): (&CutRun, usize)| (run_len(r) == RUN_WORDS + 9).then_some(at);
+    let runs = cut.runs().iter().zip(run_offsets(cut, at));
+    runs.filter_map(listed)
+        .map(|at| at + RUN_WORDS + 1)
+        .collect()
+}
+
+/// Where the runs of a full image's cut start: the cut closes the payload
+/// but for the two io-seconds words.
+fn cut_runs_start(image: &Checkpoint, bytes: &[u8]) -> usize {
+    let cut_len: usize = image.cut_events.runs().iter().map(run_len).sum();
+    bytes.len() - 16 - cut_len
 }
 
 /// A repaired one-bit flip at each of `positions` must be refused by
@@ -350,16 +375,14 @@ fn member_table_flips_are_always_rejected() {
     );
 }
 
-/// A flipped content id in a cut-event reference names a list the table
+/// A flipped content id in a cut-run reference names a list the table
 /// does not hold: `Malformed`, in both decoders.
 #[test]
 fn cut_event_reference_flips_are_unknown_ids() {
     let image = capture_image();
     let bytes = image.to_bytes();
-    // The cut log closes the payload but for the two io-seconds words.
-    let log_len: usize = image.cut_events.iter().map(event_len).sum();
-    let ids = listed_id_offsets(&image.cut_events, bytes.len() - 16 - log_len);
-    assert!(!ids.is_empty(), "no cut event references the table");
+    let ids = listed_id_offsets(&image.cut_events, cut_runs_start(&image, &bytes));
+    assert!(!ids.is_empty(), "no cut run references the table");
     let mut rng = SplitMix64::new(0x1D5);
     let every_byte = || ids.iter().flat_map(|&at| at..at + 8);
     assert_flips_rejected(
@@ -378,20 +401,24 @@ fn cut_event_reference_flips_are_unknown_ids() {
     );
 }
 
-/// The live image as the child of a parent that saw only the first half
-/// of its cut log and different call counters on every rank: the delta
-/// carries a cut tail, every rank's chunk inline, and the member-list
-/// table for both.
+/// The live image as the child of a parent that had got half as far on
+/// every group and had different call counters on every rank: the delta
+/// carries the child's cut, every rank's chunk inline, and the
+/// member-list table for both.
 fn live_delta() -> (Checkpoint, Checkpoint, DeltaImage) {
     let child = capture_image();
     let mut parent = child.clone();
-    parent.cut_events.truncate(child.cut_events.len() / 2);
+    let halved = |r: &CutRun| CutRun {
+        last: r.last.div_ceil(2),
+        ..r.clone()
+    };
+    parent.cut_events = Cut::from_runs(child.cut_events.runs().iter().map(halved).collect());
     for c in &mut parent.captures {
         c.counters.completions += 1;
     }
     let known = full_image_refs(&parent).into_iter().collect();
     let delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
-    assert_eq!(delta.parent_cut_prefix, parent.cut_events.len());
+    assert_eq!(delta.cut, child.cut_events);
     assert_eq!(delta.new_chunks.len(), child.n_ranks);
     assert!(
         !delta.lists.is_empty(),
@@ -401,7 +428,7 @@ fn live_delta() -> (Checkpoint, Checkpoint, DeltaImage) {
 }
 
 /// The same two attacks on a delta head: its member-list table and the
-/// references of its cut tail.
+/// references of its cut.
 #[test]
 fn delta_member_table_and_reference_flips_are_typed_errors() {
     let (parent, child, delta) = live_delta();
@@ -418,10 +445,9 @@ fn delta_member_table_and_reference_flips_are_typed_errors() {
     }
 
     let table = delta.member_table_range();
-    // Behind the table: the parent-prefix and tail-count words, then the
-    // tail's events.
-    let ids = listed_id_offsets(&delta.cut_tail, table.end + 16);
-    assert!(!ids.is_empty(), "no tail event references the table");
+    // Behind the table: the cut's run-count word, then its runs.
+    let ids = listed_id_offsets(&delta.cut, table.end + 8);
+    assert!(!ids.is_empty(), "no cut run references the table");
     let mut rng = SplitMix64::new(0xD7AB);
     assert_flips_rejected(
         &bytes,
@@ -432,14 +458,14 @@ fn delta_member_table_and_reference_flips_are_typed_errors() {
     );
 }
 
-/// A delta whose table lacks a list its rank chunks reference — nothing
-/// in the parent's prefix or the tail names it either — cannot resolve
-/// the chunk: a typed error out of `apply`, not a panic.
+/// A delta whose table lacks a list its rank chunks reference — the cut
+/// does not name it either — cannot resolve the chunk: a typed error out
+/// of `apply`, not a panic.
 #[test]
 fn chunk_reference_missing_from_the_delta_table_is_a_typed_error() {
     let (mut parent, mut child, _) = live_delta();
-    parent.cut_events.clear();
-    child.cut_events.clear();
+    parent.cut_events = Cut::default();
+    child.cut_events = Cut::default();
     let known = full_image_refs(&parent).into_iter().collect();
     let mut delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
     let mut pool = ChunkPool::new();
@@ -454,6 +480,166 @@ fn chunk_reference_missing_from_the_delta_table_is_a_typed_error() {
         matches!(res, Err(ImageError::Malformed(_))),
         "an unresolvable chunk reference must fail typed, got {res:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// v6: the cut block and the stable-half length word
+// ---------------------------------------------------------------------
+
+/// `bytes` with the little-endian word at `at` replaced and the header
+/// resealed, so the edit reaches the structural decoder.
+fn patched(bytes: &[u8], at: usize, word: u64) -> Vec<u8> {
+    let mut m = bytes.to_vec();
+    m[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    fix_checksum(&mut m);
+    m
+}
+
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Both decoders refuse `bytes` as `Malformed`, without panicking.
+fn assert_malformed(bytes: &[u8], what: &str) {
+    let full = decode_no_panic(bytes, what).err();
+    let either = decode_payload_no_panic(bytes, what).err();
+    for got in [full, either] {
+        assert!(
+            matches!(got, Some(ImageError::Malformed(_))),
+            "{what} must be Malformed, got {got:?}"
+        );
+    }
+}
+
+/// Hostile runs, each patched into a live image's cut block and resealed:
+/// bounds no wrapper can produce, a rank and a member outside the world,
+/// runs out of canonical order, a reference to a list the table lacks.
+#[test]
+fn hostile_cut_runs_are_typed_errors() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    let runs = image.cut_events.runs();
+    let at = run_offsets(&image.cut_events, cut_runs_start(&image, &bytes));
+    // Word offsets within a run: rank, ggid, first, last, then the
+    // reference — a tag byte and `(start, len)` or a content id.
+    let (rank, first, last, reference) = (0, 16, 24, RUN_WORDS + 1);
+    let mid = runs.len() / 2;
+
+    assert_malformed(&patched(&bytes, at[mid] + first, 0), "first = 0");
+    let past = word_at(&bytes, at[mid] + last) + 1;
+    assert_malformed(&patched(&bytes, at[mid] + first, past), "first > last");
+    // On the last run, so that the order check has nothing to say.
+    let end = runs.len() - 1;
+    let n = image.n_ranks as u64;
+    assert_malformed(&patched(&bytes, at[end] + rank, n), "rank out of world");
+    let ranged = (0..runs.len()).find(|&i| run_len(&runs[i]) == RUN_WORDS + 17);
+    let ranged = ranged.expect("a run on a contiguous group");
+    let len_word = at[ranged] + reference + 8;
+    assert_malformed(&patched(&bytes, len_word, n + 1), "member out of world");
+    let listed = listed_id_offsets(&image.cut_events, at[0])[0];
+    let unknown = word_at(&bytes, listed) ^ 1;
+    assert_malformed(
+        &patched(&bytes, listed, unknown),
+        "id missing from the table",
+    );
+    // Two neighbouring runs of one rank, swapped (whole, so each still
+    // parses): the second now sorts before the first.
+    let pair = (0..end).find(|&i| runs[i].rank == runs[i + 1].rank);
+    let pair = pair.expect("a rank with runs on two groups");
+    let (a, b, c) = (
+        at[pair],
+        at[pair + 1],
+        at[pair + 1] + run_len(&runs[pair + 1]),
+    );
+    let mut swapped = bytes.clone();
+    swapped[a..c].rotate_left(b - a);
+    fix_checksum(&mut swapped);
+    assert_malformed(&swapped, "swapped run order");
+}
+
+/// A run is 41 bytes whatever it claims, so a forged one can claim every
+/// sequence number there is. Nothing may then do work proportional to the
+/// claim: decoding, the oracle and `len()` together stay far below what
+/// one pass over 2⁶⁴ — or 2³² — participations would take.
+#[test]
+fn a_run_claiming_every_sequence_number_costs_nothing() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    let at = run_offsets(&image.cut_events, cut_runs_start(&image, &bytes));
+    let forged = patched(&bytes, at[0] + 24, u64::MAX);
+
+    let t = std::time::Instant::now();
+    let decoded = decode_no_panic(&forged, "last = u64::MAX").expect("bounds in order decode");
+    let verdict = decoded.verify();
+    let len = decoded.cut_events.len();
+    let took = t.elapsed();
+
+    assert_eq!(decoded.cut_events.runs()[0].last, u64::MAX);
+    assert_eq!(len, usize::MAX, "len saturates");
+    let violations = verdict.expect_err("a run beyond every target is no safe cut");
+    assert!(violations.len() <= 4 * image.cut_events.runs().len());
+    assert!(took.as_millis() < 10, "{took:?} for a 41-byte forgery");
+}
+
+/// A store holding a full root (gen 0) and one delta on it (gen 1), with
+/// the root's image and stored bytes and the delta's bytes.
+fn root_and_delta_store() -> (TieredStore, Checkpoint, Vec<u8>, Vec<u8>) {
+    let store = TieredStore::default();
+    let workers = Scheduler::default_workers();
+    let root = Arc::new(synthetic_checkpoint(24, 0x57AB));
+    let leaf = Arc::new(perturbed_checkpoint(&root, 5));
+    store.save(CkptTier::Lustre, Arc::clone(&root), false, workers);
+    let r1 = store.save(CkptTier::Lustre, leaf, true, workers);
+    assert_eq!(r1.delta_parent, Some(0));
+    let stored = |gen| store.backend(CkptTier::Lustre).get(gen).unwrap().to_vec();
+    let (root_bytes, delta_bytes) = (stored(0), stored(1));
+    (store, (*root).clone(), root_bytes, delta_bytes)
+}
+
+/// Delta payload layout: the parent-checksum word follows the kind byte
+/// and the two generation words.
+const DELTA_PARENT_CHECKSUM_OFFSET: usize = HEADER + 17;
+
+/// Every rank section opens with the byte length of its stable half — the
+/// word chain resolution slices the root by. Forged (zero, one off either
+/// way, longer than its section, past the buffer, unrepresentable) and
+/// resealed, it is `Malformed` to the full decoder and to
+/// `TieredStore::load` of a delta on that root, whose parent fingerprint
+/// is re-aimed at the forgery so the load gets as far as slicing it.
+#[test]
+fn forged_stable_half_lengths_are_malformed_to_decode_and_to_chain_load() {
+    let (store, root, root_bytes, delta_bytes) = root_and_delta_store();
+    store.load(1).expect("the pristine chain resolves");
+    let sections = root.capture_section_ranges();
+    let lustre = store.backend(CkptTier::Lustre);
+
+    for section in [&sections[0], &sections[11], &sections[23]] {
+        let at = section.start;
+        let stable = word_at(&root_bytes, at);
+        assert!(stable as usize + 8 < section.len(), "not the length word");
+        let whole = section.len() as u64;
+        let beyond = (root_bytes.len() - at) as u64;
+        for forged in [0, stable - 1, stable + 1, whole, beyond, u64::MAX] {
+            let what = format!("stable-half length {stable} -> {forged} at {at}");
+            let bad_root = patched(&root_bytes, at, forged);
+            assert_malformed(&bad_root, &what);
+
+            let fingerprint = word_at(&bad_root, CHECKSUM_OFFSET);
+            let re_aimed = patched(&delta_bytes, DELTA_PARENT_CHECKSUM_OFFSET, fingerprint);
+            lustre.put(0, bad_root, 1);
+            lustre.put(1, re_aimed, 1);
+            let res = std::panic::catch_unwind(|| store.load(1))
+                .unwrap_or_else(|_| panic!("store.load panicked on {what}"));
+            assert!(
+                matches!(res, Err(StoreError::Image(ImageError::Malformed(_)))),
+                "{what}: chain load must be Malformed, got {res:?}"
+            );
+        }
+    }
+
+    lustre.put(0, root_bytes, 1);
+    lustre.put(1, delta_bytes, 1);
+    store.load(1).expect("restored pristine bytes load again");
 }
 
 // ---------------------------------------------------------------------

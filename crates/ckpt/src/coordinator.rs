@@ -455,7 +455,7 @@ impl Coordinator {
             return Err(e);
         }
 
-        let cut_events = sh.exec_log.events();
+        let cut_events = sh.exec_log.cut();
         let mut achieved: HashMap<Ggid, u64> = HashMap::new();
         for c in &captures {
             for (g, e) in c.seq_table.iter() {

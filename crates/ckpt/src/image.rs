@@ -14,8 +14,8 @@
 use crate::wire::{fnv1a64, CountEnc, Dec, DecodeError, Fnv1a, SliceEnc, Wr};
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    verify_safe_cut, CallCounters, CommOp, CommOpRecord, ExecEvent, Ggid, Node, Protocol,
-    RankState, RuntimeCapture, SeqTable, VComm, Violation,
+    verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol, RankState,
+    RuntimeCapture, SeqTable, VComm, Violation,
 };
 use mpisim::types::CommId;
 use mpisim::{SavedMsg, SrcSel, TagSel, VTime};
@@ -47,7 +47,15 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// the decoder. Version 4 repeated the full list at each reference, which
 /// was 98 % of a 1024-rank image with split communicators; image size and
 /// every pass over an image are now O(references + distinct-list bytes).
-pub const IMAGE_VERSION: u32 = 5;
+/// Version 6 writes the cut as what it is — for every rank and group, the
+/// run of sequence numbers the rank executed ([`mana_core::CutRun`]: rank,
+/// ggid, first, last, member-list reference) — where version 5 wrote one
+/// event per collective participation since the program started, four
+/// fifths of an image and growing with the run. Each rank section now
+/// opens with the byte length of its restart-stable half, so a delta
+/// chain slices its root's chunks out of the stored bytes instead of
+/// decoding and re-encoding the root ([`crate::store::TieredStore::load`]).
+pub const IMAGE_VERSION: u32 = 6;
 
 /// Payload kind byte of a self-contained (full) image.
 pub const IMAGE_KIND_FULL: u8 = 0;
@@ -198,8 +206,9 @@ pub struct Checkpoint {
     pub captures: Vec<RuntimeCapture>,
     /// Drained in-flight point-to-point messages, sorted per channel.
     pub in_flight: Vec<DrainedMsg>,
-    /// Snapshot of the execution log at capture (the cut).
-    pub cut_events: Vec<ExecEvent>,
+    /// The cut: what every rank had executed on every group at capture,
+    /// as the execution log recorded it.
+    pub cut_events: Cut,
     /// Virtual seconds charged for writing the image set to storage
     /// (zero when the session has no storage model).
     pub io_write_secs: f64,
@@ -252,12 +261,12 @@ impl Checkpoint {
     // ------------------------------------------------------------------
 
     /// Every group member-list reference the image holds — each
-    /// `seq_table` entry, each `vcomm_members` value, each cut event. In a
+    /// `seq_table` entry, each `vcomm_members` value, each cut run. In a
     /// live or a decoded image all references to one list are one
     /// allocation; the wire tests check exactly that.
     pub fn member_list_refs(&self) -> impl Iterator<Item = &Arc<[usize]>> {
         let captured = self.captures.iter().flat_map(capture_member_refs);
-        captured.chain(self.cut_events.iter().map(|e| &e.members))
+        captured.chain(self.cut_events.runs().iter().map(|r| &r.members))
     }
 
     /// The encode-side table and reference cache: every list the image
@@ -300,17 +309,14 @@ impl Checkpoint {
         for m in &self.in_flight {
             enc_drained(p, m);
         }
-        p.usize(self.cut_events.len());
-        for e in &self.cut_events {
-            enc_event(p, lists, e);
-        }
+        enc_cut(p, lists, &self.cut_events);
         p.f64(self.io_write_secs);
         p.f64(self.io_read_secs);
     }
 
     /// Encoded lengths of the prefix, of every capture section, and of the
     /// suffix — the same encode code run through a byte counter.
-    fn layout(&self, lists: &MemberIntern) -> (usize, Vec<usize>, usize) {
+    fn layout(&self, lists: &MemberIntern) -> (usize, Vec<SectionLen>, usize) {
         let mut prefix = CountEnc::new();
         self.enc_payload_prefix(&mut prefix, lists);
         let mut suffix = CountEnc::new();
@@ -348,7 +354,7 @@ impl Checkpoint {
     pub fn to_bytes_parallel(&self, workers: usize) -> Vec<u8> {
         let lists = self.member_lists();
         let (prefix_len, section_lens, suffix_len) = self.layout(&lists);
-        let sections_total: usize = section_lens.iter().sum();
+        let sections_total: usize = section_lens.iter().map(|l| l.section).sum();
         let total = IMAGE_HEADER_LEN + prefix_len + sections_total + suffix_len;
 
         let mut out: Vec<u8> = Vec::with_capacity(total);
@@ -379,8 +385,8 @@ impl Checkpoint {
         section_lens
             .into_iter()
             .map(|len| {
-                let r = at..at + len;
-                at += len;
+                let r = at..at + len.section;
+                at += len.section;
                 r
             })
             .collect()
@@ -410,6 +416,45 @@ impl Checkpoint {
     /// included).
     pub(crate) fn dec_payload(payload: &[u8]) -> Result<Checkpoint, ImageError> {
         let mut d = Dec::new(payload);
+        let (mut ckpt, mut lists) = Checkpoint::dec_payload_prefix(&mut d)?;
+        for _ in 0..ckpt.n_ranks {
+            ckpt.captures.push(dec_capture(&mut d, &mut lists)?);
+        }
+        ckpt.in_flight = dec_in_flight(&mut d)?;
+        (ckpt.cut_events, ckpt.io_write_secs, ckpt.io_read_secs) =
+            dec_payload_suffix(&mut d, &mut lists)?;
+        validate_shape(&ckpt)?;
+        Ok(ckpt)
+    }
+
+    /// The chunks a full image contributes to a delta chain — every
+    /// rank's restart-stable half in rank order, then the in-flight set —
+    /// as spans of its authenticated `payload`, and its world size. The
+    /// spans hold the bytes [`crate::store::delta::full_image_refs`]
+    /// hashes; nothing inside them is decoded, everything around them is,
+    /// to the payload's last byte, so a span can only be what the encoder
+    /// wrote there.
+    pub(crate) fn payload_chunks(payload: &[u8]) -> Result<(usize, Vec<&[u8]>), ImageError> {
+        let mut d = Dec::new(payload);
+        let (ckpt, mut lists) = Checkpoint::dec_payload_prefix(&mut d)?;
+        let mut chunks = Vec::with_capacity(ckpt.n_ranks + 1);
+        for rank in 0..ckpt.n_ranks {
+            let (v, stable) = dec_capture_volatile(&mut d)?;
+            if v.rank != rank {
+                return Err(ImageError::Malformed("capture rank vs position"));
+            }
+            chunks.push(stable);
+        }
+        let at = payload.len() - d.remaining();
+        dec_in_flight(&mut d)?;
+        chunks.push(&payload[at..payload.len() - d.remaining()]);
+        dec_payload_suffix(&mut d, &mut lists)?;
+        Ok((ckpt.n_ranks, chunks))
+    }
+
+    /// Reads what [`Checkpoint::enc_payload_prefix`] wrote: an image with
+    /// no captures yet, and its member-list table.
+    fn dec_payload_prefix(d: &mut Dec) -> Result<(Checkpoint, MemberIntern), ImageError> {
         match d.u8("image kind")? {
             IMAGE_KIND_FULL => {}
             IMAGE_KIND_DELTA => {
@@ -424,36 +469,17 @@ impl Checkpoint {
         let protocol = protocol_from_code(d.u8("protocol")?)?;
         let origin = CaptureOrigin {
             ranks_per_node: d.usize("ranks_per_node")?,
-            params: dec_params(&mut d)?,
+            params: dec_params(d)?,
         };
-        let request_clock = dec_vtime(&mut d, "request clock")?;
-        let initial_targets = dec_target_map(&mut d, "initial targets")?;
-        let final_targets = dec_target_map(&mut d, "final targets")?;
-        let achieved = dec_target_map(&mut d, "achieved map")?;
+        let request_clock = dec_vtime(d, "request clock")?;
+        let initial_targets = dec_target_map(d, "initial targets")?;
+        let final_targets = dec_target_map(d, "final targets")?;
+        let achieved = dec_target_map(d, "achieved map")?;
         let mut lists = MemberIntern::new(n_ranks);
-        lists.dec_table(&mut d)?;
+        lists.dec_table(d)?;
         let n_caps = d.seq_len("capture count")?;
         if n_caps != n_ranks {
             return Err(ImageError::Malformed("capture count vs n_ranks"));
-        }
-        let mut captures = Vec::with_capacity(n_caps);
-        for _ in 0..n_caps {
-            captures.push(dec_capture(&mut d, &mut lists)?);
-        }
-        let n_msgs = d.seq_len("in-flight count")?;
-        let mut in_flight = Vec::with_capacity(n_msgs);
-        for _ in 0..n_msgs {
-            in_flight.push(dec_drained(&mut d)?);
-        }
-        let n_events = d.seq_len("cut-event count")?;
-        let mut cut_events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            cut_events.push(dec_event(&mut d, &mut lists)?);
-        }
-        let io_write_secs = d.f64("io_write_secs")?;
-        let io_read_secs = d.f64("io_read_secs")?;
-        if !d.finished() {
-            return Err(ImageError::Malformed("trailing bytes"));
         }
         let ckpt = Checkpoint {
             epoch,
@@ -464,14 +490,13 @@ impl Checkpoint {
             initial_targets,
             final_targets,
             achieved,
-            captures,
-            in_flight,
-            cut_events,
-            io_write_secs,
-            io_read_secs,
+            captures: Vec::with_capacity(n_caps),
+            in_flight: Vec::new(),
+            cut_events: Cut::default(),
+            io_write_secs: 0.0,
+            io_read_secs: 0.0,
         };
-        validate_shape(&ckpt)?;
-        Ok(ckpt)
+        Ok((ckpt, lists))
     }
 
     /// Writes the serialized image to `path`; returns the byte count. An
@@ -499,7 +524,8 @@ impl Checkpoint {
     /// counting pass — nothing is encoded.
     pub fn serialized_len(&self) -> usize {
         let (prefix_len, section_lens, suffix_len) = self.layout(&self.member_lists());
-        IMAGE_HEADER_LEN + prefix_len + section_lens.iter().sum::<usize>() + suffix_len
+        let sections: usize = section_lens.iter().map(|l| l.section).sum();
+        IMAGE_HEADER_LEN + prefix_len + sections + suffix_len
     }
 }
 
@@ -602,28 +628,41 @@ pub(crate) fn validate_shape(c: &Checkpoint) -> Result<(), ImageError> {
         }
     }
     // Each distinct member-list allocation is walked once, not once per
-    // event that shares it.
+    // run that shares it.
     let mut checked: HashSet<usize> = HashSet::new();
-    for e in &c.cut_events {
-        if e.rank >= c.n_ranks
-            || (checked.insert(alloc_addr(&e.members)) && e.members.iter().any(|&r| r >= c.n_ranks))
+    for r in c.cut_events.runs() {
+        if r.rank >= c.n_ranks
+            || (checked.insert(alloc_addr(&r.members)) && r.members.iter().any(|&m| m >= c.n_ranks))
         {
-            return Err(ImageError::Malformed("cut-event rank"));
+            return Err(ImageError::Malformed("cut-run rank"));
         }
     }
     Ok(())
 }
 
-/// Exact encoded size of one rank's capture section.
-fn capture_section_len(lists: &MemberIntern, c: &RuntimeCapture) -> usize {
-    let mut n = CountEnc::new();
-    enc_capture(&mut n, lists, c);
-    n.count()
+/// Exact encoded size of one rank's capture section, and of the
+/// restart-stable half that closes it (the section's first word).
+#[derive(Debug, Clone, Copy)]
+struct SectionLen {
+    section: usize,
+    stable: usize,
 }
 
-fn encode_one_section(lists: &MemberIntern, c: &RuntimeCapture, buf: &mut [u8]) {
+fn capture_section_len(lists: &MemberIntern, c: &RuntimeCapture) -> SectionLen {
+    let mut n = CountEnc::new();
+    enc_capture_stable(&mut n, lists, c);
+    let stable = n.count();
+    enc_capture_volatile(&mut n, c, stable);
+    SectionLen {
+        section: n.count(),
+        stable,
+    }
+}
+
+fn encode_one_section(lists: &MemberIntern, c: &RuntimeCapture, len: SectionLen, buf: &mut [u8]) {
     let mut w = SliceEnc::new(buf);
-    enc_capture(&mut w, lists, c);
+    enc_capture_volatile(&mut w, c, len.stable);
+    enc_capture_stable(&mut w, lists, c);
     w.finish();
 }
 
@@ -634,14 +673,14 @@ fn encode_capture_sections(
     workers: usize,
     lists: &MemberIntern,
     captures: &[RuntimeCapture],
-    section_lens: &[usize],
+    section_lens: &[SectionLen],
     buf: &mut [u8],
 ) {
     debug_assert_eq!(captures.len(), section_lens.len());
     let mut sections: Vec<(usize, &mut [u8])> = Vec::with_capacity(captures.len());
     let mut rest = buf;
-    for (i, &len) in section_lens.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(len);
+    for (i, len) in section_lens.iter().enumerate() {
+        let (head, tail) = rest.split_at_mut(len.section);
         sections.push((i, head));
         rest = tail;
     }
@@ -650,7 +689,7 @@ fn encode_capture_sections(
     let workers = workers.clamp(1, captures.len().max(1));
     if workers <= 1 {
         for (i, s) in sections {
-            encode_one_section(lists, &captures[i], s);
+            encode_one_section(lists, &captures[i], section_lens[i], s);
         }
         return;
     }
@@ -662,7 +701,7 @@ fn encode_capture_sections(
             let batch = std::mem::replace(&mut remaining, tail);
             scope.spawn(move || {
                 for (i, s) in batch {
-                    encode_one_section(lists, &captures[i], s);
+                    encode_one_section(lists, &captures[i], section_lens[i], s);
                 }
             });
         }
@@ -1139,10 +1178,12 @@ fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
     Ok(CommOpRecord { op, result })
 }
 
-fn enc_capture<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
-    // Volatile half first: identity, execution position, and the
-    // per-generation flow counts. These change at every checkpoint, so
-    // delta images always carry them inline.
+/// Opens a rank section: the byte length of the restart-stable half that
+/// follows, then the volatile half — identity, execution position, and
+/// the per-generation flow counts. These change at every checkpoint, so
+/// delta images always carry them inline.
+fn enc_capture_volatile<W: Wr>(e: &mut W, c: &RuntimeCapture, stable_len: usize) {
+    e.usize(stable_len);
     e.usize(c.rank);
     e.u8(c.state as u8);
     e.f64(c.clock.as_secs());
@@ -1156,11 +1197,23 @@ fn enc_capture<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
     }
     e.u64(c.p2p_sent);
     e.u64(c.p2p_delivered);
-    // Restart-stable half: the bytes delta images dedup by content hash.
-    enc_capture_stable(e, lists, c);
 }
 
-fn dec_capture(d: &mut Dec, lists: &mut MemberIntern) -> Result<RuntimeCapture, ImageError> {
+/// The volatile half of one decoded rank section.
+struct VolatileHalf {
+    rank: usize,
+    state: RankState,
+    clock: VTime,
+    pending_barrier: Option<(u64, u64)>,
+    p2p_sent: u64,
+    p2p_delivered: u64,
+}
+
+/// Reads one rank section up to its restart-stable half, which it hands
+/// back as bytes: exactly the span the section's length word declares, so
+/// neither a decode of it nor a slice can run into the next section.
+fn dec_capture_volatile<'a>(d: &mut Dec<'a>) -> Result<(VolatileHalf, &'a [u8]), ImageError> {
+    let stable_len = d.usize("stable-half length")?;
     let rank = d.usize("capture rank")?;
     let state = match d.u8("capture state")? {
         s @ 0..=6 => RankState::from_u8(s),
@@ -1175,10 +1228,32 @@ fn dec_capture(d: &mut Dec, lists: &mut MemberIntern) -> Result<RuntimeCapture, 
         )),
         _ => return Err(ImageError::Malformed("pending-barrier tag")),
     };
-    let p2p_sent = d.u64("p2p sent")?;
-    let p2p_delivered = d.u64("p2p delivered")?;
-    let stable = dec_capture_stable(d, lists)?;
-    Ok(stable.into_capture(rank, state, clock, pending_barrier, p2p_sent, p2p_delivered))
+    let volatile = VolatileHalf {
+        rank,
+        state,
+        clock,
+        pending_barrier,
+        p2p_sent: d.u64("p2p sent")?,
+        p2p_delivered: d.u64("p2p delivered")?,
+    };
+    Ok((volatile, d.take(stable_len, "stable-half length")?))
+}
+
+fn dec_capture(d: &mut Dec, lists: &mut MemberIntern) -> Result<RuntimeCapture, ImageError> {
+    let (v, stable) = dec_capture_volatile(d)?;
+    let mut sd = Dec::new(stable);
+    let stable = dec_capture_stable(&mut sd, lists)?;
+    if !sd.finished() {
+        return Err(ImageError::Malformed("stable-half length"));
+    }
+    Ok(stable.into_capture(
+        v.rank,
+        v.state,
+        v.clock,
+        v.pending_barrier,
+        v.p2p_sent,
+        v.p2p_delivered,
+    ))
 }
 
 /// Encodes the restart-stable half of a rank capture: sequence table,
@@ -1325,7 +1400,12 @@ pub(crate) fn stable_state_eq(a: &RuntimeCapture, b: &RuntimeCapture) -> bool {
         && a.pending_recvs == b.pending_recvs
         && a.counters == b.counters
         && a.vcomm_to_lower == b.vcomm_to_lower
-        && a.vcomm_members == b.vcomm_members
+        && a.vcomm_members.len() == b.vcomm_members.len()
+        && a.vcomm_members.iter().all(|(v, m)| {
+            // By allocation first, like `SeqEntry`: consecutive captures
+            // of one run share their lists.
+            (b.vcomm_members.get(v)).is_some_and(|n| Arc::ptr_eq(m, n) || m == n)
+        })
 }
 
 pub(crate) fn enc_drained<W: Wr>(e: &mut W, m: &DrainedMsg) {
@@ -1338,7 +1418,7 @@ pub(crate) fn enc_drained<W: Wr>(e: &mut W, m: &DrainedMsg) {
     e.f64(m.arrival.as_secs());
 }
 
-pub(crate) fn dec_drained(d: &mut Dec) -> Result<DrainedMsg, ImageError> {
+fn dec_drained(d: &mut Dec) -> Result<DrainedMsg, ImageError> {
     Ok(DrainedMsg {
         saved: SavedMsg {
             src_world: d.usize("msg src")?,
@@ -1352,27 +1432,75 @@ pub(crate) fn dec_drained(d: &mut Dec) -> Result<DrainedMsg, ImageError> {
     })
 }
 
-pub(crate) fn enc_event<W: Wr>(e: &mut W, lists: &MemberIntern, ev: &ExecEvent) {
-    e.usize(ev.rank);
-    e.u64(ev.node.ggid.0);
-    e.u64(ev.node.seq);
-    enc_members(e, lists, &ev.members);
+/// Reads a drained in-flight set: count, then messages.
+pub(crate) fn dec_in_flight(d: &mut Dec) -> Result<Vec<DrainedMsg>, ImageError> {
+    let n_msgs = d.seq_len("in-flight count")?;
+    let mut in_flight = Vec::with_capacity(n_msgs);
+    for _ in 0..n_msgs {
+        in_flight.push(dec_drained(d)?);
+    }
+    Ok(in_flight)
 }
 
-pub(crate) fn dec_event(d: &mut Dec, lists: &mut MemberIntern) -> Result<ExecEvent, ImageError> {
-    Ok(ExecEvent {
-        rank: d.usize("event rank")?,
-        node: Node {
-            ggid: Ggid(d.u64("event ggid")?),
-            seq: d.u64("event seq")?,
-        },
-        members: dec_members(d, lists, "event members")?,
-    })
+/// Reads what follows a full image's in-flight set, to the payload's
+/// last byte: the cut and the io seconds (write, read).
+fn dec_payload_suffix(
+    d: &mut Dec,
+    lists: &mut MemberIntern,
+) -> Result<(Cut, f64, f64), ImageError> {
+    let cut = dec_cut(d, lists)?;
+    let io = (d.f64("io_write_secs")?, d.f64("io_read_secs")?);
+    if !d.finished() {
+        return Err(ImageError::Malformed("trailing bytes"));
+    }
+    Ok((cut, io.0, io.1))
+}
+
+/// Writes a cut: run count, then `rank, ggid, first, last, members` per
+/// run in the cut's canonical order.
+pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
+    e.usize(cut.runs().len());
+    for r in cut.runs() {
+        e.usize(r.rank);
+        e.u64(r.ggid.0);
+        e.u64(r.first);
+        e.u64(r.last);
+        enc_members(e, lists, &r.members);
+    }
+}
+
+/// Reads a cut written by [`enc_cut`], checking what the encoder
+/// guarantees: sequence numbers start at 1, a run does not end before it
+/// starts, the runs are in canonical order (so none is listed twice).
+/// Ranks are range-checked with the rest of the image
+/// ([`validate_shape`]), members by the table they resolve through.
+pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, ImageError> {
+    let n = d.seq_len("cut-run count")?;
+    let mut runs: Vec<CutRun> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let run = CutRun {
+            rank: d.usize("run rank")?,
+            ggid: Ggid(d.u64("run ggid")?),
+            first: d.u64("run first")?,
+            last: d.u64("run last")?,
+            members: dec_members(d, lists, "run members")?,
+        };
+        if run.first == 0 || run.first > run.last {
+            return Err(ImageError::Malformed("run bounds"));
+        }
+        let key = |r: &CutRun| (r.rank, r.ggid, r.first);
+        if runs.last().is_some_and(|p| key(p) >= key(&run)) {
+            return Err(ImageError::Malformed("cut-run order"));
+        }
+        runs.push(run);
+    }
+    Ok(Cut::from_runs(runs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mana_core::{ExecEvent, Node};
 
     fn ev(rank: usize, g: u64, seq: u64, members: &[usize]) -> ExecEvent {
         ExecEvent {
@@ -1397,7 +1525,7 @@ mod tests {
             achieved: achieved.iter().map(|&(g, s)| (Ggid(g), s)).collect(),
             captures: Vec::new(),
             in_flight: Vec::new(),
-            cut_events: events,
+            cut_events: Cut::from_events(&events),
             io_write_secs: 0.0,
             io_read_secs: 0.0,
         }
@@ -1613,10 +1741,10 @@ mod tests {
         );
 
         let mut c = rich_ckpt();
-        c.cut_events[0].rank = 7;
+        c.cut_events = Cut::from_events(&[ev(7, 1, 1, &[0, 1])]);
         assert_eq!(
             Checkpoint::from_bytes(&c.to_bytes()),
-            Err(ImageError::Malformed("cut-event rank"))
+            Err(ImageError::Malformed("cut-run rank"))
         );
 
         let mut c = rich_ckpt();
@@ -1635,14 +1763,14 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // v5: the member-list table
+    // The member-list table
     // ------------------------------------------------------------------
 
     const WORLD: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
     const STRIDED: [usize; 4] = [0, 2, 4, 6];
     const GROUP_ORDER: [usize; 3] = [5, 1, 3];
 
-    /// An 8-rank image whose `seq_table`s, `vcomm_members` and cut log all
+    /// An 8-rank image whose `seq_table`s, `vcomm_members` and cut all
     /// reference the same three lists: the world (range form), a strided
     /// group and a communicator in group order (unsorted). `alloc` decides
     /// which allocation each reference gets; the `Ggid`s are deliberately
@@ -1650,6 +1778,7 @@ mod tests {
     fn lists_ckpt(mut alloc: impl FnMut(&[usize]) -> Arc<[usize]>) -> Checkpoint {
         let mut c = ckpt(Vec::new(), &[(1, 2), (7, 1), (8, 1)]);
         c.n_ranks = 8;
+        let mut cut = Vec::new();
         for rank in 0..8 {
             let mut seq_table = SeqTable::new();
             seq_table.restore(Ggid(1), 2, alloc(&WORLD));
@@ -1677,17 +1806,17 @@ mod tests {
             });
             for (g, members) in [(1, &WORLD[..]), (7, &STRIDED), (8, &GROUP_ORDER)] {
                 if members.contains(&rank) {
-                    c.cut_events.push(ExecEvent {
+                    cut.push(CutRun {
                         rank,
-                        node: Node {
-                            ggid: Ggid(g),
-                            seq: 1,
-                        },
+                        ggid: Ggid(g),
+                        first: 1,
+                        last: 1,
                         members: alloc(members),
                     });
                 }
             }
         }
+        c.cut_events = Cut::from_runs(cut);
         c
     }
 
@@ -1771,11 +1900,18 @@ mod tests {
             c.capture_section_ranges()[0].start,
             "only the capture count sits between the table and the sections"
         );
-        // One more event on the strided group: rank, ggid, seq, tag, id.
+        // One more run on the strided group — rank, ggid, first, last,
+        // tag, id — however many collectives it covers.
         let before = c.serialized_len();
-        let again = c.cut_events.iter().find(|e| e.members[..] == STRIDED);
-        c.cut_events.push(again.unwrap().clone());
-        assert_eq!(c.serialized_len(), before + 8 + 8 + 8 + 1 + 8);
+        let mut runs = c.cut_events.runs().to_vec();
+        let again = runs.iter().find(|r| r.members[..] == STRIDED).unwrap();
+        runs.push(CutRun {
+            first: 3,
+            last: 3_000_000,
+            ..again.clone()
+        });
+        c.cut_events = Cut::from_runs(runs);
+        assert_eq!(c.serialized_len(), before + 8 + 8 + 8 + 8 + 1 + 8);
     }
 
     #[test]
@@ -1788,12 +1924,12 @@ mod tests {
         let first_len = u64::from_le_bytes(bytes[t.start + 16..t.start + 24].try_into().unwrap());
         let second = t.start + 8 + 16 + 8 * first_len as usize;
 
-        // A reference to an id the table does not hold: the last event is
+        // A reference to an id the table does not hold: the last run is
         // rank 7's on the world, the one before is on a listed group.
         let mut m = bytes.clone();
-        let last_listed_id = bytes.len() - 16 - (8 + 8 + 8 + 17) - 8;
+        let last_listed_id = bytes.len() - 16 - (8 + 8 + 8 + 8 + 17) - 8;
         m[last_listed_id] ^= 0x01;
-        assert_malformed(&resealed(m), "event members");
+        assert_malformed(&resealed(m), "run members");
 
         // An entry whose content no longer hashes to its id.
         let mut m = bytes.clone();
@@ -1835,11 +1971,13 @@ mod tests {
     #[test]
     fn older_wire_versions_are_refused() {
         let mut bytes = rich_ckpt().to_bytes();
-        bytes[IMAGE_VERSION_OFFSET] = 4;
-        assert_eq!(
-            Checkpoint::from_bytes(&bytes),
-            Err(ImageError::UnsupportedVersion(4))
-        );
+        for old in [4, 5] {
+            bytes[IMAGE_VERSION_OFFSET] = old;
+            assert_eq!(
+                Checkpoint::from_bytes(&bytes),
+                Err(ImageError::UnsupportedVersion(u32::from(old)))
+            );
+        }
     }
 
     #[test]

@@ -76,7 +76,10 @@
 //!   is byte-for-byte identical to the serial one.
 //! * [`runner::run_ckpt_world`] — launches the ranks and supervises the
 //!   policy, returning every captured image for oracle verification
-//!   with [`mana_core::verify_safe_cut`]. Its report also carries
+//!   with [`mana_core::verify_safe_cut`] — over the image's
+//!   [`mana_core::Cut`], the runs of sequence numbers every rank executed
+//!   on every group, not over the run's full log (the report carries that
+//!   too, as `events`). Its report also carries
 //!   `capture_wall_s`: host wall seconds per committed capture bracket,
 //!   which the coordinator runs **in parallel on the scheduler's borrowed
 //!   worker pool** ([`mpisim::Scheduler::borrow_workers`]) while every
@@ -111,9 +114,11 @@
 //! as content-addressed chunk references dedup'd across the whole
 //! ancestor chain. Each delta records its parent's generation number
 //! and header checksum; restore ([`TieredStore::load`]) walks the chain
-//! leaf→root, verifies every link, then re-applies root→leaf through a
-//! [`ChunkPool`] — producing a checkpoint bit-identical to a full
-//! image's. Broken chains fail typed: a missing ancestor is
+//! leaf→root, authenticates every element and verifies every link,
+//! gathers the ancestors' chunks in a [`ChunkPool`] (the root's are
+//! sliced out of its stored bytes), and decodes the leaf alone against
+//! it — producing a checkpoint bit-identical to a full image's. Broken
+//! chains fail typed: a missing ancestor is
 //! [`ImageError::DanglingParent`], a forged link or truncated chunk is
 //! [`ImageError::DeltaChain`].
 //!

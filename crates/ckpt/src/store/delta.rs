@@ -8,35 +8,35 @@
 //! **content-addressed chunk** `(fnv1a64(bytes), len)`. Only chunks absent
 //! from the ancestor chain are inlined, so a checkpoint where few ranks
 //! progressed serializes a few kilobytes instead of the full image. The
-//! drained in-flight set is its own chunk, and the cut-event log is
-//! written as a parent-prefix length plus the new tail.
+//! drained in-flight set is its own chunk. The cut is carried whole: it
+//! is a few runs per rank ([`mana_core::Cut`]), whatever the run's length.
 //!
-//! Since wire v5 a stable chunk names its group member lists by content
-//! id instead of spelling them out (see [`crate::image::IMAGE_VERSION`]),
-//! so a chunk's bytes — and therefore its address — still depend on that
-//! rank's state alone. Every delta carries the member-list table for what
-//! it references: the lists of all its ranks' chunks, inline or inherited,
-//! and of its cut tail. A chunk taken from an ancestor decodes against the
-//! leaf's table; no list is looked up along the chain.
+//! A stable chunk names its group member lists by content id instead of
+//! spelling them out (see [`crate::image::IMAGE_VERSION`]), so a chunk's
+//! bytes — and therefore its address — depend on that rank's state alone.
+//! Every delta carries the member-list table for what it references: the
+//! lists of all its ranks' chunks, inline or inherited, and of its cut. A
+//! chunk taken from an ancestor decodes against the leaf's table; no list
+//! is looked up along the chain.
 //!
-//! Resolution walks the chain root → leaf through a [`ChunkPool`]: the
-//! full root contributes every rank's re-encoded stable section (encoding
-//! is deterministic, so re-encoding reproduces the chunk bytes the deltas
-//! hashed), each delta contributes its inline chunks, and
-//! [`DeltaImage::apply`] materializes the child checkpoint. Every failure
-//! mode — a missing parent, a chunk whose bytes do not match its declared
-//! hash, a cut prefix longer than the parent's log — is a typed
-//! [`ImageError`], never a panic.
+//! So a delta needs nothing from its ancestors but chunk bytes, and
+//! resolution ([`crate::store::TieredStore::load`]) decodes exactly one
+//! image: a [`ChunkPool`] takes each ancestor delta's inline chunks and
+//! the full root's stable sections — sliced out of the root's stored
+//! bytes, which hold what the deltas hashed — and the leaf materializes
+//! against it. Every failure mode — a missing parent, a chunk whose bytes
+//! do not match its declared hash, a chunk nowhere in the chain — is a
+//! typed [`ImageError`], never a panic.
 
 use crate::image::{
-    self, backpatch_header, dec_capture_stable, dec_drained, dec_event, dec_params, dec_target_map,
-    dec_vtime, enc_capture_stable, enc_drained, enc_event, enc_header_placeholder, enc_params,
+    self, backpatch_header, dec_capture_stable, dec_cut, dec_in_flight, dec_params, dec_target_map,
+    dec_vtime, enc_capture_stable, enc_cut, enc_drained, enc_header_placeholder, enc_params,
     enc_target_map, protocol_code, protocol_from_code, validate_image_header, validate_shape,
     Checkpoint, DrainedMsg, ImageError, MemberIntern, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA,
     IMAGE_KIND_FULL,
 };
 use crate::wire::{fnv1a64, CountEnc, Dec, Wr};
-use mana_core::{ExecEvent, Ggid, Protocol, RankState, RuntimeCapture};
+use mana_core::{Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture};
 use mpisim::VTime;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -101,13 +101,11 @@ pub struct DeltaImage {
     /// Virtual read seconds charged for this image.
     pub io_read_secs: f64,
     /// The member-list table: every non-contiguous group member list the
-    /// rank chunks (inline or inherited) and the cut tail reference, in
+    /// rank chunks (inline or inherited) and the cut reference, in
     /// content-id order.
     pub lists: Vec<Arc<[usize]>>,
-    /// How many leading cut events are shared verbatim with the parent.
-    pub parent_cut_prefix: usize,
-    /// Cut events beyond the shared prefix.
-    pub cut_tail: Vec<ExecEvent>,
+    /// The child checkpoint's cut.
+    pub cut: Cut,
     /// Content address of the drained in-flight set.
     pub in_flight_ref: ChunkRef,
     /// Per-rank volatile records, indexed by rank.
@@ -176,17 +174,7 @@ fn image_chunks(image: &Checkpoint) -> impl Iterator<Item = Vec<u8>> + '_ {
     }))
 }
 
-/// `a == b`, settled by allocation identity where the two logs share
-/// their member lists (consecutive cuts of one run do), so comparing a
-/// prefix costs O(events) instead of O(Σ members). `Arc<[usize]>`'s own
-/// `==` always compares contents: std's pointer shortcut needs `T: Sized`.
-fn same_event(a: &ExecEvent, b: &ExecEvent) -> bool {
-    a.rank == b.rank
-        && a.node == b.node
-        && (Arc::ptr_eq(&a.members, &b.members) || a.members == b.members)
-}
-
-fn chunk_ref(bytes: &[u8]) -> ChunkRef {
+pub(crate) fn chunk_ref(bytes: &[u8]) -> ChunkRef {
     ChunkRef {
         hash: fnv1a64(bytes),
         len: bytes.len() as u64,
@@ -200,8 +188,8 @@ pub fn full_image_refs(image: &Checkpoint) -> Vec<ChunkRef> {
 }
 
 /// Chunk bytes available while resolving a delta chain: the root's
-/// re-encoded stable sections plus every delta's inline chunks, keyed by
-/// content address.
+/// stable sections plus every delta's inline chunks, keyed by content
+/// address.
 #[derive(Default)]
 pub struct ChunkPool {
     map: HashMap<ChunkRef, Arc<[u8]>>,
@@ -219,14 +207,21 @@ impl ChunkPool {
     /// hashed at build time).
     pub fn absorb_full(&mut self, image: &Checkpoint) {
         for b in image_chunks(image) {
-            self.map.entry(chunk_ref(&b)).or_insert_with(|| b.into());
+            self.absorb_chunk(&b);
         }
+    }
+
+    /// Adds one chunk under the address its bytes hash to.
+    pub(crate) fn absorb_chunk(&mut self, bytes: &[u8]) {
+        self.map
+            .entry(chunk_ref(bytes))
+            .or_insert_with(|| bytes.into());
     }
 
     /// Adds a delta's inline chunks.
     pub fn absorb_delta(&mut self, d: &DeltaImage) {
         for (r, b) in &d.new_chunks {
-            self.map.entry(*r).or_insert_with(|| b.clone().into());
+            self.map.entry(*r).or_insert_with(|| b.as_slice().into());
         }
     }
 
@@ -240,7 +235,8 @@ impl DeltaImage {
     /// Builds a delta for `current` against the parent generation
     /// `(parent_generation, parent_checksum, parent)`. `known` is the set
     /// of chunk addresses already derivable from the ancestor chain; only
-    /// chunks outside it are inlined.
+    /// chunks outside it are inlined. Of `parent` itself only the world
+    /// size is looked at.
     ///
     /// # Panics
     /// Panics if `current` and `parent` disagree on world size — the
@@ -275,19 +271,8 @@ impl DeltaImage {
         let in_flight_ref = inline(in_flight_chunk_bytes(&current.in_flight));
         new_chunks.sort_unstable_by_key(|(r, _)| (r.hash, r.len));
 
-        // The execution log is append-only between checkpoints, so the
-        // common case is "the parent's log is a prefix of ours".
-        let plen = parent.cut_events.len();
-        let (parent_cut_prefix, cut_tail) = if current.cut_events.len() >= plen
-            && std::iter::zip(&current.cut_events, &parent.cut_events)
-                .all(|(a, b)| same_event(a, b))
-        {
-            (plen, current.cut_events[plen..].to_vec())
-        } else {
-            (0, current.cut_events.clone())
-        };
-        for e in &cut_tail {
-            lists.note(&e.members);
+        for r in current.cut_events.runs() {
+            lists.note(&r.members);
         }
 
         let volatile = current
@@ -317,8 +302,7 @@ impl DeltaImage {
             io_write_secs: current.io_write_secs,
             io_read_secs: current.io_read_secs,
             lists: lists.table().cloned().collect(),
-            parent_cut_prefix,
-            cut_tail,
+            cut: current.cut_events.clone(),
             in_flight_ref,
             volatile,
             rank_refs,
@@ -326,44 +310,43 @@ impl DeltaImage {
         }
     }
 
-    /// Materializes the child checkpoint from this delta, its resolved
-    /// parent, and a pool holding every chunk of the ancestor chain.
+    /// Materializes the child checkpoint from this delta and a pool
+    /// holding every chunk of the ancestor chain; `parent` is the resolved
+    /// parent generation, checked for its shape only.
     pub fn apply(&self, parent: &Checkpoint, pool: &ChunkPool) -> Result<Checkpoint, ImageError> {
-        if self.volatile.len() != self.n_ranks || self.rank_refs.len() != self.n_ranks {
-            return Err(ImageError::DeltaChain("per-rank record count"));
-        }
         if parent.n_ranks != self.n_ranks {
             return Err(ImageError::DeltaChain("parent world size mismatch"));
         }
-        if self.parent_cut_prefix > parent.cut_events.len() {
-            return Err(ImageError::DeltaChain("cut prefix beyond parent log"));
+        self.materialize(pool)
+    }
+
+    /// [`DeltaImage::apply`] without the parent: everything the child is
+    /// made of is in the delta or in `pool`.
+    pub(crate) fn materialize(&self, pool: &ChunkPool) -> Result<Checkpoint, ImageError> {
+        if self.volatile.len() != self.n_ranks || self.rank_refs.len() != self.n_ranks {
+            return Err(ImageError::DeltaChain("per-rank record count"));
         }
-        // One table for the whole child: the parent's prefix allocations
-        // first, so a list the parent already holds stays one allocation
-        // across the prefix, the tail and every rank's decoded chunk.
-        let prefix = &parent.cut_events[..self.parent_cut_prefix];
+        // One table for the whole child: the delta's own allocations
+        // first, so a list stays one allocation across the cut and every
+        // rank's decoded chunk.
         let mut lists = MemberIntern::new(self.n_ranks);
-        for m in prefix.iter().map(|e| &e.members).chain(&self.lists) {
+        for m in &self.lists {
             lists.try_note(m)?;
         }
-        let mut cut_events = Vec::with_capacity(prefix.len() + self.cut_tail.len());
-        cut_events.extend_from_slice(prefix);
-        for e in &self.cut_tail {
-            cut_events.push(ExecEvent {
-                members: lists.shared(&e.members, "cut-tail members")?,
-                ..*e
+        let mut runs = Vec::with_capacity(self.cut.runs().len());
+        for r in self.cut.runs() {
+            runs.push(CutRun {
+                members: lists.shared(&r.members, "cut-run members")?,
+                ..*r
             });
         }
+        let cut_events = Cut::from_runs(runs);
 
         let in_bytes = pool
             .get(self.in_flight_ref)
             .ok_or(ImageError::DeltaChain("missing in-flight chunk"))?;
         let mut d = Dec::new(in_bytes);
-        let n_msgs = d.seq_len("in-flight count")?;
-        let mut in_flight = Vec::with_capacity(n_msgs);
-        for _ in 0..n_msgs {
-            in_flight.push(dec_drained(&mut d)?);
-        }
+        let in_flight = dec_in_flight(&mut d)?;
         if !d.finished() {
             return Err(ImageError::DeltaChain("in-flight chunk length"));
         }
@@ -407,15 +390,11 @@ impl DeltaImage {
         Ok(ckpt)
     }
 
-    /// The encode-side table: the lists the chunks reference plus the cut
-    /// tail's, each allocation hashed once.
+    /// The encode-side table: the lists the chunks reference plus the
+    /// cut's, each allocation hashed once.
     fn member_lists(&self) -> MemberIntern {
         let mut lists = MemberIntern::new(self.n_ranks);
-        for m in self
-            .lists
-            .iter()
-            .chain(self.cut_tail.iter().map(|e| &e.members))
-        {
+        for m in (self.lists.iter()).chain(self.cut.runs().iter().map(|r| &r.members)) {
             lists.note(m);
         }
         lists
@@ -443,11 +422,7 @@ impl DeltaImage {
     fn enc_head<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
         self.enc_preamble(p);
         lists.enc_table(p);
-        p.usize(self.parent_cut_prefix);
-        p.usize(self.cut_tail.len());
-        for e in &self.cut_tail {
-            enc_event(p, lists, e);
-        }
+        enc_cut(p, lists, &self.cut);
         p.u64(self.in_flight_ref.hash);
         p.u64(self.in_flight_ref.len);
         p.usize(self.volatile.len());
@@ -550,12 +525,7 @@ impl DeltaImage {
         let io_read_secs = d.f64("io_read_secs")?;
         let mut lists = MemberIntern::new(n_ranks);
         lists.dec_table(&mut d)?;
-        let parent_cut_prefix = d.usize("parent cut prefix")?;
-        let n_tail = d.seq_len("cut-tail count")?;
-        let mut cut_tail = Vec::with_capacity(n_tail);
-        for _ in 0..n_tail {
-            cut_tail.push(dec_event(&mut d, &mut lists)?);
-        }
+        let cut = dec_cut(&mut d, &mut lists)?;
         let in_flight_ref = ChunkRef {
             hash: d.u64("in-flight chunk hash")?,
             len: d.u64("in-flight chunk len")?,
@@ -635,8 +605,7 @@ impl DeltaImage {
             io_write_secs,
             io_read_secs,
             lists: lists.table().cloned().collect(),
-            parent_cut_prefix,
-            cut_tail,
+            cut,
             in_flight_ref,
             volatile,
             rank_refs,

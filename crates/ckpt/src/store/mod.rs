@@ -21,7 +21,10 @@ pub mod delta;
 
 pub use delta::{ChunkPool, ChunkRef, DeltaImage, ImagePayload, VolatileRecord};
 
-use crate::image::{header_checksum, Checkpoint, ImageError};
+use crate::image::{
+    header_checksum, validate_image_header, Checkpoint, ImageError, IMAGE_HEADER_LEN,
+    IMAGE_KIND_DELTA,
+};
 use netmodel::{LustreModel, MemoryTierModel, PartnerTierModel};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -551,14 +554,14 @@ impl TieredStore {
                 (d.to_bytes(), Some(p.gen), d.new_chunks.len(), known)
             }
             None => {
-                let refs = delta::full_image_refs(&image);
-                let n = refs.len();
-                (
-                    image.to_bytes_parallel(encode_workers),
-                    None,
-                    n,
-                    refs.into_iter().collect(),
-                )
+                // The chunks descendants will dedup against, hashed where
+                // they already lie in the bytes just written.
+                let bytes = image.to_bytes_parallel(encode_workers);
+                let (_, chunks) = Checkpoint::payload_chunks(&bytes[IMAGE_HEADER_LEN..])
+                    .expect("the encoder's own output has the encoder's layout");
+                let refs = chunks.iter().map(|c| delta::chunk_ref(c)).collect();
+                let n = chunks.len();
+                (bytes, None, n, refs)
             }
         };
 
@@ -592,57 +595,64 @@ impl TieredStore {
     /// delta chain through its ancestors if needed. Survivability is per
     /// chain element: a memory-tier ancestor lost with its node fails the
     /// whole load with [`StoreError::NodeLost`].
+    ///
+    /// Every element of the chain is authenticated byte for byte; only
+    /// the requested generation is decoded. An ancestor is asked for
+    /// nothing but its chunks: a delta's are inline, the full root's are
+    /// sliced out of its stored bytes.
     pub fn load(&self, gen: u64) -> Result<Checkpoint, StoreError> {
-        // Walk leaf → root, collecting the deltas and each element's own
-        // header checksum (the child's chain-integrity expectation).
-        let mut deltas: Vec<(DeltaImage, u64)> = Vec::new();
+        let mut pool = ChunkPool::new();
+        // The requested generation, once it turns out to be a delta, and
+        // `(generation, parent checksum)` of the delta whose parent is
+        // fetched next.
+        let mut leaf: Option<DeltaImage> = None;
+        let mut child: Option<(u64, u64)> = None;
         let mut cur = gen;
-        let (root, root_checksum) = loop {
-            let meta = self.meta(cur).ok_or_else(|| {
-                if cur == gen {
-                    StoreError::UnknownGeneration(gen)
-                } else {
-                    StoreError::Image(ImageError::DanglingParent {
-                        generation: deltas.last().map(|(d, _)| d.generation).unwrap_or(gen),
-                        parent: cur,
-                    })
-                }
+        loop {
+            let meta = self.meta(cur).ok_or(match child {
+                None => StoreError::UnknownGeneration(gen),
+                Some((generation, _)) => StoreError::Image(ImageError::DanglingParent {
+                    generation,
+                    parent: cur,
+                }),
             })?;
             let bytes = self.backend(meta.tier).get(cur)?;
-            let checksum = header_checksum(&bytes);
-            match ImagePayload::from_bytes(&bytes)? {
-                ImagePayload::Full(ckpt) => break (ckpt, checksum),
-                ImagePayload::Delta(d) => {
-                    if d.generation != cur {
-                        return Err(ImageError::DeltaChain("stored generation mismatch").into());
-                    }
-                    let next = d.parent_generation;
-                    if next >= cur {
-                        // A parent must predate its child; anything else
-                        // is a forged ref that could cycle forever.
-                        return Err(ImageError::DeltaChain("parent generation not older").into());
-                    }
-                    deltas.push((d, checksum));
-                    cur = next;
-                }
-            }
-        };
-
-        // Resolve root → leaf, absorbing chunks as the chain is walked.
-        let mut pool = ChunkPool::new();
-        pool.absorb_full(&root);
-        let mut img = root;
-        let mut link = (cur, root_checksum);
-        for (d, own_checksum) in deltas.iter().rev() {
-            debug_assert_eq!(d.parent_generation, link.0);
-            if d.parent_checksum != link.1 {
+            let (payload, checksum) = validate_image_header(&bytes)?;
+            if child.is_some_and(|(_, parent_checksum)| parent_checksum != checksum) {
                 return Err(ImageError::DeltaChain("parent checksum mismatch").into());
             }
-            pool.absorb_delta(d);
-            img = d.apply(&img, &pool)?;
-            link = (d.generation, *own_checksum);
+            let world_size = |n_ranks: usize| match &leaf {
+                Some(l) if l.n_ranks != n_ranks => {
+                    Err(ImageError::DeltaChain("parent world size mismatch"))
+                }
+                _ => Ok(()),
+            };
+            if payload.first() == Some(&IMAGE_KIND_DELTA) {
+                let d = DeltaImage::dec_payload(payload)?;
+                if d.generation != cur {
+                    return Err(ImageError::DeltaChain("stored generation mismatch").into());
+                }
+                if d.parent_generation >= cur {
+                    // A parent must predate its child; anything else
+                    // is a forged ref that could cycle forever.
+                    return Err(ImageError::DeltaChain("parent generation not older").into());
+                }
+                world_size(d.n_ranks)?;
+                pool.absorb_delta(&d);
+                child = Some((cur, d.parent_checksum));
+                cur = d.parent_generation;
+                leaf.get_or_insert(d);
+                continue;
+            }
+            // A full image: the one asked for, or the chain's root.
+            let Some(leaf) = &leaf else {
+                return Ok(Checkpoint::dec_payload(payload)?);
+            };
+            let (n_ranks, chunks) = Checkpoint::payload_chunks(payload)?;
+            world_size(n_ranks)?;
+            chunks.into_iter().for_each(|c| pool.absorb_chunk(c));
+            return Ok(leaf.materialize(&pool)?);
         }
-        Ok(img)
     }
 
     /// Modeled seconds to read generation `gen` back from its tier under

@@ -236,7 +236,8 @@ impl<'a> Dec<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: DecodeError) -> Result<&'a [u8], DecodeError> {
+    /// Reads `n` raw bytes (a span whose length was read separately).
+    pub fn take(&mut self, n: usize, what: DecodeError) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(what);
         }

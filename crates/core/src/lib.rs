@@ -22,7 +22,7 @@ pub use counters::CallCounters;
 pub use ggid::{ggid_of, ggid_of_sorted, Ggid};
 pub use protocol::Protocol;
 pub use seq::{SeqEntry, SeqTable, TargetTable};
-pub use topo::{verify_safe_cut, ExecEvent, ExecutionLog, Node, Violation};
+pub use topo::{verify_safe_cut, Cut, CutRun, ExecEvent, ExecutionLog, Node, Violation};
 pub use trace::{DrainEvent, DrainTrace};
 pub use virt::{
     CommOp, CommOpRecord, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,

@@ -8,11 +8,15 @@
 //! a member).
 
 use crate::ggid::Ggid;
+use crate::topo::same_members;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One group's entry in a rank's sequence table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One group's entry in a rank's sequence table. Two entries compare
+/// their member lists by allocation first: the tables of consecutive
+/// checkpoints of one run share them, and a walk over a 1 024-word list
+/// per entry is what comparing two such tables would otherwise cost.
+#[derive(Debug, Clone, Eq)]
 pub struct SeqEntry {
     /// Number of collective calls this rank has made on the group
     /// (blocking calls count at the call; non-blocking at *initiation*,
@@ -24,6 +28,12 @@ pub struct SeqEntry {
     /// every rank registering the same group holds the same allocation,
     /// so a 65 536-rank world costs one member list, not 65 536 copies.
     pub members: Arc<[usize]>,
+}
+
+impl PartialEq for SeqEntry {
+    fn eq(&self, o: &Self) -> bool {
+        self.seq == o.seq && same_members(&self.members, &o.members)
+    }
 }
 
 /// A rank's local `SEQ[]` table.
@@ -229,6 +239,30 @@ mod tests {
         // Unknown group: raise creates it.
         assert!(t.raise(g(7), 1));
         assert_eq!(t.get(g(7)), Some(1));
+    }
+
+    #[test]
+    fn tables_sharing_their_lists_or_not_compare_equal() {
+        let world: Arc<[usize]> = (0..1024).collect();
+        let strided: Arc<[usize]> = (0..1024).step_by(2).collect();
+        let table = |world: &Arc<[usize]>, strided: &Arc<[usize]>| {
+            let mut t = SeqTable::new();
+            t.restore(g(1), 40, Arc::clone(world));
+            t.restore(g(2), 7, Arc::clone(strided));
+            t
+        };
+        let (a, b) = (table(&world, &strided), table(&world, &strided));
+        let unshared = table(&world.to_vec().into(), &strided.to_vec().into());
+        assert_eq!(a, b);
+        assert_eq!((&a, &unshared), (&unshared, &a));
+        // A different list, a different count: unequal either way round.
+        let other = table(&world, &(1..1024).step_by(2).collect());
+        assert_ne!(a, other);
+        assert_ne!(other, a);
+        let mut ahead = table(&world, &strided);
+        ahead.increment(g(2));
+        assert_ne!(a, ahead);
+        assert_ne!(ahead, a);
     }
 
     #[test]
