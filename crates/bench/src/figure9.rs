@@ -15,13 +15,12 @@
 //!   system actually stores — drained messages, communicator logs, pending
 //!   receives) scales with rank count;
 //! * a **capture-pipeline sweep**: host wall time of the parallel
-//!   zero-copy encoder ([`ckpt::Checkpoint::to_bytes_parallel`]) over
-//!   deterministic synthetic images at 512–4096 ranks — the
-//!   `capture_wall_s` column. The asserted shape
-//!   ([`assert_figure9_capture_shape`]) is that the **per-rank** encode
-//!   wall time stays flat (within 2×) from the smallest to the largest
-//!   world: per-rank sections are encoded independently into pre-sized
-//!   disjoint windows, so the pipeline has no superlinear component.
+//!   encoder ([`ckpt::Checkpoint::to_bytes_parallel`]) over deterministic
+//!   synthetic images at 512–4096 ranks — the `capture_wall_s` column.
+//!   The asserted shape ([`assert_figure9_capture_shape`]) is that the
+//!   **per-rank** encode wall time stays flat (within 2×) from the
+//!   smallest to the largest world: each rank's chunk is encoded and
+//!   hashed on its own, so the pipeline has no superlinear component.
 //!
 //! `examples/figure9_bench.rs` writes the result to `BENCH_figure9.json`
 //! next to the protocol-comparison bench's `BENCH_protocols.json`.
@@ -472,8 +471,8 @@ pub fn capture_sweep(capture_ranks: &[usize], reps: usize) -> Vec<Figure9Capture
 /// tier-1 test: every point timed something real, serialized size grows
 /// with the world, and the **per-rank** encode wall time stays flat —
 /// the largest world's per-rank cost is within `2×` of the smallest
-/// world's. Per-rank sections encode independently into pre-sized
-/// disjoint windows, so rank count must not buy superlinear encode time.
+/// world's. Each rank's chunk encodes and hashes on its own, so rank
+/// count must not buy superlinear encode time.
 ///
 /// # Panics
 /// Panics when the shape is violated.

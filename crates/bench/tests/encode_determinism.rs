@@ -1,9 +1,12 @@
-//! The parallel zero-copy encoder's determinism contract: for any worker
-//! count, `Checkpoint::to_bytes_parallel(workers)` is **byte-for-byte**
-//! identical to the serial `to_bytes()` — worker count is a wall-time
-//! knob, never a format knob. Validated over deterministic synthetic
-//! images at the paper's 256/1024-rank operating points and over a real
-//! captured image, plus the round-trip back through `from_bytes`.
+//! The parallel encoder's determinism contract: for any worker count,
+//! `Checkpoint::to_bytes_parallel(workers)` is **byte-for-byte** identical
+//! to the serial `to_bytes()` — worker count is a wall-time knob, never a
+//! format knob. Workers encode and hash ranks' chunks in batches; the
+//! chunks are deduplicated and laid out in rank order afterwards, so
+//! which worker produced a chunk cannot show in the bytes. Validated over
+//! deterministic synthetic images at the paper's 256/1024-rank operating
+//! points and over a real captured image, plus the round-trip back
+//! through `from_bytes`.
 //!
 //! Since wire v5 interns member lists the contract has a second half:
 //! bytes are a function of the image's **value**. The same image with

@@ -8,15 +8,18 @@
 //! 1024-rank image with split communicators 98 % member lists. Before v6
 //! the cut was one event per collective participation since the program
 //! started: four fifths of what was left, and larger at every checkpoint.
-//! The bound below has no term in which a list's length multiplies a
-//! reference count, and none that counts collectives.
+//! Since v7 a rank's restart-stable state is a content-addressed chunk,
+//! written once however many ranks hold the same state: a rank itself
+//! costs a fixed record. The bound below has no term in which a list's
+//! length multiplies a reference count, none that counts collectives, and
+//! none that repeats a stable half per rank holding it.
 
 use ckpt::image::IMAGE_HEADER_LEN;
 use ckpt::{
     run_ckpt_world, run_ckpt_world_steps, Checkpoint, CkptOptions, EveryNCollectives, ResumeMode,
 };
-use mana_core::{CommOp, Cut, CutRun, Protocol};
-use mpisim::{NetParams, WorldConfig};
+use mana_core::{CommOp, Cut, CutRun, Protocol, RankState, RuntimeCapture};
+use mpisim::{NetParams, VTime, WorldConfig};
 use std::collections::HashSet;
 use workloads::{scf_loop, RandomWorkloadCfg, RandomWorkloadStep};
 
@@ -58,10 +61,16 @@ const REF: usize = 1 + 16;
 const TABLE_ENTRY: usize = 16;
 /// A cut run besides its reference: rank, ggid, first, last.
 const RUN: usize = 32;
-/// A rank section besides its containers' elements: the stable half's
-/// length, rank, state, clock, pending barrier (tag + two words), two
-/// flow counts; five container length words; nine call counters.
-const RANK_FIXED: usize = (8 + 8 + 1 + 8 + 17 + 16) + 5 * 8 + 9 * 8;
+/// A chunk reference: tag byte, content hash, length.
+const CHUNK_REF: usize = 1 + 8 + 8;
+/// A rank's record without a pending barrier: rank, state, clock, barrier
+/// tag, two flow counts, and the reference to its stable chunk.
+const RECORD: usize = 8 + 1 + 8 + 1 + 16 + CHUNK_REF;
+/// What a pending barrier adds to a record: two words.
+const BARRIER: usize = 16;
+/// A stable chunk besides its containers' elements: five container
+/// length words and nine call counters.
+const STABLE_FIXED: usize = 5 * 8 + 9 * 8;
 /// `seq_table` entry besides its reference: ggid, seq.
 const SEQ_ENTRY: usize = 16;
 /// `vcomm_members` entry besides its reference: the vcomm id.
@@ -76,15 +85,42 @@ const PENDING_RECV: usize = 8 + 8 + 9 + 5;
 /// A drained message besides its payload: endpoints, vcomm, tag, length
 /// word, channel sequence, arrival.
 const DRAINED_MSG: usize = 8 + 8 + 8 + 4 + 8 + 8 + 8;
-/// Header; kind, epoch, n_ranks, protocol, packing, ten network
-/// parameters, request clock; length words of the three target maps, the
-/// table, the captures, the in-flight set and the cut; the two
-/// io-seconds words.
-const IMAGE_FIXED: usize = IMAGE_HEADER_LEN + (1 + 8 + 8 + 1 + 8 + 80 + 8) + 7 * 8 + 16;
+/// Header; kind, generation, epoch, n_ranks, protocol, packing, ten
+/// network parameters, request clock; length words of the three target
+/// maps; the two io-seconds words; length words of the table, the records
+/// and the cut; the in-flight chunk's reference and its length word.
+const IMAGE_FIXED: usize =
+    IMAGE_HEADER_LEN + (1 + 8 + 8 + 8 + 1 + 8 + 80 + 8) + 3 * 8 + 16 + 3 * 8 + CHUNK_REF + 8;
 /// A target-map entry: ggid, value.
 const TARGET: usize = 16;
 
-/// Σ distinct list bytes + c · references + per-rank fixed state.
+/// A capture's restart-stable half: the capture with its volatile fields
+/// cleared. Two ranks share a chunk exactly when these are equal.
+fn stable_half(c: &RuntimeCapture) -> RuntimeCapture {
+    RuntimeCapture {
+        rank: 0,
+        state: RankState::Quiesced,
+        clock: VTime::ZERO,
+        pending_barrier: None,
+        p2p_sent: 0,
+        p2p_delivered: 0,
+        ..c.clone()
+    }
+}
+
+/// The distinct stable halves of an image, in rank order of first holder.
+fn distinct_stable_halves(image: &Checkpoint) -> Vec<RuntimeCapture> {
+    let mut distinct: Vec<RuntimeCapture> = Vec::new();
+    for c in image.captures.iter().map(stable_half) {
+        if !distinct.contains(&c) {
+            distinct.push(c);
+        }
+    }
+    distinct
+}
+
+/// Σ distinct list bytes + Σ distinct chunk bytes (c · references each) +
+/// a fixed record per rank + the cut runs.
 fn size_bound(image: &Checkpoint) -> usize {
     let distinct: HashSet<&[usize]> = image
         .member_list_refs()
@@ -92,15 +128,14 @@ fn size_bound(image: &Checkpoint) -> usize {
         .filter(|m| !is_run(m))
         .collect();
     let lists: usize = distinct.iter().map(|m| TABLE_ENTRY + 8 * m.len()).sum();
-    let ranks: usize = image
-        .captures
+    let chunks: usize = distinct_stable_halves(image)
         .iter()
         .map(|c| {
             assert!(
                 (c.comm_log.iter()).all(|r| !matches!(r.op, CommOp::Create { .. })),
                 "the schedule only dups and splits"
             );
-            RANK_FIXED
+            STABLE_FIXED
                 + c.seq_table.len() * (SEQ_ENTRY + REF)
                 + c.vcomm_members.len() * (VCOMM_ENTRY + REF)
                 + c.vcomm_to_lower.len() * LOWER_ENTRY
@@ -108,11 +143,22 @@ fn size_bound(image: &Checkpoint) -> usize {
                 + c.pending_recvs.len() * PENDING_RECV
         })
         .sum();
+    let records: usize = (image.captures.iter())
+        .map(|c| {
+            RECORD
+                + if c.pending_barrier.is_some() {
+                    BARRIER
+                } else {
+                    0
+                }
+        })
+        .sum();
     let targets = image.initial_targets.len() + image.final_targets.len() + image.achieved.len();
     IMAGE_FIXED
         + targets * TARGET
         + lists
-        + ranks
+        + chunks
+        + records
         + image.in_flight.len() * DRAINED_MSG
         + image.in_flight_bytes()
         + image.cut_events.runs().len() * (RUN + REF)
@@ -136,11 +182,13 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     // table reference is that much shorter than a range reference).
     assert!(bound - len <= 8 * refs.len(), "{len} B vs bound {bound} B");
 
-    // Pinned with 25 % headroom over the measured 844 B a rank (the v5
-    // wire, with its cut event per collective participation, wrote 2 486 B
-    // a rank for this cut, and more for every later one).
+    // Pinned with 25 % headroom over the measured 853 B a rank. Every
+    // rank of this cut holds a different stable half, so each pays its
+    // chunk's address: v6 wrote 844 B a rank, the v5 wire, with its cut
+    // event per collective participation, 2 486 B a rank for this cut, and
+    // more for every later one.
     let per_rank = len / RANKS;
-    assert!(per_rank <= 1055, "{per_rank} B per rank");
+    assert!(per_rank <= 1066, "{per_rank} B per rank");
 
     // One more run on a group that is already in the table costs its
     // fixed words and a 9-byte reference, whatever the group's size and
@@ -194,4 +242,53 @@ fn image_size_does_not_grow_with_run_length() {
         assert_eq!(image.serialized_len(), images[0].serialized_len());
         assert_eq!(image.to_bytes().len(), images[0].serialized_len());
     }
+}
+
+/// One cut of an `n`-rank SCF run — a program that only ever talks on the
+/// world group, two collectives an iteration — taken at its 40th
+/// collective.
+fn scf_image(n: usize) -> Checkpoint {
+    let cfg = WorldConfig::multi_node(n, 4).with_params(NetParams::slingshot11().without_jitter());
+    let run = run_ckpt_world(
+        cfg,
+        CkptOptions::native()
+            .with_protocol(Protocol::Cc)
+            .with_policy(EveryNCollectives::new(40, 1))
+            .with_resume(ResumeMode::Continue),
+        |r| {
+            r.set_wall_pace_us(40);
+            scf_loop(r, 60, 8)
+        },
+    );
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    run.checkpoints
+        .into_iter()
+        .next()
+        .expect("the cut must commit")
+}
+
+/// Every rank of an SCF cut holds the same restart-stable state, so the
+/// image carries that state once: doubling the world adds each new rank's
+/// record and cut run, and no chunk.
+#[test]
+fn ranks_with_identical_stable_halves_share_one_chunk() {
+    let (small, large) = (scf_image(16), scf_image(32));
+    for image in [&small, &large] {
+        assert_eq!(
+            distinct_stable_halves(image).len(),
+            1,
+            "the SCF ranks' stable halves differ"
+        );
+        assert_eq!(image.cut_events.runs().len(), image.n_ranks);
+        assert!(image.captures.iter().all(|c| c.pending_barrier.is_none()));
+        let len = image.serialized_len();
+        assert_eq!(len, image.to_bytes().len());
+        assert!(len <= size_bound(image), "{len} B vs {}", size_bound(image));
+    }
+    // A run on the world group carries a range reference.
+    let per_rank = RECORD + RUN + REF;
+    assert_eq!(
+        large.serialized_len() - small.serialized_len(),
+        16 * per_rank
+    );
 }

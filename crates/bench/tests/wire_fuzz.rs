@@ -4,9 +4,10 @@
 //! A genuine image is captured from a real checkpointed run, then
 //! seed-driven mutations are thrown at `Checkpoint::from_bytes`:
 //!
-//! * **single-byte flips** anywhere in the buffer must yield a typed
-//!   [`ImageError`] — the payload is covered by the FNV-1a checksum and
-//!   every header field is validated, so no flip may decode;
+//! * **single-byte flips** anywhere in the buffer of a full image or a
+//!   delta must yield a typed [`ImageError`] — the head is covered by the
+//!   FNV-1a checksum, every chunk by its content address, and every
+//!   header field is validated, so no flip may decode;
 //! * **truncations** at every prefix length must yield a typed error;
 //! * **length-field mutations** (the header's payload-length word and
 //!   interior sequence-length words, with the checksum recomputed so the
@@ -18,21 +19,22 @@
 //! member list written once, referenced by content id everywhere else —
 //! is aimed at directly: a repaired flip anywhere in the table, or in the
 //! id of any cut-run reference, is a typed error in both
-//! `Checkpoint::from_bytes` and `ImagePayload::from_bytes`, for full
+//! `Checkpoint::from_bytes` and `DeltaImage::from_bytes`, for full
 //! images and for delta heads.
 //!
-//! So are the two things wire v6 added. The **cut block** holds runs
+//! So are the **cut block** and the **chunk lengths**. The cut holds runs
 //! `first..=last` where v5 held one event per participation, so a forged
 //! run can claim 2⁶⁴ participations in 41 bytes: hostile bounds, ranks,
 //! members and orderings are typed errors, and nothing — decode, the
 //! oracle, `len()` — does work proportional to what a run claims. The
-//! **stable-half length word** opening every rank section is what a delta
-//! chain slices its root by: zero, too long, past the buffer or off by
-//! one, it is `Malformed` to the full decoder and to `TieredStore::load`.
+//! length in a chunk's address is what the decoder tiles the chunk
+//! section by: zero, off by one, past the buffer or unrepresentable, it
+//! is a typed error to the decoders and to `TieredStore::load`.
 //!
 //! The **delta image** sections get the same treatment: flips inside
-//! content-addressed chunk bodies (checksum-repaired so they reach the
-//! chunk re-hash) are typed [`ImageError::DeltaChain`] rejections, a
+//! content-addressed chunk bodies (where the head checksum does not
+//! reach, so they meet the chunk re-hash) are typed
+//! [`ImageError::DeltaChain`] rejections, a
 //! forged parent-generation word resolves to a typed chain error through
 //! [`TieredStore::load`] — dangling, cyclic, or checksum-mismatched,
 //! depending on where it points — and a chain whose root was evicted
@@ -41,8 +43,8 @@
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
 use ckpt::store::delta::full_image_refs;
 use ckpt::{
-    run_ckpt_world, Checkpoint, ChunkPool, CkptOptions, CkptTier, DeltaImage, ImageError,
-    ImagePayload, ResumeMode, StoreError, TieredStore,
+    run_ckpt_world, Checkpoint, ChunkPool, ChunkRef, CkptOptions, CkptTier, DeltaImage, ImageError,
+    ResumeMode, StoreError, TieredStore,
 };
 use mana_core::{Cut, CutRun};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
@@ -51,7 +53,7 @@ use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
 
 use ckpt::image::{
     IMAGE_CHECKSUM_OFFSET as CHECKSUM_OFFSET, IMAGE_HEADER_LEN as HEADER,
-    IMAGE_LEN_OFFSET as LEN_OFFSET,
+    IMAGE_HEAD_LEN_OFFSET as HEAD_LEN_OFFSET, IMAGE_LEN_OFFSET as LEN_OFFSET,
 };
 
 /// Captures one non-trivial image from a real run: eight ranks, so the
@@ -82,16 +84,21 @@ fn capture_image() -> Checkpoint {
     image
 }
 
-/// Patches the header checksum to match the (mutated) payload, so a
-/// mutation penetrates past the integrity check into the structural
-/// decoder.
+/// Patches the header checksum to match the (mutated) head — the payload
+/// up to the header's head length — so a mutation penetrates past the
+/// integrity check into the structural decoder.
 fn fix_checksum(buf: &mut [u8]) {
-    let payload_len =
-        u64::from_le_bytes(buf[LEN_OFFSET..LEN_OFFSET + 8].try_into().unwrap()) as usize;
+    let head_len = word_at(buf, HEAD_LEN_OFFSET) as usize;
     let start = HEADER.min(buf.len());
-    let end = HEADER.saturating_add(payload_len).min(buf.len()).max(start);
+    let end = HEADER.saturating_add(head_len).min(buf.len()).max(start);
     let sum = ckpt::wire::fnv1a64(&buf[start..end]);
     buf[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Where the head of a serialized image ends and its chunk section
+/// begins.
+fn head_end(bytes: &[u8]) -> usize {
+    HEADER + word_at(bytes, HEAD_LEN_OFFSET) as usize
 }
 
 /// Decodes under a panic guard: the decoder must return `Result`, never
@@ -101,26 +108,40 @@ fn decode_no_panic(buf: &[u8], what: &str) -> Result<Checkpoint, ImageError> {
         .unwrap_or_else(|_| panic!("decoder panicked on {what}"))
 }
 
-#[test]
-fn single_byte_flips_are_always_rejected() {
-    let image = capture_image();
-    let bytes = image.to_bytes();
-    let mut rng = SplitMix64::new(0xF1A7);
-    // Every header byte, plus a seed-driven sample of payload positions.
+/// Flips one bit in every header byte and in a seed-driven sample of
+/// payload positions — head and chunk section alike: `rejects` must
+/// refuse every one.
+fn assert_single_flips_rejected(
+    bytes: &[u8],
+    rng: &mut SplitMix64,
+    rejects: impl Fn(&[u8], &str) -> bool,
+) {
     let mut positions: Vec<usize> = (0..HEADER.min(bytes.len())).collect();
     for _ in 0..400 {
         positions.push(HEADER + rng.next_range((bytes.len() - HEADER) as u64) as usize);
     }
     for pos in positions {
         let flip = 1u8 << rng.next_range(8);
-        let mut m = bytes.clone();
+        let mut m = bytes.to_vec();
         m[pos] ^= flip;
-        let r = decode_no_panic(&m, &format!("flip at {pos}"));
         assert!(
-            r.is_err(),
+            rejects(&m, &format!("flip at {pos}")),
             "flipped bit at byte {pos} was silently accepted"
         );
     }
+}
+
+#[test]
+fn single_byte_flips_are_always_rejected() {
+    let image = capture_image();
+    let (_store, delta) = delta_chain_store();
+    let mut rng = SplitMix64::new(0xF1A7);
+    assert_single_flips_rejected(&image.to_bytes(), &mut rng, |m, what| {
+        decode_no_panic(m, what).is_err()
+    });
+    assert_single_flips_rejected(&delta, &mut rng, |m, what| {
+        decode_payload_no_panic(m, what).is_err()
+    });
 }
 
 #[test]
@@ -208,16 +229,14 @@ fn checksum_repaired_flips_never_panic() {
     }
 }
 
-/// Aims mutations at the **per-rank capture section boundaries** the
-/// parallel encoder writes into disjoint windows
+/// Aims mutations at the **per-rank record boundaries**
 /// (`Checkpoint::capture_section_ranges`): the first and last bytes of
-/// every section, plus the length-prefix words at each section start.
-/// A boundary flip with a repaired checksum lands in the structural
-/// decoder exactly where one rank's section ends and the next begins —
-/// if the section tiling ever drifted from the decoder's expectations,
-/// it would surface here as a panic, a hang, or a silently-shifted
-/// decode. The decoder must return a typed error or a shape-consistent
-/// image, never unwind.
+/// every record, plus the rank word at each record start. A boundary flip
+/// with a repaired checksum lands in the structural decoder exactly where
+/// one rank's record ends and the next begins — if the record tiling ever
+/// drifted from the decoder's expectations, it would surface here as a
+/// panic, a hang, or a silently-shifted decode. The decoder must return a
+/// typed error or a shape-consistent image, never unwind.
 #[test]
 fn section_boundary_mutations_never_panic() {
     let image = capture_image();
@@ -228,9 +247,8 @@ fn section_boundary_mutations_never_panic() {
 
     let mut positions: Vec<usize> = Vec::new();
     for r in &ranges {
-        // Both edges of the section, and the 8-byte words straddling the
-        // start (a section opens with length-prefixed containers, so
-        // these flips forge interior sequence lengths).
+        // Both edges of the record, and the 8-byte rank word at its
+        // start.
         positions.extend([r.start, r.end - 1]);
         positions.extend(r.start..(r.start + 8).min(r.end));
         // A few interior samples per section.
@@ -253,9 +271,9 @@ fn section_boundary_mutations_never_panic() {
     }
 }
 
-/// The section ranges advertised for fuzzing must agree with the bytes
+/// The record ranges advertised for fuzzing must agree with the bytes
 /// the encoder actually produces: re-encoding with a single rank's
-/// capture mutated changes exactly that section (plus the header
+/// volatile state mutated changes exactly that record (plus the header
 /// checksum), for both the serial and the parallel encoder.
 #[test]
 fn section_ranges_agree_with_parallel_encoder_output() {
@@ -317,11 +335,10 @@ fn listed_id_offsets(cut: &Cut, at: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Where the runs of a full image's cut start: the cut closes the payload
-/// but for the two io-seconds words.
-fn cut_runs_start(image: &Checkpoint, bytes: &[u8]) -> usize {
-    let cut_len: usize = image.cut_events.runs().iter().map(run_len).sum();
-    bytes.len() - 16 - cut_len
+/// Where the runs of an image's cut start: the cut closes the head.
+fn cut_runs_start(cut: &Cut, bytes: &[u8]) -> usize {
+    let cut_len: usize = cut.runs().iter().map(run_len).sum();
+    head_end(bytes) - cut_len
 }
 
 /// A repaired one-bit flip at each of `positions` must be refused by
@@ -370,7 +387,7 @@ fn member_table_flips_are_always_rejected() {
         &bytes,
         table,
         &mut rng,
-        ImagePayload::from_bytes,
+        DeltaImage::from_bytes,
         "member-table",
     );
 }
@@ -381,7 +398,7 @@ fn member_table_flips_are_always_rejected() {
 fn cut_event_reference_flips_are_unknown_ids() {
     let image = capture_image();
     let bytes = image.to_bytes();
-    let ids = listed_id_offsets(&image.cut_events, cut_runs_start(&image, &bytes));
+    let ids = listed_id_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
     assert!(!ids.is_empty(), "no cut run references the table");
     let mut rng = SplitMix64::new(0x1D5);
     let every_byte = || ids.iter().flat_map(|&at| at..at + 8);
@@ -396,7 +413,7 @@ fn cut_event_reference_flips_are_unknown_ids() {
         &bytes,
         every_byte(),
         &mut rng,
-        ImagePayload::from_bytes,
+        DeltaImage::from_bytes,
         "event-reference",
     );
 }
@@ -434,7 +451,7 @@ fn delta_member_table_and_reference_flips_are_typed_errors() {
     let (parent, child, delta) = live_delta();
     let bytes = delta.to_bytes();
     match decode_payload_no_panic(&bytes, "pristine live delta") {
-        Ok(ImagePayload::Delta(d)) => {
+        Ok(d) if d.parent.is_some() => {
             assert_eq!(d, delta);
             let mut pool = ChunkPool::new();
             pool.absorb_full(&parent);
@@ -445,15 +462,14 @@ fn delta_member_table_and_reference_flips_are_typed_errors() {
     }
 
     let table = delta.member_table_range();
-    // Behind the table: the cut's run-count word, then its runs.
-    let ids = listed_id_offsets(&delta.cut, table.end + 8);
+    let ids = listed_id_offsets(&delta.cut, cut_runs_start(&delta.cut, &bytes));
     assert!(!ids.is_empty(), "no cut run references the table");
     let mut rng = SplitMix64::new(0xD7AB);
     assert_flips_rejected(
         &bytes,
         table.chain(ids.iter().flat_map(|&at| at..at + 8)),
         &mut rng,
-        ImagePayload::from_bytes,
+        DeltaImage::from_bytes,
         "delta-head",
     );
 }
@@ -483,7 +499,7 @@ fn chunk_reference_missing_from_the_delta_table_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// v6: the cut block and the stable-half length word
+// the cut block and the chunk lengths
 // ---------------------------------------------------------------------
 
 /// `bytes` with the little-endian word at `at` replaced and the header
@@ -519,7 +535,7 @@ fn hostile_cut_runs_are_typed_errors() {
     let image = capture_image();
     let bytes = image.to_bytes();
     let runs = image.cut_events.runs();
-    let at = run_offsets(&image.cut_events, cut_runs_start(&image, &bytes));
+    let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
     // Word offsets within a run: rank, ggid, first, last, then the
     // reference — a tag byte and `(start, len)` or a content id.
     let (rank, first, last, reference) = (0, 16, 24, RUN_WORDS + 1);
@@ -565,7 +581,7 @@ fn hostile_cut_runs_are_typed_errors() {
 fn a_run_claiming_every_sequence_number_costs_nothing() {
     let image = capture_image();
     let bytes = image.to_bytes();
-    let at = run_offsets(&image.cut_events, cut_runs_start(&image, &bytes));
+    let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
     let forged = patched(&bytes, at[0] + 24, u64::MAX);
 
     let t = std::time::Instant::now();
@@ -596,33 +612,55 @@ fn root_and_delta_store() -> (TieredStore, Checkpoint, Vec<u8>, Vec<u8>) {
     (store, (*root).clone(), root_bytes, delta_bytes)
 }
 
-/// Delta payload layout: the parent-checksum word follows the kind byte
-/// and the two generation words.
+/// Delta head layout: the parent-checksum word follows the kind byte and
+/// the two generation words.
 const DELTA_PARENT_CHECKSUM_OFFSET: usize = HEADER + 17;
 
-/// Every rank section opens with the byte length of its stable half — the
-/// word chain resolution slices the root by. Forged (zero, one off either
-/// way, longer than its section, past the buffer, unrepresentable) and
-/// resealed, it is `Malformed` to the full decoder and to
-/// `TieredStore::load` of a delta on that root, whose parent fingerprint
-/// is re-aimed at the forgery so the load gets as far as slicing it.
-#[test]
-fn forged_stable_half_lengths_are_malformed_to_decode_and_to_chain_load() {
-    let (store, root, root_bytes, delta_bytes) = root_and_delta_store();
-    store.load(1).expect("the pristine chain resolves");
-    let sections = root.capture_section_ranges();
-    let lustre = store.backend(CkptTier::Lustre);
+/// Offset of the hash word of the first reference to chunk `r` in the
+/// bytes of `image`: a rank record closes with its chunk reference (tag,
+/// hash, len), and the in-flight reference follows the last record.
+fn ref_hash_offset(image: &DeltaImage, r: ChunkRef) -> usize {
+    let records = image.capture_section_ranges();
+    match image.rank_refs.iter().position(|&x| x == r) {
+        Some(rank) => records[rank].end - 16,
+        None => records.last().unwrap().end + 1,
+    }
+}
 
-    for section in [&sections[0], &sections[11], &sections[23]] {
-        let at = section.start;
-        let stable = word_at(&root_bytes, at);
-        assert!(stable as usize + 8 < section.len(), "not the length word");
-        let whole = section.len() as u64;
-        let beyond = (root_bytes.len() - at) as u64;
-        for forged in [0, stable - 1, stable + 1, whole, beyond, u64::MAX] {
-            let what = format!("stable-half length {stable} -> {forged} at {at}");
+/// The length in a chunk's address is what the decoder tiles the chunk
+/// section by. Forged on the first, a middle and the last chunk of a
+/// stored root (zero, one off either way, past the buffer,
+/// unrepresentable) and resealed, it is a typed error to both decoders
+/// and to `TieredStore::load` of a delta on that root, whose parent
+/// fingerprint is re-aimed at the forgery so the load gets as far as
+/// decoding it. No forged word sizes an allocation: the lengths must
+/// tile the chunk section before any chunk is copied.
+#[test]
+fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
+    let (store, _root, root_bytes, delta_bytes) = root_and_delta_store();
+    store.load(1).expect("the pristine chain resolves");
+    let root = DeltaImage::from_bytes(&root_bytes).expect("the stored root decodes");
+    let chunks = &root.new_chunks;
+    let lustre = store.backend(CkptTier::Lustre);
+    let typed = |e: &ImageError| matches!(e, ImageError::Malformed(_) | ImageError::DeltaChain(_));
+
+    for (r, _) in [
+        &chunks[0],
+        &chunks[chunks.len() / 2],
+        &chunks[chunks.len() - 1],
+    ] {
+        let at = ref_hash_offset(&root, *r) + 8;
+        assert_eq!(word_at(&root_bytes, at), r.len, "not the length word");
+        let beyond = root_bytes.len() as u64;
+        for forged in [0, r.len - 1, r.len + 1, beyond, u64::MAX] {
+            let what = format!("chunk length {} -> {forged} at {at}", r.len);
             let bad_root = patched(&root_bytes, at, forged);
-            assert_malformed(&bad_root, &what);
+            for got in [
+                decode_no_panic(&bad_root, &what).err(),
+                decode_payload_no_panic(&bad_root, &what).err(),
+            ] {
+                assert!(got.as_ref().is_some_and(typed), "{what}: got {got:?}");
+            }
 
             let fingerprint = word_at(&bad_root, CHECKSUM_OFFSET);
             let re_aimed = patched(&delta_bytes, DELTA_PARENT_CHECKSUM_OFFSET, fingerprint);
@@ -631,8 +669,8 @@ fn forged_stable_half_lengths_are_malformed_to_decode_and_to_chain_load() {
             let res = std::panic::catch_unwind(|| store.load(1))
                 .unwrap_or_else(|_| panic!("store.load panicked on {what}"));
             assert!(
-                matches!(res, Err(StoreError::Image(ImageError::Malformed(_)))),
-                "{what}: chain load must be Malformed, got {res:?}"
+                matches!(&res, Err(StoreError::Image(e)) if typed(e)),
+                "{what}: chain load must fail typed, got {res:?}"
             );
         }
     }
@@ -646,9 +684,8 @@ fn forged_stable_half_lengths_are_malformed_to_decode_and_to_chain_load() {
 // delta / chunk sections
 // ---------------------------------------------------------------------
 
-/// Delta payload layout: kind byte, then `generation` and
-/// `parent_generation` as little-endian u64 words (see
-/// `DeltaImage::enc_head`).
+/// Delta head layout: kind byte, then `generation` and the parent's
+/// generation as little-endian u64 words (see `DeltaImage::enc_preamble`).
 const DELTA_GEN_OFFSET: usize = HEADER + 1;
 const DELTA_PARENT_OFFSET: usize = HEADER + 9;
 
@@ -675,24 +712,30 @@ fn delta_chain_store() -> (TieredStore, Vec<u8>) {
 }
 
 /// Decodes an either-kind image under a panic guard.
-fn decode_payload_no_panic(buf: &[u8], what: &str) -> Result<ImagePayload, ImageError> {
-    std::panic::catch_unwind(|| ImagePayload::from_bytes(buf))
+fn decode_payload_no_panic(buf: &[u8], what: &str) -> Result<DeltaImage, ImageError> {
+    std::panic::catch_unwind(|| DeltaImage::from_bytes(buf))
         .unwrap_or_else(|_| panic!("payload decoder panicked on {what}"))
+}
+
+/// Decodes the stored leaf of [`delta_chain_store`], which must be a delta.
+fn pristine_delta(bytes: &[u8]) -> DeltaImage {
+    match decode_payload_no_panic(bytes, "pristine delta") {
+        Ok(d) if d.parent.is_some() => d,
+        other => panic!("expected a delta image, got {other:?}"),
+    }
 }
 
 /// Flips inside a delta's inline chunk bodies — first, last, and interior
 /// bytes of every content window [`ckpt::DeltaImage::chunk_byte_ranges`]
-/// advertises, plus the hash word in front of each — with the header
-/// checksum repaired, so the corruption reaches the per-chunk re-hash.
-/// Every one must be a typed [`ImageError::DeltaChain`], never a panic
-/// and never a silently-poisoned chunk.
+/// advertises, plus the hash word of the chunk's address in the head —
+/// with the header checksum repaired, so the corruption reaches the
+/// per-chunk re-hash. Every one must be a typed
+/// [`ImageError::DeltaChain`], never a panic and never a
+/// silently-poisoned chunk.
 #[test]
 fn delta_chunk_content_flips_are_typed_chain_errors() {
     let (_store, bytes) = delta_chain_store();
-    let delta = match decode_payload_no_panic(&bytes, "pristine delta") {
-        Ok(ImagePayload::Delta(d)) => d,
-        other => panic!("expected a delta image, got {other:?}"),
-    };
+    let delta = pristine_delta(&bytes);
     let ranges = delta.chunk_byte_ranges();
     assert!(
         !ranges.is_empty(),
@@ -703,11 +746,11 @@ fn delta_chunk_content_flips_are_typed_chain_errors() {
         .all(|r| r.end <= bytes.len() && r.start < r.end));
 
     let mut rng = SplitMix64::new(0xC41B);
-    for (i, r) in ranges.iter().enumerate() {
+    for (i, (r, (address, _))) in ranges.iter().zip(&delta.new_chunks).enumerate() {
         let mid = r.start + (r.end - r.start) / 2;
-        // The 16 bytes before the content are the chunk's `(hash, len)`
-        // address words; flipping the hash word must mismatch the body.
-        for pos in [r.start, mid, r.end - 1, r.start - 16] {
+        // Flipping the hash word of the chunk's address must mismatch
+        // the body.
+        for pos in [r.start, mid, r.end - 1, ref_hash_offset(&delta, *address)] {
             let flip = 1u8 << rng.next_range(8);
             let mut m = bytes.clone();
             m[pos] ^= flip;
@@ -743,19 +786,17 @@ fn delta_truncations_are_always_rejected() {
 
 /// Checksum-repaired flips across the delta *head* (everything before the
 /// first inline chunk: generation words, origin, target maps, volatile
-/// records, chunk refs) never panic — they decode to a typed error or to
-/// a shape-consistent delta.
+/// records, chunk refs, cut) never panic — they decode to a typed error
+/// or to a shape-consistent delta.
 #[test]
 fn delta_head_repaired_flips_never_panic() {
     let (_store, bytes) = delta_chain_store();
-    let delta = match ImagePayload::from_bytes(&bytes) {
-        Ok(ImagePayload::Delta(d)) => d,
-        other => panic!("expected a delta image, got {other:?}"),
-    };
-    let head_end = delta
-        .chunk_byte_ranges()
-        .first()
-        .map_or(bytes.len(), |r| r.start - 16);
+    let delta = pristine_delta(&bytes);
+    let head_end = head_end(&bytes);
+    assert_eq!(
+        Some(head_end),
+        delta.chunk_byte_ranges().first().map(|r| r.start)
+    );
     let mut rng = SplitMix64::new(0xD317);
     for _ in 0..400 {
         let pos = HEADER + rng.next_range((head_end - HEADER) as u64) as usize;
@@ -763,9 +804,7 @@ fn delta_head_repaired_flips_never_panic() {
         let mut m = bytes.clone();
         m[pos] ^= flip;
         fix_checksum(&mut m);
-        if let Ok(ImagePayload::Delta(d)) =
-            decode_payload_no_panic(&m, &format!("delta head flip at {pos}"))
-        {
+        if let Ok(d) = decode_payload_no_panic(&m, &format!("delta head flip at {pos}")) {
             assert_eq!(
                 d.n_ranks, delta.n_ranks,
                 "head flip at {pos} changed the world shape"

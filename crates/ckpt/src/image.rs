@@ -7,14 +7,16 @@
 //! different process with [`Checkpoint::load_from`], and restored onto a
 //! differently-packed set of nodes with
 //! [`crate::restore_ckpt_world`]. The wire format carries a versioned
-//! header and an FNV-1a integrity checksum; a flipped bit or a truncated
-//! file is rejected with a typed [`ImageError`] instead of producing a
-//! silently-wrong restore.
+//! header and FNV-1a integrity hashes; a flipped bit or a truncated file
+//! is rejected with a typed [`ImageError`] instead of producing a
+//! silently-wrong restore. The codec itself is
+//! [`crate::store::DeltaImage`]: a full image is a delta with no parent.
 
-use crate::wire::{fnv1a64, CountEnc, Dec, DecodeError, Fnv1a, SliceEnc, Wr};
+use crate::store::{DeltaImage, VolatileRecord};
+use crate::wire::{fnv1a64, CountEnc, Dec, DecodeError, Fnv1a, Wr};
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol, RankState,
+    verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol,
     RuntimeCapture, SeqTable, VComm, Violation,
 };
 use mpisim::types::CommId;
@@ -51,16 +53,23 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// run of sequence numbers the rank executed ([`mana_core::CutRun`]: rank,
 /// ggid, first, last, member-list reference) — where version 5 wrote one
 /// event per collective participation since the program started, four
-/// fifths of an image and growing with the run. Each rank section now
-/// opens with the byte length of its restart-stable half, so a delta
-/// chain slices its root's chunks out of the stored bytes instead of
-/// decoding and re-encoding the root ([`crate::store::TieredStore::load`]).
-pub const IMAGE_VERSION: u32 = 6;
+/// fifths of an image and growing with the run.
+/// Version 7 has one layout for full and delta images: a full image is a
+/// delta with no parent ([`crate::store::DeltaImage`]). The head carries
+/// the member-list table, one record per rank (rank, state, clock,
+/// pending barrier, flow counts, and the content address of the rank's
+/// restart-stable chunk), the in-flight chunk's address and the cut; the
+/// chunk section behind it holds each chunk the image inlines once, so
+/// ranks with identical stable halves share one. The header checksum
+/// covers the head; every chunk is authenticated by re-hashing it
+/// against its address, so each byte is hashed once on either side and
+/// chunks encode in parallel.
+pub const IMAGE_VERSION: u32 = 7;
 
-/// Payload kind byte of a self-contained (full) image.
+/// Kind byte of an image with no parent (a full image).
 pub const IMAGE_KIND_FULL: u8 = 0;
 
-/// Payload kind byte of an incremental (delta) image; see
+/// Kind byte of an image relative to a parent generation (a delta); see
 /// [`crate::store::DeltaImage`].
 pub const IMAGE_KIND_DELTA: u8 = 1;
 
@@ -70,10 +79,14 @@ pub const IMAGE_VERSION_OFFSET: usize = IMAGE_MAGIC.len();
 /// Byte offset of the header's `u64` payload-length word.
 pub const IMAGE_LEN_OFFSET: usize = IMAGE_VERSION_OFFSET + 4;
 
-/// Byte offset of the header's `u64` FNV-1a payload-checksum word.
-pub const IMAGE_CHECKSUM_OFFSET: usize = IMAGE_LEN_OFFSET + 8;
+/// Byte offset of the header's `u64` head-length word: the payload's
+/// first bytes, everything but the inline chunks.
+pub const IMAGE_HEAD_LEN_OFFSET: usize = IMAGE_LEN_OFFSET + 8;
 
-/// Total header length; the checksummed payload starts here.
+/// Byte offset of the header's `u64` FNV-1a head-checksum word.
+pub const IMAGE_CHECKSUM_OFFSET: usize = IMAGE_HEAD_LEN_OFFSET + 8;
+
+/// Total header length; the payload starts here.
 pub const IMAGE_HEADER_LEN: usize = IMAGE_CHECKSUM_OFFSET + 8;
 
 /// Why a serialized image was rejected.
@@ -271,7 +284,7 @@ impl Checkpoint {
 
     /// The encode-side table and reference cache: every list the image
     /// references, each shared allocation hashed once.
-    fn member_lists(&self) -> MemberIntern {
+    pub(crate) fn member_lists(&self) -> MemberIntern {
         let mut lists = MemberIntern::new(self.n_ranks);
         for m in self.member_list_refs() {
             lists.note(m);
@@ -279,224 +292,42 @@ impl Checkpoint {
         lists
     }
 
-    /// Payload fields that precede the member-list table.
-    fn enc_preamble<W: Wr>(&self, p: &mut W) {
-        p.u8(IMAGE_KIND_FULL);
-        p.u64(self.epoch);
-        p.usize(self.n_ranks);
-        p.u8(protocol_code(self.protocol));
-        p.usize(self.origin.ranks_per_node);
-        enc_params(p, &self.origin.params);
-        p.f64(self.request_clock.as_secs());
-        enc_target_map(p, &self.initial_targets);
-        enc_target_map(p, &self.final_targets);
-        enc_target_map(p, &self.achieved);
-    }
-
-    /// Payload fields that precede the per-rank capture sections, up to and
-    /// including the member-list table and the capture count. Shared by
-    /// the counting pass (exact pre-sizing) and the write pass, so the two
-    /// can never disagree.
-    fn enc_payload_prefix<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
-        self.enc_preamble(p);
-        lists.enc_table(p);
-        p.usize(self.captures.len());
-    }
-
-    /// Payload fields that follow the per-rank capture sections.
-    fn enc_payload_suffix<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
-        p.usize(self.in_flight.len());
-        for m in &self.in_flight {
-            enc_drained(p, m);
-        }
-        enc_cut(p, lists, &self.cut_events);
-        p.f64(self.io_write_secs);
-        p.f64(self.io_read_secs);
-    }
-
-    /// Encoded lengths of the prefix, of every capture section, and of the
-    /// suffix — the same encode code run through a byte counter.
-    fn layout(&self, lists: &MemberIntern) -> (usize, Vec<SectionLen>, usize) {
-        let mut prefix = CountEnc::new();
-        self.enc_payload_prefix(&mut prefix, lists);
-        let mut suffix = CountEnc::new();
-        self.enc_payload_suffix(&mut suffix, lists);
-        let sections = self
-            .captures
-            .iter()
-            .map(|c| capture_section_len(lists, c))
-            .collect();
-        (prefix.count(), sections, suffix.count())
-    }
-
-    /// Serializes the image: an 8-byte magic, a `u32` format version, a
-    /// `u64` payload length, a `u64` FNV-1a payload checksum, then the
-    /// payload. Deterministic: the same image always yields the same bytes
-    /// (maps are written sorted by key, the member-list table sorted by
-    /// content id), whether equal member lists share one allocation or
-    /// not.
-    ///
-    /// Zero-copy: the header is reserved up front, sections are encoded in
-    /// place behind it, and length+checksum are backpatched — no temporary
-    /// payload buffer. Equivalent to `to_bytes_parallel(1)`.
+    /// Serializes the image as a full image (see [`DeltaImage::to_bytes`]
+    /// for the layout). Deterministic: the same image always yields the
+    /// same bytes. Equivalent to `to_bytes_parallel(1)`.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_parallel(1)
     }
 
-    /// Like [`Checkpoint::to_bytes`], but encodes the per-rank capture
-    /// sections on up to `workers` threads.
-    ///
-    /// Every section's size is computed exactly by running the same encode
-    /// code through a byte counter, so each worker writes into a disjoint
-    /// pre-sized window of the final buffer. Section contents are
-    /// position-independent, which makes the output byte-for-byte identical
-    /// to the serial encoder for any worker count.
+    /// Like [`Checkpoint::to_bytes`], but encodes and hashes the per-rank
+    /// chunks on up to `workers` threads. A chunk's bytes depend on its
+    /// rank's state alone, so the output is byte-for-byte identical to the
+    /// serial encoder for any worker count.
     pub fn to_bytes_parallel(&self, workers: usize) -> Vec<u8> {
-        let lists = self.member_lists();
-        let (prefix_len, section_lens, suffix_len) = self.layout(&lists);
-        let sections_total: usize = section_lens.iter().map(|l| l.section).sum();
-        let total = IMAGE_HEADER_LEN + prefix_len + sections_total + suffix_len;
-
-        let mut out: Vec<u8> = Vec::with_capacity(total);
-        enc_header_placeholder(&mut out);
-        self.enc_payload_prefix(&mut out, &lists);
-        let cap_start = out.len();
-        out.resize(cap_start + sections_total, 0);
-        encode_capture_sections(
-            workers,
-            &lists,
-            &self.captures,
-            &section_lens,
-            &mut out[cap_start..cap_start + sections_total],
-        );
-        self.enc_payload_suffix(&mut out, &lists);
-        debug_assert_eq!(out.len(), total, "pre-sized encode drifted");
-        backpatch_header(&mut out);
-        out
+        DeltaImage::full(0, self, workers).to_bytes()
     }
 
-    /// Byte range of every rank's capture section within the serialized
-    /// image, in rank order. The layout is `[header][prefix][capture
-    /// sections…][suffix]`, the member-list table being part of the
-    /// prefix; fuzzers use this to aim mutations at section boundaries.
+    /// Byte range of every rank's record within the serialized image, in
+    /// rank order (see [`DeltaImage::capture_section_ranges`]); fuzzers
+    /// use this to aim mutations at record boundaries.
     pub fn capture_section_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let (prefix_len, section_lens, _) = self.layout(&self.member_lists());
-        let mut at = IMAGE_HEADER_LEN + prefix_len;
-        section_lens
-            .into_iter()
-            .map(|len| {
-                let r = at..at + len.section;
-                at += len.section;
-                r
-            })
-            .collect()
+        DeltaImage::full(0, self, 1).capture_section_ranges()
     }
 
     /// Byte range of the member-list table within the serialized image
     /// (its count word included) — the wire-fuzz suite aims
     /// checksum-repaired mutations at it.
     pub fn member_table_range(&self) -> std::ops::Range<usize> {
-        let mut preamble = CountEnc::new();
-        self.enc_preamble(&mut preamble);
-        let start = IMAGE_HEADER_LEN + preamble.count();
-        start..start + self.member_lists().table_len()
+        DeltaImage::full(0, self, 1).member_table_range()
     }
 
-    /// Parses a serialized image, validating magic, version, length, and
+    /// Parses a serialized image, validating magic, version, lengths and
     /// checksum before touching the payload. Only accepts a *full* image;
-    /// a delta payload is rejected with [`ImageError::DeltaChain`] — it
-    /// must be resolved through its store and parent chain
+    /// a delta is rejected with [`ImageError::DeltaChain`] — it must be
+    /// resolved through its store and parent chain
     /// ([`crate::store::TieredStore::load`]).
     pub fn from_bytes(buf: &[u8]) -> Result<Checkpoint, ImageError> {
-        let (payload, _checksum) = validate_image_header(buf)?;
-        Checkpoint::dec_payload(payload)
-    }
-
-    /// Decodes a full image from an authenticated payload (kind byte
-    /// included).
-    pub(crate) fn dec_payload(payload: &[u8]) -> Result<Checkpoint, ImageError> {
-        let mut d = Dec::new(payload);
-        let (mut ckpt, mut lists) = Checkpoint::dec_payload_prefix(&mut d)?;
-        for _ in 0..ckpt.n_ranks {
-            ckpt.captures.push(dec_capture(&mut d, &mut lists)?);
-        }
-        ckpt.in_flight = dec_in_flight(&mut d)?;
-        (ckpt.cut_events, ckpt.io_write_secs, ckpt.io_read_secs) =
-            dec_payload_suffix(&mut d, &mut lists)?;
-        validate_shape(&ckpt)?;
-        Ok(ckpt)
-    }
-
-    /// The chunks a full image contributes to a delta chain — every
-    /// rank's restart-stable half in rank order, then the in-flight set —
-    /// as spans of its authenticated `payload`, and its world size. The
-    /// spans hold the bytes [`crate::store::delta::full_image_refs`]
-    /// hashes; nothing inside them is decoded, everything around them is,
-    /// to the payload's last byte, so a span can only be what the encoder
-    /// wrote there.
-    pub(crate) fn payload_chunks(payload: &[u8]) -> Result<(usize, Vec<&[u8]>), ImageError> {
-        let mut d = Dec::new(payload);
-        let (ckpt, mut lists) = Checkpoint::dec_payload_prefix(&mut d)?;
-        let mut chunks = Vec::with_capacity(ckpt.n_ranks + 1);
-        for rank in 0..ckpt.n_ranks {
-            let (v, stable) = dec_capture_volatile(&mut d)?;
-            if v.rank != rank {
-                return Err(ImageError::Malformed("capture rank vs position"));
-            }
-            chunks.push(stable);
-        }
-        let at = payload.len() - d.remaining();
-        dec_in_flight(&mut d)?;
-        chunks.push(&payload[at..payload.len() - d.remaining()]);
-        dec_payload_suffix(&mut d, &mut lists)?;
-        Ok((ckpt.n_ranks, chunks))
-    }
-
-    /// Reads what [`Checkpoint::enc_payload_prefix`] wrote: an image with
-    /// no captures yet, and its member-list table.
-    fn dec_payload_prefix(d: &mut Dec) -> Result<(Checkpoint, MemberIntern), ImageError> {
-        match d.u8("image kind")? {
-            IMAGE_KIND_FULL => {}
-            IMAGE_KIND_DELTA => {
-                return Err(ImageError::DeltaChain(
-                    "standalone decode of a delta image; resolve it through its parent chain",
-                ))
-            }
-            _ => return Err(ImageError::Malformed("image kind")),
-        }
-        let epoch = d.u64("epoch")?;
-        let n_ranks = d.usize("n_ranks")?;
-        let protocol = protocol_from_code(d.u8("protocol")?)?;
-        let origin = CaptureOrigin {
-            ranks_per_node: d.usize("ranks_per_node")?,
-            params: dec_params(d)?,
-        };
-        let request_clock = dec_vtime(d, "request clock")?;
-        let initial_targets = dec_target_map(d, "initial targets")?;
-        let final_targets = dec_target_map(d, "final targets")?;
-        let achieved = dec_target_map(d, "achieved map")?;
-        let mut lists = MemberIntern::new(n_ranks);
-        lists.dec_table(d)?;
-        let n_caps = d.seq_len("capture count")?;
-        if n_caps != n_ranks {
-            return Err(ImageError::Malformed("capture count vs n_ranks"));
-        }
-        let ckpt = Checkpoint {
-            epoch,
-            n_ranks,
-            protocol,
-            origin,
-            request_clock,
-            initial_targets,
-            final_targets,
-            achieved,
-            captures: Vec::with_capacity(n_caps),
-            in_flight: Vec::new(),
-            cut_events: Cut::default(),
-            io_write_secs: 0.0,
-            io_read_secs: 0.0,
-        };
-        Ok((ckpt, lists))
+        DeltaImage::checkpoint_from_bytes(buf)
     }
 
     /// Writes the serialized image to `path`; returns the byte count. An
@@ -520,38 +351,42 @@ impl Checkpoint {
         Checkpoint::from_bytes(&bytes)
     }
 
-    /// Size of the serialized runtime state in bytes, computed by a
-    /// counting pass — nothing is encoded.
+    /// Size of the serialized image in bytes; nothing is assembled.
     pub fn serialized_len(&self) -> usize {
-        let (prefix_len, section_lens, suffix_len) = self.layout(&self.member_lists());
-        let sections: usize = section_lens.iter().map(|l| l.section).sum();
-        IMAGE_HEADER_LEN + prefix_len + sections + suffix_len
+        DeltaImage::full(0, self, 1).serialized_len()
     }
 }
 
-/// Opens `out` with the fixed image header, length and checksum zeroed
-/// until [`backpatch_header`] fills them in.
-pub(crate) fn enc_header_placeholder(out: &mut Vec<u8>) {
+/// Opens `out` with the fixed image header of a `head_len`-byte head
+/// followed by `chunks_len` bytes of chunks; the checksum stays zero
+/// until [`reseal`].
+pub(crate) fn enc_header(out: &mut Vec<u8>, head_len: usize, chunks_len: usize) {
     out.raw(&IMAGE_MAGIC);
     out.u32(IMAGE_VERSION);
-    out.usize(0);
+    out.usize(head_len + chunks_len);
+    out.usize(head_len);
     out.u64(0);
 }
 
-/// Writes the payload length and its FNV-1a checksum into the header of a
-/// fully-assembled image, in place — no second copy of the payload.
-pub(crate) fn backpatch_header(out: &mut [u8]) {
-    let payload = &out[IMAGE_HEADER_LEN..];
-    let (len, sum) = (payload.len() as u64, fnv1a64(payload));
-    out[IMAGE_LEN_OFFSET..IMAGE_LEN_OFFSET + 8].copy_from_slice(&len.to_le_bytes());
+/// Writes the FNV-1a checksum of an image's head — as long as its header
+/// says, within the buffer — into the header, in place.
+pub(crate) fn reseal(out: &mut [u8]) {
+    let head_len = u64::from_le_bytes(word(out, IMAGE_HEAD_LEN_OFFSET));
+    let start = IMAGE_HEADER_LEN.min(out.len());
+    let end =
+        usize::try_from(head_len).map_or(out.len(), |n| start.saturating_add(n).min(out.len()));
+    let sum = fnv1a64(&out[start..end]);
     out[IMAGE_CHECKSUM_OFFSET..IMAGE_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Validates the fixed image header — magic, version, length, trailing
-/// bytes, FNV-1a checksum — and returns the authenticated payload slice
-/// plus the header's checksum word (delta chains use it as the parent
-/// fingerprint). Shared by full-image and delta-image decoding.
-pub(crate) fn validate_image_header(buf: &[u8]) -> Result<(&[u8], u64), ImageError> {
+fn word(buf: &[u8], at: usize) -> [u8; 8] {
+    buf[at..at + 8].try_into().expect("an 8-byte header word")
+}
+
+/// Validates the fixed image header — magic, version, lengths, trailing
+/// bytes, the FNV-1a checksum of the head — and returns the authenticated
+/// head and the chunk section behind it.
+pub(crate) fn validate_image_header(buf: &[u8]) -> Result<(&[u8], &[u8]), ImageError> {
     const HEADER: usize = IMAGE_HEADER_LEN;
     if buf.len() < HEADER {
         if !buf.starts_with(&IMAGE_MAGIC[..buf.len().min(8)]) {
@@ -571,6 +406,7 @@ pub(crate) fn validate_image_header(buf: &[u8]) -> Result<(&[u8], u64), ImageErr
         return Err(ImageError::UnsupportedVersion(version));
     }
     let payload_len = h.usize("payload length").expect("sized above");
+    let head_len = h.usize("head length").expect("sized above");
     let checksum = h.u64("checksum").expect("sized above");
     // Checked arithmetic: a corrupted length near `usize::MAX` must
     // not wrap past the bounds check and panic in the slice below.
@@ -589,27 +425,27 @@ pub(crate) fn validate_image_header(buf: &[u8]) -> Result<(&[u8], u64), ImageErr
         // would round-trip undetected.
         return Err(ImageError::Malformed("trailing bytes"));
     }
-    let payload = &buf[HEADER..total];
-    if fnv1a64(payload) != checksum {
+    if head_len > payload_len {
+        return Err(ImageError::Malformed("head length"));
+    }
+    let (head, chunks) = buf[HEADER..total].split_at(head_len);
+    if fnv1a64(head) != checksum {
         return Err(ImageError::ChecksumMismatch);
     }
-    Ok((payload, checksum))
+    Ok((head, chunks))
 }
 
 /// The checksum word of an already-serialized image's header. The caller
 /// must have produced or validated `buf`; this only reads the field.
 pub(crate) fn header_checksum(buf: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&buf[IMAGE_CHECKSUM_OFFSET..IMAGE_CHECKSUM_OFFSET + 8]);
-    u64::from_le_bytes(w)
+    u64::from_le_bytes(word(buf, IMAGE_CHECKSUM_OFFSET))
 }
 
-/// Range validation shared by full-image decode and delta-chain
-/// resolution: the checksum authenticates accidental corruption, not a
-/// hand-edited file, and every rank index in the image is later used to
-/// address per-rank control state. Reject out-of-range indices here so a
-/// tampered image fails with a typed error instead of an out-of-bounds
-/// panic mid-restore.
+/// Range validation of a materialized image: the checksum authenticates
+/// accidental corruption, not a hand-edited file, and every rank index in
+/// the image is later used to address per-rank control state. Reject
+/// out-of-range indices here so a tampered image fails with a typed error
+/// instead of an out-of-bounds panic mid-restore.
 pub(crate) fn validate_shape(c: &Checkpoint) -> Result<(), ImageError> {
     if c.n_ranks == 0 || c.origin.ranks_per_node == 0 {
         return Err(ImageError::Malformed("world shape"));
@@ -638,74 +474,6 @@ pub(crate) fn validate_shape(c: &Checkpoint) -> Result<(), ImageError> {
         }
     }
     Ok(())
-}
-
-/// Exact encoded size of one rank's capture section, and of the
-/// restart-stable half that closes it (the section's first word).
-#[derive(Debug, Clone, Copy)]
-struct SectionLen {
-    section: usize,
-    stable: usize,
-}
-
-fn capture_section_len(lists: &MemberIntern, c: &RuntimeCapture) -> SectionLen {
-    let mut n = CountEnc::new();
-    enc_capture_stable(&mut n, lists, c);
-    let stable = n.count();
-    enc_capture_volatile(&mut n, c, stable);
-    SectionLen {
-        section: n.count(),
-        stable,
-    }
-}
-
-fn encode_one_section(lists: &MemberIntern, c: &RuntimeCapture, len: SectionLen, buf: &mut [u8]) {
-    let mut w = SliceEnc::new(buf);
-    enc_capture_volatile(&mut w, c, len.stable);
-    enc_capture_stable(&mut w, lists, c);
-    w.finish();
-}
-
-/// Encodes each capture into its disjoint pre-sized window of `buf`,
-/// fanning contiguous batches of sections out across up to `workers`
-/// scoped threads.
-fn encode_capture_sections(
-    workers: usize,
-    lists: &MemberIntern,
-    captures: &[RuntimeCapture],
-    section_lens: &[SectionLen],
-    buf: &mut [u8],
-) {
-    debug_assert_eq!(captures.len(), section_lens.len());
-    let mut sections: Vec<(usize, &mut [u8])> = Vec::with_capacity(captures.len());
-    let mut rest = buf;
-    for (i, len) in section_lens.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(len.section);
-        sections.push((i, head));
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "section lengths must cover the buffer");
-
-    let workers = workers.clamp(1, captures.len().max(1));
-    if workers <= 1 {
-        for (i, s) in sections {
-            encode_one_section(lists, &captures[i], section_lens[i], s);
-        }
-        return;
-    }
-    let chunk = sections.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut remaining = sections;
-        while !remaining.is_empty() {
-            let tail = remaining.split_off(chunk.min(remaining.len()));
-            let batch = std::mem::replace(&mut remaining, tail);
-            scope.spawn(move || {
-                for (i, s) in batch {
-                    encode_one_section(lists, &captures[i], section_lens[i], s);
-                }
-            });
-        }
-    });
 }
 
 // ----------------------------------------------------------------------
@@ -813,8 +581,8 @@ const MAX_RANGE_MEMBERS: usize = 1 << 24;
 
 /// How one reference to a group member list is written. A function of the
 /// list's content alone — never of which allocation holds it, or of what
-/// else the image contains — so a stable chunk re-encoded at chain
-/// resolution reproduces the bytes its descendants hashed.
+/// else the image contains — so equal stable halves encode to one chunk,
+/// in any image of any generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MemberRef {
     /// A contiguous ascending run (the world group, every identity
@@ -859,6 +627,10 @@ fn alloc_addr(m: &Arc<[usize]>) -> usize {
     Arc::as_ptr(m) as *const usize as usize
 }
 
+/// An image's member-list table: every non-contiguous list it references,
+/// by content id.
+pub type MemberTable = BTreeMap<u64, Arc<[usize]>>;
+
 /// The member lists of one image, interned by content: range-form lists
 /// by `(start, len)`, every other list by content id — the image's
 /// member-list table.
@@ -874,7 +646,7 @@ pub(crate) struct MemberIntern {
     n_ranks: usize,
     ranges: HashMap<(usize, usize), Arc<[usize]>>,
     /// The table; `BTreeMap` order is the canonical wire order.
-    lists: BTreeMap<u64, Arc<[usize]>>,
+    lists: MemberTable,
     /// Encode-side cache: the verdict on every allocation noted so far,
     /// by address. Holding the allocation keeps the address from being
     /// reused while the cache lives. Never the identity of a list: two
@@ -948,13 +720,6 @@ impl MemberIntern {
         self.resolve(r, what)
     }
 
-    /// Notes every list the restart-stable half of `c` references.
-    pub(crate) fn note_capture(&mut self, c: &RuntimeCapture) {
-        for m in capture_member_refs(c) {
-            self.note(m);
-        }
-    }
-
     /// The reference form of `m`: the cached verdict when the allocation
     /// was noted, computed from the content otherwise.
     fn reference(&self, m: &Arc<[usize]>) -> MemberRef {
@@ -964,9 +729,23 @@ impl MemberIntern {
         }
     }
 
-    /// The table's lists in canonical (content id) order.
-    pub(crate) fn table(&self) -> impl Iterator<Item = &Arc<[usize]>> {
-        self.lists.values()
+    /// A table holding `table`'s lists under their ids, which the caller
+    /// vouches for (the decoder verified them, or an encoder computed
+    /// them): a reference to one of these allocations resolves without
+    /// hashing the list again.
+    pub(crate) fn with_table(n_ranks: usize, table: &MemberTable) -> Self {
+        let mut lists = MemberIntern::new(n_ranks);
+        for (&id, m) in table {
+            let noted = (Arc::clone(m), MemberRef::Listed(id));
+            lists.noted.insert(alloc_addr(m), noted);
+        }
+        lists.lists = table.clone();
+        lists
+    }
+
+    /// The table, in canonical (content id) order.
+    pub(crate) fn table(&self) -> &MemberTable {
+        &self.lists
     }
 
     /// Encoded size of the table.
@@ -1178,84 +957,6 @@ fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
     Ok(CommOpRecord { op, result })
 }
 
-/// Opens a rank section: the byte length of the restart-stable half that
-/// follows, then the volatile half — identity, execution position, and
-/// the per-generation flow counts. These change at every checkpoint, so
-/// delta images always carry them inline.
-fn enc_capture_volatile<W: Wr>(e: &mut W, c: &RuntimeCapture, stable_len: usize) {
-    e.usize(stable_len);
-    e.usize(c.rank);
-    e.u8(c.state as u8);
-    e.f64(c.clock.as_secs());
-    match c.pending_barrier {
-        None => e.u8(0),
-        Some((vc, ord)) => {
-            e.u8(1);
-            e.u64(vc);
-            e.u64(ord);
-        }
-    }
-    e.u64(c.p2p_sent);
-    e.u64(c.p2p_delivered);
-}
-
-/// The volatile half of one decoded rank section.
-struct VolatileHalf {
-    rank: usize,
-    state: RankState,
-    clock: VTime,
-    pending_barrier: Option<(u64, u64)>,
-    p2p_sent: u64,
-    p2p_delivered: u64,
-}
-
-/// Reads one rank section up to its restart-stable half, which it hands
-/// back as bytes: exactly the span the section's length word declares, so
-/// neither a decode of it nor a slice can run into the next section.
-fn dec_capture_volatile<'a>(d: &mut Dec<'a>) -> Result<(VolatileHalf, &'a [u8]), ImageError> {
-    let stable_len = d.usize("stable-half length")?;
-    let rank = d.usize("capture rank")?;
-    let state = match d.u8("capture state")? {
-        s @ 0..=6 => RankState::from_u8(s),
-        _ => return Err(ImageError::Malformed("capture state")),
-    };
-    let clock = dec_vtime(d, "capture clock")?;
-    let pending_barrier = match d.u8("pending-barrier tag")? {
-        0 => None,
-        1 => Some((
-            d.u64("pending-barrier vcomm")?,
-            d.u64("pending-barrier ordinal")?,
-        )),
-        _ => return Err(ImageError::Malformed("pending-barrier tag")),
-    };
-    let volatile = VolatileHalf {
-        rank,
-        state,
-        clock,
-        pending_barrier,
-        p2p_sent: d.u64("p2p sent")?,
-        p2p_delivered: d.u64("p2p delivered")?,
-    };
-    Ok((volatile, d.take(stable_len, "stable-half length")?))
-}
-
-fn dec_capture(d: &mut Dec, lists: &mut MemberIntern) -> Result<RuntimeCapture, ImageError> {
-    let (v, stable) = dec_capture_volatile(d)?;
-    let mut sd = Dec::new(stable);
-    let stable = dec_capture_stable(&mut sd, lists)?;
-    if !sd.finished() {
-        return Err(ImageError::Malformed("stable-half length"));
-    }
-    Ok(stable.into_capture(
-        v.rank,
-        v.state,
-        v.clock,
-        v.pending_barrier,
-        v.p2p_sent,
-        v.p2p_delivered,
-    ))
-}
-
 /// Encodes the restart-stable half of a rank capture: sequence table,
 /// communicator creation log, pending receives, call counters, and the
 /// vcomm maps. This is exactly the byte span delta images content-address
@@ -1302,49 +1003,13 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &Run
     }
 }
 
-/// The decoded restart-stable half of a rank capture; combined with the
-/// volatile fields (carried inline by both full and delta images) it
-/// rebuilds the full [`RuntimeCapture`].
-pub(crate) struct StableState {
-    pub seq_table: SeqTable,
-    pub comm_log: Vec<CommOpRecord>,
-    pub pending_recvs: Vec<PendingRecv>,
-    pub counters: CallCounters,
-    pub vcomm_to_lower: HashMap<u64, CommId>,
-    pub vcomm_members: HashMap<u64, Arc<[usize]>>,
-}
-
-impl StableState {
-    pub(crate) fn into_capture(
-        self,
-        rank: usize,
-        state: RankState,
-        clock: VTime,
-        pending_barrier: Option<(u64, u64)>,
-        p2p_sent: u64,
-        p2p_delivered: u64,
-    ) -> RuntimeCapture {
-        RuntimeCapture {
-            rank,
-            state,
-            clock,
-            seq_table: self.seq_table,
-            comm_log: self.comm_log,
-            pending_recvs: self.pending_recvs,
-            pending_barrier,
-            counters: self.counters,
-            p2p_sent,
-            p2p_delivered,
-            vcomm_to_lower: self.vcomm_to_lower,
-            vcomm_members: self.vcomm_members,
-        }
-    }
-}
-
-pub(crate) fn dec_capture_stable(
+/// Rebuilds one rank's capture from its volatile record and its stable
+/// chunk, read from `d`.
+pub(crate) fn dec_capture(
     d: &mut Dec,
     lists: &mut MemberIntern,
-) -> Result<StableState, ImageError> {
+    v: &VolatileRecord,
+) -> Result<RuntimeCapture, ImageError> {
     let n_seq = d.seq_len("seq-table length")?;
     let mut seq_table = SeqTable::new();
     for _ in 0..n_seq {
@@ -1380,11 +1045,17 @@ pub(crate) fn dec_capture_stable(
         let v = d.u64("vcomm member key")?;
         vcomm_members.insert(v, dec_members(d, lists, "vcomm member list")?);
     }
-    Ok(StableState {
+    Ok(RuntimeCapture {
+        rank: v.rank,
+        state: v.state,
+        clock: v.clock,
         seq_table,
         comm_log,
         pending_recvs,
+        pending_barrier: v.pending_barrier,
         counters,
+        p2p_sent: v.p2p_sent,
+        p2p_delivered: v.p2p_delivered,
         vcomm_to_lower,
         vcomm_members,
     })
@@ -1442,20 +1113,6 @@ pub(crate) fn dec_in_flight(d: &mut Dec) -> Result<Vec<DrainedMsg>, ImageError> 
     Ok(in_flight)
 }
 
-/// Reads what follows a full image's in-flight set, to the payload's
-/// last byte: the cut and the io seconds (write, read).
-fn dec_payload_suffix(
-    d: &mut Dec,
-    lists: &mut MemberIntern,
-) -> Result<(Cut, f64, f64), ImageError> {
-    let cut = dec_cut(d, lists)?;
-    let io = (d.f64("io_write_secs")?, d.f64("io_read_secs")?);
-    if !d.finished() {
-        return Err(ImageError::Malformed("trailing bytes"));
-    }
-    Ok((cut, io.0, io.1))
-}
-
 /// Writes a cut: run count, then `rank, ggid, first, last, members` per
 /// run in the cut's canonical order.
 pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
@@ -1471,9 +1128,9 @@ pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
 
 /// Reads a cut written by [`enc_cut`], checking what the encoder
 /// guarantees: sequence numbers start at 1, a run does not end before it
-/// starts, the runs are in canonical order (so none is listed twice).
-/// Ranks are range-checked with the rest of the image
-/// ([`validate_shape`]), members by the table they resolve through.
+/// starts, the runs are in canonical order (so none is listed twice),
+/// every rank is inside the world. Members are range-checked by the table
+/// they resolve through.
 pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, ImageError> {
     let n = d.seq_len("cut-run count")?;
     let mut runs: Vec<CutRun> = Vec::with_capacity(n);
@@ -1485,6 +1142,9 @@ pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, Imag
             last: d.u64("run last")?,
             members: dec_members(d, lists, "run members")?,
         };
+        if run.rank >= lists.n_ranks {
+            return Err(ImageError::Malformed("cut-run rank"));
+        }
         if run.first == 0 || run.first > run.last {
             return Err(ImageError::Malformed("run bounds"));
         }
@@ -1500,7 +1160,7 @@ pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, Imag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mana_core::{ExecEvent, Node};
+    use mana_core::{ExecEvent, Node, RankState};
 
     fn ev(rank: usize, g: u64, seq: u64, members: &[usize]) -> ExecEvent {
         ExecEvent {
@@ -1829,16 +1489,20 @@ mod tests {
     /// Re-seals a hand-edited image so the edit reaches the structural
     /// decoder instead of the checksum.
     fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
-        backpatch_header(&mut bytes);
+        reseal(&mut bytes);
         bytes
+    }
+
+    /// Where the head of a serialized image ends: the cut closes it.
+    fn head_end(bytes: &[u8]) -> usize {
+        IMAGE_HEADER_LEN + u64::from_le_bytes(word(bytes, IMAGE_HEAD_LEN_OFFSET)) as usize
     }
 
     /// Both entry points refuse `bytes` with `Malformed(what)`.
     fn assert_malformed(bytes: &[u8], what: &str) {
-        use crate::store::ImagePayload;
         for got in [
             Checkpoint::from_bytes(bytes).err(),
-            ImagePayload::from_bytes(bytes).err(),
+            DeltaImage::from_bytes(bytes).err(),
         ] {
             match got {
                 Some(ImageError::Malformed(w)) => assert_eq!(w, what),
@@ -1898,7 +1562,7 @@ mod tests {
         assert_eq!(
             table.end + 8,
             c.capture_section_ranges()[0].start,
-            "only the capture count sits between the table and the sections"
+            "only the capture count sits between the table and the records"
         );
         // One more run on the strided group — rank, ggid, first, last,
         // tag, id — however many collectives it covers.
@@ -1927,7 +1591,7 @@ mod tests {
         // A reference to an id the table does not hold: the last run is
         // rank 7's on the world, the one before is on a listed group.
         let mut m = bytes.clone();
-        let last_listed_id = bytes.len() - 16 - (8 + 8 + 8 + 8 + 17) - 8;
+        let last_listed_id = head_end(&bytes) - (8 + 8 + 8 + 8 + 17) - 8;
         m[last_listed_id] ^= 0x01;
         assert_malformed(&resealed(m), "run members");
 
@@ -1952,7 +1616,8 @@ mod tests {
         ));
 
         // A member outside the world inside a (correctly hashed) entry, and
-        // a range that runs past it.
+        // a range that runs past it: first met in the head, at the cut, by
+        // both decoders; inside a rank's chunk, when the image is rebuilt.
         let outside = lists_ckpt(|v| match v {
             [0, 2, 4, 6] => [0, 2, 4, 99][..].into(),
             v => v.into(),
@@ -1962,7 +1627,15 @@ mod tests {
             8 => (0..9).collect(),
             _ => v.into(),
         });
-        assert_malformed(&overlong.to_bytes(), "seq-table members");
+        assert_malformed(&overlong.to_bytes(), "run members");
+        let mut overlong = shared_lists_ckpt();
+        for c in &mut overlong.captures {
+            c.seq_table.restore(Ggid(1), 2, (0..9).collect::<Vec<_>>());
+        }
+        assert_eq!(
+            Checkpoint::from_bytes(&overlong.to_bytes()),
+            Err(ImageError::Malformed("seq-table members"))
+        );
 
         // Pristine bytes still parse.
         assert!(Checkpoint::from_bytes(&bytes).is_ok());
@@ -1971,7 +1644,7 @@ mod tests {
     #[test]
     fn older_wire_versions_are_refused() {
         let mut bytes = rich_ckpt().to_bytes();
-        for old in [4, 5] {
+        for old in [4, 5, 6] {
             bytes[IMAGE_VERSION_OFFSET] = old;
             assert_eq!(
                 Checkpoint::from_bytes(&bytes),

@@ -67,13 +67,15 @@
 //!   [`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`] /
 //!   [`Checkpoint::save_to`] / [`Checkpoint::load_from`], versioned and
 //!   checksummed ([`image::ImageError`] enumerates the rejections).
-//!   Serialization is **zero-copy and parallel**: the header is reserved
-//!   up front, each rank's capture section is encoded in place into a
-//!   pre-sized disjoint window of the final buffer
-//!   ([`Checkpoint::to_bytes_parallel`] fans the sections out across
-//!   worker threads), the FNV-1a checksum streams over the assembled
-//!   payload, and length+checksum are backpatched — the parallel encoder
-//!   is byte-for-byte identical to the serial one.
+//!   There is one codec, [`DeltaImage`]: a full image is a delta with no
+//!   parent. Each rank's restart-stable state is a **content-addressed
+//!   chunk**, stored once however many ranks share it; the head (member
+//!   table, per-rank records with each chunk's address, cut) carries an
+//!   FNV-1a checksum, and each chunk is verified by re-hashing it against
+//!   its address. Chunks encode and hash **in parallel**
+//!   ([`Checkpoint::to_bytes_parallel`] fans them out across worker
+//!   threads), and the output is byte-for-byte identical to the serial
+//!   encoder's.
 //! * [`runner::run_ckpt_world`] — launches the ranks and supervises the
 //!   policy, returning every captured image for oracle verification
 //!   with [`mana_core::verify_safe_cut`] — over the image's
@@ -107,18 +109,16 @@
 //! write's modeled cost from the matching `netmodel` tier model.
 //!
 //! Images on a tiered run can be **incremental**. Under a
-//! [`DeltaPolicy`], a generation is written as a [`DeltaImage`] (the
-//! same header, kind byte [`IMAGE_KIND_DELTA`]): only the volatile
-//! per-rank scalars plus the restart-stable state of ranks that
-//! *changed* since the parent generation, with unchanged state carried
-//! as content-addressed chunk references dedup'd across the whole
-//! ancestor chain. Each delta records its parent's generation number
+//! [`DeltaPolicy`], a generation is written relative to its parent (the
+//! same layout, kind byte [`IMAGE_KIND_DELTA`]): the per-rank volatile
+//! records as always, but inline only the chunks the ancestor chain
+//! lacks — the restart-stable state of ranks that *changed* since the
+//! parent generation. Each delta records its parent's generation number
 //! and header checksum; restore ([`TieredStore::load`]) walks the chain
-//! leaf→root, authenticates every element and verifies every link,
-//! gathers the ancestors' chunks in a [`ChunkPool`] (the root's are
-//! sliced out of its stored bytes), and decodes the leaf alone against
-//! it — producing a checkpoint bit-identical to a full image's. Broken
-//! chains fail typed: a missing ancestor is
+//! leaf→root, decodes and authenticates every element alike, verifies
+//! every link, gathers their inline chunks in a [`ChunkPool`], and
+//! rebuilds the leaf against it — producing a checkpoint bit-identical to
+//! a full image's. Broken chains fail typed: a missing ancestor is
 //! [`ImageError::DanglingParent`], a forged link or truncated chunk is
 //! [`ImageError::DeltaChain`].
 //!
@@ -291,6 +291,6 @@ pub use runner::{
 };
 pub use session::Session;
 pub use store::{
-    ChunkPool, ChunkRef, CkptStore, CkptTier, DeltaImage, ImagePayload, ImageSetLayout,
-    SaveReceipt, StoreError, StoreRecord, TierModels, TieredStore, Tiering,
+    ChunkPool, ChunkRef, CkptStore, CkptTier, DeltaImage, ImageSetLayout, ParentRef, SaveReceipt,
+    StoreError, StoreRecord, TierModels, TieredStore, Tiering,
 };

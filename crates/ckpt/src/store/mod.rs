@@ -7,9 +7,11 @@
 //! one inter-node transfer, survives any single node loss), and
 //! **Lustre** (the parallel filesystem, slowest, survives anything). The
 //! [`CkptStore`] trait abstracts one level; [`TieredStore`] multiplexes
-//! the three, tracks which generation landed where, resolves incremental
-//! images ([`DeltaImage`]) back to full checkpoints, and simulates node
-//! loss for availability tests ([`TieredStore::drop_node`]).
+//! the three, tracks which generation landed where, writes each
+//! generation as a [`DeltaImage`] — full (no parent) or relative to the
+//! previous generation — resolves a chain of them back to a checkpoint,
+//! and simulates node loss for availability tests
+//! ([`TieredStore::drop_node`]).
 //!
 //! Costs are modeled, like all I/O in this crate: each backend charges
 //! virtual seconds from its `netmodel` tier model
@@ -19,12 +21,9 @@
 
 pub mod delta;
 
-pub use delta::{ChunkPool, ChunkRef, DeltaImage, ImagePayload, VolatileRecord};
+pub use delta::{ChunkPool, ChunkRef, DeltaImage, ParentRef, VolatileRecord};
 
-use crate::image::{
-    header_checksum, validate_image_header, Checkpoint, ImageError, IMAGE_HEADER_LEN,
-    IMAGE_KIND_DELTA,
-};
+use crate::image::{header_checksum, Checkpoint, ImageError, MemberIntern};
 use netmodel::{LustreModel, MemoryTierModel, PartnerTierModel};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -426,22 +425,12 @@ pub struct GenMeta {
 
 /// The latest stored generation, kept around so the next save can build a
 /// delta against it without re-reading any tier.
+#[derive(Clone)]
 struct ParentCtx {
-    gen: u64,
-    checksum: u64,
+    /// What an image written relative to this one records as its parent.
+    link: ParentRef,
     image: Arc<Checkpoint>,
     known: Arc<HashSet<ChunkRef>>,
-}
-
-impl Clone for ParentCtx {
-    fn clone(&self) -> Self {
-        ParentCtx {
-            gen: self.gen,
-            checksum: self.checksum,
-            image: Arc::clone(&self.image),
-            known: Arc::clone(&self.known),
-        }
-    }
 }
 
 /// What a [`TieredStore::save`] did.
@@ -455,7 +444,8 @@ pub struct SaveReceipt {
     pub bytes: usize,
     /// Parent generation if this save produced a delta image.
     pub delta_parent: Option<u64>,
-    /// Inline chunks the delta carried (full saves report every rank).
+    /// Chunks the image carried inline (a full save carries every
+    /// distinct one).
     pub new_chunks: usize,
 }
 
@@ -511,7 +501,7 @@ impl TieredStore {
         self.latest
             .lock()
             .as_ref()
-            .map(|p| (p.gen, Arc::clone(&p.image)))
+            .map(|p| (p.link.generation, Arc::clone(&p.image)))
     }
 
     /// Stored generation numbers, ascending.
@@ -526,11 +516,11 @@ impl TieredStore {
         self.meta.lock().get(&gen).copied()
     }
 
-    /// Serializes `image` and stores it on `tier` as the next generation.
-    /// With `want_delta`, and when a same-shape parent generation exists,
-    /// an incremental image is built against it (chunks already derivable
-    /// from the ancestor chain are dedup'd away); otherwise a full image
-    /// is written, encoded on up to `encode_workers` threads.
+    /// Serializes `image` and stores it on `tier` as the next generation,
+    /// its chunks encoded on up to `encode_workers` threads. With
+    /// `want_delta`, and when a same-shape parent generation exists, the
+    /// image is written relative to it (chunks already derivable from the
+    /// ancestor chain are dedup'd away); otherwise it is a full image.
     pub fn save(
         &self,
         tier: CkptTier,
@@ -539,39 +529,27 @@ impl TieredStore {
         encode_workers: usize,
     ) -> SaveReceipt {
         let gen = self.next_gen.fetch_add(1, Ordering::SeqCst);
-        let parent = self.latest.lock().clone();
         let nodes = image.n_ranks.div_ceil(image.origin.ranks_per_node);
 
-        let as_delta = parent
+        let parent =
+            (self.latest.lock().clone()).filter(|p| want_delta && p.image.n_ranks == image.n_ranks);
+        let mut known: HashSet<ChunkRef> = parent
             .as_ref()
-            .filter(|p| want_delta && p.image.n_ranks == image.n_ranks);
-        let (bytes, delta_parent, new_chunk_count, known) = match as_delta {
-            Some(p) => {
-                let d = DeltaImage::build(gen, p.gen, p.checksum, &p.image, &p.known, &image);
-                let mut known: HashSet<ChunkRef> = (*p.known).clone();
-                known.extend(d.rank_refs.iter().copied());
-                known.insert(d.in_flight_ref);
-                (d.to_bytes(), Some(p.gen), d.new_chunks.len(), known)
-            }
-            None => {
-                // The chunks descendants will dedup against, hashed where
-                // they already lie in the bytes just written.
-                let bytes = image.to_bytes_parallel(encode_workers);
-                let (_, chunks) = Checkpoint::payload_chunks(&bytes[IMAGE_HEADER_LEN..])
-                    .expect("the encoder's own output has the encoder's layout");
-                let refs = chunks.iter().map(|c| delta::chunk_ref(c)).collect();
-                let n = chunks.len();
-                (bytes, None, n, refs)
-            }
+            .map_or_else(HashSet::new, |p| (*p.known).clone());
+        let d = DeltaImage::new(gen, parent.map(|p| p.link), &known, &image, encode_workers);
+        known.extend(d.refs());
+        let bytes = d.to_bytes();
+        let delta_parent = d.parent.map(|p| p.generation);
+        let link = ParentRef {
+            generation: gen,
+            checksum: header_checksum(&bytes),
         };
-
-        let checksum = header_checksum(&bytes);
         let receipt = SaveReceipt {
             generation: gen,
             tier,
             bytes: bytes.len(),
             delta_parent,
-            new_chunks: new_chunk_count,
+            new_chunks: d.new_chunks.len(),
         };
         self.backend(tier).put(gen, bytes, nodes);
         self.meta.lock().insert(
@@ -583,8 +561,7 @@ impl TieredStore {
             },
         );
         *self.latest.lock() = Some(ParentCtx {
-            gen,
-            checksum,
+            link,
             image,
             known: Arc::new(known),
         });
@@ -596,16 +573,15 @@ impl TieredStore {
     /// chain element: a memory-tier ancestor lost with its node fails the
     /// whole load with [`StoreError::NodeLost`].
     ///
-    /// Every element of the chain is authenticated byte for byte; only
-    /// the requested generation is decoded. An ancestor is asked for
-    /// nothing but its chunks: a delta's are inline, the full root's are
-    /// sliced out of its stored bytes.
+    /// Every element of the chain is authenticated byte for byte and
+    /// decoded alike; an ancestor is asked for nothing but its inline
+    /// chunks, and the requested generation alone is materialized.
     pub fn load(&self, gen: u64) -> Result<Checkpoint, StoreError> {
         let mut pool = ChunkPool::new();
-        // The requested generation, once it turns out to be a delta, and
-        // `(generation, parent checksum)` of the delta whose parent is
-        // fetched next.
-        let mut leaf: Option<DeltaImage> = None;
+        // The requested generation with the member lists its head
+        // resolved, and `(generation, parent checksum)` of the image whose
+        // parent is fetched next.
+        let mut leaf: Option<(DeltaImage, MemberIntern)> = None;
         let mut child: Option<(u64, u64)> = None;
         let mut cur = gen;
         loop {
@@ -617,42 +593,31 @@ impl TieredStore {
                 }),
             })?;
             let bytes = self.backend(meta.tier).get(cur)?;
-            let (payload, checksum) = validate_image_header(&bytes)?;
-            if child.is_some_and(|(_, parent_checksum)| parent_checksum != checksum) {
+            let (d, lists, chunks) = DeltaImage::decode(&bytes)?;
+            if child.is_some_and(|(_, checksum)| checksum != header_checksum(&bytes)) {
                 return Err(ImageError::DeltaChain("parent checksum mismatch").into());
             }
-            let world_size = |n_ranks: usize| match &leaf {
-                Some(l) if l.n_ranks != n_ranks => {
-                    Err(ImageError::DeltaChain("parent world size mismatch"))
-                }
-                _ => Ok(()),
-            };
-            if payload.first() == Some(&IMAGE_KIND_DELTA) {
-                let d = DeltaImage::dec_payload(payload)?;
-                if d.generation != cur {
-                    return Err(ImageError::DeltaChain("stored generation mismatch").into());
-                }
-                if d.parent_generation >= cur {
-                    // A parent must predate its child; anything else
-                    // is a forged ref that could cycle forever.
-                    return Err(ImageError::DeltaChain("parent generation not older").into());
-                }
-                world_size(d.n_ranks)?;
-                pool.absorb_delta(&d);
-                child = Some((cur, d.parent_checksum));
-                cur = d.parent_generation;
-                leaf.get_or_insert(d);
-                continue;
+            if d.generation != cur {
+                return Err(ImageError::DeltaChain("stored generation mismatch").into());
             }
-            // A full image: the one asked for, or the chain's root.
-            let Some(leaf) = &leaf else {
-                return Ok(Checkpoint::dec_payload(payload)?);
-            };
-            let (n_ranks, chunks) = Checkpoint::payload_chunks(payload)?;
-            world_size(n_ranks)?;
-            chunks.into_iter().for_each(|c| pool.absorb_chunk(c));
-            return Ok(leaf.materialize(&pool)?);
+            if leaf.as_ref().is_some_and(|(l, _)| l.n_ranks != d.n_ranks) {
+                return Err(ImageError::DeltaChain("parent world size mismatch").into());
+            }
+            pool.absorb(chunks.into_iter().map(|(r, b)| (r, b.to_vec())));
+            let parent = d.parent;
+            leaf.get_or_insert((d, lists));
+            let Some(parent) = parent else { break };
+            if parent.generation >= cur {
+                // A parent must predate its child; anything else is a
+                // forged ref that could cycle forever.
+                return Err(ImageError::DeltaChain("parent generation not older").into());
+            }
+            child = Some((cur, parent.checksum));
+            cur = parent.generation;
         }
+        let (mut leaf, lists) = leaf.expect("the requested generation is decoded first");
+        let cut = std::mem::take(&mut leaf.cut);
+        Ok(leaf.rebuild(lists, cut, |r| pool.get(r))?)
     }
 
     /// Modeled seconds to read generation `gen` back from its tier under

@@ -12,11 +12,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Streaming FNV-1a 64-bit hasher.
 ///
-/// FNV-1a is a strict byte chain (xor then multiply), so independent section
+/// FNV-1a is a strict byte chain (xor then multiply), so independent
 /// digests cannot be combined after the fact — but the chain *can* be fed
-/// incrementally. The parallel image encoder uses this to checksum the
-/// assembled payload section by section, in place, instead of building a
-/// second contiguous copy just to hash it.
+/// incrementally: a member list's content id hashes its words one by one
+/// without first laying them out as bytes.
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
@@ -48,7 +47,8 @@ impl Default for Fnv1a {
     }
 }
 
-/// FNV-1a 64-bit digest — the image integrity checksum.
+/// FNV-1a 64-bit digest — the image head checksum and every chunk's
+/// content address.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(bytes);
@@ -58,11 +58,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// A sink for wire-format writes.
 ///
 /// Implementors provide [`Wr::raw`]; every scalar encoding is defined once in
-/// the provided methods, so the growable encoder ([`Enc`]), the fixed-slice
-/// encoder ([`SliceEnc`]) and the byte counter ([`CountEnc`]) are guaranteed
-/// to lay out bytes identically. That shared layout is what lets the parallel
-/// image encoder pre-size per-rank sections exactly and still emit output
-/// byte-for-byte equal to the serial path.
+/// the provided methods, so the growable encoders ([`Enc`], `Vec<u8>`) and
+/// the byte counter ([`CountEnc`]) are guaranteed to lay out bytes
+/// identically. That shared layout is what lets the image encoder size its
+/// output exactly before writing it.
 pub trait Wr {
     /// Writes raw bytes with no length prefix (header assembly only).
     fn raw(&mut self, v: &[u8]);
@@ -144,53 +143,8 @@ impl Wr for Vec<u8> {
     }
 }
 
-/// Fixed-capacity encoder over a pre-sized mutable slice.
-///
-/// Per-rank image sections are encoded through this into disjoint
-/// `split_at_mut` windows of the final buffer, so worker threads write
-/// concurrently with no post-hoc copy.
-///
-/// # Panics
-/// Writing past the end of the slice panics: section sizes are computed by
-/// running the identical encode code through [`CountEnc`], so an overflow is
-/// an encoder bug, not an input error.
-#[derive(Debug)]
-pub struct SliceEnc<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-}
-
-impl<'a> SliceEnc<'a> {
-    /// Encoder over `buf`, starting at offset 0.
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        SliceEnc { buf, pos: 0 }
-    }
-
-    /// Bytes written so far.
-    pub fn written(&self) -> usize {
-        self.pos
-    }
-
-    /// Asserts the slice was filled exactly — every pre-sized byte written.
-    pub fn finish(self) {
-        assert_eq!(
-            self.pos,
-            self.buf.len(),
-            "SliceEnc under-filled its section"
-        );
-    }
-}
-
-impl Wr for SliceEnc<'_> {
-    fn raw(&mut self, v: &[u8]) {
-        let end = self.pos + v.len();
-        self.buf[self.pos..end].copy_from_slice(v);
-        self.pos = end;
-    }
-}
-
-/// Write sink that only counts bytes — used to pre-size section buffers by
-/// running the same encode code that will later fill them.
+/// Write sink that only counts bytes — used to pre-size buffers by running
+/// the same encode code that will later fill them.
 #[derive(Debug, Default)]
 pub struct CountEnc {
     n: usize,
@@ -382,29 +336,5 @@ mod tests {
         let mut c = CountEnc::new();
         write_sample(&mut c);
         assert_eq!(c.count(), reference.len());
-
-        let mut buf = vec![0u8; reference.len()];
-        let mut s = SliceEnc::new(&mut buf);
-        write_sample(&mut s);
-        assert_eq!(s.written(), reference.len());
-        s.finish();
-        assert_eq!(buf, reference);
-    }
-
-    #[test]
-    #[should_panic]
-    fn slice_enc_rejects_overflow() {
-        let mut buf = [0u8; 3];
-        let mut s = SliceEnc::new(&mut buf);
-        s.u32(1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn slice_enc_rejects_underfill() {
-        let mut buf = [0u8; 8];
-        let mut s = SliceEnc::new(&mut buf);
-        s.u32(1);
-        s.finish();
     }
 }
