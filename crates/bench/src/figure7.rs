@@ -274,8 +274,8 @@ pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> F
     // of the run can be shorter than the trigger supervisor's reaction
     // time, and a checkpoint that races completion never fires. A light
     // wall pace (`cfg.pace_us`) additionally keeps the asynchronous
-    // trigger from racing a wall-fast run; it sleeps slotless and leaves
-    // virtual time untouched.
+    // trigger from racing a wall-fast run; it leaves virtual time
+    // untouched.
     let k = cfg.checkpoints.max(1);
     let times =
         (1..=k).map(|i| VTime::from_secs(native_s * (0.15 + 0.6 * (i as f64 - 0.5) / k as f64)));

@@ -36,6 +36,12 @@ use std::sync::Arc;
 use std::time::Instant;
 use workloads::{random_workload, RandomWorkloadCfg};
 
+/// Host-wall microseconds each checkpointed random-workload step sleeps,
+/// so an overdue trigger lands before the workload finishes (virtual time
+/// and data are untouched). Thread ranks run all at once, so a short run
+/// is over in a handful of supervisor polls unless it is paced.
+const PACE_US: u64 = 200;
+
 /// One cell of the model sweep.
 #[derive(Debug, Clone)]
 pub struct Figure9ModelPoint {
@@ -279,7 +285,7 @@ pub fn figure9_report(cfg: &Figure9Config) -> Figure9Report {
             random_workload(&wl, r)
         });
         let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-        let paced = wl.clone().with_pace_us(20);
+        let paced = wl.clone().with_pace_us(PACE_US);
         let run = run_ckpt_world(
             wcfg,
             CkptOptions::one_checkpoint(at, ResumeMode::Continue),
@@ -390,9 +396,7 @@ pub fn drain_comparison(ranks: usize, steps: usize, ckpts: usize) -> Figure9Drai
     let wl = RandomWorkloadCfg::new(0xD8A1, steps);
     let native = run_ckpt_world(wcfg(), CkptOptions::native(), |r| random_workload(&wl, r));
     let interval = VTime::from_secs(native.makespan.as_secs() / (ckpts as f64 + 1.0));
-    // Paced so overdue triggers land before the workload finishes
-    // (virtual time and data are untouched by the wall pace).
-    let paced = wl.clone().with_pace_us(20);
+    let paced = wl.clone().with_pace_us(PACE_US);
     let run_with = |async_drain: bool| {
         let tiering = Tiering::fixed(CkptTier::Memory).with_async_drain(async_drain);
         let rep = run_ckpt_world(

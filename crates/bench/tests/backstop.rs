@@ -1,6 +1,6 @@
 //! Backstop-expiry regression tier: every unbounded wait in the system
-//! (scheduler slot grants, mailbox receive waits, the checkpoint layer's
-//! control parks) is event-driven, with long timeouts kept only as
+//! (mailbox receive waits, the checkpoint layer's control parks, idle
+//! step-driver workers) is event-driven, with long timeouts kept only as
 //! lost-wakeup backstops. A regression back to timed polling is invisible
 //! to every functional test — results stay bit-identical, only host
 //! sys-time blows up once worlds get big (the exact failure PR 4 fixed:

@@ -4,8 +4,8 @@
 //! request lands (§4.3.1 counts initiation; §4.3.2 drains it), `MPI_Test`
 //! loops that a checkpoint lands inside of, a step-body program run
 //! inline (`CcRank::run`) between a closure's own blocking calls, and the
-//! drain-stall watchdog at scale — a healthy 256-rank drain under the
-//! batched cooperative scheduler must not be misread as a p2p stall.
+//! drain-stall watchdog at scale — a healthy 256-rank drain multiplexed
+//! onto a small host must not be misread as a p2p stall.
 
 use ckpt::coordinator::{auto_stall_timeout, DEFAULT_STALL_TIMEOUT};
 use ckpt::{run_ckpt_world, CcRank, CkptOptions, ResumeMode};
@@ -46,7 +46,7 @@ fn wildcard_recv_parks_while_others_drain() {
                 for _ in 0..60 {
                     r.allreduce_f64(sub, &[1.0], ReduceOp::Sum);
                     r.compute(5e-6);
-                    r.wall_sleep(Duration::from_micros(50));
+                    std::thread::sleep(Duration::from_micros(50));
                 }
                 if r.rank() == 1 {
                     r.send(world, 0, 7, encode_f64(&[42.5]));
@@ -87,7 +87,7 @@ fn initiated_nonblocking_collective_drains_at_checkpoint() {
                 ReduceOp::Sum,
             );
             // Wide wall-clock window with the request outstanding.
-            r.wall_sleep(Duration::from_millis(3));
+            std::thread::sleep(Duration::from_millis(3));
             let c = r.wait(v);
             decode_f64(&c.data)[0]
         },
@@ -336,7 +336,7 @@ fn checkpoint_with_finished_ranks() {
             let mut acc = 0.0;
             for _ in 0..40 {
                 r.compute(2e-6);
-                r.wall_sleep(Duration::from_micros(50));
+                std::thread::sleep(Duration::from_micros(50));
                 acc = r.allreduce_f64(sub, &[acc + 1.0], ReduceOp::Sum)[0];
             }
             acc

@@ -73,7 +73,7 @@ fn figure7_cell_collective_rate_is_representation_independent() {
 }
 
 /// The paper-scale sweep: CC drain latency stays bounded from 64 up to 512
-/// ranks under the batched cooperative scheduler.
+/// thread ranks.
 #[test]
 #[cfg_attr(
     debug_assertions,

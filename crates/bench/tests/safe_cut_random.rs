@@ -18,8 +18,8 @@
 //!   size;
 //! * the **large-scale tier** ({64, 128, 256, 512, 1024, 2048, 4096}
 //!   ranks, Perlmutter-style 128-ranks-per-node packing, fewer seeds and
-//!   shorter schedules at the top sizes) exercises the batched
-//!   cooperative scheduler and the lock-free collective rendezvous at —
+//!   shorter schedules at the top sizes) exercises thousands of rank
+//!   threads and the lock-free collective rendezvous at —
 //!   and well beyond — the paper's Figure 5a/7 operating points. It is
 //!   release-only — debug builds would spend minutes per seed — and runs
 //!   in CI as `cargo test --release -p bench -- large_scale --skip 4096`
@@ -241,8 +241,8 @@ fn safe_cut_random_2pc_8_ranks() {
 }
 
 // ---------------------------------------------------------------------
-// Large-scale tier (release-only): the paper's operating points under the
-// batched cooperative scheduler. Every seed must fire its checkpoint and
+// Large-scale tier (release-only): the paper's operating points on rank
+// threads. Every seed must fire its checkpoint and
 // pass the full oracle + bit-identical-continuation battery; even seeds
 // restart (fresh lower half at 512 ranks), odd seeds continue.
 // ---------------------------------------------------------------------

@@ -87,13 +87,13 @@ fn pending_barrier_and_counters_round_trip_across_restart() {
                 r.compute(60e-6);
             } else {
                 r.compute(70e-6);
-                r.wall_sleep(Duration::from_millis(400));
+                std::thread::sleep(Duration::from_millis(400));
             }
             let v = r.allreduce_f64(world, &[r.rank() as f64 + 1.0], ReduceOp::Sum);
             r.compute(200e-6);
             // Give the second trigger a wall-clock window to fire before
             // the final collectives race to completion.
-            r.wall_sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
             let w = r.allreduce_f64(world, &[v[0]], ReduceOp::Max);
             r.barrier(world);
             v[0] + w[0]
@@ -282,7 +282,7 @@ fn p2p_stall_fails_fast_with_typed_error() {
             let v = r.iallreduce(world, encode_f64(&[1.0]), DType::F64, ReduceOp::Sum);
             r.compute(50e-6);
             // Let the trigger fire and the drain wedge while we sleep.
-            r.wall_sleep(Duration::from_millis(150));
+            std::thread::sleep(Duration::from_millis(150));
             // Beyond-target collective: both ranks have met every target,
             // so they park at this entry — and the send below never
             // happens until the coordinator gives up.

@@ -56,14 +56,14 @@ pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 pub const MAX_AUTO_STALL: Duration = Duration::from_secs(60);
 
 /// The world-size-scaled stall window used when [`crate::CkptOptions`]
-/// does not pin one. Under the batched cooperative scheduler a drain's
-/// total work grows with the rank count while only `workers` ranks run
-/// at once, so per-rank wall progress thins out by the multiplexing
-/// ratio `n_ranks / workers`; the window grows by that many scheduling
-/// rounds — capped at [`MAX_AUTO_STALL`] — so a healthy 512-rank drain
-/// on a small host is never misread as a p2p stall, a wide host keeps a
-/// tight watchdog, and a wedged 4096-rank drain still fails fast instead
-/// of hanging its CI job.
+/// does not pin one. A drain's total work grows with the rank count while
+/// only about `workers` ranks run at once (pool workers, or the host's
+/// cores under thread ranks), so per-rank wall progress thins out by the
+/// multiplexing ratio `n_ranks / workers`; the window grows by that many
+/// scheduling rounds — capped at [`MAX_AUTO_STALL`] — so a healthy
+/// 512-rank drain on a small host is never misread as a p2p stall, a wide
+/// host keeps a tight watchdog, and a wedged 4096-rank drain still fails
+/// fast instead of hanging its CI job.
 pub fn auto_stall_timeout(n_ranks: usize, workers: usize) -> Duration {
     let rounds = n_ranks.div_ceil(workers.max(1)) as u64;
     (DEFAULT_STALL_TIMEOUT + Duration::from_millis(rounds * 80)).min(MAX_AUTO_STALL)
@@ -272,6 +272,17 @@ impl Coordinator {
             "protocol {} cannot checkpoint",
             sh.protocol.name()
         );
+        // A rank released from the previous capture (or restore cut)
+        // publishes `Running` only when it next runs. Until then its old
+        // park state would pass this checkpoint's quiesce test — at once
+        // under 2PC, which has no targets to drain first — and the capture
+        // would find the rank back inside a collective.
+        while control.any_stale_park() {
+            if let Some(e) = self.death_abort() {
+                return Err(e);
+            }
+            std::thread::sleep(POLL);
+        }
         let request_clock = VTime::from_secs(control.min_clock_secs());
         // A rank descheduled mid-drain when a previous attempt was aborted
         // can deliver its raise arbitrarily late — even after the abort's
@@ -379,12 +390,10 @@ impl Coordinator {
                 "collective invariant (§2.2) violated at capture"
             );
         }
-        // Every rank is parked slotless at this point, so the scheduler's
-        // whole run-slot pool is idle: borrow it and clone the published
-        // captures in parallel instead of walking 4096 slots on one core.
-        let captures: Vec<RuntimeCapture> = world
-            .scheduler()
-            .borrow_workers(|k| parallel_capture(k, &control.ranks));
+        // Every rank is asleep at this point, so the world's workers are
+        // idle cores: clone the published captures on that many scoped
+        // threads instead of walking 4096 slots on one core.
+        let captures = parallel_capture(sh.cfg.resolved_workers(), &control.ranks);
 
         // Drain in-flight point-to-point messages, translating lower-half
         // communicator ids into the destination's virtual ids. A quiesce
@@ -531,9 +540,9 @@ impl Coordinator {
         sh.trace.push(DrainEvent::Committed);
 
         // Execute the storage plan. Synchronous drains retire here, while
-        // every rank is still parked and the whole worker pool is idle;
+        // every rank is still parked and the world's workers are idle;
         // the background drain spawns its thread and the ranks resume
-        // under it, with encode+write stealing only free scheduler slots.
+        // beside it. Either encodes on the world's worker budget.
         let record_idx = tier_plan.map(|plan| {
             let idx = {
                 let mut rs = self.store_records.lock();
@@ -551,7 +560,7 @@ impl Coordinator {
                 });
                 rs.len() - 1
             };
-            let sched = Arc::clone(world.scheduler());
+            let workers = sh.cfg.resolved_workers();
             let records = Arc::clone(&self.store_records);
             let image = Arc::clone(&ckpt);
             let TierPlan {
@@ -562,8 +571,7 @@ impl Coordinator {
                 ..
             } = plan;
             if sync {
-                let receipt =
-                    sched.borrow_workers(|k| store.save(tier, Arc::clone(&image), want_delta, k));
+                let receipt = store.save(tier, Arc::clone(&image), want_delta, workers);
                 let mut rs = records.lock();
                 rs[idx].generation = receipt.generation;
                 rs[idx].delta_parent = receipt.delta_parent;
@@ -575,8 +583,7 @@ impl Coordinator {
                     .name("ckpt-drain".into())
                     .spawn(move || {
                         let t0 = Instant::now();
-                        let receipt =
-                            sched.borrow_workers(|k| store.save(tier, image, want_delta, k));
+                        let receipt = store.save(tier, image, want_delta, workers);
                         let overlapped = t0.elapsed().as_secs_f64();
                         let mut rs = records.lock();
                         rs[idx].generation = receipt.generation;
@@ -740,8 +747,8 @@ impl Coordinator {
             .filter(|&i| control.ranks[i].state() != RankState::Finished)
             .collect();
         // The fresh lower half is built onto the *same* scheduler: the
-        // surviving rank threads keep their (released) run slots and wake
-        // into the new generation.
+        // surviving ranks wake into the new generation, and its mailboxes
+        // inherit the scheduler's wake routing.
         let sched = Arc::clone(sh.current_world().scheduler());
         let new_world = World::with_epoch_attached(cfg, ckpt.epoch + 1, sched);
         *sh.world.lock() = Arc::clone(&new_world);
@@ -967,9 +974,8 @@ struct TierPlan {
 
 /// Clones every rank's published capture out of its control slot, fanning
 /// contiguous rank batches across up to `workers` scoped threads. The world
-/// is quiesced when this runs — every rank parked slotless — so the
-/// borrowed scheduler slots are genuinely idle cores, and the slots' own
-/// FIFO hand-off resumes queued ranks untouched afterwards.
+/// is quiesced when this runs — every rank asleep in its event wait — so
+/// the threads run on otherwise idle cores.
 fn parallel_capture(workers: usize, ranks: &[RankCtl]) -> Vec<RuntimeCapture> {
     fn clone_one(i: usize, rc: &RankCtl) -> RuntimeCapture {
         rc.capture_slot

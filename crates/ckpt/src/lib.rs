@@ -83,9 +83,9 @@
 //!   on every group, not over the run's full log (the report carries that
 //!   too, as `events`). Its report also carries
 //!   `capture_wall_s`: host wall seconds per committed capture bracket,
-//!   which the coordinator runs **in parallel on the scheduler's borrowed
-//!   worker pool** ([`mpisim::Scheduler::borrow_workers`]) while every
-//!   rank is parked slotless at the quiesce.
+//!   which the coordinator runs **in parallel on the world's worker
+//!   budget** ([`mpisim::Scheduler::workers`] scoped threads) while every
+//!   rank is asleep at the quiesce.
 //! * [`restore::restore_ckpt_world`] — rebuilds a world from an image
 //!   (optionally re-packed via [`RestoreConfig`]), replays the program to
 //!   the cut, cross-checks the replayed state against the image, and
@@ -125,8 +125,8 @@
 //! Tiered writes can also be **asynchronous**
 //! ([`Tiering::with_async_drain`]): after the capture bracket clones
 //! the world state out, ranks resume immediately while encode+write
-//! retires on a background drain using the scheduler's borrowed
-//! workers. The app-visible stall shrinks to the clone-out — unless the
+//! retires on a background drain, encoding on the world's worker
+//! budget. The app-visible stall shrinks to the clone-out — unless the
 //! next trigger fires before the previous image lands, in which case
 //! the wait is charged as back-pressure. [`CkptRunReport`] splits the
 //! two: `capture_wall_s` keeps the blocking component, and
@@ -146,8 +146,8 @@
 //!   `poll_*` form (idempotent-start: the first call builds the machine
 //!   into the rank's in-flight slot, later calls resume it, `Ready`
 //!   clears it) and a blocking form, which builds the same machine on
-//!   the stack and blocks on it: poll, and while pending sleep — run
-//!   slot released — on the rank's one event counter
+//!   the stack and blocks on it: poll, and while pending sleep on the
+//!   rank's one event counter
 //!   ([`mana_core::RankCtl::wait_event_since`]).
 //! * **One body shape.** A rank body is a [`StepBody`]: `step` runs until
 //!   the body finishes or an operation is pending, the way an async body
@@ -174,14 +174,14 @@
 //!   panics rather than hold a worker.
 //! * **a thread per object** ([`run_ckpt_world`] and the other closure
 //!   forms): [`mpisim::Scheduler::run_threads`], the one place rank
-//!   threads are spawned. The thread *is* the rank's continuation,
-//!   multiplexed by [`mpisim::Scheduler`] so that only `~num_cpus` ranks
-//!   hold run slots at any instant
-//!   ([`mpisim::world::WorldConfig::workers`] overrides the bound), which
-//!   carries the paper's 512-rank worlds — and the beyond-paper 4096-rank
-//!   tier — on one host. The scheduler outlives the lower half: restart
-//!   builds the next [`mpisim::World`] generation onto the same
-//!   scheduler and the parked threads wake into it.
+//!   threads are spawned. The thread *is* the rank's continuation: a
+//!   plain OS thread whose only sleep is its one event wait, with no
+//!   admission bound — the host multiplexes the runnable ones. With
+//!   128 KiB stacks that carries the paper's 512-rank worlds — and the
+//!   beyond-paper 4096-rank tier — on one host. The scheduler outlives
+//!   the lower half: restart builds the next [`mpisim::World`]
+//!   generation onto the same scheduler and the sleeping threads wake
+//!   into it.
 //!
 //! Under both drivers every wait is *event-driven*: a pending rank is
 //! woken by mailbox deposits, collective completions, the update bus,

@@ -139,38 +139,23 @@ impl<'s> CcRank<'s> {
     /// Advances the clock by `secs` of local computation and publishes the
     /// new clock, so trigger scheduling sees compute-bound progress too.
     /// Under a wall pace ([`CcRank::set_wall_pace_us`]) this additionally
-    /// sleeps, with the scheduler run slot released for the duration (a
-    /// rank on the step pool holds no run slot: it sleeps on its pool
-    /// worker, which only narrows that worker's throughput).
+    /// sleeps (a rank on the step pool sleeps on its pool worker, which
+    /// only narrows that worker's throughput).
     pub fn compute(&mut self, secs: f64) {
         self.core.ctx.compute(secs);
         if self.core.wall_pace_us > 0 {
-            let us = self.core.wall_pace_us;
-            self.core.ctx.blocked(|| {
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            });
+            std::thread::sleep(std::time::Duration::from_micros(self.core.wall_pace_us));
         }
         self.core.publish_clock();
     }
 
     /// Sets a wall-clock pace: every subsequent [`CcRank::compute`] call
-    /// sleeps `us` microseconds of *host* time (virtual time unaffected,
-    /// run slot released while sleeping). Harnesses use this so an
-    /// asynchronous checkpoint trigger reliably catches the run mid-flight
-    /// instead of racing a wall-fast completion.
+    /// sleeps `us` microseconds of *host* time (virtual time unaffected).
+    /// Harnesses use this so an asynchronous checkpoint trigger reliably
+    /// catches the run mid-flight instead of racing a wall-fast
+    /// completion.
     pub fn set_wall_pace_us(&mut self, us: u64) {
         self.core.wall_pace_us = us;
-    }
-
-    /// Sleeps `d` of wall-clock time with this rank's scheduler run slot
-    /// released; virtual time is unaffected. Rank bodies must use this
-    /// instead of `std::thread::sleep`: a plain sleep squats on one of
-    /// the `workers` run slots, and on a small host two plainly-sleeping
-    /// ranks can starve every other rank for the duration — skewing
-    /// exactly the wall-clock interleavings (trigger windows, drain
-    /// stalls) such pauses are meant to set up.
-    pub fn wall_sleep(&self, d: std::time::Duration) {
-        self.core.ctx.blocked(|| std::thread::sleep(d));
     }
 
     /// `MPI_COMM_WORLD`'s virtual id.
@@ -481,11 +466,10 @@ impl CcRank<'_> {
 
     /// Drives `poll` — one engine machine, or a whole step body
     /// ([`CcRank::run`]) — to completion on the calling thread:
-    /// poll it, and while it is `Pending` sleep
-    /// — scheduler run slot released — on the rank's one event counter,
-    /// which both the control plane ([`mana_core::RankCtl::wake`]) and the
-    /// lower half (mailbox activity, through the waker the launcher
-    /// installs) advance. The token is read *before* the poll, so an
+    /// poll it, and while it is `Pending` sleep on the rank's one event
+    /// counter, which both the control plane ([`mana_core::RankCtl::wake`])
+    /// and the lower half (mailbox activity, through the waker the
+    /// launcher installs) advance. The token is read *before* the poll, so an
     /// event landing between "the poll said `Pending`" and "the thread
     /// sleeps" ends the sleep at once. This is also a thread's poison
     /// observation point: a killed world wakes every rank, and the rank
@@ -509,10 +493,10 @@ impl CcRank<'_> {
             );
             // Before sleeping as well as after every wake: a kill whose
             // wake preceded the token would otherwise cost the backstop.
-            let ctx = &self.core.ctx;
-            ctx.world().fail_plane().die_if_poisoned();
-            ctx.blocked(|| ctl.wait_event_since(token));
-            ctx.world().fail_plane().die_if_poisoned();
+            let fail = self.core.ctx.world().fail_plane();
+            fail.die_if_poisoned();
+            ctl.wait_event_since(token);
+            fail.die_if_poisoned();
         }
     }
 

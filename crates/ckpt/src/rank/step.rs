@@ -14,8 +14,8 @@
 //!   nothing but its own heap object;
 //! * a body that **owns a thread** ([`mpisim::Scheduler::run_threads`])
 //!   calls the blocking form, which builds the same machine on its stack
-//!   and blocks on it (`CcRank::block_on`): poll, and on `Pending` sleep,
-//!   run slot released, on the rank's one event counter
+//!   and blocks on it (`CcRank::block_on`): poll, and on `Pending` sleep
+//!   on the rank's one event counter
 //!   ([`mana_core::RankCtl::wait_event_since`]) until something wakes it.
 //!
 //! Both hear the same events (control-plane wakes and, through the

@@ -48,10 +48,10 @@ pub struct CkptOptions {
     pub tiering: Option<Tiering>,
     /// Drain watchdog window before a stalled checkpoint is aborted with
     /// [`DrainError::P2pStall`]. `None` (the default) scales the window
-    /// with the world size ([`auto_stall_timeout`]): under the batched
-    /// cooperative scheduler a 512-rank drain makes the same total
-    /// progress as an 8-rank one but spread over `n_ranks / workers` times
-    /// the wall clock, and a fixed window would misread that as a stall.
+    /// with the world size ([`auto_stall_timeout`]): multiplexed onto a
+    /// few cores, a 512-rank drain makes the same total progress as an
+    /// 8-rank one but spread over `n_ranks / workers` times the wall
+    /// clock, and a fixed window would misread that as a stall.
     /// Wall-clock either way: workloads that deliberately `sleep` longer
     /// than the window during a drain will be misread as stalled.
     pub stall_timeout: Option<Duration>,
@@ -179,7 +179,8 @@ pub struct CkptRunReport<R> {
     /// Full execution log (all collective participations).
     pub events: Vec<ExecEvent>,
     /// Backstop-expiry wakeups across every wait path of the run
-    /// (scheduler grants, mailbox receive waits, checkpoint parks). All
+    /// (mailbox receive waits, checkpoint parks, the step driver's rescue
+    /// sweep). All
     /// of those waits are event-driven with long lost-wakeup backstops;
     /// in a healthy run this stays at ~0, and a regression back to timed
     /// polling — invisible in functional results — shows up here long

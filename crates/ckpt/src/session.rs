@@ -135,9 +135,9 @@ impl Session {
     }
 
     /// Backstop-expiry wakeups recorded so far across every wait path of
-    /// this session (scheduler grants, mailbox receive waits, checkpoint
-    /// parks). The scheduler — and with it this counter — survives
-    /// restarts, so the count spans lower-half generations.
+    /// this session (mailbox receive waits, checkpoint parks, the step
+    /// driver's rescue sweep). The scheduler — and with it this counter —
+    /// survives restarts, so the count spans lower-half generations.
     pub fn backstop_expiries(&self) -> u64 {
         self.current_world().scheduler().stats().backstop_expiries()
     }

@@ -546,6 +546,17 @@ impl CkptControl {
         }) && self.free_passes.load(Ordering::SeqCst) == passes
     }
 
+    /// Whether some live, unfinished rank still shows a park state. No
+    /// rank parks between checkpoints, so outside one such a state is
+    /// stale: the rank was released (from a capture, or from a restore
+    /// cut) and has not run since to publish `Running`.
+    pub fn any_stale_park(&self) -> bool {
+        self.ranks.iter().any(|r| {
+            let s = r.state();
+            s != RankState::Finished && s.is_parked() && !r.is_dead()
+        })
+    }
+
     /// Minimum published virtual clock across ranks, in seconds.
     pub fn min_clock_secs(&self) -> f64 {
         self.ranks
@@ -681,6 +692,25 @@ mod tests {
         });
         assert_eq!(ctl.park.lock().waiters, 0, "waiter deregistered");
         assert_eq!(ctl.stats.backstop_expiries(), 0);
+    }
+
+    #[test]
+    fn a_park_left_over_from_a_released_capture_is_stale() {
+        // A released rank keeps its park state until it runs again; a
+        // finished or dead rank is never waited for.
+        let c = CkptControl::new(3);
+        for r in &c.ranks {
+            r.set_state(RankState::Running);
+        }
+        assert!(!c.any_stale_park());
+        c.ranks[1].set_state(RankState::InTrivialBarrier);
+        assert!(c.any_stale_park());
+        c.ranks[1].mark_dead();
+        assert!(!c.any_stale_park(), "a dead rank never runs again");
+        c.ranks[2].set_state(RankState::Finished);
+        assert!(!c.any_stale_park());
+        c.ranks[0].set_state(RankState::Quiesced);
+        assert!(c.any_stale_park());
     }
 
     #[test]

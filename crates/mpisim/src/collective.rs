@@ -23,10 +23,10 @@
 //!   evaluation would serialize the whole world behind it — then writes
 //!   each rank's result back into that rank's slot.
 //! * **Completion is announced one way**: it pokes every participant's
-//!   mailbox activity token. Blocking waiters ([`crate::Ctx::wait`]),
-//!   slotless pollers (`Test` loops, `park_briefly`) and driven ranks
-//!   (through the mailbox waker) all learn about it the way they learn
-//!   about a deposit; the instance itself has nothing to sleep on.
+//!   mailbox activity token. Blocking waiters ([`crate::Ctx::wait`],
+//!   [`crate::Ctx::waitany`]) and driven ranks (through the mailbox
+//!   waker) all learn about it the way they learn about a deposit; the
+//!   instance itself has nothing to sleep on.
 //! * **Instance lookup is sharded**: the registry spreads `(comm, seq)`
 //!   keys over independently-locked shards instead of funneling every
 //!   arrival in the world through one registry mutex.
@@ -231,7 +231,13 @@ impl CollInstance {
     }
 
     /// This rank's exit (completion) time, if the instance is complete.
+    /// Completion writes the `Done` slots one by one *before* it publishes
+    /// `completed`, so a slot alone is not proof: a caller that went on to
+    /// [`CollInstance::try_take`] on its word could find it incomplete.
     pub fn exit_of(&self, group_rank: usize) -> Option<VTime> {
+        if !self.is_complete() {
+            return None;
+        }
         match *self.slots[group_rank].lock() {
             Slot::Done { exit, .. } => Some(exit),
             _ => None,

@@ -22,34 +22,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Poll-loop nap bound: how long [`Ctx::park_briefly`] sleeps when no
-/// mailbox activity arrives. Poll loops can be *self-driving* — a `Test`
-/// loop waiting out a virtual completion time advances its own clock with
-/// every poll, so no external event will ever arrive — which is why this
-/// stays short (it bounds each such iteration) while still being
-/// activity-cut: deposits and collective completions end the nap at once,
-/// so event-driven waiters never pay it. Wall-clock only; virtual time is
-/// unaffected. Expiries here are *not* counted as backstop failures — for
-/// a self-driving poller the expiry is the productive path.
-const POLL_NAP: Duration = Duration::from_millis(5);
-
-/// Backstop for [`Ctx::wait`]'s slotless sleep. *Every* rank of a large
-/// world can sit in a blocked receive or collective at once, so the wait
-/// is event-driven — the activity token taken before the completion
-/// attempt makes deposits and completions race-proof — and the timeout
-/// only guards against a pathological lost wakeup. It is deliberately
-/// long (a short re-check would turn thousands of parked waiters into
-/// timed pollers) and every expiry is counted in
+/// Backstop for the mailbox sleep of [`Ctx::wait`] and [`Ctx::waitany`].
+/// *Every* rank of a large world can sit in a blocked receive or
+/// collective at once, so the wait is event-driven — the activity token
+/// taken before the completion attempt makes deposits and completions
+/// race-proof — and the timeout only guards against a pathological lost
+/// wakeup. It is deliberately long (a short re-check would turn thousands
+/// of sleeping waiters into timed pollers) and every expiry is counted in
 /// [`crate::sched::WakeupStats`]: a healthy run never pays it.
 const RECV_PARK: Duration = Duration::from_secs(1);
-
-/// Consecutive slot rotations a polling loop performs before it naps.
-/// When every run slot is held by a poller waiting on something none of
-/// them produces (say, the checkpoint supervision thread's next trigger
-/// poll), rotation alone would spin the whole pool at full host CPU;
-/// after this many unbroken rotations the poller sleeps briefly —
-/// slotless — instead.
-const YIELD_STREAK_NAP: u32 = 64;
 
 /// One rank's connection to the simulated MPI world.
 pub struct Ctx {
@@ -66,9 +47,6 @@ pub struct Ctx {
     /// Messages this rank completed receiving from the current generation
     /// (drain-accounting; reset at [`Ctx::attach_world`]).
     p2p_delivered: u64,
-    /// Consecutive [`Ctx::park_briefly`] slot rotations without an
-    /// intervening nap (spin bound — see [`YIELD_STREAK_NAP`]).
-    yield_streak: std::cell::Cell<u32>,
 }
 
 impl Ctx {
@@ -83,7 +61,6 @@ impl Ctx {
             send_seqs: HashMap::new(),
             p2p_sent: 0,
             p2p_delivered: 0,
-            yield_streak: std::cell::Cell::new(0),
         }
     }
 
@@ -161,45 +138,21 @@ impl Ctx {
         (self.p2p_sent, self.p2p_delivered)
     }
 
-    /// The cooperative yield-point of polling loops. Under scheduler
-    /// contention this rotates the rank's run slot to the next queued rank
-    /// (round-robin); otherwise it waits — slotless and event-driven — on
-    /// this rank's mailbox activity token, so idle polls do not burn host
-    /// CPU. Deposits *and* collective completions count as activity
-    /// (completion pokes every participant's mailbox), so waits on either
-    /// return at once; the `POLL_NAP` bound only paces self-driving
-    /// pollers whose progress is their own clock advance. A long unbroken
-    /// streak of rotations means every slot holder is a poller waiting on
-    /// something none of them produces — the streak is capped with the
-    /// same slotless wait so the pool cannot spin at full CPU against an
-    /// external event source. Wall-clock only; virtual time is
-    /// unaffected.
-    pub fn park_briefly(&self) {
-        // Poll loops re-enter here on every iteration, so this is the
-        // poison observation point for every poll-driven wait: a killed
-        // world unwinds the rank instead of polling a dead peer forever.
-        self.world.fail_plane().die_if_poisoned();
-        if self.world.sched.yield_now(self.world_rank) {
-            let streak = self.yield_streak.get() + 1;
-            if streak < YIELD_STREAK_NAP {
-                self.yield_streak.set(streak);
-                return;
-            }
+    /// Sleeps until this rank's mailbox sees activity after `token` was
+    /// taken: a deposit, a collective completion (completion pokes every
+    /// participant's mailbox) or the poison broadcast. A poisoned world
+    /// wakes every mailbox and its peers may be dead, so the rank unwinds
+    /// here instead of sleeping again. A sleep that outlasts the
+    /// [`RECV_PARK`] backstop is counted.
+    fn sleep_on_mailbox(&self, token: u64) {
+        let world = &self.world;
+        world.fail_plane().die_if_poisoned();
+        if !world
+            .mailbox(self.world_rank)
+            .wait_activity_since(token, RECV_PARK)
+        {
+            world.sched.stats().record_backstop_expiry();
         }
-        self.yield_streak.set(0);
-        let mb = self.world.mailbox(self.world_rank);
-        let token = mb.activity_token();
-        self.world
-            .sched
-            .blocking(self.world_rank, || mb.wait_activity_since(token, POLL_NAP));
-    }
-
-    /// Runs `f` — a wait that may block on a condition variable — with
-    /// this rank's scheduler run slot released, re-acquiring it before
-    /// returning. Exposed for the checkpoint layer's one per-rank event
-    /// wait; [`Ctx::wait`] already uses it.
-    pub fn blocked<T>(&self, f: impl FnOnce() -> T) -> T {
-        self.world.sched.blocking(self.world_rank, f)
     }
 
     fn check_epoch(&self, comm: &Comm) {
@@ -387,26 +340,17 @@ impl Ctx {
     /// `MPI_REQUEST_NULL`. One wait for sends, receives and collectives
     /// alike: attempt the completion ([`Ctx::try_complete`], which moves
     /// the clock exactly as a blocking wait would), and while it cannot
-    /// complete sleep — run slot released — on this rank's mailbox
-    /// activity token, which deposits, collective completions and the
-    /// poison broadcast all advance. The token is read *before* the
-    /// attempt, so an event racing it ends the sleep at once.
+    /// complete sleep on this rank's mailbox activity token, which
+    /// deposits, collective completions and the poison broadcast all
+    /// advance. The token is read *before* the attempt, so an event racing
+    /// it ends the sleep at once.
     pub fn wait(&mut self, req: &mut Request) -> Completion {
-        let rank = self.world_rank;
         loop {
-            let token = self.world.mailbox(rank).activity_token();
+            let token = self.world.mailbox(self.world_rank).activity_token();
             if let Some(c) = self.try_complete(req) {
                 return c;
             }
-            // A poisoned world wakes every mailbox; the peer may be dead,
-            // so unwind rather than re-park (the driver releases the slot).
-            let world = &self.world;
-            world.fail_plane().die_if_poisoned();
-            world.sched.blocking(rank, || {
-                if !world.mailbox(rank).wait_activity_since(token, RECV_PARK) {
-                    world.sched.stats().record_backstop_expiry();
-                }
-            });
+            self.sleep_on_mailbox(token);
         }
     }
 
@@ -542,12 +486,17 @@ impl Ctx {
     }
 
     /// `MPI_Waitany`: blocks until one non-null request completes; returns
-    /// its index. Returns `None` if every request is null.
+    /// its index. Returns `None` if every request is null. Each round
+    /// tests every active request, charging its poll. A round that
+    /// completes none sleeps on the mailbox token like [`Ctx::wait`] —
+    /// unless some request already knows its completion time, in which
+    /// case the next round's poll charges are the progress.
     pub fn waitany(&mut self, reqs: &mut [Request]) -> Option<(usize, Completion)> {
         if reqs.iter().all(Request::is_null) {
             return None;
         }
         loop {
+            let token = self.world.mailbox(self.world_rank).activity_token();
             for (i, r) in reqs.iter_mut().enumerate() {
                 if r.is_null() {
                     continue;
@@ -556,7 +505,9 @@ impl Ctx {
                     return Some((i, c));
                 }
             }
-            self.park_briefly();
+            if !reqs.iter().any(Request::completion_known) {
+                self.sleep_on_mailbox(token);
+            }
         }
     }
 
@@ -1028,7 +979,7 @@ mod tests {
                     if let Some(st) = ctx.iprobe(&w, SrcSel::Any, TagSel::Any) {
                         break st;
                     }
-                    ctx.park_briefly();
+                    std::thread::yield_now();
                 };
                 assert_eq!(st.tag, 9);
                 assert_eq!(st.len, 3);
@@ -1092,15 +1043,8 @@ mod tests {
         run_world(cfg(3), |ctx| {
             let w = ctx.comm_world();
             let mut req = ctx.ibarrier(&w);
-            let mut polls = 0u64;
-            loop {
-                if ctx.test(&mut req).is_some() {
-                    break;
-                }
-                polls += 1;
-                if polls.is_multiple_of(64) {
-                    ctx.park_briefly();
-                }
+            while ctx.test(&mut req).is_none() {
+                std::thread::yield_now();
             }
             assert!(req.is_null());
         });
@@ -1205,6 +1149,26 @@ mod tests {
                 assert_eq!(seen, 2);
             }
         });
+    }
+
+    #[test]
+    fn waitany_sleeps_until_a_deposit() {
+        // Rank 1's only request waits on a send that rank 0 makes after a
+        // wall pause: waitany sleeps on the mailbox token and the deposit
+        // ends the sleep, not the backstop.
+        let rep = run_world(cfg(2), |ctx| {
+            let w = ctx.comm_world();
+            if ctx.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+                ctx.send(&w, 1, 4, Bytes::from_static(b"late"));
+            } else {
+                let mut reqs = vec![ctx.irecv(&w, 0, 4)];
+                let (i, c) = ctx.waitany(&mut reqs).expect("one active request");
+                assert_eq!((i, c.data.as_ref()), (0, &b"late"[..]));
+            }
+            ctx.world().scheduler().stats().backstop_expiries()
+        });
+        assert!(rep.results().all(|&e| e == 0), "woken by the deposit");
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! (**rank**) has two continuation representations:
 //!
 //! * **Thread ranks** (the original, still the test shim): the rank owns
-//!   an OS thread, and execution is multiplexed by the batched cooperative
-//!   scheduler ([`sched`]) — only `~num_cpus` ranks run at any instant,
-//!   every blocking wait releases its run slot, and polling loops rotate
-//!   slots round-robin at their yield-points. With 128 KiB rank stacks and
-//!   the lock-free collective rendezvous this carries 4096-rank worlds.
+//!   a plain OS thread whose only sleep is its one event wait; the host's
+//!   scheduler multiplexes whichever ranks are runnable ([`sched`]). With
+//!   128 KiB rank stacks and the lock-free collective rendezvous this
+//!   carries 4096-rank worlds.
 //! * **Step ranks** (the scale representation): a parked rank is a heap
 //!   object implementing [`sched::RankStep`] — a hand-lowered state
 //!   machine, the way async bodies lower — resumed by the
@@ -22,8 +21,8 @@
 //! Ranks communicate through in-memory mailboxes
 //! and collective rendezvous instances, while a per-rank **virtual clock**
 //! (see [`netmodel`]) accounts for the time a real cluster would spend.
-//! The scheduler never touches virtual time, so timing results are
-//! independent of the worker bound — and both continuation
+//! Neither driver touches virtual time, so timing results are
+//! independent of the worker budget — and both continuation
 //! representations drive the same uncharged completion paths
 //! ([`ctx::Ctx::try_complete`], [`ctx::Ctx::coll_begin`]), so they produce
 //! bit-identical virtual-time trajectories.

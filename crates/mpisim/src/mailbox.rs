@@ -99,9 +99,9 @@ impl Mailbox {
 
     /// Records mailbox-visible activity without depositing a message and
     /// wakes every waiter. Used by the collective engine at instance
-    /// completion: pollers blocked in activity waits (`park_briefly`, the
-    /// checkpoint layer's `Test` loops) learn about collective completions
-    /// the same way they learn about deposits, so those waits stay
+    /// completion: ranks blocked in activity waits ([`crate::Ctx::wait`],
+    /// [`crate::Ctx::waitany`]) learn about collective completions the
+    /// same way they learn about deposits, so those waits stay
     /// event-driven instead of timing out.
     pub fn notify_activity(&self) {
         let waiting = {

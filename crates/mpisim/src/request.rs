@@ -130,6 +130,19 @@ impl Request {
         }
     }
 
+    /// Whether the completion time of this active request is already
+    /// known — a send, a matched receive, a completed collective — so that
+    /// polling it advances the rank's clock toward completion without any
+    /// further event.
+    pub(crate) fn completion_known(&self) -> bool {
+        match &self.kind {
+            None => false,
+            Some(ReqKind::Send { .. }) => true,
+            Some(ReqKind::Recv { matched, .. }) => matched.is_some(),
+            Some(ReqKind::Coll { inst, .. }) => inst.is_complete(),
+        }
+    }
+
     /// Whether this request is a non-blocking collective.
     pub fn is_collective(&self) -> bool {
         matches!(self.kind, Some(ReqKind::Coll { .. }))

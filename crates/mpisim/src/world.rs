@@ -9,10 +9,9 @@
 //! [`run_world`] launches bare ranks — `Ctx` closures as step objects that
 //! never yield — on the thread-per-object driver
 //! ([`Scheduler::run_threads`]): each rank owns a thread (its
-//! continuation), but only `workers` ranks run at once — see
-//! [`crate::sched`] for the contract. The scheduler outlives the `World`:
-//! restart builds the next generation onto the same scheduler with
-//! [`World::with_epoch_attached`].
+//! continuation) and sleeps only in its event wait — see [`crate::sched`].
+//! The scheduler outlives the `World`: restart builds the next generation
+//! onto the same scheduler with [`World::with_epoch_attached`].
 
 use crate::collective::{CollRegistry, InstanceEnv};
 use crate::comm::{CommInner, SplitKey};
@@ -49,8 +48,9 @@ pub struct WorldConfig {
     pub ranks_per_node: usize,
     /// Network cost parameters.
     pub params: NetParams,
-    /// Concurrently-running rank bound for the cooperative scheduler;
-    /// `None` sizes it to the host ([`Scheduler::default_workers`]).
+    /// Worker budget ([`Scheduler::workers`]): the step driver's pool size
+    /// and a checkpoint's clone-out and encode fan-out; `None` sizes it to
+    /// the host ([`Scheduler::default_workers`]).
     pub workers: Option<usize>,
 }
 
@@ -81,7 +81,7 @@ impl WorldConfig {
         self
     }
 
-    /// Overrides the scheduler's concurrently-running rank bound.
+    /// Overrides the worker budget.
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "worker bound must be positive");
         self.workers = Some(workers);
@@ -137,8 +137,8 @@ impl World {
     }
 
     /// **Restart hook.** Builds a fresh lower half attached to an existing
-    /// scheduler: the surviving rank threads keep their run slots and wake
-    /// into the new generation.
+    /// scheduler: the surviving ranks wake into the new generation, whose
+    /// mailboxes inherit the scheduler's wake routing.
     ///
     /// # Panics
     /// Panics if the scheduler was sized for a different rank count.
@@ -217,9 +217,10 @@ impl World {
     /// Poison broadcast for this lower half: after a fault injector
     /// publishes a death on the fail plane, this wakes every sleeper that
     /// parks on lower-half state — every one of them a mailbox activity
-    /// wait ([`crate::Ctx::wait`], `park_briefly`; driven ranks hear it
-    /// through the mailbox waker) — so they observe the poison and unwind
-    /// promptly. The caller wakes the checkpoint control plane itself.
+    /// wait ([`crate::Ctx::wait`], [`crate::Ctx::waitany`]; driven ranks
+    /// hear it through the mailbox waker) — so they observe the poison and
+    /// unwind promptly. The caller wakes the checkpoint control plane
+    /// itself.
     pub fn poison_wake(&self) {
         for mb in &self.mailboxes {
             mb.notify_activity();
@@ -518,11 +519,9 @@ impl<R: Send, F: Fn(&mut Ctx) -> R + Sync> RankStep for BareRank<'_, R, F> {
     }
 }
 
-/// Runs `f` on every rank, one thread per rank (a parked continuation
-/// under the cooperative scheduler), and reports results and virtual-time
-/// makespan. At most [`WorldConfig::workers`] ranks execute concurrently.
-/// Panics in any rank propagate; the panicking rank's run slot is released
-/// first so its peers are not starved while they run down.
+/// Runs `f` on every rank, one thread per rank, and reports results and
+/// virtual-time makespan. Panics in any rank propagate once every rank
+/// has run down.
 ///
 /// # Panics
 /// Panics if a rank thread cannot be spawned; [`try_run_world`] surfaces
@@ -537,8 +536,7 @@ where
 
 /// [`run_world`], with thread-spawn failure surfaced as a typed
 /// [`SpawnError`]: no application code has run when it is returned — ranks
-/// spawned before the failing one are aborted through the launch gate
-/// before they attach to the scheduler.
+/// spawned before the failing one are aborted through the launch gate.
 pub fn try_run_world<R, F>(cfg: WorldConfig, f: F) -> Result<WorldReport<R>, SpawnError>
 where
     R: Send,

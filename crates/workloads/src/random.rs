@@ -221,9 +221,9 @@ impl StepBody for RandomWorkloadStep {
         let n = r.size();
         let me = r.rank();
         let world = r.world_vcomm();
-        // The pace rides on `compute` (one call per step): the wall sleep
-        // happens with the scheduler run slot released, so pacing a
-        // 512-rank world does not serialize it through the worker pool.
+        // The pace rides on `compute` (one call per step): a thread rank
+        // sleeps on its own thread, so pacing a 512-rank world does not
+        // serialize it.
         if !self.paced {
             r.set_wall_pace_us(self.cfg.pace_us);
             self.paced = true;

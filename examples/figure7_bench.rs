@@ -1,5 +1,5 @@
 //! The Figure 7 bench: CC drain latency vs. collective rate across
-//! workloads and world sizes, under the batched cooperative scheduler.
+//! workloads and world sizes.
 //! Writes `BENCH_figure7.json` into the current directory, next to the
 //! other bench artifacts; the step-representation sweeps (`huge`,
 //! `ci-huge`) write `BENCH_figure7_huge.json` instead, so the huge-tier
