@@ -28,9 +28,9 @@
 //! the rewound waste, over native), and summed recovery latency (modeled
 //! image read-back on the surviving topology). The asserted shape
 //! ([`assert_availability_shape`]): every run completes with zero
-//! backstop expiries and exactly one recovery per fault, and per
-//! protocol the mean wasted-work fraction *decreases* down the ladder
-//! toward the Daly optimum.
+//! backstop expiries, exactly one recovery per fault and no checkpoint
+//! storm, and per protocol the mean wasted-work fraction *decreases* down
+//! the ladder toward the Daly optimum.
 //!
 //! `examples/availability_bench.rs` writes `BENCH_availability.json`.
 
@@ -59,6 +59,10 @@ pub struct AvailabilityPoint {
     /// The rung's checkpoint interval, virtual seconds (the Daly rung's
     /// initial interval; it self-corrects from measured write costs).
     pub interval_s: f64,
+    /// Most checkpoints the cell may take without a storm: the rung's
+    /// shortest intervals that fit one failure-free run of its protocol,
+    /// plus one per fault, plus one.
+    pub checkpoint_budget: usize,
     /// Faults injected (and recovered from).
     pub faults: usize,
     /// World attempts (always `faults + 1`).
@@ -92,9 +96,9 @@ pub struct AvailabilityReport {
     /// Failure-free native makespan, virtual seconds (the denominator of
     /// every fraction).
     pub native_makespan_s: f64,
-    /// Modeled write cost of one full image set averaged over the
-    /// memory/partner rotation, virtual seconds — the `δ` seeding the
-    /// Daly rung.
+    /// Modeled cost of one full image set — encode plus the tier write,
+    /// averaged over the memory/partner rotation — in virtual seconds:
+    /// the `δ` seeding the Daly rung.
     pub write_cost_s: f64,
     /// Sweep cells, in (protocol, MTBF, ladder) order.
     pub points: Vec<AvailabilityPoint>,
@@ -109,9 +113,8 @@ pub struct AvailabilityConfig {
     pub ranks_per_node: usize,
     /// SCF iterations of the workload.
     pub iters: usize,
-    /// Wall pace per workload step, µs — gives the injector and the
-    /// trigger supervisor wall time to land mid-run (virtual time and
-    /// results are untouched).
+    /// Wall pace per workload step, µs (virtual time and results are
+    /// untouched).
     pub pace_us: u64,
     /// MTBF rows, as fractions of the native makespan.
     pub mtbf_factors: Vec<f64>,
@@ -122,8 +125,8 @@ pub struct AvailabilityConfig {
     /// Base seed of the fault plans.
     pub seed: u64,
     /// Modeled full-image bytes per rank. Deliberately small: the write
-    /// cost must sit well under the makespan for the interval ladder to
-    /// have room between `4×opt` and the optimum.
+    /// cost (encode plus tier write) must sit well under the makespan for
+    /// the interval ladder to have room between `4×opt` and the optimum.
     pub image_bytes_per_rank: u64,
 }
 
@@ -137,7 +140,7 @@ impl Default for AvailabilityConfig {
             mtbf_factors: vec![0.25, 0.5, 1.0],
             horizon_factor: 0.8,
             seed: 0xA11A,
-            image_bytes_per_rank: 2 << 20,
+            image_bytes_per_rank: 256 << 10,
         }
     }
 }
@@ -173,13 +176,18 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
         models.image_bytes_per_rank * cfg.ranks as u64,
     );
     // The rotation alternates memory and partner writes; Daly's δ is the
-    // mean per-generation cost it actually pays.
-    let write_cost_s = (models.write_secs(CkptTier::Memory, &layout)
-        + models.write_secs(CkptTier::Partner, &layout))
-        / 2.0;
+    // mean per-generation cost it actually pays: the tier-independent
+    // encode plus the tier's write, as the coordinator charges it.
+    let encode_s = models
+        .lustre
+        .encode_time(layout.bytes_per_node(), cfg.world().resolved_workers());
+    let memory_s = models.write_secs(CkptTier::Memory, &layout);
+    let write_cost_s = encode_s + (memory_s + models.write_secs(CkptTier::Partner, &layout)) / 2.0;
 
     let mut points = Vec::new();
     for (proto_name, protocol) in [("cc", Protocol::Cc), ("2pc", Protocol::TwoPhase)] {
+        let opts = CkptOptions::native().with_protocol(protocol);
+        let protocol_makespan_s = ckpt::run_ckpt_world(cfg.world(), opts, body).makespan;
         for (row, &factor) in cfg.mtbf_factors.iter().enumerate() {
             let mtbf_s = native_s * factor;
             let horizon = native_s * cfg.horizon_factor;
@@ -198,12 +206,18 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
                 .find(|p| !p.events.is_empty())
                 .unwrap();
             let opt_s = young_daly_interval_s(write_cost_s, mtbf_s);
+            // Each rung's shortest interval bounds its checkpoint count;
+            // Daly's is the optimum at the cheapest tier's cost.
             let ladder = [
-                ("periodic4x", 4.0 * opt_s),
-                ("periodic2x", 2.0 * opt_s),
-                ("daly", opt_s),
+                ("periodic4x", 4.0 * opt_s, 4.0 * opt_s),
+                ("periodic2x", 2.0 * opt_s, 2.0 * opt_s),
+                (
+                    "daly",
+                    opt_s,
+                    young_daly_interval_s(encode_s + memory_s, mtbf_s),
+                ),
             ];
-            for (rung, interval_s) in ladder {
+            for (rung, interval_s, min_interval_s) in ladder {
                 let cadence = if rung == "daly" {
                     CadenceSpec::Daly {
                         mtbf_s,
@@ -226,11 +240,13 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
                 let opts = AvailabilityOptions::new(cadence, tiering).with_protocol(protocol);
                 let rep = run_available_world(cfg.world(), opts, plan.clone(), body);
                 let makespan_s = rep.makespan.as_secs();
+                let fits = (protocol_makespan_s.as_secs() / min_interval_s).ceil() as usize;
                 points.push(AvailabilityPoint {
                     protocol: proto_name,
                     mtbf_s,
                     policy: rung,
                     interval_s,
+                    checkpoint_budget: fits + rep.faults.len() + 1,
                     faults: rep.faults.len(),
                     attempts: rep.attempts,
                     checkpoints: rep.checkpoints.len(),
@@ -307,6 +323,17 @@ pub fn assert_availability_shape(rep: &AvailabilityReport, mtbf_rows: usize) {
             p.makespan_s
         );
         assert!(p.wasted_work_s >= 0.0 && p.recovery_latency_s >= 0.0);
+        // No checkpoint storm: a policy arms each deadline an interval of
+        // application progress past the previous checkpoint's resume.
+        assert!(
+            p.checkpoints <= p.checkpoint_budget,
+            "{}/{}/mtbf {}: {} checkpoints exceed {} (a checkpoint storm)",
+            p.protocol,
+            p.policy,
+            p.mtbf_s,
+            p.checkpoints,
+            p.checkpoint_budget
+        );
         assert!(
             p.makespan_inflation >= 1.0 - 1e-9,
             "{}/{}: effective makespan below native ({})",
@@ -350,6 +377,7 @@ pub fn availability_to_json(rep: &AvailabilityReport) -> String {
                 concat!(
                     "    {{\"protocol\":\"{}\",\"mtbf_s\":{},\"policy\":\"{}\",",
                     "\"interval_s\":{},\"faults\":{},\"attempts\":{},\"checkpoints\":{},",
+                    "\"checkpoint_budget\":{},",
                     "\"wasted_work_s\":{},\"wasted_work_frac\":{},\"recovery_latency_s\":{},",
                     "\"makespan_s\":{},\"makespan_inflation\":{},\"backstop_expiries\":{}}}"
                 ),
@@ -360,6 +388,7 @@ pub fn availability_to_json(rep: &AvailabilityReport) -> String {
                 p.faults,
                 p.attempts,
                 p.checkpoints,
+                p.checkpoint_budget,
                 json_f64(p.wasted_work_s),
                 json_f64(p.wasted_work_frac),
                 json_f64(p.recovery_latency_s),

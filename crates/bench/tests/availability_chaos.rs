@@ -23,8 +23,8 @@ use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
 
-/// Wall pace per compute step (µs): slow enough that the injector's
-/// 100 µs poll can land deaths mid-run, mid-drain, and mid-async-write.
+/// Wall pace per compute step (µs): keeps the ranks busy on the wall
+/// while deaths land mid-run, mid-drain, and mid-async-write.
 const PACE_US: u64 = 300;
 /// SCF iterations per run (~`PACE_US * ITERS` wall µs per attempt).
 const ITERS: usize = 40;

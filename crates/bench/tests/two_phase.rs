@@ -207,10 +207,11 @@ fn two_phase_last_arriver_cannot_strand_parked_peers() {
             .copied()
             .collect()
     };
-    // Whether the run's checkpoint fired. The trigger is polled from the
-    // supervising thread every 200 µs of wall time, so a host that starves
-    // that thread for a whole ~10 ms run yields a run without one (seen
-    // once in ~5000): such a run proves nothing but is not a failure.
+    // Whether the run's checkpoint fired. The trigger fires once the
+    // supervising thread wakes to the threshold crossing, so a host that
+    // starves that thread for a whole ~10 ms run yields a run without one
+    // (seen once in ~5000): such a run proves nothing but is not a
+    // failure.
     let check = |what: &str, i: usize, run: CkptRunReport<f64>, want: &[f64]| -> bool {
         assert!(run.checkpoints.len() <= 1, "{what} run {i}: one trigger");
         assert!(

@@ -7,11 +7,11 @@
 //!   that kill a single rank or a whole node's ranks at an MTBF-sampled
 //!   virtual time ([`FaultPlan::sample`]), or at protocol-sensitive
 //!   moments (mid-drain, during an asynchronous background drain);
-//! * a fault-injector thread watches the running [`Session`] and fires
-//!   each event through [`Session::inject_failure`], which poisons the
-//!   scheduler's fail plane and wakes every wait path so the whole world
-//!   unwinds promptly with a typed [`RankDeath`] instead of timing out a
-//!   watchdog;
+//! * each attempt arms its planned event on the [`Session`], where the
+//!   supervisor's waits check it on every wake and fire it through
+//!   [`Session::inject_failure`], which poisons the scheduler's fail
+//!   plane and wakes every wait path so the whole world unwinds promptly
+//!   with a typed [`RankDeath`] instead of timing out a watchdog;
 //! * [`run_available_world`] (and [`run_available_world_steps`])
 //!   supervise the workload across deaths: on each one they select the
 //!   newest *viable* image from the shared [`TieredStore`] — skipping
@@ -30,21 +30,19 @@
 //! store) and the stall accounting (a dead rank is never reported as a
 //! p2p stall).
 
-use crate::coordinator::{auto_stall_timeout, Coordinator, ResumeMode};
+use crate::coordinator::{Coordinator, ResumeMode};
 use crate::image::Checkpoint;
 use crate::policy::{DalyInterval, NeverTrigger, PeriodicInterval, TriggerPolicy};
 use crate::rank::CcRank;
 use crate::restore::{drive_restore, restore_preflight, RestoreConfig};
 use crate::runner::step::{run_session, Blocking, Driver, StepBody};
-use crate::runner::{
-    min_unfinished_clock_ns, supervise_loop, CkptRunReport, RunError, SuperviseOut,
-};
+use crate::runner::{supervise_loop, CkptRunReport, RunError, SuperviseOut};
 use crate::session::{RestorePlan, Session};
 use crate::store::{CkptTier, ImageSetLayout, StoreRecord, TieredStore, Tiering};
-use mana_core::{CkptPhase, Protocol};
+use mana_core::{CkptPhase, Protocol, Threshold};
 use mpisim::{FaultScope, RankDeath, VTime, WorldConfig};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -271,9 +269,8 @@ struct Campaign {
     protocol: Protocol,
     stall_timeout: Option<Duration>,
     policy: Arc<Mutex<Box<dyn TriggerPolicy>>>,
-    /// Remaining planned events, consumed front-first, one per attempt.
+    /// Planned events, the `k`-th armed on attempt `k + 1`.
     events: Vec<FaultEvent>,
-    next_event: usize,
     /// Hardware nodes lost so far (world-coordinate ids at death time).
     nodes_lost: usize,
     /// Initial node count of the launch topology.
@@ -294,7 +291,6 @@ impl Campaign {
             stall_timeout: opts.stall_timeout,
             policy: Arc::new(Mutex::new(opts.cadence.build())),
             events: plan.events,
-            next_event: 0,
             nodes_lost: 0,
             initial_nodes,
             prior: SuperviseOut::default(),
@@ -321,9 +317,7 @@ impl Campaign {
     ) -> impl FnOnce() -> SuperviseOut + use<> {
         let sh = Arc::clone(sh);
         let tiering = self.tiering.clone();
-        let stall = self
-            .stall_timeout
-            .unwrap_or_else(|| auto_stall_timeout(sh.cfg.n_ranks, sh.cfg.resolved_workers()));
+        let stall = self.stall_timeout;
         let policy = Arc::clone(&self.policy);
         let save = Arc::clone(save);
         move || {
@@ -339,29 +333,6 @@ impl Campaign {
             *save.lock() = out.clone();
             out
         }
-    }
-
-    /// Arms the next planned event (if any) as an injector thread over
-    /// the running session. Returns the stop flag and join handle.
-    fn arm_injector(
-        &mut self,
-        sh: &Arc<Session>,
-        rpn: usize,
-    ) -> Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)> {
-        let event = *self.events.get(self.next_event)?;
-        self.next_event += 1;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let sh = Arc::clone(sh);
-        let store = Arc::clone(&self.tiering.store);
-        let n_ranks = sh.cfg.n_ranks;
-        let handle = std::thread::Builder::new()
-            .name("fault-injector".into())
-            .spawn(move || {
-                injector_loop(&sh, &store, event, n_ranks, rpn, &flag);
-            })
-            .expect("spawn fault injector");
-        Some((stop, handle))
     }
 
     /// Folds a finished attempt's saved supervision output into the
@@ -463,48 +434,56 @@ impl Campaign {
     }
 }
 
-/// The injector thread body: polls the session until the event's trigger
-/// condition holds, then injects the death (dropping the node from every
-/// store tier for node-scope events) and exits. The stop flag ends the
-/// watch when the attempt finishes without the event firing.
-fn injector_loop(
-    sh: &Arc<Session>,
-    store: &Arc<TieredStore>,
+/// A planned fault armed over one world attempt, struck by
+/// [`Session::wait_for`] once its trigger holds: a node-scope death also
+/// drops the node (`rpn` ranks each) from `store`.
+pub(crate) struct ArmedFault {
     event: FaultEvent,
-    n_ranks: usize,
+    store: Arc<TieredStore>,
     rpn: usize,
-    stop: &AtomicBool,
-) {
-    while !stop.load(SeqCst) {
-        let after = |t: VTime| min_unfinished_clock_ns(sh) >= (t.as_secs() * 1e9) as u64;
-        let due = match event.trigger {
-            FaultTrigger::AtVirtual(t) => after(t),
-            FaultTrigger::MidDrain(t) => {
-                after(t) && sh.control.is_pending() && sh.control.phase() == CkptPhase::Draining
+}
+
+impl ArmedFault {
+    /// The virtual time before which the event cannot strike.
+    pub(crate) fn after(&self) -> Threshold {
+        let (FaultTrigger::AtVirtual(t)
+        | FaultTrigger::MidDrain(t)
+        | FaultTrigger::DuringAsyncDrain(t)) = self.event.trigger;
+        Threshold::Clock((t.as_secs() * 1e9) as u64)
+    }
+
+    /// Whether the trigger holds now: every unfinished rank is past the
+    /// event's virtual time and, for the protocol-sensitive triggers, the
+    /// moment it waits for is on.
+    pub(crate) fn due(&self, sh: &Session) -> bool {
+        sh.control.reached(self.after())
+            && match self.event.trigger {
+                FaultTrigger::AtVirtual(_) => true,
+                FaultTrigger::MidDrain(_) => {
+                    sh.control.is_pending() && sh.control.phase() == CkptPhase::Draining
+                }
+                FaultTrigger::DuringAsyncDrain(_) => sh.bg_drain_inflight.load(SeqCst),
             }
-            FaultTrigger::DuringAsyncDrain(t) => after(t) && sh.bg_drain_inflight.load(SeqCst),
+    }
+
+    /// Injects the death, dropping the node from every store tier for a
+    /// node-scope event.
+    pub(crate) fn strike(self, sh: &Session) {
+        let n_ranks = sh.cfg.n_ranks;
+        let at = VTime::from_secs(sh.control.min_unfinished_clock_ns() as f64 / 1e9);
+        let (victims, node) = match self.event.scope {
+            FaultScope::Rank(r) => (vec![r % n_ranks.max(1)], None),
+            FaultScope::Node(d) => {
+                let rpn = self.rpn.max(1);
+                let d = d % n_ranks.div_ceil(rpn).max(1);
+                ((d * rpn..((d + 1) * rpn).min(n_ranks)).collect(), Some(d))
+            }
         };
-        if due {
-            let at = VTime::from_secs(min_unfinished_clock_ns(sh) as f64 / 1e9);
-            let (victims, node) = match event.scope {
-                FaultScope::Rank(r) => (vec![r % n_ranks.max(1)], None),
-                FaultScope::Node(d) => {
-                    let nodes = n_ranks.div_ceil(rpn.max(1)).max(1);
-                    let d = d % nodes;
-                    let lo = d * rpn;
-                    let hi = ((d + 1) * rpn).min(n_ranks);
-                    ((lo..hi).collect(), Some(d))
-                }
-            };
-            let death = RankDeath { victims, node, at };
-            if sh.inject_failure(death) {
-                if let Some(d) = node {
-                    store.drop_node(d);
-                }
+        if sh.inject_failure(RankDeath { victims, node, at }) {
+            if let Some(d) = node {
+                self.store.drop_node(d);
             }
-            return;
         }
-        std::thread::sleep(Duration::from_micros(100));
     }
 }
 
@@ -564,13 +543,11 @@ fn run_campaign<B: StepBody>(
         let (sh, restore_drive, rpn) = attempt_session(cfg, &campaign, &restore);
         let save = Arc::new(Mutex::new(SuperviseOut::default()));
         let supervise = campaign.supervise_attempt(&sh, restore_drive, &save);
-        let injector = campaign.arm_injector(&sh, rpn);
-        let result = run_session(Arc::clone(&sh), driver, &make, supervise);
-        if let Some((stop, handle)) = injector {
-            stop.store(true, SeqCst);
-            let _ = handle.join();
-        }
-        match result {
+        *sh.fault.lock() = campaign.events.get(campaign.attempts - 1).map(|&event| {
+            let store = Arc::clone(&campaign.tiering.store);
+            ArmedFault { event, store, rpn }
+        });
+        match run_session(Arc::clone(&sh), driver, &make, supervise) {
             Ok(report) => return campaign.finish(report),
             Err(RunError::Spawn(e)) => panic!("{e}"),
             Err(RunError::Died(death)) => {
@@ -632,8 +609,7 @@ mod tests {
     use mpisim::{NetParams, ReduceOp};
 
     /// A wall-paced allreduce loop: virtual time comes from `compute`,
-    /// wall time from the sleep — slow enough for the injector and the
-    /// trigger supervisor to land mid-run.
+    /// wall time from the sleep.
     fn paced_sum(r: &mut CcRank) -> f64 {
         let w = r.world_vcomm();
         let mut acc = 0.0f64;

@@ -19,7 +19,7 @@
 //! hanging — the request is withdrawn and the application continues.
 
 use crate::image::{stable_state_eq, CaptureOrigin, Checkpoint, DrainedMsg};
-use crate::session::Session;
+use crate::session::{Interrupted, Session};
 use crate::store::{CkptTier, ImageSetLayout, StoreRecord, TieredStore, Tiering};
 use mana_core::{CkptPhase, DrainEvent, Ggid, Protocol, RankCtl, RankState, RuntimeCapture};
 use mpisim::msg::InFlightMsg;
@@ -32,13 +32,11 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the coordinator sleeps between supervision polls (wall-clock).
-const POLL: Duration = Duration::from_micros(100);
-
 /// Default no-progress window before the drain watchdog declares a stall.
 ///
-/// The watchdog is **wall-clock** based: it watches for any change in
-/// rank clocks, states, sequence tables, or update traffic. A workload
+/// The watchdog is **wall-clock** based: whenever the drain wait goes
+/// quiet it checks for any change in rank clocks, call counts, states, or
+/// update traffic. A workload
 /// that wall-sleeps (or a rank thread starved by the host scheduler) for
 /// longer than the window while a checkpoint is draining is
 /// indistinguishable from a genuine p2p deadlock and will be aborted as
@@ -175,7 +173,7 @@ pub struct Coordinator {
     sh: Arc<Session>,
     storage: Option<StorageSpec>,
     tiering: Option<Tiering>,
-    stall_timeout: Duration,
+    pub(crate) stall_timeout: Duration,
     /// Wall-clock seconds of each committed capture bracket (capture-phase
     /// entry through in-flight drain and accounting), in commit order.
     capture_walls: Mutex<Vec<f64>>,
@@ -193,13 +191,14 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Builds a coordinator with no storage model and the default watchdog.
+    /// Builds a coordinator with no storage model and the world-size-scaled
+    /// watchdog window ([`auto_stall_timeout`]).
     pub fn new(sh: Arc<Session>) -> Self {
         Coordinator {
+            stall_timeout: auto_stall_timeout(sh.cfg.n_ranks, sh.cfg.resolved_workers()),
             sh,
             storage: None,
             tiering: None,
-            stall_timeout: DEFAULT_STALL_TIMEOUT,
             capture_walls: Mutex::new(Vec::new()),
             drain_busy_until: Mutex::new(0.0),
             pending_drain: Mutex::new(None),
@@ -227,10 +226,6 @@ impl Coordinator {
     /// this before reading histories; the run must not end with an image
     /// still in flight.
     pub fn flush_drains(&self) {
-        self.join_pending_drain();
-    }
-
-    fn join_pending_drain(&self) {
         let handle = self.pending_drain.lock().take();
         if let Some(h) = handle {
             let _ = h.join();
@@ -254,17 +249,24 @@ impl Coordinator {
         self
     }
 
-    /// Overrides the drain watchdog window.
-    pub fn with_stall_timeout(mut self, t: Duration) -> Self {
-        self.stall_timeout = t;
+    /// Pins the drain watchdog window (`None` keeps the scaled default).
+    pub fn with_stall_timeout(mut self, t: Option<Duration>) -> Self {
+        self.stall_timeout = t.unwrap_or(self.stall_timeout);
         self
     }
 
     /// Runs one full checkpoint: request → target computation → drain →
     /// quiesce → capture → resume (per `mode`). Returns the captured image,
     /// or a typed error if the drain stalled (in which case the request has
-    /// been withdrawn and the application keeps running).
-    pub fn checkpoint(&self, mode: ResumeMode) -> Result<Checkpoint, DrainError> {
+    /// been withdrawn and the application keeps running). Just before the
+    /// ranks resume from a committed image, `before_release(charge_ns,
+    /// write_s)` hears its clock charge and write cost: a supervisor arms
+    /// its next trigger there, so no rank runs unobserved past it.
+    pub fn checkpoint(
+        &self,
+        mode: ResumeMode,
+        before_release: impl FnOnce(u64, f64),
+    ) -> Result<Checkpoint, DrainError> {
         let sh = &self.sh;
         let control = &sh.control;
         assert!(
@@ -277,13 +279,9 @@ impl Coordinator {
         // park state would pass this checkpoint's quiesce test — at once
         // under 2PC, which has no targets to drain first — and the capture
         // would find the rank back inside a collective.
-        while control.any_stale_park() {
-            if let Some(e) = self.death_abort() {
-                return Err(e);
-            }
-            std::thread::sleep(POLL);
-        }
-        let request_clock = VTime::from_secs(control.min_clock_secs());
+        sh.wait_for(None, None, || (!control.any_stale_park()).then_some(()))
+            .map_err(|i| self.interrupted(i))?;
+        let request_clock = VTime::from_secs(control.min_unfinished_clock_ns() as f64 * 1e-9);
         // A rank descheduled mid-drain when a previous attempt was aborted
         // can deliver its raise arbitrarily late — even after the abort's
         // teardown. No legitimate update can exist before this request's
@@ -323,48 +321,36 @@ impl Coordinator {
             // must reach the (possibly raised) target, all update messages
             // must be delivered and applied, and no rank may sit inside a
             // collective. A no-progress watchdog turns a p2p-induced
-            // deadlock into a typed error instead of a hang.
-            let mut watch = StallWatch::new(self.stall_timeout, self.progress_fingerprint());
-            let finals = loop {
-                // Death check before the watchdog: a killed world stops
-                // making progress by design and must surface as the typed
-                // death, never as a spurious `P2pStall`.
-                if let Some(e) = self.death_abort() {
-                    return Err(e);
-                }
-                let mut finals = initial.clone();
-                let mut mems = members_of.clone();
-                for (g, (t, m)) in sh.bus.raises() {
-                    let e = finals.entry(g).or_insert(0);
-                    *e = (*e).max(t);
-                    mems.entry(g).or_insert(m);
-                }
-                if self.drain_complete(&finals, &mems) {
-                    break finals;
-                }
-                if watch.stalled(self.progress_fingerprint()) {
-                    return Err(self.abort_stalled_drain());
-                }
-                std::thread::sleep(POLL);
-            };
+            // deadlock into a typed error instead of a hang; the wait
+            // checks for death first, so a killed world — which stops
+            // making progress by design — surfaces as the typed death,
+            // never as a spurious `P2pStall`.
+            let finals = sh
+                .wait_for(None, Some(self.stall_timeout), || {
+                    let mut finals = initial.clone();
+                    let mut mems = members_of.clone();
+                    for (g, (t, m)) in sh.bus.raises() {
+                        let e = finals.entry(g).or_insert(0);
+                        *e = (*e).max(t);
+                        mems.entry(g).or_insert(m);
+                    }
+                    self.drain_complete(&finals, &mems).then_some(finals)
+                })
+                .map_err(|i| self.interrupted(i))?;
             control.set_phase(CkptPhase::Quiescing);
             (initial, finals)
         };
 
         // Quiesce: every rank parks at its current interposition point and
         // publishes its capture.
-        while !control.all_quiesced() {
-            if let Some(e) = self.death_abort() {
-                return Err(e);
-            }
-            std::thread::sleep(POLL);
-        }
+        sh.wait_for(None, None, || control.all_quiesced().then_some(()))
+            .map_err(|i| self.interrupted(i))?;
         // A killed rank unwinds instead of parking, and its thread's
         // teardown may leave it looking Finished — letting the loop above
         // exit with no capture published. Re-check before touching the
         // capture slots.
-        if let Some(e) = self.death_abort() {
-            return Err(e);
+        if sh.poisoned() {
+            return Err(self.interrupted(Interrupted::Died));
         }
         control.set_phase(CkptPhase::Capturing);
         let capture_t0 = Instant::now();
@@ -489,7 +475,7 @@ impl Coordinator {
                 // Back-pressure rule, wall side: if the previous image has
                 // not landed when this trigger fires, the world waits for
                 // it here, inside the blocking bracket.
-                self.join_pending_drain();
+                self.flush_drains();
                 let plan = self.plan_tier_write(t, mode, &in_flight, &captures);
                 let r = plan.modeled_read_s;
                 (
@@ -592,6 +578,7 @@ impl Coordinator {
                         rs[idx].overlapped_wall_s = overlapped;
                         drop(rs);
                         session.bg_drain_inflight.store(false, SeqCst);
+                        session.control.events.bump();
                     })
                     .expect("spawn checkpoint drain thread");
                 *self.pending_drain.lock() = Some(handle);
@@ -617,6 +604,7 @@ impl Coordinator {
             }
             ResumeMode::Restart => self.resume_restart(&ckpt, sh.cfg.clone()),
         }
+        before_release(charge_ns, io_write_secs);
         self.release_quiesced_ranks();
         sh.trace.push(DrainEvent::Resumed);
         Ok(Arc::try_unwrap(ckpt).unwrap_or_else(|arc| (*arc).clone()))
@@ -683,7 +671,7 @@ impl Coordinator {
         // Restart always drains synchronously: the world is down while the
         // image writes; there is no application to overlap with.
         let sync = !t.async_drain || mode == ResumeMode::Restart;
-        let now_v = self.sh.control.min_clock_secs();
+        let now_v = self.sh.control.min_unfinished_clock_ns() as f64 * 1e-9;
         let (backpressure_s, landing_v_s) = if sync {
             // Ranks resume only after the write retires, so the image is
             // durable before any rank makes further progress: it lands at
@@ -752,7 +740,6 @@ impl Coordinator {
         let sched = Arc::clone(sh.current_world().scheduler());
         let new_world = World::with_epoch_attached(cfg, ckpt.epoch + 1, sched);
         *sh.world.lock() = Arc::clone(&new_world);
-        control.world_epoch.fetch_add(1, SeqCst);
         control.replayed_count.store(0, SeqCst);
         for &i in &live {
             // The image is authoritative: restore the captured call
@@ -777,14 +764,13 @@ impl Coordinator {
             }
         }
         control.set_phase(CkptPhase::Resuming);
-        while (control.replayed_count.load(SeqCst) as usize) < live.len() {
-            // A death injected mid-restart leaves some ranks unwinding
-            // instead of replaying; the new generation is dead on arrival
-            // and the supervisor restores from storage instead.
-            if new_world.fail_plane().poisoned() {
-                return;
-            }
-            std::thread::sleep(POLL);
+        // A death injected mid-restart leaves some ranks unwinding instead
+        // of replaying; the new generation is dead on arrival and the
+        // supervisor restores from storage instead.
+        let replayed =
+            || (control.replayed_count.load(SeqCst) as usize >= live.len()).then_some(());
+        if sh.wait_for(None, None, replayed).is_err() {
+            return;
         }
         for d in &ckpt.in_flight {
             let dst = d.saved.dst_world;
@@ -845,47 +831,18 @@ impl Coordinator {
         }
     }
 
-    /// If an injected death has poisoned the world, records the abort in
-    /// the trace and returns the typed error. The per-checkpoint state is
-    /// deliberately left alone — the world is being abandoned wholesale,
-    /// not resumed, so there is nothing to withdraw into.
-    fn death_abort(&self) -> Option<DrainError> {
-        let d = self.sh.current_world().fail_plane().death()?;
-        self.sh.trace.push(DrainEvent::Aborted);
-        Some(DrainError::RankDeath(d))
-    }
-
-    /// Order-insensitive digest of everything that changes while a drain
-    /// makes progress: clocks, states, sequence tables, update counters,
-    /// and inbox depths. Two equal digests across the watchdog window mean
-    /// the drain is wedged.
-    fn progress_fingerprint(&self) -> u64 {
-        let control = &self.sh.control;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for (i, rc) in control.ranks.iter().enumerate() {
-            mix(i as u64);
-            mix(rc.clock_ns.load(std::sync::atomic::Ordering::Relaxed));
-            mix(rc.state() as u64);
-            mix(rc.updates_sent.load(SeqCst));
-            mix(rc.updates_recv.load(SeqCst));
-            mix(rc.targets_met.load(SeqCst) as u64);
-            // Hash-map iteration order is arbitrary: fold entries through
-            // an order-independent accumulator first.
-            let mut acc: u64 = 0;
-            let t = rc.seq_mirror.lock();
-            for (g, e) in t.iter() {
-                acc = acc.wrapping_add(
-                    (g.0 ^ e.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                        .wrapping_mul(0xff51_afd7_ed55_8ccd),
-                );
+    /// The typed error for a checkpoint wait that ended without its
+    /// condition. A death leaves the per-checkpoint state alone — the
+    /// world is abandoned wholesale, not resumed, so there is nothing to
+    /// withdraw into.
+    fn interrupted(&self, why: Interrupted) -> DrainError {
+        match why {
+            Interrupted::Died => {
+                self.sh.trace.push(DrainEvent::Aborted);
+                DrainError::RankDeath(self.sh.death().expect("a died wait saw the poison"))
             }
-            mix(acc);
+            Interrupted::Stalled => self.abort_stalled_drain(),
         }
-        h
     }
 
     /// Withdraws a stalled checkpoint request: targets are torn down, the
@@ -905,22 +862,15 @@ impl Coordinator {
             .map(|(i, _)| i)
             .collect();
         self.sh.trace.push(DrainEvent::Aborted);
-        // Drop the request first so ranks stop acting on the drain, give
-        // in-progress wrapper iterations a beat to observe it, then tear
-        // down the per-checkpoint state they might still have been touching.
+        // Drop the request first so ranks stop acting on the drain, then
+        // tear down the per-checkpoint state — which retires the epoch, as
+        // ranks key their installed targets on it. A rank still inside a
+        // wrapper iteration may deliver a raise after this teardown; the
+        // next request wipes the update counters and the bus before it
+        // opens, for exactly that race.
         control.clear_pending();
-        std::thread::sleep(POLL * 10);
-        for rc in &control.ranks {
-            rc.targets_ready.store(false, SeqCst);
-            rc.initial_targets.lock().clear();
-            rc.updates_sent.store(0, SeqCst);
-            rc.updates_recv.store(0, SeqCst);
-        }
+        control.reset_after_checkpoint();
         self.sh.bus.clear_all();
-        // The aborted attempt consumed this epoch: ranks that installed
-        // its targets key their staleness check on the epoch, so the next
-        // request must open under a fresh one.
-        control.ckpt_epoch.fetch_add(1, SeqCst);
         DrainError::P2pStall { stalled }
     }
 
@@ -1067,34 +1017,6 @@ pub(crate) fn p2p_accounting_check(
     }
 }
 
-/// Wall-clock no-progress watchdog over an opaque fingerprint.
-struct StallWatch {
-    window: Duration,
-    last_fp: u64,
-    last_change: Instant,
-}
-
-impl StallWatch {
-    fn new(window: Duration, fp: u64) -> Self {
-        StallWatch {
-            window,
-            last_fp: fp,
-            last_change: Instant::now(),
-        }
-    }
-
-    /// Feeds the current fingerprint; true once it has been unchanged for
-    /// the full window.
-    fn stalled(&mut self, fp: u64) -> bool {
-        if fp != self.last_fp {
-            self.last_fp = fp;
-            self.last_change = Instant::now();
-            return false;
-        }
-        self.last_change.elapsed() >= self.window
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,6 +1033,41 @@ mod tests {
         assert!(e.to_string().contains("lost or duplicated"));
         // A duplicated message fails the other way.
         assert!(p2p_accounting_check(10, 11, 0, 0).is_err());
+    }
+
+    #[test]
+    fn request_clock_ignores_a_rank_that_finished_early() {
+        // Rank 0 only joins the split that excludes it, then returns at a
+        // clock far below the trigger; the others run on past it. The
+        // trigger waits for the slowest *unfinished* rank, and the image's
+        // request clock must say where the run stood then — not where
+        // the finished rank stopped.
+        use crate::runner::{run_ckpt_world, CkptOptions};
+        use mpisim::ReduceOp;
+        let at = VTime::from_micros(100.0);
+        let opts = CkptOptions::one_checkpoint(at, ResumeMode::Continue);
+        let run = run_ckpt_world(WorldConfig::single_node(3), opts, |r| {
+            let me = r.rank();
+            let color = if me == 0 { -1 } else { 0 };
+            let Some(sub) = r.comm_split(r.world_vcomm(), color, 0) else {
+                return 0.0;
+            };
+            r.set_wall_pace_us(200);
+            let mut acc = 0.0;
+            for _ in 0..40 {
+                r.compute(10e-6);
+                acc += r.allreduce_f64(sub, &[me as f64], ReduceOp::Sum)[0];
+            }
+            acc
+        });
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        assert_eq!(run.checkpoints.len(), 1, "the trigger must fire");
+        let c = &run.checkpoints[0];
+        assert!(
+            c.request_clock >= at,
+            "request clock {} is below the trigger {at}: a finished rank pinned it",
+            c.request_clock
+        );
     }
 
     #[test]

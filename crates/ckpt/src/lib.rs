@@ -54,9 +54,11 @@
 //!   is the poll engine of [`rank::step`]; every operation that can wait
 //!   has a `poll_*` form and a blocking form over it.
 //! * [`policy`] — [`TriggerPolicy`] and the built-in policies: an explicit
-//!   [`VirtualTimeSchedule`], a production-style [`PeriodicInterval`], and
-//!   [`EveryNCollectives`] driven by the ranks' published call counters.
-//!   All virtual-time comparisons run in integer nanoseconds.
+//!   [`VirtualTimeSchedule`], a production-style [`PeriodicInterval`],
+//!   the Young/Daly [`DalyInterval`], and [`EveryNCollectives`] driven by
+//!   the ranks' published call counters, each naming its next
+//!   [`Threshold`]. All virtual-time comparisons run in integer
+//!   nanoseconds.
 //! * [`coordinator::Coordinator`] — issues checkpoint requests through
 //!   [`mana_core::CkptControl`], computes `TARGET[]` as the global max of
 //!   snapshotted `SEQ[]` tables (Algorithm 1), supervises the drain to
@@ -183,13 +185,12 @@
 //!   generation onto the same scheduler and the sleeping threads wake
 //!   into it.
 //!
-//! Under both drivers every wait is *event-driven*: a pending rank is
-//! woken by mailbox deposits, collective completions, the update bus,
-//! and coordinator phase transitions — all of which reach a sleeping
-//! thread through that one event counter, whose token is read before the
-//! poll so nothing in between can be lost — never by short timed polls (a
-//! 200 µs re-check multiplied by 512 parked ranks would saturate the
-//! host exactly during capture).
+//! Every wait is *event-driven*, never a timed poll: a pending rank is
+//! woken through its one event counter (mailbox deposits, collective
+//! completions, the update bus, phase transitions; token read before the
+//! poll), and the trigger supervisor, the coordinator, a restore and an
+//! armed fault sleep on the control plane's observer counter, which ranks
+//! bump after publishing what those waits read ([`mana_core::control`]).
 //!
 //! **Driver independence.** The checkpoint semantics cannot see which
 //! driver steps a rank: counter increments, drain-gate decisions, clock
@@ -209,12 +210,13 @@
 //! for. A [`FaultPlan`] is a deterministic, seeded campaign of deaths —
 //! a single rank or a whole node's ranks, at an MTBF-sampled virtual
 //! time ([`FaultPlan::sample`]) or at a protocol-sensitive moment
-//! (mid-drain, during an asynchronous background drain). An injector
-//! thread fires each event through [`Session::inject_failure`], which
+//! (mid-drain, during an asynchronous background drain). Each attempt
+//! arms its event on the session; the supervisor's waits check it on
+//! every wake and fire it through [`Session::inject_failure`], which
 //! poisons the scheduler's shared fail plane ([`mpisim::FailPlane`]) and
 //! wakes every wait site — mailbox parks, sleeping threads' event
-//! waits, the pool's poison retire — so the whole world
-//! unwinds promptly with a typed [`mpisim::RankDeath`] instead of
+//! waits, the pool's poison retire, the observer counter — so the whole
+//! world unwinds promptly with a typed [`mpisim::RankDeath`] instead of
 //! tripping the drain watchdog as a spurious stall (dead ranks are
 //! excluded from stall accounting outright).
 //!
@@ -276,7 +278,7 @@ pub use image::{
 pub use mpisim::{FaultScope, RankDeath, SpawnError};
 pub use policy::{
     young_daly_interval_s, DalyInterval, DeltaPolicy, EveryNCollectives, NeverTrigger,
-    PeriodicInterval, TierSchedule, TriggerObservation, TriggerPolicy, VirtualTimeSchedule,
+    PeriodicInterval, Threshold, TierSchedule, TriggerPolicy, VirtualTimeSchedule,
 };
 pub use rank::step::{StepPoll, StepRank};
 pub use rank::CcRank;

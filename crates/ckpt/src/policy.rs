@@ -1,59 +1,41 @@
 //! Pluggable checkpoint trigger policies.
 //!
-//! The supervision loop of [`crate::run_ckpt_world`] no longer consumes a
-//! hard-coded list of virtual-time triggers; it polls a [`TriggerPolicy`]
-//! with a cheap [`TriggerObservation`] snapshot of global progress and
-//! fires a checkpoint whenever the policy says so. Three policies cover
-//! the paper's experimental needs: an explicit virtual-time schedule
-//! (the old behavior), a periodic virtual-time interval (production-style
-//! "checkpoint every N minutes"), and an every-N-collectives policy driven
-//! by the ranks' published [`mana_core::CallCounters`] totals.
+//! A [`TriggerPolicy`] names the [`Threshold`] (virtual clock or
+//! collective-call count) at which the next checkpoint is due. The
+//! supervisor arms it, each rank announces crossing it as it publishes its
+//! progress ([`mana_core::CkptControl::publish_progress`]), and the
+//! supervisor fires once every unfinished rank is past it — nothing polls.
+//! The policies: an explicit virtual-time schedule, a periodic interval,
+//! the Young/Daly optimum, and every-N-collectives.
 //!
 //! All progress comparisons are made in **integer nanoseconds** against the
 //! clocks the ranks publish ([`mana_core::RankCtl::clock_ns`]): the
 //! published `u64` clock is never round-tripped through `f64` seconds on
-//! its way to a comparison (doing so — as the old trigger loop did —
-//! silently collapses distinct clock values above ~2^53 ns, about 104
-//! days of virtual time). Thresholds supplied as [`VTime`] are converted
-//! to nanoseconds once at policy construction; their granularity is
-//! bounded by `VTime`'s own `f64` representation.
+//! its way to a comparison (doing so silently collapses distinct clock
+//! values above ~2^53 ns, about 104 days of virtual time). Thresholds
+//! supplied as [`VTime`] are converted to nanoseconds once at policy
+//! construction; their granularity is bounded by `VTime`'s own `f64`
+//! representation.
 
+pub use mana_core::Threshold;
 use mpisim::VTime;
 
-/// A cheap snapshot of global progress, handed to
-/// [`TriggerPolicy::should_fire`] on every supervision poll.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TriggerObservation {
-    /// Minimum published virtual clock over non-finished ranks, in
-    /// nanoseconds. Zero when every rank has finished.
-    pub min_clock_ns: u64,
-    /// Minimum published collective-call total (blocking + non-blocking
-    /// initiations, the [`mana_core::CallCounters::coll_total`] mirror)
-    /// over non-finished ranks.
-    pub min_coll_calls: u64,
-    /// Checkpoints successfully captured so far in this run.
-    pub checkpoints_taken: usize,
-    /// Modeled virtual seconds the most recently committed checkpoint
-    /// spent writing its image (`0.0` until one commits). Cost-adaptive
-    /// policies — [`DalyInterval`] — fold this measurement into their
-    /// cadence so the interval tracks what checkpoints actually cost on
-    /// the tier they land on.
-    pub last_write_cost_s: f64,
-}
-
-/// Decides when the supervision loop fires a checkpoint.
+/// Decides when the supervisor fires a checkpoint.
 ///
-/// `should_fire` is polled a few thousand times per wall second; it must be
-/// cheap and must return `true` at most once per intended checkpoint (the
-/// loop fires immediately on `true`). `exhausted` ends supervision: once it
-/// returns `true`, no further polls happen and the loop only waits for the
-/// ranks to finish.
+/// `next` is asked once before each wait; the supervisor fires when every
+/// unfinished rank has reached the threshold it returns, and calls
+/// `fired` once the checkpoint attempt is over. `None` ends supervision:
+/// the policy will never fire again.
 pub trait TriggerPolicy: Send {
-    /// Whether to fire a checkpoint right now.
-    fn should_fire(&mut self, obs: &TriggerObservation) -> bool;
+    /// The progress at which the next checkpoint is due; `None` once the
+    /// policy is exhausted.
+    fn next(&self) -> Option<Threshold>;
 
-    /// Whether this policy will never fire again.
-    fn exhausted(&self) -> bool;
+    /// The supervisor fired at [`TriggerPolicy::next`]'s threshold; the
+    /// run picks up again at `clock_ns` (a clock threshold, or the clock at
+    /// the fire, plus the checkpoint's own clock charge), and the image
+    /// cost `write_cost_s` virtual seconds to write (`0.0` if aborted).
+    fn fired(&mut self, clock_ns: u64, write_cost_s: f64);
 }
 
 /// Converts a virtual time to the integer-nanosecond domain the rank
@@ -67,17 +49,14 @@ fn vtime_to_ns(t: VTime) -> u64 {
 pub struct NeverTrigger;
 
 impl TriggerPolicy for NeverTrigger {
-    fn should_fire(&mut self, _obs: &TriggerObservation) -> bool {
-        false
+    fn next(&self) -> Option<Threshold> {
+        None
     }
 
-    fn exhausted(&self) -> bool {
-        true
-    }
+    fn fired(&mut self, _clock_ns: u64, _write_cost_s: f64) {}
 }
 
-/// Fires once at each virtual-time threshold, in order — the successor of
-/// the old `Vec<CkptTrigger>` API.
+/// Fires once at each virtual-time threshold, in order.
 #[derive(Debug, Clone)]
 pub struct VirtualTimeSchedule {
     thresholds_ns: Vec<u64>,
@@ -101,35 +80,35 @@ impl VirtualTimeSchedule {
 }
 
 impl TriggerPolicy for VirtualTimeSchedule {
-    fn should_fire(&mut self, obs: &TriggerObservation) -> bool {
-        match self.thresholds_ns.get(self.next) {
-            Some(&t) if obs.min_clock_ns >= t => {
-                self.next += 1;
-                true
-            }
-            _ => false,
-        }
+    fn next(&self) -> Option<Threshold> {
+        self.thresholds_ns
+            .get(self.next)
+            .map(|&t| Threshold::Clock(t))
     }
 
-    fn exhausted(&self) -> bool {
-        self.next >= self.thresholds_ns.len()
+    fn fired(&mut self, _clock_ns: u64, _write_cost_s: f64) {
+        self.next += 1;
     }
 }
 
 /// Fires every `interval` of virtual time, up to `limit` checkpoints —
-/// the production "periodic checkpointing" policy.
+/// the production "periodic checkpointing" policy. Each deadline is armed
+/// `interval` past the previous checkpoint's resume, so a write charge as
+/// long as the interval cannot turn the run into a checkpoint storm.
 #[derive(Debug, Clone)]
 pub struct PeriodicInterval {
     interval_ns: u64,
     limit: usize,
     fired: usize,
+    next_due_ns: u64,
 }
 
 impl PeriodicInterval {
-    /// Fire at `interval`, `2·interval`, … up to `limit` times.
+    /// Fire first at `interval`, then `interval` past each resume, up to
+    /// `limit` times.
     ///
     /// # Panics
-    /// Panics on a zero interval (the loop would fire continuously).
+    /// Panics on a zero interval (the supervisor would fire continuously).
     pub fn new(interval: VTime, limit: usize) -> Self {
         let interval_ns = vtime_to_ns(interval);
         assert!(interval_ns > 0, "periodic interval must be positive");
@@ -137,29 +116,19 @@ impl PeriodicInterval {
             interval_ns,
             limit,
             fired: 0,
+            next_due_ns: interval_ns,
         }
     }
 }
 
 impl TriggerPolicy for PeriodicInterval {
-    fn should_fire(&mut self, obs: &TriggerObservation) -> bool {
-        if self.fired >= self.limit {
-            return false;
-        }
-        // Integer multiply cannot overflow meaningfully here: `fired` is
-        // bounded by `limit`, and saturating keeps a pathological
-        // (interval, limit) pair from wrapping into an early fire.
-        let due = self.interval_ns.saturating_mul(self.fired as u64 + 1);
-        if obs.min_clock_ns >= due {
-            self.fired += 1;
-            true
-        } else {
-            false
-        }
+    fn next(&self) -> Option<Threshold> {
+        (self.fired < self.limit).then_some(Threshold::Clock(self.next_due_ns))
     }
 
-    fn exhausted(&self) -> bool {
-        self.fired >= self.limit
+    fn fired(&mut self, clock_ns: u64, _write_cost_s: f64) {
+        self.fired += 1;
+        self.next_due_ns = clock_ns.saturating_add(self.interval_ns);
     }
 }
 
@@ -186,21 +155,15 @@ impl EveryNCollectives {
 }
 
 impl TriggerPolicy for EveryNCollectives {
-    fn should_fire(&mut self, obs: &TriggerObservation) -> bool {
-        if self.fired >= self.limit {
-            return false;
-        }
-        let due = self.n.saturating_mul(self.fired as u64 + 1);
-        if obs.min_coll_calls >= due {
-            self.fired += 1;
-            true
-        } else {
-            false
-        }
+    fn next(&self) -> Option<Threshold> {
+        // Saturating: `fired` is bounded by `limit`, and a pathological
+        // (n, limit) pair must not wrap into an early fire.
+        (self.fired < self.limit)
+            .then(|| Threshold::CollCalls(self.n.saturating_mul(self.fired as u64 + 1)))
     }
 
-    fn exhausted(&self) -> bool {
-        self.fired >= self.limit
+    fn fired(&mut self, _clock_ns: u64, _write_cost_s: f64) {
+        self.fired += 1;
     }
 }
 
@@ -218,11 +181,11 @@ pub fn young_daly_interval_s(write_cost_s: f64, mtbf_s: f64) -> f64 {
 
 /// Fires on the Young/Daly optimum cadence `sqrt(2 · δ · MTBF)`, where
 /// `δ` starts at a configured estimate and is replaced by the *measured*
-/// write cost of each committed generation
-/// ([`TriggerObservation::last_write_cost_s`]): every fire re-arms the
-/// next deadline from the freshest measurement, so the cadence converges
-/// onto what checkpoints actually cost on the tiers they land on. An
-/// infinite MTBF degenerates to [`NeverTrigger`]: exhausted from birth.
+/// write cost of each committed generation: every fire re-arms the next
+/// deadline past the resume from the freshest measurement, so the cadence
+/// converges onto what checkpoints actually cost on the tiers they land
+/// on. An infinite MTBF degenerates to [`NeverTrigger`]: exhausted from
+/// birth.
 #[derive(Debug, Clone)]
 pub struct DalyInterval {
     mtbf_s: f64,
@@ -239,8 +202,8 @@ impl DalyInterval {
     ///
     /// # Panics
     /// Panics when a finite MTBF is paired with a non-positive MTBF or
-    /// write-cost estimate (the optimum would be zero and the loop would
-    /// fire continuously).
+    /// write-cost estimate (the optimum would be zero and the supervisor
+    /// would fire continuously).
     pub fn new(mtbf_s: f64, initial_write_cost_s: f64) -> Self {
         if mtbf_s.is_finite() {
             assert!(mtbf_s > 0.0, "MTBF must be positive");
@@ -277,24 +240,16 @@ impl DalyInterval {
 }
 
 impl TriggerPolicy for DalyInterval {
-    fn should_fire(&mut self, obs: &TriggerObservation) -> bool {
-        // Track the freshest measured write cost every poll; it takes
-        // effect at the next re-arm (the Daly δ of the *previous*
-        // generation, exactly as the closed form wants).
-        if obs.last_write_cost_s > 0.0 {
-            self.delta_s = obs.last_write_cost_s;
-        }
-        match self.next_due_ns {
-            Some(due) if obs.min_clock_ns >= due => {
-                self.next_due_ns = self.arm_from(obs.min_clock_ns);
-                true
-            }
-            _ => false,
-        }
+    fn next(&self) -> Option<Threshold> {
+        self.next_due_ns.map(Threshold::Clock)
     }
 
-    fn exhausted(&self) -> bool {
-        self.next_due_ns.is_none()
+    fn fired(&mut self, clock_ns: u64, write_cost_s: f64) {
+        // An aborted attempt measured nothing: keep the last δ.
+        if write_cost_s > 0.0 {
+            self.delta_s = write_cost_s;
+        }
+        self.next_due_ns = self.arm_from(clock_ns);
     }
 }
 
@@ -370,72 +325,83 @@ mod tests {
     use super::*;
     use crate::store::CkptTier;
 
-    fn obs(min_clock_ns: u64, min_coll_calls: u64, taken: usize) -> TriggerObservation {
-        TriggerObservation {
-            min_clock_ns,
-            min_coll_calls,
-            checkpoints_taken: taken,
-            last_write_cost_s: 0.0,
+    /// Drives `p` the way the supervisor does: fires once the progress
+    /// has reached the next threshold, and resumes (free of charge) at
+    /// the same clock.
+    fn fires(p: &mut dyn TriggerPolicy, clock_ns: u64, calls: u64) -> bool {
+        let due = match p.next() {
+            Some(Threshold::Clock(t)) => clock_ns >= t,
+            Some(Threshold::CollCalls(n)) => calls >= n,
+            None => false,
+        };
+        if due {
+            p.fired(clock_ns, 0.0);
         }
+        due
     }
 
     #[test]
     fn never_is_exhausted_immediately() {
         let mut p = NeverTrigger;
-        assert!(p.exhausted());
-        assert!(!p.should_fire(&obs(u64::MAX, u64::MAX, 0)));
+        assert_eq!(p.next(), None);
+        assert!(!fires(&mut p, u64::MAX, u64::MAX));
     }
 
     #[test]
     fn schedule_fires_in_order_once_each() {
         let mut p = VirtualTimeSchedule::new([VTime::from_micros(1.0), VTime::from_micros(5.0)]);
-        assert!(!p.exhausted());
-        assert!(!p.should_fire(&obs(500, 0, 0)));
-        assert!(p.should_fire(&obs(1_000, 0, 0)));
+        assert_eq!(p.next(), Some(Threshold::Clock(1_000)));
+        assert!(!fires(&mut p, 500, 0));
+        assert!(fires(&mut p, 1_000, 0));
         // Second threshold not yet due, even though the first has passed.
-        assert!(!p.should_fire(&obs(1_200, 0, 1)));
-        assert!(p.should_fire(&obs(6_000, 0, 1)));
-        assert!(p.exhausted());
-        assert!(!p.should_fire(&obs(u64::MAX, 0, 2)));
+        assert!(!fires(&mut p, 1_200, 0));
+        assert!(fires(&mut p, 6_000, 0));
+        assert_eq!(p.next(), None);
+        assert!(!fires(&mut p, u64::MAX, 0));
     }
 
     #[test]
     fn clock_comparison_never_round_trips_through_f64() {
-        // 2^53 + 1 ns is not representable as f64 nanoseconds; the old
-        // trigger loop converted the published u64 clock to f64 seconds
-        // before comparing and collapsed clock values in this range. The
-        // comparison itself must distinguish one nanosecond below the
-        // threshold from the threshold. (Thresholds *supplied* as VTime
-        // are still f64-granular; this pins the clock side only.)
+        // 2^53 + 1 ns is not representable as f64 nanoseconds; converting
+        // the published u64 clock to f64 seconds before comparing
+        // collapses clock values in this range. The threshold must
+        // distinguish one nanosecond below itself. (Thresholds *supplied*
+        // as VTime are still f64-granular; this pins the clock side only.)
         let big = (1u64 << 53) + 2;
         let mut p = VirtualTimeSchedule {
             thresholds_ns: vec![big],
             next: 0,
         };
-        assert!(!p.should_fire(&obs(big - 1, 0, 0)));
-        assert!(p.should_fire(&obs(big, 0, 0)));
+        assert_eq!(p.next(), Some(Threshold::Clock(big)));
+        assert!(!fires(&mut p, big - 1, 0));
+        assert!(fires(&mut p, big, 0));
     }
 
     #[test]
     fn periodic_fires_every_interval() {
         let mut p = PeriodicInterval::new(VTime::from_micros(10.0), 3);
-        assert!(!p.should_fire(&obs(9_999, 0, 0)));
-        assert!(p.should_fire(&obs(10_000, 0, 0)));
-        assert!(!p.should_fire(&obs(15_000, 0, 1)));
-        assert!(p.should_fire(&obs(20_000, 0, 1)));
-        assert!(p.should_fire(&obs(31_000, 0, 2)));
-        assert!(p.exhausted());
-        assert!(!p.should_fire(&obs(u64::MAX, 0, 3)));
+        assert!(!fires(&mut p, 9_999, 0));
+        assert!(fires(&mut p, 10_000, 0));
+        assert!(!fires(&mut p, 15_000, 0));
+        // The run resumes late (a write charge carried the clocks past
+        // 20 µs and 30 µs): the next deadline counts from the resume, not
+        // from the missed multiples, so nothing fires back to back.
+        assert!(fires(&mut p, 34_000, 0));
+        assert_eq!(p.next(), Some(Threshold::Clock(44_000)));
+        assert!(!fires(&mut p, 43_999, 0));
+        assert!(fires(&mut p, 44_000, 0));
+        assert_eq!(p.next(), None, "limit reached");
+        assert!(!fires(&mut p, u64::MAX, 0));
     }
 
     #[test]
     fn every_n_collectives_counts_strides() {
         let mut p = EveryNCollectives::new(25, 2);
-        assert!(!p.should_fire(&obs(0, 24, 0)));
-        assert!(p.should_fire(&obs(0, 25, 0)));
-        assert!(!p.should_fire(&obs(0, 49, 1)));
-        assert!(p.should_fire(&obs(0, 50, 1)));
-        assert!(p.exhausted());
+        assert!(!fires(&mut p, 0, 24));
+        assert!(fires(&mut p, 0, 25));
+        assert!(!fires(&mut p, 0, 49));
+        assert!(fires(&mut p, 0, 50));
+        assert_eq!(p.next(), None);
     }
 
     #[test]
@@ -460,13 +426,13 @@ mod tests {
                 assert_eq!(young_daly_interval_s(delta, mtbf), opt_s);
                 let due_ns = (opt_s * 1e9) as u64;
                 let mut p = DalyInterval::new(mtbf, delta);
-                assert!(!p.exhausted());
+                assert_eq!(p.next(), Some(Threshold::Clock(due_ns)));
                 assert!(
-                    !p.should_fire(&obs(due_ns - 1, 0, 0)),
+                    !fires(&mut p, due_ns - 1, 0),
                     "fired early at δ={delta} MTBF={mtbf}"
                 );
                 assert!(
-                    p.should_fire(&obs(due_ns, 0, 0)),
+                    fires(&mut p, due_ns, 0),
                     "missed the optimum at δ={delta} MTBF={mtbf}"
                 );
             }
@@ -484,13 +450,12 @@ mod tests {
         assert_eq!(second, 2.0 * first);
         let mut p = DalyInterval::new(mtbf, 2.0);
         let t1 = (first * 1e9) as u64;
-        let mut o = obs(t1, 0, 0);
-        o.last_write_cost_s = 8.0;
-        assert!(p.should_fire(&o));
+        assert_eq!(p.next(), Some(Threshold::Clock(t1)));
+        p.fired(t1, 8.0);
         assert_eq!(p.interval_s(), second);
         let due2 = t1 + (second * 1e9) as u64;
-        assert!(!p.should_fire(&obs(due2 - 1, 0, 1)));
-        assert!(p.should_fire(&obs(due2, 0, 1)));
+        assert!(!fires(&mut p, due2 - 1, 0));
+        assert!(fires(&mut p, due2, 0));
     }
 
     #[test]
@@ -498,11 +463,11 @@ mod tests {
         // MTBF = ∞ degenerates to the NeverTrigger contract: exhausted
         // from birth, never fires, even at the end of time.
         let mut p = DalyInterval::new(f64::INFINITY, 13.0);
-        assert!(p.exhausted());
-        assert!(!p.should_fire(&obs(u64::MAX, u64::MAX, 0)));
+        assert_eq!(p.next(), None);
+        assert!(!fires(&mut p, u64::MAX, u64::MAX));
         assert_eq!(p.interval_s(), f64::INFINITY);
         // A zero cost estimate is fine when failures never happen…
-        assert!(DalyInterval::new(f64::INFINITY, 0.0).exhausted());
+        assert_eq!(DalyInterval::new(f64::INFINITY, 0.0).next(), None);
     }
 
     #[test]

@@ -142,6 +142,7 @@ impl<'s> CcRank<'s> {
     /// sleeps (a rank on the step pool sleeps on its pool worker, which
     /// only narrows that worker's throughput).
     pub fn compute(&mut self, secs: f64) {
+        self.core.sh.control.hand_off(self.core.rank);
         self.core.ctx.compute(secs);
         if self.core.wall_pace_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.core.wall_pace_us));
@@ -187,14 +188,10 @@ impl RankCore<'_> {
     /// Publishes the rank's virtual clock and collective-call total for
     /// the coordinator's trigger policies.
     fn publish_clock(&self) {
-        let ctl = &self.sh.control.ranks[self.rank];
-        ctl.clock_ns.store(
+        self.sh.control.publish_progress(
+            self.rank,
             (self.ctx.clock().as_secs() * 1e9) as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        ctl.coll_calls.store(
             self.counters.coll_total(),
-            std::sync::atomic::Ordering::Relaxed,
         );
     }
 
@@ -263,7 +260,11 @@ impl RankCore<'_> {
     /// Applies every queued target update (Algorithm 3's receive path).
     fn apply_updates(&mut self) {
         let sh = self.sh;
-        for u in sh.bus.drain(self.rank) {
+        let updates = sh.bus.drain(self.rank);
+        if updates.is_empty() {
+            return;
+        }
+        for u in updates {
             let changed = self.targets.raise(u.ggid, u.target);
             sh.control.ranks[self.rank]
                 .updates_recv
@@ -273,6 +274,7 @@ impl RankCore<'_> {
                 self.rank, u.ggid, u.target, changed,
             ));
         }
+        sh.control.events.bump();
     }
 
     /// Publishes whether all local targets are met.
@@ -282,7 +284,10 @@ impl RankCore<'_> {
             let t = sh.control.ranks[self.rank].seq_mirror.lock();
             self.targets.reached_by(&t)
         };
-        sh.control.ranks[self.rank].targets_met.store(met, SeqCst);
+        // A drain waits only for the turn to `true`.
+        if !sh.control.ranks[self.rank].targets_met.swap(met, SeqCst) && met {
+            sh.control.events.bump();
+        }
     }
 
     /// Records a collective participation in the execution log. The
@@ -425,6 +430,7 @@ impl RankCore<'_> {
         }
         *sh.control.ranks[self.rank].replayed_comms.lock() = self.vcomms.lower_map();
         sh.control.replayed_count.fetch_add(1, SeqCst);
+        sh.control.events.bump();
     }
 
     /// Re-issues the trivial barrier this rank was parked in at capture
@@ -483,8 +489,11 @@ impl CcRank<'_> {
     pub(crate) fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
         let ctl = &self.core.sh.control.ranks[self.core.rank];
         loop {
-            let token = ctl.event_token();
-            if let StepPoll::Ready(t) = poll(self) {
+            let token = ctl.park.token();
+            let polled = poll(self);
+            // Leaving, or about to sleep: a rank stop (see `hand_off`).
+            self.core.sh.control.hand_off(self.core.rank);
+            if let StepPoll::Ready(t) = polled {
                 return t;
             }
             assert!(

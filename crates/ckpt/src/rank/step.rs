@@ -300,6 +300,7 @@ impl QuiesceM {
         // `Running` before the count: what `all_quiesced` relies on.
         ctl.set_state(RankState::Running);
         control.free_passes.fetch_add(1, SeqCst);
+        control.events.bump();
         cc.sh.trace.push(DrainEvent::Unparked(cc.rank));
         true
     }
@@ -625,11 +626,15 @@ impl TwoPcGate {
 // Operation machines
 // ----------------------------------------------------------------------
 
-/// Publishes whether the rank is inside a real collective call.
+/// Publishes whether the rank is inside a real collective call, and
+/// announces leaving one while a request is pending (the drain waits for
+/// that).
 fn set_in_collective(cc: &RankCore<'_>, inside: bool) {
-    cc.sh.control.ranks[cc.rank]
-        .in_collective
-        .store(inside, SeqCst);
+    let control = &cc.sh.control;
+    control.ranks[cc.rank].in_collective.store(inside, SeqCst);
+    if !inside && control.is_pending() {
+        control.events.bump();
+    }
 }
 
 /// A blocking collective (all specific calls route here).

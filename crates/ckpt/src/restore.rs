@@ -29,13 +29,12 @@ use crate::image::Checkpoint;
 use crate::rank::CcRank;
 use crate::runner::step::{run_session, Blocking, Driver, StepBody};
 use crate::runner::{CkptRunReport, RunError, SuperviseOut};
-use crate::session::{RestorePlan, Session};
+use crate::session::{Interrupted, RestorePlan, Session};
 use mana_core::{RankState, RuntimeCapture, Violation};
 use mpisim::{SpawnError, WorldConfig};
 use netmodel::NetParams;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// How a checkpoint image is restored: the (possibly re-packed) target
 /// topology, the storage model charging the image read-back, and the
@@ -58,11 +57,6 @@ pub struct RestoreConfig {
     /// [`mpisim::WorldConfig::with_workers`] on the capture side).
     pub workers: Option<usize>,
 }
-
-/// Wall-clock budget for the pre-cut replay to go quiet. A program that
-/// does not match the image never reaches its cut; the restore driver
-/// panics instead of waiting forever.
-const REPLAY_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl RestoreConfig {
     /// Restore with the capture's own packing and parameters.
@@ -157,9 +151,10 @@ impl From<SpawnError> for RestoreError {
 ///
 /// # Panics
 /// Panics on any [`RestoreError`] — use [`try_restore_ckpt_world`] to
-/// handle an unsafe or unusable image instead — and if the replay goes
-/// quiet for 30 s of wall clock without reaching the captured cut, or the
-/// replayed state disagrees with the image.
+/// handle an unsafe or unusable image instead — and if the replay makes
+/// no progress for the drain watchdog's window
+/// ([`crate::auto_stall_timeout`]) without reaching the captured cut, or
+/// the replayed state disagrees with the image.
 pub fn restore_ckpt_world<R, F>(image: &Checkpoint, rcfg: RestoreConfig, f: F) -> CkptRunReport<R>
 where
     R: Send,
@@ -289,20 +284,15 @@ pub(crate) fn drive_restore(
     let control = &sh.control;
 
     // Wait for every rank to park at its cut (or finish, for ranks the
-    // image captured as finished), under a no-progress watchdog.
-    let mut last_fp = replay_fingerprint(sh);
-    let mut last_change = Instant::now();
-    while !control.all_parked() {
-        // A death injected mid-replay abandons the restore outright; the
-        // supervisor owns the retry.
-        if sh.poisoned() {
-            return;
-        }
-        let fp = replay_fingerprint(sh);
-        if fp != last_fp {
-            last_fp = fp;
-            last_change = Instant::now();
-        } else if last_change.elapsed() >= REPLAY_TIMEOUT {
+    // image captured as finished), under the drain's no-progress
+    // watchdog. A death injected mid-replay abandons the restore
+    // outright; the supervisor owns the retry.
+    let coord = Coordinator::new(Arc::clone(sh));
+    let parked = || control.all_parked().then_some(());
+    match sh.wait_for(None, Some(coord.stall_timeout), parked) {
+        Ok(()) => {}
+        Err(Interrupted::Died) => return,
+        Err(Interrupted::Stalled) => {
             let stuck: Vec<usize> = control
                 .ranks
                 .iter()
@@ -315,9 +305,7 @@ pub(crate) fn drive_restore(
                  (is `f` the program this image was captured from?)"
             );
         }
-        std::thread::sleep(Duration::from_micros(500));
     }
-
     if sh.poisoned() {
         return;
     }
@@ -361,25 +349,9 @@ pub(crate) fn drive_restore(
     // From here the image is authoritative: the shared restart-resume path
     // builds the restored world from the *restore* configuration, installs
     // the image's per-rank state, and re-deposits its in-flight messages.
-    let coord = Coordinator::new(Arc::clone(sh));
     coord.resume_restart(image, restored_cfg);
     control.resume_gen.fetch_add(1, SeqCst);
     control.clear_pending();
-}
-
-/// Order-insensitive digest of replay progress for the stall watchdog.
-fn replay_fingerprint(sh: &Session) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for rc in &sh.control.ranks {
-        mix(rc.state() as u64);
-        mix(rc.clock_ns.load(std::sync::atomic::Ordering::Relaxed));
-        mix(rc.coll_calls.load(std::sync::atomic::Ordering::Relaxed));
-    }
-    h
 }
 
 /// Panics unless the replayed capture matches the image capture on every

@@ -11,15 +11,14 @@
 //! elsewhere (even onto a different node packing) with
 //! [`crate::restore_ckpt_world`].
 
-use crate::coordinator::{auto_stall_timeout, Coordinator, DrainError, ResumeMode, StorageSpec};
+use crate::coordinator::{Coordinator, DrainError, ResumeMode, StorageSpec};
 use crate::image::Checkpoint;
-use crate::policy::{NeverTrigger, TriggerObservation, TriggerPolicy, VirtualTimeSchedule};
+use crate::policy::{NeverTrigger, Threshold, TriggerPolicy, VirtualTimeSchedule};
 use crate::rank::CcRank;
 use crate::session::Session;
 use crate::store::{StoreRecord, Tiering};
 use mana_core::{CallCounters, DrainTrace, ExecEvent, Protocol, RankState};
 use mpisim::{RankDeath, RankReport, SpawnError, VTime, WorldConfig};
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 use step::{run_session, Blocking, Driver, StepBody};
@@ -48,7 +47,7 @@ pub struct CkptOptions {
     pub tiering: Option<Tiering>,
     /// Drain watchdog window before a stalled checkpoint is aborted with
     /// [`DrainError::P2pStall`]. `None` (the default) scales the window
-    /// with the world size ([`auto_stall_timeout`]): multiplexed onto a
+    /// with the world size ([`crate::auto_stall_timeout`]): multiplexed onto a
     /// few cores, a 512-rank drain makes the same total progress as an
     /// 8-rank one but spread over `n_ranks / workers` times the wall
     /// clock, and a fixed window would misread that as a stall.
@@ -178,13 +177,11 @@ pub struct CkptRunReport<R> {
     pub trace: DrainTrace,
     /// Full execution log (all collective participations).
     pub events: Vec<ExecEvent>,
-    /// Backstop-expiry wakeups across every wait path of the run
-    /// (mailbox receive waits, checkpoint parks, the step driver's rescue
-    /// sweep). All
-    /// of those waits are event-driven with long lost-wakeup backstops;
-    /// in a healthy run this stays at ~0, and a regression back to timed
-    /// polling — invisible in functional results — shows up here long
-    /// before it shows up as a sys-time blowup at scale.
+    /// Backstop-expiry wakeups across every wait path of the run (mailbox
+    /// waits, rank parks and hand-offs, the supervisor's waits, the step
+    /// driver's rescue sweep), all event-driven with lost-wakeup
+    /// backstops: 0 in a healthy run, so a regression back to timed
+    /// polling shows here long before it shows as sys time.
     pub backstop_expiries: u64,
     /// Host wall-clock seconds each committed checkpoint spent in the
     /// coordinator's capture bracket (parallel per-rank state clone plus
@@ -311,7 +308,7 @@ fn run_policy_session<B: StepBody>(
     make: impl Fn(usize) -> B,
 ) -> Result<CkptRunReport<B::Out>, SpawnError> {
     assert!(
-        opts.protocol.supports_checkpoint() || opts.policy.exhausted(),
+        opts.protocol.supports_checkpoint() || opts.policy.next().is_none(),
         "protocol {} cannot checkpoint",
         opts.protocol.name()
     );
@@ -336,31 +333,28 @@ pub(crate) struct SuperviseOut {
     pub(crate) store_records: Vec<StoreRecord>,
 }
 
-/// Drives the trigger policy over a running session: polls the published
-/// progress, fires the coordinator on policy demand, stops once the policy
-/// is exhausted or every rank has finished.
+/// Drives the trigger policy over a running session: waits for the
+/// policy's next threshold, fires the coordinator there, stops once the
+/// policy is exhausted or every rank has finished.
 fn supervise_policy(sh: &Arc<Session>, opts: CkptOptions) -> SuperviseOut {
     let mut policy = opts.policy;
     let coord = Coordinator::new(Arc::clone(sh))
         .with_storage(opts.storage.clone())
         .with_tiering(opts.tiering.clone())
-        .with_stall_timeout(
-            opts.stall_timeout
-                .unwrap_or_else(|| auto_stall_timeout(sh.cfg.n_ranks, sh.cfg.resolved_workers())),
-        );
+        .with_stall_timeout(opts.stall_timeout);
     let mut out = SuperviseOut::default();
     supervise_loop(sh, &coord, policy.as_mut(), opts.resume, &mut out);
     out
 }
 
-/// The poll-fire core shared by [`supervise_policy`] and the availability
-/// supervisor: polls the published progress, fires `coord` on policy
-/// demand, and stops once the policy is exhausted, every rank has
-/// finished, or an injected death poisons the world (the fatal
-/// [`DrainError::RankDeath`] also lands in `out.failures`). On return the
-/// last background drain has been flushed and the coordinator's histories
-/// copied into `out`, so the caller keeps them even when the run itself
-/// dies.
+/// The wait-fire core shared by [`supervise_policy`] and the availability
+/// supervisor: fires `coord` each time every unfinished rank reaches the
+/// policy's next threshold, and stops once the policy is exhausted (with
+/// no planned fault still armed), every rank has finished, or an injected
+/// death poisons the world (the fatal [`DrainError::RankDeath`] also
+/// lands in `out.failures`). On return the last background drain has
+/// been flushed and the coordinator's histories copied into `out`, so the
+/// caller keeps them even when the run itself dies.
 pub(crate) fn supervise_loop(
     sh: &Arc<Session>,
     coord: &Coordinator,
@@ -368,36 +362,63 @@ pub(crate) fn supervise_loop(
     resume: ResumeMode,
     out: &mut SuperviseOut,
 ) {
-    let mut last_write_cost_s = 0.0;
-    while !policy.exhausted() && !all_finished(sh) && !sh.poisoned() {
-        let obs = TriggerObservation {
-            min_clock_ns: min_unfinished_clock_ns(sh),
-            min_coll_calls: min_unfinished_coll_calls(sh),
-            checkpoints_taken: out.checkpoints.len(),
-            last_write_cost_s,
+    let control = &sh.control;
+    loop {
+        let next = policy.next();
+        // An armed fault keeps the supervisor waiting past the policy:
+        // only its waits can strike it.
+        if next.is_none() && sh.fault.lock().is_none() {
+            break;
+        }
+        let fire = sh.wait_for(next, None, || {
+            let done = control
+                .ranks
+                .iter()
+                .all(|r| r.state() == RankState::Finished);
+            (done || next.is_some_and(|t| control.reached(t))).then_some(!done)
+        });
+        if fire != Ok(true) {
+            break;
+        }
+        // The crossing's announcement may have put this thread on the CPU
+        // of the rank that made it: let that rank finish the interposition
+        // step it is in before the request can cut into it.
+        std::thread::yield_now();
+        // A clock threshold is where the checkpoint belongs, however late
+        // the supervisor got there; the run picks up again once the
+        // checkpoint's own charge is paid, and the next interval starts
+        // there — armed before the ranks resume.
+        let at = match next {
+            Some(Threshold::Clock(t)) => t,
+            _ => control.min_unfinished_clock_ns(),
         };
-        if policy.should_fire(&obs) {
-            match coord.checkpoint(resume) {
-                Ok(c) => {
-                    last_write_cost_s = c.io_write_secs;
-                    out.checkpoints.push(c);
-                }
-                Err(e) => {
-                    let fatal = matches!(e, DrainError::RankDeath(_));
-                    out.failures.push(e);
-                    if fatal {
-                        break;
-                    }
+        let rearm = |charge_ns: u64, write_s| {
+            policy.fired(at.saturating_add(charge_ns), write_s);
+            let next = policy.next();
+            sh.observe(next);
+            // Passed already (during the checkpoint): every rank holds at
+            // its next stop, as if it had crossed.
+            if next.is_some_and(|t| control.reached(t)) {
+                control.hold_all();
+            }
+        };
+        match coord.checkpoint(resume, rearm) {
+            Ok(c) => out.checkpoints.push(c),
+            Err(e) => {
+                policy.fired(at, 0.0);
+                let fatal = matches!(e, DrainError::RankDeath(_));
+                out.failures.push(e);
+                if fatal {
+                    break;
                 }
             }
-        } else {
-            std::thread::sleep(Duration::from_micros(200));
         }
     }
     // A run must not end with an image still in flight: land the last
     // background drain before reading the histories. (On a poisoned world
     // the drain still lands — the recovery path then discards it by its
     // landing point, not by racing the writer thread.)
+    sh.unobserve();
     coord.flush_drains();
     out.capture_wall_s = coord.capture_wall_history();
     out.store_records = coord.store_record_history();
@@ -451,40 +472,4 @@ pub(crate) fn assemble_report<R>(
         wasted_work_s: 0.0,
         recovery_latency_s: 0.0,
     })
-}
-
-pub(crate) fn all_finished(sh: &Session) -> bool {
-    sh.control
-        .ranks
-        .iter()
-        .all(|r| r.state() == RankState::Finished)
-}
-
-/// Minimum published virtual clock over non-finished ranks, in integer
-/// nanoseconds. The published clocks are compared as `u64` all the way to
-/// the policy: the old trigger loop converted them to `f64` seconds
-/// first, which collapses distinct clock values above ~2^53 ns.
-pub(crate) fn min_unfinished_clock_ns(sh: &Session) -> u64 {
-    let mut min: Option<u64> = None;
-    for r in &sh.control.ranks {
-        if r.state() == RankState::Finished {
-            continue;
-        }
-        let c = r.clock_ns.load(Relaxed);
-        min = Some(min.map_or(c, |m: u64| m.min(c)));
-    }
-    min.unwrap_or(0)
-}
-
-/// Minimum published collective-call total over non-finished ranks.
-fn min_unfinished_coll_calls(sh: &Session) -> u64 {
-    let mut min: Option<u64> = None;
-    for r in &sh.control.ranks {
-        if r.state() == RankState::Finished {
-            continue;
-        }
-        let c = r.coll_calls.load(Relaxed);
-        min = Some(min.map_or(c, |m: u64| m.min(c)));
-    }
-    min.unwrap_or(0)
 }

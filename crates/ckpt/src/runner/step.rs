@@ -137,6 +137,8 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
             // way the body's own blocking calls do.
             Driver::Threads => BodyStep::Done(cc.run(body)),
         }));
+        // A step's end is a rank stop (see `CkptControl::hand_off`).
+        self.sh.control.hand_off(self.rank);
         match r {
             Ok(BodyStep::Yield(w)) => Step::Yield(w),
             Ok(BodyStep::Done(result)) => {

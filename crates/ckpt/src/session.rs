@@ -3,15 +3,18 @@
 //! generation. A session optionally carries a [`RestorePlan`] when the
 //! execution is a restore-from-image replay rather than a fresh run.
 
+use crate::avail::ArmedFault;
 use crate::bus::UpdateBus;
 use crate::image::Checkpoint;
+use mana_core::control::OBSERVER_BACKSTOP;
 use mana_core::{
-    CallCounters, CkptControl, DrainTrace, ExecutionLog, Protocol, RankState, SeqTable,
+    CallCounters, CkptControl, DrainTrace, ExecutionLog, Protocol, RankState, SeqTable, Threshold,
 };
 use mpisim::{RankDeath, VTime, World, WorldConfig};
 use parking_lot::Mutex;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Where one rank must stop during a restore replay: the exact
 /// application-visible progress it had at capture. A deterministic
@@ -92,9 +95,21 @@ pub struct Session {
     /// re-execute the captured program and park at their recorded cuts.
     pub restore: Option<RestorePlan>,
     /// True while an asynchronous drain (coordinator handed the image to
-    /// the background writer, ranks already resumed) is in flight. Fault
-    /// injectors read it to place `DuringAsyncDrain` deaths.
+    /// the background writer, ranks already resumed) is in flight. An
+    /// armed fault reads it to place a `DuringAsyncDrain` death.
     pub bg_drain_inflight: AtomicBool,
+    /// This attempt's planned fault until it strikes, checked on every
+    /// wake of [`Session::wait_for`].
+    pub(crate) fault: Mutex<Option<ArmedFault>>,
+}
+
+/// Why an observer wait ended without its condition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Interrupted {
+    /// An injected death poisoned the world.
+    Died,
+    /// The stall watch saw no progress for its whole window.
+    Stalled,
 }
 
 impl Session {
@@ -126,7 +141,91 @@ impl Session {
             protocol,
             restore,
             bg_drain_inflight: AtomicBool::new(false),
+            fault: Mutex::new(None),
         })
+    }
+
+    /// The observer's one wait, on [`CkptControl::events`] with `trigger`
+    /// and the fault's time armed: each check strikes a due fault, then
+    /// ends on death or when `ready` yields (after an expiry with nothing
+    /// announced since, a lost announcement: counted); expiries feed the
+    /// stall watch.
+    pub(crate) fn wait_for<T>(
+        &self,
+        trigger: Option<Threshold>,
+        stall: Option<Duration>,
+        mut ready: impl FnMut() -> Option<T>,
+    ) -> Result<T, Interrupted> {
+        let control = &self.control;
+        let timeout = stall.map_or(OBSERVER_BACKSTOP, |w| OBSERVER_BACKSTOP.min(w / 2));
+        let (mut last_fp, mut since) = (self.progress_fingerprint(), Instant::now());
+        let (mut expired, stats) = (false, Arc::clone(self.current_world().scheduler().stats()));
+        let mut last = 0;
+        let out = loop {
+            self.observe(trigger);
+            let token = control.events.token();
+            self.strike_if_due();
+            let done = match self.poisoned() {
+                true => Some(Err(Interrupted::Died)),
+                false => ready().map(Ok),
+            };
+            if let Some(r) = done {
+                // Lost only if nothing was announced since the expired
+                // wait: an announcement just after it raced the timeout.
+                if expired && control.events.token() == last {
+                    stats.record_backstop_expiry();
+                }
+                break r;
+            }
+            control.acknowledge(token);
+            if let (true, Some(window)) = (expired, stall) {
+                let fp = self.progress_fingerprint();
+                if fp != last_fp {
+                    (last_fp, since) = (fp, Instant::now());
+                } else if since.elapsed() >= window {
+                    break Err(Interrupted::Stalled);
+                }
+            }
+            (expired, last) = (!control.events.wait_since(token, timeout), token);
+        };
+        self.unobserve();
+        out
+    }
+
+    /// Arms `trigger` and the planned fault's time (until every rank has
+    /// reached it) for ranks to announce.
+    pub(crate) fn observe(&self, trigger: Option<Threshold>) {
+        let fault = self.fault.lock().as_ref().map(ArmedFault::after);
+        let fault = fault.filter(|&t| !self.control.reached(t));
+        self.control.arm(trigger.into_iter().chain(fault));
+    }
+
+    /// Stops observing: disarms, and releases any held rank.
+    pub(crate) fn unobserve(&self) {
+        self.control.arm([]);
+        self.control.acknowledge(u64::MAX);
+    }
+
+    /// Fires the armed fault if its trigger holds now.
+    fn strike_if_due(&self) {
+        let due = self.fault.lock().take_if(|f| f.due(self));
+        if let Some(fault) = due {
+            fault.strike(self);
+        }
+    }
+
+    /// Digest of everything that moves while ranks make progress —
+    /// clocks, call counts, states, update counters: equal across a stall
+    /// window means wedged.
+    fn progress_fingerprint(&self) -> u64 {
+        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for rc in &self.control.ranks {
+            let (sent, recv) = (rc.updates_sent.load(SeqCst), rc.updates_recv.load(SeqCst));
+            h = mix(mix(h, rc.clock_ns.load(SeqCst)), rc.coll_calls.load(SeqCst));
+            h = mix(mix(mix(h, sent), recv), rc.state() as u64);
+        }
+        h
     }
 
     /// The current lower-half world.
@@ -171,6 +270,7 @@ impl Session {
         for ctl in self.control.ranks.iter() {
             ctl.wake();
         }
+        self.control.events.bump();
         true
     }
 

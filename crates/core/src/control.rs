@@ -19,29 +19,45 @@
 //! `true`, the rank itself runs the overshoot path (raise + push updates).
 //! Either way no collective escapes the target computation — this is the
 //! linchpin of Invariant 2.
+//!
+//! ## Memory-ordering contract (the observer side)
+//!
+//! Every coordinator-side wait sleeps on [`CkptControl::events`], never on
+//! the wall clock. A rank *publishes* what such a predicate reads *before*
+//! it bumps the counter; an observer takes its token *before* it checks,
+//! so a bump after the check ends the sleep at once. A progress threshold
+//! is armed ([`CkptControl::arm`]) before the token; a rank swaps its
+//! progress in, then loads the threshold ([`CkptControl::publish_progress`],
+//! all `SeqCst`), so its load sees the threshold or the scan sees its swap.
 
 use crate::ggid::Ggid;
 use crate::seq::SeqTable;
-use mpisim::WakeupStats;
-use parking_lot::{Condvar, Mutex};
+use mpisim::{EventCount, WakeupStats};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Lost-wakeup backstop for [`RankCtl::wait_event_since`]. The wait is
-/// event-driven — [`RankCtl::wake`] counts the event under the park
-/// mutex, so a rank between its poll and its wait can never miss it — and
-/// this timeout is defense in depth only. It is deliberately long: every
-/// rank of a quiescing world parks here at once, and a short re-check
-/// would turn thousands of parked ranks into timed pollers for the whole
-/// capture window (the pre-scheduler 200 µs re-check throttled 256-rank
-/// captures by an order of magnitude). Every expiry is counted in the
-/// world's [`WakeupStats`]; a healthy tier-1-scale run never pays one,
-/// and a capture window outlasting the backstop (possible at thousands
-/// of parked ranks on a few workers) costs one counted wakeup per rank
-/// per second rather than two hundred.
+/// Lost-wakeup backstop for [`RankCtl::wait_event_since`], counted in
+/// [`WakeupStats`]. Long: every rank of a quiescing world parks at once,
+/// and a short re-check would make thousands of parked ranks pollers.
 const PARK_BACKSTOP: Duration = Duration::from_secs(1);
+
+/// Lost-wakeup backstop of an observer's wait on [`CkptControl::events`]
+/// (short: one thread observes a world); counted when it finds its
+/// condition already true.
+pub const OBSERVER_BACKSTOP: Duration = Duration::from_millis(100);
+
+/// A progress threshold every unfinished rank must reach: a trigger
+/// policy's next checkpoint, or the time before which a fault cannot strike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Threshold {
+    /// Virtual clock, in integer nanoseconds.
+    Clock(u64),
+    /// Collective calls (blocking + non-blocking initiations).
+    CollCalls(u64),
+}
 
 /// Rank lifecycle states, published for the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +132,8 @@ pub struct RankCtl {
     pub updates_recv: AtomicU64,
     /// True while the rank is inside a real collective call (lower half).
     pub in_collective: AtomicBool,
-    /// The rank's virtual clock, in nanoseconds (relaxed mirror for
-    /// trigger scheduling).
+    /// The rank's virtual clock, in nanoseconds, published by
+    /// [`CkptControl::publish_progress`] for trigger scheduling.
     pub clock_ns: AtomicU64,
     /// Total collective calls (blocking + non-blocking initiations) the
     /// rank has made, published alongside the clock so collective-count
@@ -150,11 +166,15 @@ pub struct RankCtl {
     /// — otherwise the stall watchdog would report a spurious `P2pStall`
     /// for a death the injector already published as a typed event.
     dead: AtomicBool,
+    /// Generation of a crossing announced but not yet handed off (`0`: none).
+    crossed: AtomicU64,
     /// The one wait primitive of a rank on its own thread: every event
     /// that can unblock it — control-plane or lower-half — is counted
-    /// here by [`RankCtl::wake`].
-    park: Mutex<ParkState>,
-    park_cv: Condvar,
+    /// here by [`RankCtl::wake`]. Take a token *before* polling the
+    /// operation and pass it to [`RankCtl::wait_event_since`].
+    pub park: EventCount,
+    /// [`CkptControl::events`], which a state transition announces to.
+    observer: Arc<EventCount>,
     /// The worker pool's wake hook: invoked by every [`RankCtl::wake`] so
     /// a rank parked on the pool learns about the same events through its
     /// driver. Unset for ranks on threads; set at most once, so a wake
@@ -164,19 +184,8 @@ pub struct RankCtl {
     stats: Arc<WakeupStats>,
 }
 
-#[derive(Default)]
-struct ParkState {
-    /// Monotone count of [`RankCtl::wake`] calls: the event token.
-    generation: u64,
-    /// Threads inside [`RankCtl::wait_event_since`]'s condvar wait. A wake
-    /// notifies only when this is non-zero: most wakes (every mailbox
-    /// deposit of a thread world, every wake of a step world) find nobody
-    /// waiting, and an unconditional `notify_all` is a futex call each.
-    waiters: usize,
-}
-
 impl RankCtl {
-    fn new(stats: Arc<WakeupStats>) -> Self {
+    fn new(stats: Arc<WakeupStats>, observer: Arc<EventCount>) -> Self {
         RankCtl {
             seq_mirror: Mutex::new(SeqTable::new()),
             initial_targets: Mutex::new(HashMap::new()),
@@ -195,8 +204,9 @@ impl RankCtl {
             new_world: Mutex::new(None),
             replayed_comms: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
-            park: Mutex::new(ParkState::default()),
-            park_cv: Condvar::new(),
+            crossed: AtomicU64::new(0),
+            park: EventCount::default(),
+            observer,
             waker: OnceLock::new(),
             stats,
         }
@@ -234,9 +244,10 @@ impl RankCtl {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Publishes a state transition.
+    /// Publishes a state transition and announces it to the observer.
     pub fn set_state(&self, s: RankState) {
         self.state.store(s as u8, Ordering::SeqCst);
+        self.observer.bump();
     }
 
     /// Reads the published state.
@@ -244,31 +255,11 @@ impl RankCtl {
         RankState::from_u8(self.state.load(Ordering::SeqCst))
     }
 
-    /// Snapshot of the event counter, for race-free waiting: take the
-    /// token *before* polling the operation, then pass it to
-    /// [`RankCtl::wait_event_since`] — an event landing between the poll
-    /// and the wait bumps the counter and the wait returns at once.
-    pub fn event_token(&self) -> u64 {
-        self.park.lock().generation
-    }
-
     /// Blocks the calling rank thread until a [`RankCtl::wake`] lands after
     /// `token` was taken, or the `PARK_BACKSTOP` lost-wakeup timeout
-    /// elapses; the caller then polls again. Every rank of a quiescing
-    /// world parks here at once — outside the scheduler's worker pool — so
-    /// this wait must be event-driven: a short timed poll multiplied by
-    /// thousands of parked ranks would saturate the host exactly when the
-    /// coordinator needs it. A wait that expires the backstop with the
-    /// counter unchanged is recorded as a backstop-expiry wakeup.
+    /// elapses (counted); the caller then polls again.
     pub fn wait_event_since(&self, token: u64) {
-        let mut p = self.park.lock();
-        if p.generation != token {
-            return;
-        }
-        p.waiters += 1;
-        let timed_out = self.park_cv.wait_for(&mut p, PARK_BACKSTOP).timed_out();
-        p.waiters -= 1;
-        if timed_out && p.generation == token {
+        if !self.park.wait_since(token, PARK_BACKSTOP) {
             self.stats.record_backstop_expiry();
         }
     }
@@ -278,19 +269,10 @@ impl RankCtl {
     /// through the waker a runner installs into the lower half — a mailbox
     /// deposit or collective completion. The state the event stands for
     /// is always published *before* `wake` is called. The event is
-    /// counted under the park mutex, so a rank between its poll and its
-    /// wait cannot miss it; a waiter registers and starts waiting under
-    /// the same mutex, so one that is not counted yet will see the new
-    /// generation before it waits.
+    /// counted on the rank's [`EventCount`], so a rank between its poll
+    /// and its wait cannot miss it.
     pub fn wake(&self) {
-        let waiting = {
-            let mut p = self.park.lock();
-            p.generation += 1;
-            p.waiters > 0
-        };
-        if waiting {
-            self.park_cv.notify_all();
-        }
+        self.park.bump();
         if let Some(w) = self.waker.get() {
             w();
         }
@@ -340,11 +322,6 @@ pub struct CkptControl {
     /// it must advance before the next request opens, even when the
     /// not-pending gap between two attempts is too short to observe.
     pub ckpt_epoch: AtomicU64,
-    /// Lower-half generation ranks should be attached to (bumped by warm
-    /// restart); ranks compare at resume.
-    pub world_epoch: AtomicU64,
-    /// Set by the runner at teardown; finished ranks' service loops exit.
-    pub shutdown: AtomicBool,
     /// Count of ranks that finished replaying communicator logs into a new
     /// lower half (warm restart barrier, coordinator side).
     pub replayed_count: AtomicU64,
@@ -359,6 +336,15 @@ pub struct CkptControl {
     pub free_passes: AtomicU64,
     /// Per-rank blocks.
     pub ranks: Vec<RankCtl>,
+    /// The observer counter every coordinator-side wait sleeps on.
+    pub events: Arc<EventCount>,
+    /// Armed thresholds (`u64::MAX`: none) whose crossing ranks announce.
+    armed_clock_ns: AtomicU64,
+    armed_calls: AtomicU64,
+    /// The hand-off: the last token the observer checked under
+    /// (`u64::MAX` while none observes), announced on `acks`.
+    acked: AtomicU64,
+    acks: EventCount,
 }
 
 impl CkptControl {
@@ -374,20 +360,130 @@ impl CkptControl {
     /// scheduler's per-world block, so every wait path of one world is
     /// counted in one place.
     pub fn new_with_stats(n_ranks: usize, stats: Arc<WakeupStats>) -> Arc<Self> {
+        let events = Arc::new(EventCount::default());
         Arc::new(CkptControl {
             n_ranks,
             pending: AtomicBool::new(false),
             phase: AtomicU8::new(CkptPhase::Idle as u8),
             ckpt_epoch: AtomicU64::new(0),
-            world_epoch: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
             replayed_count: AtomicU64::new(0),
             resume_gen: AtomicU64::new(0),
             free_passes: AtomicU64::new(0),
             ranks: (0..n_ranks)
-                .map(|_| RankCtl::new(Arc::clone(&stats)))
+                .map(|_| RankCtl::new(Arc::clone(&stats), Arc::clone(&events)))
                 .collect(),
+            events,
+            armed_clock_ns: AtomicU64::new(u64::MAX),
+            armed_calls: AtomicU64::new(u64::MAX),
+            acked: AtomicU64::new(u64::MAX),
+            acks: EventCount::default(),
         })
+    }
+
+    /// Observer: arms the thresholds ranks announce crossings of — the
+    /// lowest of each kind; none of a kind disarms it — and, unless it
+    /// already does, starts holding announcing ranks for its checks.
+    pub fn arm(&self, thresholds: impl IntoIterator<Item = Threshold>) {
+        let (mut clock, mut calls) = (u64::MAX, u64::MAX);
+        for t in thresholds {
+            match t {
+                Threshold::Clock(ns) => clock = clock.min(ns),
+                Threshold::CollCalls(n) => calls = calls.min(n),
+            }
+        }
+        self.armed_clock_ns.store(clock, Ordering::SeqCst);
+        self.armed_calls.store(calls, Ordering::SeqCst);
+        let _ = self
+            .acked
+            .compare_exchange(u64::MAX, 0, Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    /// Rank: publishes its clock and call count, announcing only the
+    /// crossing that completes an armed threshold (of two ranks crossing
+    /// last together, the later swap sees the other's); the rank then owes
+    /// a [`CkptControl::hand_off`].
+    pub fn publish_progress(&self, rank: usize, clock_ns: u64, coll_calls: u64) {
+        let r = &self.ranks[rank];
+        let crossed = |mine: &AtomicU64, now: u64, armed: &AtomicU64| {
+            // Only this rank writes it: an unchanged value crosses nothing.
+            if mine.load(Ordering::Relaxed) == now {
+                return None;
+            }
+            let prev = mine.swap(now, Ordering::SeqCst);
+            let a = armed.load(Ordering::SeqCst);
+            (prev < a && now >= a).then_some(a)
+        };
+        let clock = crossed(&r.clock_ns, clock_ns, &self.armed_clock_ns).map(Threshold::Clock);
+        let calls = crossed(&r.coll_calls, coll_calls, &self.armed_calls).map(Threshold::CollCalls);
+        if [clock, calls].iter().flatten().any(|&t| self.reached(t)) {
+            r.crossed.store(self.events.bump(), Ordering::SeqCst);
+        }
+    }
+
+    /// Rank: after announcing a crossing, holds at its next stop (before a
+    /// sleep, leaving a blocking call or step, at its next compute) until
+    /// the observer has checked past it or stops observing — so the run
+    /// cannot outrun a slow observer. Bounded by `PARK_BACKSTOP`, counted.
+    pub fn hand_off(&self, rank: usize) {
+        let r = &self.ranks[rank];
+        if r.crossed.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let generation = r.crossed.swap(0, Ordering::SeqCst);
+        let deadline = std::time::Instant::now() + PARK_BACKSTOP;
+        loop {
+            let token = self.acks.token();
+            if self.acked.load(Ordering::SeqCst) >= generation {
+                return;
+            }
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if !self.acks.wait_since(token, left) {
+                return r.stats.record_backstop_expiry();
+            }
+        }
+    }
+
+    /// Observer: a threshold it arms was passed while nothing was armed —
+    /// every rank owes a [`CkptControl::hand_off`], as if it had crossed.
+    pub fn hold_all(&self) {
+        let generation = self.events.bump();
+        for r in &self.ranks {
+            r.crossed.store(generation, Ordering::SeqCst);
+        }
+    }
+
+    /// Observer: announcements up to `token` are checked (`u64::MAX` as it
+    /// stops observing), releasing held ranks.
+    pub fn acknowledge(&self, token: u64) {
+        self.acked.store(token, Ordering::SeqCst);
+        self.acks.bump();
+    }
+
+    /// Whether every unfinished rank has reached `t` (`false` once all
+    /// have finished), stopping at the first rank below.
+    pub fn reached(&self, t: Threshold) -> bool {
+        let mut live = self
+            .ranks
+            .iter()
+            .filter(|r| r.state() != RankState::Finished);
+        let at = |r: &RankCtl| match t {
+            Threshold::Clock(ns) => r.clock_ns.load(Ordering::SeqCst) >= ns,
+            Threshold::CollCalls(n) => r.coll_calls.load(Ordering::SeqCst) >= n,
+        };
+        live.next().is_some_and(at) && live.all(at)
+    }
+
+    /// Where the run stands in virtual time, ns: the slowest unfinished
+    /// rank's clock (a finished rank stopped early), or once every rank
+    /// has finished, the last one's.
+    pub fn min_unfinished_clock_ns(&self) -> u64 {
+        let clock = |r: &RankCtl| r.clock_ns.load(Ordering::SeqCst);
+        self.ranks
+            .iter()
+            .filter(|r| r.state() != RankState::Finished)
+            .map(clock)
+            .min()
+            .unwrap_or_else(|| self.ranks.iter().map(clock).max().unwrap_or(0))
     }
 
     /// Whether a checkpoint request is outstanding (the wrapper fast path:
@@ -427,9 +523,6 @@ impl CkptControl {
     pub fn clear_pending(&self) {
         self.pending.store(false, Ordering::SeqCst);
         self.set_phase(CkptPhase::Idle);
-        for r in &self.ranks {
-            r.wake();
-        }
     }
 
     /// Coordinator (Algorithm 1): snapshots every rank's sequence table and
@@ -466,7 +559,7 @@ impl CkptControl {
         maxes.into_iter().map(|(g, (t, _))| (g, t)).collect()
     }
 
-    /// Coordinator: resets per-checkpoint state after resume.
+    /// Coordinator: resets per-checkpoint state after resume or abort.
     pub fn reset_after_checkpoint(&self) {
         for rc in &self.ranks {
             rc.targets_ready.store(false, Ordering::SeqCst);
@@ -555,16 +648,6 @@ impl CkptControl {
             let s = r.state();
             s != RankState::Finished && s.is_parked() && !r.is_dead()
         })
-    }
-
-    /// Minimum published virtual clock across ranks, in seconds.
-    pub fn min_clock_secs(&self) -> f64 {
-        self.ranks
-            .iter()
-            .map(|r| r.clock_ns.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(0) as f64
-            * 1e-9
     }
 }
 
@@ -656,9 +739,9 @@ mod tests {
         let c = CkptControl::new(1);
         let ctl = &c.ranks[0];
         // A wake with no waiter still advances the token...
-        let token = ctl.event_token();
+        let token = ctl.park.token();
         ctl.wake();
-        assert_ne!(ctl.event_token(), token, "token bumped with nobody waiting");
+        assert_ne!(ctl.park.token(), token, "token bumped with nobody waiting");
         // ...so a wake landing between the token and the wait makes the
         // wait return at once, not after the backstop, and records none.
         let t = std::time::Instant::now();
@@ -674,7 +757,7 @@ mod tests {
     fn parked_waiter_is_woken_by_the_gated_notify() {
         let c = CkptControl::new(1);
         let ctl = &c.ranks[0];
-        let token = ctl.event_token();
+        let token = ctl.park.token();
         std::thread::scope(|s| {
             let waiter = s.spawn(|| {
                 let t = std::time::Instant::now();
@@ -683,15 +766,144 @@ mod tests {
             });
             // Force the interleaving: the wake must find a registered
             // waiter, which is the only case that notifies.
-            while ctl.park.lock().waiters == 0 {
+            while ctl.park.waiters() == 0 {
                 std::thread::yield_now();
             }
             ctl.wake();
             let waited = waiter.join().unwrap();
             assert!(waited < PARK_BACKSTOP / 2, "woken, not timed out");
         });
-        assert_eq!(ctl.park.lock().waiters, 0, "waiter deregistered");
+        assert_eq!(ctl.park.waiters(), 0, "waiter deregistered");
         assert_eq!(ctl.stats.backstop_expiries(), 0);
+    }
+
+    #[test]
+    fn observer_stress_loses_no_wakeup() {
+        // Publishers store their progress, then announce it — through a
+        // state transition, a crossing of the armed threshold, or a bare
+        // announcement — while one observer takes a token, checks "every
+        // rank has reached this round" and sleeps. Each round the observer
+        // re-arms the threshold to the round's end; the publishers race
+        // it. A lost announcement strands the observer until the backstop
+        // with its condition already true: a counted expiry.
+        const RANKS: usize = 4;
+        const ROUNDS: u64 = 10_000;
+        let c = CkptControl::new(RANKS);
+        c.arm([Threshold::Clock(0)]);
+        std::thread::scope(|s| {
+            for rank in 0..RANKS {
+                let c = &c;
+                s.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        // Wait (spinning politely) until the observer
+                        // opens this round, so the threshold races the
+                        // publication instead of trailing it.
+                        while c.armed_clock_ns.load(Ordering::SeqCst) < round {
+                            std::thread::yield_now();
+                        }
+                        match round % 3 {
+                            0 => c.publish_progress(rank, round, round),
+                            1 => {
+                                c.ranks[rank].clock_ns.store(round, Ordering::SeqCst);
+                                c.ranks[rank].set_state(RankState::Running);
+                            }
+                            _ => {
+                                c.ranks[rank].clock_ns.store(round, Ordering::SeqCst);
+                                c.events.bump();
+                            }
+                        }
+                    }
+                });
+            }
+            for round in 1..=ROUNDS {
+                c.arm([Threshold::Clock(round)]);
+                loop {
+                    let token = c.events.token();
+                    if c.reached(Threshold::Clock(round)) {
+                        break;
+                    }
+                    if !c.events.wait_since(token, OBSERVER_BACKSTOP)
+                        && c.reached(Threshold::Clock(round))
+                    {
+                        c.ranks[0].stats.record_backstop_expiry();
+                    }
+                }
+            }
+        });
+        assert_eq!(
+            c.ranks[0].stats.backstop_expiries(),
+            0,
+            "an announcement was lost"
+        );
+        assert_eq!(c.events.waiters(), 0, "observer deregistered");
+    }
+
+    #[test]
+    fn thresholds_ignore_finished_ranks_and_stop_at_the_first_below() {
+        let c = CkptControl::new(3);
+        c.publish_progress(0, 50, 1);
+        c.publish_progress(1, 200, 9);
+        c.publish_progress(2, 300, 9);
+        assert!(!c.reached(Threshold::Clock(100)));
+        assert_eq!(c.min_unfinished_clock_ns(), 50);
+        // A rank that returned early no longer holds the run back.
+        c.ranks[0].set_state(RankState::Finished);
+        assert!(c.reached(Threshold::Clock(100)));
+        assert!(c.reached(Threshold::CollCalls(9)));
+        assert!(!c.reached(Threshold::CollCalls(10)));
+        assert_eq!(c.min_unfinished_clock_ns(), 200);
+        for r in &c.ranks {
+            r.set_state(RankState::Finished);
+        }
+        assert!(!c.reached(Threshold::Clock(0)), "nobody left to reach it");
+        assert_eq!(c.min_unfinished_clock_ns(), 300, "the run ends at the last");
+    }
+
+    #[test]
+    fn only_the_crossing_that_completes_a_threshold_is_announced() {
+        let c = CkptControl::new(2);
+        c.arm([Threshold::Clock(100)]);
+        let t0 = c.events.token();
+        c.publish_progress(0, 150, 0);
+        assert_eq!(c.events.token(), t0, "rank 1 is still below");
+        c.publish_progress(1, 120, 0);
+        assert_ne!(c.events.token(), t0, "the last crossing completes it");
+        // One rank: nothing armed, below, crossing, past, call count.
+        let c = CkptControl::new(1);
+        let step = |clock, calls| {
+            c.publish_progress(0, clock, calls);
+            c.events.token()
+        };
+        let t0 = c.events.token();
+        assert_eq!(step(10, 1), t0, "nothing armed: no announcement");
+        c.arm([Threshold::Clock(100)]);
+        assert_eq!(step(99, 2), t0, "below the threshold");
+        let t1 = step(100, 3);
+        assert_ne!(t1, t0, "the crossing is announced");
+        assert_eq!(step(150, 4), t1, "already past: announced once");
+        c.arm([Threshold::CollCalls(5)]);
+        assert_ne!(step(160, 5), t1, "a call-count crossing too");
+    }
+
+    #[test]
+    fn a_crossing_rank_is_held_until_the_observer_has_checked() {
+        let c = CkptControl::new(1);
+        c.hand_off(0);
+        c.arm([Threshold::Clock(100)]);
+        c.publish_progress(0, 100, 0);
+        let token = c.events.token();
+        std::thread::scope(|s| {
+            let held = s.spawn(|| c.hand_off(0));
+            while c.acks.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            c.acknowledge(token - 1);
+            assert!(!held.is_finished(), "an older check releases nothing");
+            c.acknowledge(token);
+            held.join().unwrap();
+        });
+        c.hand_off(0);
+        assert_eq!(c.ranks[0].stats.backstop_expiries(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod trace;
 pub mod virt;
 
 pub use capture::{PendingRecv, RuntimeCapture};
-pub use control::{CkptControl, CkptPhase, RankCtl, RankState};
+pub use control::{CkptControl, CkptPhase, RankCtl, RankState, Threshold};
 pub use counters::CallCounters;
 pub use ggid::{ggid_of, ggid_of_sorted, Ggid};
 pub use protocol::Protocol;

@@ -733,12 +733,12 @@ mod tests {
             1,
             e,
         );
-        let token = mb0.activity_token();
+        let token = mb0.activity.token();
         i.enter(0, VTime::ZERO, Bytes::new(), CollOp::Barrier, 0, None);
-        assert_eq!(mb0.activity_token(), token, "no poke before completion");
+        assert_eq!(mb0.activity.token(), token, "no poke before completion");
         i.enter(1, VTime::ZERO, Bytes::new(), CollOp::Barrier, 0, None);
         assert_ne!(
-            mb0.activity_token(),
+            mb0.activity.token(),
             token,
             "completion must poke mailboxes"
         );
@@ -762,12 +762,13 @@ mod tests {
             e,
         ));
         let take_when_poked = |i: &CollInstance, mb: &Mailbox, r: usize| loop {
-            let token = mb.activity_token();
+            let token = mb.activity.token();
             if let Some(res) = i.try_take(r) {
                 break res.exit;
             }
             assert!(
-                mb.wait_activity_since(token, std::time::Duration::from_secs(10)),
+                mb.activity
+                    .wait_since(token, std::time::Duration::from_secs(10)),
                 "completion never poked participant {r}"
             );
         };

@@ -149,7 +149,8 @@ impl Ctx {
         world.fail_plane().die_if_poisoned();
         if !world
             .mailbox(self.world_rank)
-            .wait_activity_since(token, RECV_PARK)
+            .activity
+            .wait_since(token, RECV_PARK)
         {
             world.sched.stats().record_backstop_expiry();
         }
@@ -346,7 +347,7 @@ impl Ctx {
     /// it ends the sleep at once.
     pub fn wait(&mut self, req: &mut Request) -> Completion {
         loop {
-            let token = self.world.mailbox(self.world_rank).activity_token();
+            let token = self.world.mailbox(self.world_rank).activity.token();
             if let Some(c) = self.try_complete(req) {
                 return c;
             }
@@ -496,7 +497,7 @@ impl Ctx {
             return None;
         }
         loop {
-            let token = self.world.mailbox(self.world_rank).activity_token();
+            let token = self.world.mailbox(self.world_rank).activity.token();
             for (i, r) in reqs.iter_mut().enumerate() {
                 if r.is_null() {
                     continue;

@@ -80,7 +80,7 @@ pub use group::Group;
 pub use msg::{SavedMsg, Status};
 pub use reduce_op::ReduceOp;
 pub use request::{Completion, Request};
-pub use sched::{RankStep, Scheduler, Step, StepDriver, WaitReason, WakeupStats};
+pub use sched::{EventCount, RankStep, Scheduler, Step, StepDriver, WaitReason, WakeupStats};
 pub use types::{SrcSel, Tag, TagSel};
 pub use world::{
     run_world, try_run_world, RankReport, SpawnError, World, WorldConfig, WorldReport,

@@ -10,10 +10,10 @@
 
 use crate::group::Group;
 use crate::msg::InFlightMsg;
+use crate::sched::EventCount;
 use crate::types::{CommId, SrcSel, TagSel};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// The matching criteria of a receive or probe.
 #[derive(Debug, Clone, Copy)]
@@ -43,13 +43,14 @@ impl MatchSpec<'_> {
     }
 }
 
-/// A rank's mailbox: arrival-ordered unexpected queue plus a condition
-/// variable for blocking receivers.
+/// A rank's mailbox: arrival-ordered unexpected queue plus an event count
+/// of deposits and pokes for blocking receivers.
 #[derive(Default)]
 pub struct Mailbox {
     inner: Mutex<Vec<InFlightMsg>>,
-    cv: Condvar,
-    activity: Mutex<Activity>,
+    /// Counts deposits and pokes: take a token *before* scanning the
+    /// queue and wait on it, so activity racing the scan ends the wait.
+    pub activity: EventCount,
     /// The rank driver's wake hook: invoked on every
     /// [`Mailbox::notify_activity`] so a rank parked by the checkpoint
     /// layer — a step object, or a thread in its per-rank event wait —
@@ -58,18 +59,6 @@ pub struct Mailbox {
     /// bare `run_world` ranks; set at most once, so a poke reads it
     /// without a lock or a reference count.
     waker: OnceLock<Arc<dyn Fn() + Send + Sync>>,
-}
-
-#[derive(Default)]
-struct Activity {
-    /// Monotone count of deposits and pokes, for "did anything change"
-    /// polling.
-    generation: u64,
-    /// Threads currently inside [`Mailbox::wait_activity_since`]'s
-    /// condvar wait. A poke notifies the condvar only when this is
-    /// non-zero: a world driven through the waker never waits here, and
-    /// an unconditional `notify_all` is a futex call per poke.
-    waiters: usize,
 }
 
 impl std::fmt::Debug for Mailbox {
@@ -104,17 +93,7 @@ impl Mailbox {
     /// same way they learn about deposits, so those waits stay
     /// event-driven instead of timing out.
     pub fn notify_activity(&self) {
-        let waiting = {
-            let mut a = self.activity.lock();
-            a.generation += 1;
-            a.waiters > 0
-        };
-        // A waiter registers and starts waiting under the activity lock,
-        // so one that is not counted yet will see the new generation
-        // before it waits.
-        if waiting {
-            self.cv.notify_all();
-        }
+        self.activity.bump();
         if let Some(w) = self.waker.get() {
             w();
         }
@@ -151,42 +130,6 @@ impl Mailbox {
         })
     }
 
-    /// Snapshot of the deposit counter, for race-free waiting: take the
-    /// token *before* scanning the queue, then pass it to
-    /// [`Mailbox::wait_activity_since`] — a deposit landing between the
-    /// scan and the wait bumps the counter and the wait returns at once.
-    pub fn activity_token(&self) -> u64 {
-        self.activity.lock().generation
-    }
-
-    /// Blocks the calling thread until activity lands after `token` was
-    /// taken, or `timeout` elapses. Event-driven: activity that raced the
-    /// caller's queue scan is detected through the token and never costs
-    /// the timeout. Returns `true` if activity was observed (before or
-    /// during the wait), `false` if the wait expired with the generation
-    /// unchanged — callers treating `timeout` as a lost-wakeup backstop
-    /// use the `false` case to record a backstop-expiry wakeup.
-    pub fn wait_activity_since(&self, token: u64, timeout: Duration) -> bool {
-        let mut a = self.activity.lock();
-        if a.generation != token {
-            return true;
-        }
-        a.waiters += 1;
-        self.cv.wait_for(&mut a, timeout);
-        a.waiters -= 1;
-        a.generation != token
-    }
-
-    /// Blocks until the mailbox changes or `timeout` elapses. Activity
-    /// arriving between the caller's last queue scan and this call is
-    /// *not* detected (take a token first for that — see
-    /// [`Mailbox::activity_token`]); use only for idle naps where an
-    /// extra `timeout` of latency is acceptable.
-    pub fn wait_activity(&self, timeout: Duration) {
-        let token = self.activity_token();
-        self.wait_activity_since(token, timeout);
-    }
-
     /// Number of queued (unmatched) messages.
     pub fn len(&self) -> usize {
         self.inner.lock().len()
@@ -216,6 +159,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use netmodel::VTime;
+    use std::time::Duration;
 
     fn msg(src: usize, comm: u64, tag: u32, seq: u64) -> InFlightMsg {
         InFlightMsg {
@@ -327,19 +271,19 @@ mod tests {
         // A deposit landing between the token snapshot and the wait must
         // make the wait return immediately, not after the timeout.
         let mb = Mailbox::new();
-        let token = mb.activity_token();
+        let token = mb.activity.token();
         mb.deposit(msg(1, 0, 1, 0));
         let t = std::time::Instant::now();
-        mb.wait_activity_since(token, Duration::from_secs(5));
+        mb.activity.wait_since(token, Duration::from_secs(5));
         assert!(
             t.elapsed() < Duration::from_secs(1),
             "raced deposit must not cost the timeout"
         );
     }
 
-    /// Spins until a thread is parked in `wait_activity_since`.
+    /// Spins until a thread is parked on the mailbox's activity count.
     fn await_waiter(mb: &Mailbox) {
-        while mb.activity.lock().waiters == 0 {
+        while mb.activity.waiters() == 0 {
             std::thread::yield_now();
         }
     }
@@ -352,11 +296,11 @@ mod tests {
         let pokes: [fn(&Mailbox); 2] = [Mailbox::notify_activity, |mb| mb.deposit(msg(1, 0, 1, 0))];
         for poke in pokes {
             let mb = Mailbox::new();
-            let token = mb.activity_token();
+            let token = mb.activity.token();
             std::thread::scope(|s| {
                 let waiter = s.spawn(|| {
                     let t = std::time::Instant::now();
-                    let seen = mb.wait_activity_since(token, Duration::from_secs(5));
+                    let seen = mb.activity.wait_since(token, Duration::from_secs(5));
                     (seen, t.elapsed())
                 });
                 await_waiter(&mb);
@@ -365,7 +309,7 @@ mod tests {
                 assert!(seen, "the poke is activity, not a timeout");
                 assert!(waited < Duration::from_secs(1), "woken, not timed out");
             });
-            assert_eq!(mb.activity.lock().waiters, 0, "waiter deregistered");
+            assert_eq!(mb.activity.waiters(), 0, "waiter deregistered");
         }
     }
 
@@ -377,16 +321,16 @@ mod tests {
         mb.set_waker(Arc::new(move || {
             h.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }));
-        let token = mb.activity_token();
+        let token = mb.activity.token();
         mb.notify_activity();
         assert_ne!(
-            mb.activity_token(),
+            mb.activity.token(),
             token,
             "token bumped with nobody waiting"
         );
         assert_eq!(hits.load(std::sync::atomic::Ordering::SeqCst), 1);
         // The bump is what a later waiter keys on: no wait at all.
-        assert!(mb.wait_activity_since(token, Duration::from_secs(5)));
+        assert!(mb.activity.wait_since(token, Duration::from_secs(5)));
     }
 
     #[test]
@@ -395,7 +339,8 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
         let t = std::thread::spawn(move || {
-            mb2.wait_activity(Duration::from_secs(5));
+            mb2.activity
+                .wait_since(mb2.activity.token(), Duration::from_secs(5));
         });
         std::thread::sleep(Duration::from_millis(20));
         mb.deposit(msg(1, 0, 1, 0));

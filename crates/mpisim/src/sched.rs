@@ -93,7 +93,7 @@
 //!   other workers idle for all of it — measured 13 % slower end to end
 //!   than waking one rank per lock. Chunks feed the peers every few
 //!   microseconds at one lock per 32 wakes. Wakes from threads that are
-//!   not a worker of the driver (the coordinator, a fault injector) go
+//!   not a worker of the driver (the coordinator) go
 //!   straight to the queue.
 //! * **Idle-gated notify.** The queue counts the workers parked on its
 //!   condvar; a push notifies only when that count is non-zero, so the
@@ -112,7 +112,62 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// An event count — the one wait primitive of a mailbox, a thread rank's
+/// park and the checkpoint observer. A waiter takes a token before it
+/// checks its condition and sleeps only while the generation still equals
+/// it; a publisher stores its state before it bumps, under the mutex a
+/// waiter sleeps under, so no bump falls between a check and the sleep.
+#[derive(Default)]
+pub struct EventCount {
+    /// `(generation, threads asleep in wait_since)`: a bump notifies only
+    /// when there are sleepers (an idle `notify_all` is still a futex call).
+    state: Mutex<(u64, usize)>,
+    cv: Condvar,
+}
+
+impl EventCount {
+    /// The current generation, to pass to [`EventCount::wait_since`].
+    pub fn token(&self) -> u64 {
+        self.state.lock().0
+    }
+
+    /// Blocks until a bump lands after `token` was taken, or `timeout`
+    /// elapses; returns whether one landed.
+    pub fn wait_since(&self, token: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut s = self.state.lock();
+        while s.0 == token {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            s.1 += 1;
+            self.cv.wait_for(&mut s, left);
+            s.1 -= 1;
+        }
+        true
+    }
+
+    /// Threads asleep in [`EventCount::wait_since`] right now.
+    pub fn waiters(&self) -> usize {
+        self.state.lock().1
+    }
+
+    /// Announces an event, published before the call; returns the new
+    /// generation.
+    pub fn bump(&self) -> u64 {
+        let (generation, waiting) = {
+            let mut s = self.state.lock();
+            s.0 += 1;
+            (s.0, s.1 > 0)
+        };
+        if waiting {
+            self.cv.notify_all();
+        }
+        generation
+    }
+}
 
 /// Counters for the wall-clock wait paths shared by one world's ranks.
 ///

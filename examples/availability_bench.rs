@@ -7,8 +7,10 @@
 //! reporting wasted work, makespan inflation, and recovery latency per
 //! (MTBF row × {4× Daly, 2× Daly, Daly} ladder rung × {CC, 2PC}). The
 //! shape is asserted before anything is written: a complete grid, one
-//! recovery per fault, zero backstop expiries, and per-protocol mean
-//! wasted work decreasing down the ladder toward the Daly optimum.
+//! recovery per fault, zero backstop expiries, no checkpoint storm (per
+//! cell, at most ⌈native makespan ÷ interval⌉ + faults + 1 checkpoints),
+//! and per-protocol mean wasted work decreasing down the ladder toward
+//! the Daly optimum.
 //! Writes `BENCH_availability.json` into the current directory.
 //!
 //! ```sh
