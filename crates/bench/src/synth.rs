@@ -22,7 +22,6 @@ use mana_core::{
     ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, PendingRecv, Protocol,
     RuntimeCapture, SeqTable, VComm,
 };
-use mpisim::types::CommId;
 use mpisim::{NetParams, SavedMsg, SrcSel, TagSel, VTime};
 use std::collections::HashMap;
 use workloads::SplitMix64;
@@ -120,10 +119,8 @@ fn synth_capture(n_ranks: usize, i: usize, rng: &mut SplitMix64) -> RuntimeCaptu
         trivial_barriers: 0,
     };
 
-    let mut vcomm_to_lower = HashMap::new();
     let mut vcomm_members = HashMap::new();
     for v in 0..3u64 {
-        vcomm_to_lower.insert(v, CommId(v * 2 + rng.next_range(2)));
         vcomm_members.insert(
             v,
             if v == 2 {
@@ -146,7 +143,6 @@ fn synth_capture(n_ranks: usize, i: usize, rng: &mut SplitMix64) -> RuntimeCaptu
         counters,
         p2p_sent: rng.next_range(64),
         p2p_delivered: rng.next_range(64),
-        vcomm_to_lower,
         vcomm_members,
     }
 }

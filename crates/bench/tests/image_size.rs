@@ -10,17 +10,25 @@
 //! started: four fifths of what was left, and larger at every checkpoint.
 //! Since v7 a rank's restart-stable state is a content-addressed chunk,
 //! written once however many ranks hold the same state: a rank itself
-//! costs a fixed record. The bound below has no term in which a list's
-//! length multiplies a reference count, none that counts collectives, and
-//! none that repeats a stable half per rank holding it.
+//! costs a fixed record. Since v8 every count, rank, sequence number, id,
+//! counter and length is a varint, so each costs the width of its value,
+//! not a word. The size below has no term in which a list's length
+//! multiplies a reference count, none that counts collectives, and none
+//! that repeats a stable half per rank holding it.
 
 use ckpt::image::IMAGE_HEADER_LEN;
+use ckpt::wire::var_len;
 use ckpt::{
-    run_ckpt_world, run_ckpt_world_steps, Checkpoint, CkptOptions, EveryNCollectives, ResumeMode,
+    run_ckpt_world, run_ckpt_world_steps, CaptureOrigin, Checkpoint, CkptOptions,
+    EveryNCollectives, ResumeMode,
 };
-use mana_core::{CommOp, Cut, CutRun, Protocol, RankState, RuntimeCapture};
-use mpisim::{NetParams, VTime, WorldConfig};
-use std::collections::HashSet;
+use mana_core::capture::PendingRecv;
+use mana_core::{
+    CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture,
+    SeqTable, VComm,
+};
+use mpisim::{NetParams, SrcSel, TagSel, VTime, WorldConfig};
+use std::collections::HashMap;
 use workloads::{scf_loop, RandomWorkloadCfg, RandomWorkloadStep};
 
 const RANKS: usize = 64;
@@ -52,47 +60,163 @@ fn is_run(members: &[usize]) -> bool {
     members.windows(2).all(|w| w[1] == w[0] + 1)
 }
 
-// The wire's fixed costs, written out. A word is 8 bytes.
+// The wire's costs, written out. Hashes, group ids, member-list content
+// ids and `f64`s are 8-byte words; every other integer is a varint as wide
+// as its value.
 
-/// A member-list reference: tag byte plus `(start, len)` at most (a table
-/// reference is tag + 8-byte id).
-const REF: usize = 1 + 16;
-/// A table entry besides its members: content id and length word.
-const TABLE_ENTRY: usize = 16;
-/// A cut run besides its reference: rank, ggid, first, last.
-const RUN: usize = 32;
-/// A chunk reference: tag byte, content hash, length.
-const CHUNK_REF: usize = 1 + 8 + 8;
-/// A rank's record without a pending barrier: rank, state, clock, barrier
-/// tag, two flow counts, and the reference to its stable chunk.
-const RECORD: usize = 8 + 1 + 8 + 1 + 16 + CHUNK_REF;
-/// What a pending barrier adds to a record: two words.
-const BARRIER: usize = 16;
-/// A stable chunk besides its containers' elements: five container
-/// length words and nine call counters.
-const STABLE_FIXED: usize = 5 * 8 + 9 * 8;
-/// `seq_table` entry besides its reference: ggid, seq.
-const SEQ_ENTRY: usize = 16;
-/// `vcomm_members` entry besides its reference: the vcomm id.
-const VCOMM_ENTRY: usize = 8;
-/// `vcomm_to_lower` entry: vcomm id, lower comm id.
-const LOWER_ENTRY: usize = 16;
-/// A `Dup`/`Split` creation record at most: tag, parent, color, key,
-/// result tag, result.
-const COMM_OP: usize = 1 + 8 + 8 + 8 + 1 + 8;
-/// A pending receive: vreq, vcomm, source selector, tag selector.
-const PENDING_RECV: usize = 8 + 8 + 9 + 5;
-/// A drained message besides its payload: endpoints, vcomm, tag, length
-/// word, channel sequence, arrival.
-const DRAINED_MSG: usize = 8 + 8 + 8 + 4 + 8 + 8 + 8;
+/// An 8-byte word.
+const WORD: usize = 8;
+/// A tag byte: a reference's form, a selector, an option, a rank state.
+const TAG: usize = 1;
+
+/// Varint width of a `usize`.
+fn uvar(v: usize) -> usize {
+    var_len(v as u64)
+}
+
+/// Zigzag varint width of `v`.
+fn ivar(v: i64) -> usize {
+    var_len(((v << 1) ^ (v >> 63)) as u64)
+}
+
+/// A member-list reference: tag, then `(start, len)` for a contiguous
+/// run or the 8-byte content id of a table entry.
+fn member_ref(m: &[usize]) -> usize {
+    TAG + if is_run(m) {
+        uvar(m[0]) + uvar(m.len())
+    } else {
+        WORD
+    }
+}
+
+/// A member-table entry: content id, length, members.
+fn table_entry(m: &[usize]) -> usize {
+    WORD + uvar(m.len()) + m.iter().map(|&r| uvar(r)).sum::<usize>()
+}
+
+/// A chunk reference: tag, content hash, length.
+fn chunk_ref(len: usize) -> usize {
+    TAG + WORD + uvar(len)
+}
+
+/// A rank's record: rank, state, clock, barrier tag (and the barrier's
+/// vcomm and ordinal), two flow counts, the reference to its stable chunk.
+fn record(c: &RuntimeCapture) -> usize {
+    let barrier = c
+        .pending_barrier
+        .map_or(0, |(vc, ord)| var_len(vc) + var_len(ord));
+    uvar(c.rank)
+        + TAG
+        + WORD
+        + TAG
+        + barrier
+        + var_len(c.p2p_sent)
+        + var_len(c.p2p_delivered)
+        + chunk_ref(stable_chunk(c))
+}
+
+/// A cut run: rank, ggid, first, last, members.
+fn run(r: &CutRun) -> usize {
+    uvar(r.rank) + WORD + var_len(r.first) + var_len(r.last) + member_ref(&r.members)
+}
+
+fn comm_op(r: &CommOpRecord) -> usize {
+    let op = match &r.op {
+        CommOp::Dup { parent } => var_len(parent.0),
+        CommOp::Split { parent, color, key } => var_len(parent.0) + ivar(*color) + ivar(*key),
+        CommOp::Create { parent, members } => {
+            var_len(parent.0)
+                + uvar(members.len())
+                + members.iter().map(|&m| uvar(m)).sum::<usize>()
+        }
+    };
+    TAG + op + TAG + r.result.map_or(0, |v| var_len(v.0))
+}
+
+fn pending_recv(p: &PendingRecv) -> usize {
+    let src = match p.src {
+        SrcSel::Any => 0,
+        SrcSel::Rank(r) => uvar(r),
+    };
+    let tag = match p.tag {
+        TagSel::Any => 0,
+        TagSel::Tag(t) => var_len(u64::from(t)),
+    };
+    var_len(p.vreq) + var_len(p.vcomm) + TAG + src + TAG + tag
+}
+
+fn counters(c: &CallCounters) -> usize {
+    [
+        c.coll_blocking,
+        c.coll_nonblocking,
+        c.p2p_sends,
+        c.p2p_recvs,
+        c.completions,
+        c.comm_mgmt,
+        c.drain_updates_sent,
+        c.drain_updates_recv,
+        c.trivial_barriers,
+    ]
+    .map(var_len)
+    .iter()
+    .sum()
+}
+
+/// A rank's stable chunk: `seq_table` entries (ggid, seq, reference), the
+/// creation log, pending receives, nine call counters and `vcomm_members`
+/// entries (vcomm id, reference), each container behind its length.
+fn stable_chunk(c: &RuntimeCapture) -> usize {
+    let seq = (c.seq_table.iter()).map(|(_, e)| WORD + var_len(e.seq) + member_ref(&e.members));
+    let members = (c.vcomm_members.iter()).map(|(v, m)| var_len(*v) + member_ref(m));
+    uvar(c.seq_table.len())
+        + seq.sum::<usize>()
+        + uvar(c.comm_log.len())
+        + c.comm_log.iter().map(comm_op).sum::<usize>()
+        + uvar(c.pending_recvs.len())
+        + c.pending_recvs.iter().map(pending_recv).sum::<usize>()
+        + counters(&c.counters)
+        + uvar(c.vcomm_members.len())
+        + members.sum::<usize>()
+}
+
+/// The in-flight chunk: count, then per message its endpoints, vcomm,
+/// tag, payload length and bytes, channel sequence and arrival.
+fn in_flight_chunk(image: &Checkpoint) -> usize {
+    let msg = |m: &ckpt::DrainedMsg| {
+        let s = &m.saved;
+        uvar(s.src_world)
+            + uvar(s.dst_world)
+            + var_len(s.vcomm)
+            + var_len(u64::from(s.tag))
+            + uvar(s.payload.len())
+            + s.payload.len()
+            + var_len(s.seq)
+            + WORD
+    };
+    uvar(image.in_flight.len()) + image.in_flight.iter().map(msg).sum::<usize>()
+}
+
+fn target_map(m: &HashMap<Ggid, u64>) -> usize {
+    uvar(m.len()) + m.values().map(|&v| WORD + var_len(v)).sum::<usize>()
+}
+
 /// Header; kind, generation, epoch, n_ranks, protocol, packing, ten
-/// network parameters, request clock; length words of the three target
-/// maps; the two io-seconds words; length words of the table, the records
-/// and the cut; the in-flight chunk's reference and its length word.
-const IMAGE_FIXED: usize =
-    IMAGE_HEADER_LEN + (1 + 8 + 8 + 8 + 1 + 8 + 80 + 8) + 3 * 8 + 16 + 3 * 8 + CHUNK_REF + 8;
-/// A target-map entry: ggid, value.
-const TARGET: usize = 16;
+/// network parameters and the request clock (words); the three target
+/// maps; the two io-seconds words.
+fn preamble(image: &Checkpoint) -> usize {
+    IMAGE_HEADER_LEN
+        + TAG
+        + var_len(0)
+        + var_len(image.epoch)
+        + uvar(image.n_ranks)
+        + TAG
+        + uvar(image.origin.ranks_per_node)
+        + 11 * WORD
+        + target_map(&image.initial_targets)
+        + target_map(&image.final_targets)
+        + target_map(&image.achieved)
+        + 2 * WORD
+}
 
 /// A capture's restart-stable half: the capture with its volatile fields
 /// cleared. Two ranks share a chunk exactly when these are equal.
@@ -119,49 +243,30 @@ fn distinct_stable_halves(image: &Checkpoint) -> Vec<RuntimeCapture> {
     distinct
 }
 
-/// Σ distinct list bytes + Σ distinct chunk bytes (c · references each) +
-/// a fixed record per rank + the cut runs.
-fn size_bound(image: &Checkpoint) -> usize {
-    let distinct: HashSet<&[usize]> = image
+/// The serialized size of a full image, term by term: Σ distinct list
+/// bytes + Σ distinct chunk bytes (c · references each) + a record per
+/// rank + the cut runs + the in-flight chunk.
+fn image_len(image: &Checkpoint) -> usize {
+    let mut distinct: Vec<&[usize]> = image
         .member_list_refs()
         .map(|m| &m[..])
         .filter(|m| !is_run(m))
         .collect();
-    let lists: usize = distinct.iter().map(|m| TABLE_ENTRY + 8 * m.len()).sum();
-    let chunks: usize = distinct_stable_halves(image)
-        .iter()
-        .map(|c| {
-            assert!(
-                (c.comm_log.iter()).all(|r| !matches!(r.op, CommOp::Create { .. })),
-                "the schedule only dups and splits"
-            );
-            STABLE_FIXED
-                + c.seq_table.len() * (SEQ_ENTRY + REF)
-                + c.vcomm_members.len() * (VCOMM_ENTRY + REF)
-                + c.vcomm_to_lower.len() * LOWER_ENTRY
-                + c.comm_log.len() * COMM_OP
-                + c.pending_recvs.len() * PENDING_RECV
-        })
-        .sum();
-    let records: usize = (image.captures.iter())
-        .map(|c| {
-            RECORD
-                + if c.pending_barrier.is_some() {
-                    BARRIER
-                } else {
-                    0
-                }
-        })
-        .sum();
-    let targets = image.initial_targets.len() + image.final_targets.len() + image.achieved.len();
-    IMAGE_FIXED
-        + targets * TARGET
-        + lists
-        + chunks
+    distinct.sort_unstable();
+    distinct.dedup();
+    let table = uvar(distinct.len()) + distinct.iter().map(|m| table_entry(m)).sum::<usize>();
+    let chunks: usize = distinct_stable_halves(image).iter().map(stable_chunk).sum();
+    let records: usize = image.captures.iter().map(record).sum();
+    let runs = image.cut_events.runs();
+    preamble(image)
+        + table
+        + uvar(image.captures.len())
         + records
-        + image.in_flight.len() * DRAINED_MSG
-        + image.in_flight_bytes()
-        + image.cut_events.runs().len() * (RUN + REF)
+        + chunk_ref(in_flight_chunk(image))
+        + uvar(runs.len())
+        + runs.iter().map(run).sum::<usize>()
+        + chunks
+        + in_flight_chunk(image)
 }
 
 #[test]
@@ -176,43 +281,46 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
 
     let len = image.serialized_len();
     assert_eq!(len, image.to_bytes().len());
-    let bound = size_bound(&image);
-    assert!(len <= bound, "{len} B serialized, bound {bound} B");
-    // The bound is tight, not generous: within a word per reference (a
-    // table reference is that much shorter than a range reference).
-    assert!(bound - len <= 8 * refs.len(), "{len} B vs bound {bound} B");
+    // Exact, term by term: every reference costs its few bytes.
+    assert_eq!(len, image_len(&image), "{len} B serialized");
 
-    // Pinned with 25 % headroom over the measured 853 B a rank. Every
+    // Pinned with 25 % headroom over the measured 270 B a rank. Every
     // rank of this cut holds a different stable half, so each pays its
-    // chunk's address: v6 wrote 844 B a rank, the v5 wire, with its cut
+    // chunk's address: v7 wrote 853 B a rank with a word per integer and
+    // the lower-half handle map, v6 844 B, and the v5 wire, with its cut
     // event per collective participation, 2 486 B a rank for this cut, and
     // more for every later one.
     let per_rank = len / RANKS;
-    assert!(per_rank <= 1066, "{per_rank} B per rank");
+    assert!(per_rank <= 337, "{per_rank} B per rank");
 
     // One more run on a group that is already in the table costs its
-    // fixed words and a 9-byte reference, whatever the group's size and
-    // however many collectives the run covers.
+    // rank, ggid, bounds and a 9-byte reference, whatever the group's size
+    // and however many collectives the run covers.
     let mut runs = image.cut_events.runs().to_vec();
     let again = runs
         .iter()
         .find(|r| !is_run(&r.members) && r.members.len() >= 8)
         .expect("a cut run on a non-contiguous group of eight or more");
-    runs.push(CutRun {
+    let added = CutRun {
         first: again.last + 2,
         last: again.last + 1_000_000,
         ..again.clone()
-    });
+    };
+    runs.push(added.clone());
     image.cut_events = Cut::from_runs(runs);
     let grown = image.serialized_len() - len;
-    assert_eq!(grown, RUN + 1 + 8);
+    let bounds = var_len(added.first) + var_len(added.last);
+    assert_eq!(grown, uvar(added.rank) + WORD + bounds + TAG + WORD);
+    assert_eq!(grown, run(&added));
     assert!(grown < 64);
 }
 
-/// The image of a program that only ever talks on the world group is the
-/// same size at its 40th collective and at its 160th: per rank, `SEQ[]`
-/// and one run. (The v5 wire grew by a cut event per rank and collective:
-/// ≈ 1.6 kB a rank from each of these images to the next.)
+/// The image of a program that only ever talks on the world group holds,
+/// per rank, `SEQ[]` and one run at its 40th collective and at its 160th:
+/// it grows only where a count outgrows a varint width — a byte for each
+/// of a rank's counts of collectives past 2⁷, not an event per collective.
+/// (The v5 wire grew by a cut event per rank and collective: ≈ 1.6 kB a
+/// rank from each of these images to the next.)
 #[test]
 fn image_size_does_not_grow_with_run_length() {
     const N: usize = 16;
@@ -239,9 +347,16 @@ fn image_size_does_not_grow_with_run_length() {
         assert_eq!(image.cut_events.len(), calls * N, "every rank, every call");
         assert!((40 * (k + 1)..40 * (k + 1) + 8).contains(&calls), "{calls}");
         assert_eq!(image.cut_events.runs().len(), N);
-        assert_eq!(image.serialized_len(), images[0].serialized_len());
-        assert_eq!(image.to_bytes().len(), images[0].serialized_len());
+        assert_eq!(image.to_bytes().len(), image.serialized_len());
+        assert_eq!(image.serialized_len(), image_len(image));
+        // A rank's counts of collectives: its `SEQ[]` entry, its run's
+        // end and its nine call counters, each at most one byte wider at
+        // 160 calls than at 40.
+        let grown = image.serialized_len() - images[0].serialized_len();
+        assert!(grown <= N * (1 + 1 + 9), "{grown} B grown by image {k}");
     }
+    // Below 2⁷ calls every count is one byte: no growth at all.
+    assert_eq!(images[1].serialized_len(), images[0].serialized_len());
 }
 
 /// One cut of an `n`-rank SCF run — a program that only ever talks on the
@@ -283,12 +398,115 @@ fn ranks_with_identical_stable_halves_share_one_chunk() {
         assert!(image.captures.iter().all(|c| c.pending_barrier.is_none()));
         let len = image.serialized_len();
         assert_eq!(len, image.to_bytes().len());
-        assert!(len <= size_bound(image), "{len} B vs {}", size_bound(image));
+        assert_eq!(len, image_len(image));
     }
-    // A run on the world group carries a range reference.
-    let per_rank = RECORD + RUN + REF;
-    assert_eq!(
-        large.serialized_len() - small.serialized_len(),
-        16 * per_rank
-    );
+    // Each new rank adds its record and its run on the world group, which
+    // carries a range reference — and, every count of this run being
+    // below 2⁷, one byte for each varint.
+    let added: usize = (16..32)
+        .map(|r| record(&large.captures[r]) + run(&large.cut_events.runs()[r]))
+        .sum();
+    let small_record = 1 + TAG + WORD + TAG + 1 + 1 + (TAG + WORD + 1);
+    let small_run = 1 + WORD + 1 + 1 + (TAG + 1 + 1);
+    assert_eq!(added, 16 * (small_record + small_run));
+    assert_eq!(large.serialized_len() - small.serialized_len(), added);
+}
+
+/// A two-rank image built by hand, every integer in it below 2⁷: each
+/// count, rank, sequence number, id, counter and length is one byte on
+/// the wire, and the image is exactly the sum of the widths below. An
+/// integer written as an 8-byte word again would break the sum.
+#[test]
+fn small_values_cost_one_byte_each() {
+    let capture = |rank: usize| {
+        let mut seq_table = SeqTable::new();
+        seq_table.restore(Ggid(5), 3, vec![0, 1]);
+        RuntimeCapture {
+            rank,
+            state: RankState::Quiesced,
+            clock: VTime::from_micros(1.0),
+            seq_table,
+            comm_log: vec![CommOpRecord {
+                op: CommOp::Split {
+                    parent: VComm(0),
+                    color: -1,
+                    key: 1,
+                },
+                result: Some(VComm(1)),
+            }],
+            pending_recvs: vec![PendingRecv {
+                vreq: 2,
+                vcomm: 1,
+                src: SrcSel::Any,
+                tag: TagSel::Tag(9),
+            }],
+            pending_barrier: None,
+            counters: CallCounters {
+                coll_blocking: 3,
+                p2p_recvs: 1,
+                ..Default::default()
+            },
+            p2p_sent: 1,
+            p2p_delivered: 1,
+            // Rank-private, so the two stable halves differ.
+            vcomm_members: [(0u64, vec![0, 1].into()), (1, vec![rank].into())]
+                .into_iter()
+                .collect(),
+        }
+    };
+    let run = |rank: usize| CutRun {
+        rank,
+        ggid: Ggid(5),
+        first: 1,
+        last: 3,
+        members: vec![0, 1].into(),
+    };
+    let image = Checkpoint {
+        epoch: 0,
+        n_ranks: 2,
+        protocol: Protocol::Cc,
+        origin: CaptureOrigin {
+            ranks_per_node: 2,
+            params: NetParams::ideal(),
+        },
+        request_clock: VTime::ZERO,
+        initial_targets: HashMap::new(),
+        final_targets: HashMap::new(),
+        achieved: [(Ggid(5), 3)].into_iter().collect(),
+        captures: vec![capture(0), capture(1)],
+        in_flight: Vec::new(),
+        cut_events: Cut::from_runs(vec![run(0), run(1)]),
+        io_write_secs: 0.0,
+        io_read_secs: 0.0,
+    };
+
+    // Kind, generation, epoch, n_ranks, protocol, packing; ten network
+    // parameters and the request clock; the two empty target maps and
+    // the achieved map's one entry (ggid word, value); two io words.
+    let preamble = 6 + 11 * WORD + 2 + (1 + WORD + 1) + 2 * WORD;
+    // Every list is a contiguous run: an empty table.
+    let table = 1;
+    // Rank, state, clock word, barrier tag, two flow counts, chunk
+    // reference (tag, hash word, length).
+    let record = 1 + 1 + WORD + 1 + 2 + (1 + WORD + 1);
+    let in_flight_ref = 1 + WORD + 1;
+    // Rank, ggid word, first, last, range reference (tag, start, len).
+    let cut_run = 1 + WORD + 2 + 3;
+    let head = preamble + table + 1 + 2 * record + in_flight_ref + 1 + 2 * cut_run;
+    // `seq_table`: count, ggid word, seq, reference. Creation log: count,
+    // op tag, parent, zigzag colour and key, result tag, result. Pending
+    // receives: count, vreq, vcomm, source tag, tag selector and value.
+    // Nine counters. `vcomm_members`: count, two (id, reference).
+    let stable = (1 + WORD + 1 + 3) + (1 + 6) + (1 + 5) + 9 + (1 + 2 * (1 + 3));
+    // The in-flight chunk: an empty count.
+    let chunks = 2 * stable + 1;
+    assert_eq!(stable, 44);
+    assert_eq!(head, 209);
+
+    let expected = IMAGE_HEADER_LEN + head + chunks;
+    assert_eq!(image.serialized_len(), expected);
+    assert_eq!(image_len(&image), expected);
+    let bytes = image.to_bytes();
+    assert_eq!(bytes.len(), expected);
+    assert_eq!(Checkpoint::from_bytes(&bytes).as_ref(), Ok(&image));
 }

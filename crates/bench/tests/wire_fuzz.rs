@@ -10,10 +10,13 @@
 //!   header field is validated, so no flip may decode;
 //! * **truncations** at every prefix length must yield a typed error;
 //! * **length-field mutations** (the header's payload-length word and
-//!   interior sequence-length words, with the checksum recomputed so the
+//!   interior sequence lengths, with the checksum recomputed so the
 //!   corruption reaches the structural decoder) must yield a typed error
 //!   or a well-formed image — never a panic, hang, or huge allocation;
-//! * appended **trailing garbage** must be rejected.
+//! * appended **trailing garbage** must be rejected;
+//! * a head varint rewritten into an **overlong form** — the same value,
+//!   one byte longer — must yield a typed error: a chunk has exactly one
+//!   byte form, so the decoder accepts no other.
 //!
 //! The **member-list table** — every distinct non-contiguous group
 //! member list written once, referenced by content id everywhere else —
@@ -24,7 +27,7 @@
 //!
 //! So are the **cut block** and the **chunk lengths**. The cut holds runs
 //! `first..=last` where v5 held one event per participation, so a forged
-//! run can claim 2⁶⁴ participations in 41 bytes: hostile bounds, ranks,
+//! run can claim 2⁶⁴ participations in 29 bytes: hostile bounds, ranks,
 //! members and orderings are typed errors, and nothing — decode, the
 //! oracle, `len()` — does work proportional to what a run claims. The
 //! length in a chunk's address is what the decoder tiles the chunk
@@ -55,6 +58,7 @@ use ckpt::image::{
     IMAGE_CHECKSUM_OFFSET as CHECKSUM_OFFSET, IMAGE_HEADER_LEN as HEADER,
     IMAGE_HEAD_LEN_OFFSET as HEAD_LEN_OFFSET, IMAGE_LEN_OFFSET as LEN_OFFSET,
 };
+use ckpt::wire::{var_len, Dec, Wr};
 
 /// Captures one non-trivial image from a real run: eight ranks, so the
 /// schedule's communicator splits leave strided groups and the image
@@ -231,7 +235,8 @@ fn checksum_repaired_flips_never_panic() {
 
 /// Aims mutations at the **per-rank record boundaries**
 /// (`Checkpoint::capture_section_ranges`): the first and last bytes of
-/// every record, plus the rank word at each record start. A boundary flip
+/// every record, plus the first eight bytes of each (rank, state and the
+/// start of the clock). A boundary flip
 /// with a repaired checksum lands in the structural decoder exactly where
 /// one rank's record ends and the next begins — if the record tiling ever
 /// drifted from the decoder's expectations, it would surface here as a
@@ -247,8 +252,7 @@ fn section_boundary_mutations_never_panic() {
 
     let mut positions: Vec<usize> = Vec::new();
     for r in &ranges {
-        // Both edges of the record, and the 8-byte rank word at its
-        // start.
+        // Both edges of the record, and the eight bytes at its start.
         positions.extend([r.start, r.end - 1]);
         positions.extend(r.start..(r.start + 8).min(r.end));
         // A few interior samples per section.
@@ -304,16 +308,26 @@ fn section_ranges_agree_with_parallel_encoder_output() {
 // member-list table and references
 // ---------------------------------------------------------------------
 
-/// Bytes of a cut run ahead of its member-list reference: rank, ggid,
-/// first and last words.
-const RUN_WORDS: usize = 32;
+/// Bytes of a cut run ahead of its member-list reference: the rank, the
+/// ggid word, first and last.
+fn run_prefix(r: &CutRun) -> usize {
+    var_len(r.rank as u64) + 8 + var_len(r.first) + var_len(r.last)
+}
 
-/// Encoded size of one cut run: its four words, then the member-list
-/// reference — tag + `(start, len)` for a contiguous group, tag + content
-/// id for a list held in the table.
+fn is_listed(r: &CutRun) -> bool {
+    !r.members.windows(2).all(|w| w[1] == w[0] + 1)
+}
+
+/// Encoded size of one cut run: its prefix, then the member-list
+/// reference — tag + `(start, len)` for a contiguous group, tag + 8-byte
+/// content id for a list held in the table.
 fn run_len(r: &CutRun) -> usize {
-    let contiguous = r.members.windows(2).all(|w| w[1] == w[0] + 1);
-    RUN_WORDS + if contiguous { 17 } else { 9 }
+    let reference = if is_listed(r) {
+        8
+    } else {
+        var_len(r.members[0] as u64) + var_len(r.members.len() as u64)
+    };
+    run_prefix(r) + 1 + reference
 }
 
 /// Offset of every run of an encoded cut whose runs start at `at`.
@@ -328,11 +342,9 @@ fn run_offsets(cut: &Cut, mut at: usize) -> Vec<usize> {
 /// Offsets of the content-id word of every table reference in an encoded
 /// cut whose runs start at `at`.
 fn listed_id_offsets(cut: &Cut, at: usize) -> Vec<usize> {
-    let listed = |(r, at): (&CutRun, usize)| (run_len(r) == RUN_WORDS + 9).then_some(at);
+    let listed = |(r, at): (&CutRun, usize)| is_listed(r).then(|| at + run_prefix(r) + 1);
     let runs = cut.runs().iter().zip(run_offsets(cut, at));
-    runs.filter_map(listed)
-        .map(|at| at + RUN_WORDS + 1)
-        .collect()
+    runs.filter_map(listed).collect()
 }
 
 /// Where the runs of an image's cut start: the cut closes the head.
@@ -366,8 +378,8 @@ fn assert_flips_rejected<T: std::fmt::Debug>(
     }
 }
 
-/// Every byte of a live image's member-list table — count word, ids,
-/// length words, members — is load-bearing: the ids are re-derived from
+/// Every byte of a live image's member-list table — count, ids, lengths,
+/// members — is load-bearing: the ids are re-derived from
 /// the content, ascending order is enforced, and every reference must
 /// resolve, so no repaired flip in the table decodes.
 #[test]
@@ -511,6 +523,52 @@ fn patched(bytes: &[u8], at: usize, word: u64) -> Vec<u8> {
     m
 }
 
+/// The varint at `at` in `bytes`: its value and its width.
+fn var_at(bytes: &[u8], at: usize) -> (u64, usize) {
+    let mut d = Dec::new(&bytes[at..]);
+    let v = d.var("varint").expect("a canonical varint");
+    (v, bytes.len() - at - d.remaining())
+}
+
+/// `bytes` with the head bytes `at..at + width` replaced by `with`, the
+/// header's payload and head lengths adjusted to the new size and the
+/// header resealed, so the edit reaches the structural decoder.
+fn spliced(bytes: &[u8], at: usize, width: usize, with: &[u8]) -> Vec<u8> {
+    assert!(at + width <= head_end(bytes), "only head edits are spliced");
+    let mut m = [&bytes[..at], with, &bytes[at + width..]].concat();
+    for field in [LEN_OFFSET, HEAD_LEN_OFFSET] {
+        let len = word_at(&m, field) + with.len() as u64 - width as u64;
+        m[field..field + 8].copy_from_slice(&len.to_le_bytes());
+    }
+    fix_checksum(&mut m);
+    m
+}
+
+/// `bytes` with the head varint at `at` replaced by `v`'s canonical form,
+/// however much wider or narrower.
+fn patched_var(bytes: &[u8], at: usize, v: u64) -> Vec<u8> {
+    let mut with = Vec::new();
+    with.var(v);
+    spliced(bytes, at, var_at(bytes, at).1, &with)
+}
+
+/// `bytes` with the head varint at `at` rewritten into an overlong form:
+/// the same value with one `0x00` continuation byte more.
+fn overlong_var(bytes: &[u8], at: usize) -> Vec<u8> {
+    let width = var_at(bytes, at).1;
+    let mut with = bytes[at..at + width].to_vec();
+    *with.last_mut().unwrap() |= 0x80;
+    with.push(0x00);
+    spliced(bytes, at, width, &with)
+}
+
+/// Offsets of a cut run's varints at `at`: `(first, last, reference)`.
+fn run_fields(bytes: &[u8], at: usize) -> (usize, usize, usize) {
+    let first = at + var_at(bytes, at).1 + 8;
+    let last = first + var_at(bytes, first).1;
+    (first, last, last + var_at(bytes, last).1)
+}
+
 fn word_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
@@ -536,22 +594,24 @@ fn hostile_cut_runs_are_typed_errors() {
     let bytes = image.to_bytes();
     let runs = image.cut_events.runs();
     let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
-    // Word offsets within a run: rank, ggid, first, last, then the
-    // reference — a tag byte and `(start, len)` or a content id.
-    let (rank, first, last, reference) = (0, 16, 24, RUN_WORDS + 1);
+    // A run is its rank, the ggid word, first, last, then the reference —
+    // a tag byte and `(start, len)` or an 8-byte content id.
     let mid = runs.len() / 2;
+    let (first, last, _) = run_fields(&bytes, at[mid]);
 
-    assert_malformed(&patched(&bytes, at[mid] + first, 0), "first = 0");
-    let past = word_at(&bytes, at[mid] + last) + 1;
-    assert_malformed(&patched(&bytes, at[mid] + first, past), "first > last");
+    assert_malformed(&patched_var(&bytes, first, 0), "first = 0");
+    let past = var_at(&bytes, last).0 + 1;
+    assert_malformed(&patched_var(&bytes, first, past), "first > last");
     // On the last run, so that the order check has nothing to say.
     let end = runs.len() - 1;
     let n = image.n_ranks as u64;
-    assert_malformed(&patched(&bytes, at[end] + rank, n), "rank out of world");
-    let ranged = (0..runs.len()).find(|&i| run_len(&runs[i]) == RUN_WORDS + 17);
+    assert_malformed(&patched_var(&bytes, at[end], n), "rank out of world");
+    let ranged = (0..runs.len()).find(|&i| !is_listed(&runs[i]));
     let ranged = ranged.expect("a run on a contiguous group");
-    let len_word = at[ranged] + reference + 8;
-    assert_malformed(&patched(&bytes, len_word, n + 1), "member out of world");
+    let (.., reference) = run_fields(&bytes, at[ranged]);
+    let start = reference + 1;
+    let len_at = start + var_at(&bytes, start).1;
+    assert_malformed(&patched_var(&bytes, len_at, n + 1), "member out of world");
     let listed = listed_id_offsets(&image.cut_events, at[0])[0];
     let unknown = word_at(&bytes, listed) ^ 1;
     assert_malformed(
@@ -573,7 +633,7 @@ fn hostile_cut_runs_are_typed_errors() {
     assert_malformed(&swapped, "swapped run order");
 }
 
-/// A run is 41 bytes whatever it claims, so a forged one can claim every
+/// A run is a few dozen bytes whatever it claims, so a forged one can claim every
 /// sequence number there is. Nothing may then do work proportional to the
 /// claim: decoding, the oracle and `len()` together stay far below what
 /// one pass over 2⁶⁴ — or 2³² — participations would take.
@@ -582,7 +642,8 @@ fn a_run_claiming_every_sequence_number_costs_nothing() {
     let image = capture_image();
     let bytes = image.to_bytes();
     let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
-    let forged = patched(&bytes, at[0] + 24, u64::MAX);
+    let (_, last, _) = run_fields(&bytes, at[0]);
+    let forged = patched_var(&bytes, last, u64::MAX);
 
     let t = std::time::Instant::now();
     let decoded = decode_no_panic(&forged, "last = u64::MAX").expect("bounds in order decode");
@@ -594,7 +655,12 @@ fn a_run_claiming_every_sequence_number_costs_nothing() {
     assert_eq!(len, usize::MAX, "len saturates");
     let violations = verdict.expect_err("a run beyond every target is no safe cut");
     assert!(violations.len() <= 4 * image.cut_events.runs().len());
-    assert!(took.as_millis() < 10, "{took:?} for a 41-byte forgery");
+    let forgery = run_len(&decoded.cut_events.runs()[0]);
+    assert!(forgery <= 29, "a {forgery}-byte run");
+    assert!(
+        took.as_millis() < 10,
+        "{took:?} for a {forgery}-byte forgery"
+    );
 }
 
 /// A store holding a full root (gen 0) and one delta on it (gen 1), with
@@ -612,17 +678,24 @@ fn root_and_delta_store() -> (TieredStore, Checkpoint, Vec<u8>, Vec<u8>) {
     (store, (*root).clone(), root_bytes, delta_bytes)
 }
 
-/// Delta head layout: the parent-checksum word follows the kind byte and
-/// the two generation words.
-const DELTA_PARENT_CHECKSUM_OFFSET: usize = HEADER + 17;
+/// Delta head layout: the kind byte, then the generation and the
+/// parent's generation as varints (see `DeltaImage::enc_preamble`): the
+/// offsets of the two generations and of the parent-checksum word behind
+/// them.
+fn delta_head_offsets(bytes: &[u8]) -> (usize, usize, usize) {
+    let generation = HEADER + 1;
+    let parent = generation + var_at(bytes, generation).1;
+    (generation, parent, parent + var_at(bytes, parent).1)
+}
 
 /// Offset of the hash word of the first reference to chunk `r` in the
 /// bytes of `image`: a rank record closes with its chunk reference (tag,
-/// hash, len), and the in-flight reference follows the last record.
+/// hash word, length varint), and the in-flight reference follows the
+/// last record.
 fn ref_hash_offset(image: &DeltaImage, r: ChunkRef) -> usize {
     let records = image.capture_section_ranges();
     match image.rank_refs.iter().position(|&x| x == r) {
-        Some(rank) => records[rank].end - 16,
+        Some(rank) => records[rank].end - 8 - var_len(r.len),
         None => records.last().unwrap().end + 1,
     }
 }
@@ -650,11 +723,11 @@ fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
         &chunks[chunks.len() - 1],
     ] {
         let at = ref_hash_offset(&root, *r) + 8;
-        assert_eq!(word_at(&root_bytes, at), r.len, "not the length word");
+        assert_eq!(var_at(&root_bytes, at).0, r.len, "not the length");
         let beyond = root_bytes.len() as u64;
         for forged in [0, r.len - 1, r.len + 1, beyond, u64::MAX] {
             let what = format!("chunk length {} -> {forged} at {at}", r.len);
-            let bad_root = patched(&root_bytes, at, forged);
+            let bad_root = patched_var(&root_bytes, at, forged);
             for got in [
                 decode_no_panic(&bad_root, &what).err(),
                 decode_payload_no_panic(&bad_root, &what).err(),
@@ -663,7 +736,8 @@ fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
             }
 
             let fingerprint = word_at(&bad_root, CHECKSUM_OFFSET);
-            let re_aimed = patched(&delta_bytes, DELTA_PARENT_CHECKSUM_OFFSET, fingerprint);
+            let (.., parent_checksum) = delta_head_offsets(&delta_bytes);
+            let re_aimed = patched(&delta_bytes, parent_checksum, fingerprint);
             lustre.put(0, bad_root, 1);
             lustre.put(1, re_aimed, 1);
             let res = std::panic::catch_unwind(|| store.load(1))
@@ -683,11 +757,6 @@ fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
 // ---------------------------------------------------------------------
 // delta / chunk sections
 // ---------------------------------------------------------------------
-
-/// Delta head layout: kind byte, then `generation` and the parent's
-/// generation as little-endian u64 words (see `DeltaImage::enc_preamble`).
-const DELTA_GEN_OFFSET: usize = HEADER + 1;
-const DELTA_PARENT_OFFSET: usize = HEADER + 9;
 
 /// A store holding a three-element chain — full root (gen 0) plus two
 /// chained deltas (gens 1, 2) over perturbed synthetic images — and the
@@ -785,7 +854,7 @@ fn delta_truncations_are_always_rejected() {
 }
 
 /// Checksum-repaired flips across the delta *head* (everything before the
-/// first inline chunk: generation words, origin, target maps, volatile
+/// first inline chunk: generations, origin, target maps, volatile
 /// records, chunk refs, cut) never panic — they decode to a typed error
 /// or to a shape-consistent delta.
 #[test]
@@ -815,29 +884,28 @@ fn delta_head_repaired_flips_never_panic() {
     }
 }
 
-/// Forged parent-generation words, patched into the stored bytes with the
+/// Forged parent generations, patched into the stored bytes with the
 /// checksum repaired, resolve to typed chain errors through
 /// [`TieredStore::load`]: a parent that does not predate the child is a
 /// cycle guard rejection, and a ref re-aimed at a *different* real
 /// ancestor trips the parent-checksum fingerprint. A patched generation
-/// word likewise fails the stored-generation cross-check.
+/// likewise fails the stored-generation cross-check.
 #[test]
 fn forged_delta_parent_refs_are_typed_chain_errors() {
     let (store, bytes) = delta_chain_store();
+    let (generation, parent, _) = delta_head_offsets(&bytes);
     let patch = |offset: usize, v: u64| {
-        let mut m = bytes.clone();
-        m[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
-        fix_checksum(&mut m);
+        let m = patched_var(&bytes, offset, v);
         store.backend(CkptTier::Lustre).put(2, m, 1);
         let res = std::panic::catch_unwind(|| store.load(2))
-            .unwrap_or_else(|_| panic!("store.load panicked on patched word at {offset}"));
+            .unwrap_or_else(|_| panic!("store.load panicked on patched varint at {offset}"));
         store.backend(CkptTier::Lustre).put(2, bytes.clone(), 1);
         res
     };
 
     // Parent points at the leaf's own (or a later) generation: the
     // not-older guard refuses before the walk can cycle.
-    match patch(DELTA_PARENT_OFFSET, 2) {
+    match patch(parent, 2) {
         Err(StoreError::Image(ImageError::DeltaChain(what))) => {
             assert_eq!(what, "parent generation not older")
         }
@@ -846,15 +914,15 @@ fn forged_delta_parent_refs_are_typed_chain_errors() {
 
     // Parent re-aimed at the full root (a real, older, *wrong* ancestor):
     // the delta's stored parent-checksum fingerprint catches the switch.
-    match patch(DELTA_PARENT_OFFSET, 0) {
+    match patch(parent, 0) {
         Err(StoreError::Image(ImageError::DeltaChain(what))) => {
             assert_eq!(what, "parent checksum mismatch")
         }
         other => panic!("re-aimed parent must be a typed chain error, got {other:?}"),
     }
 
-    // The generation word itself disagreeing with the stored slot.
-    match patch(DELTA_GEN_OFFSET, 9) {
+    // The generation itself disagreeing with the stored slot.
+    match patch(generation, 9) {
         Err(StoreError::Image(ImageError::DeltaChain(what))) => {
             assert_eq!(what, "stored generation mismatch")
         }
@@ -864,7 +932,7 @@ fn forged_delta_parent_refs_are_typed_chain_errors() {
     // A flip *without* checksum repair never reaches the chain walk: the
     // header integrity check rejects it first.
     let mut m = bytes.clone();
-    m[DELTA_PARENT_OFFSET] ^= 0x40;
+    m[parent] ^= 0x40;
     store.backend(CkptTier::Lustre).put(2, m, 1);
     match store.load(2) {
         Err(StoreError::Image(ImageError::ChecksumMismatch)) => {}
@@ -888,6 +956,50 @@ fn evicted_chain_root_is_a_typed_dangling_parent() {
             assert_eq!(parent, 0, "the evicted root is the missing parent");
         }
         other => panic!("evicted root must dangle the chain, got {other:?}"),
+    }
+}
+
+/// A head varint in an overlong form — its value unchanged, one `0x00`
+/// continuation byte longer, the header lengths and checksum repaired — is
+/// a typed error to both decoders: the world size, the capture count, a
+/// chunk length and a cut run's rank, in a full image and in a delta.
+#[test]
+fn overlong_head_varints_are_typed_errors() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    let full = DeltaImage::from_bytes(&bytes).expect("the image decodes");
+    // Kind byte, generation, epoch, then the world size.
+    let generation = HEADER + 1;
+    let epoch = generation + var_at(&bytes, generation).1;
+    let n_ranks = epoch + var_at(&bytes, epoch).1;
+    assert_eq!(var_at(&bytes, n_ranks).0, image.n_ranks as u64);
+    let capture_count = image.member_table_range().end;
+    let chunk_len = ref_hash_offset(&full, full.rank_refs[0]) + 8;
+    let run_rank = cut_runs_start(&image.cut_events, &bytes);
+    for (at, what) in [
+        (n_ranks, "n_ranks"),
+        (capture_count, "capture count"),
+        (chunk_len, "chunk length"),
+        (run_rank, "cut-run rank"),
+    ] {
+        assert_malformed(&overlong_var(&bytes, at), &format!("overlong {what}"));
+    }
+
+    let (_store, delta_bytes) = delta_chain_store();
+    let delta = pristine_delta(&delta_bytes);
+    let (generation, parent, _) = delta_head_offsets(&delta_bytes);
+    let chunk_len = ref_hash_offset(&delta, delta.rank_refs[0]) + 8;
+    for (at, what) in [
+        (generation, "generation"),
+        (parent, "parent generation"),
+        (chunk_len, "chunk length"),
+    ] {
+        let m = overlong_var(&delta_bytes, at);
+        let got = decode_payload_no_panic(&m, what).err();
+        assert!(
+            matches!(got, Some(ImageError::Malformed(_))),
+            "overlong delta {what} must be Malformed, got {got:?}"
+        );
     }
 }
 

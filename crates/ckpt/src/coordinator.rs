@@ -382,19 +382,25 @@ impl Coordinator {
         let captures = parallel_capture(sh.cfg.resolved_workers(), &control.ranks);
 
         // Drain in-flight point-to-point messages, translating lower-half
-        // communicator ids into the destination's virtual ids. A quiesce
-        // may have re-deposited an unmatched message at its queue's tail,
+        // communicator ids into the destination's virtual ids through the
+        // map it published beside its capture. A quiesce may have
+        // re-deposited an unmatched message at its queue's tail,
         // so each (src → dst) channel is re-ordered by sequence number —
         // but only within the queue positions that channel already
         // occupies: cross-sender deposit order is what wildcard
         // (`ANY_SOURCE`) matching observes, and must survive the
         // checkpoint unchanged.
         let mut in_flight: Vec<DrainedMsg> = Vec::new();
-        for (dst, cap) in captures.iter().enumerate() {
-            let reverse: HashMap<CommId, u64> =
-                cap.vcomm_to_lower.iter().map(|(v, c)| (*c, *v)).collect();
+        for dst in 0..captures.len() {
+            let unexpected = world.take_unexpected(dst);
+            if unexpected.is_empty() {
+                continue;
+            }
+            let reverse: HashMap<CommId, u64> = (control.ranks[dst].lower_comms.lock().iter())
+                .map(|(v, c)| (*c, *v))
+                .collect();
             let mut queue: Vec<DrainedMsg> = Vec::new();
-            for m in world.take_unexpected(dst) {
+            for m in unexpected {
                 let vcomm = *reverse.get(&m.comm).unwrap_or_else(|| {
                     panic!(
                         "in-flight message on a comm unknown to rank {dst}: {:?}",
@@ -441,10 +447,7 @@ impl Coordinator {
             // Refuse the capture but leave the application runnable: the
             // drained messages go back where they were and the ranks
             // resume on the current lower half.
-            for d in &in_flight {
-                let comm = captures[d.saved.dst_world].vcomm_to_lower[&d.saved.vcomm];
-                world.deposit_raw(self.rebuild_msg(&d.saved, comm), d.arrival);
-            }
+            self.redeposit(&world, &in_flight);
             sh.trace.push(DrainEvent::Aborted);
             self.release_quiesced_ranks();
             return Err(e);
@@ -596,12 +599,7 @@ impl Coordinator {
 
         // Resume.
         match mode {
-            ResumeMode::Continue => {
-                for d in &in_flight {
-                    let comm = ckpt.captures[d.saved.dst_world].vcomm_to_lower[&d.saved.vcomm];
-                    world.deposit_raw(self.rebuild_msg(&d.saved, comm), d.arrival);
-                }
-            }
+            ResumeMode::Continue => self.redeposit(&world, &in_flight),
             ResumeMode::Restart => self.resume_restart(&ckpt, sh.cfg.clone()),
         }
         before_release(charge_ns, io_write_secs);
@@ -778,7 +776,7 @@ impl Coordinator {
                 continue; // a finished rank will never receive it
             }
             let comm = {
-                let map = control.ranks[dst].replayed_comms.lock();
+                let map = control.ranks[dst].lower_comms.lock();
                 *map.get(&d.saved.vcomm)
                     .unwrap_or_else(|| panic!("rank {dst} replay lost vcomm {}", d.saved.vcomm))
             };
@@ -816,6 +814,18 @@ impl Coordinator {
             ResumeMode::Continue => 0.0,
         };
         (w, r)
+    }
+
+    /// Puts drained messages back into the current lower half with their
+    /// original arrival, translating each vcomm through its destination's
+    /// published lower-half map (the ranks are still parked in the
+    /// generation the messages were drained from).
+    fn redeposit(&self, world: &World, in_flight: &[DrainedMsg]) {
+        let control = &self.sh.control;
+        for d in in_flight {
+            let comm = control.ranks[d.saved.dst_world].lower_comms.lock()[&d.saved.vcomm];
+            world.deposit_raw(self.rebuild_msg(&d.saved, comm), d.arrival);
+        }
     }
 
     fn rebuild_msg(&self, s: &SavedMsg, comm: CommId) -> InFlightMsg {

@@ -19,7 +19,6 @@ use mana_core::{
     verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol,
     RuntimeCapture, SeqTable, VComm, Violation,
 };
-use mpisim::types::CommId;
 use mpisim::{SavedMsg, SrcSel, TagSel, VTime};
 use netmodel::NetParams;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -64,7 +63,15 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// covers the head; every chunk is authenticated by re-hashing it
 /// against its address, so each byte is hashed once on either side and
 /// chunks encode in parallel.
-pub const IMAGE_VERSION: u32 = 7;
+/// Version 8 writes every count, rank, sequence number, vcomm id, call
+/// counter, flow count, cut-run bound, chunk length, target value and
+/// comm-op argument in the head and the chunks as a canonical varint
+/// ([`crate::wire::Wr::var`]) where version 7 spent an 8-byte word on
+/// each; the fixed header words, hashes, group ids, member-list content
+/// ids and `f64`s keep their width. It also drops the lower-half handle
+/// map from each rank's chunk: the handles belong to one lower-half
+/// generation, and a restart rebuilds them.
+pub const IMAGE_VERSION: u32 = 8;
 
 /// Kind byte of an image with no parent (a full image).
 pub const IMAGE_KIND_FULL: u8 = 0;
@@ -315,7 +322,7 @@ impl Checkpoint {
     }
 
     /// Byte range of the member-list table within the serialized image
-    /// (its count word included) — the wire-fuzz suite aims
+    /// (its count included) — the wire-fuzz suite aims
     /// checksum-repaired mutations at it.
     pub fn member_table_range(&self) -> std::ops::Range<usize> {
         DeltaImage::full(0, self, 1).member_table_range()
@@ -363,8 +370,8 @@ impl Checkpoint {
 pub(crate) fn enc_header(out: &mut Vec<u8>, head_len: usize, chunks_len: usize) {
     out.raw(&IMAGE_MAGIC);
     out.u32(IMAGE_VERSION);
-    out.usize(head_len + chunks_len);
-    out.usize(head_len);
+    out.u64((head_len + chunks_len) as u64);
+    out.u64(head_len as u64);
     out.u64(0);
 }
 
@@ -405,8 +412,10 @@ pub(crate) fn validate_image_header(buf: &[u8]) -> Result<(&[u8], &[u8]), ImageE
     if version != IMAGE_VERSION {
         return Err(ImageError::UnsupportedVersion(version));
     }
-    let payload_len = h.usize("payload length").expect("sized above");
-    let head_len = h.usize("head length").expect("sized above");
+    let payload_len = usize::try_from(h.u64("payload length").expect("sized above"))
+        .map_err(|_| ImageError::Malformed("payload length"))?;
+    let head_len = usize::try_from(h.u64("head length").expect("sized above"))
+        .map_err(|_| ImageError::Malformed("head length"))?;
     let checksum = h.u64("checksum").expect("sized above");
     // Checked arithmetic: a corrupted length near `usize::MAX` must
     // not wrap past the bounds check and panic in the slice below.
@@ -539,7 +548,7 @@ pub(crate) fn enc_target_map<W: Wr>(e: &mut W, m: &HashMap<Ggid, u64>) {
     e.usize(entries.len());
     for (g, v) in entries {
         e.u64(g);
-        e.u64(v);
+        e.var(v);
     }
 }
 
@@ -550,7 +559,7 @@ pub(crate) fn dec_target_map(
     let n = d.seq_len(what)?;
     let mut m = HashMap::with_capacity(n);
     for _ in 0..n {
-        m.insert(Ggid(d.u64(what)?), d.u64(what)?);
+        m.insert(Ggid(d.u64(what)?), d.var(what)?);
     }
     Ok(m)
 }
@@ -572,9 +581,9 @@ fn dec_usize_list(d: &mut Dec, what: DecodeError) -> Result<Vec<usize>, ImageErr
 }
 
 /// Upper bound on the length of a range-form member list. A table entry
-/// is implicitly bounded by the buffer (one word per member), but a range
-/// is two words regardless of length — without a cap, a corrupted image
-/// could demand an arbitrarily large allocation before any member is
+/// is implicitly bounded by the buffer (a byte or more per member), but a
+/// range is two varints regardless of length — without a cap, a corrupted
+/// image could demand an arbitrarily large allocation before any member is
 /// validated. 2^24 ranks is two orders of magnitude past the largest
 /// supported world.
 const MAX_RANGE_MEMBERS: usize = 1 << 24;
@@ -589,9 +598,11 @@ pub(crate) enum MemberRef {
     /// subrange): tag `1`, then `(start, len)`.
     Range { start: usize, len: usize },
     /// Any other list — strided, or in group order — by content id into
-    /// the image's member-list table: tag `0`, then the id. The id is
-    /// FNV-1a over the list's wire form (length word, then members); the
-    /// same FNV-64 trust the chunk store places in [`crate::ChunkRef`].
+    /// the image's member-list table: tag `0`, then the 8-byte id. The id
+    /// is FNV-1a over the list's length, then its members, each as a
+    /// little-endian 64-bit word — whatever width the wire gives them;
+    /// the same FNV-64 trust the chunk store places in
+    /// [`crate::ChunkRef`].
     Listed(u64),
 }
 
@@ -845,28 +856,28 @@ pub(crate) fn dec_members(
 }
 
 fn enc_counters<W: Wr>(e: &mut W, c: &CallCounters) {
-    e.u64(c.coll_blocking);
-    e.u64(c.coll_nonblocking);
-    e.u64(c.p2p_sends);
-    e.u64(c.p2p_recvs);
-    e.u64(c.completions);
-    e.u64(c.comm_mgmt);
-    e.u64(c.drain_updates_sent);
-    e.u64(c.drain_updates_recv);
-    e.u64(c.trivial_barriers);
+    e.var(c.coll_blocking);
+    e.var(c.coll_nonblocking);
+    e.var(c.p2p_sends);
+    e.var(c.p2p_recvs);
+    e.var(c.completions);
+    e.var(c.comm_mgmt);
+    e.var(c.drain_updates_sent);
+    e.var(c.drain_updates_recv);
+    e.var(c.trivial_barriers);
 }
 
 fn dec_counters(d: &mut Dec) -> Result<CallCounters, ImageError> {
     Ok(CallCounters {
-        coll_blocking: d.u64("coll_blocking")?,
-        coll_nonblocking: d.u64("coll_nonblocking")?,
-        p2p_sends: d.u64("p2p_sends")?,
-        p2p_recvs: d.u64("p2p_recvs")?,
-        completions: d.u64("completions")?,
-        comm_mgmt: d.u64("comm_mgmt")?,
-        drain_updates_sent: d.u64("drain_updates_sent")?,
-        drain_updates_recv: d.u64("drain_updates_recv")?,
-        trivial_barriers: d.u64("trivial_barriers")?,
+        coll_blocking: d.var("coll_blocking")?,
+        coll_nonblocking: d.var("coll_nonblocking")?,
+        p2p_sends: d.var("p2p_sends")?,
+        p2p_recvs: d.var("p2p_recvs")?,
+        completions: d.var("completions")?,
+        comm_mgmt: d.var("comm_mgmt")?,
+        drain_updates_sent: d.var("drain_updates_sent")?,
+        drain_updates_recv: d.var("drain_updates_recv")?,
+        trivial_barriers: d.var("trivial_barriers")?,
     })
 }
 
@@ -893,7 +904,7 @@ fn enc_tag<W: Wr>(e: &mut W, t: TagSel) {
         TagSel::Any => e.u8(0),
         TagSel::Tag(v) => {
             e.u8(1);
-            e.u32(v);
+            e.var(u64::from(v));
         }
     }
 }
@@ -901,26 +912,32 @@ fn enc_tag<W: Wr>(e: &mut W, t: TagSel) {
 fn dec_tag(d: &mut Dec) -> Result<TagSel, ImageError> {
     match d.u8("tag selector")? {
         0 => Ok(TagSel::Any),
-        1 => Ok(TagSel::Tag(d.u32("tag value")?)),
+        1 => Ok(TagSel::Tag(dec_tag_value(d, "tag value")?)),
         _ => Err(ImageError::Malformed("tag selector tag")),
     }
+}
+
+/// Reads a message tag written as a varint; a value past `u32` is
+/// malformed.
+fn dec_tag_value(d: &mut Dec, what: DecodeError) -> Result<u32, ImageError> {
+    u32::try_from(d.var(what)?).map_err(|_| ImageError::Malformed(what))
 }
 
 fn enc_comm_op<W: Wr>(e: &mut W, r: &CommOpRecord) {
     match &r.op {
         CommOp::Dup { parent } => {
             e.u8(0);
-            e.u64(parent.0);
+            e.var(parent.0);
         }
         CommOp::Split { parent, color, key } => {
             e.u8(1);
-            e.u64(parent.0);
-            e.i64(*color);
-            e.i64(*key);
+            e.var(parent.0);
+            e.ivar(*color);
+            e.ivar(*key);
         }
         CommOp::Create { parent, members } => {
             e.u8(2);
-            e.u64(parent.0);
+            e.var(parent.0);
             enc_usize_list(e, members);
         }
     }
@@ -928,7 +945,7 @@ fn enc_comm_op<W: Wr>(e: &mut W, r: &CommOpRecord) {
         None => e.u8(0),
         Some(v) => {
             e.u8(1);
-            e.u64(v.0);
+            e.var(v.0);
         }
     }
 }
@@ -936,31 +953,32 @@ fn enc_comm_op<W: Wr>(e: &mut W, r: &CommOpRecord) {
 fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
     let op = match d.u8("comm-op tag")? {
         0 => CommOp::Dup {
-            parent: VComm(d.u64("dup parent")?),
+            parent: VComm(d.var("dup parent")?),
         },
         1 => CommOp::Split {
-            parent: VComm(d.u64("split parent")?),
-            color: d.i64("split color")?,
-            key: d.i64("split key")?,
+            parent: VComm(d.var("split parent")?),
+            color: d.ivar("split color")?,
+            key: d.ivar("split key")?,
         },
         2 => CommOp::Create {
-            parent: VComm(d.u64("create parent")?),
+            parent: VComm(d.var("create parent")?),
             members: dec_usize_list(d, "create members")?,
         },
         _ => return Err(ImageError::Malformed("comm-op tag")),
     };
     let result = match d.u8("comm-op result tag")? {
         0 => None,
-        1 => Some(VComm(d.u64("comm-op result")?)),
+        1 => Some(VComm(d.var("comm-op result")?)),
         _ => return Err(ImageError::Malformed("comm-op result tag")),
     };
     Ok(CommOpRecord { op, result })
 }
 
 /// Encodes the restart-stable half of a rank capture: sequence table,
-/// communicator creation log, pending receives, call counters, and the
-/// vcomm maps. This is exactly the byte span delta images content-address
-/// — two ranks whose stable halves encode identically share one chunk.
+/// communicator creation log, pending receives, call counters, and each
+/// vcomm's member list. This is exactly the byte span delta images
+/// content-address — two ranks whose stable halves encode identically
+/// share one chunk.
 pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
     let mut seq: Vec<(u64, u64, &Arc<[usize]>)> = c
         .seq_table
@@ -971,7 +989,7 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &Run
     e.usize(seq.len());
     for (g, s, members) in seq {
         e.u64(g);
-        e.u64(s);
+        e.var(s);
         enc_members(e, lists, members);
     }
     e.usize(c.comm_log.len());
@@ -980,25 +998,18 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &Run
     }
     e.usize(c.pending_recvs.len());
     for p in &c.pending_recvs {
-        e.u64(p.vreq);
-        e.u64(p.vcomm);
+        e.var(p.vreq);
+        e.var(p.vcomm);
         enc_src(e, p.src);
         enc_tag(e, p.tag);
     }
     enc_counters(e, &c.counters);
-    let mut lower: Vec<(u64, u64)> = c.vcomm_to_lower.iter().map(|(v, c)| (*v, c.0)).collect();
-    lower.sort_unstable();
-    e.usize(lower.len());
-    for (v, id) in lower {
-        e.u64(v);
-        e.u64(id);
-    }
     let mut members: Vec<(u64, &Arc<[usize]>)> =
         c.vcomm_members.iter().map(|(v, m)| (*v, m)).collect();
     members.sort_unstable_by_key(|&(v, _)| v);
     e.usize(members.len());
     for (v, m) in members {
-        e.u64(v);
+        e.var(v);
         enc_members(e, lists, m);
     }
 }
@@ -1014,7 +1025,7 @@ pub(crate) fn dec_capture(
     let mut seq_table = SeqTable::new();
     for _ in 0..n_seq {
         let g = Ggid(d.u64("seq-table ggid")?);
-        let s = d.u64("seq-table seq")?;
+        let s = d.var("seq-table seq")?;
         let members = dec_members(d, lists, "seq-table members")?;
         seq_table.restore(g, s, members);
     }
@@ -1027,22 +1038,17 @@ pub(crate) fn dec_capture(
     let mut pending_recvs = Vec::with_capacity(n_pend);
     for _ in 0..n_pend {
         pending_recvs.push(PendingRecv {
-            vreq: d.u64("pending-recv vreq")?,
-            vcomm: d.u64("pending-recv vcomm")?,
+            vreq: d.var("pending-recv vreq")?,
+            vcomm: d.var("pending-recv vcomm")?,
             src: dec_src(d)?,
             tag: dec_tag(d)?,
         });
     }
     let counters = dec_counters(d)?;
-    let n_lower = d.seq_len("vcomm-lower count")?;
-    let mut vcomm_to_lower = HashMap::with_capacity(n_lower);
-    for _ in 0..n_lower {
-        vcomm_to_lower.insert(d.u64("vcomm id")?, CommId(d.u64("lower comm id")?));
-    }
     let n_members = d.seq_len("vcomm-member count")?;
     let mut vcomm_members = HashMap::with_capacity(n_members);
     for _ in 0..n_members {
-        let v = d.u64("vcomm member key")?;
+        let v = d.var("vcomm member key")?;
         vcomm_members.insert(v, dec_members(d, lists, "vcomm member list")?);
     }
     Ok(RuntimeCapture {
@@ -1056,7 +1062,6 @@ pub(crate) fn dec_capture(
         counters,
         p2p_sent: v.p2p_sent,
         p2p_delivered: v.p2p_delivered,
-        vcomm_to_lower,
         vcomm_members,
     })
 }
@@ -1070,7 +1075,6 @@ pub(crate) fn stable_state_eq(a: &RuntimeCapture, b: &RuntimeCapture) -> bool {
         && a.comm_log == b.comm_log
         && a.pending_recvs == b.pending_recvs
         && a.counters == b.counters
-        && a.vcomm_to_lower == b.vcomm_to_lower
         && a.vcomm_members.len() == b.vcomm_members.len()
         && a.vcomm_members.iter().all(|(v, m)| {
             // By allocation first, like `SeqEntry`: consecutive captures
@@ -1082,10 +1086,10 @@ pub(crate) fn stable_state_eq(a: &RuntimeCapture, b: &RuntimeCapture) -> bool {
 pub(crate) fn enc_drained<W: Wr>(e: &mut W, m: &DrainedMsg) {
     e.usize(m.saved.src_world);
     e.usize(m.saved.dst_world);
-    e.u64(m.saved.vcomm);
-    e.u32(m.saved.tag);
+    e.var(m.saved.vcomm);
+    e.var(u64::from(m.saved.tag));
     e.bytes(&m.saved.payload);
-    e.u64(m.saved.seq);
+    e.var(m.saved.seq);
     e.f64(m.arrival.as_secs());
 }
 
@@ -1094,10 +1098,10 @@ fn dec_drained(d: &mut Dec) -> Result<DrainedMsg, ImageError> {
         saved: SavedMsg {
             src_world: d.usize("msg src")?,
             dst_world: d.usize("msg dst")?,
-            vcomm: d.u64("msg vcomm")?,
-            tag: d.u32("msg tag")?,
+            vcomm: d.var("msg vcomm")?,
+            tag: dec_tag_value(d, "msg tag")?,
             payload: bytes::Bytes::from(d.bytes("msg payload")?.to_vec()),
-            seq: d.u64("msg seq")?,
+            seq: d.var("msg seq")?,
         },
         arrival: dec_vtime(d, "msg arrival")?,
     })
@@ -1120,8 +1124,8 @@ pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
     for r in cut.runs() {
         e.usize(r.rank);
         e.u64(r.ggid.0);
-        e.u64(r.first);
-        e.u64(r.last);
+        e.var(r.first);
+        e.var(r.last);
         enc_members(e, lists, &r.members);
     }
 }
@@ -1138,8 +1142,8 @@ pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, Imag
         let run = CutRun {
             rank: d.usize("run rank")?,
             ggid: Ggid(d.u64("run ggid")?),
-            first: d.u64("run first")?,
-            last: d.u64("run last")?,
+            first: d.var("run first")?,
+            last: d.var("run last")?,
             members: dec_members(d, lists, "run members")?,
         };
         if run.rank >= lists.n_ranks {
@@ -1276,7 +1280,6 @@ mod tests {
                 },
                 p2p_sent: 4 + rank as u64,
                 p2p_delivered: 3,
-                vcomm_to_lower: [(0u64, CommId(0)), (2, CommId(4))].into_iter().collect(),
                 vcomm_members: [(0u64, vec![0, 1].into()), (2, vec![1, 0].into())]
                     .into_iter()
                     .collect(),
@@ -1455,7 +1458,6 @@ mod tests {
                 counters: CallCounters::default(),
                 p2p_sent: 0,
                 p2p_delivered: 0,
-                vcomm_to_lower: HashMap::new(),
                 vcomm_members: [
                     (0u64, alloc(&WORLD)),
                     (1, alloc(&STRIDED)),
@@ -1552,20 +1554,23 @@ mod tests {
     #[test]
     fn each_list_is_written_once_and_a_reference_is_nine_bytes() {
         let mut c = shared_lists_ckpt();
-        // Count word, then `(id, len, members…)` for the two lists that are
-        // not a contiguous run; the world stays in range form.
+        // Count, then `(id, len, members…)` for the two lists that are not
+        // a contiguous run; the world stays in range form. Every count,
+        // length and member is below 2⁷, a one-byte varint; an id is a
+        // word.
         let table = c.member_table_range();
         assert_eq!(
             table.len(),
-            8 + (16 + 8 * STRIDED.len()) + (16 + 8 * GROUP_ORDER.len())
+            1 + (8 + 1 + STRIDED.len()) + (8 + 1 + GROUP_ORDER.len())
         );
         assert_eq!(
-            table.end + 8,
+            table.end + 1,
             c.capture_section_ranges()[0].start,
             "only the capture count sits between the table and the records"
         );
-        // One more run on the strided group — rank, ggid, first, last,
-        // tag, id — however many collectives it covers.
+        // One more run on the strided group — rank (one byte), ggid word,
+        // first (one byte), last (four: 3·10⁶ < 2²⁸), tag, id — however
+        // many collectives it covers.
         let before = c.serialized_len();
         let mut runs = c.cut_events.runs().to_vec();
         let again = runs.iter().find(|r| r.members[..] == STRIDED).unwrap();
@@ -1575,7 +1580,7 @@ mod tests {
             ..again.clone()
         });
         c.cut_events = Cut::from_runs(runs);
-        assert_eq!(c.serialized_len(), before + 8 + 8 + 8 + 8 + 1 + 8);
+        assert_eq!(c.serialized_len(), before + 1 + 8 + 1 + 4 + 1 + 8);
     }
 
     #[test]
@@ -1583,26 +1588,28 @@ mod tests {
         let c = shared_lists_ckpt();
         let bytes = c.to_bytes();
         let t = c.member_table_range();
-        // Entry 0 is `id, len, members…` right behind the count word; the
-        // order of the two entries follows their ids.
-        let first_len = u64::from_le_bytes(bytes[t.start + 16..t.start + 24].try_into().unwrap());
-        let second = t.start + 8 + 16 + 8 * first_len as usize;
+        // Entry 0 is `id, len, members…` right behind the one-byte count;
+        // the order of the two entries follows their ids. Every length and
+        // member is a one-byte varint.
+        let first_len = usize::from(bytes[t.start + 1 + 8]);
+        let second = t.start + 1 + 8 + 1 + first_len;
 
         // A reference to an id the table does not hold: the last run is
-        // rank 7's on the world, the one before is on a listed group.
+        // rank 7's on the world — rank, ggid, first, last, range reference
+        // (tag, start, len) — the one before is on a listed group.
         let mut m = bytes.clone();
-        let last_listed_id = head_end(&bytes) - (8 + 8 + 8 + 8 + 17) - 8;
+        let last_listed_id = head_end(&bytes) - (1 + 8 + 1 + 1 + 3) - 8;
         m[last_listed_id] ^= 0x01;
         assert_malformed(&resealed(m), "run members");
 
         // An entry whose content no longer hashes to its id.
         let mut m = bytes.clone();
-        m[t.start + 24] ^= 0x01;
+        m[t.start + 1 + 8 + 1] ^= 0x01;
         assert_malformed(&resealed(m), "member table entry vs its id");
 
         // One id naming two different lists.
         let mut m = bytes.clone();
-        m.copy_within(t.start + 8..t.start + 16, second);
+        m.copy_within(t.start + 1..t.start + 9, second);
         assert_malformed(&resealed(m), "member table order");
 
         // A table that claims one entry more than it holds runs into the
@@ -1644,7 +1651,7 @@ mod tests {
     #[test]
     fn older_wire_versions_are_refused() {
         let mut bytes = rich_ckpt().to_bytes();
-        for old in [4, 5, 6] {
+        for old in [4, 5, 6, 7] {
             bytes[IMAGE_VERSION_OFFSET] = old;
             assert_eq!(
                 Checkpoint::from_bytes(&bytes),

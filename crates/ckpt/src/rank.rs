@@ -337,8 +337,15 @@ impl RankCore<'_> {
     // Capture and restore (called from the quiesce machine)
     // ------------------------------------------------------------------
 
-    /// Builds this rank's runtime capture, recording the park state it is
-    /// being captured in.
+    /// Publishes this rank's runtime capture, recording the park state it
+    /// is being captured in, and beside it the vcomm → lower-half map the
+    /// coordinator translates drained messages by.
+    fn publish_capture(&self, state: RankState) {
+        let ctl = &self.sh.control.ranks[self.rank];
+        *ctl.lower_comms.lock() = self.vcomms.lower_map();
+        *ctl.capture_slot.lock() = Some(self.build_capture(state));
+    }
+
     fn build_capture(&self, state: RankState) -> RuntimeCapture {
         let ctl = &self.sh.control.ranks[self.rank];
         let mut pending_recvs: Vec<PendingRecv> = self
@@ -367,7 +374,6 @@ impl RankCore<'_> {
             counters: self.counters,
             p2p_sent,
             p2p_delivered,
-            vcomm_to_lower: self.vcomms.lower_map(),
             vcomm_members: self.vcomms.members_map(),
         }
     }
@@ -428,7 +434,7 @@ impl RankCore<'_> {
         if let Some(c) = sh.control.ranks[self.rank].restored_counters.lock().take() {
             self.counters = c;
         }
-        *sh.control.ranks[self.rank].replayed_comms.lock() = self.vcomms.lower_map();
+        *sh.control.ranks[self.rank].lower_comms.lock() = self.vcomms.lower_map();
         sh.control.replayed_count.fetch_add(1, SeqCst);
         sh.control.events.bump();
     }
@@ -458,10 +464,9 @@ impl CcRank<'_> {
     /// Runner hook: publishes the final capture and the `Finished` state.
     pub(crate) fn finish(&mut self) {
         let core = &self.core;
-        let cap = core.build_capture(RankState::Finished);
+        core.publish_capture(RankState::Finished);
         core.publish_clock();
         let ctl = &core.sh.control.ranks[core.rank];
-        *ctl.capture_slot.lock() = Some(cap);
         ctl.targets_met.store(true, SeqCst);
         ctl.set_state(RankState::Finished);
     }

@@ -196,7 +196,7 @@ impl QuiesceM {
                     }
                     let sh = cc.sh;
                     let ctl = &sh.control.ranks[cc.rank];
-                    *ctl.capture_slot.lock() = Some(cc.build_capture(self.state));
+                    cc.publish_capture(self.state);
                     let my_gen = sh.control.resume_gen.load(SeqCst);
                     ctl.set_state(self.state);
                     sh.trace.push(DrainEvent::Quiesced(cc.rank));

@@ -4,10 +4,14 @@
 //! parent generation**. The small volatile record of every rank (rank,
 //! state, clock, pending barrier, flow counts) is carried inline, while
 //! the restart-stable half — sequence tables, communicator logs, pending
-//! receives, call counters, vcomm maps — is referenced as a
-//! **content-addressed chunk** `(fnv1a64(bytes), len)`. The drained
-//! in-flight set is one more chunk. The cut is carried whole: it is a few
-//! runs per rank ([`mana_core::Cut`]), whatever the run's length.
+//! receives, call counters, vcomm member lists — is referenced as a
+//! **content-addressed chunk** `(fnv1a64(bytes), len)`. Lower-half
+//! handles are in neither: they belong to one lower-half generation, and
+//! a restart rebuilds them. Every integer but a hash, a group id or a
+//! member-list content id is a canonical varint, so a chunk has exactly
+//! one byte form (see [`crate::wire`]). The drained in-flight set is one
+//! more chunk. The cut is carried whole: it is a few runs per rank
+//! ([`mana_core::Cut`]), whatever the run's length.
 //!
 //! A full image is a delta with no parent: it inlines every distinct
 //! chunk once, so ranks whose stable halves are identical share one. A
@@ -36,7 +40,7 @@ use crate::image::{
     protocol_code, protocol_from_code, reseal, validate_image_header, validate_shape, Checkpoint,
     ImageError, MemberIntern, MemberTable, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA, IMAGE_KIND_FULL,
 };
-use crate::wire::{fnv1a64, CountEnc, Dec, Wr};
+use crate::wire::{fnv1a64, var_len, CountEnc, Dec, Wr};
 use mana_core::{Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture};
 use mpisim::VTime;
 use std::collections::{HashMap, HashSet};
@@ -227,11 +231,12 @@ pub(crate) type Decoded<'a> = (DeltaImage, MemberIntern, Vec<(ChunkRef, &'a [u8]
 
 /// Writes a chunk reference: tag `1` when the chunk's bytes follow in
 /// this image's chunk section, `0` when they are at an earlier reference
-/// or in the ancestor chain; then the address.
+/// or in the ancestor chain; then the address: the 8-byte hash and the
+/// length as a varint.
 fn enc_chunk_ref<W: Wr>(e: &mut W, r: ChunkRef, inline: bool) {
     e.u8(u8::from(inline));
     e.u64(r.hash);
-    e.u64(r.len);
+    e.var(r.len);
 }
 
 fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord) {
@@ -242,12 +247,12 @@ fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord) {
         None => e.u8(0),
         Some((vc, ord)) => {
             e.u8(1);
-            e.u64(vc);
-            e.u64(ord);
+            e.var(vc);
+            e.var(ord);
         }
     }
-    e.u64(v.p2p_sent);
-    e.u64(v.p2p_delivered);
+    e.var(v.p2p_sent);
+    e.var(v.p2p_delivered);
 }
 
 fn dec_volatile(d: &mut Dec) -> Result<VolatileRecord, ImageError> {
@@ -260,8 +265,8 @@ fn dec_volatile(d: &mut Dec) -> Result<VolatileRecord, ImageError> {
     let pending_barrier = match d.u8("pending-barrier tag")? {
         0 => None,
         1 => Some((
-            d.u64("pending-barrier vcomm")?,
-            d.u64("pending-barrier ordinal")?,
+            d.var("pending-barrier vcomm")?,
+            d.var("pending-barrier ordinal")?,
         )),
         _ => return Err(ImageError::Malformed("pending-barrier tag")),
     };
@@ -270,8 +275,8 @@ fn dec_volatile(d: &mut Dec) -> Result<VolatileRecord, ImageError> {
         state,
         clock,
         pending_barrier,
-        p2p_sent: d.u64("p2p sent")?,
-        p2p_delivered: d.u64("p2p delivered")?,
+        p2p_sent: d.var("p2p sent")?,
+        p2p_delivered: d.var("p2p delivered")?,
     })
 }
 
@@ -461,16 +466,16 @@ impl DeltaImage {
         match self.parent {
             None => {
                 p.u8(IMAGE_KIND_FULL);
-                p.u64(self.generation);
+                p.var(self.generation);
             }
             Some(parent) => {
                 p.u8(IMAGE_KIND_DELTA);
-                p.u64(self.generation);
-                p.u64(parent.generation);
+                p.var(self.generation);
+                p.var(parent.generation);
                 p.u64(parent.checksum);
             }
         }
-        p.u64(self.epoch);
+        p.var(self.epoch);
         p.usize(self.n_ranks);
         p.u8(protocol_code(self.protocol));
         p.usize(self.origin.ranks_per_node);
@@ -511,9 +516,10 @@ impl DeltaImage {
 
     /// Serializes the image: an 8-byte magic, a `u32` format version, the
     /// `u64` payload length, the `u64` length of the head (everything but
-    /// the chunk bytes), a `u64` FNV-1a checksum of the head, then the
-    /// head and the inline chunks back to back. Each chunk's address in
-    /// the checksummed head authenticates its bytes. Deterministic: the
+    /// the chunk bytes), a `u64` FNV-1a checksum of the head — fixed-width
+    /// words all, read in place — then the head and the inline chunks back
+    /// to back. Each chunk's address in the checksummed head authenticates
+    /// its bytes. Deterministic: the
     /// same image always yields the same bytes (maps are written sorted by
     /// key, the member-list table sorted by content id), whether equal
     /// member lists share one allocation or not.
@@ -546,7 +552,7 @@ impl DeltaImage {
     /// reference — within [`DeltaImage::to_bytes`] output, in rank order;
     /// fuzzers use this to aim mutations at record boundaries.
     pub fn capture_section_ranges(&self) -> Vec<Range<usize>> {
-        let mut at = self.member_table_range().end + 8;
+        let mut at = self.member_table_range().end + var_len(self.volatile.len() as u64);
         (self.volatile.iter().zip(&self.rank_refs))
             .map(|(v, r)| {
                 let mut n = CountEnc::new();
@@ -572,8 +578,8 @@ impl DeltaImage {
     }
 
     /// Byte range of the member-list table within
-    /// [`DeltaImage::to_bytes`] output (its count word included), for the
-    /// same fuzzers.
+    /// [`DeltaImage::to_bytes`] output (its count varint included), for
+    /// the same fuzzers.
     pub fn member_table_range(&self) -> Range<usize> {
         let mut preamble = CountEnc::new();
         self.enc_preamble(&mut preamble);
@@ -614,16 +620,16 @@ impl DeltaImage {
         let (head, chunk_bytes) = validate_image_header(buf)?;
         let mut d = Dec::new(head);
         let kind = d.u8("image kind")?;
-        let generation = d.u64("generation")?;
+        let generation = d.var("generation")?;
         let parent = match kind {
             IMAGE_KIND_FULL => None,
             IMAGE_KIND_DELTA => Some(ParentRef {
-                generation: d.u64("parent generation")?,
+                generation: d.var("parent generation")?,
                 checksum: d.u64("parent checksum")?,
             }),
             _ => return Err(ImageError::Malformed("image kind")),
         };
-        let epoch = d.u64("epoch")?;
+        let epoch = d.var("epoch")?;
         let n_ranks = d.usize("n_ranks")?;
         let protocol = protocol_from_code(d.u8("protocol")?)?;
         let origin = image::CaptureOrigin {
@@ -650,7 +656,7 @@ impl DeltaImage {
             let tag = d.u8("chunk ref")?;
             let r = ChunkRef {
                 hash: d.u64("chunk hash")?,
-                len: d.u64("chunk len")?,
+                len: d.var("chunk len")?,
             };
             let first = seen.insert(r);
             match tag {

@@ -1,11 +1,28 @@
 //! Minimal binary wire format for checkpoint images.
 //!
 //! The build environment is offline (no `serde`), so the image format is a
-//! small hand-rolled little-endian encoding: fixed-width integers, `f64`
-//! as IEEE-754 bits (bit-exact round trips — restored clocks compare equal
-//! to captured ones), and length-prefixed sequences. Map-valued fields are
+//! small hand-rolled little-endian encoding. Counts, ranks, sequence
+//! numbers, ids and lengths — almost all far below 2¹⁴ — are varints
+//! ([`Wr::var`]: unsigned LEB128, one to ten bytes; [`Wr::ivar`]: zigzag
+//! for signed values), and so are `usize` and the length prefix of
+//! [`Wr::bytes`]. Hashes, group ids and the fixed header words stay
+//! fixed-width little-endian, and `f64` is its IEEE-754 bits (bit-exact
+//! round trips — restored clocks compare equal to captured ones).
+//!
+//! The decoder accepts only a varint's canonical (shortest) form: no
+//! overlong encoding, nothing past ten bytes, no bit beyond the 64th. So
+//! every value has exactly one byte form, which a content-addressed chunk
+//! needs: equal state must hash to one address. Map-valued fields are
 //! written sorted by key so the same image always serializes to the same
 //! bytes; `Checkpoint` round-trip tests rely on that determinism.
+
+/// Longest varint: ⌈64 / 7⌉ bytes.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Bytes [`Wr::var`] writes for `v`.
+pub fn var_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -81,14 +98,29 @@ pub trait Wr {
         self.raw(&v.to_le_bytes());
     }
 
-    /// Writes an `i64` (two's-complement bits, little-endian).
-    fn i64(&mut self, v: i64) {
-        self.raw(&v.to_le_bytes());
+    /// Writes a `u64` as an unsigned LEB128 varint: seven bits a byte,
+    /// low bits first, the top bit set on every byte but the last.
+    fn var(&mut self, mut v: u64) {
+        let mut buf = [0u8; MAX_VARINT_LEN];
+        let mut n = 0;
+        while v >= 0x80 {
+            buf[n] = v as u8 | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        buf[n] = v as u8;
+        self.raw(&buf[..=n]);
     }
 
-    /// Writes a `usize` as `u64`.
+    /// Writes an `i64` as a zigzag varint, so small magnitudes of either
+    /// sign stay short.
+    fn ivar(&mut self, v: i64) {
+        self.var(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Writes a `usize` as a varint.
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.var(v as u64);
     }
 
     /// Writes an `f64` as its IEEE-754 bit pattern (exact round trip).
@@ -215,15 +247,38 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// Reads an `i64`.
-    pub fn i64(&mut self, what: DecodeError) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    /// Reads a varint written by [`Wr::var`]. Only the canonical form is
+    /// accepted: a truncated varint, one longer than ten bytes, a tenth
+    /// byte carrying bits past the 64th, or a final `0x00` byte after the
+    /// first (an overlong encoding) is an error.
+    pub fn var(&mut self, what: DecodeError) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        for i in 0..MAX_VARINT_LEN {
+            let b = self.u8(what)?;
+            if i == MAX_VARINT_LEN - 1 && b > 1 {
+                return Err(what);
+            }
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(what);
+                }
+                return Ok(v);
+            }
+        }
+        Err(what)
     }
 
-    /// Reads a `usize` (stored as `u64`); rejects values that overflow the
-    /// platform's `usize`.
+    /// Reads a zigzag varint written by [`Wr::ivar`].
+    pub fn ivar(&mut self, what: DecodeError) -> Result<i64, DecodeError> {
+        let v = self.var(what)?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+    }
+
+    /// Reads a varint `usize`; rejects values that overflow the platform's
+    /// `usize`.
     pub fn usize(&mut self, what: DecodeError) -> Result<usize, DecodeError> {
-        usize::try_from(self.u64(what)?).map_err(|_| what)
+        usize::try_from(self.var(what)?).map_err(|_| what)
     }
 
     /// Reads a sequence length and sanity-bounds it against the remaining
@@ -264,7 +319,8 @@ mod tests {
         e.u8(7);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX - 3);
-        e.i64(-42);
+        e.ivar(-42);
+        e.usize(77);
         e.f64(1.5e-300);
         e.bytes(b"payload");
         let buf = e.into_bytes();
@@ -272,7 +328,8 @@ mod tests {
         assert_eq!(d.u8("a").unwrap(), 7);
         assert_eq!(d.u32("b").unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.u64("c").unwrap(), u64::MAX - 3);
-        assert_eq!(d.i64("d").unwrap(), -42);
+        assert_eq!(d.ivar("d").unwrap(), -42);
+        assert_eq!(d.usize("u").unwrap(), 77);
         assert_eq!(d.f64("e").unwrap(), 1.5e-300);
         assert_eq!(d.bytes("f").unwrap(), b"payload");
         assert!(d.finished());
@@ -296,6 +353,81 @@ mod tests {
         assert!(d.seq_len("len").is_err(), "oversized length must fail");
     }
 
+    fn var_bytes(v: u64) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.var(v);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn varints_round_trip_at_the_width_edges() {
+        for (v, width) in [
+            (0, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ] {
+            let bytes = var_bytes(v);
+            assert_eq!(bytes.len(), width, "{v}");
+            assert_eq!(var_len(v), width, "{v}");
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.var("v"), Ok(v));
+            assert!(d.finished());
+        }
+        assert_eq!(var_bytes(0), [0x00]);
+        assert_eq!(var_bytes(128), [0x80, 0x01]);
+        assert_eq!(var_bytes(u64::MAX)[9], 0x01);
+    }
+
+    #[test]
+    fn zigzag_round_trips_at_the_extremes() {
+        for (v, width) in [
+            (0i64, 1),
+            (-1, 1),
+            (1, 1),
+            (-64, 1),
+            (64, 2),
+            (i64::MIN, 10),
+            (i64::MAX, 10),
+        ] {
+            let mut e = Enc::new();
+            e.ivar(v);
+            let bytes = e.into_bytes();
+            assert_eq!(bytes.len(), width, "{v}");
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.ivar("v"), Ok(v));
+            assert!(d.finished());
+        }
+    }
+
+    #[test]
+    fn non_canonical_varints_are_refused() {
+        let refused = |bytes: &[u8]| Dec::new(bytes).var("v") == Err("v");
+        // Overlong: a zero byte after the first, however the value reads.
+        assert!(refused(&[0x80, 0x00]));
+        assert!(refused(&[0xFF, 0x80, 0x00]));
+        // Eleven bytes: no 64-bit value needs them.
+        let mut eleven = [0x80u8; 11];
+        eleven[10] = 0x01;
+        assert!(refused(&eleven));
+        // A tenth byte carrying bits past the 64th.
+        let mut overflow = var_bytes(u64::MAX);
+        overflow[9] = 0x02;
+        assert!(refused(&overflow));
+        overflow[9] = 0x81;
+        assert!(refused(&overflow));
+        // Truncated mid-varint, and empty.
+        assert!(refused(&[0x80]));
+        assert!(refused(&var_bytes(1 << 40)[..3]));
+        assert!(refused(&[]));
+        // A zigzag read refuses the same malformed forms.
+        assert_eq!(Dec::new(&[0x80, 0x00]).ivar("i"), Err("i"));
+    }
+
     #[test]
     fn fnv_is_stable() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
@@ -316,8 +448,11 @@ mod tests {
         w.u8(9);
         w.u32(123_456);
         w.u64(u64::MAX / 7);
-        w.i64(-7);
         w.usize(42);
+        w.var(300);
+        w.var(u64::MAX);
+        w.ivar(-65);
+        w.ivar(i64::MIN);
         w.f64(-0.25);
         w.bytes(b"abc");
         w.raw(&[1, 2, 3]);

@@ -4,14 +4,15 @@
 //! In MANA this is implicit in the upper-half memory dump; here it is an
 //! explicit, inspectable structure, which also lets tests assert exactly
 //! what a checkpoint preserves (sequence tables, communicator creation log,
-//! pending receives, a 2PC pending barrier) and exactly what it discards
-//! (lower-half handles).
+//! pending receives, a 2PC pending barrier) and exactly what it discards:
+//! lower-half handles, which belong to one lower-half generation. The
+//! rank publishes those beside its capture, in
+//! [`crate::control::RankCtl::lower_comms`], for the coordinator alone.
 
 use crate::control::RankState;
 use crate::counters::CallCounters;
 use crate::seq::SeqTable;
 use crate::virt::CommOpRecord;
-use mpisim::types::CommId;
 use mpisim::{SrcSel, TagSel, VTime};
 use std::collections::HashMap;
 
@@ -66,10 +67,6 @@ pub struct RuntimeCapture {
     /// Messages this rank finished receiving from the current generation
     /// (see [`RuntimeCapture::p2p_sent`]).
     pub p2p_delivered: u64,
-    /// Current-generation mapping vcomm → lower CommId, used by the
-    /// coordinator to translate drained in-flight messages into
-    /// restart-stable [`mpisim::SavedMsg`] form.
-    pub vcomm_to_lower: HashMap<u64, CommId>,
     /// Member world ranks of each live vcomm, **in group order**. Restart
     /// replay rebuilds communicators directly from these (no creation
     /// collective), so replay cannot hang on members that already finished.
@@ -101,7 +98,6 @@ mod tests {
             counters: CallCounters::default(),
             p2p_sent: 0,
             p2p_delivered: 0,
-            vcomm_to_lower: HashMap::new(),
             vcomm_members: HashMap::new(),
         };
         let c2 = cap.clone();

@@ -156,10 +156,12 @@ pub struct RankCtl {
     /// A fresh lower half installed by the coordinator before waking the
     /// rank (warm restart); `None` means continue on the current world.
     pub new_world: Mutex<Option<std::sync::Arc<mpisim::World>>>,
-    /// After replaying its communicator log into a new lower half, the rank
-    /// publishes its vcomm → new lower-CommId mapping here so the
-    /// coordinator can re-deposit drained messages.
-    pub replayed_comms: Mutex<HashMap<u64, mpisim::types::CommId>>,
+    /// The rank's vcomm → lower-half `CommId` map for its current
+    /// lower-half generation, published with every capture and after
+    /// every restart rebuild. The coordinator translates drained messages
+    /// into vcomm terms, and re-deposits them, through it; the image never
+    /// carries it.
+    pub lower_comms: Mutex<HashMap<u64, mpisim::types::CommId>>,
     /// Set when a fault injector declares this rank dead. One-way for the
     /// life of a world attempt: a dead rank never meets another target and
     /// never parks, so drain/quiesce accounting must treat it as finished
@@ -202,7 +204,7 @@ impl RankCtl {
             io_charge_ns: AtomicU64::new(0),
             capture_slot: Mutex::new(None),
             new_world: Mutex::new(None),
-            replayed_comms: Mutex::new(HashMap::new()),
+            lower_comms: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
             crossed: AtomicU64::new(0),
             park: EventCount::default(),
