@@ -35,11 +35,11 @@
 //! `examples/availability_bench.rs` writes `BENCH_availability.json`.
 
 use ckpt::{
-    run_available_world, young_daly_interval_s, AvailabilityOptions, CadenceSpec, CkptOptions,
-    CkptTier, FaultPlan, ImageSetLayout, TierModels, TierSchedule, TieredStore, Tiering,
+    run_available_world, young_daly_interval_s, CkptOptions, CkptTier, DalyInterval, FaultPlan,
+    ImageSetLayout, PeriodicInterval, TierModels, TierSchedule, TieredStore, Tiering,
 };
 use mana_core::Protocol;
-use mpisim::{NetParams, WorldConfig};
+use mpisim::{NetParams, VTime, WorldConfig};
 use std::sync::Arc;
 use workloads::scf_loop;
 
@@ -218,16 +218,12 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
                 ),
             ];
             for (rung, interval_s, min_interval_s) in ladder {
-                let cadence = if rung == "daly" {
-                    CadenceSpec::Daly {
-                        mtbf_s,
-                        write_cost_s,
-                    }
+                let opts = CkptOptions::native().with_protocol(protocol);
+                let opts = if rung == "daly" {
+                    opts.with_policy(DalyInterval::new(mtbf_s, write_cost_s))
                 } else {
-                    CadenceSpec::Periodic {
-                        interval_s,
-                        limit: usize::MAX,
-                    }
+                    let interval = VTime::from_secs(interval_s);
+                    opts.with_policy(PeriodicInterval::new(interval, usize::MAX))
                 };
                 // A fresh store per cell: node drops and generations must
                 // not leak between runs.
@@ -237,7 +233,7 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
                         partner_every: 2,
                         lustre_every: 0,
                     });
-                let opts = AvailabilityOptions::new(cadence, tiering).with_protocol(protocol);
+                let opts = opts.with_tiering(tiering);
                 let rep = run_available_world(cfg.world(), opts, plan.clone(), body);
                 let makespan_s = rep.makespan.as_secs();
                 let fits = (protocol_makespan_s.as_secs() / min_interval_s).ceil() as usize;

@@ -14,12 +14,12 @@
 //! write time.
 
 use ckpt::{
-    run_ckpt_world, BodyStep, CcRank, CkptOptions, ResumeMode, StepBody, StorageSpec,
-    VirtualTimeSchedule,
+    run_ckpt_world, BodyStep, CcRank, CkptOptions, CkptTier, ResumeMode, StepBody, TierModels,
+    TieredStore, Tiering, VirtualTimeSchedule,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
-use netmodel::LustreModel;
+use std::sync::Arc;
 use workloads::{BcastPipelineStep, HaloStep, ScfStep};
 
 pub mod availability;
@@ -269,10 +269,14 @@ fn run_case_against(
                 native.makespan_s * 0.5,
             )))
             .with_resume(ResumeMode::Continue)
-            .with_storage(StorageSpec {
-                model: LustreModel::perlmutter_scratch(),
-                image_bytes_per_rank: cfg.image_bytes_per_rank,
-            });
+            .with_tiering(
+                Tiering::fixed(CkptTier::Lustre).with_store(Arc::new(TieredStore::new(
+                    TierModels {
+                        image_bytes_per_rank: cfg.image_bytes_per_rank,
+                        ..TierModels::perlmutter()
+                    },
+                ))),
+            );
     }
     let run = run_ckpt_world(world_cfg(n, jitter), opts, |r| workload.run_iters(iters, r));
     assert!(

@@ -15,8 +15,8 @@
 use bench::BenchWorkload;
 use ckpt::{
     run_available_world, run_available_world_steps, run_ckpt_world, run_ckpt_world_steps,
-    AvailabilityOptions, CadenceSpec, CkptOptions, CkptRunReport, CkptTier, DrainError, FaultPlan,
-    FaultScope, FaultTrigger, TierModels, TierSchedule, TieredStore, Tiering,
+    CkptOptions, CkptRunReport, CkptTier, DrainError, FaultPlan, FaultScope, FaultTrigger,
+    PeriodicInterval, ResumeMode, TierModels, TierSchedule, TieredStore, Tiering,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
@@ -52,6 +52,13 @@ fn micro_models() -> TierModels {
 
 fn micro_store() -> Arc<TieredStore> {
     Arc::new(TieredStore::new(micro_models()))
+}
+
+/// A fixed-interval cadence of at most `limit` checkpoints over `tiering`.
+fn periodic(interval_s: f64, limit: usize, tiering: Tiering) -> CkptOptions {
+    CkptOptions::native()
+        .with_policy(PeriodicInterval::new(VTime::from_secs(interval_s), limit))
+        .with_tiering(tiering)
 }
 
 fn paced_scf(r: &mut ckpt::CcRank) -> f64 {
@@ -158,14 +165,7 @@ fn chaos_cell(proto: Protocol, tier: TierCase, rep: Rep, seed: u64) {
     };
     let plan = non_empty_plan(seed, makespan * 0.6, makespan * 0.8, 8, 4);
     let faults = plan.events.len();
-    let opts = AvailabilityOptions::new(
-        CadenceSpec::Periodic {
-            interval_s: makespan / 5.0,
-            limit: 100,
-        },
-        tier.tiering(),
-    )
-    .with_protocol(proto);
+    let opts = periodic(makespan / 5.0, 100, tier.tiering()).with_protocol(proto);
     let ctx = format!("{proto:?}/{tier:?}/{rep:?}/seed {seed}");
     let rep_out = match rep {
         Rep::Closure => run_available_world(cfg, opts, plan, paced_scf),
@@ -183,6 +183,40 @@ fn chaos_cell(proto: Protocol, tier: TierCase, rep: Rep, seed: u64) {
 fn chaos_ci_slice() {
     chaos_cell(Protocol::Cc, TierCase::Rotation, Rep::Closure, 11);
     chaos_cell(Protocol::TwoPhase, TierCase::Memory, Rep::Step, 12);
+}
+
+/// A campaign takes the plain runner's options, resume mode included:
+/// every checkpoint rebuilds the lower half in-process, and one death is
+/// still recovered from the newest image — under either driver.
+#[test]
+fn restart_resume_campaign_recovers_under_both_drivers() {
+    for rep in [Rep::Closure, Rep::Step] {
+        let cfg = world(8, 2);
+        let (base, makespan) = match rep {
+            Rep::Closure => native_closure_baseline(cfg.clone()),
+            Rep::Step => native_step_baseline(cfg.clone()),
+        };
+        let opts = periodic(makespan / 5.0, 100, TierCase::Memory.tiering())
+            .with_resume(ResumeMode::Restart);
+        let plan = FaultPlan::one(
+            FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.6)),
+            FaultScope::Rank(3),
+        );
+        let ctx = format!("Restart/{rep:?}");
+        let out = match rep {
+            Rep::Closure => run_available_world(cfg, opts, plan, paced_scf),
+            Rep::Step => run_available_world_steps(cfg, opts, plan, |_| {
+                BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
+            }),
+        };
+        assert_eq!(out.faults.len(), 1, "{ctx}: the death must fire");
+        assert!(
+            out.faults[0].resumed_generation.is_some(),
+            "{ctx}: a restart-mode checkpoint must be viable: {:?}",
+            out.faults
+        );
+        assert_recovered(&out, &base, &ctx);
+    }
 }
 
 /// The full matrix: {CC, 2PC} × {memory, partner, rotation, async
@@ -220,13 +254,7 @@ fn chaos_halo_nonblocking_closure() {
     let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
     let makespan = native.makespan.as_secs();
     let plan = non_empty_plan(31, makespan * 0.6, makespan * 0.8, 8, 4);
-    let opts = AvailabilityOptions::new(
-        CadenceSpec::Periodic {
-            interval_s: makespan / 5.0,
-            limit: 100,
-        },
-        TierCase::Rotation.tiering(),
-    );
+    let opts = periodic(makespan / 5.0, 100, TierCase::Rotation.tiering());
     let rep = run_available_world(cfg, opts, plan, body);
     assert_recovered(&rep, &base, "halo chaos");
     assert!(!rep.faults.is_empty());
@@ -242,11 +270,9 @@ fn chaos_halo_nonblocking_closure() {
 fn mid_drain_death_is_typed_and_recovers() {
     let cfg = world(4, 2);
     let (base, makespan) = native_closure_baseline(cfg.clone());
-    let opts = AvailabilityOptions::new(
-        CadenceSpec::Periodic {
-            interval_s: makespan / 8.0,
-            limit: 100,
-        },
+    let opts = periodic(
+        makespan / 8.0,
+        100,
         Tiering::fixed(CkptTier::Memory).with_store(micro_store()),
     )
     .with_stall_timeout(std::time::Duration::from_millis(75));
@@ -275,11 +301,9 @@ fn mid_drain_death_is_typed_and_recovers() {
 fn async_drain_node_death_discards_inflight_image() {
     let cfg = world(4, 2);
     let (base, makespan) = native_closure_baseline(cfg.clone());
-    let opts = AvailabilityOptions::new(
-        CadenceSpec::Periodic {
-            interval_s: makespan / 8.0,
-            limit: 100,
-        },
+    let opts = periodic(
+        makespan / 8.0,
+        100,
         Tiering::fixed(CkptTier::Partner)
             .with_store(micro_store())
             .with_async_drain(true),
@@ -325,11 +349,9 @@ fn async_drain_node_death_discards_inflight_image() {
 fn buddy_pair_loss_falls_back_partner_then_lustre() {
     let cfg = world(8, 2);
     let (base, makespan) = native_closure_baseline(cfg.clone());
-    let opts = AvailabilityOptions::new(
-        CadenceSpec::Periodic {
-            interval_s: makespan / 6.0,
-            limit: 3,
-        },
+    let opts = periodic(
+        makespan / 6.0,
+        3,
         Tiering::fixed(CkptTier::Memory)
             .with_store(micro_store())
             // One-based rotation: gen 0 memory, gen 1 Lustre, gen 2 partner.

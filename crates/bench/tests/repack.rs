@@ -6,11 +6,12 @@
 //! inter-node costs from the new packing.
 
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, CcRank, Checkpoint, CkptOptions, RestoreConfig, ResumeMode,
-    StorageSpec,
+    restore_ckpt_world, run_ckpt_world, CcRank, Checkpoint, CkptOptions, CkptTier, RestoreConfig,
+    ResumeMode, TierModels, TieredStore,
 };
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
+use std::sync::Arc;
 use workloads::{halo_exchange, scf_loop};
 
 /// A deterministic, wildcard-free workload mixing collectives (SCF) with
@@ -90,12 +91,19 @@ fn restore_onto_every_packing_is_bit_identical_with_distinct_makespans() {
 #[test]
 fn repacked_restore_charges_read_io_under_the_new_topology() {
     let (image, native_data) = capture_8_rank_image();
-    let storage = StorageSpec {
-        model: LustreModel::slow_disk(),
+    // The image as generation `gen` of a Lustre-tier store: the read-back
+    // is charged from there.
+    let model = LustreModel::slow_disk();
+    let store = Arc::new(TieredStore::new(TierModels {
+        lustre: model.clone(),
         image_bytes_per_rank: 8 * 1024 * 1024,
-    };
+        ..TierModels::perlmutter()
+    }));
+    let gen = store
+        .save(CkptTier::Lustre, Arc::new(image.clone()), false, 1)
+        .generation;
 
-    // Same re-packing with and without a storage model: the read-back must
+    // Same re-packing with and without a read source: the read-back must
     // land on the restored clocks.
     let free = restore_ckpt_world(
         &image,
@@ -106,7 +114,7 @@ fn repacked_restore_charges_read_io_under_the_new_topology() {
         &image,
         RestoreConfig::same_packing()
             .with_ranks_per_node(2)
-            .with_storage(storage.clone()),
+            .with_storage(store, gen),
         workload,
     );
     let free_data: Vec<f64> = free.results().copied().collect();
@@ -121,7 +129,7 @@ fn repacked_restore_charges_read_io_under_the_new_topology() {
     // workload runs in well under that, so the charge dominates.
     let gap = charged.makespan.as_secs() - free.makespan.as_secs();
     assert!(
-        gap >= storage.model.fixed_overhead,
+        gap >= model.fixed_overhead,
         "restore read-back must be charged to the clocks (gap {gap}s)"
     );
 }

@@ -2,14 +2,15 @@
 //! state, plus the p2p drain-stall watchdog (ROADMAP item 5).
 
 use ckpt::{
-    run_ckpt_world, run_ckpt_world_steps, CkptOptions, CkptRunReport, DrainError,
-    EveryNCollectives, ResumeMode, StorageSpec, VirtualTimeSchedule,
+    run_ckpt_world, run_ckpt_world_steps, CkptOptions, CkptRunReport, CkptTier, DrainError,
+    EveryNCollectives, ResumeMode, TierModels, TieredStore, Tiering, VirtualTimeSchedule,
 };
 use mana_core::{DrainEvent, Protocol};
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{DType, NetParams, ReduceOp, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 use workloads::{random_workload, scf_loop, RandomWorkloadCfg, ScfStep};
 
@@ -322,10 +323,13 @@ fn checkpoint_io_charges_virtual_time() {
 
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let paced = RandomWorkloadCfg::new(11, 25).with_pace_us(40);
-    let opts = CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_storage(StorageSpec {
-        model: LustreModel::slow_disk(),
+    let store = TieredStore::new(TierModels {
+        lustre: LustreModel::slow_disk(),
         image_bytes_per_rank: 8 * 1024 * 1024,
+        ..TierModels::perlmutter()
     });
+    let opts = CkptOptions::one_checkpoint(at, ResumeMode::Restart)
+        .with_tiering(Tiering::fixed(CkptTier::Lustre).with_store(Arc::new(store)));
     let run = run_ckpt_world(cfg(n), opts, |r| random_workload(&paced, r));
     assert_eq!(run.checkpoints.len(), 1, "checkpoint must fire");
     let ckpt = &run.checkpoints[0];

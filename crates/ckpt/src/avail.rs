@@ -14,14 +14,22 @@
 //!   with a typed [`RankDeath`] instead of timing out a watchdog;
 //! * [`run_available_world`] (and [`run_available_world_steps`])
 //!   supervise the workload across deaths: on each one they select the
-//!   newest *viable* image from the shared [`TieredStore`] — skipping
-//!   generations still in flight when the node died and falling back
-//!   past tiers the dead node took with it
+//!   newest *viable* image from the [`CkptOptions::tiering`] store —
+//!   skipping generations still in flight when the node died and falling
+//!   back past tiers the dead node took with it
 //!   ([`crate::StoreError::NodeLost`]) —
 //!   restore it onto the surviving topology through the ordinary
 //!   repack-at-restore path, re-arm the trigger policy, and repeat until
 //!   the workload completes. Wasted work and recovery latency per fault
 //!   land on the final [`CkptRunReport`].
+//!
+//! The loop behind them, `run_campaign`, is the only code that builds
+//! sessions and launches ranks: a plain run ([`crate::run_ckpt_world`]) is
+//! a campaign with [`FaultPlan::none`], and a restore
+//! ([`crate::restore_ckpt_world`]) is a campaign whose first attempt is
+//! the image arm a recovery uses. Every attempt, fresh or restored, is
+//! packed by one rule: the launch packing while it fits on the surviving
+//! nodes, denser once nodes are lost.
 //!
 //! The death model is whole-world abort: one death poisons the world and
 //! *every* rank (victims and survivors alike) unwinds; recovery restores
@@ -30,21 +38,19 @@
 //! store) and the stall accounting (a dead rank is never reported as a
 //! p2p stall).
 
-use crate::coordinator::{Coordinator, ResumeMode};
+use crate::coordinator::Coordinator;
 use crate::image::Checkpoint;
-use crate::policy::{DalyInterval, NeverTrigger, PeriodicInterval, TriggerPolicy};
 use crate::rank::CcRank;
-use crate::restore::{drive_restore, restore_preflight, RestoreConfig};
+use crate::restore::{drive_restore, Restore, RestoreConfig};
 use crate::runner::step::{run_session, Blocking, Driver, StepBody};
-use crate::runner::{supervise_loop, CkptRunReport, RunError, SuperviseOut};
+use crate::runner::{supervise_loop, CkptOptions, CkptRunReport, RunError, SuperviseOut};
 use crate::session::{RestorePlan, Session};
-use crate::store::{CkptTier, ImageSetLayout, StoreRecord, TieredStore, Tiering};
-use mana_core::{CkptPhase, Protocol, Threshold};
-use mpisim::{FaultScope, RankDeath, VTime, WorldConfig};
-use parking_lot::Mutex;
+use crate::store::{CkptTier, StoreRecord, TieredStore, Tiering};
+use mana_core::{CkptPhase, Threshold};
+use mpisim::{FaultScope, RankDeath, SpawnError, VTime, WorldConfig};
+use std::borrow::Cow;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// When a planned fault strikes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,48 +158,6 @@ fn bounded(state: &mut u64, n: usize) -> usize {
     (splitmix64(state) % n as u64) as usize
 }
 
-/// How a checkpoint cadence is chosen for an availability run. Built
-/// fresh once per run (the policy instance then persists across recovery
-/// attempts, so a Daly policy keeps its measured write cost).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CadenceSpec {
-    /// Never checkpoint: every death restarts from scratch.
-    Never,
-    /// Fixed virtual-time interval, up to `limit` checkpoints.
-    Periodic {
-        /// The interval in virtual seconds.
-        interval_s: f64,
-        /// Checkpoint budget.
-        limit: usize,
-    },
-    /// The Young/Daly optimum `sqrt(2·δ·MTBF)`, self-correcting from each
-    /// generation's measured write cost (see
-    /// [`crate::policy::DalyInterval`]).
-    Daly {
-        /// Mean time between failures, seconds (`f64::INFINITY` degrades
-        /// to [`CadenceSpec::Never`]).
-        mtbf_s: f64,
-        /// Initial write-cost estimate, seconds.
-        write_cost_s: f64,
-    },
-}
-
-impl CadenceSpec {
-    /// Builds the trigger policy this spec describes.
-    pub fn build(&self) -> Box<dyn TriggerPolicy> {
-        match *self {
-            CadenceSpec::Never => Box::new(NeverTrigger),
-            CadenceSpec::Periodic { interval_s, limit } => {
-                Box::new(PeriodicInterval::new(VTime::from_secs(interval_s), limit))
-            }
-            CadenceSpec::Daly {
-                mtbf_s,
-                write_cost_s,
-            } => Box::new(DalyInterval::new(mtbf_s, write_cost_s)),
-        }
-    }
-}
-
 /// What one survived fault cost, on the final report's
 /// [`CkptRunReport::faults`].
 #[derive(Debug, Clone, PartialEq)]
@@ -213,62 +177,8 @@ pub struct FaultRecord {
     pub recovery_latency_s: f64,
 }
 
-/// Options for [`run_available_world`].
-pub struct AvailabilityOptions {
-    /// Coordination protocol for the wrapper layer.
-    pub protocol: Protocol,
-    /// Checkpoint cadence (rebuilt once per run; shared across recovery
-    /// attempts).
-    pub cadence: CadenceSpec,
-    /// The tiered store every attempt checkpoints into and every
-    /// recovery restores from. Required: recovery without storage is a
-    /// restart from scratch every time (use [`CadenceSpec::Never`] to
-    /// measure exactly that).
-    pub tiering: Tiering,
-    /// Drain watchdog override; `None` scales with world size.
-    pub stall_timeout: Option<Duration>,
-}
-
-impl AvailabilityOptions {
-    /// CC protocol, the given cadence, over `tiering`.
-    pub fn new(cadence: CadenceSpec, tiering: Tiering) -> Self {
-        AvailabilityOptions {
-            protocol: Protocol::Cc,
-            cadence,
-            tiering,
-            stall_timeout: None,
-        }
-    }
-
-    /// Replaces the coordination protocol.
-    pub fn with_protocol(mut self, protocol: Protocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Pins the drain watchdog window.
-    pub fn with_stall_timeout(mut self, t: Duration) -> Self {
-        self.stall_timeout = Some(t);
-        self
-    }
-}
-
-impl std::fmt::Debug for AvailabilityOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AvailabilityOptions")
-            .field("protocol", &self.protocol)
-            .field("cadence", &self.cadence)
-            .field("stall_timeout", &self.stall_timeout)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The per-attempt bookkeeping the supervisor threads between deaths.
+/// The per-attempt bookkeeping the campaign threads between deaths.
 struct Campaign {
-    tiering: Tiering,
-    protocol: Protocol,
-    stall_timeout: Option<Duration>,
-    policy: Arc<Mutex<Box<dyn TriggerPolicy>>>,
     /// Planned events, the `k`-th armed on attempt `k + 1`.
     events: Vec<FaultEvent>,
     /// Hardware nodes lost so far (world-coordinate ids at death time).
@@ -283,16 +193,11 @@ struct Campaign {
 }
 
 impl Campaign {
-    fn new(cfg: &WorldConfig, opts: AvailabilityOptions, plan: FaultPlan) -> Campaign {
-        let initial_nodes = cfg.n_ranks.div_ceil(cfg.ranks_per_node.max(1)).max(1);
+    fn new(cfg: &WorldConfig, plan: FaultPlan) -> Campaign {
         Campaign {
-            tiering: opts.tiering,
-            protocol: opts.protocol,
-            stall_timeout: opts.stall_timeout,
-            policy: Arc::new(Mutex::new(opts.cadence.build())),
             events: plan.events,
             nodes_lost: 0,
-            initial_nodes,
+            initial_nodes: cfg.n_ranks.div_ceil(cfg.ranks_per_node.max(1)).max(1),
             prior: SuperviseOut::default(),
             faults: Vec::new(),
             attempts: 0,
@@ -300,43 +205,16 @@ impl Campaign {
         }
     }
 
-    /// Nodes still alive.
-    fn surviving_nodes(&self) -> usize {
-        self.initial_nodes.saturating_sub(self.nodes_lost)
+    /// The packing of every attempt, fresh or restored: the launch packing
+    /// while it fits on the surviving nodes, denser once nodes are lost.
+    fn packing(&self, cfg: &WorldConfig) -> usize {
+        let surviving = self.initial_nodes.saturating_sub(self.nodes_lost);
+        assert!(surviving > 0, "no surviving nodes to restart onto");
+        cfg.n_ranks.div_ceil(surviving).max(cfg.ranks_per_node)
     }
 
-    /// The supervision closure of one attempt: (optionally) drive the
-    /// restore replay, then run the trigger loop, stashing the outputs in
-    /// `save` so they survive a death (the runner discards its return
-    /// value on `Err`).
-    fn supervise_attempt(
-        &self,
-        sh: &Arc<Session>,
-        restore: Option<(Arc<Checkpoint>, RestoreConfig, WorldConfig, f64)>,
-        save: &Arc<Mutex<SuperviseOut>>,
-    ) -> impl FnOnce() -> SuperviseOut + use<> {
-        let sh = Arc::clone(sh);
-        let tiering = self.tiering.clone();
-        let stall = self.stall_timeout;
-        let policy = Arc::clone(&self.policy);
-        let save = Arc::clone(save);
-        move || {
-            if let Some((image, rcfg, restored_cfg, read_secs)) = restore {
-                drive_restore(&sh, &image, &rcfg, restored_cfg, Some(read_secs));
-            }
-            let coord = Coordinator::new(Arc::clone(&sh))
-                .with_tiering(Some(tiering))
-                .with_stall_timeout(stall);
-            let mut out = SuperviseOut::default();
-            let mut policy = policy.lock();
-            supervise_loop(&sh, &coord, &mut **policy, ResumeMode::Continue, &mut out);
-            *save.lock() = out.clone();
-            out
-        }
-    }
-
-    /// Folds a finished attempt's saved supervision output into the
-    /// accumulated prior.
+    /// Folds a died attempt's supervision output into the accumulated
+    /// prior.
     fn absorb(&mut self, out: SuperviseOut) {
         self.prior.checkpoints.extend(out.checkpoints);
         self.prior.failures.extend(out.failures);
@@ -350,81 +228,72 @@ impl Campaign {
     /// generations any tier lost with a dead node — [`TieredStore::load`]
     /// walks delta chains, so a lost *ancestor* disqualifies its
     /// descendants too.
-    fn select_viable(&self, death: &RankDeath) -> Option<(StoreRecord, Checkpoint)> {
-        let records: Vec<&StoreRecord> = self.prior.store_records.iter().collect();
-        for rec in records.into_iter().rev() {
+    fn select_viable(
+        &self,
+        store: &TieredStore,
+        death: &RankDeath,
+    ) -> Option<(StoreRecord, Checkpoint)> {
+        self.prior.store_records.iter().rev().find_map(|rec| {
             // 1 ns of slack absorbs ns↔seconds rounding between the
-            // record's landing and the injected death clock.
-            if rec.landing_v_s > death.at.as_secs() + 1e-9 {
-                continue; // still in flight when the node died
-            }
-            if let Ok(img) = self.tiering.store.load(rec.generation) {
-                return Some((rec.clone(), img));
-            }
-        }
-        None
+            // record's landing and the injected death clock; a later
+            // landing was still in flight when the node died.
+            let landed = rec.landing_v_s <= death.at.as_secs() + 1e-9;
+            let img = landed.then(|| store.load(rec.generation).ok()).flatten()?;
+            Some((rec.clone(), img))
+        })
     }
 
-    /// Accounts one survived death and plans the recovery: the image to
-    /// restore (if any), the repacked restore config for the surviving
-    /// topology, and the modeled read charge.
+    /// Accounts one survived death and plans the recovery: the newest
+    /// viable image restored onto the surviving topology, read back from
+    /// the generation it came from — or `None`, a restart from scratch.
     fn plan_recovery(
         &mut self,
         death: RankDeath,
-        n_ranks: usize,
-    ) -> Option<(Arc<Checkpoint>, RestoreConfig, f64)> {
+        cfg: &WorldConfig,
+        tiering: Option<&Tiering>,
+    ) -> Option<Restore<'static>> {
         if death.node.is_some() {
             self.nodes_lost += 1;
         }
-        let surviving = self.surviving_nodes();
-        assert!(
-            surviving > 0,
-            "no surviving nodes to restore onto after {death}"
-        );
-        let rpn = n_ranks.div_ceil(surviving);
-        let picked = self.select_viable(&death);
-        let (record, wasted_from_s, read_secs, image) = match picked {
-            Some((rec, img)) => {
-                let layout = ImageSetLayout::packed(
-                    n_ranks,
-                    rpn,
-                    self.tiering.store.models().image_bytes_per_rank * n_ranks as u64,
-                );
-                let read = self.tiering.store.read_secs(rec.generation, &layout);
-                let from = img.request_clock.as_secs();
-                (Some(rec), from, read, Some(img))
-            }
-            None => (None, 0.0, 0.0, None),
-        };
-        let wasted = (death.at.as_secs() - wasted_from_s).max(0.0);
-        self.faults.push(FaultRecord {
+        let mut record = FaultRecord {
             death,
-            resumed_generation: record.as_ref().map(|r| r.generation),
-            resumed_tier: record.as_ref().map(|r| r.tier),
-            wasted_s: wasted,
-            recovery_latency_s: read_secs,
+            resumed_generation: None,
+            resumed_tier: None,
+            wasted_s: 0.0,
+            recovery_latency_s: 0.0,
+        };
+        let restore = tiering.and_then(|t| {
+            let (rec, img) = self.select_viable(&t.store, &record.death)?;
+            let mut rcfg = RestoreConfig::same_packing()
+                .with_ranks_per_node(self.packing(cfg))
+                .with_storage(Arc::clone(&t.store), rec.generation);
+            rcfg.workers = cfg.workers;
+            let restore = Restore::preflight(Cow::Owned(img), rcfg)
+                .unwrap_or_else(|e| panic!("recovery image failed pre-flight: {e}"));
+            record.resumed_generation = Some(rec.generation);
+            record.resumed_tier = Some(rec.tier);
+            record.recovery_latency_s = restore.read_secs();
+            Some(restore)
         });
-        image.map(|img| {
-            let rcfg = RestoreConfig::same_packing().with_ranks_per_node(rpn);
-            (Arc::new(img), rcfg, read_secs)
-        })
+        let from = restore
+            .as_ref()
+            .map_or(0.0, |r| r.image.request_clock.as_secs());
+        record.wasted_s = (record.death.at.as_secs() - from).max(0.0);
+        self.faults.push(record);
+        restore
     }
 
     /// Stamps the accumulated campaign surface onto the final attempt's
     /// report.
     fn finish<R>(self, mut report: CkptRunReport<R>) -> CkptRunReport<R> {
-        let mut checkpoints = self.prior.checkpoints;
-        checkpoints.append(&mut report.checkpoints);
-        report.checkpoints = checkpoints;
-        let mut failures = self.prior.failures;
-        failures.append(&mut report.failures);
-        report.failures = failures;
-        let mut walls = self.prior.capture_wall_s;
-        walls.append(&mut report.capture_wall_s);
-        report.capture_wall_s = walls;
-        let mut records = self.prior.store_records;
-        records.append(&mut report.store_records);
-        report.store_records = records;
+        fn prepend<T>(mut prior: Vec<T>, tail: &mut Vec<T>) -> Vec<T> {
+            prior.append(tail);
+            prior
+        }
+        report.checkpoints = prepend(self.prior.checkpoints, &mut report.checkpoints);
+        report.failures = prepend(self.prior.failures, &mut report.failures);
+        report.capture_wall_s = prepend(self.prior.capture_wall_s, &mut report.capture_wall_s);
+        report.store_records = prepend(self.prior.store_records, &mut report.store_records);
         report.backstop_expiries += self.backstops;
         report.attempts = self.attempts;
         report.wasted_work_s = self.faults.iter().map(|f| f.wasted_s).sum();
@@ -439,7 +308,7 @@ impl Campaign {
 /// drops the node (`rpn` ranks each) from `store`.
 pub(crate) struct ArmedFault {
     event: FaultEvent,
-    store: Arc<TieredStore>,
+    store: Option<Arc<TieredStore>>,
     rpn: usize,
 }
 
@@ -480,8 +349,8 @@ impl ArmedFault {
             }
         };
         if sh.inject_failure(RankDeath { victims, node, at }) {
-            if let Some(d) = node {
-                self.store.drop_node(d);
+            if let (Some(d), Some(store)) = (node, &self.store) {
+                store.drop_node(d);
             }
         }
     }
@@ -489,10 +358,13 @@ impl ArmedFault {
 
 /// Runs `f` under the checkpoint wrapper with fault injection and
 /// supervised recovery: each planned death unwinds the world, the newest
-/// viable image is restored onto the surviving topology, the trigger
-/// policy re-arms, and the loop repeats until the workload completes.
-/// The report covers the whole campaign — every attempt's checkpoints,
-/// every fault's cost, and the summed backstop expiries.
+/// viable image in `opts.tiering`'s store is restored onto the surviving
+/// topology, the trigger policy (one instance for the whole campaign, so
+/// a Daly policy keeps its measured write cost) re-arms, and the loop
+/// repeats until the workload completes. Without tiering, or before the
+/// first checkpoint lands, a death restarts from scratch. The report
+/// covers the whole campaign — every attempt's checkpoints, every
+/// fault's cost, and the summed backstop expiries.
 ///
 /// # Panics
 /// Panics if a rank thread cannot be spawned, if a restore image fails
@@ -500,7 +372,7 @@ impl ArmedFault {
 /// this run's own store), or if a death leaves no surviving node.
 pub fn run_available_world<R, F>(
     cfg: WorldConfig,
-    opts: AvailabilityOptions,
+    opts: CkptOptions,
     plan: FaultPlan,
     f: F,
 ) -> CkptRunReport<R>
@@ -508,7 +380,8 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
-    run_campaign(&cfg, opts, plan, Driver::Threads, |_| Blocking(&f))
+    run_campaign(cfg, opts, plan, None, Driver::Threads, |_| Blocking(&f))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_available_world`] for step bodies: the same campaign loop with
@@ -516,7 +389,7 @@ where
 /// on every attempt).
 pub fn run_available_world_steps<B, MK>(
     cfg: WorldConfig,
-    opts: AvailabilityOptions,
+    opts: CkptOptions,
     plan: FaultPlan,
     make: MK,
 ) -> CkptRunReport<B::Out>
@@ -524,80 +397,71 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
-    run_campaign(&cfg, opts, plan, Driver::Pool, make)
+    run_campaign(cfg, opts, plan, None, Driver::Pool, make).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The campaign loop: every attempt is one session whose ranks `driver`
-/// steps under that attempt's supervision closure.
-fn run_campaign<B: StepBody>(
-    cfg: &WorldConfig,
-    opts: AvailabilityOptions,
+/// The one supervised run loop — every entry point's body. Each attempt
+/// is one session whose ranks `driver` steps: the first starts from
+/// `restore`'s image, or from scratch; each death plans the next attempt
+/// from the newest viable image (or from scratch). On a launch failure no
+/// rank of that attempt ran any application code.
+pub(crate) fn run_campaign<B: StepBody>(
+    cfg: WorldConfig,
+    opts: CkptOptions,
     plan: FaultPlan,
+    mut restore: Option<Restore<'_>>,
     driver: Driver,
     make: impl Fn(usize) -> B,
-) -> CkptRunReport<B::Out> {
-    let mut campaign = Campaign::new(cfg, opts, plan);
-    let mut restore: Option<(Arc<Checkpoint>, RestoreConfig, f64)> = None;
+) -> Result<CkptRunReport<B::Out>, SpawnError> {
+    assert!(
+        opts.protocol.supports_checkpoint() || opts.policy.next().is_none(),
+        "protocol {} cannot checkpoint",
+        opts.protocol.name()
+    );
+    let CkptOptions {
+        protocol,
+        mut policy,
+        resume,
+        tiering,
+        stall_timeout,
+    } = opts;
+    let mut campaign = Campaign::new(&cfg, plan);
     loop {
         campaign.attempts += 1;
-        let (sh, restore_drive, rpn) = attempt_session(cfg, &campaign, &restore);
-        let save = Arc::new(Mutex::new(SuperviseOut::default()));
-        let supervise = campaign.supervise_attempt(&sh, restore_drive, &save);
+        let (sh, rpn) = match &restore {
+            None => {
+                let mut fresh = cfg.clone();
+                fresh.ranks_per_node = campaign.packing(&cfg);
+                let rpn = fresh.ranks_per_node;
+                (Session::new(fresh, protocol), rpn)
+            }
+            Some(r) => {
+                let plan = RestorePlan::from_image(&r.image);
+                let sh = Session::for_restore(r.replay_cfg.clone(), protocol, plan);
+                (sh, r.restored_cfg.ranks_per_node)
+            }
+        };
         *sh.fault.lock() = campaign.events.get(campaign.attempts - 1).map(|&event| {
-            let store = Arc::clone(&campaign.tiering.store);
+            let store = tiering.as_ref().map(|t| Arc::clone(&t.store));
             ArmedFault { event, store, rpn }
         });
-        match run_session(Arc::clone(&sh), driver, &make, supervise) {
-            Ok(report) => return campaign.finish(report),
-            Err(RunError::Spawn(e)) => panic!("{e}"),
-            Err(RunError::Died(death)) => {
-                campaign.backstops += sh.backstop_expiries();
-                campaign.absorb(
-                    Arc::try_unwrap(save).map_or_else(|arc| arc.lock().clone(), |m| m.into_inner()),
-                );
-                restore = campaign.plan_recovery(death, cfg.n_ranks);
+        let supervise = || {
+            if let Some(r) = &restore {
+                drive_restore(&sh, r);
             }
-        }
-    }
-}
-
-/// Builds one attempt's session: a fresh world for the first (or an
-/// image-less restart), a restore replay otherwise. Returns the session,
-/// the restore hand-off for the supervisor, and the attempt's packing
-/// (for victim mapping).
-#[allow(clippy::type_complexity)]
-fn attempt_session(
-    cfg: &WorldConfig,
-    campaign: &Campaign,
-    restore: &Option<(Arc<Checkpoint>, RestoreConfig, f64)>,
-) -> (
-    Arc<Session>,
-    Option<(Arc<Checkpoint>, RestoreConfig, WorldConfig, f64)>,
-    usize,
-) {
-    match restore {
-        None => {
-            // Fresh start — also the no-viable-image recovery: the
-            // workload re-runs from scratch on the surviving topology.
-            let rpn = cfg
-                .n_ranks
-                .div_ceil(campaign.surviving_nodes().max(1))
-                .max(cfg.ranks_per_node);
-            let mut attempt_cfg = cfg.clone();
-            attempt_cfg.ranks_per_node = rpn;
-            (Session::new(attempt_cfg, campaign.protocol), None, rpn)
-        }
-        Some((image, rcfg, read_secs)) => {
-            let (replay_cfg, restored_cfg) = restore_preflight(image, rcfg)
-                .unwrap_or_else(|e| panic!("recovery image failed pre-flight: {e}"));
-            let rpn = restored_cfg.ranks_per_node;
-            let plan = RestorePlan::from_image(image);
-            let sh = Session::for_restore(replay_cfg, campaign.protocol, plan);
-            (
-                sh,
-                Some((Arc::clone(image), rcfg.clone(), restored_cfg, *read_secs)),
-                rpn,
-            )
+            let coord = Coordinator::new(Arc::clone(&sh))
+                .with_tiering(tiering.clone())
+                .with_stall_timeout(stall_timeout);
+            supervise_loop(&sh, &coord, policy.as_mut(), resume)
+        };
+        match run_session(Arc::clone(&sh), driver, &make, supervise) {
+            Ok(report) => return Ok(campaign.finish(report)),
+            Err(RunError::Spawn(e)) => return Err(e),
+            Err(RunError::Died { death, out }) => {
+                campaign.backstops += sh.backstop_expiries();
+                campaign.absorb(*out);
+                restore = campaign.plan_recovery(death, &cfg, tiering.as_ref());
+            }
         }
     }
 }
@@ -605,8 +469,10 @@ fn attempt_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_ckpt_world, CkptOptions};
+    use crate::policy::PeriodicInterval;
+    use crate::runner::run_ckpt_world;
     use mpisim::{NetParams, ReduceOp};
+    use std::time::Duration;
 
     /// A wall-paced allreduce loop: virtual time comes from `compute`,
     /// wall time from the sleep.
@@ -629,14 +495,9 @@ mod tests {
     fn rank_death_recovers_from_memory_tier_bit_identical() {
         let native = run_ckpt_world(cfg(), CkptOptions::native(), paced_sum);
         let makespan = native.makespan.as_secs();
-        let tiering = Tiering::fixed(CkptTier::Memory);
-        let opts = AvailabilityOptions::new(
-            CadenceSpec::Periodic {
-                interval_s: makespan / 4.0,
-                limit: 100,
-            },
-            tiering,
-        );
+        let opts = CkptOptions::native()
+            .with_policy(PeriodicInterval::new(VTime::from_secs(makespan / 4.0), 100))
+            .with_tiering(Tiering::fixed(CkptTier::Memory));
         let plan = FaultPlan::one(
             FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.6)),
             FaultScope::Rank(1),
@@ -661,7 +522,7 @@ mod tests {
     fn death_with_no_image_restarts_from_scratch() {
         let native = run_ckpt_world(cfg(), CkptOptions::native(), paced_sum);
         let makespan = native.makespan.as_secs();
-        let opts = AvailabilityOptions::new(CadenceSpec::Never, Tiering::fixed(CkptTier::Lustre));
+        let opts = CkptOptions::native().with_tiering(Tiering::fixed(CkptTier::Lustre));
         let plan = FaultPlan::one(
             FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.5)),
             FaultScope::Rank(0),

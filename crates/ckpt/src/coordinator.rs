@@ -25,7 +25,6 @@ use mana_core::{CkptPhase, DrainEvent, Ggid, Protocol, RankCtl, RankState, Runti
 use mpisim::msg::InFlightMsg;
 use mpisim::types::CommId;
 use mpisim::{RankDeath, SavedMsg, VTime, World, WorldConfig};
-use netmodel::LustreModel;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
@@ -78,27 +77,6 @@ pub enum ResumeMode {
     /// (and pending trivial barriers), and drained messages are
     /// re-deposited into the new generation.
     Restart,
-}
-
-/// Storage model applied to checkpoint images: capture charges a parallel
-/// write of every rank's image, restart additionally charges the read-back.
-#[derive(Debug, Clone)]
-pub struct StorageSpec {
-    /// The parallel-filesystem timing model.
-    pub model: LustreModel,
-    /// Upper-half image size per rank (application memory dump), on top of
-    /// the dynamic runtime state actually captured.
-    pub image_bytes_per_rank: u64,
-}
-
-impl Default for StorageSpec {
-    /// Perlmutter scratch with the paper's 398 MB per-rank VASP image.
-    fn default() -> Self {
-        StorageSpec {
-            model: LustreModel::perlmutter_scratch(),
-            image_bytes_per_rank: 398 * 1024 * 1024,
-        }
-    }
 }
 
 /// Why a checkpoint attempt was aborted instead of committed.
@@ -171,7 +149,6 @@ impl std::error::Error for DrainError {}
 /// Drives checkpoints over a running [`Session`].
 pub struct Coordinator {
     sh: Arc<Session>,
-    storage: Option<StorageSpec>,
     tiering: Option<Tiering>,
     pub(crate) stall_timeout: Duration,
     /// Wall-clock seconds of each committed capture bracket (capture-phase
@@ -191,13 +168,12 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Builds a coordinator with no storage model and the world-size-scaled
+    /// Builds a coordinator with no storage and the world-size-scaled
     /// watchdog window ([`auto_stall_timeout`]).
     pub fn new(sh: Arc<Session>) -> Self {
         Coordinator {
             stall_timeout: auto_stall_timeout(sh.cfg.n_ranks, sh.cfg.resolved_workers()),
             sh,
-            storage: None,
             tiering: None,
             capture_walls: Mutex::new(Vec::new()),
             drain_busy_until: Mutex::new(0.0),
@@ -232,18 +208,11 @@ impl Coordinator {
         }
     }
 
-    /// Attaches a storage model: image I/O is charged to the ranks'
-    /// virtual clocks at resume.
-    pub fn with_storage(mut self, storage: Option<StorageSpec>) -> Self {
-        self.storage = storage;
-        self
-    }
-
     /// Attaches tiered storage: every committed checkpoint is serialized
     /// into the [`TieredStore`] per its schedule and delta policy, and the
     /// modeled tier cost (or just the back-pressure, under the async
-    /// drain) is charged to the virtual clocks. Takes precedence over
-    /// [`Coordinator::with_storage`].
+    /// drain) is charged to the virtual clocks. Without it checkpoints
+    /// are free on the virtual clocks.
     pub fn with_tiering(mut self, tiering: Option<Tiering>) -> Self {
         self.tiering = tiering;
         self
@@ -470,9 +439,8 @@ impl Coordinator {
 
         // Storage: a checkpoint writes every live rank's image in parallel;
         // a restart reads them back. The modeled cost lands on the virtual
-        // clocks at resume. A tiered store plans per generation (tier,
-        // full-vs-delta, sync-vs-background); the legacy StorageSpec path
-        // charges the flat Lustre pipeline.
+        // clocks at resume. The tiered store plans per generation (tier,
+        // full-vs-delta, sync-vs-background); without one, I/O is free.
         let (io_write_secs, io_read_secs, charge_secs, tier_plan) = match &self.tiering {
             Some(t) => {
                 // Back-pressure rule, wall side: if the previous image has
@@ -494,10 +462,7 @@ impl Coordinator {
                     Some(plan),
                 )
             }
-            None => {
-                let (w, r) = self.io_times(mode, control.n_ranks, &in_flight, &captures);
-                (w, r, w + r, None)
-            }
+            None => (0.0, 0.0, 0.0, None),
         };
         let charge_ns = (charge_secs * 1e9) as u64;
         if charge_ns > 0 {
@@ -786,36 +751,6 @@ impl Coordinator {
         }
     }
 
-    /// Image write/read times for this checkpoint under the configured
-    /// storage model (zero when none is attached). The write side charges
-    /// the full capture pipeline: serializing each node's images into write
-    /// buffers — parallel across the worker pool, per
-    /// [`LustreModel::encode_time`] — and then the filesystem transfer.
-    fn io_times(
-        &self,
-        mode: ResumeMode,
-        n_ranks: usize,
-        in_flight: &[DrainedMsg],
-        captures: &[RuntimeCapture],
-    ) -> (f64, f64) {
-        let Some(st) = &self.storage else {
-            return (0.0, 0.0);
-        };
-        let rpn = self.sh.cfg.ranks_per_node;
-        let (nodes, files_per_node, bytes_per_file) =
-            image_file_layout(st, n_ranks, rpn, in_flight, captures);
-        let enc_workers = self.sh.cfg.resolved_workers();
-        let encode = st
-            .model
-            .encode_time(files_per_node as u64 * bytes_per_file, enc_workers);
-        let w = encode + st.model.write_time(nodes, files_per_node, bytes_per_file);
-        let r = match mode {
-            ResumeMode::Restart => st.model.read_time(nodes, files_per_node, bytes_per_file),
-            ResumeMode::Continue => 0.0,
-        };
-        (w, r)
-    }
-
     /// Puts drained messages back into the current lower half with their
     /// original arrival, translating each vcomm through its destination's
     /// published lower-half map (the ranks are still parked in the
@@ -967,35 +902,6 @@ fn parallel_capture(workers: usize, ranks: &[RankCtl]) -> Vec<RuntimeCapture> {
     out.into_iter()
         .map(|c| c.expect("every rank batch filled"))
         .collect()
-}
-
-/// The on-storage layout of one image set under a block-packed topology:
-/// `(nodes, files_per_node, bytes_per_file)`. The dynamic runtime state
-/// (drained payloads, communicator logs, pending receives) rides along
-/// with the fixed per-rank memory image. Shared by the capture-side write
-/// charge and the restore-side read charge — restore may re-pack onto a
-/// different `ranks_per_node`, which changes this layout and therefore the
-/// modeled read time (the paper's Figure 9 effect).
-pub(crate) fn image_file_layout(
-    st: &StorageSpec,
-    n_ranks: usize,
-    ranks_per_node: usize,
-    in_flight: &[DrainedMsg],
-    captures: &[RuntimeCapture],
-) -> (usize, usize, u64) {
-    let rpn = ranks_per_node.max(1);
-    let nodes = n_ranks.div_ceil(rpn).max(1);
-    let files_per_node = rpn.min(n_ranks).max(1);
-    let dynamic: usize = in_flight
-        .iter()
-        .map(|d| d.saved.payload.len())
-        .sum::<usize>()
-        + captures
-            .iter()
-            .map(|c| 64 * (c.comm_log.len() + c.pending_recvs.len()))
-            .sum::<usize>();
-    let bytes_per_file = st.image_bytes_per_rank + (dynamic / n_ranks.max(1)) as u64;
-    (nodes, files_per_node, bytes_per_file)
 }
 
 /// The p2p drain-accounting identity checked at every capture:

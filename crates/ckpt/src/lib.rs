@@ -90,8 +90,10 @@
 //!   rank is asleep at the quiesce.
 //! * [`restore::restore_ckpt_world`] — rebuilds a world from an image
 //!   (optionally re-packed via [`RestoreConfig`]), replays the program to
-//!   the cut, cross-checks the replayed state against the image, and
-//!   continues with the image authoritative.
+//!   the cut, cross-checks the replayed state against the image, charges
+//!   the read-back from the store generation the image came from
+//!   ([`RestoreConfig::with_storage`]), and continues with the image
+//!   authoritative.
 //!   [`restore::try_restore_ckpt_world`] surfaces pre-flight rejections
 //!   (a cut that fails the safe-cut oracle, a malformed image, a failed
 //!   launch) as a typed [`RestoreError`] instead of panicking.
@@ -109,6 +111,15 @@
 //! committed checkpoint (fixed, or an SCR-style rotation like
 //! memory/partner/memory/lustre), and the coordinator charges each
 //! write's modeled cost from the matching `netmodel` tier model.
+//!
+//! The store is the **one image-I/O cost model**. A flat parallel-
+//! filesystem charge is `Tiering::fixed(CkptTier::Lustre)` over a
+//! `TieredStore::new(TierModels { image_bytes_per_rank, .. })`, the
+//! per-rank size standing for the application's memory image. Every
+//! read-back — a restore's ([`RestoreConfig::with_storage`]: the store and
+//! the generation the image came from) and a recovery's alike — is
+//! charged by one rule, [`TieredStore::read_secs`] on the restored
+//! packing.
 //!
 //! Images on a tiered run can be **incremental**. Under a
 //! [`DeltaPolicy`], a generation is written relative to its parent (the
@@ -159,11 +170,15 @@
 //!   completion there, so a program exists once: the `workloads` crate
 //!   writes each as a step body, and its closure-shaped entry point
 //!   (`scf_loop`, `random_workload`, ...) is `rank.run(body)`.
-//! * **One launcher.** `runner::step::run_session` builds every rank's
-//!   continuation all-or-nothing, steps them while supervision (trigger
-//!   policy, restore driving, fault campaign) runs on the calling
-//!   thread, and assembles the report. The plain runners, restore and the
-//!   availability supervisor are each one generic body over it.
+//! * **One launcher, one run loop.** `runner::step::run_session` builds
+//!   every rank's continuation all-or-nothing, steps them while
+//!   supervision (restore driving, then the trigger policy) runs on the
+//!   calling thread, and assembles the report. Its one caller is the
+//!   supervised run loop, `avail::run_campaign`: a plain run is a
+//!   campaign with [`FaultPlan::none`], a restore is a campaign whose
+//!   first attempt starts from the image, and a fault campaign adds one
+//!   attempt per death. [`CkptOptions`] is the one option type of all
+//!   three.
 //!
 //! What comes in two is the **driver** that steps those objects, fixed
 //! by the entry point — never by an option:
@@ -220,7 +235,8 @@
 //! tripping the drain watchdog as a spurious stall (dead ranks are
 //! excluded from stall accounting outright).
 //!
-//! [`run_available_world`] / [`run_available_world_steps`] supervise a
+//! [`run_available_world`] / [`run_available_world_steps`] take the same
+//! [`CkptOptions`] as a plain run plus the plan, and supervise a
 //! workload across such deaths: each one selects the newest *viable*
 //! generation from the [`TieredStore`] — skipping images whose modeled
 //! landing post-dates the death (an async drain still in flight is
@@ -236,9 +252,10 @@
 //! How often to checkpoint under a given failure rate is the classic
 //! Young/Daly trade; [`policy::DalyInterval`] derives its cadence from
 //! the configured MTBF and the *measured* write cost of the previous
-//! generation (`sqrt(2·δ·MTBF)`, re-estimated every generation), and
-//! [`CadenceSpec`] names the ladder the availability benchmark sweeps
-//! (never / fixed-period / Daly).
+//! generation (`sqrt(2·δ·MTBF)`, re-estimated every generation). A
+//! campaign takes its cadence like any run, through
+//! [`CkptOptions::with_policy`] ([`NeverTrigger`], [`PeriodicInterval`],
+//! [`DalyInterval`]), and keeps one policy instance across its attempts.
 //!
 //! None of this touches virtual time, so the deterministic-replay
 //! contract restore relies on is preserved: app-visible
@@ -263,13 +280,12 @@ pub mod store;
 pub mod wire;
 
 pub use avail::{
-    run_available_world, run_available_world_steps, AvailabilityOptions, CadenceSpec, FaultEvent,
-    FaultPlan, FaultRecord, FaultTrigger,
+    run_available_world, run_available_world_steps, FaultEvent, FaultPlan, FaultRecord,
+    FaultTrigger,
 };
 pub use bus::{TargetUpdate, UpdateBus};
 pub use coordinator::{
-    auto_stall_timeout, Coordinator, DrainError, ResumeMode, StorageSpec, DEFAULT_STALL_TIMEOUT,
-    MAX_AUTO_STALL,
+    auto_stall_timeout, Coordinator, DrainError, ResumeMode, DEFAULT_STALL_TIMEOUT, MAX_AUTO_STALL,
 };
 pub use image::{
     CaptureOrigin, Checkpoint, DrainedMsg, ImageError, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA,

@@ -1,6 +1,11 @@
 //! Restore a serialized [`Checkpoint`] image into a fresh world — the
 //! "restart elsewhere" half of the capture/restore API.
 //!
+//! A restore is a campaign ([`crate::avail`]) whose first attempt starts
+//! from the image instead of from scratch: the same loop, launcher and
+//! supervision as a plain run, with [`crate::NeverTrigger`] and no
+//! planned faults. A recovery after an injected death is the same arm.
+//!
 //! A real MANA restart restores the upper half from a memory dump and
 //! replays runtime state from the image. This simulation has no memory
 //! dump: application state lives inside the rank bodies, so the
@@ -17,27 +22,31 @@
 //! communicators are rebuilt from the image's captured groups, the
 //! image's drained in-flight messages are re-deposited, pending receives
 //! and trivial barriers are re-posted, the image's counters and clocks are
-//! adopted, and the modeled image read-back is charged under the *new*
-//! topology.
+//! adopted, and the image read-back is charged under the *new* topology
+//! by the one read rule, [`TieredStore::read_secs`].
 //!
 //! Continuation is bit-identical to an in-process
 //! [`crate::ResumeMode::Restart`]; only the modeled timing changes with
 //! the packing.
 
-use crate::coordinator::{image_file_layout, Coordinator, StorageSpec};
+use crate::avail::run_campaign;
+use crate::coordinator::Coordinator;
 use crate::image::Checkpoint;
 use crate::rank::CcRank;
-use crate::runner::step::{run_session, Blocking, Driver, StepBody};
-use crate::runner::{CkptRunReport, RunError, SuperviseOut};
-use crate::session::{Interrupted, RestorePlan, Session};
+use crate::runner::step::{Blocking, Driver, StepBody};
+use crate::runner::{CkptOptions, CkptRunReport};
+use crate::session::{Interrupted, Session};
+use crate::store::{ImageSetLayout, TieredStore};
+use crate::FaultPlan;
 use mana_core::{RankState, RuntimeCapture, Violation};
 use mpisim::{SpawnError, WorldConfig};
 use netmodel::NetParams;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 /// How a checkpoint image is restored: the (possibly re-packed) target
-/// topology, the storage model charging the image read-back, and the
+/// topology, the store generation whose read-back is charged, and the
 /// scheduler's worker bound.
 #[derive(Debug, Clone, Default)]
 pub struct RestoreConfig {
@@ -47,11 +56,12 @@ pub struct RestoreConfig {
     /// Network parameters of the restored world; `None` keeps the
     /// capture's.
     pub params: Option<NetParams>,
-    /// Storage model for the image read-back, charged to every restored
-    /// rank's virtual clock under the **restored** packing (fewer ranks
-    /// per node → more nodes → the paper's Figure 9 scaling). `None` makes
-    /// the read free.
-    pub storage: Option<StorageSpec>,
+    /// Where the image is read from: a store and the generation the image
+    /// came from. Its [`TieredStore::read_secs`] is charged to every
+    /// restored rank's virtual clock under the **restored** packing (fewer
+    /// ranks per node → more nodes → the paper's Figure 9 scaling).
+    /// `None` makes the read free.
+    pub storage: Option<(Arc<TieredStore>, u64)>,
     /// Cooperative-scheduler worker bound for the replay and restored
     /// worlds; `None` sizes it to the host (the same knob as
     /// [`mpisim::WorldConfig::with_workers`] on the capture side).
@@ -77,9 +87,9 @@ impl RestoreConfig {
         self
     }
 
-    /// Attaches a storage model charging the image read-back.
-    pub fn with_storage(mut self, storage: StorageSpec) -> Self {
-        self.storage = Some(storage);
+    /// Charges the read-back of `generation` from `store`.
+    pub fn with_storage(mut self, store: Arc<TieredStore>, generation: u64) -> Self {
+        self.storage = Some((store, generation));
         self
     }
 
@@ -176,7 +186,7 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
-    restore_session(image, rcfg, Driver::Threads, |_| Blocking(&f))
+    restore_from(image, rcfg, Driver::Threads, |_| Blocking(&f))
 }
 
 /// [`restore_ckpt_world`] for step bodies: the replay ranks are
@@ -212,81 +222,101 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
-    restore_session(image, rcfg, Driver::Pool, make)
+    restore_from(image, rcfg, Driver::Pool, make)
 }
 
-/// The body of the restore entry points: pre-flight, a replay session
-/// whose ranks `driver` steps, and the restore driver as its supervision.
-fn restore_session<B: StepBody>(
+/// The body of the restore entry points: the pre-flight, then a campaign
+/// whose first attempt starts from the image.
+fn restore_from<B: StepBody>(
     image: &Checkpoint,
     rcfg: RestoreConfig,
     driver: Driver,
     make: impl Fn(usize) -> B,
 ) -> Result<CkptRunReport<B::Out>, RestoreError> {
-    let (replay_cfg, restored_cfg) = restore_preflight(image, &rcfg)?;
-    let plan = RestorePlan::from_image(image);
-    let sh = Session::for_restore(replay_cfg, image.protocol, plan);
-    let sup = Arc::clone(&sh);
-    run_session(sh, driver, make, move || {
-        drive_restore(&sup, image, &rcfg, restored_cfg, None);
-        SuperviseOut::default()
-    })
-    .map_err(|e| match e {
-        RunError::Spawn(s) => RestoreError::Spawn(s),
-        // No fault injector exists on the public restore paths; the
-        // availability supervisor uses its own restore driving.
-        RunError::Died(d) => panic!("rank death without availability supervision: {d}"),
-    })
+    let restore = Restore::preflight(Cow::Borrowed(image), rcfg)?;
+    let cfg = restore.restored_cfg.clone();
+    let opts = CkptOptions::native().with_protocol(image.protocol);
+    Ok(run_campaign(
+        cfg,
+        opts,
+        FaultPlan::none(),
+        Some(restore),
+        driver,
+        make,
+    )?)
 }
 
-/// The pre-flight of every restore (plain and availability): image shape and
-/// safe-cut checks, then the replay and restored world configurations.
-pub(crate) fn restore_preflight(
-    image: &Checkpoint,
-    rcfg: &RestoreConfig,
-) -> Result<(WorldConfig, WorldConfig), RestoreError> {
-    if image.captures.len() != image.n_ranks {
-        return Err(RestoreError::MalformedImage("capture count vs n_ranks"));
-    }
-    if let Err(violations) = image.verify() {
-        return Err(RestoreError::UnsafeCut(violations));
-    }
-
-    let replay_cfg = WorldConfig {
-        n_ranks: image.n_ranks,
-        ranks_per_node: image.origin.ranks_per_node,
-        params: image.origin.params.clone(),
-        workers: rcfg.workers,
-    };
-    let restored_cfg = WorldConfig {
-        ranks_per_node: rcfg.ranks_per_node.unwrap_or(image.origin.ranks_per_node),
-        params: rcfg
-            .params
-            .clone()
-            .unwrap_or_else(|| image.origin.params.clone()),
-        ..replay_cfg.clone()
-    };
-    Ok((replay_cfg, restored_cfg))
+/// An attempt's image arm: an image that passed its pre-flight, with the
+/// replay world (the capture's) and the restored world it resumes in.
+pub(crate) struct Restore<'a> {
+    pub(crate) image: Cow<'a, Checkpoint>,
+    /// [`RestoreConfig::storage`]: what the read-back is charged from.
+    source: Option<(Arc<TieredStore>, u64)>,
+    /// The world the program re-executes in up to the cut.
+    pub(crate) replay_cfg: WorldConfig,
+    /// The world the run continues in from the cut.
+    pub(crate) restored_cfg: WorldConfig,
 }
 
-/// The restore driver: waits for the replay to park at the image's cut,
-/// cross-checks it, then plays the coordinator's restart-resume role.
-/// `read_charge_override` replaces the flat [`RestoreConfig::storage`]
-/// read charge with an explicit virtual-seconds cost — the availability
-/// supervisor computes it from the tier the image actually survives on.
-pub(crate) fn drive_restore(
-    sh: &Arc<Session>,
-    image: &Checkpoint,
-    rcfg: &RestoreConfig,
-    restored_cfg: WorldConfig,
-    read_charge_override: Option<f64>,
-) {
+impl<'a> Restore<'a> {
+    /// The pre-flight of every restore (plain and recovery): image shape
+    /// and safe-cut checks, then the replay and restored world
+    /// configurations.
+    pub(crate) fn preflight(
+        image: Cow<'a, Checkpoint>,
+        rcfg: RestoreConfig,
+    ) -> Result<Restore<'a>, RestoreError> {
+        if image.captures.len() != image.n_ranks {
+            return Err(RestoreError::MalformedImage("capture count vs n_ranks"));
+        }
+        if let Err(violations) = image.verify() {
+            return Err(RestoreError::UnsafeCut(violations));
+        }
+        let replay_cfg = WorldConfig {
+            n_ranks: image.n_ranks,
+            ranks_per_node: image.origin.ranks_per_node,
+            params: image.origin.params.clone(),
+            workers: rcfg.workers,
+        };
+        let restored_cfg = WorldConfig {
+            ranks_per_node: rcfg.ranks_per_node.unwrap_or(image.origin.ranks_per_node),
+            params: rcfg
+                .params
+                .clone()
+                .unwrap_or_else(|| image.origin.params.clone()),
+            ..replay_cfg.clone()
+        };
+        Ok(Restore {
+            image,
+            source: rcfg.storage,
+            replay_cfg,
+            restored_cfg,
+        })
+    }
+
+    /// Modeled seconds of the image read-back on the restored packing:
+    /// the read source's [`TieredStore::read_secs`], zero without one.
+    pub(crate) fn read_secs(&self) -> f64 {
+        self.source.as_ref().map_or(0.0, |(store, generation)| {
+            let n = self.image.n_ranks;
+            let bytes = store.models().image_bytes_per_rank * n as u64;
+            let layout = ImageSetLayout::packed(n, self.restored_cfg.ranks_per_node, bytes);
+            store.read_secs(*generation, &layout)
+        })
+    }
+}
+
+/// The image arm of an attempt's supervision: waits for the replay to
+/// park at the image's cut, cross-checks it, charges the read-back, then
+/// plays the coordinator's restart-resume role.
+pub(crate) fn drive_restore(sh: &Arc<Session>, restore: &Restore) {
     let control = &sh.control;
+    let image = &*restore.image;
 
     // Wait for every rank to park at its cut (or finish, for ranks the
     // image captured as finished), under the drain's no-progress
     // watchdog. A death injected mid-replay abandons the restore
-    // outright; the supervisor owns the retry.
+    // outright; the campaign owns the retry.
     let coord = Coordinator::new(Arc::clone(sh));
     let parked = || control.all_parked().then_some(());
     match sh.wait_for(None, Some(coord.stall_timeout), parked) {
@@ -322,22 +352,8 @@ pub(crate) fn drive_restore(
 
     // Charge the image read-back against the restored packing: re-packing
     // onto fewer ranks per node spreads the same files over more nodes,
-    // which is exactly the Figure 9 topology effect. An explicit override
-    // (the availability path's tier-accurate cost) wins over the flat
-    // storage model.
-    let read_secs = read_charge_override.or_else(|| {
-        rcfg.storage.as_ref().map(|st| {
-            let (nodes, files_per_node, bytes_per_file) = image_file_layout(
-                st,
-                image.n_ranks,
-                restored_cfg.ranks_per_node,
-                &image.in_flight,
-                &image.captures,
-            );
-            st.model.read_time(nodes, files_per_node, bytes_per_file)
-        })
-    });
-    let read_ns = (read_secs.unwrap_or(0.0) * 1e9) as u64;
+    // which is exactly the Figure 9 topology effect.
+    let read_ns = (restore.read_secs() * 1e9) as u64;
     if read_ns > 0 {
         for rc in control.ranks.iter() {
             if rc.state() != RankState::Finished {
@@ -349,7 +365,7 @@ pub(crate) fn drive_restore(
     // From here the image is authoritative: the shared restart-resume path
     // builds the restored world from the *restore* configuration, installs
     // the image's per-rank state, and re-deposits its in-flight messages.
-    coord.resume_restart(image, restored_cfg);
+    coord.resume_restart(image, restore.restored_cfg.clone());
     control.resume_gen.fetch_add(1, SeqCst);
     control.clear_pending();
 }

@@ -1,7 +1,11 @@
-//! The checkpointable world runner: launches a session's ranks (closure
-//! bodies one thread each, step bodies on the worker pool — one launcher,
-//! `step::run_session`, either way) and supervises a pluggable
-//! [`TriggerPolicy`] from the calling thread.
+//! The checkpointable world runner's surface: [`CkptOptions`], the plain
+//! entry points and the [`CkptRunReport`] every run returns.
+//!
+//! A plain run is a campaign ([`crate::avail`]) with
+//! [`crate::FaultPlan::none`]: one attempt of the one supervised run loop,
+//! which launches the session's ranks (closure bodies one thread each,
+//! step bodies on the worker pool — one launcher, `step::run_session`,
+//! either way) and drives the [`TriggerPolicy`] from the calling thread.
 //!
 //! Capture no longer implies a resume decision: the policy only says
 //! *when* to capture, [`CkptOptions::resume`] says what this in-process
@@ -11,17 +15,19 @@
 //! elsewhere (even onto a different node packing) with
 //! [`crate::restore_ckpt_world`].
 
-use crate::coordinator::{Coordinator, DrainError, ResumeMode, StorageSpec};
+use crate::avail::run_campaign;
+use crate::coordinator::{Coordinator, DrainError, ResumeMode};
 use crate::image::Checkpoint;
 use crate::policy::{NeverTrigger, Threshold, TriggerPolicy, VirtualTimeSchedule};
 use crate::rank::CcRank;
 use crate::session::Session;
 use crate::store::{StoreRecord, Tiering};
+use crate::FaultPlan;
 use mana_core::{CallCounters, DrainTrace, ExecEvent, Protocol, RankState};
 use mpisim::{RankDeath, RankReport, SpawnError, VTime, WorldConfig};
 use std::sync::Arc;
 use std::time::Duration;
-use step::{run_session, Blocking, Driver, StepBody};
+use step::{Blocking, Driver, StepBody};
 
 pub mod step;
 
@@ -36,14 +42,13 @@ pub struct CkptOptions {
     /// captured image lands in [`CkptRunReport::checkpoints`]; restoring
     /// elsewhere is [`crate::restore_ckpt_world`]'s job.
     pub resume: ResumeMode,
-    /// Storage model for checkpoint-image I/O; `None` makes checkpoints
-    /// free on the virtual clocks (unit-test arithmetic).
-    pub storage: Option<StorageSpec>,
     /// Tiered, optionally incremental, optionally asynchronous storage
-    /// (see [`crate::store`]); takes precedence over `storage`. Every
+    /// (see [`crate::store`]) — the one image-I/O cost model. Every
     /// committed checkpoint is serialized into the attached
-    /// [`crate::store::TieredStore`] and can be loaded back from it after
-    /// the run.
+    /// [`crate::store::TieredStore`], its modeled write charged to the
+    /// virtual clocks, and can be loaded back from it after the run (a
+    /// campaign recovers from it). `None` makes checkpoints free on the
+    /// virtual clocks (unit-test arithmetic).
     pub tiering: Option<Tiering>,
     /// Drain watchdog window before a stalled checkpoint is aborted with
     /// [`DrainError::P2pStall`]. `None` (the default) scales the window
@@ -62,7 +67,6 @@ impl Default for CkptOptions {
             protocol: Protocol::Cc,
             policy: Box::new(NeverTrigger),
             resume: ResumeMode::Continue,
-            storage: None,
             tiering: None,
             stall_timeout: None,
         }
@@ -101,14 +105,7 @@ impl CkptOptions {
         self
     }
 
-    /// Attaches a storage model for image I/O.
-    pub fn with_storage(mut self, storage: StorageSpec) -> Self {
-        self.storage = Some(storage);
-        self
-    }
-
-    /// Attaches tiered storage for image I/O (takes precedence over
-    /// [`CkptOptions::with_storage`]).
+    /// Attaches tiered storage for image I/O.
     pub fn with_tiering(mut self, tiering: Tiering) -> Self {
         self.tiering = Some(tiering);
         self
@@ -127,37 +124,26 @@ impl std::fmt::Debug for CkptOptions {
         f.debug_struct("CkptOptions")
             .field("protocol", &self.protocol)
             .field("resume", &self.resume)
-            .field("storage", &self.storage)
             .field("tiering", &self.tiering.is_some())
             .field("stall_timeout", &self.stall_timeout)
             .finish_non_exhaustive()
     }
 }
 
-/// Why a supervised run did not produce a report.
-#[derive(Debug)]
-pub enum RunError {
+/// Why one attempt of the run loop did not produce a report.
+pub(crate) enum RunError {
     /// A rank could not be launched (its thread failed to spawn, or its
     /// body's constructor panicked); the launch was aborted before any
     /// application code ran.
     Spawn(SpawnError),
     /// An injected fault killed ranks and the world unwound before the
-    /// workload completed. Only the availability supervisor
-    /// ([`crate::run_available_world`]) recovers from this; the plain
-    /// runners treat it as fatal.
-    Died(RankDeath),
+    /// workload completed; `out` is what the attempt's supervision
+    /// committed before the death, for the campaign to recover from.
+    Died {
+        death: RankDeath,
+        out: Box<SuperviseOut>,
+    },
 }
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Spawn(e) => write!(f, "{e}"),
-            RunError::Died(d) => write!(f, "run killed: {d}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
 
 /// Result of a checkpointed execution.
 #[derive(Debug)]
@@ -203,9 +189,8 @@ pub struct CkptRunReport<R> {
     /// there costs a whole stack, accounted by the kernel, not the heap)
     /// and on platforms without `/proc/self/statm`.
     pub rank_build_rss_bytes: Option<u64>,
-    /// World attempts this report covers: always `1` for the plain
-    /// runners; the availability supervisor counts the initial launch
-    /// plus one per recovery restore.
+    /// World attempts this report covers: the initial launch plus one
+    /// per recovery (`1` when no fault struck).
     pub attempts: usize,
     /// Injected faults survived on the way to this result, in injection
     /// order. Empty outside availability runs.
@@ -260,7 +245,9 @@ where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
 {
-    run_policy_session(cfg, opts, Driver::Threads, |_| Blocking(&f))
+    run_campaign(cfg, opts, FaultPlan::none(), None, Driver::Threads, |_| {
+        Blocking(&f)
+    })
 }
 
 /// [`run_ckpt_world`] for step bodies: builds one [`StepBody`] per rank
@@ -296,36 +283,13 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
-    run_policy_session(cfg, opts, Driver::Pool, make)
+    run_campaign(cfg, opts, FaultPlan::none(), None, Driver::Pool, make)
 }
 
-/// The body of the four entry points above: a fresh session whose ranks
-/// `driver` steps while the trigger policy is supervised.
-fn run_policy_session<B: StepBody>(
-    cfg: WorldConfig,
-    opts: CkptOptions,
-    driver: Driver,
-    make: impl Fn(usize) -> B,
-) -> Result<CkptRunReport<B::Out>, SpawnError> {
-    assert!(
-        opts.protocol.supports_checkpoint() || opts.policy.next().is_none(),
-        "protocol {} cannot checkpoint",
-        opts.protocol.name()
-    );
-    let sh = Session::new(cfg, opts.protocol);
-    let sup = Arc::clone(&sh);
-    run_session(sh, driver, make, move || supervise_policy(&sup, opts)).map_err(|e| match e {
-        RunError::Spawn(s) => s,
-        // No fault injector exists on this path; a death here means a
-        // harness bug, not a survivable failure.
-        RunError::Died(d) => panic!("rank death without availability supervision: {d}"),
-    })
-}
-
-/// What a supervision closure hands back to the report assembly: the
+/// What an attempt's supervision hands back to the report assembly: the
 /// captured images, aborted attempts, and the coordinator's per-capture
-/// wall and storage accounting. Restore drivers return the default.
-#[derive(Default, Clone)]
+/// wall and storage accounting.
+#[derive(Default)]
 pub(crate) struct SuperviseOut {
     pub(crate) checkpoints: Vec<Checkpoint>,
     pub(crate) failures: Vec<DrainError>,
@@ -333,36 +297,21 @@ pub(crate) struct SuperviseOut {
     pub(crate) store_records: Vec<StoreRecord>,
 }
 
-/// Drives the trigger policy over a running session: waits for the
-/// policy's next threshold, fires the coordinator there, stops once the
-/// policy is exhausted or every rank has finished.
-fn supervise_policy(sh: &Arc<Session>, opts: CkptOptions) -> SuperviseOut {
-    let mut policy = opts.policy;
-    let coord = Coordinator::new(Arc::clone(sh))
-        .with_storage(opts.storage.clone())
-        .with_tiering(opts.tiering.clone())
-        .with_stall_timeout(opts.stall_timeout);
-    let mut out = SuperviseOut::default();
-    supervise_loop(sh, &coord, policy.as_mut(), opts.resume, &mut out);
-    out
-}
-
-/// The wait-fire core shared by [`supervise_policy`] and the availability
-/// supervisor: fires `coord` each time every unfinished rank reaches the
-/// policy's next threshold, and stops once the policy is exhausted (with
-/// no planned fault still armed), every rank has finished, or an injected
-/// death poisons the world (the fatal [`DrainError::RankDeath`] also
-/// lands in `out.failures`). On return the last background drain has
-/// been flushed and the coordinator's histories copied into `out`, so the
-/// caller keeps them even when the run itself dies.
+/// An attempt's trigger supervision: fires `coord` each time every
+/// unfinished rank reaches the policy's next threshold, and stops once the
+/// policy is exhausted (with no planned fault still armed), every rank has
+/// finished, or an injected death poisons the world (the fatal
+/// [`DrainError::RankDeath`] also lands in the failures). On return the
+/// last background drain has been flushed and the coordinator's histories
+/// copied out, so the campaign keeps them even when the attempt dies.
 pub(crate) fn supervise_loop(
     sh: &Arc<Session>,
     coord: &Coordinator,
     policy: &mut dyn TriggerPolicy,
     resume: ResumeMode,
-    out: &mut SuperviseOut,
-) {
+) -> SuperviseOut {
     let control = &sh.control;
+    let mut out = SuperviseOut::default();
     loop {
         let next = policy.next();
         // An armed fault keeps the supervisor waiting past the policy:
@@ -422,6 +371,7 @@ pub(crate) fn supervise_loop(
     coord.flush_drains();
     out.capture_wall_s = coord.capture_wall_history();
     out.store_records = coord.store_record_history();
+    out
 }
 
 /// Turns the per-rank outcomes of a finished session into its report —
@@ -440,7 +390,8 @@ pub(crate) fn assemble_report<R>(
         let death = sh
             .death()
             .expect("rank ended without a result or a recorded death");
-        return Err(RunError::Died(death));
+        let out = Box::new(sup_out);
+        return Err(RunError::Died { death, out });
     };
     let makespan = VTime::max_of(ranks.iter().map(|r| r.final_clock));
     let final_counters: Vec<CallCounters> = sh

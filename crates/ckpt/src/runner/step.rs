@@ -7,7 +7,9 @@
 //! that runs a whole step body there. Either way the rank's whole
 //! continuation is one
 //! `CcStepObj` (rank + body + report slot), and `run_session` is the one
-//! place such objects are built and stepped — on the
+//! place such objects are built and stepped, once per attempt of the one
+//! run loop (`crate::avail::run_campaign`, which every plain run, restore
+//! and fault campaign is) — on the
 //! [`mpisim::StepDriver`] worker pool (no per-rank thread or stack: the
 //! 65 536-rank representation) or one thread each
 //! ([`mpisim::Scheduler::run_threads`]: closure bodies, tier-1 sizes),
@@ -161,14 +163,16 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
     }
 }
 
-/// The one launcher, shared by the plain runners, restore and the
-/// availability supervisor: build every rank's continuation
+/// The one launcher, called once per attempt by the run loop
+/// (`crate::avail::run_campaign`): build every rank's continuation
 /// (`make(rank)` is its body) all-or-nothing, step them to completion on
-/// `driver` while `supervise` (triggers, or restore driving) runs on the
-/// calling thread, and assemble the report. On a launch failure — a
-/// panicking constructor, or under [`Driver::Threads`] a failed thread
-/// spawn — no rank has run any application code, `supervise` never runs,
-/// and the typed [`SpawnError`] is returned.
+/// `driver` while `supervise` (restore driving, then the triggers) runs
+/// on the calling thread, and assemble the report — or, when an injected
+/// death ended the attempt, hand back the death with what `supervise`
+/// committed. On a launch failure — a panicking constructor, or under
+/// [`Driver::Threads`] a failed thread spawn — no rank has run any
+/// application code, `supervise` never runs, and the typed
+/// [`SpawnError`] is returned.
 pub(crate) fn run_session<B, MK>(
     sh: Arc<Session>,
     driver: Driver,
@@ -377,10 +381,10 @@ mod tests_support {
 mod tests {
     use super::tests_support::*;
     use super::*;
+    use crate::avail::run_campaign;
     use crate::coordinator::ResumeMode;
     use crate::policy::VirtualTimeSchedule;
-    use crate::runner::supervise_policy;
-    use crate::{run_ckpt_world_steps, try_run_ckpt_world_steps, CkptOptions};
+    use crate::{run_ckpt_world_steps, try_run_ckpt_world_steps, CkptOptions, FaultPlan};
     use mana_core::Protocol;
     use mpisim::{NetParams, VTime, WorldConfig};
 
@@ -439,15 +443,8 @@ mod tests {
                 let at = VTime::from_secs(HOLD_AT_S);
                 let opts =
                     CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol);
-                let sh = Session::new(cfg, protocol);
-                let sup = Arc::clone(&sh);
-                run_session(
-                    sh,
-                    driver,
-                    |_| SumBody::new(8).with_hold(3),
-                    move || supervise_policy(&sup, opts),
-                )
-                .expect("launch")
+                let body = |_| SumBody::new(8).with_hold(3);
+                run_campaign(cfg, opts, FaultPlan::none(), None, driver, body).expect("launch")
             };
             let mut pool = run(Driver::Pool);
             let mut threads = run(Driver::Threads);

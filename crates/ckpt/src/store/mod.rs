@@ -54,7 +54,7 @@ impl CkptTier {
 
 /// The per-tier cost models plus the paper's static per-rank image size
 /// (the serialized runtime state is a drop in the bucket next to the
-/// application's memory image, exactly as in Figure 9's `StorageSpec`).
+/// application's memory image, as in Figure 9).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierModels {
     /// Node-local memory tier model.
@@ -621,28 +621,25 @@ impl TieredStore {
     }
 
     /// Modeled seconds to read generation `gen` back from its tier under
-    /// `layout` (delta chains also pay each ancestor's share,
-    /// proportional to stored bytes).
+    /// `layout` — every restore's read charge. The chain's root is a full
+    /// image and reads in full; each delta above it pays the share of a
+    /// full read that its stored bytes make of the root's.
     pub fn read_secs(&self, gen: u64, layout: &ImageSetLayout) -> f64 {
         let metas = self.meta.lock();
-        let Some(leaf) = metas.get(&gen) else {
+        let chain: Vec<GenMeta> = std::iter::successors(metas.get(&gen).copied(), |m| {
+            m.parent.and_then(|p| metas.get(&p).copied())
+        })
+        .collect();
+        let Some(root) = chain.last() else {
             return 0.0;
         };
-        // Scale the full-layout read by each element's stored fraction.
-        let full_bytes: u64 = layout.nodes as u64 * layout.bytes_per_node();
-        let mut total = 0.0;
-        let mut cur = Some((gen, *leaf));
-        while let Some((_, meta)) = cur {
-            let frac = if full_bytes == 0 {
-                1.0
-            } else {
-                (meta.bytes as f64 / full_bytes as f64).min(1.0)
-            };
-            let base = self.backend(meta.tier).read_secs(layout);
-            total += base * frac.max(f64::MIN_POSITIVE);
-            cur = meta.parent.and_then(|p| metas.get(&p).map(|m| (p, *m)));
-        }
-        total
+        chain
+            .iter()
+            .map(|m| {
+                let share = (m.bytes as f64 / root.bytes.max(1) as f64).min(1.0);
+                self.backend(m.tier).read_secs(layout) * share
+            })
+            .sum()
     }
 
     /// Simulates losing `node`: memory-tier copies on it are gone, and
@@ -664,6 +661,14 @@ impl TieredStore {
                 CkptTier::Lustre => self.lustre.gens.lock().remove(&gen),
             };
         }
+    }
+}
+
+impl std::fmt::Debug for TieredStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TieredStore")
+            .field("generations", &self.generations())
+            .finish_non_exhaustive()
     }
 }
 
