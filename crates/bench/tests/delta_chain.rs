@@ -227,3 +227,33 @@ fn evicting_an_ancestor_dangles_its_descendants() {
     // The full root predates the hole and still loads.
     store.load(g0).expect("the root must survive the eviction");
 }
+
+/// Every generation saved after an eviction loads. An eviction inside
+/// the newest generation's chain leaves the next save nothing sound to
+/// chain to, so it is a full image; an eviction outside that chain
+/// leaves the next save a delta.
+#[test]
+fn a_save_after_an_eviction_loads() {
+    let store = TieredStore::default();
+    let workers = Scheduler::default_workers();
+    let g0 = Arc::new(synthetic_checkpoint(24, 0xE71C));
+    let g1 = Arc::new(perturbed_checkpoint(&g0, 5));
+    let g2 = Arc::new(perturbed_checkpoint(&g1, 7));
+    let g3 = Arc::new(perturbed_checkpoint(&g2, 9));
+
+    let r0 = store.save(CkptTier::Lustre, Arc::clone(&g0), false, workers);
+    store.evict(r0.generation);
+    let r1 = store.save(CkptTier::Lustre, Arc::clone(&g1), true, workers);
+    assert_eq!(
+        r1.delta_parent, None,
+        "the evicted parent cannot be chained to"
+    );
+    assert_eq!(store.load(r1.generation).expect("saved after evict"), *g1);
+
+    // r2 is a fresh full root: r1 lies outside its chain.
+    let r2 = store.save(CkptTier::Lustre, Arc::clone(&g2), false, workers);
+    store.evict(r1.generation);
+    let r3 = store.save(CkptTier::Lustre, Arc::clone(&g3), true, workers);
+    assert_eq!(r3.delta_parent, Some(r2.generation));
+    assert_eq!(store.load(r3.generation).expect("delta on r2"), *g3);
+}

@@ -40,7 +40,9 @@ fn lustre_store() -> Arc<TieredStore> {
 /// The read a restore of `gen` onto `rpn` ranks per node is charged.
 fn read_at(store: &TieredStore, gen: u64, n_ranks: usize, rpn: usize) -> f64 {
     let bytes = store.models().image_bytes_per_rank * n_ranks as u64;
-    store.read_secs(gen, &ImageSetLayout::packed(n_ranks, rpn, bytes))
+    store
+        .read_secs(gen, &ImageSetLayout::packed(n_ranks, rpn, bytes))
+        .expect("the store holds the generation")
 }
 
 fn paced_scf(r: &mut ckpt::CcRank) -> f64 {

@@ -5,11 +5,13 @@
 //! the safe-cut oracle's failure used to panic mid-restore).
 
 use ckpt::{
-    run_ckpt_world, try_restore_ckpt_world, Checkpoint, CkptOptions, ImageError, RestoreConfig,
-    RestoreError, ResumeMode,
+    run_ckpt_world, try_restore_ckpt_world, Checkpoint, CkptOptions, CkptTier, ImageError,
+    RestoreConfig, RestoreError, ResumeMode, StoreError, TieredStore,
 };
 use mana_core::{Cut, ExecEvent};
 use mpisim::{NetParams, VTime, WorldConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use workloads::{random_workload, RandomWorkloadCfg};
 
 /// Rewrites the image's cut one participation at a time: `edit` gets the
@@ -119,6 +121,30 @@ fn capture_count_mismatch_is_refused_as_malformed() {
         matches!(err, RestoreError::MalformedImage(_)),
         "got {err:?}"
     );
+}
+
+/// A read source naming a generation its store does not hold has no
+/// read to charge: refused before any rank runs, not restored for free.
+#[test]
+fn unknown_read_source_generation_is_refused() {
+    let (image, wl) = capture_image();
+    let store = Arc::new(TieredStore::default());
+    let held = store
+        .save(CkptTier::Lustre, Arc::new(image.clone()), false, 1)
+        .generation;
+    let ran = AtomicBool::new(false);
+    let rcfg = RestoreConfig::same_packing().with_storage(Arc::clone(&store), held + 1);
+    let err = try_restore_ckpt_world(&image, rcfg, |r| {
+        ran.store(true, Ordering::SeqCst);
+        random_workload(&wl, r)
+    })
+    .expect_err("an unknown read source generation must be refused");
+    assert_eq!(
+        err,
+        RestoreError::ReadSource(StoreError::UnknownGeneration(held + 1))
+    );
+    assert!(!ran.load(Ordering::SeqCst), "no rank may run");
+    assert!(format!("{err}").contains("unknown checkpoint generation"));
 }
 
 #[test]

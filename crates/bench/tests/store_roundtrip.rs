@@ -224,3 +224,35 @@ fn partner_tier_restores_after_node_loss_onto_smaller_packing() {
         other => panic!("buddy-pair loss must be fatal, got {other:?}"),
     }
 }
+
+/// A lost generation names the lowest lost node, whatever order the
+/// nodes were dropped in: memory loses a 4-node image with any node of
+/// its span, partner with a node and its buddy. Each round uses fresh
+/// stores, so a rule that named whichever dropped node a hash set
+/// happened to reach first would disagree between rounds.
+#[test]
+fn node_lost_names_the_lowest_lost_node() {
+    let mut image = synthetic_checkpoint(8, 0x1057);
+    image.origin.ranks_per_node = 2;
+    let image = Arc::new(image);
+    let cases: [(CkptTier, &[usize]); 2] =
+        [(CkptTier::Memory, &[3, 1]), (CkptTier::Partner, &[3, 2, 1])];
+    for round in 0..32 {
+        for (tier, dropped) in cases {
+            let store = TieredStore::default();
+            let gen = store.save(tier, Arc::clone(&image), false, 1).generation;
+            for &d in dropped {
+                store.drop_node(d);
+            }
+            match store.load(gen).err() {
+                Some(StoreError::NodeLost { tier: t, node }) => assert_eq!(
+                    (t, node),
+                    (tier, 1),
+                    "round {round}: {} tier with nodes {dropped:?} dropped",
+                    tier.name()
+                ),
+                other => panic!("{} tier must be lost, got {other:?}", tier.name()),
+            }
+        }
+    }
+}

@@ -673,7 +673,7 @@ fn root_and_delta_store() -> (TieredStore, Checkpoint, Vec<u8>, Vec<u8>) {
     store.save(CkptTier::Lustre, Arc::clone(&root), false, workers);
     let r1 = store.save(CkptTier::Lustre, leaf, true, workers);
     assert_eq!(r1.delta_parent, Some(0));
-    let stored = |gen| store.backend(CkptTier::Lustre).get(gen).unwrap().to_vec();
+    let stored = |gen| store.stored_bytes(gen).unwrap().to_vec();
     let (root_bytes, delta_bytes) = (stored(0), stored(1));
     (store, (*root).clone(), root_bytes, delta_bytes)
 }
@@ -714,7 +714,6 @@ fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
     store.load(1).expect("the pristine chain resolves");
     let root = DeltaImage::from_bytes(&root_bytes).expect("the stored root decodes");
     let chunks = &root.new_chunks;
-    let lustre = store.backend(CkptTier::Lustre);
     let typed = |e: &ImageError| matches!(e, ImageError::Malformed(_) | ImageError::DeltaChain(_));
 
     for (r, _) in [
@@ -738,8 +737,8 @@ fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
             let fingerprint = word_at(&bad_root, CHECKSUM_OFFSET);
             let (.., parent_checksum) = delta_head_offsets(&delta_bytes);
             let re_aimed = patched(&delta_bytes, parent_checksum, fingerprint);
-            lustre.put(0, bad_root, 1);
-            lustre.put(1, re_aimed, 1);
+            store.replace_bytes(0, bad_root).unwrap();
+            store.replace_bytes(1, re_aimed).unwrap();
             let res = std::panic::catch_unwind(|| store.load(1))
                 .unwrap_or_else(|_| panic!("store.load panicked on {what}"));
             assert!(
@@ -749,8 +748,8 @@ fn forged_chunk_lengths_are_malformed_to_decode_and_to_chain_load() {
         }
     }
 
-    lustre.put(0, root_bytes, 1);
-    lustre.put(1, delta_bytes, 1);
+    store.replace_bytes(0, root_bytes).unwrap();
+    store.replace_bytes(1, delta_bytes).unwrap();
     store.load(1).expect("restored pristine bytes load again");
 }
 
@@ -772,10 +771,7 @@ fn delta_chain_store() -> (TieredStore, Vec<u8>) {
     let r2 = store.save(CkptTier::Lustre, Arc::clone(&leaf), true, workers);
     assert_eq!((r0.generation, r1.generation, r2.generation), (0, 1, 2));
     assert_eq!(r2.delta_parent, Some(1));
-    let bytes = store
-        .backend(CkptTier::Lustre)
-        .get(2)
-        .expect("leaf delta bytes");
+    let bytes = store.stored_bytes(2).expect("leaf delta bytes");
     // The store hands out shared bytes; the fuzzers mutate their own copy.
     (store, bytes.to_vec())
 }
@@ -896,10 +892,10 @@ fn forged_delta_parent_refs_are_typed_chain_errors() {
     let (generation, parent, _) = delta_head_offsets(&bytes);
     let patch = |offset: usize, v: u64| {
         let m = patched_var(&bytes, offset, v);
-        store.backend(CkptTier::Lustre).put(2, m, 1);
+        store.replace_bytes(2, m).unwrap();
         let res = std::panic::catch_unwind(|| store.load(2))
             .unwrap_or_else(|_| panic!("store.load panicked on patched varint at {offset}"));
-        store.backend(CkptTier::Lustre).put(2, bytes.clone(), 1);
+        store.replace_bytes(2, bytes.clone()).unwrap();
         res
     };
 
@@ -933,12 +929,12 @@ fn forged_delta_parent_refs_are_typed_chain_errors() {
     // header integrity check rejects it first.
     let mut m = bytes.clone();
     m[parent] ^= 0x40;
-    store.backend(CkptTier::Lustre).put(2, m, 1);
+    store.replace_bytes(2, m).unwrap();
     match store.load(2) {
         Err(StoreError::Image(ImageError::ChecksumMismatch)) => {}
         other => panic!("unrepaired flip must fail the checksum, got {other:?}"),
     }
-    store.backend(CkptTier::Lustre).put(2, bytes, 1);
+    store.replace_bytes(2, bytes).unwrap();
     store.load(2).expect("restored pristine bytes load again");
 }
 

@@ -272,7 +272,7 @@ impl Campaign {
                 .unwrap_or_else(|e| panic!("recovery image failed pre-flight: {e}"));
             record.resumed_generation = Some(rec.generation);
             record.resumed_tier = Some(rec.tier);
-            record.recovery_latency_s = restore.read_secs();
+            record.recovery_latency_s = restore.read_s;
             Some(restore)
         });
         let from = restore

@@ -20,7 +20,7 @@
 
 use crate::image::{stable_state_eq, CaptureOrigin, Checkpoint, DrainedMsg};
 use crate::session::{Interrupted, Session};
-use crate::store::{CkptTier, ImageSetLayout, StoreRecord, TieredStore, Tiering};
+use crate::store::{ImageSetLayout, StoreRecord, Tiering};
 use mana_core::{CkptPhase, DrainEvent, Ggid, Protocol, RankCtl, RankState, RuntimeCapture};
 use mpisim::msg::InFlightMsg;
 use mpisim::types::CommId;
@@ -209,10 +209,10 @@ impl Coordinator {
     }
 
     /// Attaches tiered storage: every committed checkpoint is serialized
-    /// into the [`TieredStore`] per its schedule and delta policy, and the
-    /// modeled tier cost (or just the back-pressure, under the async
-    /// drain) is charged to the virtual clocks. Without it checkpoints
-    /// are free on the virtual clocks.
+    /// into the [`TieredStore`](crate::TieredStore) per its schedule and
+    /// delta policy, and the modeled tier cost (or just the back-pressure,
+    /// under the async drain) is charged to the virtual clocks. Without it
+    /// checkpoints are free on the virtual clocks.
     pub fn with_tiering(mut self, tiering: Option<Tiering>) -> Self {
         self.tiering = tiering;
         self
@@ -441,28 +441,26 @@ impl Coordinator {
         // a restart reads them back. The modeled cost lands on the virtual
         // clocks at resume. The tiered store plans per generation (tier,
         // full-vs-delta, sync-vs-background); without one, I/O is free.
-        let (io_write_secs, io_read_secs, charge_secs, tier_plan) = match &self.tiering {
-            Some(t) => {
-                // Back-pressure rule, wall side: if the previous image has
-                // not landed when this trigger fires, the world waits for
-                // it here, inside the blocking bracket.
-                self.flush_drains();
-                let plan = self.plan_tier_write(t, mode, &in_flight, &captures);
-                let r = plan.modeled_read_s;
-                (
-                    plan.modeled_write_s,
-                    r,
-                    if plan.sync {
-                        plan.modeled_write_s + r
-                    } else {
-                        // Ranks pay only the virtual back-pressure; the
-                        // write itself retires behind their backs.
-                        plan.backpressure_s + r
-                    },
-                    Some(plan),
-                )
-            }
-            None => (0.0, 0.0, 0.0, None),
+        let plan = self.tiering.as_ref().map(|t| {
+            // Back-pressure rule, wall side: if the previous image has not
+            // landed when this trigger fires, the world waits for it here,
+            // inside the blocking bracket.
+            self.flush_drains();
+            (t, self.plan_tier_write(t, mode, &in_flight, &captures))
+        });
+        let (io_write_secs, io_read_secs, charge_secs) = match &plan {
+            Some((_, (rec, _, sync, r))) => (
+                rec.modeled_write_s,
+                *r,
+                if *sync {
+                    rec.modeled_write_s + r
+                } else {
+                    // Ranks pay only the virtual back-pressure; the write
+                    // itself retires behind their backs.
+                    rec.backpressure_s + r
+                },
+            ),
+            None => (0.0, 0.0, 0.0),
         };
         let charge_ns = (charge_secs * 1e9) as u64;
         if charge_ns > 0 {
@@ -497,54 +495,39 @@ impl Coordinator {
         // every rank is still parked and the world's workers are idle;
         // the background drain spawns its thread and the ranks resume
         // beside it. Either encodes on the world's worker budget.
-        let record_idx = tier_plan.map(|plan| {
+        let record_idx = plan.map(|(t, (record, want_delta, sync, _))| {
+            let tier = record.tier;
             let idx = {
                 let mut rs = self.store_records.lock();
-                rs.push(StoreRecord {
-                    generation: plan.generation,
-                    tier: plan.tier,
-                    delta_parent: None,
-                    changed_ranks: plan.changed_ranks,
-                    serialized_bytes: 0,
-                    modeled_write_s: plan.modeled_write_s,
-                    backpressure_s: plan.backpressure_s,
-                    blocking_wall_s: 0.0,
-                    overlapped_wall_s: 0.0,
-                    landing_v_s: plan.landing_v_s,
-                });
+                rs.push(record);
                 rs.len() - 1
             };
-            let workers = sh.cfg.resolved_workers();
-            let records = Arc::clone(&self.store_records);
-            let image = Arc::clone(&ckpt);
-            let TierPlan {
-                store,
-                tier,
-                want_delta,
-                sync,
-                ..
-            } = plan;
-            if sync {
-                let receipt = store.save(tier, Arc::clone(&image), want_delta, workers);
+            let (store, records) = (Arc::clone(&t.store), Arc::clone(&self.store_records));
+            let (image, workers) = (Arc::clone(&ckpt), sh.cfg.resolved_workers());
+            // The one drain: encode + write, then fill the record's receipt
+            // fields (the wall it took counts as overlapped off the
+            // critical path only for a background drain).
+            let drain = move || {
+                let t0 = Instant::now();
+                let receipt = store.save(tier, image, want_delta, workers);
                 let mut rs = records.lock();
-                rs[idx].generation = receipt.generation;
-                rs[idx].delta_parent = receipt.delta_parent;
-                rs[idx].serialized_bytes = receipt.bytes;
+                let rec = &mut rs[idx];
+                rec.generation = receipt.generation;
+                rec.delta_parent = receipt.delta_parent;
+                rec.serialized_bytes = receipt.bytes;
+                if !sync {
+                    rec.overlapped_wall_s = t0.elapsed().as_secs_f64();
+                }
+            };
+            if sync {
+                drain();
             } else {
                 let session = Arc::clone(&self.sh);
                 session.bg_drain_inflight.store(true, SeqCst);
                 let handle = std::thread::Builder::new()
                     .name("ckpt-drain".into())
                     .spawn(move || {
-                        let t0 = Instant::now();
-                        let receipt = store.save(tier, image, want_delta, workers);
-                        let overlapped = t0.elapsed().as_secs_f64();
-                        let mut rs = records.lock();
-                        rs[idx].generation = receipt.generation;
-                        rs[idx].delta_parent = receipt.delta_parent;
-                        rs[idx].serialized_bytes = receipt.bytes;
-                        rs[idx].overlapped_wall_s = overlapped;
-                        drop(rs);
+                        drain();
                         session.bg_drain_inflight.store(false, SeqCst);
                         session.control.events.bump();
                     })
@@ -573,19 +556,20 @@ impl Coordinator {
         Ok(Arc::try_unwrap(ckpt).unwrap_or_else(|arc| (*arc).clone()))
     }
 
-    /// Plans one tiered write while the world is quiesced: the tier and
-    /// image kind for this generation, the modeled cost against the tier
-    /// models, and the sync-vs-background decision with its virtual
-    /// back-pressure charge.
+    /// Plans one tiered write while the world is quiesced: the
+    /// [`StoreRecord`] the checkpoint reports (tier, modeled write cost,
+    /// virtual back-pressure and landing; the drain fills in the receipt
+    /// fields), plus what the write itself needs — whether to write a
+    /// delta, whether to drain synchronously — and the modeled read-back.
     fn plan_tier_write(
         &self,
         t: &Tiering,
         mode: ResumeMode,
         in_flight: &[DrainedMsg],
         captures: &[RuntimeCapture],
-    ) -> TierPlan {
+    ) -> (StoreRecord, bool, bool, f64) {
         let n_ranks = captures.len();
-        let store = Arc::clone(&t.store);
+        let store = &t.store;
         let generation = store.next_generation();
         let tier = t.schedule.tier_for(generation);
         let parent = store.latest();
@@ -651,18 +635,19 @@ impl Coordinator {
             *busy = busy.max(now_v) + modeled_write_s;
             (bp, *busy)
         };
-        TierPlan {
-            store,
-            tier,
+        let record = StoreRecord {
             generation,
-            want_delta,
+            tier,
+            delta_parent: None,
             changed_ranks,
+            serialized_bytes: 0,
             modeled_write_s,
-            modeled_read_s,
             backpressure_s,
+            blocking_wall_s: 0.0,
+            overlapped_wall_s: 0.0,
             landing_v_s,
-            sync,
-        }
+        };
+        (record, want_delta, sync, modeled_read_s)
     }
 
     /// Releases every quiesced rank back into the application and tears
@@ -850,21 +835,6 @@ impl Coordinator {
             && self.sh.bus.all_empty()
             && !control.any_in_collective()
     }
-}
-
-/// One tiered write, planned at the quiesce and executed by the drain
-/// (inline while parked, or on the background thread).
-struct TierPlan {
-    store: Arc<TieredStore>,
-    tier: CkptTier,
-    generation: u64,
-    want_delta: bool,
-    changed_ranks: usize,
-    modeled_write_s: f64,
-    modeled_read_s: f64,
-    backpressure_s: f64,
-    landing_v_s: f64,
-    sync: bool,
 }
 
 /// Clones every rank's published capture out of its control slot, fanning

@@ -95,22 +95,27 @@
 //!   ([`RestoreConfig::with_storage`]), and continues with the image
 //!   authoritative.
 //!   [`restore::try_restore_ckpt_world`] surfaces pre-flight rejections
-//!   (a cut that fails the safe-cut oracle, a malformed image, a failed
-//!   launch) as a typed [`RestoreError`] instead of panicking.
+//!   (a cut that fails the safe-cut oracle, a malformed image, a read
+//!   source whose store lacks the generation, a failed launch) as a typed
+//!   [`RestoreError`] instead of panicking.
 //!
 //! ## Storage tiers and delta chains
 //!
 //! Where an image *goes* is the [`store`] subsystem's job. A
-//! [`TieredStore`] multiplexes three [`CkptStore`] backends in the
-//! SCR/FTI multi-level style — node-local **memory** (fastest, dies
-//! with the node), **partner** (each node's shard mirrored to a buddy
-//! node over the interconnect; survives any single node loss), and
-//! **Lustre** (slowest, survives anything) — under one generation-
-//! numbered namespace. Attach one to a run with
+//! [`TieredStore`] is one generation-numbered table in the SCR/FTI
+//! multi-level style: each entry names its tier — node-local **memory**
+//! (fastest, dies with the node), **partner** (each node's shard mirrored
+//! to buddy node `(d+1) % nodes` over the interconnect; survives any
+//! single node loss), or **Lustre** (slowest, survives anything) — and
+//! one survival rule over one dropped-node set decides what a node loss
+//! ([`TieredStore::drop_node`]) takes; a lost generation names its lowest
+//! lost node ([`StoreError::NodeLost`]). Attach one to a run with
 //! [`CkptOptions::with_tiering`]: a [`TierSchedule`] picks the tier per
 //! committed checkpoint (fixed, or an SCR-style rotation like
-//! memory/partner/memory/lustre), and the coordinator charges each
-//! write's modeled cost from the matching `netmodel` tier model.
+//! memory/partner/memory/lustre), and the coordinator plans each write as
+//! the [`StoreRecord`] it reports, charging its modeled cost from
+//! [`TierModels::write_secs`] — the one cost path, which reads charge
+//! through [`TierModels::read_secs`].
 //!
 //! The store is the **one image-I/O cost model**. A flat parallel-
 //! filesystem charge is `Tiering::fixed(CkptTier::Lustre)` over a
@@ -133,7 +138,10 @@
 //! rebuilds the leaf against it — producing a checkpoint bit-identical to
 //! a full image's. Broken chains fail typed: a missing ancestor is
 //! [`ImageError::DanglingParent`], a forged link or truncated chunk is
-//! [`ImageError::DeltaChain`].
+//! [`ImageError::DeltaChain`]. Evicting a generation
+//! ([`TieredStore::evict`]) dangles its stored descendants, but never a
+//! later save: one inside the newest generation's chain makes the next
+//! save a full image.
 //!
 //! Tiered writes can also be **asynchronous**
 //! ([`Tiering::with_async_drain`]): after the capture bracket clones
@@ -309,6 +317,6 @@ pub use runner::{
 };
 pub use session::Session;
 pub use store::{
-    ChunkPool, ChunkRef, CkptStore, CkptTier, DeltaImage, ImageSetLayout, ParentRef, SaveReceipt,
-    StoreError, StoreRecord, TierModels, TieredStore, Tiering,
+    ChunkPool, ChunkRef, CkptTier, DeltaImage, ImageSetLayout, ParentRef, SaveReceipt, StoreError,
+    StoreRecord, TierModels, TieredStore, Tiering,
 };

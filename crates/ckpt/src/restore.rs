@@ -14,7 +14,7 @@
 //! dump. The replay runs against a world equivalent to the capture's
 //! ([`crate::image::CaptureOrigin`]), each rank parks exactly where the
 //! image says it was captured (located by its application-visible call
-//! counters and `SEQ[]` table — see [`crate::session::CutSpec`]), and the
+//! counters and `SEQ[]` table, the session's per-rank cut), and the
 //! replayed runtime state is cross-checked against the image field by
 //! field. From the cut onward the image is authoritative: the restored
 //! lower half is built from the *restore* configuration (which may pack
@@ -36,7 +36,7 @@ use crate::rank::CcRank;
 use crate::runner::step::{Blocking, Driver, StepBody};
 use crate::runner::{CkptOptions, CkptRunReport};
 use crate::session::{Interrupted, Session};
-use crate::store::{ImageSetLayout, TieredStore};
+use crate::store::{ImageSetLayout, StoreError, TieredStore};
 use crate::FaultPlan;
 use mana_core::{RankState, RuntimeCapture, Violation};
 use mpisim::{SpawnError, WorldConfig};
@@ -60,7 +60,8 @@ pub struct RestoreConfig {
     /// came from. Its [`TieredStore::read_secs`] is charged to every
     /// restored rank's virtual clock under the **restored** packing (fewer
     /// ranks per node → more nodes → the paper's Figure 9 scaling).
-    /// `None` makes the read free.
+    /// `None` makes the read free; a generation the store does not hold
+    /// is refused at pre-flight ([`RestoreError::ReadSource`]).
     pub storage: Option<(Arc<TieredStore>, u64)>,
     /// Cooperative-scheduler worker bound for the replay and restored
     /// worlds; `None` sizes it to the host (the same knob as
@@ -122,6 +123,9 @@ pub enum RestoreError {
     MalformedImage(&'static str),
     /// A replay rank could not be launched; no application code ran.
     Spawn(SpawnError),
+    /// The read source ([`RestoreConfig::with_storage`]) has no read for
+    /// its generation: the store does not hold it, or its chain dangles.
+    ReadSource(StoreError),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -138,6 +142,7 @@ impl std::fmt::Display for RestoreError {
                 write!(f, "image unusable for restore: bad {what}")
             }
             RestoreError::Spawn(e) => write!(f, "restore launch failed: {e}"),
+            RestoreError::ReadSource(e) => write!(f, "restore read source unusable: {e}"),
         }
     }
 }
@@ -250,8 +255,9 @@ fn restore_from<B: StepBody>(
 /// replay world (the capture's) and the restored world it resumes in.
 pub(crate) struct Restore<'a> {
     pub(crate) image: Cow<'a, Checkpoint>,
-    /// [`RestoreConfig::storage`]: what the read-back is charged from.
-    source: Option<(Arc<TieredStore>, u64)>,
+    /// Modeled seconds of the image read-back on the restored packing:
+    /// the read source's [`TieredStore::read_secs`], zero without one.
+    pub(crate) read_s: f64,
     /// The world the program re-executes in up to the cut.
     pub(crate) replay_cfg: WorldConfig,
     /// The world the run continues in from the cut.
@@ -260,8 +266,8 @@ pub(crate) struct Restore<'a> {
 
 impl<'a> Restore<'a> {
     /// The pre-flight of every restore (plain and recovery): image shape
-    /// and safe-cut checks, then the replay and restored world
-    /// configurations.
+    /// and safe-cut checks, the replay and restored world configurations,
+    /// then the read-back charge.
     pub(crate) fn preflight(
         image: Cow<'a, Checkpoint>,
         rcfg: RestoreConfig,
@@ -286,22 +292,22 @@ impl<'a> Restore<'a> {
                 .unwrap_or_else(|| image.origin.params.clone()),
             ..replay_cfg.clone()
         };
+        let read_s = match &rcfg.storage {
+            Some((store, generation)) => {
+                let n = image.n_ranks;
+                let bytes = store.models().image_bytes_per_rank * n as u64;
+                let layout = ImageSetLayout::packed(n, restored_cfg.ranks_per_node, bytes);
+                store
+                    .read_secs(*generation, &layout)
+                    .map_err(RestoreError::ReadSource)?
+            }
+            None => 0.0,
+        };
         Ok(Restore {
             image,
-            source: rcfg.storage,
+            read_s,
             replay_cfg,
             restored_cfg,
-        })
-    }
-
-    /// Modeled seconds of the image read-back on the restored packing:
-    /// the read source's [`TieredStore::read_secs`], zero without one.
-    pub(crate) fn read_secs(&self) -> f64 {
-        self.source.as_ref().map_or(0.0, |(store, generation)| {
-            let n = self.image.n_ranks;
-            let bytes = store.models().image_bytes_per_rank * n as u64;
-            let layout = ImageSetLayout::packed(n, self.restored_cfg.ranks_per_node, bytes);
-            store.read_secs(*generation, &layout)
         })
     }
 }
@@ -353,7 +359,7 @@ pub(crate) fn drive_restore(sh: &Arc<Session>, restore: &Restore) {
     // Charge the image read-back against the restored packing: re-packing
     // onto fewer ranks per node spreads the same files over more nodes,
     // which is exactly the Figure 9 topology effect.
-    let read_ns = (restore.read_secs() * 1e9) as u64;
+    let read_ns = (restore.read_s * 1e9) as u64;
     if read_ns > 0 {
         for rc in control.ranks.iter() {
             if rc.state() != RankState::Finished {

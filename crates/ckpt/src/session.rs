@@ -1,6 +1,6 @@
 //! Shared state of one checkpointable execution: the control plane, the
 //! target-update bus, the observability logs, and the current lower-half
-//! generation. A session optionally carries a [`RestorePlan`] when the
+//! generation. A session optionally carries a restore plan when the
 //! execution is a restore-from-image replay rather than a fresh run.
 
 use crate::avail::ArmedFault;
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// advances at least one counted field, so the (counters, seq-table) pair
 /// uniquely identifies the capture site.
 #[derive(Debug, Clone)]
-pub struct CutSpec {
+pub(crate) struct CutSpec {
     /// Captured call counters (compared via
     /// [`CallCounters::same_app_calls`]; drain bookkeeping is excluded
     /// because the replay runs without a live drain).
@@ -48,7 +48,7 @@ impl CutSpec {
 /// Per-rank cut specifications for a restore-from-image replay, derived
 /// from the image's captures.
 #[derive(Debug)]
-pub struct RestorePlan {
+pub(crate) struct RestorePlan {
     /// One cut per rank.
     pub cuts: Vec<CutSpec>,
     /// Set once a rank has parked at (or been found past) its cut; cut
@@ -93,7 +93,7 @@ pub struct Session {
     pub protocol: Protocol,
     /// Present when this session is a restore-from-image replay: ranks
     /// re-execute the captured program and park at their recorded cuts.
-    pub restore: Option<RestorePlan>,
+    pub(crate) restore: Option<RestorePlan>,
     /// True while an asynchronous drain (coordinator handed the image to
     /// the background writer, ranks already resumed) is in flight. An
     /// armed fault reads it to place a `DuringAsyncDrain` death.
@@ -120,7 +120,11 @@ impl Session {
 
     /// Builds a restore-replay session: the world is the image-equivalent
     /// replay world and `plan` carries each rank's cut.
-    pub fn for_restore(cfg: WorldConfig, protocol: Protocol, plan: RestorePlan) -> Arc<Session> {
+    pub(crate) fn for_restore(
+        cfg: WorldConfig,
+        protocol: Protocol,
+        plan: RestorePlan,
+    ) -> Arc<Session> {
         Self::build(cfg, protocol, Some(plan))
     }
 

@@ -1,4 +1,4 @@
-//! Multi-level checkpoint storage: tiered backends + incremental images.
+//! Multi-level checkpoint storage: one tiered table + incremental images.
 //!
 //! The SCR/FTI multi-level design (MPI-FT-Bench's `cp2m`/`cp2a`/`cp2f`)
 //! keeps most checkpoints on the cheapest viable level and escalates only
@@ -6,15 +6,16 @@
 //! node), **partner** (each node's image shard mirrored to a buddy node —
 //! one inter-node transfer, survives any single node loss), and
 //! **Lustre** (the parallel filesystem, slowest, survives anything). The
-//! [`CkptStore`] trait abstracts one level; [`TieredStore`] multiplexes
-//! the three, tracks which generation landed where, writes each
-//! generation as a [`DeltaImage`] — full (no parent) or relative to the
-//! previous generation — resolves a chain of them back to a checkpoint,
-//! and simulates node loss for availability tests
-//! ([`TieredStore::drop_node`]).
+//! levels are not three stores but three copy rules over one record:
+//! [`TieredStore`] keeps one generation-numbered table whose entries name
+//! their tier, and one set of dropped nodes that a single survival rule
+//! reads ([`TieredStore::drop_node`]). Each generation is written as a
+//! [`DeltaImage`] — full (no parent) or relative to the previous
+//! generation — and [`TieredStore::load`] resolves a chain of them back to
+//! a checkpoint.
 //!
-//! Costs are modeled, like all I/O in this crate: each backend charges
-//! virtual seconds from its `netmodel` tier model
+//! Costs are modeled, like all I/O in this crate: [`TierModels`] charges
+//! virtual seconds from the `netmodel` tier models
 //! ([`netmodel::MemoryTierModel`], [`netmodel::PartnerTierModel`],
 //! [`netmodel::LustreModel`]) against an [`ImageSetLayout`]; the bytes
 //! themselves are held in host memory.
@@ -26,7 +27,7 @@ pub use delta::{ChunkPool, ChunkRef, DeltaImage, ParentRef, VolatileRecord};
 use crate::image::{header_checksum, Checkpoint, ImageError, MemberIntern};
 use netmodel::{LustreModel, MemoryTierModel, PartnerTierModel};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,6 +49,21 @@ impl CkptTier {
             CkptTier::Memory => "memory",
             CkptTier::Partner => "partner",
             CkptTier::Lustre => "lustre",
+        }
+    }
+
+    /// The survival rule: the lowest node in `dropped` whose loss takes
+    /// this tier's copy of an image written by a `nodes`-node world, or
+    /// `None` while the copy survives. Memory holds each node's own shard
+    /// only. Partner also mirrors node `d`'s shard on buddy
+    /// `(d + 1) % nodes`, so it is lost with a node *and* its buddy (a
+    /// one-node world's buddy is itself). Lustre survives anything.
+    fn lost_with(self, nodes: usize, dropped: &BTreeSet<usize>) -> Option<usize> {
+        let mut span = dropped.range(..nodes).copied();
+        match self {
+            CkptTier::Memory => span.next(),
+            CkptTier::Partner => span.find(|&d| dropped.contains(&((d + 1) % nodes))),
+            CkptTier::Lustre => None,
         }
     }
 }
@@ -158,7 +174,7 @@ pub enum StoreError {
     NodeLost {
         /// The tier that lost the data.
         tier: CkptTier,
-        /// The dropped node that took the last copy with it.
+        /// The lowest dropped node that took the last copy with it.
         node: usize,
     },
     /// No generation with this number was ever stored (or it was evicted).
@@ -191,236 +207,29 @@ impl From<ImageError> for StoreError {
     }
 }
 
-/// One storage level: holds serialized generations, models its write and
-/// read cost, and knows which generations survive a node loss.
-pub trait CkptStore: Send + Sync {
-    /// Which level this is.
-    fn tier(&self) -> CkptTier;
-
-    /// Modeled virtual seconds to write one image set.
-    fn write_secs(&self, layout: &ImageSetLayout) -> f64;
-
-    /// Modeled virtual seconds to read one image set back.
-    fn read_secs(&self, layout: &ImageSetLayout) -> f64;
-
-    /// Stores `bytes` as generation `gen`, written by a world spanning
-    /// `nodes` nodes (the survivability unit).
-    fn put(&self, gen: u64, bytes: Vec<u8>, nodes: usize);
-
-    /// Retrieves generation `gen`, honoring dropped-node survivability.
-    /// The bytes are shared with the store, not copied: a stored
-    /// generation is immutable until it is evicted or `put` again.
-    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError>;
-
-    /// Simulates losing node `node`: every copy resident there is gone.
-    fn drop_node(&self, node: usize);
-}
-
+/// One stored generation, the table's only entry type.
 struct StoredGen {
+    tier: CkptTier,
+    /// Parent generation, for delta images.
+    parent: Option<u64>,
+    /// Nodes of the writing world: the span the survival rule checks.
+    nodes: usize,
     /// `Arc<Vec<u8>>`, not `Arc<[u8]>`: wrapping the encoder's `Vec`
     /// moves it, converting it to a slice would copy the image once more.
     bytes: Arc<Vec<u8>>,
-    nodes: usize,
 }
 
-impl StoredGen {
-    fn new(bytes: Vec<u8>, nodes: usize) -> Self {
-        StoredGen {
-            bytes: Arc::new(bytes),
-            nodes,
+/// Why generation `gen` is not in the table: unknown when it was asked
+/// for, a dangling parent when the delta `child` references it.
+fn missing(gen: u64, child: Option<u64>) -> StoreError {
+    match child {
+        None => StoreError::UnknownGeneration(gen),
+        Some(generation) => ImageError::DanglingParent {
+            generation,
+            parent: gen,
         }
+        .into(),
     }
-}
-
-struct TierState {
-    gens: Mutex<HashMap<u64, StoredGen>>,
-    dropped: Mutex<HashSet<usize>>,
-}
-
-impl TierState {
-    fn new() -> Self {
-        TierState {
-            gens: Mutex::new(HashMap::new()),
-            dropped: Mutex::new(HashSet::new()),
-        }
-    }
-}
-
-/// Node-local in-memory backend: a generation survives only if *every*
-/// writing node is still alive (each node holds exactly its own shard).
-pub struct MemoryStore {
-    model: MemoryTierModel,
-    state: TierState,
-}
-
-impl MemoryStore {
-    /// A memory backend with the given cost model.
-    pub fn new(model: MemoryTierModel) -> Self {
-        MemoryStore {
-            model,
-            state: TierState::new(),
-        }
-    }
-}
-
-impl CkptStore for MemoryStore {
-    fn tier(&self) -> CkptTier {
-        CkptTier::Memory
-    }
-
-    fn write_secs(&self, layout: &ImageSetLayout) -> f64 {
-        self.model.write_time(layout.bytes_per_node())
-    }
-
-    fn read_secs(&self, layout: &ImageSetLayout) -> f64 {
-        self.model.read_time(layout.bytes_per_node())
-    }
-
-    fn put(&self, gen: u64, bytes: Vec<u8>, nodes: usize) {
-        self.state
-            .gens
-            .lock()
-            .insert(gen, StoredGen::new(bytes, nodes));
-    }
-
-    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
-        let gens = self.state.gens.lock();
-        let g = gens.get(&gen).ok_or(StoreError::UnknownGeneration(gen))?;
-        if let Some(&node) = self.state.dropped.lock().iter().find(|&&d| d < g.nodes) {
-            return Err(StoreError::NodeLost {
-                tier: CkptTier::Memory,
-                node,
-            });
-        }
-        Ok(Arc::clone(&g.bytes))
-    }
-
-    fn drop_node(&self, node: usize) {
-        self.state.dropped.lock().insert(node);
-    }
-}
-
-/// Partner-replica backend: node `d`'s shard is mirrored to buddy
-/// `(d + 1) % nodes`, so a generation survives any set of losses that
-/// leaves, for every node, either the node or its buddy alive. A
-/// single-node world has no distinct buddy and cannot survive its loss.
-pub struct PartnerStore {
-    model: PartnerTierModel,
-    state: TierState,
-}
-
-impl PartnerStore {
-    /// A partner backend with the given cost model.
-    pub fn new(model: PartnerTierModel) -> Self {
-        PartnerStore {
-            model,
-            state: TierState::new(),
-        }
-    }
-
-    /// The buddy holding node `d`'s replica in an `nodes`-node world.
-    pub fn buddy(d: usize, nodes: usize) -> usize {
-        (d + 1) % nodes
-    }
-}
-
-impl CkptStore for PartnerStore {
-    fn tier(&self) -> CkptTier {
-        CkptTier::Partner
-    }
-
-    fn write_secs(&self, layout: &ImageSetLayout) -> f64 {
-        self.model.write_time(layout.bytes_per_node())
-    }
-
-    fn read_secs(&self, layout: &ImageSetLayout) -> f64 {
-        self.model.read_time(layout.bytes_per_node())
-    }
-
-    fn put(&self, gen: u64, bytes: Vec<u8>, nodes: usize) {
-        self.state
-            .gens
-            .lock()
-            .insert(gen, StoredGen::new(bytes, nodes));
-    }
-
-    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
-        let gens = self.state.gens.lock();
-        let g = gens.get(&gen).ok_or(StoreError::UnknownGeneration(gen))?;
-        let dropped = self.state.dropped.lock();
-        for &d in dropped.iter().filter(|&&d| d < g.nodes) {
-            let buddy = Self::buddy(d, g.nodes);
-            if buddy == d || dropped.contains(&buddy) {
-                // Node d's primary and its replica are both gone.
-                return Err(StoreError::NodeLost {
-                    tier: CkptTier::Partner,
-                    node: d,
-                });
-            }
-        }
-        Ok(Arc::clone(&g.bytes))
-    }
-
-    fn drop_node(&self, node: usize) {
-        self.state.dropped.lock().insert(node);
-    }
-}
-
-/// Parallel-filesystem backend: survives any node loss.
-pub struct LustreStore {
-    model: LustreModel,
-    gens: Mutex<HashMap<u64, StoredGen>>,
-}
-
-impl LustreStore {
-    /// A Lustre backend with the given cost model.
-    pub fn new(model: LustreModel) -> Self {
-        LustreStore {
-            model,
-            gens: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl CkptStore for LustreStore {
-    fn tier(&self) -> CkptTier {
-        CkptTier::Lustre
-    }
-
-    fn write_secs(&self, layout: &ImageSetLayout) -> f64 {
-        self.model
-            .write_time(layout.nodes, layout.files_per_node, layout.bytes_per_file)
-    }
-
-    fn read_secs(&self, layout: &ImageSetLayout) -> f64 {
-        self.model
-            .read_time(layout.nodes, layout.files_per_node, layout.bytes_per_file)
-    }
-
-    fn put(&self, gen: u64, bytes: Vec<u8>, nodes: usize) {
-        self.gens.lock().insert(gen, StoredGen::new(bytes, nodes));
-    }
-
-    fn get(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
-        self.gens
-            .lock()
-            .get(&gen)
-            .map(|g| Arc::clone(&g.bytes))
-            .ok_or(StoreError::UnknownGeneration(gen))
-    }
-
-    fn drop_node(&self, _node: usize) {}
-}
-
-/// Bookkeeping for one stored generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenMeta {
-    /// Which tier holds the bytes.
-    pub tier: CkptTier,
-    /// Parent generation, for delta images.
-    pub parent: Option<u64>,
-    /// Serialized size in bytes.
-    pub bytes: usize,
 }
 
 /// The latest stored generation, kept around so the next save can build a
@@ -449,16 +258,14 @@ pub struct SaveReceipt {
     pub new_chunks: usize,
 }
 
-/// The three backends behind one generation-numbered namespace, plus the
-/// delta-chain machinery: save full or incremental images to a chosen
-/// tier, load any generation back (resolving delta chains), and simulate
-/// node loss.
+/// One generation-numbered table of stored images plus the dropped-node
+/// set the survival rule reads, and the delta-chain machinery: save full
+/// or incremental images to a chosen tier, load any generation back
+/// (resolving delta chains), and simulate node loss.
 pub struct TieredStore {
     models: TierModels,
-    memory: MemoryStore,
-    partner: PartnerStore,
-    lustre: LustreStore,
-    meta: Mutex<HashMap<u64, GenMeta>>,
+    gens: Mutex<HashMap<u64, StoredGen>>,
+    dropped: Mutex<BTreeSet<usize>>,
     latest: Mutex<Option<ParentCtx>>,
     next_gen: AtomicU64,
 }
@@ -467,11 +274,9 @@ impl TieredStore {
     /// A store with the given cost models and an empty namespace.
     pub fn new(models: TierModels) -> Self {
         TieredStore {
-            memory: MemoryStore::new(models.memory.clone()),
-            partner: PartnerStore::new(models.partner.clone()),
-            lustre: LustreStore::new(models.lustre.clone()),
             models,
-            meta: Mutex::new(HashMap::new()),
+            gens: Mutex::new(HashMap::new()),
+            dropped: Mutex::new(BTreeSet::new()),
             latest: Mutex::new(None),
             next_gen: AtomicU64::new(0),
         }
@@ -480,15 +285,6 @@ impl TieredStore {
     /// The cost models this store charges.
     pub fn models(&self) -> &TierModels {
         &self.models
-    }
-
-    /// The backend for `tier`.
-    pub fn backend(&self, tier: CkptTier) -> &dyn CkptStore {
-        match tier {
-            CkptTier::Memory => &self.memory,
-            CkptTier::Partner => &self.partner,
-            CkptTier::Lustre => &self.lustre,
-        }
     }
 
     /// The generation number the next save will be assigned.
@@ -506,14 +302,9 @@ impl TieredStore {
 
     /// Stored generation numbers, ascending.
     pub fn generations(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.meta.lock().keys().copied().collect();
+        let mut v: Vec<u64> = self.gens.lock().keys().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Bookkeeping for one generation.
-    pub fn meta(&self, gen: u64) -> Option<GenMeta> {
-        self.meta.lock().get(&gen).copied()
     }
 
     /// Serializes `image` and stores it on `tier` as the next generation,
@@ -539,27 +330,24 @@ impl TieredStore {
         let d = DeltaImage::new(gen, parent.map(|p| p.link), &known, &image, encode_workers);
         known.extend(d.refs());
         let bytes = d.to_bytes();
-        let delta_parent = d.parent.map(|p| p.generation);
-        let link = ParentRef {
-            generation: gen,
-            checksum: header_checksum(&bytes),
-        };
         let receipt = SaveReceipt {
             generation: gen,
             tier,
             bytes: bytes.len(),
-            delta_parent,
+            delta_parent: d.parent.map(|p| p.generation),
             new_chunks: d.new_chunks.len(),
         };
-        self.backend(tier).put(gen, bytes, nodes);
-        self.meta.lock().insert(
-            gen,
-            GenMeta {
-                tier,
-                parent: delta_parent,
-                bytes: receipt.bytes,
-            },
-        );
+        let link = ParentRef {
+            generation: gen,
+            checksum: header_checksum(&bytes),
+        };
+        let stored = StoredGen {
+            tier,
+            parent: receipt.delta_parent,
+            nodes,
+            bytes: Arc::new(bytes),
+        };
+        self.gens.lock().insert(gen, stored);
         *self.latest.lock() = Some(ParentCtx {
             link,
             image,
@@ -585,14 +373,7 @@ impl TieredStore {
         let mut child: Option<(u64, u64)> = None;
         let mut cur = gen;
         loop {
-            let meta = self.meta(cur).ok_or(match child {
-                None => StoreError::UnknownGeneration(gen),
-                Some((generation, _)) => StoreError::Image(ImageError::DanglingParent {
-                    generation,
-                    parent: cur,
-                }),
-            })?;
-            let bytes = self.backend(meta.tier).get(cur)?;
+            let bytes = self.fetch(cur, child.map(|(generation, _)| generation))?;
             let (d, lists, chunks) = DeltaImage::decode(&bytes)?;
             if child.is_some_and(|(_, checksum)| checksum != header_checksum(&bytes)) {
                 return Err(ImageError::DeltaChain("parent checksum mismatch").into());
@@ -620,46 +401,84 @@ impl TieredStore {
         Ok(leaf.rebuild(lists, cut, |r| pool.get(r))?)
     }
 
+    /// Generation `gen`'s stored bytes if its tier's copy survives the
+    /// dropped nodes; `child` is the delta that asked for `gen` as its
+    /// parent, if any.
+    fn fetch(&self, gen: u64, child: Option<u64>) -> Result<Arc<Vec<u8>>, StoreError> {
+        let gens = self.gens.lock();
+        let g = gens.get(&gen).ok_or_else(|| missing(gen, child))?;
+        match g.tier.lost_with(g.nodes, &self.dropped.lock()) {
+            Some(node) => Err(StoreError::NodeLost { tier: g.tier, node }),
+            None => Ok(Arc::clone(&g.bytes)),
+        }
+    }
+
+    /// Generation `gen`'s bytes as its tier holds them, under the survival
+    /// rule — what [`TieredStore::load`] reads per chain element. Shared
+    /// with the store, not copied.
+    pub fn stored_bytes(&self, gen: u64) -> Result<Arc<Vec<u8>>, StoreError> {
+        self.fetch(gen, None)
+    }
+
+    /// Overwrites generation `gen`'s stored bytes, keeping its tier,
+    /// parent and writer span: simulates on-media corruption the way
+    /// [`TieredStore::drop_node`] simulates node loss.
+    pub fn replace_bytes(&self, gen: u64, bytes: Vec<u8>) -> Result<(), StoreError> {
+        let mut gens = self.gens.lock();
+        let g = gens
+            .get_mut(&gen)
+            .ok_or(StoreError::UnknownGeneration(gen))?;
+        g.bytes = Arc::new(bytes);
+        Ok(())
+    }
+
     /// Modeled seconds to read generation `gen` back from its tier under
     /// `layout` — every restore's read charge. The chain's root is a full
     /// image and reads in full; each delta above it pays the share of a
-    /// full read that its stored bytes make of the root's.
-    pub fn read_secs(&self, gen: u64, layout: &ImageSetLayout) -> f64 {
-        let metas = self.meta.lock();
-        let chain: Vec<GenMeta> = std::iter::successors(metas.get(&gen).copied(), |m| {
-            m.parent.and_then(|p| metas.get(&p).copied())
-        })
-        .collect();
-        let Some(root) = chain.last() else {
-            return 0.0;
-        };
-        chain
+    /// full read that its stored bytes make of the root's. A generation
+    /// the store does not hold, or whose chain dangles, has no read.
+    pub fn read_secs(&self, gen: u64, layout: &ImageSetLayout) -> Result<f64, StoreError> {
+        let gens = self.gens.lock();
+        let (mut chain, mut cur, mut child) = (Vec::new(), Some(gen), None);
+        while let Some(g) = cur {
+            let s = gens.get(&g).ok_or_else(|| missing(g, child))?;
+            chain.push((s.tier, s.bytes.len()));
+            (cur, child) = (s.parent, Some(g));
+        }
+        let root = chain.last().map_or(1, |&(_, len)| len.max(1)) as f64;
+        Ok(chain
             .iter()
-            .map(|m| {
-                let share = (m.bytes as f64 / root.bytes.max(1) as f64).min(1.0);
-                self.backend(m.tier).read_secs(layout) * share
+            .map(|&(tier, len)| {
+                let share = (len as f64 / root).min(1.0);
+                self.models.read_secs(tier, layout) * share
             })
-            .sum()
+            .sum())
     }
 
     /// Simulates losing `node`: memory-tier copies on it are gone, and
     /// partner-tier generations survive only through buddy replicas.
     pub fn drop_node(&self, node: usize) {
-        self.memory.drop_node(node);
-        self.partner.drop_node(node);
-        self.lustre.drop_node(node);
+        self.dropped.lock().insert(node);
     }
 
-    /// Evicts generation `gen` from its tier and the namespace — the
-    /// retention knob. Descendant deltas that still reference it will
-    /// fail to load with [`ImageError::DanglingParent`].
+    /// Evicts generation `gen` — the retention knob. Stored descendants
+    /// that still reference it fail to load with
+    /// [`ImageError::DanglingParent`]. An eviction inside the latest
+    /// generation's chain makes the next save a full image, so every
+    /// generation saved after an eviction loads.
     pub fn evict(&self, gen: u64) {
-        if let Some(meta) = self.meta.lock().remove(&gen) {
-            match meta.tier {
-                CkptTier::Memory => self.memory.state.gens.lock().remove(&gen),
-                CkptTier::Partner => self.partner.state.gens.lock().remove(&gen),
-                CkptTier::Lustre => self.lustre.gens.lock().remove(&gen),
-            };
+        let mut gens = self.gens.lock();
+        if gens.remove(&gen).is_none() {
+            return;
+        }
+        let mut latest = self.latest.lock();
+        let mut cur = latest.as_ref().map(|p| p.link.generation);
+        while let Some(g) = cur {
+            if g == gen {
+                *latest = None;
+                break;
+            }
+            cur = gens.get(&g).and_then(|s| s.parent);
         }
     }
 }
@@ -798,55 +617,82 @@ mod tests {
         }
     }
 
+    /// A store holding `bytes` as generation `gen` on `tier`, written by
+    /// a `nodes`-node world.
+    fn holding(gen: u64, tier: CkptTier, bytes: Vec<u8>, nodes: usize) -> TieredStore {
+        let s = TieredStore::default();
+        let stored = StoredGen {
+            tier,
+            parent: None,
+            nodes,
+            bytes: Arc::new(bytes),
+        };
+        s.gens.lock().insert(gen, stored);
+        s
+    }
+
     #[test]
     fn memory_tier_dies_with_any_node() {
-        let s = MemoryStore::new(MemoryTierModel::ddr());
-        s.put(0, vec![1, 2, 3], 4);
-        assert_eq!(*s.get(0).unwrap(), vec![1, 2, 3]);
+        let s = holding(0, CkptTier::Memory, vec![1, 2, 3], 4);
+        assert_eq!(*s.stored_bytes(0).unwrap(), vec![1, 2, 3]);
         s.drop_node(2);
         assert!(matches!(
-            s.get(0),
+            s.stored_bytes(0),
             Err(StoreError::NodeLost {
                 tier: CkptTier::Memory,
                 node: 2
             })
         ));
         // A node beyond this generation's span does not affect it.
-        let s = MemoryStore::new(MemoryTierModel::ddr());
-        s.put(0, vec![9], 2);
+        let s = holding(0, CkptTier::Memory, vec![9], 2);
         s.drop_node(7);
-        assert!(s.get(0).is_ok());
+        assert!(s.stored_bytes(0).is_ok());
     }
 
     #[test]
     fn partner_tier_survives_single_loss_not_buddy_pair() {
-        let s = PartnerStore::new(PartnerTierModel::slingshot11());
-        s.put(0, vec![5], 4);
+        let s = holding(0, CkptTier::Partner, vec![5], 4);
         s.drop_node(1);
-        assert!(s.get(0).is_ok(), "single loss must be survivable");
+        assert!(s.stored_bytes(0).is_ok(), "single loss must be survivable");
         s.drop_node(2); // buddy of 1 — node 1's shard is now fully gone
         assert!(matches!(
-            s.get(0),
+            s.stored_bytes(0),
             Err(StoreError::NodeLost {
                 tier: CkptTier::Partner,
                 node: 1
             })
         ));
         // Single-node worlds have no distinct buddy.
-        let s = PartnerStore::new(PartnerTierModel::slingshot11());
-        s.put(0, vec![5], 1);
+        let s = holding(0, CkptTier::Partner, vec![5], 1);
         s.drop_node(0);
-        assert!(matches!(s.get(0), Err(StoreError::NodeLost { .. })));
+        assert!(matches!(
+            s.stored_bytes(0),
+            Err(StoreError::NodeLost { .. })
+        ));
     }
 
     #[test]
     fn lustre_tier_survives_everything() {
-        let s = LustreStore::new(LustreModel::perlmutter_scratch());
-        s.put(3, vec![7], 16);
+        let s = holding(3, CkptTier::Lustre, vec![7], 16);
         for n in 0..16 {
             s.drop_node(n);
         }
-        assert_eq!(*s.get(3).unwrap(), vec![7]);
-        assert!(matches!(s.get(4), Err(StoreError::UnknownGeneration(4))));
+        assert_eq!(*s.stored_bytes(3).unwrap(), vec![7]);
+        assert!(matches!(
+            s.stored_bytes(4),
+            Err(StoreError::UnknownGeneration(4))
+        ));
+    }
+
+    #[test]
+    fn replaced_bytes_keep_the_generation_and_unknown_ones_are_refused() {
+        let s = holding(0, CkptTier::Memory, vec![1], 2);
+        s.replace_bytes(0, vec![2, 3]).unwrap();
+        assert_eq!(*s.stored_bytes(0).unwrap(), vec![2, 3]);
+        assert_eq!(
+            s.replace_bytes(1, vec![4]),
+            Err(StoreError::UnknownGeneration(1))
+        );
+        assert_eq!(s.generations(), vec![0]);
     }
 }
