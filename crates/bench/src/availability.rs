@@ -5,7 +5,8 @@
 //! checkpoint too often and the write cost dominates a failure-free run.
 //! Young/Daly closes the trade at `sqrt(2·δ·MTBF)` for write cost `δ`.
 //! This harness measures the whole curve end-to-end on the real recovery
-//! machinery ([`ckpt::run_available_world`]):
+//! machinery ([`ckpt::run_available_world_steps`]: the SCF kernel as a
+//! step body, so each recovery restores its image):
 //!
 //! * a deterministic, seeded [`FaultPlan`] per MTBF row — exponential
 //!   inter-failure gaps, rank- and node-scope deaths — reused verbatim
@@ -34,14 +35,15 @@
 //!
 //! `examples/availability_bench.rs` writes `BENCH_availability.json`.
 
+use crate::BenchWorkload;
 use ckpt::{
-    run_available_world, young_daly_interval_s, CkptOptions, CkptTier, DalyInterval, FaultPlan,
-    ImageSetLayout, PeriodicInterval, TierModels, TierSchedule, TieredStore, Tiering,
+    run_available_world_steps, run_ckpt_world_steps, young_daly_interval_s, CkptOptions, CkptTier,
+    DalyInterval, FaultPlan, ImageSetLayout, PeriodicInterval, TierModels, TierSchedule,
+    TieredStore, Tiering,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::scf_loop;
 
 /// Ladder rung names, in decreasing-interval (increasing-quality) order.
 pub const POLICY_LADDER: [&str; 3] = ["periodic4x", "periodic2x", "daly"];
@@ -163,11 +165,8 @@ impl AvailabilityConfig {
 pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
     let iters = cfg.iters;
     let pace = cfg.pace_us;
-    let body = move |r: &mut ckpt::CcRank| {
-        r.set_wall_pace_us(pace);
-        scf_loop(r, iters, 8)
-    };
-    let native = ckpt::run_ckpt_world(cfg.world(), CkptOptions::native(), body);
+    let body = move |_| BenchWorkload::Scf.step_body(iters).with_pace_us(pace);
+    let native = run_ckpt_world_steps(cfg.world(), CkptOptions::native(), body);
     let native_s = native.makespan.as_secs();
     let models = cfg.models();
     let layout = ImageSetLayout::packed(
@@ -187,7 +186,7 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
     let mut points = Vec::new();
     for (proto_name, protocol) in [("cc", Protocol::Cc), ("2pc", Protocol::TwoPhase)] {
         let opts = CkptOptions::native().with_protocol(protocol);
-        let protocol_makespan_s = ckpt::run_ckpt_world(cfg.world(), opts, body).makespan;
+        let protocol_makespan_s = run_ckpt_world_steps(cfg.world(), opts, body).makespan;
         for (row, &factor) in cfg.mtbf_factors.iter().enumerate() {
             let mtbf_s = native_s * factor;
             let horizon = native_s * cfg.horizon_factor;
@@ -234,7 +233,7 @@ pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
                         lustre_every: 0,
                     });
                 let opts = opts.with_tiering(tiering);
-                let rep = run_available_world(cfg.world(), opts, plan.clone(), body);
+                let rep = run_available_world_steps(cfg.world(), opts, plan.clone(), body);
                 let makespan_s = rep.makespan.as_secs();
                 let fits = (protocol_makespan_s.as_secs() / min_interval_s).ceil() as usize;
                 points.push(AvailabilityPoint {

@@ -13,6 +13,7 @@
 //! the virtual drain latency per checkpoint and the modelled Lustre image
 //! write time.
 
+use ckpt::wire::{Dec, DecodeError, Wr};
 use ckpt::{
     run_ckpt_world, BodyStep, CcRank, CkptOptions, CkptTier, ResumeMode, StepBody, TierModels,
     TieredStore, Tiering, VirtualTimeSchedule,
@@ -116,6 +117,15 @@ impl BenchStepBody {
         self.pace_us = Some(us);
         self
     }
+
+    /// The kernel's tag in a snapshot.
+    fn kind(&self) -> u8 {
+        match self.inner {
+            BenchStepKind::Scf(_) => 0,
+            BenchStepKind::Halo(_) => 1,
+            BenchStepKind::BcastPipeline(_) => 2,
+        }
+    }
 }
 
 impl StepBody for BenchStepBody {
@@ -129,6 +139,28 @@ impl StepBody for BenchStepBody {
             BenchStepKind::Scf(b) => b.step(r),
             BenchStepKind::Halo(b) => b.step(r),
             BenchStepKind::BcastPipeline(b) => b.step(r),
+        }
+    }
+
+    /// The kernel's tag, then the kernel's own snapshot (the pace is
+    /// `make`'s, applied again on the restored body's first step).
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        w.u8(self.kind());
+        match &self.inner {
+            BenchStepKind::Scf(b) => b.save(w),
+            BenchStepKind::Halo(b) => b.save(w),
+            BenchStepKind::BcastPipeline(b) => b.save(w),
+        }
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        if d.u8("bench kernel")? != self.kind() {
+            return Err("bench kernel");
+        }
+        match &mut self.inner {
+            BenchStepKind::Scf(b) => b.load(d),
+            BenchStepKind::Halo(b) => b.load(d),
+            BenchStepKind::BcastPipeline(b) => b.load(d),
         }
     }
 }

@@ -32,6 +32,18 @@ use workloads::SplitMix64;
 /// of pipeline overhead.
 const GROUP_SPAN: usize = 8;
 
+/// Width of the block that stands in for the world group: a contiguous
+/// run, which the wire writes as `(start, len)` — O(1) per rank like the
+/// neighbor groups, however large the world.
+const WORLD_SPAN: usize = 64;
+
+/// The sorted member list of the block standing in for the world group
+/// of rank `i`.
+fn world_block(n_ranks: usize, i: usize) -> Vec<usize> {
+    let base = (i / WORLD_SPAN) * WORLD_SPAN;
+    (base..(base + WORLD_SPAN).min(n_ranks)).collect()
+}
+
 /// The sorted member list of the neighbor group covering rank `i`.
 fn neighbor_group(n_ranks: usize, i: usize) -> Vec<usize> {
     let base = (i / GROUP_SPAN) * GROUP_SPAN;
@@ -48,17 +60,18 @@ fn pair_group(n_ranks: usize, i: usize) -> Vec<usize> {
 fn synth_capture(n_ranks: usize, i: usize, rng: &mut SplitMix64) -> RuntimeCapture {
     let neighbors = neighbor_group(n_ranks, i);
     let pair = pair_group(n_ranks, i);
-    let g_world = Ggid(0);
-    let g_neighbors = ggid_of_sorted(&neighbors);
-    let g_pair = ggid_of_sorted(&pair);
+    let world = world_block(n_ranks, i);
 
+    // Every group under its own ggid, as a live run registers it (the
+    // wire derives the ggid from the list). The world group is the
+    // rank's block, standing in for the real member list so the section
+    // stays O(1) in the world size. Where two lists coincide (tiny
+    // worlds), they are one group.
     let mut seq_table = SeqTable::new();
-    // The world group is registered by ggid only — members are the
-    // neighbor window, standing in for the real member list so the
-    // section stays O(1) in the world size.
-    seq_table.restore(g_world, 40 + rng.next_range(8), neighbors.clone());
-    seq_table.restore(g_neighbors, 10 + rng.next_range(4), neighbors.clone());
-    seq_table.restore(g_pair, rng.next_range(6), pair.clone());
+    seq_table.restore(ggid_of_sorted(&world), 40 + rng.next_range(8), world);
+    let seq = 10 + rng.next_range(4);
+    seq_table.restore(ggid_of_sorted(&neighbors), seq, neighbors.clone());
+    seq_table.restore(ggid_of_sorted(&pair), rng.next_range(6), pair.clone());
 
     // A realistic creation log: a dup, a split, and a batch of small
     // group creations — the bulk of a real section's bytes.
@@ -144,6 +157,7 @@ fn synth_capture(n_ranks: usize, i: usize, rng: &mut SplitMix64) -> RuntimeCaptu
         p2p_sent: rng.next_range(64),
         p2p_delivered: rng.next_range(64),
         vcomm_members,
+        upper: None,
     }
 }
 
@@ -161,9 +175,11 @@ pub fn synthetic_checkpoint(n_ranks: usize, seed: u64) -> Checkpoint {
         .map(|i| synth_capture(n_ranks, i, &mut rng))
         .collect();
 
-    // Targets over the distinct neighbor groups plus the world ggid.
+    // Targets over the distinct neighbor groups plus the world blocks.
     let mut final_targets: HashMap<Ggid, u64> = HashMap::new();
-    final_targets.insert(Ggid(0), 48);
+    for base in (0..n_ranks).step_by(WORLD_SPAN) {
+        final_targets.insert(ggid_of_sorted(&world_block(n_ranks, base)), 48);
+    }
     for base in (0..n_ranks).step_by(GROUP_SPAN) {
         let g = ggid_of_sorted(&neighbor_group(n_ranks, base));
         final_targets.insert(g, 14);
@@ -233,13 +249,13 @@ pub fn perturbed_checkpoint(base: &Checkpoint, every: usize) -> Checkpoint {
             // Stable churn on the selected ranks only.
             c.counters.p2p_sends += 7;
             c.counters.completions += 7;
-            let g_world = Ggid(0);
+            let g_world = ggid_of_sorted(&world_block(base.n_ranks, i));
             let seq = c.seq_table.seq(g_world) + 5;
             let members = c
                 .seq_table
                 .members_shared(g_world)
                 .cloned()
-                .expect("synthetic captures register the world ggid");
+                .expect("synthetic captures register the world block");
             c.seq_table.restore(g_world, seq, members);
         }
     }

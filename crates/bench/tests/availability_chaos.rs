@@ -7,12 +7,15 @@
 //! that every run completes with final results bit-identical to an
 //! undisturbed native baseline, zero backstop expiries, exactly one
 //! recovery per injected fault, and no spurious `P2pStall` — a dead rank
-//! must always surface as a typed `RankDeath`.
+//! must always surface as a typed `RankDeath`. A step body recovers from
+//! the newest viable image; a closure's images carry no upper half, so a
+//! closure campaign recovers from scratch, and every cell that asserts
+//! *which* image a recovery resumed from runs step bodies.
 //!
 //! A small slice runs in every (debug) test pass; the full matrix is
 //! release-only (`cargo test --release`).
 
-use bench::BenchWorkload;
+use bench::{BenchStepBody, BenchWorkload};
 use ckpt::{
     run_available_world, run_available_world_steps, run_ckpt_world, run_ckpt_world_steps,
     CkptOptions, CkptRunReport, CkptTier, DrainError, FaultPlan, FaultScope, FaultTrigger,
@@ -66,6 +69,10 @@ fn paced_scf(r: &mut ckpt::CcRank) -> f64 {
     BenchWorkload::Scf.run_iters(ITERS, r)
 }
 
+fn paced_scf_step(_rank: usize) -> BenchStepBody {
+    BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
+}
+
 fn native_closure_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
     let rep = run_ckpt_world(cfg, CkptOptions::native(), paced_scf);
     let base = rep.ranks.iter().map(|r| r.result).collect();
@@ -73,9 +80,7 @@ fn native_closure_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
 }
 
 fn native_step_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
-    let rep = run_ckpt_world_steps(cfg, CkptOptions::native(), |_| {
-        BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
-    });
+    let rep = run_ckpt_world_steps(cfg, CkptOptions::native(), paced_scf_step);
     let base = rep.ranks.iter().map(|r| r.result).collect();
     (base, rep.makespan.as_secs())
 }
@@ -169,9 +174,7 @@ fn chaos_cell(proto: Protocol, tier: TierCase, rep: Rep, seed: u64) {
     let ctx = format!("{proto:?}/{tier:?}/{rep:?}/seed {seed}");
     let rep_out = match rep {
         Rep::Closure => run_available_world(cfg, opts, plan, paced_scf),
-        Rep::Step => run_available_world_steps(cfg, opts, plan, |_| {
-            BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
-        }),
+        Rep::Step => run_available_world_steps(cfg, opts, plan, paced_scf_step),
     };
     assert_eq!(rep_out.faults.len(), faults, "{ctx}: every event must fire");
     assert_recovered(&rep_out, &base, &ctx);
@@ -187,7 +190,8 @@ fn chaos_ci_slice() {
 
 /// A campaign takes the plain runner's options, resume mode included:
 /// every checkpoint rebuilds the lower half in-process, and one death is
-/// still recovered from the newest image — under either driver.
+/// still recovered — from the newest image for step bodies, from scratch
+/// for closures, whose images restart in-process only.
 #[test]
 fn restart_resume_campaign_recovers_under_both_drivers() {
     for rep in [Rep::Closure, Rep::Step] {
@@ -205,14 +209,18 @@ fn restart_resume_campaign_recovers_under_both_drivers() {
         let ctx = format!("Restart/{rep:?}");
         let out = match rep {
             Rep::Closure => run_available_world(cfg, opts, plan, paced_scf),
-            Rep::Step => run_available_world_steps(cfg, opts, plan, |_| {
-                BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
-            }),
+            Rep::Step => run_available_world_steps(cfg, opts, plan, paced_scf_step),
         };
         assert_eq!(out.faults.len(), 1, "{ctx}: the death must fire");
         assert!(
+            !out.checkpoints.is_empty(),
+            "{ctx}: the campaign checkpoints"
+        );
+        assert_eq!(
             out.faults[0].resumed_generation.is_some(),
-            "{ctx}: a restart-mode checkpoint must be viable: {:?}",
+            matches!(rep, Rep::Step),
+            "{ctx}: a step body's restart-mode checkpoint must be viable, a \
+             closure's never: {:?}",
             out.faults
         );
         assert_recovered(&out, &base, &ctx);
@@ -300,7 +308,7 @@ fn mid_drain_death_is_typed_and_recovers() {
 #[test]
 fn async_drain_node_death_discards_inflight_image() {
     let cfg = world(4, 2);
-    let (base, makespan) = native_closure_baseline(cfg.clone());
+    let (base, makespan) = native_step_baseline(cfg.clone());
     let opts = periodic(
         makespan / 8.0,
         100,
@@ -312,7 +320,7 @@ fn async_drain_node_death_discards_inflight_image() {
         FaultTrigger::DuringAsyncDrain(VTime::from_secs(makespan * 0.4)),
         FaultScope::Node(0),
     );
-    let rep = run_available_world(cfg, opts, plan, paced_scf);
+    let rep = run_available_world_steps(cfg, opts, plan, paced_scf_step);
     assert_eq!(rep.faults.len(), 1, "the in-flight death must fire");
     let f = &rep.faults[0];
     assert_eq!(
@@ -348,7 +356,7 @@ fn async_drain_node_death_discards_inflight_image() {
 #[test]
 fn buddy_pair_loss_falls_back_partner_then_lustre() {
     let cfg = world(8, 2);
-    let (base, makespan) = native_closure_baseline(cfg.clone());
+    let (base, makespan) = native_step_baseline(cfg.clone());
     let opts = periodic(
         makespan / 6.0,
         3,
@@ -372,7 +380,7 @@ fn buddy_pair_loss_falls_back_partner_then_lustre() {
             },
         ],
     };
-    let rep = run_available_world(cfg, opts, plan, paced_scf);
+    let rep = run_available_world_steps(cfg, opts, plan, paced_scf_step);
     assert_eq!(rep.faults.len(), 2, "both node deaths must fire");
     let tiers: Vec<_> = rep.faults.iter().map(|f| f.resumed_tier).collect();
     assert_eq!(

@@ -7,27 +7,25 @@
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
 use ckpt::store::delta::full_image_refs;
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, run_ckpt_world_steps, CcRank, CkptOptions, CkptTier,
-    DeltaImage, DeltaPolicy, EveryNCollectives, ImageError, PeriodicInterval, RestoreConfig,
-    ResumeMode, SaveReceipt, StoreError, TieredStore, Tiering,
+    restore_ckpt_world_steps, run_ckpt_world_steps, CkptOptions, CkptTier, DeltaImage, DeltaPolicy,
+    EveryNCollectives, ImageError, PeriodicInterval, RestoreConfig, ResumeMode, SaveReceipt,
+    StoreError, TieredStore, Tiering,
 };
 use mana_core::{Cut, CutRun, Protocol};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{halo_exchange, scf_loop, RandomWorkloadCfg, RandomWorkloadStep};
+use workloads::{HaloStep, Paced, RandomWorkloadCfg, RandomWorkloadStep, ScfStep, Then};
 
-fn workload(r: &mut CcRank) -> f64 {
-    let energy = scf_loop(r, 20, 8);
-    let halo = halo_exchange(r, 10, 6);
-    energy + halo
+/// SCF, then a halo exchange: collectives and fixed-neighbor p2p.
+fn workload(_rank: usize) -> Then<ScfStep, HaloStep> {
+    Then::new(ScfStep::new(20, 8), HaloStep::new(10, 6))
 }
 
 /// The same program under a wall pace for the checkpointed run, so
 /// overdue triggers land before the workload finishes (virtual time and
 /// data are untouched).
-fn paced_workload(r: &mut CcRank) -> f64 {
-    r.set_wall_pace_us(25);
-    workload(r)
+fn paced_workload(rank: usize) -> Paced<Then<ScfStep, HaloStep>> {
+    Paced::new(workload(rank), 25)
 }
 
 /// Builds a full root plus `depth` chained deltas over perturbed
@@ -88,15 +86,15 @@ fn depth_three_delta_chain_resolves_bit_identical() {
 #[test]
 fn live_run_delta_chain_restores_bit_identical_to_the_full_image() {
     let cfg = WorldConfig::multi_node(8, 4).with_params(NetParams::slingshot11().without_jitter());
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), workload);
-    let native_data: Vec<f64> = native.results().copied().collect();
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), workload);
+    let native_data: Vec<(f64, f64)> = native.results().copied().collect();
     let interval = VTime::from_secs(native.makespan.as_secs() / 5.0);
 
     let store = Arc::new(TieredStore::default());
     let tiering = Tiering::fixed(CkptTier::Lustre)
         .with_store(Arc::clone(&store))
         .with_delta(DeltaPolicy::FullEvery(4));
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::native()
             .with_policy(PeriodicInterval::new(interval, 4))
@@ -124,10 +122,10 @@ fn live_run_delta_chain_restores_bit_identical_to_the_full_image() {
 
     // Restoring the chain-resolved image and the in-memory full image
     // must produce bit-identical application results.
-    let from_chain = restore_ckpt_world(&loaded, RestoreConfig::same_packing(), workload);
-    let from_full = restore_ckpt_world(full, RestoreConfig::same_packing(), workload);
-    let chain_data: Vec<f64> = from_chain.results().copied().collect();
-    let full_data: Vec<f64> = from_full.results().copied().collect();
+    let from_chain = restore_ckpt_world_steps(&loaded, RestoreConfig::same_packing(), workload);
+    let from_full = restore_ckpt_world_steps(full, RestoreConfig::same_packing(), workload);
+    let chain_data: Vec<(f64, f64)> = from_chain.results().copied().collect();
+    let full_data: Vec<(f64, f64)> = from_full.results().copied().collect();
     assert_eq!(chain_data, full_data, "delta-chain restore diverged");
     assert_eq!(chain_data, native_data);
 }

@@ -1,5 +1,6 @@
-//! Image round-trip coverage: a checkpoint serialized to bytes, written to
-//! disk, read back, and restored into a fresh world must continue
+//! Image round-trip coverage: a checkpoint of a step-body world serialized
+//! to bytes, written to disk, read back, and restored into a fresh world
+//! (each body loaded from its snapshot) must continue
 //! *bit-identically* to the in-process `ResumeMode::Restart` path — under
 //! both the CC drain protocol and the 2PC trivial-barrier baseline — and
 //! tampered or truncated bytes must be rejected, never restored.
@@ -11,13 +12,13 @@
 //! bytes or resolved through a delta chain.
 
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, run_ckpt_world_steps, Checkpoint, CkptOptions, CkptTier,
+    restore_ckpt_world_steps, run_ckpt_world_steps, Checkpoint, CkptOptions, CkptTier,
     EveryNCollectives, ImageError, RestoreConfig, ResumeMode, TieredStore,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -37,17 +38,19 @@ fn wl(seed: u64, protocol: Protocol) -> RandomWorkloadCfg {
 /// both result vectors: `(image, native, in_process_restart)`.
 fn capture(protocol: Protocol, n: usize, seed: u64) -> (Checkpoint, Vec<f64>, Vec<f64>) {
     let base = wl(seed, protocol);
-    let native = run_ckpt_world(cfg(n), CkptOptions::native().with_protocol(protocol), |r| {
-        random_workload(&base, r)
-    });
+    let native = run_ckpt_world_steps(
+        cfg(n),
+        CkptOptions::native().with_protocol(protocol),
+        |_| RandomWorkloadStep::new(base.clone()),
+    );
     let native_data: Vec<f64> = native.results().copied().collect();
 
     let at = VTime::from_secs(native.makespan.as_secs() * 0.45);
     let paced = base.clone().with_pace_us(20);
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol),
-        |r| random_workload(&paced, r),
+        |_| RandomWorkloadStep::new(paced.clone()),
     );
     assert!(
         run.failures.is_empty(),
@@ -101,8 +104,8 @@ fn roundtrip_case(protocol: Protocol, n: usize, seed: u64) {
 
     // restore: bit-identical continuation versus the in-process restart.
     let base = wl(seed, protocol);
-    let restored = restore_ckpt_world(&loaded, RestoreConfig::same_packing(), |r| {
-        random_workload(&base, r)
+    let restored = restore_ckpt_world_steps(&loaded, RestoreConfig::same_packing(), |_| {
+        RandomWorkloadStep::new(base.clone())
     });
     let restored_data: Vec<f64> = restored.results().copied().collect();
     assert_eq!(

@@ -12,9 +12,13 @@
 //! written once however many ranks hold the same state: a rank itself
 //! costs a fixed record. Since v8 every count, rank, sequence number, id,
 //! counter and length is a varint, so each costs the width of its value,
-//! not a word. The size below has no term in which a list's length
-//! multiplies a reference count, none that counts collectives, and none
-//! that repeats a stable half per rank holding it.
+//! not a word. Since v9 a rank's record carries its upper half (the
+//! body's snapshot and the request-table state a restore resumes from),
+//! and a sequence-table entry or a cut run no longer spends a word on
+//! its group id, which is its member list's. The size below has no term
+//! in which a list's length multiplies a reference count, none that
+//! counts collectives, and none that repeats a stable half per rank
+//! holding it.
 
 use ckpt::image::IMAGE_HEADER_LEN;
 use ckpt::wire::var_len;
@@ -24,8 +28,8 @@ use ckpt::{
 };
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture,
-    SeqTable, VComm,
+    ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol, RankState,
+    RuntimeCapture, SeqTable, UpperHalf, VComm,
 };
 use mpisim::{NetParams, SrcSel, TagSel, VTime, WorldConfig};
 use std::collections::HashMap;
@@ -99,9 +103,43 @@ fn chunk_ref(len: usize) -> usize {
     TAG + WORD + uvar(len)
 }
 
+/// The output table: count, then each distinct drained output (length,
+/// bytes) in order of first reference.
+fn output_table(image: &Checkpoint) -> (usize, Vec<&[u8]>) {
+    let mut outputs: Vec<&[u8]> = Vec::new();
+    let uppers = image.captures.iter().filter_map(|c| c.upper.as_ref());
+    for (_, d) in uppers.flat_map(|u| &u.ready) {
+        if !outputs.contains(&&d[..]) {
+            outputs.push(d);
+        }
+    }
+    let entries = outputs.iter().map(|o| uvar(o.len()) + o.len());
+    (uvar(outputs.len()) + entries.sum::<usize>(), outputs)
+}
+
+/// A rank's upper-half section: a tag; when present, the next request
+/// id, the ready results (count; request id, index into the output table
+/// `outputs`), the held sends (count; request id, completion-time word)
+/// and the body's snapshot (length and bytes).
+fn upper_half(u: Option<&UpperHalf>, outputs: &[&[u8]]) -> usize {
+    TAG + u.map_or(0, |u| {
+        let index = |d: &[u8]| outputs.iter().position(|o| *o == d).unwrap();
+        let ready = u.ready.iter().map(|(v, d)| var_len(*v) + uvar(index(d)));
+        let sends = u.sends.iter().map(|(v, _)| var_len(*v) + WORD);
+        var_len(u.next_vreq)
+            + uvar(u.ready.len())
+            + ready.sum::<usize>()
+            + uvar(u.sends.len())
+            + sends.sum::<usize>()
+            + uvar(u.body.len())
+            + u.body.len()
+    })
+}
+
 /// A rank's record: rank, state, clock, barrier tag (and the barrier's
-/// vcomm and ordinal), two flow counts, the reference to its stable chunk.
-fn record(c: &RuntimeCapture) -> usize {
+/// vcomm and ordinal), two flow counts, its upper half (ready outputs by
+/// index into `outputs`), the reference to its stable chunk.
+fn record(c: &RuntimeCapture, outputs: &[&[u8]]) -> usize {
     let barrier = c
         .pending_barrier
         .map_or(0, |(vc, ord)| var_len(vc) + var_len(ord));
@@ -112,12 +150,13 @@ fn record(c: &RuntimeCapture) -> usize {
         + barrier
         + var_len(c.p2p_sent)
         + var_len(c.p2p_delivered)
+        + upper_half(c.upper.as_ref(), outputs)
         + chunk_ref(stable_chunk(c))
 }
 
-/// A cut run: rank, ggid, first, last, members.
+/// A cut run: rank, first, last, members (the group id is the list's).
 fn run(r: &CutRun) -> usize {
-    uvar(r.rank) + WORD + var_len(r.first) + var_len(r.last) + member_ref(&r.members)
+    uvar(r.rank) + var_len(r.first) + var_len(r.last) + member_ref(&r.members)
 }
 
 fn comm_op(r: &CommOpRecord) -> usize {
@@ -162,11 +201,12 @@ fn counters(c: &CallCounters) -> usize {
     .sum()
 }
 
-/// A rank's stable chunk: `seq_table` entries (ggid, seq, reference), the
-/// creation log, pending receives, nine call counters and `vcomm_members`
-/// entries (vcomm id, reference), each container behind its length.
+/// A rank's stable chunk: `seq_table` entries (seq, reference; the group
+/// id is the list's), the creation log, pending receives, nine call
+/// counters and `vcomm_members` entries (vcomm id, reference), each
+/// container behind its length.
 fn stable_chunk(c: &RuntimeCapture) -> usize {
-    let seq = (c.seq_table.iter()).map(|(_, e)| WORD + var_len(e.seq) + member_ref(&e.members));
+    let seq = (c.seq_table.iter()).map(|(_, e)| var_len(e.seq) + member_ref(&e.members));
     let members = (c.vcomm_members.iter()).map(|(v, m)| var_len(*v) + member_ref(m));
     uvar(c.seq_table.len())
         + seq.sum::<usize>()
@@ -228,6 +268,7 @@ fn stable_half(c: &RuntimeCapture) -> RuntimeCapture {
         pending_barrier: None,
         p2p_sent: 0,
         p2p_delivered: 0,
+        upper: None,
         ..c.clone()
     }
 }
@@ -244,8 +285,9 @@ fn distinct_stable_halves(image: &Checkpoint) -> Vec<RuntimeCapture> {
 }
 
 /// The serialized size of a full image, term by term: Σ distinct list
-/// bytes + Σ distinct chunk bytes (c · references each) + a record per
-/// rank + the cut runs + the in-flight chunk.
+/// bytes + Σ distinct drained outputs + Σ distinct chunk bytes (c ·
+/// references each) + a record per rank + the cut runs + the in-flight
+/// chunk.
 fn image_len(image: &Checkpoint) -> usize {
     let mut distinct: Vec<&[usize]> = image
         .member_list_refs()
@@ -256,10 +298,12 @@ fn image_len(image: &Checkpoint) -> usize {
     distinct.dedup();
     let table = uvar(distinct.len()) + distinct.iter().map(|m| table_entry(m)).sum::<usize>();
     let chunks: usize = distinct_stable_halves(image).iter().map(stable_chunk).sum();
-    let records: usize = image.captures.iter().map(record).sum();
+    let (outputs_len, outputs) = output_table(image);
+    let records: usize = image.captures.iter().map(|c| record(c, &outputs)).sum();
     let runs = image.cut_events.runs();
     preamble(image)
         + table
+        + outputs_len
         + uvar(image.captures.len())
         + records
         + chunk_ref(in_flight_chunk(image))
@@ -284,18 +328,46 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     // Exact, term by term: every reference costs its few bytes.
     assert_eq!(len, image_len(&image), "{len} B serialized");
 
-    // Pinned with 25 % headroom over the measured 270 B a rank. Every
-    // rank of this cut holds a different stable half, so each pays its
-    // chunk's address: v7 wrote 853 B a rank with a word per integer and
-    // the lower-half handle map, v6 844 B, and the v5 wire, with its cut
-    // event per collective participation, 2 486 B a rank for this cut, and
-    // more for every later one.
+    // Pinned with 25 % headroom over the measured 270 B a rank of v8.
+    // Every rank of this cut holds a different stable half, so each pays
+    // its chunk's address: v7 wrote 853 B a rank with a word per integer
+    // and the lower-half handle map, v6 844 B, and the v5 wire, with its
+    // cut event per collective participation, 2 486 B a rank for this
+    // cut, and more for every later one. v9 adds each rank's upper half
+    // and drops a group-id word from each sequence entry and cut run.
     let per_rank = len / RANKS;
     assert!(per_rank <= 337, "{per_rank} B per rank");
+    // Every rank of a step world has an upper half, and it stays small:
+    // the random body's generator, accumulator, step, pc, its pending
+    // requests and subcommunicators, and the drained iallreduce outputs.
+    assert!(image.captures.iter().all(|c| c.upper.is_some()));
+    let (outputs_len, outputs) = output_table(&image);
+    let sections = image
+        .captures
+        .iter()
+        .map(|c| upper_half(c.upper.as_ref(), &outputs));
+    let upper = outputs_len + sections.sum::<usize>();
+    assert!(
+        upper / RANKS <= 48,
+        "{} B of upper half per rank",
+        upper / RANKS
+    );
+    assert!(
+        upper / RANKS <= 96,
+        "{} B of upper half per rank",
+        upper / RANKS
+    );
+    // What v9 saves: a group-id word per sequence entry (in each distinct
+    // chunk) and per cut run.
+    let entries: usize = (distinct_stable_halves(&image).iter())
+        .map(|c| c.seq_table.len())
+        .sum();
+    let saved = WORD * (entries + image.cut_events.runs().len());
+    assert!(saved > upper, "{saved} B saved vs {upper} B of upper half");
 
     // One more run on a group that is already in the table costs its
-    // rank, ggid, bounds and a 9-byte reference, whatever the group's size
-    // and however many collectives the run covers.
+    // rank, bounds and a 9-byte reference, whatever the group's size and
+    // however many collectives the run covers.
     let mut runs = image.cut_events.runs().to_vec();
     let again = runs
         .iter()
@@ -310,7 +382,7 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     image.cut_events = Cut::from_runs(runs);
     let grown = image.serialized_len() - len;
     let bounds = var_len(added.first) + var_len(added.last);
-    assert_eq!(grown, uvar(added.rank) + WORD + bounds + TAG + WORD);
+    assert_eq!(grown, uvar(added.rank) + bounds + TAG + WORD);
     assert_eq!(grown, run(&added));
     assert!(grown < 64);
 }
@@ -404,10 +476,11 @@ fn ranks_with_identical_stable_halves_share_one_chunk() {
     // carries a range reference — and, every count of this run being
     // below 2⁷, one byte for each varint.
     let added: usize = (16..32)
-        .map(|r| record(&large.captures[r]) + run(&large.cut_events.runs()[r]))
+        .map(|r| record(&large.captures[r], &[]) + run(&large.cut_events.runs()[r]))
         .sum();
-    let small_record = 1 + TAG + WORD + TAG + 1 + 1 + (TAG + WORD + 1);
-    let small_run = 1 + WORD + 1 + 1 + (TAG + 1 + 1);
+    // A closure's rank has no upper half: its section is the tag alone.
+    let small_record = 1 + TAG + WORD + TAG + 1 + 1 + TAG + (TAG + WORD + 1);
+    let small_run = 1 + 1 + 1 + (TAG + 1 + 1);
     assert_eq!(added, 16 * (small_record + small_run));
     assert_eq!(large.serialized_len() - small.serialized_len(), added);
 }
@@ -415,12 +488,14 @@ fn ranks_with_identical_stable_halves_share_one_chunk() {
 /// A two-rank image built by hand, every integer in it below 2⁷: each
 /// count, rank, sequence number, id, counter and length is one byte on
 /// the wire, and the image is exactly the sum of the widths below. An
-/// integer written as an 8-byte word again would break the sum.
+/// integer written as an 8-byte word again — a group id beside its list
+/// included — would break the sum.
 #[test]
 fn small_values_cost_one_byte_each() {
+    let g = ggid_of_sorted(&[0, 1]);
     let capture = |rank: usize| {
         let mut seq_table = SeqTable::new();
-        seq_table.restore(Ggid(5), 3, vec![0, 1]);
+        seq_table.restore(g, 3, vec![0, 1]);
         RuntimeCapture {
             rank,
             state: RankState::Quiesced,
@@ -452,11 +527,19 @@ fn small_values_cost_one_byte_each() {
             vcomm_members: [(0u64, vec![0, 1].into()), (1, vec![rank].into())]
                 .into_iter()
                 .collect(),
+            // Rank 0's body saved three bytes beside one drained
+            // iallreduce output and one held send; rank 1's has none.
+            upper: (rank == 0).then(|| UpperHalf {
+                body: vec![1, 2, 3],
+                next_vreq: 4,
+                ready: vec![(1, bytes::Bytes::from_static(b"ok"))],
+                sends: vec![(3, VTime::from_micros(2.0))],
+            }),
         }
     };
     let run = |rank: usize| CutRun {
         rank,
-        ggid: Ggid(5),
+        ggid: g,
         first: 1,
         last: 3,
         members: vec![0, 1].into(),
@@ -472,7 +555,7 @@ fn small_values_cost_one_byte_each() {
         request_clock: VTime::ZERO,
         initial_targets: HashMap::new(),
         final_targets: HashMap::new(),
-        achieved: [(Ggid(5), 3)].into_iter().collect(),
+        achieved: [(g, 3)].into_iter().collect(),
         captures: vec![capture(0), capture(1)],
         in_flight: Vec::new(),
         cut_events: Cut::from_runs(vec![run(0), run(1)]),
@@ -484,24 +567,32 @@ fn small_values_cost_one_byte_each() {
     // parameters and the request clock; the two empty target maps and
     // the achieved map's one entry (ggid word, value); two io words.
     let preamble = 6 + 11 * WORD + 2 + (1 + WORD + 1) + 2 * WORD;
-    // Every list is a contiguous run: an empty table.
+    // Every list is a contiguous run: an empty table. The output table:
+    // count, then rank 0's one drained output (length, two bytes).
     let table = 1;
+    let outputs = 1 + (1 + 2);
     // Rank, state, clock word, barrier tag, two flow counts, chunk
     // reference (tag, hash word, length).
     let record = 1 + 1 + WORD + 1 + 2 + (1 + WORD + 1);
+    // The upper-half sections: rank 0's tag, next id, ready count and one
+    // (vreq, output index), send count and one (vreq, time word), body
+    // length and three bytes; rank 1's tag alone.
+    let uppers = (1 + 1 + 1 + (1 + 1) + 1 + (1 + WORD) + 1 + 3) + 1;
     let in_flight_ref = 1 + WORD + 1;
-    // Rank, ggid word, first, last, range reference (tag, start, len).
-    let cut_run = 1 + WORD + 2 + 3;
-    let head = preamble + table + 1 + 2 * record + in_flight_ref + 1 + 2 * cut_run;
-    // `seq_table`: count, ggid word, seq, reference. Creation log: count,
-    // op tag, parent, zigzag colour and key, result tag, result. Pending
+    // Rank, first, last, range reference (tag, start, len).
+    let cut_run = 1 + 2 + 3;
+    let head =
+        preamble + table + outputs + 1 + 2 * record + uppers + in_flight_ref + 1 + 2 * cut_run;
+    // `seq_table`: count, seq, reference. Creation log: count, op tag,
+    // parent, zigzag colour and key, result tag, result. Pending
     // receives: count, vreq, vcomm, source tag, tag selector and value.
     // Nine counters. `vcomm_members`: count, two (id, reference).
-    let stable = (1 + WORD + 1 + 3) + (1 + 6) + (1 + 5) + 9 + (1 + 2 * (1 + 3));
+    let stable = (1 + 1 + 3) + (1 + 6) + (1 + 5) + 9 + (1 + 2 * (1 + 3));
     // The in-flight chunk: an empty count.
     let chunks = 2 * stable + 1;
-    assert_eq!(stable, 44);
-    assert_eq!(head, 209);
+    assert_eq!(uppers, 20);
+    assert_eq!(stable, 36);
+    assert_eq!(head, 217);
 
     let expected = IMAGE_HEADER_LEN + head + chunks;
     assert_eq!(image.serialized_len(), expected);
@@ -509,4 +600,17 @@ fn small_values_cost_one_byte_each() {
     let bytes = image.to_bytes();
     assert_eq!(bytes.len(), expected);
     assert_eq!(Checkpoint::from_bytes(&bytes).as_ref(), Ok(&image));
+}
+
+/// The wire writes a group by its member list alone, so an image whose
+/// group id is not its list's would decode to another group: encoding it
+/// fails loudly instead.
+#[test]
+#[should_panic(expected = "is not the group id of its member list")]
+fn a_group_id_that_is_not_its_lists_cannot_be_encoded() {
+    let mut image = scf_image(4);
+    let mut runs = image.cut_events.runs().to_vec();
+    runs[0].ggid = Ggid(runs[0].ggid.0 ^ 1);
+    image.cut_events = Cut::from_runs(runs);
+    image.to_bytes();
 }

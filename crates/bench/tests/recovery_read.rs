@@ -4,9 +4,10 @@
 //! entry points — [`TieredStore::read_secs`] of the generation the image
 //! came from, on the restored packing.
 
+use bench::BenchStepBody;
 use bench::BenchWorkload;
 use ckpt::{
-    restore_ckpt_world, run_available_world, run_available_world_steps, run_ckpt_world,
+    restore_ckpt_world_steps, run_available_world_steps, run_ckpt_world_steps,
     try_restore_ckpt_world_steps, CkptOptions, CkptTier, FaultPlan, FaultScope, FaultTrigger,
     ImageSetLayout, RestoreConfig, TierModels, TieredStore, Tiering, VirtualTimeSchedule,
 };
@@ -45,9 +46,8 @@ fn read_at(store: &TieredStore, gen: u64, n_ranks: usize, rpn: usize) -> f64 {
         .expect("the store holds the generation")
 }
 
-fn paced_scf(r: &mut ckpt::CcRank) -> f64 {
-    r.set_wall_pace_us(PACE_US);
-    BenchWorkload::Scf.run_iters(ITERS, r)
+fn paced_scf(_rank: usize) -> BenchStepBody {
+    BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
 }
 
 /// One checkpoint at 30 % of the native makespan over `store`'s Lustre
@@ -73,12 +73,12 @@ fn one_checkpoint_one_death(
 #[test]
 fn rank_death_recovery_keeps_the_launch_packing() {
     let cfg = world(9, 4);
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), paced_scf);
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), paced_scf);
     let base: Vec<f64> = native.results().copied().collect();
     let store = lustre_store();
     let (opts, plan) =
         one_checkpoint_one_death(&store, native.makespan.as_secs(), FaultScope::Rank(5));
-    let rep = run_available_world(cfg, opts, plan, paced_scf);
+    let rep = run_available_world_steps(cfg, opts, plan, paced_scf);
     assert_eq!(rep.backstop_expiries, 0);
     assert_eq!(rep.faults.len(), 1, "the death must fire");
     assert_eq!(rep.results().copied().collect::<Vec<_>>(), base);
@@ -97,7 +97,7 @@ fn rank_death_recovery_keeps_the_launch_packing() {
     // generation there through the public entry point continues to the
     // same makespan.
     let image = store.load(gen).expect("a Lustre generation survives");
-    let restored = restore_ckpt_world(
+    let restored = restore_ckpt_world_steps(
         &image,
         RestoreConfig::same_packing()
             .with_ranks_per_node(4)
@@ -115,8 +115,8 @@ fn rank_death_recovery_keeps_the_launch_packing() {
 #[test]
 fn restore_and_recovery_charge_one_read() {
     let cfg = world(8, 2);
-    let body = || BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US);
-    let native = ckpt::run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), |_| body());
+    let body = || paced_scf(0);
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), |_| body());
     let store = lustre_store();
     let (opts, plan) =
         one_checkpoint_one_death(&store, native.makespan.as_secs(), FaultScope::Node(1));

@@ -6,37 +6,40 @@
 //! inter-node costs from the new packing.
 
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, CcRank, Checkpoint, CkptOptions, CkptTier, RestoreConfig,
-    ResumeMode, TierModels, TieredStore,
+    restore_ckpt_world_steps, run_ckpt_world_steps, Checkpoint, CkptOptions, CkptTier,
+    RestoreConfig, ResumeMode, TierModels, TieredStore,
 };
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
-use workloads::{halo_exchange, scf_loop};
+use workloads::{HaloStep, Paced, ScfStep, Then};
 
 /// A deterministic, wildcard-free workload mixing collectives (SCF) with
 /// fixed-neighbor point-to-point (halo), so its data is identical under
 /// any packing while its timing is topology-sensitive.
-fn workload(r: &mut CcRank) -> f64 {
-    let energy = scf_loop(r, 20, 8);
-    let halo = halo_exchange(r, 10, 6);
-    energy + halo
+fn workload(_rank: usize) -> Then<ScfStep, HaloStep> {
+    Then::new(ScfStep::new(20, 8), HaloStep::new(10, 6))
 }
 
-/// Captures an 8-rank image under the 4-ranks-per-node packing.
-fn capture_8_rank_image() -> (Checkpoint, Vec<f64>) {
-    let cfg = WorldConfig::multi_node(8, 4).with_params(NetParams::slingshot11().without_jitter());
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), workload);
-    let native_data: Vec<f64> = native.results().copied().collect();
+type Results = Vec<(f64, f64)>;
 
+/// Captures an 8-rank image under the 4-ranks-per-node packing.
+fn capture_8_rank_image() -> (Checkpoint, Results) {
+    let cfg = WorldConfig::multi_node(8, 4).with_params(NetParams::slingshot11().without_jitter());
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), workload);
+    let native_data: Results = native.results().copied().collect();
+
+    // Paced on the wall (virtual time untouched), so the trigger lands
+    // mid-run: eight step ranks on the pool otherwise can finish before
+    // the supervisor requests the checkpoint.
     let at = VTime::from_secs(native.makespan.as_secs() * 0.3);
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        workload,
+        |rank| Paced::new(workload(rank), 25),
     );
     assert_eq!(run.checkpoints.len(), 1, "checkpoint must fire");
-    let run_data: Vec<f64> = run.results().copied().collect();
+    let run_data: Results = run.results().copied().collect();
     assert_eq!(run_data, native_data);
     let image = run.checkpoints.into_iter().next().unwrap();
     assert_eq!(image.origin.ranks_per_node, 4);
@@ -52,12 +55,12 @@ fn restore_onto_every_packing_is_bit_identical_with_distinct_makespans() {
 
     let mut makespans = Vec::new();
     for rpn in [1usize, 2, 4, 8] {
-        let restored = restore_ckpt_world(
+        let restored = restore_ckpt_world_steps(
             &image,
             RestoreConfig::same_packing().with_ranks_per_node(rpn),
             workload,
         );
-        let data: Vec<f64> = restored.results().copied().collect();
+        let data: Results = restored.results().copied().collect();
         assert_eq!(
             data, native_data,
             "re-packing onto {rpn} ranks/node changed the results"
@@ -105,20 +108,20 @@ fn repacked_restore_charges_read_io_under_the_new_topology() {
 
     // Same re-packing with and without a read source: the read-back must
     // land on the restored clocks.
-    let free = restore_ckpt_world(
+    let free = restore_ckpt_world_steps(
         &image,
         RestoreConfig::same_packing().with_ranks_per_node(2),
         workload,
     );
-    let charged = restore_ckpt_world(
+    let charged = restore_ckpt_world_steps(
         &image,
         RestoreConfig::same_packing()
             .with_ranks_per_node(2)
             .with_storage(store, gen),
         workload,
     );
-    let free_data: Vec<f64> = free.results().copied().collect();
-    let charged_data: Vec<f64> = charged.results().copied().collect();
+    let free_data: Results = free.results().copied().collect();
+    let charged_data: Results = charged.results().copied().collect();
     assert_eq!(free_data, native_data);
     assert_eq!(
         charged_data, native_data,

@@ -1,18 +1,33 @@
-//! Regression tier for the typed restore pre-flight: a deliberately
-//! inconsistent image must be **refused** by `try_restore_ckpt_world`
-//! with a typed [`RestoreError`] — before any rank thread spawns — and
-//! never `expect`-panic inside the restore path (the bug this PR fixes:
-//! the safe-cut oracle's failure used to panic mid-restore).
+//! Regression tier for the typed restore refusals: a deliberately
+//! inconsistent image, an image with no upper half, or a body that
+//! refuses its snapshot must be **refused** by
+//! `try_restore_ckpt_world_steps` with a typed [`RestoreError`] — before
+//! any rank runs — and never `expect`-panic inside the restore path.
 
 use ckpt::{
-    run_ckpt_world, try_restore_ckpt_world, Checkpoint, CkptOptions, CkptTier, ImageError,
-    RestoreConfig, RestoreError, ResumeMode, StoreError, TieredStore,
+    run_ckpt_world, run_ckpt_world_steps, try_restore_ckpt_world_steps, Checkpoint, CkptOptions,
+    CkptTier, ImageError, RestoreConfig, RestoreError, ResumeMode, StoreError, TieredStore,
 };
-use mana_core::{Cut, ExecEvent};
+use mana_core::{ggid_of_sorted, Cut, ExecEvent};
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep, ScfStep};
+
+fn cfg() -> WorldConfig {
+    WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter())
+}
+
+/// Restores `image` with the random workload `wl`, flagging in `ran` any
+/// body built for it.
+fn try_restore(
+    image: &Checkpoint,
+    rcfg: RestoreConfig,
+    wl: &RandomWorkloadCfg,
+) -> Result<Vec<f64>, RestoreError> {
+    try_restore_ckpt_world_steps(image, rcfg, |_| RandomWorkloadStep::new(wl.clone()))
+        .map(|r| r.results().copied().collect())
+}
 
 /// Rewrites the image's cut one participation at a time: `edit` gets the
 /// first multi-member participation's position in the cut's event list.
@@ -26,19 +41,18 @@ fn edit_cut(image: &mut Checkpoint, edit: impl FnOnce(&mut Vec<ExecEvent>, usize
     image.cut_events = Cut::from_events(&events);
 }
 
-/// A genuine, consistent image from a real 4-rank checkpointed run.
+/// A genuine, consistent image from a real 4-rank checkpointed run of
+/// the random workload's step body.
 fn capture_image() -> (Checkpoint, RandomWorkloadCfg) {
-    let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(0xCC, 25);
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
-    });
+    let body = |_| RandomWorkloadStep::new(wl.clone());
+    let native = run_ckpt_world_steps(cfg(), CkptOptions::native(), body);
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let paced = wl.clone().with_pace_us(20);
-    let run = run_ckpt_world(
-        cfg,
+    let run = run_ckpt_world_steps(
+        cfg(),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&paced, r),
+        |_| RandomWorkloadStep::new(paced.clone()),
     );
     let image = run
         .checkpoints
@@ -59,10 +73,8 @@ fn unsafe_cut_is_refused_with_a_typed_error() {
     for v in image.achieved.values_mut() {
         *v = 0;
     }
-    let err = try_restore_ckpt_world(&image, RestoreConfig::same_packing(), |r| {
-        random_workload(&wl, r)
-    })
-    .expect_err("an unsafe cut must be refused");
+    let err = try_restore(&image, RestoreConfig::same_packing(), &wl)
+        .expect_err("an unsafe cut must be refused");
     match &err {
         RestoreError::UnsafeCut(violations) => {
             assert!(!violations.is_empty(), "violations must be carried")
@@ -80,17 +92,15 @@ fn partially_visited_node_is_refused() {
     // Drop one rank's visit to a collective node: the node is now visited
     // by a strict subset of its members — Invariant 2 of the oracle.
     edit_cut(&mut image, |events, victim| drop(events.remove(victim)));
-    let err = try_restore_ckpt_world(&image, RestoreConfig::same_packing(), |r| {
-        random_workload(&wl, r)
-    })
-    .expect_err("a partially-visited cut must be refused");
+    let err = try_restore(&image, RestoreConfig::same_packing(), &wl)
+        .expect_err("a partially-visited cut must be refused");
     assert!(matches!(err, RestoreError::UnsafeCut(_)), "got {err:?}");
 }
 
 /// A member list naming a rank outside the world would index past the
 /// per-rank control state mid-restore. The wire refuses it where it
 /// enters: the list is range-checked once, in the member-list table, and
-/// the image never reaches `try_restore_ckpt_world`.
+/// the image never reaches `try_restore_ckpt_world_steps`.
 #[test]
 fn member_outside_the_world_is_refused_at_decode() {
     let (mut image, _) = capture_image();
@@ -98,6 +108,9 @@ fn member_outside_the_world_is_refused_at_decode() {
     edit_cut(&mut image, |events, victim| {
         let mut members = events[victim].members.to_vec();
         *members.last_mut().unwrap() = n + 3;
+        // The wire writes a group by its list alone: the edited list is
+        // its own group.
+        events[victim].node.ggid = ggid_of_sorted(&members);
         events[victim].members = members.into();
     });
     let res = std::panic::catch_unwind(|| Checkpoint::from_bytes(&image.to_bytes()))
@@ -113,10 +126,8 @@ fn member_outside_the_world_is_refused_at_decode() {
 fn capture_count_mismatch_is_refused_as_malformed() {
     let (mut image, wl) = capture_image();
     image.captures.pop();
-    let err = try_restore_ckpt_world(&image, RestoreConfig::same_packing(), |r| {
-        random_workload(&wl, r)
-    })
-    .expect_err("a capture/n_ranks mismatch must be refused");
+    let err = try_restore(&image, RestoreConfig::same_packing(), &wl)
+        .expect_err("a capture/n_ranks mismatch must be refused");
     assert!(
         matches!(err, RestoreError::MalformedImage(_)),
         "got {err:?}"
@@ -134,27 +145,87 @@ fn unknown_read_source_generation_is_refused() {
         .generation;
     let ran = AtomicBool::new(false);
     let rcfg = RestoreConfig::same_packing().with_storage(Arc::clone(&store), held + 1);
-    let err = try_restore_ckpt_world(&image, rcfg, |r| {
+    let err = try_restore_ckpt_world_steps(&image, rcfg, |_| {
         ran.store(true, Ordering::SeqCst);
-        random_workload(&wl, r)
+        RandomWorkloadStep::new(wl.clone())
     })
     .expect_err("an unknown read source generation must be refused");
     assert_eq!(
         err,
         RestoreError::ReadSource(StoreError::UnknownGeneration(held + 1))
     );
-    assert!(!ran.load(Ordering::SeqCst), "no rank may run");
+    assert!(!ran.load(Ordering::SeqCst), "no rank may be built");
     assert!(format!("{err}").contains("unknown checkpoint generation"));
 }
 
 #[test]
 fn pristine_image_still_restores_through_the_try_api() {
     let (image, wl) = capture_image();
-    let report = try_restore_ckpt_world(&image, RestoreConfig::same_packing(), |r| {
-        random_workload(&wl, r)
+    let report = try_restore_ckpt_world_steps(&image, RestoreConfig::same_packing(), |_| {
+        RandomWorkloadStep::new(wl.clone())
     })
     .expect("a consistent image restores");
     assert_eq!(report.results().count(), image.n_ranks);
     // Restored runs re-captured nothing: the wall-time column is empty.
     assert!(report.capture_wall_s.is_empty());
+}
+
+/// A closure body's state is its stack: its images carry no upper half
+/// and restart in-process only. Restoring one elsewhere is refused at
+/// pre-flight, naming the first rank without one, before any body is
+/// built.
+#[test]
+fn closure_image_without_an_upper_half_is_refused() {
+    let wl = RandomWorkloadCfg::new(0xCC, 25);
+    let native = run_ckpt_world(cfg(), CkptOptions::native(), |r| random_workload(&wl, r));
+    let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
+    let paced = wl.clone().with_pace_us(20);
+    let run = run_ckpt_world(
+        cfg(),
+        CkptOptions::one_checkpoint(at, ResumeMode::Continue),
+        |r| random_workload(&paced, r),
+    );
+    let image = run.checkpoints.into_iter().next().expect("captured");
+    assert!(image.captures.iter().all(|c| c.upper.is_none()));
+    let image = Checkpoint::from_bytes(&image.to_bytes()).expect("a closure image decodes");
+    let ran = AtomicBool::new(false);
+    let err = try_restore_ckpt_world_steps(&image, RestoreConfig::same_packing(), |_| {
+        ran.store(true, Ordering::SeqCst);
+        RandomWorkloadStep::new(wl.clone())
+    })
+    .expect_err("an image with no upper half must be refused");
+    assert_eq!(err, RestoreError::NoUpperHalf { rank: 0 });
+    assert!(!ran.load(Ordering::SeqCst), "no rank may be built");
+    assert!(format!("{err}").contains("in-process only"));
+}
+
+/// A body that is not the program the image was captured from refuses
+/// its snapshot: a typed error naming the rank, not a panic, and no rank
+/// runs.
+#[test]
+fn a_body_of_another_program_refuses_its_snapshot() {
+    let (image, wl) = capture_image();
+    // Another seed: the same body type, another schedule.
+    let other = RandomWorkloadCfg::new(0xCD, 25);
+    let err = try_restore(&image, RestoreConfig::same_packing(), &other)
+        .expect_err("another schedule must be refused");
+    assert_eq!(
+        err,
+        RestoreError::BodySnapshot {
+            rank: 0,
+            what: "schedule seed"
+        }
+    );
+    assert!(format!("{err}").contains("refused its snapshot"));
+    // Another body type altogether.
+    let err = try_restore_ckpt_world_steps(&image, RestoreConfig::same_packing(), |_| {
+        ScfStep::new(25, 8)
+    })
+    .expect_err("another body must be refused");
+    assert!(
+        matches!(err, RestoreError::BodySnapshot { rank: 0, .. }),
+        "got {err:?}"
+    );
+    // And the right program still restores from the same image.
+    assert!(try_restore(&image, RestoreConfig::same_packing(), &wl).is_ok());
 }

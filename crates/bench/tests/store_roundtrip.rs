@@ -8,27 +8,24 @@
 
 use bench::synthetic_checkpoint;
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, CcRank, CkptOptions, CkptTier, PeriodicInterval,
+    restore_ckpt_world_steps, run_ckpt_world_steps, CkptOptions, CkptTier, PeriodicInterval,
     RestoreConfig, ResumeMode, StoreError, TierSchedule, TieredStore, Tiering,
 };
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{halo_exchange, scf_loop};
+use workloads::{HaloStep, Paced, ScfStep, Then};
 
 /// A deterministic, wildcard-free workload (collectives + fixed-neighbor
 /// p2p): its data is identical under any packing and any storage charge.
-fn workload(r: &mut CcRank) -> f64 {
-    let energy = scf_loop(r, 20, 8);
-    let halo = halo_exchange(r, 10, 6);
-    energy + halo
+fn workload(_rank: usize) -> Then<ScfStep, HaloStep> {
+    Then::new(ScfStep::new(20, 8), HaloStep::new(10, 6))
 }
 
 /// The same program under a wall pace, for the checkpointed runs: the
 /// pace stretches host wall time (virtual time and data are untouched)
 /// so overdue triggers land before the workload finishes.
-fn paced_workload(r: &mut CcRank) -> f64 {
-    r.set_wall_pace_us(25);
-    workload(r)
+fn paced_workload(rank: usize) -> Paced<Then<ScfStep, HaloStep>> {
+    Paced::new(workload(rank), 25)
 }
 
 fn two_node_world() -> WorldConfig {
@@ -54,8 +51,8 @@ fn every_tier_roundtrips_bit_identical() {
 
 #[test]
 fn tiered_run_generations_reload_bit_identical_across_the_rotation() {
-    let native = run_ckpt_world(two_node_world(), CkptOptions::native(), workload);
-    let native_data: Vec<f64> = native.results().copied().collect();
+    let native = run_ckpt_world_steps(two_node_world(), CkptOptions::native(), workload);
+    let native_data: Vec<(f64, f64)> = native.results().copied().collect();
     let interval = VTime::from_secs(native.makespan.as_secs() / 5.0);
 
     let store = Arc::new(TieredStore::default());
@@ -65,7 +62,7 @@ fn tiered_run_generations_reload_bit_identical_across_the_rotation() {
             partner_every: 2,
             lustre_every: 3,
         });
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         two_node_world(),
         CkptOptions::native()
             .with_policy(PeriodicInterval::new(interval, 4))
@@ -93,17 +90,17 @@ fn tiered_run_generations_reload_bit_identical_across_the_rotation() {
     }
 
     // Storage charging may stretch the clock but never the data.
-    let run_data: Vec<f64> = run.results().copied().collect();
+    let run_data: Vec<(f64, f64)> = run.results().copied().collect();
     assert_eq!(run_data, native_data);
 }
 
 #[test]
 fn async_drain_blocks_only_for_clone_out_and_charges_backpressure() {
-    let native = run_ckpt_world(two_node_world(), CkptOptions::native(), workload);
+    let native = run_ckpt_world_steps(two_node_world(), CkptOptions::native(), workload);
     let interval = VTime::from_secs(native.makespan.as_secs() / 4.0);
     let run_with = |async_drain: bool| {
         let tiering = Tiering::fixed(CkptTier::Lustre).with_async_drain(async_drain);
-        let run = run_ckpt_world(
+        let run = run_ckpt_world_steps(
             two_node_world(),
             CkptOptions::native()
                 .with_policy(PeriodicInterval::new(interval, 3))
@@ -163,12 +160,12 @@ fn async_drain_blocks_only_for_clone_out_and_charges_backpressure() {
 
 #[test]
 fn partner_tier_restores_after_node_loss_onto_smaller_packing() {
-    let native = run_ckpt_world(two_node_world(), CkptOptions::native(), workload);
-    let native_data: Vec<f64> = native.results().copied().collect();
+    let native = run_ckpt_world_steps(two_node_world(), CkptOptions::native(), workload);
+    let native_data: Vec<(f64, f64)> = native.results().copied().collect();
     let at = VTime::from_secs(native.makespan.as_secs() * 0.3);
 
     let store = Arc::new(TieredStore::default());
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         two_node_world(),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue)
             .with_tiering(Tiering::fixed(CkptTier::Partner).with_store(Arc::clone(&store))),
@@ -209,12 +206,12 @@ fn partner_tier_restores_after_node_loss_onto_smaller_packing() {
     // The replacement allocation is thinner: restore onto 2 ranks per
     // node (4 nodes) instead of the original 4 (2 nodes).
     assert_eq!(loaded.origin.ranks_per_node, 4);
-    let restored = restore_ckpt_world(
+    let restored = restore_ckpt_world_steps(
         &loaded,
         RestoreConfig::same_packing().with_ranks_per_node(2),
         workload,
     );
-    let data: Vec<f64> = restored.results().copied().collect();
+    let data: Vec<(f64, f64)> = restored.results().copied().collect();
     assert_eq!(data, native_data, "restore after node loss changed results");
 
     // Losing the buddy pair is unrecoverable — the typed error says so.

@@ -27,12 +27,16 @@
 //!
 //! So are the **cut block** and the **chunk lengths**. The cut holds runs
 //! `first..=last` where v5 held one event per participation, so a forged
-//! run can claim 2⁶⁴ participations in 29 bytes: hostile bounds, ranks,
+//! run can claim 2⁶⁴ participations in 21 bytes: hostile bounds, ranks,
 //! members and orderings are typed errors, and nothing — decode, the
 //! oracle, `len()` — does work proportional to what a run claims. The
 //! length in a chunk's address is what the decoder tiles the chunk
 //! section by: zero, off by one, past the buffer or unrepresentable, it
-//! is a typed error to the decoders and to `TieredStore::load`.
+//! is a typed error to the decoders and to `TieredStore::load`. So is
+//! each rank's **upper half** (the body's snapshot and its request-table
+//! state): a forged tag, request id, output index or completion time, a
+//! snapshot length past the record, or an output-table entry no record
+//! names, is `Malformed`.
 //!
 //! The **delta image** sections get the same treatment: flips inside
 //! content-addressed chunk bodies (where the head checksum does not
@@ -46,13 +50,13 @@
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
 use ckpt::store::delta::full_image_refs;
 use ckpt::{
-    run_ckpt_world, Checkpoint, ChunkPool, ChunkRef, CkptOptions, CkptTier, DeltaImage, ImageError,
-    ResumeMode, StoreError, TieredStore,
+    run_ckpt_world_steps, Checkpoint, ChunkPool, ChunkRef, CkptOptions, CkptTier, DeltaImage,
+    ImageError, ResumeMode, StoreError, TieredStore,
 };
 use mana_core::{Cut, CutRun};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep, SplitMix64};
 
 use ckpt::image::{
     IMAGE_CHECKSUM_OFFSET as CHECKSUM_OFFSET, IMAGE_HEADER_LEN as HEADER,
@@ -60,21 +64,22 @@ use ckpt::image::{
 };
 use ckpt::wire::{var_len, Dec, Wr};
 
-/// Captures one non-trivial image from a real run: eight ranks, so the
-/// schedule's communicator splits leave strided groups and the image
-/// holds member-table entries (a 4-rank world splits into runs only).
+/// Captures one non-trivial image from a real run of step bodies: eight
+/// ranks, so the schedule's communicator splits leave strided groups and
+/// the image holds member-table entries (a 4-rank world splits into runs
+/// only), and every rank's record carries its upper half.
 fn capture_image() -> Checkpoint {
     let cfg = WorldConfig::single_node(8).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(13, 25);
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), |_| {
+        RandomWorkloadStep::new(wl.clone())
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let paced = wl.clone().with_pace_us(20);
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&paced, r),
+        |_| RandomWorkloadStep::new(paced.clone()),
     );
     let image = run
         .checkpoints
@@ -308,10 +313,10 @@ fn section_ranges_agree_with_parallel_encoder_output() {
 // member-list table and references
 // ---------------------------------------------------------------------
 
-/// Bytes of a cut run ahead of its member-list reference: the rank, the
-/// ggid word, first and last.
+/// Bytes of a cut run ahead of its member-list reference: the rank,
+/// first and last (no group id: the list's is the run's).
 fn run_prefix(r: &CutRun) -> usize {
-    var_len(r.rank as u64) + 8 + var_len(r.first) + var_len(r.last)
+    var_len(r.rank as u64) + var_len(r.first) + var_len(r.last)
 }
 
 fn is_listed(r: &CutRun) -> bool {
@@ -564,7 +569,7 @@ fn overlong_var(bytes: &[u8], at: usize) -> Vec<u8> {
 
 /// Offsets of a cut run's varints at `at`: `(first, last, reference)`.
 fn run_fields(bytes: &[u8], at: usize) -> (usize, usize, usize) {
-    let first = at + var_at(bytes, at).1 + 8;
+    let first = at + var_at(bytes, at).1;
     let last = first + var_at(bytes, first).1;
     (first, last, last + var_at(bytes, last).1)
 }
@@ -594,8 +599,8 @@ fn hostile_cut_runs_are_typed_errors() {
     let bytes = image.to_bytes();
     let runs = image.cut_events.runs();
     let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
-    // A run is its rank, the ggid word, first, last, then the reference —
-    // a tag byte and `(start, len)` or an 8-byte content id.
+    // A run is its rank, first, last, then the reference — a tag byte and
+    // `(start, len)` or an 8-byte content id.
     let mid = runs.len() / 2;
     let (first, last, _) = run_fields(&bytes, at[mid]);
 
@@ -656,7 +661,7 @@ fn a_run_claiming_every_sequence_number_costs_nothing() {
     let violations = verdict.expect_err("a run beyond every target is no safe cut");
     assert!(violations.len() <= 4 * image.cut_events.runs().len());
     let forgery = run_len(&decoded.cut_events.runs()[0]);
-    assert!(forgery <= 29, "a {forgery}-byte run");
+    assert!(forgery <= 21, "a {forgery}-byte run");
     assert!(
         took.as_millis() < 10,
         "{took:?} for a {forgery}-byte forgery"
@@ -1016,8 +1021,151 @@ fn bad_magic_and_version_are_typed() {
         Err(ImageError::UnsupportedVersion(_))
     ));
 
+    // The v8 wire wrote group ids beside their lists and no upper half.
+    let mut m = bytes.clone();
+    m[8] = 8;
+    assert_eq!(
+        decode_no_panic(&m, "v8"),
+        Err(ImageError::UnsupportedVersion(8))
+    );
+
     assert!(matches!(
         decode_no_panic(&[], "empty buffer"),
         Err(ImageError::BadMagic) | Err(ImageError::Truncated { .. })
     ));
+}
+
+// ---------------------------------------------------------------------
+// upper halves
+// ---------------------------------------------------------------------
+
+/// Offset of rank `rank`'s upper-half section in `bytes`: its record's
+/// rank, state, clock word, barrier (tag, then vcomm and ordinal) and two
+/// flow counts come first.
+fn upper_offset(image: &Checkpoint, bytes: &[u8], rank: usize) -> usize {
+    let mut at = image.capture_section_ranges()[rank].start;
+    at += var_at(bytes, at).1 + 1 + 8;
+    let barrier = bytes[at];
+    at += 1;
+    if barrier == 1 {
+        at += var_at(bytes, at).1;
+        at += var_at(bytes, at).1;
+    }
+    at += var_at(bytes, at).1;
+    at + var_at(bytes, at).1
+}
+
+/// Both decoders refuse `bytes` as `Malformed(what)`, without panicking.
+fn assert_malformed_as(bytes: &[u8], what: &'static str) {
+    let full = decode_no_panic(bytes, what).err();
+    let either = decode_payload_no_panic(bytes, what).err();
+    for got in [full, either] {
+        assert_eq!(got, Some(ImageError::Malformed(what)), "{what}");
+    }
+}
+
+/// A forged upper half is a typed `Malformed` from `from_bytes`: a tag
+/// that is neither absent nor present, a snapshot length past its record
+/// (a truncated snapshot), and — re-encoded from an edited image, so only
+/// the check can catch them — request ids out of order or at or past the
+/// next id, and a completion time that is no time.
+#[test]
+fn forged_upper_halves_are_malformed() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    let rank = image.n_ranks / 2;
+    let upper = image.captures[rank]
+        .upper
+        .as_ref()
+        .expect("a step rank's upper half");
+    let at = upper_offset(&image, &bytes, rank);
+    assert_eq!(bytes[at], 1, "the upper half's tag");
+
+    let mut m = bytes.clone();
+    m[at] = 2;
+    fix_checksum(&mut m);
+    assert_malformed_as(&m, "upper-half tag");
+
+    // The snapshot closes the section: its length varint sits just before
+    // its bytes. Claiming more than the head holds truncates it.
+    let body_len = at + upper_len(upper) - upper.body.len() - var_len(upper.body.len() as u64);
+    assert_eq!(var_at(&bytes, body_len).0, upper.body.len() as u64);
+    assert_malformed_as(&patched_var(&bytes, body_len, 1 << 40), "upper-half body");
+
+    let forged = |edit: &dyn Fn(&mut mana_core::UpperHalf)| {
+        let mut image = image.clone();
+        edit(image.captures[rank].upper.as_mut().unwrap());
+        image.to_bytes()
+    };
+    let next = upper.next_vreq;
+    assert_malformed_as(
+        &forged(&|u| u.sends = vec![(next, VTime::ZERO)]),
+        "upper-half send vreq",
+    );
+    assert_malformed_as(
+        &forged(&|u| u.sends = vec![(0, VTime::ZERO), (0, VTime::ZERO)]),
+        "upper-half send vreq",
+    );
+    assert_malformed_as(
+        &forged(&|u| u.ready = vec![(next + 5, bytes::Bytes::new())]),
+        "upper-half ready vreq",
+    );
+    // One drained output, the image's only one: the table behind the
+    // member table holds it (count, length, byte), the record names it by
+    // index after its request id. An index past the table, or a table
+    // entry no record names, is malformed.
+    let mut edited = image.clone();
+    for c in &mut edited.captures {
+        if let Some(u) = &mut c.upper {
+            u.ready.clear();
+        }
+    }
+    let u = edited.captures[rank].upper.as_mut().unwrap();
+    (u.next_vreq, u.ready) = (
+        u.next_vreq.max(1),
+        vec![(0, bytes::Bytes::from_static(b"x"))],
+    );
+    let next = u.next_vreq;
+    let bytes = edited.to_bytes();
+    let table = edited.member_table_range().end;
+    assert_eq!(&bytes[table..table + 3], &[1, 1, b'x']);
+    let index = upper_offset(&edited, &bytes, rank) + 1 + var_len(next) + 1 + 1;
+    assert_eq!(bytes[index], 0);
+    assert_malformed_as(&patched_var(&bytes, index, 1), "upper-half ready output");
+    // Two entries, the second (empty) named by no record.
+    let two = [2u8, 1, b'x', 0];
+    assert_malformed_as(&spliced(&bytes, table, 3, &two), "output table entry");
+
+    // One held send and nothing ready: its completion-time word follows
+    // the tag, the next id, the ready count (0), the send count and its
+    // request id (0). A negative time is no time.
+    let mut edited = image.clone();
+    let u = edited.captures[rank].upper.as_mut().unwrap();
+    (u.ready, u.sends) = (Vec::new(), vec![(0, VTime::from_secs(1.0))]);
+    let next = u.next_vreq;
+    let bytes = edited.to_bytes();
+    let word = upper_offset(&edited, &bytes, rank) + 1 + var_len(next) + 1 + 1 + 1;
+    assert_eq!(word_at(&bytes, word), 1.0f64.to_bits());
+    assert_malformed_as(
+        &patched(&bytes, word, (-1.0f64).to_bits()),
+        "upper-half send completion",
+    );
+}
+
+/// Encoded size of an upper-half section (tag included).
+fn upper_len(u: &mana_core::UpperHalf) -> usize {
+    let vl = |v: u64| var_len(v);
+    let ready: usize = u
+        .ready
+        .iter()
+        .map(|(v, d)| vl(*v) + vl(d.len() as u64) + d.len())
+        .sum();
+    let sends: usize = u.sends.iter().map(|(v, _)| vl(*v) + 8).sum();
+    1 + vl(u.next_vreq)
+        + vl(u.ready.len() as u64)
+        + ready
+        + vl(u.sends.len() as u64)
+        + sends
+        + vl(u.body.len() as u64)
+        + u.body.len()
 }

@@ -21,13 +21,15 @@
 //!   restore it onto the surviving topology through the ordinary
 //!   repack-at-restore path, re-arm the trigger policy, and repeat until
 //!   the workload completes. Wasted work and recovery latency per fault
-//!   land on the final [`CkptRunReport`].
+//!   land on the final [`CkptRunReport`]. A closure body's images carry
+//!   no upper half ([`StepBody::save`]), so a closure campaign recovers
+//!   from scratch, as a campaign with no image does.
 //!
 //! The loop behind them, `run_campaign`, is the only code that builds
 //! sessions and launches ranks: a plain run ([`crate::run_ckpt_world`]) is
 //! a campaign with [`FaultPlan::none`], and a restore
-//! ([`crate::restore_ckpt_world`]) is a campaign whose first attempt is
-//! the image arm a recovery uses. Every attempt, fresh or restored, is
+//! ([`crate::restore_ckpt_world_steps`]) is a campaign whose first attempt
+//! is the image arm a recovery uses. Every attempt, fresh or restored, is
 //! packed by one rule: the launch packing while it fits on the surviving
 //! nodes, denser once nodes are lost.
 //!
@@ -41,13 +43,13 @@
 use crate::coordinator::Coordinator;
 use crate::image::Checkpoint;
 use crate::rank::CcRank;
-use crate::restore::{drive_restore, Restore, RestoreConfig};
+use crate::restore::{Restore, RestoreConfig, RestoreError};
 use crate::runner::step::{run_session, Blocking, Driver, StepBody};
 use crate::runner::{supervise_loop, CkptOptions, CkptRunReport, RunError, SuperviseOut};
-use crate::session::{RestorePlan, Session};
+use crate::session::Session;
 use crate::store::{CkptTier, StoreRecord, TieredStore, Tiering};
 use mana_core::{CkptPhase, Threshold};
-use mpisim::{FaultScope, RankDeath, SpawnError, VTime, WorldConfig};
+use mpisim::{FaultScope, RankDeath, VTime, WorldConfig};
 use std::borrow::Cow;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
@@ -56,9 +58,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultTrigger {
     /// When the slowest live rank's virtual clock reaches this absolute
-    /// time. Replays rewind the clock below the previous death point, so
-    /// an event sampled *after* an earlier one can never re-fire during
-    /// the recovery replay.
+    /// time. Each event is armed on one attempt only, so one sampled
+    /// *after* an earlier one never strikes the attempt that earlier one
+    /// ended.
     AtVirtual(VTime),
     /// The first moment at or after the given virtual time that a CC
     /// drain is in progress: targets installed, ranks draining toward
@@ -224,10 +226,11 @@ impl Campaign {
 
     /// Picks the newest viable generation for a recovery after `death`:
     /// commit-order newest first, skipping generations whose modeled
-    /// landing post-dates the death (the drain was still in flight) and
+    /// landing post-dates the death (the drain was still in flight),
     /// generations any tier lost with a dead node — [`TieredStore::load`]
     /// walks delta chains, so a lost *ancestor* disqualifies its
-    /// descendants too.
+    /// descendants too — and images with no upper half (closure bodies),
+    /// which cannot be restored.
     fn select_viable(
         &self,
         store: &TieredStore,
@@ -239,7 +242,10 @@ impl Campaign {
             // landing was still in flight when the node died.
             let landed = rec.landing_v_s <= death.at.as_secs() + 1e-9;
             let img = landed.then(|| store.load(rec.generation).ok()).flatten()?;
-            Some((rec.clone(), img))
+            img.captures
+                .iter()
+                .all(|c| c.upper.is_some())
+                .then(|| (rec.clone(), img))
         })
     }
 
@@ -357,19 +363,18 @@ impl ArmedFault {
 }
 
 /// Runs `f` under the checkpoint wrapper with fault injection and
-/// supervised recovery: each planned death unwinds the world, the newest
-/// viable image in `opts.tiering`'s store is restored onto the surviving
-/// topology, the trigger policy (one instance for the whole campaign, so
-/// a Daly policy keeps its measured write cost) re-arms, and the loop
-/// repeats until the workload completes. Without tiering, or before the
-/// first checkpoint lands, a death restarts from scratch. The report
-/// covers the whole campaign — every attempt's checkpoints, every
-/// fault's cost, and the summed backstop expiries.
+/// supervised recovery: each planned death unwinds the world and the loop
+/// restarts the workload **from scratch** — a closure's state is its
+/// stack, which no image holds, so its images serve in-process restarts
+/// only ([`run_available_world_steps`] recovers from the newest viable
+/// image). The trigger policy (one instance for the whole campaign) keeps
+/// firing, and the store keeps every generation. The report covers the
+/// whole campaign — every attempt's checkpoints, every fault's cost, and
+/// the summed backstop expiries.
 ///
 /// # Panics
-/// Panics if a rank thread cannot be spawned, if a restore image fails
-/// its pre-flight (both harness bugs on this path — the images come from
-/// this run's own store), or if a death leaves no surviving node.
+/// Panics if a rank thread cannot be spawned, or if a death leaves no
+/// surviving node.
 pub fn run_available_world<R, F>(
     cfg: WorldConfig,
     opts: CkptOptions,
@@ -384,9 +389,18 @@ where
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_available_world`] for step bodies: the same campaign loop with
-/// the ranks on the worker pool (`make(rank)` rebuilds each rank's body
-/// on every attempt).
+/// [`run_available_world`] for step bodies, on the worker pool: each death
+/// restores the newest viable image in `opts.tiering`'s store onto the
+/// surviving topology — `make(rank)` rebuilt and loaded from its snapshot
+/// — and the trigger policy (one instance for the whole campaign, so a
+/// Daly policy keeps its measured write cost) re-arms. Without tiering,
+/// or before the first checkpoint lands, a death restarts from scratch.
+///
+/// # Panics
+/// Panics if a rank cannot be built, if a recovery image fails its
+/// pre-flight or a body refuses its snapshot (harness bugs on this path —
+/// the images come from this run's own store and program), or if a death
+/// leaves no surviving node.
 pub fn run_available_world_steps<B, MK>(
     cfg: WorldConfig,
     opts: CkptOptions,
@@ -403,8 +417,8 @@ where
 /// The one supervised run loop — every entry point's body. Each attempt
 /// is one session whose ranks `driver` steps: the first starts from
 /// `restore`'s image, or from scratch; each death plans the next attempt
-/// from the newest viable image (or from scratch). On a launch failure no
-/// rank of that attempt ran any application code.
+/// from the newest viable image (or from scratch). On a launch failure or
+/// a refused snapshot no rank of that attempt ran any application code.
 pub(crate) fn run_campaign<B: StepBody>(
     cfg: WorldConfig,
     opts: CkptOptions,
@@ -412,7 +426,7 @@ pub(crate) fn run_campaign<B: StepBody>(
     mut restore: Option<Restore<'_>>,
     driver: Driver,
     make: impl Fn(usize) -> B,
-) -> Result<CkptRunReport<B::Out>, SpawnError> {
+) -> Result<CkptRunReport<B::Out>, RestoreError> {
     assert!(
         opts.protocol.supports_checkpoint() || opts.policy.next().is_none(),
         "protocol {} cannot checkpoint",
@@ -433,11 +447,12 @@ pub(crate) fn run_campaign<B: StepBody>(
                 let mut fresh = cfg.clone();
                 fresh.ranks_per_node = campaign.packing(&cfg);
                 let rpn = fresh.ranks_per_node;
-                (Session::new(fresh, protocol), rpn)
+                (Session::new(fresh, protocol, 0), rpn)
             }
+            // The restored world, one lower-half generation past the
+            // capture's.
             Some(r) => {
-                let plan = RestorePlan::from_image(&r.image);
-                let sh = Session::for_restore(r.replay_cfg.clone(), protocol, plan);
+                let sh = Session::new(r.restored_cfg.clone(), protocol, r.image.epoch + 1);
                 (sh, r.restored_cfg.ranks_per_node)
             }
         };
@@ -446,17 +461,15 @@ pub(crate) fn run_campaign<B: StepBody>(
             ArmedFault { event, store, rpn }
         });
         let supervise = || {
-            if let Some(r) = &restore {
-                drive_restore(&sh, r);
-            }
             let coord = Coordinator::new(Arc::clone(&sh))
                 .with_tiering(tiering.clone())
                 .with_stall_timeout(stall_timeout);
             supervise_loop(&sh, &coord, policy.as_mut(), resume)
         };
-        match run_session(Arc::clone(&sh), driver, &make, supervise) {
+        match run_session(Arc::clone(&sh), driver, &make, restore.as_ref(), supervise) {
             Ok(report) => return Ok(campaign.finish(report)),
-            Err(RunError::Spawn(e)) => return Err(e),
+            Err(RunError::Spawn(e)) => return Err(e.into()),
+            Err(RunError::Refused(e)) => return Err(e),
             Err(RunError::Died { death, out }) => {
                 campaign.backstops += sh.backstop_expiries();
                 campaign.absorb(*out);
@@ -470,7 +483,8 @@ pub(crate) fn run_campaign<B: StepBody>(
 mod tests {
     use super::*;
     use crate::policy::PeriodicInterval;
-    use crate::runner::run_ckpt_world;
+    use crate::runner::step::tests_support::SumBody;
+    use crate::runner::{run_ckpt_world, run_ckpt_world_steps};
     use mpisim::{NetParams, ReduceOp};
     use std::time::Duration;
 
@@ -493,7 +507,8 @@ mod tests {
 
     #[test]
     fn rank_death_recovers_from_memory_tier_bit_identical() {
-        let native = run_ckpt_world(cfg(), CkptOptions::native(), paced_sum);
+        let body = |_| SumBody::new(30);
+        let native = run_ckpt_world_steps(cfg(), CkptOptions::native(), body);
         let makespan = native.makespan.as_secs();
         let opts = CkptOptions::native()
             .with_policy(PeriodicInterval::new(VTime::from_secs(makespan / 4.0), 100))
@@ -502,7 +517,7 @@ mod tests {
             FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.6)),
             FaultScope::Rank(1),
         );
-        let rep = run_available_world(cfg(), opts, plan, paced_sum);
+        let rep = run_available_world_steps(cfg(), opts, plan, body);
         assert_eq!(rep.attempts, 2, "one death must cost one extra attempt");
         assert_eq!(rep.faults.len(), 1);
         let f = &rep.faults[0];
@@ -516,6 +531,36 @@ mod tests {
         let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
         let got: Vec<f64> = rep.ranks.iter().map(|r| r.result).collect();
         assert_eq!(base, got, "recovery must be bit-identical");
+    }
+
+    /// A closure's images hold no upper half: its campaign checkpoints,
+    /// and recovers from scratch all the same.
+    #[test]
+    fn closure_campaign_recovers_from_scratch() {
+        let native = run_ckpt_world(cfg(), CkptOptions::native(), paced_sum);
+        let makespan = native.makespan.as_secs();
+        let opts = CkptOptions::native()
+            .with_policy(PeriodicInterval::new(VTime::from_secs(makespan / 4.0), 100))
+            .with_tiering(Tiering::fixed(CkptTier::Memory));
+        let plan = FaultPlan::one(
+            FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.6)),
+            FaultScope::Rank(1),
+        );
+        let rep = run_available_world(cfg(), opts, plan, paced_sum);
+        assert_eq!(rep.attempts, 2);
+        assert!(
+            !rep.checkpoints.is_empty(),
+            "the campaign still checkpoints"
+        );
+        assert!(rep
+            .checkpoints
+            .iter()
+            .all(|c| c.captures.iter().all(|c| c.upper.is_none())));
+        let f = &rep.faults[0];
+        assert_eq!((f.resumed_generation, f.recovery_latency_s), (None, 0.0));
+        let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
+        let got: Vec<f64> = rep.ranks.iter().map(|r| r.result).collect();
+        assert_eq!(base, got);
     }
 
     #[test]

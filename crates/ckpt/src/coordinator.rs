@@ -73,7 +73,7 @@ pub enum ResumeMode {
     /// re-deposited with their original timing.
     Continue,
     /// The lower half is discarded and rebuilt: ranks attach a fresh
-    /// world, replay their communicator logs, re-post pending receives
+    /// world, rebuild their communicators, re-post pending receives
     /// (and pending trivial barriers), and drained messages are
     /// re-deposited into the new generation.
     Restart,
@@ -243,8 +243,8 @@ impl Coordinator {
             "protocol {} cannot checkpoint",
             sh.protocol.name()
         );
-        // A rank released from the previous capture (or restore cut)
-        // publishes `Running` only when it next runs. Until then its old
+        // A rank released from the previous capture publishes `Running`
+        // only when it next runs. Until then its old
         // park state would pass this checkpoint's quiesce test — at once
         // under 2PC, which has no targets to drain first — and the capture
         // would find the rank back inside a collective.
@@ -665,13 +665,10 @@ impl Coordinator {
         self.sh.bus.reset();
     }
 
-    /// The restart resume path, shared by in-process
-    /// [`ResumeMode::Restart`] and restore-from-image
-    /// ([`crate::restore_ckpt_world`]): builds a fresh lower half from
-    /// `cfg` (which may carry a *different* `ranks_per_node` — Perlmutter-
-    /// style re-packing at restart), installs the image's per-rank restore
-    /// state, waits for every live rank to replay its communicator log,
-    /// and re-deposits the drained in-flight messages.
+    /// The in-process [`ResumeMode::Restart`] path: builds a fresh lower
+    /// half from `cfg`, installs the image's per-rank restore state, waits
+    /// for every live rank to rebuild its communicators from their
+    /// captured groups, and re-deposits the drained in-flight messages.
     pub(crate) fn resume_restart(&self, ckpt: &Checkpoint, cfg: WorldConfig) {
         let sh = &self.sh;
         let control = &sh.control;
@@ -728,11 +725,11 @@ impl Coordinator {
             let comm = {
                 let map = control.ranks[dst].lower_comms.lock();
                 *map.get(&d.saved.vcomm)
-                    .unwrap_or_else(|| panic!("rank {dst} replay lost vcomm {}", d.saved.vcomm))
+                    .unwrap_or_else(|| panic!("rank {dst} rebuild lost vcomm {}", d.saved.vcomm))
             };
             // The payload is already local after restart: available
             // immediately.
-            new_world.deposit_raw(self.rebuild_msg(&d.saved, comm), VTime::ZERO);
+            new_world.deposit_raw(rebuild_msg(&d.saved, comm), VTime::ZERO);
         }
     }
 
@@ -744,20 +741,7 @@ impl Coordinator {
         let control = &self.sh.control;
         for d in in_flight {
             let comm = control.ranks[d.saved.dst_world].lower_comms.lock()[&d.saved.vcomm];
-            world.deposit_raw(self.rebuild_msg(&d.saved, comm), d.arrival);
-        }
-    }
-
-    fn rebuild_msg(&self, s: &SavedMsg, comm: CommId) -> InFlightMsg {
-        InFlightMsg {
-            src_world: s.src_world,
-            dst_world: s.dst_world,
-            comm,
-            tag: s.tag,
-            payload: s.payload.clone(),
-            sent: VTime::ZERO,
-            arrival: VTime::ZERO,
-            seq: s.seq,
+            world.deposit_raw(rebuild_msg(&d.saved, comm), d.arrival);
         }
     }
 
@@ -834,6 +818,20 @@ impl Coordinator {
             && control.updates_balanced()
             && self.sh.bus.all_empty()
             && !control.any_in_collective()
+    }
+}
+
+/// A drained message back in lower-half terms, on `comm`.
+pub(crate) fn rebuild_msg(s: &SavedMsg, comm: CommId) -> InFlightMsg {
+    InFlightMsg {
+        src_world: s.src_world,
+        dst_world: s.dst_world,
+        comm,
+        tag: s.tag,
+        payload: s.payload.clone(),
+        sent: VTime::ZERO,
+        arrival: VTime::ZERO,
+        seq: s.seq,
     }
 }
 

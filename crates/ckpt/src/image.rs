@@ -6,18 +6,18 @@
 //! be written to disk with [`Checkpoint::save_to`], read back in a
 //! different process with [`Checkpoint::load_from`], and restored onto a
 //! differently-packed set of nodes with
-//! [`crate::restore_ckpt_world`]. The wire format carries a versioned
+//! [`crate::restore_ckpt_world_steps`]. The wire format carries a versioned
 //! header and FNV-1a integrity hashes; a flipped bit or a truncated file
 //! is rejected with a typed [`ImageError`] instead of producing a
 //! silently-wrong restore. The codec itself is
 //! [`crate::store::DeltaImage`]: a full image is a delta with no parent.
 
 use crate::store::{DeltaImage, VolatileRecord};
-use crate::wire::{fnv1a64, CountEnc, Dec, DecodeError, Fnv1a, Wr};
+use crate::wire::{fnv1a64, CountEnc, Dec, DecodeError, Fnv1a, FnvMap, Wr};
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, Protocol,
-    RuntimeCapture, SeqTable, VComm, Violation,
+    ggid_of_sorted, verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid,
+    Protocol, RuntimeCapture, SeqTable, UpperHalf, VComm, Violation,
 };
 use mpisim::{SavedMsg, SrcSel, TagSel, VTime};
 use netmodel::NetParams;
@@ -71,7 +71,16 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// ids and `f64`s keep their width. It also drops the lower-half handle
 /// map from each rank's chunk: the handles belong to one lower-half
 /// generation, and a restart rebuilds them.
-pub const IMAGE_VERSION: u32 = 8;
+/// Version 9 carries each rank's upper half ([`UpperHalf`]: the body's
+/// snapshot and the request-table state) in its record, so an image
+/// restores without re-executing the program. The drained collective
+/// outputs the upper halves hold are written once each, in an output
+/// table behind the member-list table — every member of a collective
+/// drains the same output — and a rank names its own by index. It
+/// drops the group id from every sequence-table entry and cut run: by
+/// definition it is [`ggid_of_sorted`] of the member list the entry
+/// references, which the decoder derives once per distinct list.
+pub const IMAGE_VERSION: u32 = 9;
 
 /// Kind byte of an image with no parent (a full image).
 pub const IMAGE_KIND_FULL: u8 = 0;
@@ -172,8 +181,8 @@ impl From<DecodeError> for ImageError {
     }
 }
 
-/// The world the image was captured from: enough to rebuild an equivalent
-/// replay world and to know the packing it ran under. Restoring may choose
+/// The world the image was captured from: the packing and network it ran
+/// under, which a restore keeps unless told otherwise. Restoring may choose
 /// a *different* `ranks_per_node` — the captured group data is
 /// topology-independent — and only the modeled timing changes.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,8 +215,8 @@ pub struct Checkpoint {
     pub n_ranks: usize,
     /// Coordination protocol the image was captured under.
     pub protocol: Protocol,
-    /// The topology and network the capture ran under (restore replays the
-    /// pre-cut prefix against an equivalent world, then may re-pack).
+    /// The topology and network the capture ran under (a restore keeps
+    /// them unless it re-packs).
     pub origin: CaptureOrigin,
     /// Minimum published virtual clock when the request was issued; the
     /// gap to [`Checkpoint::capture_clock`] is the virtual drain latency
@@ -291,10 +300,22 @@ impl Checkpoint {
 
     /// The encode-side table and reference cache: every list the image
     /// references, each shared allocation hashed once.
+    ///
+    /// # Panics
+    /// Panics if a sequence-table entry or a cut run names a group id that
+    /// is not its member list's: the wire writes the list alone.
     pub(crate) fn member_lists(&self) -> MemberIntern {
         let mut lists = MemberIntern::new(self.n_ranks);
-        for m in self.member_list_refs() {
-            lists.note(m);
+        for c in &self.captures {
+            for (g, e) in c.seq_table.iter() {
+                lists.note_group(*g, &e.members);
+            }
+            for m in c.vcomm_members.values() {
+                lists.note(m);
+            }
+        }
+        for r in self.cut_events.runs() {
+            lists.note_group(r.ggid, &r.members);
         }
         lists
     }
@@ -592,7 +613,7 @@ const MAX_RANGE_MEMBERS: usize = 1 << 24;
 /// list's content alone — never of which allocation holds it, or of what
 /// else the image contains — so equal stable halves encode to one chunk,
 /// in any image of any generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum MemberRef {
     /// A contiguous ascending run (the world group, every identity
     /// subrange): tag `1`, then `(start, len)`.
@@ -659,11 +680,27 @@ pub(crate) struct MemberIntern {
     /// The table; `BTreeMap` order is the canonical wire order.
     lists: MemberTable,
     /// Encode-side cache: the verdict on every allocation noted so far,
-    /// by address. Holding the allocation keeps the address from being
-    /// reused while the cache lives. Never the identity of a list: two
-    /// equal lists in separate allocations get the same reference.
-    noted: HashMap<usize, (Arc<[usize]>, MemberRef)>,
+    /// by address, and the group id of a group's list once checked.
+    /// Holding the allocation keeps the address from being reused while
+    /// the cache lives. Never the identity of a list: two equal lists in
+    /// separate allocations get the same reference.
+    noted: FnvMap<usize, Noted>,
+    /// Decode-side cache: the group id of every group list resolved so
+    /// far, by the address of the one allocation its references share
+    /// (which the table holds), so each distinct list is hashed once.
+    ggids: FnvMap<usize, Ggid>,
+    /// The last groups resolved, most recent first: each rank's sequence
+    /// entries and cut runs name the handful of groups the rank before it
+    /// named, so most references are found here without hashing.
+    recent: Vec<(MemberRef, Arc<[usize]>, Ggid)>,
 }
+
+/// An allocation [`MemberIntern`] has noted: held (so its address stays
+/// its own), its reference form, and its group id once checked.
+type Noted = (Arc<[usize]>, MemberRef, Option<Ggid>);
+
+/// How many groups [`MemberIntern::recent`] remembers.
+const RECENT_GROUPS: usize = 8;
 
 impl MemberIntern {
     /// An empty table for an `n_ranks`-rank image.
@@ -672,7 +709,9 @@ impl MemberIntern {
             n_ranks,
             ranges: HashMap::new(),
             lists: BTreeMap::new(),
-            noted: HashMap::new(),
+            noted: FnvMap::default(),
+            ggids: FnvMap::default(),
+            recent: Vec::with_capacity(RECENT_GROUPS),
         }
     }
 
@@ -685,7 +724,7 @@ impl MemberIntern {
         // cache entry for it would never be hit.
         let shared = Arc::strong_count(m) > 1;
         if shared {
-            if let Some((_, r)) = self.noted.get(&alloc_addr(m)) {
+            if let Some((_, r, _)) = self.noted.get(&alloc_addr(m)) {
                 return Ok(*r);
             }
         }
@@ -703,7 +742,7 @@ impl MemberIntern {
             }
         }
         if shared {
-            self.noted.insert(alloc_addr(m), (Arc::clone(m), r));
+            self.noted.insert(alloc_addr(m), (Arc::clone(m), r, None));
         }
         Ok(r)
     }
@@ -718,6 +757,34 @@ impl MemberIntern {
     pub(crate) fn note(&mut self, m: &Arc<[usize]>) -> MemberRef {
         self.try_note(m)
             .expect("distinct member lists of one image have distinct content ids")
+    }
+
+    /// Notes a group's member list, which the wire writes without its
+    /// group id `g`.
+    ///
+    /// # Panics
+    /// Panics if `g` is not the list's group id (or the list is not
+    /// sorted, as every group list is): the image would decode to another
+    /// group.
+    pub(crate) fn note_group(&mut self, g: Ggid, m: &Arc<[usize]>) {
+        self.note(m);
+        let cached = self.noted.get_mut(&alloc_addr(m)).map(|(.., id)| id);
+        let derived = match cached {
+            Some(Some(id)) => *id,
+            slot => {
+                let id = group_id(m).unwrap_or_else(|| {
+                    panic!("group {g} has an unsorted member list; the wire cannot carry it")
+                });
+                if let Some(slot) = slot {
+                    *slot = Some(id);
+                }
+                id
+            }
+        };
+        assert_eq!(
+            derived, g,
+            "group id {g} is not the group id of its member list; the wire cannot carry it"
+        );
     }
 
     /// The one allocation every reference to `m`'s content resolves to:
@@ -735,7 +802,7 @@ impl MemberIntern {
     /// was noted, computed from the content otherwise.
     fn reference(&self, m: &Arc<[usize]>) -> MemberRef {
         match self.noted.get(&alloc_addr(m)) {
-            Some((_, r)) => *r,
+            Some((_, r, _)) => *r,
             None => MemberRef::of(m),
         }
     }
@@ -747,7 +814,7 @@ impl MemberIntern {
     pub(crate) fn with_table(n_ranks: usize, table: &MemberTable) -> Self {
         let mut lists = MemberIntern::new(n_ranks);
         for (&id, m) in table {
-            let noted = (Arc::clone(m), MemberRef::Listed(id));
+            let noted = (Arc::clone(m), MemberRef::Listed(id), None);
             lists.noted.insert(alloc_addr(m), noted);
         }
         lists.lists = table.clone();
@@ -800,6 +867,30 @@ impl MemberIntern {
         Ok(())
     }
 
+    /// Resolves a decoded reference to a group's shared list and derives
+    /// the group id; `what` names a list that is not a group's.
+    fn resolve_group(
+        &mut self,
+        r: MemberRef,
+        what: DecodeError,
+    ) -> Result<(Arc<[usize]>, Ggid), ImageError> {
+        if let Some(at) = self.recent.iter().position(|(k, ..)| *k == r) {
+            let (_, m, g) = &self.recent[at];
+            return Ok((Arc::clone(m), *g));
+        }
+        let m = self.resolve(r, what)?;
+        let g = match self.ggids.get(&alloc_addr(&m)) {
+            Some(&g) => g,
+            None => {
+                let g = group_id(&m).ok_or(ImageError::Malformed(what))?;
+                *self.ggids.entry(alloc_addr(&m)).or_insert(g)
+            }
+        };
+        self.recent.truncate(RECENT_GROUPS - 1);
+        self.recent.insert(0, (r, Arc::clone(&m), g));
+        Ok((m, g))
+    }
+
     /// Resolves a decoded reference to its shared list.
     fn resolve(&mut self, r: MemberRef, what: DecodeError) -> Result<Arc<[usize]>, ImageError> {
         match r {
@@ -825,6 +916,12 @@ impl MemberIntern {
     }
 }
 
+/// The group id of a group's member list, which is sorted; a list that is
+/// not strictly ascending names no group.
+fn group_id(m: &[usize]) -> Option<Ggid> {
+    m.windows(2).all(|w| w[0] < w[1]).then(|| ggid_of_sorted(m))
+}
+
 fn enc_members<W: Wr>(e: &mut W, lists: &MemberIntern, m: &Arc<[usize]>) {
     match lists.reference(m) {
         MemberRef::Listed(id) => {
@@ -839,20 +936,35 @@ fn enc_members<W: Wr>(e: &mut W, lists: &MemberIntern, m: &Arc<[usize]>) {
     }
 }
 
-pub(crate) fn dec_members(
-    d: &mut Dec,
-    lists: &mut MemberIntern,
-    what: DecodeError,
-) -> Result<Arc<[usize]>, ImageError> {
-    let r = match d.u8(what)? {
+fn dec_member_ref(d: &mut Dec, what: DecodeError) -> Result<MemberRef, ImageError> {
+    Ok(match d.u8(what)? {
         0 => MemberRef::Listed(d.u64(what)?),
         1 => MemberRef::Range {
             start: d.usize(what)?,
             len: d.usize(what)?,
         },
         _ => return Err(ImageError::Malformed(what)),
-    };
+    })
+}
+
+pub(crate) fn dec_members(
+    d: &mut Dec,
+    lists: &mut MemberIntern,
+    what: DecodeError,
+) -> Result<Arc<[usize]>, ImageError> {
+    let r = dec_member_ref(d, what)?;
     lists.resolve(r, what)
+}
+
+/// Reads a group's member-list reference: the shared list and the group
+/// id derived from it.
+fn dec_group(
+    d: &mut Dec,
+    lists: &mut MemberIntern,
+    what: DecodeError,
+) -> Result<(Arc<[usize]>, Ggid), ImageError> {
+    let r = dec_member_ref(d, what)?;
+    lists.resolve_group(r, what)
 }
 
 fn enc_counters<W: Wr>(e: &mut W, c: &CallCounters) {
@@ -974,11 +1086,12 @@ fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
     Ok(CommOpRecord { op, result })
 }
 
-/// Encodes the restart-stable half of a rank capture: sequence table,
-/// communicator creation log, pending receives, call counters, and each
-/// vcomm's member list. This is exactly the byte span delta images
-/// content-address — two ranks whose stable halves encode identically
-/// share one chunk.
+/// Encodes the restart-stable half of a rank capture: sequence table
+/// (each entry its sequence number and its group's member list, in group
+/// id order — the id is the list's), communicator creation log, pending
+/// receives, call counters, and each vcomm's member list. This is exactly
+/// the byte span delta images content-address — two ranks whose stable
+/// halves encode identically share one chunk.
 pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
     let mut seq: Vec<(u64, u64, &Arc<[usize]>)> = c
         .seq_table
@@ -987,8 +1100,7 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &Run
         .collect();
     seq.sort_unstable_by_key(|&(g, ..)| g);
     e.usize(seq.len());
-    for (g, s, members) in seq {
-        e.u64(g);
+    for (_, s, members) in seq {
         e.var(s);
         enc_members(e, lists, members);
     }
@@ -1014,19 +1126,24 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &Run
     }
 }
 
-/// Rebuilds one rank's capture from its volatile record and its stable
-/// chunk, read from `d`.
+/// Rebuilds one rank's capture from its volatile record, its upper half
+/// (the record's, moved out) and its stable chunk, read from `d`.
 pub(crate) fn dec_capture(
     d: &mut Dec,
     lists: &mut MemberIntern,
     v: &VolatileRecord,
+    upper: Option<UpperHalf>,
 ) -> Result<RuntimeCapture, ImageError> {
     let n_seq = d.seq_len("seq-table length")?;
     let mut seq_table = SeqTable::new();
+    let mut prev: Option<Ggid> = None;
     for _ in 0..n_seq {
-        let g = Ggid(d.u64("seq-table ggid")?);
         let s = d.var("seq-table seq")?;
-        let members = dec_members(d, lists, "seq-table members")?;
+        let (members, g) = dec_group(d, lists, "seq-table members")?;
+        if prev.is_some_and(|p| p >= g) {
+            return Err(ImageError::Malformed("seq-table order"));
+        }
+        prev = Some(g);
         seq_table.restore(g, s, members);
     }
     let n_log = d.seq_len("comm-log length")?;
@@ -1063,6 +1180,7 @@ pub(crate) fn dec_capture(
         p2p_sent: v.p2p_sent,
         p2p_delivered: v.p2p_delivered,
         vcomm_members,
+        upper,
     })
 }
 
@@ -1081,6 +1199,85 @@ pub(crate) fn stable_state_eq(a: &RuntimeCapture, b: &RuntimeCapture) -> bool {
             // of one run share their lists.
             (b.vcomm_members.get(v)).is_some_and(|n| Arc::ptr_eq(m, n) || m == n)
         })
+}
+
+/// Writes a rank's upper half: tag `0` for none; else tag `1`, the next
+/// request id, the ready results `(vreq, index of the output in the
+/// image's output table)`, the held sends `(vreq, completion time)`, then
+/// the body's snapshot bytes.
+pub(crate) fn enc_upper<W: Wr>(e: &mut W, u: Option<&UpperHalf>, output: impl Fn(&[u8]) -> u64) {
+    let Some(u) = u else {
+        e.u8(0);
+        return;
+    };
+    e.u8(1);
+    e.var(u.next_vreq);
+    e.usize(u.ready.len());
+    for (v, data) in &u.ready {
+        e.var(*v);
+        e.var(output(data));
+    }
+    e.usize(u.sends.len());
+    for (v, at) in &u.sends {
+        e.var(*v);
+        e.f64(at.as_secs());
+    }
+    e.bytes(&u.body);
+}
+
+/// Reads an upper half written by [`enc_upper`], checking what the encoder
+/// guarantees: request ids strictly ascending within each list and below
+/// the next id, every output index one `output` resolves.
+pub(crate) fn dec_upper(
+    d: &mut Dec,
+    mut output: impl FnMut(u64) -> Option<bytes::Bytes>,
+) -> Result<Option<UpperHalf>, ImageError> {
+    match d.u8("upper-half tag")? {
+        0 => return Ok(None),
+        1 => {}
+        _ => return Err(ImageError::Malformed("upper-half tag")),
+    }
+    let next_vreq = d.var("upper-half next vreq")?;
+    let mut ready = Vec::new();
+    dec_vreq_list(d, next_vreq, "upper-half ready vreq", |d, v| {
+        let at = d.var("upper-half ready output")?;
+        let data = output(at).ok_or(ImageError::Malformed("upper-half ready output"))?;
+        ready.push((v, data));
+        Ok(())
+    })?;
+    let mut sends = Vec::new();
+    dec_vreq_list(d, next_vreq, "upper-half send vreq", |d, v| {
+        sends.push((v, dec_vtime(d, "upper-half send completion")?));
+        Ok(())
+    })?;
+    let body = d.bytes("upper-half body")?.to_vec();
+    Ok(Some(UpperHalf {
+        body,
+        next_vreq,
+        ready,
+        sends,
+    }))
+}
+
+/// Reads a count, then that many items keyed by request id, the ids
+/// strictly ascending and below `next`; `item` reads the rest of each.
+fn dec_vreq_list(
+    d: &mut Dec,
+    next: u64,
+    what: DecodeError,
+    mut item: impl FnMut(&mut Dec, u64) -> Result<(), ImageError>,
+) -> Result<(), ImageError> {
+    let n = d.seq_len(what)?;
+    let mut prev: Option<u64> = None;
+    for _ in 0..n {
+        let v = d.var(what)?;
+        if v >= next || prev.is_some_and(|p| p >= v) {
+            return Err(ImageError::Malformed(what));
+        }
+        prev = Some(v);
+        item(d, v)?;
+    }
+    Ok(())
 }
 
 pub(crate) fn enc_drained<W: Wr>(e: &mut W, m: &DrainedMsg) {
@@ -1117,13 +1314,12 @@ pub(crate) fn dec_in_flight(d: &mut Dec) -> Result<Vec<DrainedMsg>, ImageError> 
     Ok(in_flight)
 }
 
-/// Writes a cut: run count, then `rank, ggid, first, last, members` per
-/// run in the cut's canonical order.
+/// Writes a cut: run count, then `rank, first, last, members` per run in
+/// the cut's canonical order (the run's group id is its list's).
 pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
     e.usize(cut.runs().len());
     for r in cut.runs() {
         e.usize(r.rank);
-        e.u64(r.ggid.0);
         e.var(r.first);
         e.var(r.last);
         enc_members(e, lists, &r.members);
@@ -1133,18 +1329,24 @@ pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
 /// Reads a cut written by [`enc_cut`], checking what the encoder
 /// guarantees: sequence numbers start at 1, a run does not end before it
 /// starts, the runs are in canonical order (so none is listed twice),
-/// every rank is inside the world. Members are range-checked by the table
-/// they resolve through.
+/// every rank is inside the world, every list is a group's (sorted).
+/// Members are range-checked by the table they resolve through.
 pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, ImageError> {
     let n = d.seq_len("cut-run count")?;
     let mut runs: Vec<CutRun> = Vec::with_capacity(n);
     for _ in 0..n {
+        let (rank, first, last) = (
+            d.usize("run rank")?,
+            d.var("run first")?,
+            d.var("run last")?,
+        );
+        let (members, ggid) = dec_group(d, lists, "run members")?;
         let run = CutRun {
-            rank: d.usize("run rank")?,
-            ggid: Ggid(d.u64("run ggid")?),
-            first: d.var("run first")?,
-            last: d.var("run last")?,
-            members: dec_members(d, lists, "run members")?,
+            rank,
+            ggid,
+            first,
+            last,
+            members,
         };
         if run.rank >= lists.n_ranks {
             return Err(ImageError::Malformed("cut-run rank"));
@@ -1219,17 +1421,33 @@ mod tests {
         assert!(!c.targets_exactly_reached());
     }
 
+    /// The group id of a sorted member list: what every group's entry in
+    /// an image must carry.
+    fn gid(members: &[usize]) -> u64 {
+        ggid_of_sorted(members).0
+    }
+
+    fn upper(rank: usize) -> UpperHalf {
+        UpperHalf {
+            body: vec![7, rank as u8, 0xFF],
+            next_vreq: 9,
+            ready: vec![(2, bytes::Bytes::from_static(b"iallreduce out"))],
+            sends: vec![(4, VTime::from_micros(1.5)), (8, VTime::from_micros(2.0))],
+        }
+    }
+
     fn rich_ckpt() -> Checkpoint {
+        let (g01, g0) = (gid(&[0, 1]), gid(&[0]));
         let mut seq_table = SeqTable::new();
-        seq_table.restore(Ggid(9), 4, vec![0, 1]);
-        seq_table.restore(Ggid(3), 1, vec![0]);
+        seq_table.restore(Ggid(g01), 4, vec![0, 1]);
+        seq_table.restore(Ggid(g0), 1, vec![0]);
         let mut c = ckpt(
-            vec![ev(0, 1, 1, &[0, 1]), ev(1, 1, 1, &[0, 1])],
-            &[(1, 1), (9, 4)],
+            vec![ev(0, g01, 1, &[0, 1]), ev(1, g01, 1, &[0, 1])],
+            &[(g01, 4), (g0, 1)],
         );
         c.epoch = 2;
-        c.initial_targets.insert(Ggid(1), 1);
-        c.final_targets.insert(Ggid(9), 4);
+        c.initial_targets.insert(Ggid(g01), 1);
+        c.final_targets.insert(Ggid(g01), 4);
         c.request_clock = VTime::from_micros(3.5);
         c.io_write_secs = 1.25;
         c.io_read_secs = 0.75;
@@ -1283,6 +1501,7 @@ mod tests {
                 vcomm_members: [(0u64, vec![0, 1].into()), (2, vec![1, 0].into())]
                     .into_iter()
                     .collect(),
+                upper: (rank == 0).then(|| upper(rank)),
             });
         }
         c.in_flight.push(DrainedMsg {
@@ -1404,7 +1623,7 @@ mod tests {
         );
 
         let mut c = rich_ckpt();
-        c.cut_events = Cut::from_events(&[ev(7, 1, 1, &[0, 1])]);
+        c.cut_events = Cut::from_events(&[ev(7, gid(&[0, 1]), 1, &[0, 1])]);
         assert_eq!(
             Checkpoint::from_bytes(&c.to_bytes()),
             Err(ImageError::Malformed("cut-run rank"))
@@ -1433,20 +1652,21 @@ mod tests {
     const STRIDED: [usize; 4] = [0, 2, 4, 6];
     const GROUP_ORDER: [usize; 3] = [5, 1, 3];
 
-    /// An 8-rank image whose `seq_table`s, `vcomm_members` and cut all
-    /// reference the same three lists: the world (range form), a strided
-    /// group and a communicator in group order (unsorted). `alloc` decides
-    /// which allocation each reference gets; the `Ggid`s are deliberately
-    /// not `ggid_of(members)`.
+    /// An 8-rank image whose `seq_table`s, `vcomm_members` and cut
+    /// reference three lists: the world (range form) and a strided group —
+    /// each group's entry under its own group id, as in a live run — and,
+    /// in `vcomm_members` only, a communicator in group order (unsorted).
+    /// `alloc` decides which allocation each reference gets.
     fn lists_ckpt(mut alloc: impl FnMut(&[usize]) -> Arc<[usize]>) -> Checkpoint {
-        let mut c = ckpt(Vec::new(), &[(1, 2), (7, 1), (8, 1)]);
+        let mut c = ckpt(Vec::new(), &[(gid(&WORLD), 2), (gid(&STRIDED), 1)]);
         c.n_ranks = 8;
         let mut cut = Vec::new();
         for rank in 0..8 {
             let mut seq_table = SeqTable::new();
-            seq_table.restore(Ggid(1), 2, alloc(&WORLD));
-            seq_table.restore(Ggid(7), 1, alloc(&STRIDED));
-            seq_table.restore(Ggid(8), 1, alloc(&GROUP_ORDER));
+            for (members, seq) in [(&WORLD[..], 2), (&STRIDED, 1)] {
+                let m = alloc(members);
+                seq_table.restore(ggid_of_sorted(&m), seq, m);
+            }
             c.captures.push(RuntimeCapture {
                 rank,
                 state: RankState::Quiesced,
@@ -1465,15 +1685,17 @@ mod tests {
                 ]
                 .into_iter()
                 .collect(),
+                upper: None,
             });
-            for (g, members) in [(1, &WORLD[..]), (7, &STRIDED), (8, &GROUP_ORDER)] {
+            for members in [&WORLD[..], &STRIDED] {
                 if members.contains(&rank) {
+                    let members = alloc(members);
                     cut.push(CutRun {
                         rank,
-                        ggid: Ggid(g),
+                        ggid: ggid_of_sorted(&members),
                         first: 1,
                         last: 1,
-                        members: alloc(members),
+                        members,
                     });
                 }
             }
@@ -1543,7 +1765,7 @@ mod tests {
         let bytes = lists_ckpt(|v| v.into()).to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         let refs: Vec<_> = back.member_list_refs().collect();
-        assert_eq!(refs.len(), 8 * 6 + 8 + 4 + 3);
+        assert_eq!(refs.len(), 8 * 5 + 8 + 4);
         for a in &refs {
             for b in &refs {
                 assert_eq!(a == b, Arc::ptr_eq(a, b), "{a:?} vs {b:?}");
@@ -1564,13 +1786,14 @@ mod tests {
             1 + (8 + 1 + STRIDED.len()) + (8 + 1 + GROUP_ORDER.len())
         );
         assert_eq!(
-            table.end + 1,
+            table.end + 2,
             c.capture_section_ranges()[0].start,
-            "only the capture count sits between the table and the records"
+            "only the (empty) output table and the capture count sit between \
+             the member table and the records"
         );
-        // One more run on the strided group — rank (one byte), ggid word,
-        // first (one byte), last (four: 3·10⁶ < 2²⁸), tag, id — however
-        // many collectives it covers.
+        // One more run on the strided group — rank (one byte), first (one
+        // byte), last (four: 3·10⁶ < 2²⁸), tag, id; no group id, which is
+        // the list's — however many collectives it covers.
         let before = c.serialized_len();
         let mut runs = c.cut_events.runs().to_vec();
         let again = runs.iter().find(|r| r.members[..] == STRIDED).unwrap();
@@ -1580,7 +1803,7 @@ mod tests {
             ..again.clone()
         });
         c.cut_events = Cut::from_runs(runs);
-        assert_eq!(c.serialized_len(), before + 1 + 8 + 1 + 4 + 1 + 8);
+        assert_eq!(c.serialized_len(), before + 1 + 1 + 4 + 1 + 8);
     }
 
     #[test]
@@ -1595,10 +1818,14 @@ mod tests {
         let second = t.start + 1 + 8 + 1 + first_len;
 
         // A reference to an id the table does not hold: the last run is
-        // rank 7's on the world — rank, ggid, first, last, range reference
-        // (tag, start, len) — the one before is on a listed group.
+        // rank 7's on the world — rank, first, last, range reference (tag,
+        // start, len): six bytes. Rank 6's two runs come before it in
+        // group-id order; the strided one ends in its list's id.
         let mut m = bytes.clone();
-        let last_listed_id = head_end(&bytes) - (1 + 8 + 1 + 1 + 3) - 8;
+        let world_run = 1 + 1 + 1 + 3;
+        let strided_last = gid(&STRIDED) > gid(&WORLD);
+        let last_listed_id =
+            head_end(&bytes) - world_run - if strided_last { 0 } else { world_run } - 8;
         m[last_listed_id] ^= 0x01;
         assert_malformed(&resealed(m), "run members");
 
@@ -1636,8 +1863,10 @@ mod tests {
         });
         assert_malformed(&overlong.to_bytes(), "run members");
         let mut overlong = shared_lists_ckpt();
+        let past_the_world: Vec<usize> = (0..9).collect();
         for c in &mut overlong.captures {
-            c.seq_table.restore(Ggid(1), 2, (0..9).collect::<Vec<_>>());
+            c.seq_table
+                .restore(ggid_of_sorted(&past_the_world), 2, past_the_world.clone());
         }
         assert_eq!(
             Checkpoint::from_bytes(&overlong.to_bytes()),
@@ -1651,7 +1880,7 @@ mod tests {
     #[test]
     fn older_wire_versions_are_refused() {
         let mut bytes = rich_ckpt().to_bytes();
-        for old in [4, 5, 6, 7] {
+        for old in [4, 5, 6, 7, 8] {
             bytes[IMAGE_VERSION_OFFSET] = old;
             assert_eq!(
                 Checkpoint::from_bytes(&bytes),

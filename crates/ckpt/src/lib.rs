@@ -13,30 +13,67 @@
 //! ## Quickstart: capture, save to disk, restore elsewhere
 //!
 //! ```no_run
+//! use ckpt::wire::{Dec, DecodeError, Wr};
 //! use ckpt::{
-//!     restore_ckpt_world, run_ckpt_world, Checkpoint, CkptOptions, RestoreConfig, ResumeMode,
+//!     restore_ckpt_world_steps, run_ckpt_world_steps, BodyStep, CcRank, Checkpoint,
+//!     CkptOptions, RestoreConfig, ResumeMode, StepBody, StepPoll,
 //! };
-//! use mpisim::{VTime, WorldConfig};
+//! use mpisim::{ReduceOp, VTime, WorldConfig};
+//!
+//! /// The program: `iters` allreduces, as a resumable body whose state
+//! /// (`it`, `acc`) is all there is to save.
+//! struct Sum {
+//!     iters: usize,
+//!     it: usize,
+//!     acc: f64,
+//! }
+//!
+//! impl StepBody for Sum {
+//!     type Out = f64;
+//!
+//!     fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
+//!         let w = r.world_vcomm();
+//!         while self.it < self.iters {
+//!             let mine = [r.rank() as f64 + self.acc];
+//!             match r.poll_allreduce_f64(w, &mine, ReduceOp::Sum) {
+//!                 StepPoll::Pending(why) => return BodyStep::Yield(why),
+//!                 StepPoll::Ready(v) => (self.acc, self.it) = (v[0] * 1e-3, self.it + 1),
+//!             }
+//!         }
+//!         BodyStep::Done(self.acc)
+//!     }
+//!
+//!     fn save(&self, w: &mut dyn Wr) -> bool {
+//!         w.usize(self.it);
+//!         w.f64(self.acc);
+//!         true
+//!     }
+//!
+//!     fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+//!         self.it = d.usize("iteration")?;
+//!         self.acc = d.f64("accumulator")?;
+//!         Ok(())
+//!     }
+//! }
 //!
 //! let cfg = WorldConfig::multi_node(8, 4); // 8 ranks, 4 per node
-//! let program = |r: &mut ckpt::CcRank| {
-//!     let w = r.world_vcomm();
-//!     r.allreduce_f64(w, &[r.rank() as f64], mpisim::ReduceOp::Sum)[0]
-//! };
+//! let program = |_rank| Sum { iters: 50, it: 0, acc: 0.0 };
 //!
 //! // Capture mid-run and keep going; the image lands in the report.
 //! let opts = CkptOptions::one_checkpoint(VTime::from_micros(5.0), ResumeMode::Continue);
-//! let run = run_ckpt_world(cfg, opts, program);
+//! let run = run_ckpt_world_steps(cfg, opts, program);
 //!
 //! // The image is a first-class artifact: bytes on disk, with a versioned
 //! // header and checksum. A flipped bit is rejected at load time.
 //! run.checkpoints[0].save_to("job.ckpt").unwrap();
 //!
 //! // Later / elsewhere: load it back and restore onto a different node
-//! // packing (8 ranks spread 1-per-node). Results are bit-identical to an
-//! // in-process restart; only the modeled timing changes.
+//! // packing (8 ranks spread 1-per-node). Each body comes back from its
+//! // snapshot and resumes where it was captured; results are
+//! // bit-identical to an in-process restart, only the modeled timing
+//! // changes.
 //! let image = Checkpoint::load_from("job.ckpt").unwrap();
-//! let restored = restore_ckpt_world(
+//! let restored = restore_ckpt_world_steps(
 //!     &image,
 //!     RestoreConfig::same_packing().with_ranks_per_node(1),
 //!     program,
@@ -49,8 +86,9 @@
 //! * [`rank::CcRank`] — the per-rank wrapper layer: every MPI-like call
 //!   interposes on the CC drain protocol (sequence gate, overshoot raises,
 //!   entry parking — paper Algorithms 2 and 3) and virtualizes handles so
-//!   they survive restart. Under restore it also re-executes the captured
-//!   program up to the cut and parks there. The protocol's control flow
+//!   they survive restart. Restored from an image, it installs the
+//!   captured state and resumes inside the operation it was captured in.
+//!   The protocol's control flow
 //!   is the poll engine of [`rank::step`]; every operation that can wait
 //!   has a `poll_*` form and a blocking form over it.
 //! * [`policy`] — [`TriggerPolicy`] and the built-in policies: an explicit
@@ -88,16 +126,18 @@
 //!   which the coordinator runs **in parallel on the world's worker
 //!   budget** ([`mpisim::Scheduler::workers`] scoped threads) while every
 //!   rank is asleep at the quiesce.
-//! * [`restore::restore_ckpt_world`] — rebuilds a world from an image
-//!   (optionally re-packed via [`RestoreConfig`]), replays the program to
-//!   the cut, cross-checks the replayed state against the image, charges
-//!   the read-back from the store generation the image came from
-//!   ([`RestoreConfig::with_storage`]), and continues with the image
-//!   authoritative.
-//!   [`restore::try_restore_ckpt_world`] surfaces pre-flight rejections
-//!   (a cut that fails the safe-cut oracle, a malformed image, a read
-//!   source whose store lacks the generation, a failed launch) as a typed
-//!   [`RestoreError`] instead of panicking.
+//! * [`restore::restore_ckpt_world_steps`] — rebuilds a world from an
+//!   image (optionally re-packed via [`RestoreConfig`]) without
+//!   re-executing anything: each rank's body loads its snapshot from the
+//!   image's upper half ([`StepBody::save`]), the wrapper installs the
+//!   captured state, the read-back from the store generation the image
+//!   came from is charged ([`RestoreConfig::with_storage`]), and only the
+//!   run's suffix executes.
+//!   [`restore::try_restore_ckpt_world_steps`] surfaces the refusals (a cut
+//!   that fails the safe-cut oracle, a malformed image, an image with no
+//!   upper half — a closure body's —, a body that refuses its snapshot, a
+//!   read source whose store lacks the generation, a failed launch) as a
+//!   typed [`RestoreError`] before any rank runs.
 //!
 //! ## Storage tiers and delta chains
 //!
@@ -220,12 +260,10 @@
 //! charges and capture publications all happen in the machines, so the
 //! virtual trajectory, the app-visible [`mana_core::CallCounters`], the
 //! `SEQ[]` tables, and the captured images are bit-identical for the
-//! same program and seed. `runner::step`'s unit tests and the
-//! `drivers_agree_on_*` tests of `workloads` run one body under both;
-//! `bench/tests/driver_equiv.rs` restores a cut captured under one driver
-//! under the other ([`restore_ckpt_world_steps`] /
-//! [`restore_ckpt_world`]), where the restore driver cross-checks the
-//! replayed capture against the image field by field.
+//! same program and seed. `runner::step`'s unit tests run one body under
+//! both, compare the images whole, and restore each driver's image under
+//! the other; the `drivers_agree_on_*` tests of `workloads` and
+//! `bench/tests/driver_equiv.rs` run each program under both.
 //!
 //! ## Availability: faults, recovery, and the Daly cadence
 //!
@@ -265,11 +303,8 @@
 //! [`CkptOptions::with_policy`] ([`NeverTrigger`], [`PeriodicInterval`],
 //! [`DalyInterval`]), and keeps one policy instance across its attempts.
 //!
-//! None of this touches virtual time, so the deterministic-replay
-//! contract restore relies on is preserved: app-visible
-//! [`mana_core::CallCounters`] and `SEQ[]` equality still locate a
-//! captured cut regardless of the worker bound, and `BENCH_*.json`
-//! shapes are reproducible across hosts. One knob does scale with the
+//! None of this touches virtual time, so `BENCH_*.json` shapes are
+//! reproducible across hosts. One knob does scale with the
 //! model: the drain-stall watchdog window defaults to
 //! [`coordinator::auto_stall_timeout`] (grows with the world size,
 //! since wall progress per rank thins out linearly once ranks outnumber
@@ -307,8 +342,7 @@ pub use policy::{
 pub use rank::step::{StepPoll, StepRank};
 pub use rank::CcRank;
 pub use restore::{
-    restore_ckpt_world, restore_ckpt_world_steps, try_restore_ckpt_world,
-    try_restore_ckpt_world_steps, RestoreConfig, RestoreError,
+    restore_ckpt_world_steps, try_restore_ckpt_world_steps, RestoreConfig, RestoreError,
 };
 pub use runner::step::{BodyStep, StepBody};
 pub use runner::{

@@ -10,7 +10,9 @@
 //! completes all initiated non-blocking collectives (§4.3.2), reverts
 //! matched-but-uncompleted receives into the mailbox, and publishes a
 //! [`RuntimeCapture`]. At restart it attaches the fresh lower half and
-//! rebuilds its communicators directly from the captured groups.
+//! rebuilds its communicators directly from the captured groups; restored
+//! elsewhere, a fresh rank installs the whole capture — upper half
+//! included — and resumes at the captured park (`CcRank::resume_from`).
 //!
 //! There is one rank type. That control flow lives in the poll machines
 //! of [`step`], the one protocol engine, which also defines the `poll_*`
@@ -28,15 +30,14 @@ use crate::session::Session;
 use bytes::Bytes;
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    ggid_of, CallCounters, CommOp, DrainEvent, Ggid, RankState, RuntimeCapture, TargetTable, VComm,
-    VCommTable, VReq, VReqKind, VReqTable, VCOMM_WORLD,
+    ggid_of, CallCounters, CommOp, DrainEvent, Ggid, RankState, RuntimeCapture, TargetTable,
+    UpperHalf, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,
 };
 use mpisim::collective::RedSpec;
 use mpisim::comm::{create_color, SplitKey};
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{
-    CollOp, Comm, Completion, Ctx, DType, Group, ReduceOp, Request, SrcSel, Status, TagSel, VTime,
-    World,
+    CollOp, Comm, Completion, Ctx, DType, ReduceOp, Request, SrcSel, Status, TagSel, VTime, World,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
@@ -86,6 +87,16 @@ struct RankCore<'s> {
     /// Wall-clock microseconds slept per [`CcRank::compute`] call (0 =
     /// none). Virtual time is unaffected; see [`CcRank::set_wall_pace_us`].
     wall_pace_us: u64,
+    /// The park a rank restored from an image was captured in. The first
+    /// operation its body polls is the one it was parked inside, so that
+    /// machine takes this and starts past its entry effects (call
+    /// counters, wrapper charge, a posted trivial barrier), which the
+    /// image already holds.
+    resume: Option<RankState>,
+    /// A capture park whose capture is published but whose state is not
+    /// yet: the body's snapshot joins the capture first, on the yield the
+    /// park returns ([`CcRank::complete_park`]).
+    parking: Option<RankState>,
 }
 
 impl<'s> CcRank<'s> {
@@ -106,6 +117,8 @@ impl<'s> CcRank<'s> {
             tb_req: None,
             tb_ordinal: 0,
             wall_pace_us: 0,
+            resume: None,
+            parking: None,
         };
         let wcomm = core.ctx.comm_world();
         let ggid = ggid_of(wcomm.group());
@@ -193,30 +206,6 @@ impl RankCore<'_> {
             (self.ctx.clock().as_secs() * 1e9) as u64,
             self.counters.coll_total(),
         );
-    }
-
-    // ------------------------------------------------------------------
-    // Restore-from-image replay
-    // ------------------------------------------------------------------
-
-    /// Whether this rank has reached its restore cut: the session is a
-    /// restore replay, the cut has not been taken yet, and the rank's
-    /// application-visible progress (call counters + `SEQ[]` table) equals
-    /// the image's capture exactly. Every interposition call advances a
-    /// counter at entry, so the pair identifies the capture site uniquely
-    /// along the deterministic re-execution.
-    fn restore_cut_due(&self) -> bool {
-        let Some(plan) = &self.sh.restore else {
-            return false;
-        };
-        if plan.reached[self.rank].load(SeqCst) {
-            return false;
-        }
-        let spec = &plan.cuts[self.rank];
-        if spec.finished() || !spec.counters.same_app_calls(&self.counters) {
-            return false;
-        }
-        *self.sh.control.ranks[self.rank].seq_mirror.lock() == spec.seq_table
     }
 
     /// Cheap per-interposition servicing: publish the clock, pick up
@@ -338,15 +327,26 @@ impl RankCore<'_> {
     // ------------------------------------------------------------------
 
     /// Publishes this rank's runtime capture, recording the park state it
-    /// is being captured in, and beside it the vcomm → lower-half map the
-    /// coordinator translates drained messages by.
-    fn publish_capture(&self, state: RankState) {
+    /// is being captured in and the body's snapshot, if any, and beside it
+    /// the vcomm → lower-half map the coordinator translates drained
+    /// messages by.
+    fn publish_capture(&self, state: RankState, body: Option<Vec<u8>>) {
         let ctl = &self.sh.control.ranks[self.rank];
         *ctl.lower_comms.lock() = self.vcomms.lower_map();
-        *ctl.capture_slot.lock() = Some(self.build_capture(state));
+        *ctl.capture_slot.lock() = Some(self.build_capture(state, body));
     }
 
-    fn build_capture(&self, state: RankState) -> RuntimeCapture {
+    /// The upper half beside a body snapshot: the request table's state.
+    fn upper_half(&self, body: Vec<u8>) -> UpperHalf {
+        UpperHalf {
+            body,
+            next_vreq: self.vreqs.next_id(),
+            ready: self.vreqs.ready_results(),
+            sends: self.vreqs.held_sends(),
+        }
+    }
+
+    fn build_capture(&self, state: RankState, body: Option<Vec<u8>>) -> RuntimeCapture {
         let ctl = &self.sh.control.ranks[self.rank];
         let mut pending_recvs: Vec<PendingRecv> = self
             .vreqs
@@ -375,15 +375,49 @@ impl RankCore<'_> {
             p2p_sent,
             p2p_delivered,
             vcomm_members: self.vcomms.members_map(),
+            upper: body.map(|b| self.upper_half(b)),
         }
     }
 
     /// Restart: attach the fresh lower half and rebuild every virtual
-    /// communicator directly from its captured group — no creation
-    /// collectives, so replay cannot hang on already-finished members.
+    /// communicator from its captured group, then adopt the image's
+    /// counters.
     fn restore_into(&mut self, w: Arc<World>) {
         let saved_members = self.vcomms.members_map();
         self.ctx.attach_world(Arc::clone(&w));
+        self.rebuild_comms(&w, &saved_members);
+        let sh = self.sh;
+        // The image is authoritative across a restart: adopt the counters
+        // the coordinator restored from the capture (they would otherwise
+        // silently revert to whatever the thread last held).
+        if let Some(c) = sh.control.ranks[self.rank].restored_counters.lock().take() {
+            self.counters = c;
+        }
+        *sh.control.ranks[self.rank].lower_comms.lock() = self.vcomms.lower_map();
+        sh.control.replayed_count.fetch_add(1, SeqCst);
+        sh.control.events.bump();
+    }
+
+    /// Rebinds every virtual communicator of the creation log on `w`,
+    /// directly from its member list in `members` — no creation
+    /// collectives, so a rebuild cannot hang on already-finished members.
+    fn rebuild_comms(&mut self, w: &World, members: &HashMap<u64, Arc<[usize]>>) {
+        // Every group's ggid is in the rank's `SEQ[]` table, under its
+        // sorted member list — usually the very allocation the rebuilt
+        // group sorts to, so a lookup by address spares rehashing a list
+        // per communicator.
+        let known: HashMap<usize, Ggid> = (self.sh.control.ranks[self.rank].seq_mirror.lock())
+            .iter()
+            .map(|(g, e)| (Arc::as_ptr(&e.members) as *const usize as usize, *g))
+            .collect();
+        let ggid_of_comm = |c: &Comm| {
+            let sorted = c.group().sorted_members();
+            let at = Arc::as_ptr(&sorted) as *const usize as usize;
+            known
+                .get(&at)
+                .copied()
+                .unwrap_or_else(|| ggid_of(c.group()))
+        };
         self.vcomms.invalidate_lower();
         let wcomm = self.ctx.comm_world();
         self.vcomms
@@ -409,7 +443,7 @@ impl RankCore<'_> {
                 u64::MAX - s
             };
             if let Some(v) = rec.result {
-                let members = saved_members
+                let members = members
                     .get(&v.0)
                     .expect("capture holds members of every live vcomm")
                     .clone();
@@ -420,23 +454,13 @@ impl RankCore<'_> {
                         seq,
                         color,
                     },
-                    Group::from_shared(members),
+                    members,
                 );
                 let comm = Comm::for_world_rank(inner, self.rank);
-                let ggid = ggid_of(comm.group());
+                let ggid = ggid_of_comm(&comm);
                 self.vcomms.rebind(v, comm, ggid);
             }
         }
-        let sh = self.sh;
-        // The image is authoritative across a restart: adopt the counters
-        // the coordinator restored from the capture (they would otherwise
-        // silently revert to whatever the thread last held).
-        if let Some(c) = sh.control.ranks[self.rank].restored_counters.lock().take() {
-            self.counters = c;
-        }
-        *sh.control.ranks[self.rank].lower_comms.lock() = self.vcomms.lower_map();
-        sh.control.replayed_count.fetch_add(1, SeqCst);
-        sh.control.events.bump();
     }
 
     /// Re-issues the trivial barrier this rank was parked in at capture
@@ -461,14 +485,95 @@ impl RankCore<'_> {
 }
 
 impl CcRank<'_> {
-    /// Runner hook: publishes the final capture and the `Finished` state.
-    pub(crate) fn finish(&mut self) {
+    /// Runner hook: publishes the final capture, with the finished body's
+    /// snapshot, and the `Finished` state.
+    pub(crate) fn finish(&mut self, body: Option<Vec<u8>>) {
         let core = &self.core;
-        core.publish_capture(RankState::Finished);
+        core.publish_capture(RankState::Finished, body);
         core.publish_clock();
         let ctl = &core.sh.control.ranks[core.rank];
         ctl.targets_met.store(true, SeqCst);
         ctl.set_state(RankState::Finished);
+    }
+
+    /// Completes a capture park the last poll began: the body's snapshot
+    /// (`body`, asked for only here) joins the published capture, then the
+    /// park state is published — which is what lets the coordinator take
+    /// the capture. Every yield and every blocking sleep passes here, so
+    /// a park is never left half-published; a yield that parks for no
+    /// capture costs one check.
+    pub(crate) fn complete_park(&mut self, body: impl FnOnce() -> Option<Vec<u8>>) {
+        let Some(state) = self.core.parking.take() else {
+            return;
+        };
+        let core = &self.core;
+        let ctl = &core.sh.control.ranks[core.rank];
+        if let Some(b) = body() {
+            let upper = core.upper_half(b);
+            if let Some(c) = ctl.capture_slot.lock().as_mut() {
+                c.upper = Some(upper);
+            }
+        }
+        ctl.set_state(state);
+        core.sh.trace.push(DrainEvent::Quiesced(core.rank));
+    }
+
+    /// Restore elsewhere: installs `cap` — the image's capture of this
+    /// rank, with its upper half `upper` — into this freshly built rank on
+    /// the restored world, and charges the image read-back (`read_ns`).
+    /// The lower half is rebuilt from the capture (communicators from
+    /// their member lists, pending receives and a pending trivial barrier
+    /// re-posted), the upper half adopted (sequence table, counters,
+    /// clock, request table); a rank captured parked resumes inside the
+    /// operation it parked in when its body re-polls it.
+    pub(crate) fn resume_from(&mut self, cap: &RuntimeCapture, upper: &UpperHalf, read_ns: u64) {
+        let core = &mut self.core;
+        let sh = core.sh;
+        let ctl = &sh.control.ranks[core.rank];
+        *ctl.seq_mirror.lock() = cap.seq_table.clone();
+        core.vcomms.restore_log(cap.comm_log.clone());
+        let world = Arc::clone(core.ctx.world());
+        core.rebuild_comms(&world, &cap.vcomm_members);
+        core.counters = cap.counters;
+        core.tb_ordinal = cap.counters.trivial_barriers;
+        core.ctx.set_clock(cap.clock);
+        let vreqs = &mut core.vreqs;
+        vreqs.set_next_id(upper.next_vreq);
+        for (v, data) in &upper.ready {
+            let data = data.clone();
+            vreqs.put_back(
+                VReq(*v),
+                VReqState::Ready(Completion { status: None, data }),
+            );
+        }
+        for &(v, at) in &upper.sends {
+            vreqs.put_back(
+                VReq(v),
+                VReqState::Active(Request::send(at), VReqKind::Send),
+            );
+        }
+        // The in-process restart's resume order: receives, the trivial
+        // barrier, then the read-back charge.
+        for p in &cap.pending_recvs {
+            let vcomm = VComm(p.vcomm);
+            let req = core.ctx.irecv(&core.vcomms.resolve(vcomm).0, p.src, p.tag);
+            let kind = VReqKind::Recv {
+                vcomm,
+                src: p.src,
+                tag: p.tag,
+            };
+            core.vreqs
+                .put_back(VReq(p.vreq), VReqState::Active(req, kind));
+        }
+        if let Some((vc, _)) = cap.pending_barrier {
+            core.tb_req = Some(core.ctx.ibarrier(&core.vcomms.resolve(VComm(vc)).0));
+        }
+        if read_ns > 0 {
+            core.ctx.compute(read_ns as f64 * 1e-9);
+        }
+        *ctl.lower_comms.lock() = core.vcomms.lower_map();
+        core.publish_clock();
+        core.resume = (cap.state != RankState::Finished).then_some(cap.state);
     }
 
     // ------------------------------------------------------------------
@@ -496,6 +601,9 @@ impl CcRank<'_> {
         loop {
             let token = ctl.park.token();
             let polled = poll(self);
+            // A park for capture taken inside a blocking call carries no
+            // snapshot: the body is this thread's stack.
+            self.complete_park(|| None);
             // Leaving, or about to sleep: a rank stop (see `hand_off`).
             self.core.sh.control.hand_off(self.core.rank);
             if let StepPoll::Ready(t) = polled {
@@ -528,6 +636,24 @@ impl CcRank<'_> {
     pub fn run<B: StepBody>(&mut self, body: &mut B) -> B::Out {
         self.expect_op("run", false);
         self.block_on(|r| match body.step(r) {
+            BodyStep::Done(out) => StepPoll::Ready(out),
+            BodyStep::Yield(why) => StepPoll::Pending(why),
+        })
+    }
+
+    /// One step of the rank's own body — the one its driver holds, whose
+    /// snapshot is the upper half: a yield that parks for a capture
+    /// publishes the park with that snapshot.
+    pub(crate) fn step_body<B: StepBody>(&mut self, body: &mut B) -> BodyStep<B::Out> {
+        let out = body.step(self);
+        self.complete_park(|| snapshot(body));
+        out
+    }
+
+    /// [`CcRank::run`] for the rank's own body on the thread-per-object
+    /// driver: its capture parks carry the body's snapshot.
+    pub(crate) fn run_own<B: StepBody>(&mut self, body: &mut B) -> B::Out {
+        self.block_on(|r| match r.step_body(body) {
             BodyStep::Done(out) => StepPoll::Ready(out),
             BodyStep::Yield(why) => StepPoll::Pending(why),
         })
@@ -781,6 +907,12 @@ impl CcRank<'_> {
     }
 }
 
+/// A body's snapshot ([`StepBody::save`]), or `None` if it has none.
+pub(crate) fn snapshot<B: StepBody + ?Sized>(body: &B) -> Option<Vec<u8>> {
+    let mut w = Vec::new();
+    body.save(&mut w).then_some(w)
+}
+
 impl std::fmt::Debug for CcRank<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CcRank")
@@ -803,7 +935,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank resumed into `run` with a pending `wait` operation")]
     fn run_with_an_operation_in_flight_names_it() {
-        let sh = Session::new(WorldConfig::single_node(2), Protocol::Cc);
+        let sh = Session::new(WorldConfig::single_node(2), Protocol::Cc, 0);
         let mut r = CcRank::new(&sh, 0);
         // Nobody ever sends: the wait stays in flight.
         let v = r.irecv(r.world_vcomm(), 1, 7u32);

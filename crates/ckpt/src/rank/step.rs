@@ -23,9 +23,8 @@
 //! completions), and neither adds protocol logic of its own: counter
 //! increments, `SEQ[]` mirror updates, trace events, target raises,
 //! capture publications and clock charges happen in the machines, so
-//! virtual-time trajectories, checkpoint captures, and the
-//! `CallCounters`+`SEQ[]` restore-replay contract cannot depend on how a
-//! rank waits. Every lower-half wait goes through the *uncharged*
+//! virtual-time trajectories and checkpoint captures cannot depend on how
+//! a rank waits. Every lower-half wait goes through the *uncharged*
 //! completion path ([`mpisim::Ctx::try_complete`] /
 //! [`mpisim::Ctx::coll_begin`]), which moves the clock exactly as a
 //! blocking wait would.
@@ -87,22 +86,6 @@ impl<T> StepPoll<T> {
     }
 }
 
-/// Whether this rank has just reached its restore cut (see
-/// [`CcRank::restore_cut_due`]); marks the cut reached, so this is `true`
-/// once. The caller then parks the rank there with a [`QuiesceM`]: the
-/// ordinary quiesce/capture/resume machinery, with the restore driver
-/// playing the coordinator's role (it cross-checks the replayed capture
-/// against the image, installs the restored world, re-deposits the
-/// image's in-flight messages).
-fn at_restore_cut(cc: &RankCore<'_>) -> bool {
-    let due = cc.restore_cut_due();
-    if due {
-        let plan = cc.sh.restore.as_ref().expect("cut implies restore plan");
-        plan.reached[cc.rank].store(true, SeqCst);
-    }
-    due
-}
-
 /// Waits until targets for the pending checkpoint are installed:
 /// `Ready(false)` when the checkpoint ended while waiting, `Ready(true)`
 /// once they are. Wakes arrive from target installation and
@@ -126,9 +109,11 @@ fn try_await_targets(cc: &mut RankCore<'_>) -> StepPoll<bool> {
 // ----------------------------------------------------------------------
 
 /// Parks for capture: completes every initiated non-blocking collective
-/// (§4.3.2), reverts matched receives, publishes the [`RuntimeCapture`],
-/// parks until resume — attaching a fresh lower half first if the
-/// coordinator installed one (restart) — then runs the resume epilogue.
+/// (§4.3.2), reverts matched receives, publishes the [`RuntimeCapture`]
+/// (its park state follows on the yield, with the body's snapshot:
+/// `CcRank::complete_park`), parks until resume — attaching a fresh lower
+/// half first if the coordinator installed one (restart) — then runs the
+/// resume epilogue.
 ///
 /// [`RuntimeCapture`]: mana_core::RuntimeCapture
 struct QuiesceM {
@@ -194,12 +179,9 @@ impl QuiesceM {
                             cc.vreqs.put_back(v, VReqState::Active(req, kind));
                         }
                     }
-                    let sh = cc.sh;
-                    let ctl = &sh.control.ranks[cc.rank];
-                    cc.publish_capture(self.state);
-                    let my_gen = sh.control.resume_gen.load(SeqCst);
-                    ctl.set_state(self.state);
-                    sh.trace.push(DrainEvent::Quiesced(cc.rank));
+                    cc.publish_capture(self.state, None);
+                    let my_gen = cc.sh.control.resume_gen.load(SeqCst);
+                    cc.parking = Some(self.state);
                     self.stage = QStage::Park {
                         my_gen,
                         restarted: false,
@@ -221,14 +203,6 @@ impl QuiesceM {
                         return StepPoll::Pending(WaitReason::Event);
                     }
                     if *restarted {
-                        // Restore-from-image: the image's captured clock
-                        // is authoritative for the restored timeline
-                        // (replay accounting may drift from a capture
-                        // taken mid-drain); adopt it before re-posting, so
-                        // re-issued operations carry the right entry times.
-                        if let Some(plan) = &sh.restore {
-                            cc.ctx.set_clock(plan.cuts[cc.rank].clock);
-                        }
                         cc.repost_pending_recvs();
                         cc.repost_trivial_barrier();
                     }
@@ -275,10 +249,7 @@ impl QuiesceM {
     /// seen with the generation still unchanged happened before any
     /// resume, i.e. before the capture this park was published for —
     /// after a resume, finishing the barrier is the resumed gate's job,
-    /// behind the resume epilogue's clock charges. A park at a restore
-    /// cut never qualifies (no checkpoint is quiescing during a replay):
-    /// the cut must win against a replay that completes the barrier
-    /// earlier than the capture did.
+    /// behind the resume epilogue's clock charges.
     fn free_pass(&self, cc: &mut RankCore<'_>) -> bool {
         let QStage::Park {
             my_gen,
@@ -341,9 +312,12 @@ enum Next {
 }
 
 impl GateM {
-    fn new(cc: &mut RankCore<'_>, vc: VComm) -> GateM {
+    /// The gate of a collective call; `resume` is the park of a rank
+    /// restored from an image inside this gate, whose wrapper charge the
+    /// image's clock already holds.
+    fn new(cc: &mut RankCore<'_>, vc: VComm, resume: Option<RankState>) -> GateM {
         let protocol = cc.sh.protocol;
-        if protocol != Protocol::Native {
+        if protocol != Protocol::Native && resume.is_none() {
             // The steady-state cost of the wrapper under either protocol:
             // one virtualized-handle lookup plus a `SEQ[ggid]` increment.
             let w = wrapper_cost(cc.ctx.world().params());
@@ -352,10 +326,17 @@ impl GateM {
         GateM {
             vc,
             quiesce: None,
-            kind: if protocol == Protocol::TwoPhase {
-                GateKind::TwoPc(TwoPcGate::P1)
-            } else {
-                GateKind::Cc(CcGate::Loop)
+            kind: match protocol {
+                // Parked inside its trivial barrier, which the restore
+                // re-posted: on to testing it.
+                Protocol::TwoPhase if resume == Some(RankState::InTrivialBarrier) => {
+                    GateKind::TwoPc(TwoPcGate::P3 {
+                        ordinal: cc.tb_ordinal.saturating_sub(1),
+                        polled: true,
+                    })
+                }
+                Protocol::TwoPhase => GateKind::TwoPc(TwoPcGate::P1),
+                _ => GateKind::Cc(CcGate::Loop),
             },
         }
     }
@@ -389,7 +370,7 @@ impl GateM {
 
 #[derive(Clone, Copy)]
 enum CcGate {
-    /// Top of the gate loop: restore check, servicing, fast/drain split.
+    /// Top of the gate loop: servicing, fast/drain split.
     Loop,
     /// Algorithm 2's overshoot path: the fast-path increment raced the
     /// coordinator's snapshot; await targets, then raise the target to
@@ -412,13 +393,6 @@ impl CcGate {
         loop {
             match *self {
                 CcGate::Loop => {
-                    // Restore replay: the image captured this rank parked
-                    // at this wrapper entry (counters include this call,
-                    // `SEQ[]` does not). Afterwards the gate re-resolves
-                    // against the restored lower half.
-                    if at_restore_cut(cc) {
-                        return Next::Quiesce(RankState::Quiesced);
-                    }
                     cc.service_control();
                     let ggid = cc.vcomms.resolve(vc).1;
                     if !sh.control.is_pending() {
@@ -540,11 +514,6 @@ impl TwoPcGate {
         loop {
             match *self {
                 TwoPcGate::P1 => {
-                    // Restore replay: the image captured this rank stopped
-                    // at phase 1 (call counted, barrier not yet posted).
-                    if at_restore_cut(cc) {
-                        return Next::Quiesce(RankState::Quiesced);
-                    }
                     cc.service_control();
                     if quiescing(cc) {
                         return Next::Quiesce(RankState::Quiesced);
@@ -579,28 +548,21 @@ impl TwoPcGate {
                     if done {
                         return Next::Open(Self::enter(cc, vc));
                     }
-                    // Restore replay: the image captured this rank parked
-                    // inside this trivial barrier (barrier posted and
-                    // first Test counted); park the same way — the barrier
-                    // is re-issued against the restored lower half exactly
-                    // as an in-process restart does.
-                    if !at_restore_cut(cc) {
-                        cc.service_control();
-                        if !quiescing(cc) {
-                            return Next::Wait;
-                        }
-                        // Intent while the barrier is in flight: finish
-                        // it if every member has initiated, else park
-                        // *inside* it — captured as pending and re-issued
-                        // at restart, unless a late member still completes
-                        // it first (`QuiesceM::free_pass`).
-                        let req = cc.tb_req.as_mut().expect("phase 3 holds the barrier");
-                        if cc.ctx.try_complete(req).is_some() {
-                            return Next::Open(Self::enter(cc, vc));
-                        }
-                        let parked = DrainEvent::TrivialBarrierParked(cc.rank);
-                        cc.sh.trace.push(parked);
+                    cc.service_control();
+                    if !quiescing(cc) {
+                        return Next::Wait;
                     }
+                    // Intent while the barrier is in flight: finish it if
+                    // every member has initiated, else park *inside* it —
+                    // captured as pending and re-issued at restart, unless
+                    // a late member still completes it first
+                    // (`QuiesceM::free_pass`).
+                    let req = cc.tb_req.as_mut().expect("phase 3 holds the barrier");
+                    if cc.ctx.try_complete(req).is_some() {
+                        return Next::Open(Self::enter(cc, vc));
+                    }
+                    let parked = DrainEvent::TrivialBarrierParked(cc.rank);
+                    cc.sh.trace.push(parked);
                     *cc.sh.control.ranks[cc.rank].pending_barrier.lock() = Some((vc.0, ordinal));
                     return Next::Quiesce(RankState::InTrivialBarrier);
                 }
@@ -661,14 +623,17 @@ impl CollM {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> CollM {
-        cc.counters.coll_blocking += 1;
+        let resume = cc.resume.take();
+        if resume.is_none() {
+            cc.counters.coll_blocking += 1;
+        }
         CollM {
             vc,
             op,
             root,
             payload: Some(payload),
             red,
-            stage: CollStage::Gate(GateM::new(cc, vc)),
+            stage: CollStage::Gate(GateM::new(cc, vc, resume)),
         }
     }
 
@@ -728,14 +693,17 @@ impl ICollM {
             "{} does not support non-blocking collectives",
             cc.sh.protocol.name()
         );
-        cc.counters.coll_nonblocking += 1;
+        let resume = cc.resume.take();
+        if resume.is_none() {
+            cc.counters.coll_nonblocking += 1;
+        }
         ICollM {
             vc,
             op,
             root,
             payload: Some(payload),
             red,
-            gate: GateM::new(cc, vc),
+            gate: GateM::new(cc, vc, resume),
         }
     }
 
@@ -774,7 +742,9 @@ pub(super) struct WaitM {
 
 impl WaitM {
     pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> WaitM {
-        cc.counters.completions += 1;
+        if cc.resume.take().is_none() {
+            cc.counters.completions += 1;
+        }
         WaitM { v, quiesce: None }
     }
 
@@ -795,23 +765,13 @@ impl WaitM {
                     } else {
                         RankState::Quiesced
                     };
-                    // Restore replay: the image captured this rank parked
-                    // inside this wait. The check runs *before*
-                    // `try_complete` — replay wall-clock interleaving may
-                    // have made the operation completable earlier than
-                    // the capture did, and the cut must win that race.
-                    let at_cut = at_restore_cut(cc);
-                    if !at_cut {
-                        if let Some(c) = cc.ctx.try_complete(&mut req) {
-                            return StepPoll::Ready(c);
-                        }
+                    if let Some(c) = cc.ctx.try_complete(&mut req) {
+                        return StepPoll::Ready(c);
                     }
                     cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
-                    if !at_cut {
-                        cc.service_control();
-                        if !quiescing(cc) {
-                            return StepPoll::Pending(WaitReason::Event);
-                        }
+                    cc.service_control();
+                    if !quiescing(cc) {
+                        return StepPoll::Pending(WaitReason::Event);
                     }
                     self.quiesce = Some(QuiesceM::new(cc, state));
                 }
@@ -830,14 +790,15 @@ pub(super) struct TestM {
 
 impl TestM {
     pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> TestM {
-        cc.counters.completions += 1;
-        // Restore replay: the image captured this rank quiesced at this
-        // test call.
-        let quiesce = at_restore_cut(cc).then(|| QuiesceM::new(cc, RankState::Quiesced));
+        // Restored parked here: the call was counted and serviced.
+        let resumed = cc.resume.take().is_some();
+        if !resumed {
+            cc.counters.completions += 1;
+        }
         TestM {
             v,
-            quiesce,
-            serviced: false,
+            quiesce: None,
+            serviced: resumed,
         }
     }
 
@@ -898,11 +859,14 @@ enum CommStage {
 
 impl CommM {
     pub(super) fn new(cc: &mut RankCore<'_>, vc: VComm, kind: CommKind) -> CommM {
-        cc.counters.comm_mgmt += 1;
+        let resume = cc.resume.take();
+        if resume.is_none() {
+            cc.counters.comm_mgmt += 1;
+        }
         CommM {
             vc,
             kind,
-            stage: CommStage::Gate(GateM::new(cc, vc)),
+            stage: CommStage::Gate(GateM::new(cc, vc, resume)),
         }
     }
 

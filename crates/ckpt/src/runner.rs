@@ -11,15 +11,16 @@
 //! *when* to capture, [`CkptOptions::resume`] says what this in-process
 //! run does afterwards (continue on the same lower half, or rebuild it),
 //! and the captured [`Checkpoint`] images in the report are first-class
-//! artifacts — serialize one with [`Checkpoint::to_bytes`] and restore it
-//! elsewhere (even onto a different node packing) with
-//! [`crate::restore_ckpt_world`].
+//! artifacts — serialize one with [`Checkpoint::to_bytes`] and, for step
+//! bodies, restore it elsewhere (even onto a different node packing) with
+//! [`crate::restore_ckpt_world_steps`].
 
 use crate::avail::run_campaign;
 use crate::coordinator::{Coordinator, DrainError, ResumeMode};
 use crate::image::Checkpoint;
 use crate::policy::{NeverTrigger, Threshold, TriggerPolicy, VirtualTimeSchedule};
 use crate::rank::CcRank;
+use crate::restore::RestoreError;
 use crate::session::Session;
 use crate::store::{StoreRecord, Tiering};
 use crate::FaultPlan;
@@ -40,7 +41,7 @@ pub struct CkptOptions {
     pub policy: Box<dyn TriggerPolicy>,
     /// What this in-process run does after each capture. Either way the
     /// captured image lands in [`CkptRunReport::checkpoints`]; restoring
-    /// elsewhere is [`crate::restore_ckpt_world`]'s job.
+    /// elsewhere is [`crate::restore_ckpt_world_steps`]'s job.
     pub resume: ResumeMode,
     /// Tiered, optionally incremental, optionally asynchronous storage
     /// (see [`crate::store`]) — the one image-I/O cost model. Every
@@ -136,6 +137,9 @@ pub(crate) enum RunError {
     /// body's constructor panicked); the launch was aborted before any
     /// application code ran.
     Spawn(SpawnError),
+    /// A rank restored from an image refused it (its body, its
+    /// snapshot); the launch was aborted before any application code ran.
+    Refused(RestoreError),
     /// An injected fault killed ranks and the world unwound before the
     /// workload completed; `out` is what the attempt's supervision
     /// committed before the death, for the campaign to recover from.
@@ -173,7 +177,7 @@ pub struct CkptRunReport<R> {
     /// coordinator's capture bracket (parallel per-rank state clone plus
     /// the in-flight drain), aligned with [`CkptRunReport::checkpoints`].
     /// Wall time, not virtual time — the benchmark's `capture_wall_s`
-    /// column. Empty for restored runs. Under a tiered **async drain**
+    /// column. Empty for runs that captured nothing (a restore). Under a tiered **async drain**
     /// this is the *blocking* component only — the clone-out plus any
     /// wait for the previous background drain; the overlapped encode+write
     /// remainder is each record's [`StoreRecord::overlapped_wall_s`].
@@ -248,6 +252,7 @@ where
     run_campaign(cfg, opts, FaultPlan::none(), None, Driver::Threads, |_| {
         Blocking(&f)
     })
+    .map_err(launch_error)
 }
 
 /// [`run_ckpt_world`] for step bodies: builds one [`StepBody`] per rank
@@ -283,7 +288,16 @@ where
     B: StepBody,
     MK: Fn(usize) -> B + Send + Sync,
 {
-    run_campaign(cfg, opts, FaultPlan::none(), None, Driver::Pool, make)
+    run_campaign(cfg, opts, FaultPlan::none(), None, Driver::Pool, make).map_err(launch_error)
+}
+
+/// The launch failure of a run with no image and no fault: the only
+/// refusal such a run can meet.
+fn launch_error(e: RestoreError) -> SpawnError {
+    match e {
+        RestoreError::Spawn(e) => e,
+        e => unreachable!("a run from scratch restored an image: {e}"),
+    }
 }
 
 /// What an attempt's supervision hands back to the report assembly: the

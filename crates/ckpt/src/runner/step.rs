@@ -22,8 +22,10 @@
 //! unit tests below run one body object under both).
 
 use super::{assemble_report, CkptRunReport, RunError, SuperviseOut};
-use crate::rank::CcRank;
+use crate::rank::{snapshot, CcRank};
+use crate::restore::Restore;
 use crate::session::Session;
+use crate::wire::{Dec, DecodeError, Wr};
 use mana_core::RankState;
 use mpisim::sched::WaitReason;
 use mpisim::{FailPlane, RankReport, RankStep, SpawnError, Step, StepDriver};
@@ -45,17 +47,42 @@ pub enum BodyStep<R> {
 /// A rank body lowered to a resumable state machine: `step` runs until the
 /// body either finishes or hits a pending operation, exactly the way an
 /// async body lowers to a poll function. All rank-local application state
-/// lives in `Self` — there is no stack to park.
+/// lives in `Self` — there is no stack to park — so a body that writes it
+/// out ([`StepBody::save`]) has its whole upper half in the checkpoint
+/// image, and restores elsewhere from the image alone.
 pub trait StepBody: Send {
     /// The body's result type (the return value of a closure body).
     type Out: Send;
 
     /// Advances the body as far as it can go right now.
     fn step(&mut self, r: &mut CcRank) -> BodyStep<Self::Out>;
+
+    /// Writes the body's mutable state — what `make(rank)` does not
+    /// rebuild — into a checkpoint image, and says whether there is one.
+    /// Called only on the yield that parks the rank for a capture, and
+    /// once when the body finishes, never on the steady path. The default,
+    /// which closures keep, has none: such an image restarts in-process
+    /// only, and a restore elsewhere refuses it
+    /// ([`crate::RestoreError::NoUpperHalf`]).
+    ///
+    /// A body that saves must also, once done, return the same result from
+    /// a further `step` without any MPI call: a rank captured finished is
+    /// restored as its finished body.
+    fn save(&self, _w: &mut dyn Wr) -> bool {
+        false
+    }
+
+    /// Loads a state written by [`StepBody::save`] into a body that
+    /// `make(rank)` just built for the same rank. An error names what does
+    /// not fit — a different program, or bytes this body never wrote —
+    /// and refuses the restore before any rank runs.
+    fn load(&mut self, _d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        Err("body has no snapshot")
+    }
 }
 
 /// Closures `FnMut(&mut CcRank) -> BodyStep<R>` are bodies: keep the
-/// machine state captured in the closure.
+/// machine state captured in the closure. They have no snapshot.
 impl<R, F> StepBody for F
 where
     R: Send,
@@ -134,10 +161,10 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
         }
         let (cc, body) = (&mut self.cc, &mut self.body);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self.driver {
-            Driver::Pool => body.step(cc),
+            Driver::Pool => cc.step_body(body),
             // The thread *is* the continuation: a yield sleeps on it, the
             // way the body's own blocking calls do.
-            Driver::Threads => BodyStep::Done(cc.run(body)),
+            Driver::Threads => BodyStep::Done(cc.run_own(body)),
         }));
         // A step's end is a rank stop (see `CkptControl::hand_off`).
         self.sh.control.hand_off(self.rank);
@@ -145,7 +172,7 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
             Ok(BodyStep::Yield(w)) => Step::Yield(w),
             Ok(BodyStep::Done(result)) => {
                 let final_clock = self.cc.clock();
-                self.cc.finish();
+                self.cc.finish(snapshot(&self.body));
                 *self.out.lock() = Some(RankReport {
                     rank: self.rank,
                     result,
@@ -165,18 +192,20 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
 
 /// The one launcher, called once per attempt by the run loop
 /// (`crate::avail::run_campaign`): build every rank's continuation
-/// (`make(rank)` is its body) all-or-nothing, step them to completion on
-/// `driver` while `supervise` (restore driving, then the triggers) runs
-/// on the calling thread, and assemble the report — or, when an injected
-/// death ended the attempt, hand back the death with what `supervise`
-/// committed. On a launch failure — a panicking constructor, or under
-/// [`Driver::Threads`] a failed thread spawn — no rank has run any
-/// application code, `supervise` never runs, and the typed
-/// [`SpawnError`] is returned.
+/// (`make(rank)` is its body; from `restore`'s image, the body and the
+/// rank are loaded from their capture) all-or-nothing, step them to
+/// completion on `driver` while `supervise` (the triggers) runs on the
+/// calling thread, and assemble the report — or, when an injected death
+/// ended the attempt, hand back the death with what `supervise`
+/// committed. On a launch failure — a panicking constructor, a body that
+/// refuses its snapshot, or under [`Driver::Threads`] a failed thread
+/// spawn — no rank has run any application code, `supervise` never runs,
+/// and the typed error is returned.
 pub(crate) fn run_session<B, MK>(
     sh: Arc<Session>,
     driver: Driver,
     make: MK,
+    restore: Option<&Restore>,
     supervise: impl FnOnce() -> SuperviseOut,
 ) -> Result<CkptRunReport<B::Out>, RunError>
 where
@@ -221,17 +250,24 @@ where
     let rss_before = resident_bytes();
     let mut objs: Vec<Box<dyn RankStep + '_>> = Vec::with_capacity(n);
     for (rank, out) in outs.iter().enumerate() {
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| CcStepObj {
-            rank,
-            sh: &sh,
-            fail: Arc::clone(sched.fail_plane()),
-            driver,
-            cc: CcRank::new(&sh, rank),
-            body: make(rank),
-            out,
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (mut cc, mut body) = (CcRank::new(&sh, rank), make(rank));
+            if let Some(r) = restore {
+                r.install(rank, &mut cc, &mut body)?;
+            }
+            Ok(CcStepObj {
+                rank,
+                sh: &sh,
+                fail: Arc::clone(sched.fail_plane()),
+                driver,
+                cc,
+                body,
+                out,
+            })
         }));
         match built {
-            Ok(o) => objs.push(Box::new(o)),
+            Ok(Ok(o)) => objs.push(Box::new(o)),
+            Ok(Err(e)) => return Err(RunError::Refused(e)),
             Err(_) => {
                 return Err(RunError::Spawn(SpawnError {
                     rank,
@@ -241,6 +277,11 @@ where
                 }))
             }
         }
+    }
+    // Every rank is in place: the image's in-flight messages go back in
+    // before any of them runs.
+    if let Some(r) = restore {
+        r.deposit_in_flight(&sh);
     }
     // A rank on its own thread costs a whole stack, accounted by the
     // kernel, not the heap: the column is the pool's.
@@ -286,7 +327,7 @@ fn resident_bytes() -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests_support {
+pub(crate) mod tests_support {
     use super::*;
     use crate::StepPoll;
     use mpisim::ReduceOp;
@@ -359,6 +400,24 @@ mod tests_support {
                 }
             }
             BodyStep::Done(self.acc)
+        }
+
+        fn save(&self, w: &mut dyn Wr) -> bool {
+            w.usize(self.iters);
+            w.usize(self.it);
+            w.u8(u8::from(self.in_allreduce));
+            w.f64(self.acc);
+            true
+        }
+
+        fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+            if d.usize("iters")? != self.iters {
+                return Err("a different iteration count");
+            }
+            self.it = d.usize("iteration")?;
+            self.in_allreduce = d.u8("allreduce flag")? != 0;
+            self.acc = d.f64("accumulator")?;
+            Ok(())
         }
     }
 
@@ -469,6 +528,53 @@ mod tests {
         }
     }
 
+    /// An image restores under either driver whichever captured it: the
+    /// body's snapshot and the wrapper state are driver-independent, so
+    /// each image resumes on the other driver to the native results.
+    #[test]
+    fn images_restore_across_drivers() {
+        use crate::restore::{Restore, RestoreConfig};
+        use std::borrow::Cow;
+        let cfg =
+            || WorldConfig::single_node(8).with_params(NetParams::slingshot11().without_jitter());
+        let body = |_| SumBody::new(8).with_hold(3);
+        let native = run_campaign(
+            cfg(),
+            CkptOptions::native(),
+            FaultPlan::none(),
+            None,
+            Driver::Pool,
+            body,
+        )
+        .expect("launch");
+        for protocol in [Protocol::Cc, Protocol::TwoPhase] {
+            for (capture, resume) in [
+                (Driver::Threads, Driver::Pool),
+                (Driver::Pool, Driver::Threads),
+            ] {
+                let at = VTime::from_secs(HOLD_AT_S);
+                let opts =
+                    CkptOptions::one_checkpoint(at, ResumeMode::Continue).with_protocol(protocol);
+                let run = run_campaign(cfg(), opts, FaultPlan::none(), None, capture, body)
+                    .expect("launch");
+                let image = run.checkpoints.into_iter().next().expect("one capture");
+                let restore = Restore::preflight(Cow::Owned(image), RestoreConfig::same_packing())
+                    .expect("pre-flight");
+                let opts = CkptOptions::native().with_protocol(protocol);
+                let restored =
+                    run_campaign(cfg(), opts, FaultPlan::none(), Some(restore), resume, body)
+                        .expect("restore");
+                let results = |r: &CkptRunReport<f64>| r.results().copied().collect::<Vec<_>>();
+                assert_eq!(
+                    results(&restored),
+                    results(&native),
+                    "{protocol:?} {capture:?}"
+                );
+                assert_eq!(restored.backstop_expiries, 0);
+            }
+        }
+    }
+
     /// A blocking call in a pool-stepped body would park a pool *worker*
     /// on an event counter no lower-half event advances — a 1 s backstop
     /// per wait, and a deadlock once every worker did it. With one worker
@@ -537,8 +643,8 @@ mod restart_tests {
         // No makespan assertion: restart rebuilds the lower half, so the
         // modeled timing depends on where the wall-clock-racy trigger
         // landed — two *thread* runs differ the same way. Cut-for-cut
-        // timing equivalence is covered by the restore-replay tests,
-        // which pin the cut via the image.
+        // equivalence is covered by the held-cut tests above, which
+        // compare the images whole.
         assert_eq!(s.backstop_expiries, 0);
     }
 

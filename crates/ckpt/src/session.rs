@@ -1,78 +1,17 @@
 //! Shared state of one checkpointable execution: the control plane, the
 //! target-update bus, the observability logs, and the current lower-half
-//! generation. A session optionally carries a restore plan when the
-//! execution is a restore-from-image replay rather than a fresh run.
+//! generation. Every attempt of the run loop — from scratch or from an
+//! image — is one session.
 
 use crate::avail::ArmedFault;
 use crate::bus::UpdateBus;
-use crate::image::Checkpoint;
 use mana_core::control::OBSERVER_BACKSTOP;
-use mana_core::{
-    CallCounters, CkptControl, DrainTrace, ExecutionLog, Protocol, RankState, SeqTable, Threshold,
-};
-use mpisim::{RankDeath, VTime, World, WorldConfig};
+use mana_core::{CkptControl, DrainTrace, ExecutionLog, Protocol, Threshold};
+use mpisim::{RankDeath, World, WorldConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Where one rank must stop during a restore replay: the exact
-/// application-visible progress it had at capture. A deterministic
-/// re-execution reaches this point exactly once — every interposition call
-/// advances at least one counted field, so the (counters, seq-table) pair
-/// uniquely identifies the capture site.
-#[derive(Debug, Clone)]
-pub(crate) struct CutSpec {
-    /// Captured call counters (compared via
-    /// [`CallCounters::same_app_calls`]; drain bookkeeping is excluded
-    /// because the replay runs without a live drain).
-    pub counters: CallCounters,
-    /// Captured `SEQ[]` table.
-    pub seq_table: SeqTable,
-    /// Captured virtual clock — authoritative: the replayed rank adopts it
-    /// at the cut, so restore timing continues from the image, not from
-    /// replay accounting drift.
-    pub clock: VTime,
-    /// The park state the rank was captured in.
-    pub state: RankState,
-}
-
-impl CutSpec {
-    /// Whether the rank ran to completion before the capture (no cut; the
-    /// replay simply lets it finish).
-    pub fn finished(&self) -> bool {
-        self.state == RankState::Finished
-    }
-}
-
-/// Per-rank cut specifications for a restore-from-image replay, derived
-/// from the image's captures.
-#[derive(Debug)]
-pub(crate) struct RestorePlan {
-    /// One cut per rank.
-    pub cuts: Vec<CutSpec>,
-    /// Set once a rank has parked at (or been found past) its cut; cut
-    /// checks short-circuit afterwards.
-    pub reached: Vec<AtomicBool>,
-}
-
-impl RestorePlan {
-    /// Builds the plan from an image.
-    pub fn from_image(image: &Checkpoint) -> RestorePlan {
-        let cuts: Vec<CutSpec> = image
-            .captures
-            .iter()
-            .map(|c| CutSpec {
-                counters: c.counters,
-                seq_table: c.seq_table.clone(),
-                clock: c.clock,
-                state: c.state,
-            })
-            .collect();
-        let reached = cuts.iter().map(|_| AtomicBool::new(false)).collect();
-        RestorePlan { cuts, reached }
-    }
-}
 
 /// Everything the ranks and the coordinator share for one execution.
 pub struct Session {
@@ -91,9 +30,6 @@ pub struct Session {
     pub cfg: WorldConfig,
     /// The coordination protocol in force.
     pub protocol: Protocol,
-    /// Present when this session is a restore-from-image replay: ranks
-    /// re-execute the captured program and park at their recorded cuts.
-    pub(crate) restore: Option<RestorePlan>,
     /// True while an asynchronous drain (coordinator handed the image to
     /// the background writer, ranks already resumed) is in flight. An
     /// armed fault reads it to place a `DuringAsyncDrain` death.
@@ -113,23 +49,11 @@ pub(crate) enum Interrupted {
 }
 
 impl Session {
-    /// Builds the shared state and generation-0 world for `cfg`.
-    pub fn new(cfg: WorldConfig, protocol: Protocol) -> Arc<Session> {
-        Self::build(cfg, protocol, None)
-    }
-
-    /// Builds a restore-replay session: the world is the image-equivalent
-    /// replay world and `plan` carries each rank's cut.
-    pub(crate) fn for_restore(
-        cfg: WorldConfig,
-        protocol: Protocol,
-        plan: RestorePlan,
-    ) -> Arc<Session> {
-        Self::build(cfg, protocol, Some(plan))
-    }
-
-    fn build(cfg: WorldConfig, protocol: Protocol, restore: Option<RestorePlan>) -> Arc<Session> {
-        let world = World::new(cfg.clone());
+    /// Builds the shared state and a world for `cfg` as lower-half
+    /// generation `epoch` (0 from scratch; one past the image's for a
+    /// restore). Only the run loop builds sessions.
+    pub(crate) fn new(cfg: WorldConfig, protocol: Protocol, epoch: u64) -> Arc<Session> {
+        let world = World::with_epoch(cfg.clone(), epoch);
         // One WakeupStats block per session: the scheduler's. The control
         // plane's park backstops record into the same counter as the
         // scheduler and mailbox backstops, so "timed wakeups across this
@@ -143,7 +67,6 @@ impl Session {
             world: Mutex::new(world),
             cfg,
             protocol,
-            restore,
             bg_drain_inflight: AtomicBool::new(false),
             fault: Mutex::new(None),
         })
@@ -294,7 +217,94 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("n_ranks", &self.cfg.n_ranks)
             .field("protocol", &self.protocol)
-            .field("restore", &self.restore.is_some())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CcRank;
+    use bytes::Bytes;
+    use mana_core::{CkptPhase, RankState};
+    use mpisim::NetParams;
+    use std::time::{Duration, Instant};
+
+    /// Half the park backstop: a wait that ends inside this bound was
+    /// ended by its event, not by the timeout.
+    const PROMPT: Duration = Duration::from_millis(500);
+
+    fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        let t = Instant::now();
+        while !cond() {
+            assert!(
+                t.elapsed() < PROMPT,
+                "{what}: the event did not wake the rank"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// `CcRank::block_on`'s wait, end to end: a rank blocked in `wait()`
+    /// sleeps on one per-rank event that both the control plane and the
+    /// lower half advance, so either alone must release it — promptly,
+    /// and without a backstop expiry.
+    #[test]
+    fn blocked_wait_wakes_on_phase_change_alone_and_on_deposit_alone() {
+        let cfg =
+            WorldConfig::single_node(2).with_params(NetParams::slingshot11().without_jitter());
+        let sh = Session::new(cfg, Protocol::TwoPhase, 0);
+        // The launcher's wiring for ranks on threads: lower-half events
+        // reach the rank's event counter through the scheduler's
+        // rank-waker registry.
+        let control = Arc::clone(&sh.control);
+        let world = sh.current_world();
+        world
+            .scheduler()
+            .install_rank_waker(Arc::new(move |r| control.ranks[r].wake()));
+        world.install_rank_wakers();
+        let ctl = &sh.control.ranks[1];
+        // Either interleaving of "rank falls asleep" and "event lands"
+        // must pass (the token closes the window); the pause only makes
+        // the asleep-first one — the one that needs the notify — the
+        // likely one.
+        let settle = || std::thread::sleep(Duration::from_millis(20));
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut r = CcRank::new(&sh, 1);
+                let v = r.irecv(r.world_vcomm(), 0, 7u32);
+                r.wait(v).data
+            });
+            settle();
+
+            // A coordinator phase change and no deposit: the rank leaves
+            // its wait and parks for capture, cooperating in the receive.
+            sh.control.request_checkpoint();
+            sh.control.set_phase(CkptPhase::Quiescing);
+            spin_until("phase change", || ctl.state() == RankState::RecvParked);
+            // Resume it the way the coordinator does.
+            sh.control.resume_gen.fetch_add(1, SeqCst);
+            sh.control.clear_pending();
+            sh.control.reset_after_checkpoint();
+            spin_until("resume", || ctl.state() == RankState::Running);
+            settle();
+
+            // A deposit and no control-plane event: the wait completes.
+            let mut sender = CcRank::new(&sh, 0);
+            let t = Instant::now();
+            let v = sender.isend(sender.world_vcomm(), 1, 7u32, Bytes::from_static(b"x"));
+            sender.wait(v);
+            let data = receiver.join().expect("receiver returns its payload");
+            assert!(
+                t.elapsed() < PROMPT,
+                "deposit: the event did not wake the rank"
+            );
+            assert_eq!(data.as_ref(), b"x");
+        });
+        assert_eq!(
+            sh.backstop_expiries(),
+            0,
+            "a wait was ended by its backstop"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A [`DeltaImage`] serializes one checkpoint, optionally **relative to a
 //! parent generation**. The small volatile record of every rank (rank,
-//! state, clock, pending barrier, flow counts) is carried inline, while
+//! state, clock, pending barrier, flow counts, and the upper half a
+//! restore elsewhere resumes from) is carried inline, while
 //! the restart-stable half — sequence tables, communicator logs, pending
 //! receives, call counters, vcomm member lists — is referenced as a
 //! **content-addressed chunk** `(fnv1a64(bytes), len)`. Lower-half
@@ -35,13 +36,13 @@
 //! in the chain — is a typed [`ImageError`], never a panic.
 
 use crate::image::{
-    self, dec_capture, dec_cut, dec_in_flight, dec_params, dec_target_map, dec_vtime,
-    enc_capture_stable, enc_cut, enc_drained, enc_header, enc_params, enc_target_map,
+    self, dec_capture, dec_cut, dec_in_flight, dec_params, dec_target_map, dec_upper, dec_vtime,
+    enc_capture_stable, enc_cut, enc_drained, enc_header, enc_params, enc_target_map, enc_upper,
     protocol_code, protocol_from_code, reseal, validate_image_header, validate_shape, Checkpoint,
     ImageError, MemberIntern, MemberTable, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA, IMAGE_KIND_FULL,
 };
-use crate::wire::{fnv1a64, var_len, CountEnc, Dec, Wr};
-use mana_core::{Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture};
+use crate::wire::{fnv1a64, var_len, CountEnc, Dec, FnvMap, Wr};
+use mana_core::{Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture, UpperHalf};
 use mpisim::VTime;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -82,6 +83,8 @@ pub struct VolatileRecord {
     pub p2p_sent: u64,
     /// p2p messages delivered this generation.
     pub p2p_delivered: u64,
+    /// The rank's upper half, if its body has one.
+    pub upper: Option<UpperHalf>,
 }
 
 /// A checkpoint image: everything needed to rebuild a [`Checkpoint`]
@@ -239,7 +242,55 @@ fn enc_chunk_ref<W: Wr>(e: &mut W, r: ChunkRef, inline: bool) {
     e.var(r.len);
 }
 
-fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord) {
+/// The drained collective outputs of an image's upper halves: each
+/// distinct output once, in order of first reference (rank order), with
+/// its index — every member of a collective drains the same output, so a
+/// world-wide one costs its bytes once and an index per rank.
+struct Outputs<'a> {
+    list: Vec<&'a [u8]>,
+    index: FnvMap<&'a [u8], u64>,
+}
+
+impl<'a> Outputs<'a> {
+    fn of(volatile: &'a [VolatileRecord]) -> Outputs<'a> {
+        let mut out = Outputs {
+            list: Vec::new(),
+            index: FnvMap::default(),
+        };
+        let ready = volatile.iter().filter_map(|v| v.upper.as_ref());
+        for (_, data) in ready.flat_map(|u| &u.ready) {
+            out.index.entry(data).or_insert_with(|| {
+                out.list.push(data);
+                out.list.len() as u64 - 1
+            });
+        }
+        out
+    }
+
+    /// Writes the table: count, then each output's bytes.
+    fn enc<W: Wr>(&self, e: &mut W) {
+        e.usize(self.list.len());
+        for o in &self.list {
+            e.bytes(o);
+        }
+    }
+
+    fn len(&self) -> usize {
+        let mut n = CountEnc::new();
+        self.enc(&mut n);
+        n.count()
+    }
+}
+
+/// Reads an output table written by `Outputs::enc`.
+fn dec_outputs(d: &mut Dec) -> Result<Vec<bytes::Bytes>, ImageError> {
+    let n = d.seq_len("output table length")?;
+    (0..n)
+        .map(|_| Ok(bytes::Bytes::from(d.bytes("output table entry")?.to_vec())))
+        .collect()
+}
+
+fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord, outputs: &Outputs) {
     e.usize(v.rank);
     e.u8(v.state as u8);
     e.f64(v.clock.as_secs());
@@ -253,9 +304,17 @@ fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord) {
     }
     e.var(v.p2p_sent);
     e.var(v.p2p_delivered);
+    enc_upper(e, v.upper.as_ref(), |data| outputs.index[data]);
 }
 
-fn dec_volatile(d: &mut Dec) -> Result<VolatileRecord, ImageError> {
+/// Reads a rank's record; its ready results resolve through `outputs`,
+/// each entry first referenced in table order (`used` counts the entries
+/// referenced so far), as the encoder writes them.
+fn dec_volatile(
+    d: &mut Dec,
+    outputs: &[bytes::Bytes],
+    used: &mut usize,
+) -> Result<VolatileRecord, ImageError> {
     let rank = d.usize("capture rank")?;
     let state = match d.u8("capture state")? {
         s @ 0..=6 => RankState::from_u8(s),
@@ -277,6 +336,11 @@ fn dec_volatile(d: &mut Dec) -> Result<VolatileRecord, ImageError> {
         pending_barrier,
         p2p_sent: d.var("p2p sent")?,
         p2p_delivered: d.var("p2p delivered")?,
+        upper: dec_upper(d, |i| {
+            let i = usize::try_from(i).ok().filter(|&i| i <= *used)?;
+            *used = (*used).max(i + 1);
+            outputs.get(i).cloned()
+        })?,
     })
 }
 
@@ -316,6 +380,7 @@ impl DeltaImage {
                 pending_barrier: c.pending_barrier,
                 p2p_sent: c.p2p_sent,
                 p2p_delivered: c.p2p_delivered,
+                upper: c.upper.clone(),
             })
             .collect();
 
@@ -399,19 +464,29 @@ impl DeltaImage {
                 ..*r
             });
         }
-        self.rebuild(lists, Cut::from_runs(runs), |r| pool.get(r))
+        let uppers = self.volatile.iter().map(|v| v.upper.clone()).collect();
+        self.rebuild(lists, Cut::from_runs(runs), uppers, |r| pool.get(r))
+    }
+
+    /// Moves every rank's upper half out of its record, for
+    /// [`DeltaImage::rebuild`] to move into the capture.
+    pub(crate) fn take_uppers(&mut self) -> Vec<Option<UpperHalf>> {
+        self.volatile.iter_mut().map(|v| v.upper.take()).collect()
     }
 
     /// Rebuilds the checkpoint from its cut, its chunks (looked up by
-    /// `chunk`) and this image's records, decoding every chunk against
-    /// `lists` — which the cut's member lists must already share.
+    /// `chunk`), the ranks' upper halves and this image's records,
+    /// decoding every chunk against `lists` — which the cut's member lists
+    /// must already share.
     pub(crate) fn rebuild<'a>(
         &self,
         mut lists: MemberIntern,
         cut_events: Cut,
+        uppers: Vec<Option<UpperHalf>>,
         chunk: impl Fn(ChunkRef) -> Option<&'a [u8]>,
     ) -> Result<Checkpoint, ImageError> {
-        if self.volatile.len() != self.n_ranks || self.rank_refs.len() != self.n_ranks {
+        let n = self.n_ranks;
+        if self.volatile.len() != n || self.rank_refs.len() != n || uppers.len() != n {
             return Err(ImageError::DeltaChain("per-rank record count"));
         }
         let in_bytes =
@@ -423,10 +498,11 @@ impl DeltaImage {
         }
 
         let mut captures = Vec::with_capacity(self.n_ranks);
-        for (v, r) in self.volatile.iter().zip(&self.rank_refs) {
+        let records = self.volatile.iter().zip(&self.rank_refs).zip(uppers);
+        for ((v, r), upper) in records {
             let bytes = chunk(*r).ok_or(ImageError::DeltaChain("missing stable chunk"))?;
             let mut d = Dec::new(bytes);
-            captures.push(dec_capture(&mut d, &mut lists, v)?);
+            captures.push(dec_capture(&mut d, &mut lists, v, upper)?);
             if !d.finished() {
                 return Err(ImageError::DeltaChain("stable chunk length"));
             }
@@ -456,7 +532,7 @@ impl DeltaImage {
     fn member_lists(&self) -> MemberIntern {
         let mut lists = MemberIntern::with_table(self.n_ranks, &self.lists);
         for r in self.cut.runs() {
-            lists.note(&r.members);
+            lists.note_group(r.ggid, &r.members);
         }
         lists
     }
@@ -491,9 +567,10 @@ impl DeltaImage {
     /// The head: everything but the chunk bytes. A reference is tagged
     /// inline where it is the next of [`DeltaImage::new_chunks`], which
     /// lists them in order of first reference.
-    fn enc_head<W: Wr>(&self, p: &mut W, lists: &MemberIntern) {
+    fn enc_head<W: Wr>(&self, p: &mut W, lists: &MemberIntern, outputs: &Outputs) {
         self.enc_preamble(p);
         lists.enc_table(p);
+        outputs.enc(p);
         let mut next = self.new_chunks.iter().map(|(r, _)| *r).peekable();
         let mut chunk_ref = |p: &mut W, r: ChunkRef| {
             let inline = next.next_if_eq(&r).is_some();
@@ -501,16 +578,16 @@ impl DeltaImage {
         };
         p.usize(self.volatile.len());
         for (v, r) in self.volatile.iter().zip(&self.rank_refs) {
-            enc_volatile(p, v);
+            enc_volatile(p, v, outputs);
             chunk_ref(p, *r);
         }
         chunk_ref(p, self.in_flight_ref);
         enc_cut(p, lists, &self.cut);
     }
 
-    fn head_len(&self, lists: &MemberIntern) -> usize {
+    fn head_len(&self, lists: &MemberIntern, outputs: &Outputs) -> usize {
         let mut head = CountEnc::new();
-        self.enc_head(&mut head, lists);
+        self.enc_head(&mut head, lists, outputs);
         head.count()
     }
 
@@ -525,11 +602,12 @@ impl DeltaImage {
     /// member lists share one allocation or not.
     pub fn to_bytes(&self) -> Vec<u8> {
         let lists = self.member_lists();
-        let head_len = self.head_len(&lists);
+        let outputs = Outputs::of(&self.volatile);
+        let head_len = self.head_len(&lists, &outputs);
         let chunks: usize = self.new_chunks.iter().map(|(_, b)| b.len()).sum();
         let mut out: Vec<u8> = Vec::with_capacity(IMAGE_HEADER_LEN + head_len + chunks);
         enc_header(&mut out, head_len, chunks);
-        self.enc_head(&mut out, &lists);
+        self.enc_head(&mut out, &lists, &outputs);
         debug_assert_eq!(
             out.len(),
             IMAGE_HEADER_LEN + head_len,
@@ -545,18 +623,21 @@ impl DeltaImage {
     /// Size of [`DeltaImage::to_bytes`] output, by a counting pass.
     pub(crate) fn serialized_len(&self) -> usize {
         let chunks: usize = self.new_chunks.iter().map(|(_, b)| b.len()).sum();
-        IMAGE_HEADER_LEN + self.head_len(&self.member_lists()) + chunks
+        let outputs = Outputs::of(&self.volatile);
+        IMAGE_HEADER_LEN + self.head_len(&self.member_lists(), &outputs) + chunks
     }
 
     /// Byte range of every rank's record — volatile fields and chunk
     /// reference — within [`DeltaImage::to_bytes`] output, in rank order;
     /// fuzzers use this to aim mutations at record boundaries.
     pub fn capture_section_ranges(&self) -> Vec<Range<usize>> {
-        let mut at = self.member_table_range().end + var_len(self.volatile.len() as u64);
+        let outputs = Outputs::of(&self.volatile);
+        let mut at =
+            self.member_table_range().end + outputs.len() + var_len(self.volatile.len() as u64);
         (self.volatile.iter().zip(&self.rank_refs))
             .map(|(v, r)| {
                 let mut n = CountEnc::new();
-                enc_volatile(&mut n, v);
+                enc_volatile(&mut n, v, &outputs);
                 enc_chunk_ref(&mut n, *r, false);
                 at += n.count();
                 at - n.count()..at
@@ -568,7 +649,8 @@ impl DeltaImage {
     /// [`DeltaImage::to_bytes`] output, in `new_chunks` order — the
     /// wire-fuzz suite aims mutations at these boundaries.
     pub fn chunk_byte_ranges(&self) -> Vec<Range<usize>> {
-        let mut at = IMAGE_HEADER_LEN + self.head_len(&self.member_lists());
+        let outputs = Outputs::of(&self.volatile);
+        let mut at = IMAGE_HEADER_LEN + self.head_len(&self.member_lists(), &outputs);
         (self.new_chunks.iter())
             .map(|(_, b)| {
                 at += b.len();
@@ -608,8 +690,8 @@ impl DeltaImage {
             ));
         }
         let chunks: HashMap<ChunkRef, &[u8]> = chunks.into_iter().collect();
-        let cut = std::mem::take(&mut image.cut);
-        image.rebuild(lists, cut, |r| chunks.get(&r).copied())
+        let (cut, uppers) = (std::mem::take(&mut image.cut), image.take_uppers());
+        image.rebuild(lists, cut, uppers, |r| chunks.get(&r).copied())
     }
 
     /// The one decoder: the image without its chunk bytes, the member
@@ -647,6 +729,7 @@ impl DeltaImage {
         }
         let mut lists = MemberIntern::new(n_ranks);
         lists.dec_table(&mut d)?;
+        let outputs = dec_outputs(&mut d)?;
 
         // A chunk is inline at its first reference or not at all, and a
         // full image has nowhere else to take one from.
@@ -674,9 +757,13 @@ impl DeltaImage {
         }
         let mut volatile = Vec::with_capacity(n_ranks);
         let mut rank_refs = Vec::with_capacity(n_ranks);
+        let mut used = 0;
         for _ in 0..n_ranks {
-            volatile.push(dec_volatile(&mut d)?);
+            volatile.push(dec_volatile(&mut d, &outputs, &mut used)?);
             rank_refs.push(dec_chunk_ref(&mut d)?);
+        }
+        if used != outputs.len() {
+            return Err(ImageError::Malformed("output table entry"));
         }
         let in_flight_ref = dec_chunk_ref(&mut d)?;
         let cut = dec_cut(&mut d, &mut lists)?;

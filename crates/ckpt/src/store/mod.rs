@@ -397,8 +397,8 @@ impl TieredStore {
             cur = parent.generation;
         }
         let (mut leaf, lists) = leaf.expect("the requested generation is decoded first");
-        let cut = std::mem::take(&mut leaf.cut);
-        Ok(leaf.rebuild(lists, cut, |r| pool.get(r))?)
+        let (cut, uppers) = (std::mem::take(&mut leaf.cut), leaf.take_uppers());
+        Ok(leaf.rebuild(lists, cut, uppers, |r| pool.get(r))?)
     }
 
     /// Generation `gen`'s stored bytes if its tier's copy survives the

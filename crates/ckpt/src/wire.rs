@@ -64,6 +64,24 @@ impl Default for Fnv1a {
     }
 }
 
+/// FNV-1a as a map hasher: the codec's own caches are keyed by addresses,
+/// list references and short outputs, which it hashes a few times per
+/// rank — a few multiplies each instead of SipHash's rounds. Not for
+/// keys an adversary picks.
+impl std::hash::Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.digest()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// A map keyed by the codec's own values, hashed by [`Fnv1a`].
+pub(crate) type FnvMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<Fnv1a>>;
+
 /// FNV-1a 64-bit digest — the image head checksum and every chunk's
 /// content address.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -13,6 +13,7 @@ use crate::control::RankState;
 use crate::counters::CallCounters;
 use crate::seq::SeqTable;
 use crate::virt::CommOpRecord;
+use bytes::Bytes;
 use mpisim::{SrcSel, TagSel, VTime};
 use std::collections::HashMap;
 
@@ -30,6 +31,28 @@ pub struct PendingRecv {
     pub tag: TagSel,
 }
 
+/// The rest of a rank's upper half: the body's own state and the wrapper
+/// state a restored rank cannot rebuild from the lower half. A rank
+/// restored from an image gets its body back from `body` and its request
+/// table from the other fields, and resumes at the captured park; nothing
+/// re-executes. Only bodies that snapshot themselves have one (the
+/// `StepBody` snapshot of the `ckpt` crate): a closure's state lives on
+/// its stack, so its images restart in-process only.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UpperHalf {
+    /// The body's state, as its snapshot wrote it.
+    pub body: Vec<u8>,
+    /// The next virtual request id the rank would hand out.
+    pub next_vreq: u64,
+    /// Non-blocking collectives the quiesce completed that the
+    /// application has not waited on yet: `(vreq, this rank's output)`,
+    /// ascending by `vreq`.
+    pub ready: Vec<(u64, Bytes)>,
+    /// Send requests the application still holds: `(vreq, local
+    /// completion time)`, ascending by `vreq`.
+    pub sends: Vec<(u64, VTime)>,
+}
+
 /// Per-rank runtime capture, published into
 /// [`crate::control::RankCtl::capture_slot`] at quiesce.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +62,9 @@ pub struct RuntimeCapture {
     /// The park state the rank was captured in: `Quiesced` (at a wrapper
     /// entry or a non-receive wait), `RecvParked` (inside a point-to-point
     /// wait), `InTrivialBarrier` (2PC), or `Finished` (the application
-    /// function had already returned). Restore-from-image uses this to
-    /// decide which ranks re-park and which run to completion.
+    /// function had already returned). A restore from the image resumes a
+    /// parked rank inside the operation it parked in, and restores a
+    /// finished one as its finished body.
     pub state: RankState,
     /// Virtual clock at capture.
     pub clock: VTime,
@@ -74,6 +98,9 @@ pub struct RuntimeCapture {
     /// the same allocation, keeping a world capture O(ranks + members)
     /// instead of O(ranks × members).
     pub vcomm_members: HashMap<u64, std::sync::Arc<[usize]>>,
+    /// The body and request-table state a restore elsewhere resumes from;
+    /// `None` for a body with no snapshot.
+    pub upper: Option<UpperHalf>,
 }
 
 #[cfg(test)]
@@ -99,6 +126,7 @@ mod tests {
             p2p_sent: 0,
             p2p_delivered: 0,
             vcomm_members: HashMap::new(),
+            upper: None,
         };
         let c2 = cap.clone();
         assert_eq!(c2.rank, 3);

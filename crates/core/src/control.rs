@@ -606,16 +606,6 @@ impl CkptControl {
             .any(|r| r.in_collective.load(Ordering::SeqCst))
     }
 
-    /// Whether every rank is stably parked. Dead ranks count as parked
-    /// (they are permanently quiet); callers that go on to capture must
-    /// check the fail plane first — a poisoned world has no capturable
-    /// safe state.
-    pub fn all_parked(&self) -> bool {
-        self.ranks
-            .iter()
-            .all(|r| r.state().is_parked() || r.is_dead())
-    }
-
     /// Whether every rank is parked *for capture* (quiesced, cooperating
     /// in a receive wait, inside a trivial barrier, or finished), as one
     /// consistent observation although the scan reads one rank at a
@@ -643,8 +633,8 @@ impl CkptControl {
 
     /// Whether some live, unfinished rank still shows a park state. No
     /// rank parks between checkpoints, so outside one such a state is
-    /// stale: the rank was released (from a capture, or from a restore
-    /// cut) and has not run since to publish `Running`.
+    /// stale: the rank was released from a capture and has not run since
+    /// to publish `Running`.
     pub fn any_stale_park(&self) -> bool {
         self.ranks.iter().any(|r| {
             let s = r.state();
@@ -936,14 +926,13 @@ mod tests {
         // spurious `P2pStall` for an already-published death.
         let c = CkptControl::new(2);
         c.ranks[0].targets_met.store(false, Ordering::SeqCst);
-        c.ranks[0].set_state(RankState::Running);
-        c.ranks[1].set_state(RankState::Quiesced);
+        c.ranks[0].set_state(RankState::Quiesced);
         assert!(!c.all_targets_met());
-        assert!(!c.all_parked());
+        assert!(c.any_stale_park());
         c.ranks[0].mark_dead();
         assert!(c.ranks[0].is_dead());
         assert!(c.all_targets_met(), "a dead rank can never owe a target");
-        assert!(c.all_parked(), "a dead rank is permanently quiet");
+        assert!(!c.any_stale_park(), "a dead rank is permanently quiet");
     }
 
     #[test]

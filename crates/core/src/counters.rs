@@ -62,21 +62,6 @@ impl CallCounters {
         self.trivial_barriers += o.trivial_barriers;
     }
 
-    /// Whether the *application-visible* call counts match: every field
-    /// except the drain bookkeeping (`drain_updates_sent`/`_recv`, which
-    /// only a live checkpoint drain advances). A deterministic re-execution
-    /// of a captured program reaches the capture point with exactly these
-    /// counts — restore-from-image uses this to locate the cut.
-    pub fn same_app_calls(&self, o: &CallCounters) -> bool {
-        self.coll_blocking == o.coll_blocking
-            && self.coll_nonblocking == o.coll_nonblocking
-            && self.p2p_sends == o.p2p_sends
-            && self.p2p_recvs == o.p2p_recvs
-            && self.completions == o.completions
-            && self.comm_mgmt == o.comm_mgmt
-            && self.trivial_barriers == o.trivial_barriers
-    }
-
     /// Whether every field of `self` is at least the corresponding field of
     /// `earlier` — the monotonicity a restart-restored counter set must
     /// satisfy relative to the capture it was restored from.

@@ -16,7 +16,7 @@ pub mod topo;
 pub mod trace;
 pub mod virt;
 
-pub use capture::{PendingRecv, RuntimeCapture};
+pub use capture::{PendingRecv, RuntimeCapture, UpperHalf};
 pub use control::{CkptControl, CkptPhase, RankCtl, RankState, Threshold};
 pub use counters::CallCounters;
 pub use ggid::{ggid_of, ggid_of_sorted, Ggid};

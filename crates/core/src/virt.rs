@@ -266,6 +266,43 @@ impl VReqTable {
             .collect()
     }
 
+    /// The next virtual id [`VReqTable::insert`] hands out.
+    pub fn next_id(&self) -> u64 {
+        self.next
+    }
+
+    /// Restores the next id from an image (restore elsewhere: entries
+    /// come back through [`VReqTable::put_back`]).
+    pub fn set_next_id(&mut self, next: u64) {
+        self.next = next;
+    }
+
+    /// Completed results the application has not collected yet, for the
+    /// image: `(vreq, output)`, ascending by id.
+    pub fn ready_results(&self) -> Vec<(u64, bytes::Bytes)> {
+        let mut v: Vec<(u64, bytes::Bytes)> = (self.map.iter())
+            .filter_map(|(&id, s)| match s {
+                VReqState::Ready(c) => Some((id, c.data.clone())),
+                VReqState::Active(..) => None,
+            })
+            .collect();
+        v.sort_unstable_by_key(|&(id, _)| id);
+        v
+    }
+
+    /// Active send requests, for the image: `(vreq, local completion
+    /// time)`, ascending by id.
+    pub fn held_sends(&self) -> Vec<(u64, mpisim::VTime)> {
+        let mut v: Vec<(u64, mpisim::VTime)> = (self.map.iter())
+            .filter_map(|(&id, s)| match s {
+                VReqState::Active(req, VReqKind::Send) => Some((id, req.send_complete_at()?)),
+                _ => None,
+            })
+            .collect();
+        v.sort_unstable_by_key(|&(id, _)| id);
+        v
+    }
+
     /// Replaces the lower-half request of `v` (restart re-post).
     pub fn replace_request(&mut self, v: VReq, req: Request) {
         match self.map.get_mut(&v.0) {

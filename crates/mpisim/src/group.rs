@@ -91,6 +91,11 @@ impl Group {
         if self.members.get(world) == Some(&world) {
             return Some(world);
         }
+        // A group in ascending order (every group a split keyed by rank
+        // makes) is searched, not scanned.
+        if Arc::ptr_eq(&self.members, &self.sorted) {
+            return self.members.binary_search(&world).ok();
+        }
         self.members.iter().position(|&m| m == world)
     }
 

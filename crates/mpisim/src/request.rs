@@ -79,9 +79,22 @@ impl Request {
         self.kind.is_none()
     }
 
-    pub(crate) fn send(complete_at: VTime) -> Self {
+    /// An eager send, locally complete at `complete_at`. Public as a
+    /// **restore hook**: a send request the application still holds at a
+    /// checkpoint is rebuilt from its completion time
+    /// ([`Request::send_complete_at`]) in a fresh lower half.
+    pub fn send(complete_at: VTime) -> Self {
         Request {
             kind: Some(ReqKind::Send { complete_at }),
+        }
+    }
+
+    /// **Checkpoint hook.** The local completion time of an active send
+    /// request; `None` for every other request.
+    pub fn send_complete_at(&self) -> Option<VTime> {
+        match self.kind {
+            Some(ReqKind::Send { complete_at }) => Some(complete_at),
+            _ => None,
         }
     }
 
@@ -182,5 +195,7 @@ mod tests {
         let r = Request::send(VTime::from_micros(1.0));
         assert!(!r.is_null());
         assert!(r.recv_descriptor().is_none());
+        assert_eq!(r.send_complete_at(), Some(VTime::from_micros(1.0)));
+        assert_eq!(Request::null().send_complete_at(), None);
     }
 }

@@ -287,6 +287,12 @@ impl World {
     /// Registers a new communicator for `group`; allocated under `key` so
     /// that all participants of the creating collective agree on the id.
     pub(crate) fn comm_for_split(&self, key: SplitKey, group: Group) -> Arc<CommInner> {
+        self.registered_comm(key, || group)
+    }
+
+    /// The communicator registered under `key`, made with `group()` by
+    /// the first caller.
+    fn registered_comm(&self, key: SplitKey, group: impl FnOnce() -> Group) -> Arc<CommInner> {
         let mut reg = self.split_registry.lock();
         let id = *reg
             .entry(key)
@@ -296,7 +302,7 @@ impl World {
         let inner = comms.entry(id).or_insert_with(|| {
             Arc::new(CommInner {
                 id,
-                group,
+                group: group(),
                 epoch: self.epoch,
             })
         });
@@ -308,8 +314,9 @@ impl World {
     /// a checkpointed communicator log call this with identical `key`s and
     /// get the same registered communicator — no rendezvous is needed, so
     /// replay also works when some original members have already finished.
-    pub fn restore_comm(&self, key: SplitKey, group: Group) -> Arc<CommInner> {
-        self.comm_for_split(key, group)
+    /// Only the first caller builds the group from `members`.
+    pub fn restore_comm(&self, key: SplitKey, members: Arc<[usize]>) -> Arc<CommInner> {
+        self.registered_comm(key, || Group::from_shared(members))
     }
 
     /// Frees a communicator handle (`MPI_Comm_free`). World itself cannot

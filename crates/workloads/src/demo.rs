@@ -1,14 +1,16 @@
-//! The quickstart demonstration: run a multi-rank random workload three
-//! ways — straight through; checkpointing mid-flight with a full
-//! in-process restart; and capturing an image, round-tripping it through
-//! serialized bytes, and restoring it via [`ckpt::restore_ckpt_world`] —
-//! then check every continuation is bit-identical. Shared by
+//! The quickstart demonstration: run a multi-rank random workload, as
+//! its step body on the worker pool, three ways — straight through;
+//! checkpointing mid-flight with a full in-process restart; and capturing
+//! an image, round-tripping it through serialized bytes, and restoring it
+//! via [`ckpt::restore_ckpt_world_steps`], each body loaded from its
+//! snapshot — then check every continuation is bit-identical. Shared by
 //! `examples/quickstart.rs` and the test suite so CI exercises exactly
 //! what the example shows.
 
-use crate::random::{random_workload, RandomWorkloadCfg};
+use crate::random::{RandomWorkloadCfg, RandomWorkloadStep};
 use ckpt::{
-    restore_ckpt_world, run_ckpt_world, Checkpoint, CkptOptions, RestoreConfig, ResumeMode,
+    restore_ckpt_world_steps, run_ckpt_world_steps, Checkpoint, CkptOptions, RestoreConfig,
+    ResumeMode,
 };
 use mpisim::{NetParams, VTime, WorldConfig};
 
@@ -54,15 +56,14 @@ pub fn quickstart(n_ranks: usize, seed: u64, steps: usize) -> QuickstartOutcome 
         WorldConfig::single_node(n_ranks).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(seed, steps).with_pace_us(30);
 
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
-    });
+    let body = |_rank| RandomWorkloadStep::new(wl.clone());
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), body);
     let trigger = VTime::from_secs(native.makespan.as_secs() * 0.5);
 
-    let ckpt_run = run_ckpt_world(
+    let ckpt_run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(trigger, ResumeMode::Restart),
-        |r| random_workload(&wl, r),
+        body,
     );
     assert_eq!(
         ckpt_run.checkpoints.len(),
@@ -84,8 +85,8 @@ pub fn quickstart(n_ranks: usize, seed: u64, steps: usize) -> QuickstartOutcome 
     let checkpoint =
         Checkpoint::from_bytes(&bytes).expect("image must survive its byte round trip");
     assert_eq!(checkpoint, captured, "decoded image must equal the capture");
-    let restored = restore_ckpt_world(&checkpoint, RestoreConfig::same_packing(), |r| {
-        random_workload(&RandomWorkloadCfg::new(seed, steps), r)
+    let restored = restore_ckpt_world_steps(&checkpoint, RestoreConfig::same_packing(), |_| {
+        RandomWorkloadStep::new(RandomWorkloadCfg::new(seed, steps))
     });
 
     QuickstartOutcome {

@@ -10,9 +10,14 @@
 //! that owns its thread calls the function of the same program
 //! ([`scf_loop`], ...), which is that body run to completion on the
 //! calling thread ([`CcRank::run`]). Each body's documentation gives the
-//! straight-line program it encodes.
+//! straight-line program it encodes. Each saves its state
+//! ([`StepBody::save`]) — what its constructor does not rebuild, behind
+//! the constructor's arguments, which `load` checks — so its images
+//! restore elsewhere; [`Then`] runs two bodies back to back.
 
+use crate::snap::{check_arg, dec_f64s, enc_f64s};
 use bytes::Bytes;
+use ckpt::wire::{Dec, DecodeError, Wr};
 use ckpt::{BodyStep, CcRank, StepBody};
 use mana_core::VReq;
 use mpisim::dtype::{decode_f64, encode_f64};
@@ -110,6 +115,40 @@ impl StepBody for ScfStep {
         }
         BodyStep::Done(self.energy)
     }
+
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        w.usize(self.iters);
+        w.usize(self.elems);
+        w.usize(self.it);
+        w.f64(self.energy);
+        enc_f64s(w, self.local.as_deref());
+        match self.pc {
+            ScfPc::Mix => w.u8(0),
+            ScfPc::Allreduce { local_e } => {
+                w.u8(1);
+                w.f64(local_e);
+            }
+            ScfPc::Bcast => w.u8(2),
+        }
+        true
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        check_arg(d, self.iters, "SCF iterations")?;
+        check_arg(d, self.elems, "SCF elements")?;
+        self.it = d.usize("SCF iteration")?;
+        self.energy = d.f64("SCF energy")?;
+        self.local = dec_f64s(d, self.elems, "SCF local elements")?;
+        self.pc = match d.u8("SCF pc")? {
+            0 => ScfPc::Mix,
+            1 => ScfPc::Allreduce {
+                local_e: d.f64("SCF local energy")?,
+            },
+            2 => ScfPc::Bcast,
+            _ => return Err("SCF pc"),
+        };
+        Ok(())
+    }
 }
 
 /// A broadcast pipeline — the paper's worst case for 2PC (Figure 5a).
@@ -129,6 +168,7 @@ enum BcastPc {
     Work,
     Bcast { data: Bytes },
     FinalBarrier,
+    Done,
 }
 
 /// The broadcast-pipeline program, one rank's share:
@@ -201,10 +241,45 @@ impl StepBody for BcastPipelineStep {
                 }
                 BcastPc::FinalBarrier => {
                     ready!(r.poll_barrier(world));
-                    return BodyStep::Done(self.acc);
+                    self.pc = BcastPc::Done;
                 }
+                BcastPc::Done => return BodyStep::Done(self.acc),
             }
         }
+    }
+
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        w.usize(self.iters);
+        w.usize(self.bytes);
+        w.usize(self.it);
+        w.f64(self.acc);
+        match &self.pc {
+            BcastPc::Work => w.u8(0),
+            BcastPc::Bcast { data } => {
+                w.u8(1);
+                w.bytes(data);
+            }
+            BcastPc::FinalBarrier => w.u8(2),
+            BcastPc::Done => w.u8(3),
+        }
+        true
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        check_arg(d, self.iters, "pipeline iterations")?;
+        check_arg(d, self.bytes, "pipeline message size")?;
+        self.it = d.usize("pipeline iteration")?;
+        self.acc = d.f64("pipeline checksum")?;
+        self.pc = match d.u8("pipeline pc")? {
+            0 => BcastPc::Work,
+            1 => BcastPc::Bcast {
+                data: Bytes::from(d.bytes("pipeline payload")?.to_vec()),
+            },
+            2 => BcastPc::FinalBarrier,
+            3 => BcastPc::Done,
+            _ => return Err("pipeline pc"),
+        };
+        Ok(())
     }
 }
 
@@ -331,6 +406,126 @@ impl StepBody for HaloStep {
                 .map(|(i, x)| x * (i + 1) as f64)
                 .sum(),
         )
+    }
+
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        w.usize(self.iters);
+        w.usize(self.cells);
+        w.usize(self.it);
+        enc_f64s(w, self.slab.as_deref());
+        match self.pc {
+            HaloPc::Post => w.u8(0),
+            HaloPc::Wait { reqs, k, got } => {
+                w.u8(1);
+                for v in reqs {
+                    w.var(v.0);
+                }
+                w.usize(k);
+                got.iter().for_each(|&x| w.f64(x));
+            }
+            HaloPc::Barrier => w.u8(2),
+        }
+        true
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        check_arg(d, self.iters, "halo sweeps")?;
+        check_arg(d, self.cells, "halo cells")?;
+        self.it = d.usize("halo sweep")?;
+        self.slab = dec_f64s(d, self.cells, "halo slab")?;
+        self.pc = match d.u8("halo pc")? {
+            0 => HaloPc::Post,
+            1 => {
+                let mut reqs = [VReq(0); 4];
+                for v in &mut reqs {
+                    *v = VReq(d.var("halo request")?);
+                }
+                let k = d.usize("halo wait index")?;
+                let got = [d.f64("halo left edge")?, d.f64("halo right edge")?];
+                HaloPc::Wait { reqs, k, got }
+            }
+            2 => HaloPc::Barrier,
+            _ => return Err("halo pc"),
+        };
+        Ok(())
+    }
+}
+
+/// A body under a wall pace: every `compute` of the rank sleeps `pace_us`
+/// of host time (set before the first step; virtual time and results are
+/// untouched), so a wall-clock trigger catches the run mid-flight. The
+/// pace is the constructor's, not state: a restored body paces again.
+pub struct Paced<B> {
+    body: B,
+    pace_us: Option<u64>,
+}
+
+impl<B: StepBody> Paced<B> {
+    /// `body`, paced at `pace_us` microseconds per compute.
+    pub fn new(body: B, pace_us: u64) -> Paced<B> {
+        Paced {
+            body,
+            pace_us: Some(pace_us),
+        }
+    }
+}
+
+impl<B: StepBody> StepBody for Paced<B> {
+    type Out = B::Out;
+
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<B::Out> {
+        if let Some(us) = self.pace_us.take() {
+            r.set_wall_pace_us(us);
+        }
+        self.body.step(r)
+    }
+
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        self.body.save(w)
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.body.load(d)
+    }
+}
+
+/// Two programs back to back on one rank: `first` to completion, then
+/// `second`; the result is both results. Once done, `first` is stepped
+/// again for its result — which a body that saves returns without an MPI
+/// call — so the pair's state is its parts' states.
+pub struct Then<A, B> {
+    first: A,
+    second: B,
+}
+
+impl<A: StepBody, B: StepBody> Then<A, B> {
+    /// `first`, then `second`.
+    pub fn new(first: A, second: B) -> Then<A, B> {
+        Then { first, second }
+    }
+}
+
+impl<A: StepBody, B: StepBody> StepBody for Then<A, B> {
+    type Out = (A::Out, B::Out);
+
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<Self::Out> {
+        let a = match self.first.step(r) {
+            BodyStep::Done(a) => a,
+            BodyStep::Yield(why) => return BodyStep::Yield(why),
+        };
+        match self.second.step(r) {
+            BodyStep::Done(b) => BodyStep::Done((a, b)),
+            BodyStep::Yield(why) => BodyStep::Yield(why),
+        }
+    }
+
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        self.first.save(w) && self.second.save(w)
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        self.first.load(d)?;
+        self.second.load(d)
     }
 }
 

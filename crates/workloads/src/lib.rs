@@ -14,6 +14,10 @@
 //! * [`kernels`] — SCF-style, broadcast-pipeline and halo-exchange
 //!   mini-kernels for the examples and the protocol benchmarks.
 //! * [`demo`] — the quickstart checkpoint→restore→verify demonstration.
+//!
+//! Every body saves its state ([`ckpt::StepBody::save`]), so images of
+//! the step forms restore elsewhere from the image alone; the closure
+//! forms' images restart in-process only.
 
 /// Resolves a poll inside a [`ckpt::StepBody::step`]: evaluates to
 /// `Ready`'s value, or yields out of the enclosing `step` with the
@@ -31,9 +35,12 @@ pub mod demo;
 pub mod kernels;
 pub mod random;
 pub mod rng;
+mod snap;
 
 pub use demo::{quickstart, QuickstartOutcome};
-pub use kernels::{bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, ScfStep};
+pub use kernels::{
+    bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, Paced, ScfStep, Then,
+};
 pub use random::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};
 pub use rng::SplitMix64;
 

@@ -15,7 +15,9 @@
 //! run to completion on the calling thread.
 
 use crate::rng::SplitMix64;
+use crate::snap::check_arg;
 use bytes::Bytes;
+use ckpt::wire::{Dec, DecodeError, Wr};
 use ckpt::{BodyStep, CcRank, StepBody};
 use mana_core::{VComm, VReq};
 use mpisim::dtype::{decode_f64, encode_f64};
@@ -92,6 +94,7 @@ enum RandPc {
     PairRecvWait { rv: VReq },
     TailDrain { idx: usize },
     TailBarrier,
+    Done,
 }
 
 /// The random program, one rank's share:
@@ -368,11 +371,158 @@ impl StepBody for RandomWorkloadStep {
                 }
                 RandPc::TailBarrier => {
                     ready!(r.poll_barrier(world));
-                    return BodyStep::Done(acc);
+                    self.pc = RandPc::Done;
                 }
+                RandPc::Done => return BodyStep::Done(acc),
             }
             self.acc = Some(acc);
         }
+    }
+
+    /// The schedule's identity (a fingerprint of the seed, the length and
+    /// the blocking-only flag; not the wall pace, which `make` sets anew),
+    /// then the generator as its draw count, the accumulator, the pending
+    /// requests, the subcommunicators, the step and the pc. Every rank
+    /// saves one, so it is kept small: the subcommunicators — every
+    /// communicator the rank created, in order — are one count while they
+    /// are the ids `1..=count` the wrapper hands out.
+    fn save(&self, w: &mut dyn Wr) -> bool {
+        w.u32(seed_fingerprint(self.cfg.seed));
+        w.usize(self.cfg.steps << 1 | usize::from(self.cfg.blocking_only));
+        w.var(self.rng.draws_since(self.cfg.seed));
+        match self.acc {
+            None => w.u8(0),
+            Some(acc) => {
+                w.u8(1);
+                w.f64(acc);
+            }
+        }
+        w.usize(self.pending.len());
+        self.pending.iter().for_each(|v| w.var(v.0));
+        let n = self.subcomms.len();
+        let in_order = (self.subcomms.iter().enumerate()).all(|(i, c)| c.0 == i as u64 + 1);
+        w.usize(n << 1 | usize::from(in_order));
+        if !in_order {
+            self.subcomms.iter().for_each(|c| w.var(c.0));
+        }
+        w.usize(self.step);
+        self.pc.save(w);
+        true
+    }
+
+    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
+        if d.u32("schedule seed")? != seed_fingerprint(self.cfg.seed) {
+            return Err("schedule seed");
+        }
+        let shape = self.cfg.steps << 1 | usize::from(self.cfg.blocking_only);
+        check_arg(d, shape, "schedule length")?;
+        self.rng = SplitMix64::after(self.cfg.seed, d.var("generator draws")?);
+        self.acc = match d.u8("accumulator tag")? {
+            0 => None,
+            1 => Some(d.f64("accumulator")?),
+            _ => return Err("accumulator tag"),
+        };
+        let n = d.seq_len("pending count")?;
+        self.pending = (0..n)
+            .map(|_| d.var("pending request").map(VReq))
+            .collect::<Result<_, _>>()?;
+        // A step creates at most one communicator.
+        let n = d.usize("subcommunicator count")?;
+        let count = n >> 1;
+        if count > self.cfg.steps {
+            return Err("subcommunicator count");
+        }
+        self.subcomms = if n & 1 == 1 {
+            (1..=count as u64).map(VComm).collect()
+        } else {
+            (0..count)
+                .map(|_| d.var("subcommunicator").map(VComm))
+                .collect::<Result<_, _>>()?
+        };
+        self.step = d.usize("schedule step")?;
+        self.pc = RandPc::load(d)?;
+        Ok(())
+    }
+}
+
+/// The seed folded to 32 bits: what a snapshot checks its schedule by.
+fn seed_fingerprint(seed: u64) -> u32 {
+    (seed ^ seed >> 32) as u32
+}
+
+impl RandPc {
+    fn save(&self, w: &mut dyn Wr) {
+        let (tag, args): (u8, &[u64]) = match *self {
+            RandPc::StepTop => (0, &[]),
+            RandPc::Allreduce => (1, &[]),
+            RandPc::Barrier => (2, &[]),
+            RandPc::Bcast { root } => (3, &[root as u64]),
+            RandPc::BlockingAllreduce2 => (4, &[]),
+            RandPc::IAllreduce => (5, &[]),
+            RandPc::DrainPending { idx } => (6, &[idx as u64]),
+            RandPc::RingRecvWait { sv, rv } => (7, &[sv.0, rv.0]),
+            RandPc::RingSendWait { sv } => (8, &[sv.0]),
+            RandPc::Split { color } => {
+                w.u8(9);
+                w.ivar(color);
+                return;
+            }
+            RandPc::SplitAllreduce { sub } => (10, &[sub.0]),
+            RandPc::SubAllreduce { sub } => (11, &[sub.0]),
+            RandPc::Allgather => (12, &[]),
+            RandPc::Dup => (13, &[]),
+            RandPc::DupBarrier { d } => (14, &[d.0]),
+            RandPc::PairSendWait { sv } => (15, &[sv.0]),
+            RandPc::PairRecvWait { rv } => (16, &[rv.0]),
+            RandPc::TailDrain { idx } => (17, &[idx as u64]),
+            RandPc::TailBarrier => (18, &[]),
+            RandPc::Done => (19, &[]),
+        };
+        w.u8(tag);
+        args.iter().for_each(|&a| w.var(a));
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<RandPc, DecodeError> {
+        let arg = |d: &mut Dec<'_>| d.var("pc argument");
+        let pc = match d.u8("pc")? {
+            0 => RandPc::StepTop,
+            1 => RandPc::Allreduce,
+            2 => RandPc::Barrier,
+            3 => RandPc::Bcast {
+                root: arg(d)? as usize,
+            },
+            4 => RandPc::BlockingAllreduce2,
+            5 => RandPc::IAllreduce,
+            6 => RandPc::DrainPending {
+                idx: arg(d)? as usize,
+            },
+            7 => RandPc::RingRecvWait {
+                sv: VReq(arg(d)?),
+                rv: VReq(arg(d)?),
+            },
+            8 => RandPc::RingSendWait { sv: VReq(arg(d)?) },
+            9 => RandPc::Split {
+                color: d.ivar("split color")?,
+            },
+            10 => RandPc::SplitAllreduce {
+                sub: VComm(arg(d)?),
+            },
+            11 => RandPc::SubAllreduce {
+                sub: VComm(arg(d)?),
+            },
+            12 => RandPc::Allgather,
+            13 => RandPc::Dup,
+            14 => RandPc::DupBarrier { d: VComm(arg(d)?) },
+            15 => RandPc::PairSendWait { sv: VReq(arg(d)?) },
+            16 => RandPc::PairRecvWait { rv: VReq(arg(d)?) },
+            17 => RandPc::TailDrain {
+                idx: arg(d)? as usize,
+            },
+            18 => RandPc::TailBarrier,
+            19 => RandPc::Done,
+            _ => return Err("pc"),
+        };
+        Ok(pc)
     }
 }
 

@@ -1,6 +1,22 @@
 //! A tiny deterministic PRNG (SplitMix64) so workloads need no external
 //! `rand` dependency and every schedule is reproducible from a seed.
 
+/// SplitMix64's increment: each draw adds it to the state.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `GAMMA`'s inverse modulo 2⁶⁴ (it is odd, so it has one): an odd
+/// number is its own inverse to three bits, and each Newton step doubles
+/// the correct bits.
+const GAMMA_INV: u64 = {
+    let mut x = GAMMA;
+    let mut i = 0;
+    while i < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(GAMMA.wrapping_mul(x)));
+        i += 1;
+    }
+    x
+};
+
 /// SplitMix64: fast, well-distributed, and trivially seedable.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
@@ -13,9 +29,23 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
+    /// How many values the generator seeded with `seed` has drawn to be
+    /// here: its whole state, given the seed, in a small number (how a
+    /// checkpointed body saves its generator).
+    pub fn draws_since(&self, seed: u64) -> u64 {
+        self.state.wrapping_sub(seed).wrapping_mul(GAMMA_INV)
+    }
+
+    /// The generator seeded with `seed` after `draws` values.
+    pub fn after(seed: u64, draws: u64) -> Self {
+        SplitMix64 {
+            state: seed.wrapping_add(draws.wrapping_mul(GAMMA)),
+        }
+    }
+
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -57,6 +87,18 @@ mod tests {
         }
         let mut c = SplitMix64::new(43);
         assert_ne!(SplitMix64::new(42).next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn a_generator_is_its_seed_and_its_draw_count() {
+        assert_eq!(GAMMA.wrapping_mul(GAMMA_INV), 1);
+        let mut a = SplitMix64::new(42);
+        for _ in 0..37 {
+            a.next_u64();
+        }
+        assert_eq!(a.draws_since(42), 37);
+        let mut b = SplitMix64::after(42, 37);
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! injection and supervised recovery. Each cell runs the SCF workload
 //! under a deterministic seeded fault plan (rank and node deaths at
 //! exponential virtual times), checkpoints into a rotating
-//! memory/partner/Lustre tier schedule, and recovers through
-//! [`ckpt::run_available_world`] until the workload completes —
+//! memory/partner/Lustre tier schedule, and recovers from its images
+//! through [`ckpt::run_available_world_steps`] until the workload
+//! completes —
 //! reporting wasted work, makespan inflation, and recovery latency per
 //! (MTBF row × {4× Daly, 2× Daly, Daly} ladder rung × {CC, 2PC}). The
 //! shape is asserted before anything is written: a complete grid, one

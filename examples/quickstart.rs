@@ -1,7 +1,8 @@
-//! Quickstart: run a 4-rank random MPI workload, checkpoint it mid-flight
-//! with the CC drain, restart in-process, then round-trip the image
-//! through serialized bytes and restore it into a fresh world — verifying
-//! every continuation is bit-identical to an uninterrupted run.
+//! Quickstart: run a 4-rank random MPI workload (its step body, on the
+//! worker pool), checkpoint it mid-flight with the CC drain, restart
+//! in-process, then round-trip the image through serialized bytes and
+//! restore it into a fresh world, every body loaded from its snapshot —
+//! verifying every continuation is bit-identical to an uninterrupted run.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
