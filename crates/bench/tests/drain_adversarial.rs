@@ -68,6 +68,56 @@ fn wildcard_recv_parks_while_others_drain() {
     assert_eq!(run.ranks[0].result, 42.5);
 }
 
+/// Wildcard order across a restart: rank 1's message to rank 0 is drained
+/// at the cut, rank 2 sends to rank 0 only after the restart — from a park
+/// on a communicator rank 0 is not in, so it may send before rank 0 has
+/// even installed the next lower half — and rank 0's two `ANY_SOURCE`
+/// receives must still take rank 1's message first: it was sent first.
+/// The mirrored roles (rank 2 receives, rank 0 sends late) make the race
+/// likely: a release wakes the ranks in rank order.
+#[test]
+fn drained_message_stays_ahead_of_post_restart_sends() {
+    for protocol in [Protocol::Cc, Protocol::TwoPhase] {
+        for (rx, late) in [(0, 2), (2, 0)] {
+            let opts = CkptOptions::one_checkpoint(VTime::from_micros(50.0), ResumeMode::Restart)
+                .with_protocol(protocol);
+            let run = run_ckpt_world(cfg(3), opts, move |r| {
+                let world = r.world_vcomm();
+                let me = r.rank();
+                let own = r.comm_split(world, me as i64, 0).expect("own color");
+                if me == 1 {
+                    r.send(world, rx, 1, encode_f64(&[1.0]));
+                }
+                // Every rank crosses the trigger, then sleeps for the
+                // checkpoint to land before its barrier, where it parks.
+                r.compute(100e-6);
+                std::thread::sleep(Duration::from_millis(50));
+                r.barrier(own);
+                if me == late {
+                    r.send(world, rx, 2, encode_f64(&[2.0]));
+                } else if me == rx {
+                    // Both messages are in the mailbox by now.
+                    std::thread::sleep(Duration::from_millis(20));
+                    let first = r.recv(world, SrcSel::Any, TagSel::Any).1.source;
+                    let second = r.recv(world, SrcSel::Any, TagSel::Any).1.source;
+                    return (10 * first + second) as f64;
+                }
+                0.0
+            });
+            let case = format!("{protocol:?}, rank {rx} receives");
+            assert!(run.failures.is_empty(), "{case}: {:?}", run.failures);
+            assert_eq!(run.checkpoints.len(), 1, "{case}: the trigger must fire");
+            let drained: Vec<(usize, usize)> = (run.checkpoints[0].in_flight.iter())
+                .map(|d| (d.saved.src_world, d.saved.dst_world))
+                .collect();
+            assert_eq!(drained, [(1, rx)], "{case}: only rank 1's message is cut");
+            let order = (10 + late) as f64;
+            assert_eq!(run.ranks[rx].result, order, "{case}: rank 1 first");
+            assert_eq!(run.backstop_expiries, 0, "{case}");
+        }
+    }
+}
+
 /// Every rank initiates an `MPI_Iallreduce` and then sits in wall-clock
 /// sleep with the request outstanding while the checkpoint runs. The drain
 /// counts the initiation toward the target, completes the collective at

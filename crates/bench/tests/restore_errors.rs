@@ -4,12 +4,14 @@
 //! `try_restore_ckpt_world_steps` with a typed [`RestoreError`] — before
 //! any rank runs — and never `expect`-panic inside the restore path.
 
+use bytes::Bytes;
 use ckpt::{
     run_ckpt_world, run_ckpt_world_steps, try_restore_ckpt_world_steps, Checkpoint, CkptOptions,
-    CkptTier, ImageError, RestoreConfig, RestoreError, ResumeMode, StoreError, TieredStore,
+    CkptTier, DrainedMsg, ImageError, RestoreConfig, RestoreError, ResumeMode, StoreError,
+    TieredStore,
 };
 use mana_core::{ggid_of_sorted, Cut, ExecEvent};
-use mpisim::{NetParams, VTime, WorldConfig};
+use mpisim::{NetParams, SavedMsg, VTime, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep, ScfStep};
@@ -120,6 +122,38 @@ fn member_outside_the_world_is_refused_at_decode() {
         Err(ImageError::Malformed("member table entry rank")),
         "an out-of-world member must be a typed decode error"
     );
+}
+
+/// A vcomm a capture names but its rank does not rebuild would fail the
+/// install mid-launch. Pre-flight refuses it instead: an in-flight message
+/// `1 → 0` on a vcomm rank 0 does not hold, through the wire, and a
+/// pending barrier on one, in memory.
+#[test]
+fn unknown_vcomm_is_refused_as_malformed() {
+    let (image, wl) = capture_image();
+    let mut sent = image.clone();
+    sent.in_flight.push(DrainedMsg {
+        saved: SavedMsg {
+            src_world: 1,
+            dst_world: 0,
+            vcomm: 999,
+            tag: 0,
+            payload: Bytes::from_static(b"forged"),
+            seq: 0,
+        },
+        arrival: VTime::ZERO,
+    });
+    let sent = Checkpoint::from_bytes(&sent.to_bytes()).expect("the wire carries any vcomm id");
+    let mut barrier = image;
+    barrier.captures[0].pending_barrier = Some((999, 0));
+    for forged in [sent, barrier] {
+        let err = try_restore(&forged, RestoreConfig::same_packing(), &wl)
+            .expect_err("an unknown vcomm must be refused");
+        assert_eq!(
+            err,
+            RestoreError::MalformedImage("vcomm (unknown to its rank)")
+        );
+    }
 }
 
 #[test]

@@ -64,9 +64,10 @@ fn two_phase_checkpoint_continue_and_restart_bit_identical() {
 }
 
 /// A rank parked *inside* its trivial barrier is captured via
-/// `pending_barrier`, survives a restart (the barrier is re-issued against
-/// the fresh lower half), and the restored `CallCounters` continue from the
-/// image instead of resetting — both asserted by round-tripping through a
+/// `pending_barrier` and survives a restart: the rank installs the capture
+/// it published into the fresh lower half, which re-issues the barrier
+/// there, and its `CallCounters` — the ones the capture holds — continue
+/// instead of resetting. Both are asserted by round-tripping through a
 /// second checkpoint.
 #[test]
 fn pending_barrier_and_counters_round_trip_across_restart() {
@@ -123,9 +124,9 @@ fn pending_barrier_and_counters_round_trip_across_restart() {
             >= 1
     );
 
-    // Counters restored from the image continue monotonically across the
-    // restart: every field of the later capture dominates the earlier one,
-    // and the collectives executed in between are visible.
+    // The captured counters continue monotonically across the restart:
+    // every field of the later capture dominates the earlier one, and the
+    // collectives executed in between are visible.
     for r in 0..n {
         let c1 = first.captures[r].counters;
         let c2 = second.captures[r].counters;

@@ -24,7 +24,7 @@ use crate::store::{ImageSetLayout, StoreRecord, Tiering};
 use mana_core::{CkptPhase, DrainEvent, Ggid, Protocol, RankCtl, RankState, RuntimeCapture};
 use mpisim::msg::InFlightMsg;
 use mpisim::types::CommId;
-use mpisim::{RankDeath, SavedMsg, VTime, World, WorldConfig};
+use mpisim::{RankDeath, SavedMsg, VTime, World};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
@@ -72,10 +72,12 @@ pub enum ResumeMode {
     /// Ranks continue on the same lower half; drained messages are
     /// re-deposited with their original timing.
     Continue,
-    /// The lower half is discarded and rebuilt: ranks attach a fresh
-    /// world, rebuild their communicators, re-post pending receives
-    /// (and pending trivial barriers), and drained messages are
-    /// re-deposited into the new generation.
+    /// The lower half is discarded and rebuilt: the coordinator builds the
+    /// next world and hands it to every live rank with the drained
+    /// messages addressed to it, and each rank installs the capture it
+    /// published — communicators rebuilt, pending receives and a pending
+    /// trivial barrier re-posted, its messages put back at the front of
+    /// its mailbox — the way a restore from the image does.
     Restart,
 }
 
@@ -548,7 +550,7 @@ impl Coordinator {
         // Resume.
         match mode {
             ResumeMode::Continue => self.redeposit(&world, &in_flight),
-            ResumeMode::Restart => self.resume_restart(&ckpt, sh.cfg.clone()),
+            ResumeMode::Restart => self.resume_restart(world.epoch + 1, in_flight),
         }
         before_release(charge_ns, io_write_secs);
         self.release_quiesced_ranks();
@@ -665,83 +667,50 @@ impl Coordinator {
         self.sh.bus.reset();
     }
 
-    /// The in-process [`ResumeMode::Restart`] path: builds a fresh lower
-    /// half from `cfg`, installs the image's per-rank restore state, waits
-    /// for every live rank to rebuild its communicators from their
-    /// captured groups, and re-deposits the drained in-flight messages.
-    pub(crate) fn resume_restart(&self, ckpt: &Checkpoint, cfg: WorldConfig) {
+    /// The in-process [`ResumeMode::Restart`] path: builds the next lower
+    /// half (generation `epoch`) on the same scheduler and hands it to
+    /// every live rank with the drained messages addressed to it, for the
+    /// rank to install when it is released. Nothing waits here: a rank
+    /// matches nothing before it has installed, and the next checkpoint
+    /// waits out a rank not yet run since this release.
+    fn resume_restart(&self, epoch: u64, in_flight: Vec<DrainedMsg>) {
         let sh = &self.sh;
-        let control = &sh.control;
-        assert_eq!(
-            cfg.n_ranks, ckpt.n_ranks,
-            "restart must preserve the number of ranks"
-        );
-        let live: Vec<usize> = (0..control.n_ranks)
-            .filter(|&i| control.ranks[i].state() != RankState::Finished)
-            .collect();
-        // The fresh lower half is built onto the *same* scheduler: the
-        // surviving ranks wake into the new generation, and its mailboxes
-        // inherit the scheduler's wake routing.
+        // The surviving ranks wake into the new generation, and its
+        // mailboxes inherit the scheduler's wake routing.
         let sched = Arc::clone(sh.current_world().scheduler());
-        let new_world = World::with_epoch_attached(cfg, ckpt.epoch + 1, sched);
-        *sh.world.lock() = Arc::clone(&new_world);
-        control.replayed_count.store(0, SeqCst);
-        for &i in &live {
-            // The image is authoritative: restore the captured call
-            // counters and the pending trivial barrier before the rank
-            // rebuilds itself from the fresh lower half.
-            let (pending_barrier, counters) = ckpt.rank_restore_state(i);
-            *control.ranks[i].pending_barrier.lock() = pending_barrier;
-            *control.ranks[i].restored_counters.lock() = Some(counters);
-            *control.ranks[i].new_world.lock() = Some(Arc::clone(&new_world));
+        let world = World::with_epoch_attached(sh.cfg.clone(), epoch, sched);
+        *sh.world.lock() = Arc::clone(&world);
+        let mut to: Vec<Vec<SavedMsg>> = vec![Vec::new(); sh.cfg.n_ranks];
+        for d in in_flight {
+            to[d.saved.dst_world].push(d.saved);
         }
-        // Finished ranks keep their last published capture, whose p2p flow
-        // counts belong to the generation that is being discarded; the new
-        // generation owes them nothing. Zero the flow so the next
-        // capture's accounting identity sums current-generation traffic
-        // only (live ranks reset their own counters when they attach).
-        for i in 0..control.n_ranks {
-            if control.ranks[i].state() == RankState::Finished {
-                if let Some(cap) = control.ranks[i].capture_slot.lock().as_mut() {
-                    cap.p2p_sent = 0;
-                    cap.p2p_delivered = 0;
-                }
+        for (rc, msgs) in sh.control.ranks.iter().zip(to) {
+            if rc.state() != RankState::Finished {
+                *rc.new_world.lock() = Some((Arc::clone(&world), msgs));
+            } else if let Some(cap) = rc.capture_slot.lock().as_mut() {
+                // A finished rank's capture keeps the p2p flow of the
+                // discarded generation, which the new one owes nothing
+                // (live ranks reset theirs when they attach); the next
+                // capture's accounting sums current traffic only.
+                cap.p2p_sent = 0;
+                cap.p2p_delivered = 0;
             }
-        }
-        control.set_phase(CkptPhase::Resuming);
-        // A death injected mid-restart leaves some ranks unwinding instead
-        // of replaying; the new generation is dead on arrival and the
-        // supervisor restores from storage instead.
-        let replayed =
-            || (control.replayed_count.load(SeqCst) as usize >= live.len()).then_some(());
-        if sh.wait_for(None, None, replayed).is_err() {
-            return;
-        }
-        for d in &ckpt.in_flight {
-            let dst = d.saved.dst_world;
-            if control.ranks[dst].state() == RankState::Finished {
-                continue; // a finished rank will never receive it
-            }
-            let comm = {
-                let map = control.ranks[dst].lower_comms.lock();
-                *map.get(&d.saved.vcomm)
-                    .unwrap_or_else(|| panic!("rank {dst} rebuild lost vcomm {}", d.saved.vcomm))
-            };
-            // The payload is already local after restart: available
-            // immediately.
-            new_world.deposit_raw(rebuild_msg(&d.saved, comm), VTime::ZERO);
         }
     }
 
     /// Puts drained messages back into the current lower half with their
     /// original arrival, translating each vcomm through its destination's
     /// published lower-half map (the ranks are still parked in the
-    /// generation the messages were drained from).
+    /// generation the messages were drained from, with empty mailboxes).
+    /// The drain lists each destination's messages together, in order.
     fn redeposit(&self, world: &World, in_flight: &[DrainedMsg]) {
-        let control = &self.sh.control;
-        for d in in_flight {
-            let comm = control.ranks[d.saved.dst_world].lower_comms.lock()[&d.saved.vcomm];
-            world.deposit_raw(rebuild_msg(&d.saved, comm), d.arrival);
+        for to in in_flight.chunk_by(|a, b| a.saved.dst_world == b.saved.dst_world) {
+            let dst = to[0].saved.dst_world;
+            let map = self.sh.control.ranks[dst].lower_comms.lock();
+            let msgs = (to.iter())
+                .map(|d| rebuild_msg(&d.saved, map[&d.saved.vcomm], d.arrival))
+                .collect();
+            world.redeposit_front(dst, msgs);
         }
     }
 
@@ -821,16 +790,16 @@ impl Coordinator {
     }
 }
 
-/// A drained message back in lower-half terms, on `comm`.
-pub(crate) fn rebuild_msg(s: &SavedMsg, comm: CommId) -> InFlightMsg {
+/// A drained message back in lower-half terms, on `comm`, available `at`.
+pub(crate) fn rebuild_msg(s: &SavedMsg, comm: CommId, at: VTime) -> InFlightMsg {
     InFlightMsg {
         src_world: s.src_world,
         dst_world: s.dst_world,
         comm,
         tag: s.tag,
         payload: s.payload.clone(),
-        sent: VTime::ZERO,
-        arrival: VTime::ZERO,
+        sent: at,
+        arrival: at,
         seq: s.seq,
     }
 }
@@ -927,7 +896,7 @@ mod tests {
         // request clock must say where the run stood then — not where
         // the finished rank stopped.
         use crate::runner::{run_ckpt_world, CkptOptions};
-        use mpisim::ReduceOp;
+        use mpisim::{ReduceOp, WorldConfig};
         let at = VTime::from_micros(100.0);
         let opts = CkptOptions::one_checkpoint(at, ResumeMode::Continue);
         let run = run_ckpt_world(WorldConfig::single_node(3), opts, |r| {

@@ -277,14 +277,6 @@ impl Checkpoint {
         (self.capture_clock().as_secs() - self.request_clock.as_secs()).max(0.0)
     }
 
-    /// The per-rank state a restart resume must re-install from this image
-    /// (the coordinator threads it back through the control plane):
-    /// `(pending trivial barrier, call counters)`.
-    pub fn rank_restore_state(&self, rank: usize) -> (Option<(u64, u64)>, CallCounters) {
-        let c = &self.captures[rank];
-        (c.pending_barrier, c.counters)
-    }
-
     // ------------------------------------------------------------------
     // Serialization
     // ------------------------------------------------------------------

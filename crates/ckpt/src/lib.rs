@@ -100,9 +100,10 @@
 //! * [`coordinator::Coordinator`] — issues checkpoint requests through
 //!   [`mana_core::CkptControl`], computes `TARGET[]` as the global max of
 //!   snapshotted `SEQ[]` tables (Algorithm 1), supervises the drain to
-//!   quiescence, captures a [`Checkpoint`], and resumes. Continue,
-//!   in-process restart, and restore-from-image all funnel through the
-//!   same resume machinery.
+//!   quiescence, captures a [`Checkpoint`], and resumes. Continue puts
+//!   the drained messages back on the same lower half; an in-process
+//!   restart and a restore from the image both go through one rank-side
+//!   installer, each rank installing its capture into the next lower half.
 //! * [`image`] — the [`Checkpoint`] itself plus its wire format:
 //!   [`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`] /
 //!   [`Checkpoint::save_to`] / [`Checkpoint::load_from`], versioned and

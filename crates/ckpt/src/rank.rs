@@ -9,10 +9,11 @@
 //! entry until released or quiesced (Algorithm 3). At quiesce the rank
 //! completes all initiated non-blocking collectives (§4.3.2), reverts
 //! matched-but-uncompleted receives into the mailbox, and publishes a
-//! [`RuntimeCapture`]. At restart it attaches the fresh lower half and
-//! rebuilds its communicators directly from the captured groups; restored
-//! elsewhere, a fresh rank installs the whole capture — upper half
-//! included — and resumes at the captured park (`CcRank::resume_from`).
+//! [`RuntimeCapture`]. At restart the parked rank installs that capture,
+//! with the drained in-flight messages addressed to it, into the next
+//! lower half; restored elsewhere, a fresh rank adopts the upper half,
+//! installs the image's capture the same way, and resumes at the captured
+//! park (`CcRank::resume_from`).
 //!
 //! There is one rank type. That control flow lives in the poll machines
 //! of [`step`], the one protocol engine, which also defines the `poll_*`
@@ -25,6 +26,7 @@
 //! whole step body the same way.
 
 use crate::bus::TargetUpdate;
+use crate::coordinator::rebuild_msg;
 use crate::runner::step::{BodyStep, StepBody};
 use crate::session::Session;
 use bytes::Bytes;
@@ -37,7 +39,8 @@ use mpisim::collective::RedSpec;
 use mpisim::comm::{create_color, SplitKey};
 use mpisim::dtype::{decode_f64, encode_f64};
 use mpisim::{
-    CollOp, Comm, Completion, Ctx, DType, ReduceOp, Request, SrcSel, Status, TagSel, VTime, World,
+    CollOp, Comm, Completion, Ctx, DType, ReduceOp, Request, SavedMsg, SrcSel, Status, TagSel,
+    VTime, World,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
@@ -84,6 +87,9 @@ struct RankCore<'s> {
     /// 2PC: ordinal of the next trivial barrier this rank posts (capture
     /// metadata: identifies *which* entry the rank was parked at).
     tb_ordinal: u64,
+    /// 2PC: the trivial barrier `(vcomm, ordinal)` this rank is parked
+    /// inside, for its capture; `None` outside such a park.
+    pending_barrier: Option<(u64, u64)>,
     /// Wall-clock microseconds slept per [`CcRank::compute`] call (0 =
     /// none). Virtual time is unaffected; see [`CcRank::set_wall_pace_us`].
     wall_pace_us: u64,
@@ -116,6 +122,7 @@ impl<'s> CcRank<'s> {
             counters: CallCounters::default(),
             tb_req: None,
             tb_ordinal: 0,
+            pending_barrier: None,
             wall_pace_us: 0,
             resume: None,
             parking: None,
@@ -370,7 +377,7 @@ impl RankCore<'_> {
             seq_table: ctl.seq_mirror.lock().clone(),
             comm_log: self.vcomms.log().to_vec(),
             pending_recvs,
-            pending_barrier: *ctl.pending_barrier.lock(),
+            pending_barrier: self.pending_barrier,
             counters: self.counters,
             p2p_sent,
             p2p_delivered,
@@ -379,29 +386,16 @@ impl RankCore<'_> {
         }
     }
 
-    /// Restart: attach the fresh lower half and rebuild every virtual
-    /// communicator from its captured group, then adopt the image's
-    /// counters.
-    fn restore_into(&mut self, w: Arc<World>) {
-        let saved_members = self.vcomms.members_map();
-        self.ctx.attach_world(Arc::clone(&w));
-        self.rebuild_comms(&w, &saved_members);
-        let sh = self.sh;
-        // The image is authoritative across a restart: adopt the counters
-        // the coordinator restored from the capture (they would otherwise
-        // silently revert to whatever the thread last held).
-        if let Some(c) = sh.control.ranks[self.rank].restored_counters.lock().take() {
-            self.counters = c;
-        }
-        *sh.control.ranks[self.rank].lower_comms.lock() = self.vcomms.lower_map();
-        sh.control.replayed_count.fetch_add(1, SeqCst);
-        sh.control.events.bump();
-    }
-
-    /// Rebinds every virtual communicator of the creation log on `w`,
-    /// directly from its member list in `members` — no creation
-    /// collectives, so a rebuild cannot hang on already-finished members.
-    fn rebuild_comms(&mut self, w: &World, members: &HashMap<u64, Arc<[usize]>>) {
+    /// The one installer of a capture into a lower half, for a restore and
+    /// a restart alike: attaches `world`, rebinds every communicator of the
+    /// creation log from its member list in `cap.vcomm_members` (no
+    /// creation collectives, which could hang on finished members),
+    /// re-posts the pending receives under their request ids, re-issues a
+    /// pending trivial barrier, and puts `msgs` — the drained messages to
+    /// this rank, sent before anything of the new generation — at the
+    /// front of its mailbox, unless the rank was captured finished.
+    fn install(&mut self, world: Arc<World>, cap: &RuntimeCapture, msgs: &[SavedMsg]) {
+        self.ctx.attach_world(Arc::clone(&world));
         // Every group's ggid is in the rank's `SEQ[]` table, under its
         // sorted member list — usually the very allocation the rebuilt
         // group sorts to, so a lookup by address spares rehashing a list
@@ -425,10 +419,10 @@ impl RankCore<'_> {
         // Per-parent creation ordinals: every member of a parent logged the
         // same creation ops in the same order, so these agree globally and
         // members derive identical registry keys without communicating.
-        // Replay keys live at the TOP of the seq space: post-restart
-        // creations derive their keys from `Ctx`'s per-comm collective
-        // ordinals, which restart from zero, and must never collide with a
-        // replayed communicator's key.
+        // Rebuild keys live at the TOP of the seq space: later creations
+        // derive their keys from `Ctx`'s per-comm collective ordinals,
+        // which restart from zero, and must never collide with a rebuilt
+        // communicator's key.
         let mut ordinals: HashMap<u64, u64> = HashMap::new();
         for rec in self.vcomms.log().to_vec() {
             let (parent, color) = match &rec.op {
@@ -443,12 +437,13 @@ impl RankCore<'_> {
                 u64::MAX - s
             };
             if let Some(v) = rec.result {
-                let members = members
+                let members = cap
+                    .vcomm_members
                     .get(&v.0)
                     .expect("capture holds members of every live vcomm")
                     .clone();
                 let parent_lower = self.vcomms.resolve(parent).0.id();
-                let inner = w.restore_comm(
+                let inner = world.restore_comm(
                     SplitKey {
                         parent: parent_lower,
                         seq,
@@ -461,25 +456,29 @@ impl RankCore<'_> {
                 self.vcomms.rebind(v, comm, ggid);
             }
         }
-    }
-
-    /// Re-issues the trivial barrier this rank was parked in at capture
-    /// (2PC, restart path): the coordinator restored `pending_barrier` from
-    /// the image; members that had not yet initiated will post theirs on
-    /// reaching the same entry, and the per-communicator collective
-    /// ordinals of the fresh lower half line both posts up on one instance.
-    fn repost_trivial_barrier(&mut self) {
-        let pb = *self.sh.control.ranks[self.rank].pending_barrier.lock();
-        if let Some((vc, _ordinal)) = pb {
+        for p in &cap.pending_recvs {
+            let vcomm = VComm(p.vcomm);
+            let req = self.ctx.irecv(&self.vcomms.resolve(vcomm).0, p.src, p.tag);
+            let kind = VReqKind::Recv {
+                vcomm,
+                src: p.src,
+                tag: p.tag,
+            };
+            self.vreqs
+                .put_back(VReq(p.vreq), VReqState::Active(req, kind));
+        }
+        // Members that had not yet initiated post theirs on reaching the
+        // same entry; the per-communicator collective ordinals of the
+        // fresh lower half line both posts up on one instance.
+        if let Some((vc, _)) = cap.pending_barrier {
             self.tb_req = Some(self.ctx.ibarrier(&self.vcomms.resolve(VComm(vc)).0));
         }
-    }
-
-    /// Re-posts every pending receive against the fresh lower half.
-    fn repost_pending_recvs(&mut self) {
-        for (v, vc, src, tag) in self.vreqs.pending_recvs() {
-            let req = self.ctx.irecv(&self.vcomms.resolve(vc).0, src, tag);
-            self.vreqs.replace_request(v, req);
+        if cap.state != RankState::Finished {
+            let vcomms = &self.vcomms;
+            let front = (msgs.iter())
+                .map(|m| rebuild_msg(m, vcomms.resolve(VComm(m.vcomm)).0.id(), VTime::ZERO))
+                .collect();
+            world.redeposit_front(self.rank, front);
         }
     }
 }
@@ -518,22 +517,23 @@ impl CcRank<'_> {
         core.sh.trace.push(DrainEvent::Quiesced(core.rank));
     }
 
-    /// Restore elsewhere: installs `cap` — the image's capture of this
-    /// rank, with its upper half `upper` — into this freshly built rank on
-    /// the restored world, and charges the image read-back (`read_ns`).
-    /// The lower half is rebuilt from the capture (communicators from
-    /// their member lists, pending receives and a pending trivial barrier
-    /// re-posted), the upper half adopted (sequence table, counters,
-    /// clock, request table); a rank captured parked resumes inside the
+    /// Restore elsewhere: adopts the upper half of `cap` — the image's
+    /// capture of this rank, with its upper half `upper` — in this freshly
+    /// built rank (sequence table, creation log, counters, clock, request
+    /// table), installs the capture into the restored world with `msgs`,
+    /// the drained messages addressed to the rank, and charges the image
+    /// read-back (`read_ns`). A rank captured parked resumes inside the
     /// operation it parked in when its body re-polls it.
-    pub(crate) fn resume_from(&mut self, cap: &RuntimeCapture, upper: &UpperHalf, read_ns: u64) {
+    pub(crate) fn resume_from(
+        &mut self,
+        cap: &RuntimeCapture,
+        upper: &UpperHalf,
+        msgs: &[SavedMsg],
+        read_ns: u64,
+    ) {
         let core = &mut self.core;
-        let sh = core.sh;
-        let ctl = &sh.control.ranks[core.rank];
-        *ctl.seq_mirror.lock() = cap.seq_table.clone();
+        *core.sh.control.ranks[core.rank].seq_mirror.lock() = cap.seq_table.clone();
         core.vcomms.restore_log(cap.comm_log.clone());
-        let world = Arc::clone(core.ctx.world());
-        core.rebuild_comms(&world, &cap.vcomm_members);
         core.counters = cap.counters;
         core.tb_ordinal = cap.counters.trivial_barriers;
         core.ctx.set_clock(cap.clock);
@@ -552,26 +552,13 @@ impl CcRank<'_> {
                 VReqState::Active(Request::send(at), VReqKind::Send),
             );
         }
-        // The in-process restart's resume order: receives, the trivial
-        // barrier, then the read-back charge.
-        for p in &cap.pending_recvs {
-            let vcomm = VComm(p.vcomm);
-            let req = core.ctx.irecv(&core.vcomms.resolve(vcomm).0, p.src, p.tag);
-            let kind = VReqKind::Recv {
-                vcomm,
-                src: p.src,
-                tag: p.tag,
-            };
-            core.vreqs
-                .put_back(VReq(p.vreq), VReqState::Active(req, kind));
-        }
-        if let Some((vc, _)) = cap.pending_barrier {
-            core.tb_req = Some(core.ctx.ibarrier(&core.vcomms.resolve(VComm(vc)).0));
-        }
+        // The in-process restart's resume order: install, then the
+        // read-back charge.
+        let world = Arc::clone(core.ctx.world());
+        core.install(world, cap, msgs);
         if read_ns > 0 {
             core.ctx.compute(read_ns as f64 * 1e-9);
         }
-        *ctl.lower_comms.lock() = core.vcomms.lower_map();
         core.publish_clock();
         core.resume = (cap.state != RankState::Finished).then_some(cap.state);
     }

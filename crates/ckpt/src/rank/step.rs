@@ -111,9 +111,9 @@ fn try_await_targets(cc: &mut RankCore<'_>) -> StepPoll<bool> {
 /// Parks for capture: completes every initiated non-blocking collective
 /// (§4.3.2), reverts matched receives, publishes the [`RuntimeCapture`]
 /// (its park state follows on the yield, with the body's snapshot:
-/// `CcRank::complete_park`), parks until resume — attaching a fresh lower
-/// half first if the coordinator installed one (restart) — then runs the
-/// resume epilogue.
+/// `CcRank::complete_park`), parks until resume — installing its capture
+/// into the next lower half first if the coordinator handed it one
+/// (restart) — then runs the resume epilogue.
 ///
 /// [`RuntimeCapture`]: mana_core::RuntimeCapture
 struct QuiesceM {
@@ -126,8 +126,8 @@ enum QStage {
     /// All participants have initiated (targets met), so these waits
     /// terminate.
     Colls { ids: Vec<VReq>, idx: usize },
-    /// Captured and parked; waiting for resume or a fresh lower half.
-    Park { my_gen: u64, restarted: bool },
+    /// Captured and parked; waiting for resume.
+    Park { my_gen: u64 },
 }
 
 impl QuiesceM {
@@ -182,33 +182,26 @@ impl QuiesceM {
                     cc.publish_capture(self.state, None);
                     let my_gen = cc.sh.control.resume_gen.load(SeqCst);
                     cc.parking = Some(self.state);
-                    self.stage = QStage::Park {
-                        my_gen,
-                        restarted: false,
-                    };
+                    self.stage = QStage::Park { my_gen };
                 }
-                QStage::Park { my_gen, restarted } => {
+                QStage::Park { my_gen } => {
                     let sh = cc.sh;
                     let ctl = &sh.control.ranks[cc.rank];
-                    loop {
-                        let fresh = ctl.new_world.lock().take();
-                        if let Some(w) = fresh {
-                            cc.restore_into(w);
-                            *restarted = true;
-                            continue;
-                        }
-                        if sh.control.resume_gen.load(SeqCst) > *my_gen {
-                            break;
-                        }
+                    if sh.control.resume_gen.load(SeqCst) <= *my_gen {
                         return StepPoll::Pending(WaitReason::Event);
                     }
-                    if *restarted {
-                        cc.repost_pending_recvs();
-                        cc.repost_trivial_barrier();
+                    // Released. A restart hands the rank its next lower
+                    // half before the release, and the rank installs the
+                    // capture it published into it.
+                    let handed = ctl.new_world.lock().take();
+                    if let Some((world, msgs)) = handed {
+                        let cap = ctl.capture_slot.lock();
+                        let cap = cap.as_ref().expect("a parked rank published its capture");
+                        cc.install(world, cap, &msgs);
                     }
                     // The park is over: a trivial barrier it was inside is
-                    // live again (re-issued just above, after a restart).
-                    *ctl.pending_barrier.lock() = None;
+                    // live again (re-issued by the install, after a restart).
+                    cc.pending_barrier = None;
                     // Checkpoint-image storage I/O (Lustre write, plus
                     // read at restart) is charged to the rank's virtual
                     // clock at resume.
@@ -251,11 +244,7 @@ impl QuiesceM {
     /// after a resume, finishing the barrier is the resumed gate's job,
     /// behind the resume epilogue's clock charges.
     fn free_pass(&self, cc: &mut RankCore<'_>) -> bool {
-        let QStage::Park {
-            my_gen,
-            restarted: false,
-        } = self.stage
-        else {
+        let QStage::Park { my_gen } = self.stage else {
             return false;
         };
         if !cc.tb_req.as_ref().is_some_and(Request::collective_done) {
@@ -267,7 +256,7 @@ impl QuiesceM {
         }
         let ctl = &control.ranks[cc.rank];
         *ctl.capture_slot.lock() = None;
-        *ctl.pending_barrier.lock() = None;
+        cc.pending_barrier = None;
         // `Running` before the count: what `all_quiesced` relies on.
         ctl.set_state(RankState::Running);
         control.free_passes.fetch_add(1, SeqCst);
@@ -563,7 +552,7 @@ impl TwoPcGate {
                     }
                     let parked = DrainEvent::TrivialBarrierParked(cc.rank);
                     cc.sh.trace.push(parked);
-                    *cc.sh.control.ranks[cc.rank].pending_barrier.lock() = Some((vc.0, ordinal));
+                    cc.pending_barrier = Some((vc.0, ordinal));
                     return Next::Quiesce(RankState::InTrivialBarrier);
                 }
             }

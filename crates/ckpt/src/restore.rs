@@ -14,13 +14,15 @@
 //! it builds one session on the *restore* configuration (which may pack
 //! ranks onto nodes differently — the paper's Perlmutter re-packing),
 //! and each rank is `make(rank)` with its snapshot loaded, on a wrapper
-//! that installs the captured state — communicators rebuilt from the
-//! image's groups, pending receives and trivial barriers re-posted,
-//! sequence table, counters and clock adopted. The image's drained
-//! in-flight messages are re-deposited before any rank runs, the
-//! read-back is charged under the *new* topology by the one read rule,
-//! [`TieredStore::read_secs`], and every rank resumes inside the
-//! operation it was captured parked in: only the run's suffix executes.
+//! that adopts the upper half (sequence table, counters, clock, request
+//! table) and installs the capture with the rank installer an in-process
+//! restart uses: communicators rebuilt from the image's groups, pending
+//! receives and trivial barriers re-posted, and the image's drained
+//! in-flight messages addressed to the rank put at the front of its
+//! mailbox, before any rank runs. The read-back is charged under the *new*
+//! topology by the one read rule, [`TieredStore::read_secs`], and every
+//! rank resumes inside the operation it was captured parked in: only the
+//! run's suffix executes.
 //!
 //! A closure body's state is its stack, which no image holds: its images
 //! restart in-process only ([`crate::ResumeMode::Restart`]), and a
@@ -32,17 +34,15 @@
 //! the packing.
 
 use crate::avail::run_campaign;
-use crate::coordinator::rebuild_msg;
 use crate::image::Checkpoint;
 use crate::rank::CcRank;
 use crate::runner::step::{Driver, StepBody};
 use crate::runner::{CkptOptions, CkptRunReport};
-use crate::session::Session;
 use crate::store::{ImageSetLayout, StoreError, TieredStore};
 use crate::wire::{Dec, DecodeError};
 use crate::FaultPlan;
-use mana_core::{RankState, Violation};
-use mpisim::{SpawnError, VTime, WorldConfig};
+use mana_core::{CommOp, Violation, VCOMM_WORLD};
+use mpisim::{SavedMsg, SpawnError, WorldConfig};
 use netmodel::NetParams;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -239,12 +239,14 @@ pub(crate) struct Restore<'a> {
     pub(crate) read_s: f64,
     /// The world the run continues in.
     pub(crate) restored_cfg: WorldConfig,
+    /// The image's drained in-flight messages, by destination rank.
+    msgs_to: Vec<Vec<SavedMsg>>,
 }
 
 impl<'a> Restore<'a> {
     /// The pre-flight of every restore (plain and recovery): image shape,
-    /// upper halves and safe-cut checks, the restored world
-    /// configuration, then the read-back charge.
+    /// upper halves, vcomm references and safe-cut checks, the restored
+    /// world configuration, then the read-back charge.
     pub(crate) fn preflight(
         image: Cow<'a, Checkpoint>,
         rcfg: RestoreConfig,
@@ -254,6 +256,30 @@ impl<'a> Restore<'a> {
         }
         if let Some(rank) = image.captures.iter().position(|c| c.upper.is_none()) {
             return Err(RestoreError::NoUpperHalf { rank });
+        }
+        // Every vcomm a capture names — a pending receive's, the pending
+        // barrier's, a creation's parent and result, an in-flight
+        // message's at its destination — must be one its rank rebuilds.
+        let named = image.captures.iter().enumerate().flat_map(|(rank, c)| {
+            let created = c.comm_log.iter().flat_map(|r| {
+                let (CommOp::Dup { parent }
+                | CommOp::Split { parent, .. }
+                | CommOp::Create { parent, .. }) = &r.op;
+                [Some(parent.0), r.result.map(|v| v.0)]
+            });
+            (c.pending_recvs.iter().map(|p| Some(p.vcomm)))
+                .chain([c.pending_barrier.map(|(v, _)| v)])
+                .chain(created)
+                .flatten()
+                .map(move |v| (rank, v))
+        });
+        let sent = (image.in_flight.iter()).map(|d| (d.saved.dst_world, d.saved.vcomm));
+        let holds = |(rank, v): (usize, u64)| {
+            (image.captures.get(rank))
+                .is_some_and(|c| v == VCOMM_WORLD.0 || c.vcomm_members.contains_key(&v))
+        };
+        if !named.chain(sent).all(holds) {
+            return Err(RestoreError::MalformedImage("vcomm (unknown to its rank)"));
         }
         if let Err(violations) = image.verify() {
             return Err(RestoreError::UnsafeCut(violations));
@@ -278,17 +304,22 @@ impl<'a> Restore<'a> {
             }
             None => 0.0,
         };
+        let mut msgs_to = vec![Vec::new(); image.n_ranks];
+        for d in &image.in_flight {
+            msgs_to[d.saved.dst_world].push(d.saved.clone());
+        }
         Ok(Restore {
             image,
             read_s,
             restored_cfg,
+            msgs_to,
         })
     }
 
-    /// Loads `rank`'s body from its snapshot and installs its capture into
-    /// the freshly built `cc`, charging the read-back (re-packing onto
-    /// fewer ranks per node spreads the same files over more nodes: the
-    /// Figure 9 topology effect).
+    /// Loads `rank`'s body from its snapshot and installs its capture, with
+    /// the in-flight messages addressed to it, into the freshly built `cc`,
+    /// charging the read-back (re-packing onto fewer ranks per node spreads
+    /// the same files over more nodes: the Figure 9 topology effect).
     pub(crate) fn install<B: StepBody>(
         &self,
         rank: usize,
@@ -304,29 +335,7 @@ impl<'a> Restore<'a> {
         body.load(&mut d)
             .and_then(|()| d.finished().then_some(()).ok_or("trailing snapshot bytes"))
             .map_err(|what| RestoreError::BodySnapshot { rank, what })?;
-        cc.resume_from(cap, upper, (self.read_s * 1e9) as u64);
+        cc.resume_from(cap, upper, &self.msgs_to[rank], (self.read_s * 1e9) as u64);
         Ok(())
-    }
-
-    /// Re-deposits the image's drained in-flight messages into the
-    /// restored world, once every rank is installed and before any runs:
-    /// ahead of every message sent after the restore, as they were sent
-    /// before it.
-    pub(crate) fn deposit_in_flight(&self, sh: &Session) {
-        let world = sh.current_world();
-        for d in &self.image.in_flight {
-            let dst = d.saved.dst_world;
-            if self.image.captures[dst].state == RankState::Finished {
-                continue; // a finished rank will never receive it
-            }
-            let comm = *sh.control.ranks[dst]
-                .lower_comms
-                .lock()
-                .get(&d.saved.vcomm)
-                .unwrap_or_else(|| panic!("rank {dst} holds no vcomm {}", d.saved.vcomm));
-            // The payload is already local after a restore: available
-            // immediately.
-            world.deposit_raw(rebuild_msg(&d.saved, comm), VTime::ZERO);
-        }
     }
 }

@@ -278,11 +278,6 @@ where
             }
         }
     }
-    // Every rank is in place: the image's in-flight messages go back in
-    // before any of them runs.
-    if let Some(r) = restore {
-        r.deposit_in_flight(&sh);
-    }
     // A rank on its own thread costs a whole stack, accounted by the
     // kernel, not the heap: the column is the pool's.
     let rank_build_rss_bytes = match (pool.is_some(), rss_before, resident_bytes()) {

@@ -8,6 +8,9 @@
 //! lower-half handles, which belong to one lower-half generation. The
 //! rank publishes those beside its capture, in
 //! [`crate::control::RankCtl::lower_comms`], for the coordinator alone.
+//! A restore and an in-process restart install a capture the same way:
+//! communicators rebuilt from `vcomm_members`, pending receives re-posted,
+//! a pending trivial barrier re-issued, drained messages put back first.
 
 use crate::control::RankState;
 use crate::counters::CallCounters;
@@ -70,7 +73,7 @@ pub struct RuntimeCapture {
     pub clock: VTime,
     /// The rank's `SEQ[]` table (survives restart: upper-half state).
     pub seq_table: SeqTable,
-    /// Ordered communicator-creation log for restart replay.
+    /// Ordered communicator-creation log: the order communicators rebuild in.
     pub comm_log: Vec<CommOpRecord>,
     /// Pending receives to re-post.
     pub pending_recvs: Vec<PendingRecv>,
@@ -91,9 +94,9 @@ pub struct RuntimeCapture {
     /// Messages this rank finished receiving from the current generation
     /// (see [`RuntimeCapture::p2p_sent`]).
     pub p2p_delivered: u64,
-    /// Member world ranks of each live vcomm, **in group order**. Restart
-    /// replay rebuilds communicators directly from these (no creation
-    /// collective), so replay cannot hang on members that already finished.
+    /// Member world ranks of each live vcomm, **in group order**. A restore
+    /// or restart rebuilds communicators directly from these (no creation
+    /// collective), so it cannot hang on members that already finished.
     /// Shared storage: every rank capturing the same communicator holds
     /// the same allocation, keeping a world capture O(ranks + members)
     /// instead of O(ranks × members).

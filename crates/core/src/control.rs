@@ -139,13 +139,6 @@ pub struct RankCtl {
     /// rank has made, published alongside the clock so collective-count
     /// trigger policies can observe progress without touching the mirrors.
     pub coll_calls: AtomicU64,
-    /// 2PC: the pending trivial barrier (vcomm, collective ordinal) the
-    /// rank was sitting in at capture, to re-issue at restart.
-    pub pending_barrier: Mutex<Option<(u64, u64)>>,
-    /// Counters restored from a checkpoint image by the coordinator's
-    /// restart path; the rank adopts them while attaching the fresh lower
-    /// half so the image — not thread-local leftovers — is authoritative.
-    pub restored_counters: Mutex<Option<crate::counters::CallCounters>>,
     /// Virtual-time charge (nanoseconds) for checkpoint-image storage I/O
     /// (Lustre write at capture, plus read at restart), installed by the
     /// coordinator before resume and consumed once by the rank.
@@ -153,14 +146,15 @@ pub struct RankCtl {
     /// Runtime state published by the rank at quiesce, consumed by the
     /// coordinator to build the checkpoint image.
     pub capture_slot: Mutex<Option<crate::capture::RuntimeCapture>>,
-    /// A fresh lower half installed by the coordinator before waking the
-    /// rank (warm restart); `None` means continue on the current world.
-    pub new_world: Mutex<Option<std::sync::Arc<mpisim::World>>>,
-    /// The rank's vcomm → lower-half `CommId` map for its current
-    /// lower-half generation, published with every capture and after
-    /// every restart rebuild. The coordinator translates drained messages
-    /// into vcomm terms, and re-deposits them, through it; the image never
-    /// carries it.
+    /// An in-process restart's hand-off, left by the coordinator before it
+    /// releases the rank: the next lower half and the drained messages
+    /// addressed to this rank, which the rank installs with its own
+    /// capture. `None` means continue on the current world.
+    pub new_world: Mutex<Option<(Arc<mpisim::World>, Vec<mpisim::SavedMsg>)>>,
+    /// The rank's vcomm → lower-half `CommId` map, published with every
+    /// capture. The coordinator translates drained messages into vcomm
+    /// terms through it, and a continue puts them back through it; the
+    /// image never carries it.
     pub lower_comms: Mutex<HashMap<u64, mpisim::types::CommId>>,
     /// Set when a fault injector declares this rank dead. One-way for the
     /// life of a world attempt: a dead rank never meets another target and
@@ -199,8 +193,6 @@ impl RankCtl {
             in_collective: AtomicBool::new(false),
             clock_ns: AtomicU64::new(0),
             coll_calls: AtomicU64::new(0),
-            pending_barrier: Mutex::new(None),
-            restored_counters: Mutex::new(None),
             io_charge_ns: AtomicU64::new(0),
             capture_slot: Mutex::new(None),
             new_world: Mutex::new(None),
@@ -295,8 +287,6 @@ pub enum CkptPhase {
     Quiescing = 2,
     /// All ranks parked; coordinator capturing images.
     Capturing = 3,
-    /// Images written; ranks resuming (possibly into a new lower half).
-    Resuming = 4,
 }
 
 impl CkptPhase {
@@ -306,7 +296,6 @@ impl CkptPhase {
             1 => CkptPhase::Draining,
             2 => CkptPhase::Quiescing,
             3 => CkptPhase::Capturing,
-            4 => CkptPhase::Resuming,
             _ => unreachable!("bad CkptPhase {v}"),
         }
     }
@@ -324,12 +313,9 @@ pub struct CkptControl {
     /// it must advance before the next request opens, even when the
     /// not-pending gap between two attempts is too short to observe.
     pub ckpt_epoch: AtomicU64,
-    /// Count of ranks that finished replaying communicator logs into a new
-    /// lower half (warm restart barrier, coordinator side).
-    pub replayed_count: AtomicU64,
-    /// Resume generation: quiesced ranks fully resume only once this
-    /// exceeds the value they captured, which lets the coordinator
-    /// re-deposit drained messages after replay but before the app runs.
+    /// Resume generation: quiesced ranks resume only once this exceeds the
+    /// value they captured, which lets the coordinator put drained messages
+    /// back, or hand out the next lower half, before any of them runs on.
     pub resume_gen: AtomicU64,
     /// Count of ranks that left a capture park *uncaptured* (the 2PC free
     /// pass): the one way a park state goes back to `Running` inside a
@@ -368,7 +354,6 @@ impl CkptControl {
             pending: AtomicBool::new(false),
             phase: AtomicU8::new(CkptPhase::Idle as u8),
             ckpt_epoch: AtomicU64::new(0),
-            replayed_count: AtomicU64::new(0),
             resume_gen: AtomicU64::new(0),
             free_passes: AtomicU64::new(0),
             ranks: (0..n_ranks)

@@ -303,14 +303,6 @@ impl VReqTable {
         v
     }
 
-    /// Replaces the lower-half request of `v` (restart re-post).
-    pub fn replace_request(&mut self, v: VReq, req: Request) {
-        match self.map.get_mut(&v.0) {
-            Some(VReqState::Active(r, _)) => *r = req,
-            other => panic!("replace_request on non-active entry: {other:?}"),
-        }
-    }
-
     /// Number of tracked requests.
     pub fn len(&self) -> usize {
         self.map.len()

@@ -86,6 +86,13 @@ impl Mailbox {
         self.notify_activity();
     }
 
+    /// Puts `msgs`, in order, ahead of every queued message and wakes any
+    /// blocked receiver.
+    pub fn deposit_front(&self, msgs: Vec<InFlightMsg>) {
+        self.inner.lock().splice(0..0, msgs);
+        self.notify_activity();
+    }
+
     /// Records mailbox-visible activity without depositing a message and
     /// wakes every waiter. Used by the collective engine at instance
     /// completion: ranks blocked in activity waits ([`crate::Ctx::wait`],
@@ -145,12 +152,6 @@ impl Mailbox {
     /// message that must be saved in the image and re-deposited at restart.
     pub fn drain_all(&self) -> Vec<InFlightMsg> {
         std::mem::take(&mut *self.inner.lock())
-    }
-
-    /// Clones **all** queued messages without removing them (checkpoint
-    /// *continue* path).
-    pub fn snapshot_all(&self) -> Vec<InFlightMsg> {
-        self.inner.lock().clone()
     }
 }
 

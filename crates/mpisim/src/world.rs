@@ -340,17 +340,22 @@ impl World {
         msgs
     }
 
-    /// **Restart hook.** Re-deposits a message drained from a previous
-    /// generation (arrival time is immediate: the data is already local).
-    /// Counted as an external injection for the p2p drain accounting.
-    pub fn deposit_raw(&self, msg: InFlightMsg, now: VTime) {
-        self.redeposited.fetch_add(1, Ordering::Relaxed);
-        self.revert_unmatched(msg, now);
+    /// **Resume hook.** Puts messages a capture drained at the front of
+    /// `rank`'s mailbox, in order: they were sent before anything already
+    /// queued there (by a new generation's ranks, after a restart).
+    /// Counted as external injections for the p2p drain accounting.
+    pub fn redeposit_front(&self, rank: usize, msgs: Vec<InFlightMsg>) {
+        if msgs.is_empty() {
+            return;
+        }
+        self.redeposited
+            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        self.mailboxes[rank].deposit_front(msgs);
     }
 
     /// **Quiesce hook.** Returns a matched-but-uncompleted receive's
     /// message to its destination mailbox so the capture drain records it
-    /// as in flight. Unlike [`World::deposit_raw`] this is *not* counted
+    /// as in flight. Unlike [`World::redeposit_front`] this is *not* counted
     /// as an external injection: the rank-side send counter already covers
     /// the message, and the revert merely moves it from a request's
     /// matched state back into the queue it came from.
@@ -391,13 +396,6 @@ impl World {
     /// if the instance does not exist (not started, or fully retired).
     pub fn collective_progress(&self, comm: CommId, seq: u64) -> Option<(usize, usize)> {
         self.coll.progress((comm, seq))
-    }
-
-    /// Non-destructive snapshot of a rank's unmatched in-flight messages
-    /// (checkpoint *continue* path: the image gets a copy, the mailbox
-    /// keeps the originals).
-    pub fn snapshot_unexpected(&self, rank: usize) -> Vec<InFlightMsg> {
-        self.mailboxes[rank].snapshot_all()
     }
 }
 
@@ -604,6 +602,32 @@ mod tests {
     fn freeing_world_comm_panics() {
         let w = World::new(WorldConfig::single_node(2));
         w.free_comm(COMM_WORLD_ID);
+    }
+
+    /// Messages a restart puts back go ahead of what the new generation
+    /// already queued, in the order given, and each counts as an injection.
+    #[test]
+    fn front_redeposit_keeps_order_ahead_of_queued_and_counts() {
+        let w = World::new(WorldConfig::single_node(3));
+        let msg = |src, seq| InFlightMsg {
+            src_world: src,
+            dst_world: 0,
+            comm: COMM_WORLD_ID,
+            tag: 0,
+            payload: bytes::Bytes::new(),
+            sent: VTime::ZERO,
+            arrival: VTime::ZERO,
+            seq,
+        };
+        // A new-generation message lands first (a revert: not counted).
+        w.revert_unmatched(msg(2, 0), VTime::ZERO);
+        w.redeposit_front(0, vec![msg(1, 5), msg(1, 6)]);
+        w.redeposit_front(0, Vec::new());
+        let order: Vec<(usize, u64)> = (w.take_unexpected(0).iter())
+            .map(|m| (m.src_world, m.seq))
+            .collect();
+        assert_eq!(order, [(1, 5), (1, 6), (2, 0)]);
+        assert_eq!(w.p2p_accounting(), (2, 3), "(redeposited, drained)");
     }
 
     #[test]
