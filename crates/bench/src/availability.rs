@@ -44,6 +44,7 @@ use ckpt::{
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::sync::Arc;
+use workloads::Paced;
 
 /// Ladder rung names, in decreasing-interval (increasing-quality) order.
 pub const POLICY_LADDER: [&str; 3] = ["periodic4x", "periodic2x", "daly"];
@@ -165,7 +166,7 @@ impl AvailabilityConfig {
 pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
     let iters = cfg.iters;
     let pace = cfg.pace_us;
-    let body = move |_| BenchWorkload::Scf.step_body(iters).with_pace_us(pace);
+    let body = move |_| Paced::new(BenchWorkload::Scf.step_body(iters), pace);
     let native = run_ckpt_world_steps(cfg.world(), CkptOptions::native(), body);
     let native_s = native.makespan.as_secs();
     let models = cfg.models();

@@ -32,6 +32,7 @@ use crate::BenchWorkload;
 use ckpt::{run_ckpt_world, run_ckpt_world_steps, CkptOptions, ResumeMode, VirtualTimeSchedule};
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
+use workloads::Paced;
 
 /// Configuration of the Figure 7 sweep.
 #[derive(Debug, Clone)]
@@ -286,7 +287,7 @@ pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> F
     let pace = cfg.pace_us;
     let run = if cfg.step_bodies {
         run_ckpt_world_steps(world_cfg(cfg, n), opts, |_rank| {
-            workload.step_body(iters).with_pace_us(pace)
+            Paced::new(workload.step_body(iters), pace)
         })
     } else {
         run_ckpt_world(world_cfg(cfg, n), opts, |r| {

@@ -68,7 +68,7 @@ pub struct Figure9MeasuredImage {
     pub serialized_bytes: usize,
     /// Drained in-flight payload bytes inside the image.
     pub in_flight_bytes: usize,
-    /// Cut events recorded in the image.
+    /// Participations the image's cut covers (its `SEQ[]` tables).
     pub cut_events: usize,
     /// Virtual capture time, seconds.
     pub capture_clock_s: f64,

@@ -90,10 +90,7 @@ impl BenchWorkload {
                 BenchStepKind::BcastPipeline(BcastPipelineStep::new(iters, 256))
             }
         };
-        BenchStepBody {
-            pace_us: None,
-            inner,
-        }
+        BenchStepBody { inner }
     }
 }
 
@@ -103,21 +100,13 @@ enum BenchStepKind {
     BcastPipeline(BcastPipelineStep),
 }
 
-/// A bench workload as a heap step object, optionally wall-paced (the
-/// pace is applied once, before the first body step, exactly where the
-/// closure cells call `set_wall_pace_us`; virtual time is unaffected).
+/// A bench workload as a heap step object; a paced cell wraps it in
+/// [`workloads::Paced`].
 pub struct BenchStepBody {
-    pace_us: Option<u64>,
     inner: BenchStepKind,
 }
 
 impl BenchStepBody {
-    /// Adds a per-compute wall pace (µs), applied before the first step.
-    pub fn with_pace_us(mut self, us: u64) -> Self {
-        self.pace_us = Some(us);
-        self
-    }
-
     /// The kernel's tag in a snapshot.
     fn kind(&self) -> u8 {
         match self.inner {
@@ -132,9 +121,6 @@ impl StepBody for BenchStepBody {
     type Out = f64;
 
     fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
-        if let Some(us) = self.pace_us.take() {
-            r.set_wall_pace_us(us);
-        }
         match &mut self.inner {
             BenchStepKind::Scf(b) => b.step(r),
             BenchStepKind::Halo(b) => b.step(r),
@@ -142,8 +128,7 @@ impl StepBody for BenchStepBody {
         }
     }
 
-    /// The kernel's tag, then the kernel's own snapshot (the pace is
-    /// `make`'s, applied again on the restored body's first step).
+    /// The kernel's tag, then the kernel's own snapshot.
     fn save(&self, w: &mut dyn Wr) -> bool {
         w.u8(self.kind());
         match &self.inner {

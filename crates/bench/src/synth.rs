@@ -12,14 +12,14 @@
 //! the world group), so a 4096-rank image is ~4096 × ~1 KiB, not O(n²).
 //!
 //! These images are *wire-consistent* (they round-trip through
-//! `to_bytes`/`from_bytes`) but carry no cut evidence, so they are for
+//! `to_bytes`/`from_bytes`) but carry no upper halves, so they are for
 //! serialization benchmarks and determinism tests — not for restore.
 
 use bytes::Bytes;
 use ckpt::{CaptureOrigin, Checkpoint, DrainedMsg};
 use mana_core::RankState;
 use mana_core::{
-    ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid, PendingRecv, Protocol,
+    ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Cut, Ggid, PendingRecv, Protocol,
     RuntimeCapture, SeqTable, VComm,
 };
 use mpisim::{NetParams, SavedMsg, SrcSel, TagSel, VTime};
@@ -185,7 +185,6 @@ pub fn synthetic_checkpoint(n_ranks: usize, seed: u64) -> Checkpoint {
         final_targets.insert(g, 14);
     }
     let initial_targets = final_targets.clone();
-    let achieved = final_targets.clone();
 
     // One drained message per 4 ranks, ~256 B payloads: suffix weight
     // without dominating the per-rank sections the sweep times.
@@ -207,7 +206,7 @@ pub fn synthetic_checkpoint(n_ranks: usize, seed: u64) -> Checkpoint {
         })
         .collect();
 
-    Checkpoint {
+    let mut image = Checkpoint {
         epoch: 1,
         n_ranks,
         protocol: Protocol::Cc,
@@ -218,13 +217,14 @@ pub fn synthetic_checkpoint(n_ranks: usize, seed: u64) -> Checkpoint {
         request_clock: VTime::from_secs(0.5),
         initial_targets,
         final_targets,
-        achieved,
         captures,
         in_flight,
         cut_events: Cut::default(),
         io_write_secs: 0.0,
         io_read_secs: 0.0,
-    }
+    };
+    image.cut_events = image.cut();
+    image
 }
 
 /// Returns a copy of `base` in which every `every`-th rank has *stable*
@@ -259,6 +259,7 @@ pub fn perturbed_checkpoint(base: &Checkpoint, every: usize) -> Checkpoint {
             c.seq_table.restore(g_world, seq, members);
         }
     }
+    next.cut_events = next.cut();
     next
 }
 
@@ -268,11 +269,6 @@ pub fn perturbed_checkpoint(base: &Checkpoint, every: usize) -> Checkpoint {
 /// to tell the two apart.
 pub fn with_unshared_lists(base: &Checkpoint) -> Checkpoint {
     let mut next = base.clone();
-    let unshared = |r: &CutRun| CutRun {
-        members: r.members.to_vec().into(),
-        ..*r
-    };
-    next.cut_events = Cut::from_runs(base.cut_events.runs().iter().map(unshared).collect());
     for c in &mut next.captures {
         let entries: Vec<(Ggid, u64, Vec<usize>)> = c
             .seq_table
@@ -286,6 +282,7 @@ pub fn with_unshared_lists(base: &Checkpoint) -> Checkpoint {
             *m = m.to_vec().into();
         }
     }
+    next.cut_events = next.cut();
     next
 }
 

@@ -25,6 +25,7 @@ use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
+use workloads::Paced;
 
 /// Wall pace per compute step (µs): keeps the ranks busy on the wall
 /// while deaths land mid-run, mid-drain, and mid-async-write.
@@ -69,8 +70,8 @@ fn paced_scf(r: &mut ckpt::CcRank) -> f64 {
     BenchWorkload::Scf.run_iters(ITERS, r)
 }
 
-fn paced_scf_step(_rank: usize) -> BenchStepBody {
-    BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
+fn paced_scf_step(_rank: usize) -> Paced<BenchStepBody> {
+    Paced::new(BenchWorkload::Scf.step_body(ITERS), PACE_US)
 }
 
 fn native_closure_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {

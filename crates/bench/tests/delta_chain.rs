@@ -7,9 +7,9 @@
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
 use ckpt::store::delta::full_image_refs;
 use ckpt::{
-    restore_ckpt_world_steps, run_ckpt_world_steps, CkptOptions, CkptTier, DeltaImage, DeltaPolicy,
-    EveryNCollectives, ImageError, PeriodicInterval, RestoreConfig, ResumeMode, SaveReceipt,
-    StoreError, TieredStore, Tiering,
+    restore_ckpt_world_steps, run_ckpt_world_steps, ChunkPool, CkptOptions, CkptTier, DeltaImage,
+    DeltaPolicy, EveryNCollectives, ImageError, PeriodicInterval, RestoreConfig, ResumeMode,
+    SaveReceipt, StoreError, TieredStore, Tiering,
 };
 use mana_core::{Cut, CutRun, Protocol};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
@@ -145,9 +145,9 @@ fn assert_extends(later: &Cut, earlier: &Cut, what: &str) {
 
 #[test]
 fn cut_of_each_generation_extends_the_previous() {
-    // The execution log is rank-owned and read at each cut as runs; a
-    // delta carries its cut whole, which stays cheap only while a cut's
-    // size follows the number of groups and not the program's length.
+    // Each cut is the ranks' `SEQ[]` tables, read as runs; a delta
+    // carries the tables in its chunks and no cut beside them, and the
+    // cut it resolves to is the child's.
     // Step ranks on two workers, sub-communicators and non-blocking
     // collectives in the schedule: ranks record on several groups, from
     // both workers.
@@ -180,7 +180,14 @@ fn cut_of_each_generation_extends_the_previous() {
         );
         let known = full_image_refs(parent).into_iter().collect();
         let delta = DeltaImage::build(i as u64 + 1, i as u64, 0, parent, &known, child);
-        assert_eq!(delta.cut, child.cut_events, "a delta carries its cut whole");
+        let mut pool = ChunkPool::new();
+        pool.absorb_full(parent);
+        pool.absorb_delta(&delta);
+        let applied = delta.apply(parent, &pool).expect("the delta resolves");
+        assert_eq!(
+            applied.cut_events, child.cut_events,
+            "a delta's cut is its tables'"
+        );
     }
     // More collectives, hardly more runs: a run per rank and group.
     let (first, last) = (&g[0].cut_events, &g[5].cut_events);

@@ -15,10 +15,12 @@
 //! not a word. Since v9 a rank's record carries its upper half (the
 //! body's snapshot and the request-table state a restore resumes from),
 //! and a sequence-table entry or a cut run no longer spends a word on
-//! its group id, which is its member list's. The size below has no term
-//! in which a list's length multiplies a reference count, none that
-//! counts collectives, and none that repeats a stable half per rank
-//! holding it.
+//! its group id, which is its member list's. Since v10 there are no cut
+//! runs and no achieved maxima on the wire: each run was `1..=SEQ[g]` of
+//! a table entry and each maximum a maximum over the tables, which is
+//! where the cut is read from now. The size below has no term in which a
+//! list's length multiplies a reference count, none that counts
+//! collectives, and none that repeats a stable half per rank holding it.
 
 use ckpt::image::IMAGE_HEADER_LEN;
 use ckpt::wire::var_len;
@@ -154,8 +156,9 @@ fn record(c: &RuntimeCapture, outputs: &[&[u8]]) -> usize {
         + chunk_ref(stable_chunk(c))
 }
 
-/// A cut run: rank, first, last, members (the group id is the list's).
-fn run(r: &CutRun) -> usize {
+/// What a cut run cost the v9 wire: rank, first, last, members (the
+/// group id is the list's). The v10 wire writes none.
+fn v9_run(r: &CutRun) -> usize {
     uvar(r.rank) + var_len(r.first) + var_len(r.last) + member_ref(&r.members)
 }
 
@@ -241,7 +244,7 @@ fn target_map(m: &HashMap<Ggid, u64>) -> usize {
 }
 
 /// Header; kind, generation, epoch, n_ranks, protocol, packing, ten
-/// network parameters and the request clock (words); the three target
+/// network parameters and the request clock (words); the two target
 /// maps; the two io-seconds words.
 fn preamble(image: &Checkpoint) -> usize {
     IMAGE_HEADER_LEN
@@ -254,7 +257,6 @@ fn preamble(image: &Checkpoint) -> usize {
         + 11 * WORD
         + target_map(&image.initial_targets)
         + target_map(&image.final_targets)
-        + target_map(&image.achieved)
         + 2 * WORD
 }
 
@@ -286,8 +288,7 @@ fn distinct_stable_halves(image: &Checkpoint) -> Vec<RuntimeCapture> {
 
 /// The serialized size of a full image, term by term: Σ distinct list
 /// bytes + Σ distinct drained outputs + Σ distinct chunk bytes (c ·
-/// references each) + a record per rank + the cut runs + the in-flight
-/// chunk.
+/// references each) + a record per rank + the in-flight chunk.
 fn image_len(image: &Checkpoint) -> usize {
     let mut distinct: Vec<&[usize]> = image
         .member_list_refs()
@@ -300,15 +301,12 @@ fn image_len(image: &Checkpoint) -> usize {
     let chunks: usize = distinct_stable_halves(image).iter().map(stable_chunk).sum();
     let (outputs_len, outputs) = output_table(image);
     let records: usize = image.captures.iter().map(|c| record(c, &outputs)).sum();
-    let runs = image.cut_events.runs();
     preamble(image)
         + table
         + outputs_len
         + uvar(image.captures.len())
         + records
         + chunk_ref(in_flight_chunk(image))
-        + uvar(runs.len())
-        + runs.iter().map(run).sum::<usize>()
         + chunks
         + in_flight_chunk(image)
 }
@@ -316,7 +314,10 @@ fn image_len(image: &Checkpoint) -> usize {
 #[test]
 fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     let mut image = split_world_image();
-    let refs: Vec<_> = image.member_list_refs().collect();
+    // The captures' references and the cut's runs (derived from the
+    // tables, and no longer on the wire).
+    let runs = image.cut_events.runs().iter().map(|r| &r.members);
+    let refs: Vec<_> = image.member_list_refs().chain(runs).collect();
     let listed = refs.iter().filter(|m| !is_run(m)).count();
     assert!(
         listed > 10 * RANKS,
@@ -328,15 +329,16 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     // Exact, term by term: every reference costs its few bytes.
     assert_eq!(len, image_len(&image), "{len} B serialized");
 
-    // Pinned with 25 % headroom over the measured 270 B a rank of v8.
+    // Pinned with 25 % headroom over the measured 188 B a rank of v10.
     // Every rank of this cut holds a different stable half, so each pays
-    // its chunk's address: v7 wrote 853 B a rank with a word per integer
-    // and the lower-half handle map, v6 844 B, and the v5 wire, with its
-    // cut event per collective participation, 2 486 B a rank for this
-    // cut, and more for every later one. v9 adds each rank's upper half
-    // and drops a group-id word from each sequence entry and cut run.
+    // its chunk's address: v9 wrote 231 B a rank, v8 270 B, v7 853 B with
+    // a word per integer and the lower-half handle map, v6 844 B, and the
+    // v5 wire, with its cut event per collective participation, 2 486 B a
+    // rank for this cut, and more for every later one. v9 added each
+    // rank's upper half and dropped a group-id word from each sequence
+    // entry and cut run; v10 drops the cut runs and the achieved map.
     let per_rank = len / RANKS;
-    assert!(per_rank <= 337, "{per_rank} B per rank");
+    assert!(per_rank <= 235, "{per_rank} B per rank");
     // Every rank of a step world has an upper half, and it stays small:
     // the random body's generator, accumulator, step, pc, its pending
     // requests and subcommunicators, and the drained iallreduce outputs.
@@ -357,38 +359,49 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
         "{} B of upper half per rank",
         upper / RANKS
     );
-    // What v9 saves: a group-id word per sequence entry (in each distinct
-    // chunk) and per cut run.
+    // What v9 saved, a group-id word per sequence entry (in each
+    // distinct chunk) and per cut run, and v10, the runs themselves and
+    // the achieved map, outweigh the upper halves v9 added.
     let entries: usize = (distinct_stable_halves(&image).iter())
         .map(|c| c.seq_table.len())
         .sum();
-    let saved = WORD * (entries + image.cut_events.runs().len());
+    let runs = image.cut_events.runs();
+    assert_eq!(
+        runs.len(),
+        (image.captures.iter()).map(|c| c.seq_table.len()).sum()
+    );
+    let v9_runs = uvar(runs.len()) + runs.iter().map(v9_run).sum::<usize>();
+    let saved = WORD * (entries + runs.len()) + v9_runs + target_map(&image.achieved());
     assert!(saved > upper, "{saved} B saved vs {upper} B of upper half");
 
-    // One more run on a group that is already in the table costs its
-    // rank, bounds and a 9-byte reference, whatever the group's size and
-    // however many collectives the run covers.
-    let mut runs = image.cut_events.runs().to_vec();
-    let again = runs
-        .iter()
-        .find(|r| !is_run(&r.members) && r.members.len() >= 8)
-        .expect("a cut run on a non-contiguous group of eight or more");
-    let added = CutRun {
-        first: again.last + 2,
-        last: again.last + 1_000_000,
-        ..again.clone()
-    };
-    runs.push(added.clone());
-    image.cut_events = Cut::from_runs(runs);
+    // A rank's cut on a group is its `SEQ` in its chunk, however many
+    // collectives it covers and whatever the group's size: a million
+    // more collectives on a non-contiguous group of eight or more cost
+    // the `SEQ`'s wider varint and nothing else (the chunk's length in
+    // its address may widen too).
+    let rank = (0..RANKS)
+        .find(|&r| {
+            (image.captures[r].seq_table.iter())
+                .any(|(_, e)| e.members.len() >= 8 && !is_run(&e.members))
+        })
+        .expect("a rank in a non-contiguous group of eight or more");
+    let chunk = stable_chunk(&image.captures[rank]);
+    let table = &mut image.captures[rank].seq_table;
+    let (g, e) = (table.iter())
+        .find(|(_, e)| e.members.len() >= 8 && !is_run(&e.members))
+        .map(|(g, e)| (*g, e.clone()))
+        .unwrap();
+    table.restore(g, e.seq + 1_000_000, e.members);
     let grown = image.serialized_len() - len;
-    let bounds = var_len(added.first) + var_len(added.last);
-    assert_eq!(grown, uvar(added.rank) + bounds + TAG + WORD);
-    assert_eq!(grown, run(&added));
+    let wider = var_len(e.seq + 1_000_000) - var_len(e.seq);
+    let address = uvar(chunk + wider) - uvar(chunk);
+    assert_eq!(grown, wider + address);
+    assert_eq!(image.serialized_len(), image_len(&image));
     assert!(grown < 64);
 }
 
 /// The image of a program that only ever talks on the world group holds,
-/// per rank, `SEQ[]` and one run at its 40th collective and at its 160th:
+/// per rank, one `SEQ[]` entry at its 40th collective and at its 160th:
 /// it grows only where a count outgrows a varint width — a byte for each
 /// of a rank's counts of collectives past 2⁷, not an event per collective.
 /// (The v5 wire grew by a cut event per rank and collective: ≈ 1.6 kB a
@@ -421,11 +434,11 @@ fn image_size_does_not_grow_with_run_length() {
         assert_eq!(image.cut_events.runs().len(), N);
         assert_eq!(image.to_bytes().len(), image.serialized_len());
         assert_eq!(image.serialized_len(), image_len(image));
-        // A rank's counts of collectives: its `SEQ[]` entry, its run's
-        // end and its nine call counters, each at most one byte wider at
-        // 160 calls than at 40.
+        // A rank's counts of collectives: its `SEQ[]` entry and its nine
+        // call counters, each at most one byte wider at 160 calls than at
+        // 40.
         let grown = image.serialized_len() - images[0].serialized_len();
-        assert!(grown <= N * (1 + 1 + 9), "{grown} B grown by image {k}");
+        assert!(grown <= N * (1 + 9), "{grown} B grown by image {k}");
     }
     // Below 2⁷ calls every count is one byte: no growth at all.
     assert_eq!(images[1].serialized_len(), images[0].serialized_len());
@@ -456,7 +469,7 @@ fn scf_image(n: usize) -> Checkpoint {
 
 /// Every rank of an SCF cut holds the same restart-stable state, so the
 /// image carries that state once: doubling the world adds each new rank's
-/// record and cut run, and no chunk.
+/// record, and no chunk.
 #[test]
 fn ranks_with_identical_stable_halves_share_one_chunk() {
     let (small, large) = (scf_image(16), scf_image(32));
@@ -472,16 +485,12 @@ fn ranks_with_identical_stable_halves_share_one_chunk() {
         assert_eq!(len, image.to_bytes().len());
         assert_eq!(len, image_len(image));
     }
-    // Each new rank adds its record and its run on the world group, which
-    // carries a range reference — and, every count of this run being
+    // Each new rank adds its record — every count of this run being
     // below 2⁷, one byte for each varint.
-    let added: usize = (16..32)
-        .map(|r| record(&large.captures[r], &[]) + run(&large.cut_events.runs()[r]))
-        .sum();
+    let added: usize = (16..32).map(|r| record(&large.captures[r], &[])).sum();
     // A closure's rank has no upper half: its section is the tag alone.
     let small_record = 1 + TAG + WORD + TAG + 1 + 1 + TAG + (TAG + WORD + 1);
-    let small_run = 1 + 1 + 1 + (TAG + 1 + 1);
-    assert_eq!(added, 16 * (small_record + small_run));
+    assert_eq!(added, 16 * small_record);
     assert_eq!(large.serialized_len() - small.serialized_len(), added);
 }
 
@@ -537,14 +546,7 @@ fn small_values_cost_one_byte_each() {
             }),
         }
     };
-    let run = |rank: usize| CutRun {
-        rank,
-        ggid: g,
-        first: 1,
-        last: 3,
-        members: vec![0, 1].into(),
-    };
-    let image = Checkpoint {
+    let mut image = Checkpoint {
         epoch: 0,
         n_ranks: 2,
         protocol: Protocol::Cc,
@@ -554,19 +556,19 @@ fn small_values_cost_one_byte_each() {
         },
         request_clock: VTime::ZERO,
         initial_targets: HashMap::new(),
-        final_targets: HashMap::new(),
-        achieved: [(g, 3)].into_iter().collect(),
+        final_targets: [(g, 3)].into_iter().collect(),
         captures: vec![capture(0), capture(1)],
         in_flight: Vec::new(),
-        cut_events: Cut::from_runs(vec![run(0), run(1)]),
+        cut_events: Cut::default(),
         io_write_secs: 0.0,
         io_read_secs: 0.0,
     };
+    image.cut_events = image.cut();
 
     // Kind, generation, epoch, n_ranks, protocol, packing; ten network
-    // parameters and the request clock; the two empty target maps and
-    // the achieved map's one entry (ggid word, value); two io words.
-    let preamble = 6 + 11 * WORD + 2 + (1 + WORD + 1) + 2 * WORD;
+    // parameters and the request clock; the empty initial target map and
+    // the final map's one entry (ggid word, value); two io words.
+    let preamble = 6 + 11 * WORD + 1 + (1 + WORD + 1) + 2 * WORD;
     // Every list is a contiguous run: an empty table. The output table:
     // count, then rank 0's one drained output (length, two bytes).
     let table = 1;
@@ -579,10 +581,7 @@ fn small_values_cost_one_byte_each() {
     // length and three bytes; rank 1's tag alone.
     let uppers = (1 + 1 + 1 + (1 + 1) + 1 + (1 + WORD) + 1 + 3) + 1;
     let in_flight_ref = 1 + WORD + 1;
-    // Rank, first, last, range reference (tag, start, len).
-    let cut_run = 1 + 2 + 3;
-    let head =
-        preamble + table + outputs + 1 + 2 * record + uppers + in_flight_ref + 1 + 2 * cut_run;
+    let head = preamble + table + outputs + 1 + 2 * record + uppers + in_flight_ref;
     // `seq_table`: count, seq, reference. Creation log: count, op tag,
     // parent, zigzag colour and key, result tag, result. Pending
     // receives: count, vreq, vcomm, source tag, tag selector and value.
@@ -592,7 +591,7 @@ fn small_values_cost_one_byte_each() {
     let chunks = 2 * stable + 1;
     assert_eq!(uppers, 20);
     assert_eq!(stable, 36);
-    assert_eq!(head, 217);
+    assert_eq!(head, 203);
 
     let expected = IMAGE_HEADER_LEN + head + chunks;
     assert_eq!(image.serialized_len(), expected);
@@ -609,8 +608,8 @@ fn small_values_cost_one_byte_each() {
 #[should_panic(expected = "is not the group id of its member list")]
 fn a_group_id_that_is_not_its_lists_cannot_be_encoded() {
     let mut image = scf_image(4);
-    let mut runs = image.cut_events.runs().to_vec();
-    runs[0].ggid = Ggid(runs[0].ggid.0 ^ 1);
-    image.cut_events = Cut::from_runs(runs);
+    let table = &mut image.captures[0].seq_table;
+    let (g, e) = table.iter().map(|(g, e)| (*g, e.clone())).next().unwrap();
+    table.restore(Ggid(g.0 ^ 1), e.seq, e.members);
     image.to_bytes();
 }

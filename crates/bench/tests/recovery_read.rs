@@ -14,6 +14,7 @@ use ckpt::{
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
+use workloads::Paced;
 
 const PACE_US: u64 = 300;
 const ITERS: usize = 40;
@@ -46,8 +47,8 @@ fn read_at(store: &TieredStore, gen: u64, n_ranks: usize, rpn: usize) -> f64 {
         .expect("the store holds the generation")
 }
 
-fn paced_scf(_rank: usize) -> BenchStepBody {
-    BenchWorkload::Scf.step_body(ITERS).with_pace_us(PACE_US)
+fn paced_scf(_rank: usize) -> Paced<BenchStepBody> {
+    Paced::new(BenchWorkload::Scf.step_body(ITERS), PACE_US)
 }
 
 /// One checkpoint at 30 % of the native makespan over `store`'s Lustre

@@ -10,7 +10,7 @@ use ckpt::{
     CkptTier, DrainedMsg, ImageError, RestoreConfig, RestoreError, ResumeMode, StoreError,
     TieredStore,
 };
-use mana_core::{ggid_of_sorted, Cut, ExecEvent};
+use mana_core::{ggid_of_sorted, Ggid, Protocol, Violation};
 use mpisim::{NetParams, SavedMsg, VTime, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,29 +31,47 @@ fn try_restore(
         .map(|r| r.results().copied().collect())
 }
 
-/// Rewrites the image's cut one participation at a time: `edit` gets the
-/// first multi-member participation's position in the cut's event list.
-fn edit_cut(image: &mut Checkpoint, edit: impl FnOnce(&mut Vec<ExecEvent>, usize)) {
-    let mut events: Vec<ExecEvent> = image.cut_events.events().collect();
-    let victim = events
+/// The lowest group id of more than one member that rank `rank` has
+/// collectives on: where a one-rank forgery of the cut is visible.
+fn shared_group(image: &Checkpoint, rank: usize) -> Ggid {
+    let table = &image.captures[rank].seq_table;
+    let shared = table
         .iter()
-        .position(|e| e.members.len() > 1)
-        .expect("a real run has multi-member collectives");
-    edit(&mut events, victim);
-    image.cut_events = Cut::from_events(&events);
+        .filter(|(_, e)| e.members.len() > 1 && e.seq > 0);
+    let g = shared.map(|(g, _)| *g).min();
+    g.expect("a real run has multi-member collectives")
+}
+
+/// Moves rank `rank`'s `SEQ[g]` by `by` — the table a restore installs —
+/// and nothing else: the image's `cut_events` copy keeps the old cut.
+fn move_seq(image: &mut Checkpoint, rank: usize, g: Ggid, by: i64) {
+    let table = &mut image.captures[rank].seq_table;
+    let members = table.members_shared(g).cloned().expect("a held group");
+    let seq = table.seq(g).checked_add_signed(by).expect("a SEQ in range");
+    table.restore(g, seq, members);
 }
 
 /// A genuine, consistent image from a real 4-rank checkpointed run of
 /// the random workload's step body.
 fn capture_image() -> (Checkpoint, RandomWorkloadCfg) {
-    let wl = RandomWorkloadCfg::new(0xCC, 25);
+    capture_image_under(Protocol::Cc)
+}
+
+/// [`capture_image`] under `protocol` (2PC runs the blocking-only
+/// schedule: it refuses non-blocking collectives).
+fn capture_image_under(protocol: Protocol) -> (Checkpoint, RandomWorkloadCfg) {
+    let mut wl = RandomWorkloadCfg::new(0xCC, 25);
+    if protocol == Protocol::TwoPhase {
+        wl = wl.with_blocking_only();
+    }
     let body = |_| RandomWorkloadStep::new(wl.clone());
-    let native = run_ckpt_world_steps(cfg(), CkptOptions::native(), body);
+    let opts = CkptOptions::native().with_protocol(protocol);
+    let native = run_ckpt_world_steps(cfg(), opts, body);
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world_steps(
         cfg(),
-        CkptOptions::one_checkpoint(at, ResumeMode::Continue),
+        CkptOptions::one_checkpoint(at, ResumeMode::Continue).with_protocol(protocol),
         |_| RandomWorkloadStep::new(paced.clone()),
     );
     let image = run
@@ -61,6 +79,7 @@ fn capture_image() -> (Checkpoint, RandomWorkloadCfg) {
         .into_iter()
         .next()
         .expect("harness captured a checkpoint");
+    assert_eq!(image.protocol, protocol);
     assert!(image.verify().is_ok(), "the pristine image must be safe");
     assert!(!image.cut_events.is_empty(), "cut evidence must exist");
     (image, paced)
@@ -69,11 +88,11 @@ fn capture_image() -> (Checkpoint, RandomWorkloadCfg) {
 #[test]
 fn unsafe_cut_is_refused_with_a_typed_error() {
     let (mut image, wl) = capture_image();
-    // Zero the achieved per-group maxima: every recorded cut event now
-    // sits beyond its group's achieved sequence, so the §4.2.2 oracle
-    // must reject the cut (BeyondTarget violations).
-    for v in image.achieved.values_mut() {
-        *v = 0;
+    // Zero the final targets: every group's `SEQ[]` now sits beyond the
+    // target the drain ran to, so the §4.2.2 oracle must reject the cut
+    // (BeyondTarget violations).
+    for t in image.final_targets.values_mut() {
+        *t = 0;
     }
     let err = try_restore(&image, RestoreConfig::same_packing(), &wl)
         .expect_err("an unsafe cut must be refused");
@@ -91,12 +110,50 @@ fn unsafe_cut_is_refused_with_a_typed_error() {
 #[test]
 fn partially_visited_node_is_refused() {
     let (mut image, wl) = capture_image();
-    // Drop one rank's visit to a collective node: the node is now visited
-    // by a strict subset of its members — Invariant 2 of the oracle.
-    edit_cut(&mut image, |events, victim| drop(events.remove(victim)));
+    // Take one rank's last collective on a shared group back: the node is
+    // now visited by a strict subset of its members — Invariant 2 of the
+    // oracle.
+    let g = shared_group(&image, 0);
+    move_seq(&mut image, 0, g, -1);
     let err = try_restore(&image, RestoreConfig::same_packing(), &wl)
         .expect_err("a partially-visited cut must be refused");
     assert!(matches!(err, RestoreError::UnsafeCut(_)), "got {err:?}");
+}
+
+/// One member's `SEQ[g]` one past the rest of its group — the tables a
+/// restore would install, and nothing else changed — is refused as an
+/// unsafe cut under CC (partially visited, and beyond the final target)
+/// and under 2PC (partially visited: 2PC has no targets), from the image
+/// in memory and from its bytes alike.
+#[test]
+fn a_seq_raised_on_one_member_is_refused_in_memory_and_through_bytes() {
+    for protocol in [Protocol::Cc, Protocol::TwoPhase] {
+        let (mut image, wl) = capture_image_under(protocol);
+        let g = shared_group(&image, 0);
+        move_seq(&mut image, 0, g, 1);
+        let decoded = Checkpoint::from_bytes(&image.to_bytes()).expect("a well-formed image");
+        assert_eq!(decoded.captures, image.captures);
+        for forged in [&image, &decoded] {
+            let err = try_restore(forged, RestoreConfig::same_packing(), &wl)
+                .expect_err("a raised SEQ must be refused");
+            let RestoreError::UnsafeCut(violations) = &err else {
+                panic!("{protocol:?}: expected UnsafeCut, got {err:?}");
+            };
+            let partial =
+                |v: &Violation| matches!(v, Violation::PartiallyVisited(n, ..) if n.ggid == g);
+            let beyond =
+                |v: &Violation| matches!(v, Violation::BeyondTarget(0, n, _) if n.ggid == g);
+            assert!(
+                violations.iter().any(partial),
+                "{protocol:?}: {violations:?}"
+            );
+            assert_eq!(
+                violations.iter().any(beyond),
+                protocol == Protocol::Cc,
+                "{protocol:?}: {violations:?}"
+            );
+        }
+    }
 }
 
 /// A member list naming a rank outside the world would index past the
@@ -107,14 +164,13 @@ fn partially_visited_node_is_refused() {
 fn member_outside_the_world_is_refused_at_decode() {
     let (mut image, _) = capture_image();
     let n = image.n_ranks;
-    edit_cut(&mut image, |events, victim| {
-        let mut members = events[victim].members.to_vec();
-        *members.last_mut().unwrap() = n + 3;
-        // The wire writes a group by its list alone: the edited list is
-        // its own group.
-        events[victim].node.ggid = ggid_of_sorted(&members);
-        events[victim].members = members.into();
-    });
+    let g = shared_group(&image, 0);
+    let table = &mut image.captures[0].seq_table;
+    let mut members = table.members(g).unwrap().to_vec();
+    *members.last_mut().unwrap() = n + 3;
+    // The wire writes a group by its list alone: the edited list is its
+    // own group.
+    table.restore(ggid_of_sorted(&members), table.seq(g), members);
     let res = std::panic::catch_unwind(|| Checkpoint::from_bytes(&image.to_bytes()))
         .expect("the decoder must not panic");
     assert_eq!(

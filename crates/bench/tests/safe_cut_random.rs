@@ -29,7 +29,7 @@
 
 use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, ResumeMode};
 use mana_core::topo::{topological_sort, ExecEvent, Node};
-use mana_core::{Cut, Protocol};
+use mana_core::{Cut, Ggid, Protocol};
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::collections::{BTreeMap, HashSet};
 use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
@@ -168,17 +168,17 @@ fn one_case_sized(
         check_cut_against_dag(&run.events, &ckpt.cut_events).unwrap_or_else(|why| {
             panic!("cut is no prefix of the execution DAG: n={n} seed={seed} mode={mode:?}: {why}")
         });
+        let achieved = ckpt.achieved();
         assert!(
             ckpt.targets_exactly_reached(),
             "drain over/under-shot its targets: n={n} seed={seed}: \
-             final={:?} achieved={:?}",
+             final={:?} achieved={achieved:?}",
             ckpt.final_targets,
-            ckpt.achieved
         );
         // The drain must reach at least the initial (Algorithm 1) targets.
         for (g, t) in &ckpt.initial_targets {
             assert!(
-                ckpt.achieved.get(g).copied().unwrap_or(0) >= *t,
+                achieved.get(g).copied().unwrap_or(0) >= *t,
                 "initial target unmet: n={n} seed={seed} group {g} target {t}"
             );
         }
@@ -342,8 +342,22 @@ fn large_scale_xl_safe_cut_4096_ranks() {
     large_sweep_steps(4096, 2, XL_STEPS);
 }
 
-/// The oracle itself must still reject: corrupt a genuinely captured log
-/// and check each corruption is caught.
+/// `ckpt` with each `(rank, group, by)` of `moves` applied to the rank's
+/// `SEQ[group]` — the tables a restore installs — and its cut re-derived.
+fn moved(ckpt: &Checkpoint, moves: &[(usize, Ggid, i64)]) -> Checkpoint {
+    let mut image = ckpt.clone();
+    for &(rank, g, by) in moves {
+        let table = &mut image.captures[rank].seq_table;
+        let members = table.members_shared(g).cloned().expect("a held group");
+        let seq = table.seq(g).checked_add_signed(by).expect("a SEQ in range");
+        table.restore(g, seq, members);
+    }
+    image.cut_events = image.cut();
+    image
+}
+
+/// The oracle itself must still reject: corrupt a genuinely captured cut
+/// — the ranks' `SEQ[]` tables — and check each corruption is caught.
 #[test]
 fn corrupted_cut_is_rejected() {
     // Find a seed whose checkpoint has a reasonably rich cut.
@@ -351,57 +365,51 @@ fn corrupted_cut_is_rejected() {
         .find_map(|seed| one_case(4, seed).filter(|c| c.cut_events.len() >= 8))
         .expect("a checkpoint with a non-trivial cut");
     assert!(ckpt.verify().is_ok());
+    // A visited group of two or more members, and two of its members.
+    let run = (ckpt.cut_events.runs().iter())
+        .find(|r| r.members.len() > 1)
+        .expect("a multi-member group in the cut");
+    let (g, a, b) = (run.ggid, run.members[0], run.members[1]);
 
-    // The cut, one participation at a time; `corrupt` rebuilds a cut from
-    // an edited copy the way a log that recorded it would have.
-    let events: Vec<ExecEvent> = ckpt.cut_events.events().collect();
-    let corrupt = |edit: &dyn Fn(&mut Vec<ExecEvent>)| {
-        let mut events = events.clone();
-        edit(&mut events);
-        let mut image = ckpt.clone();
-        image.cut_events = Cut::from_events(&events);
-        image
-    };
-
-    // Corruption 1: drop one participation — some node becomes partially
-    // visited (or its rank's sequence gains a gap).
-    let dropped = corrupt(&|evs| drop(evs.remove(evs.len() / 2)));
+    // Corruption 1: take one participation back — the node becomes
+    // partially visited.
+    let dropped = moved(&ckpt, &[(a, g, -1)]);
     assert!(
         dropped.verify().is_err(),
         "oracle accepted a cut with a missing participation"
     );
 
-    // Corruption 2: forge an extra participation beyond the achieved
-    // target for its group.
-    let forged = corrupt(&|evs| {
-        let mut extra = evs[0].clone();
-        extra.node.seq = ckpt.achieved[&extra.node.ggid] + 5;
-        evs.push(extra);
-    });
+    // Corruption 2: forge participations beyond the final target on every
+    // member — a consistent cut, but not the one the drain ran to.
+    let members: Vec<_> = run.members.iter().map(|&m| (m, g, 5)).collect();
+    let forged = moved(&ckpt, &members);
     assert!(
         forged.verify().is_err(),
         "oracle accepted a forged beyond-target participation"
     );
 
-    // Corruption 3: shift one event onto another rank — double visit on
-    // one rank, missing visit on another.
-    let shifted = corrupt(&|evs| evs[0].rank = (evs[0].rank + 1) % ckpt.n_ranks);
+    // Corruption 3: shift one participation onto another member — double
+    // visit on one rank, missing visit on another.
+    let shifted = moved(&ckpt, &[(a, g, -1), (b, g, 1)]);
     assert!(
         shifted.verify().is_err(),
         "oracle accepted a cut with a misattributed participation"
     );
 
-    // Corruption 4: remove one rank's last-but-one participation — the
-    // rank then sits inside a collective whose predecessor it never
-    // entered, which no rank prefix of the run can produce. The DAG check
-    // rejects it against the intact cut's own events as the log (in which
-    // the intact cut is trivially closed).
+    // Corruption 4: take back a rank's last participation on a group
+    // that is not the last group its path enters — the rank then sits
+    // past a collective whose predecessor it never entered, which no rank
+    // prefix of the run can produce. The DAG check rejects it against the
+    // intact cut's own events as the log (in which the intact cut is
+    // trivially closed, each rank's path its runs in canonical order).
+    let events: Vec<ExecEvent> = ckpt.cut_events.events().collect();
     assert_eq!(check_cut_against_dag(&events, &ckpt.cut_events), Ok(()));
-    let rank = events[0].rank;
-    let of_rank: Vec<usize> = (0..events.len())
-        .filter(|&i| events[i].rank == rank)
-        .collect();
-    let holed = corrupt(&|evs| drop(evs.remove(of_rank[of_rank.len() - 2])));
+    let runs = ckpt.cut_events.runs();
+    let first = (0..runs.len() - 1)
+        .find(|&i| runs[i].rank == runs[i + 1].rank)
+        .expect("a rank with runs on two groups");
+    let (rank, group) = (runs[first].rank, runs[first].ggid);
+    let holed = moved(&ckpt, &[(rank, group, -1)]);
     assert!(
         check_cut_against_dag(&events, &holed.cut_events).is_err(),
         "DAG check accepted a cut that is not a prefix of rank {rank}'s path"

@@ -20,17 +20,19 @@
 //!
 //! The **member-list table** — every distinct non-contiguous group
 //! member list written once, referenced by content id everywhere else —
-//! is aimed at directly: a repaired flip anywhere in the table, or in the
-//! id of any cut-run reference, is a typed error in both
-//! `Checkpoint::from_bytes` and `DeltaImage::from_bytes`, for full
-//! images and for delta heads.
+//! is aimed at directly: a repaired flip anywhere in the table is a typed
+//! error in both `Checkpoint::from_bytes` and `DeltaImage::from_bytes`,
+//! for full images and for delta heads, and a flipped id in any
+//! sequence-table reference (its chunk re-addressed) is one to the
+//! decoder that reads chunks.
 //!
-//! So are the **cut block** and the **chunk lengths**. The cut holds runs
-//! `first..=last` where v5 held one event per participation, so a forged
-//! run can claim 2⁶⁴ participations in 21 bytes: hostile bounds, ranks,
-//! members and orderings are typed errors, and nothing — decode, the
-//! oracle, `len()` — does work proportional to what a run claims. The
-//! length in a chunk's address is what the decoder tiles the chunk
+//! So are the **sequence tables** — the cut: each entry states the run
+//! `1..=SEQ[g]`, so a forged entry can claim 2⁶⁴ participations in 19
+//! bytes. A member outside the world, a list the table lacks and entries
+//! out of order are typed errors; a `SEQ` no drain reaches decodes and is
+//! refused by the oracle; and nothing — decode, the oracle, `len()` —
+//! does work proportional to what an entry claims. So are the **chunk
+//! lengths**: the length in a chunk's address is what the decoder tiles the chunk
 //! section by: zero, off by one, past the buffer or unrepresentable, it
 //! is a typed error to the decoders and to `TieredStore::load`. So is
 //! each rank's **upper half** (the body's snapshot and its request-table
@@ -53,7 +55,6 @@ use ckpt::{
     run_ckpt_world_steps, Checkpoint, ChunkPool, ChunkRef, CkptOptions, CkptTier, DeltaImage,
     ImageError, ResumeMode, StoreError, TieredStore,
 };
-use mana_core::{Cut, CutRun};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
 use workloads::{RandomWorkloadCfg, RandomWorkloadStep, SplitMix64};
@@ -62,7 +63,7 @@ use ckpt::image::{
     IMAGE_CHECKSUM_OFFSET as CHECKSUM_OFFSET, IMAGE_HEADER_LEN as HEADER,
     IMAGE_HEAD_LEN_OFFSET as HEAD_LEN_OFFSET, IMAGE_LEN_OFFSET as LEN_OFFSET,
 };
-use ckpt::wire::{var_len, Dec, Wr};
+use ckpt::wire::{fnv1a64, var_len, Dec, Wr};
 
 /// Captures one non-trivial image from a real run of step bodies: eight
 /// ranks, so the schedule's communicator splits leave strided groups and
@@ -313,49 +314,87 @@ fn section_ranges_agree_with_parallel_encoder_output() {
 // member-list table and references
 // ---------------------------------------------------------------------
 
-/// Bytes of a cut run ahead of its member-list reference: the rank,
-/// first and last (no group id: the list's is the run's).
-fn run_prefix(r: &CutRun) -> usize {
-    var_len(r.rank as u64) + var_len(r.first) + var_len(r.last)
+/// Rank `rank`'s stable chunk in the full image `bytes`.
+fn stable_chunk(bytes: &[u8], rank: usize) -> Vec<u8> {
+    let d = DeltaImage::from_bytes(bytes).expect("a pristine image");
+    let r = d.rank_refs[rank];
+    let inline = d.new_chunks.into_iter().find(|(x, _)| *x == r);
+    inline.expect("a full image inlines every chunk").1
 }
 
-fn is_listed(r: &CutRun) -> bool {
-    !r.members.windows(2).all(|w| w[1] == w[0] + 1)
-}
-
-/// Encoded size of one cut run: its prefix, then the member-list
-/// reference — tag + `(start, len)` for a contiguous group, tag + 8-byte
-/// content id for a list held in the table.
-fn run_len(r: &CutRun) -> usize {
-    let reference = if is_listed(r) {
-        8
-    } else {
-        var_len(r.members[0] as u64) + var_len(r.members.len() as u64)
+/// The full image `bytes` with rank `rank`'s stable chunk edited by
+/// `edit` and re-addressed — every rank sharing the chunk takes the edit
+/// — and the head re-encoded and resealed, so the edit reaches the chunk
+/// decoder instead of the content-hash check.
+fn rechunked(bytes: &[u8], rank: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut d = DeltaImage::from_bytes(bytes).expect("a pristine image");
+    let old = d.rank_refs[rank];
+    let (r, chunk) = (d.new_chunks.iter_mut())
+        .find(|(r, _)| *r == old)
+        .expect("a full image inlines every chunk");
+    edit(chunk);
+    let new = ChunkRef {
+        hash: fnv1a64(chunk),
+        len: chunk.len() as u64,
     };
-    run_prefix(r) + 1 + reference
+    *r = new;
+    for x in d.rank_refs.iter_mut().filter(|x| **x == old) {
+        *x = new;
+    }
+    d.to_bytes()
 }
 
-/// Offset of every run of an encoded cut whose runs start at `at`.
-fn run_offsets(cut: &Cut, mut at: usize) -> Vec<usize> {
-    let offset_then_advance = |r: &CutRun| {
-        at += run_len(r);
-        at - run_len(r)
-    };
-    cut.runs().iter().map(offset_then_advance).collect()
+/// `buf` with the varint at `at` replaced by `v`'s canonical form,
+/// however much wider or narrower.
+fn set_var(buf: &mut Vec<u8>, at: usize, v: u64) {
+    let mut with = Vec::new();
+    with.var(v);
+    buf.splice(at..at + var_at(buf, at).1, with);
 }
 
-/// Offsets of the content-id word of every table reference in an encoded
-/// cut whose runs start at `at`.
-fn listed_id_offsets(cut: &Cut, at: usize) -> Vec<usize> {
-    let listed = |(r, at): (&CutRun, usize)| is_listed(r).then(|| at + run_prefix(r) + 1);
-    let runs = cut.runs().iter().zip(run_offsets(cut, at));
-    runs.filter_map(listed).collect()
+/// One sequence-table entry of a stable chunk: where its `SEQ` varint
+/// starts, where its member-list reference starts — a tag byte, then an
+/// 8-byte content id (`listed`) or `(start, len)` — and where it ends.
+struct Entry {
+    seq: usize,
+    reference: usize,
+    end: usize,
+    listed: bool,
 }
 
-/// Where the runs of an image's cut start: the cut closes the head.
-fn cut_runs_start(cut: &Cut, bytes: &[u8]) -> usize {
-    let cut_len: usize = cut.runs().iter().map(run_len).sum();
-    head_end(bytes) - cut_len
+/// The sequence-table entries that open a stable chunk, in group-id
+/// order.
+fn seq_entries(chunk: &[u8]) -> Vec<Entry> {
+    let (n, mut at) = var_at(chunk, 0);
+    let mut entries = Vec::new();
+    for _ in 0..n {
+        let seq = at;
+        let reference = seq + var_at(chunk, seq).1;
+        let listed = chunk[reference] == 0;
+        let end = if listed {
+            reference + 1 + 8
+        } else {
+            let len = reference + 1 + var_at(chunk, reference + 1).1;
+            len + var_at(chunk, len).1
+        };
+        entries.push(Entry {
+            seq,
+            reference,
+            end,
+            listed,
+        });
+        at = end;
+    }
+    entries
+}
+
+/// The first rank whose stable chunk satisfies `want`, with its chunk.
+fn rank_whose_chunk(bytes: &[u8], want: impl Fn(&[Entry]) -> bool) -> (usize, Vec<u8>) {
+    let n = DeltaImage::from_bytes(bytes).unwrap().n_ranks;
+    (0..n)
+        .map(|rank| (rank, stable_chunk(bytes, rank)))
+        .find(|(_, c)| want(&seq_entries(c)))
+        .expect("a rank with such a table")
 }
 
 /// A repaired one-bit flip at each of `positions` must be refused by
@@ -409,50 +448,53 @@ fn member_table_flips_are_always_rejected() {
     );
 }
 
-/// A flipped content id in a cut-run reference names a list the table
-/// does not hold: `Malformed`, in both decoders.
+/// A flipped content id in a sequence-table reference — the cut's record
+/// of a group — names a list the table does not hold: `Malformed` to the
+/// decoder that reads chunks, once the chunk is re-addressed so the flip
+/// gets past its content hash.
 #[test]
 fn cut_event_reference_flips_are_unknown_ids() {
     let image = capture_image();
     let bytes = image.to_bytes();
-    let ids = listed_id_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
-    assert!(!ids.is_empty(), "no cut run references the table");
     let mut rng = SplitMix64::new(0x1D5);
-    let every_byte = || ids.iter().flat_map(|&at| at..at + 8);
-    assert_flips_rejected(
-        &bytes,
-        every_byte(),
-        &mut rng,
-        Checkpoint::from_bytes,
-        "event-reference",
-    );
-    assert_flips_rejected(
-        &bytes,
-        every_byte(),
-        &mut rng,
-        DeltaImage::from_bytes,
-        "event-reference",
-    );
+    let mut flipped = 0;
+    for rank in 0..image.n_ranks {
+        let chunk = stable_chunk(&bytes, rank);
+        for e in seq_entries(&chunk).iter().filter(|e| e.listed) {
+            for at in e.reference + 1..e.end {
+                let bit = 1u8 << rng.next_range(8);
+                let m = rechunked(&bytes, rank, |c| c[at] ^= bit);
+                assert_eq!(
+                    decode_no_panic(&m, "reference flip"),
+                    Err(ImageError::Malformed("seq-table members")),
+                    "reference flip at chunk byte {at} of rank {rank}"
+                );
+                flipped += 1;
+            }
+        }
+    }
+    assert!(flipped > 0, "no sequence-table entry references the table");
 }
 
 /// The live image as the child of a parent that had got half as far on
 /// every group and had different call counters on every rank: the delta
-/// carries the child's cut, every rank's chunk inline, and the
-/// member-list table for both.
+/// carries every rank's chunk inline and the member-list table.
 fn live_delta() -> (Checkpoint, Checkpoint, DeltaImage) {
     let child = capture_image();
     let mut parent = child.clone();
-    let halved = |r: &CutRun| CutRun {
-        last: r.last.div_ceil(2),
-        ..r.clone()
-    };
-    parent.cut_events = Cut::from_runs(child.cut_events.runs().iter().map(halved).collect());
     for c in &mut parent.captures {
         c.counters.completions += 1;
+        let entries: Vec<_> = (c.seq_table.iter())
+            .map(|(g, e)| (*g, e.seq.div_ceil(2), Arc::clone(&e.members)))
+            .collect();
+        for (g, seq, members) in entries {
+            c.seq_table.restore(g, seq, members);
+        }
     }
+    parent.cut_events = parent.cut();
+    assert_ne!(parent.cut_events, child.cut_events);
     let known = full_image_refs(&parent).into_iter().collect();
     let delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
-    assert_eq!(delta.cut, child.cut_events);
     assert_eq!(delta.new_chunks.len(), child.n_ranks);
     assert!(
         !delta.lists.is_empty(),
@@ -461,8 +503,8 @@ fn live_delta() -> (Checkpoint, Checkpoint, DeltaImage) {
     (parent, child, delta)
 }
 
-/// The same two attacks on a delta head: its member-list table and the
-/// references of its cut.
+/// The same attack on a delta head: its member-list table (the head
+/// names no list outside it).
 #[test]
 fn delta_member_table_and_reference_flips_are_typed_errors() {
     let (parent, child, delta) = live_delta();
@@ -479,26 +521,22 @@ fn delta_member_table_and_reference_flips_are_typed_errors() {
     }
 
     let table = delta.member_table_range();
-    let ids = listed_id_offsets(&delta.cut, cut_runs_start(&delta.cut, &bytes));
-    assert!(!ids.is_empty(), "no cut run references the table");
+    assert!(table.len() > 8, "no list in the delta's table");
     let mut rng = SplitMix64::new(0xD7AB);
     assert_flips_rejected(
         &bytes,
-        table.chain(ids.iter().flat_map(|&at| at..at + 8)),
+        table,
         &mut rng,
         DeltaImage::from_bytes,
         "delta-head",
     );
 }
 
-/// A delta whose table lacks a list its rank chunks reference — the cut
-/// does not name it either — cannot resolve the chunk: a typed error out
-/// of `apply`, not a panic.
+/// A delta whose table lacks a list its rank chunks reference cannot
+/// resolve the chunk: a typed error out of `apply`, not a panic.
 #[test]
 fn chunk_reference_missing_from_the_delta_table_is_a_typed_error() {
-    let (mut parent, mut child, _) = live_delta();
-    parent.cut_events = Cut::default();
-    child.cut_events = Cut::default();
+    let (parent, child, _) = live_delta();
     let known = full_image_refs(&parent).into_iter().collect();
     let mut delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
     let mut pool = ChunkPool::new();
@@ -516,7 +554,7 @@ fn chunk_reference_missing_from_the_delta_table_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// the cut block and the chunk lengths
+// the sequence tables and the chunk lengths
 // ---------------------------------------------------------------------
 
 /// `bytes` with the little-endian word at `at` replaced and the header
@@ -567,13 +605,6 @@ fn overlong_var(bytes: &[u8], at: usize) -> Vec<u8> {
     spliced(bytes, at, width, &with)
 }
 
-/// Offsets of a cut run's varints at `at`: `(first, last, reference)`.
-fn run_fields(bytes: &[u8], at: usize) -> (usize, usize, usize) {
-    let first = at + var_at(bytes, at).1;
-    let last = first + var_at(bytes, first).1;
-    (first, last, last + var_at(bytes, last).1)
-}
-
 fn word_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
@@ -590,78 +621,77 @@ fn assert_malformed(bytes: &[u8], what: &str) {
     }
 }
 
-/// Hostile runs, each patched into a live image's cut block and resealed:
-/// bounds no wrapper can produce, a rank and a member outside the world,
-/// runs out of canonical order, a reference to a list the table lacks.
+/// Hostile sequence-table entries — the cut's only record — each written
+/// into a live image's stable chunk, re-addressed and resealed: a member
+/// outside the world, a list the table lacks and two entries out of order
+/// are `Malformed`; a `SEQ` one past its group's decodes, and the oracle
+/// refuses it.
 #[test]
 fn hostile_cut_runs_are_typed_errors() {
     let image = capture_image();
     let bytes = image.to_bytes();
-    let runs = image.cut_events.runs();
-    let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
-    // A run is its rank, first, last, then the reference — a tag byte and
-    // `(start, len)` or an 8-byte content id.
-    let mid = runs.len() / 2;
-    let (first, last, _) = run_fields(&bytes, at[mid]);
-
-    assert_malformed(&patched_var(&bytes, first, 0), "first = 0");
-    let past = var_at(&bytes, last).0 + 1;
-    assert_malformed(&patched_var(&bytes, first, past), "first > last");
-    // On the last run, so that the order check has nothing to say.
-    let end = runs.len() - 1;
+    let malformed = |m: &[u8], what: &'static str| {
+        assert_eq!(decode_no_panic(m, what), Err(ImageError::Malformed(what)));
+    };
     let n = image.n_ranks as u64;
-    assert_malformed(&patched_var(&bytes, at[end], n), "rank out of world");
-    let ranged = (0..runs.len()).find(|&i| !is_listed(&runs[i]));
-    let ranged = ranged.expect("a run on a contiguous group");
-    let (.., reference) = run_fields(&bytes, at[ranged]);
-    let start = reference + 1;
-    let len_at = start + var_at(&bytes, start).1;
-    assert_malformed(&patched_var(&bytes, len_at, n + 1), "member out of world");
-    let listed = listed_id_offsets(&image.cut_events, at[0])[0];
-    let unknown = word_at(&bytes, listed) ^ 1;
-    assert_malformed(
-        &patched(&bytes, listed, unknown),
-        "id missing from the table",
+    let (rank, chunk) = rank_whose_chunk(&bytes, |e| e.iter().any(|e| !e.listed));
+    let e = &seq_entries(&chunk).into_iter().find(|e| !e.listed).unwrap();
+    let len_at = e.reference + 1 + var_at(&chunk, e.reference + 1).1;
+    let past = rechunked(&bytes, rank, |c| set_var(c, len_at, n + 1));
+    malformed(&past, "seq-table members");
+
+    let (rank, chunk) = rank_whose_chunk(&bytes, |e| e.iter().any(|e| e.listed));
+    let e = &seq_entries(&chunk).into_iter().find(|e| e.listed).unwrap();
+    let unknown = rechunked(&bytes, rank, |c| c[e.reference + 1] ^= 1);
+    malformed(&unknown, "seq-table members");
+
+    // Two neighbouring entries swapped, whole, so each still parses.
+    let (rank, chunk) = rank_whose_chunk(&bytes, |e| e.len() >= 2);
+    let entries = seq_entries(&chunk);
+    let (a, b, c) = (entries[0].seq, entries[1].seq, entries[1].end);
+    let swapped = rechunked(&bytes, rank, |chunk| chunk[a..c].rotate_left(b - a));
+    malformed(&swapped, "seq-table order");
+
+    // One past the group: every wire check holds, the cut does not.
+    let (rank, chunk) = (0, stable_chunk(&bytes, 0));
+    let e = &seq_entries(&chunk)[0];
+    let seq = var_at(&chunk, e.seq).0;
+    let raised = rechunked(&bytes, rank, |c| set_var(c, e.seq, seq + 1));
+    let decoded = decode_no_panic(&raised, "SEQ + 1").expect("any SEQ decodes");
+    assert!(
+        decoded.verify().is_err(),
+        "a SEQ past its group is no safe cut"
     );
-    // Two neighbouring runs of one rank, swapped (whole, so each still
-    // parses): the second now sorts before the first.
-    let pair = (0..end).find(|&i| runs[i].rank == runs[i + 1].rank);
-    let pair = pair.expect("a rank with runs on two groups");
-    let (a, b, c) = (
-        at[pair],
-        at[pair + 1],
-        at[pair + 1] + run_len(&runs[pair + 1]),
-    );
-    let mut swapped = bytes.clone();
-    swapped[a..c].rotate_left(b - a);
-    fix_checksum(&mut swapped);
-    assert_malformed(&swapped, "swapped run order");
 }
 
-/// A run is a few dozen bytes whatever it claims, so a forged one can claim every
-/// sequence number there is. Nothing may then do work proportional to the
-/// claim: decoding, the oracle and `len()` together stay far below what
-/// one pass over 2⁶⁴ — or 2³² — participations would take.
+/// A sequence-table entry is a few bytes whatever it claims, so a forged
+/// one can claim every sequence number there is. Nothing may then do work
+/// proportional to the claim: decoding, the oracle and `len()` together
+/// stay far below what one pass over 2⁶⁴ — or 2³² — participations would
+/// take.
 #[test]
 fn a_run_claiming_every_sequence_number_costs_nothing() {
     let image = capture_image();
     let bytes = image.to_bytes();
-    let at = run_offsets(&image.cut_events, cut_runs_start(&image.cut_events, &bytes));
-    let (_, last, _) = run_fields(&bytes, at[0]);
-    let forged = patched_var(&bytes, last, u64::MAX);
+    let chunk = stable_chunk(&bytes, 0);
+    let e = &seq_entries(&chunk)[0];
+    let forged = rechunked(&bytes, 0, |c| set_var(c, e.seq, u64::MAX));
 
     let t = std::time::Instant::now();
-    let decoded = decode_no_panic(&forged, "last = u64::MAX").expect("bounds in order decode");
+    let decoded = decode_no_panic(&forged, "SEQ = u64::MAX").expect("any SEQ decodes");
     let verdict = decoded.verify();
     let len = decoded.cut_events.len();
     let took = t.elapsed();
 
-    assert_eq!(decoded.cut_events.runs()[0].last, u64::MAX);
+    let runs = decoded.cut_events.runs();
+    assert!(runs.iter().any(|r| (r.first, r.last) == (1, u64::MAX)));
     assert_eq!(len, usize::MAX, "len saturates");
     let violations = verdict.expect_err("a run beyond every target is no safe cut");
-    assert!(violations.len() <= 4 * image.cut_events.runs().len());
-    let forgery = run_len(&decoded.cut_events.runs()[0]);
-    assert!(forgery <= 21, "a {forgery}-byte run");
+    assert!(violations.len() <= 4 * runs.len());
+    // The forged `SEQ` (ten bytes) and its reference (a tag and an id at
+    // most): no bound, no rank, no group id.
+    let forgery = var_len(u64::MAX) + (e.end - e.reference);
+    assert!(forgery <= 19, "a {forgery}-byte entry");
     assert!(
         took.as_millis() < 10,
         "{took:?} for a {forgery}-byte forgery"
@@ -963,7 +993,8 @@ fn evicted_chain_root_is_a_typed_dangling_parent() {
 /// A head varint in an overlong form — its value unchanged, one `0x00`
 /// continuation byte longer, the header lengths and checksum repaired — is
 /// a typed error to both decoders: the world size, the capture count, a
-/// chunk length and a cut run's rank, in a full image and in a delta.
+/// rank's chunk length and the in-flight chunk's length (the head's last
+/// varint), in a full image and in a delta.
 #[test]
 fn overlong_head_varints_are_typed_errors() {
     let image = capture_image();
@@ -976,12 +1007,16 @@ fn overlong_head_varints_are_typed_errors() {
     assert_eq!(var_at(&bytes, n_ranks).0, image.n_ranks as u64);
     let capture_count = image.member_table_range().end;
     let chunk_len = ref_hash_offset(&full, full.rank_refs[0]) + 8;
-    let run_rank = cut_runs_start(&image.cut_events, &bytes);
+    let in_flight_len = ref_hash_offset(&full, full.in_flight_ref) + 8;
+    assert_eq!(
+        in_flight_len + var_len(full.in_flight_ref.len),
+        head_end(&bytes)
+    );
     for (at, what) in [
         (n_ranks, "n_ranks"),
         (capture_count, "capture count"),
         (chunk_len, "chunk length"),
-        (run_rank, "cut-run rank"),
+        (in_flight_len, "in-flight chunk length"),
     ] {
         assert_malformed(&overlong_var(&bytes, at), &format!("overlong {what}"));
     }
@@ -1021,12 +1056,13 @@ fn bad_magic_and_version_are_typed() {
         Err(ImageError::UnsupportedVersion(_))
     ));
 
-    // The v8 wire wrote group ids beside their lists and no upper half.
+    // The v9 wire carried the cut runs and the achieved maxima beside
+    // the sequence tables.
     let mut m = bytes.clone();
-    m[8] = 8;
+    m[8] = 9;
     assert_eq!(
-        decode_no_panic(&m, "v8"),
-        Err(ImageError::UnsupportedVersion(8))
+        decode_no_panic(&m, "v9"),
+        Err(ImageError::UnsupportedVersion(9))
     );
 
     assert!(matches!(

@@ -21,7 +21,7 @@
 use crate::image::{stable_state_eq, CaptureOrigin, Checkpoint, DrainedMsg};
 use crate::session::{Interrupted, Session};
 use crate::store::{ImageSetLayout, StoreRecord, Tiering};
-use mana_core::{CkptPhase, DrainEvent, Ggid, Protocol, RankCtl, RankState, RuntimeCapture};
+use mana_core::{CkptPhase, Cut, DrainEvent, Ggid, Protocol, RankCtl, RankState, RuntimeCapture};
 use mpisim::msg::InFlightMsg;
 use mpisim::types::CommId;
 use mpisim::{RankDeath, SavedMsg, VTime, World};
@@ -424,15 +424,6 @@ impl Coordinator {
             return Err(e);
         }
 
-        let cut_events = sh.exec_log.cut();
-        let mut achieved: HashMap<Ggid, u64> = HashMap::new();
-        for c in &captures {
-            for (g, e) in c.seq_table.iter() {
-                let a = achieved.entry(*g).or_insert(0);
-                *a = (*a).max(e.seq);
-            }
-        }
-
         // The state-clone half of the bracket ends here. What follows —
         // storage planning, the hand-off to the drain (including any wait
         // for the *previous* background drain), and for synchronous drains
@@ -473,7 +464,7 @@ impl Coordinator {
             }
         }
 
-        let ckpt = Arc::new(Checkpoint {
+        let mut ckpt = Checkpoint {
             epoch: world.epoch,
             n_ranks: control.n_ranks,
             protocol: sh.protocol,
@@ -484,13 +475,14 @@ impl Coordinator {
             request_clock,
             initial_targets: initial,
             final_targets,
-            achieved,
             captures,
             in_flight: in_flight.clone(),
-            cut_events,
+            cut_events: Cut::default(),
             io_write_secs,
             io_read_secs,
-        });
+        };
+        ckpt.cut_events = ckpt.cut();
+        let ckpt = Arc::new(ckpt);
         sh.trace.push(DrainEvent::Committed);
 
         // Execute the storage plan. Synchronous drains retire here, while

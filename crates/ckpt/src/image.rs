@@ -1,5 +1,6 @@
 //! The checkpoint image: everything captured at a safe state, in
-//! restart-stable terms, plus the evidence the safe-cut oracle consumes.
+//! restart-stable terms. The ranks' `SEQ[]` tables are both what a restore
+//! installs and the cut the safe-cut oracle judges ([`Checkpoint::verify`]).
 //!
 //! The image is the unit of the system (as in MANA and the DMTCP proxy
 //! line of work): it is a first-class, serializable artifact. An image can
@@ -21,7 +22,7 @@ use mana_core::{
 };
 use mpisim::{SavedMsg, SrcSel, TagSel, VTime};
 use netmodel::NetParams;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -80,7 +81,14 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// drops the group id from every sequence-table entry and cut run: by
 /// definition it is [`ggid_of_sorted`] of the member list the entry
 /// references, which the decoder derives once per distinct list.
-pub const IMAGE_VERSION: u32 = 9;
+/// Version 10 drops the cut runs and the achieved per-group maxima: both
+/// repeated the sequence tables (every run was `1..=SEQ[g]`, every
+/// maximum a maximum over the tables), and the safe-cut check judged
+/// them instead of the tables a restore installs. The cut and the maxima
+/// are derived from the tables ([`Checkpoint::cut`],
+/// [`Checkpoint::achieved`]), so the head ends at the in-flight chunk's
+/// address and every sequence number is written once.
+pub const IMAGE_VERSION: u32 = 10;
 
 /// Kind byte of an image with no parent (a full image).
 pub const IMAGE_KIND_FULL: u8 = 0;
@@ -205,8 +213,8 @@ pub struct DrainedMsg {
     pub arrival: VTime,
 }
 
-/// A captured checkpoint: per-rank runtime state, drained in-flight
-/// messages, and the cut evidence for the safe-cut verifier.
+/// A captured checkpoint: per-rank runtime state and drained in-flight
+/// messages. Its cut is the ranks' `SEQ[]` tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Lower-half generation the image was captured from.
@@ -226,17 +234,15 @@ pub struct Checkpoint {
     /// Empty under 2PC, which computes no targets.
     pub initial_targets: HashMap<Ggid, u64>,
     /// Initial targets merged with every overshoot raise: the targets the
-    /// drain actually ran to.
+    /// drain actually ran to. Empty under 2PC.
     pub final_targets: HashMap<Ggid, u64>,
-    /// `max SEQ[g]` over ranks at capture, for every group ever registered.
-    /// On every targeted group this must equal `final_targets[g]`.
-    pub achieved: HashMap<Ggid, u64>,
     /// Per-rank runtime captures, indexed by rank.
     pub captures: Vec<RuntimeCapture>,
     /// Drained in-flight point-to-point messages, sorted per channel.
     pub in_flight: Vec<DrainedMsg>,
-    /// The cut: what every rank had executed on every group at capture,
-    /// as the execution log recorded it.
+    /// [`Checkpoint::cut`], filled at capture and at decode for readers
+    /// that count participations. Nothing decides safety by it: the
+    /// checks read the tables.
     pub cut_events: Cut,
     /// Virtual seconds charged for writing the image set to storage
     /// (zero when the session has no storage model).
@@ -247,19 +253,51 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Runs the independent safe-cut oracle (paper §4.2.2) over the cut:
-    /// every visited node fully visited, nothing beyond the achieved
-    /// per-group maxima, no per-rank sequence gaps.
+    /// Runs the safe-cut oracle (paper §4.2.2) over the ranks' `SEQ[]`
+    /// tables — exactly what a restore installs: every member of a group
+    /// holds the same `SEQ[g]` (a visited node is visited by all of its
+    /// members), and under CC no `SEQ[g]` exceeds `final_targets[g]`. A
+    /// group with no final target counts as target 0, so a CC image in
+    /// which one has `SEQ > 0` is refused: the drain raises a target for
+    /// every collective it runs, so a live CC image never holds one. 2PC
+    /// computes no targets, and its check is all-or-none only.
     pub fn verify(&self) -> Result<(), Vec<Violation>> {
-        verify_safe_cut(&self.cut_events, Some(&self.achieved))
+        let targets = (self.protocol != Protocol::TwoPhase).then_some(&self.final_targets);
+        verify_safe_cut(&self.cut(), targets)
     }
 
     /// Checks that the drain ran exactly to its targets: for every group
-    /// with a final target, the achieved sequence equals the target.
+    /// with a final target, the highest `SEQ[g]` in the tables equals it.
     pub fn targets_exactly_reached(&self) -> bool {
-        self.final_targets
-            .iter()
-            .all(|(g, &t)| self.achieved.get(g).copied().unwrap_or(0) == t)
+        let achieved = self.achieved();
+        (self.final_targets.iter()).all(|(g, &t)| achieved.get(g).copied().unwrap_or(0) == t)
+    }
+
+    /// `max SEQ[g]` over the ranks' tables, for every group any rank
+    /// holds.
+    pub fn achieved(&self) -> HashMap<Ggid, u64> {
+        let mut achieved = HashMap::new();
+        for (g, e) in self.captures.iter().flat_map(|c| c.seq_table.iter()) {
+            let a = achieved.entry(*g).or_insert(0);
+            *a = e.seq.max(*a);
+        }
+        achieved
+    }
+
+    /// The cut the tables state: for every rank and every group its table
+    /// holds with `SEQ[g] > 0`, the run `1..=SEQ[g]`, sharing the entry's
+    /// member list.
+    pub fn cut(&self) -> Cut {
+        let runs = self.captures.iter().enumerate().flat_map(|(rank, c)| {
+            (c.seq_table.iter().filter(|(_, e)| e.seq > 0)).map(move |(g, e)| CutRun {
+                rank,
+                ggid: *g,
+                first: 1,
+                last: e.seq,
+                members: Arc::clone(&e.members),
+            })
+        });
+        Cut::from_runs(runs.collect())
     }
 
     /// Total payload bytes of drained in-flight messages.
@@ -281,21 +319,20 @@ impl Checkpoint {
     // Serialization
     // ------------------------------------------------------------------
 
-    /// Every group member-list reference the image holds — each
-    /// `seq_table` entry, each `vcomm_members` value, each cut run. In a
-    /// live or a decoded image all references to one list are one
-    /// allocation; the wire tests check exactly that.
+    /// Every group member-list reference the image's captures hold — each
+    /// `seq_table` entry, each `vcomm_members` value. In a live or a
+    /// decoded image all references to one list are one allocation; the
+    /// wire tests check exactly that.
     pub fn member_list_refs(&self) -> impl Iterator<Item = &Arc<[usize]>> {
-        let captured = self.captures.iter().flat_map(capture_member_refs);
-        captured.chain(self.cut_events.runs().iter().map(|r| &r.members))
+        self.captures.iter().flat_map(capture_member_refs)
     }
 
     /// The encode-side table and reference cache: every list the image
     /// references, each shared allocation hashed once.
     ///
     /// # Panics
-    /// Panics if a sequence-table entry or a cut run names a group id that
-    /// is not its member list's: the wire writes the list alone.
+    /// Panics if a sequence-table entry names a group id that is not its
+    /// member list's: the wire writes the list alone.
     pub(crate) fn member_lists(&self) -> MemberIntern {
         let mut lists = MemberIntern::new(self.n_ranks);
         for c in &self.captures {
@@ -305,9 +342,6 @@ impl Checkpoint {
             for m in c.vcomm_members.values() {
                 lists.note(m);
             }
-        }
-        for r in self.cut_events.runs() {
-            lists.note_group(r.ggid, &r.members);
         }
         lists
     }
@@ -485,16 +519,6 @@ pub(crate) fn validate_shape(c: &Checkpoint) -> Result<(), ImageError> {
             return Err(ImageError::Malformed("in-flight message endpoint"));
         }
     }
-    // Each distinct member-list allocation is walked once, not once per
-    // run that shares it.
-    let mut checked: HashSet<usize> = HashSet::new();
-    for r in c.cut_events.runs() {
-        if r.rank >= c.n_ranks
-            || (checked.insert(alloc_addr(&r.members)) && r.members.iter().any(|&m| m >= c.n_ranks))
-        {
-            return Err(ImageError::Malformed("cut-run rank"));
-        }
-    }
     Ok(())
 }
 
@@ -645,8 +669,8 @@ fn capture_member_refs(c: &RuntimeCapture) -> impl Iterator<Item = &Arc<[usize]>
 }
 
 /// Address of a member-list allocation: the identity the encode-side
-/// cache and the shape check dedup by. Only meaningful while the
-/// allocation is alive.
+/// cache and the decode-side group-id cache key by. Only meaningful while
+/// the allocation is alive.
 fn alloc_addr(m: &Arc<[usize]>) -> usize {
     Arc::as_ptr(m) as *const usize as usize
 }
@@ -682,8 +706,8 @@ pub(crate) struct MemberIntern {
     /// (which the table holds), so each distinct list is hashed once.
     ggids: FnvMap<usize, Ggid>,
     /// The last groups resolved, most recent first: each rank's sequence
-    /// entries and cut runs name the handful of groups the rank before it
-    /// named, so most references are found here without hashing.
+    /// entries name the handful of groups the rank before it named, so
+    /// most references are found here without hashing.
     recent: Vec<(MemberRef, Arc<[usize]>, Ggid)>,
 }
 
@@ -777,17 +801,6 @@ impl MemberIntern {
             derived, g,
             "group id {g} is not the group id of its member list; the wire cannot carry it"
         );
-    }
-
-    /// The one allocation every reference to `m`'s content resolves to:
-    /// notes `m`, then hands back whichever equal list came first.
-    pub(crate) fn shared(
-        &mut self,
-        m: &Arc<[usize]>,
-        what: DecodeError,
-    ) -> Result<Arc<[usize]>, ImageError> {
-        let r = self.try_note(m)?;
-        self.resolve(r, what)
     }
 
     /// The reference form of `m`: the cached verdict when the allocation
@@ -1306,69 +1319,13 @@ pub(crate) fn dec_in_flight(d: &mut Dec) -> Result<Vec<DrainedMsg>, ImageError> 
     Ok(in_flight)
 }
 
-/// Writes a cut: run count, then `rank, first, last, members` per run in
-/// the cut's canonical order (the run's group id is its list's).
-pub(crate) fn enc_cut<W: Wr>(e: &mut W, lists: &MemberIntern, cut: &Cut) {
-    e.usize(cut.runs().len());
-    for r in cut.runs() {
-        e.usize(r.rank);
-        e.var(r.first);
-        e.var(r.last);
-        enc_members(e, lists, &r.members);
-    }
-}
-
-/// Reads a cut written by [`enc_cut`], checking what the encoder
-/// guarantees: sequence numbers start at 1, a run does not end before it
-/// starts, the runs are in canonical order (so none is listed twice),
-/// every rank is inside the world, every list is a group's (sorted).
-/// Members are range-checked by the table they resolve through.
-pub(crate) fn dec_cut(d: &mut Dec, lists: &mut MemberIntern) -> Result<Cut, ImageError> {
-    let n = d.seq_len("cut-run count")?;
-    let mut runs: Vec<CutRun> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (rank, first, last) = (
-            d.usize("run rank")?,
-            d.var("run first")?,
-            d.var("run last")?,
-        );
-        let (members, ggid) = dec_group(d, lists, "run members")?;
-        let run = CutRun {
-            rank,
-            ggid,
-            first,
-            last,
-            members,
-        };
-        if run.rank >= lists.n_ranks {
-            return Err(ImageError::Malformed("cut-run rank"));
-        }
-        if run.first == 0 || run.first > run.last {
-            return Err(ImageError::Malformed("run bounds"));
-        }
-        let key = |r: &CutRun| (r.rank, r.ggid, r.first);
-        if runs.last().is_some_and(|p| key(p) >= key(&run)) {
-            return Err(ImageError::Malformed("cut-run order"));
-        }
-        runs.push(run);
-    }
-    Ok(Cut::from_runs(runs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mana_core::{ExecEvent, Node, RankState};
+    use mana_core::{Node, RankState};
 
-    fn ev(rank: usize, g: u64, seq: u64, members: &[usize]) -> ExecEvent {
-        ExecEvent {
-            rank,
-            node: Node { ggid: Ggid(g), seq },
-            members: members.into(),
-        }
-    }
-
-    fn ckpt(events: Vec<ExecEvent>, achieved: &[(u64, u64)]) -> Checkpoint {
+    /// A 2-rank CC image with no captures.
+    fn ckpt() -> Checkpoint {
         Checkpoint {
             epoch: 0,
             n_ranks: 2,
@@ -1380,36 +1337,105 @@ mod tests {
             request_clock: VTime::ZERO,
             initial_targets: HashMap::new(),
             final_targets: HashMap::new(),
-            achieved: achieved.iter().map(|&(g, s)| (Ggid(g), s)).collect(),
             captures: Vec::new(),
             in_flight: Vec::new(),
-            cut_events: Cut::from_events(&events),
+            cut_events: Cut::default(),
             io_write_secs: 0.0,
             io_read_secs: 0.0,
         }
     }
 
+    /// A quiesced capture of `rank` holding `seq_table` and nothing else.
+    fn capture(rank: usize, seq_table: SeqTable) -> RuntimeCapture {
+        RuntimeCapture {
+            rank,
+            state: RankState::Quiesced,
+            clock: VTime::from_micros(rank as f64),
+            seq_table,
+            comm_log: Vec::new(),
+            pending_recvs: Vec::new(),
+            pending_barrier: None,
+            counters: CallCounters::default(),
+            p2p_sent: 0,
+            p2p_delivered: 0,
+            vcomm_members: HashMap::new(),
+            upper: None,
+        }
+    }
+
+    /// The 2-rank image whose ranks hold `seqs[r]` on the group `{0, 1}`,
+    /// drained to a final target of 1 on it.
+    fn pair(seqs: [u64; 2]) -> Checkpoint {
+        let g = ggid_of_sorted(&[0, 1]);
+        let mut c = ckpt();
+        for (rank, seq) in seqs.into_iter().enumerate() {
+            let mut t = SeqTable::new();
+            t.restore(g, seq, vec![0, 1]);
+            c.captures.push(capture(rank, t));
+        }
+        c.final_targets.insert(g, 1);
+        c.cut_events = c.cut();
+        c
+    }
+
     #[test]
     fn verify_accepts_consistent_cut() {
-        let c = ckpt(vec![ev(0, 1, 1, &[0, 1]), ev(1, 1, 1, &[0, 1])], &[(1, 1)]);
-        assert!(c.verify().is_ok());
+        assert!(pair([1, 1]).verify().is_ok());
+        assert!(pair([0, 0]).verify().is_ok(), "an unvisited group");
+        let c = pair([1, 1]);
+        assert_eq!(c.cut_events.len(), 2);
+        let m = c.captures[1].seq_table.iter().next().unwrap().1;
+        assert!(Arc::ptr_eq(&c.cut_events.runs()[1].members, &m.members));
     }
 
     #[test]
     fn verify_rejects_partial_visit() {
-        let c = ckpt(vec![ev(0, 1, 1, &[0, 1])], &[(1, 1)]);
-        assert!(matches!(
-            c.verify().unwrap_err()[0],
-            Violation::PartiallyVisited(..)
-        ));
+        for protocol in [Protocol::Cc, Protocol::TwoPhase] {
+            let c = Checkpoint {
+                protocol,
+                ..pair([1, 0])
+            };
+            assert!(matches!(
+                c.verify().unwrap_err()[0],
+                Violation::PartiallyVisited(..)
+            ));
+        }
+    }
+
+    #[test]
+    fn verify_reads_final_targets_under_cc_only() {
+        let g = ggid_of_sorted(&[0, 1]);
+        let beyond = |c: &Checkpoint, target: u64| {
+            let err = c.verify().unwrap_err();
+            let node = Node {
+                ggid: g,
+                seq: target + 1,
+            };
+            err.contains(&Violation::BeyondTarget(0, node, target))
+        };
+        // Both members past the final target: consistent, but not the
+        // state the drain ran to.
+        let c = pair([2, 2]);
+        assert!(beyond(&c, 1));
+        // A group with SEQ > 0 and no final target counts as target 0.
+        let mut c = pair([1, 1]);
+        c.final_targets.clear();
+        assert!(beyond(&c, 0));
+        // 2PC has no targets: all-or-none alone.
+        for seqs in [[2, 2], [1, 1]] {
+            let mut c = pair(seqs);
+            c.protocol = Protocol::TwoPhase;
+            c.final_targets.clear();
+            assert_eq!(c.verify(), Ok(()));
+        }
     }
 
     #[test]
     fn targets_exactly_reached_checks_equality() {
-        let mut c = ckpt(vec![], &[(1, 2)]);
-        c.final_targets.insert(Ggid(1), 2);
+        let mut c = pair([1, 1]);
+        assert_eq!(c.achieved(), [(ggid_of_sorted(&[0, 1]), 1)].into());
         assert!(c.targets_exactly_reached());
-        c.final_targets.insert(Ggid(1), 3);
+        c.final_targets.insert(ggid_of_sorted(&[0, 1]), 2);
         assert!(!c.targets_exactly_reached());
     }
 
@@ -1433,10 +1459,7 @@ mod tests {
         let mut seq_table = SeqTable::new();
         seq_table.restore(Ggid(g01), 4, vec![0, 1]);
         seq_table.restore(Ggid(g0), 1, vec![0]);
-        let mut c = ckpt(
-            vec![ev(0, g01, 1, &[0, 1]), ev(1, g01, 1, &[0, 1])],
-            &[(g01, 4), (g0, 1)],
-        );
+        let mut c = ckpt();
         c.epoch = 2;
         c.initial_targets.insert(Ggid(g01), 1);
         c.final_targets.insert(Ggid(g01), 4);
@@ -1507,6 +1530,7 @@ mod tests {
             },
             arrival: VTime::from_micros(9.0),
         });
+        c.cut_events = c.cut();
         c
     }
 
@@ -1615,10 +1639,13 @@ mod tests {
         );
 
         let mut c = rich_ckpt();
-        c.cut_events = Cut::from_events(&[ev(7, gid(&[0, 1]), 1, &[0, 1])]);
+        let outside: Vec<usize> = vec![0, 7];
+        c.captures[1]
+            .seq_table
+            .restore(ggid_of_sorted(&outside), 1, outside);
         assert_eq!(
             Checkpoint::from_bytes(&c.to_bytes()),
-            Err(ImageError::Malformed("cut-run rank"))
+            Err(ImageError::Malformed("member table entry rank"))
         );
 
         let mut c = rich_ckpt();
@@ -1644,15 +1671,14 @@ mod tests {
     const STRIDED: [usize; 4] = [0, 2, 4, 6];
     const GROUP_ORDER: [usize; 3] = [5, 1, 3];
 
-    /// An 8-rank image whose `seq_table`s, `vcomm_members` and cut
-    /// reference three lists: the world (range form) and a strided group —
-    /// each group's entry under its own group id, as in a live run — and,
-    /// in `vcomm_members` only, a communicator in group order (unsorted).
+    /// An 8-rank image whose `seq_table`s and `vcomm_members` reference
+    /// three lists: the world (range form) and a strided group — each
+    /// group's entry under its own group id, as in a live run — and, in
+    /// `vcomm_members` only, a communicator in group order (unsorted).
     /// `alloc` decides which allocation each reference gets.
     fn lists_ckpt(mut alloc: impl FnMut(&[usize]) -> Arc<[usize]>) -> Checkpoint {
-        let mut c = ckpt(Vec::new(), &[(gid(&WORLD), 2), (gid(&STRIDED), 1)]);
+        let mut c = ckpt();
         c.n_ranks = 8;
-        let mut cut = Vec::new();
         for rank in 0..8 {
             let mut seq_table = SeqTable::new();
             for (members, seq) in [(&WORLD[..], 2), (&STRIDED, 1)] {
@@ -1660,16 +1686,6 @@ mod tests {
                 seq_table.restore(ggid_of_sorted(&m), seq, m);
             }
             c.captures.push(RuntimeCapture {
-                rank,
-                state: RankState::Quiesced,
-                clock: VTime::from_micros(rank as f64),
-                seq_table,
-                comm_log: Vec::new(),
-                pending_recvs: Vec::new(),
-                pending_barrier: None,
-                counters: CallCounters::default(),
-                p2p_sent: 0,
-                p2p_delivered: 0,
                 vcomm_members: [
                     (0u64, alloc(&WORLD)),
                     (1, alloc(&STRIDED)),
@@ -1677,22 +1693,10 @@ mod tests {
                 ]
                 .into_iter()
                 .collect(),
-                upper: None,
+                ..capture(rank, seq_table)
             });
-            for members in [&WORLD[..], &STRIDED] {
-                if members.contains(&rank) {
-                    let members = alloc(members);
-                    cut.push(CutRun {
-                        rank,
-                        ggid: ggid_of_sorted(&members),
-                        first: 1,
-                        last: 1,
-                        members,
-                    });
-                }
-            }
         }
-        c.cut_events = Cut::from_runs(cut);
+        c.cut_events = c.cut();
         c
     }
 
@@ -1707,11 +1711,6 @@ mod tests {
     fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
         reseal(&mut bytes);
         bytes
-    }
-
-    /// Where the head of a serialized image ends: the cut closes it.
-    fn head_end(bytes: &[u8]) -> usize {
-        IMAGE_HEADER_LEN + u64::from_le_bytes(word(bytes, IMAGE_HEAD_LEN_OFFSET)) as usize
     }
 
     /// Both entry points refuse `bytes` with `Malformed(what)`.
@@ -1757,12 +1756,16 @@ mod tests {
         let bytes = lists_ckpt(|v| v.into()).to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         let refs: Vec<_> = back.member_list_refs().collect();
-        assert_eq!(refs.len(), 8 * 5 + 8 + 4);
+        assert_eq!(refs.len(), 8 * 5);
         for a in &refs {
             for b in &refs {
                 assert_eq!(a == b, Arc::ptr_eq(a, b), "{a:?} vs {b:?}");
             }
         }
+        // The cut derived from the tables holds their allocations.
+        let runs = back.cut_events.runs();
+        assert_eq!(runs.len(), 8 * 2);
+        assert!((runs.iter()).all(|r| refs.iter().any(|m| Arc::ptr_eq(m, &r.members))));
     }
 
     #[test]
@@ -1783,19 +1786,18 @@ mod tests {
             "only the (empty) output table and the capture count sit between \
              the member table and the records"
         );
-        // One more run on the strided group — rank (one byte), first (one
-        // byte), last (four: 3·10⁶ < 2²⁸), tag, id; no group id, which is
-        // the list's — however many collectives it covers.
+        // A sequence number is one varint in its rank's chunk, however
+        // many collectives it counts, with no run beside it: every rank's
+        // `SEQ` on the strided group raised from 1 to 3·10⁶ (four bytes:
+        // 3·10⁶ < 2²⁸) grows the one chunk the eight identical stable
+        // halves share by three bytes.
         let before = c.serialized_len();
-        let mut runs = c.cut_events.runs().to_vec();
-        let again = runs.iter().find(|r| r.members[..] == STRIDED).unwrap();
-        runs.push(CutRun {
-            first: 3,
-            last: 3_000_000,
-            ..again.clone()
-        });
-        c.cut_events = Cut::from_runs(runs);
-        assert_eq!(c.serialized_len(), before + 1 + 1 + 4 + 1 + 8);
+        let strided = ggid_of_sorted(&STRIDED);
+        for cap in &mut c.captures {
+            let members = Arc::clone(cap.seq_table.members_shared(strided).unwrap());
+            cap.seq_table.restore(strided, 3_000_000, members);
+        }
+        assert_eq!(c.serialized_len(), before + 3);
     }
 
     #[test]
@@ -1809,17 +1811,29 @@ mod tests {
         let first_len = usize::from(bytes[t.start + 1 + 8]);
         let second = t.start + 1 + 8 + 1 + first_len;
 
-        // A reference to an id the table does not hold: the last run is
-        // rank 7's on the world — rank, first, last, range reference (tag,
-        // start, len): six bytes. Rank 6's two runs come before it in
-        // group-id order; the strided one ends in its list's id.
+        // A reference to an id the table does not hold: the strided list's
+        // entry spliced out of the table, its count and both header length
+        // words fixed. The head names no list, so it still decodes; the
+        // first chunk that names the list is refused.
+        let strided_first = usize::from(bytes[t.start + 1 + 8]) == STRIDED.len();
+        let entry = if strided_first {
+            t.start + 1..second
+        } else {
+            second..t.end
+        };
         let mut m = bytes.clone();
-        let world_run = 1 + 1 + 1 + 3;
-        let strided_last = gid(&STRIDED) > gid(&WORLD);
-        let last_listed_id =
-            head_end(&bytes) - world_run - if strided_last { 0 } else { world_run } - 8;
-        m[last_listed_id] ^= 0x01;
-        assert_malformed(&resealed(m), "run members");
+        m.drain(entry.clone());
+        m[t.start] -= 1;
+        for at in [IMAGE_LEN_OFFSET, IMAGE_HEAD_LEN_OFFSET] {
+            let n = u64::from_le_bytes(word(&m, at)) - entry.len() as u64;
+            m[at..at + 8].copy_from_slice(&n.to_le_bytes());
+        }
+        let m = resealed(m);
+        assert!(DeltaImage::from_bytes(&m).is_ok());
+        assert_eq!(
+            Checkpoint::from_bytes(&m),
+            Err(ImageError::Malformed("seq-table members"))
+        );
 
         // An entry whose content no longer hashes to its id.
         let mut m = bytes.clone();
@@ -1841,9 +1855,9 @@ mod tests {
             Err(ImageError::Malformed(_))
         ));
 
-        // A member outside the world inside a (correctly hashed) entry, and
-        // a range that runs past it: first met in the head, at the cut, by
-        // both decoders; inside a rank's chunk, when the image is rebuilt.
+        // A member outside the world inside a (correctly hashed) entry is
+        // met in the head's table, by both decoders; a range that runs past
+        // the world, inside a rank's chunk, when the image is rebuilt.
         let outside = lists_ckpt(|v| match v {
             [0, 2, 4, 6] => [0, 2, 4, 99][..].into(),
             v => v.into(),
@@ -1853,7 +1867,10 @@ mod tests {
             8 => (0..9).collect(),
             _ => v.into(),
         });
-        assert_malformed(&overlong.to_bytes(), "run members");
+        assert_eq!(
+            Checkpoint::from_bytes(&overlong.to_bytes()),
+            Err(ImageError::Malformed("seq-table members"))
+        );
         let mut overlong = shared_lists_ckpt();
         let past_the_world: Vec<usize> = (0..9).collect();
         for c in &mut overlong.captures {
@@ -1872,7 +1889,7 @@ mod tests {
     #[test]
     fn older_wire_versions_are_refused() {
         let mut bytes = rich_ckpt().to_bytes();
-        for old in [4, 5, 6, 7, 8] {
+        for old in [4, 5, 6, 7, 8, 9] {
             bytes[IMAGE_VERSION_OFFSET] = old;
             assert_eq!(
                 Checkpoint::from_bytes(&bytes),

@@ -3,8 +3,9 @@
 //! The unit of this crate is the **checkpoint image** ([`Checkpoint`]): a
 //! serializable, integrity-checked artifact capturing a consistent cut of
 //! an MPI-like execution — sequence tables, communicator logs, pending
-//! receives and trivial barriers, drained in-flight messages, call
-//! counters, and the cut evidence the safe-cut oracle consumes. Capture
+//! receives and trivial barriers, drained in-flight messages and call
+//! counters; the sequence tables are also the cut the safe-cut oracle
+//! judges. Capture
 //! and restore are decoupled: *when* to capture is a pluggable
 //! [`TriggerPolicy`]; *what to do with the image* is the caller's choice —
 //! keep running, restart in-process, or serialize the image and restore it
@@ -111,7 +112,7 @@
 //!   There is one codec, [`DeltaImage`]: a full image is a delta with no
 //!   parent. Each rank's restart-stable state is a **content-addressed
 //!   chunk**, stored once however many ranks share it; the head (member
-//!   table, per-rank records with each chunk's address, cut) carries an
+//!   table, per-rank records with each chunk's address) carries an
 //!   FNV-1a checksum, and each chunk is verified by re-hashing it against
 //!   its address. Chunks encode and hash **in parallel**
 //!   ([`Checkpoint::to_bytes_parallel`] fans them out across worker
@@ -120,9 +121,9 @@
 //! * [`runner::run_ckpt_world`] — launches the ranks and supervises the
 //!   policy, returning every captured image for oracle verification
 //!   with [`mana_core::verify_safe_cut`] — over the image's
-//!   [`mana_core::Cut`], the runs of sequence numbers every rank executed
-//!   on every group, not over the run's full log (the report carries that
-//!   too, as `events`). Its report also carries
+//!   [`Checkpoint::cut`], the run `1..=SEQ[g]` every rank's table states
+//!   for every group, not over the run's full log (the report carries that
+//!   too, as `events`, the tests' independent witness). Its report also carries
 //!   `capture_wall_s`: host wall seconds per committed capture bracket,
 //!   which the coordinator runs **in parallel on the world's worker
 //!   budget** ([`mpisim::Scheduler::workers`] scoped threads) while every

@@ -19,8 +19,8 @@ pub struct Session {
     pub control: Arc<CkptControl>,
     /// Target-update message bus (the drain's out-of-band p2p channel).
     pub bus: UpdateBus,
-    /// Append-only log of collective participations (the safe-cut oracle's
-    /// input).
+    /// Append-only log of collective participations: the run's full log,
+    /// the tests' witness for the cut (no checkpoint reads it).
     pub exec_log: ExecutionLog,
     /// Drain-protocol event trace.
     pub trace: DrainTrace,

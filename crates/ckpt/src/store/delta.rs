@@ -11,8 +11,8 @@
 //! a restart rebuilds them. Every integer but a hash, a group id or a
 //! member-list content id is a canonical varint, so a chunk has exactly
 //! one byte form (see [`crate::wire`]). The drained in-flight set is one
-//! more chunk. The cut is carried whole: it is a few runs per rank
-//! ([`mana_core::Cut`]), whatever the run's length.
+//! more chunk. The cut is not carried at all: it is the sequence tables
+//! in the stable chunks ([`Checkpoint::cut`]).
 //!
 //! A full image is a delta with no parent: it inlines every distinct
 //! chunk once, so ranks whose stable halves are identical share one. A
@@ -24,9 +24,9 @@
 //! spelling them out (see [`crate::image::IMAGE_VERSION`]), so a chunk's
 //! bytes — and therefore its address — depend on that rank's state alone.
 //! Every image carries the member-list table for what it references: the
-//! lists of all its ranks' chunks, inline or inherited, and of its cut. A
-//! chunk taken from an ancestor decodes against the leaf's table; no list
-//! is looked up along the chain.
+//! lists of all its ranks' chunks, inline or inherited. A chunk taken
+//! from an ancestor decodes against the leaf's table; no list is looked
+//! up along the chain.
 //!
 //! So an image needs nothing from its ancestors but chunk bytes.
 //! Resolution ([`crate::store::TieredStore::load`]) decodes every chain
@@ -36,13 +36,13 @@
 //! in the chain — is a typed [`ImageError`], never a panic.
 
 use crate::image::{
-    self, dec_capture, dec_cut, dec_in_flight, dec_params, dec_target_map, dec_upper, dec_vtime,
-    enc_capture_stable, enc_cut, enc_drained, enc_header, enc_params, enc_target_map, enc_upper,
+    self, dec_capture, dec_in_flight, dec_params, dec_target_map, dec_upper, dec_vtime,
+    enc_capture_stable, enc_drained, enc_header, enc_params, enc_target_map, enc_upper,
     protocol_code, protocol_from_code, reseal, validate_image_header, validate_shape, Checkpoint,
     ImageError, MemberIntern, MemberTable, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA, IMAGE_KIND_FULL,
 };
 use crate::wire::{fnv1a64, var_len, CountEnc, Dec, FnvMap, Wr};
-use mana_core::{Cut, CutRun, Ggid, Protocol, RankState, RuntimeCapture, UpperHalf};
+use mana_core::{Cut, Ggid, Protocol, RankState, RuntimeCapture, UpperHalf};
 use mpisim::VTime;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -110,15 +110,12 @@ pub struct DeltaImage {
     pub initial_targets: HashMap<Ggid, u64>,
     /// Final drain targets.
     pub final_targets: HashMap<Ggid, u64>,
-    /// Achieved per-group maxima.
-    pub achieved: HashMap<Ggid, u64>,
     /// Virtual write seconds charged for this image.
     pub io_write_secs: f64,
     /// Virtual read seconds charged for this image.
     pub io_read_secs: f64,
     /// The member-list table: every non-contiguous group member list the
-    /// rank chunks (inline or inherited) and the cut reference, by content
-    /// id.
+    /// rank chunks (inline or inherited) reference, by content id.
     pub lists: MemberTable,
     /// Per-rank volatile records, indexed by rank.
     pub volatile: Vec<VolatileRecord>,
@@ -126,8 +123,6 @@ pub struct DeltaImage {
     pub rank_refs: Vec<ChunkRef>,
     /// Content address of the drained in-flight set.
     pub in_flight_ref: ChunkRef,
-    /// The checkpoint's cut.
-    pub cut: Cut,
     /// The chunks this image carries inline, in order of first
     /// reference (rank refs, then the in-flight ref).
     pub new_chunks: Vec<(ChunkRef, Vec<u8>)>,
@@ -394,14 +389,12 @@ impl DeltaImage {
             request_clock: current.request_clock,
             initial_targets: current.initial_targets.clone(),
             final_targets: current.final_targets.clone(),
-            achieved: current.achieved.clone(),
             io_write_secs: current.io_write_secs,
             io_read_secs: current.io_read_secs,
             lists: lists.table().clone(),
             volatile,
             rank_refs,
             in_flight_ref,
-            cut: current.cut_events.clone(),
             new_chunks,
         }
     }
@@ -453,19 +446,11 @@ impl DeltaImage {
         if parent.n_ranks != self.n_ranks {
             return Err(ImageError::DeltaChain("parent world size mismatch"));
         }
-        // One table for the whole checkpoint: the image's own allocations
-        // first, so a list stays one allocation across the cut and every
-        // rank's decoded chunk.
-        let mut lists = MemberIntern::with_table(self.n_ranks, &self.lists);
-        let mut runs = Vec::with_capacity(self.cut.runs().len());
-        for r in self.cut.runs() {
-            runs.push(CutRun {
-                members: lists.shared(&r.members, "cut-run members")?,
-                ..*r
-            });
-        }
+        // One table for the whole checkpoint, so a list stays one
+        // allocation across every rank's decoded chunk.
+        let lists = MemberIntern::with_table(self.n_ranks, &self.lists);
         let uppers = self.volatile.iter().map(|v| v.upper.clone()).collect();
-        self.rebuild(lists, Cut::from_runs(runs), uppers, |r| pool.get(r))
+        self.rebuild(lists, uppers, |r| pool.get(r))
     }
 
     /// Moves every rank's upper half out of its record, for
@@ -474,14 +459,12 @@ impl DeltaImage {
         self.volatile.iter_mut().map(|v| v.upper.take()).collect()
     }
 
-    /// Rebuilds the checkpoint from its cut, its chunks (looked up by
-    /// `chunk`), the ranks' upper halves and this image's records,
-    /// decoding every chunk against `lists` — which the cut's member lists
-    /// must already share.
+    /// Rebuilds the checkpoint from its chunks (looked up by `chunk`), the
+    /// ranks' upper halves and this image's records, decoding every chunk
+    /// against `lists`.
     pub(crate) fn rebuild<'a>(
         &self,
         mut lists: MemberIntern,
-        cut_events: Cut,
         uppers: Vec<Option<UpperHalf>>,
         chunk: impl Fn(ChunkRef) -> Option<&'a [u8]>,
     ) -> Result<Checkpoint, ImageError> {
@@ -508,7 +491,7 @@ impl DeltaImage {
             }
         }
 
-        let ckpt = Checkpoint {
+        let mut ckpt = Checkpoint {
             epoch: self.epoch,
             n_ranks: self.n_ranks,
             protocol: self.protocol,
@@ -516,25 +499,20 @@ impl DeltaImage {
             request_clock: self.request_clock,
             initial_targets: self.initial_targets.clone(),
             final_targets: self.final_targets.clone(),
-            achieved: self.achieved.clone(),
             captures,
             in_flight,
-            cut_events,
+            cut_events: Cut::default(),
             io_write_secs: self.io_write_secs,
             io_read_secs: self.io_read_secs,
         };
         validate_shape(&ckpt)?;
+        ckpt.cut_events = ckpt.cut();
         Ok(ckpt)
     }
 
-    /// The encode-side table: the lists the chunks reference plus the
-    /// cut's, each allocation hashed at most once.
+    /// The encode-side table: the lists the chunks reference.
     fn member_lists(&self) -> MemberIntern {
-        let mut lists = MemberIntern::with_table(self.n_ranks, &self.lists);
-        for r in self.cut.runs() {
-            lists.note_group(r.ggid, &r.members);
-        }
-        lists
+        MemberIntern::with_table(self.n_ranks, &self.lists)
     }
 
     /// Head fields that precede the member-list table.
@@ -559,7 +537,6 @@ impl DeltaImage {
         p.f64(self.request_clock.as_secs());
         enc_target_map(p, &self.initial_targets);
         enc_target_map(p, &self.final_targets);
-        enc_target_map(p, &self.achieved);
         p.f64(self.io_write_secs);
         p.f64(self.io_read_secs);
     }
@@ -582,7 +559,6 @@ impl DeltaImage {
             chunk_ref(p, *r);
         }
         chunk_ref(p, self.in_flight_ref);
-        enc_cut(p, lists, &self.cut);
     }
 
     fn head_len(&self, lists: &MemberIntern, outputs: &Outputs) -> usize {
@@ -690,14 +666,13 @@ impl DeltaImage {
             ));
         }
         let chunks: HashMap<ChunkRef, &[u8]> = chunks.into_iter().collect();
-        let (cut, uppers) = (std::mem::take(&mut image.cut), image.take_uppers());
-        image.rebuild(lists, cut, uppers, |r| chunks.get(&r).copied())
+        let uppers = image.take_uppers();
+        image.rebuild(lists, uppers, |r| chunks.get(&r).copied())
     }
 
     /// The one decoder: the image without its chunk bytes, the member
-    /// lists its head resolved (the cut shares them), and its
-    /// authenticated inline chunks as slices of `buf`, in `new_chunks`
-    /// order.
+    /// lists its head resolved, and its authenticated inline chunks as
+    /// slices of `buf`, in `new_chunks` order.
     pub(crate) fn decode(buf: &[u8]) -> Result<Decoded<'_>, ImageError> {
         let (head, chunk_bytes) = validate_image_header(buf)?;
         let mut d = Dec::new(head);
@@ -721,7 +696,6 @@ impl DeltaImage {
         let request_clock = dec_vtime(&mut d, "request clock")?;
         let initial_targets = dec_target_map(&mut d, "initial targets")?;
         let final_targets = dec_target_map(&mut d, "final targets")?;
-        let achieved = dec_target_map(&mut d, "achieved map")?;
         let io_write_secs = d.f64("io_write_secs")?;
         let io_read_secs = d.f64("io_read_secs")?;
         if n_ranks == 0 || origin.ranks_per_node == 0 {
@@ -766,7 +740,6 @@ impl DeltaImage {
             return Err(ImageError::Malformed("output table entry"));
         }
         let in_flight_ref = dec_chunk_ref(&mut d)?;
-        let cut = dec_cut(&mut d, &mut lists)?;
         if !d.finished() {
             return Err(ImageError::Malformed("trailing bytes"));
         }
@@ -798,14 +771,12 @@ impl DeltaImage {
             request_clock,
             initial_targets,
             final_targets,
-            achieved,
             io_write_secs,
             io_read_secs,
             lists: lists.table().clone(),
             volatile,
             rank_refs,
             in_flight_ref,
-            cut,
             new_chunks: Vec::new(),
         };
         Ok((image, lists, chunks))

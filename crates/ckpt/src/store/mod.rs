@@ -397,8 +397,8 @@ impl TieredStore {
             cur = parent.generation;
         }
         let (mut leaf, lists) = leaf.expect("the requested generation is decoded first");
-        let (cut, uppers) = (std::mem::take(&mut leaf.cut), leaf.take_uppers());
-        Ok(leaf.rebuild(lists, cut, uppers, |r| pool.get(r))?)
+        let uppers = leaf.take_uppers();
+        Ok(leaf.rebuild(lists, uppers, |r| pool.get(r))?)
     }
 
     /// Generation `gen`'s stored bytes if its tier's copy survives the

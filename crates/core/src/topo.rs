@@ -13,10 +13,11 @@
 //! A cut is stored as what it is. A wrapper counts `SEQ[ggid]` up by one,
 //! so what a rank has visited on a group is a run of sequence numbers
 //! `first..=last` — [`CutRun`] — and a [`Cut`] is a few of those per rank
-//! however long the program has run. [`ExecutionLog`] maintains them as
-//! ranks record, [`verify_safe_cut`] judges them in O(runs); the
-//! event-by-event view ([`ExecEvent`]) remains for a run's full log and
-//! for building cuts by hand ([`Cut::from_events`]).
+//! however long the program has run. A checkpoint derives its cut from
+//! the ranks' `SEQ[]` tables (each entry is the run `1..=SEQ[g]`), and
+//! [`verify_safe_cut`] judges it in O(runs); the event-by-event view
+//! ([`ExecEvent`]) remains for a run's full log ([`ExecutionLog`]) and for
+//! building cuts by hand ([`Cut::from_events`]).
 
 use crate::ggid::Ggid;
 use parking_lot::Mutex;
@@ -84,24 +85,6 @@ pub(crate) fn same_members(a: &Arc<[usize]>, b: &Arc<[usize]>) -> bool {
     Arc::ptr_eq(a, b) || a == b
 }
 
-/// Adds the `seq`-th collective on `ggid` to one rank's run list: it
-/// extends the newest run it continues, and anything else — the group's
-/// first collective, a gap, a repeat — opens a new run.
-fn extend_runs(runs: &mut Vec<CutRun>, rank: usize, ggid: Ggid, seq: u64, members: &Arc<[usize]>) {
-    let continued =
-        (runs.iter_mut().rev()).find(|r| r.ggid == ggid && r.last.checked_add(1) == Some(seq));
-    match continued {
-        Some(run) => run.last = seq,
-        None => runs.push(CutRun {
-            rank,
-            ggid,
-            first: seq,
-            last: seq,
-            members: Arc::clone(members),
-        }),
-    }
-}
-
 /// A cut of the execution DAG: which nodes every rank has visited, as
 /// runs — a handful per rank however long the program has run, since a
 /// wrapper that counts `SEQ[ggid]` up by one visits each group's nodes in
@@ -121,13 +104,26 @@ impl Cut {
         Cut { runs }
     }
 
-    /// The cut an [`ExecutionLog`] would hold had it recorded `events` in
-    /// this order — how tests build, and forge, cuts event by event.
+    /// The cut `events` cover, replayed in this order: an event extends
+    /// the newest run of its rank it continues, and anything else opens a
+    /// run — how tests build, and forge, cuts event by event.
     pub fn from_events(events: &[ExecEvent]) -> Cut {
         let mut by_rank: HashMap<usize, Vec<CutRun>> = HashMap::new();
         for e in events {
             let runs = by_rank.entry(e.rank).or_default();
-            extend_runs(runs, e.rank, e.node.ggid, e.node.seq, &e.members);
+            let Node { ggid, seq } = e.node;
+            let continued = (runs.iter_mut().rev())
+                .find(|r| r.ggid == ggid && r.last.checked_add(1) == Some(seq));
+            match continued {
+                Some(run) => run.last = seq,
+                None => runs.push(CutRun {
+                    rank: e.rank,
+                    ggid,
+                    first: seq,
+                    last: seq,
+                    members: Arc::clone(&e.members),
+                }),
+            }
         }
         Cut::from_runs(by_rank.into_values().flatten().collect())
     }
@@ -170,9 +166,9 @@ struct RankLog {
     /// `(ggid, seq)` in program order since the log was last taken,
     /// 16 bytes an entry: the full log a run reports when it ends.
     entries: Vec<(Ggid, u64)>,
-    /// Everything the rank has executed, as runs: one per group in any
-    /// run a wrapper can produce (a handful per rank).
-    runs: Vec<CutRun>,
+    /// The member list of every group the rank has recorded on, kept the
+    /// first time the group is seen (a handful per rank).
+    groups: Vec<(Ggid, Arc<[usize]>)>,
 }
 
 struct LogInner {
@@ -190,10 +186,10 @@ struct LogInner {
 /// Appends are **rank-owned**: [`ExecutionLog::record`] touches only the
 /// recording rank's own log, so a dense collective on thousands of ranks
 /// appends from every worker at once without sharing a lock or a cache
-/// line. Each rank keeps what it executed twice over: as runs — what
-/// [`ExecutionLog::cut`] reads at a checkpoint, in time independent of
-/// how long the program has run — and entry by entry in program order,
-/// for [`ExecutionLog::take_events`] when the run ends.
+/// line. Each rank keeps what it executed entry by entry in program
+/// order, for [`ExecutionLog::take_events`] when the run ends: the
+/// test-side witness a checkpoint's cut is checked against. No checkpoint
+/// reads it; the cut is the ranks' `SEQ[]` tables.
 #[derive(Clone)]
 pub struct ExecutionLog {
     inner: Arc<LogInner>,
@@ -252,39 +248,32 @@ impl ExecutionLog {
     }
 
     /// [`ExecutionLog::record`] for callers that hold the member list by
-    /// reference: the handle is cloned only when the record opens a run
-    /// (the first time `rank` records on `ggid`, in a wrapper's log), so
-    /// the per-call path touches no shared reference count.
+    /// reference: the handle is cloned only the first time `rank` records
+    /// on `ggid`, so the per-call path touches no shared reference count.
     pub fn record_shared(&self, rank: usize, ggid: Ggid, seq: u64, members: &Arc<[usize]>) {
         let mut log = self.rank_log(rank).lock();
-        extend_runs(&mut log.runs, rank, ggid, seq, members);
+        if !log.groups.iter().any(|(g, _)| *g == ggid) {
+            log.groups.push((ggid, Arc::clone(members)));
+        }
         log.entries.push((ggid, seq));
     }
 
-    /// The cut as of now: every rank's runs. Costs O(ranks × groups),
-    /// whatever the program's length; deterministic whenever the ranks
-    /// are not recording (parked at a cut, or finished).
-    pub fn cut(&self) -> Cut {
-        let runs = self
-            .rank_logs()
-            .flat_map(|(_, log)| log.lock().runs.clone());
-        Cut::from_runs(runs.collect())
-    }
-
     /// All events recorded since the log was last taken, moved out — rank
-    /// by rank, each rank's events in program order. For the end of a
-    /// run; the cut keeps covering what is taken.
+    /// by rank, each rank's events in program order, each with the member
+    /// list the rank first recorded for its group. For the end of a run.
     pub fn take_events(&self) -> Vec<ExecEvent> {
         let mut events = Vec::with_capacity(self.len());
         for (rank, log) in self.rank_logs() {
             let mut log = log.lock();
             let entries = std::mem::take(&mut log.entries);
             events.extend(entries.into_iter().map(|(ggid, seq)| {
-                let run = log.runs.iter().rfind(|r| r.ggid == ggid);
+                let (_, members) = (log.groups.iter())
+                    .find(|(g, _)| *g == ggid)
+                    .expect("a record notes its group");
                 ExecEvent {
                     rank,
                     node: Node { ggid, seq },
-                    members: Arc::clone(&run.expect("a record opens a run").members),
+                    members: Arc::clone(members),
                 }
             }));
         }
@@ -353,9 +342,11 @@ fn first_difference(
 /// 1. every visited node is visited by **all** of its participants;
 /// 2. no node beyond `TARGET[ggid]` is visited.
 ///
-/// The evidence is what the wrapper *recorded* ([`ExecutionLog::cut`]),
-/// never `SEQ[]`. Costs O(runs): no step depends on how many nodes a run
-/// covers.
+/// A group missing from `targets` has target 0: any run on it is beyond
+/// target. The evidence is whatever cut the caller hands in — a
+/// checkpoint's is derived from its ranks' `SEQ[]` tables, a test's from
+/// a run's full log ([`Cut::from_events`]). Costs O(runs): no step depends
+/// on how many nodes a run covers.
 pub fn verify_safe_cut(
     cut: &Cut,
     targets: Option<&HashMap<Ggid, u64>>,
@@ -556,36 +547,38 @@ mod tests {
         log.record_shared(1, Ggid(1), 1, &m);
         log.record_shared(0, Ggid(1), 1, &m);
         log.record_shared(1, Ggid(1), 2, &m);
-        let first = log.cut();
-        let shape = |c: &Cut| -> Vec<(usize, u64, u64)> {
-            c.runs().iter().map(|r| (r.rank, r.first, r.last)).collect()
-        };
-        assert_eq!(shape(&first), vec![(0, 1, 1), (1, 1, 2), (2000, 1, 1)]);
-        assert!(first.runs().iter().all(|r| Arc::ptr_eq(&r.members, &m)));
-        assert_eq!(first.len(), 4);
-        // A later cut extends the same runs: it is no longer, only later.
         log.record_shared(2000, Ggid(1), 2, &m);
         log.record_shared(0, Ggid(1), 2, &m);
-        let second = log.cut();
-        assert_eq!(shape(&second), vec![(0, 1, 2), (1, 1, 2), (2000, 1, 2)]);
-        assert_eq!((second.len(), log.len()), (6, 6));
-        assert!(verify_safe_cut(&second, None).is_ok());
-        // The full log is rank-major, each rank in program order, and equals
-        // the cut's own events here (one group); taking it empties the log
-        // and leaves the cut covering what was taken.
-        let order: Vec<(usize, u64)> = (log.take_events().iter())
-            .map(|e| (e.rank, e.node.seq))
-            .collect();
+        assert_eq!(log.len(), 6);
+        // The full log is rank-major, each rank in program order, every
+        // event holding the list the rank first recorded; taking it
+        // empties the log.
+        let events = log.take_events();
+        assert!(log.is_empty());
+        assert!(events.iter().all(|e| Arc::ptr_eq(&e.members, &m)));
+        let order: Vec<(usize, u64)> = events.iter().map(|e| (e.rank, e.node.seq)).collect();
         assert_eq!(
             order,
             [(0, 1), (0, 2), (1, 1), (1, 2), (2000, 1), (2000, 2)]
         );
-        let lazily: Vec<(usize, u64)> = second.events().map(|e| (e.rank, e.node.seq)).collect();
+        // Its cut is one run per rank and group, however many events.
+        let cut = Cut::from_events(&events);
+        let shape: Vec<(usize, u64, u64)> = cut
+            .runs()
+            .iter()
+            .map(|r| (r.rank, r.first, r.last))
+            .collect();
+        assert_eq!(shape, vec![(0, 1, 2), (1, 1, 2), (2000, 1, 2)]);
+        assert!(cut.runs().iter().all(|r| Arc::ptr_eq(&r.members, &m)));
+        assert_eq!(cut.len(), 6);
+        assert!(verify_safe_cut(&cut, None).is_ok());
+        let lazily: Vec<(usize, u64)> = cut.events().map(|e| (e.rank, e.node.seq)).collect();
         assert_eq!(lazily, order);
-        assert!(log.is_empty());
-        log.record_shared(1, Ggid(1), 3, &m);
-        assert_eq!(shape(&log.cut())[1], (1, 1, 3));
-        assert_eq!(log.take_events().len(), 1);
+        // A record after a take keeps the group's list.
+        log.record_shared(1, Ggid(1), 3, &vec![1].into());
+        let again = log.take_events();
+        assert_eq!(again.len(), 1);
+        assert!(Arc::ptr_eq(&again[0].members, &m));
     }
 
     #[test]
@@ -594,7 +587,7 @@ mod tests {
         let m: Arc<[usize]> = vec![0].into();
         // A repeat, a gap, a restart at 0 (the benchmark's record drive),
         // another group in between: nothing asserts, everything is kept.
-        for (g, seq) in [
+        let records = [
             (1, 1),
             (1, 2),
             (1, 2),
@@ -603,10 +596,16 @@ mod tests {
             (1, 7),
             (1, 0),
             (1, 1),
-        ] {
+        ];
+        for (g, seq) in records {
             log.record_shared(0, Ggid(g), seq, &m);
         }
-        let cut = log.cut();
+        let events = log.take_events();
+        let kept: Vec<(u64, u64)> = (events.iter())
+            .map(|e| (e.node.ggid.0, e.node.seq))
+            .collect();
+        assert_eq!(kept, records);
+        let cut = Cut::from_events(&events);
         let shape: Vec<(u64, u64, u64)> = (cut.runs().iter())
             .map(|r| (r.ggid.0, r.first, r.last))
             .collect();
@@ -621,7 +620,6 @@ mod tests {
         assert!(err
             .iter()
             .all(|v| matches!(v, Violation::SequenceGap(0, Ggid(1), ..))));
-        assert_eq!(cut, Cut::from_events(&log.take_events()));
     }
 
     #[test]
