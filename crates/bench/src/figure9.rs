@@ -298,7 +298,7 @@ pub fn figure9_report(cfg: &Figure9Config) -> Figure9Report {
             ranks: n,
             serialized_bytes: image.serialized_len(),
             in_flight_bytes: image.in_flight_bytes(),
-            cut_events: image.cut_events.len(),
+            cut_events: image.cut().len(),
             capture_clock_s: image.capture_clock().as_secs(),
             capture_wall_s: run.capture_wall_s.first().copied().unwrap_or(0.0),
         });

@@ -14,7 +14,9 @@ use ckpt::{
 use mana_core::{Cut, CutRun, Protocol};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{HaloStep, Paced, RandomWorkloadCfg, RandomWorkloadStep, ScfStep, Then};
+use workloads::{
+    CallLog, HaloStep, Logged, Paced, RandomWorkloadCfg, RandomWorkloadStep, ScfStep, Then,
+};
 
 /// SCF, then a halo exchange: collectives and fixed-neighbor p2p.
 fn workload(_rank: usize) -> Then<ScfStep, HaloStep> {
@@ -133,14 +135,28 @@ fn live_run_delta_chain_restores_bit_identical_to_the_full_image() {
 /// `later` covers everything `earlier` does, as the same runs grown: a
 /// rank that keeps counting `SEQ[ggid]` up by one never opens a second
 /// run on a group, it extends the one it has.
-fn assert_extends(later: &Cut, earlier: &Cut, what: &str) {
+fn extends(later: &Cut, earlier: &Cut) -> Result<(), String> {
     for e in earlier.runs() {
         let same_run = |l: &&CutRun| (l.rank, l.ggid, l.first) == (e.rank, e.ggid, e.first);
         let l = later.runs().iter().find(same_run);
-        let l = l.unwrap_or_else(|| panic!("{what}: run {e:?} has no successor"));
-        assert!(l.last >= e.last, "{what}: {e:?} shrank to {l:?}");
+        let l = l.ok_or_else(|| format!("run {e:?} has no successor"))?;
+        if l.last < e.last {
+            return Err(format!("{e:?} shrank to {l:?}"));
+        }
     }
-    assert!(later.len() > earlier.len(), "{what}: the cut did not grow");
+    if later.len() <= earlier.len() {
+        return Err("the cut did not grow".into());
+    }
+    Ok(())
+}
+
+fn assert_extends(later: &Cut, earlier: &Cut, what: &str) {
+    extends(later, earlier).unwrap_or_else(|why| panic!("{what}: {why}"));
+}
+
+/// What the ranks' witnessed collectives cover, as a cut.
+fn witnessed(logs: &[CallLog]) -> Cut {
+    Cut::from_events(&logs.iter().flat_map(CallLog::events).collect::<Vec<_>>())
 }
 
 #[test]
@@ -161,7 +177,7 @@ fn cut_of_each_generation_extends_the_previous() {
             .with_protocol(Protocol::Cc)
             .with_policy(EveryNCollectives::new(15, 6))
             .with_resume(ResumeMode::Continue),
-        |_| RandomWorkloadStep::new(work.clone()),
+        |_| Logged::new(RandomWorkloadStep::new(work.clone())),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     let g = &run.checkpoints;
@@ -174,8 +190,8 @@ fn cut_of_each_generation_extends_the_previous() {
     for (i, pair) in g.windows(2).enumerate() {
         let (parent, child) = (&pair[0], &pair[1]);
         assert_extends(
-            &child.cut_events,
-            &parent.cut_events,
+            &child.cut(),
+            &parent.cut(),
             &format!("generation {i} → next"),
         );
         let known = full_image_refs(parent).into_iter().collect();
@@ -184,21 +200,30 @@ fn cut_of_each_generation_extends_the_previous() {
         pool.absorb_full(parent);
         pool.absorb_delta(&delta);
         let applied = delta.apply(parent, &pool).expect("the delta resolves");
-        assert_eq!(
-            applied.cut_events, child.cut_events,
-            "a delta's cut is its tables'"
-        );
+        assert_eq!(applied.cut(), child.cut(), "a delta's cut is its tables'");
     }
     // More collectives, hardly more runs: a run per rank and group.
-    let (first, last) = (&g[0].cut_events, &g[5].cut_events);
+    let (first, last) = (&g[0].cut(), &g[5].cut());
     assert!(last.len() >= 3 * first.len());
     assert!(last.runs().len() <= 2 * first.runs().len());
-    // The report's full log continues the last cut the same way.
-    assert_extends(
-        &Cut::from_events(&run.events),
-        last,
-        "last cut → end of run",
-    );
+    // What the ranks' lower halves began continues the last cut the same
+    // way.
+    let mut logs: Vec<CallLog> = run.results().map(|(_, log)| log.clone()).collect();
+    assert_extends(&witnessed(&logs), last, "last cut → end of run");
+    // A witness that lost a collective the last cut holds refuses it:
+    // rank 0's record cut short before the last cut's end.
+    let inside = last.runs().iter().filter(|r| r.rank == 0);
+    let at_cut = inside.map(|r| r.last).sum::<u64>() as usize;
+    let mut began = 0;
+    let steps = &mut logs[0].steps;
+    let keep = (steps.iter())
+        .take_while(|step| {
+            began += step.len();
+            began < at_cut
+        })
+        .count();
+    steps.truncate(keep);
+    assert!(extends(&witnessed(&logs), last).is_err());
 }
 
 #[test]

@@ -316,7 +316,8 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     let mut image = split_world_image();
     // The captures' references and the cut's runs (derived from the
     // tables, and no longer on the wire).
-    let runs = image.cut_events.runs().iter().map(|r| &r.members);
+    let cut = image.cut();
+    let runs = cut.runs().iter().map(|r| &r.members);
     let refs: Vec<_> = image.member_list_refs().chain(runs).collect();
     let listed = refs.iter().filter(|m| !is_run(m)).count();
     assert!(
@@ -365,7 +366,8 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     let entries: usize = (distinct_stable_halves(&image).iter())
         .map(|c| c.seq_table.len())
         .sum();
-    let runs = image.cut_events.runs();
+    let cut = image.cut();
+    let runs = cut.runs();
     assert_eq!(
         runs.len(),
         (image.captures.iter()).map(|c| c.seq_table.len()).sum()
@@ -428,10 +430,11 @@ fn image_size_does_not_grow_with_run_length() {
         image.verify().expect("a committed cut is safe");
         // The trigger fires once every rank has made 40·(k+1) calls; the
         // drain may run a call or two past it.
-        let calls = image.cut_events.len() / N;
-        assert_eq!(image.cut_events.len(), calls * N, "every rank, every call");
+        let cut = image.cut();
+        let calls = cut.len() / N;
+        assert_eq!(cut.len(), calls * N, "every rank, every call");
         assert!((40 * (k + 1)..40 * (k + 1) + 8).contains(&calls), "{calls}");
-        assert_eq!(image.cut_events.runs().len(), N);
+        assert_eq!(cut.runs().len(), N);
         assert_eq!(image.to_bytes().len(), image.serialized_len());
         assert_eq!(image.serialized_len(), image_len(image));
         // A rank's counts of collectives: its `SEQ[]` entry and its nine
@@ -479,7 +482,7 @@ fn ranks_with_identical_stable_halves_share_one_chunk() {
             1,
             "the SCF ranks' stable halves differ"
         );
-        assert_eq!(image.cut_events.runs().len(), image.n_ranks);
+        assert_eq!(image.cut().runs().len(), image.n_ranks);
         assert!(image.captures.iter().all(|c| c.pending_barrier.is_none()));
         let len = image.serialized_len();
         assert_eq!(len, image.to_bytes().len());

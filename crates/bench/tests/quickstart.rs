@@ -18,7 +18,7 @@ fn quickstart_demo_checkpoint_restore_bit_identical() {
     assert!(ckpt.targets_exactly_reached());
     assert_eq!(ckpt.n_ranks, 4);
     assert!(
-        !ckpt.cut_events.is_empty(),
+        !ckpt.cut().is_empty(),
         "a mid-flight cut must contain executed collectives"
     );
 }

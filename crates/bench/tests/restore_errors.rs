@@ -43,7 +43,8 @@ fn shared_group(image: &Checkpoint, rank: usize) -> Ggid {
 }
 
 /// Moves rank `rank`'s `SEQ[g]` by `by` — the table a restore installs —
-/// and nothing else: the image's `cut_events` copy keeps the old cut.
+/// and nothing else: the image's stale `cut_events` copy keeps the old
+/// cut, and `Checkpoint::cut` derives the new one.
 fn move_seq(image: &mut Checkpoint, rank: usize, g: Ggid, by: i64) {
     let table = &mut image.captures[rank].seq_table;
     let members = table.members_shared(g).cloned().expect("a held group");
@@ -81,7 +82,7 @@ fn capture_image_under(protocol: Protocol) -> (Checkpoint, RandomWorkloadCfg) {
         .expect("harness captured a checkpoint");
     assert_eq!(image.protocol, protocol);
     assert!(image.verify().is_ok(), "the pristine image must be safe");
-    assert!(!image.cut_events.is_empty(), "cut evidence must exist");
+    assert!(!image.cut().is_empty(), "cut evidence must exist");
     (image, paced)
 }
 

@@ -1,9 +1,12 @@
 //! A restore resumes from the image: each rank's body comes back from its
 //! snapshot and the wrapper from its capture, so only the run's suffix
-//! executes. The check is by count, not by wall time: the restored
-//! session's execution log holds no collective at or below the image's
-//! `SEQ[]` for that rank and group, and together with the image's
-//! sequence tables it accounts for every collective of the native run.
+//! executes. The check is by count, not by wall time, against a witness
+//! that does not take the wrapper's word for what ran
+//! (`workloads::Logged`: the collectives each rank's lower half began):
+//! for every rank and group, what the restored run began added to the
+//! image's `SEQ[g]` is exactly what the native run began — so no
+//! collective at or below the image's `SEQ[]` runs again, and the image
+//! and the suffix account for every collective of the native run.
 
 use ckpt::wire::{Dec, DecodeError, Wr};
 use ckpt::{
@@ -11,53 +14,57 @@ use ckpt::{
     CkptRunReport, EveryNCollectives, RestoreConfig, ResumeMode, StepBody, StepPoll,
     VirtualTimeSchedule,
 };
-use mana_core::{Protocol, RankState, VComm};
+use mana_core::{Ggid, Node, Protocol, RankState, VComm};
 use mpisim::{NetParams, ReduceOp, VTime, WorldConfig};
-use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
+use std::collections::BTreeSet;
+use workloads::{CallLog, Logged, RandomWorkloadCfg, RandomWorkloadStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
 }
 
-/// Collectives a rank had executed at the cut, summed over its groups.
-fn executed_at_cut(image: &Checkpoint, rank: usize) -> u64 {
-    image.captures[rank]
-        .seq_table
-        .iter()
-        .map(|(_, e)| e.seq)
-        .sum()
+/// Each rank's witness, from a run of [`Logged`] bodies.
+fn logs<R>(run: &CkptRunReport<(R, CallLog)>) -> Vec<CallLog> {
+    run.results().map(|(_, log)| log.clone()).collect()
 }
 
-/// The restored run executed exactly the suffix of `native` past
-/// `image`'s cut.
-fn assert_suffix_only<R>(image: &Checkpoint, restored: &CkptRunReport<R>, native_events: usize) {
-    for e in &restored.events {
-        let at_cut = image.captures[e.rank].seq_table.seq(e.node.ggid);
-        assert!(
-            e.node.seq > at_cut,
-            "rank {} re-executed {:?}, at or below its SEQ {at_cut}",
-            e.rank,
-            e.node
-        );
+/// Whether the restored run began exactly the suffix of `native` past
+/// `image`'s cut: for every rank and group, the collectives its lower
+/// half began after the restore plus the image's `SEQ[g]` are the native
+/// run's. One collective at or below `SEQ[g]` run again would count once
+/// too often.
+fn suffix_only(image: &Checkpoint, restored: &[CallLog], native: &[CallLog]) -> Result<(), String> {
+    for (rank, (after, whole)) in restored.iter().zip(native).enumerate() {
+        let table = &image.captures[rank].seq_table;
+        let (after, whole) = (after.calls(), whole.calls());
+        let groups: BTreeSet<Ggid> = (table.iter().map(|(&g, _)| g))
+            .chain(after.keys().copied())
+            .chain(whole.keys().copied())
+            .collect();
+        for g in groups {
+            let (at_cut, ran) = (table.seq(g), after.get(&g).copied().unwrap_or(0));
+            let native = whole.get(&g).copied().unwrap_or(0);
+            if at_cut + ran != native {
+                return Err(format!(
+                    "rank {rank}, group {g}: SEQ {at_cut} in the image + {ran} restored \
+                     != {native} native"
+                ));
+            }
+        }
     }
-    let prefix: u64 = (0..image.n_ranks).map(|r| executed_at_cut(image, r)).sum();
-    assert_eq!(
-        restored.events.len() as u64 + prefix,
-        native_events as u64,
-        "prefix in the image + suffix restored = the whole run"
-    );
+    Ok(())
 }
 
 #[test]
 fn restore_from_the_first_and_the_sixth_generation_runs_only_the_suffix() {
     let work = RandomWorkloadCfg::new(193, 200);
-    let body = |_| RandomWorkloadStep::new(work.clone());
+    let body = |_| Logged::new(RandomWorkloadStep::new(work.clone()));
     let native = run_ckpt_world_steps(
         cfg(16),
         CkptOptions::native().with_protocol(Protocol::Cc),
         body,
     );
-    let native_results: Vec<f64> = native.results().copied().collect();
+    let native_results: Vec<f64> = native.results().map(|(v, _)| *v).collect();
     let paced = work.clone().with_pace_us(40);
     let run = run_ckpt_world_steps(
         cfg(16).with_workers(2),
@@ -75,13 +82,14 @@ fn restore_from_the_first_and_the_sixth_generation_runs_only_the_suffix() {
         let image = Checkpoint::from_bytes(&image.to_bytes()).expect("round trip");
         let restored = restore_ckpt_world_steps(&image, RestoreConfig::same_packing(), body);
         assert_eq!(
-            restored.results().copied().collect::<Vec<_>>(),
+            restored.results().map(|(v, _)| *v).collect::<Vec<_>>(),
             native_results,
             "restore diverged from native"
         );
         assert_eq!(restored.final_counters, native.final_counters);
-        assert_suffix_only(&image, &restored, native.events.len());
-        suffixes.push(restored.events.len());
+        let after = logs(&restored);
+        suffix_only(&image, &after, &logs(&native)).unwrap();
+        suffixes.push(after.iter().map(CallLog::len).sum::<usize>());
     }
     assert!(
         suffixes[1] < suffixes[0],
@@ -181,8 +189,9 @@ impl StepBody for FinishEarly {
 /// the restored log holds nothing of it — while the others run on.
 #[test]
 fn a_rank_captured_finished_returns_its_result_without_an_mpi_call() {
-    let native = run_ckpt_world_steps(cfg(3), CkptOptions::native(), |_| FinishEarly::new());
-    let native_results: Vec<f64> = native.results().copied().collect();
+    let body = |_| Logged::new(FinishEarly::new());
+    let native = run_ckpt_world_steps(cfg(3), CkptOptions::native(), body);
+    let native_results: Vec<f64> = native.results().map(|(v, _)| *v).collect();
     let run = run_ckpt_world_steps(
         cfg(3),
         CkptOptions::native()
@@ -198,15 +207,28 @@ fn a_rank_captured_finished_returns_its_result_without_an_mpi_call() {
         .iter()
         .all(|c| c.state != RankState::Finished));
 
-    let restored =
-        restore_ckpt_world_steps(image, RestoreConfig::same_packing(), |_| FinishEarly::new());
+    let restored = restore_ckpt_world_steps(image, RestoreConfig::same_packing(), body);
     assert_eq!(
-        restored.results().copied().collect::<Vec<_>>(),
+        restored.results().map(|(v, _)| *v).collect::<Vec<_>>(),
         native_results
     );
     assert_eq!(restored.final_counters[0], image.captures[0].counters);
     assert_eq!(restored.ranks[0].final_clock, image.captures[0].clock);
-    assert!(restored.events.iter().all(|e| e.rank != 0));
-    assert!(restored.events.iter().any(|e| e.rank == 1));
-    assert_suffix_only(image, &restored, native.events.len());
+    let (after, native) = (logs(&restored), logs(&native));
+    assert!(after[0].is_empty());
+    assert!(!after[1].is_empty());
+    suffix_only(image, &after, &native).unwrap();
+
+    // Fed a restored record in which rank 1 ran its first collective past
+    // the cut on a group twice — once at or below its `SEQ` — the witness
+    // refuses the suffix.
+    let mut again = after.clone();
+    let first = again[1].steps[0][0];
+    let below = Node {
+        seq: image.captures[1].seq_table.seq(first.ggid),
+        ..first
+    };
+    again[1].steps.insert(0, vec![below]);
+    let why = suffix_only(image, &again, &native).unwrap_err();
+    assert!(why.starts_with("rank 1,"), "{why}");
 }

@@ -5,12 +5,14 @@
 //! blocking/non-blocking collectives, communicator splits/dups, ring and
 //! wildcard point-to-point), trigger a checkpoint at a seed-chosen random
 //! point, and check every captured cut with `verify_safe_cut` — an oracle
-//! *independent* of the drain implementation: it replays the execution log
-//! against the two §4.2.2 safe-state conditions. Each cut is also checked
-//! by the argument the paper itself makes: the run's collective DAG has a
-//! topological order, and the cut is downward-closed in it. Restart runs
-//! additionally assert bit-identical continuation against an
-//! uninterrupted run.
+//! *independent* of the drain implementation: it judges the cut against
+//! the two §4.2.2 safe-state conditions. Each cut is also checked by the
+//! argument the paper itself makes, against a witness that does not take
+//! the wrapper's word for what ran (`workloads::Logged`: each rank's
+//! collectives as its lower half began them): the run's collective DAG
+//! has a topological order, and the cut is a prefix of every rank's path
+//! in it. Restart runs additionally assert bit-identical continuation
+//! against an uninterrupted run.
 //!
 //! Two tiers:
 //!
@@ -28,11 +30,13 @@
 //!   them).
 
 use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, ResumeMode};
-use mana_core::topo::{topological_sort, ExecEvent, Node};
+use mana_core::topo::{topological_sort, Node};
 use mana_core::{Cut, Ggid, Protocol};
 use mpisim::{NetParams, VTime, WorldConfig};
-use std::collections::{BTreeMap, HashSet};
-use workloads::{random_workload, RandomWorkloadCfg, SplitMix64};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use workloads::{
+    random_workload, CallLog, Logged, RandomWorkloadCfg, RandomWorkloadStep, SplitMix64,
+};
 
 const SEEDS_PER_SIZE: u64 = 50;
 const SEEDS_PER_SIZE_2PC: u64 = 15;
@@ -54,45 +58,60 @@ fn large_cfg(n: usize) -> WorldConfig {
     WorldConfig::multi_node(n, 128).with_params(NetParams::slingshot11().without_jitter())
 }
 
-/// The paper's §4.2.2 argument, executably. `log` is a run's execution
-/// log: its nodes are the collectives `(ggid, seq)`, and every rank
-/// contributes an edge from each collective it entered to the next one it
-/// entered (the log lists a rank's events in program order, so filtering
-/// by rank recovers it). The run must have *a* topological order — no two
-/// ranks entered two collectives in opposite orders — and `cut` must be
-/// downward-closed: a rank's participation in a node is in the cut only if
-/// its participation in the node's predecessor is. That per-rank prefix
+/// The paper's §4.2.2 argument, executably. `logs` are the ranks'
+/// witnessed paths ([`CallLog`]: the collectives each rank's lower half
+/// began, step by step in program order). The nodes are the collectives
+/// `(ggid, seq)`; every rank contributes an edge from each collective it
+/// began to each one it began in its next step that began any, and along
+/// a group's own sequence inside a step (nothing orders two groups inside
+/// one step). The run must have *a* topological order — no two ranks
+/// entered two collectives in opposite orders — and `cut` must be, for
+/// every rank, exactly a prefix of its path: what it had begun at the end
+/// of one of its steps, where a capture parks it. That per-rank prefix
 /// property is what `verify_safe_cut`'s set invariants cannot see.
-fn check_cut_against_dag(log: &[ExecEvent], cut: &Cut) -> Result<(), String> {
-    let mut paths: BTreeMap<usize, Vec<Node>> = BTreeMap::new();
-    for e in log {
-        paths.entry(e.rank).or_default().push(e.node);
+fn check_cut_against_dag(logs: &[CallLog], cut: &Cut) -> Result<(), String> {
+    let mut nodes: HashSet<Node> = HashSet::new();
+    let mut edges: Vec<(Node, Node)> = Vec::new();
+    for log in logs {
+        let mut prev: &[Node] = &[];
+        for step in &log.steps {
+            nodes.extend(step);
+            edges.extend(prev.iter().flat_map(|&a| step.iter().map(move |&b| (a, b))));
+            let same_group = step.windows(2).filter(|w| w[0].ggid == w[1].ggid);
+            edges.extend(same_group.map(|w| (w[0], w[1])));
+            prev = step;
+        }
     }
-    let nodes: Vec<Node> = log
-        .iter()
-        .map(|e| e.node)
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
-    let edges: Vec<(Node, Node)> = paths
-        .values()
-        .flat_map(|path| path.windows(2).map(|w| (w[0], w[1])))
-        .collect();
+    let nodes: Vec<Node> = nodes.into_iter().collect();
     topological_sort(&nodes, &edges).ok_or("the execution DAG has a cycle")?;
 
-    let in_log: HashSet<(usize, Node)> = log.iter().map(|e| (e.rank, e.node)).collect();
-    let in_cut: HashSet<(usize, Node)> = cut.events().map(|e| (e.rank, e.node)).collect();
-    if let Some(v) = in_cut.difference(&in_log).next() {
-        return Err(format!("the cut holds {v:?}, which the run never logged"));
+    let in_log: HashSet<(usize, Node)> = (logs.iter())
+        .flat_map(|log| log.steps.iter().flatten().map(|&n| (log.rank, n)))
+        .collect();
+    let mut in_cut: BTreeMap<usize, HashSet<Node>> = BTreeMap::new();
+    for e in cut.events() {
+        if !in_log.contains(&(e.rank, e.node)) {
+            return Err(format!(
+                "the cut holds {:?}, which the run never logged",
+                (e.rank, e.node)
+            ));
+        }
+        in_cut.entry(e.rank).or_default().insert(e.node);
     }
-    for (&rank, path) in &paths {
-        for w in path.windows(2) {
-            if in_cut.contains(&(rank, w[1])) && !in_cut.contains(&(rank, w[0])) {
+    for log in logs {
+        let inside = in_cut.remove(&log.rank).unwrap_or_default();
+        let mut steps = log.steps.iter();
+        let mut prefix = 0;
+        while prefix < inside.len() {
+            let step = steps.next().expect("every node of the cut was logged");
+            if let Some(n) = step.iter().find(|n| !inside.contains(n)) {
                 return Err(format!(
-                    "rank {rank}: {:?} is inside the cut, its predecessor {:?} outside",
-                    w[1], w[0]
+                    "rank {}: {n:?} is outside the cut, though the cut holds a \
+                     collective the rank began no earlier",
+                    log.rank
                 ));
             }
+            prefix += step.len();
         }
     }
     Ok(())
@@ -100,12 +119,12 @@ fn check_cut_against_dag(log: &[ExecEvent], cut: &Cut) -> Result<(), String> {
 
 /// One seed: native run for reference, then a checkpointed run with the
 /// trigger at a random fraction of the native makespan. Returns the
-/// checkpoint if one fired.
-fn one_case(n: usize, seed: u64) -> Option<Checkpoint> {
+/// checkpoint if one fired, with the checkpointed run's witness.
+fn one_case(n: usize, seed: u64) -> Option<(Checkpoint, Vec<CallLog>)> {
     one_case_sized(cfg(n), seed, Protocol::Cc, STEPS)
 }
 
-fn one_case_proto(n: usize, seed: u64, protocol: Protocol) -> Option<Checkpoint> {
+fn one_case_proto(n: usize, seed: u64, protocol: Protocol) -> Option<(Checkpoint, Vec<CallLog>)> {
     one_case_sized(cfg(n), seed, protocol, STEPS)
 }
 
@@ -118,7 +137,7 @@ fn one_case_sized(
     seed: u64,
     protocol: Protocol,
     steps: usize,
-) -> Option<Checkpoint> {
+) -> Option<(Checkpoint, Vec<CallLog>)> {
     let n = cfg.n_ranks;
     let mut wl = RandomWorkloadCfg::new(seed, steps);
     if protocol == Protocol::TwoPhase {
@@ -144,12 +163,13 @@ fn one_case_sized(
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, mode).with_protocol(protocol),
-        |r| random_workload(&paced, r),
+        |r| r.run(&mut Logged::new(RandomWorkloadStep::new(paced.clone()))),
     );
 
     // Data must continue bit-identically whether or not (and however) a
     // checkpoint intervened.
-    let got: Vec<f64> = run.results().copied().collect();
+    let got: Vec<f64> = run.results().map(|(v, _)| *v).collect();
+    let logs: Vec<CallLog> = run.results().map(|(_, log)| log.clone()).collect();
     assert_eq!(
         got, native_results,
         "divergent continuation: n={n} seed={seed} mode={mode:?} proto={protocol:?}"
@@ -165,7 +185,7 @@ fn one_case_sized(
         ckpt.verify().unwrap_or_else(|v| {
             panic!("safe-cut violated: n={n} seed={seed} mode={mode:?}: {v:?}")
         });
-        check_cut_against_dag(&run.events, &ckpt.cut_events).unwrap_or_else(|why| {
+        check_cut_against_dag(&logs, &ckpt.cut()).unwrap_or_else(|why| {
             panic!("cut is no prefix of the execution DAG: n={n} seed={seed} mode={mode:?}: {why}")
         });
         let achieved = ckpt.achieved();
@@ -184,7 +204,7 @@ fn one_case_sized(
         }
         out = Some(ckpt);
     }
-    out
+    out.map(|ckpt| (ckpt, logs))
 }
 
 fn sweep(n: usize) {
@@ -352,21 +372,55 @@ fn moved(ckpt: &Checkpoint, moves: &[(usize, Ggid, i64)]) -> Checkpoint {
         let seq = table.seq(g).checked_add_signed(by).expect("a SEQ in range");
         table.restore(g, seq, members);
     }
-    image.cut_events = image.cut();
     image
+}
+
+/// `rank`'s last collective inside `cut`, per group.
+fn last_inside(cut: &Cut, rank: usize) -> HashMap<Ggid, u64> {
+    (cut.runs().iter())
+        .filter(|r| r.rank == rank)
+        .map(|r| (r.ggid, r.last))
+        .collect()
+}
+
+/// How many of `log`'s steps lie inside `cut` — the prefix of the rank's
+/// path the cut ends on.
+fn steps_inside(log: &CallLog, cut: &Cut) -> usize {
+    let last = last_inside(cut, log.rank);
+    let inside = |n: &Node| last.get(&n.ggid).is_some_and(|&l| n.seq <= l);
+    (log.steps.iter())
+        .take_while(|step| step.iter().all(inside))
+        .count()
 }
 
 /// The oracle itself must still reject: corrupt a genuinely captured cut
 /// — the ranks' `SEQ[]` tables — and check each corruption is caught.
 #[test]
 fn corrupted_cut_is_rejected() {
-    // Find a seed whose checkpoint has a reasonably rich cut.
-    let ckpt = (0..20)
-        .find_map(|seed| one_case(4, seed).filter(|c| c.cut_events.len() >= 8))
+    // Find a seed whose checkpoint has a reasonably rich cut, and a rank
+    // whose last participation on some group inside it came a step before
+    // the cut's end.
+    let holeable = |(ckpt, logs): &(Checkpoint, Vec<CallLog>)| {
+        let cut = ckpt.cut();
+        if cut.len() < 8 {
+            return None;
+        }
+        logs.iter().find_map(|log| {
+            let last = last_inside(&cut, log.rank);
+            let before_end = steps_inside(log, &cut).checked_sub(1)?;
+            (log.steps[..before_end].iter().flatten())
+                .find(|n| last.get(&n.ggid) == Some(&n.seq))
+                .map(|n| (log.rank, n.ggid))
+        })
+    };
+    let (ckpt, logs, (rank, group)) = (0..20)
+        .filter_map(|seed| one_case(4, seed))
+        .find_map(|c| holeable(&c).map(|h| (c.0, c.1, h)))
         .expect("a checkpoint with a non-trivial cut");
     assert!(ckpt.verify().is_ok());
+    let cut = ckpt.cut();
     // A visited group of two or more members, and two of its members.
-    let run = (ckpt.cut_events.runs().iter())
+    let run = (cut.runs().iter())
         .find(|r| r.members.len() > 1)
         .expect("a multi-member group in the cut");
     let (g, a, b) = (run.ggid, run.members[0], run.members[1]);
@@ -397,21 +451,39 @@ fn corrupted_cut_is_rejected() {
     );
 
     // Corruption 4: take back a rank's last participation on a group
-    // that is not the last group its path enters — the rank then sits
-    // past a collective whose predecessor it never entered, which no rank
-    // prefix of the run can produce. The DAG check rejects it against the
-    // intact cut's own events as the log (in which the intact cut is
-    // trivially closed, each rank's path its runs in canonical order).
-    let events: Vec<ExecEvent> = ckpt.cut_events.events().collect();
-    assert_eq!(check_cut_against_dag(&events, &ckpt.cut_events), Ok(()));
-    let runs = ckpt.cut_events.runs();
-    let first = (0..runs.len() - 1)
-        .find(|&i| runs[i].rank == runs[i + 1].rank)
-        .expect("a rank with runs on two groups");
-    let (rank, group) = (runs[first].rank, runs[first].ggid);
+    // whose last collective inside the cut the rank entered before the
+    // cut's end — the rank then sits past a collective whose predecessor
+    // it never entered, which no rank prefix of the run can produce. The
+    // DAG check rejects it against the run's witness.
+    assert_eq!(check_cut_against_dag(&logs, &cut), Ok(()));
     let holed = moved(&ckpt, &[(rank, group, -1)]);
-    assert!(
-        check_cut_against_dag(&events, &holed.cut_events).is_err(),
-        "DAG check accepted a cut that is not a prefix of rank {rank}'s path"
-    );
+    let why = check_cut_against_dag(&logs, &holed.cut()).unwrap_err();
+    assert!(why.contains("outside the cut"), "rank {rank}'s path: {why}");
+}
+
+/// The witness catches a cut that is no prefix of a rank's path when the
+/// path says so: fed a record in which a rank began the last step inside
+/// the genuine cut together with its next step, the cut splits one step
+/// and is refused — no edge is added, so the refusal is the prefix's.
+#[test]
+fn a_witness_that_splits_the_cut_inside_a_step_refuses_it() {
+    // A checkpoint with a rank that has steps on both sides of its cut.
+    let split = |(ckpt, logs): (Checkpoint, Vec<CallLog>)| {
+        let cut = ckpt.cut();
+        let (r, k) = (logs.iter().enumerate())
+            .map(|(r, log)| (r, steps_inside(log, &cut)))
+            .find(|&(r, k)| k > 0 && k < logs[r].steps.len())?;
+        Some((cut, logs, r, k))
+    };
+    let (cut, logs, r, k) = (0..20)
+        .filter_map(|seed| one_case(4, seed))
+        .find_map(split)
+        .expect("a rank with steps on both sides of the cut");
+    assert_eq!(check_cut_against_dag(&logs, &cut), Ok(()));
+    let mut merged = logs.clone();
+    let next = merged[r].steps.remove(k);
+    merged[r].steps[k - 1].extend(next);
+    merged[r].steps[k - 1].sort_unstable();
+    let why = check_cut_against_dag(&merged, &cut).unwrap_err();
+    assert!(why.contains("outside the cut"), "rank {r}: {why}");
 }

@@ -491,8 +491,7 @@ fn live_delta() -> (Checkpoint, Checkpoint, DeltaImage) {
             c.seq_table.restore(g, seq, members);
         }
     }
-    parent.cut_events = parent.cut();
-    assert_ne!(parent.cut_events, child.cut_events);
+    assert_ne!(parent.cut(), child.cut());
     let known = full_image_refs(&parent).into_iter().collect();
     let delta = DeltaImage::build(1, 0, 0, &parent, &known, &child);
     assert_eq!(delta.new_chunks.len(), child.n_ranks);
@@ -680,10 +679,11 @@ fn a_run_claiming_every_sequence_number_costs_nothing() {
     let t = std::time::Instant::now();
     let decoded = decode_no_panic(&forged, "SEQ = u64::MAX").expect("any SEQ decodes");
     let verdict = decoded.verify();
-    let len = decoded.cut_events.len();
+    let cut = decoded.cut();
+    let len = cut.len();
     let took = t.elapsed();
 
-    let runs = decoded.cut_events.runs();
+    let runs = cut.runs();
     assert!(runs.iter().any(|r| (r.first, r.last) == (1, u64::MAX)));
     assert_eq!(len, usize::MAX, "len saturates");
     let violations = verdict.expect_err("a run beyond every target is no safe cut");

@@ -240,9 +240,11 @@ pub struct Checkpoint {
     pub captures: Vec<RuntimeCapture>,
     /// Drained in-flight point-to-point messages, sorted per channel.
     pub in_flight: Vec<DrainedMsg>,
-    /// [`Checkpoint::cut`], filled at capture and at decode for readers
-    /// that count participations. Nothing decides safety by it: the
-    /// checks read the tables.
+    /// [`Checkpoint::cut`], filled at capture and at decode, kept only
+    /// for the frozen benchmark's `.cut_events.len()`; every other reader
+    /// calls `cut()`. Nothing decides safety by it: the checks read the
+    /// tables. A caller that edits a table leaves it stale, and must
+    /// refresh it (`x.cut_events = x.cut()`) before comparing images.
     pub cut_events: Cut,
     /// Virtual seconds charged for writing the image set to storage
     /// (zero when the session has no storage model).
@@ -1374,7 +1376,6 @@ mod tests {
             c.captures.push(capture(rank, t));
         }
         c.final_targets.insert(g, 1);
-        c.cut_events = c.cut();
         c
     }
 
@@ -1383,9 +1384,10 @@ mod tests {
         assert!(pair([1, 1]).verify().is_ok());
         assert!(pair([0, 0]).verify().is_ok(), "an unvisited group");
         let c = pair([1, 1]);
-        assert_eq!(c.cut_events.len(), 2);
+        let cut = c.cut();
+        assert_eq!(cut.len(), 2);
         let m = c.captures[1].seq_table.iter().next().unwrap().1;
-        assert!(Arc::ptr_eq(&c.cut_events.runs()[1].members, &m.members));
+        assert!(Arc::ptr_eq(&cut.runs()[1].members, &m.members));
     }
 
     #[test]
@@ -1763,7 +1765,8 @@ mod tests {
             }
         }
         // The cut derived from the tables holds their allocations.
-        let runs = back.cut_events.runs();
+        let cut = back.cut();
+        let runs = cut.runs();
         assert_eq!(runs.len(), 8 * 2);
         assert!((runs.iter()).all(|r| refs.iter().any(|m| Arc::ptr_eq(m, &r.members))));
     }

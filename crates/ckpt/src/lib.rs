@@ -122,8 +122,9 @@
 //!   policy, returning every captured image for oracle verification
 //!   with [`mana_core::verify_safe_cut`] — over the image's
 //!   [`Checkpoint::cut`], the run `1..=SEQ[g]` every rank's table states
-//!   for every group, not over the run's full log (the report carries that
-//!   too, as `events`, the tests' independent witness). Its report also carries
+//!   for every group. No run keeps a log of its calls: the suites check
+//!   a cut against their own witness of what ran (`workloads::Logged`,
+//!   which reads the lower half's counts). Its report also carries
 //!   `capture_wall_s`: host wall seconds per committed capture bracket,
 //!   which the coordinator runs **in parallel on the world's worker
 //!   budget** ([`mpisim::Scheduler::workers`] scoped threads) while every

@@ -32,8 +32,8 @@ use crate::session::Session;
 use bytes::Bytes;
 use mana_core::capture::PendingRecv;
 use mana_core::{
-    ggid_of, CallCounters, CommOp, DrainEvent, Ggid, RankState, RuntimeCapture, TargetTable,
-    UpperHalf, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,
+    ggid_of, CallCounters, CommOp, DrainEvent, Ggid, Protocol, RankState, RuntimeCapture,
+    TargetTable, UpperHalf, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,
 };
 use mpisim::collective::RedSpec;
 use mpisim::comm::{create_color, SplitKey};
@@ -198,6 +198,18 @@ impl<'s> CcRank<'s> {
     pub fn counters(&self) -> CallCounters {
         self.core.counters
     }
+
+    /// The coordination protocol in force.
+    pub fn protocol(&self) -> Protocol {
+        self.core.sh.protocol
+    }
+
+    /// The lower half the rank runs on, read-only: what the MPI library
+    /// itself has begun ([`Ctx::collectives_begun`]), for a witness that
+    /// must not take the wrapper's `SEQ[]` for what ran.
+    pub fn lower_half(&self) -> &Ctx {
+        &self.core.ctx
+    }
 }
 
 impl RankCore<'_> {
@@ -284,20 +296,6 @@ impl RankCore<'_> {
         if !sh.control.ranks[self.rank].targets_met.swap(met, SeqCst) && met {
             sh.control.events.bump();
         }
-    }
-
-    /// Records a collective participation in the execution log. The
-    /// member list is passed by reference out of the rank's own mirror:
-    /// the log keeps a handle the first time it sees the group, so a
-    /// steady-state call touches nothing another rank touches.
-    fn record_exec(&mut self, ggid: Ggid, seq: u64) {
-        let mirror = self.sh.control.ranks[self.rank].seq_mirror.lock();
-        let members = mirror
-            .members_shared(ggid)
-            .expect("collective on registered group");
-        self.sh
-            .exec_log
-            .record_shared(self.rank, ggid, seq, members);
     }
 
     /// Raises `TARGET[ggid]` to `seq` locally, records the raise for the

@@ -393,7 +393,6 @@ impl CcGate {
                             *self = CcGate::FastOvershoot { ggid, seq };
                             continue;
                         }
-                        cc.record_exec(ggid, seq);
                         return Next::Open((ggid, seq));
                     }
                     *self = CcGate::AwaitTargets { ggid };
@@ -411,7 +410,6 @@ impl CcGate {
                         }
                         cc.publish_met();
                     }
-                    cc.record_exec(ggid, seq);
                     return Next::Open((ggid, seq));
                 }
                 CcGate::AwaitTargets { ggid } => match try_await_targets(cc) {
@@ -433,7 +431,6 @@ impl CcGate {
                             if seq > cc.targets.get(ggid).unwrap_or(0) {
                                 cc.raise_and_broadcast(ggid, seq);
                             }
-                            cc.record_exec(ggid, seq);
                             cc.publish_met();
                             return Next::Open((ggid, seq));
                         }
@@ -568,7 +565,6 @@ impl TwoPcGate {
             .seq_mirror
             .lock()
             .increment(ggid);
-        cc.record_exec(ggid, seq);
         (ggid, seq)
     }
 }

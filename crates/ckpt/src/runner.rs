@@ -24,7 +24,7 @@ use crate::restore::RestoreError;
 use crate::session::Session;
 use crate::store::{StoreRecord, Tiering};
 use crate::FaultPlan;
-use mana_core::{CallCounters, DrainTrace, ExecEvent, Protocol, RankState};
+use mana_core::{CallCounters, DrainTrace, Protocol, RankState};
 use mpisim::{RankDeath, RankReport, SpawnError, VTime, WorldConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -165,8 +165,6 @@ pub struct CkptRunReport<R> {
     pub final_counters: Vec<CallCounters>,
     /// Drain-protocol trace.
     pub trace: DrainTrace,
-    /// Full execution log (all collective participations).
-    pub events: Vec<ExecEvent>,
     /// Backstop-expiry wakeups across every wait path of the run (mailbox
     /// waits, rank parks and hand-offs, the supervisor's waits, the step
     /// driver's rescue sweep), all event-driven with lost-wakeup
@@ -427,7 +425,6 @@ pub(crate) fn assemble_report<R>(
         failures: sup_out.failures,
         final_counters,
         trace: sh.trace.clone(),
-        events: sh.exec_log.take_events(),
         backstop_expiries: sh.backstop_expiries(),
         capture_wall_s: sup_out.capture_wall_s,
         store_records: sup_out.store_records,

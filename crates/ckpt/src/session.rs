@@ -6,7 +6,7 @@
 use crate::avail::ArmedFault;
 use crate::bus::UpdateBus;
 use mana_core::control::OBSERVER_BACKSTOP;
-use mana_core::{CkptControl, DrainTrace, ExecutionLog, Protocol, Threshold};
+use mana_core::{CkptControl, DrainTrace, Protocol, Threshold};
 use mpisim::{RankDeath, World, WorldConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -19,9 +19,6 @@ pub struct Session {
     pub control: Arc<CkptControl>,
     /// Target-update message bus (the drain's out-of-band p2p channel).
     pub bus: UpdateBus,
-    /// Append-only log of collective participations: the run's full log,
-    /// the tests' witness for the cut (no checkpoint reads it).
-    pub exec_log: ExecutionLog,
     /// Drain-protocol event trace.
     pub trace: DrainTrace,
     /// The current lower-half generation. Replaced on restart.
@@ -62,7 +59,6 @@ impl Session {
         Arc::new(Session {
             control: CkptControl::new_with_stats(cfg.n_ranks, stats),
             bus: UpdateBus::new(cfg.n_ranks),
-            exec_log: ExecutionLog::new(),
             trace: DrainTrace::new(),
             world: Mutex::new(world),
             cfg,

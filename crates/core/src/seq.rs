@@ -82,9 +82,7 @@ impl SeqTable {
     }
 
     /// Shared handle to a registered group's member list, by reference:
-    /// per-call consumers (the execution log) look at it without touching
-    /// its reference count; consumers that keep it (a target raise's
-    /// broadcast) clone it.
+    /// consumers that keep it (a target raise's broadcast) clone it.
     pub fn members_shared(&self, ggid: Ggid) -> Option<&Arc<[usize]>> {
         self.entries.get(&ggid).map(|e| &e.members)
     }

@@ -16,8 +16,9 @@
 //! however long the program has run. A checkpoint derives its cut from
 //! the ranks' `SEQ[]` tables (each entry is the run `1..=SEQ[g]`), and
 //! [`verify_safe_cut`] judges it in O(runs); the event-by-event view
-//! ([`ExecEvent`]) remains for a run's full log ([`ExecutionLog`]) and for
-//! building cuts by hand ([`Cut::from_events`]).
+//! ([`ExecEvent`]) remains for building cuts by hand ([`Cut::from_events`]):
+//! from a test's own witness of what the ranks ran, which no run keeps
+//! for it, or from forged events.
 
 use crate::ggid::Ggid;
 use parking_lot::Mutex;
@@ -160,36 +161,24 @@ impl Cut {
     }
 }
 
-/// One rank's private part of the log.
-#[derive(Default)]
-struct RankLog {
-    /// `(ggid, seq)` in program order since the log was last taken,
-    /// 16 bytes an entry: the full log a run reports when it ends.
-    entries: Vec<(Ggid, u64)>,
-    /// The member list of every group the rank has recorded on, kept the
-    /// first time the group is seen (a handful per rank).
-    groups: Vec<(Ggid, Arc<[usize]>)>,
-}
+/// One rank's private part of the log: `(ggid, seq)` in program order.
+type RankLog = Mutex<Vec<(Ggid, u64)>>;
 
 struct LogInner {
     /// Rank-owned logs in pages of doubling size: page `k` holds ranks
     /// `2^k - 1 .. 2^(k+1) - 1`, so the table needs no rank count up
     /// front and never moves a log once a rank has found it. A page is
     /// allocated by the first record on it; finding a rank's log is two
-    /// loads, and the log's mutex is private to that rank (a reader takes
-    /// it only while the rank is parked or finished).
-    pages: [OnceLock<Box<[Mutex<RankLog>]>>; usize::BITS as usize],
+    /// loads, and the log's mutex is private to that rank.
+    pages: [OnceLock<Box<[RankLog]>>; usize::BITS as usize],
 }
 
-/// Shared log of executed collective participations.
-///
+/// An append-only record of collective participations, `(ggid, seq)` in
+/// each rank's program order. No run keeps one — a record that grows
+/// with every call has no place on a run's path — and nothing reads it
+/// back: it is kept only for the benchmark's `execlog.*` micro-drive.
 /// Appends are **rank-owned**: [`ExecutionLog::record`] touches only the
-/// recording rank's own log, so a dense collective on thousands of ranks
-/// appends from every worker at once without sharing a lock or a cache
-/// line. Each rank keeps what it executed entry by entry in program
-/// order, for [`ExecutionLog::take_events`] when the run ends: the
-/// test-side witness a checkpoint's cut is checked against. No checkpoint
-/// reads it; the cut is the ranks' `SEQ[]` tables.
+/// recording rank's own log.
 #[derive(Clone)]
 pub struct ExecutionLog {
     inner: Arc<LogInner>,
@@ -205,21 +194,13 @@ impl Default for ExecutionLog {
     }
 }
 
-impl std::fmt::Debug for ExecutionLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecutionLog")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 impl ExecutionLog {
     /// New empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn rank_log(&self, rank: usize) -> &Mutex<RankLog> {
+    fn rank_log(&self, rank: usize) -> &RankLog {
         let k = (rank + 1).ilog2();
         let first = (1usize << k) - 1;
         let page = self.inner.pages[k as usize]
@@ -227,65 +208,19 @@ impl ExecutionLog {
         &page[rank - first]
     }
 
-    /// The logs of every page any rank has recorded on, in rank order.
-    fn rank_logs(&self) -> impl Iterator<Item = (usize, &Mutex<RankLog>)> {
-        self.inner
-            .pages
-            .iter()
-            .enumerate()
-            .filter_map(|(k, page)| Some(((1usize << k) - 1, page.get()?)))
-            .flat_map(|(first, page)| {
-                page.iter()
-                    .enumerate()
-                    .map(move |(i, log)| (first + i, log))
-            })
-    }
-
     /// Records that `rank` participated in the `seq`-th collective on
-    /// `ggid`, whose (sorted) member world ranks are `members`.
-    pub fn record(&self, rank: usize, ggid: Ggid, seq: u64, members: Arc<[usize]>) {
-        self.record_shared(rank, ggid, seq, &members);
+    /// `ggid`. The member list is not kept.
+    pub fn record(&self, rank: usize, ggid: Ggid, seq: u64, _members: Arc<[usize]>) {
+        self.rank_log(rank).lock().push((ggid, seq));
     }
 
-    /// [`ExecutionLog::record`] for callers that hold the member list by
-    /// reference: the handle is cloned only the first time `rank` records
-    /// on `ggid`, so the per-call path touches no shared reference count.
-    pub fn record_shared(&self, rank: usize, ggid: Ggid, seq: u64, members: &Arc<[usize]>) {
-        let mut log = self.rank_log(rank).lock();
-        if !log.groups.iter().any(|(g, _)| *g == ggid) {
-            log.groups.push((ggid, Arc::clone(members)));
-        }
-        log.entries.push((ggid, seq));
-    }
-
-    /// All events recorded since the log was last taken, moved out — rank
-    /// by rank, each rank's events in program order, each with the member
-    /// list the rank first recorded for its group. For the end of a run.
-    pub fn take_events(&self) -> Vec<ExecEvent> {
-        let mut events = Vec::with_capacity(self.len());
-        for (rank, log) in self.rank_logs() {
-            let mut log = log.lock();
-            let entries = std::mem::take(&mut log.entries);
-            events.extend(entries.into_iter().map(|(ggid, seq)| {
-                let (_, members) = (log.groups.iter())
-                    .find(|(g, _)| *g == ggid)
-                    .expect("a record notes its group");
-                ExecEvent {
-                    rank,
-                    node: Node { ggid, seq },
-                    members: Arc::clone(members),
-                }
-            }));
-        }
-        events
-    }
-
-    /// Number of participations recorded since the log was last taken.
+    /// Number of participations recorded.
     pub fn len(&self) -> usize {
-        self.rank_logs().map(|(_, l)| l.lock().entries.len()).sum()
+        let pages = self.inner.pages.iter().filter_map(OnceLock::get);
+        pages.flat_map(|p| p.iter()).map(|l| l.lock().len()).sum()
     }
 
-    /// Whether nothing was recorded since the log was last taken.
+    /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -345,7 +280,7 @@ fn first_difference(
 /// A group missing from `targets` has target 0: any run on it is beyond
 /// target. The evidence is whatever cut the caller hands in — a
 /// checkpoint's is derived from its ranks' `SEQ[]` tables, a test's from
-/// a run's full log ([`Cut::from_events`]). Costs O(runs): no step depends
+/// its own witness of what ran ([`Cut::from_events`]). Costs O(runs): no step depends
 /// on how many nodes a run covers.
 pub fn verify_safe_cut(
     cut: &Cut,
@@ -540,27 +475,21 @@ mod tests {
 
     #[test]
     fn cut_is_one_run_per_rank_and_group_however_long_the_log() {
-        let log = ExecutionLog::new();
         let m: Arc<[usize]> = vec![0, 1, 2000].into();
-        // Interleaved across ranks (and across three pages of the table).
-        log.record_shared(2000, Ggid(1), 1, &m);
-        log.record_shared(1, Ggid(1), 1, &m);
-        log.record_shared(0, Ggid(1), 1, &m);
-        log.record_shared(1, Ggid(1), 2, &m);
-        log.record_shared(2000, Ggid(1), 2, &m);
-        log.record_shared(0, Ggid(1), 2, &m);
-        assert_eq!(log.len(), 6);
-        // The full log is rank-major, each rank in program order, every
-        // event holding the list the rank first recorded; taking it
-        // empties the log.
-        let events = log.take_events();
-        assert!(log.is_empty());
-        assert!(events.iter().all(|e| Arc::ptr_eq(&e.members, &m)));
-        let order: Vec<(usize, u64)> = events.iter().map(|e| (e.rank, e.node.seq)).collect();
-        assert_eq!(
-            order,
-            [(0, 1), (0, 2), (1, 1), (1, 2), (2000, 1), (2000, 2)]
-        );
+        let at = |rank, seq| ExecEvent {
+            rank,
+            node: Node { ggid: Ggid(1), seq },
+            members: Arc::clone(&m),
+        };
+        // Interleaved across ranks, each rank in program order.
+        let events = [
+            at(2000, 1),
+            at(1, 1),
+            at(0, 1),
+            at(1, 2),
+            at(2000, 2),
+            at(0, 2),
+        ];
         // Its cut is one run per rank and group, however many events.
         let cut = Cut::from_events(&events);
         let shape: Vec<(usize, u64, u64)> = cut
@@ -572,21 +501,18 @@ mod tests {
         assert!(cut.runs().iter().all(|r| Arc::ptr_eq(&r.members, &m)));
         assert_eq!(cut.len(), 6);
         assert!(verify_safe_cut(&cut, None).is_ok());
+        // Lazily, rank-major, each rank in program order.
         let lazily: Vec<(usize, u64)> = cut.events().map(|e| (e.rank, e.node.seq)).collect();
-        assert_eq!(lazily, order);
-        // A record after a take keeps the group's list.
-        log.record_shared(1, Ggid(1), 3, &vec![1].into());
-        let again = log.take_events();
-        assert_eq!(again.len(), 1);
-        assert!(Arc::ptr_eq(&again[0].members, &m));
+        assert_eq!(
+            lazily,
+            [(0, 1), (0, 2), (1, 1), (1, 2), (2000, 1), (2000, 2)]
+        );
     }
 
     #[test]
     fn a_record_that_continues_no_run_opens_one() {
-        let log = ExecutionLog::new();
-        let m: Arc<[usize]> = vec![0].into();
-        // A repeat, a gap, a restart at 0 (the benchmark's record drive),
-        // another group in between: nothing asserts, everything is kept.
+        // A repeat, a gap, a restart at 0, another group in between:
+        // nothing asserts, everything is kept.
         let records = [
             (1, 1),
             (1, 2),
@@ -597,14 +523,9 @@ mod tests {
             (1, 0),
             (1, 1),
         ];
-        for (g, seq) in records {
-            log.record_shared(0, Ggid(g), seq, &m);
-        }
-        let events = log.take_events();
-        let kept: Vec<(u64, u64)> = (events.iter())
-            .map(|e| (e.node.ggid.0, e.node.seq))
+        let events: Vec<ExecEvent> = (records.iter())
+            .map(|&(g, seq)| ev(0, g, seq, &[0]))
             .collect();
-        assert_eq!(kept, records);
         let cut = Cut::from_events(&events);
         let shape: Vec<(u64, u64, u64)> = (cut.runs().iter())
             .map(|r| (r.ggid.0, r.first, r.last))

@@ -167,6 +167,14 @@ impl Ctx {
         );
     }
 
+    /// How many collectives this rank has begun on each communicator of
+    /// its current lower-half generation — blocking, non-blocking and
+    /// communicator creation alike; a restart ([`Ctx::attach_world`])
+    /// starts them over. O(communicators), however long the run.
+    pub fn collectives_begun(&self) -> impl Iterator<Item = (CommId, u64)> + '_ {
+        self.comm_seqs.iter().map(|(&id, &n)| (id, n))
+    }
+
     fn bump_comm_seq(&mut self, id: CommId) -> u64 {
         let seq = self.comm_seqs.entry(id).or_insert(0);
         let s = *seq;

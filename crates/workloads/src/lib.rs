@@ -14,6 +14,8 @@
 //! * [`kernels`] — SCF-style, broadcast-pipeline and halo-exchange
 //!   mini-kernels for the examples and the protocol benchmarks.
 //! * [`demo`] — the quickstart checkpoint→restore→verify demonstration.
+//! * [`logged`] — [`Logged`], a body combinator that witnesses what its
+//!   rank's lower half ran, for suites that check a cut against it.
 //!
 //! Every body saves its state ([`ckpt::StepBody::save`]), so images of
 //! the step forms restore elsewhere from the image alone; the closure
@@ -33,6 +35,7 @@ macro_rules! ready {
 
 pub mod demo;
 pub mod kernels;
+pub mod logged;
 pub mod random;
 pub mod rng;
 mod snap;
@@ -41,6 +44,7 @@ pub use demo::{quickstart, QuickstartOutcome};
 pub use kernels::{
     bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, Paced, ScfStep, Then,
 };
+pub use logged::{CallLog, Logged};
 pub use random::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};
 pub use rng::SplitMix64;
 

@@ -56,7 +56,7 @@ fn main() {
         println!(
             "checkpoint at epoch {}: {} cut events, safe cut: {}",
             ckpt.epoch,
-            ckpt.cut_events.len(),
+            ckpt.cut().len(),
             if ckpt.verify().is_ok() {
                 "OK"
             } else {

@@ -37,7 +37,7 @@ fn main() {
         "                {} in-flight msgs ({} B) drained, {} cut events verified",
         ckpt.in_flight.len(),
         ckpt.in_flight_bytes(),
-        ckpt.cut_events.len()
+        ckpt.cut().len()
     );
     println!(
         "image:          {} B serialized (versioned header + FNV-1a checksum)",
