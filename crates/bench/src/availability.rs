@@ -44,7 +44,6 @@ use ckpt::{
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::Paced;
 
 /// Ladder rung names, in decreasing-interval (increasing-quality) order.
 pub const POLICY_LADDER: [&str; 3] = ["periodic4x", "periodic2x", "daly"];
@@ -116,9 +115,6 @@ pub struct AvailabilityConfig {
     pub ranks_per_node: usize,
     /// SCF iterations of the workload.
     pub iters: usize,
-    /// Wall pace per workload step, µs (virtual time and results are
-    /// untouched).
-    pub pace_us: u64,
     /// MTBF rows, as fractions of the native makespan.
     pub mtbf_factors: Vec<f64>,
     /// Fault-plan horizon, as a fraction of the native makespan — kept
@@ -139,7 +135,6 @@ impl Default for AvailabilityConfig {
             ranks: 8,
             ranks_per_node: 2,
             iters: 400,
-            pace_us: 15,
             mtbf_factors: vec![0.25, 0.5, 1.0],
             horizon_factor: 0.8,
             seed: 0xA11A,
@@ -165,8 +160,7 @@ impl AvailabilityConfig {
 /// Runs the campaign.
 pub fn availability_report(cfg: &AvailabilityConfig) -> AvailabilityReport {
     let iters = cfg.iters;
-    let pace = cfg.pace_us;
-    let body = move |_| Paced::new(BenchWorkload::Scf.step_body(iters), pace);
+    let body = move |_| BenchWorkload::Scf.step_body(iters);
     let native = run_ckpt_world_steps(cfg.world(), CkptOptions::native(), body);
     let native_s = native.makespan.as_secs();
     let models = cfg.models();

@@ -32,7 +32,6 @@ use crate::BenchWorkload;
 use ckpt::{run_ckpt_world, run_ckpt_world_steps, CkptOptions, ResumeMode, VirtualTimeSchedule};
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::Paced;
 
 /// Configuration of the Figure 7 sweep.
 #[derive(Debug, Clone)]
@@ -56,11 +55,6 @@ pub struct Figure7Config {
     /// Step cells also measure per-rank resident memory
     /// ([`Figure7Record::rank_mem_bytes`]).
     pub step_bodies: bool,
-    /// Wall pace (µs per compute call) of the checkpointed run, so the
-    /// asynchronous trigger cannot race a wall-fast run. Huge worlds set
-    /// 0: at ≥ 16 Ki ranks the run is wall-slow without help, and even a
-    /// light pace multiplied by the rank count dominates the cell.
-    pub pace_us: u64,
 }
 
 impl Default for Figure7Config {
@@ -72,7 +66,6 @@ impl Default for Figure7Config {
             checkpoints: 6,
             workloads: BenchWorkload::ALL.to_vec(),
             step_bodies: false,
-            pace_us: 25,
         }
     }
 }
@@ -106,8 +99,7 @@ impl Figure7Config {
     /// rank is a heap object. Narrowed to the SCF workload (the dense
     /// synchronizing-collective cell, the paper's hardest case for a
     /// drain) and fewer iterations so the 65 536-rank cell stays tens of
-    /// minutes; unpaced — these worlds are wall-slow without help.
-    /// Release builds only.
+    /// minutes. Release builds only.
     pub fn huge_scale() -> Self {
         Figure7Config {
             ranks: vec![16_384, 65_536],
@@ -115,7 +107,6 @@ impl Figure7Config {
             checkpoints: 3,
             workloads: vec![BenchWorkload::Scf],
             step_bodies: true,
-            pace_us: 0,
             ..Figure7Config::default()
         }
     }
@@ -269,14 +260,13 @@ pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> F
     let native_s = native.makespan.as_secs();
 
     // Spread the checkpoints over the middle band of the run: the centers
-    // of `k` equal slices of [0.15, 0.75] of the native makespan. The
-    // band deliberately ends well short of completion — at thousands of
-    // ranks the wall window between a late virtual threshold and the end
-    // of the run can be shorter than the trigger supervisor's reaction
-    // time, and a checkpoint that races completion never fires. A light
-    // wall pace (`cfg.pace_us`) additionally keeps the asynchronous
-    // trigger from racing a wall-fast run; it leaves virtual time
-    // untouched.
+    // of `k` equal slices of [0.15, 0.75] of the native makespan. Every
+    // threshold fires wherever it lies (the rank whose crossing completes
+    // it raises the request), but the band ends well short of completion
+    // so that each sample is a drain of the whole world in steady state:
+    // near the end, ranks that have finished no longer drain and a sample
+    // shrinks to the stragglers. The band is also the one every checked-in
+    // Figure 7 file was measured over.
     let k = cfg.checkpoints.max(1);
     let times =
         (1..=k).map(|i| VTime::from_secs(native_s * (0.15 + 0.6 * (i as f64 - 0.5) / k as f64)));
@@ -284,16 +274,10 @@ pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> F
         .with_protocol(Protocol::Cc)
         .with_policy(VirtualTimeSchedule::new(times))
         .with_resume(ResumeMode::Continue);
-    let pace = cfg.pace_us;
     let run = if cfg.step_bodies {
-        run_ckpt_world_steps(world_cfg(cfg, n), opts, |_rank| {
-            Paced::new(workload.step_body(iters), pace)
-        })
+        run_ckpt_world_steps(world_cfg(cfg, n), opts, |_rank| workload.step_body(iters))
     } else {
-        run_ckpt_world(world_cfg(cfg, n), opts, |r| {
-            r.set_wall_pace_us(pace);
-            workload.run_iters(iters, r)
-        })
+        run_ckpt_world(world_cfg(cfg, n), opts, |r| workload.run_iters(iters, r))
     };
     assert!(
         run.failures.is_empty(),

@@ -36,12 +36,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use workloads::{random_workload, RandomWorkloadCfg};
 
-/// Host-wall microseconds each checkpointed random-workload step sleeps,
-/// so an overdue trigger lands before the workload finishes (virtual time
-/// and data are untouched). Thread ranks run all at once, so a short run
-/// is over in a handful of supervisor polls unless it is paced.
-const PACE_US: u64 = 200;
-
 /// One cell of the model sweep.
 #[derive(Debug, Clone)]
 pub struct Figure9ModelPoint {
@@ -285,15 +279,12 @@ pub fn figure9_report(cfg: &Figure9Config) -> Figure9Report {
             random_workload(&wl, r)
         });
         let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-        let paced = wl.clone().with_pace_us(PACE_US);
         let run = run_ckpt_world(
             wcfg,
             CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-            |r| random_workload(&paced, r),
+            |r| random_workload(&wl, r),
         );
-        let Some(image) = run.checkpoints.first() else {
-            continue; // the trigger raced completion; skip the cell
-        };
+        let image = run.checkpoints.first().expect("the checkpoint fires");
         measured.push(Figure9MeasuredImage {
             ranks: n,
             serialized_bytes: image.serialized_len(),
@@ -396,7 +387,6 @@ pub fn drain_comparison(ranks: usize, steps: usize, ckpts: usize) -> Figure9Drai
     let wl = RandomWorkloadCfg::new(0xD8A1, steps);
     let native = run_ckpt_world(wcfg(), CkptOptions::native(), |r| random_workload(&wl, r));
     let interval = VTime::from_secs(native.makespan.as_secs() / (ckpts as f64 + 1.0));
-    let paced = wl.clone().with_pace_us(PACE_US);
     let run_with = |async_drain: bool| {
         let tiering = Tiering::fixed(CkptTier::Memory).with_async_drain(async_drain);
         let rep = run_ckpt_world(
@@ -405,7 +395,7 @@ pub fn drain_comparison(ranks: usize, steps: usize, ckpts: usize) -> Figure9Drai
                 .with_policy(PeriodicInterval::new(interval, ckpts))
                 .with_resume(ResumeMode::Continue)
                 .with_tiering(tiering),
-            |r| random_workload(&paced, r),
+            |r| random_workload(&wl, r),
         );
         assert!(
             rep.failures.is_empty(),

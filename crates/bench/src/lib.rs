@@ -100,8 +100,7 @@ enum BenchStepKind {
     BcastPipeline(BcastPipelineStep),
 }
 
-/// A bench workload as a heap step object; a paced cell wraps it in
-/// [`workloads::Paced`].
+/// A bench workload as a heap step object.
 pub struct BenchStepBody {
     inner: BenchStepKind,
 }

@@ -25,12 +25,8 @@ use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
-use workloads::Paced;
 
-/// Wall pace per compute step (µs): keeps the ranks busy on the wall
-/// while deaths land mid-run, mid-drain, and mid-async-write.
-const PACE_US: u64 = 300;
-/// SCF iterations per run (~`PACE_US * ITERS` wall µs per attempt).
+/// SCF iterations per run.
 const ITERS: usize = 40;
 
 fn world(n_ranks: usize, ranks_per_node: usize) -> WorldConfig {
@@ -65,23 +61,22 @@ fn periodic(interval_s: f64, limit: usize, tiering: Tiering) -> CkptOptions {
         .with_tiering(tiering)
 }
 
-fn paced_scf(r: &mut ckpt::CcRank) -> f64 {
-    r.set_wall_pace_us(PACE_US);
+fn scf(r: &mut ckpt::CcRank) -> f64 {
     BenchWorkload::Scf.run_iters(ITERS, r)
 }
 
-fn paced_scf_step(_rank: usize) -> Paced<BenchStepBody> {
-    Paced::new(BenchWorkload::Scf.step_body(ITERS), PACE_US)
+fn scf_step(_rank: usize) -> BenchStepBody {
+    BenchWorkload::Scf.step_body(ITERS)
 }
 
 fn native_closure_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
-    let rep = run_ckpt_world(cfg, CkptOptions::native(), paced_scf);
+    let rep = run_ckpt_world(cfg, CkptOptions::native(), scf);
     let base = rep.ranks.iter().map(|r| r.result).collect();
     (base, rep.makespan.as_secs())
 }
 
 fn native_step_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
-    let rep = run_ckpt_world_steps(cfg, CkptOptions::native(), paced_scf_step);
+    let rep = run_ckpt_world_steps(cfg, CkptOptions::native(), scf_step);
     let base = rep.ranks.iter().map(|r| r.result).collect();
     (base, rep.makespan.as_secs())
 }
@@ -174,8 +169,8 @@ fn chaos_cell(proto: Protocol, tier: TierCase, rep: Rep, seed: u64) {
     let opts = periodic(makespan / 5.0, 100, tier.tiering()).with_protocol(proto);
     let ctx = format!("{proto:?}/{tier:?}/{rep:?}/seed {seed}");
     let rep_out = match rep {
-        Rep::Closure => run_available_world(cfg, opts, plan, paced_scf),
-        Rep::Step => run_available_world_steps(cfg, opts, plan, paced_scf_step),
+        Rep::Closure => run_available_world(cfg, opts, plan, scf),
+        Rep::Step => run_available_world_steps(cfg, opts, plan, scf_step),
     };
     assert_eq!(rep_out.faults.len(), faults, "{ctx}: every event must fire");
     assert_recovered(&rep_out, &base, &ctx);
@@ -209,8 +204,8 @@ fn restart_resume_campaign_recovers_under_both_drivers() {
         );
         let ctx = format!("Restart/{rep:?}");
         let out = match rep {
-            Rep::Closure => run_available_world(cfg, opts, plan, paced_scf),
-            Rep::Step => run_available_world_steps(cfg, opts, plan, paced_scf_step),
+            Rep::Closure => run_available_world(cfg, opts, plan, scf),
+            Rep::Step => run_available_world_steps(cfg, opts, plan, scf_step),
         };
         assert_eq!(out.faults.len(), 1, "{ctx}: the death must fire");
         assert!(
@@ -255,10 +250,7 @@ fn chaos_full_matrix() {
 #[cfg_attr(debug_assertions, ignore = "release-only")]
 fn chaos_halo_nonblocking_closure() {
     let cfg = world(8, 2);
-    let body = |r: &mut ckpt::CcRank| {
-        r.set_wall_pace_us(PACE_US);
-        BenchWorkload::Halo.run_iters(ITERS, r)
-    };
+    let body = |r: &mut ckpt::CcRank| BenchWorkload::Halo.run_iters(ITERS, r);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), body);
     let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
     let makespan = native.makespan.as_secs();
@@ -274,7 +266,7 @@ fn chaos_halo_nonblocking_closure() {
 /// [`DrainError::RankDeath`] (never waiting out the stall watchdog and
 /// never reporting the dead rank as a p2p stall), and recovery must
 /// still complete bit-identically. The tight stall timeout would fire
-/// well within this paced run if the death were not short-circuited.
+/// well within this run if the death were not short-circuited.
 #[test]
 fn mid_drain_death_is_typed_and_recovers() {
     let cfg = world(4, 2);
@@ -289,7 +281,7 @@ fn mid_drain_death_is_typed_and_recovers() {
         FaultTrigger::MidDrain(VTime::from_secs(0.0)),
         FaultScope::Rank(0),
     );
-    let rep = run_available_world(cfg, opts, plan, paced_scf);
+    let rep = run_available_world(cfg, opts, plan, scf);
     assert_eq!(rep.faults.len(), 1, "the mid-drain death must fire");
     assert!(
         rep.failures
@@ -321,7 +313,7 @@ fn async_drain_node_death_discards_inflight_image() {
         FaultTrigger::DuringAsyncDrain(VTime::from_secs(makespan * 0.4)),
         FaultScope::Node(0),
     );
-    let rep = run_available_world_steps(cfg, opts, plan, paced_scf_step);
+    let rep = run_available_world_steps(cfg, opts, plan, scf_step);
     assert_eq!(rep.faults.len(), 1, "the in-flight death must fire");
     let f = &rep.faults[0];
     assert_eq!(
@@ -381,7 +373,7 @@ fn buddy_pair_loss_falls_back_partner_then_lustre() {
             },
         ],
     };
-    let rep = run_available_world_steps(cfg, opts, plan, paced_scf_step);
+    let rep = run_available_world_steps(cfg, opts, plan, scf_step);
     assert_eq!(rep.faults.len(), 2, "both node deaths must fire");
     let tiers: Vec<_> = rep.faults.iter().map(|f| f.resumed_tier).collect();
     assert_eq!(

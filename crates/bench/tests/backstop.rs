@@ -30,11 +30,10 @@ fn expiries_of(seed: u64, mode: ResumeMode, protocol: Protocol) -> u64 {
         random_workload(&wl, r)
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.4);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world(
         cfg(8),
         CkptOptions::one_checkpoint(at, mode).with_protocol(protocol),
-        |r| random_workload(&paced, r),
+        |r| random_workload(&wl, r),
     );
     assert_eq!(
         run.checkpoints.len(),
@@ -103,11 +102,10 @@ fn expiries_of_steps(seed: u64, mode: ResumeMode, protocol: Protocol, n: usize) 
         move |_rank| RandomWorkloadStep::new(timing.clone()),
     );
     let at = VTime::from_secs(native.makespan.as_secs() * 0.4);
-    let paced = wl.with_pace_us(20);
     let run = run_ckpt_world_steps(
         cfg(n),
         CkptOptions::one_checkpoint(at, mode).with_protocol(protocol),
-        move |_rank| RandomWorkloadStep::new(paced.clone()),
+        move |_rank| RandomWorkloadStep::new(wl.clone()),
     );
     assert_eq!(
         run.checkpoints.len(),

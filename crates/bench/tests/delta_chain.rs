@@ -14,20 +14,11 @@ use ckpt::{
 use mana_core::{Cut, CutRun, Protocol};
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{
-    CallLog, HaloStep, Logged, Paced, RandomWorkloadCfg, RandomWorkloadStep, ScfStep, Then,
-};
+use workloads::{CallLog, HaloStep, Logged, RandomWorkloadCfg, RandomWorkloadStep, ScfStep, Then};
 
 /// SCF, then a halo exchange: collectives and fixed-neighbor p2p.
 fn workload(_rank: usize) -> Then<ScfStep, HaloStep> {
     Then::new(ScfStep::new(20, 8), HaloStep::new(10, 6))
-}
-
-/// The same program under a wall pace for the checkpointed run, so
-/// overdue triggers land before the workload finishes (virtual time and
-/// data are untouched).
-fn paced_workload(rank: usize) -> Paced<Then<ScfStep, HaloStep>> {
-    Paced::new(workload(rank), 25)
 }
 
 /// Builds a full root plus `depth` chained deltas over perturbed
@@ -102,7 +93,7 @@ fn live_run_delta_chain_restores_bit_identical_to_the_full_image() {
             .with_policy(PeriodicInterval::new(interval, 4))
             .with_resume(ResumeMode::Continue)
             .with_tiering(tiering),
-        paced_workload,
+        workload,
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.store_records.len(), 4);
@@ -170,7 +161,7 @@ fn cut_of_each_generation_extends_the_previous() {
     let cfg = WorldConfig::multi_node(16, 4)
         .with_params(NetParams::slingshot11().without_jitter())
         .with_workers(2);
-    let work = RandomWorkloadCfg::new(193, 200).with_pace_us(40);
+    let work = RandomWorkloadCfg::new(193, 200);
     let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::native()

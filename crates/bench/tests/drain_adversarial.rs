@@ -169,8 +169,10 @@ fn test_loop_relay(r: &mut CcRank) -> f64 {
     const WORK_STEPS: usize = 50;
     let world = r.world_vcomm();
     let (me, n) = (r.rank(), r.size());
-    // Every poll costs wall time, so the trigger supervisor sees the
-    // loops mid-flight.
+    // A loop of tests and computes makes no collective call, so nothing
+    // stops it between the raise and the coordinator's quiesce: every
+    // poll costs wall time, so the quiesce still finds the loops
+    // mid-flight.
     r.set_wall_pace_us(50);
     let token = r.irecv(world, (me + n - 1) % n, 3u32);
     let sum = r.iallreduce(world, encode_f64(&[me as f64]), DType::F64, ReduceOp::Sum);
@@ -248,11 +250,7 @@ fn ring_then_inline_scf_then_allgather(r: &mut CcRank) -> f64 {
     let sv = r.isend(world, (me + 1) % n, 9, encode_f64(&[me as f64]));
     let (from_left, _) = r.recv(world, (me + n - 1) % n, 9);
     r.wait(sv);
-    // Every SCF iteration costs wall time, so the trigger supervisor
-    // catches the world inside the `run`.
-    r.set_wall_pace_us(100);
     let energy = r.run(&mut ScfStep::new(INLINE_SCF_ITERS, 8));
-    r.set_wall_pace_us(0);
     let mine = energy + decode_f64(&from_left)[0];
     let all = decode_f64(&r.allgather(world, encode_f64(&[mine])));
     all.iter()

@@ -82,7 +82,7 @@ fn capture_threads(
     protocol: Protocol,
     at: VTime,
 ) -> (Option<Checkpoint>, Vec<f64>) {
-    let wl = workload_cfg(seed, protocol).with_pace_us(20);
+    let wl = workload_cfg(seed, protocol);
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol),
@@ -95,7 +95,7 @@ fn capture_threads(
 
 /// Captures one checkpoint image on the worker pool.
 fn capture_pool(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Checkpoint> {
-    let wl = workload_cfg(seed, protocol).with_pace_us(20);
+    let wl = workload_cfg(seed, protocol);
     let run = run_ckpt_world_steps(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue).with_protocol(protocol),

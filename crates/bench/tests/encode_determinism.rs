@@ -48,11 +48,10 @@ fn parallel_encode_matches_serial_on_a_real_captured_image() {
         random_workload(&wl, r)
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&paced, r),
+        |r| random_workload(&wl, r),
     );
     let image = run.checkpoints.first().expect("capture fired");
     let serial = image.to_bytes();
@@ -71,11 +70,10 @@ fn bytes_do_not_depend_on_how_member_lists_are_allocated() {
         random_workload(&wl, r)
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&paced, r),
+        |r| random_workload(&wl, r),
     );
     let image = run.checkpoints.first().expect("capture fired");
     assert!(
@@ -107,11 +105,10 @@ fn committed_captures_report_positive_wall_time() {
         random_workload(&wl, r)
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&paced, r),
+        |r| random_workload(&wl, r),
     );
     assert_eq!(
         run.capture_wall_s.len(),

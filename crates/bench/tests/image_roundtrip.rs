@@ -46,11 +46,10 @@ fn capture(protocol: Protocol, n: usize, seed: u64) -> (Checkpoint, Vec<f64>, Ve
     let native_data: Vec<f64> = native.results().copied().collect();
 
     let at = VTime::from_secs(native.makespan.as_secs() * 0.45);
-    let paced = base.clone().with_pace_us(20);
     let run = run_ckpt_world_steps(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol),
-        |_| RandomWorkloadStep::new(paced.clone()),
+        |_| RandomWorkloadStep::new(base.clone()),
     );
     assert!(
         run.failures.is_empty(),
@@ -146,7 +145,7 @@ fn depth_three_chain_of_a_split_world_resolves_with_shared_lists() {
     let cfg = WorldConfig::multi_node(16, 4)
         .with_params(NetParams::slingshot11().without_jitter())
         .with_workers(2);
-    let work = RandomWorkloadCfg::new(193, 200).with_pace_us(40);
+    let work = RandomWorkloadCfg::new(193, 200);
     let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::native()

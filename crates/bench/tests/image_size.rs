@@ -46,7 +46,7 @@ fn split_world_image() -> Checkpoint {
     let cfg = WorldConfig::multi_node(RANKS, 16)
         .with_params(NetParams::slingshot11().without_jitter())
         .with_workers(2);
-    let work = RandomWorkloadCfg::new(193, 200).with_pace_us(40);
+    let work = RandomWorkloadCfg::new(193, 200);
     let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::native()
@@ -418,10 +418,7 @@ fn image_size_does_not_grow_with_run_length() {
             .with_protocol(Protocol::Cc)
             .with_policy(EveryNCollectives::new(40, 4))
             .with_resume(ResumeMode::Continue),
-        |r| {
-            r.set_wall_pace_us(40);
-            scf_loop(r, 120, 8) // two collectives an iteration
-        },
+        |r| scf_loop(r, 120, 8), // two collectives an iteration
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     let images = &run.checkpoints;
@@ -458,10 +455,7 @@ fn scf_image(n: usize) -> Checkpoint {
             .with_protocol(Protocol::Cc)
             .with_policy(EveryNCollectives::new(40, 1))
             .with_resume(ResumeMode::Continue),
-        |r| {
-            r.set_wall_pace_us(40);
-            scf_loop(r, 60, 8)
-        },
+        |r| scf_loop(r, 60, 8),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     run.checkpoints

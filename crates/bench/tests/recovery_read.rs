@@ -14,9 +14,7 @@ use ckpt::{
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
-use workloads::Paced;
 
-const PACE_US: u64 = 300;
 const ITERS: usize = 40;
 
 fn world(n_ranks: usize, ranks_per_node: usize) -> WorldConfig {
@@ -47,8 +45,8 @@ fn read_at(store: &TieredStore, gen: u64, n_ranks: usize, rpn: usize) -> f64 {
         .expect("the store holds the generation")
 }
 
-fn paced_scf(_rank: usize) -> Paced<BenchStepBody> {
-    Paced::new(BenchWorkload::Scf.step_body(ITERS), PACE_US)
+fn scf(_rank: usize) -> BenchStepBody {
+    BenchWorkload::Scf.step_body(ITERS)
 }
 
 /// One checkpoint at 30 % of the native makespan over `store`'s Lustre
@@ -74,12 +72,12 @@ fn one_checkpoint_one_death(
 #[test]
 fn rank_death_recovery_keeps_the_launch_packing() {
     let cfg = world(9, 4);
-    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), paced_scf);
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), scf);
     let base: Vec<f64> = native.results().copied().collect();
     let store = lustre_store();
     let (opts, plan) =
         one_checkpoint_one_death(&store, native.makespan.as_secs(), FaultScope::Rank(5));
-    let rep = run_available_world_steps(cfg, opts, plan, paced_scf);
+    let rep = run_available_world_steps(cfg, opts, plan, scf);
     assert_eq!(rep.backstop_expiries, 0);
     assert_eq!(rep.faults.len(), 1, "the death must fire");
     assert_eq!(rep.results().copied().collect::<Vec<_>>(), base);
@@ -103,7 +101,7 @@ fn rank_death_recovery_keeps_the_launch_packing() {
         RestoreConfig::same_packing()
             .with_ranks_per_node(4)
             .with_storage(Arc::clone(&store), gen),
-        paced_scf,
+        scf,
     );
     assert_eq!(restored.makespan, rep.makespan);
 }
@@ -116,7 +114,7 @@ fn rank_death_recovery_keeps_the_launch_packing() {
 #[test]
 fn restore_and_recovery_charge_one_read() {
     let cfg = world(8, 2);
-    let body = || paced_scf(0);
+    let body = || scf(0);
     let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), |_| body());
     let store = lustre_store();
     let (opts, plan) =

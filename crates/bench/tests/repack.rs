@@ -12,7 +12,7 @@ use ckpt::{
 use mpisim::{NetParams, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
-use workloads::{HaloStep, Paced, ScfStep, Then};
+use workloads::{HaloStep, ScfStep, Then};
 
 /// A deterministic, wildcard-free workload mixing collectives (SCF) with
 /// fixed-neighbor point-to-point (halo), so its data is identical under
@@ -29,14 +29,11 @@ fn capture_8_rank_image() -> (Checkpoint, Results) {
     let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), workload);
     let native_data: Results = native.results().copied().collect();
 
-    // Paced on the wall (virtual time untouched), so the trigger lands
-    // mid-run: eight step ranks on the pool otherwise can finish before
-    // the supervisor requests the checkpoint.
     let at = VTime::from_secs(native.makespan.as_secs() * 0.3);
     let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |rank| Paced::new(workload(rank), 25),
+        workload,
     );
     assert_eq!(run.checkpoints.len(), 1, "checkpoint must fire");
     let run_data: Results = run.results().copied().collect();

@@ -69,11 +69,10 @@ fn capture_image_under(protocol: Protocol) -> (Checkpoint, RandomWorkloadCfg) {
     let opts = CkptOptions::native().with_protocol(protocol);
     let native = run_ckpt_world_steps(cfg(), opts, body);
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world_steps(
         cfg(),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue).with_protocol(protocol),
-        |_| RandomWorkloadStep::new(paced.clone()),
+        |_| RandomWorkloadStep::new(wl.clone()),
     );
     let image = run
         .checkpoints
@@ -83,7 +82,7 @@ fn capture_image_under(protocol: Protocol) -> (Checkpoint, RandomWorkloadCfg) {
     assert_eq!(image.protocol, protocol);
     assert!(image.verify().is_ok(), "the pristine image must be safe");
     assert!(!image.cut().is_empty(), "cut evidence must exist");
-    (image, paced)
+    (image, wl)
 }
 
 #[test]
@@ -270,11 +269,10 @@ fn closure_image_without_an_upper_half_is_refused() {
     let wl = RandomWorkloadCfg::new(0xCC, 25);
     let native = run_ckpt_world(cfg(), CkptOptions::native(), |r| random_workload(&wl, r));
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world(
         cfg(),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&paced, r),
+        |r| random_workload(&wl, r),
     );
     let image = run.checkpoints.into_iter().next().expect("captured");
     assert!(image.captures.iter().all(|c| c.upper.is_none()));

@@ -65,14 +65,13 @@ fn restore_from_the_first_and_the_sixth_generation_runs_only_the_suffix() {
         body,
     );
     let native_results: Vec<f64> = native.results().map(|(v, _)| *v).collect();
-    let paced = work.clone().with_pace_us(40);
     let run = run_ckpt_world_steps(
         cfg(16).with_workers(2),
         CkptOptions::native()
             .with_protocol(Protocol::Cc)
             .with_policy(EveryNCollectives::new(15, 6))
             .with_resume(ResumeMode::Continue),
-        |_| RandomWorkloadStep::new(paced.clone()),
+        |_| RandomWorkloadStep::new(work.clone()),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.checkpoints.len(), 6, "six generations must commit");
@@ -110,7 +109,7 @@ macro_rules! ready {
 /// `drain_adversarial`'s finished-ranks program as a step body: every
 /// rank allreduces on the world and splits it (rank 0 with a negative
 /// colour), then rank 0 computes and finishes while ranks 1-2 run 40
-/// paced allreduces on their subcommunicator.
+/// allreduces on their subcommunicator.
 struct FinishEarly {
     pc: u8,
     sub: Option<VComm>,
@@ -137,7 +136,6 @@ impl StepBody for FinishEarly {
         loop {
             match self.pc {
                 0 => {
-                    r.set_wall_pace_us(50);
                     ready!(r.poll_allreduce_f64(world, &[1.0], ReduceOp::Sum));
                     self.pc = 1;
                 }

@@ -159,11 +159,10 @@ fn one_case_sized(
         ResumeMode::Continue
     };
 
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, mode).with_protocol(protocol),
-        |r| r.run(&mut Logged::new(RandomWorkloadStep::new(paced.clone()))),
+        |r| r.run(&mut Logged::new(RandomWorkloadStep::new(wl.clone()))),
     );
 
     // Data must continue bit-identically whether or not (and however) a

@@ -13,19 +13,12 @@ use ckpt::{
 };
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use std::sync::Arc;
-use workloads::{HaloStep, Paced, ScfStep, Then};
+use workloads::{HaloStep, ScfStep, Then};
 
 /// A deterministic, wildcard-free workload (collectives + fixed-neighbor
 /// p2p): its data is identical under any packing and any storage charge.
 fn workload(_rank: usize) -> Then<ScfStep, HaloStep> {
     Then::new(ScfStep::new(20, 8), HaloStep::new(10, 6))
-}
-
-/// The same program under a wall pace, for the checkpointed runs: the
-/// pace stretches host wall time (virtual time and data are untouched)
-/// so overdue triggers land before the workload finishes.
-fn paced_workload(rank: usize) -> Paced<Then<ScfStep, HaloStep>> {
-    Paced::new(workload(rank), 25)
 }
 
 fn two_node_world() -> WorldConfig {
@@ -68,7 +61,7 @@ fn tiered_run_generations_reload_bit_identical_across_the_rotation() {
             .with_policy(PeriodicInterval::new(interval, 4))
             .with_resume(ResumeMode::Continue)
             .with_tiering(tiering),
-        paced_workload,
+        workload,
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.checkpoints.len(), 4, "all four triggers must fire");
@@ -106,7 +99,7 @@ fn async_drain_blocks_only_for_clone_out_and_charges_backpressure() {
                 .with_policy(PeriodicInterval::new(interval, 3))
                 .with_resume(ResumeMode::Continue)
                 .with_tiering(tiering),
-            paced_workload,
+            workload,
         );
         assert!(run.failures.is_empty(), "{:?}", run.failures);
         assert_eq!(run.store_records.len(), 3);
@@ -169,7 +162,7 @@ fn partner_tier_restores_after_node_loss_onto_smaller_packing() {
         two_node_world(),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue)
             .with_tiering(Tiering::fixed(CkptTier::Partner).with_store(Arc::clone(&store))),
-        paced_workload,
+        workload,
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.store_records.len(), 1, "checkpoint must fire");

@@ -32,7 +32,7 @@ fn virtual_time_schedule_fires_each_threshold_in_order() {
     let (native_data, makespan) = native(n);
     let t1 = VTime::from_secs(makespan * 0.3);
     let t2 = VTime::from_secs(makespan * 0.6);
-    let wl = RandomWorkloadCfg::new(SEED, STEPS).with_pace_us(25);
+    let wl = RandomWorkloadCfg::new(SEED, STEPS);
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::native()
@@ -61,7 +61,7 @@ fn periodic_interval_fires_at_multiples() {
     let n = 4;
     let (native_data, makespan) = native(n);
     let interval = VTime::from_secs(makespan * 0.25);
-    let wl = RandomWorkloadCfg::new(SEED, STEPS).with_pace_us(25);
+    let wl = RandomWorkloadCfg::new(SEED, STEPS);
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::native()
@@ -90,7 +90,7 @@ fn every_n_collectives_fires_on_call_count_strides() {
     let n = 4;
     let stride = 5;
     let (native_data, _) = native(n);
-    let wl = RandomWorkloadCfg::new(SEED, STEPS).with_pace_us(25);
+    let wl = RandomWorkloadCfg::new(SEED, STEPS);
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::native()
@@ -127,7 +127,7 @@ fn every_n_collectives_fires_on_call_count_strides() {
 fn schedule_with_restart_resume_survives_both_captures() {
     let n = 4;
     let (native_data, makespan) = native(n);
-    let wl = RandomWorkloadCfg::new(SEED, STEPS).with_pace_us(25);
+    let wl = RandomWorkloadCfg::new(SEED, STEPS);
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::native()

@@ -76,11 +76,10 @@ fn capture_image() -> Checkpoint {
         RandomWorkloadStep::new(wl.clone())
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let paced = wl.clone().with_pace_us(20);
     let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |_| RandomWorkloadStep::new(paced.clone()),
+        |_| RandomWorkloadStep::new(wl.clone()),
     );
     let image = run
         .checkpoints

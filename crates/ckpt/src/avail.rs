@@ -309,9 +309,9 @@ impl Campaign {
     }
 }
 
-/// A planned fault armed over one world attempt, struck by
-/// [`Session::wait_for`] once its trigger holds: a node-scope death also
-/// drops the node (`rpn` ranks each) from `store`.
+/// A planned fault armed over one world attempt, struck once its trigger
+/// holds (see [`Session::strike_if_due`]): a node-scope death also drops
+/// the node (`rpn` ranks each) from `store`.
 pub(crate) struct ArmedFault {
     event: FaultEvent,
     store: Option<Arc<TieredStore>>,
@@ -319,23 +319,25 @@ pub(crate) struct ArmedFault {
 }
 
 impl ArmedFault {
-    /// The virtual time before which the event cannot strike.
-    pub(crate) fn after(&self) -> Threshold {
+    /// The virtual time (ns) before which the event cannot strike.
+    pub(crate) fn after_ns(&self) -> u64 {
         let (FaultTrigger::AtVirtual(t)
         | FaultTrigger::MidDrain(t)
         | FaultTrigger::DuringAsyncDrain(t)) = self.event.trigger;
-        Threshold::Clock((t.as_secs() * 1e9) as u64)
+        (t.as_secs() * 1e9) as u64
     }
 
     /// Whether the trigger holds now: every unfinished rank is past the
     /// event's virtual time and, for the protocol-sensitive triggers, the
     /// moment it waits for is on.
     pub(crate) fn due(&self, sh: &Session) -> bool {
-        sh.control.reached(self.after())
+        sh.control.reached(Threshold::Clock(self.after_ns()))
             && match self.event.trigger {
                 FaultTrigger::AtVirtual(_) => true,
                 FaultTrigger::MidDrain(_) => {
-                    sh.control.is_pending() && sh.control.phase() == CkptPhase::Draining
+                    let c = &sh.control;
+                    let targets = c.ranks.iter().all(|r| r.targets_ready.load(SeqCst));
+                    c.is_pending() && c.phase() == CkptPhase::Draining && targets
                 }
                 FaultTrigger::DuringAsyncDrain(_) => sh.bg_drain_inflight.load(SeqCst),
             }
@@ -456,10 +458,11 @@ pub(crate) fn run_campaign<B: StepBody>(
                 (sh, r.restored_cfg.ranks_per_node)
             }
         };
-        *sh.fault.lock() = campaign.events.get(campaign.attempts - 1).map(|&event| {
+        sh.arm_fault(campaign.events.get(campaign.attempts - 1).map(|&event| {
             let store = tiering.as_ref().map(|t| Arc::clone(&t.store));
             ArmedFault { event, store, rpn }
-        });
+        }));
+        sh.control.arm(policy.next());
         let supervise = || {
             let coord = Coordinator::new(Arc::clone(&sh))
                 .with_tiering(tiering.clone())
@@ -486,15 +489,12 @@ mod tests {
     use crate::runner::step::tests_support::SumBody;
     use crate::runner::{run_ckpt_world, run_ckpt_world_steps};
     use mpisim::{NetParams, ReduceOp};
-    use std::time::Duration;
 
-    /// A wall-paced allreduce loop: virtual time comes from `compute`,
-    /// wall time from the sleep.
-    fn paced_sum(r: &mut CcRank) -> f64 {
+    /// An allreduce loop: virtual time comes from `compute`.
+    fn sum(r: &mut CcRank) -> f64 {
         let w = r.world_vcomm();
         let mut acc = 0.0f64;
         for _ in 0..30 {
-            std::thread::sleep(Duration::from_micros(300));
             r.compute(5e-6);
             acc += r.allreduce_f64(w, &[r.rank() as f64 + acc * 1e-3], ReduceOp::Sum)[0];
         }
@@ -537,7 +537,7 @@ mod tests {
     /// and recovers from scratch all the same.
     #[test]
     fn closure_campaign_recovers_from_scratch() {
-        let native = run_ckpt_world(cfg(), CkptOptions::native(), paced_sum);
+        let native = run_ckpt_world(cfg(), CkptOptions::native(), sum);
         let makespan = native.makespan.as_secs();
         let opts = CkptOptions::native()
             .with_policy(PeriodicInterval::new(VTime::from_secs(makespan / 4.0), 100))
@@ -546,7 +546,7 @@ mod tests {
             FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.6)),
             FaultScope::Rank(1),
         );
-        let rep = run_available_world(cfg(), opts, plan, paced_sum);
+        let rep = run_available_world(cfg(), opts, plan, sum);
         assert_eq!(rep.attempts, 2);
         assert!(
             !rep.checkpoints.is_empty(),
@@ -565,14 +565,14 @@ mod tests {
 
     #[test]
     fn death_with_no_image_restarts_from_scratch() {
-        let native = run_ckpt_world(cfg(), CkptOptions::native(), paced_sum);
+        let native = run_ckpt_world(cfg(), CkptOptions::native(), sum);
         let makespan = native.makespan.as_secs();
         let opts = CkptOptions::native().with_tiering(Tiering::fixed(CkptTier::Lustre));
         let plan = FaultPlan::one(
             FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.5)),
             FaultScope::Rank(0),
         );
-        let rep = run_available_world(cfg(), opts, plan, paced_sum);
+        let rep = run_available_world(cfg(), opts, plan, sum);
         assert_eq!(rep.attempts, 2);
         assert_eq!(rep.faults.len(), 1);
         let f = &rep.faults[0];

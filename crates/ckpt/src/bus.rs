@@ -83,21 +83,13 @@ impl UpdateBus {
         self.raised.lock().clone()
     }
 
-    /// Unconditionally clears every inbox and all recorded raises — the
-    /// checkpoint-abort path, where queued updates are obsolete the moment
-    /// the request is withdrawn and must not leak into the next drain.
+    /// Clears every inbox and all recorded raises: at every release (a
+    /// completed drain leaves none queued; an aborted one leaves updates
+    /// obsolete the moment the request is withdrawn, which must not leak
+    /// into the next drain) and before each request's targets.
     pub fn clear_all(&self) {
         self.raised.lock().clear();
         for i in &self.inboxes {
-            i.lock().clear();
-        }
-    }
-
-    /// Clears per-checkpoint state (call after each completed checkpoint).
-    pub fn reset(&self) {
-        self.raised.lock().clear();
-        for i in &self.inboxes {
-            debug_assert!(i.lock().is_empty(), "update lost across checkpoint");
             i.lock().clear();
         }
     }
@@ -131,7 +123,7 @@ mod tests {
         bus.record_raise(Ggid(1), 5, vec![0, 1]);
         bus.record_raise(Ggid(1), 3, vec![0, 1]);
         assert_eq!(bus.raises()[&Ggid(1)].0, 5);
-        bus.reset();
+        bus.clear_all();
         assert!(bus.raises().is_empty());
     }
 }

@@ -1,7 +1,7 @@
-//! The checkpoint coordinator: issues the request, computes and installs
-//! targets (Algorithm 1), supervises the drain to quiescence, captures the
-//! image, and resumes ranks — either on the same lower half (*continue*)
-//! or into a freshly built one (*restart*).
+//! The checkpoint coordinator: serves a raised request — computes and
+//! installs targets (Algorithm 1), supervises the drain to quiescence,
+//! captures the image, and resumes ranks — either on the same lower half
+//! (*continue*) or into a freshly built one (*restart*).
 //!
 //! Two coordination protocols are supported end-to-end:
 //!
@@ -226,17 +226,17 @@ impl Coordinator {
         self
     }
 
-    /// Runs one full checkpoint: request → target computation → drain →
-    /// quiesce → capture → resume (per `mode`). Returns the captured image,
-    /// or a typed error if the drain stalled (in which case the request has
-    /// been withdrawn and the application keeps running). Just before the
-    /// ranks resume from a committed image, `before_release(charge_ns,
-    /// write_s)` hears its clock charge and write cost: a supervisor arms
-    /// its next trigger there, so no rank runs unobserved past it.
+    /// Serves one raised request: target computation → drain → quiesce →
+    /// capture → resume (per `mode`). Returns the captured image, or a
+    /// typed error if the drain stalled (the request withdrawn, the
+    /// application running on). Before any rank runs on,
+    /// `before_release(charge_ns, write_s)` hears the committed image's
+    /// clock charge and write cost (`0` if none; not called on a death):
+    /// a supervisor arms its next trigger there.
     pub fn checkpoint(
         &self,
         mode: ResumeMode,
-        before_release: impl FnOnce(u64, f64),
+        before_release: &mut dyn FnMut(u64, f64),
     ) -> Result<Checkpoint, DrainError> {
         let sh = &self.sh;
         let control = &sh.control;
@@ -245,14 +245,16 @@ impl Coordinator {
             "protocol {} cannot checkpoint",
             sh.protocol.name()
         );
+        debug_assert!(control.is_pending(), "no request raised");
         // A rank released from the previous capture publishes `Running`
-        // only when it next runs. Until then its old
-        // park state would pass this checkpoint's quiesce test — at once
-        // under 2PC, which has no targets to drain first — and the capture
-        // would find the rank back inside a collective.
-        sh.wait_for(None, None, || (!control.any_stale_park()).then_some(()))
-            .map_err(|i| self.interrupted(i))?;
-        let request_clock = VTime::from_secs(control.min_unfinished_clock_ns() as f64 * 1e-9);
+        // only when it next runs. Until then its old park state would
+        // pass this checkpoint's quiesce test — at once under 2PC, which
+        // has no targets to drain first — and the capture would find the
+        // rank back inside a collective. (No rank parks for this request
+        // before its targets or its quiesce phase.)
+        sh.wait_for(None, || (!control.any_stale_park()).then_some(()))
+            .map_err(|i| self.interrupted(i, before_release))?;
+        let request_clock = VTime::from_secs(control.request_clock_ns() as f64 * 1e-9);
         // A rank descheduled mid-drain when a previous attempt was aborted
         // can deliver its raise arbitrarily late — even after the abort's
         // teardown. No legitimate update can exist before this request's
@@ -264,7 +266,6 @@ impl Coordinator {
         }
         sh.bus.clear_all();
         sh.trace.push(DrainEvent::Requested);
-        control.request_checkpoint();
 
         let two_phase = sh.protocol == Protocol::TwoPhase;
         let (initial, final_targets) = if two_phase {
@@ -296,32 +297,41 @@ impl Coordinator {
             // checks for death first, so a killed world — which stops
             // making progress by design — surfaces as the typed death,
             // never as a spurious `P2pStall`.
+            // The raises are read again after the check: a rank can raise
+            // and then meet every target while the check runs, and the
+            // targets it is judged by must include that raise.
             let finals = sh
-                .wait_for(None, Some(self.stall_timeout), || {
+                .wait_for(Some(self.stall_timeout), || loop {
+                    let raises = sh.bus.raises();
                     let mut finals = initial.clone();
                     let mut mems = members_of.clone();
-                    for (g, (t, m)) in sh.bus.raises() {
+                    for (g, (t, m)) in raises.clone() {
                         let e = finals.entry(g).or_insert(0);
                         *e = (*e).max(t);
                         mems.entry(g).or_insert(m);
                     }
-                    self.drain_complete(&finals, &mems).then_some(finals)
+                    if !self.drain_complete(&finals, &mems) {
+                        break None;
+                    }
+                    if sh.bus.raises() == raises {
+                        break Some(finals);
+                    }
                 })
-                .map_err(|i| self.interrupted(i))?;
+                .map_err(|i| self.interrupted(i, before_release))?;
             control.set_phase(CkptPhase::Quiescing);
             (initial, finals)
         };
 
         // Quiesce: every rank parks at its current interposition point and
         // publishes its capture.
-        sh.wait_for(None, None, || control.all_quiesced().then_some(()))
-            .map_err(|i| self.interrupted(i))?;
+        sh.wait_for(None, || control.all_quiesced().then_some(()))
+            .map_err(|i| self.interrupted(i, before_release))?;
         // A killed rank unwinds instead of parking, and its thread's
         // teardown may leave it looking Finished — letting the loop above
         // exit with no capture published. Re-check before touching the
         // capture slots.
         if sh.poisoned() {
-            return Err(self.interrupted(Interrupted::Died));
+            return Err(self.interrupted(Interrupted::Died, before_release));
         }
         control.set_phase(CkptPhase::Capturing);
         let capture_t0 = Instant::now();
@@ -420,7 +430,7 @@ impl Coordinator {
             // resume on the current lower half.
             self.redeposit(&world, &in_flight);
             sh.trace.push(DrainEvent::Aborted);
-            self.release_quiesced_ranks();
+            self.release_ranks(|| before_release(0, 0.0));
             return Err(e);
         }
 
@@ -518,6 +528,8 @@ impl Coordinator {
             } else {
                 let session = Arc::clone(&self.sh);
                 session.bg_drain_inflight.store(true, SeqCst);
+                // In flight from here: a fault waiting for that strikes.
+                sh.strike_if_due();
                 let handle = std::thread::Builder::new()
                     .name("ckpt-drain".into())
                     .spawn(move || {
@@ -544,8 +556,7 @@ impl Coordinator {
             ResumeMode::Continue => self.redeposit(&world, &in_flight),
             ResumeMode::Restart => self.resume_restart(world.epoch + 1, in_flight),
         }
-        before_release(charge_ns, io_write_secs);
-        self.release_quiesced_ranks();
+        self.release_ranks(|| before_release(charge_ns, io_write_secs));
         sh.trace.push(DrainEvent::Resumed);
         Ok(Arc::try_unwrap(ckpt).unwrap_or_else(|arc| (*arc).clone()))
     }
@@ -644,19 +655,17 @@ impl Coordinator {
         (record, want_delta, sync, modeled_read_s)
     }
 
-    /// Releases every quiesced rank back into the application and tears
-    /// down the per-checkpoint state: bumps the resume generation (the
-    /// quiesce parks' wake condition), withdraws the pending flag, and
-    /// resets targets/update counters and the bus. Shared by the normal
-    /// resume path and the capture-refusal path (e.g. a failed p2p
-    /// accounting check) — the two must stay in lockstep or refused
-    /// captures leave the world wedged.
-    fn release_quiesced_ranks(&self) {
+    /// Releases the ranks: withdraws the request, resets the
+    /// per-checkpoint state and the bus, runs `before_release`, and only
+    /// then releases the quiesce parks. The one path for a commit, a
+    /// refused capture and a stalled drain.
+    fn release_ranks(&self, before_release: impl FnOnce()) {
         let control = &self.sh.control;
-        control.resume_gen.fetch_add(1, SeqCst);
-        control.clear_pending();
+        control.withdraw();
         control.reset_after_checkpoint();
-        self.sh.bus.reset();
+        self.sh.bus.clear_all();
+        before_release();
+        control.release();
     }
 
     /// The in-process [`ResumeMode::Restart`] path: builds the next lower
@@ -710,20 +719,23 @@ impl Coordinator {
     /// condition. A death leaves the per-checkpoint state alone — the
     /// world is abandoned wholesale, not resumed, so there is nothing to
     /// withdraw into.
-    fn interrupted(&self, why: Interrupted) -> DrainError {
+    fn interrupted(
+        &self,
+        why: Interrupted,
+        before_release: &mut dyn FnMut(u64, f64),
+    ) -> DrainError {
         match why {
             Interrupted::Died => {
                 self.sh.trace.push(DrainEvent::Aborted);
                 DrainError::RankDeath(self.sh.death().expect("a died wait saw the poison"))
             }
-            Interrupted::Stalled => self.abort_stalled_drain(),
+            Interrupted::Stalled => self.abort_stalled_drain(before_release),
         }
     }
 
-    /// Withdraws a stalled checkpoint request: targets are torn down, the
-    /// bus is cleared, and the pending flag dropped so parked ranks resume
-    /// the application. Returns the typed stall error.
-    fn abort_stalled_drain(&self) -> DrainError {
+    /// Withdraws a stalled request and releases the ranks. Returns the
+    /// typed stall error.
+    fn abort_stalled_drain(&self, before_release: &mut dyn FnMut(u64, f64)) -> DrainError {
         let control = &self.sh.control;
         // Dead ranks are excluded: a declared death is not a p2p stall,
         // and listing the victims here would misattribute the abort.
@@ -737,15 +749,11 @@ impl Coordinator {
             .map(|(i, _)| i)
             .collect();
         self.sh.trace.push(DrainEvent::Aborted);
-        // Drop the request first so ranks stop acting on the drain, then
-        // tear down the per-checkpoint state — which retires the epoch, as
-        // ranks key their installed targets on it. A rank still inside a
-        // wrapper iteration may deliver a raise after this teardown; the
-        // next request wipes the update counters and the bus before it
-        // opens, for exactly that race.
-        control.clear_pending();
-        control.reset_after_checkpoint();
-        self.sh.bus.clear_all();
+        // The teardown retires the epoch, as ranks key their installed
+        // targets on it. A rank still inside a wrapper iteration may
+        // deliver a raise after it; the next request wipes the update
+        // counters and the bus before it opens, for exactly that race.
+        self.release_ranks(|| before_release(0, 0.0));
         DrainError::P2pStall { stalled }
     }
 
@@ -897,7 +905,6 @@ mod tests {
             let Some(sub) = r.comm_split(r.world_vcomm(), color, 0) else {
                 return 0.0;
             };
-            r.set_wall_pace_us(200);
             let mut acc = 0.0;
             for _ in 0..40 {
                 r.compute(10e-6);

@@ -98,8 +98,8 @@
 //!   the ranks' published call counters, each naming its next
 //!   [`Threshold`]. All virtual-time comparisons run in integer
 //!   nanoseconds.
-//! * [`coordinator::Coordinator`] — issues checkpoint requests through
-//!   [`mana_core::CkptControl`], computes `TARGET[]` as the global max of
+//! * [`coordinator::Coordinator`] — serves the requests ranks raise
+//!   through [`mana_core::CkptControl`], computes `TARGET[]` as the global max of
 //!   snapshotted `SEQ[]` tables (Algorithm 1), supervises the drain to
 //!   quiescence, captures a [`Checkpoint`], and resumes. Continue puts
 //!   the drained messages back on the same lower half; an in-process
@@ -254,9 +254,13 @@
 //! Every wait is *event-driven*, never a timed poll: a pending rank is
 //! woken through its one event counter (mailbox deposits, collective
 //! completions, the update bus, phase transitions; token read before the
-//! poll), and the trigger supervisor, the coordinator, a restore and an
-//! armed fault sleep on the control plane's observer counter, which ranks
-//! bump after publishing what those waits read ([`mana_core::control`]).
+//! poll), and the trigger supervisor, the coordinator and a restore sleep
+//! on the control plane's observer counter, which ranks bump after
+//! publishing what those waits read ([`mana_core::control`]). Nothing
+//! waits *for* the supervisor: the rank whose crossing completes an armed
+//! threshold raises the request inside its wrapper call, and every rank
+//! stops at its next collective until the targets are installed — so no
+//! run, however fast, outruns its trigger.
 //!
 //! **Driver independence.** The checkpoint semantics cannot see which
 //! driver steps a rank: counter increments, drain-gate decisions, clock
@@ -275,8 +279,9 @@
 //! a single rank or a whole node's ranks, at an MTBF-sampled virtual
 //! time ([`FaultPlan::sample`]) or at a protocol-sensitive moment
 //! (mid-drain, during an asynchronous background drain). Each attempt
-//! arms its event on the session; the supervisor's waits check it on
-//! every wake and fire it through [`Session::inject_failure`], which
+//! arms its event before any rank runs; the rank whose progress completes
+//! its time strikes it (or the supervisor's waits, for a drain-phase
+//! event) through [`Session::inject_failure`], which
 //! poisons the scheduler's shared fail plane ([`mpisim::FailPlane`]) and
 //! wakes every wait site — mailbox parks, sleeping threads' event
 //! waits, the pool's poison retire, the observer counter — so the whole

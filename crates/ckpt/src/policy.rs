@@ -2,9 +2,10 @@
 //!
 //! A [`TriggerPolicy`] names the [`Threshold`] (virtual clock or
 //! collective-call count) at which the next checkpoint is due. The
-//! supervisor arms it, each rank announces crossing it as it publishes its
-//! progress ([`mana_core::CkptControl::publish_progress`]), and the
-//! supervisor fires once every unfinished rank is past it — nothing polls.
+//! supervisor arms it before any rank can pass it, and the rank whose
+//! published progress (or finish) completes it raises the request itself,
+//! inside its wrapper call ([`mana_core::CkptControl::publish_progress`]):
+//! nothing polls, and no run finishes before its trigger fires.
 //! The policies: an explicit virtual-time schedule, a periodic interval,
 //! the Young/Daly optimum, and every-N-collectives.
 //!
@@ -20,12 +21,11 @@
 pub use mana_core::Threshold;
 use mpisim::VTime;
 
-/// Decides when the supervisor fires a checkpoint.
+/// Decides when a checkpoint is requested.
 ///
-/// `next` is asked once before each wait; the supervisor fires when every
-/// unfinished rank has reached the threshold it returns, and calls
-/// `fired` once the checkpoint attempt is over. `None` ends supervision:
-/// the policy will never fire again.
+/// `next` is asked for each threshold armed; the request is raised once
+/// every unfinished rank has reached it, and `fired` is called once the
+/// attempt is over. `None` ends supervision: it will never fire again.
 pub trait TriggerPolicy: Send {
     /// The progress at which the next checkpoint is due; `None` once the
     /// policy is exhausted.

@@ -162,7 +162,6 @@ impl<'s> CcRank<'s> {
     /// sleeps (a rank on the step pool sleeps on its pool worker, which
     /// only narrows that worker's throughput).
     pub fn compute(&mut self, secs: f64) {
-        self.core.sh.control.hand_off(self.core.rank);
         self.core.ctx.compute(secs);
         if self.core.wall_pace_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.core.wall_pace_us));
@@ -172,9 +171,10 @@ impl<'s> CcRank<'s> {
 
     /// Sets a wall-clock pace: every subsequent [`CcRank::compute`] call
     /// sleeps `us` microseconds of *host* time (virtual time unaffected).
-    /// Harnesses use this so an asynchronous checkpoint trigger reliably
-    /// catches the run mid-flight instead of racing a wall-fast
-    /// completion.
+    /// No trigger or fault needs it — the rank that completes a threshold
+    /// raises the request itself — and it is kept only because the
+    /// benchmark's `ckpt_cycle` workload still spells it; a test may use
+    /// it to stretch a drain's wall time.
     pub fn set_wall_pace_us(&mut self, us: u64) {
         self.core.wall_pace_us = us;
     }
@@ -217,14 +217,15 @@ impl RankCore<'_> {
     // Control-plane servicing
     // ------------------------------------------------------------------
 
-    /// Publishes the rank's virtual clock and collective-call total for
-    /// the coordinator's trigger policies.
+    /// Publishes the rank's virtual clock and collective-call total: the
+    /// crossing that completes the armed trigger raises the request here,
+    /// and the one that completes the planned fault's time strikes it.
     fn publish_clock(&self) {
-        self.sh.control.publish_progress(
-            self.rank,
-            (self.ctx.clock().as_secs() * 1e9) as u64,
-            self.counters.coll_total(),
-        );
+        let clock_ns = (self.ctx.clock().as_secs() * 1e9) as u64;
+        let control = &self.sh.control;
+        if control.publish_progress(self.rank, clock_ns, self.counters.coll_total()) {
+            self.sh.strike_if_due();
+        }
     }
 
     /// Cheap per-interposition servicing: publish the clock, pick up
@@ -488,9 +489,9 @@ impl CcRank<'_> {
         let core = &self.core;
         core.publish_capture(RankState::Finished, body);
         core.publish_clock();
-        let ctl = &core.sh.control.ranks[core.rank];
-        ctl.targets_met.store(true, SeqCst);
-        ctl.set_state(RankState::Finished);
+        if core.sh.control.publish_finished(core.rank) {
+            core.sh.strike_if_due();
+        }
     }
 
     /// Completes a capture park the last poll began: the body's snapshot
@@ -589,8 +590,6 @@ impl CcRank<'_> {
             // A park for capture taken inside a blocking call carries no
             // snapshot: the body is this thread's stack.
             self.complete_park(|| None);
-            // Leaving, or about to sleep: a rank stop (see `hand_off`).
-            self.core.sh.control.hand_off(self.core.rank);
             if let StepPoll::Ready(t) = polled {
                 return t;
             }

@@ -88,8 +88,8 @@ impl<T> StepPoll<T> {
 
 /// Waits until targets for the pending checkpoint are installed:
 /// `Ready(false)` when the checkpoint ended while waiting, `Ready(true)`
-/// once they are. Wakes arrive from target installation and
-/// `clear_pending`, both of which wake the rank's control slot.
+/// once they are. Wakes arrive from target installation and the
+/// coordinator's release, both of which wake the rank's control slot.
 fn try_await_targets(cc: &mut RankCore<'_>) -> StepPoll<bool> {
     let sh = cc.sh;
     let ctl = &sh.control.ranks[cc.rank];
@@ -501,8 +501,13 @@ impl TwoPcGate {
             match *self {
                 TwoPcGate::P1 => {
                     cc.service_control();
-                    if quiescing(cc) {
-                        return Next::Quiesce(RankState::Quiesced);
+                    // A raised request stops the rank here, before its
+                    // barrier, until the coordinator opens the quiesce.
+                    if cc.sh.control.is_pending() {
+                        return match quiescing(cc) {
+                            true => Next::Quiesce(RankState::Quiesced),
+                            false => Next::Wait,
+                        };
                     }
                     let ordinal = cc.tb_ordinal;
                     cc.tb_ordinal += 1;

@@ -166,7 +166,7 @@ pub struct CkptRunReport<R> {
     /// Drain-protocol trace.
     pub trace: DrainTrace,
     /// Backstop-expiry wakeups across every wait path of the run (mailbox
-    /// waits, rank parks and hand-offs, the supervisor's waits, the step
+    /// waits, rank parks, the supervisor's waits, the step
     /// driver's rescue sweep), all event-driven with lost-wakeup
     /// backstops: 0 in a healthy run, so a regression back to timed
     /// polling shows here long before it shows as sys time.
@@ -309,13 +309,14 @@ pub(crate) struct SuperviseOut {
     pub(crate) store_records: Vec<StoreRecord>,
 }
 
-/// An attempt's trigger supervision: fires `coord` each time every
-/// unfinished rank reaches the policy's next threshold, and stops once the
-/// policy is exhausted (with no planned fault still armed), every rank has
+/// An attempt's trigger supervision (the first threshold armed before the
+/// launch): serves each request a rank raises with `coord`, arming the
+/// next threshold before the ranks run on, and stops once the policy is
+/// exhausted (with no planned fault still armed), every rank has
 /// finished, or an injected death poisons the world (the fatal
-/// [`DrainError::RankDeath`] also lands in the failures). On return the
-/// last background drain has been flushed and the coordinator's histories
-/// copied out, so the campaign keeps them even when the attempt dies.
+/// [`DrainError::RankDeath`] also lands in the failures). On return the last background drain has been
+/// flushed and the coordinator's histories copied out, so the campaign
+/// keeps them even when the attempt dies.
 pub(crate) fn supervise_loop(
     sh: &Arc<Session>,
     coord: &Coordinator,
@@ -324,52 +325,45 @@ pub(crate) fn supervise_loop(
 ) -> SuperviseOut {
     let control = &sh.control;
     let mut out = SuperviseOut::default();
+    let mut next = policy.next();
     loop {
-        let next = policy.next();
         // An armed fault keeps the supervisor waiting past the policy:
-        // only its waits can strike it.
+        // a drain-phase fault is struck only by its waits.
         if next.is_none() && sh.fault.lock().is_none() {
             break;
         }
-        let fire = sh.wait_for(next, None, || {
+        // Finished before pending: a rank whose finish completes the
+        // threshold raises the request before it publishes `Finished`.
+        let fire = sh.wait_for(None, || {
             let done = control
                 .ranks
                 .iter()
                 .all(|r| r.state() == RankState::Finished);
-            (done || next.is_some_and(|t| control.reached(t))).then_some(!done)
+            let pending = control.is_pending();
+            (pending || done).then_some(pending)
         });
         if fire != Ok(true) {
             break;
         }
-        // The crossing's announcement may have put this thread on the CPU
-        // of the rank that made it: let that rank finish the interposition
-        // step it is in before the request can cut into it.
-        std::thread::yield_now();
-        // A clock threshold is where the checkpoint belongs, however late
-        // the supervisor got there; the run picks up again once the
-        // checkpoint's own charge is paid, and the next interval starts
-        // there — armed before the ranks resume.
+        // A clock threshold is where the checkpoint belongs, wherever the
+        // ranks stopped; the run picks up again once the checkpoint's own
+        // charge is paid, and the next interval starts there.
         let at = match next {
             Some(Threshold::Clock(t)) => t,
-            _ => control.min_unfinished_clock_ns(),
+            _ => control.request_clock_ns(),
         };
-        let rearm = |charge_ns: u64, write_s| {
+        let mut rearm = |charge_ns: u64, write_s| {
             policy.fired(at.saturating_add(charge_ns), write_s);
-            let next = policy.next();
-            sh.observe(next);
-            // Passed already (during the checkpoint): every rank holds at
-            // its next stop, as if it had crossed.
-            if next.is_some_and(|t| control.reached(t)) {
-                control.hold_all();
-            }
+            next = policy.next();
+            control.arm(next);
         };
-        match coord.checkpoint(resume, rearm) {
+        match coord.checkpoint(resume, &mut rearm) {
             Ok(c) => out.checkpoints.push(c),
             Err(e) => {
-                policy.fired(at, 0.0);
                 let fatal = matches!(e, DrainError::RankDeath(_));
                 out.failures.push(e);
                 if fatal {
+                    policy.fired(at, 0.0);
                     break;
                 }
             }
@@ -379,7 +373,7 @@ pub(crate) fn supervise_loop(
     // background drain before reading the histories. (On a poisoned world
     // the drain still lands — the recovery path then discards it by its
     // landing point, not by racing the writer thread.)
-    sh.unobserve();
+    control.arm(None);
     coord.flush_drains();
     out.capture_wall_s = coord.capture_wall_history();
     out.store_records = coord.store_record_history();

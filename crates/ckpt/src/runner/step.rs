@@ -166,8 +166,6 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
             // way the body's own blocking calls do.
             Driver::Threads => BodyStep::Done(cc.run_own(body)),
         }));
-        // A step's end is a rank stop (see `CkptControl::hand_off`).
-        self.sh.control.hand_off(self.rank);
         match r {
             Ok(BodyStep::Yield(w)) => Step::Yield(w),
             Ok(BodyStep::Done(result)) => {
@@ -325,6 +323,8 @@ fn resident_bytes() -> Option<u64> {
 pub(crate) mod tests_support {
     use super::*;
     use crate::StepPoll;
+    use bytes::Bytes;
+    use mana_core::VReq;
     use mpisim::ReduceOp;
 
     /// `iters` rounds of compute + world allreduce, as an explicit state
@@ -335,11 +335,16 @@ pub(crate) mod tests_support {
         in_allreduce: bool,
         acc: f64,
         hold: Option<usize>,
+        /// The hold's receives still pending, once posted.
+        held: Option<Vec<VReq>>,
     }
 
     /// Virtual time no unheld [`SumBody`] run reaches: the trigger time of
     /// a checkpoint pinned by [`SumBody::with_hold`].
     pub(crate) const HOLD_AT_S: f64 = 500e-6;
+
+    /// Tag of the hold's messages.
+    const HOLD_TAG: u32 = 7;
 
     impl SumBody {
         pub(crate) fn new(iters: usize) -> SumBody {
@@ -349,20 +354,48 @@ pub(crate) mod tests_support {
                 in_allreduce: false,
                 acc: 0.0,
                 hold: None,
+                held: None,
             }
         }
 
         /// Pins where a checkpoint triggered at [`HOLD_AT_S`] cuts, which
-        /// two live runs otherwise never agree on (the trigger is polled
-        /// on the wall clock). Iteration `h` jumps every rank's clock past
-        /// the trigger time, so the trigger turns true only once the last
-        /// rank is about to enter that iteration's allreduce; iteration
-        /// `h + 1` then sleeps long enough on the wall for the supervisor
-        /// to request the checkpoint before any rank reaches the next
-        /// collective — where every rank therefore parks.
+        /// two live runs otherwise need not agree on: how far the other
+        /// ranks got when the last one raised the request depends on the
+        /// host schedule. Iteration `h` jumps every rank's clock past the
+        /// trigger time and orders the jumps: every other rank tells the
+        /// last rank, jumps and enters the allreduce in the same step;
+        /// the last rank jumps — raising the request — only once told by
+        /// all (messages sent below the trigger time, so receiving them
+        /// does not carry it past), after a wall pause that lets the
+        /// others' steps (on a thread each) reach their allreduce. So the
+        /// others are inside it at the raise and the last rank stops at
+        /// its entry.
         pub(crate) fn with_hold(mut self, h: usize) -> SumBody {
             self.hold = Some(h);
             self
+        }
+
+        /// Iteration `h`'s ordered jump (see [`SumBody::with_hold`]).
+        fn hold(&mut self, r: &mut CcRank) -> StepPoll<()> {
+            let (w, last) = (r.world_vcomm(), r.size() - 1);
+            if r.rank() != last {
+                let v = r.isend(w, last, HOLD_TAG, Bytes::new());
+                assert!(r.poll_wait(v).is_ready(), "an eager send completes at once");
+                r.compute(2.0 * HOLD_AT_S);
+                return StepPoll::Ready(());
+            }
+            let held = (self.held)
+                .get_or_insert_with(|| (0..last).map(|o| r.irecv(w, o, HOLD_TAG)).collect());
+            while let Some(&v) = held.last() {
+                match r.poll_wait(v) {
+                    StepPoll::Pending(why) => return StepPoll::Pending(why),
+                    StepPoll::Ready(_) => held.pop(),
+                };
+            }
+            self.held = None;
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            r.compute(2.0 * HOLD_AT_S);
+            StepPoll::Ready(())
         }
     }
 
@@ -373,16 +406,13 @@ pub(crate) mod tests_support {
             let w = r.world_vcomm();
             while self.it < self.iters {
                 if !self.in_allreduce {
-                    // Wall pacing so the wall-clock trigger supervisor can
-                    // catch the world mid-flight (virtual time is
-                    // unaffected).
-                    let (secs, pace_us) = match self.hold {
-                        Some(h) if self.it == h => (2.0 * HOLD_AT_S, 200),
-                        Some(h) if self.it == h + 1 => (1e-6, 50_000),
-                        _ => (1e-6, 200),
-                    };
-                    r.set_wall_pace_us(pace_us);
-                    r.compute(secs);
+                    if self.hold == Some(self.it) {
+                        if let StepPoll::Pending(why) = self.hold(r) {
+                            return BodyStep::Yield(why);
+                        }
+                    } else {
+                        r.compute(1e-6);
+                    }
                     self.in_allreduce = true;
                 }
                 match r.poll_allreduce_f64(w, &[r.rank() as f64 + self.acc], ReduceOp::Sum) {
@@ -402,6 +432,11 @@ pub(crate) mod tests_support {
             w.usize(self.it);
             w.u8(u8::from(self.in_allreduce));
             w.f64(self.acc);
+            let held = self.held.as_deref();
+            w.usize(held.map_or(0, |h| h.len() + 1));
+            for v in held.unwrap_or_default() {
+                w.u64(v.0);
+            }
             true
         }
 
@@ -412,13 +447,20 @@ pub(crate) mod tests_support {
             self.it = d.usize("iteration")?;
             self.in_allreduce = d.u8("allreduce flag")? != 0;
             self.acc = d.f64("accumulator")?;
+            self.held = match d.usize("hold")? {
+                0 => None,
+                n => Some(
+                    (1..n)
+                        .map(|_| d.u64("hold request").map(VReq))
+                        .collect::<Result<_, _>>()?,
+                ),
+            };
             Ok(())
         }
     }
 
     pub(crate) fn closure_body(iters: usize) -> impl Fn(&mut crate::CcRank) -> f64 + Send + Sync {
         move |r| {
-            r.set_wall_pace_us(200);
             let w = r.world_vcomm();
             let mut acc = 0.0;
             for _ in 0..iters {
@@ -500,16 +542,11 @@ mod tests {
                 let body = |_| SumBody::new(8).with_hold(3);
                 run_campaign(cfg, opts, FaultPlan::none(), None, driver, body).expect("launch")
             };
-            let mut pool = run(Driver::Pool);
-            let mut threads = run(Driver::Threads);
-            for r in [&mut pool, &mut threads] {
+            let pool = run(Driver::Pool);
+            let threads = run(Driver::Threads);
+            for r in [&pool, &threads] {
                 assert_eq!(r.checkpoints.len(), 1, "{protocol:?}: one mid-run capture");
                 assert_eq!(r.backstop_expiries, 0, "{protocol:?}: event-driven waits");
-                // The one field of an image that records *when* the
-                // request landed rather than the cut: the slowest clock
-                // published at that instant, and the held ranks publish
-                // their post-allreduce clocks in wall order.
-                r.checkpoints[0].request_clock = VTime::ZERO;
             }
             let results = |r: &CkptRunReport<f64>| r.results().copied().collect::<Vec<_>>();
             assert_eq!(results(&pool), results(&threads), "{protocol:?}");
@@ -636,8 +673,8 @@ mod restart_tests {
             s.results().copied().collect::<Vec<_>>()
         );
         // No makespan assertion: restart rebuilds the lower half, so the
-        // modeled timing depends on where the wall-clock-racy trigger
-        // landed — two *thread* runs differ the same way. Cut-for-cut
+        // modeled timing depends on where the cut landed, which the host
+        // schedule still moves — two *thread* runs differ the same way. Cut-for-cut
         // equivalence is covered by the held-cut tests above, which
         // compare the images whole.
         assert_eq!(s.backstop_expiries, 0);

@@ -6,7 +6,7 @@
 use crate::avail::ArmedFault;
 use crate::bus::UpdateBus;
 use mana_core::control::OBSERVER_BACKSTOP;
-use mana_core::{CkptControl, DrainTrace, Protocol, Threshold};
+use mana_core::{CkptControl, DrainTrace, Protocol};
 use mpisim::{RankDeath, World, WorldConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -32,7 +32,8 @@ pub struct Session {
     /// armed fault reads it to place a `DuringAsyncDrain` death.
     pub bg_drain_inflight: AtomicBool,
     /// This attempt's planned fault until it strikes, checked on every
-    /// wake of [`Session::wait_for`].
+    /// wake of [`Session::wait_for`] and by the rank that completes its
+    /// time.
     pub(crate) fault: Mutex<Option<ArmedFault>>,
 }
 
@@ -68,14 +69,12 @@ impl Session {
         })
     }
 
-    /// The observer's one wait, on [`CkptControl::events`] with `trigger`
-    /// and the fault's time armed: each check strikes a due fault, then
-    /// ends on death or when `ready` yields (after an expiry with nothing
-    /// announced since, a lost announcement: counted); expiries feed the
-    /// stall watch.
+    /// The observer's one wait, on [`CkptControl::events`]: each check
+    /// strikes a due fault, then ends on death or when `ready` yields
+    /// (after an expiry with nothing announced since, a lost
+    /// announcement: counted); expiries feed the stall watch.
     pub(crate) fn wait_for<T>(
         &self,
-        trigger: Option<Threshold>,
         stall: Option<Duration>,
         mut ready: impl FnMut() -> Option<T>,
     ) -> Result<T, Interrupted> {
@@ -84,8 +83,7 @@ impl Session {
         let (mut last_fp, mut since) = (self.progress_fingerprint(), Instant::now());
         let (mut expired, stats) = (false, Arc::clone(self.current_world().scheduler().stats()));
         let mut last = 0;
-        let out = loop {
-            self.observe(trigger);
+        loop {
             let token = control.events.token();
             self.strike_if_due();
             let done = match self.poisoned() {
@@ -98,39 +96,33 @@ impl Session {
                 if expired && control.events.token() == last {
                     stats.record_backstop_expiry();
                 }
-                break r;
+                return r;
             }
-            control.acknowledge(token);
             if let (true, Some(window)) = (expired, stall) {
                 let fp = self.progress_fingerprint();
                 if fp != last_fp {
                     (last_fp, since) = (fp, Instant::now());
                 } else if since.elapsed() >= window {
-                    break Err(Interrupted::Stalled);
+                    return Err(Interrupted::Stalled);
                 }
             }
             (expired, last) = (!control.events.wait_since(token, timeout), token);
-        };
-        self.unobserve();
-        out
+        }
     }
 
-    /// Arms `trigger` and the planned fault's time (until every rank has
-    /// reached it) for ranks to announce.
-    pub(crate) fn observe(&self, trigger: Option<Threshold>) {
-        let fault = self.fault.lock().as_ref().map(ArmedFault::after);
-        let fault = fault.filter(|&t| !self.control.reached(t));
-        self.control.arm(trigger.into_iter().chain(fault));
+    /// Arms the attempt's planned fault: its time for the crossing that
+    /// completes it to report ([`CkptControl::publish_progress`]).
+    pub(crate) fn arm_fault(&self, fault: Option<ArmedFault>) {
+        if let Some(f) = &fault {
+            self.control.arm_fault(f.after_ns());
+        }
+        *self.fault.lock() = fault;
     }
 
-    /// Stops observing: disarms, and releases any held rank.
-    pub(crate) fn unobserve(&self) {
-        self.control.arm([]);
-        self.control.acknowledge(u64::MAX);
-    }
-
-    /// Fires the armed fault if its trigger holds now.
-    fn strike_if_due(&self) {
+    /// Fires the armed fault if its trigger holds now: called by the
+    /// observer on every check, and by the rank whose progress or finish
+    /// completes the fault's time.
+    pub(crate) fn strike_if_due(&self) {
         let due = self.fault.lock().take_if(|f| f.due(self));
         if let Some(fault) = due {
             fault.strike(self);
@@ -279,9 +271,9 @@ mod tests {
             sh.control.set_phase(CkptPhase::Quiescing);
             spin_until("phase change", || ctl.state() == RankState::RecvParked);
             // Resume it the way the coordinator does.
-            sh.control.resume_gen.fetch_add(1, SeqCst);
-            sh.control.clear_pending();
+            sh.control.withdraw();
             sh.control.reset_after_checkpoint();
+            sh.control.release();
             spin_until("resume", || ctl.state() == RankState::Running);
             settle();
 

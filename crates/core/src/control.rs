@@ -20,15 +20,26 @@
 //! Either way no collective escapes the target computation — this is the
 //! linchpin of Invariant 2.
 //!
+//! ## Memory-ordering contract (the raise)
+//!
+//! The crossing that completes the armed [`Threshold`] raises the request
+//! inside the rank's wrapper call ([`CkptControl::publish_progress`]), so
+//! a run cannot outrun its trigger; so does a finish that completes it
+//! ([`CkptControl::publish_finished`]), and the arming of a threshold the
+//! parked ranks already passed ([`CkptControl::arm`]). A trigger is armed
+//! only with no request open, before the ranks it must see run: a rank
+//! swaps its progress in and then loads the armed trigger; the arming
+//! stores it and then scans the progress (all `SeqCst`), so one of the two
+//! sees the other. The claim — a compare-and-swap taking the armed word
+//! back — raises each threshold once, and a check made against a
+//! threshold served since claims nothing.
+//!
 //! ## Memory-ordering contract (the observer side)
 //!
 //! Every coordinator-side wait sleeps on [`CkptControl::events`], never on
 //! the wall clock. A rank *publishes* what such a predicate reads *before*
-//! it bumps the counter; an observer takes its token *before* it checks,
-//! so a bump after the check ends the sleep at once. A progress threshold
-//! is armed ([`CkptControl::arm`]) before the token; a rank swaps its
-//! progress in, then loads the threshold ([`CkptControl::publish_progress`],
-//! all `SeqCst`), so its load sees the threshold or the scan sees its swap.
+//! it bumps the counter (a raise too); an observer takes its token
+//! *before* it checks, so a bump after the check ends the sleep at once.
 
 use crate::ggid::Ggid;
 use crate::seq::SeqTable;
@@ -48,6 +59,20 @@ const PARK_BACKSTOP: Duration = Duration::from_secs(1);
 /// (short: one thread observes a world); counted when it finds its
 /// condition already true.
 pub const OBSERVER_BACKSTOP: Duration = Duration::from_millis(100);
+
+/// The armed-trigger word with nothing armed.
+const NONE: u64 = u64::MAX;
+/// Marks a call-count threshold in the armed-trigger word.
+const CALLS: u64 = 1 << 63;
+
+/// The threshold an armed-trigger word holds.
+fn armed(word: u64) -> Option<Threshold> {
+    match word {
+        NONE => None,
+        w if w & CALLS != 0 => Some(Threshold::CollCalls(w & !CALLS)),
+        ns => Some(Threshold::Clock(ns)),
+    }
+}
 
 /// A progress threshold every unfinished rank must reach: a trigger
 /// policy's next checkpoint, or the time before which a fault cannot strike.
@@ -162,8 +187,6 @@ pub struct RankCtl {
     /// — otherwise the stall watchdog would report a spurious `P2pStall`
     /// for a death the injector already published as a typed event.
     dead: AtomicBool,
-    /// Generation of a crossing announced but not yet handed off (`0`: none).
-    crossed: AtomicU64,
     /// The one wait primitive of a rank on its own thread: every event
     /// that can unblock it — control-plane or lower-half — is counted
     /// here by [`RankCtl::wake`]. Take a token *before* polling the
@@ -198,7 +221,6 @@ impl RankCtl {
             new_world: Mutex::new(None),
             lower_comms: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
-            crossed: AtomicU64::new(0),
             park: EventCount::default(),
             observer,
             waker: OnceLock::new(),
@@ -326,13 +348,13 @@ pub struct CkptControl {
     pub ranks: Vec<RankCtl>,
     /// The observer counter every coordinator-side wait sleeps on.
     pub events: Arc<EventCount>,
-    /// Armed thresholds (`u64::MAX`: none) whose crossing ranks announce.
-    armed_clock_ns: AtomicU64,
-    armed_calls: AtomicU64,
-    /// The hand-off: the last token the observer checked under
-    /// (`u64::MAX` while none observes), announced on `acks`.
-    acked: AtomicU64,
-    acks: EventCount,
+    /// The armed trigger in one word (see [`CkptControl::arm`]): `NONE`,
+    /// a clock threshold in ns, or with `CALLS` set a call count.
+    armed: AtomicU64,
+    /// The planned fault's virtual time (`u64::MAX`: none).
+    fault_ns: AtomicU64,
+    /// See [`CkptControl::request_clock_ns`].
+    request_clock_ns: AtomicU64,
 }
 
 impl CkptControl {
@@ -360,99 +382,98 @@ impl CkptControl {
                 .map(|_| RankCtl::new(Arc::clone(&stats), Arc::clone(&events)))
                 .collect(),
             events,
-            armed_clock_ns: AtomicU64::new(u64::MAX),
-            armed_calls: AtomicU64::new(u64::MAX),
-            acked: AtomicU64::new(u64::MAX),
-            acks: EventCount::default(),
+            armed: AtomicU64::new(NONE),
+            fault_ns: AtomicU64::new(u64::MAX),
+            request_clock_ns: AtomicU64::new(0),
         })
     }
 
-    /// Observer: arms the thresholds ranks announce crossings of — the
-    /// lowest of each kind; none of a kind disarms it — and, unless it
-    /// already does, starts holding announcing ranks for its checks.
-    pub fn arm(&self, thresholds: impl IntoIterator<Item = Threshold>) {
-        let (mut clock, mut calls) = (u64::MAX, u64::MAX);
-        for t in thresholds {
-            match t {
-                Threshold::Clock(ns) => clock = clock.min(ns),
-                Threshold::CollCalls(n) => calls = calls.min(n),
-            }
-        }
-        self.armed_clock_ns.store(clock, Ordering::SeqCst);
-        self.armed_calls.store(calls, Ordering::SeqCst);
-        let _ = self
-            .acked
-            .compare_exchange(u64::MAX, 0, Ordering::SeqCst, Ordering::SeqCst);
-    }
-
-    /// Rank: publishes its clock and call count, announcing only the
-    /// crossing that completes an armed threshold (of two ranks crossing
-    /// last together, the later swap sees the other's); the rank then owes
-    /// a [`CkptControl::hand_off`].
-    pub fn publish_progress(&self, rank: usize, clock_ns: u64, coll_calls: u64) {
-        let r = &self.ranks[rank];
-        let crossed = |mine: &AtomicU64, now: u64, armed: &AtomicU64| {
-            // Only this rank writes it: an unchanged value crosses nothing.
-            if mine.load(Ordering::Relaxed) == now {
-                return None;
-            }
-            let prev = mine.swap(now, Ordering::SeqCst);
-            let a = armed.load(Ordering::SeqCst);
-            (prev < a && now >= a).then_some(a)
+    /// Supervisor: arms the next request's threshold (`None` disarms) with
+    /// no request open, raising it at once if every unfinished rank is
+    /// past it already.
+    pub fn arm(&self, trigger: Option<Threshold>) {
+        let word = match trigger {
+            None => NONE,
+            Some(Threshold::Clock(ns)) => ns.min(CALLS - 1),
+            Some(Threshold::CollCalls(n)) => CALLS | n.min(CALLS - 2),
         };
-        let clock = crossed(&r.clock_ns, clock_ns, &self.armed_clock_ns).map(Threshold::Clock);
-        let calls = crossed(&r.coll_calls, coll_calls, &self.armed_calls).map(Threshold::CollCalls);
-        if [clock, calls].iter().flatten().any(|&t| self.reached(t)) {
-            r.crossed.store(self.events.bump(), Ordering::SeqCst);
-        }
+        self.armed.store(word, Ordering::SeqCst);
+        self.claim_if_reached(word, None);
     }
 
-    /// Rank: after announcing a crossing, holds at its next stop (before a
-    /// sleep, leaving a blocking call or step, at its next compute) until
-    /// the observer has checked past it or stops observing — so the run
-    /// cannot outrun a slow observer. Bounded by `PARK_BACKSTOP`, counted.
-    pub fn hand_off(&self, rank: usize) {
+    /// Arms the planned fault's virtual time (ns) for
+    /// [`CkptControl::publish_progress`] to report.
+    pub fn arm_fault(&self, ns: u64) {
+        self.fault_ns.store(ns, Ordering::SeqCst);
+    }
+
+    /// Rank: publishes its clock and call count; the crossing that
+    /// completes the armed trigger raises the request (of two ranks
+    /// crossing last together, the later swap sees the other's). Returns
+    /// whether it completes the fault's time: the caller strikes it.
+    pub fn publish_progress(&self, rank: usize, clock_ns: u64, coll_calls: u64) -> bool {
         let r = &self.ranks[rank];
-        if r.crossed.load(Ordering::Relaxed) == 0 {
-            return;
+        // Only this rank writes them: an unchanged value crosses nothing.
+        let swap = |mine: &AtomicU64, now: u64| {
+            (mine.load(Ordering::Relaxed) != now).then(|| mine.swap(now, Ordering::SeqCst))
+        };
+        let crossed =
+            |prev: Option<u64>, now: u64, at: u64| prev.is_some_and(|p| p < at && now >= at);
+        let (clock, calls) = (swap(&r.clock_ns, clock_ns), swap(&r.coll_calls, coll_calls));
+        let word = self.armed.load(Ordering::SeqCst);
+        let trigger = match armed(word) {
+            Some(Threshold::Clock(ns)) => crossed(clock, clock_ns, ns),
+            Some(Threshold::CollCalls(n)) => crossed(calls, coll_calls, n),
+            None => false,
+        };
+        if trigger {
+            self.claim_if_reached(word, None);
         }
-        let generation = r.crossed.swap(0, Ordering::SeqCst);
-        let deadline = std::time::Instant::now() + PARK_BACKSTOP;
-        loop {
-            let token = self.acks.token();
-            if self.acked.load(Ordering::SeqCst) >= generation {
-                return;
-            }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if !self.acks.wait_since(token, left) {
-                return r.stats.record_backstop_expiry();
-            }
-        }
+        let fault = self.fault_ns.load(Ordering::SeqCst);
+        crossed(clock, clock_ns, fault) && self.reached(Threshold::Clock(fault))
     }
 
-    /// Observer: a threshold it arms was passed while nothing was armed —
-    /// every rank owes a [`CkptControl::hand_off`], as if it had crossed.
-    pub fn hold_all(&self) {
-        let generation = self.events.bump();
-        for r in &self.ranks {
-            r.crossed.store(generation, Ordering::SeqCst);
-        }
+    /// Rank: publishes `Finished`, raising the request its finish
+    /// completes — checked as if finished before the state is out (so a
+    /// supervisor that sees every rank finished sees the request) and
+    /// after (so a concurrent crossing and the finish see each other).
+    /// Returns whether the fault's time is reached.
+    pub fn publish_finished(&self, rank: usize) -> bool {
+        let r = &self.ranks[rank];
+        r.targets_met.store(true, Ordering::SeqCst);
+        self.claim_if_reached(self.armed.load(Ordering::SeqCst), Some(rank));
+        r.set_state(RankState::Finished);
+        self.claim_if_reached(self.armed.load(Ordering::SeqCst), None);
+        let fault = self.fault_ns.load(Ordering::SeqCst);
+        fault != NONE && self.reached(Threshold::Clock(fault))
     }
 
-    /// Observer: announcements up to `token` are checked (`u64::MAX` as it
-    /// stops observing), releasing held ranks.
-    pub fn acknowledge(&self, token: u64) {
-        self.acked.store(token, Ordering::SeqCst);
-        self.acks.bump();
+    /// Raises the request if every unfinished rank but `except` reached
+    /// `word` and it is still armed: taking it back is the claim.
+    fn claim_if_reached(&self, word: u64, except: Option<usize>) {
+        let reached = armed(word).is_some_and(|t| self.reached_without(t, except));
+        let cas = |w| (self.armed).compare_exchange(w, NONE, Ordering::SeqCst, Ordering::SeqCst);
+        if reached && cas(word).is_ok() {
+            self.raise(except);
+        }
     }
 
     /// Whether every unfinished rank has reached `t` (`false` once all
     /// have finished), stopping at the first rank below.
     pub fn reached(&self, t: Threshold) -> bool {
-        let mut live = self
-            .ranks
-            .iter()
-            .filter(|r| r.state() != RankState::Finished);
+        self.reached_without(t, None)
+    }
+
+    /// The unfinished ranks, counting rank `except` as finished.
+    fn live(&self, except: Option<usize>) -> impl Iterator<Item = &RankCtl> {
+        (self.ranks.iter().enumerate())
+            .filter(move |&(i, r)| Some(i) != except && r.state() != RankState::Finished)
+            .map(|(_, r)| r)
+    }
+
+    /// [`CkptControl::reached`], but for rank `except`.
+    fn reached_without(&self, t: Threshold, except: Option<usize>) -> bool {
+        let mut live = self.live(except);
         let at = |r: &RankCtl| match t {
             Threshold::Clock(ns) => r.clock_ns.load(Ordering::SeqCst) >= ns,
             Threshold::CollCalls(n) => r.coll_calls.load(Ordering::SeqCst) >= n,
@@ -464,10 +485,13 @@ impl CkptControl {
     /// rank's clock (a finished rank stopped early), or once every rank
     /// has finished, the last one's.
     pub fn min_unfinished_clock_ns(&self) -> u64 {
+        self.min_clock_without(None)
+    }
+
+    /// [`CkptControl::min_unfinished_clock_ns`], but for rank `except`.
+    fn min_clock_without(&self, except: Option<usize>) -> u64 {
         let clock = |r: &RankCtl| r.clock_ns.load(Ordering::SeqCst);
-        self.ranks
-            .iter()
-            .filter(|r| r.state() != RankState::Finished)
+        self.live(except)
             .map(clock)
             .min()
             .unwrap_or_else(|| self.ranks.iter().map(clock).max().unwrap_or(0))
@@ -485,31 +509,59 @@ impl CkptControl {
         CkptPhase::from_u8(self.phase.load(Ordering::SeqCst))
     }
 
-    /// Coordinator: issues the checkpoint request. Must be followed by
-    /// target computation (see [`CkptControl::compute_and_install_targets`]).
+    /// Issues a request with no trigger (a harness's), disarming it.
+    ///
+    /// # Panics
+    /// Panics if a checkpoint is already running.
     pub fn request_checkpoint(&self) {
         assert_eq!(self.phase(), CkptPhase::Idle, "checkpoint already running");
-        // Invalidate stale met-flags before the request becomes visible so
-        // the coordinator can never observe a pre-checkpoint `true`.
+        self.armed.store(NONE, Ordering::SeqCst);
+        self.raise(None);
+    }
+
+    /// The raise, once claimed: records where the run stands (rank
+    /// `except` counted as finished), invalidates stale met-flags and
+    /// opens the drain phase — all before `pending` makes the request
+    /// visible — and announces it.
+    fn raise(&self, except: Option<usize>) {
+        let clock = self.min_clock_without(except);
+        self.request_clock_ns.store(clock, Ordering::SeqCst);
         for r in &self.ranks {
             r.targets_met.store(false, Ordering::SeqCst);
         }
-        self.set_phase(CkptPhase::Draining);
+        self.phase
+            .store(CkptPhase::Draining as u8, Ordering::SeqCst);
         self.pending.store(true, Ordering::SeqCst);
+        self.events.bump();
+    }
+
+    /// [`CkptControl::min_unfinished_clock_ns`] at the last raise.
+    pub fn request_clock_ns(&self) -> u64 {
+        self.request_clock_ns.load(Ordering::SeqCst)
     }
 
     /// Coordinator: transitions phase.
     pub fn set_phase(&self, p: CkptPhase) {
         self.phase.store(p as u8, Ordering::SeqCst);
-        for r in &self.ranks {
-            r.wake();
-        }
+        self.wake_all();
     }
 
-    /// Coordinator: clears the pending flag at resume.
-    pub fn clear_pending(&self) {
+    /// Coordinator: withdraws the request, waking nobody (see
+    /// [`CkptControl::release`]); a trigger may be armed from here on.
+    pub fn withdraw(&self) {
         self.pending.store(false, Ordering::SeqCst);
-        self.set_phase(CkptPhase::Idle);
+        self.phase.store(CkptPhase::Idle as u8, Ordering::SeqCst);
+    }
+
+    /// Coordinator: releases every rank parked for capture (their wake
+    /// condition is the resume generation) and wakes every rank.
+    pub fn release(&self) {
+        self.resume_gen.fetch_add(1, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    fn wake_all(&self) {
+        self.ranks.iter().for_each(RankCtl::wake);
     }
 
     /// Coordinator (Algorithm 1): snapshots every rank's sequence table and
@@ -650,7 +702,7 @@ mod tests {
         c.request_checkpoint();
         assert!(c.is_pending());
         assert_eq!(c.phase(), CkptPhase::Draining);
-        c.clear_pending();
+        c.withdraw();
         assert!(!c.is_pending());
     }
 
@@ -755,63 +807,65 @@ mod tests {
     }
 
     #[test]
-    fn observer_stress_loses_no_wakeup() {
-        // Publishers store their progress, then announce it — through a
-        // state transition, a crossing of the armed threshold, or a bare
-        // announcement — while one observer takes a token, checks "every
-        // rank has reached this round" and sleeps. Each round the observer
-        // re-arms the threshold to the round's end; the publishers race
-        // it. A lost announcement strands the observer until the backstop
-        // with its condition already true: a counted expiry.
+    fn concurrent_crossings_raise_exactly_once() {
+        // Ranks race through the thresholds while the supervisor serves
+        // each request: it sleeps until one is raised, releases it, and
+        // arms the next threshold, raising it itself if already passed.
+        // Thresholds alternate between clock and call count. A second
+        // raise of one threshold shows as a request for the next one
+        // before it is reached; a lost raise strands the supervisor until
+        // the backstop with the request already open (a counted expiry).
         const RANKS: usize = 4;
-        const ROUNDS: u64 = 10_000;
+        const ROUNDS: u64 = 5_000;
+        let at = |round: u64| match round % 2 {
+            0 => Threshold::Clock(round),
+            _ => Threshold::CollCalls(round),
+        };
         let c = CkptControl::new(RANKS);
-        c.arm([Threshold::Clock(0)]);
+        // The last round the supervisor has seen raised: ranks cross a
+        // round's threshold only once the previous one is being served,
+        // so each crossing races the arm, the release and the check.
+        let serving = AtomicU64::new(0);
+        // A failed check must not leave the ranks spinning.
+        struct Unblock<'a>(&'a AtomicU64);
+        impl Drop for Unblock<'_> {
+            fn drop(&mut self) {
+                self.0.store(u64::MAX, Ordering::SeqCst);
+            }
+        }
+        c.arm(Some(at(1)));
         std::thread::scope(|s| {
+            let _unblock = Unblock(&serving);
             for rank in 0..RANKS {
-                let c = &c;
+                let (c, serving) = (&c, &serving);
                 s.spawn(move || {
-                    for round in 1..=ROUNDS {
-                        // Wait (spinning politely) until the observer
-                        // opens this round, so the threshold races the
-                        // publication instead of trailing it.
-                        while c.armed_clock_ns.load(Ordering::SeqCst) < round {
+                    for p in 1..=ROUNDS {
+                        while serving.load(Ordering::SeqCst).saturating_add(1) < p {
                             std::thread::yield_now();
                         }
-                        match round % 3 {
-                            0 => c.publish_progress(rank, round, round),
-                            1 => {
-                                c.ranks[rank].clock_ns.store(round, Ordering::SeqCst);
-                                c.ranks[rank].set_state(RankState::Running);
-                            }
-                            _ => {
-                                c.ranks[rank].clock_ns.store(round, Ordering::SeqCst);
-                                c.events.bump();
-                            }
-                        }
+                        c.publish_progress(rank, p, p);
                     }
                 });
             }
             for round in 1..=ROUNDS {
-                c.arm([Threshold::Clock(round)]);
                 loop {
                     let token = c.events.token();
-                    if c.reached(Threshold::Clock(round)) {
+                    if c.is_pending() {
                         break;
                     }
-                    if !c.events.wait_since(token, OBSERVER_BACKSTOP)
-                        && c.reached(Threshold::Clock(round))
-                    {
+                    if !c.events.wait_since(token, OBSERVER_BACKSTOP) && c.is_pending() {
                         c.ranks[0].stats.record_backstop_expiry();
                     }
                 }
+                assert!(c.reached(at(round)), "round {round} raised early");
+                assert!(c.request_clock_ns() >= round, "round {round}");
+                serving.store(round, Ordering::SeqCst);
+                c.withdraw();
+                c.arm((round < ROUNDS).then(|| at(round + 1)));
             }
         });
-        assert_eq!(
-            c.ranks[0].stats.backstop_expiries(),
-            0,
-            "an announcement was lost"
-        );
+        assert_eq!(c.ranks[0].stats.backstop_expiries(), 0, "a raise was lost");
+        assert!(!c.is_pending(), "the last threshold raised once");
         assert_eq!(c.events.waiters(), 0, "observer deregistered");
     }
 
@@ -837,50 +891,98 @@ mod tests {
     }
 
     #[test]
-    fn only_the_crossing_that_completes_a_threshold_is_announced() {
+    fn only_the_crossing_that_completes_a_threshold_raises() {
         let c = CkptControl::new(2);
-        c.arm([Threshold::Clock(100)]);
-        let t0 = c.events.token();
+        c.arm(Some(Threshold::Clock(100)));
         c.publish_progress(0, 150, 0);
-        assert_eq!(c.events.token(), t0, "rank 1 is still below");
+        assert!(!c.is_pending(), "rank 1 is still below");
         c.publish_progress(1, 120, 0);
-        assert_ne!(c.events.token(), t0, "the last crossing completes it");
+        assert!(c.is_pending(), "the last crossing completes it");
+        assert_eq!(c.armed.load(Ordering::SeqCst), NONE, "claimed");
+        assert_eq!(c.phase(), CkptPhase::Draining);
+        assert_eq!(c.request_clock_ns(), 120, "where the run stood");
+        assert!(!c.ranks[0].targets_met.load(Ordering::SeqCst), "stale flag");
+        c.withdraw();
+        c.publish_progress(1, 130, 0);
+        assert!(!c.is_pending(), "the raise disarmed the threshold");
         // One rank: nothing armed, below, crossing, past, call count.
         let c = CkptControl::new(1);
         let step = |clock, calls| {
             c.publish_progress(0, clock, calls);
-            c.events.token()
+            let raised = c.is_pending();
+            if raised {
+                c.withdraw();
+            }
+            raised
         };
-        let t0 = c.events.token();
-        assert_eq!(step(10, 1), t0, "nothing armed: no announcement");
-        c.arm([Threshold::Clock(100)]);
-        assert_eq!(step(99, 2), t0, "below the threshold");
-        let t1 = step(100, 3);
-        assert_ne!(t1, t0, "the crossing is announced");
-        assert_eq!(step(150, 4), t1, "already past: announced once");
-        c.arm([Threshold::CollCalls(5)]);
-        assert_ne!(step(160, 5), t1, "a call-count crossing too");
+        assert!(!step(10, 1), "nothing armed: no raise");
+        c.arm(Some(Threshold::Clock(100)));
+        assert!(!step(99, 2), "below the threshold");
+        assert!(step(100, 3), "the crossing raises");
+        assert!(!step(150, 4), "already past: the raise disarmed it");
+        c.arm(Some(Threshold::Clock(100)));
+        assert!(c.is_pending(), "arming a passed threshold raises it");
+        c.withdraw();
+        c.arm(Some(Threshold::CollCalls(5)));
+        assert!(step(160, 5), "a call-count crossing too");
+        // The fault's time is reported to the crossing that completes it.
+        let c = CkptControl::new(2);
+        c.arm_fault(100);
+        assert!(!c.publish_progress(0, 100, 0), "rank 1 is still below");
+        assert!(c.publish_progress(1, 100, 0), "the completing crossing");
+        assert!(!c.publish_progress(1, 200, 0), "once");
     }
 
     #[test]
-    fn a_crossing_rank_is_held_until_the_observer_has_checked() {
-        let c = CkptControl::new(1);
-        c.hand_off(0);
-        c.arm([Threshold::Clock(100)]);
+    fn a_crossing_while_a_checkpoint_is_pending_is_raised_after_release() {
+        let c = CkptControl::new(2);
+        c.arm(Some(Threshold::Clock(100)));
         c.publish_progress(0, 100, 0);
-        let token = c.events.token();
-        std::thread::scope(|s| {
-            let held = s.spawn(|| c.hand_off(0));
-            while c.acks.waiters() == 0 {
-                std::thread::yield_now();
-            }
-            c.acknowledge(token - 1);
-            assert!(!held.is_finished(), "an older check releases nothing");
-            c.acknowledge(token);
-            held.join().unwrap();
-        });
-        c.hand_off(0);
-        assert_eq!(c.ranks[0].stats.backstop_expiries(), 0);
+        c.publish_progress(1, 100, 0);
+        assert!(c.is_pending());
+        // Both ranks drain on past the next threshold while the
+        // checkpoint holds the request open: nothing is armed, so
+        // neither crossing raises anything.
+        c.publish_progress(0, 300, 0);
+        c.publish_progress(1, 250, 0);
+        assert_eq!(c.request_clock_ns(), 100, "the open request's clock");
+        c.withdraw();
+        assert!(!c.is_pending(), "no rank crossed since the release");
+        c.arm(Some(Threshold::Clock(200)));
+        assert!(c.is_pending(), "arming a passed threshold raises it");
+        assert_eq!(c.request_clock_ns(), 250);
+        c.withdraw();
+        c.publish_progress(1, 260, 0);
+        assert!(!c.is_pending(), "raised once");
+        // A check made before the release against the threshold served
+        // since claims nothing once the next one is armed.
+        let stale = c.armed.load(Ordering::SeqCst);
+        c.arm(Some(Threshold::Clock(1_000)));
+        c.claim_if_reached(stale, None);
+        assert!(!c.is_pending(), "a stale check claims nothing");
+    }
+
+    #[test]
+    fn a_finish_that_completes_the_threshold_raises() {
+        let c = CkptControl::new(3);
+        c.arm(Some(Threshold::Clock(100)));
+        c.arm_fault(110);
+        c.publish_progress(1, 150, 0);
+        c.publish_progress(2, 120, 0);
+        c.publish_progress(0, 50, 0);
+        assert!(!c.is_pending(), "rank 0 holds the run back");
+        assert!(c.publish_finished(0), "the fault's time is reached too");
+        assert!(c.is_pending(), "rank 0's finish completes the threshold");
+        assert_eq!(c.ranks[0].state(), RankState::Finished);
+        assert_eq!(c.request_clock_ns(), 120, "the slowest unfinished rank");
+        // The last rank's finish raises nothing: no rank is left to reach
+        // a threshold, nor to checkpoint.
+        c.withdraw();
+        c.arm(Some(Threshold::Clock(1_000)));
+        c.arm_fault(u64::MAX);
+        assert!(!c.publish_finished(1));
+        assert!(!c.publish_finished(2));
+        assert!(!c.is_pending());
     }
 
     #[test]

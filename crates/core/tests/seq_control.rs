@@ -108,7 +108,7 @@ fn checkpoint_lifecycle_resets_per_round_state() {
     c.ranks[0]
         .updates_sent
         .fetch_add(2, std::sync::atomic::Ordering::SeqCst);
-    c.clear_pending();
+    c.withdraw();
     c.reset_after_checkpoint();
     assert_eq!(c.phase(), CkptPhase::Idle);
     assert!(!c.ranks[1]

@@ -54,7 +54,7 @@ impl QuickstartOutcome {
 pub fn quickstart(n_ranks: usize, seed: u64, steps: usize) -> QuickstartOutcome {
     let cfg =
         WorldConfig::single_node(n_ranks).with_params(NetParams::slingshot11().without_jitter());
-    let wl = RandomWorkloadCfg::new(seed, steps).with_pace_us(30);
+    let wl = RandomWorkloadCfg::new(seed, steps);
 
     let body = |_rank| RandomWorkloadStep::new(wl.clone());
     let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), body);

@@ -451,44 +451,6 @@ impl StepBody for HaloStep {
     }
 }
 
-/// A body under a wall pace: every `compute` of the rank sleeps `pace_us`
-/// of host time (set before the first step; virtual time and results are
-/// untouched), so a wall-clock trigger catches the run mid-flight. The
-/// pace is the constructor's, not state: a restored body paces again.
-pub struct Paced<B> {
-    body: B,
-    pace_us: Option<u64>,
-}
-
-impl<B: StepBody> Paced<B> {
-    /// `body`, paced at `pace_us` microseconds per compute.
-    pub fn new(body: B, pace_us: u64) -> Paced<B> {
-        Paced {
-            body,
-            pace_us: Some(pace_us),
-        }
-    }
-}
-
-impl<B: StepBody> StepBody for Paced<B> {
-    type Out = B::Out;
-
-    fn step(&mut self, r: &mut CcRank) -> BodyStep<B::Out> {
-        if let Some(us) = self.pace_us.take() {
-            r.set_wall_pace_us(us);
-        }
-        self.body.step(r)
-    }
-
-    fn save(&self, w: &mut dyn Wr) -> bool {
-        self.body.save(w)
-    }
-
-    fn load(&mut self, d: &mut Dec<'_>) -> Result<(), DecodeError> {
-        self.body.load(d)
-    }
-}
-
 /// Two programs back to back on one rank: `first` to completion, then
 /// `second`; the result is both results. Once done, `first` is stepped
 /// again for its result — which a body that saves returns without an MPI

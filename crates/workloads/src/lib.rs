@@ -42,7 +42,7 @@ mod snap;
 
 pub use demo::{quickstart, QuickstartOutcome};
 pub use kernels::{
-    bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, Paced, ScfStep, Then,
+    bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, ScfStep, Then,
 };
 pub use logged::{CallLog, Logged};
 pub use random::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};

@@ -30,10 +30,10 @@ pub struct RandomWorkloadCfg {
     pub seed: u64,
     /// Number of schedule steps.
     pub steps: usize,
-    /// Wall-clock microseconds slept per step (0 = none). Virtual time is
-    /// unaffected; harnesses use this so an asynchronous checkpoint
-    /// trigger reliably catches the run mid-flight instead of racing a
-    /// wall-fast completion.
+    /// Wall-clock microseconds slept per step (0 = none; virtual time is
+    /// unaffected). No trigger or fault needs it — the rank that completes
+    /// a threshold raises the request itself — and it is kept only because
+    /// the benchmark's `ckpt_cycle` workload still spells it.
     pub pace_us: u64,
     /// Remap non-blocking collective steps onto blocking equivalents
     /// (same rng draw sequence as the unrestricted schedule).
@@ -53,7 +53,7 @@ impl RandomWorkloadCfg {
         }
     }
 
-    /// Adds a per-step wall-clock pace.
+    /// Adds a per-step wall-clock pace (see [`RandomWorkloadCfg::pace_us`]).
     pub fn with_pace_us(mut self, us: u64) -> Self {
         self.pace_us = us;
         self

@@ -13,7 +13,7 @@ use workloads::{random_workload, RandomWorkloadCfg};
 
 fn main() {
     let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
-    let wl = RandomWorkloadCfg::new(7, 30).with_pace_us(40);
+    let wl = RandomWorkloadCfg::new(7, 30);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
         random_workload(&wl, r)
     });
