@@ -33,9 +33,11 @@
 //! storm, and per protocol the mean wasted-work fraction *decreases* down
 //! the ladder toward the Daly optimum.
 //!
-//! `examples/availability_bench.rs` writes `BENCH_availability.json`.
+//! `figures availability` writes [`AvailabilityReport::to_json`] to
+//! `BENCH_availability.json`.
 
-use crate::BenchWorkload;
+use crate::json::obj;
+use crate::{BenchWorkload, Json};
 use ckpt::{
     run_available_world_steps, run_ckpt_world_steps, young_daly_interval_s, CkptOptions, CkptTier,
     DalyInterval, FaultPlan, ImageSetLayout, PeriodicInterval, TierModels, TierSchedule,
@@ -104,6 +106,29 @@ pub struct AvailabilityReport {
     pub write_cost_s: f64,
     /// Sweep cells, in (protocol, MTBF, ladder) order.
     pub points: Vec<AvailabilityPoint>,
+}
+
+impl AvailabilityReport {
+    /// The `BENCH_availability.json` file: the campaign's constants, then
+    /// one row per cell.
+    pub fn to_json(&self) -> Json {
+        let points = self.points.iter().map(|p| {
+            obj! {
+                "protocol" => p.protocol, "mtbf_s" => p.mtbf_s, "policy" => p.policy,
+                "interval_s" => p.interval_s, "faults" => p.faults, "attempts" => p.attempts,
+                "checkpoints" => p.checkpoints, "checkpoint_budget" => p.checkpoint_budget,
+                "wasted_work_s" => p.wasted_work_s, "wasted_work_frac" => p.wasted_work_frac,
+                "recovery_latency_s" => p.recovery_latency_s, "makespan_s" => p.makespan_s,
+                "makespan_inflation" => p.makespan_inflation,
+                "backstop_expiries" => p.backstop_expiries,
+            }
+        });
+        obj! {
+            "ranks" => self.ranks, "ranks_per_node" => self.ranks_per_node,
+            "native_makespan_s" => self.native_makespan_s, "write_cost_s" => self.write_cost_s,
+            "points" => points.collect::<Json>(),
+        }
+    }
 }
 
 /// Sweep configuration.
@@ -271,8 +296,8 @@ fn mean_wasted(points: &[AvailabilityPoint], protocol: &str, policy: &str) -> f6
     cells.iter().sum::<f64>() / cells.len() as f64
 }
 
-/// The campaign shape check, shared by the bench example and the CI
-/// slice: the grid is complete, every cell recovered every fault with
+/// The campaign shape check, asserted by `figures availability` before it
+/// writes: the grid is complete, every cell recovered every fault with
 /// zero backstop expiries, and per protocol the mean wasted-work
 /// fraction decreases down the interval ladder toward the Daly optimum.
 ///
@@ -349,59 +374,6 @@ pub fn assert_availability_shape(rep: &AvailabilityReport, mtbf_rows: usize) {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Serializes the report as a JSON object (no external dependencies).
-pub fn availability_to_json(rep: &AvailabilityReport) -> String {
-    let points: Vec<String> = rep
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "    {{\"protocol\":\"{}\",\"mtbf_s\":{},\"policy\":\"{}\",",
-                    "\"interval_s\":{},\"faults\":{},\"attempts\":{},\"checkpoints\":{},",
-                    "\"checkpoint_budget\":{},",
-                    "\"wasted_work_s\":{},\"wasted_work_frac\":{},\"recovery_latency_s\":{},",
-                    "\"makespan_s\":{},\"makespan_inflation\":{},\"backstop_expiries\":{}}}"
-                ),
-                p.protocol,
-                json_f64(p.mtbf_s),
-                p.policy,
-                json_f64(p.interval_s),
-                p.faults,
-                p.attempts,
-                p.checkpoints,
-                p.checkpoint_budget,
-                json_f64(p.wasted_work_s),
-                json_f64(p.wasted_work_frac),
-                json_f64(p.recovery_latency_s),
-                json_f64(p.makespan_s),
-                json_f64(p.makespan_inflation),
-                p.backstop_expiries,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n  \"ranks\": {},\n  \"ranks_per_node\": {},\n",
-            "  \"native_makespan_s\": {},\n  \"write_cost_s\": {},\n",
-            "  \"points\": [\n{}\n  ]\n}}\n"
-        ),
-        rep.ranks,
-        rep.ranks_per_node,
-        json_f64(rep.native_makespan_s),
-        json_f64(rep.write_cost_s),
-        points.join(",\n"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,10 +396,8 @@ mod tests {
             assert_eq!(p.attempts, p.faults + 1);
             assert!(p.faults > 0);
         }
-        let json = availability_to_json(&rep);
+        let json = rep.to_json().encode();
         assert!(json.contains("\"wasted_work_frac\""));
         assert!(json.contains("\"daly\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

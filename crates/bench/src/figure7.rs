@@ -12,8 +12,10 @@
 //! [`ckpt::Checkpoint::drain_latency_secs`], summarizes the sample as
 //! p50/p90/p99 percentiles, and pairs it with the per-rank collective
 //! rate derived from the final [`mana_core::CallCounters`] (`coll_rate`).
-//! The JSON written by `examples/figure7_bench.rs` lands in
-//! `BENCH_figure7.json`.
+//! [`figure7_json`] is the file: `figures figure7` writes the
+//! {1024, 2048, 4096}-rank sweep to `BENCH_figure7.json` and
+//! `figures figure7_huge` the step-object sweep to
+//! `BENCH_figure7_huge.json`.
 //!
 //! Shape expectations (asserted by `tests/figure7.rs` and the release-only
 //! `large_scale` tier):
@@ -28,7 +30,8 @@
 //!   validated here up to 4096 ranks), in contrast to stop-the-world
 //!   approaches.
 
-use crate::BenchWorkload;
+use crate::json::obj;
+use crate::{BenchWorkload, Json};
 use ckpt::{run_ckpt_world, run_ckpt_world_steps, CkptOptions, ResumeMode, VirtualTimeSchedule};
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
@@ -136,16 +139,6 @@ pub struct Figure7Record {
 }
 
 impl Figure7Record {
-    /// Largest drain latency of the cell (0 if no checkpoint fired).
-    pub fn max_latency_s(&self) -> f64 {
-        self.drain_latency_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Largest drain latency in units of the mean collective interval.
-    pub fn max_latency_intervals(&self) -> f64 {
-        self.to_intervals(self.max_latency_s())
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) of the cell's drain-latency samples,
     /// nearest-rank method (0 if no checkpoint fired). `0.5`/`0.9`/`0.99`
     /// are the summary points emitted into `BENCH_figure7.json`.
@@ -170,6 +163,18 @@ impl Figure7Record {
             latency_s / self.coll_interval_s
         } else {
             0.0
+        }
+    }
+
+    /// The cell as one row of `"cells"`: raw samples plus p50/p90/p99
+    /// summaries (seconds).
+    pub fn to_json(&self) -> Json {
+        obj! {
+            "workload" => self.workload, "ranks" => self.ranks,
+            "coll_rate_hz" => self.coll_rate_hz, "coll_interval_s" => self.coll_interval_s,
+            "drain_latency_s" => self.drain_latency_s.as_slice(),
+            "p50_s" => self.latency_percentile_s(0.5), "p90_s" => self.latency_percentile_s(0.9),
+            "p99_s" => self.latency_percentile_s(0.99), "rank_mem_bytes" => self.rank_mem_bytes,
         }
     }
 }
@@ -197,6 +202,18 @@ pub struct Figure7CdfBucket {
     /// The same samples in units of each source cell's mean collective
     /// interval (the paper's x-axis), sorted ascending.
     pub samples_intervals: Vec<f64>,
+}
+
+impl Figure7CdfBucket {
+    /// The bucket as one row of `"cdf"`.
+    pub fn to_json(&self) -> Json {
+        obj! {
+            "rate_decade" => self.rate_decade, "rate_lo_hz" => self.rate_lo_hz,
+            "rate_hi_hz" => self.rate_hi_hz, "cells" => self.cells,
+            "samples_s" => self.samples_s.as_slice(),
+            "samples_intervals" => self.samples_intervals.as_slice(),
+        }
+    }
 }
 
 /// Pools per-cell drain-latency samples into collective-rate decade
@@ -244,20 +261,16 @@ fn world_cfg(cfg: &Figure7Config, n: usize) -> WorldConfig {
 /// fits on one host and the cell measures per-rank resident memory.
 pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> Figure7Record {
     let iters = cfg.iters;
-    let native = if cfg.step_bodies {
-        run_ckpt_world_steps(
-            world_cfg(cfg, n),
-            CkptOptions::native().with_protocol(Protocol::Native),
-            |_rank| workload.step_body(iters),
-        )
-    } else {
-        run_ckpt_world(
-            world_cfg(cfg, n),
-            CkptOptions::native().with_protocol(Protocol::Native),
-            |r| workload.run_iters(iters, r),
-        )
+    let run_world = |opts| {
+        if cfg.step_bodies {
+            run_ckpt_world_steps(world_cfg(cfg, n), opts, |_rank| workload.step_body(iters))
+        } else {
+            run_ckpt_world(world_cfg(cfg, n), opts, |r| workload.run_iters(iters, r))
+        }
     };
-    let native_s = native.makespan.as_secs();
+    let native_s = run_world(CkptOptions::native().with_protocol(Protocol::Native))
+        .makespan
+        .as_secs();
 
     // Spread the checkpoints over the middle band of the run: the centers
     // of `k` equal slices of [0.15, 0.75] of the native makespan. Every
@@ -274,11 +287,7 @@ pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> F
         .with_protocol(Protocol::Cc)
         .with_policy(VirtualTimeSchedule::new(times))
         .with_resume(ResumeMode::Continue);
-    let run = if cfg.step_bodies {
-        run_ckpt_world_steps(world_cfg(cfg, n), opts, |_rank| workload.step_body(iters))
-    } else {
-        run_ckpt_world(world_cfg(cfg, n), opts, |r| workload.run_iters(iters, r))
-    };
+    let run = run_world(opts);
     assert!(
         run.failures.is_empty(),
         "figure7 cell ({}, {n}) aborted a checkpoint: {:?}",
@@ -324,8 +333,8 @@ pub fn figure7_report(cfg: &Figure7Config) -> Vec<Figure7Record> {
     out
 }
 
-/// The Figure 7 distribution-shape check, shared by the bench example and
-/// the test tiers. Asserts that every cell fired all `expected_ckpts`
+/// The Figure 7 distribution-shape check, shared by `figures figure7`
+/// and the test tiers. Asserts that every cell fired all `expected_ckpts`
 /// checkpoints with finite non-negative drain latency at a positive
 /// collective rate, and that — per workload — the CC drain-latency
 /// *distribution* stays bounded as the world grows: every cell's p99,
@@ -428,64 +437,14 @@ pub fn assert_figure7_shape(records: &[Figure7Record], expected_ckpts: usize) {
     }
 }
 
-/// Serializes the report as a JSON object (no external dependencies):
-/// `"cells"` is the per-(workload × ranks) matrix — raw per-checkpoint
-/// samples plus p50/p90/p99 summaries of the drain-latency distribution
-/// (seconds) — and `"cdf"` is the full per-collective-rate-bucket CDF
-/// ([`figure7_cdf`]): sorted sample arrays in seconds and in mean
-/// collective intervals, the curves the paper's Figure 7 plots.
-pub fn figure7_to_json(records: &[Figure7Record]) -> String {
-    let f = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.9}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let flist = |vs: &[f64]| {
-        let items: Vec<String> = vs.iter().map(|&v| f(v)).collect();
-        items.join(",")
-    };
-    let mut rows = Vec::with_capacity(records.len());
-    for r in records {
-        rows.push(format!(
-            concat!(
-                "    {{\"workload\":\"{}\",\"ranks\":{},\"coll_rate_hz\":{},",
-                "\"coll_interval_s\":{},\"drain_latency_s\":[{}],",
-                "\"p50_s\":{},\"p90_s\":{},\"p99_s\":{},\"rank_mem_bytes\":{}}}"
-            ),
-            r.workload,
-            r.ranks,
-            f(r.coll_rate_hz),
-            f(r.coll_interval_s),
-            flist(&r.drain_latency_s),
-            f(r.latency_percentile_s(0.5)),
-            f(r.latency_percentile_s(0.9)),
-            f(r.latency_percentile_s(0.99)),
-            r.rank_mem_bytes
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-        ));
+/// The Figure 7 file: `"cells"`, one row per (workload × ranks) cell, and
+/// `"cdf"`, one row per collective-rate bucket of [`figure7_cdf`].
+pub fn figure7_json(cells: &[Figure7Record]) -> Json {
+    let cdf = figure7_cdf(cells);
+    obj! {
+        "cells" => cells.iter().map(Figure7Record::to_json).collect::<Json>(),
+        "cdf" => cdf.iter().map(Figure7CdfBucket::to_json).collect::<Json>(),
     }
-    let mut cdf_rows = Vec::new();
-    for b in figure7_cdf(records) {
-        cdf_rows.push(format!(
-            concat!(
-                "    {{\"rate_decade\":{},\"rate_lo_hz\":{},\"rate_hi_hz\":{},",
-                "\"cells\":{},\"samples_s\":[{}],\"samples_intervals\":[{}]}}"
-            ),
-            b.rate_decade,
-            f(b.rate_lo_hz),
-            f(b.rate_hi_hz),
-            b.cells,
-            flist(&b.samples_s),
-            flist(&b.samples_intervals),
-        ));
-    }
-    format!(
-        "{{\n  \"cells\": [\n{}\n  ],\n  \"cdf\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-        cdf_rows.join(",\n")
-    )
 }
 
 #[cfg(test)]
@@ -493,7 +452,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_shape_is_wellformed() {
+    fn figure7_rows_keep_their_keys_and_values() {
         let rec = Figure7Record {
             workload: "scf",
             ranks: 8,
@@ -502,17 +461,16 @@ mod tests {
             drain_latency_s: vec![0.5e-3, 0.7e-3],
             rank_mem_bytes: Some(4096),
         };
-        let s = figure7_to_json(&[rec]);
+        let s = figure7_json(&[rec]).encode();
         assert!(s.contains("\"cells\""));
         assert!(s.contains("\"cdf\""));
         assert!(s.contains("\"workload\":\"scf\""));
         assert!(s.contains("\"drain_latency_s\":[0.000500000,0.000700000]"));
         assert!(s.contains("\"p50_s\":0.000500000"));
         assert!(s.contains("\"p99_s\":0.000700000"));
+        assert!(s.contains("\"rank_mem_bytes\":4096"));
         assert!(s.contains("\"rate_decade\":3"));
         assert!(s.contains("\"samples_s\":[0.000500000,0.000700000]"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
     }
 
     #[test]
@@ -560,8 +518,9 @@ mod tests {
             drain_latency_s: vec![0.02, 0.05],
             rank_mem_bytes: None,
         };
-        assert_eq!(rec.max_latency_s(), 0.05);
-        assert!((rec.max_latency_intervals() - 5.0).abs() < 1e-12);
+        // The largest sample is the 1-quantile.
+        assert_eq!(rec.latency_percentile_s(1.0), 0.05);
+        assert!((rec.latency_percentile_intervals(1.0) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //!   smallest to the largest world: each rank's chunk is encoded and
 //!   hashed on its own, so the pipeline has no superlinear component.
 //!
-//! `examples/figure9_bench.rs` writes the result to `BENCH_figure9.json`
-//! next to the protocol-comparison bench's `BENCH_protocols.json`.
+//! `figures figure9` asserts [`assert_figure9_shape`] and writes
+//! [`Figure9Report::to_json`] to `BENCH_figure9.json`.
 
+use crate::json::obj;
 use crate::synth::{perturbed_checkpoint, synthetic_checkpoint};
+use crate::Json;
 use ckpt::{
     run_ckpt_world, CkptOptions, CkptTier, ImageSetLayout, PeriodicInterval, ResumeMode,
     TierModels, TieredStore, Tiering,
@@ -193,6 +195,71 @@ pub struct Figure9Report {
     pub delta: Option<Figure9DeltaPoint>,
     /// The sync-vs-async drain comparison (absent when disabled).
     pub drain: Option<Figure9DrainComparison>,
+}
+
+impl Figure9Report {
+    /// The `BENCH_figure9.json` file: one row per model, measured,
+    /// capture and tier cell; the delta cell and the drain comparison on
+    /// a line each, the drain's records one row each.
+    pub fn to_json(&self) -> Json {
+        let model = self.model.iter().map(|p| {
+            obj! {
+                "nodes" => p.nodes, "ranks" => p.ranks, "ranks_per_node" => p.ranks_per_node,
+                "image_bytes_per_rank" => p.image_bytes_per_rank, "write_s" => p.write_s,
+                "read_s" => p.read_s,
+            }
+        });
+        let measured = self.measured.iter().map(|m| {
+            obj! {
+                "ranks" => m.ranks, "serialized_bytes" => m.serialized_bytes,
+                "in_flight_bytes" => m.in_flight_bytes, "cut_events" => m.cut_events,
+                "capture_clock_s" => m.capture_clock_s, "capture_wall_s" => m.capture_wall_s,
+            }
+        });
+        let capture = self.capture.iter().map(|p| {
+            obj! {
+                "ranks" => p.ranks, "workers" => p.workers,
+                "serialized_bytes" => p.serialized_bytes, "capture_wall_s" => p.capture_wall_s,
+                "per_rank_capture_wall_s" => p.per_rank_capture_wall_s(),
+            }
+        });
+        let tiers = self.tiers.iter().map(|t| {
+            obj! {
+                "tier" => t.tier, "changed_ratio" => t.changed_ratio, "nodes" => t.nodes,
+                "ranks" => t.ranks, "total_bytes" => t.total_bytes, "write_s" => t.write_s,
+                "read_s" => t.read_s,
+            }
+        });
+        let delta = self.delta.as_ref().map(|d| {
+            obj! {
+                "ranks" => d.ranks, "changed_ranks" => d.changed_ranks,
+                "full_bytes" => d.full_bytes, "delta_bytes" => d.delta_bytes,
+                "shrink_factor" => d.shrink_factor, "delta_chunks" => d.delta_chunks,
+            }
+        });
+        let drain = self.drain.as_ref().map(|d| {
+            let records = d.records.iter().map(|r| {
+                obj! {
+                    "generation" => r.generation, "tier" => r.tier,
+                    "modeled_write_s" => r.modeled_write_s, "backpressure_s" => r.backpressure_s,
+                    "blocking_wall_s" => r.blocking_wall_s,
+                    "overlapped_wall_s" => r.overlapped_wall_s,
+                }
+            });
+            obj! {
+                "ranks" => d.ranks, "checkpoints" => d.checkpoints,
+                "sync_makespan_s" => d.sync_makespan_s, "async_makespan_s" => d.async_makespan_s,
+                "sync_blocking_wall_s" => d.sync_blocking_wall_s,
+                "async_blocking_wall_s" => d.async_blocking_wall_s,
+                "records" => records.collect::<Json>(),
+            }
+        });
+        obj! {
+            "model" => model.collect::<Json>(), "measured" => measured.collect::<Json>(),
+            "capture" => capture.collect::<Json>(), "tiers" => tiers.collect::<Json>(),
+            "delta" => delta, "drain" => drain,
+        }
+    }
 }
 
 /// Sweep configuration.
@@ -461,7 +528,41 @@ pub fn capture_sweep(capture_ranks: &[usize], reps: usize) -> Vec<Figure9Capture
     out
 }
 
-/// The capture-pipeline shape check, shared by the bench example and the
+/// Every Figure 9 shape check, and at least one measured image.
+///
+/// # Panics
+/// Panics when a shape is violated or a part of the report is disabled.
+pub fn assert_figure9_shape(report: &Figure9Report) {
+    assert_figure9_write_shape(&report.model);
+    assert!(
+        !report.measured.is_empty(),
+        "no measured image was captured"
+    );
+    assert_figure9_capture_shape(&report.capture);
+    assert_figure9_tier_order(&report.tiers);
+    assert_figure9_delta_shape(report.delta.as_ref().expect("delta cell enabled"));
+    assert_figure9_drain_shape(report.drain.as_ref().expect("drain comparison enabled"));
+}
+
+/// The Figure 9 curve, a pure model check: for the paper's 398 MB image,
+/// checkpoint time never improves with node count (injection-limited and
+/// flat at first) and climbs over the whole sweep once the job-visible
+/// aggregate bandwidth binds.
+///
+/// # Panics
+/// Panics when the shape is violated or the sweep has no 398 MB cell.
+pub fn assert_figure9_write_shape(model: &[Figure9ModelPoint]) {
+    let vasp: Vec<f64> = (model.iter())
+        .filter(|p| p.image_bytes_per_rank == 398 * 1024 * 1024)
+        .map(|p| p.write_s)
+        .collect();
+    assert!(
+        vasp.windows(2).all(|w| w[0] <= w[1]) && vasp.last() > vasp.first(),
+        "Figure 9 shape violated: write times over node count: {vasp:?}"
+    );
+}
+
+/// The capture-pipeline shape check, shared by `figures figure9` and the
 /// tier-1 test: every point timed something real, serialized size grows
 /// with the world, and the **per-rank** encode wall time stays flat —
 /// the largest world's per-rank cost is within `2×` of the smallest
@@ -510,7 +611,7 @@ pub fn assert_figure9_capture_shape(points: &[Figure9CapturePoint]) {
     );
 }
 
-/// The storage-tier shape check, shared by the bench example and the
+/// The storage-tier shape check, shared by `figures figure9` and the
 /// tier-1 test: in **every** (changed-ratio × node count) cell the three
 /// tiers are present and strictly ordered — memory writes (and reads)
 /// cheaper than the partner replica, the partner cheaper than Lustre —
@@ -645,156 +746,6 @@ pub fn assert_figure9_drain_shape(d: &Figure9DrainComparison) {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Serializes the report as a JSON object (no external dependencies).
-pub fn figure9_to_json(report: &Figure9Report) -> String {
-    let model: Vec<String> = report
-        .model
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "    {{\"nodes\":{},\"ranks\":{},\"ranks_per_node\":{},",
-                    "\"image_bytes_per_rank\":{},\"write_s\":{},\"read_s\":{}}}"
-                ),
-                p.nodes,
-                p.ranks,
-                p.ranks_per_node,
-                p.image_bytes_per_rank,
-                json_f64(p.write_s),
-                json_f64(p.read_s),
-            )
-        })
-        .collect();
-    let measured: Vec<String> = report
-        .measured
-        .iter()
-        .map(|m| {
-            format!(
-                concat!(
-                    "    {{\"ranks\":{},\"serialized_bytes\":{},\"in_flight_bytes\":{},",
-                    "\"cut_events\":{},\"capture_clock_s\":{},\"capture_wall_s\":{}}}"
-                ),
-                m.ranks,
-                m.serialized_bytes,
-                m.in_flight_bytes,
-                m.cut_events,
-                json_f64(m.capture_clock_s),
-                json_f64(m.capture_wall_s),
-            )
-        })
-        .collect();
-    let capture: Vec<String> = report
-        .capture
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "    {{\"ranks\":{},\"workers\":{},\"serialized_bytes\":{},",
-                    "\"capture_wall_s\":{},\"per_rank_capture_wall_s\":{}}}"
-                ),
-                p.ranks,
-                p.workers,
-                p.serialized_bytes,
-                json_f64(p.capture_wall_s),
-                json_f64(p.per_rank_capture_wall_s()),
-            )
-        })
-        .collect();
-    let tiers: Vec<String> = report
-        .tiers
-        .iter()
-        .map(|t| {
-            format!(
-                concat!(
-                    "    {{\"tier\":\"{}\",\"changed_ratio\":{},\"nodes\":{},\"ranks\":{},",
-                    "\"total_bytes\":{},\"write_s\":{},\"read_s\":{}}}"
-                ),
-                t.tier,
-                json_f64(t.changed_ratio),
-                t.nodes,
-                t.ranks,
-                t.total_bytes,
-                json_f64(t.write_s),
-                json_f64(t.read_s),
-            )
-        })
-        .collect();
-    let delta = match &report.delta {
-        Some(d) => format!(
-            concat!(
-                "{{\"ranks\":{},\"changed_ranks\":{},\"full_bytes\":{},",
-                "\"delta_bytes\":{},\"shrink_factor\":{},\"delta_chunks\":{}}}"
-            ),
-            d.ranks,
-            d.changed_ranks,
-            d.full_bytes,
-            d.delta_bytes,
-            json_f64(d.shrink_factor),
-            d.delta_chunks,
-        ),
-        None => "null".to_string(),
-    };
-    let drain = match &report.drain {
-        Some(d) => {
-            let recs: Vec<String> = d
-                .records
-                .iter()
-                .map(|r| {
-                    format!(
-                        concat!(
-                            "      {{\"generation\":{},\"tier\":\"{}\",\"modeled_write_s\":{},",
-                            "\"backpressure_s\":{},\"blocking_wall_s\":{},",
-                            "\"overlapped_wall_s\":{}}}"
-                        ),
-                        r.generation,
-                        r.tier,
-                        json_f64(r.modeled_write_s),
-                        json_f64(r.backpressure_s),
-                        json_f64(r.blocking_wall_s),
-                        json_f64(r.overlapped_wall_s),
-                    )
-                })
-                .collect();
-            format!(
-                concat!(
-                    "{{\"ranks\":{},\"checkpoints\":{},\"sync_makespan_s\":{},",
-                    "\"async_makespan_s\":{},\"sync_blocking_wall_s\":{},",
-                    "\"async_blocking_wall_s\":{},\"records\":[\n{}\n    ]}}"
-                ),
-                d.ranks,
-                d.checkpoints,
-                json_f64(d.sync_makespan_s),
-                json_f64(d.async_makespan_s),
-                json_f64(d.sync_blocking_wall_s),
-                json_f64(d.async_blocking_wall_s),
-                recs.join(",\n"),
-            )
-        }
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "{{\n  \"model\": [\n{}\n  ],\n  \"measured\": [\n{}\n  ],\n",
-            "  \"capture\": [\n{}\n  ],\n  \"tiers\": [\n{}\n  ],\n",
-            "  \"delta\": {},\n  \"drain\": {}\n}}\n"
-        ),
-        model.join(",\n"),
-        measured.join(",\n"),
-        capture.join(",\n"),
-        tiers.join(",\n"),
-        delta,
-        drain
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,6 +763,7 @@ mod tests {
         let rep = figure9_report(&cfg);
         assert_eq!(rep.model.len(), 15);
         assert!(rep.tiers.is_empty() && rep.delta.is_none() && rep.drain.is_none());
+        assert_figure9_write_shape(&rep.model);
         // For each image size, checkpoint time never improves with node
         // count and grows over the full sweep — low node counts are
         // injection-limited (flat), then the shared aggregate bandwidth
@@ -844,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn measured_images_scale_with_rank_count_and_json_is_wellformed() {
+    fn measured_images_scale_with_rank_count_and_serialize() {
         let cfg = Figure9Config {
             node_counts: vec![1, 2],
             image_bytes_per_rank: vec![64 << 20],
@@ -878,7 +830,7 @@ mod tests {
         // 2 ratios x 2 node counts x 3 tiers.
         assert_eq!(rep.tiers.len(), 12);
         assert!(rep.delta.is_some() && rep.drain.is_some());
-        let json = figure9_to_json(&rep);
+        let json = rep.to_json().encode();
         assert!(json.contains("\"model\""));
         assert!(json.contains("\"measured\""));
         assert!(json.contains("\"capture\""));
@@ -886,8 +838,6 @@ mod tests {
         assert!(json.contains("\"tiers\""));
         assert!(json.contains("\"shrink_factor\""));
         assert!(json.contains("\"async_makespan_s\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     /// The ISSUE's tier-ordering gate: every (ratio x nodes) cell writes

@@ -12,7 +12,12 @@
 //! nanosecond-scale wrapper increment. Each checkpointed run also records
 //! the virtual drain latency per checkpoint and the modelled Lustre image
 //! write time.
+//!
+//! `examples/figures.rs` runs each figure as a suite: it asserts the
+//! suite's shape through the `assert_*` function of its module, then
+//! writes the report's [`Json`].
 
+use crate::json::obj;
 use ckpt::wire::{Dec, DecodeError, Wr};
 use ckpt::{
     run_ckpt_world, BodyStep, CcRank, CkptOptions, CkptTier, ResumeMode, StepBody, TierModels,
@@ -26,20 +31,23 @@ use workloads::{BcastPipelineStep, HaloStep, ScfStep};
 pub mod availability;
 pub mod figure7;
 pub mod figure9;
+pub mod json;
 pub mod synth;
 pub use availability::{
-    assert_availability_shape, availability_report, availability_to_json, AvailabilityConfig,
-    AvailabilityPoint, AvailabilityReport, POLICY_LADDER,
+    assert_availability_shape, availability_report, AvailabilityConfig, AvailabilityPoint,
+    AvailabilityReport, POLICY_LADDER,
 };
 pub use figure7::{
-    figure7_cdf, figure7_report, figure7_to_json, Figure7CdfBucket, Figure7Config, Figure7Record,
+    assert_figure7_shape, figure7_cdf, figure7_json, figure7_report, Figure7CdfBucket,
+    Figure7Config, Figure7Record,
 };
 pub use figure9::{
     assert_figure9_capture_shape, assert_figure9_delta_shape, assert_figure9_drain_shape,
-    assert_figure9_tier_order, capture_sweep, delta_cell, drain_comparison, figure9_report,
-    figure9_to_json, tier_sweep, Figure9CapturePoint, Figure9Config, Figure9DeltaPoint,
-    Figure9DrainComparison, Figure9DrainRecord, Figure9Report, Figure9TierPoint,
+    assert_figure9_shape, assert_figure9_tier_order, assert_figure9_write_shape, capture_sweep,
+    delta_cell, drain_comparison, figure9_report, tier_sweep, Figure9CapturePoint, Figure9Config,
+    Figure9DeltaPoint, Figure9DrainComparison, Figure9DrainRecord, Figure9Report, Figure9TierPoint,
 };
+pub use json::Json;
 pub use synth::{perturbed_checkpoint, synthetic_checkpoint, with_unshared_lists};
 
 /// A workload in the protocol-comparison matrix. All are 2PC-compatible
@@ -181,6 +189,21 @@ pub struct BenchRecord {
     pub ckpt_write_s: Vec<f64>,
 }
 
+impl BenchRecord {
+    /// The record as one row of `BENCH_protocols.json`.
+    pub fn to_json(&self) -> Json {
+        obj! {
+            "workload" => self.workload, "protocol" => self.protocol, "ranks" => self.ranks,
+            "jitter" => self.jitter, "native_makespan_s" => self.native_makespan_s,
+            "makespan_s" => self.makespan_s, "overhead_pct" => self.overhead_pct,
+            "coll_per_rank" => self.coll_per_rank, "coll_rate_hz" => self.coll_rate_hz,
+            "trivial_barriers_per_rank" => self.trivial_barriers_per_rank,
+            "drain_latency_s" => self.drain_latency_s.as_slice(),
+            "ckpt_write_s" => self.ckpt_write_s.as_slice(),
+        }
+    }
+}
+
 /// Matrix configuration.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
@@ -312,9 +335,6 @@ fn run_case_against(
         protocol.name()
     );
 
-    // Exclude checkpoint I/O and drain stall from the protocol-overhead
-    // number: subtract the charged image time so `overhead_pct` isolates
-    // the steady-state interposition cost (Figure 5a's y-axis).
     let io_s: f64 = run
         .checkpoints
         .iter()
@@ -378,58 +398,34 @@ pub fn figure5a_matrix(cfg: &BenchConfig) -> Vec<BenchRecord> {
     for workload in BenchWorkload::ALL {
         for &n in &cfg.ranks {
             for jitter in [false, true] {
-                let native = run_baseline(workload, n, jitter, cfg.iters);
-                for protocol in [Protocol::Cc, Protocol::TwoPhase] {
-                    out.push(run_case_against(
-                        workload, n, jitter, protocol, cfg, &native,
-                    ));
-                }
+                let (cc, two_pc) = run_protocol_pair(workload, n, jitter, cfg);
+                out.extend([cc, two_pc]);
             }
         }
     }
     out
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
+/// The Figure 5a shape: at the largest world with jitter on, 2PC's
+/// overhead exceeds CC's on every workload.
+///
+/// # Panics
+/// Panics when the shape is violated or a cell is missing.
+pub fn assert_figure5a_shape(records: &[BenchRecord]) {
+    let max_ranks = records.iter().map(|r| r.ranks).max().expect("no records");
+    let overhead = |wl: &str, proto: &str| {
+        let cell = records
+            .iter()
+            .find(|r| r.workload == wl && r.protocol == proto && r.jitter && r.ranks == max_ranks);
+        cell.expect("matrix cell present").overhead_pct
+    };
+    for wl in BenchWorkload::ALL.map(BenchWorkload::name) {
+        let (cc, tp) = (overhead(wl, "CC"), overhead(wl, "2PC"));
+        assert!(
+            tp > cc,
+            "Figure 5a shape violated: {wl}: 2PC {tp:.2}% <= CC {cc:.2}% at {max_ranks} ranks"
+        );
     }
-}
-
-fn json_f64_list(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|&v| json_f64(v)).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Serializes records as a JSON array (no external dependencies).
-pub fn records_to_json(records: &[BenchRecord]) -> String {
-    let mut rows = Vec::with_capacity(records.len());
-    for r in records {
-        rows.push(format!(
-            concat!(
-                "  {{\"workload\":\"{}\",\"protocol\":\"{}\",\"ranks\":{},",
-                "\"jitter\":{},\"native_makespan_s\":{},\"makespan_s\":{},",
-                "\"overhead_pct\":{},\"coll_per_rank\":{},\"coll_rate_hz\":{},",
-                "\"trivial_barriers_per_rank\":{},\"drain_latency_s\":{},",
-                "\"ckpt_write_s\":{}}}"
-            ),
-            r.workload,
-            r.protocol,
-            r.ranks,
-            r.jitter,
-            json_f64(r.native_makespan_s),
-            json_f64(r.makespan_s),
-            json_f64(r.overhead_pct),
-            json_f64(r.coll_per_rank),
-            json_f64(r.coll_rate_hz),
-            json_f64(r.trivial_barriers_per_rank),
-            json_f64_list(&r.drain_latency_s),
-            json_f64_list(&r.ckpt_write_s),
-        ));
-    }
-    format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
 #[cfg(test)]
@@ -437,7 +433,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_shape_is_wellformed() {
+    fn bench_record_row_keeps_its_keys_and_values() {
         let rec = BenchRecord {
             workload: "scf",
             protocol: "CC",
@@ -452,10 +448,9 @@ mod tests {
             drain_latency_s: vec![0.5e-3],
             ckpt_write_s: vec![1.25],
         };
-        let s = records_to_json(&[rec]);
+        let s = [rec.to_json()].into_iter().collect::<Json>().encode();
         assert!(s.starts_with("[\n"));
         assert!(s.contains("\"workload\":\"scf\""));
         assert!(s.contains("\"drain_latency_s\":[0.000500000]"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
     }
 }

@@ -127,8 +127,6 @@ fn synth_capture(n_ranks: usize, i: usize, rng: &mut SplitMix64) -> RuntimeCaptu
         p2p_recvs: 20 + rng.next_range(30),
         completions: rng.next_range(40),
         comm_mgmt: 14,
-        drain_updates_sent: rng.next_range(5),
-        drain_updates_recv: rng.next_range(5),
         trivial_barriers: 0,
     };
 

@@ -195,8 +195,6 @@ fn counters(c: &CallCounters) -> usize {
         c.p2p_recvs,
         c.completions,
         c.comm_mgmt,
-        c.drain_updates_sent,
-        c.drain_updates_recv,
         c.trivial_barriers,
     ]
     .map(var_len)
@@ -205,7 +203,7 @@ fn counters(c: &CallCounters) -> usize {
 }
 
 /// A rank's stable chunk: `seq_table` entries (seq, reference; the group
-/// id is the list's), the creation log, pending receives, nine call
+/// id is the list's), the creation log, pending receives, seven call
 /// counters and `vcomm_members` entries (vcomm id, reference), each
 /// container behind its length.
 fn stable_chunk(c: &RuntimeCapture) -> usize {
@@ -330,16 +328,18 @@ fn image_size_is_distinct_lists_plus_a_constant_per_reference() {
     // Exact, term by term: every reference costs its few bytes.
     assert_eq!(len, image_len(&image), "{len} B serialized");
 
-    // Pinned with 25 % headroom over the measured 188 B a rank of v10.
+    // Pinned with 25 % headroom over the measured 186 B a rank of v11.
     // Every rank of this cut holds a different stable half, so each pays
-    // its chunk's address: v9 wrote 231 B a rank, v8 270 B, v7 853 B with
-    // a word per integer and the lower-half handle map, v6 844 B, and the
-    // v5 wire, with its cut event per collective participation, 2 486 B a
-    // rank for this cut, and more for every later one. v9 added each
+    // its chunk's address: v10 wrote 188 B a rank, v9 231 B, v8 270 B,
+    // v7 853 B with a word per integer and the lower-half handle map, v6
+    // 844 B, and the v5 wire, with its cut event per collective
+    // participation, 2 486 B a rank for this cut, and more for every
+    // later one. v9 added each
     // rank's upper half and dropped a group-id word from each sequence
-    // entry and cut run; v10 drops the cut runs and the achieved map.
+    // entry and cut run; v10 drops the cut runs and the achieved map, and
+    // v11 the two drain counters from each rank's call counters.
     let per_rank = len / RANKS;
-    assert!(per_rank <= 235, "{per_rank} B per rank");
+    assert!(per_rank <= 232, "{per_rank} B per rank");
     // Every rank of a step world has an upper half, and it stays small:
     // the random body's generator, accumulator, step, pc, its pending
     // requests and subcommunicators, and the drained iallreduce outputs.
@@ -434,11 +434,11 @@ fn image_size_does_not_grow_with_run_length() {
         assert_eq!(cut.runs().len(), N);
         assert_eq!(image.to_bytes().len(), image.serialized_len());
         assert_eq!(image.serialized_len(), image_len(image));
-        // A rank's counts of collectives: its `SEQ[]` entry and its nine
+        // A rank's counts of collectives: its `SEQ[]` entry and its seven
         // call counters, each at most one byte wider at 160 calls than at
         // 40.
         let grown = image.serialized_len() - images[0].serialized_len();
-        assert!(grown <= N * (1 + 9), "{grown} B grown by image {k}");
+        assert!(grown <= N * (1 + 7), "{grown} B grown by image {k}");
     }
     // Below 2⁷ calls every count is one byte: no growth at all.
     assert_eq!(images[1].serialized_len(), images[0].serialized_len());
@@ -582,12 +582,12 @@ fn small_values_cost_one_byte_each() {
     // `seq_table`: count, seq, reference. Creation log: count, op tag,
     // parent, zigzag colour and key, result tag, result. Pending
     // receives: count, vreq, vcomm, source tag, tag selector and value.
-    // Nine counters. `vcomm_members`: count, two (id, reference).
-    let stable = (1 + 1 + 3) + (1 + 6) + (1 + 5) + 9 + (1 + 2 * (1 + 3));
+    // Seven counters. `vcomm_members`: count, two (id, reference).
+    let stable = (1 + 1 + 3) + (1 + 6) + (1 + 5) + 7 + (1 + 2 * (1 + 3));
     // The in-flight chunk: an empty count.
     let chunks = 2 * stable + 1;
     assert_eq!(uppers, 20);
-    assert_eq!(stable, 36);
+    assert_eq!(stable, 34);
     assert_eq!(head, 203);
 
     let expected = IMAGE_HEADER_LEN + head + chunks;

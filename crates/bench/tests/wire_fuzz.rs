@@ -1064,6 +1064,15 @@ fn bad_magic_and_version_are_typed() {
         Err(ImageError::UnsupportedVersion(9))
     );
 
+    // The v10 wire counted the drain's target updates among each rank's
+    // call counters.
+    let mut m = bytes.clone();
+    m[8] = 10;
+    assert_eq!(
+        decode_no_panic(&m, "v10"),
+        Err(ImageError::UnsupportedVersion(10))
+    );
+
     assert!(matches!(
         decode_no_panic(&[], "empty buffer"),
         Err(ImageError::BadMagic) | Err(ImageError::Truncated { .. })

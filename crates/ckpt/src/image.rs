@@ -88,7 +88,11 @@ pub const IMAGE_MAGIC: [u8; 8] = *b"MANACKPT";
 /// are derived from the tables ([`Checkpoint::cut`],
 /// [`Checkpoint::achieved`]), so the head ends at the in-flight chunk's
 /// address and every sequence number is written once.
-pub const IMAGE_VERSION: u32 = 10;
+/// Version 11 drops the drain's target-update counts from each rank's
+/// call counters: they counted control-plane traffic, not application
+/// calls, so an image taken mid-drain carried counts a native run never
+/// has and a restore from it could not add up to one.
+pub const IMAGE_VERSION: u32 = 11;
 
 /// Kind byte of an image with no parent (a full image).
 pub const IMAGE_KIND_FULL: u8 = 0;
@@ -981,8 +985,6 @@ fn enc_counters<W: Wr>(e: &mut W, c: &CallCounters) {
     e.var(c.p2p_recvs);
     e.var(c.completions);
     e.var(c.comm_mgmt);
-    e.var(c.drain_updates_sent);
-    e.var(c.drain_updates_recv);
     e.var(c.trivial_barriers);
 }
 
@@ -994,8 +996,6 @@ fn dec_counters(d: &mut Dec) -> Result<CallCounters, ImageError> {
         p2p_recvs: d.var("p2p_recvs")?,
         completions: d.var("completions")?,
         comm_mgmt: d.var("comm_mgmt")?,
-        drain_updates_sent: d.var("drain_updates_sent")?,
-        drain_updates_recv: d.var("drain_updates_recv")?,
         trivial_barriers: d.var("trivial_barriers")?,
     })
 }
@@ -1510,7 +1510,7 @@ mod tests {
                 counters: CallCounters {
                     coll_blocking: 10,
                     p2p_recvs: 3,
-                    drain_updates_sent: 2,
+                    completions: 2,
                     ..Default::default()
                 },
                 p2p_sent: 4 + rank as u64,
@@ -1892,7 +1892,7 @@ mod tests {
     #[test]
     fn older_wire_versions_are_refused() {
         let mut bytes = rich_ckpt().to_bytes();
-        for old in [4, 5, 6, 7, 8, 9] {
+        for old in [4, 5, 6, 7, 8, 9, 10] {
             bytes[IMAGE_VERSION_OFFSET] = old;
             assert_eq!(
                 Checkpoint::from_bytes(&bytes),

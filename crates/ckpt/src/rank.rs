@@ -278,7 +278,6 @@ impl RankCore<'_> {
             sh.control.ranks[self.rank]
                 .updates_recv
                 .fetch_add(1, SeqCst);
-            self.counters.drain_updates_recv += 1;
             sh.trace.push(DrainEvent::UpdateReceived(
                 self.rank, u.ggid, u.target, changed,
             ));
@@ -321,7 +320,6 @@ impl RankCore<'_> {
                     m,
                     TargetUpdate { ggid, target: seq },
                 );
-                self.counters.drain_updates_sent += 1;
                 sh.trace
                     .push(DrainEvent::UpdateSent(self.rank, m, ggid, seq));
             }

@@ -3,7 +3,10 @@
 
 use netmodel::VTime;
 
-/// Counts of interposed MPI calls on one rank.
+/// Counts of interposed MPI calls on one rank: the application's calls
+/// only, so a restored run's counts add up to a native run's. What a
+/// drain sends and receives is the control plane's (`RankCtl::updates_*`)
+/// and the trace's (`UpdateSent`/`UpdateReceived`), not a call count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallCounters {
     /// Blocking collective calls.
@@ -18,10 +21,6 @@ pub struct CallCounters {
     pub completions: u64,
     /// Communicator-management calls.
     pub comm_mgmt: u64,
-    /// Target-update messages sent during drains.
-    pub drain_updates_sent: u64,
-    /// Target-update messages received during drains.
-    pub drain_updates_recv: u64,
     /// 2PC: trivial barriers posted in front of collectives (one per
     /// collective entry under `Protocol::TwoPhase`, zero under CC).
     pub trivial_barriers: u64,
@@ -57,8 +56,6 @@ impl CallCounters {
         self.p2p_recvs += o.p2p_recvs;
         self.completions += o.completions;
         self.comm_mgmt += o.comm_mgmt;
-        self.drain_updates_sent += o.drain_updates_sent;
-        self.drain_updates_recv += o.drain_updates_recv;
         self.trivial_barriers += o.trivial_barriers;
     }
 
@@ -72,8 +69,6 @@ impl CallCounters {
             && self.p2p_recvs >= earlier.p2p_recvs
             && self.completions >= earlier.completions
             && self.comm_mgmt >= earlier.comm_mgmt
-            && self.drain_updates_sent >= earlier.drain_updates_sent
-            && self.drain_updates_recv >= earlier.drain_updates_recv
             && self.trivial_barriers >= earlier.trivial_barriers
     }
 }
