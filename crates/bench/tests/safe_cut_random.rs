@@ -217,10 +217,11 @@ fn sweep_proto(n: usize, protocol: Protocol, seeds: u64) {
             fired += 1;
         }
     }
-    // The trigger races workload completion; a rare miss is tolerated but
-    // the harness must exercise real checkpoints for nearly every seed.
+    // The rank whose crossing completes the trigger raises the request
+    // inside its own wrapper call, so no run can finish first: every seed
+    // takes its checkpoint.
     assert!(
-        fired >= seeds * 9 / 10,
+        fired == seeds,
         "only {fired}/{seeds} checkpoints fired at n={n} under {protocol:?}"
     );
 }

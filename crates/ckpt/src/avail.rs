@@ -336,8 +336,7 @@ impl ArmedFault {
                 FaultTrigger::AtVirtual(_) => true,
                 FaultTrigger::MidDrain(_) => {
                     let c = &sh.control;
-                    let targets = c.ranks.iter().all(|r| r.targets_ready.load(SeqCst));
-                    c.is_pending() && c.phase() == CkptPhase::Draining && targets
+                    c.is_pending() && c.phase() == CkptPhase::Draining && c.targets_ready()
                 }
                 FaultTrigger::DuringAsyncDrain(_) => sh.bg_drain_inflight.load(SeqCst),
             }

@@ -33,18 +33,18 @@ use std::time::{Duration, Instant};
 
 /// Default no-progress window before the drain watchdog declares a stall.
 ///
-/// The watchdog is **wall-clock** based: whenever the drain wait goes
-/// quiet it checks for any change in rank clocks, call counts, states, or
-/// update traffic. A workload
-/// that wall-sleeps (or a rank thread starved by the host scheduler) for
-/// longer than the window while a checkpoint is draining is
-/// indistinguishable from a genuine p2p deadlock and will be aborted as
-/// one — keep the window comfortably above any deliberate pauses.
+/// The watchdog is **wall-clock** based: whenever the drain wait goes quiet
+/// it checks for any change in rank clocks, call counts, states, or target
+/// raises. A workload that wall-sleeps (or a rank thread starved by the
+/// host scheduler) for longer than the window while a checkpoint is
+/// draining is indistinguishable from a genuine p2p deadlock and will be
+/// aborted as one — keep the window comfortably above any deliberate
+/// pauses.
 pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Ceiling on the world-size-scaled stall window. The watchdog fires on
-/// *no observable progress at all* — any rank's clock, state, sequence
-/// table, or update counter changing resets it — and even a 4096-rank
+/// *no observable progress at all* — any rank's clock, call count or
+/// state, or a target raise, resets it — and even a 4096-rank
 /// drain multiplexed onto two workers changes *something* every few
 /// scheduling quanta while healthy. Extrapolating the per-round slope all
 /// the way up (a 2048:2 ratio would ask for minutes) buys no safety but
@@ -226,7 +226,8 @@ impl Coordinator {
         self
     }
 
-    /// Serves one raised request: target computation → drain → quiesce →
+    /// Serves one raised request: Algorithm 1 writes the control plane's
+    /// one `TARGET[]` table, the drain raises it in place, then quiesce →
     /// capture → resume (per `mode`). Returns the captured image, or a
     /// typed error if the drain stalled (the request withdrawn, the
     /// application running on). Before any rank runs on,
@@ -255,16 +256,6 @@ impl Coordinator {
         sh.wait_for(None, || (!control.any_stale_park()).then_some(()))
             .map_err(|i| self.interrupted(i, before_release))?;
         let request_clock = VTime::from_secs(control.request_clock_ns() as f64 * 1e-9);
-        // A rank descheduled mid-drain when a previous attempt was aborted
-        // can deliver its raise arbitrarily late — even after the abort's
-        // teardown. No legitimate update can exist before this request's
-        // targets are installed, so wipe the update state here rather than
-        // trusting the abort path to have won that race.
-        for rc in &control.ranks {
-            rc.updates_sent.store(0, SeqCst);
-            rc.updates_recv.store(0, SeqCst);
-        }
-        sh.bus.clear_all();
         sh.trace.push(DrainEvent::Requested);
 
         let two_phase = sh.protocol == Protocol::TwoPhase;
@@ -276,50 +267,22 @@ impl Coordinator {
             control.set_phase(CkptPhase::Quiescing);
             (HashMap::new(), HashMap::new())
         } else {
-            let initial = control.compute_and_install_targets();
-            // Group membership for the drain-completion check, from the
-            // same snapshot the targets came from.
-            let mut members_of: HashMap<Ggid, Arc<[usize]>> = HashMap::new();
-            for rc in &control.ranks {
-                let t = rc.seq_mirror.lock();
-                for (g, e) in t.iter() {
-                    members_of
-                        .entry(*g)
-                        .or_insert_with(|| Arc::clone(&e.members));
-                }
-            }
-
-            // Supervise the drain: every member of every targeted group
-            // must reach the (possibly raised) target, all update messages
-            // must be delivered and applied, and no rank may sit inside a
-            // collective. A no-progress watchdog turns a p2p-induced
-            // deadlock into a typed error instead of a hang; the wait
-            // checks for death first, so a killed world — which stops
-            // making progress by design — surfaces as the typed death,
-            // never as a spurious `P2pStall`.
-            // The raises are read again after the check: a rank can raise
-            // and then meet every target while the check runs, and the
-            // targets it is judged by must include that raise.
-            let finals = sh
-                .wait_for(Some(self.stall_timeout), || loop {
-                    let raises = sh.bus.raises();
-                    let mut finals = initial.clone();
-                    let mut mems = members_of.clone();
-                    for (g, (t, m)) in raises.clone() {
-                        let e = finals.entry(g).or_insert(0);
-                        *e = (*e).max(t);
-                        mems.entry(g).or_insert(m);
-                    }
-                    if !self.drain_complete(&finals, &mems) {
-                        break None;
-                    }
-                    if sh.bus.raises() == raises {
-                        break Some(finals);
-                    }
-                })
+            control.compute_and_install_targets(|t| {
+                let mut listing: Vec<(Ggid, u64)> = t.targets().into_iter().collect();
+                listing.sort();
+                sh.trace.push(DrainEvent::TargetsInstalled(listing));
+            });
+            // Supervise the drain to its end (`CkptControl::drain_targets`).
+            // A no-progress watchdog turns a p2p-induced deadlock into a
+            // typed error instead of a hang; the wait checks for death
+            // first, so a killed world — which stops making progress by
+            // design — surfaces as the typed death, never as a spurious
+            // `P2pStall`.
+            let table = sh
+                .wait_for(Some(self.stall_timeout), || control.drain_targets())
                 .map_err(|i| self.interrupted(i, before_release))?;
             control.set_phase(CkptPhase::Quiescing);
-            (initial, finals)
+            (table.initial_targets(), table.targets())
         };
 
         // Quiesce: every rank parks at its current interposition point and
@@ -655,15 +618,12 @@ impl Coordinator {
         (record, want_delta, sync, modeled_read_s)
     }
 
-    /// Releases the ranks: withdraws the request, resets the
-    /// per-checkpoint state and the bus, runs `before_release`, and only
-    /// then releases the quiesce parks. The one path for a commit, a
-    /// refused capture and a stalled drain.
+    /// Releases the ranks: withdraws the request and its targets, runs
+    /// `before_release`, and only then releases the quiesce parks. The one
+    /// path for a commit, a refused capture and a stalled drain.
     fn release_ranks(&self, before_release: impl FnOnce()) {
         let control = &self.sh.control;
         control.withdraw();
-        control.reset_after_checkpoint();
-        self.sh.bus.clear_all();
         before_release();
         control.release();
     }
@@ -749,44 +709,10 @@ impl Coordinator {
             .map(|(i, _)| i)
             .collect();
         self.sh.trace.push(DrainEvent::Aborted);
-        // The teardown retires the epoch, as ranks key their installed
-        // targets on it. A rank still inside a wrapper iteration may
-        // deliver a raise after it; the next request wipes the update
-        // counters and the bus before it opens, for exactly that race.
+        // A rank still inside a wrapper iteration may deliver a raise
+        // after this: the late-raise rule of `mana_core::control`.
         self.release_ranks(|| before_release(0, 0.0));
         DrainError::P2pStall { stalled }
-    }
-
-    /// Whether the drain has stably terminated for `finals`.
-    fn drain_complete(
-        &self,
-        finals: &HashMap<Ggid, u64>,
-        members_of: &HashMap<Ggid, Arc<[usize]>>,
-    ) -> bool {
-        let control = &self.sh.control;
-        for (g, &t) in finals {
-            if t == 0 {
-                continue;
-            }
-            for &r in members_of.get(g).map(|m| &m[..]).unwrap_or(&[]) {
-                let rc = &control.ranks[r];
-                if rc.state() == RankState::Finished || rc.is_dead() {
-                    continue;
-                }
-                if rc.seq_mirror.lock().seq(*g) < t {
-                    return false;
-                }
-            }
-        }
-        // `all_targets_met` closes the overshoot race: a rank whose
-        // increment raced the snapshot is visible in its mirror at once,
-        // but its raise reaches the bus only later — until then the rank
-        // has not re-published `targets_met` (reset at request time), so
-        // the coordinator keeps waiting.
-        control.all_targets_met()
-            && control.updates_balanced()
-            && self.sh.bus.all_empty()
-            && !control.any_in_collective()
     }
 }
 

@@ -253,10 +253,10 @@
 //!
 //! Every wait is *event-driven*, never a timed poll: a pending rank is
 //! woken through its one event counter (mailbox deposits, collective
-//! completions, the update bus, phase transitions; token read before the
-//! poll), and the trigger supervisor, the coordinator and a restore sleep
-//! on the control plane's observer counter, which ranks bump after
-//! publishing what those waits read ([`mana_core::control`]). Nothing
+//! completions, target installs and raises, phase changes; token read
+//! before the poll), and the trigger supervisor, the coordinator and a
+//! restore sleep on the control plane's observer counter, which ranks bump
+//! after publishing what those waits read ([`mana_core::control`]). Nothing
 //! waits *for* the supervisor: the rank whose crossing completes an armed
 //! threshold raises the request inside its wrapper call, and every rank
 //! stops at its next collective until the targets are installed — so no
@@ -319,7 +319,6 @@
 //! workers); [`CkptOptions::with_stall_timeout`] pins it.
 
 pub mod avail;
-pub mod bus;
 pub mod coordinator;
 pub mod image;
 pub mod policy;
@@ -334,7 +333,6 @@ pub use avail::{
     run_available_world, run_available_world_steps, FaultEvent, FaultPlan, FaultRecord,
     FaultTrigger,
 };
-pub use bus::{TargetUpdate, UpdateBus};
 pub use coordinator::{
     auto_stall_timeout, Coordinator, DrainError, ResumeMode, DEFAULT_STALL_TIMEOUT, MAX_AUTO_STALL,
 };

@@ -4,14 +4,14 @@
 //! Applications call MPI-like methods here instead of on [`mpisim::Ctx`].
 //! Every collective entry runs the drain gate: sequence numbers are
 //! incremented under the shared-mirror lock (the snapshot-race contract of
-//! [`mana_core::control`]), overshoots raise targets and push updates
-//! (Algorithm 2), and ranks that have met every target park at the wrapper
-//! entry until released or quiesced (Algorithm 3). At quiesce the rank
-//! completes all initiated non-blocking collectives (§4.3.2), reverts
-//! matched-but-uncompleted receives into the mailbox, and publishes a
-//! [`RuntimeCapture`]. At restart the parked rank installs that capture,
-//! with the drained in-flight messages addressed to it, into the next
-//! lower half; restored elsewhere, a fresh rank adopts the upper half,
+//! [`mana_core::control`]), overshoots raise the one target table, waking
+//! the group's other members (Algorithm 2), and ranks that have met every
+//! target park at the wrapper entry until released or quiesced (Algorithm
+//! 3). At quiesce the rank completes all initiated non-blocking collectives
+//! (§4.3.2), reverts matched-but-uncompleted receives into the mailbox, and
+//! publishes a [`RuntimeCapture`]. At restart the parked rank installs that
+//! capture, with the drained in-flight messages addressed to it, into the
+//! next lower half; restored elsewhere, a fresh rank adopts the upper half,
 //! installs the image's capture the same way, and resumes at the captured
 //! park (`CcRank::resume_from`).
 //!
@@ -25,7 +25,6 @@
 //! — the same object, the same machines — and [`CcRank::run`] blocks on a
 //! whole step body the same way.
 
-use crate::bus::TargetUpdate;
 use crate::coordinator::rebuild_msg;
 use crate::runner::step::{BodyStep, StepBody};
 use crate::session::Session;
@@ -33,7 +32,7 @@ use bytes::Bytes;
 use mana_core::capture::PendingRecv;
 use mana_core::{
     ggid_of, CallCounters, CommOp, DrainEvent, Ggid, Protocol, RankState, RuntimeCapture,
-    TargetTable, UpperHalf, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,
+    UpperHalf, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,
 };
 use mpisim::collective::RedSpec;
 use mpisim::comm::{create_color, SplitKey};
@@ -43,7 +42,6 @@ use mpisim::{
     VTime, World,
 };
 use std::collections::HashMap;
-use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use step::{CollM, CommKind, CommM, ICollM, Op, StepPoll, TestM, WaitM};
 
@@ -69,13 +67,6 @@ struct RankCore<'s> {
     /// rank would put a world-shared reference count on the hot path.
     sh: &'s Session,
     rank: usize,
-    targets: TargetTable,
-    /// The `ckpt_epoch` the installed targets belong to. Back-to-back
-    /// triggers can open checkpoint N+1 before this rank ever observes
-    /// the not-pending gap after N, so a boolean "installed" flag would
-    /// leave N's targets in force and park the rank below N+1's — the
-    /// epoch makes staleness detectable without relying on the gap.
-    targets_epoch: Option<u64>,
     vcomms: VCommTable,
     vreqs: VReqTable,
     counters: CallCounters,
@@ -115,8 +106,6 @@ impl<'s> CcRank<'s> {
             ctx,
             sh,
             rank,
-            targets: TargetTable::new(),
-            targets_epoch: None,
             vcomms: VCommTable::new(),
             vreqs: VReqTable::new(),
             counters: CallCounters::default(),
@@ -228,102 +217,25 @@ impl RankCore<'_> {
         }
     }
 
-    /// Cheap per-interposition servicing: publish the clock, pick up
-    /// targets and updates when a checkpoint is pending, clean up after a
-    /// finished one.
-    fn service_control(&mut self) {
-        let sh = self.sh;
-        let ctl = &sh.control.ranks[self.rank];
+    /// Cheap per-interposition servicing: publish the clock and, once a
+    /// pending checkpoint's targets are installed, the verdict on them.
+    fn service_control(&self) {
         self.publish_clock();
-        if sh.control.is_pending() {
-            if ctl.targets_ready.load(SeqCst) {
-                self.install_targets_if_new();
-                self.apply_updates();
-                self.publish_met();
-            }
-        } else if self.targets_epoch.is_some() {
-            self.targets.clear();
-            self.targets_epoch = None;
+        let control = &self.sh.control;
+        if control.is_pending() && control.targets_ready() {
+            control.publish_met(self.rank);
         }
     }
 
-    /// Installs the coordinator's initial targets once per checkpoint.
-    /// A cache left over from an earlier epoch is discarded first: its
-    /// targets were met, not this checkpoint's.
-    fn install_targets_if_new(&mut self) {
+    /// Raises `TARGET[ggid]` to `seq` if that passes it (Algorithm 2),
+    /// waking the group's other members, then publishes the verdict.
+    fn raise_and_publish(&self, ggid: Ggid, seq: u64) {
         let sh = self.sh;
-        let epoch = sh.control.ckpt_epoch.load(SeqCst);
-        if self.targets_epoch == Some(epoch) {
-            return;
+        if let Some(members) = sh.control.raise_target(self.rank, ggid, seq) {
+            sh.trace
+                .push(DrainEvent::TargetRaised(self.rank, ggid, seq, members));
         }
-        self.targets.clear();
-        let t = sh.control.ranks[self.rank].initial_targets.lock().clone();
-        let mut listing: Vec<(Ggid, u64)> = t.iter().map(|(g, v)| (*g, *v)).collect();
-        listing.sort();
-        self.targets.install(t);
-        self.targets_epoch = Some(epoch);
-        sh.trace
-            .push(DrainEvent::TargetsInstalled(self.rank, listing));
-    }
-
-    /// Applies every queued target update (Algorithm 3's receive path).
-    fn apply_updates(&mut self) {
-        let sh = self.sh;
-        let updates = sh.bus.drain(self.rank);
-        if updates.is_empty() {
-            return;
-        }
-        for u in updates {
-            let changed = self.targets.raise(u.ggid, u.target);
-            sh.control.ranks[self.rank]
-                .updates_recv
-                .fetch_add(1, SeqCst);
-            sh.trace.push(DrainEvent::UpdateReceived(
-                self.rank, u.ggid, u.target, changed,
-            ));
-        }
-        sh.control.events.bump();
-    }
-
-    /// Publishes whether all local targets are met.
-    fn publish_met(&mut self) {
-        let sh = self.sh;
-        let met = {
-            let t = sh.control.ranks[self.rank].seq_mirror.lock();
-            self.targets.reached_by(&t)
-        };
-        // A drain waits only for the turn to `true`.
-        if !sh.control.ranks[self.rank].targets_met.swap(met, SeqCst) && met {
-            sh.control.events.bump();
-        }
-    }
-
-    /// Raises `TARGET[ggid]` to `seq` locally, records the raise for the
-    /// coordinator, and pushes updates to every other member.
-    fn raise_and_broadcast(&mut self, ggid: Ggid, seq: u64) {
-        self.targets.raise(ggid, seq);
-        let sh = self.sh;
-        let members = sh.control.ranks[self.rank]
-            .seq_mirror
-            .lock()
-            .members_shared(ggid)
-            .cloned()
-            .unwrap_or_else(|| Vec::new().into());
-        sh.trace
-            .push(DrainEvent::TargetRaised(self.rank, ggid, seq));
-        sh.bus.record_raise(ggid, seq, Arc::clone(&members));
-        for &m in members.iter() {
-            if m != self.rank {
-                sh.bus.send(
-                    &sh.control,
-                    self.rank,
-                    m,
-                    TargetUpdate { ggid, target: seq },
-                );
-                sh.trace
-                    .push(DrainEvent::UpdateSent(self.rank, m, ggid, seq));
-            }
-        }
+        sh.control.publish_met(self.rank);
     }
 
     // ------------------------------------------------------------------

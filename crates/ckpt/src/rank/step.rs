@@ -91,16 +91,14 @@ impl<T> StepPoll<T> {
 /// once they are. Wakes arrive from target installation and the
 /// coordinator's release, both of which wake the rank's control slot.
 fn try_await_targets(cc: &mut RankCore<'_>) -> StepPoll<bool> {
-    let sh = cc.sh;
-    let ctl = &sh.control.ranks[cc.rank];
-    if !ctl.targets_ready.load(SeqCst) && sh.control.is_pending() {
+    let control = &cc.sh.control;
+    if !control.targets_ready() && control.is_pending() {
         return StepPoll::Pending(WaitReason::Event);
     }
-    if !sh.control.is_pending() {
+    if !control.is_pending() {
         cc.service_control();
         return StepPoll::Ready(false);
     }
-    cc.install_targets_if_new();
     StepPoll::Ready(true)
 }
 
@@ -363,14 +361,14 @@ enum CcGate {
     Loop,
     /// Algorithm 2's overshoot path: the fast-path increment raced the
     /// coordinator's snapshot; await targets, then raise the target to
-    /// cover it and push updates to the other members.
+    /// cover it.
     FastOvershoot { ggid: Ggid, seq: u64 },
     /// Drain mode: waiting for the coordinator's initial targets.
     AwaitTargets { ggid: Ggid },
     /// Algorithm 3's parked receive loop: all targets met, waiting at the
     /// wrapper entry for a raise, the quiesce signal, or the end of the
-    /// checkpoint whose `ckpt_epoch` it parked under.
-    Parked { epoch: u64 },
+    /// checkpoint it parked under.
+    Parked,
     /// Leaving the entry park: restore the Draining/Running state.
     ParkEpilogue,
 }
@@ -404,11 +402,7 @@ impl CcGate {
                     // If the checkpoint ended while waiting, the overshoot
                     // is moot and the call simply proceeds.
                     if installed {
-                        cc.apply_updates();
-                        if seq > cc.targets.get(ggid).unwrap_or(0) {
-                            cc.raise_and_broadcast(ggid, seq);
-                        }
-                        cc.publish_met();
+                        cc.raise_and_publish(ggid, seq);
                     }
                     return Next::Open((ggid, seq));
                 }
@@ -418,45 +412,33 @@ impl CcGate {
                     StepPoll::Ready(false) => *self = CcGate::Loop,
                     // Drain mode (Algorithm 3): a rank with every target
                     // met parks at the wrapper entry; a rank with ANY
-                    // unmet target keeps executing its program toward
-                    // them — and every collective it runs past a target
-                    // raises that target and pushes updates, the cascade
-                    // of Figure 3b.
+                    // unmet target (its verdict published unmet first)
+                    // keeps executing its program toward them — and every
+                    // collective it runs past a target raises that
+                    // target, the cascade of Figure 3b.
                     StepPoll::Ready(true) => {
-                        cc.apply_updates();
-                        let all_met = cc.targets.reached_by(&ctl.seq_mirror.lock());
-                        if !all_met {
+                        if !sh.control.publish_met(cc.rank) {
                             let seq = ctl.seq_mirror.lock().increment(ggid);
                             sh.trace.push(DrainEvent::DrainStep(cc.rank, ggid, seq));
-                            if seq > cc.targets.get(ggid).unwrap_or(0) {
-                                cc.raise_and_broadcast(ggid, seq);
-                            }
-                            cc.publish_met();
+                            cc.raise_and_publish(ggid, seq);
                             return Next::Open((ggid, seq));
                         }
                         ctl.set_state(RankState::EntryParked);
                         sh.trace.push(DrainEvent::Parked(cc.rank));
-                        cc.publish_met();
-                        *self = CcGate::Parked {
-                            epoch: sh.control.ckpt_epoch.load(SeqCst),
-                        };
+                        *self = CcGate::Parked;
                     }
                 },
-                CcGate::Parked { epoch } => {
-                    // The not-pending gap between two checkpoints can be
-                    // shorter than this park's wake latency: `pending` may
-                    // read true here for the *next* checkpoint. The epoch
-                    // is monotone, so comparing against the one we parked
-                    // under catches that hand-off and sends the rank back
-                    // through the gate to install the new targets.
-                    if !sh.control.is_pending() || sh.control.ckpt_epoch.load(SeqCst) != epoch {
+                CcGate::Parked => {
+                    // Withdrawn targets end the park even when the next
+                    // request is already pending: its targets cannot be
+                    // installed while this rank still shows a park state
+                    // (`Coordinator::checkpoint` waits that out first).
+                    if !sh.control.is_pending() || !sh.control.targets_ready() {
                         *self = CcGate::ParkEpilogue;
                     } else if sh.control.phase() == CkptPhase::Quiescing {
                         *self = CcGate::ParkEpilogue;
                         return Next::Quiesce(RankState::Quiesced);
-                    } else if sh.bus.has_pending(cc.rank) {
-                        cc.apply_updates();
-                        cc.publish_met();
+                    } else if !sh.control.publish_met(cc.rank) {
                         sh.trace.push(DrainEvent::Unparked(cc.rank));
                         *self = CcGate::ParkEpilogue;
                     } else {

@@ -1,10 +1,8 @@
 //! Shared state of one checkpointable execution: the control plane, the
-//! target-update bus, the observability logs, and the current lower-half
-//! generation. Every attempt of the run loop — from scratch or from an
+//! observability logs, and the current lower-half generation. Every attempt of the run loop — from scratch or from an
 //! image — is one session.
 
 use crate::avail::ArmedFault;
-use crate::bus::UpdateBus;
 use mana_core::control::OBSERVER_BACKSTOP;
 use mana_core::{CkptControl, DrainTrace, Protocol};
 use mpisim::{RankDeath, World, WorldConfig};
@@ -17,8 +15,6 @@ use std::time::{Duration, Instant};
 pub struct Session {
     /// The out-of-band control plane (rank states, mirrors, targets).
     pub control: Arc<CkptControl>,
-    /// Target-update message bus (the drain's out-of-band p2p channel).
-    pub bus: UpdateBus,
     /// Drain-protocol event trace.
     pub trace: DrainTrace,
     /// The current lower-half generation. Replaced on restart.
@@ -59,7 +55,6 @@ impl Session {
         let stats = Arc::clone(world.scheduler().stats());
         Arc::new(Session {
             control: CkptControl::new_with_stats(cfg.n_ranks, stats),
-            bus: UpdateBus::new(cfg.n_ranks),
             trace: DrainTrace::new(),
             world: Mutex::new(world),
             cfg,
@@ -130,15 +125,14 @@ impl Session {
     }
 
     /// Digest of everything that moves while ranks make progress —
-    /// clocks, call counts, states, update counters: equal across a stall
+    /// clocks, call counts, states, target raises: equal across a stall
     /// window means wedged.
     fn progress_fingerprint(&self) -> u64 {
         let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = mix(0xcbf2_9ce4_8422_2325, self.control.raises());
         for rc in &self.control.ranks {
-            let (sent, recv) = (rc.updates_sent.load(SeqCst), rc.updates_recv.load(SeqCst));
             h = mix(mix(h, rc.clock_ns.load(SeqCst)), rc.coll_calls.load(SeqCst));
-            h = mix(mix(mix(h, sent), recv), rc.state() as u64);
+            h = mix(h, rc.state() as u64);
         }
         h
     }
@@ -272,7 +266,6 @@ mod tests {
             spin_until("phase change", || ctl.state() == RankState::RecvParked);
             // Resume it the way the coordinator does.
             sh.control.withdraw();
-            sh.control.reset_after_checkpoint();
             sh.control.release();
             spin_until("resume", || ctl.state() == RankState::Running);
             settle();

@@ -9,16 +9,34 @@
 //! that structure: the coordinator reads rank-published state through
 //! shared memory; ranks observe flags at interposition points.
 //!
-//! ## Memory-ordering contract (the snapshot race)
+//! ## The one target table
 //!
-//! A rank increments `SEQ[g]` *inside the shared-table mutex* and only then
-//! loads `pending` (SeqCst). The coordinator stores `pending = true`
-//! (SeqCst) *before* locking and snapshotting the tables. Consequently, if
-//! a rank's load saw `pending == false`, its increment happened before the
-//! coordinator's snapshot and is included in the target maximum; if it saw
-//! `true`, the rank itself runs the overshoot path (raise + push updates).
-//! Either way no collective escapes the target computation — this is the
-//! linchpin of Invariant 2.
+//! `TARGET[]` lives once, here ([`CkptControl::compute_and_install_targets`]
+//! writes it whole, [`CkptControl::raise_target`] raises it in place, and
+//! every verdict reads it). Lock order: the table, then a `SEQ[]` mirror.
+//!
+//! * **Snapshot race.** A rank increments `SEQ[g]` *inside its mirror's
+//!   mutex* and only then loads `pending`; the request stores `pending`
+//!   before Algorithm 1 locks and snapshots the mirrors (all SeqCst). A
+//!   rank that saw `false` is in the snapshot's maximum; one that saw
+//!   `true` raises the target itself. No collective escapes the table —
+//!   the linchpin of Invariant 2.
+//! * **Overshooter's flag.** The request resets every `targets_met`; a
+//!   draining rank publishes its verdict before its increment, and an
+//!   overshooter publishes again only after its raise is in the table. So
+//!   a rank past a target it has not raised reads as unmet.
+//! * **Late raise.** A raise still in flight when its request is
+//!   withdrawn carries an increment made before the release, so before
+//!   the next snapshot, which Algorithm 1 takes holding the table: the
+//!   raise lands before it and loses to its write, or after it and is a
+//!   no-op max. Nothing is wiped at request time.
+//! * **Unregistered group.** A member registers a group when its creation
+//!   call returns, before it can reach another gate, so a raise made
+//!   before then holds the member from its next gate on; until then the
+//!   coordinator's check, which walks the table's member lists, holds it.
+//! * **Leaving the park.** A rank parked at a wrapper entry re-reads its
+//!   verdict on every wake and leaves when it turns unmet; a raise wakes
+//!   the group's other members, Algorithm 1 every rank.
 //!
 //! ## Memory-ordering contract (the raise)
 //!
@@ -42,9 +60,9 @@
 //! *before* it checks, so a bump after the check ends the sleep at once.
 
 use crate::ggid::Ggid;
-use crate::seq::SeqTable;
+use crate::seq::{SeqTable, TargetTable};
 use mpisim::{EventCount, WakeupStats};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -142,19 +160,11 @@ pub struct RankCtl {
     /// Mirror of the rank's local sequence table (rank writes under lock at
     /// every collective; coordinator snapshots for Algorithm 1).
     pub seq_mirror: Mutex<SeqTable>,
-    /// Coordinator-computed initial targets for the current checkpoint.
-    pub initial_targets: Mutex<HashMap<Ggid, u64>>,
-    /// Set once `initial_targets` is valid for the current checkpoint.
-    pub targets_ready: AtomicBool,
     /// Published lifecycle state.
     state: AtomicU8,
-    /// Whether the rank has met all its targets (kept current by the rank).
+    /// The rank's last published verdict on `TARGET[]`
+    /// ([`CkptControl::publish_met`]).
     pub targets_met: AtomicBool,
-    /// Target-update messages sent / received (termination detection by
-    /// double counting: commit only when globally balanced).
-    pub updates_sent: AtomicU64,
-    /// See `updates_sent`.
-    pub updates_recv: AtomicU64,
     /// True while the rank is inside a real collective call (lower half).
     pub in_collective: AtomicBool,
     /// The rank's virtual clock, in nanoseconds, published by
@@ -207,12 +217,8 @@ impl RankCtl {
     fn new(stats: Arc<WakeupStats>, observer: Arc<EventCount>) -> Self {
         RankCtl {
             seq_mirror: Mutex::new(SeqTable::new()),
-            initial_targets: Mutex::new(HashMap::new()),
-            targets_ready: AtomicBool::new(false),
             state: AtomicU8::new(RankState::Running as u8),
             targets_met: AtomicBool::new(true),
-            updates_sent: AtomicU64::new(0),
-            updates_recv: AtomicU64::new(0),
             in_collective: AtomicBool::new(false),
             clock_ns: AtomicU64::new(0),
             coll_calls: AtomicU64::new(0),
@@ -280,8 +286,8 @@ impl RankCtl {
         }
     }
 
-    /// Announces an event to the rank: a phase change, target install, bus
-    /// send, resume, fresh world or poison from the control plane, or —
+    /// Announces an event to the rank: a phase change, target install or
+    /// raise, resume, fresh world or poison from the control plane, or —
     /// through the waker a runner installs into the lower half — a mailbox
     /// deposit or collective completion. The state the event stands for
     /// is always published *before* `wake` is called. The event is
@@ -330,11 +336,12 @@ pub struct CkptControl {
     /// The asynchronous checkpoint-request flag (the "signal").
     pending: AtomicBool,
     phase: AtomicU8,
-    /// Count of *retired* checkpoint attempts (committed or aborted).
-    /// Ranks key per-checkpoint caches (installed drain targets) on this:
-    /// it must advance before the next request opens, even when the
-    /// not-pending gap between two attempts is too short to observe.
-    pub ckpt_epoch: AtomicU64,
+    /// `TARGET[]` of the open (or last) checkpoint: see the module doc.
+    targets: RwLock<TargetTable>,
+    /// Set once Algorithm 1 has written `targets` for the open request.
+    targets_ready: AtomicBool,
+    /// Count of raises that changed `targets`.
+    raises: AtomicU64,
     /// Resume generation: quiesced ranks resume only once this exceeds the
     /// value they captured, which lets the coordinator put drained messages
     /// back, or hand out the next lower half, before any of them runs on.
@@ -375,7 +382,9 @@ impl CkptControl {
             n_ranks,
             pending: AtomicBool::new(false),
             phase: AtomicU8::new(CkptPhase::Idle as u8),
-            ckpt_epoch: AtomicU64::new(0),
+            targets: RwLock::new(TargetTable::default()),
+            targets_ready: AtomicBool::new(false),
+            raises: AtomicU64::new(0),
             resume_gen: AtomicU64::new(0),
             free_passes: AtomicU64::new(0),
             ranks: (0..n_ranks)
@@ -546,11 +555,12 @@ impl CkptControl {
         self.wake_all();
     }
 
-    /// Coordinator: withdraws the request, waking nobody (see
-    /// [`CkptControl::release`]); a trigger may be armed from here on.
+    /// Coordinator: withdraws the request and its targets, waking nobody
+    /// (see [`CkptControl::release`]); a trigger may be armed from here on.
     pub fn withdraw(&self) {
         self.pending.store(false, Ordering::SeqCst);
         self.phase.store(CkptPhase::Idle as u8, Ordering::SeqCst);
+        self.targets_ready.store(false, Ordering::SeqCst);
     }
 
     /// Coordinator: releases every rank parked for capture (their wake
@@ -564,65 +574,96 @@ impl CkptControl {
         self.ranks.iter().for_each(RankCtl::wake);
     }
 
-    /// Coordinator (Algorithm 1): snapshots every rank's sequence table and
-    /// computes `TARGET[g] = max over ranks of SEQ[g]`, then installs the
-    /// result in every *member* rank's `initial_targets` and flips
-    /// `targets_ready`.
-    ///
-    /// Non-members never get a target for a group (their `SEQ` is zero and
-    /// they cannot participate), matching §4.1.
-    pub fn compute_and_install_targets(&self) -> HashMap<Ggid, u64> {
+    /// Coordinator (Algorithm 1): replaces `TARGET[]` whole with the
+    /// maximum of every rank's `SEQ[g]`, shows it to `announce`, and only
+    /// then marks it ready and wakes every rank. The snapshot is taken
+    /// holding the table (the late-raise rule of the module doc).
+    pub fn compute_and_install_targets(&self, announce: impl FnOnce(&TargetTable)) {
         debug_assert!(self.is_pending());
-        let mut maxes: HashMap<Ggid, (u64, std::sync::Arc<[usize]>)> = HashMap::new();
-        for rc in &self.ranks {
-            let table = rc.seq_mirror.lock();
-            for (g, e) in table.iter() {
-                let entry = maxes.entry(*g).or_insert((0, e.members.clone()));
-                entry.0 = entry.0.max(e.seq);
-            }
-        }
-        // Install per member.
-        for (rank_idx, rc) in self.ranks.iter().enumerate() {
-            let mut t = rc.initial_targets.lock();
-            t.clear();
-            for (g, (target, members)) in &maxes {
-                if members.contains(&rank_idx) {
-                    t.insert(*g, *target);
-                }
-            }
-        }
-        for rc in &self.ranks {
-            rc.targets_ready.store(true, Ordering::SeqCst);
-            rc.wake();
-        }
-        maxes.into_iter().map(|(g, (t, _))| (g, t)).collect()
+        let mut table = self.targets.write();
+        *table = TargetTable::snapshot(self.ranks.iter().map(|r| r.seq_mirror.lock()));
+        announce(&table);
+        self.targets_ready.store(true, Ordering::SeqCst);
+        drop(table);
+        self.wake_all();
     }
 
-    /// Coordinator: resets per-checkpoint state after resume or abort.
-    pub fn reset_after_checkpoint(&self) {
-        for rc in &self.ranks {
-            rc.targets_ready.store(false, Ordering::SeqCst);
-            rc.initial_targets.lock().clear();
-            rc.updates_sent.store(0, Ordering::SeqCst);
-            rc.updates_recv.store(0, Ordering::SeqCst);
-        }
-        self.ckpt_epoch.fetch_add(1, Ordering::SeqCst);
+    /// Whether Algorithm 1 has written the open request's targets.
+    pub fn targets_ready(&self) -> bool {
+        self.targets_ready.load(Ordering::SeqCst)
     }
 
-    /// Global balance check: all target-update messages sent have been
-    /// received (termination detection for the drain phase).
-    pub fn updates_balanced(&self) -> bool {
-        let sent: u64 = self
-            .ranks
-            .iter()
-            .map(|r| r.updates_sent.load(Ordering::SeqCst))
-            .sum();
-        let recv: u64 = self
-            .ranks
-            .iter()
-            .map(|r| r.updates_recv.load(Ordering::SeqCst))
-            .sum();
-        sent == recv
+    /// Rank (Algorithm 2): raises `TARGET[ggid]` to `seq`, a max. If that
+    /// changed the table, counts the raise, wakes the group's other
+    /// members and returns the members.
+    pub fn raise_target(&self, rank: usize, ggid: Ggid, seq: u64) -> Option<Arc<[usize]>> {
+        if self.targets.read().get(ggid).is_some_and(|t| t >= seq) {
+            return None;
+        }
+        let members = self.ranks[rank]
+            .seq_mirror
+            .lock()
+            .members_shared(ggid)
+            .cloned();
+        let members = members.expect("a rank counts only groups it registered");
+        if !self.targets.write().raise(ggid, seq, &members) {
+            return None;
+        }
+        self.raises.fetch_add(1, Ordering::SeqCst);
+        (members.iter())
+            .filter(|&&m| m != rank)
+            .for_each(|&m| self.ranks[m].wake());
+        self.events.bump();
+        Some(members)
+    }
+
+    /// Raises that changed `TARGET[]` so far.
+    pub fn raises(&self) -> u64 {
+        self.raises.load(Ordering::SeqCst)
+    }
+
+    /// Rank: publishes and returns its verdict — whether its `SEQ[]` has
+    /// reached `TARGET[]` — announcing a turn to met.
+    pub fn publish_met(&self, rank: usize) -> bool {
+        let r = &self.ranks[rank];
+        let met = self.targets.read().reached_by(&r.seq_mirror.lock());
+        if !r.targets_met.swap(met, Ordering::SeqCst) && met {
+            self.events.bump();
+        }
+        met
+    }
+
+    /// Coordinator: the drain's end, with the targets it ended at. Every
+    /// live member of every group is at its target, every rank's verdict
+    /// is met and no rank is inside a collective — judged against a table
+    /// no raise changed while the check ran (a rank can raise and then
+    /// meet every target meanwhile).
+    pub fn drain_targets(&self) -> Option<TargetTable> {
+        self.drain_targets_with(|| {})
+    }
+
+    /// [`CkptControl::drain_targets`], calling `read` once the check has
+    /// read the table.
+    fn drain_targets_with(&self, mut read: impl FnMut()) -> Option<TargetTable> {
+        loop {
+            let raises = self.raises();
+            let table = self.targets.read().clone();
+            read();
+            let at = |r: usize, g: &Ggid, t: u64| {
+                let rc = &self.ranks[r];
+                rc.state() == RankState::Finished
+                    || rc.is_dead()
+                    || rc.seq_mirror.lock().seq(*g) >= t
+            };
+            let reached = (table.iter())
+                .all(|(g, e)| e.target == 0 || e.members.iter().all(|&r| at(r, g, e.target)));
+            if !reached || !self.all_targets_met() || self.any_in_collective() {
+                return None;
+            }
+            if self.raises() == raises {
+                return Some(table);
+            }
+        }
     }
 
     /// Whether every rank currently reports all targets met. Finished
@@ -714,53 +755,196 @@ mod tests {
         c.request_checkpoint();
     }
 
-    #[test]
-    fn target_computation_max_and_membership() {
-        let c = CkptControl::new(3);
-        let g_all = Ggid(1);
-        let g_01 = Ggid(2);
-        {
-            let mut t = c.ranks[0].seq_mirror.lock();
-            t.register_group(g_all, vec![0, 1, 2]);
-            t.register_group(g_01, vec![0, 1]);
-            t.increment(g_all); // rank0: SEQ[all]=1
-            t.increment(g_01);
-            t.increment(g_01); // rank0: SEQ[01]=2
+    /// `n` ranks, each with the groups `groups` gives it registered at the
+    /// counts given: `(ggid, members, seq)`.
+    fn control_with(n: usize, groups: &[(usize, Ggid, &[usize], u64)]) -> Arc<CkptControl> {
+        let c = CkptControl::new(n);
+        for &(rank, g, members, seq) in groups {
+            c.ranks[rank]
+                .seq_mirror
+                .lock()
+                .restore(g, seq, members.to_vec());
         }
-        {
-            let mut t = c.ranks[1].seq_mirror.lock();
-            t.register_group(g_all, vec![0, 1, 2]);
-            t.increment(g_all);
-            t.increment(g_all); // rank1: SEQ[all]=2
-        }
-        {
-            let mut t = c.ranks[2].seq_mirror.lock();
-            t.register_group(g_all, vec![0, 1, 2]);
-        }
-        c.request_checkpoint();
-        let maxes = c.compute_and_install_targets();
-        assert_eq!(maxes[&g_all], 2);
-        assert_eq!(maxes[&g_01], 2);
-        // Rank 2 is not in g_01 and must not get a target for it.
-        let t2 = c.ranks[2].initial_targets.lock();
-        assert_eq!(t2.get(&g_all), Some(&2));
-        assert!(!t2.contains_key(&g_01));
-        // Rank 1 never used g_01 but IS NOT a member either.
-        let t1 = c.ranks[1].initial_targets.lock();
-        assert_eq!(t1.get(&g_01), Some(&2), "members get targets even at SEQ=0");
+        c
     }
 
     #[test]
-    fn balance_and_met_checks() {
-        let c = CkptControl::new(2);
-        assert!(c.updates_balanced());
-        c.ranks[0].updates_sent.fetch_add(3, Ordering::SeqCst);
-        assert!(!c.updates_balanced());
-        c.ranks[1].updates_recv.fetch_add(3, Ordering::SeqCst);
-        assert!(c.updates_balanced());
-        assert!(c.all_targets_met());
-        c.ranks[0].targets_met.store(false, Ordering::SeqCst);
+    fn target_computation_max_and_membership() {
+        let (g_all, g_01) = (Ggid(1), Ggid(2));
+        let all: &[usize] = &[0, 1, 2];
+        let c = control_with(
+            3,
+            &[
+                (0, g_all, all, 1),
+                (0, g_01, &[0, 1], 2),
+                (1, g_all, all, 2),
+                (2, g_all, all, 0),
+            ],
+        );
+        c.request_checkpoint();
+        let mut announced = None;
+        c.compute_and_install_targets(|t| announced = Some(t.targets()));
+        assert!(c.targets_ready());
+        let t = announced.expect("the table is announced before it is ready");
+        assert_eq!((t[&g_all], t[&g_01]), (2, 2));
+        // Rank 2 is no member of g_01: only its own group holds it.
+        assert!(!c.publish_met(2));
+        c.ranks[2].seq_mirror.lock().restore(g_all, 2, all.to_vec());
+        assert!(c.publish_met(2), "g_01 is not rank 2's group");
+    }
+
+    #[test]
+    fn met_verdict_over_member_groups() {
+        let (a, b) = (Ggid(1), Ggid(2));
+        let c = control_with(
+            3,
+            &[
+                (0, a, &[0, 1], 1),
+                (1, a, &[0, 1], 0),
+                (1, b, &[1, 2], 2),
+                (2, b, &[1, 2], 1),
+            ],
+        );
+        assert!(c.all_targets_met(), "no request: nothing owed");
+        c.request_checkpoint();
+        assert!(!c.all_targets_met(), "the request resets every verdict");
+        c.compute_and_install_targets(|_| {});
+        let verdicts = |c: &CkptControl| [0, 1, 2].map(|r| c.publish_met(r));
+        assert_eq!(
+            verdicts(&c),
+            [true, false, false],
+            "rank 1 owes a, rank 2 owes b"
+        );
         assert!(!c.all_targets_met());
+        c.ranks[1].seq_mirror.lock().increment(a);
+        c.ranks[2].seq_mirror.lock().increment(b);
+        let token = c.events.token();
+        assert_eq!(verdicts(&c), [true; 3]);
+        assert_ne!(c.events.token(), token, "a turn to met is announced");
+        let token = c.events.token();
+        assert!(c.publish_met(1));
+        assert_eq!(c.events.token(), token, "an unchanged verdict is not");
+        assert!(c.all_targets_met());
+        assert_eq!(c.drain_targets().map(|t| t.targets()[&b]), Some(2));
+    }
+
+    #[test]
+    fn a_raise_is_a_counted_max_that_wakes_the_other_members() {
+        let g = Ggid(3);
+        let c = control_with(3, &[(0, g, &[0, 1], 2), (1, g, &[0, 1], 2)]);
+        c.request_checkpoint();
+        c.compute_and_install_targets(|_| {});
+        let tokens = |c: &CkptControl| [0, 1, 2].map(|r| c.ranks[r].park.token());
+        let (before, observed) = (tokens(&c), c.events.token());
+        c.ranks[0].seq_mirror.lock().increment(g);
+        let woke = c.raise_target(0, g, 3).expect("3 > 2 changes the table");
+        assert_eq!(&woke[..], &[0, 1]);
+        let after = tokens(&c);
+        assert_eq!(after[0], before[0], "the raiser is not woken");
+        assert_ne!(after[1], before[1], "the other member is");
+        assert_eq!(after[2], before[2], "a non-member is not");
+        assert_ne!(c.events.token(), observed, "the observer hears it");
+        assert_eq!(c.raises(), 1);
+        assert!(
+            c.raise_target(0, g, 3).is_none(),
+            "an equal raise is a no-op"
+        );
+        assert_eq!(
+            (c.raises(), tokens(&c)),
+            (1, after),
+            "uncounted, waking nobody"
+        );
+        assert!(!c.publish_met(1), "the other member owes the raised target");
+    }
+
+    #[test]
+    fn a_late_raise_loses_to_the_next_snapshot_or_is_a_no_op() {
+        let g = Ggid(4);
+        for lands_first in [true, false] {
+            let c = control_with(2, &[(0, g, &[0, 1], 2), (1, g, &[0, 1], 2)]);
+            c.request_checkpoint();
+            c.compute_and_install_targets(|_| {});
+            // Rank 1 runs one collective past the target; its raise is
+            // still on its way when the request is withdrawn.
+            c.ranks[1].seq_mirror.lock().increment(g);
+            c.withdraw();
+            c.release();
+            assert!(!c.targets_ready());
+            c.request_checkpoint();
+            if lands_first {
+                assert!(
+                    c.raise_target(1, g, 3).is_some(),
+                    "raises the withdrawn table"
+                );
+            }
+            let mut snapshot = 0;
+            c.compute_and_install_targets(|t| snapshot = t.get(g).unwrap());
+            assert_eq!(snapshot, 3, "the increment precedes the snapshot");
+            let raises = c.raises();
+            assert!(
+                c.raise_target(1, g, 3).is_none(),
+                "after the write: a no-op max"
+            );
+            assert_eq!(c.raises(), raises);
+            assert!(!c.publish_met(0), "rank 0 owes the late raise's collective");
+            assert!(c.publish_met(1));
+        }
+    }
+
+    #[test]
+    fn a_group_raised_before_a_member_registered_it_holds_that_member() {
+        // Rank 0 created g during the drain and ran a collective on it,
+        // raising it; rank 1's creation call has not returned, so g is not
+        // in its table yet.
+        let (w, g) = (Ggid(5), Ggid(6));
+        let c = control_with(2, &[(0, w, &[0, 1], 1), (1, w, &[0, 1], 1)]);
+        c.request_checkpoint();
+        c.compute_and_install_targets(|_| {});
+        c.ranks[0].seq_mirror.lock().restore(g, 1, vec![0, 1]);
+        let token = c.ranks[1].park.token();
+        assert!(
+            c.raise_target(0, g, 1).is_some(),
+            "a group new to the table"
+        );
+        assert_ne!(c.ranks[1].park.token(), token, "the raise woke rank 1");
+        assert!(c.publish_met(0) && c.publish_met(1));
+        assert!(c.drain_targets().is_none(), "the check walks g's members");
+        // The creation returns: g is registered before rank 1's next gate,
+        // whose verdict now holds it.
+        c.ranks[1].seq_mirror.lock().register_group(g, vec![0, 1]);
+        assert!(!c.publish_met(1));
+        c.ranks[1].seq_mirror.lock().increment(g);
+        assert!(c.publish_met(1));
+        let t = c.drain_targets().expect("drained");
+        assert_eq!((t.targets()[&g], t.initial_targets().get(&g)), (1, None));
+    }
+
+    #[test]
+    fn a_raise_during_the_completion_check_is_judged_again() {
+        // The lost raise: rank 1 initiated a non-blocking collective on g
+        // past the snapshot; it raises and so meets every target after the
+        // check has read the table, and before the check reads its flag.
+        let g = Ggid(7);
+        let c = control_with(2, &[(0, g, &[0, 1], 2), (1, g, &[0, 1], 2)]);
+        c.request_checkpoint();
+        c.compute_and_install_targets(|_| {});
+        assert!(c.publish_met(0));
+        c.ranks[1].seq_mirror.lock().increment(g);
+        assert!(c.drain_targets().is_none(), "rank 1's flag is still reset");
+        let mut reads = 0;
+        let judged = c.drain_targets_with(|| {
+            reads += 1;
+            if reads == 1 {
+                c.raise_target(1, g, 3).expect("a raise");
+                assert!(c.publish_met(1));
+            }
+        });
+        assert_eq!(reads, 2, "the raise sent the check round again");
+        assert!(judged.is_none(), "rank 0 is below the raised target");
+        c.ranks[0].seq_mirror.lock().increment(g);
+        assert!(c.publish_met(0));
+        let t = c.drain_targets().expect("drained to the raised target");
+        assert_eq!((t.targets()[&g], t.initial_targets()[&g]), (3, 2));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use netmodel::VTime;
 
 /// Counts of interposed MPI calls on one rank: the application's calls
-/// only, so a restored run's counts add up to a native run's. What a
-/// drain sends and receives is the control plane's (`RankCtl::updates_*`)
-/// and the trace's (`UpdateSent`/`UpdateReceived`), not a call count.
+/// only, so a restored run's counts add up to a native run's. A drain's
+/// target raises are the control plane's (`CkptControl::raises`) and the
+/// trace's (`TargetRaised`), not a call count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallCounters {
     /// Blocking collective calls.

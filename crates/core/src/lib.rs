@@ -21,7 +21,7 @@ pub use control::{CkptControl, CkptPhase, RankCtl, RankState, Threshold};
 pub use counters::CallCounters;
 pub use ggid::{ggid_of, ggid_of_sorted, Ggid};
 pub use protocol::Protocol;
-pub use seq::{SeqEntry, SeqTable, TargetTable};
+pub use seq::{SeqEntry, SeqTable, TargetEntry, TargetTable};
 pub use topo::{verify_safe_cut, Cut, CutRun, ExecEvent, ExecutionLog, Node, Violation};
 pub use trace::{DrainEvent, DrainTrace};
 pub use virt::{

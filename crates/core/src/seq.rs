@@ -22,8 +22,8 @@ pub struct SeqEntry {
     /// (blocking calls count at the call; non-blocking at *initiation*,
     /// per §4.3.1).
     pub seq: u64,
-    /// Member world ranks (sorted). Needed to push target updates to the
-    /// other members — discoverable locally via
+    /// Member world ranks (sorted). A target raise wakes the other members
+    /// through it — discoverable locally via
     /// `MPI_Group_translate_ranks`, as the paper notes. Shared storage:
     /// every rank registering the same group holds the same allocation,
     /// so a 65 536-rank world costs one member list, not 65 536 copies.
@@ -114,65 +114,89 @@ impl SeqTable {
     }
 }
 
-/// A rank's view of the targets assigned for the current checkpoint.
+/// `TARGET[]`, the drain's one target table: per group, the target its
+/// members drain to, the Algorithm 1 value it started from, and the
+/// members, whose list is the one their `SEQ[]` entries share.
 #[derive(Debug, Clone, Default)]
 pub struct TargetTable {
-    targets: HashMap<Ggid, u64>,
+    entries: HashMap<Ggid, TargetEntry>,
+}
+
+/// One group's entry in a [`TargetTable`].
+#[derive(Debug, Clone)]
+pub struct TargetEntry {
+    /// `TARGET[g]`: Algorithm 1's value, raised since by every rank that
+    /// passed it (Algorithm 2).
+    pub target: u64,
+    /// Algorithm 1's value; `None` for a group the snapshot did not hold,
+    /// created during the drain and first raised by it.
+    pub initial: Option<u64>,
+    /// Member world ranks (sorted).
+    pub members: Arc<[usize]>,
 }
 
 impl TargetTable {
-    /// Empty table (no checkpoint in progress).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs the coordinator-computed initial targets (Algorithm 1).
-    pub fn install(&mut self, targets: HashMap<Ggid, u64>) {
-        self.targets = targets;
-    }
-
-    /// Clears all targets (checkpoint finished).
-    pub fn clear(&mut self) {
-        self.targets.clear();
-    }
-
-    /// Current target for a group (`None` if the group has no target —
-    /// e.g. it was created after the checkpoint request).
-    pub fn get(&self, ggid: Ggid) -> Option<u64> {
-        self.targets.get(&ggid).copied()
-    }
-
-    /// Raises the target for `ggid` to `to` (Algorithm 2's overshoot path
-    /// and Algorithm 3's receive path). Returns `true` if the stored value
-    /// changed.
-    pub fn raise(&mut self, ggid: Ggid, to: u64) -> bool {
-        let t = self.targets.entry(ggid).or_insert(0);
-        if to > *t {
-            *t = to;
-            true
-        } else {
-            false
+    /// Algorithm 1: `TARGET[g]` is the maximum of `SEQ[g]` over `tables`,
+    /// for every group any of them registered.
+    pub fn snapshot<T: std::ops::Deref<Target = SeqTable>>(
+        tables: impl IntoIterator<Item = T>,
+    ) -> TargetTable {
+        let mut t = TargetTable::default();
+        for seqs in tables {
+            for (g, e) in seqs.iter() {
+                t.raise(*g, e.seq, &e.members);
+            }
         }
+        for e in t.entries.values_mut() {
+            e.initial = Some(e.target);
+        }
+        t
     }
 
-    /// Whether `seqs` has reached every target: `SEQ[g] >= TARGET[g]` for
-    /// all targeted groups. (Equality is the steady state; `>` transiently
-    /// occurs in the overshoot window before the raise is applied.)
+    /// Current `TARGET[ggid]` (`None` if the group has no target).
+    pub fn get(&self, ggid: Ggid) -> Option<u64> {
+        self.entries.get(&ggid).map(|e| e.target)
+    }
+
+    /// Raises `TARGET[ggid]` to at least `to`, a max (Algorithm 2's
+    /// overshoot), entering a group the table lacks with `members`.
+    /// Returns whether the target changed.
+    pub fn raise(&mut self, ggid: Ggid, to: u64, members: &Arc<[usize]>) -> bool {
+        let e = self.entries.entry(ggid).or_insert_with(|| TargetEntry {
+            target: 0,
+            initial: None,
+            members: Arc::clone(members),
+        });
+        let changed = to > e.target;
+        e.target = e.target.max(to);
+        changed
+    }
+
+    /// The met verdict of a rank whose table is `seqs`: `SEQ[g] >=
+    /// TARGET[g]` for every group it registered. (Equality is the steady
+    /// state; `>` occurs in the overshoot window before the raise lands.)
+    /// Only a member registers a group, so this walks the rank's own
+    /// groups, not the members of every target.
     pub fn reached_by(&self, seqs: &SeqTable) -> bool {
-        self.targets.iter().all(|(g, &t)| seqs.seq(*g) >= t)
+        seqs.iter()
+            .all(|(g, e)| self.get(*g).is_none_or(|t| e.seq >= t))
     }
 
-    /// Groups with unmet targets, for diagnostics: `(ggid, seq, target)`.
-    pub fn unmet<'a>(&'a self, seqs: &'a SeqTable) -> impl Iterator<Item = (Ggid, u64, u64)> + 'a {
-        self.targets.iter().filter_map(move |(g, &t)| {
-            let s = seqs.seq(*g);
-            (s < t).then_some((*g, s, t))
-        })
+    /// Iterates `(ggid, entry)`.
+    pub fn iter(&self) -> impl Iterator<Item = (&Ggid, &TargetEntry)> {
+        self.entries.iter()
     }
 
-    /// Iterates `(ggid, target)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&Ggid, &u64)> {
-        self.targets.iter()
+    /// `ggid -> TARGET[ggid]`.
+    pub fn targets(&self) -> HashMap<Ggid, u64> {
+        self.iter().map(|(g, e)| (*g, e.target)).collect()
+    }
+
+    /// `ggid -> ` Algorithm 1's target, for the groups it set.
+    pub fn initial_targets(&self) -> HashMap<Ggid, u64> {
+        (self.iter())
+            .filter_map(|(g, e)| Some((*g, e.initial?)))
+            .collect()
     }
 }
 
@@ -210,33 +234,51 @@ mod tests {
 
     #[test]
     fn targets_reached_logic() {
+        // The verdict walks the rank's own groups: a target on a group it
+        // never registered (it is no member) does not hold it back.
         let mut s = SeqTable::new();
         s.register_group(g(1), vec![0, 1]);
         s.register_group(g(2), vec![0, 2]);
         s.increment(g(1)); // SEQ[1] = 1
-
-        let mut t = TargetTable::new();
-        t.install([(g(1), 1), (g(2), 2)].into_iter().collect());
-        assert!(!t.reached_by(&s));
-        let unmet: Vec<_> = t.unmet(&s).collect();
-        assert_eq!(unmet, vec![(g(2), 0, 2)]);
-
+        let mut other = SeqTable::new();
+        other.register_group(g(2), vec![0, 2]);
+        other.increment(g(2));
+        other.increment(g(2));
+        other.register_group(g(3), vec![2, 3]);
+        other.increment(g(3));
+        let t = TargetTable::snapshot([&s, &other]);
+        assert_eq!(
+            (t.get(g(1)), t.get(g(2)), t.get(g(3))),
+            (Some(1), Some(2), Some(1))
+        );
+        assert!(!t.reached_by(&s), "SEQ[2] = 0 < 2");
         s.increment(g(2));
         s.increment(g(2));
-        assert!(t.reached_by(&s));
+        assert!(t.reached_by(&s), "g(3) is not the rank's group");
+        assert_eq!(t.initial_targets(), t.targets());
     }
 
     #[test]
     fn raise_only_upward() {
-        let mut t = TargetTable::new();
-        t.install([(g(1), 3)].into_iter().collect());
-        assert!(!t.raise(g(1), 2));
+        let members: Arc<[usize]> = vec![0, 1].into();
+        let mut s = SeqTable::new();
+        s.restore(g(1), 3, Arc::clone(&members));
+        let mut t = TargetTable::snapshot([&s]);
+        assert!(!t.raise(g(1), 2, &members), "a lower raise changes nothing");
+        assert!(!t.raise(g(1), 3, &members), "nor does an equal one");
         assert_eq!(t.get(g(1)), Some(3));
-        assert!(t.raise(g(1), 5));
+        assert!(t.raise(g(1), 5, &members), "a max that moved");
         assert_eq!(t.get(g(1)), Some(5));
-        // Unknown group: raise creates it.
-        assert!(t.raise(g(7), 1));
+        // A group the snapshot lacked enters with the raiser's members and
+        // no Algorithm 1 value.
+        assert!(t.raise(g(7), 1, &members));
         assert_eq!(t.get(g(7)), Some(1));
+        assert!(Arc::ptr_eq(
+            &t.iter().find(|(k, _)| **k == g(7)).unwrap().1.members,
+            &members
+        ));
+        assert_eq!(t.initial_targets(), [(g(1), 3)].into_iter().collect());
+        assert_eq!(t.targets(), [(g(1), 5), (g(7), 1)].into_iter().collect());
     }
 
     #[test]
@@ -265,8 +307,10 @@ mod tests {
 
     #[test]
     fn empty_targets_always_reached() {
-        let t = TargetTable::new();
-        let s = SeqTable::new();
+        let t = TargetTable::default();
+        let mut s = SeqTable::new();
+        s.register_group(g(1), vec![0]);
+        s.increment(g(1));
         assert!(t.reached_by(&s));
     }
 }

@@ -1,9 +1,9 @@
 //! Drain-protocol event tracing.
 //!
-//! Records the observable steps of a checkpoint drain — target
-//! installation, overshoot raises, update pushes and receives, parks and
-//! releases — so tests can assert the Figure 2/3 scenarios of the paper and
-//! the `drain_trace` example can narrate a drain as it happens.
+//! Records the observable steps of a checkpoint drain — the target table
+//! Algorithm 1 installs, overshoot raises and the members they wake, parks
+//! and releases — so tests can assert the Figure 2/3 scenarios of the paper
+//! and the `drain_trace` example can narrate a drain as it happens.
 
 use crate::ggid::Ggid;
 use parking_lot::Mutex;
@@ -14,16 +14,12 @@ use std::sync::Arc;
 pub enum DrainEvent {
     /// Coordinator issued the checkpoint request.
     Requested,
-    /// Initial targets installed on a rank: `(rank, targets as (ggid, target))`.
-    TargetsInstalled(usize, Vec<(Ggid, u64)>),
-    /// Rank raised a target past the installed value (Figure 3b's cascade):
-    /// `(rank, ggid, new_target)`.
-    TargetRaised(usize, Ggid, u64),
-    /// Rank pushed a target update to a peer: `(from, to, ggid, target)`.
-    UpdateSent(usize, usize, Ggid, u64),
-    /// Rank received and applied a target update: `(rank, ggid, target,
-    /// changed)`.
-    UpdateReceived(usize, Ggid, u64, bool),
+    /// Coordinator installed Algorithm 1's `TARGET[]`: `(ggid, target)`
+    /// sorted by group.
+    TargetsInstalled(Vec<(Ggid, u64)>),
+    /// Rank raised a target past its value (Figure 3b's cascade): `(rank,
+    /// ggid, new_target, members)`; every member but the rank was woken.
+    TargetRaised(usize, Ggid, u64, Arc<[usize]>),
     /// Rank executed a collective during the drain: `(rank, ggid, seq)`.
     DrainStep(usize, Ggid, u64),
     /// Rank reached all its targets and parked: `(rank)`.
@@ -94,7 +90,7 @@ mod tests {
         let t = DrainTrace::new();
         assert!(t.is_empty());
         t.push(DrainEvent::Requested);
-        t.push(DrainEvent::TargetRaised(3, Ggid(7), 5));
+        t.push(DrainEvent::TargetRaised(3, Ggid(7), 5, Arc::from([3, 4])));
         t.push(DrainEvent::Parked(1));
         assert_eq!(t.len(), 3);
         assert_eq!(t.count(|e| matches!(e, DrainEvent::TargetRaised(..))), 1);

@@ -1,5 +1,5 @@
-//! Satellite test coverage: `SeqTable`/`TargetTable` target-update edge
-//! cases and `RankState` round-tripping through the control plane.
+//! Satellite test coverage: `SeqTable`/`TargetTable` raise edge cases and
+//! `RankState` round-tripping through the control plane.
 
 use mana_core::{CkptControl, CkptPhase, Ggid, RankState, SeqTable, TargetTable};
 
@@ -31,35 +31,30 @@ fn overshoot_raise_semantics() {
     // `reached_by` must accept transient overshoot (`SEQ > TARGET`).
     let mut s = SeqTable::new();
     s.register_group(Ggid(1), vec![0, 1]);
-    for _ in 0..5 {
+    for _ in 0..3 {
         s.increment(Ggid(1));
     }
-    let mut t = TargetTable::new();
-    t.install([(Ggid(1), 3)].into_iter().collect());
+    let mut t = TargetTable::snapshot([&s]);
+    for _ in 0..2 {
+        s.increment(Ggid(1));
+    }
+    let members = s.members_shared(Ggid(1)).unwrap().clone();
     assert!(
         t.reached_by(&s),
         "SEQ=5 >= TARGET=3 is (transiently) reached"
     );
-    assert!(t.raise(Ggid(1), 5), "overshoot raises 3 -> 5");
-    assert!(!t.raise(Ggid(1), 4), "raises are monotone");
+    assert!(t.raise(Ggid(1), 5, &members), "overshoot raises 3 -> 5");
+    assert!(!t.raise(Ggid(1), 4, &members), "raises are monotone");
     assert_eq!(t.get(Ggid(1)), Some(5));
-    // A raise for a group with no installed target creates one.
-    assert!(t.raise(Ggid(9), 2));
-    assert!(!t.reached_by(&s), "new target on unseen group is unmet");
-}
-
-#[test]
-fn unmet_reports_exact_deficits() {
-    let mut s = SeqTable::new();
-    s.register_group(Ggid(1), vec![0]);
-    s.increment(Ggid(1));
-    let mut t = TargetTable::new();
-    t.install([(Ggid(1), 4), (Ggid(2), 0)].into_iter().collect());
-    let mut unmet: Vec<_> = t.unmet(&s).collect();
-    unmet.sort();
-    assert_eq!(unmet, vec![(Ggid(1), 1, 4)]);
-    t.clear();
-    assert!(t.reached_by(&s), "cleared targets are trivially reached");
+    // A raise for a group with no installed target creates one, which
+    // holds a rank that registered the group.
+    assert!(t.raise(Ggid(9), 2, &members));
+    assert!(t.reached_by(&s), "the rank has not registered group 9");
+    s.register_group(Ggid(9), vec![0, 1]);
+    assert!(
+        !t.reached_by(&s),
+        "new target on a registered group is unmet"
+    );
 }
 
 #[test]
@@ -94,30 +89,28 @@ fn rank_state_round_trips_through_control_plane() {
 #[test]
 fn checkpoint_lifecycle_resets_per_round_state() {
     let c = CkptControl::new(2);
-    {
-        let mut t = c.ranks[0].seq_mirror.lock();
-        t.register_group(Ggid(1), vec![0, 1]);
-        t.increment(Ggid(1));
+    for r in &c.ranks {
+        r.seq_mirror.lock().register_group(Ggid(1), vec![0, 1]);
     }
+    c.ranks[0].seq_mirror.lock().increment(Ggid(1));
     c.request_checkpoint();
-    let targets = c.compute_and_install_targets();
-    assert_eq!(targets[&Ggid(1)], 1);
-    assert!(c.ranks[1]
-        .targets_ready
-        .load(std::sync::atomic::Ordering::SeqCst));
-    c.ranks[0]
-        .updates_sent
-        .fetch_add(2, std::sync::atomic::Ordering::SeqCst);
+    let mut targets = None;
+    c.compute_and_install_targets(|t| targets = Some(t.targets()));
+    assert_eq!(targets.unwrap()[&Ggid(1)], 1);
+    assert!(c.targets_ready());
+    assert!(!c.publish_met(1), "rank 1 owes one collective");
     c.withdraw();
-    c.reset_after_checkpoint();
+    c.release();
     assert_eq!(c.phase(), CkptPhase::Idle);
-    assert!(!c.ranks[1]
-        .targets_ready
-        .load(std::sync::atomic::Ordering::SeqCst));
-    assert!(c.ranks[0].initial_targets.lock().is_empty());
-    assert!(c.updates_balanced(), "counters must reset to balanced");
-    assert_eq!(c.ckpt_epoch.load(std::sync::atomic::Ordering::SeqCst), 1);
-    // A second checkpoint can start cleanly.
+    assert!(!c.targets_ready(), "the withdrawal retires the targets");
+    // A second checkpoint can start cleanly, and its snapshot replaces
+    // the first one's table whole.
+    c.ranks[1].seq_mirror.lock().increment(Ggid(1));
+    c.ranks[1].seq_mirror.lock().increment(Ggid(1));
     c.request_checkpoint();
     assert_eq!(c.phase(), CkptPhase::Draining);
+    assert!(!c.targets_ready(), "not before Algorithm 1 runs");
+    c.compute_and_install_targets(|_| {});
+    assert!(c.publish_met(1));
+    assert!(!c.publish_met(0), "rank 0 owes the second table's target");
 }

@@ -1,6 +1,7 @@
 //! Narrates a checkpoint drain: runs a small skewed workload, checkpoints
-//! it, and prints the observable protocol steps (target installation,
-//! drain steps, parks, quiesce, commit, resume).
+//! it, and prints the observable protocol steps (the target table, drain
+//! steps, raises and the members they wake, parks, quiesce, commit,
+//! resume).
 //!
 //! ```sh
 //! cargo run --release --example drain_trace
@@ -28,17 +29,13 @@ fn main() {
     for e in run.trace.events() {
         match e {
             DrainEvent::Requested => println!("* coordinator: checkpoint requested"),
-            DrainEvent::TargetsInstalled(r, t) => {
-                println!("  rank {r}: targets installed: {t:?}")
+            DrainEvent::TargetsInstalled(t) => {
+                let t: Vec<String> = t.iter().map(|(g, v)| format!("{g}={v}")).collect();
+                println!("* coordinator: TARGET[] installed: {}", t.join(" "))
             }
-            DrainEvent::TargetRaised(r, g, t) => {
-                println!("  rank {r}: OVERSHOOT — raised TARGET[{g}] to {t}")
-            }
-            DrainEvent::UpdateSent(f, t, g, v) => {
-                println!("  rank {f} -> rank {t}: raise TARGET[{g}] to {v}")
-            }
-            DrainEvent::UpdateReceived(r, g, v, ch) => {
-                println!("  rank {r}: applied TARGET[{g}]={v} (changed: {ch})")
+            DrainEvent::TargetRaised(r, g, t, members) => {
+                let woke: Vec<usize> = members.iter().copied().filter(|&m| m != r).collect();
+                println!("  rank {r}: OVERSHOOT — raised TARGET[{g}] to {t}, woke ranks {woke:?}")
             }
             DrainEvent::DrainStep(r, g, s) => println!("  rank {r}: drain step {g}#{s}"),
             DrainEvent::Parked(r) => println!("  rank {r}: parked at wrapper entry"),
@@ -53,9 +50,14 @@ fn main() {
         }
     }
     for ckpt in &run.checkpoints {
+        let raised = (ckpt.final_targets.iter())
+            .filter(|(g, t)| ckpt.initial_targets.get(g) != Some(t))
+            .count();
         println!(
-            "checkpoint at epoch {}: {} cut events, safe cut: {}",
+            "checkpoint at epoch {}: {} of {} targets raised, {} cut events, safe cut: {}",
             ckpt.epoch,
+            raised,
+            ckpt.final_targets.len(),
             ckpt.cut().len(),
             if ckpt.verify().is_ok() {
                 "OK"
