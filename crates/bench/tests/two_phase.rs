@@ -1,5 +1,6 @@
 //! End-to-end tests for the 2PC trivial-barrier protocol and its capture
-//! state, plus the p2p drain-stall watchdog (ROADMAP item 5).
+//! state, plus the CC drain's p2p stall, judged by the stall rule of
+//! `mana_core::control`: `TARGET[]` unmet and no live rank able to run.
 
 use ckpt::{
     run_ckpt_world, run_ckpt_world_steps, CkptOptions, CkptRunReport, CkptTier, DrainError,
@@ -149,8 +150,8 @@ fn pending_barrier_and_counters_round_trip_across_restart() {
 }
 
 /// Runs `run` on a helper thread under a hard 20 s bound: a wedged world
-/// fails the test with the representation and run index instead of
-/// hanging the suite.
+/// fails the test with what was run and the run index instead of hanging
+/// the suite.
 fn run_bounded(
     what: &'static str,
     i: usize,
@@ -168,8 +169,8 @@ fn run_bounded(
             report
         }
         Err(RecvTimeoutError::Timeout) => panic!(
-            "{what} run {i} wedged: a 2PC checkpoint did not complete within 20 s \
-             (ranks parked in a trivial barrier a late arriver completed?)"
+            "{what} run {i} wedged: the world did not finish within 20 s \
+             (a 2PC park a late arriver completed, or an undetected drain stall?)"
         ),
         Err(RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(helper.join().expect_err("helper dropped its sender"))
@@ -240,17 +241,15 @@ fn two_phase_last_arriver_cannot_strand_parked_peers() {
     }
 }
 
-/// ROADMAP item 5: a blocking receive fed by a send gated behind a
-/// beyond-target collective deadlocks the CC drain. The watchdog must
-/// detect the no-progress window, withdraw the request, and surface a
-/// typed `DrainError::P2pStall` — and the application must then run to
-/// completion.
-#[test]
-fn p2p_stall_fails_fast_with_typed_error() {
+/// A receive fed by a send gated behind a beyond-target collective
+/// deadlocks the CC drain: rank 0 is below its target, waiting for rank
+/// 1's message; ranks 1 and 2 have met every target and park at their
+/// next collective entry, before the send. Rank 0 waits in a blocking
+/// receive or, with `polls`, spins `MPI_Test` + `compute` on it.
+fn p2p_stall_run(polls: bool) -> CkptRunReport<f64> {
     let n = 3;
-    let opts = CkptOptions::one_checkpoint(VTime::from_secs(45e-6), ResumeMode::Continue)
-        .with_stall_timeout(Duration::from_millis(400));
-    let run = run_ckpt_world(cfg(n), opts, |r| {
+    let opts = CkptOptions::one_checkpoint(VTime::from_secs(45e-6), ResumeMode::Continue);
+    run_ckpt_world(cfg(n), opts, move |r| {
         let world = r.world_vcomm();
         let me = r.rank();
         let color = i64::from(me != 0);
@@ -260,7 +259,17 @@ fn p2p_stall_fails_fast_with_typed_error() {
             // world collective), blocked in a receive whose matching send
             // sits behind rank 1's beyond-target sub-collective.
             r.compute(50e-6);
-            let (data, _) = r.recv(world, 1, 9u32);
+            let data = if polls {
+                let v = r.irecv(world, 1, 9u32);
+                loop {
+                    if let Some(c) = r.test(v) {
+                        break c.data;
+                    }
+                    r.compute(1e-6);
+                }
+            } else {
+                r.recv(world, 1, 9u32).0
+            };
             let got = decode_f64(&data)[0];
             let v = r.iallreduce(world, encode_f64(&[1.0]), DType::F64, ReduceOp::Sum);
             r.wait(v);
@@ -268,7 +277,8 @@ fn p2p_stall_fails_fast_with_typed_error() {
         } else {
             let v = r.iallreduce(world, encode_f64(&[1.0]), DType::F64, ReduceOp::Sum);
             r.compute(50e-6);
-            // Let the trigger fire and the drain wedge while we sleep.
+            // The trigger fires while we sleep, outside the engine: a
+            // rank that can run is never part of a stall.
             std::thread::sleep(Duration::from_millis(150));
             // Beyond-target collective: both ranks have met every target,
             // so they park at this entry — and the send below never
@@ -280,7 +290,13 @@ fn p2p_stall_fails_fast_with_typed_error() {
             r.wait(v);
             0.0
         }
-    });
+    })
+}
+
+/// What a stalled drain must leave behind: the typed error naming the
+/// blocked rank, no image, one abort, and the program run to completion
+/// with the right data once the request is withdrawn.
+fn assert_p2p_stall(run: &CkptRunReport<f64>) {
     assert_eq!(
         run.failures,
         vec![DrainError::P2pStall { stalled: vec![0] }],
@@ -294,6 +310,27 @@ fn p2p_stall_fails_fast_with_typed_error() {
     // After the abort the gated send went through and the program finished
     // with the right data.
     assert_eq!(run.ranks[0].result, 42.5);
+}
+
+/// A blocking receive fed by a send gated behind a beyond-target
+/// collective deadlocks the CC drain. With every rank asleep in the
+/// engine and no wake pending, the coordinator must withdraw the request
+/// and surface a typed `DrainError::P2pStall` — and the application must
+/// then run to completion.
+#[test]
+fn p2p_stall_fails_fast_with_typed_error() {
+    assert_p2p_stall(&p2p_stall_run(false));
+}
+
+/// The same stall with rank 0 polling: every charged `MPI_Test` moves its
+/// clock, so a watch for "no progress" never fires, yet nothing another
+/// rank does can complete the receive. A failed test on a request only
+/// another rank can complete holds the rank like a sleep, so the stall is
+/// declared as fast as its blocking sibling's.
+#[test]
+fn p2p_stall_in_a_test_loop_fails_fast_with_typed_error() {
+    let run = run_bounded("test-loop stall", 0, || p2p_stall_run(true));
+    assert_p2p_stall(&run);
 }
 
 /// Satellite: checkpoint image I/O must be charged against the virtual

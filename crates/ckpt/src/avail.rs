@@ -11,7 +11,7 @@
 //!   supervisor's waits check it on every wake and fire it through
 //!   [`Session::inject_failure`], which poisons the scheduler's fail
 //!   plane and wakes every wait path so the whole world unwinds promptly
-//!   with a typed [`RankDeath`] instead of timing out a watchdog;
+//!   with a typed [`RankDeath`], never a spurious stall;
 //! * [`run_available_world`] (and [`run_available_world_steps`])
 //!   supervise the workload across deaths: on each one they select the
 //!   newest *viable* image from the [`CkptOptions::tiering`] store —
@@ -37,8 +37,8 @@
 //! *every* rank (victims and survivors alike) unwinds; recovery restores
 //! the full rank set from an image. What distinguishes victims is the
 //! storage they take with them (a node loss drops its shards from the
-//! store) and the stall accounting (a dead rank is never reported as a
-//! p2p stall).
+//! store) and the stall rule (a dead rank is never reported as a p2p
+//! stall).
 
 use crate::coordinator::Coordinator;
 use crate::image::Checkpoint;
@@ -438,7 +438,6 @@ pub(crate) fn run_campaign<B: StepBody>(
         mut policy,
         resume,
         tiering,
-        stall_timeout,
     } = opts;
     let mut campaign = Campaign::new(&cfg, plan);
     loop {
@@ -463,9 +462,7 @@ pub(crate) fn run_campaign<B: StepBody>(
         }));
         sh.control.arm(policy.next());
         let supervise = || {
-            let coord = Coordinator::new(Arc::clone(&sh))
-                .with_tiering(tiering.clone())
-                .with_stall_timeout(stall_timeout);
+            let coord = Coordinator::new(Arc::clone(&sh)).with_tiering(tiering.clone());
             supervise_loop(&sh, &coord, policy.as_mut(), resume)
         };
         match run_session(Arc::clone(&sh), driver, &make, restore.as_ref(), supervise) {

@@ -12,11 +12,13 @@
 //!   in-progress trivial barriers captured (not drained) and re-issued at
 //!   restart.
 //!
-//! The drain is supervised by a no-progress watchdog: a point-to-point
-//! dependency the collective DAG cannot see (a blocking receive fed by a
-//! send gated behind a beyond-target collective) deadlocks the drain, and
-//! the coordinator returns a typed [`DrainError::P2pStall`] instead of
-//! hanging — the request is withdrawn and the application continues.
+//! A point-to-point dependency the collective DAG cannot see (a receive
+//! fed by a send gated behind a beyond-target collective) deadlocks the
+//! drain: `TARGET[]` stays unmet while no live rank can run. The
+//! coordinator returns a typed [`DrainError::P2pStall`] the moment that
+//! holds — judged from what the ranks publish, never from a clock (the
+//! stall rule of [`mana_core::control`], with the one shape it misreads)
+//! — and the request is withdrawn and the application continues.
 
 use crate::image::{stable_state_eq, CaptureOrigin, Checkpoint, DrainedMsg};
 use crate::session::{Interrupted, Session};
@@ -29,42 +31,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Default no-progress window before the drain watchdog declares a stall.
-///
-/// The watchdog is **wall-clock** based: whenever the drain wait goes quiet
-/// it checks for any change in rank clocks, call counts, states, or target
-/// raises. A workload that wall-sleeps (or a rank thread starved by the
-/// host scheduler) for longer than the window while a checkpoint is
-/// draining is indistinguishable from a genuine p2p deadlock and will be
-/// aborted as one — keep the window comfortably above any deliberate
-/// pauses.
-pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Ceiling on the world-size-scaled stall window. The watchdog fires on
-/// *no observable progress at all* — any rank's clock, call count or
-/// state, or a target raise, resets it — and even a 4096-rank
-/// drain multiplexed onto two workers changes *something* every few
-/// scheduling quanta while healthy. Extrapolating the per-round slope all
-/// the way up (a 2048:2 ratio would ask for minutes) buys no safety but
-/// turns a genuine rendezvous regression into a hung CI job; the cap
-/// keeps "wedged" detectable within a bounded budget at every scale.
-pub const MAX_AUTO_STALL: Duration = Duration::from_secs(60);
-
-/// The world-size-scaled stall window used when [`crate::CkptOptions`]
-/// does not pin one. A drain's total work grows with the rank count while
-/// only about `workers` ranks run at once (pool workers, or the host's
-/// cores under thread ranks), so per-rank wall progress thins out by the
-/// multiplexing ratio `n_ranks / workers`; the window grows by that many
-/// scheduling rounds — capped at [`MAX_AUTO_STALL`] — so a healthy
-/// 512-rank drain on a small host is never misread as a p2p stall, a wide
-/// host keeps a tight watchdog, and a wedged 4096-rank drain still fails
-/// fast instead of hanging its CI job.
-pub fn auto_stall_timeout(n_ranks: usize, workers: usize) -> Duration {
-    let rounds = n_ranks.div_ceil(workers.max(1)) as u64;
-    (DEFAULT_STALL_TIMEOUT + Duration::from_millis(rounds * 80)).min(MAX_AUTO_STALL)
-}
+use std::time::Instant;
 
 /// What happens after the image is captured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,11 +51,11 @@ pub enum ResumeMode {
 /// Why a checkpoint attempt was aborted instead of committed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DrainError {
-    /// The drain made no observable progress for the watchdog window: some
-    /// below-target rank is blocked on a point-to-point dependency (e.g. a
-    /// receive whose matching send sits behind a beyond-target collective
-    /// on a parked rank). The request was withdrawn and the application
-    /// resumed; `stalled` lists the ranks still short of their targets.
+    /// `TARGET[]` was unmet and no live rank could run: some below-target
+    /// rank is blocked on a point-to-point dependency (e.g. a receive whose
+    /// matching send sits behind a beyond-target collective on a parked
+    /// rank). The request was withdrawn and the application resumed;
+    /// `stalled` lists the ranks still short of their targets.
     P2pStall {
         /// Ranks that had not met their targets when the stall was declared.
         stalled: Vec<usize>,
@@ -152,7 +119,6 @@ impl std::error::Error for DrainError {}
 pub struct Coordinator {
     sh: Arc<Session>,
     tiering: Option<Tiering>,
-    pub(crate) stall_timeout: Duration,
     /// Wall-clock seconds of each committed capture bracket (capture-phase
     /// entry through in-flight drain and accounting), in commit order.
     capture_walls: Mutex<Vec<f64>>,
@@ -170,11 +136,9 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Builds a coordinator with no storage and the world-size-scaled
-    /// watchdog window ([`auto_stall_timeout`]).
+    /// Builds a coordinator with no storage.
     pub fn new(sh: Arc<Session>) -> Self {
         Coordinator {
-            stall_timeout: auto_stall_timeout(sh.cfg.n_ranks, sh.cfg.resolved_workers()),
             sh,
             tiering: None,
             capture_walls: Mutex::new(Vec::new()),
@@ -220,12 +184,6 @@ impl Coordinator {
         self
     }
 
-    /// Pins the drain watchdog window (`None` keeps the scaled default).
-    pub fn with_stall_timeout(mut self, t: Option<Duration>) -> Self {
-        self.stall_timeout = t.unwrap_or(self.stall_timeout);
-        self
-    }
-
     /// Serves one raised request: Algorithm 1 writes the control plane's
     /// one `TARGET[]` table, the drain raises it in place, then quiesce →
     /// capture → resume (per `mode`). Returns the captured image, or a
@@ -253,7 +211,7 @@ impl Coordinator {
         // has no targets to drain first — and the capture would find the
         // rank back inside a collective. (No rank parks for this request
         // before its targets or its quiesce phase.)
-        sh.wait_for(None, || (!control.any_stale_park()).then_some(()))
+        sh.wait_for(|| (!control.any_stale_park()).then_some(()))
             .map_err(|i| self.interrupted(i, before_release))?;
         let request_clock = VTime::from_secs(control.request_clock_ns() as f64 * 1e-9);
         sh.trace.push(DrainEvent::Requested);
@@ -272,14 +230,20 @@ impl Coordinator {
                 listing.sort();
                 sh.trace.push(DrainEvent::TargetsInstalled(listing));
             });
-            // Supervise the drain to its end (`CkptControl::drain_targets`).
-            // A no-progress watchdog turns a p2p-induced deadlock into a
-            // typed error instead of a hang; the wait checks for death
-            // first, so a killed world — which stops making progress by
-            // design — surfaces as the typed death, never as a spurious
-            // `P2pStall`.
+            // Supervise the drain to its end or its stall (`stalled_since`,
+            // on a token taken before the check). The wait checks for death
+            // first: a killed world is a typed death, never a `P2pStall`.
             let table = sh
-                .wait_for(Some(self.stall_timeout), || control.drain_targets())
+                .wait_for(|| {
+                    let token = control.events.token();
+                    match control.drain_targets() {
+                        Some(table) => Some(Ok(table)),
+                        None => control
+                            .stalled_since(token)
+                            .then_some(Err(Interrupted::Stalled)),
+                    }
+                })
+                .and_then(|judged| judged)
                 .map_err(|i| self.interrupted(i, before_release))?;
             control.set_phase(CkptPhase::Quiescing);
             (table.initial_targets(), table.targets())
@@ -287,7 +251,7 @@ impl Coordinator {
 
         // Quiesce: every rank parks at its current interposition point and
         // publishes its capture.
-        sh.wait_for(None, || control.all_quiesced().then_some(()))
+        sh.wait_for(|| control.all_quiesced().then_some(()))
             .map_err(|i| self.interrupted(i, before_release))?;
         // A killed rank unwinds instead of parking, and its thread's
         // teardown may leave it looking Finished — letting the loop above
@@ -678,37 +642,24 @@ impl Coordinator {
     /// The typed error for a checkpoint wait that ended without its
     /// condition. A death leaves the per-checkpoint state alone — the
     /// world is abandoned wholesale, not resumed, so there is nothing to
-    /// withdraw into.
+    /// withdraw into; a stall withdraws the request and releases the ranks.
     fn interrupted(
         &self,
         why: Interrupted,
         before_release: &mut dyn FnMut(u64, f64),
     ) -> DrainError {
-        match why {
-            Interrupted::Died => {
-                self.sh.trace.push(DrainEvent::Aborted);
-                DrainError::RankDeath(self.sh.death().expect("a died wait saw the poison"))
-            }
-            Interrupted::Stalled => self.abort_stalled_drain(before_release),
+        self.sh.trace.push(DrainEvent::Aborted);
+        if why == Interrupted::Died {
+            return DrainError::RankDeath(self.sh.death().expect("a died wait saw the poison"));
         }
-    }
-
-    /// Withdraws a stalled request and releases the ranks. Returns the
-    /// typed stall error.
-    fn abort_stalled_drain(&self, before_release: &mut dyn FnMut(u64, f64)) -> DrainError {
-        let control = &self.sh.control;
         // Dead ranks are excluded: a declared death is not a p2p stall,
         // and listing the victims here would misattribute the abort.
-        let stalled: Vec<usize> = control
-            .ranks
-            .iter()
-            .enumerate()
+        let stalled = (self.sh.control.ranks.iter().enumerate())
             .filter(|(_, rc)| {
                 rc.state() != RankState::Finished && !rc.is_dead() && !rc.targets_met.load(SeqCst)
             })
             .map(|(i, _)| i)
             .collect();
-        self.sh.trace.push(DrainEvent::Aborted);
         // A rank still inside a wrapper iteration may deliver a raise
         // after this: the late-raise rule of `mana_core::control`.
         self.release_ranks(|| before_release(0, 0.0));
@@ -846,16 +797,5 @@ mod tests {
             "request clock {} is below the trigger {at}: a finished rank pinned it",
             c.request_clock
         );
-    }
-
-    #[test]
-    fn auto_stall_window_is_capped() {
-        // Slope still applies at moderate multiplexing ratios…
-        assert!(auto_stall_timeout(512, 2) > auto_stall_timeout(64, 2));
-        // …but extreme ratios (4096 ranks on a 2-worker host) saturate at
-        // the fail-fast ceiling instead of extrapolating to minutes.
-        assert_eq!(auto_stall_timeout(4096, 2), MAX_AUTO_STALL);
-        assert_eq!(auto_stall_timeout(8192, 2), MAX_AUTO_STALL);
-        assert!(auto_stall_timeout(2048, 2) <= MAX_AUTO_STALL);
     }
 }

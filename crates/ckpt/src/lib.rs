@@ -285,9 +285,8 @@
 //! poisons the scheduler's shared fail plane ([`mpisim::FailPlane`]) and
 //! wakes every wait site — mailbox parks, sleeping threads' event
 //! waits, the pool's poison retire, the observer counter — so the whole
-//! world unwinds promptly with a typed [`mpisim::RankDeath`] instead of
-//! tripping the drain watchdog as a spurious stall (dead ranks are
-//! excluded from stall accounting outright).
+//! world unwinds promptly with a typed [`mpisim::RankDeath`], never a
+//! spurious stall (dead ranks are excluded from the stall rule outright).
 //!
 //! [`run_available_world`] / [`run_available_world_steps`] take the same
 //! [`CkptOptions`] as a plain run plus the plan, and supervise a
@@ -312,11 +311,16 @@
 //! [`DalyInterval`]), and keeps one policy instance across its attempts.
 //!
 //! None of this touches virtual time, so `BENCH_*.json` shapes are
-//! reproducible across hosts. One knob does scale with the
-//! model: the drain-stall watchdog window defaults to
-//! [`coordinator::auto_stall_timeout`] (grows with the world size,
-//! since wall progress per rank thins out linearly once ranks outnumber
-//! workers); [`CkptOptions::with_stall_timeout`] pins it.
+//! reproducible across hosts.
+//!
+//! A CC drain is stalled ([`DrainError::P2pStall`], the request withdrawn)
+//! exactly when `TARGET[]` is unmet and no live rank can run: each sleeps
+//! in the engine with no wake since its poll, or holds on a failed
+//! `MPI_Test` only another rank can satisfy. No clock is read, so a body
+//! sleeping through a drain commits and a test loop that cannot succeed is
+//! caught at once; the one misread shape (a failed test, local work, then
+//! a call no other rank triggers, while all others sleep) costs the
+//! checkpoint, never a result. The rule: [`mana_core::control`].
 
 pub mod avail;
 pub mod coordinator;
@@ -333,9 +337,7 @@ pub use avail::{
     run_available_world, run_available_world_steps, FaultEvent, FaultPlan, FaultRecord,
     FaultTrigger,
 };
-pub use coordinator::{
-    auto_stall_timeout, Coordinator, DrainError, ResumeMode, DEFAULT_STALL_TIMEOUT, MAX_AUTO_STALL,
-};
+pub use coordinator::{Coordinator, DrainError, ResumeMode};
 pub use image::{
     CaptureOrigin, Checkpoint, DrainedMsg, ImageError, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA,
     IMAGE_KIND_FULL, IMAGE_MAGIC, IMAGE_VERSION,

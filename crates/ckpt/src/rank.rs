@@ -217,6 +217,11 @@ impl RankCore<'_> {
         }
     }
 
+    /// Entry of every wrapper call but `MPI_Test`: ends a failed test's hold.
+    fn enter_call(&self) {
+        self.sh.control.ranks[self.rank].clear_failed_test();
+    }
+
     /// Cheap per-interposition servicing: publish the clock and, once a
     /// pending checkpoint's targets are installed, the verdict on them.
     fn service_control(&self) {
@@ -479,11 +484,11 @@ impl CcRank<'_> {
     /// Drives `poll` — one engine machine, or a whole step body
     /// ([`CcRank::run`]) — to completion on the calling thread:
     /// poll it, and while it is `Pending` sleep on the rank's one event
-    /// counter, which both the control plane ([`mana_core::RankCtl::wake`])
-    /// and the lower half (mailbox activity, through the waker the
-    /// launcher installs) advance. The token is read *before* the poll, so an
-    /// event landing between "the poll said `Pending`" and "the thread
-    /// sleeps" ends the sleep at once. This is also a thread's poison
+    /// counter, which every wake, control-plane or lower-half, advances
+    /// ([`mana_core::RankCtl::wake`]). The token is read *before* the poll,
+    /// so an event landing between "the poll said `Pending`" and "the
+    /// thread sleeps" ends the sleep at once; the sleep is announced on it
+    /// for the stall rule. This is also a thread's poison
     /// observation point: a killed world wakes every rank, and the rank
     /// unwinds here instead of polling a dead peer forever.
     ///
@@ -493,7 +498,8 @@ impl CcRank<'_> {
     /// through this counter, so the sleep would hold a pool worker until
     /// the backstop — and deadlock the pool once every worker did it.
     pub(crate) fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
-        let ctl = &self.core.sh.control.ranks[self.core.rank];
+        let (control, rank) = (&self.core.sh.control, self.core.rank);
+        let ctl = &control.ranks[rank];
         loop {
             let token = ctl.park.token();
             let polled = poll(self);
@@ -511,6 +517,7 @@ impl CcRank<'_> {
             // wake preceded the token would otherwise cost the backstop.
             let fail = self.core.ctx.world().fail_plane();
             fail.die_if_poisoned();
+            control.publish_asleep(rank, token, false);
             ctl.wait_event_since(token);
             fail.die_if_poisoned();
         }
@@ -690,6 +697,7 @@ impl CcRank<'_> {
     pub fn isend(&mut self, vc: VComm, to: usize, tag: u32, payload: impl Into<Bytes>) -> VReq {
         self.expect_op("isend", false);
         let core = &mut self.core;
+        core.enter_call();
         core.service_control();
         core.counters.p2p_sends += 1;
         let comm = &core.vcomms.resolve(vc).0;
@@ -707,6 +715,7 @@ impl CcRank<'_> {
     pub fn irecv(&mut self, vc: VComm, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> VReq {
         self.expect_op("irecv", false);
         let core = &mut self.core;
+        core.enter_call();
         core.service_control();
         core.counters.p2p_recvs += 1;
         let src = src.into();

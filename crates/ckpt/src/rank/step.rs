@@ -18,9 +18,10 @@
 //!   on the rank's one event counter
 //!   ([`mana_core::RankCtl::wait_event_since`]) until something wakes it.
 //!
-//! Both hear the same events (control-plane wakes and, through the
-//! scheduler's rank-waker registry, mailbox deposits and collective
-//! completions), and neither adds protocol logic of its own: counter
+//! Both hear the same events, through [`mana_core::RankCtl::wake`]
+//! (control-plane wakes and, routed by the scheduler, mailbox deposits and
+//! collective completions), both announce each sleep for the stall rule of
+//! [`mana_core::control`], and neither adds protocol logic of its own: counter
 //! increments, `SEQ[]` mirror updates, trace events, target raises,
 //! capture publications and clock charges happen in the machines, so
 //! virtual-time trajectories and checkpoint captures cannot depend on how
@@ -303,6 +304,7 @@ impl GateM {
     /// restored from an image inside this gate, whose wrapper charge the
     /// image's clock already holds.
     fn new(cc: &mut RankCore<'_>, vc: VComm, resume: Option<RankState>) -> GateM {
+        cc.enter_call();
         let protocol = cc.sh.protocol;
         if protocol != Protocol::Native && resume.is_none() {
             // The steady-state cost of the wrapper under either protocol:
@@ -714,6 +716,7 @@ pub(super) struct WaitM {
 
 impl WaitM {
     pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> WaitM {
+        cc.enter_call();
         if cc.resume.take().is_none() {
             cc.counters.completions += 1;
         }
@@ -754,6 +757,8 @@ impl WaitM {
 
 /// `MPI_Test`: one charged completion check, also cooperating with a
 /// quiesce in progress — so unlike the lower half's `test` it can pend.
+/// A failure on a request only another rank can complete holds the rank
+/// for the stall rule; any other outcome ends such a hold.
 pub(super) struct TestM {
     v: VReq,
     quiesce: Option<QuiesceM>,
@@ -790,17 +795,25 @@ impl TestM {
                     continue;
                 }
             }
-            return StepPoll::Ready(match cc.vreqs.take(self.v) {
-                None => Some(Completion::empty()),
-                Some(VReqState::Ready(c)) => Some(c),
+            let (control, rank) = (&cc.sh.control, cc.rank);
+            let token = control.ranks[rank].park.token();
+            let (done, held) = match cc.vreqs.take(self.v) {
+                None => (Some(Completion::empty()), false),
+                Some(VReqState::Ready(c)) => (Some(c), false),
                 Some(VReqState::Active(mut req, kind)) => {
                     let done = cc.ctx.test(&mut req);
+                    let held = done.is_none() && !req.completion_known();
                     if done.is_none() {
                         cc.vreqs.put_back(self.v, VReqState::Active(req, kind));
                     }
-                    done
+                    (done, held)
                 }
-            });
+            };
+            match held {
+                true => control.publish_asleep(rank, token, true),
+                false => control.ranks[rank].clear_failed_test(),
+            }
+            return StepPoll::Ready(done);
         }
     }
 }

@@ -27,7 +27,6 @@ use crate::FaultPlan;
 use mana_core::{CallCounters, DrainTrace, Protocol, RankState};
 use mpisim::{RankDeath, RankReport, SpawnError, VTime, WorldConfig};
 use std::sync::Arc;
-use std::time::Duration;
 use step::{Blocking, Driver, StepBody};
 
 pub mod step;
@@ -51,15 +50,6 @@ pub struct CkptOptions {
     /// campaign recovers from it). `None` makes checkpoints free on the
     /// virtual clocks (unit-test arithmetic).
     pub tiering: Option<Tiering>,
-    /// Drain watchdog window before a stalled checkpoint is aborted with
-    /// [`DrainError::P2pStall`]. `None` (the default) scales the window
-    /// with the world size ([`crate::auto_stall_timeout`]): multiplexed onto a
-    /// few cores, a 512-rank drain makes the same total progress as an
-    /// 8-rank one but spread over `n_ranks / workers` times the wall
-    /// clock, and a fixed window would misread that as a stall.
-    /// Wall-clock either way: workloads that deliberately `sleep` longer
-    /// than the window during a drain will be misread as stalled.
-    pub stall_timeout: Option<Duration>,
 }
 
 impl Default for CkptOptions {
@@ -69,7 +59,6 @@ impl Default for CkptOptions {
             policy: Box::new(NeverTrigger),
             resume: ResumeMode::Continue,
             tiering: None,
-            stall_timeout: None,
         }
     }
 }
@@ -111,13 +100,6 @@ impl CkptOptions {
         self.tiering = Some(tiering);
         self
     }
-
-    /// Pins the drain watchdog window instead of the world-size-scaled
-    /// default.
-    pub fn with_stall_timeout(mut self, t: Duration) -> Self {
-        self.stall_timeout = Some(t);
-        self
-    }
 }
 
 impl std::fmt::Debug for CkptOptions {
@@ -126,7 +108,6 @@ impl std::fmt::Debug for CkptOptions {
             .field("protocol", &self.protocol)
             .field("resume", &self.resume)
             .field("tiering", &self.tiering.is_some())
-            .field("stall_timeout", &self.stall_timeout)
             .finish_non_exhaustive()
     }
 }
@@ -334,7 +315,7 @@ pub(crate) fn supervise_loop(
         }
         // Finished before pending: a rank whose finish completes the
         // threshold raises the request before it publishes `Finished`.
-        let fire = sh.wait_for(None, || {
+        let fire = sh.wait_for(|| {
             let done = control
                 .ranks
                 .iter()

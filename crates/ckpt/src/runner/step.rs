@@ -159,9 +159,19 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
             self.retire();
             return Step::Done;
         }
-        let (cc, body) = (&mut self.cc, &mut self.body);
+        let (cc, body, control) = (&mut self.cc, &mut self.body, &self.sh.control);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self.driver {
-            Driver::Pool => cc.step_body(body),
+            // A yield to wait for an event is the pool's sleep: announced
+            // on the token taken before the step, as `CcRank::block_on`
+            // announces a thread's.
+            Driver::Pool => {
+                let token = control.ranks[self.rank].park.token();
+                let out = cc.step_body(body);
+                if let BodyStep::Yield(WaitReason::Event) = out {
+                    control.publish_asleep(self.rank, token, false);
+                }
+                out
+            }
             // The thread *is* the continuation: a yield sleeps on it, the
             // way the body's own blocking calls do.
             Driver::Threads => BodyStep::Done(cc.run_own(body)),
@@ -225,20 +235,12 @@ where
         }
         pool
     });
-    // Lower-half events (deposits, collective completions, poison)
-    // requeue the rank on the pool, as control-plane wakes do through the
-    // hook just set — or advance the event counter the control plane
-    // wakes, which is what a rank on its own thread sleeps on.
-    sched.install_rank_waker(match &pool {
-        Some(pool) => {
-            let pool = Arc::clone(pool);
-            Arc::new(move |rank| pool.wake(rank))
-        }
-        None => {
-            let control = Arc::clone(&sh.control);
-            Arc::new(move |rank| control.ranks[rank].wake())
-        }
-    });
+    // Lower-half events (deposits, collective completions, poison) wake
+    // the rank the way control-plane events do: counted on its event
+    // counter, which a rank on its own thread sleeps on and the stall
+    // rule reads, then passed to the pool through the hook just set.
+    let control = Arc::clone(&sh.control);
+    sched.install_rank_waker(Arc::new(move |rank| control.ranks[rank].wake()));
     sh.current_world().install_rank_wakers();
 
     // Build phase, all-or-nothing: every rank's continuation is fully

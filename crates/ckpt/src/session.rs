@@ -7,9 +7,8 @@ use mana_core::control::OBSERVER_BACKSTOP;
 use mana_core::{CkptControl, DrainTrace, Protocol};
 use mpisim::{RankDeath, World, WorldConfig};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Everything the ranks and the coordinator share for one execution.
 pub struct Session {
@@ -38,7 +37,8 @@ pub struct Session {
 pub(crate) enum Interrupted {
     /// An injected death poisoned the world.
     Died,
-    /// The stall watch saw no progress for its whole window.
+    /// `TARGET[]` is unmet and no live rank can run (the stall rule of
+    /// [`mana_core::control`], which names its one misread shape).
     Stalled,
 }
 
@@ -67,15 +67,12 @@ impl Session {
     /// The observer's one wait, on [`CkptControl::events`]: each check
     /// strikes a due fault, then ends on death or when `ready` yields
     /// (after an expiry with nothing announced since, a lost
-    /// announcement: counted); expiries feed the stall watch.
+    /// announcement: counted).
     pub(crate) fn wait_for<T>(
         &self,
-        stall: Option<Duration>,
         mut ready: impl FnMut() -> Option<T>,
     ) -> Result<T, Interrupted> {
         let control = &self.control;
-        let timeout = stall.map_or(OBSERVER_BACKSTOP, |w| OBSERVER_BACKSTOP.min(w / 2));
-        let (mut last_fp, mut since) = (self.progress_fingerprint(), Instant::now());
         let (mut expired, stats) = (false, Arc::clone(self.current_world().scheduler().stats()));
         let mut last = 0;
         loop {
@@ -93,15 +90,7 @@ impl Session {
                 }
                 return r;
             }
-            if let (true, Some(window)) = (expired, stall) {
-                let fp = self.progress_fingerprint();
-                if fp != last_fp {
-                    (last_fp, since) = (fp, Instant::now());
-                } else if since.elapsed() >= window {
-                    return Err(Interrupted::Stalled);
-                }
-            }
-            (expired, last) = (!control.events.wait_since(token, timeout), token);
+            (expired, last) = (!control.events.wait_since(token, OBSERVER_BACKSTOP), token);
         }
     }
 
@@ -122,19 +111,6 @@ impl Session {
         if let Some(fault) = due {
             fault.strike(self);
         }
-    }
-
-    /// Digest of everything that moves while ranks make progress —
-    /// clocks, call counts, states, target raises: equal across a stall
-    /// window means wedged.
-    fn progress_fingerprint(&self) -> u64 {
-        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-        let mut h = mix(0xcbf2_9ce4_8422_2325, self.control.raises());
-        for rc in &self.control.ranks {
-            h = mix(mix(h, rc.clock_ns.load(SeqCst)), rc.coll_calls.load(SeqCst));
-            h = mix(h, rc.state() as u64);
-        }
-        h
     }
 
     /// The current lower-half world.

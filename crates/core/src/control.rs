@@ -58,6 +58,19 @@
 //! the wall clock. A rank *publishes* what such a predicate reads *before*
 //! it bumps the counter (a raise too); an observer takes its token
 //! *before* it checks, so a bump after the check ends the sleep at once.
+//!
+//! ## The stall rule
+//!
+//! A CC drain is stalled when `TARGET[]` is unmet and no live rank can run
+//! ([`CkptControl::stalled_since`]). A rank cannot run while it sleeps in
+//! the engine with no [`RankCtl::wake`] since the token it took before its
+//! poll, or after a failed `MPI_Test` on a request only another rank can
+//! complete, until a wake or any other call ([`CkptControl::publish_asleep`]).
+//! Moving into either state is announced while a request is pending, so a
+//! scan whose token did not move holds at its end: a rank read asleep and
+//! woken since was woken by a running one, read runnable or announced
+//! asleep since. Misread shape: a failed test, local work, then a call no
+//! other rank triggers, while all others sleep — it costs the checkpoint.
 
 use crate::ggid::Ggid;
 use crate::seq::{SeqTable, TargetTable};
@@ -80,8 +93,13 @@ pub const OBSERVER_BACKSTOP: Duration = Duration::from_millis(100);
 
 /// The armed-trigger word with nothing armed.
 const NONE: u64 = u64::MAX;
+
 /// Marks a call-count threshold in the armed-trigger word.
 const CALLS: u64 = 1 << 63;
+
+/// Marks a failed test's token in a sleep word; `AWAKE` is none announced.
+const TESTED: u64 = 1 << 63;
+const AWAKE: u64 = TESTED - 1;
 
 /// The threshold an armed-trigger word holds.
 fn armed(word: u64) -> Option<Threshold> {
@@ -193,15 +211,18 @@ pub struct RankCtl {
     pub lower_comms: Mutex<HashMap<u64, mpisim::types::CommId>>,
     /// Set when a fault injector declares this rank dead. One-way for the
     /// life of a world attempt: a dead rank never meets another target and
-    /// never parks, so drain/quiesce accounting must treat it as finished
-    /// — otherwise the stall watchdog would report a spurious `P2pStall`
-    /// for a death the injector already published as a typed event.
+    /// never parks, so drain/quiesce accounting and the stall rule treat
+    /// it as finished — a death the injector already published as a typed
+    /// event is never also a `P2pStall`.
     dead: AtomicBool,
-    /// The one wait primitive of a rank on its own thread: every event
-    /// that can unblock it — control-plane or lower-half — is counted
-    /// here by [`RankCtl::wake`]. Take a token *before* polling the
-    /// operation and pass it to [`RankCtl::wait_event_since`].
+    /// The one event count of the rank: every event that can unblock it —
+    /// control-plane or lower-half, under either driver — is counted here
+    /// by [`RankCtl::wake`]. Take a token *before* polling the operation;
+    /// a rank on its own thread passes it to [`RankCtl::wait_event_since`].
     pub park: EventCount,
+    /// The `park` token the rank last announced sleeping on (the rank's
+    /// write only): [`CkptControl::publish_asleep`].
+    asleep: AtomicU64,
     /// [`CkptControl::events`], which a state transition announces to.
     observer: Arc<EventCount>,
     /// The worker pool's wake hook: invoked by every [`RankCtl::wake`] so
@@ -228,6 +249,7 @@ impl RankCtl {
             lower_comms: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
             park: EventCount::default(),
+            asleep: AtomicU64::new(AWAKE),
             observer,
             waker: OnceLock::new(),
             stats,
@@ -288,15 +310,24 @@ impl RankCtl {
 
     /// Announces an event to the rank: a phase change, target install or
     /// raise, resume, fresh world or poison from the control plane, or —
-    /// through the waker a runner installs into the lower half — a mailbox
-    /// deposit or collective completion. The state the event stands for
-    /// is always published *before* `wake` is called. The event is
-    /// counted on the rank's [`EventCount`], so a rank between its poll
-    /// and its wait cannot miss it.
+    /// through the lower half's wake routing, under either driver — a
+    /// mailbox deposit or collective completion. The state the event
+    /// stands for is always published *before* `wake` is called. The
+    /// event is counted on the rank's [`EventCount`] before the pool
+    /// hears it, so neither a rank between its poll and its sleep nor the
+    /// stall rule can miss it.
     pub fn wake(&self) {
         self.park.bump();
         if let Some(w) = self.waker.get() {
             w();
+        }
+    }
+
+    /// Rank: a wrapper call other than a failed test ends that test's hold.
+    #[inline]
+    pub fn clear_failed_test(&self) {
+        if self.asleep.load(Ordering::Relaxed) & TESTED != 0 {
+            self.asleep.store(AWAKE, Ordering::SeqCst);
         }
     }
 }
@@ -664,6 +695,39 @@ impl CkptControl {
                 return Some(table);
             }
         }
+    }
+
+    /// Rank: it sleeps in the engine on `token`, the `park` token taken
+    /// before its poll — or a test polled after taking it failed on a
+    /// request only another rank can complete. A token other than the last
+    /// one announced is a move to not runnable, announced while a request
+    /// is pending (the stall rule of the module doc).
+    pub fn publish_asleep(&self, rank: usize, token: u64, failed_test: bool) {
+        let word = if failed_test { token | TESTED } else { token };
+        let last = self.ranks[rank].asleep.swap(word, Ordering::SeqCst);
+        if last & !TESTED != token && self.is_pending() {
+            self.events.bump();
+        }
+    }
+
+    /// Coordinator: whether no live rank can run, with nothing announced
+    /// since `token`, taken before the drain check (the stall rule).
+    pub fn stalled_since(&self, token: u64) -> bool {
+        self.stalled_since_with(token, |_| {})
+    }
+
+    /// [`CkptControl::stalled_since`], calling `scanned(rank)` after each
+    /// rank it reads.
+    fn stalled_since_with(&self, token: u64, mut scanned: impl FnMut(usize)) -> bool {
+        let none_runnable = self.ranks.iter().enumerate().all(|(i, r)| {
+            let slept = r.asleep.load(Ordering::SeqCst);
+            let asleep = r.state() == RankState::Finished
+                || r.is_dead()
+                || (slept != AWAKE && slept & !TESTED == r.park.token());
+            scanned(i);
+            asleep
+        });
+        none_runnable && self.events.token() == token
     }
 
     /// Whether every rank currently reports all targets met. Finished
@@ -1188,13 +1252,96 @@ mod tests {
         assert!(c.any_stale_park());
     }
 
+    /// Announces rank `r`'s sleep on its current token.
+    fn sleeps(c: &CkptControl, r: usize) {
+        c.publish_asleep(r, c.ranks[r].park.token(), false);
+    }
+
+    #[test]
+    fn every_rank_asleep_with_no_wake_is_stalled_and_one_wake_is_not() {
+        let c = CkptControl::new(3);
+        c.request_checkpoint();
+        sleeps(&c, 0);
+        sleeps(&c, 1);
+        let now = |c: &CkptControl| c.stalled_since(c.events.token());
+        assert!(!now(&c), "rank 2 announced no sleep: it can run");
+        sleeps(&c, 2);
+        assert!(now(&c), "every rank asleep, no wake since");
+        c.ranks[1].wake();
+        assert!(!now(&c), "a wake pending for rank 1: it can run");
+        sleeps(&c, 1);
+        assert!(now(&c), "rank 1 polled again and sleeps on the new token");
+        c.ranks[2].wake();
+        c.ranks[2].set_state(RankState::Finished);
+        c.ranks[0].wake();
+        c.ranks[0].mark_dead();
+        assert!(now(&c), "finished and dead ranks are never waited for");
+    }
+
+    #[test]
+    fn a_failed_test_holds_the_rank_until_a_wake_or_another_call() {
+        let c = CkptControl::new(2);
+        c.request_checkpoint();
+        sleeps(&c, 1);
+        let token = c.ranks[0].park.token();
+        c.publish_asleep(0, token, true);
+        assert!(c.stalled_since(c.events.token()), "a failed test holds");
+        // The next failed test of the loop, with no wake between: no
+        // move to announce, so a polling rank wakes no observer.
+        let events = c.events.token();
+        c.publish_asleep(0, token, true);
+        assert_eq!(c.events.token(), events, "a renewed hold is not announced");
+        c.ranks[0].clear_failed_test();
+        assert!(!c.stalled_since(c.events.token()), "another call ends it");
+        c.publish_asleep(0, token, true);
+        assert_ne!(c.events.token(), events, "a new hold is announced");
+        c.ranks[0].wake();
+        assert!(!c.stalled_since(c.events.token()), "so does a wake");
+        // A sleep ends no hold it does not replace: clearing it leaves
+        // the sleep.
+        sleeps(&c, 0);
+        c.ranks[0].clear_failed_test();
+        assert!(c.stalled_since(c.events.token()));
+        // Outside a request, sleeps and holds are not announced.
+        c.withdraw();
+        let events = c.events.token();
+        c.ranks[0].wake();
+        sleeps(&c, 0);
+        c.publish_asleep(1, c.ranks[1].park.token() + 1, true);
+        assert_eq!(
+            c.events.token(),
+            events,
+            "nothing pending: nothing announced"
+        );
+    }
+
+    #[test]
+    fn a_sleep_announced_during_the_scan_is_not_confirmed() {
+        // Rank 0 sleeps; rank 1 runs. The scan reads rank 0 asleep, then
+        // rank 1 wakes it and falls asleep itself before the scan reads
+        // it: every rank read asleep, yet rank 0 can run.
+        let c = CkptControl::new(2);
+        c.request_checkpoint();
+        sleeps(&c, 0);
+        let token = c.events.token();
+        let judged = c.stalled_since_with(token, |r| {
+            if r == 0 {
+                let t = c.ranks[1].park.token();
+                c.ranks[0].wake();
+                c.publish_asleep(1, t, false);
+            }
+        });
+        assert!(!judged, "rank 1's sleep was announced after the token");
+        assert!(!c.stalled_since(c.events.token()), "rank 0 can run");
+    }
+
     #[test]
     fn dead_ranks_satisfy_drain_and_park_checks() {
-        // Regression guard for the stall watchdog: a rank the injector
-        // declared dead never meets another target and never parks, so
-        // the drain/quiesce predicates must count it as satisfied — a
-        // live-looking straggler here is what used to surface as a
-        // spurious `P2pStall` for an already-published death.
+        // A rank the injector declared dead never meets another target
+        // and never parks, so the drain/quiesce predicates must count it
+        // as satisfied — a live-looking straggler here is what used to
+        // surface as a spurious `P2pStall` for an already-published
+        // death.
         let c = CkptControl::new(2);
         c.ranks[0].targets_met.store(false, Ordering::SeqCst);
         c.ranks[0].set_state(RankState::Quiesced);

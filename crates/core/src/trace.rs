@@ -37,9 +37,9 @@ pub enum DrainEvent {
     Committed,
     /// Ranks resumed (continue or restart).
     Resumed,
-    /// Coordinator aborted the checkpoint: the drain watchdog detected a
-    /// stall (e.g. a point-to-point dependency the collective DAG cannot
-    /// see) and withdrew the request instead of hanging.
+    /// Coordinator aborted the checkpoint: the drain stalled (e.g. on a
+    /// point-to-point dependency the collective DAG cannot see) and the
+    /// request was withdrawn instead of hanging.
     Aborted,
 }
 

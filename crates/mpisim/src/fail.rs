@@ -2,7 +2,7 @@
 //!
 //! A fault injector kills ranks at a virtual time; the runtime's job is to
 //! make everything *currently blocked* on those ranks fail fast with a
-//! typed [`RankDeath`] instead of stalling a watchdog. The mechanism is a
+//! typed [`RankDeath`] instead of waiting forever. The mechanism is a
 //! single poison flag shared by every wait path:
 //!
 //! * the injector publishes a [`RankDeath`] into the scheduler's
@@ -37,7 +37,7 @@ pub enum FaultScope {
 }
 
 /// A typed rank/node death, published through the [`FailPlane`] and
-/// surfaced by the runners instead of a panic or a watchdog stall.
+/// surfaced by the runners instead of a panic or a hang.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankDeath {
     /// World ranks killed by this event.
@@ -139,7 +139,7 @@ impl FailPlane {
     /// Unwinds the calling rank with the quiet [`KilledByFault`] marker if
     /// the plane is poisoned. Every blocking wait calls this on wake (and
     /// at entry), which is what turns one injected death into a prompt
-    /// whole-world abort instead of a watchdog stall.
+    /// whole-world abort instead of a hang.
     #[inline]
     pub fn die_if_poisoned(&self) {
         if self.poisoned() {

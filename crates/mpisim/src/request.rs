@@ -146,8 +146,9 @@ impl Request {
     /// Whether the completion time of this active request is already
     /// known — a send, a matched receive, a completed collective — so that
     /// polling it advances the rank's clock toward completion without any
-    /// further event.
-    pub(crate) fn completion_known(&self) -> bool {
+    /// further event. The checkpoint engine's stall rule holds a rank
+    /// whose test failed only on a request that is not.
+    pub fn completion_known(&self) -> bool {
         match &self.kind {
             None => false,
             Some(ReqKind::Send { .. }) => true,

@@ -54,9 +54,10 @@
 //! event plumbing every driven rank has: each mailbox deposit and
 //! collective completion is routed — through the waker a world wires up
 //! from [`Scheduler::rank_waker_for`] — to whoever drives the rank. A
-//! step harness installs [`StepDriver::wake`] there; for ranks on the
-//! thread-per-object driver the checkpoint layer installs its per-rank
-//! event counter, so both drivers hear about exactly the same events.
+//! step harness installs [`StepDriver::wake`] there; the checkpoint layer
+//! installs its per-rank event counter under either driver, which passes
+//! the wake on to the pool for a pool-driven rank, so both drivers hear
+//! about exactly the same events.
 //!
 //! ## The wake protocol
 //!

@@ -13,13 +13,15 @@
 //!   the safe-cut and bit-identical-restart harnesses.
 //! * [`kernels`] — SCF-style, broadcast-pipeline and halo-exchange
 //!   mini-kernels for the examples and the protocol benchmarks.
+//! * [`cascade`] — Figure 3b's cascade pinned in a three-rank program:
+//!   every checkpoint at its trigger time raises a target.
 //! * [`demo`] — the quickstart checkpoint→restore→verify demonstration.
 //! * [`logged`] — [`Logged`], a body combinator that witnesses what its
 //!   rank's lower half ran, for suites that check a cut against it.
 //!
-//! Every body saves its state ([`ckpt::StepBody::save`]), so images of
-//! the step forms restore elsewhere from the image alone; the closure
-//! forms' images restart in-process only.
+//! Every body but the cascade saves its state ([`ckpt::StepBody::save`]),
+//! so images of the step forms restore elsewhere from the image alone;
+//! the closure forms' images restart in-process only.
 
 /// Resolves a poll inside a [`ckpt::StepBody::step`]: evaluates to
 /// `Ready`'s value, or yields out of the enclosing `step` with the
@@ -33,6 +35,7 @@ macro_rules! ready {
     };
 }
 
+pub mod cascade;
 pub mod demo;
 pub mod kernels;
 pub mod logged;
@@ -40,6 +43,7 @@ pub mod random;
 pub mod rng;
 mod snap;
 
+pub use cascade::Cascade;
 pub use demo::{quickstart, QuickstartOutcome};
 pub use kernels::{
     bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, ScfStep, Then,

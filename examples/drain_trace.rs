@@ -1,28 +1,26 @@
-//! Narrates a checkpoint drain: runs a small skewed workload, checkpoints
-//! it, and prints the observable protocol steps (the target table, drain
-//! steps, raises and the members they wake, parks, quiesce, commit,
-//! resume).
+//! Narrates a checkpoint drain: runs Figure 3b's cascade
+//! ([`workloads::Cascade`]: three ranks, two overlapping groups) on the
+//! worker pool, checkpoints it, and prints the observable protocol steps
+//! (the target table, drain steps, raises and the members they wake,
+//! parks, quiesce, commit, resume). The cascade raises a target on every
+//! run; the example exits non-zero if none was raised.
 //!
 //! ```sh
 //! cargo run --release --example drain_trace
 //! ```
 
-use ckpt::{run_ckpt_world, CkptOptions, ResumeMode};
+use ckpt::{run_ckpt_world_steps, CkptOptions, ResumeMode};
 use mana_core::DrainEvent;
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::Cascade;
 
 fn main() {
-    let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
-    let wl = RandomWorkloadCfg::new(7, 30);
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
-    });
-    let at = VTime::from_secs(native.makespan.as_secs() * 0.4);
-    let run = run_ckpt_world(
+    let cfg = WorldConfig::single_node(3).with_params(NetParams::slingshot11().without_jitter());
+    let at = VTime::from_secs(Cascade::TRIGGER_S);
+    let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        Cascade::new,
     );
 
     println!("== drain trace (checkpoint requested at {at}) ==");
@@ -65,5 +63,13 @@ fn main() {
                 "VIOLATED"
             }
         );
+    }
+    if run
+        .trace
+        .count(|e| matches!(e, DrainEvent::TargetRaised(..)))
+        == 0
+    {
+        eprintln!("no TargetRaised in the trace: the cascade did not run");
+        std::process::exit(1);
     }
 }
