@@ -8,13 +8,18 @@
 //! points and over a real captured image, plus the round-trip back
 //! through `from_bytes`.
 //!
+//! Workers splice their batches in rank order, so a chunk that several
+//! batches encode is inlined once, at its first reference, whichever
+//! batch that falls in.
+//!
 //! Since wire v5 interns member lists the contract has a second half:
 //! bytes are a function of the image's **value**. The same image with
 //! every member list in an allocation of its own — no sharing for the
 //! encoder's per-allocation cache to find — encodes to the same bytes.
 
 use bench::{synthetic_checkpoint, with_unshared_lists};
-use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, ResumeMode};
+use ckpt::wire::var_len;
+use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, DeltaImage, ResumeMode};
 use mpisim::{NetParams, VTime, WorldConfig};
 use workloads::{random_workload, RandomWorkloadCfg};
 
@@ -37,6 +42,58 @@ fn parallel_encode_is_bit_identical_across_worker_counts() {
         assert_eq!(serial, image.to_bytes_parallel(4096));
         let decoded = Checkpoint::from_bytes(&serial).expect("round trip");
         assert_eq!(decoded, image, "decode must invert the parallel encode");
+    }
+}
+
+/// Ranks `SHARED` hold one stable half. With 21 ranks, the workers'
+/// batches break at 11 (two workers), at 7 and 14 (three), every third
+/// rank (seven) and at every rank (22, one rank a batch): the run
+/// straddles a boundary at every worker count but one.
+const SHARED: std::ops::RangeInclusive<usize> = 5..=15;
+
+#[test]
+fn a_chunk_shared_across_worker_batches_is_inlined_once_at_its_first_reference() {
+    let mut image = synthetic_checkpoint(21, 0x5B11CE);
+    let first = image.captures[*SHARED.start()].clone();
+    for c in &mut image.captures[SHARED] {
+        c.seq_table = first.seq_table.clone();
+        c.comm_log = first.comm_log.clone();
+        c.pending_recvs = first.pending_recvs.clone();
+        c.counters = first.counters;
+        c.vcomm_members = first.vcomm_members.clone();
+    }
+    image.cut_events = image.cut();
+    let serial = image.to_bytes();
+    for workers in [1, 2, 3, 7, image.n_ranks + 1] {
+        assert_eq!(
+            image.to_bytes_parallel(workers),
+            serial,
+            "{workers}-worker encode diverged from serial"
+        );
+    }
+    assert_eq!(Checkpoint::from_bytes(&serial).as_ref(), Ok(&image));
+
+    let d = DeltaImage::from_bytes(&serial).expect("the image decodes");
+    let shared = d.rank_refs[*SHARED.start()];
+    assert!(SHARED.clone().all(|r| d.rank_refs[r] == shared));
+    let inline: Vec<_> = d.new_chunks.iter().map(|(r, _)| *r).collect();
+    assert_eq!(
+        inline.iter().position(|&r| r == shared),
+        Some(*SHARED.start()),
+        "one chunk per rank before the run, then the run's"
+    );
+    assert_eq!(inline.iter().filter(|&&r| r == shared).count(), 1);
+    assert_eq!(inline.len(), image.n_ranks - SHARED.count() + 2);
+    // A record ends in its chunk reference: the inline tag, the 8-byte
+    // hash and the length. Only the run's first record says inline.
+    let tag_len = 1 + 8 + var_len(shared.len);
+    for (rank, record) in image.capture_section_ranges().into_iter().enumerate() {
+        let inline = serial[record.end - tag_len] == 1;
+        assert_eq!(
+            inline,
+            !SHARED.contains(&rank) || rank == *SHARED.start(),
+            "rank {rank}"
+        );
     }
 }
 

@@ -13,8 +13,8 @@
 //! silently-wrong restore. The codec itself is
 //! [`crate::store::DeltaImage`]: a full image is a delta with no parent.
 
-use crate::store::{DeltaImage, VolatileRecord};
-use crate::wire::{fnv1a64, CountEnc, Dec, DecodeError, Fnv1a, FnvMap, Wr};
+use crate::store::delta::{self, DeltaImage};
+use crate::wire::{fnv1a64, Dec, DecodeError, Fnv1a, FoldMap, Wr};
 use mana_core::capture::PendingRecv;
 use mana_core::{
     ggid_of_sorted, verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid,
@@ -333,28 +333,13 @@ impl Checkpoint {
         self.captures.iter().flat_map(capture_member_refs)
     }
 
-    /// The encode-side table and reference cache: every list the image
-    /// references, each shared allocation hashed once.
+    /// Serializes the image as a full image (see [`DeltaImage::to_bytes`]
+    /// for the layout). Deterministic: the same image always yields the
+    /// same bytes. Equivalent to `to_bytes_parallel(1)`.
     ///
     /// # Panics
     /// Panics if a sequence-table entry names a group id that is not its
     /// member list's: the wire writes the list alone.
-    pub(crate) fn member_lists(&self) -> MemberIntern {
-        let mut lists = MemberIntern::new(self.n_ranks);
-        for c in &self.captures {
-            for (g, e) in c.seq_table.iter() {
-                lists.note_group(*g, &e.members);
-            }
-            for m in c.vcomm_members.values() {
-                lists.note(m);
-            }
-        }
-        lists
-    }
-
-    /// Serializes the image as a full image (see [`DeltaImage::to_bytes`]
-    /// for the layout). Deterministic: the same image always yields the
-    /// same bytes. Equivalent to `to_bytes_parallel(1)`.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_parallel(1)
     }
@@ -364,21 +349,21 @@ impl Checkpoint {
     /// rank's state alone, so the output is byte-for-byte identical to the
     /// serial encoder for any worker count.
     pub fn to_bytes_parallel(&self, workers: usize) -> Vec<u8> {
-        DeltaImage::full(0, self, workers).to_bytes()
+        delta::encode(0, None, &|_| false, self, workers, delta::assemble).0
     }
 
     /// Byte range of every rank's record within the serialized image, in
     /// rank order (see [`DeltaImage::capture_section_ranges`]); fuzzers
     /// use this to aim mutations at record boundaries.
     pub fn capture_section_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        DeltaImage::full(0, self, 1).capture_section_ranges()
+        DeltaImage::full(self).capture_section_ranges()
     }
 
     /// Byte range of the member-list table within the serialized image
     /// (its count included) — the wire-fuzz suite aims
     /// checksum-repaired mutations at it.
     pub fn member_table_range(&self) -> std::ops::Range<usize> {
-        DeltaImage::full(0, self, 1).member_table_range()
+        DeltaImage::full(self).member_table_range()
     }
 
     /// Parses a serialized image, validating magic, version, lengths and
@@ -413,7 +398,8 @@ impl Checkpoint {
 
     /// Size of the serialized image in bytes; nothing is assembled.
     pub fn serialized_len(&self) -> usize {
-        DeltaImage::full(0, self, 1).serialized_len()
+        let len = |head: &[u8], chunks: &[u8]| IMAGE_HEADER_LEN + head.len() + chunks.len();
+        delta::encode(0, None, &|_| false, self, 1, len).0
     }
 }
 
@@ -685,6 +671,16 @@ fn alloc_addr(m: &Arc<[usize]>) -> usize {
 /// by content id.
 pub type MemberTable = BTreeMap<u64, Arc<[usize]>>;
 
+/// Writes a member-list table: entry count, then `(id, list)` ascending
+/// by id.
+pub(crate) fn enc_table<W: Wr>(e: &mut W, table: &MemberTable) {
+    e.usize(table.len());
+    for (id, m) in table {
+        e.u64(*id);
+        enc_usize_list(e, m);
+    }
+}
+
 /// The member lists of one image, interned by content: range-form lists
 /// by `(start, len)`, every other list by content id — the image's
 /// member-list table.
@@ -692,25 +688,25 @@ pub type MemberTable = BTreeMap<u64, Arc<[usize]>>;
 /// Decoding resolves each reference through it, so all references to one
 /// list share one allocation (decode memory stays O(ranks + members) like
 /// the live runtime's `Arc<[usize]>` sharing) and every distinct list is
-/// range-checked against the world size exactly once. Encoding first
-/// [`note`](Self::note)s every allocation the image references — a shared
-/// one is scanned and hashed once, however many references share it —
-/// and then answers [`reference`](Self::reference) per reference in O(1).
+/// range-checked against the world size exactly once. Encoding
+/// [`note`](Self::note)s each reference as the chunk that holds it is
+/// written: a shared allocation is found by address in O(1), and is
+/// scanned and hashed once however many references share it.
 pub(crate) struct MemberIntern {
     n_ranks: usize,
-    ranges: HashMap<(usize, usize), Arc<[usize]>>,
+    ranges: FoldMap<(usize, usize), Arc<[usize]>>,
     /// The table; `BTreeMap` order is the canonical wire order.
     lists: MemberTable,
-    /// Encode-side cache: the verdict on every allocation noted so far,
-    /// by address, and the group id of a group's list once checked.
+    /// Encode-side cache: the verdict on every shared allocation noted so
+    /// far, by address, and the group id of a group's list once checked.
     /// Holding the allocation keeps the address from being reused while
     /// the cache lives. Never the identity of a list: two equal lists in
     /// separate allocations get the same reference.
-    noted: FnvMap<usize, Noted>,
+    noted: FoldMap<usize, Noted>,
     /// Decode-side cache: the group id of every group list resolved so
     /// far, by the address of the one allocation its references share
     /// (which the table holds), so each distinct list is hashed once.
-    ggids: FnvMap<usize, Ggid>,
+    ggids: FoldMap<usize, Ggid>,
     /// The last groups resolved, most recent first: each rank's sequence
     /// entries name the handful of groups the rank before it named, so
     /// most references are found here without hashing.
@@ -729,105 +725,73 @@ impl MemberIntern {
     pub(crate) fn new(n_ranks: usize) -> Self {
         MemberIntern {
             n_ranks,
-            ranges: HashMap::new(),
+            ranges: FoldMap::default(),
             lists: BTreeMap::new(),
-            noted: FnvMap::default(),
-            ggids: FnvMap::default(),
+            noted: FoldMap::default(),
+            ggids: FoldMap::default(),
             recent: Vec::with_capacity(RECENT_GROUPS),
         }
     }
 
-    /// Registers a list an in-memory image references and returns its
-    /// reference form; later decodes of that reference hand back this
-    /// allocation. `Err` when a *different* list already holds the same
-    /// content id.
-    pub(crate) fn try_note(&mut self, m: &Arc<[usize]>) -> Result<MemberRef, ImageError> {
-        // An allocation nothing else holds has exactly one reference: a
-        // cache entry for it would never be hit.
-        let shared = Arc::strong_count(m) > 1;
-        if shared {
-            if let Some((_, r, _)) = self.noted.get(&alloc_addr(m)) {
-                return Ok(*r);
-            }
+    /// Notes a list the image being encoded references and returns its
+    /// reference form. `group` is the group id a sequence-table entry
+    /// files the list under, which the wire does not write.
+    ///
+    /// # Panics
+    /// Panics if `group` is not the list's group id (or the list is not
+    /// sorted, as every group list is): the image would decode to another
+    /// group. Panics if two different lists of one image share an FNV-64
+    /// content id — the content-address trust model failing, loudly
+    /// rather than as an image that decodes to the wrong group.
+    pub(crate) fn note(&mut self, m: &Arc<[usize]>, group: Option<Ggid>) -> MemberRef {
+        // An allocation held at most twice — by one chunk's reference and
+        // the checkpoint's cut, say — has at most one more reference to
+        // hit a cache entry: it is not worth one. A live run's lists are
+        // held by every rank of their group.
+        let shared = Arc::strong_count(m) > 2;
+        let hit = shared.then(|| self.noted.get_mut(&alloc_addr(m))).flatten();
+        if let Some((_, r, id)) = hit {
+            check_group(group, m, id);
+            return *r;
         }
         let r = MemberRef::of(m);
-        match r {
-            MemberRef::Range { start, len } => {
-                self.ranges
-                    .entry((start, len))
-                    .or_insert_with(|| Arc::clone(m));
-            }
-            MemberRef::Listed(id) => {
-                if self.lists.entry(id).or_insert_with(|| Arc::clone(m)) != m {
-                    return Err(ImageError::Malformed("member-list content id collision"));
-                }
-            }
+        if let MemberRef::Listed(id) = r {
+            self.add_listed(id, m);
         }
+        let mut id = None;
+        check_group(group, m, &mut id);
         if shared {
-            self.noted.insert(alloc_addr(m), (Arc::clone(m), r, None));
+            self.noted.insert(alloc_addr(m), (Arc::clone(m), r, id));
         }
-        Ok(r)
+        r
     }
 
-    /// [`try_note`](Self::try_note) for the encode side, where the lists
-    /// are the program's own state, not outside input.
+    /// Files `m` in the table under `id`.
     ///
     /// # Panics
-    /// Panics if two different lists of one image share an FNV-64 content
-    /// id — the content-address trust model failing, loudly rather than
-    /// as an image that decodes to the wrong group.
-    pub(crate) fn note(&mut self, m: &Arc<[usize]>) -> MemberRef {
-        self.try_note(m)
-            .expect("distinct member lists of one image have distinct content ids")
-    }
-
-    /// Notes a group's member list, which the wire writes without its
-    /// group id `g`.
-    ///
-    /// # Panics
-    /// Panics if `g` is not the list's group id (or the list is not
-    /// sorted, as every group list is): the image would decode to another
-    /// group.
-    pub(crate) fn note_group(&mut self, g: Ggid, m: &Arc<[usize]>) {
-        self.note(m);
-        let cached = self.noted.get_mut(&alloc_addr(m)).map(|(.., id)| id);
-        let derived = match cached {
-            Some(Some(id)) => *id,
-            slot => {
-                let id = group_id(m).unwrap_or_else(|| {
-                    panic!("group {g} has an unsorted member list; the wire cannot carry it")
-                });
-                if let Some(slot) = slot {
-                    *slot = Some(id);
-                }
-                id
-            }
-        };
-        assert_eq!(
-            derived, g,
-            "group id {g} is not the group id of its member list; the wire cannot carry it"
+    /// Panics if a different list already holds `id` (see
+    /// [`note`](Self::note)).
+    fn add_listed(&mut self, id: u64, m: &Arc<[usize]>) {
+        let held = self.lists.entry(id).or_insert_with(|| Arc::clone(m));
+        assert!(
+            held == m,
+            "distinct member lists of one image have distinct content ids"
         );
     }
 
-    /// The reference form of `m`: the cached verdict when the allocation
-    /// was noted, computed from the content otherwise.
-    fn reference(&self, m: &Arc<[usize]>) -> MemberRef {
-        match self.noted.get(&alloc_addr(m)) {
-            Some((_, r, _)) => *r,
-            None => MemberRef::of(m),
+    /// Adds the table of another encoder of the same image — a parallel
+    /// worker's.
+    pub(crate) fn absorb(&mut self, other: MemberIntern) {
+        for (id, m) in &other.lists {
+            self.add_listed(*id, m);
         }
     }
 
     /// A table holding `table`'s lists under their ids, which the caller
     /// vouches for (the decoder verified them, or an encoder computed
-    /// them): a reference to one of these allocations resolves without
-    /// hashing the list again.
+    /// them).
     pub(crate) fn with_table(n_ranks: usize, table: &MemberTable) -> Self {
         let mut lists = MemberIntern::new(n_ranks);
-        for (&id, m) in table {
-            let noted = (Arc::clone(m), MemberRef::Listed(id), None);
-            lists.noted.insert(alloc_addr(m), noted);
-        }
         lists.lists = table.clone();
         lists
     }
@@ -837,26 +801,10 @@ impl MemberIntern {
         &self.lists
     }
 
-    /// Encoded size of the table.
-    pub(crate) fn table_len(&self) -> usize {
-        let mut n = CountEnc::new();
-        self.enc_table(&mut n);
-        n.count()
-    }
-
-    /// Writes the table: entry count, then `(id, list)` ascending by id.
-    pub(crate) fn enc_table<W: Wr>(&self, e: &mut W) {
-        e.usize(self.lists.len());
-        for (id, m) in &self.lists {
-            e.u64(*id);
-            enc_usize_list(e, m);
-        }
-    }
-
-    /// Reads a table written by [`enc_table`](Self::enc_table), checking
-    /// what the encoder guarantees: ids strictly ascending (so no id names
-    /// two lists), every entry's content hashing to its id and not in
-    /// range form, every member inside the world.
+    /// Reads a table written by [`enc_table`], checking what the encoder
+    /// guarantees: ids strictly ascending (so no id names two lists),
+    /// every entry's content hashing to its id and not in range form,
+    /// every member inside the world.
     pub(crate) fn dec_table(&mut self, d: &mut Dec) -> Result<(), ImageError> {
         let n = d.seq_len("member table length")?;
         let mut prev: Option<u64> = None;
@@ -933,8 +881,23 @@ fn group_id(m: &[usize]) -> Option<Ggid> {
     m.windows(2).all(|w| w[0] < w[1]).then(|| ggid_of_sorted(m))
 }
 
-fn enc_members<W: Wr>(e: &mut W, lists: &MemberIntern, m: &Arc<[usize]>) {
-    match lists.reference(m) {
+/// Checks that `group`, if any, is the group id of `m`, derived once per
+/// allocation (`id` caches it); see [`MemberIntern::note`].
+fn check_group(group: Option<Ggid>, m: &[usize], id: &mut Option<Ggid>) {
+    let Some(g) = group else { return };
+    let derived = *id.get_or_insert_with(|| {
+        group_id(m).unwrap_or_else(|| {
+            panic!("group {g} has an unsorted member list; the wire cannot carry it")
+        })
+    });
+    assert_eq!(
+        derived, g,
+        "group id {g} is not the group id of its member list; the wire cannot carry it"
+    );
+}
+
+fn enc_member_ref<W: Wr>(e: &mut W, r: MemberRef) {
+    match r {
         MemberRef::Listed(id) => {
             e.u8(0);
             e.u64(id);
@@ -1098,18 +1061,22 @@ fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
 /// id order — the id is the list's), communicator creation log, pending
 /// receives, call counters, and each vcomm's member list. This is exactly
 /// the byte span delta images content-address — two ranks whose stable
-/// halves encode identically share one chunk.
-pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &RuntimeCapture) {
-    let mut seq: Vec<(u64, u64, &Arc<[usize]>)> = c
-        .seq_table
-        .iter()
-        .map(|(g, entry)| (g.0, entry.seq, &entry.members))
-        .collect();
-    seq.sort_unstable_by_key(|&(g, ..)| g);
-    e.usize(seq.len());
-    for (_, s, members) in seq {
+/// halves encode identically share one chunk. Each list is noted in
+/// `lists` as it is written; `order` is the caller's scratch for sorting
+/// the two maps, kept across ranks so a rank costs no allocation.
+pub(crate) fn enc_capture_stable<'a, W: Wr>(
+    e: &mut W,
+    lists: &mut MemberIntern,
+    c: &'a RuntimeCapture,
+    order: &mut Vec<(u64, u64, &'a Arc<[usize]>)>,
+) {
+    order.clear();
+    order.extend(c.seq_table.iter().map(|(g, x)| (g.0, x.seq, &x.members)));
+    order.sort_unstable_by_key(|&(g, ..)| g);
+    e.usize(order.len());
+    for &(g, s, members) in order.iter() {
         e.var(s);
-        enc_members(e, lists, members);
+        enc_member_ref(e, lists.note(members, Some(Ggid(g))));
     }
     e.usize(c.comm_log.len());
     for r in &c.comm_log {
@@ -1123,24 +1090,23 @@ pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &MemberIntern, c: &Run
         enc_tag(e, p.tag);
     }
     enc_counters(e, &c.counters);
-    let mut members: Vec<(u64, &Arc<[usize]>)> =
-        c.vcomm_members.iter().map(|(v, m)| (*v, m)).collect();
-    members.sort_unstable_by_key(|&(v, _)| v);
-    e.usize(members.len());
-    for (v, m) in members {
+    order.clear();
+    order.extend(c.vcomm_members.iter().map(|(v, m)| (*v, 0, m)));
+    order.sort_unstable_by_key(|&(v, ..)| v);
+    e.usize(order.len());
+    for &(v, _, m) in order.iter() {
         e.var(v);
-        enc_members(e, lists, m);
+        enc_member_ref(e, lists.note(m, None));
     }
 }
 
-/// Rebuilds one rank's capture from its volatile record, its upper half
-/// (the record's, moved out) and its stable chunk, read from `d`.
+/// Fills the restart-stable half of `c` — a rank's decoded record — from
+/// its stable chunk, read from `d`.
 pub(crate) fn dec_capture(
     d: &mut Dec,
     lists: &mut MemberIntern,
-    v: &VolatileRecord,
-    upper: Option<UpperHalf>,
-) -> Result<RuntimeCapture, ImageError> {
+    c: &mut RuntimeCapture,
+) -> Result<(), ImageError> {
     let n_seq = d.seq_len("seq-table length")?;
     let mut seq_table = SeqTable::new();
     let mut prev: Option<Ggid> = None;
@@ -1175,20 +1141,9 @@ pub(crate) fn dec_capture(
         let v = d.var("vcomm member key")?;
         vcomm_members.insert(v, dec_members(d, lists, "vcomm member list")?);
     }
-    Ok(RuntimeCapture {
-        rank: v.rank,
-        state: v.state,
-        clock: v.clock,
-        seq_table,
-        comm_log,
-        pending_recvs,
-        pending_barrier: v.pending_barrier,
-        counters,
-        p2p_sent: v.p2p_sent,
-        p2p_delivered: v.p2p_delivered,
-        vcomm_members,
-        upper,
-    })
+    (c.seq_table, c.comm_log, c.pending_recvs) = (seq_table, comm_log, pending_recvs);
+    (c.counters, c.vcomm_members) = (counters, vcomm_members);
+    Ok(())
 }
 
 /// Whether two captures agree on every restart-stable field — the

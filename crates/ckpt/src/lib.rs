@@ -114,10 +114,10 @@
 //!   chunk**, stored once however many ranks share it; the head (member
 //!   table, per-rank records with each chunk's address) carries an
 //!   FNV-1a checksum, and each chunk is verified by re-hashing it against
-//!   its address. Chunks encode and hash **in parallel**
-//!   ([`Checkpoint::to_bytes_parallel`] fans them out across worker
-//!   threads), and the output is byte-for-byte identical to the serial
-//!   encoder's.
+//!   its address. Each chunk is encoded once, straight into one buffer per
+//!   encode, **in parallel** if asked ([`Checkpoint::to_bytes_parallel`]
+//!   splices worker buffers in rank order), byte-for-byte the serial
+//!   encoder's output.
 //! * [`runner::run_ckpt_world`] — launches the ranks and supervises the
 //!   policy, returning every captured image for oracle verification
 //!   with [`mana_core::verify_safe_cut`] — over the image's
@@ -177,9 +177,9 @@
 //! parent generation. Each delta records its parent's generation number
 //! and header checksum; restore ([`TieredStore::load`]) walks the chain
 //! leaf→root, decodes and authenticates every element alike, verifies
-//! every link, gathers their inline chunks in a [`ChunkPool`], and
-//! rebuilds the leaf against it — producing a checkpoint bit-identical to
-//! a full image's. Broken chains fail typed: a missing ancestor is
+//! every link, and rebuilds the leaf reading each chunk where it lies in
+//! its element's stored bytes — producing a checkpoint bit-identical to a
+//! full image's. Broken chains fail typed: a missing ancestor is
 //! [`ImageError::DanglingParent`], a forged link or truncated chunk is
 //! [`ImageError::DeltaChain`]. Evicting a generation
 //! ([`TieredStore::evict`]) dangles its stored descendants, but never a

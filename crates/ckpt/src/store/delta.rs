@@ -1,9 +1,9 @@
 //! The checkpoint image codec: one in-memory form, one wire layout.
 //!
-//! A [`DeltaImage`] serializes one checkpoint, optionally **relative to a
-//! parent generation**. The small volatile record of every rank (rank,
-//! state, clock, pending barrier, flow counts, and the upper half a
-//! restore elsewhere resumes from) is carried inline, while
+//! An image serializes one checkpoint, optionally **relative to a parent
+//! generation**. The small volatile record of every rank (rank, state,
+//! clock, pending barrier, flow counts, and the upper half a restore
+//! elsewhere resumes from) is carried inline, while
 //! the restart-stable half — sequence tables, communicator logs, pending
 //! receives, call counters, vcomm member lists — is referenced as a
 //! **content-addressed chunk** `(fnv1a64(bytes), len)`. Lower-half
@@ -28,22 +28,33 @@
 //! from an ancestor decodes against the leaf's table; no list is looked
 //! up along the chain.
 //!
+//! There is one encoder, and it does each rank's work once: a chunk is
+//! encoded in one pass straight into one buffer, noting its member lists
+//! as it goes (a shared list is found by address in O(1)), and cut off
+//! again unless the image inlines it. Parallel workers fill one buffer
+//! each, spliced in rank order. The head is written from the captures
+//! where they lie, behind the chunks in the encoding thread's reused
+//! buffer, and the image is one exact copy of the two. [`DeltaImage`] is
+//! the owned form the fuzzers edit: that encoder's bytes, decoded.
+//!
 //! So an image needs nothing from its ancestors but chunk bytes.
 //! Resolution ([`crate::store::TieredStore::load`]) decodes every chain
-//! element alike, gathers their inline chunks in a [`ChunkPool`], and
-//! materializes the leaf against it. Every failure mode — a missing
-//! parent, a chunk whose bytes do not match its address, a chunk nowhere
-//! in the chain — is a typed [`ImageError`], never a panic.
+//! element alike and materializes the leaf reading each chunk where it
+//! lies in its element's stored bytes: nothing is copied into a pool.
+//! Every failure mode — a missing parent, a chunk whose bytes do not
+//! match its address, a chunk nowhere in the chain — is a typed
+//! [`ImageError`], never a panic.
 
 use crate::image::{
     self, dec_capture, dec_in_flight, dec_params, dec_target_map, dec_upper, dec_vtime,
-    enc_capture_stable, enc_drained, enc_header, enc_params, enc_target_map, enc_upper,
+    enc_capture_stable, enc_drained, enc_header, enc_params, enc_table, enc_target_map, enc_upper,
     protocol_code, protocol_from_code, reseal, validate_image_header, validate_shape, Checkpoint,
     ImageError, MemberIntern, MemberTable, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA, IMAGE_KIND_FULL,
 };
-use crate::wire::{fnv1a64, var_len, CountEnc, Dec, FnvMap, Wr};
-use mana_core::{Cut, Ggid, Protocol, RankState, RuntimeCapture, UpperHalf};
+use crate::wire::{fnv1a64, var_len, CountEnc, Dec, FoldMap, FoldSet, Wr};
+use mana_core::{CallCounters, Cut, Ggid, Protocol, RankState, RuntimeCapture, SeqTable};
 use mpisim::VTime;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -66,25 +77,6 @@ pub struct ParentRef {
     /// The parent image's header checksum — the chain-integrity
     /// fingerprint checked at resolution.
     pub checksum: u64,
-}
-
-/// The inline (per-checkpoint) half of one rank's capture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VolatileRecord {
-    /// The rank this record belongs to; must equal its position.
-    pub rank: usize,
-    /// Rank state at capture.
-    pub state: RankState,
-    /// Virtual clock at capture.
-    pub clock: VTime,
-    /// Pending trivial barrier, if parked in one.
-    pub pending_barrier: Option<(u64, u64)>,
-    /// p2p messages sent this generation.
-    pub p2p_sent: u64,
-    /// p2p messages delivered this generation.
-    pub p2p_delivered: u64,
-    /// The rank's upper half, if its body has one.
-    pub upper: Option<UpperHalf>,
 }
 
 /// A checkpoint image: everything needed to rebuild a [`Checkpoint`]
@@ -117,8 +109,11 @@ pub struct DeltaImage {
     /// The member-list table: every non-contiguous group member list the
     /// rank chunks (inline or inherited) reference, by content id.
     pub lists: MemberTable,
-    /// Per-rank volatile records, indexed by rank.
-    pub volatile: Vec<VolatileRecord>,
+    /// Per-rank records, indexed by rank: each rank's capture with its
+    /// volatile fields (rank, state, clock, pending barrier, flow counts)
+    /// and its upper half; the restart-stable fields are empty, being in
+    /// the rank's chunk.
+    pub volatile: Vec<RuntimeCapture>,
     /// Per-rank stable-chunk references, indexed by rank.
     pub rank_refs: Vec<ChunkRef>,
     /// Content address of the drained in-flight set.
@@ -128,61 +123,156 @@ pub struct DeltaImage {
     pub new_chunks: Vec<(ChunkRef, Vec<u8>)>,
 }
 
-/// A chunk with its content address.
-fn chunk(bytes: Vec<u8>) -> (ChunkRef, Vec<u8>) {
-    let address = ChunkRef {
-        hash: fnv1a64(&bytes),
-        len: bytes.len() as u64,
+/// Each chunk reference of an image — every rank's, then the in-flight
+/// set's — flagged where the image carries the chunk's bytes.
+pub(crate) type Refs = Vec<(ChunkRef, bool)>;
+
+/// Addresses the chunk just written at `out[at..]`, and drops its bytes
+/// again unless `fresh` admits the address.
+fn seal(
+    out: &mut Vec<u8>,
+    at: usize,
+    fresh: &mut impl FnMut(ChunkRef) -> bool,
+) -> (ChunkRef, bool) {
+    let r = ChunkRef {
+        hash: fnv1a64(&out[at..]),
+        len: (out.len() - at) as u64,
     };
-    (address, bytes)
+    let keep = fresh(r);
+    if !keep {
+        out.truncate(at);
+    }
+    (r, keep)
 }
 
-/// Every chunk of `image` with its address — each rank's stable half in
-/// rank order, then the in-flight set — encoded and hashed on up to
-/// `workers` threads. A chunk's bytes are a function of its rank's state
-/// alone (`lists` only caches which allocations were hashed already), so
-/// the result is the same for every worker count.
+/// Appends the stable chunk of each of `captures` to `out` — keeping a
+/// chunk's bytes only where `fresh` admits its address — and its flagged
+/// reference to `refs`, noting member lists in `lists`.
+fn encode_batch(
+    lists: &mut MemberIntern,
+    captures: &[RuntimeCapture],
+    out: &mut Vec<u8>,
+    refs: &mut Refs,
+    mut fresh: impl FnMut(ChunkRef) -> bool,
+) {
+    let mut order = Vec::new();
+    for c in captures {
+        let at = out.len();
+        enc_capture_stable(out, lists, c, &mut order);
+        refs.push(seal(out, at, &mut fresh));
+    }
+}
+
+/// Encodes every chunk of `image` — each rank's stable half in rank
+/// order, then the in-flight set — once, on up to `workers` threads, into
+/// `section`, which ends holding the chunks the image inlines: each
+/// whose address `known` (the ancestor chain) lacks, once, at its first
+/// reference. The calling thread encodes the first batch of ranks
+/// straight into `section`; each other worker encodes its batch into a
+/// buffer of its own, keeping the first of each chunk in its batch, and
+/// the buffers are spliced in rank order, dropping what an earlier batch
+/// holds, so the result is the same for every worker count. Returns
+/// every reference, flagged, and the member lists the chunks name.
 fn encode_chunks(
-    lists: &MemberIntern,
+    image: &Checkpoint,
+    known: &(dyn Fn(&ChunkRef) -> bool + Sync),
+    workers: usize,
+    section: &mut Vec<u8>,
+) -> (Refs, MemberIntern) {
+    let (captures, n) = (&image.captures, image.captures.len());
+    let mut inlined = FoldSet::with_capacity_and_hasher(n + 1, Default::default());
+    let mut fresh = |r: ChunkRef| !known(&r) && inlined.insert(r);
+    let mut lists = MemberIntern::new(image.n_ranks);
+    let mut refs = Vec::with_capacity(n + 1);
+    let mut batches = captures.chunks(n.div_ceil(workers.clamp(1, n.max(1))).max(1));
+    let first = batches.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let encoders: Vec<_> = (batches.map(|b| {
+            scope.spawn(move || {
+                let mut done = (MemberIntern::new(image.n_ranks), vec![], vec![]);
+                let mut first = FoldSet::default();
+                let fresh = |r| !known(&r) && first.insert(r);
+                encode_batch(&mut done.0, b, &mut done.1, &mut done.2, fresh);
+                done
+            })
+        }))
+        .collect();
+        encode_batch(&mut lists, first, section, &mut refs, &mut fresh);
+        for e in encoders {
+            let (batch_lists, out, batch) = e.join().expect("chunk encoder panicked");
+            lists.absorb(batch_lists);
+            let mut at = 0;
+            for (r, kept) in batch {
+                let keep = kept && {
+                    let bytes = &out[at..at + r.len as usize];
+                    at += bytes.len();
+                    fresh(r) && {
+                        section.extend_from_slice(bytes);
+                        true
+                    }
+                };
+                refs.push((r, keep));
+            }
+        }
+    });
+    let at = section.len();
+    section.usize(image.in_flight.len());
+    for m in &image.in_flight {
+        enc_drained(section, m);
+    }
+    refs.push(seal(section, at, &mut fresh));
+    (refs, lists)
+}
+
+thread_local! {
+    /// The encoding thread's buffer: an image's chunk section, then its
+    /// head. Kept across encodes, so a steady encoder allocates none.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The one encoder: `image` as generation `generation` relative to
+/// `parent`, every chunk whose address `known` holds left to the ancestor
+/// chain, chunks encoded on up to `workers` threads. Returns what
+/// `finish` makes of the head and the chunk section ([`assemble`] makes
+/// the image), and every chunk reference, flagged where it is inline.
+///
+/// # Panics
+/// Panics if a sequence-table entry names a group id that is not its
+/// member list's: the wire writes the list alone.
+pub(crate) fn encode<T>(
+    generation: u64,
+    parent: Option<ParentRef>,
+    known: &(dyn Fn(&ChunkRef) -> bool + Sync),
     image: &Checkpoint,
     workers: usize,
-) -> Vec<(ChunkRef, Vec<u8>)> {
-    let stable = |c: &RuntimeCapture| {
-        let mut n = CountEnc::new();
-        enc_capture_stable(&mut n, lists, c);
-        let mut out: Vec<u8> = Vec::with_capacity(n.count());
-        enc_capture_stable(&mut out, lists, c);
-        chunk(out)
-    };
-    let captures = &image.captures;
-    let mut chunks = Vec::with_capacity(captures.len() + 1);
-    let workers = workers.clamp(1, captures.len().max(1));
-    if workers == 1 {
-        chunks.extend(captures.iter().map(stable));
-    } else {
-        let batch = captures.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let encoders: Vec<_> = (captures.chunks(batch))
-                .map(|b| scope.spawn(move || b.iter().map(stable).collect::<Vec<_>>()))
-                .collect();
-            for e in encoders {
-                chunks.extend(e.join().expect("chunk encoder panicked"));
-            }
-        });
-    }
-    let mut in_flight: Vec<u8> = Vec::new();
-    in_flight.usize(image.in_flight.len());
-    for m in &image.in_flight {
-        enc_drained(&mut in_flight, m);
-    }
-    chunks.push(chunk(in_flight));
-    chunks
+    finish: impl FnOnce(&[u8], &[u8]) -> T,
+) -> (T, Refs) {
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        let (refs, lists) = encode_chunks(image, known, workers, buf);
+        let section = buf.len();
+        enc_head(buf, generation, parent, image, lists.table(), &refs);
+        let (chunks, head) = buf.split_at(section);
+        (finish(head, chunks), refs)
+    })
+}
+
+/// The serialized image of a head and a chunk section, in one exact
+/// buffer (the layout is [`DeltaImage::to_bytes`]'s).
+pub(crate) fn assemble(head: &[u8], chunks: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(IMAGE_HEADER_LEN + head.len() + chunks.len());
+    enc_header(&mut out, head.len(), chunks.len());
+    out.extend_from_slice(head);
+    reseal(&mut out);
+    out.extend_from_slice(chunks);
+    out
 }
 
 /// The chunk refs a full image contributes to its descendants' dedup set:
 /// one per rank plus the in-flight chunk.
 pub fn full_image_refs(image: &Checkpoint) -> Vec<ChunkRef> {
-    DeltaImage::full(0, image, 1).refs().collect()
+    let (refs, _) = encode_chunks(image, &|_| false, 1, &mut Vec::new());
+    refs.into_iter().map(|(r, _)| r).collect()
 }
 
 /// Chunk bytes available while resolving a delta chain: every chain
@@ -200,19 +290,14 @@ impl ChunkPool {
 
     /// Adds every chunk of a full image.
     pub fn absorb_full(&mut self, image: &Checkpoint) {
-        self.absorb(DeltaImage::full(0, image, 1).new_chunks);
+        self.absorb_delta(&DeltaImage::full(image));
     }
 
-    /// Adds an image's inline chunks.
-    pub fn absorb_delta(&mut self, d: &DeltaImage) {
-        self.absorb(d.new_chunks.iter().cloned());
-    }
-
-    /// Moves chunks into the pool; an address already held keeps its
+    /// Adds an image's inline chunks; an address already held keeps its
     /// bytes.
-    pub(crate) fn absorb(&mut self, chunks: impl IntoIterator<Item = (ChunkRef, Vec<u8>)>) {
-        for (r, b) in chunks {
-            self.map.entry(r).or_insert(b);
+    pub fn absorb_delta(&mut self, d: &DeltaImage) {
+        for (r, b) in &d.new_chunks {
+            self.map.entry(*r).or_insert_with(|| b.clone());
         }
     }
 
@@ -223,9 +308,9 @@ impl ChunkPool {
 }
 
 /// What [`DeltaImage::decode`] reads from a buffer: the image without
-/// its chunk bytes, the member lists its head resolved, and its inline
-/// chunks as slices of the buffer.
-pub(crate) type Decoded<'a> = (DeltaImage, MemberIntern, Vec<(ChunkRef, &'a [u8])>);
+/// its chunk bytes, the member lists its head resolved, and where each of
+/// its inline chunks lies in the buffer.
+pub(crate) type Decoded = (DeltaImage, MemberIntern, Vec<(ChunkRef, Range<usize>)>);
 
 /// Writes a chunk reference: tag `1` when the chunk's bytes follow in
 /// this image's chunk section, `0` when they are at an earlier reference
@@ -243,16 +328,16 @@ fn enc_chunk_ref<W: Wr>(e: &mut W, r: ChunkRef, inline: bool) {
 /// world-wide one costs its bytes once and an index per rank.
 struct Outputs<'a> {
     list: Vec<&'a [u8]>,
-    index: FnvMap<&'a [u8], u64>,
+    index: FoldMap<&'a [u8], u64>,
 }
 
 impl<'a> Outputs<'a> {
-    fn of(volatile: &'a [VolatileRecord]) -> Outputs<'a> {
+    fn of(records: &'a [RuntimeCapture]) -> Outputs<'a> {
         let mut out = Outputs {
             list: Vec::new(),
-            index: FnvMap::default(),
+            index: FoldMap::default(),
         };
-        let ready = volatile.iter().filter_map(|v| v.upper.as_ref());
+        let ready = records.iter().filter_map(|v| v.upper.as_ref());
         for (_, data) in ready.flat_map(|u| &u.ready) {
             out.index.entry(data).or_insert_with(|| {
                 out.list.push(data);
@@ -285,7 +370,9 @@ fn dec_outputs(d: &mut Dec) -> Result<Vec<bytes::Bytes>, ImageError> {
         .collect()
 }
 
-fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord, outputs: &Outputs) {
+/// Writes a rank's record: the volatile fields of its capture and its
+/// upper half.
+fn enc_volatile<W: Wr>(e: &mut W, v: &RuntimeCapture, outputs: &Outputs) {
     e.usize(v.rank);
     e.u8(v.state as u8);
     e.f64(v.clock.as_secs());
@@ -302,14 +389,15 @@ fn enc_volatile<W: Wr>(e: &mut W, v: &VolatileRecord, outputs: &Outputs) {
     enc_upper(e, v.upper.as_ref(), |data| outputs.index[data]);
 }
 
-/// Reads a rank's record; its ready results resolve through `outputs`,
-/// each entry first referenced in table order (`used` counts the entries
-/// referenced so far), as the encoder writes them.
+/// Reads a rank's record into a capture whose restart-stable fields are
+/// empty; its ready results resolve through `outputs`, each entry first
+/// referenced in table order (`used` counts the entries referenced so
+/// far), as the encoder writes them.
 fn dec_volatile(
     d: &mut Dec,
     outputs: &[bytes::Bytes],
     used: &mut usize,
-) -> Result<VolatileRecord, ImageError> {
+) -> Result<RuntimeCapture, ImageError> {
     let rank = d.usize("capture rank")?;
     let state = match d.u8("capture state")? {
         s @ 0..=6 => RankState::from_u8(s),
@@ -324,13 +412,18 @@ fn dec_volatile(
         )),
         _ => return Err(ImageError::Malformed("pending-barrier tag")),
     };
-    Ok(VolatileRecord {
+    Ok(RuntimeCapture {
         rank,
         state,
         clock,
+        seq_table: SeqTable::new(),
+        comm_log: Vec::new(),
+        pending_recvs: Vec::new(),
         pending_barrier,
+        counters: CallCounters::default(),
         p2p_sent: d.var("p2p sent")?,
         p2p_delivered: d.var("p2p delivered")?,
+        vcomm_members: HashMap::new(),
         upper: dec_upper(d, |i| {
             let i = usize::try_from(i).ok().filter(|&i| i <= *used)?;
             *used = (*used).max(i + 1);
@@ -339,70 +432,78 @@ fn dec_volatile(
     })
 }
 
+/// Head fields that precede the member-list table.
+fn enc_preamble<W: Wr>(p: &mut W, generation: u64, parent: Option<ParentRef>, image: &Checkpoint) {
+    match parent {
+        None => {
+            p.u8(IMAGE_KIND_FULL);
+            p.var(generation);
+        }
+        Some(parent) => {
+            p.u8(IMAGE_KIND_DELTA);
+            p.var(generation);
+            p.var(parent.generation);
+            p.u64(parent.checksum);
+        }
+    }
+    p.var(image.epoch);
+    p.usize(image.n_ranks);
+    p.u8(protocol_code(image.protocol));
+    p.usize(image.origin.ranks_per_node);
+    enc_params(p, &image.origin.params);
+    p.f64(image.request_clock.as_secs());
+    enc_target_map(p, &image.initial_targets);
+    enc_target_map(p, &image.final_targets);
+    p.f64(image.io_write_secs);
+    p.f64(image.io_read_secs);
+}
+
+/// The head of `image` as generation `generation` relative to `parent`:
+/// everything but the chunk bytes — the preamble, the member-list
+/// `table`, the output table, each rank's record with its chunk
+/// reference, then the in-flight set's — each reference tagged inline
+/// as `refs` flags it.
+fn enc_head<W: Wr>(
+    p: &mut W,
+    generation: u64,
+    parent: Option<ParentRef>,
+    image: &Checkpoint,
+    table: &MemberTable,
+    refs: &[(ChunkRef, bool)],
+) {
+    let outputs = Outputs::of(&image.captures);
+    enc_preamble(p, generation, parent, image);
+    enc_table(p, table);
+    outputs.enc(p);
+    let (&(in_flight, inline), ranks) = refs.split_last().expect("the in-flight reference");
+    p.usize(image.captures.len());
+    for (c, &(r, inline)) in image.captures.iter().zip(ranks) {
+        enc_volatile(p, c, &outputs);
+        enc_chunk_ref(p, r, inline);
+    }
+    enc_chunk_ref(p, in_flight, inline);
+}
+
 impl DeltaImage {
     /// The image of `current` as generation `generation`: relative to
     /// `parent` when given, inlining every chunk whose address is not in
     /// `known` (the addresses the ancestor chain already holds), each
-    /// once. Chunks are encoded and hashed on up to `workers` threads.
-    pub(crate) fn new(
+    /// once — the one encoder's image, decoded into the owned form.
+    fn new(
         generation: u64,
         parent: Option<ParentRef>,
         known: &HashSet<ChunkRef>,
         current: &Checkpoint,
-        workers: usize,
     ) -> DeltaImage {
-        let lists = current.member_lists();
-        let mut new_chunks: Vec<(ChunkRef, Vec<u8>)> = Vec::new();
-        let mut inlined: HashSet<ChunkRef> = HashSet::new();
-        let mut rank_refs: Vec<ChunkRef> = Vec::with_capacity(current.captures.len() + 1);
-        for (r, b) in encode_chunks(&lists, current, workers) {
-            if !known.contains(&r) && inlined.insert(r) {
-                new_chunks.push((r, b));
-            }
-            rank_refs.push(r);
-        }
-        let in_flight_ref = rank_refs
-            .pop()
-            .expect("the in-flight chunk closes the list");
-
-        let volatile = current
-            .captures
-            .iter()
-            .map(|c| VolatileRecord {
-                rank: c.rank,
-                state: c.state,
-                clock: c.clock,
-                pending_barrier: c.pending_barrier,
-                p2p_sent: c.p2p_sent,
-                p2p_delivered: c.p2p_delivered,
-                upper: c.upper.clone(),
-            })
-            .collect();
-
-        DeltaImage {
-            generation,
-            parent,
-            epoch: current.epoch,
-            n_ranks: current.n_ranks,
-            protocol: current.protocol,
-            origin: current.origin.clone(),
-            request_clock: current.request_clock,
-            initial_targets: current.initial_targets.clone(),
-            final_targets: current.final_targets.clone(),
-            io_write_secs: current.io_write_secs,
-            io_read_secs: current.io_read_secs,
-            lists: lists.table().clone(),
-            volatile,
-            rank_refs,
-            in_flight_ref,
-            new_chunks,
-        }
+        let known = |r: &ChunkRef| known.contains(r);
+        let (bytes, _) = encode(generation, parent, &known, current, 1, assemble);
+        DeltaImage::from_bytes(&bytes).expect("the encoder's image decodes")
     }
 
-    /// The full image of `current` — no parent, every distinct chunk
-    /// inline — with its chunks encoded on up to `workers` threads.
-    pub(crate) fn full(generation: u64, current: &Checkpoint, workers: usize) -> DeltaImage {
-        DeltaImage::new(generation, None, &HashSet::new(), current, workers)
+    /// The full image of `current` as generation 0: no parent, every
+    /// distinct chunk inline.
+    pub(crate) fn full(current: &Checkpoint) -> DeltaImage {
+        DeltaImage::new(0, None, &HashSet::new(), current)
     }
 
     /// Builds a delta for `current` against the parent generation
@@ -430,13 +531,7 @@ impl DeltaImage {
             generation: parent_generation,
             checksum: parent_checksum,
         };
-        DeltaImage::new(generation, Some(parent), known, current, 1)
-    }
-
-    /// Every chunk address the image references: each rank's, then the
-    /// in-flight set's.
-    pub(crate) fn refs(&self) -> impl Iterator<Item = ChunkRef> + '_ {
-        self.rank_refs.iter().chain([&self.in_flight_ref]).copied()
+        DeltaImage::new(generation, Some(parent), known, current)
     }
 
     /// Materializes the checkpoint from this image and a pool holding
@@ -449,27 +544,20 @@ impl DeltaImage {
         // One table for the whole checkpoint, so a list stays one
         // allocation across every rank's decoded chunk.
         let lists = MemberIntern::with_table(self.n_ranks, &self.lists);
-        let uppers = self.volatile.iter().map(|v| v.upper.clone()).collect();
-        self.rebuild(lists, uppers, |r| pool.get(r))
+        self.rebuild(lists, self.volatile.clone(), |r| pool.get(r))
     }
 
-    /// Moves every rank's upper half out of its record, for
-    /// [`DeltaImage::rebuild`] to move into the capture.
-    pub(crate) fn take_uppers(&mut self) -> Vec<Option<UpperHalf>> {
-        self.volatile.iter_mut().map(|v| v.upper.take()).collect()
-    }
-
-    /// Rebuilds the checkpoint from its chunks (looked up by `chunk`), the
-    /// ranks' upper halves and this image's records, decoding every chunk
-    /// against `lists`.
+    /// Rebuilds the checkpoint from `captures` — this image's records,
+    /// moved or cloned out of it — and their chunks (looked up by
+    /// `chunk`), decoding every chunk against `lists`.
     pub(crate) fn rebuild<'a>(
         &self,
         mut lists: MemberIntern,
-        uppers: Vec<Option<UpperHalf>>,
+        mut captures: Vec<RuntimeCapture>,
         chunk: impl Fn(ChunkRef) -> Option<&'a [u8]>,
     ) -> Result<Checkpoint, ImageError> {
         let n = self.n_ranks;
-        if self.volatile.len() != n || self.rank_refs.len() != n || uppers.len() != n {
+        if captures.len() != n || self.rank_refs.len() != n {
             return Err(ImageError::DeltaChain("per-rank record count"));
         }
         let in_bytes =
@@ -480,18 +568,26 @@ impl DeltaImage {
             return Err(ImageError::DeltaChain("in-flight chunk length"));
         }
 
-        let mut captures = Vec::with_capacity(self.n_ranks);
-        let records = self.volatile.iter().zip(&self.rank_refs).zip(uppers);
-        for ((v, r), upper) in records {
+        for (c, r) in captures.iter_mut().zip(&self.rank_refs) {
             let bytes = chunk(*r).ok_or(ImageError::DeltaChain("missing stable chunk"))?;
             let mut d = Dec::new(bytes);
-            captures.push(dec_capture(&mut d, &mut lists, v, upper)?);
+            dec_capture(&mut d, &mut lists, c)?;
             if !d.finished() {
                 return Err(ImageError::DeltaChain("stable chunk length"));
             }
         }
 
-        let mut ckpt = Checkpoint {
+        let mut ckpt = self.shell(captures);
+        ckpt.in_flight = in_flight;
+        validate_shape(&ckpt)?;
+        ckpt.cut_events = ckpt.cut();
+        Ok(ckpt)
+    }
+
+    /// The checkpoint this image's preamble describes, holding `captures`
+    /// and no in-flight message.
+    fn shell(&self, captures: Vec<RuntimeCapture>) -> Checkpoint {
+        Checkpoint {
             epoch: self.epoch,
             n_ranks: self.n_ranks,
             protocol: self.protocol,
@@ -500,71 +596,30 @@ impl DeltaImage {
             initial_targets: self.initial_targets.clone(),
             final_targets: self.final_targets.clone(),
             captures,
-            in_flight,
+            in_flight: Vec::new(),
             cut_events: Cut::default(),
             io_write_secs: self.io_write_secs,
             io_read_secs: self.io_read_secs,
-        };
-        validate_shape(&ckpt)?;
-        ckpt.cut_events = ckpt.cut();
-        Ok(ckpt)
-    }
-
-    /// The encode-side table: the lists the chunks reference.
-    fn member_lists(&self) -> MemberIntern {
-        MemberIntern::with_table(self.n_ranks, &self.lists)
-    }
-
-    /// Head fields that precede the member-list table.
-    fn enc_preamble<W: Wr>(&self, p: &mut W) {
-        match self.parent {
-            None => {
-                p.u8(IMAGE_KIND_FULL);
-                p.var(self.generation);
-            }
-            Some(parent) => {
-                p.u8(IMAGE_KIND_DELTA);
-                p.var(self.generation);
-                p.var(parent.generation);
-                p.u64(parent.checksum);
-            }
         }
-        p.var(self.epoch);
-        p.usize(self.n_ranks);
-        p.u8(protocol_code(self.protocol));
-        p.usize(self.origin.ranks_per_node);
-        enc_params(p, &self.origin.params);
-        p.f64(self.request_clock.as_secs());
-        enc_target_map(p, &self.initial_targets);
-        enc_target_map(p, &self.final_targets);
-        p.f64(self.io_write_secs);
-        p.f64(self.io_read_secs);
     }
 
-    /// The head: everything but the chunk bytes. A reference is tagged
+    /// The head, as the one encoder writes it: a reference is tagged
     /// inline where it is the next of [`DeltaImage::new_chunks`], which
     /// lists them in order of first reference.
-    fn enc_head<W: Wr>(&self, p: &mut W, lists: &MemberIntern, outputs: &Outputs) {
-        self.enc_preamble(p);
-        lists.enc_table(p);
-        outputs.enc(p);
+    fn head(&self) -> Vec<u8> {
         let mut next = self.new_chunks.iter().map(|(r, _)| *r).peekable();
-        let mut chunk_ref = |p: &mut W, r: ChunkRef| {
-            let inline = next.next_if_eq(&r).is_some();
-            enc_chunk_ref(p, r, inline);
-        };
-        p.usize(self.volatile.len());
-        for (v, r) in self.volatile.iter().zip(&self.rank_refs) {
-            enc_volatile(p, v, outputs);
-            chunk_ref(p, *r);
-        }
-        chunk_ref(p, self.in_flight_ref);
-    }
-
-    fn head_len(&self, lists: &MemberIntern, outputs: &Outputs) -> usize {
-        let mut head = CountEnc::new();
-        self.enc_head(&mut head, lists, outputs);
-        head.count()
+        let refs = self.rank_refs.iter().chain([&self.in_flight_ref]);
+        let refs: Refs = refs.map(|&r| (r, next.next_if_eq(&r).is_some())).collect();
+        let (image, mut head) = (self.shell(self.volatile.clone()), Vec::new());
+        enc_head(
+            &mut head,
+            self.generation,
+            self.parent,
+            &image,
+            &self.lists,
+            &refs,
+        );
+        head
     }
 
     /// Serializes the image: an 8-byte magic, a `u32` format version, the
@@ -572,35 +627,13 @@ impl DeltaImage {
     /// the chunk bytes), a `u64` FNV-1a checksum of the head — fixed-width
     /// words all, read in place — then the head and the inline chunks back
     /// to back. Each chunk's address in the checksummed head authenticates
-    /// its bytes. Deterministic: the
-    /// same image always yields the same bytes (maps are written sorted by
-    /// key, the member-list table sorted by content id), whether equal
-    /// member lists share one allocation or not.
+    /// its bytes. Deterministic: the same image always yields the same
+    /// bytes (maps are written sorted by key, the member-list table sorted
+    /// by content id), whether equal member lists share one allocation or
+    /// not.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let lists = self.member_lists();
-        let outputs = Outputs::of(&self.volatile);
-        let head_len = self.head_len(&lists, &outputs);
-        let chunks: usize = self.new_chunks.iter().map(|(_, b)| b.len()).sum();
-        let mut out: Vec<u8> = Vec::with_capacity(IMAGE_HEADER_LEN + head_len + chunks);
-        enc_header(&mut out, head_len, chunks);
-        self.enc_head(&mut out, &lists, &outputs);
-        debug_assert_eq!(
-            out.len(),
-            IMAGE_HEADER_LEN + head_len,
-            "head sizing drifted"
-        );
-        reseal(&mut out);
-        for (_, b) in &self.new_chunks {
-            out.raw(b);
-        }
-        out
-    }
-
-    /// Size of [`DeltaImage::to_bytes`] output, by a counting pass.
-    pub(crate) fn serialized_len(&self) -> usize {
-        let chunks: usize = self.new_chunks.iter().map(|(_, b)| b.len()).sum();
-        let outputs = Outputs::of(&self.volatile);
-        IMAGE_HEADER_LEN + self.head_len(&self.member_lists(), &outputs) + chunks
+        let chunks: Vec<&[u8]> = self.new_chunks.iter().map(|(_, b)| &b[..]).collect();
+        assemble(&self.head(), &chunks.concat())
     }
 
     /// Byte range of every rank's record — volatile fields and chunk
@@ -625,8 +658,7 @@ impl DeltaImage {
     /// [`DeltaImage::to_bytes`] output, in `new_chunks` order — the
     /// wire-fuzz suite aims mutations at these boundaries.
     pub fn chunk_byte_ranges(&self) -> Vec<Range<usize>> {
-        let outputs = Outputs::of(&self.volatile);
-        let mut at = IMAGE_HEADER_LEN + self.head_len(&self.member_lists(), &outputs);
+        let mut at = IMAGE_HEADER_LEN + self.head().len();
         (self.new_chunks.iter())
             .map(|(_, b)| {
                 at += b.len();
@@ -639,10 +671,12 @@ impl DeltaImage {
     /// [`DeltaImage::to_bytes`] output (its count varint included), for
     /// the same fuzzers.
     pub fn member_table_range(&self) -> Range<usize> {
-        let mut preamble = CountEnc::new();
-        self.enc_preamble(&mut preamble);
+        let (mut preamble, mut table) = (CountEnc::new(), CountEnc::new());
+        let shell = self.shell(Vec::new());
+        enc_preamble(&mut preamble, self.generation, self.parent, &shell);
+        enc_table(&mut table, &self.lists);
         let start = IMAGE_HEADER_LEN + preamble.count();
-        start..start + self.member_lists().table_len()
+        start..start + table.count()
     }
 
     /// Parses a serialized image of either kind. The header (magic,
@@ -651,7 +685,9 @@ impl DeltaImage {
     /// address before it can poison a [`ChunkPool`].
     pub fn from_bytes(buf: &[u8]) -> Result<DeltaImage, ImageError> {
         let (mut image, _, chunks) = DeltaImage::decode(buf)?;
-        image.new_chunks = (chunks.into_iter()).map(|(r, b)| (r, b.to_vec())).collect();
+        image.new_chunks = (chunks.into_iter())
+            .map(|(r, at)| (r, buf[at].to_vec()))
+            .collect();
         Ok(image)
     }
 
@@ -665,15 +701,15 @@ impl DeltaImage {
                 "standalone decode of a delta image; resolve it through its parent chain",
             ));
         }
-        let chunks: HashMap<ChunkRef, &[u8]> = chunks.into_iter().collect();
-        let uppers = image.take_uppers();
-        image.rebuild(lists, uppers, |r| chunks.get(&r).copied())
+        let chunks: HashMap<ChunkRef, Range<usize>> = chunks.into_iter().collect();
+        let captures = std::mem::take(&mut image.volatile);
+        image.rebuild(lists, captures, |r| Some(&buf[chunks.get(&r)?.clone()]))
     }
 
     /// The one decoder: the image without its chunk bytes, the member
-    /// lists its head resolved, and its authenticated inline chunks as
-    /// slices of `buf`, in `new_chunks` order.
-    pub(crate) fn decode(buf: &[u8]) -> Result<Decoded<'_>, ImageError> {
+    /// lists its head resolved, and where each of its authenticated
+    /// inline chunks lies in `buf`, in `new_chunks` order.
+    pub(crate) fn decode(buf: &[u8]) -> Result<Decoded, ImageError> {
         let (head, chunk_bytes) = validate_image_header(buf)?;
         let mut d = Dec::new(head);
         let kind = d.u8("image kind")?;
@@ -704,11 +740,14 @@ impl DeltaImage {
         let mut lists = MemberIntern::new(n_ranks);
         lists.dec_table(&mut d)?;
         let outputs = dec_outputs(&mut d)?;
+        if d.seq_len("capture count")? != n_ranks {
+            return Err(ImageError::Malformed("capture count vs n_ranks"));
+        }
 
         // A chunk is inline at its first reference or not at all, and a
         // full image has nowhere else to take one from.
-        let mut seen: HashSet<ChunkRef> = HashSet::new();
-        let mut inline: Vec<ChunkRef> = Vec::new();
+        let mut seen: HashSet<ChunkRef> = HashSet::with_capacity(n_ranks + 1);
+        let mut inline: Vec<ChunkRef> = Vec::with_capacity(n_ranks + 1);
         let mut dec_chunk_ref = |d: &mut Dec| -> Result<ChunkRef, ImageError> {
             let tag = d.u8("chunk ref")?;
             let r = ChunkRef {
@@ -726,9 +765,6 @@ impl DeltaImage {
                 _ => Err(ImageError::Malformed("chunk ref")),
             }
         };
-        if d.seq_len("capture count")? != n_ranks {
-            return Err(ImageError::Malformed("capture count vs n_ranks"));
-        }
         let mut volatile = Vec::with_capacity(n_ranks);
         let mut rank_refs = Vec::with_capacity(n_ranks);
         let mut used = 0;
@@ -751,15 +787,15 @@ impl DeltaImage {
         if lens != Some(chunk_bytes.len()) {
             return Err(ImageError::Malformed("chunk section length"));
         }
-        let mut at = 0;
+        let mut at = buf.len() - chunk_bytes.len();
         let mut chunks = Vec::with_capacity(inline.len());
         for r in inline {
-            let bytes = &chunk_bytes[at..at + r.len as usize];
-            at += bytes.len();
-            if fnv1a64(bytes) != r.hash {
+            let range = at..at + r.len as usize;
+            at = range.end;
+            if fnv1a64(&buf[range.clone()]) != r.hash {
                 return Err(ImageError::DeltaChain("chunk content hash mismatch"));
             }
-            chunks.push((r, bytes));
+            chunks.push((r, range));
         }
         let image = DeltaImage {
             generation,

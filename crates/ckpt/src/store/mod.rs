@@ -22,12 +22,13 @@
 
 pub mod delta;
 
-pub use delta::{ChunkPool, ChunkRef, DeltaImage, ParentRef, VolatileRecord};
+pub use delta::{ChunkPool, ChunkRef, DeltaImage, ParentRef};
 
 use crate::image::{header_checksum, Checkpoint, ImageError, MemberIntern};
+use crate::wire::FoldSet;
 use netmodel::{LustreModel, MemoryTierModel, PartnerTierModel};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -239,7 +240,7 @@ struct ParentCtx {
     /// What an image written relative to this one records as its parent.
     link: ParentRef,
     image: Arc<Checkpoint>,
-    known: Arc<HashSet<ChunkRef>>,
+    known: Arc<FoldSet<ChunkRef>>,
 }
 
 /// What a [`TieredStore::save`] did.
@@ -324,18 +325,18 @@ impl TieredStore {
 
         let parent =
             (self.latest.lock().clone()).filter(|p| want_delta && p.image.n_ranks == image.n_ranks);
-        let mut known: HashSet<ChunkRef> = parent
-            .as_ref()
-            .map_or_else(HashSet::new, |p| (*p.known).clone());
-        let d = DeltaImage::new(gen, parent.map(|p| p.link), &known, &image, encode_workers);
-        known.extend(d.refs());
-        let bytes = d.to_bytes();
+        let mut known = (parent.as_ref()).map_or_else(FoldSet::default, |p| (*p.known).clone());
+        let parent = parent.map(|p| p.link);
+        let held = |r: &ChunkRef| known.contains(r);
+        let (bytes, refs) =
+            delta::encode(gen, parent, &held, &image, encode_workers, delta::assemble);
+        known.extend(refs.iter().map(|&(r, _)| r));
         let receipt = SaveReceipt {
             generation: gen,
             tier,
             bytes: bytes.len(),
-            delta_parent: d.parent.map(|p| p.generation),
-            new_chunks: d.new_chunks.len(),
+            delta_parent: parent.map(|p| p.generation),
+            new_chunks: refs.iter().filter(|&&(_, inline)| inline).count(),
         };
         let link = ParentRef {
             generation: gen,
@@ -363,9 +364,13 @@ impl TieredStore {
     ///
     /// Every element of the chain is authenticated byte for byte and
     /// decoded alike; an ancestor is asked for nothing but its inline
-    /// chunks, and the requested generation alone is materialized.
+    /// chunks, and the requested generation alone is materialized. Each
+    /// chunk is decoded where it lies in its element's stored bytes.
     pub fn load(&self, gen: u64) -> Result<Checkpoint, StoreError> {
-        let mut pool = ChunkPool::new();
+        // Every chain element's stored bytes, leaf first, and where each
+        // chunk the chain inlines lies in them (the first holder's).
+        let mut elements: Vec<Arc<Vec<u8>>> = Vec::new();
+        let mut chunks: HashMap<ChunkRef, (usize, std::ops::Range<usize>)> = HashMap::new();
         // The requested generation with the member lists its head
         // resolved, and `(generation, parent checksum)` of the image whose
         // parent is fetched next.
@@ -374,7 +379,7 @@ impl TieredStore {
         let mut cur = gen;
         loop {
             let bytes = self.fetch(cur, child.map(|(generation, _)| generation))?;
-            let (d, lists, chunks) = DeltaImage::decode(&bytes)?;
+            let (d, lists, inline) = DeltaImage::decode(&bytes)?;
             if child.is_some_and(|(_, checksum)| checksum != header_checksum(&bytes)) {
                 return Err(ImageError::DeltaChain("parent checksum mismatch").into());
             }
@@ -384,7 +389,11 @@ impl TieredStore {
             if leaf.as_ref().is_some_and(|(l, _)| l.n_ranks != d.n_ranks) {
                 return Err(ImageError::DeltaChain("parent world size mismatch").into());
             }
-            pool.absorb(chunks.into_iter().map(|(r, b)| (r, b.to_vec())));
+            chunks.reserve(inline.len());
+            for (r, at) in inline {
+                chunks.entry(r).or_insert((elements.len(), at));
+            }
+            elements.push(bytes);
             let parent = d.parent;
             leaf.get_or_insert((d, lists));
             let Some(parent) = parent else { break };
@@ -397,8 +406,9 @@ impl TieredStore {
             cur = parent.generation;
         }
         let (mut leaf, lists) = leaf.expect("the requested generation is decoded first");
-        let uppers = leaf.take_uppers();
-        Ok(leaf.rebuild(lists, uppers, |r| pool.get(r))?)
+        let captures = std::mem::take(&mut leaf.volatile);
+        let chunk = |r| chunks.get(&r).map(|(i, at)| &elements[*i][at.clone()]);
+        Ok(leaf.rebuild(lists, captures, chunk)?)
     }
 
     /// Generation `gen`'s stored bytes if its tier's copy survives the

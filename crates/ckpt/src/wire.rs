@@ -64,23 +64,45 @@ impl Default for Fnv1a {
     }
 }
 
-/// FNV-1a as a map hasher: the codec's own caches are keyed by addresses,
-/// list references and short outputs, which it hashes a few times per
-/// rank — a few multiplies each instead of SipHash's rounds. Not for
-/// keys an adversary picks.
-impl std::hash::Hasher for Fnv1a {
+/// A map hasher for keys the codec computes itself — allocation
+/// addresses, chunk addresses, short outputs: each 8-byte word of the key
+/// costs one 64×64→128-bit multiply, its halves folded, instead of FNV's
+/// eight byte rounds or SipHash's. The fold keeps the high bits of the
+/// product, so aligned addresses (low bits all zero) still spread over
+/// the buckets. Not for keys an adversary picks.
+#[derive(Default)]
+pub(crate) struct FoldHasher(u64);
+
+impl std::hash::Hasher for FoldHasher {
     fn finish(&self) -> u64 {
-        self.digest()
+        self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        self.update(bytes);
+        for word in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..word.len()].copy_from_slice(word);
+            self.write_u64(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let p = u128::from(self.0 ^ v) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 }
 
-/// A map keyed by the codec's own values, hashed by [`Fnv1a`].
-pub(crate) type FnvMap<K, V> =
-    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<Fnv1a>>;
+/// A map keyed by the codec's own values, hashed by [`FoldHasher`].
+pub(crate) type FoldMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FoldHasher>>;
+
+/// A set of the codec's own values, hashed by [`FoldHasher`].
+pub(crate) type FoldSet<K> =
+    std::collections::HashSet<K, std::hash::BuildHasherDefault<FoldHasher>>;
 
 /// FNV-1a 64-bit digest — the image head checksum and every chunk's
 /// content address.
@@ -93,10 +115,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// A sink for wire-format writes.
 ///
 /// Implementors provide [`Wr::raw`]; every scalar encoding is defined once in
-/// the provided methods, so the growable encoders ([`Enc`], `Vec<u8>`) and
-/// the byte counter ([`CountEnc`]) are guaranteed to lay out bytes
-/// identically. That shared layout is what lets the image encoder size its
-/// output exactly before writing it.
+/// the provided methods, so the growable encoder (`Vec<u8>`) and the byte
+/// counter ([`CountEnc`]) are guaranteed to lay out bytes identically.
 pub trait Wr {
     /// Writes raw bytes with no length prefix (header assembly only).
     fn raw(&mut self, v: &[u8]);
@@ -153,48 +173,17 @@ pub trait Wr {
     }
 }
 
-/// Append-only growable encoder.
-#[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// Empty encoder.
-    pub fn new() -> Self {
-        Enc::default()
-    }
-
-    /// Consumes the encoder, yielding the buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl Wr for Enc {
-    fn raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
 impl Wr for Vec<u8> {
     fn raw(&mut self, v: &[u8]) {
         self.extend_from_slice(v);
     }
 }
 
-/// Write sink that only counts bytes — used to pre-size buffers by running
-/// the same encode code that will later fill them.
+/// Write sink that only counts bytes, running the same encode code that
+/// writes them. It sizes no buffer: the image encoder writes each chunk
+/// once, straight into one buffer, and copies the result once into an
+/// exact one. It measures fields for the byte-range helpers the wire
+/// fuzzers aim with (`DeltaImage::capture_section_ranges` and kin).
 #[derive(Debug, Default)]
 pub struct CountEnc {
     n: usize,
@@ -333,7 +322,7 @@ mod tests {
 
     #[test]
     fn scalar_round_trip() {
-        let mut e = Enc::new();
+        let mut e: Vec<u8> = Vec::new();
         e.u8(7);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX - 3);
@@ -341,7 +330,7 @@ mod tests {
         e.usize(77);
         e.f64(1.5e-300);
         e.bytes(b"payload");
-        let buf = e.into_bytes();
+        let buf = e;
         let mut d = Dec::new(&buf);
         assert_eq!(d.u8("a").unwrap(), 7);
         assert_eq!(d.u32("b").unwrap(), 0xDEAD_BEEF);
@@ -355,26 +344,26 @@ mod tests {
 
     #[test]
     fn truncated_reads_fail_with_field_name() {
-        let mut e = Enc::new();
+        let mut e: Vec<u8> = Vec::new();
         e.u32(1);
-        let buf = e.into_bytes();
+        let buf = e;
         let mut d = Dec::new(&buf);
         assert_eq!(d.u64("the field"), Err("the field"));
     }
 
     #[test]
     fn corrupt_length_is_bounded() {
-        let mut e = Enc::new();
+        let mut e: Vec<u8> = Vec::new();
         e.usize(usize::MAX / 2);
-        let buf = e.into_bytes();
+        let buf = e;
         let mut d = Dec::new(&buf);
         assert!(d.seq_len("len").is_err(), "oversized length must fail");
     }
 
     fn var_bytes(v: u64) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e: Vec<u8> = Vec::new();
         e.var(v);
-        e.into_bytes()
+        e
     }
 
     #[test]
@@ -412,9 +401,9 @@ mod tests {
             (i64::MIN, 10),
             (i64::MAX, 10),
         ] {
-            let mut e = Enc::new();
+            let mut e: Vec<u8> = Vec::new();
             e.ivar(v);
-            let bytes = e.into_bytes();
+            let bytes = e;
             assert_eq!(bytes.len(), width, "{v}");
             let mut d = Dec::new(&bytes);
             assert_eq!(d.ivar("v"), Ok(v));
@@ -478,14 +467,8 @@ mod tests {
 
     #[test]
     fn all_writers_lay_out_identical_bytes() {
-        let mut e = Enc::new();
-        write_sample(&mut e);
-        let reference = e.into_bytes();
-
-        let mut v: Vec<u8> = Vec::new();
-        write_sample(&mut v);
-        assert_eq!(v, reference);
-
+        let mut reference: Vec<u8> = Vec::new();
+        write_sample(&mut reference);
         let mut c = CountEnc::new();
         write_sample(&mut c);
         assert_eq!(c.count(), reference.len());
