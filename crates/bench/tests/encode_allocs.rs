@@ -2,16 +2,17 @@
 //! that counts the calls each thread makes.
 //!
 //! The encoder writes every rank's stable chunk in one pass into one
-//! buffer that its thread keeps across encodes, and copies the image once
-//! into an exact output buffer. So once that buffer has grown to the
-//! largest image, an encode makes the same number of allocations whatever
-//! the rank count: the output, and a handful of per-image tables. A
-//! per-rank allocation anywhere on the path shows as a count that grows
-//! with the world. The store's save is that encoder, so the same holds for
-//! it. On the read side, a chain load decodes every chunk where it lies
-//! in the stored bytes: it costs what decoding the leaf's full image
-//! costs, plus a constant per ancestor, however many chunks the ancestors
-//! carry.
+//! buffer of the encode's own, and copies the image once into an exact
+//! output buffer. So an encode makes the same number of allocations
+//! whatever the rank count: the buffer, the output, and a handful of
+//! per-image tables. Only the buffer's geometric growth — its
+//! reallocations, counted apart — follows the image's size, one doubling
+//! per doubling of it. A per-rank allocation anywhere on the path shows
+//! as a count that grows with the world. The store's save is that
+//! encoder, so the same holds for it. On the read side, a chain load
+//! decodes every chunk where it lies in the stored bytes: it costs what
+//! decoding the leaf's full image costs, plus a constant per ancestor,
+//! however many chunks the ancestors carry.
 
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
 use ckpt::{Checkpoint, CkptTier, TieredStore};
@@ -19,32 +20,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Counts every allocation and reallocation of the calling thread, then
-/// hands the call to the system allocator.
+/// Counts every allocation and, apart, every reallocation of the calling
+/// thread, then hands the call to the system allocator.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     // `try_with`: the allocator runs during thread teardown too.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = counter.try_with(|n| n.set(n.get() + 1));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(&ALLOCS);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(&REALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -56,39 +58,61 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// `f`'s result and the allocations this thread made while it ran.
+/// `f`'s result and the allocations this thread made while it ran,
+/// reallocations included.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.get();
-    let out = f();
-    (out, ALLOCS.get() - before)
+    let (out, allocs, reallocs) = allocations_and_reallocations(f);
+    (out, allocs + reallocs)
 }
 
-/// Allocations of one `to_bytes` and of one serial full save into a
-/// fresh store, on the `n_ranks`-rank synthetic image.
-fn encode_allocations(n_ranks: usize) -> (u64, u64) {
+/// `f`'s result, and the allocations and reallocations this thread made
+/// while it ran.
+fn allocations_and_reallocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (a0, r0) = (ALLOCS.get(), REALLOCS.get());
+    let out = f();
+    (out, ALLOCS.get() - a0, REALLOCS.get() - r0)
+}
+
+/// `(allocations, reallocations)` of one `to_bytes` and of one serial
+/// full save into a fresh store, on the `n_ranks`-rank synthetic image.
+fn encode_allocations(n_ranks: usize) -> [(u64, u64); 2] {
     let image = Arc::new(synthetic_checkpoint(n_ranks, 0xA110C));
-    let (bytes, encode) = allocations(|| image.to_bytes());
+    let (bytes, a, r) = allocations_and_reallocations(|| image.to_bytes());
     let store = TieredStore::default();
-    let (receipt, save) =
-        allocations(|| store.save(CkptTier::Memory, Arc::clone(&image), false, 1));
+    let (receipt, sa, sr) = allocations_and_reallocations(|| {
+        store.save(CkptTier::Memory, Arc::clone(&image), false, 1)
+    });
     assert_eq!(receipt.bytes, bytes.len(), "a full save writes the image");
-    (encode, save)
+    [(a, r), (sa, sr)]
 }
 
 #[test]
 fn encode_allocations_do_not_grow_with_ranks() {
-    // The first encode grows this thread's buffer to the largest image.
-    encode_allocations(1024);
     let small = encode_allocations(256);
     let large = encode_allocations(1024);
-    assert_eq!(
-        small, large,
-        "(to_bytes, save) allocations at 256 vs 1024 ranks: a per-rank allocation"
-    );
-    assert!(
-        large.0 < 64 && large.1 < 64,
-        "(to_bytes, save) = {large:?} allocations for one 1024-rank image"
-    );
+    for (what, s, l) in [
+        ("to_bytes", small[0], large[0]),
+        ("save", small[1], large[1]),
+    ] {
+        assert_eq!(
+            s.0, l.0,
+            "{what} allocations at 256 vs 1024 ranks: a per-rank allocation"
+        );
+        assert!(
+            l.0 < 64,
+            "{what}: {} allocations for one 1024-rank image",
+            l.0
+        );
+        // Four times the ranks, four times the bytes: two more doublings
+        // of the one growing buffer, give or take the one the sizes
+        // straddle.
+        assert!(
+            l.1 <= s.1 + 3,
+            "{what} reallocations at 256 vs 1024 ranks: {} vs {}; more than the buffer's doublings",
+            s.1,
+            l.1
+        );
+    }
 }
 
 /// Allocations one decoded ancestor may add to a chain load: its head's

@@ -349,7 +349,7 @@ impl Checkpoint {
     /// rank's state alone, so the output is byte-for-byte identical to the
     /// serial encoder for any worker count.
     pub fn to_bytes_parallel(&self, workers: usize) -> Vec<u8> {
-        delta::encode(0, None, &|_| false, self, workers, delta::assemble).0
+        delta::encode(0, None, &|_| false, self, workers).0
     }
 
     /// Byte range of every rank's record within the serialized image, in
@@ -398,8 +398,7 @@ impl Checkpoint {
 
     /// Size of the serialized image in bytes; nothing is assembled.
     pub fn serialized_len(&self) -> usize {
-        let len = |head: &[u8], chunks: &[u8]| IMAGE_HEADER_LEN + head.len() + chunks.len();
-        delta::encode(0, None, &|_| false, self, 1, len).0
+        delta::full_len(self)
     }
 }
 

@@ -33,9 +33,9 @@
 //! as it goes (a shared list is found by address in O(1)), and cut off
 //! again unless the image inlines it. Parallel workers fill one buffer
 //! each, spliced in rank order. The head is written from the captures
-//! where they lie, behind the chunks in the encoding thread's reused
-//! buffer, and the image is one exact copy of the two. [`DeltaImage`] is
-//! the owned form the fuzzers edit: that encoder's bytes, decoded.
+//! where they lie, behind the chunks in the encode's own buffer, and the
+//! image is one exact copy of the two. [`DeltaImage`] is the owned form
+//! the fuzzers edit: that encoder's bytes, decoded.
 //!
 //! So an image needs nothing from its ancestors but chunk bytes.
 //! Resolution ([`crate::store::TieredStore::load`]) decodes every chain
@@ -54,7 +54,6 @@ use crate::image::{
 use crate::wire::{fnv1a64, var_len, CountEnc, Dec, FoldMap, FoldSet, Wr};
 use mana_core::{CallCounters, Cut, Ggid, Protocol, RankState, RuntimeCapture, SeqTable};
 use mpisim::VTime;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -216,45 +215,60 @@ fn encode_chunks(
         }
     });
     let at = section.len();
-    section.usize(image.in_flight.len());
-    for m in &image.in_flight {
-        enc_drained(section, m);
-    }
+    enc_in_flight(section, image);
     refs.push(seal(section, at, &mut fresh));
     (refs, lists)
 }
 
-thread_local! {
-    /// The encoding thread's buffer: an image's chunk section, then its
-    /// head. Kept across encodes, so a steady encoder allocates none.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+/// Appends the in-flight set's chunk to `out`.
+fn enc_in_flight(out: &mut Vec<u8>, image: &Checkpoint) {
+    out.usize(image.in_flight.len());
+    for m in &image.in_flight {
+        enc_drained(out, m);
+    }
+}
+
+/// The byte length of `image`'s full image, nothing assembled: chunks
+/// encoded and cut off at once, the head counted (a reference's inline
+/// tag is one byte either way). No buffer grows with the image: freeing a
+/// large mapped one raises glibc's mmap threshold (`scf_steady`'s RSS).
+pub(crate) fn full_len(image: &Checkpoint) -> usize {
+    let mut lists = MemberIntern::new(image.n_ranks);
+    let (mut buf, mut refs) = (Vec::new(), Vec::with_capacity(image.captures.len() + 1));
+    let (mut seen, mut chunks_len) = (FoldSet::default(), 0);
+    let mut note = |r: ChunkRef| {
+        chunks_len += if seen.insert(r) { r.len as usize } else { 0 };
+        false
+    };
+    encode_batch(&mut lists, &image.captures, &mut buf, &mut refs, &mut note);
+    enc_in_flight(&mut buf, image);
+    refs.push(seal(&mut buf, 0, &mut note));
+    let mut head = CountEnc::new();
+    enc_head(&mut head, 0, None, image, lists.table(), &refs);
+    IMAGE_HEADER_LEN + head.count() + chunks_len
 }
 
 /// The one encoder: `image` as generation `generation` relative to
-/// `parent`, every chunk whose address `known` holds left to the ancestor
-/// chain, chunks encoded on up to `workers` threads. Returns what
-/// `finish` makes of the head and the chunk section ([`assemble`] makes
-/// the image), and every chunk reference, flagged where it is inline.
+/// `parent`, chunks `known` holds left to the ancestor chain, encoded on
+/// up to `workers` threads into this call's own buffer; with every chunk
+/// reference, flagged where it is inline.
 ///
 /// # Panics
 /// Panics if a sequence-table entry names a group id that is not its
 /// member list's: the wire writes the list alone.
-pub(crate) fn encode<T>(
+pub(crate) fn encode(
     generation: u64,
     parent: Option<ParentRef>,
     known: &(dyn Fn(&ChunkRef) -> bool + Sync),
     image: &Checkpoint,
     workers: usize,
-    finish: impl FnOnce(&[u8], &[u8]) -> T,
-) -> (T, Refs) {
-    SCRATCH.with_borrow_mut(|buf| {
-        buf.clear();
-        let (refs, lists) = encode_chunks(image, known, workers, buf);
-        let section = buf.len();
-        enc_head(buf, generation, parent, image, lists.table(), &refs);
-        let (chunks, head) = buf.split_at(section);
-        (finish(head, chunks), refs)
-    })
+) -> (Vec<u8>, Refs) {
+    let mut buf = Vec::new();
+    let (refs, lists) = encode_chunks(image, known, workers, &mut buf);
+    let section = buf.len();
+    enc_head(&mut buf, generation, parent, image, lists.table(), &refs);
+    let (chunks, head) = buf.split_at(section);
+    (assemble(head, chunks), refs)
 }
 
 /// The serialized image of a head and a chunk section, in one exact
@@ -496,7 +510,7 @@ impl DeltaImage {
         current: &Checkpoint,
     ) -> DeltaImage {
         let known = |r: &ChunkRef| known.contains(r);
-        let (bytes, _) = encode(generation, parent, &known, current, 1, assemble);
+        let (bytes, _) = encode(generation, parent, &known, current, 1);
         DeltaImage::from_bytes(&bytes).expect("the encoder's image decodes")
     }
 

@@ -328,8 +328,7 @@ impl TieredStore {
         let mut known = (parent.as_ref()).map_or_else(FoldSet::default, |p| (*p.known).clone());
         let parent = parent.map(|p| p.link);
         let held = |r: &ChunkRef| known.contains(r);
-        let (bytes, refs) =
-            delta::encode(gen, parent, &held, &image, encode_workers, delta::assemble);
+        let (bytes, refs) = delta::encode(gen, parent, &held, &image, encode_workers);
         known.extend(refs.iter().map(|&(r, _)| r));
         let receipt = SaveReceipt {
             generation: gen,

@@ -180,10 +180,8 @@ impl Wr for Vec<u8> {
 }
 
 /// Write sink that only counts bytes, running the same encode code that
-/// writes them. It sizes no buffer: the image encoder writes each chunk
-/// once, straight into one buffer, and copies the result once into an
-/// exact one. It measures fields for the byte-range helpers the wire
-/// fuzzers aim with (`DeltaImage::capture_section_ranges` and kin).
+/// writes them: `Checkpoint::serialized_len`'s head, and fields for the
+/// wire fuzzers' byte-range helpers. It sizes no encoder's buffer.
 #[derive(Debug, Default)]
 pub struct CountEnc {
     n: usize,
