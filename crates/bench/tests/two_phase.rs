@@ -3,12 +3,13 @@
 //! `mana_core::control`: `TARGET[]` unmet and no live rank able to run.
 
 use ckpt::{
-    run_ckpt_world, run_ckpt_world_steps, CkptOptions, CkptRunReport, CkptTier, DrainError,
-    EveryNCollectives, ResumeMode, TierModels, TieredStore, Tiering, VirtualTimeSchedule,
+    run_ckpt_world, run_ckpt_world_steps, BodyStep, CcRank, CkptOptions, CkptRunReport, CkptTier,
+    DrainError, EveryNCollectives, ResumeMode, StepBody, StepPoll, TierModels, TieredStore,
+    Tiering, VirtualTimeSchedule,
 };
-use mana_core::{DrainEvent, Protocol};
+use mana_core::{DrainEvent, Protocol, VComm, VReq};
 use mpisim::dtype::{decode_f64, encode_f64};
-use mpisim::{DType, NetParams, ReduceOp, VTime, WorldConfig};
+use mpisim::{DType, NetParams, ReduceOp, VTime, WaitReason, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -61,12 +62,104 @@ fn two_phase_checkpoint_continue_and_restart_bit_identical() {
     }
 }
 
+/// Who steps a run's ranks: the pool, or a thread per rank running the
+/// body through `CcRank::run`.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Pool,
+    Threads,
+}
+
+const DRIVERS: [Driver; 2] = [Driver::Pool, Driver::Threads];
+
+/// `make`'s body on every rank under `driver`.
+fn run_on<B: StepBody>(
+    driver: Driver,
+    cfg: WorldConfig,
+    opts: CkptOptions,
+    make: impl Fn(usize) -> B + Send + Sync,
+) -> CkptRunReport<B::Out> {
+    match driver {
+        Driver::Pool => run_ckpt_world_steps(cfg, opts, make),
+        Driver::Threads => run_ckpt_world(cfg, opts, |r| r.run(&mut make(r.rank()))),
+    }
+}
+
+/// Resolves a poll inside `step`, yielding on `Pending`.
+macro_rules! ready {
+    ($poll:expr) => {
+        match $poll {
+            StepPoll::Ready(v) => v,
+            StepPoll::Pending(why) => return BodyStep::Yield(why),
+        }
+    };
+}
+
+/// Where a [`BarrierParker`] rank is.
+#[derive(Clone, Copy)]
+enum ParkerPc {
+    Cross,
+    Sum,
+    Max,
+    Barrier,
+}
+
+/// Rank 0 computes to just below the first trigger; ranks 1–2 compute
+/// past it and wall-sleep. Then every rank runs a world allreduce of
+/// `rank + 1`, computes past the second trigger, pauses, allreduces the
+/// maximum of the sums and passes a barrier.
+struct BarrierParker {
+    pc: ParkerPc,
+    sum: f64,
+    max: f64,
+}
+
+impl StepBody for BarrierParker {
+    type Out = f64;
+
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
+        let world = r.world_vcomm();
+        loop {
+            match self.pc {
+                ParkerPc::Cross => {
+                    if r.rank() == 0 {
+                        r.compute(60e-6);
+                    } else {
+                        r.compute(70e-6);
+                        std::thread::sleep(Duration::from_millis(400));
+                    }
+                    self.pc = ParkerPc::Sum;
+                }
+                ParkerPc::Sum => {
+                    let mine = [r.rank() as f64 + 1.0];
+                    self.sum = ready!(r.poll_allreduce_f64(world, &mine, ReduceOp::Sum))[0];
+                    r.compute(200e-6);
+                    // Give the second trigger a wall-clock window to fire
+                    // before the final collectives race to completion.
+                    std::thread::sleep(Duration::from_millis(10));
+                    self.pc = ParkerPc::Max;
+                }
+                ParkerPc::Max => {
+                    let mine = [self.sum];
+                    self.max = ready!(r.poll_allreduce_f64(world, &mine, ReduceOp::Max))[0];
+                    self.pc = ParkerPc::Barrier;
+                }
+                ParkerPc::Barrier => {
+                    ready!(r.poll_barrier(world));
+                    return BodyStep::Done(self.sum + self.max);
+                }
+            }
+        }
+    }
+}
+
 /// A rank parked *inside* its trivial barrier is captured via
 /// `pending_barrier` and survives a restart: the rank installs the capture
 /// it published into the fresh lower half, which re-issues the barrier
 /// there, and its `CallCounters` — the ones the capture holds — continue
 /// instead of resetting. Both are asserted by round-tripping through a
-/// second checkpoint.
+/// second checkpoint, under both drivers (the pool with a worker per
+/// rank: the sleeping ranks hold theirs).
 #[test]
 fn pending_barrier_and_counters_round_trip_across_restart() {
     let n = 3;
@@ -75,77 +168,66 @@ fn pending_barrier_and_counters_round_trip_across_restart() {
     // rank 0 is parked in the barrier; ranks 1–2 are already past the
     // threshold but wall-sleep before their entry, so they stop *before*
     // posting (the stop-the-world phase 1).
-    let run = run_ckpt_world(
-        cfg(n),
-        opts_2pc(
+    for driver in DRIVERS {
+        let opts = opts_2pc(
             vec![VTime::from_secs(60.05e-6), VTime::from_secs(150e-6)],
             ResumeMode::Restart,
-        ),
-        |r| {
-            let world = r.world_vcomm();
-            if r.rank() == 0 {
-                r.compute(60e-6);
-            } else {
-                r.compute(70e-6);
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            let v = r.allreduce_f64(world, &[r.rank() as f64 + 1.0], ReduceOp::Sum);
-            r.compute(200e-6);
-            // Give the second trigger a wall-clock window to fire before
-            // the final collectives race to completion.
-            std::thread::sleep(Duration::from_millis(10));
-            let w = r.allreduce_f64(world, &[v[0]], ReduceOp::Max);
-            r.barrier(world);
-            v[0] + w[0]
-        },
-    );
-    assert!(run.failures.is_empty(), "failures: {:?}", run.failures);
-    assert_eq!(run.checkpoints.len(), 2, "both checkpoints must fire");
-    let first = &run.checkpoints[0];
-    let second = &run.checkpoints[1];
+        );
+        let make = |_| BarrierParker {
+            pc: ParkerPc::Cross,
+            sum: 0.0,
+            max: 0.0,
+        };
+        let run = run_on(driver, cfg(n).with_workers(n), opts, make);
+        assert!(run.failures.is_empty(), "{driver:?}: {:?}", run.failures);
+        assert_eq!(run.checkpoints.len(), 2, "{driver:?}: both must fire");
+        let first = &run.checkpoints[0];
+        let second = &run.checkpoints[1];
 
-    // Rank 0 was parked in its first trivial barrier on MPI_COMM_WORLD.
-    assert_eq!(
-        first.captures[0].pending_barrier,
-        Some((0, 0)),
-        "rank 0's in-progress trivial barrier must be captured"
-    );
-    for r in 1..n {
+        // Rank 0 was parked in its first trivial barrier on MPI_COMM_WORLD.
         assert_eq!(
-            first.captures[r].pending_barrier, None,
-            "rank {r} stopped before posting"
+            first.captures[0].pending_barrier,
+            Some((0, 0)),
+            "{driver:?}: rank 0's in-progress trivial barrier must be captured"
         );
-    }
-    assert!(
-        run.trace
-            .count(|e| matches!(e, DrainEvent::TrivialBarrierParked(0)))
-            >= 1
-    );
+        for r in 1..n {
+            assert_eq!(
+                first.captures[r].pending_barrier, None,
+                "{driver:?}: rank {r} stopped before posting"
+            );
+        }
+        assert!(
+            run.trace
+                .count(|e| matches!(e, DrainEvent::TrivialBarrierParked(0)))
+                >= 1
+        );
 
-    // The captured counters continue monotonically across the restart:
-    // every field of the later capture dominates the earlier one, and the
-    // collectives executed in between are visible.
-    for r in 0..n {
-        let c1 = first.captures[r].counters;
-        let c2 = second.captures[r].counters;
-        assert!(
-            c2.dominates(&c1),
-            "rank {r} counters regressed across restart: {c1:?} -> {c2:?}"
-        );
-        assert!(
-            c2.coll_blocking > c1.coll_blocking,
-            "rank {r} blocking-collective count did not advance: {c1:?} -> {c2:?}"
-        );
-        assert!(
-            c2.trivial_barriers >= 1,
-            "rank {r} never recorded its trivial barrier"
-        );
-    }
+        // The captured counters continue monotonically across the restart:
+        // every field of the later capture dominates the earlier one, and
+        // the collectives executed in between are visible.
+        for r in 0..n {
+            let c1 = first.captures[r].counters;
+            let c2 = second.captures[r].counters;
+            assert!(
+                c2.dominates(&c1),
+                "{driver:?}: rank {r} counters regressed across restart: {c1:?} -> {c2:?}"
+            );
+            assert!(
+                c2.coll_blocking > c1.coll_blocking,
+                "{driver:?}: rank {r} blocking-collective count did not advance: \
+                 {c1:?} -> {c2:?}"
+            );
+            assert!(
+                c2.trivial_barriers >= 1,
+                "{driver:?}: rank {r} never recorded its trivial barrier"
+            );
+        }
 
-    // The re-issued barrier completed and the program ran to the correct
-    // data on every rank: sum = 1+2+3 = 6, max of sums = 6.
-    for res in run.results() {
-        assert_eq!(*res, 12.0);
+        // The re-issued barrier completed and the program ran to the
+        // correct data on every rank: sum = 1+2+3 = 6, max of sums = 6.
+        for res in run.results() {
+            assert_eq!(*res, 12.0, "{driver:?}");
+        }
     }
 }
 
@@ -241,56 +323,127 @@ fn two_phase_last_arriver_cannot_strand_parked_peers() {
     }
 }
 
+/// Where a [`GatedSend`] rank is.
+#[derive(Clone, Copy)]
+enum GatedPc {
+    Split,
+    Recv,
+    Initiate,
+    Sub,
+    Wait,
+}
+
+/// Rank 0 crosses the trigger below its target (the others initiate one
+/// more world collective first) and waits for rank 1's message — in a
+/// receive or, with `polls`, an `MPI_Test` + `compute` loop — then
+/// allreduces on the world. Ranks 1–2 initiate that allreduce, cross the
+/// trigger, sleep outside the engine and run a collective on their
+/// sub-communicator, behind which rank 1 sends rank 0 its message.
+struct GatedSend {
+    polls: bool,
+    pc: GatedPc,
+    sub: Option<VComm>,
+    recv: Option<VReq>,
+    sum: Option<VReq>,
+    got: f64,
+}
+
+impl StepBody for GatedSend {
+    type Out = f64;
+
+    fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
+        let (world, me) = (r.world_vcomm(), r.rank());
+        let one = || encode_f64(&[1.0]);
+        loop {
+            match self.pc {
+                GatedPc::Split => {
+                    let color = i64::from(me != 0);
+                    let sub = ready!(r.poll_comm_split(world, color, me as i64));
+                    self.sub = Some(sub.expect("color >= 0"));
+                    if me == 0 {
+                        // Below target at the snapshot, blocked in a
+                        // receive whose matching send sits behind rank 1's
+                        // beyond-target sub-collective.
+                        r.compute(50e-6);
+                        self.recv = Some(r.irecv(world, 1, 9u32));
+                        self.pc = GatedPc::Recv;
+                    } else {
+                        self.pc = GatedPc::Initiate;
+                    }
+                    // The pool hands out the wakes a step issued only when
+                    // it returns: yield, so the split's last member does
+                    // not sleep on the others' wakes.
+                    return BodyStep::Yield(WaitReason::Poll);
+                }
+                GatedPc::Recv => {
+                    let v = self.recv.expect("posted");
+                    let data = if self.polls {
+                        match ready!(r.poll_test(v)) {
+                            Some(c) => c.data,
+                            None => {
+                                r.compute(1e-6);
+                                return BodyStep::Yield(WaitReason::Poll);
+                            }
+                        }
+                    } else {
+                        ready!(r.poll_wait(v)).data
+                    };
+                    self.got = decode_f64(&data)[0];
+                    self.pc = GatedPc::Initiate;
+                }
+                GatedPc::Initiate => {
+                    let v = ready!(r.poll_iallreduce(world, &one(), DType::F64, ReduceOp::Sum));
+                    self.sum = Some(v);
+                    self.pc = if me == 0 {
+                        GatedPc::Wait
+                    } else {
+                        r.compute(50e-6);
+                        // The trigger fires while we sleep, outside the
+                        // engine: a rank that can run is never part of a
+                        // stall.
+                        std::thread::sleep(Duration::from_millis(150));
+                        GatedPc::Sub
+                    };
+                }
+                GatedPc::Sub => {
+                    // Beyond-target collective: both ranks have met every
+                    // target, so they park at this entry — and the send
+                    // below never happens until the coordinator gives up.
+                    let sub = self.sub.expect("split done");
+                    ready!(r.poll_allreduce_f64(sub, &[1.0], ReduceOp::Sum));
+                    if me == 1 {
+                        let v = r.isend(world, 0, 9u32, encode_f64(&[42.5]));
+                        assert!(r.poll_wait(v).is_ready(), "an eager send completes at once");
+                    }
+                    self.pc = GatedPc::Wait;
+                }
+                GatedPc::Wait => {
+                    ready!(r.poll_wait(self.sum.expect("initiated")));
+                    return BodyStep::Done(self.got);
+                }
+            }
+        }
+    }
+}
+
 /// A receive fed by a send gated behind a beyond-target collective
 /// deadlocks the CC drain: rank 0 is below its target, waiting for rank
 /// 1's message; ranks 1 and 2 have met every target and park at their
-/// next collective entry, before the send. Rank 0 waits in a blocking
-/// receive or, with `polls`, spins `MPI_Test` + `compute` on it.
-fn p2p_stall_run(polls: bool) -> CkptRunReport<f64> {
+/// next collective entry, before the send ([`GatedSend`], under
+/// `driver`; the pool has a worker per rank, since the sleeping ranks
+/// hold theirs).
+fn p2p_stall_run(polls: bool, driver: Driver) -> CkptRunReport<f64> {
     let n = 3;
     let opts = CkptOptions::one_checkpoint(VTime::from_secs(45e-6), ResumeMode::Continue);
-    run_ckpt_world(cfg(n), opts, move |r| {
-        let world = r.world_vcomm();
-        let me = r.rank();
-        let color = i64::from(me != 0);
-        let sub = r.comm_split(world, color, me as i64).expect("color >= 0");
-        if me == 0 {
-            // Below target at the snapshot (the others initiate one more
-            // world collective), blocked in a receive whose matching send
-            // sits behind rank 1's beyond-target sub-collective.
-            r.compute(50e-6);
-            let data = if polls {
-                let v = r.irecv(world, 1, 9u32);
-                loop {
-                    if let Some(c) = r.test(v) {
-                        break c.data;
-                    }
-                    r.compute(1e-6);
-                }
-            } else {
-                r.recv(world, 1, 9u32).0
-            };
-            let got = decode_f64(&data)[0];
-            let v = r.iallreduce(world, encode_f64(&[1.0]), DType::F64, ReduceOp::Sum);
-            r.wait(v);
-            got
-        } else {
-            let v = r.iallreduce(world, encode_f64(&[1.0]), DType::F64, ReduceOp::Sum);
-            r.compute(50e-6);
-            // The trigger fires while we sleep, outside the engine: a
-            // rank that can run is never part of a stall.
-            std::thread::sleep(Duration::from_millis(150));
-            // Beyond-target collective: both ranks have met every target,
-            // so they park at this entry — and the send below never
-            // happens until the coordinator gives up.
-            r.allreduce_f64(sub, &[1.0], ReduceOp::Sum);
-            if me == 1 {
-                r.send(world, 0, 9u32, encode_f64(&[42.5]));
-            }
-            r.wait(v);
-            0.0
-        }
-    })
+    let make = move |_| GatedSend {
+        polls,
+        pc: GatedPc::Split,
+        sub: None,
+        recv: None,
+        sum: None,
+        got: 0.0,
+    };
+    run_on(driver, cfg(n).with_workers(n), opts, make)
 }
 
 /// What a stalled drain must leave behind: the typed error naming the
@@ -319,7 +472,9 @@ fn assert_p2p_stall(run: &CkptRunReport<f64>) {
 /// then run to completion.
 #[test]
 fn p2p_stall_fails_fast_with_typed_error() {
-    assert_p2p_stall(&p2p_stall_run(false));
+    for driver in DRIVERS {
+        assert_p2p_stall(&p2p_stall_run(false, driver));
+    }
 }
 
 /// The same stall with rank 0 polling: every charged `MPI_Test` moves its
@@ -329,8 +484,10 @@ fn p2p_stall_fails_fast_with_typed_error() {
 /// declared as fast as its blocking sibling's.
 #[test]
 fn p2p_stall_in_a_test_loop_fails_fast_with_typed_error() {
-    let run = run_bounded("test-loop stall", 0, || p2p_stall_run(true));
-    assert_p2p_stall(&run);
+    for (i, driver) in DRIVERS.into_iter().enumerate() {
+        let run = run_bounded("test-loop stall", i, move || p2p_stall_run(true, driver));
+        assert_p2p_stall(&run);
+    }
 }
 
 /// Satellite: checkpoint image I/O must be charged against the virtual

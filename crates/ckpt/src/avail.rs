@@ -484,17 +484,11 @@ mod tests {
     use crate::policy::PeriodicInterval;
     use crate::runner::step::tests_support::SumBody;
     use crate::runner::{run_ckpt_world, run_ckpt_world_steps};
-    use mpisim::{NetParams, ReduceOp};
+    use mpisim::NetParams;
 
-    /// An allreduce loop: virtual time comes from `compute`.
+    /// [`SumBody`]'s allreduce loop as a closure body.
     fn sum(r: &mut CcRank) -> f64 {
-        let w = r.world_vcomm();
-        let mut acc = 0.0f64;
-        for _ in 0..30 {
-            r.compute(5e-6);
-            acc += r.allreduce_f64(w, &[r.rank() as f64 + acc * 1e-3], ReduceOp::Sum)[0];
-        }
-        acc
+        r.run(&mut SumBody::new(30))
     }
 
     fn cfg() -> WorldConfig {
@@ -559,26 +553,32 @@ mod tests {
         assert_eq!(base, got);
     }
 
+    /// Under either driver: the pool, and threads through [`sum`].
     #[test]
     fn death_with_no_image_restarts_from_scratch() {
         let native = run_ckpt_world(cfg(), CkptOptions::native(), sum);
         let makespan = native.makespan.as_secs();
-        let opts = CkptOptions::native().with_tiering(Tiering::fixed(CkptTier::Lustre));
-        let plan = FaultPlan::one(
-            FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.5)),
-            FaultScope::Rank(0),
-        );
-        let rep = run_available_world(cfg(), opts, plan, sum);
-        assert_eq!(rep.attempts, 2);
-        assert_eq!(rep.faults.len(), 1);
-        let f = &rep.faults[0];
-        assert_eq!(f.resumed_generation, None);
-        assert_eq!(f.resumed_tier, None);
-        assert!(f.wasted_s > 0.0, "everything up to the death is wasted");
-        assert_eq!(f.recovery_latency_s, 0.0);
-        let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
-        let got: Vec<f64> = rep.ranks.iter().map(|r| r.result).collect();
-        assert_eq!(base, got);
+        let opts = || CkptOptions::native().with_tiering(Tiering::fixed(CkptTier::Lustre));
+        let plan = || {
+            FaultPlan::one(
+                FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.5)),
+                FaultScope::Rank(0),
+            )
+        };
+        let pool = run_available_world_steps(cfg(), opts(), plan(), |_| SumBody::new(30));
+        let threads = run_available_world(cfg(), opts(), plan(), sum);
+        for rep in [pool, threads] {
+            assert_eq!(rep.attempts, 2);
+            assert_eq!(rep.faults.len(), 1);
+            let f = &rep.faults[0];
+            assert_eq!(f.resumed_generation, None);
+            assert_eq!(f.resumed_tier, None);
+            assert!(f.wasted_s > 0.0, "everything up to the death is wasted");
+            assert_eq!(f.recovery_latency_s, 0.0);
+            let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
+            let got: Vec<f64> = rep.ranks.iter().map(|r| r.result).collect();
+            assert_eq!(base, got);
+        }
     }
 
     #[test]

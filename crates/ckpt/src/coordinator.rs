@@ -750,6 +750,10 @@ pub(crate) fn p2p_accounting_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_ckpt_world, run_ckpt_world_steps, CkptOptions};
+    use crate::{BodyStep, CcRank, StepBody, StepPoll};
+    use mana_core::VComm;
+    use mpisim::{ReduceOp, WorldConfig};
 
     #[test]
     fn p2p_accounting_balance() {
@@ -765,6 +769,51 @@ mod tests {
         assert!(p2p_accounting_check(10, 11, 0, 0).is_err());
     }
 
+    /// Resolves a poll inside `step`, yielding on `Pending`.
+    macro_rules! ready {
+        ($poll:expr) => {
+            match $poll {
+                StepPoll::Ready(v) => v,
+                StepPoll::Pending(why) => return BodyStep::Yield(why),
+            }
+        };
+    }
+
+    /// Rank 0 only joins the split that excludes it and finishes; the
+    /// others run 40 rounds of compute and an allreduce on the split.
+    #[derive(Default)]
+    struct SplitThenSum {
+        sub: Option<Option<VComm>>,
+        it: usize,
+        computed: bool,
+        acc: f64,
+    }
+
+    impl StepBody for SplitThenSum {
+        type Out = f64;
+
+        fn step(&mut self, r: &mut CcRank) -> BodyStep<f64> {
+            let me = r.rank();
+            if self.sub.is_none() {
+                let color = if me == 0 { -1 } else { 0 };
+                self.sub = Some(ready!(r.poll_comm_split(r.world_vcomm(), color, 0)));
+            }
+            let Some(Some(sub)) = self.sub else {
+                return BodyStep::Done(0.0);
+            };
+            while self.it < 40 {
+                if !self.computed {
+                    r.compute(10e-6);
+                    self.computed = true;
+                }
+                self.acc += ready!(r.poll_allreduce_f64(sub, &[me as f64], ReduceOp::Sum))[0];
+                (self.computed, self.it) = (false, self.it + 1);
+            }
+            BodyStep::Done(self.acc)
+        }
+    }
+
+    /// Under either driver: the pool, and threads through `CcRank::run`.
     #[test]
     fn request_clock_ignores_a_rank_that_finished_early() {
         // Rank 0 only joins the split that excludes it, then returns at a
@@ -772,30 +821,20 @@ mod tests {
         // trigger waits for the slowest *unfinished* rank, and the image's
         // request clock must say where the run stood then — not where
         // the finished rank stopped.
-        use crate::runner::{run_ckpt_world, CkptOptions};
-        use mpisim::{ReduceOp, WorldConfig};
         let at = VTime::from_micros(100.0);
-        let opts = CkptOptions::one_checkpoint(at, ResumeMode::Continue);
-        let run = run_ckpt_world(WorldConfig::single_node(3), opts, |r| {
-            let me = r.rank();
-            let color = if me == 0 { -1 } else { 0 };
-            let Some(sub) = r.comm_split(r.world_vcomm(), color, 0) else {
-                return 0.0;
-            };
-            let mut acc = 0.0;
-            for _ in 0..40 {
-                r.compute(10e-6);
-                acc += r.allreduce_f64(sub, &[me as f64], ReduceOp::Sum)[0];
-            }
-            acc
-        });
-        assert!(run.failures.is_empty(), "{:?}", run.failures);
-        assert_eq!(run.checkpoints.len(), 1, "the trigger must fire");
-        let c = &run.checkpoints[0];
-        assert!(
-            c.request_clock >= at,
-            "request clock {} is below the trigger {at}: a finished rank pinned it",
-            c.request_clock
-        );
+        let opts = || CkptOptions::one_checkpoint(at, ResumeMode::Continue);
+        let cfg = || WorldConfig::single_node(3);
+        let pool = run_ckpt_world_steps(cfg(), opts(), |_| SplitThenSum::default());
+        let threads = run_ckpt_world(cfg(), opts(), |r| r.run(&mut SplitThenSum::default()));
+        for run in [pool, threads] {
+            assert!(run.failures.is_empty(), "{:?}", run.failures);
+            assert_eq!(run.checkpoints.len(), 1, "the trigger must fire");
+            let c = &run.checkpoints[0];
+            assert!(
+                c.request_clock >= at,
+                "request clock {} is below the trigger {at}: a finished rank pinned it",
+                c.request_clock
+            );
+        }
     }
 }

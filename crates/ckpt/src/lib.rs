@@ -91,7 +91,7 @@
 //!   captured state and resumes inside the operation it was captured in.
 //!   The protocol's control flow
 //!   is the poll engine of [`rank::step`]; every operation that can wait
-//!   has a `poll_*` form and a blocking form over it.
+//!   is one idempotent-start `poll_*` method over it, `MPI_Test` included.
 //! * [`policy`] — [`TriggerPolicy`] and the built-in policies: an explicit
 //!   [`VirtualTimeSchedule`], a production-style [`PeriodicInterval`],
 //!   the Young/Daly [`DalyInterval`], and [`EveryNCollectives`] driven by
@@ -206,21 +206,19 @@
 //! [`rank::step`]: each either completes or reports that it is pending
 //! an event. Everything around that engine also exists once:
 //!
-//! * **One rank type.** Each [`CcRank`] operation that can wait has a
-//!   `poll_*` form (idempotent-start: the first call builds the machine
-//!   into the rank's in-flight slot, later calls resume it, `Ready`
-//!   clears it) and a blocking form, which builds the same machine on
-//!   the stack and blocks on it: poll, and while pending sleep on the
-//!   rank's one event counter
-//!   ([`mana_core::RankCtl::wait_event_since`]).
+//! * **One rank type, one face.** Each [`CcRank`] operation that can
+//!   wait is a `poll_*` method (idempotent-start: the first call builds
+//!   the machine into the rank's in-flight slot, later calls resume it,
+//!   `Ready` clears it); `isend`, `irecv` and `compute` never wait.
 //! * **One body shape.** A rank body is a [`StepBody`]: `step` runs until
 //!   the body finishes or an operation is pending, the way an async body
-//!   lowers. A closure `Fn(&mut CcRank) -> R` is a step body that never
-//!   yields, because its blocking calls sleep on the thread it owns — and
-//!   [`CcRank::run`] is the blocking call that runs a whole step body to
-//!   completion there, so a program exists once: the `workloads` crate
-//!   writes each as a step body, and its closure-shaped entry point
-//!   (`scf_loop`, `random_workload`, ...) is `rank.run(body)`.
+//!   lowers. A closure `Fn(&mut CcRank) -> R` on a thread of its own
+//!   blocks only through [`CcRank::run`], which steps a whole step body
+//!   to completion there, sleeping while it waits for an event on the
+//!   rank's one event counter ([`mana_core::RankCtl::wait_event_since`]).
+//!   So a program exists once: the `workloads` crate writes each as a
+//!   step body, and its closure-shaped entry point (`scf_loop`,
+//!   `random_workload`, ...) is `rank.run(body)`.
 //! * **One launcher, one run loop.** `runner::step::run_session` builds
 //!   every rank's continuation all-or-nothing, steps them while
 //!   supervision (restore driving, then the trigger policy) runs on the
@@ -238,7 +236,7 @@
 //!   forms): [`mpisim::StepDriver`] resumes the objects on `~num_cpus`
 //!   workers; a parked rank is a boxed object, not a stack. No per-rank
 //!   OS thread exists, which is what carries 65 536-rank worlds. A body
-//!   here must yield, not sleep: a blocking call that would have to wait
+//!   here must yield, not sleep: a `CcRank::run` that would have to wait
 //!   panics rather than hold a worker.
 //! * **a thread per object** ([`run_ckpt_world`] and the other closure
 //!   forms): [`mpisim::Scheduler::run_threads`], the one place rank

@@ -15,15 +15,14 @@
 //! installs the image's capture the same way, and resumes at the captured
 //! park (`CcRank::resume_from`).
 //!
-//! There is one rank type. That control flow lives in the poll machines
-//! of [`step`], the one protocol engine, which also defines the `poll_*`
-//! methods a body stepped by the pool ([`crate::StepBody`]) calls before
-//! it yields; this file holds the rank's state, the straight-line helpers
-//! the machines call, and the blocking methods a body that owns a thread
-//! (a closure on the thread-per-object driver) calls: each builds its
-//! operation's machine on the stack and blocks on it (`CcRank::block_on`)
-//! — the same object, the same machines — and [`CcRank::run`] blocks on a
-//! whole step body the same way.
+//! There is one rank type, and its MPI surface is one face. The control
+//! flow lives in the poll machines of [`step`], the one protocol engine,
+//! which also defines the idempotent-start `poll_*` methods every body
+//! calls: a body stepped by the pool ([`crate::StepBody`]) yields when one
+//! is pending, and a body on its own thread is run through [`CcRank::run`],
+//! the one call that blocks, on the whole body. This file holds the rank's
+//! state, the straight-line helpers the machines call, the calls that
+//! never wait (`isend`, `irecv`, `compute`) and that one blocking loop.
 
 use crate::coordinator::rebuild_msg;
 use crate::runner::step::{BodyStep, StepBody};
@@ -34,16 +33,12 @@ use mana_core::{
     ggid_of, CallCounters, CommOp, DrainEvent, Ggid, Protocol, RankState, RuntimeCapture,
     UpperHalf, VComm, VCommTable, VReq, VReqKind, VReqState, VReqTable, VCOMM_WORLD,
 };
-use mpisim::collective::RedSpec;
 use mpisim::comm::{create_color, SplitKey};
-use mpisim::dtype::{decode_f64, encode_f64};
-use mpisim::{
-    CollOp, Comm, Completion, Ctx, DType, ReduceOp, Request, SavedMsg, SrcSel, Status, TagSel,
-    VTime, World,
-};
+use mpisim::sched::WaitReason;
+use mpisim::{Comm, Completion, Ctx, Request, SavedMsg, SrcSel, TagSel, VTime, World};
 use std::collections::HashMap;
 use std::sync::Arc;
-use step::{CollM, CommKind, CommM, ICollM, Op, StepPoll, TestM, WaitM};
+use step::{Op, StepPoll};
 
 pub mod step;
 
@@ -481,34 +476,48 @@ impl CcRank<'_> {
     // Blocking on the engine
     // ------------------------------------------------------------------
 
-    /// Drives `poll` — one engine machine, or a whole step body
-    /// ([`CcRank::run`]) — to completion on the calling thread:
-    /// poll it, and while it is `Pending` sleep on the rank's one event
-    /// counter, which every wake, control-plane or lower-half, advances
-    /// ([`mana_core::RankCtl::wake`]). The token is read *before* the poll,
-    /// so an event landing between "the poll said `Pending`" and "the
-    /// thread sleeps" ends the sleep at once; the sleep is announced on it
-    /// for the stall rule. This is also a thread's poison
-    /// observation point: a killed world wakes every rank, and the rank
-    /// unwinds here instead of polling a dead peer forever.
+    /// Drives `poll` — a whole step body ([`CcRank::run`]) — to completion
+    /// on the calling thread: poll it, re-poll at once after a
+    /// [`WaitReason::Poll`] yield, and after an `Event` yield sleep on the
+    /// rank's one event counter, which every wake, control-plane or
+    /// lower-half, advances ([`mana_core::RankCtl::wake`]). The token is
+    /// read *before* the poll, so an event landing between "the poll said
+    /// `Pending`" and "the thread sleeps" ends the sleep at once; the sleep
+    /// is announced on it for the stall rule. A sleep that ran out its
+    /// backstop lost a wake only if the poll after it, with no wake since,
+    /// goes on — finishes, polls again, or moves the rank's clock, call
+    /// counters or published state: a rank that waits out a peer's long
+    /// body sleep lost nothing. This is also a thread's poison observation
+    /// point: a killed world wakes every rank, and the rank unwinds here
+    /// instead of polling a dead peer forever.
     ///
     /// # Panics
     /// On the `Pending` path, if the rank is stepped by the worker pool:
     /// lower-half events reach such a rank through its driver, never
     /// through this counter, so the sleep would hold a pool worker until
     /// the backstop — and deadlock the pool once every worker did it.
-    pub(crate) fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
+    fn block_on<T>(&mut self, mut poll: impl FnMut(&mut Self) -> StepPoll<T>) -> T {
         let (control, rank) = (&self.core.sh.control, self.core.rank);
         let ctl = &control.ranks[rank];
+        let moved = |r: &Self| (r.core.ctx.clock(), r.core.counters, ctl.state());
+        // The token an expired sleep waited since, and the rank then.
+        let mut expired = None;
         loop {
             let token = ctl.park.token();
             let polled = poll(self);
-            // A park for capture taken inside a blocking call carries no
-            // snapshot: the body is this thread's stack.
+            // A park for capture taken inside `run` carries no snapshot:
+            // only the rank's own body is its upper half.
             self.complete_park(|| None);
-            if let StepPoll::Ready(t) = polled {
-                return t;
+            if let Some((since, before)) = expired.take() {
+                let waits = matches!(polled, StepPoll::Pending(WaitReason::Event));
+                if since == token && (!waits || moved(self) != before) {
+                    ctl.record_lost_wake();
+                }
             }
+            let why = match polled {
+                StepPoll::Ready(t) => return t,
+                StepPoll::Pending(why) => why,
+            };
             assert!(
                 !ctl.pool_driven(),
                 "blocking call on a pool-driven rank: use `poll_*` or a closure entry point"
@@ -517,23 +526,28 @@ impl CcRank<'_> {
             // wake preceded the token would otherwise cost the backstop.
             let fail = self.core.ctx.world().fail_plane();
             fail.die_if_poisoned();
+            if why == WaitReason::Poll {
+                continue;
+            }
             control.publish_asleep(rank, token, false);
-            ctl.wait_event_since(token);
+            if !ctl.wait_event_since(token) {
+                expired = Some((token, moved(self)));
+            }
             fail.die_if_poisoned();
         }
     }
 
     /// Runs a step body to completion on the calling thread: steps it,
-    /// and whenever it yields sleeps (`CcRank::block_on`) until an event
-    /// can have unblocked it. This is how a body that owns its thread —
-    /// a closure on the thread-per-object driver — runs a [`StepBody`]
-    /// program inline, between its own blocking calls, and it is all the
-    /// thread-per-object driver does with the body it is handed.
+    /// and whenever it yields for an event sleeps (`CcRank::block_on`)
+    /// until one can have unblocked it. This is the one call of the rank
+    /// that blocks: a closure on the thread-per-object driver runs its
+    /// program through it, and it is all that driver does with the body
+    /// it is handed.
     ///
     /// # Panics
     /// Panics if an operation is in flight (a `poll_*` call returned
-    /// `Pending` and was not re-polled to `Ready`), naming it; and, like
-    /// every blocking call, if the body yields on a pool-driven rank.
+    /// `Pending` and was not re-polled to `Ready`), naming it; and if the
+    /// body yields on a pool-driven rank.
     pub fn run<B: StepBody>(&mut self, body: &mut B) -> B::Out {
         self.expect_op("run", false);
         self.block_on(|r| match body.step(r) {
@@ -561,136 +575,7 @@ impl CcRank<'_> {
     }
 
     // ------------------------------------------------------------------
-    // Blocking collectives
-    // ------------------------------------------------------------------
-
-    /// Blocking collective entry point (all specific calls route here).
-    pub fn collective(
-        &mut self,
-        vc: VComm,
-        op: CollOp,
-        root: usize,
-        payload: Bytes,
-        red: Option<RedSpec>,
-    ) -> Bytes {
-        let mut m = CollM::new(&mut self.core, vc, op, root, payload, red);
-        self.block_on(|r| m.poll(&mut r.core))
-    }
-
-    /// `MPI_Barrier`.
-    pub fn barrier(&mut self, vc: VComm) {
-        let _ = self.collective(vc, CollOp::Barrier, 0, Bytes::new(), None);
-    }
-
-    /// `MPI_Bcast`.
-    pub fn bcast(&mut self, vc: VComm, root: usize, data: Bytes) -> Bytes {
-        self.collective(vc, CollOp::Bcast, root, data, None)
-    }
-
-    /// `MPI_Reduce`.
-    pub fn reduce(
-        &mut self,
-        vc: VComm,
-        root: usize,
-        data: Bytes,
-        dtype: DType,
-        op: ReduceOp,
-    ) -> Bytes {
-        self.collective(vc, CollOp::Reduce, root, data, Some(RedSpec { dtype, op }))
-    }
-
-    /// `MPI_Allreduce`.
-    pub fn allreduce(&mut self, vc: VComm, data: Bytes, dtype: DType, op: ReduceOp) -> Bytes {
-        self.collective(vc, CollOp::Allreduce, 0, data, Some(RedSpec { dtype, op }))
-    }
-
-    /// `MPI_Allreduce` on `f64` slices (convenience).
-    pub fn allreduce_f64(&mut self, vc: VComm, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        decode_f64(&self.allreduce(vc, encode_f64(data), DType::F64, op))
-    }
-
-    /// `MPI_Gather`.
-    pub fn gather(&mut self, vc: VComm, root: usize, data: Bytes) -> Bytes {
-        self.collective(vc, CollOp::Gather, root, data, None)
-    }
-
-    /// `MPI_Allgather`.
-    pub fn allgather(&mut self, vc: VComm, data: Bytes) -> Bytes {
-        self.collective(vc, CollOp::Allgather, 0, data, None)
-    }
-
-    /// `MPI_Alltoall`.
-    pub fn alltoall(&mut self, vc: VComm, data: Bytes) -> Bytes {
-        self.collective(vc, CollOp::Alltoall, 0, data, None)
-    }
-
-    /// `MPI_Scatter`.
-    pub fn scatter(&mut self, vc: VComm, root: usize, data: Bytes) -> Bytes {
-        self.collective(vc, CollOp::Scatter, root, data, None)
-    }
-
-    /// `MPI_Scan`.
-    pub fn scan(&mut self, vc: VComm, data: Bytes, dtype: DType, op: ReduceOp) -> Bytes {
-        self.collective(vc, CollOp::Scan, 0, data, Some(RedSpec { dtype, op }))
-    }
-
-    /// `MPI_Reduce_scatter_block`.
-    pub fn reduce_scatter(&mut self, vc: VComm, data: Bytes, dtype: DType, op: ReduceOp) -> Bytes {
-        self.collective(
-            vc,
-            CollOp::ReduceScatter,
-            0,
-            data,
-            Some(RedSpec { dtype, op }),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Non-blocking collectives (initiation counts — §4.3.1)
-    // ------------------------------------------------------------------
-
-    /// Non-blocking collective entry point. Blocks only while the gate
-    /// does (a drain in progress); the operation itself is merely
-    /// initiated.
-    pub fn icollective(
-        &mut self,
-        vc: VComm,
-        op: CollOp,
-        root: usize,
-        payload: Bytes,
-        red: Option<RedSpec>,
-    ) -> VReq {
-        let mut m = ICollM::new(&mut self.core, vc, op, root, payload, red);
-        self.block_on(|r| m.poll(&mut r.core))
-    }
-
-    /// `MPI_Ibarrier`.
-    pub fn ibarrier(&mut self, vc: VComm) -> VReq {
-        self.icollective(vc, CollOp::Barrier, 0, Bytes::new(), None)
-    }
-
-    /// `MPI_Ibcast`.
-    pub fn ibcast(&mut self, vc: VComm, root: usize, data: Bytes) -> VReq {
-        self.icollective(vc, CollOp::Bcast, root, data, None)
-    }
-
-    /// `MPI_Iallreduce`.
-    pub fn iallreduce(&mut self, vc: VComm, data: Bytes, dtype: DType, op: ReduceOp) -> VReq {
-        self.icollective(vc, CollOp::Allreduce, 0, data, Some(RedSpec { dtype, op }))
-    }
-
-    /// `MPI_Iallgather`.
-    pub fn iallgather(&mut self, vc: VComm, data: Bytes) -> VReq {
-        self.icollective(vc, CollOp::Allgather, 0, data, None)
-    }
-
-    /// `MPI_Ialltoall`.
-    pub fn ialltoall(&mut self, vc: VComm, data: Bytes) -> VReq {
-        self.icollective(vc, CollOp::Alltoall, 0, data, None)
-    }
-
-    // ------------------------------------------------------------------
-    // Point-to-point
+    // Point-to-point initiation (never waits)
     // ------------------------------------------------------------------
 
     /// `MPI_Isend`.
@@ -703,12 +588,6 @@ impl CcRank<'_> {
         let comm = &core.vcomms.resolve(vc).0;
         let req = core.ctx.isend(comm, to, tag, payload);
         core.vreqs.insert(req, VReqKind::Send)
-    }
-
-    /// `MPI_Send`.
-    pub fn send(&mut self, vc: VComm, to: usize, tag: u32, payload: impl Into<Bytes>) {
-        let v = self.isend(vc, to, tag, payload);
-        self.wait(v);
     }
 
     /// `MPI_Irecv`.
@@ -730,83 +609,6 @@ impl CcRank<'_> {
                 tag,
             },
         )
-    }
-
-    /// `MPI_Recv`.
-    pub fn recv(
-        &mut self,
-        vc: VComm,
-        src: impl Into<SrcSel>,
-        tag: impl Into<TagSel>,
-    ) -> (Bytes, Status) {
-        let v = self.irecv(vc, src, tag);
-        let c = self.wait(v);
-        (c.data, c.status.expect("recv completion carries status"))
-    }
-
-    /// `MPI_Sendrecv`.
-    pub fn sendrecv(
-        &mut self,
-        vc: VComm,
-        to: usize,
-        send_tag: u32,
-        payload: impl Into<Bytes>,
-        from: impl Into<SrcSel>,
-        recv_tag: impl Into<TagSel>,
-    ) -> (Bytes, Status) {
-        let s = self.isend(vc, to, send_tag, payload);
-        let r = self.irecv(vc, from, recv_tag);
-        self.wait(s);
-        let c = self.wait(r);
-        (c.data, c.status.expect("recv status"))
-    }
-
-    // ------------------------------------------------------------------
-    // Completion
-    // ------------------------------------------------------------------
-
-    /// `MPI_Wait`: blocks (cooperatively with the checkpoint engine) until
-    /// the request completes.
-    pub fn wait(&mut self, v: VReq) -> Completion {
-        let mut m = WaitM::new(&mut self.core, v);
-        self.block_on(|r| m.poll(&mut r.core))
-    }
-
-    /// `MPI_Test`: non-blocking completion check (charges one poll), also
-    /// cooperating with a quiesce in progress.
-    pub fn test(&mut self, v: VReq) -> Option<Completion> {
-        let mut m = TestM::new(&mut self.core, v);
-        self.block_on(|r| m.poll(&mut r.core))
-    }
-
-    /// `MPI_Waitall`.
-    pub fn waitall(&mut self, vs: &[VReq]) -> Vec<Completion> {
-        vs.iter().map(|&v| self.wait(v)).collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Communicator management (collective on the parent — counted)
-    // ------------------------------------------------------------------
-
-    fn comm_op(&mut self, vc: VComm, kind: CommKind) -> Option<VComm> {
-        let mut m = CommM::new(&mut self.core, vc, kind);
-        self.block_on(|r| m.poll(&mut r.core))
-    }
-
-    /// `MPI_Comm_split`.
-    pub fn comm_split(&mut self, vc: VComm, color: i64, key: i64) -> Option<VComm> {
-        self.comm_op(vc, CommKind::Split { color, key })
-    }
-
-    /// `MPI_Comm_dup`.
-    pub fn comm_dup(&mut self, vc: VComm) -> VComm {
-        self.comm_op(vc, CommKind::Dup)
-            .expect("dup always yields a communicator")
-    }
-
-    /// `MPI_Comm_create` with `members` as world ranks in group order.
-    pub fn comm_create(&mut self, vc: VComm, members: Vec<usize>) -> Option<VComm> {
-        self.comm_op(vc, CommKind::Create { members })
     }
 }
 

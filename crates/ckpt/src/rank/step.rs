@@ -5,17 +5,17 @@
 //! trivial barrier, `MPI_Wait`/`MPI_Test`, communicator creation, the
 //! quiesce/capture park — is written exactly once, here, as an explicit
 //! state machine that either *completes* or returns
-//! [`StepPoll::Pending`]. What happens on `Pending` is the only thing
-//! that depends on who is running the body:
+//! [`StepPoll::Pending`], and is reached through one `poll_*` method of
+//! [`CcRank`], which keeps the machine in the rank's `op` slot between
+//! calls. What happens on `Pending` is the only thing that depends on who
+//! is running the body:
 //!
-//! * a body stepped by the **pool** ([`mpisim::StepDriver`]) calls
-//!   `poll_*`, which keeps the machine in the rank's `op` slot between
-//!   calls, and yields back to the driver; a parked rank then occupies
-//!   nothing but its own heap object;
-//! * a body that **owns a thread** ([`mpisim::Scheduler::run_threads`])
-//!   calls the blocking form, which builds the same machine on its stack
-//!   and blocks on it (`CcRank::block_on`): poll, and on `Pending` sleep
-//!   on the rank's one event counter
+//! * a body stepped by the **pool** ([`mpisim::StepDriver`]) yields back to
+//!   the driver; a parked rank then occupies nothing but its own heap
+//!   object;
+//! * a body run on a thread of its own ([`mpisim::Scheduler::run_threads`])
+//!   is run through [`CcRank::run`], which blocks on the whole body: step
+//!   it, and on an `Event` yield sleep on the rank's one event counter
 //!   ([`mana_core::RankCtl::wait_event_since`]) until something wakes it.
 //!
 //! Both hear the same events, through [`mana_core::RankCtl::wake`]
@@ -56,8 +56,8 @@ pub enum StepPoll<T> {
     /// The operation completed with this result.
     Ready(T),
     /// The operation cannot progress until an event wakes the rank: a
-    /// body on the pool yields to its driver with this wait reason,
-    /// `CcRank::block_on` sleeps on the rank's event counter.
+    /// body yields to its driver with this wait reason (under
+    /// [`CcRank::run`], a sleep on the rank's event counter).
     Pending(WaitReason),
 }
 
@@ -573,7 +573,8 @@ fn set_in_collective(cc: &RankCore<'_>, inside: bool) {
     }
 }
 
-/// A blocking collective (all specific calls route here).
+/// A blocking collective: [`CcRank::poll_collective`] and every call
+/// over it.
 pub(super) struct CollM {
     vc: VComm,
     op: CollOp,
@@ -589,7 +590,7 @@ enum CollStage {
 }
 
 impl CollM {
-    pub(super) fn new(
+    fn new(
         cc: &mut RankCore<'_>,
         vc: VComm,
         op: CollOp,
@@ -611,7 +612,7 @@ impl CollM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Bytes> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Bytes> {
         loop {
             match &mut self.stage {
                 CollStage::Gate(g) => match g.poll(cc) {
@@ -654,7 +655,7 @@ pub(super) struct ICollM {
 }
 
 impl ICollM {
-    pub(super) fn new(
+    fn new(
         cc: &mut RankCore<'_>,
         vc: VComm,
         op: CollOp,
@@ -681,7 +682,7 @@ impl ICollM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<VReq> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<VReq> {
         match self.gate.poll(cc) {
             StepPoll::Pending(r) => StepPoll::Pending(r),
             StepPoll::Ready(_) => {
@@ -715,7 +716,7 @@ pub(super) struct WaitM {
 }
 
 impl WaitM {
-    pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> WaitM {
+    fn new(cc: &mut RankCore<'_>, v: VReq) -> WaitM {
         cc.enter_call();
         if cc.resume.take().is_none() {
             cc.counters.completions += 1;
@@ -723,7 +724,7 @@ impl WaitM {
         WaitM { v, quiesce: None }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Completion> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Completion> {
         loop {
             if let Some(m) = &mut self.quiesce {
                 match m.poll(cc) {
@@ -766,7 +767,7 @@ pub(super) struct TestM {
 }
 
 impl TestM {
-    pub(super) fn new(cc: &mut RankCore<'_>, v: VReq) -> TestM {
+    fn new(cc: &mut RankCore<'_>, v: VReq) -> TestM {
         // Restored parked here: the call was counted and serviced.
         let resumed = cc.resume.take().is_some();
         if !resumed {
@@ -779,7 +780,7 @@ impl TestM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Option<Completion>> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Option<Completion>> {
         loop {
             if let Some(m) = &mut self.quiesce {
                 match m.poll(cc) {
@@ -819,7 +820,7 @@ impl TestM {
 }
 
 /// Which communicator-management call a [`CommM`] runs.
-pub(super) enum CommKind {
+enum CommKind {
     /// `MPI_Comm_split`.
     Split { color: i64, key: i64 },
     /// `MPI_Comm_dup`.
@@ -843,7 +844,7 @@ enum CommStage {
 }
 
 impl CommM {
-    pub(super) fn new(cc: &mut RankCore<'_>, vc: VComm, kind: CommKind) -> CommM {
+    fn new(cc: &mut RankCore<'_>, vc: VComm, kind: CommKind) -> CommM {
         let resume = cc.resume.take();
         if resume.is_none() {
             cc.counters.comm_mgmt += 1;
@@ -855,7 +856,7 @@ impl CommM {
         }
     }
 
-    pub(super) fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Option<VComm>> {
+    fn poll(&mut self, cc: &mut RankCore<'_>) -> StepPoll<Option<VComm>> {
         loop {
             match &mut self.stage {
                 CommStage::Gate(g) => match g.poll(cc) {
@@ -923,6 +924,7 @@ pub(super) enum Op {
     Coll(CollM),
     IColl(ICollM),
     Wait(WaitM),
+    Test(TestM),
     Comm(CommM),
 }
 
@@ -932,6 +934,7 @@ impl Op {
             Op::Coll(_) => "collective",
             Op::IColl(_) => "icollective",
             Op::Wait(_) => "wait",
+            Op::Test(_) => "test",
             Op::Comm(m) => match m.kind {
                 CommKind::Split { .. } => "comm_split",
                 CommKind::Dup => "comm_dup",
@@ -947,7 +950,7 @@ impl Op {
 
 /// The name step bodies spell the rank type by. There is one rank type;
 /// the alias goes when the frozen benchmark, which names it, is re-based
-/// (ROADMAP item 1(d)).
+/// (ROADMAP item 6(d)).
 pub type StepRank<'s> = CcRank<'s>;
 
 /// The idempotent-start protocol of every `poll_*` method: the first call
@@ -984,8 +987,9 @@ impl CcRank<'_> {
         }
     }
 
-    /// Poll form of [`CcRank::collective`]. `payload` is consumed on the
-    /// constructing call; re-polls ignore it.
+    /// A blocking collective (`MPI_Barrier`, `MPI_Bcast`, `MPI_Reduce`,
+    /// ...: `op` names it, `red` its datatype and reduction). `payload` is
+    /// consumed on the constructing call; re-polls ignore it.
     pub fn poll_collective(
         &mut self,
         vc: VComm,
@@ -1002,18 +1006,18 @@ impl CcRank<'_> {
         )
     }
 
-    /// Poll form of [`CcRank::barrier`].
+    /// `MPI_Barrier`.
     pub fn poll_barrier(&mut self, vc: VComm) -> StepPoll<()> {
         self.poll_collective(vc, CollOp::Barrier, 0, &Bytes::new(), None)
             .map(|_| ())
     }
 
-    /// Poll form of [`CcRank::bcast`].
+    /// `MPI_Bcast`.
     pub fn poll_bcast(&mut self, vc: VComm, root: usize, data: &Bytes) -> StepPoll<Bytes> {
         self.poll_collective(vc, CollOp::Bcast, root, data, None)
     }
 
-    /// Poll form of [`CcRank::allreduce`].
+    /// `MPI_Allreduce`.
     pub fn poll_allreduce(
         &mut self,
         vc: VComm,
@@ -1024,7 +1028,7 @@ impl CcRank<'_> {
         self.poll_collective(vc, CollOp::Allreduce, 0, data, Some(RedSpec { dtype, op }))
     }
 
-    /// Poll form of [`CcRank::allreduce_f64`].
+    /// `MPI_Allreduce` on `f64` slices.
     pub fn poll_allreduce_f64(
         &mut self,
         vc: VComm,
@@ -1035,12 +1039,16 @@ impl CcRank<'_> {
             .map(|b| decode_f64(&b))
     }
 
-    /// Poll form of [`CcRank::allgather`].
+    /// `MPI_Allgather`.
     pub fn poll_allgather(&mut self, vc: VComm, data: &Bytes) -> StepPoll<Bytes> {
         self.poll_collective(vc, CollOp::Allgather, 0, data, None)
     }
 
-    /// Poll form of [`CcRank::icollective`].
+    /// A non-blocking collective's initiation (`MPI_Ibarrier`,
+    /// `MPI_Iallreduce`, ...): pends only while the gate does (a drain in
+    /// progress); once `Ready` the request is initiated (§4.3.1 counts
+    /// it) and completes through [`CcRank::poll_wait`] or
+    /// [`CcRank::poll_test`].
     pub fn poll_icollective(
         &mut self,
         vc: VComm,
@@ -1057,7 +1065,7 @@ impl CcRank<'_> {
         )
     }
 
-    /// Poll form of [`CcRank::iallreduce`].
+    /// `MPI_Iallreduce`.
     pub fn poll_iallreduce(
         &mut self,
         vc: VComm,
@@ -1068,7 +1076,8 @@ impl CcRank<'_> {
         self.poll_icollective(vc, CollOp::Allreduce, 0, data, Some(RedSpec { dtype, op }))
     }
 
-    /// Poll form of [`CcRank::wait`].
+    /// `MPI_Wait`: completes the request, cooperating with the checkpoint
+    /// engine while it cannot.
     pub fn poll_wait(&mut self, v: VReq) -> StepPoll<Completion> {
         if let Some(Op::Wait(m)) = &self.op {
             assert_eq!(m.v, v, "rank resumed `wait` with a different request");
@@ -1076,7 +1085,20 @@ impl CcRank<'_> {
         poll_op!(self, "wait", Wait, WaitM::new(&mut self.core, v))
     }
 
-    /// Poll form of [`CcRank::comm_split`].
+    /// `MPI_Test`: one charged completion check, `Ready(None)` if the
+    /// request has not completed. It pends only to park for a capture in
+    /// progress. A body that loops on a failed test yields
+    /// [`WaitReason::Poll`] between its calls, which requeues it behind
+    /// every ready rank.
+    pub fn poll_test(&mut self, v: VReq) -> StepPoll<Option<Completion>> {
+        if let Some(Op::Test(m)) = &self.op {
+            assert_eq!(m.v, v, "rank resumed `test` with a different request");
+        }
+        poll_op!(self, "test", Test, TestM::new(&mut self.core, v))
+    }
+
+    /// `MPI_Comm_split` (collective on the parent — counted); `None` for
+    /// a negative color.
     pub fn poll_comm_split(&mut self, vc: VComm, color: i64, key: i64) -> StepPoll<Option<VComm>> {
         let kind = CommKind::Split { color, key };
         poll_op!(
@@ -1087,7 +1109,7 @@ impl CcRank<'_> {
         )
     }
 
-    /// Poll form of [`CcRank::comm_dup`].
+    /// `MPI_Comm_dup`.
     pub fn poll_comm_dup(&mut self, vc: VComm) -> StepPoll<VComm> {
         poll_op!(
             self,
@@ -1096,5 +1118,23 @@ impl CcRank<'_> {
             CommM::new(&mut self.core, vc, CommKind::Dup)
         )
         .map(|v| v.expect("dup always yields a communicator"))
+    }
+
+    /// `MPI_Comm_create` with `members` as world ranks in group order;
+    /// `None` on a rank outside them. `members` is taken on the
+    /// constructing call; re-polls ignore it.
+    pub fn poll_comm_create(&mut self, vc: VComm, members: &[usize]) -> StepPoll<Option<VComm>> {
+        poll_op!(
+            self,
+            "comm_create",
+            Comm,
+            CommM::new(
+                &mut self.core,
+                vc,
+                CommKind::Create {
+                    members: members.to_vec()
+                }
+            )
+        )
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A rank body is a [`StepBody`]: a resumable state machine over a
 //! [`CcRank`]. A closure body `Fn(&mut CcRank) -> R` is the degenerate
-//! case — a step body that never yields, because its blocking calls sleep
-//! on the thread it owns, [`CcRank::run`] among them: the blocking call
-//! that runs a whole step body there. Either way the rank's whole
+//! case — a step body that never yields, because it waits only inside
+//! [`CcRank::run`], which runs a whole step body on the thread the
+//! closure owns, sleeping there. Either way the rank's whole
 //! continuation is one
 //! `CcStepObj` (rank + body + report slot), and `run_session` is the one
 //! place such objects are built and stepped, once per attempt of the one
@@ -16,10 +16,9 @@
 //! as fixed by the public entry point that was called.
 //!
 //! The drivers are interchangeable because neither holds protocol logic:
-//! the machines of [`crate::rank::step`] that a closure body's blocking
-//! calls run are the machines a step body polls, so images,
-//! `CallCounters`, and virtual-time trajectories are bit-identical (the
-//! unit tests below run one body object under both).
+//! a body polls the machines of [`crate::rank::step`] whichever steps it,
+//! so images, `CallCounters`, and virtual-time trajectories are
+//! bit-identical (the unit tests below run one body object under both).
 
 use super::{assemble_report, CkptRunReport, RunError, SuperviseOut};
 use crate::rank::{snapshot, CcRank};
@@ -98,7 +97,7 @@ where
 /// A closure body `Fn(&mut CcRank) -> R` as a step body: one `step` that
 /// runs the closure to its end, never yielding — so it belongs on
 /// [`Driver::Threads`], where the closure entry points put it (on the
-/// pool its first blocking call that had to wait would panic).
+/// pool its first `CcRank::run` that had to wait would panic).
 pub(crate) struct Blocking<'f, F>(pub(crate) &'f F);
 
 impl<R, F> StepBody for Blocking<'_, F>
@@ -172,8 +171,8 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
                 }
                 out
             }
-            // The thread *is* the continuation: a yield sleeps on it, the
-            // way the body's own blocking calls do.
+            // The thread *is* the continuation: a yield sleeps on it, as
+            // inside a closure's own `CcRank::run`.
             Driver::Threads => BodyStep::Done(cc.run_own(body)),
         }));
         match r {
@@ -461,17 +460,9 @@ pub(crate) mod tests_support {
         }
     }
 
+    /// [`SumBody`] as a closure body: run on the calling thread.
     pub(crate) fn closure_body(iters: usize) -> impl Fn(&mut crate::CcRank) -> f64 + Send + Sync {
-        move |r| {
-            let w = r.world_vcomm();
-            let mut acc = 0.0;
-            for _ in 0..iters {
-                r.compute(1e-6);
-                let v = r.allreduce_f64(w, &[r.rank() as f64 + acc], ReduceOp::Sum);
-                acc = v[0] * 1e-3;
-            }
-            acc
-        }
+        move |r| r.run(&mut SumBody::new(iters))
     }
 }
 
@@ -482,7 +473,7 @@ mod tests {
     use crate::avail::run_campaign;
     use crate::coordinator::ResumeMode;
     use crate::policy::VirtualTimeSchedule;
-    use crate::{run_ckpt_world_steps, try_run_ckpt_world_steps, CkptOptions, FaultPlan};
+    use crate::{run_ckpt_world_steps, try_run_ckpt_world_steps, CkptOptions, FaultPlan, StepPoll};
     use mana_core::Protocol;
     use mpisim::{NetParams, VTime, WorldConfig};
 
@@ -609,11 +600,11 @@ mod tests {
         }
     }
 
-    /// A blocking call in a pool-stepped body would park a pool *worker*
-    /// on an event counter no lower-half event advances — a 1 s backstop
-    /// per wait, and a deadlock once every worker did it. With one worker
-    /// rank 0's barrier cannot complete before rank 1 has run at all, so
-    /// it is pending for certain.
+    /// `run` in a pool-stepped body would park a pool *worker* on an event
+    /// counter no lower-half event advances — a 1 s backstop per wait, and
+    /// a deadlock once every worker did it. With one worker rank 0's
+    /// barrier cannot complete before rank 1 has run at all, so it is
+    /// pending for certain.
     #[test]
     #[should_panic(expected = "blocking call on a pool-driven rank")]
     fn blocking_call_on_a_pool_driven_rank_fails_loudly() {
@@ -622,7 +613,11 @@ mod tests {
             CkptOptions::native(),
             |_| {
                 |r: &mut CcRank| {
-                    r.barrier(r.world_vcomm());
+                    let w = r.world_vcomm();
+                    r.run(&mut |r: &mut CcRank| match r.poll_barrier(w) {
+                        StepPoll::Ready(()) => BodyStep::Done(()),
+                        StepPoll::Pending(why) => BodyStep::Yield(why),
+                    });
                     BodyStep::Done(())
                 }
             },

@@ -182,7 +182,7 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CcRank;
+    use crate::{BodyStep, CcRank, StepPoll};
     use bytes::Bytes;
     use mana_core::{CkptPhase, RankState};
     use mpisim::NetParams;
@@ -203,10 +203,10 @@ mod tests {
         }
     }
 
-    /// `CcRank::block_on`'s wait, end to end: a rank blocked in `wait()`
-    /// sleeps on one per-rank event that both the control plane and the
-    /// lower half advance, so either alone must release it — promptly,
-    /// and without a backstop expiry.
+    /// `CcRank::block_on`'s wait, end to end: a rank blocked in `run` on
+    /// an `MPI_Wait` sleeps on one per-rank event that both the control
+    /// plane and the lower half advance, so either alone must release it
+    /// — promptly, and without a backstop expiry.
     #[test]
     fn blocked_wait_wakes_on_phase_change_alone_and_on_deposit_alone() {
         let cfg =
@@ -231,7 +231,10 @@ mod tests {
             let receiver = s.spawn(|| {
                 let mut r = CcRank::new(&sh, 1);
                 let v = r.irecv(r.world_vcomm(), 0, 7u32);
-                r.wait(v).data
+                r.run(&mut |r: &mut CcRank| match r.poll_wait(v) {
+                    StepPoll::Ready(c) => BodyStep::Done(c.data),
+                    StepPoll::Pending(why) => BodyStep::Yield(why),
+                })
             });
             settle();
 
@@ -250,7 +253,10 @@ mod tests {
             let mut sender = CcRank::new(&sh, 0);
             let t = Instant::now();
             let v = sender.isend(sender.world_vcomm(), 1, 7u32, Bytes::from_static(b"x"));
-            sender.wait(v);
+            assert!(
+                sender.poll_wait(v).is_ready(),
+                "an eager send completes at once"
+            );
             let data = receiver.join().expect("receiver returns its payload");
             assert!(
                 t.elapsed() < PROMPT,

@@ -73,7 +73,7 @@ pub struct InstanceEnv {
     pub mailboxes: Vec<Arc<Mailbox>>,
     /// Unused — completion pokes the mailboxes above and that is the
     /// only wake — but the frozen benchmark builds this struct by literal;
-    /// goes with ROADMAP item 1(d).
+    /// goes with ROADMAP item 6(d).
     pub wake_batch: usize,
     /// Unused, like `wake_batch`: a waiter's poison check is in
     /// [`crate::Ctx::wait`].
@@ -506,8 +506,7 @@ impl CollRegistry {
     }
 
     /// Arrival progress of an instance: `(entered, size)`, or `None` if no
-    /// such instance exists. Used by the 2PC coordinator to decide whether
-    /// a trivial barrier can still complete.
+    /// such instance exists (not started, or fully retired).
     pub fn progress(&self, key: (CommId, u64)) -> Option<(usize, usize)> {
         let map = self.shard(&key).lock();
         let inst = map.get(&key)?;

@@ -304,7 +304,7 @@ impl Scheduler {
 
     /// No-op. Thread ranks hold nothing to acquire; kept only because the
     /// frozen benchmark's `scheduler.block_grant_ns` drive spells it
-    /// (ROADMAP item 1(d)).
+    /// (ROADMAP item 6(d)).
     pub fn attach(&self, _rank: usize) {}
 
     /// No-op, the counterpart of [`Scheduler::attach`]; kept for the same

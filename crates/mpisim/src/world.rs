@@ -391,12 +391,6 @@ impl World {
     pub fn live_collectives(&self) -> usize {
         self.coll.live_count()
     }
-
-    /// Arrival progress of a collective instance `(entered, size)`; `None`
-    /// if the instance does not exist (not started, or fully retired).
-    pub fn collective_progress(&self, comm: CommId, seq: u64) -> Option<(usize, usize)> {
-        self.coll.progress((comm, seq))
-    }
 }
 
 impl std::fmt::Debug for World {

@@ -71,22 +71,6 @@ impl CollOp {
         )
     }
 
-    /// Human-readable MPI name (blocking variant).
-    pub fn mpi_name(self) -> &'static str {
-        match self {
-            CollOp::Barrier => "MPI_Barrier",
-            CollOp::Bcast => "MPI_Bcast",
-            CollOp::Reduce => "MPI_Reduce",
-            CollOp::Allreduce => "MPI_Allreduce",
-            CollOp::Gather => "MPI_Gather",
-            CollOp::Allgather => "MPI_Allgather",
-            CollOp::Alltoall => "MPI_Alltoall",
-            CollOp::Scatter => "MPI_Scatter",
-            CollOp::Scan => "MPI_Scan",
-            CollOp::ReduceScatter => "MPI_Reduce_scatter",
-        }
-    }
-
     /// All modelled operations (used by sweep harnesses and property tests).
     pub const ALL: [CollOp; 10] = [
         CollOp::Barrier,

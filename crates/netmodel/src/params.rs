@@ -127,12 +127,6 @@ impl NetParams {
         self
     }
 
-    /// Returns a copy with a different jitter seed (for repeated trials).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// One-way latency between two world ranks under `topo`.
     #[inline]
     pub fn alpha(&self, topo: &crate::Topology, a: usize, b: usize) -> f64 {

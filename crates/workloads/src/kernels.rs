@@ -5,15 +5,16 @@
 //!
 //! Each kernel is written once, as a [`StepBody`]: a program counter enum
 //! plus locals, with every operation that can wait resumed through the
-//! rank's idempotent-start `poll_*` API. The worker pool steps the body
-//! directly (`run_ckpt_world_steps(.., |_| ScfStep::new(..))`); a closure
-//! that owns its thread calls the function of the same program
-//! ([`scf_loop`], ...), which is that body run to completion on the
-//! calling thread ([`CcRank::run`]). Each body's documentation gives the
-//! straight-line program it encodes. Each saves its state
-//! ([`StepBody::save`]) — what its constructor does not rebuild, behind
-//! the constructor's arguments, which `load` checks — so its images
-//! restore elsewhere; [`Then`] runs two bodies back to back.
+//! rank's idempotent-start `poll_*` API, the wrapper's only MPI face. The
+//! worker pool steps the body directly (`run_ckpt_world_steps(.., |_|
+//! ScfStep::new(..))`); a closure on a thread of its own calls the
+//! function of the same program ([`scf_loop`], ...), which is that body
+//! run to completion there ([`CcRank::run`], the one call that blocks).
+//! Each body's documentation gives the straight-line program it encodes.
+//! Each saves its state ([`StepBody::save`]) — what its constructor does
+//! not rebuild, behind the constructor's arguments, which `load` checks —
+//! so its images restore elsewhere; [`Then`] runs two bodies back to
+//! back.
 
 use crate::snap::{check_arg, dec_f64s, enc_f64s};
 use bytes::Bytes;

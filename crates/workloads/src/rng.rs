@@ -67,11 +67,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Bernoulli draw with probability `p`.
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
 }
 
 #[cfg(test)]

@@ -6,23 +6,23 @@
 //! cargo run --release --example poisson_nonblocking
 //! ```
 
-use ckpt::{run_ckpt_world, CkptOptions, ResumeMode};
+use ckpt::{run_ckpt_world_steps, CkptOptions, ResumeMode};
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::halo_exchange;
+use workloads::HaloStep;
 
 fn main() {
     let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
     let iters = 200;
     let cells = 16;
 
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        halo_exchange(r, iters, cells)
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), |_| {
+        HaloStep::new(iters, cells)
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| halo_exchange(r, iters, cells),
+        |_| HaloStep::new(iters, cells),
     );
 
     println!("== poisson_nonblocking: halo exchange with mid-flight checkpoint ==");

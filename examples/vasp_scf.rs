@@ -6,23 +6,23 @@
 //! cargo run --release --example vasp_scf
 //! ```
 
-use ckpt::{run_ckpt_world, CkptOptions, ResumeMode};
+use ckpt::{run_ckpt_world_steps, CkptOptions, ResumeMode};
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::scf_loop;
+use workloads::ScfStep;
 
 fn main() {
     let cfg = WorldConfig::single_node(8).with_params(NetParams::slingshot11().without_jitter());
     let iters = 150;
     let elems = 32;
 
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        scf_loop(r, iters, elems)
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), |_| {
+        ScfStep::new(iters, elems)
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-    let run = run_ckpt_world(
+    let run = run_ckpt_world_steps(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Restart),
-        |r| scf_loop(r, iters, elems),
+        |_| ScfStep::new(iters, elems),
     );
 
     println!("== vasp_scf: SCF loop with mid-flight checkpoint + restart ==");
