@@ -14,7 +14,7 @@
 //! rate derived from the final [`mana_core::CallCounters`] (`coll_rate`).
 //! [`figure7_json`] is the file: `figures figure7` writes the
 //! {1024, 2048, 4096}-rank sweep to `BENCH_figure7.json` and
-//! `figures figure7_huge` the step-object sweep to
+//! `figures figure7_huge` the {16 384, 65 536}-rank sweep to
 //! `BENCH_figure7_huge.json`.
 //!
 //! Shape expectations (asserted by `tests/figure7.rs` and the release-only
@@ -32,7 +32,7 @@
 
 use crate::json::obj;
 use crate::{BenchWorkload, Json};
-use ckpt::{run_ckpt_world, run_ckpt_world_steps, CkptOptions, ResumeMode, VirtualTimeSchedule};
+use ckpt::{run_ckpt_world_steps, CkptOptions, ResumeMode, VirtualTimeSchedule};
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
 
@@ -51,13 +51,6 @@ pub struct Figure7Config {
     /// Workloads to sweep (the full matrix by default; the huge tier
     /// narrows this to keep a cell's wall time bounded).
     pub workloads: Vec<BenchWorkload>,
-    /// Run rank bodies as heap step objects on the step driver instead of
-    /// one thread per rank. Identical virtual timing (the representation
-    /// is invisible to the model); required above the OS thread ceiling
-    /// (~16 Ki ranks) and the only representation that reaches 65 536.
-    /// Step cells also measure per-rank resident memory
-    /// ([`Figure7Record::rank_mem_bytes`]).
-    pub step_bodies: bool,
 }
 
 impl Default for Figure7Config {
@@ -68,7 +61,6 @@ impl Default for Figure7Config {
             iters: 60,
             checkpoints: 6,
             workloads: BenchWorkload::ALL.to_vec(),
-            step_bodies: false,
         }
     }
 }
@@ -97,9 +89,9 @@ impl Figure7Config {
         }
     }
 
-    /// The step-representation sweep ({16 384, 65 536} ranks): past the
-    /// thread-per-rank ceiling entirely, runnable only because a parked
-    /// rank is a heap object. Narrowed to the SCF workload (the dense
+    /// The huge sweep ({16 384, 65 536} ranks): past the OS thread
+    /// ceiling entirely, runnable only because a parked rank is a heap
+    /// object on the worker pool. Narrowed to the SCF workload (the dense
     /// synchronizing-collective cell, the paper's hardest case for a
     /// drain) and fewer iterations so the 65 536-rank cell stays tens of
     /// minutes. Release builds only.
@@ -109,7 +101,6 @@ impl Figure7Config {
             iters: 6,
             checkpoints: 3,
             workloads: vec![BenchWorkload::Scf],
-            step_bodies: true,
             ..Figure7Config::default()
         }
     }
@@ -132,9 +123,8 @@ pub struct Figure7Record {
     pub drain_latency_s: Vec<f64>,
     /// Resident memory per rank (bytes): host RSS growth across the
     /// step-object build phase divided by the rank count, from the
-    /// checkpointed run. `None` for thread-per-rank cells (a thread's
-    /// cost is mostly its lazily-faulted stack, which a build-phase
-    /// delta cannot attribute) and on non-Linux hosts.
+    /// checkpointed run. `None` only off Linux, where the process's
+    /// resident set is not read.
     pub rank_mem_bytes: Option<u64>,
 }
 
@@ -256,18 +246,13 @@ fn world_cfg(cfg: &Figure7Config, n: usize) -> WorldConfig {
 
 /// Runs one (workload, ranks) cell: a native timing run to place the
 /// checkpoint schedule, then a CC run capturing `cfg.checkpoints`
-/// checkpoints. With `cfg.step_bodies` both runs execute rank bodies as
-/// heap step objects — same virtual trajectory, but a 65 536-rank world
-/// fits on one host and the cell measures per-rank resident memory.
+/// checkpoints. Both step the rank bodies as heap objects on the worker
+/// pool, so a 65 536-rank world fits on one host and the cell measures
+/// per-rank resident memory.
 pub fn figure7_cell(cfg: &Figure7Config, workload: BenchWorkload, n: usize) -> Figure7Record {
     let iters = cfg.iters;
-    let run_world = |opts| {
-        if cfg.step_bodies {
-            run_ckpt_world_steps(world_cfg(cfg, n), opts, |_rank| workload.step_body(iters))
-        } else {
-            run_ckpt_world(world_cfg(cfg, n), opts, |r| workload.run_iters(iters, r))
-        }
-    };
+    let run_world =
+        |opts| run_ckpt_world_steps(world_cfg(cfg, n), opts, |_| workload.step_body(iters));
     let native_s = run_world(CkptOptions::native().with_protocol(Protocol::Native))
         .makespan
         .as_secs();

@@ -29,14 +29,14 @@ use crate::json::obj;
 use crate::synth::{perturbed_checkpoint, synthetic_checkpoint};
 use crate::Json;
 use ckpt::{
-    run_ckpt_world, CkptOptions, CkptTier, ImageSetLayout, PeriodicInterval, ResumeMode,
+    run_ckpt_world_steps, CkptOptions, CkptTier, ImageSetLayout, PeriodicInterval, ResumeMode,
     TierModels, TieredStore, Tiering,
 };
 use mpisim::{NetParams, Scheduler, VTime, WorldConfig};
 use netmodel::LustreModel;
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
 
 /// One cell of the model sweep.
 #[derive(Debug, Clone)]
@@ -342,14 +342,13 @@ pub fn figure9_report(cfg: &Figure9Config) -> Figure9Report {
         let wcfg =
             WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter());
         let wl = RandomWorkloadCfg::new(0xF19, cfg.steps);
-        let native = run_ckpt_world(wcfg.clone(), CkptOptions::native(), |r| {
-            random_workload(&wl, r)
-        });
+        let body = |_| RandomWorkloadStep::new(wl.clone());
+        let native = run_ckpt_world_steps(wcfg.clone(), CkptOptions::native(), body);
         let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
-        let run = run_ckpt_world(
+        let run = run_ckpt_world_steps(
             wcfg,
             CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-            |r| random_workload(&wl, r),
+            body,
         );
         let image = run.checkpoints.first().expect("the checkpoint fires");
         measured.push(Figure9MeasuredImage {
@@ -452,17 +451,18 @@ pub fn drain_comparison(ranks: usize, steps: usize, ckpts: usize) -> Figure9Drai
             .with_params(NetParams::slingshot11().without_jitter())
     };
     let wl = RandomWorkloadCfg::new(0xD8A1, steps);
-    let native = run_ckpt_world(wcfg(), CkptOptions::native(), |r| random_workload(&wl, r));
+    let body = |_| RandomWorkloadStep::new(wl.clone());
+    let native = run_ckpt_world_steps(wcfg(), CkptOptions::native(), body);
     let interval = VTime::from_secs(native.makespan.as_secs() / (ckpts as f64 + 1.0));
     let run_with = |async_drain: bool| {
         let tiering = Tiering::fixed(CkptTier::Memory).with_async_drain(async_drain);
-        let rep = run_ckpt_world(
+        let rep = run_ckpt_world_steps(
             wcfg(),
             CkptOptions::native()
                 .with_policy(PeriodicInterval::new(interval, ckpts))
                 .with_resume(ResumeMode::Continue)
                 .with_tiering(tiering),
-            |r| random_workload(&wl, r),
+            body,
         );
         assert!(
             rep.failures.is_empty(),

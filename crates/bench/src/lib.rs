@@ -20,8 +20,8 @@
 use crate::json::obj;
 use ckpt::wire::{Dec, DecodeError, Wr};
 use ckpt::{
-    run_ckpt_world, BodyStep, CcRank, CkptOptions, CkptTier, ResumeMode, StepBody, TierModels,
-    TieredStore, Tiering, VirtualTimeSchedule,
+    run_ckpt_world_steps, BodyStep, CcRank, CkptOptions, CkptTier, ResumeMode, StepBody,
+    TierModels, TieredStore, Tiering, VirtualTimeSchedule,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
@@ -82,14 +82,8 @@ impl BenchWorkload {
         BenchWorkload::BcastPipeline,
     ];
 
-    /// Runs `iters` iterations of this workload on one wrapped rank that
-    /// owns its thread: [`BenchWorkload::step_body`] run to completion.
-    pub fn run_iters(self, iters: usize, rank: &mut CcRank) -> f64 {
-        rank.run(&mut self.step_body(iters))
-    }
-
     /// `iters` iterations of this workload as a step body — the one
-    /// program of a cell, whichever driver steps it.
+    /// program of a cell, stepped on the worker pool.
     pub fn step_body(self, iters: usize) -> BenchStepBody {
         let inner = match self {
             BenchWorkload::Scf => BenchStepKind::Scf(ScfStep::new(iters, 8)),
@@ -249,10 +243,10 @@ struct Baseline {
 }
 
 fn run_baseline(workload: BenchWorkload, n: usize, jitter: bool, iters: usize) -> Baseline {
-    let native = run_ckpt_world(
+    let native = run_ckpt_world_steps(
         world_cfg(n, jitter),
         CkptOptions::native().with_protocol(Protocol::Native),
-        |r| workload.run_iters(iters, r),
+        |_| workload.step_body(iters),
     );
     Baseline {
         makespan_s: native.makespan.as_secs(),
@@ -317,7 +311,7 @@ fn run_case_against(
                 ))),
             );
     }
-    let run = run_ckpt_world(world_cfg(n, jitter), opts, |r| workload.run_iters(iters, r));
+    let run = run_ckpt_world_steps(world_cfg(n, jitter), opts, |_| workload.step_body(iters));
     assert!(
         run.failures.is_empty(),
         "bench checkpoint aborted: {:?}",

@@ -2,13 +2,13 @@
 //! completes a threshold raises the checkpoint request inside its own
 //! wrapper call, so every scheduled checkpoint fires however fast the run
 //! is on the wall — even in the last tenth of the run, with nothing
-//! pacing the ranks — and a planned fault late in the run always strikes.
+//! pacing the ranks — and a planned fault late in the run always strikes
+//! (fault campaigns run on the worker pool only).
 //! Each cell runs `REPS` times and reports how many runs missed.
 
 use ckpt::{
-    run_available_world, run_available_world_steps, run_ckpt_world, run_ckpt_world_steps,
-    CkptOptions, CkptRunReport, FaultPlan, FaultScope, FaultTrigger, ResumeMode,
-    VirtualTimeSchedule,
+    run_available_world_steps, run_ckpt_world, run_ckpt_world_steps, CkptOptions, CkptRunReport,
+    FaultPlan, FaultScope, FaultTrigger, ResumeMode, VirtualTimeSchedule,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
@@ -72,30 +72,22 @@ fn a_wall_fast_run_fires_every_scheduled_checkpoint() {
 #[test]
 fn a_late_fault_always_strikes_a_wall_fast_run() {
     for protocol in [Protocol::Cc, Protocol::TwoPhase] {
-        for steps in [true, false] {
-            let (want, makespan) = native(steps, protocol);
-            let missed = (0..REPS)
-                .filter(|_| {
-                    let at = VTime::from_secs(makespan * 0.95);
-                    let plan = FaultPlan::one(FaultTrigger::AtVirtual(at), FaultScope::Rank(3));
-                    let opts = CkptOptions::native().with_protocol(protocol);
-                    let r = match steps {
-                        true => run_available_world_steps(cfg(), opts, plan, |_| {
-                            ScfStep::new(ITERS, ELEMS)
-                        }),
-                        false => {
-                            run_available_world(cfg(), opts, plan, |r| scf_loop(r, ITERS, ELEMS))
-                        }
-                    };
-                    assert_eq!(r.backstop_expiries, 0, "a wait timed out");
-                    assert_eq!(r.results().copied().collect::<Vec<_>>(), want);
-                    r.faults.len() != 1
-                })
-                .count();
-            assert_eq!(
-                missed, 0,
-                "{protocol:?}, step bodies {steps}: the fault missed {missed} of {REPS} runs"
-            );
-        }
+        let (want, makespan) = native(true, protocol);
+        let missed = (0..REPS)
+            .filter(|_| {
+                let at = VTime::from_secs(makespan * 0.95);
+                let plan = FaultPlan::one(FaultTrigger::AtVirtual(at), FaultScope::Rank(3));
+                let opts = CkptOptions::native().with_protocol(protocol);
+                let r =
+                    run_available_world_steps(cfg(), opts, plan, |_| ScfStep::new(ITERS, ELEMS));
+                assert_eq!(r.backstop_expiries, 0, "a wait timed out");
+                assert_eq!(r.results().copied().collect::<Vec<_>>(), want);
+                r.faults.len() != 1
+            })
+            .count();
+        assert_eq!(
+            missed, 0,
+            "{protocol:?}: the fault missed {missed} of {REPS} runs"
+        );
     }
 }

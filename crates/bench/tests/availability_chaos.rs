@@ -3,23 +3,24 @@
 //!
 //! The sweep kills ranks and whole nodes at MTBF-sampled virtual times
 //! across {CC, 2PC} × storage tiers {memory, partner, rotation with
-//! Lustre, async partner} × {closure, step} representations, and demands
-//! that every run completes with final results bit-identical to an
-//! undisturbed native baseline, zero backstop expiries, exactly one
+//! Lustre, async partner} × bodies {without, with} a snapshot, and
+//! demands that every run completes with final results bit-identical to
+//! an undisturbed native baseline, zero backstop expiries, exactly one
 //! recovery per injected fault, and no spurious `P2pStall` — a dead rank
-//! must always surface as a typed `RankDeath`. A step body recovers from
-//! the newest viable image; a closure's images carry no upper half, so a
-//! closure campaign recovers from scratch, and every cell that asserts
-//! *which* image a recovery resumed from runs step bodies.
+//! must always surface as a typed `RankDeath`. Every campaign steps its
+//! ranks on the worker pool. A body with a snapshot recovers from the
+//! newest viable image; a closure body has none, so its images carry no
+//! upper half and its campaign recovers from scratch, and every cell that
+//! asserts *which* image a recovery resumed from runs a body with one.
 //!
 //! A small slice runs in every (debug) test pass; the full matrix is
 //! release-only (`cargo test --release`).
 
 use bench::{BenchStepBody, BenchWorkload};
 use ckpt::{
-    run_available_world, run_available_world_steps, run_ckpt_world, run_ckpt_world_steps,
-    CkptOptions, CkptRunReport, CkptTier, DrainError, FaultPlan, FaultScope, FaultTrigger,
-    PeriodicInterval, ResumeMode, TierModels, TierSchedule, TieredStore, Tiering,
+    run_available_world_steps, run_ckpt_world_steps, BodyStep, CcRank, CkptOptions, CkptRunReport,
+    CkptTier, DrainError, FaultPlan, FaultScope, FaultTrigger, PeriodicInterval, ResumeMode,
+    StepBody, TierModels, TierSchedule, TieredStore, Tiering,
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
@@ -61,21 +62,18 @@ fn periodic(interval_s: f64, limit: usize, tiering: Tiering) -> CkptOptions {
         .with_tiering(tiering)
 }
 
-fn scf(r: &mut ckpt::CcRank) -> f64 {
-    BenchWorkload::Scf.run_iters(ITERS, r)
-}
-
 fn scf_step(_rank: usize) -> BenchStepBody {
     BenchWorkload::Scf.step_body(ITERS)
 }
 
-fn native_closure_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
-    let rep = run_ckpt_world(cfg, CkptOptions::native(), scf);
-    let base = rep.ranks.iter().map(|r| r.result).collect();
-    (base, rep.makespan.as_secs())
+/// The SCF kernel as a closure body: the same program as [`scf_step`],
+/// with no snapshot, so its images restart in-process only.
+fn scf_closure(rank: usize) -> impl FnMut(&mut CcRank) -> BodyStep<f64> + Send {
+    let mut body = scf_step(rank);
+    move |r: &mut CcRank| body.step(r)
 }
 
-fn native_step_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
+fn native_baseline(cfg: WorldConfig) -> (Vec<f64>, f64) {
     let rep = run_ckpt_world_steps(cfg, CkptOptions::native(), scf_step);
     let base = rep.ranks.iter().map(|r| r.result).collect();
     (base, rep.makespan.as_secs())
@@ -151,6 +149,7 @@ impl TierCase {
     }
 }
 
+/// Which SCF body a campaign runs: [`scf_closure`] or [`scf_step`].
 #[derive(Clone, Copy, Debug)]
 enum Rep {
     Closure,
@@ -160,24 +159,21 @@ enum Rep {
 /// One chaos cell: seeded deaths under one (protocol, tier, rep) combo.
 fn chaos_cell(proto: Protocol, tier: TierCase, rep: Rep, seed: u64) {
     let cfg = world(8, 2);
-    let (base, makespan) = match rep {
-        Rep::Closure => native_closure_baseline(cfg.clone()),
-        Rep::Step => native_step_baseline(cfg.clone()),
-    };
+    let (base, makespan) = native_baseline(cfg.clone());
     let plan = non_empty_plan(seed, makespan * 0.6, makespan * 0.8, 8, 4);
     let faults = plan.events.len();
     let opts = periodic(makespan / 5.0, 100, tier.tiering()).with_protocol(proto);
     let ctx = format!("{proto:?}/{tier:?}/{rep:?}/seed {seed}");
     let rep_out = match rep {
-        Rep::Closure => run_available_world(cfg, opts, plan, scf),
+        Rep::Closure => run_available_world_steps(cfg, opts, plan, scf_closure),
         Rep::Step => run_available_world_steps(cfg, opts, plan, scf_step),
     };
     assert_eq!(rep_out.faults.len(), faults, "{ctx}: every event must fire");
     assert_recovered(&rep_out, &base, &ctx);
 }
 
-/// The always-on CI slice: one closure cell and one step cell, covering
-/// both protocols, the full tier rotation, and the memory tier.
+/// The always-on CI slice: one cell without a snapshot and one with,
+/// covering both protocols, the full tier rotation, and the memory tier.
 #[test]
 fn chaos_ci_slice() {
     chaos_cell(Protocol::Cc, TierCase::Rotation, Rep::Closure, 11);
@@ -186,16 +182,13 @@ fn chaos_ci_slice() {
 
 /// A campaign takes the plain runner's options, resume mode included:
 /// every checkpoint rebuilds the lower half in-process, and one death is
-/// still recovered — from the newest image for step bodies, from scratch
-/// for closures, whose images restart in-process only.
+/// still recovered — from the newest image for a body with a snapshot,
+/// from scratch for one without, whose images restart in-process only.
 #[test]
 fn restart_resume_campaign_recovers_under_both_drivers() {
     for rep in [Rep::Closure, Rep::Step] {
         let cfg = world(8, 2);
-        let (base, makespan) = match rep {
-            Rep::Closure => native_closure_baseline(cfg.clone()),
-            Rep::Step => native_step_baseline(cfg.clone()),
-        };
+        let (base, makespan) = native_baseline(cfg.clone());
         let opts = periodic(makespan / 5.0, 100, TierCase::Memory.tiering())
             .with_resume(ResumeMode::Restart);
         let plan = FaultPlan::one(
@@ -204,7 +197,7 @@ fn restart_resume_campaign_recovers_under_both_drivers() {
         );
         let ctx = format!("Restart/{rep:?}");
         let out = match rep {
-            Rep::Closure => run_available_world(cfg, opts, plan, scf),
+            Rep::Closure => run_available_world_steps(cfg, opts, plan, scf_closure),
             Rep::Step => run_available_world_steps(cfg, opts, plan, scf_step),
         };
         assert_eq!(out.faults.len(), 1, "{ctx}: the death must fire");
@@ -215,8 +208,8 @@ fn restart_resume_campaign_recovers_under_both_drivers() {
         assert_eq!(
             out.faults[0].resumed_generation.is_some(),
             matches!(rep, Rep::Step),
-            "{ctx}: a step body's restart-mode checkpoint must be viable, a \
-             closure's never: {:?}",
+            "{ctx}: a restart-mode checkpoint of a body with a snapshot must \
+             be viable, of one without never: {:?}",
             out.faults
         );
         assert_recovered(&out, &base, &ctx);
@@ -224,7 +217,7 @@ fn restart_resume_campaign_recovers_under_both_drivers() {
 }
 
 /// The full matrix: {CC, 2PC} × {memory, partner, rotation, async
-/// partner} × {closure, step} × two seeds each. Release-only.
+/// partner} × {closure, step} bodies × two seeds each. Release-only.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full chaos matrix is release-only")]
 fn chaos_full_matrix() {
@@ -248,15 +241,15 @@ fn chaos_full_matrix() {
 /// irecv/isend pairs, killed mid-run and recovered. Release-only.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only")]
-fn chaos_halo_nonblocking_closure() {
+fn chaos_halo_nonblocking() {
     let cfg = world(8, 2);
-    let body = |r: &mut ckpt::CcRank| BenchWorkload::Halo.run_iters(ITERS, r);
-    let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), body);
+    let body = |_| BenchWorkload::Halo.step_body(ITERS);
+    let native = run_ckpt_world_steps(cfg.clone(), CkptOptions::native(), body);
     let base: Vec<f64> = native.ranks.iter().map(|r| r.result).collect();
     let makespan = native.makespan.as_secs();
     let plan = non_empty_plan(31, makespan * 0.6, makespan * 0.8, 8, 4);
     let opts = periodic(makespan / 5.0, 100, TierCase::Rotation.tiering());
-    let rep = run_available_world(cfg, opts, plan, body);
+    let rep = run_available_world_steps(cfg, opts, plan, body);
     assert_recovered(&rep, &base, "halo chaos");
     assert!(!rep.faults.is_empty());
 }
@@ -269,7 +262,7 @@ fn chaos_halo_nonblocking_closure() {
 #[test]
 fn mid_drain_death_is_typed_and_recovers() {
     let cfg = world(4, 2);
-    let (base, makespan) = native_closure_baseline(cfg.clone());
+    let (base, makespan) = native_baseline(cfg.clone());
     let opts = periodic(
         makespan / 8.0,
         100,
@@ -279,7 +272,7 @@ fn mid_drain_death_is_typed_and_recovers() {
         FaultTrigger::MidDrain(VTime::from_secs(0.0)),
         FaultScope::Rank(0),
     );
-    let rep = run_available_world(cfg, opts, plan, scf);
+    let rep = run_available_world_steps(cfg, opts, plan, scf_step);
     assert_eq!(rep.faults.len(), 1, "the mid-drain death must fire");
     assert!(
         rep.failures
@@ -299,7 +292,7 @@ fn mid_drain_death_is_typed_and_recovers() {
 #[test]
 fn async_drain_node_death_discards_inflight_image() {
     let cfg = world(4, 2);
-    let (base, makespan) = native_step_baseline(cfg.clone());
+    let (base, makespan) = native_baseline(cfg.clone());
     let opts = periodic(
         makespan / 8.0,
         100,
@@ -347,7 +340,7 @@ fn async_drain_node_death_discards_inflight_image() {
 #[test]
 fn buddy_pair_loss_falls_back_partner_then_lustre() {
     let cfg = world(8, 2);
-    let (base, makespan) = native_step_baseline(cfg.clone());
+    let (base, makespan) = native_baseline(cfg.clone());
     let opts = periodic(
         makespan / 6.0,
         3,

@@ -13,7 +13,7 @@
 use ckpt::{run_ckpt_world, run_ckpt_world_steps, CkptOptions, ResumeMode};
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -27,13 +27,13 @@ fn expiries_of(seed: u64, mode: ResumeMode, protocol: Protocol) -> u64 {
         wl = wl.with_blocking_only();
     }
     let native = run_ckpt_world(cfg(8), CkptOptions::native().with_protocol(protocol), |r| {
-        random_workload(&wl, r)
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.4);
     let run = run_ckpt_world(
         cfg(8),
         CkptOptions::one_checkpoint(at, mode).with_protocol(protocol),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert_eq!(
         run.checkpoints.len(),

@@ -26,7 +26,7 @@ use mpisim::{
     Completion, DType, NetParams, ReduceOp, SrcSel, TagSel, VTime, WaitReason, WorldConfig,
 };
 use std::time::Duration;
-use workloads::{random_workload, RandomWorkloadCfg, ScfStep};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep, ScfStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -691,9 +691,9 @@ impl StepBody for SleepyInitiator {
 /// it sleeps outside the engine, so it can run, and the drain waits for
 /// it however long it takes. A wall-clock watchdog misread it: its window
 /// for two ranks was about 5.1 s. Rank 1 waits out the sleep in the
-/// engine and loses no wake: on its own thread it counts no backstop
-/// expiry (the pool's idle worker sweeps, which the pool arm does not
-/// assert on).
+/// engine and loses no wake: under either driver the run counts no
+/// backstop expiry (the pool's idle worker does not sweep while rank 0
+/// is inside its step).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: sleeps 11 s")]
 fn a_body_sleeping_through_the_drain_commits() {
@@ -719,12 +719,10 @@ fn a_body_sleeping_through_the_drain_commits() {
             "{driver}: rank 0 was below its target while it slept"
         );
         assert_eq!(results(&slept), native, "{driver}");
-        if driver == "threads" {
-            assert_eq!(
-                slept.backstop_expiries, 0,
-                "a wait through a sleep lost no wake"
-            );
-        }
+        assert_eq!(
+            slept.backstop_expiries, 0,
+            "{driver}: a wait through a sleep lost no wake"
+        );
     }
 }
 
@@ -744,13 +742,13 @@ fn large_scale_256_rank_drain_does_not_spuriously_stall() {
         WorldConfig::multi_node(n, 128).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(11, 25);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.4);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Restart),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert!(
         run.failures.is_empty(),

@@ -1,5 +1,5 @@
 //! Driver equivalence: one program — the random workload's step body —
-//! stepped on a thread per rank (`random_workload`, i.e. `CcRank::run`)
+//! stepped on a thread per rank (`CcRank::run` inside a closure body)
 //! and on the worker pool (`RandomWorkloadStep` handed to the `*_steps`
 //! entry points) is *the same execution* — same results, same virtual
 //! timing, and the same checkpoint semantics.
@@ -27,7 +27,7 @@ use ckpt::{
 };
 use mana_core::Protocol;
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep, SplitMix64};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep, SplitMix64};
 
 const STEPS: usize = 25;
 
@@ -51,7 +51,7 @@ fn workload_cfg(seed: u64, protocol: Protocol) -> RandomWorkloadCfg {
 fn native_reference(n: usize, seed: u64, protocol: Protocol) -> (Vec<f64>, VTime) {
     let wl = workload_cfg(seed, protocol);
     let t = run_ckpt_world(cfg(n), CkptOptions::native().with_protocol(protocol), |r| {
-        random_workload(&wl, r)
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
     let swl = wl.clone();
     let s = run_ckpt_world_steps(
@@ -86,7 +86,7 @@ fn capture_threads(
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert!(run.failures.is_empty(), "seed {seed}: {:?}", run.failures);
     let results = run.results().copied().collect();

@@ -21,7 +21,7 @@ use bench::{synthetic_checkpoint, with_unshared_lists};
 use ckpt::wire::var_len;
 use ckpt::{run_ckpt_world, Checkpoint, CkptOptions, DeltaImage, ResumeMode};
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -102,13 +102,13 @@ fn parallel_encode_matches_serial_on_a_real_captured_image() {
     let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(42, 25);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     let image = run.checkpoints.first().expect("capture fired");
     let serial = image.to_bytes();
@@ -124,13 +124,13 @@ fn bytes_do_not_depend_on_how_member_lists_are_allocated() {
     let cfg = WorldConfig::single_node(8).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(13, 25);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     let image = run.checkpoints.first().expect("capture fired");
     assert!(
@@ -159,13 +159,13 @@ fn committed_captures_report_positive_wall_time() {
     let cfg = WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter());
     let wl = RandomWorkloadCfg::new(9, 25);
     let native = run_ckpt_world(cfg.clone(), CkptOptions::native(), |r| {
-        random_workload(&wl, r)
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let run = run_ckpt_world(
         cfg,
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert_eq!(
         run.capture_wall_s.len(),

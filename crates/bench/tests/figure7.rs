@@ -9,7 +9,11 @@
 
 use bench::figure7::{assert_figure7_shape, figure7_cell};
 use bench::{figure7_report, BenchWorkload, Figure7Config};
+use ckpt::{run_ckpt_world, CkptOptions, ResumeMode, VirtualTimeSchedule};
+use mana_core::Protocol;
+use mpisim::{NetParams, VTime, WorldConfig};
 
+/// The small sweep: the shape holds.
 #[test]
 fn figure7_shape_small_worlds() {
     let cfg = Figure7Config {
@@ -22,15 +26,14 @@ fn figure7_shape_small_worlds() {
     assert_figure7_shape(&report, cfg.checkpoints);
 }
 
-/// The same sweep with rank bodies as heap step objects: the shape holds,
-/// and every cell reports the per-rank resident-memory column that only
-/// the step representation can measure.
+/// A sweep at two other world sizes, whose ranks are step bodies on the
+/// worker pool: the shape holds, and every cell reports the per-rank
+/// resident-memory column that only the step representation can measure.
 #[test]
 fn figure7_shape_small_worlds_step_bodies() {
     let cfg = Figure7Config {
-        ranks: vec![4, 8, 16],
+        ranks: vec![2, 32],
         iters: 40,
-        step_bodies: true,
         ..Figure7Config::default()
     };
     let report = figure7_report(&cfg);
@@ -40,7 +43,7 @@ fn figure7_shape_small_worlds_step_bodies() {
         for r in &report {
             assert!(
                 r.rank_mem_bytes.is_some(),
-                "step cell ({}, {}) is missing the per-rank memory column",
+                "cell ({}, {}) is missing the per-rank memory column",
                 r.workload,
                 r.ranks
             );
@@ -48,28 +51,50 @@ fn figure7_shape_small_worlds_step_bodies() {
     }
 }
 
-/// A thread cell and a step cell of the same (workload, ranks) operating
-/// point agree on the measured collective rate: the virtual trajectory —
-/// and so the makespan and counters the rate derives from — must not see
-/// the rank representation (checkpoint-and-continue charges nothing).
+/// A Figure 7 cell, whose ranks are step objects on the worker pool,
+/// measures the same collective rate as the same cell run directly with
+/// one thread per rank (`run_ckpt_world`): the virtual trajectory — and
+/// so the makespan and counters the rate derives from — must not see the
+/// rank representation (checkpoint-and-continue charges nothing).
 #[test]
 fn figure7_cell_collective_rate_is_representation_independent() {
-    let thread_cfg = Figure7Config {
+    let cfg = Figure7Config {
         ranks: vec![8],
         iters: 40,
         ..Figure7Config::default()
     };
-    let step_cfg = Figure7Config {
-        step_bodies: true,
-        ..thread_cfg.clone()
+    let s = figure7_cell(&cfg, BenchWorkload::Scf, 8);
+    let world = || {
+        WorldConfig::multi_node(8, cfg.ranks_per_node)
+            .with_params(NetParams::slingshot11().without_jitter())
     };
-    let t = figure7_cell(&thread_cfg, BenchWorkload::Scf, 8);
-    let s = figure7_cell(&step_cfg, BenchWorkload::Scf, 8);
+    let run = |opts| {
+        run_ckpt_world(world(), opts, |r| {
+            r.run(&mut BenchWorkload::Scf.step_body(cfg.iters))
+        })
+    };
+    let native_s = run(CkptOptions::native().with_protocol(Protocol::Native))
+        .makespan
+        .as_secs();
+    // The cell's schedule: the centers of `k` equal slices of
+    // [0.15, 0.75] of the native makespan.
+    let k = cfg.checkpoints;
+    let times =
+        (1..=k).map(|i| VTime::from_secs(native_s * (0.15 + 0.6 * (i as f64 - 0.5) / k as f64)));
+    let t = run(CkptOptions::default()
+        .with_policy(VirtualTimeSchedule::new(times))
+        .with_resume(ResumeMode::Continue));
+    let t_rate = t
+        .final_counters
+        .iter()
+        .map(|c| c.coll_rate(t.makespan))
+        .sum::<f64>()
+        / 8.0;
     assert_eq!(
-        t.coll_rate_hz, s.coll_rate_hz,
+        t_rate, s.coll_rate_hz,
         "collective rate must be bit-identical across rank representations"
     );
-    assert_eq!(t.drain_latency_s.len(), s.drain_latency_s.len());
+    assert_eq!(t.checkpoints.len(), s.drain_latency_s.len());
 }
 
 /// The paper-scale sweep: CC drain latency stays bounded from 64 up to 512

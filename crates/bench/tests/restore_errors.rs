@@ -14,7 +14,7 @@ use mana_core::{ggid_of_sorted, Ggid, Protocol, Violation};
 use mpisim::{NetParams, SavedMsg, VTime, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use workloads::{random_workload, RandomWorkloadCfg, RandomWorkloadStep, ScfStep};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep, ScfStep};
 
 fn cfg() -> WorldConfig {
     WorldConfig::single_node(4).with_params(NetParams::slingshot11().without_jitter())
@@ -267,12 +267,14 @@ fn pristine_image_still_restores_through_the_try_api() {
 #[test]
 fn closure_image_without_an_upper_half_is_refused() {
     let wl = RandomWorkloadCfg::new(0xCC, 25);
-    let native = run_ckpt_world(cfg(), CkptOptions::native(), |r| random_workload(&wl, r));
+    let native = run_ckpt_world(cfg(), CkptOptions::native(), |r| {
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
+    });
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
     let run = run_ckpt_world(
         cfg(),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     let image = run.checkpoints.into_iter().next().expect("captured");
     assert!(image.captures.iter().all(|c| c.upper.is_none()));

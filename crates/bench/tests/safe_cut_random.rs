@@ -34,9 +34,7 @@ use mana_core::topo::{topological_sort, Node};
 use mana_core::{Cut, Ggid, Protocol};
 use mpisim::{NetParams, VTime, WorldConfig};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use workloads::{
-    random_workload, CallLog, Logged, RandomWorkloadCfg, RandomWorkloadStep, SplitMix64,
-};
+use workloads::{CallLog, Logged, RandomWorkloadCfg, RandomWorkloadStep, SplitMix64};
 
 const SEEDS_PER_SIZE: u64 = 50;
 const SEEDS_PER_SIZE_2PC: u64 = 15;
@@ -146,7 +144,7 @@ fn one_case_sized(
     let native = run_ckpt_world(
         cfg.clone(),
         CkptOptions::native().with_protocol(protocol),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     let native_results: Vec<f64> = native.results().copied().collect();
 

@@ -10,7 +10,7 @@ use ckpt::{
     VirtualTimeSchedule,
 };
 use mpisim::{NetParams, VTime, WorldConfig};
-use workloads::{random_workload, RandomWorkloadCfg};
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
 
 const SEED: u64 = 77;
 const STEPS: usize = 25;
@@ -22,7 +22,9 @@ fn cfg(n: usize) -> WorldConfig {
 /// Native reference: `(per-rank data, makespan seconds)`.
 fn native(n: usize) -> (Vec<f64>, f64) {
     let wl = RandomWorkloadCfg::new(SEED, STEPS);
-    let run = run_ckpt_world(cfg(n), CkptOptions::native(), |r| random_workload(&wl, r));
+    let run = run_ckpt_world(cfg(n), CkptOptions::native(), |r| {
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
+    });
     (run.results().copied().collect(), run.makespan.as_secs())
 }
 
@@ -38,7 +40,7 @@ fn virtual_time_schedule_fires_each_threshold_in_order() {
         CkptOptions::native()
             .with_policy(VirtualTimeSchedule::new([t1, t2]))
             .with_resume(ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.checkpoints.len(), 2, "both thresholds must fire");
@@ -67,7 +69,7 @@ fn periodic_interval_fires_at_multiples() {
         CkptOptions::native()
             .with_policy(PeriodicInterval::new(interval, 2))
             .with_resume(ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.checkpoints.len(), 2, "limit bounds the fire count");
@@ -96,7 +98,7 @@ fn every_n_collectives_fires_on_call_count_strides() {
         CkptOptions::native()
             .with_policy(EveryNCollectives::new(stride, 2))
             .with_resume(ResumeMode::Continue),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.checkpoints.len(), 2);
@@ -136,7 +138,7 @@ fn schedule_with_restart_resume_survives_both_captures() {
                 VTime::from_secs(makespan * 0.65),
             ]))
             .with_resume(ResumeMode::Restart),
-        |r| random_workload(&wl, r),
+        |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
     );
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     assert_eq!(run.checkpoints.len(), 2);

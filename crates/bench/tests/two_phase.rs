@@ -14,7 +14,7 @@ use netmodel::LustreModel;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
-use workloads::{random_workload, scf_loop, RandomWorkloadCfg, ScfStep};
+use workloads::{scf_loop, RandomWorkloadCfg, RandomWorkloadStep, ScfStep};
 
 fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
@@ -38,13 +38,13 @@ fn two_phase_checkpoint_continue_and_restart_bit_identical() {
             let native = run_ckpt_world(
                 cfg(n),
                 CkptOptions::native().with_protocol(Protocol::TwoPhase),
-                |r| random_workload(&wl, r),
+                |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
             );
             let native_data: Vec<f64> = native.results().copied().collect();
 
             let at = VTime::from_secs(native.makespan.as_secs() * 0.4);
             let run = run_ckpt_world(cfg(n), opts_2pc(vec![at], mode), |r| {
-                random_workload(&wl, r)
+                r.run(&mut RandomWorkloadStep::new(wl.clone()))
             });
             let got: Vec<f64> = run.results().copied().collect();
             assert_eq!(
@@ -497,7 +497,9 @@ fn p2p_stall_in_a_test_loop_fails_fast_with_typed_error() {
 fn checkpoint_io_charges_virtual_time() {
     let n = 4;
     let wl = RandomWorkloadCfg::new(11, 25);
-    let native = run_ckpt_world(cfg(n), CkptOptions::native(), |r| random_workload(&wl, r));
+    let native = run_ckpt_world(cfg(n), CkptOptions::native(), |r| {
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
+    });
     let native_data: Vec<f64> = native.results().copied().collect();
 
     let at = VTime::from_secs(native.makespan.as_secs() * 0.5);
@@ -508,7 +510,9 @@ fn checkpoint_io_charges_virtual_time() {
     });
     let opts = CkptOptions::one_checkpoint(at, ResumeMode::Restart)
         .with_tiering(Tiering::fixed(CkptTier::Lustre).with_store(Arc::new(store)));
-    let run = run_ckpt_world(cfg(n), opts, |r| random_workload(&wl, r));
+    let run = run_ckpt_world(cfg(n), opts, |r| {
+        r.run(&mut RandomWorkloadStep::new(wl.clone()))
+    });
     assert_eq!(run.checkpoints.len(), 1, "checkpoint must fire");
     let ckpt = &run.checkpoints[0];
     assert!(ckpt.io_write_secs > 0.0, "image write must cost time");

@@ -8,24 +8,23 @@
 //!   virtual time ([`FaultPlan::sample`]), or at protocol-sensitive
 //!   moments (mid-drain, during an asynchronous background drain);
 //! * each attempt arms its planned event on the [`Session`], where the
-//!   supervisor's waits check it on every wake and fire it through
-//!   [`Session::inject_failure`], which poisons the scheduler's fail
-//!   plane and wakes every wait path so the whole world unwinds promptly
-//!   with a typed [`RankDeath`], never a spurious stall;
-//! * [`run_available_world`] (and [`run_available_world_steps`])
-//!   supervise the workload across deaths: on each one they select the
-//!   newest *viable* image from the [`CkptOptions::tiering`] store —
-//!   skipping generations still in flight when the node died and falling
-//!   back past tiers the dead node took with it
-//!   ([`crate::StoreError::NodeLost`]) —
-//!   restore it onto the surviving topology through the ordinary
-//!   repack-at-restore path, re-arm the trigger policy, and repeat until
-//!   the workload completes. Wasted work and recovery latency per fault
-//!   land on the final [`CkptRunReport`]. A closure body's images carry
-//!   no upper half ([`StepBody::save`]), so a closure campaign recovers
-//!   from scratch, as a campaign with no image does.
+//!   rank whose progress completes its time (or the supervisor's waits)
+//!   fire it through [`Session::inject_failure`], which poisons the
+//!   scheduler's fail plane and wakes every rank, so the whole world
+//!   retires promptly with a typed [`RankDeath`], never a spurious stall;
+//! * [`run_available_world_steps`] supervises step bodies on the worker
+//!   pool across deaths: on each one it selects the newest *viable* image
+//!   from the [`CkptOptions::tiering`] store — skipping generations still
+//!   in flight when the node died and falling back past tiers the dead
+//!   node took with it ([`crate::StoreError::NodeLost`]) — restores it
+//!   onto the surviving topology through the ordinary repack-at-restore
+//!   path, re-arms the trigger policy, and repeats until the workload
+//!   completes. Wasted work and recovery latency per fault land on the
+//!   final [`CkptRunReport`]. A body without a snapshot
+//!   ([`StepBody::save`]) leaves images with no upper half, so its
+//!   campaign recovers from scratch, as a campaign with no image does.
 //!
-//! The loop behind them, `run_campaign`, is the only code that builds
+//! The loop behind it, `run_campaign`, is the only code that builds
 //! sessions and launches ranks: a plain run ([`crate::run_ckpt_world`]) is
 //! a campaign with [`FaultPlan::none`], and a restore
 //! ([`crate::restore_ckpt_world_steps`]) is a campaign whose first attempt
@@ -34,17 +33,17 @@
 //! nodes, denser once nodes are lost.
 //!
 //! The death model is whole-world abort: one death poisons the world and
-//! *every* rank (victims and survivors alike) unwinds; recovery restores
-//! the full rank set from an image. What distinguishes victims is the
-//! storage they take with them (a node loss drops its shards from the
-//! store) and the stall rule (a dead rank is never reported as a p2p
+//! *every* rank (victims and survivors alike) retires at its next step
+//! without a result — a death is a value, never an unwind; recovery
+//! restores the full rank set from an image. What distinguishes victims
+//! is the storage they take with them (a node loss drops its shards from
+//! the store) and the stall rule (a dead rank is never reported as a p2p
 //! stall).
 
 use crate::coordinator::Coordinator;
 use crate::image::Checkpoint;
-use crate::rank::CcRank;
 use crate::restore::{Restore, RestoreConfig, RestoreError};
-use crate::runner::step::{run_session, Blocking, Driver, StepBody};
+use crate::runner::step::{run_session, Driver, StepBody};
 use crate::runner::{supervise_loop, CkptOptions, CkptRunReport, RunError, SuperviseOut};
 use crate::session::Session;
 use crate::store::{CkptTier, StoreRecord, TieredStore, Tiering};
@@ -229,8 +228,8 @@ impl Campaign {
     /// landing post-dates the death (the drain was still in flight),
     /// generations any tier lost with a dead node — [`TieredStore::load`]
     /// walks delta chains, so a lost *ancestor* disqualifies its
-    /// descendants too — and images with no upper half (closure bodies),
-    /// which cannot be restored.
+    /// descendants too — and images with no upper half (bodies without a
+    /// snapshot), which cannot be restored.
     fn select_viable(
         &self,
         store: &TieredStore,
@@ -363,39 +362,17 @@ impl ArmedFault {
     }
 }
 
-/// Runs `f` under the checkpoint wrapper with fault injection and
-/// supervised recovery: each planned death unwinds the world and the loop
-/// restarts the workload **from scratch** — a closure's state is its
-/// stack, which no image holds, so its images serve in-process restarts
-/// only ([`run_available_world_steps`] recovers from the newest viable
-/// image). The trigger policy (one instance for the whole campaign) keeps
-/// firing, and the store keeps every generation. The report covers the
-/// whole campaign — every attempt's checkpoints, every fault's cost, and
-/// the summed backstop expiries.
-///
-/// # Panics
-/// Panics if a rank thread cannot be spawned, or if a death leaves no
-/// surviving node.
-pub fn run_available_world<R, F>(
-    cfg: WorldConfig,
-    opts: CkptOptions,
-    plan: FaultPlan,
-    f: F,
-) -> CkptRunReport<R>
-where
-    R: Send,
-    F: Fn(&mut CcRank) -> R + Send + Sync,
-{
-    run_campaign(cfg, opts, plan, None, Driver::Threads, |_| Blocking(&f))
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_available_world`] for step bodies, on the worker pool: each death
-/// restores the newest viable image in `opts.tiering`'s store onto the
-/// surviving topology — `make(rank)` rebuilt and loaded from its snapshot
-/// — and the trigger policy (one instance for the whole campaign, so a
-/// Daly policy keeps its measured write cost) re-arms. Without tiering,
-/// or before the first checkpoint lands, a death restarts from scratch.
+/// Runs the step bodies `make(rank)` under the checkpoint wrapper on the
+/// worker pool, with fault injection and supervised recovery: each
+/// planned death retires the world, and the loop restores the newest
+/// viable image in `opts.tiering`'s store onto the surviving topology —
+/// `make(rank)` rebuilt and loaded from its snapshot — and re-arms the
+/// trigger policy (one instance for the whole campaign, so a Daly policy
+/// keeps its measured write cost). Without tiering, before the first
+/// checkpoint lands, or for a body without a snapshot
+/// ([`StepBody::save`]), a death restarts from scratch. The report covers
+/// the whole campaign — every attempt's checkpoints, every fault's cost,
+/// and the summed backstop expiries.
 ///
 /// # Panics
 /// Panics if a rank cannot be built, if a recovery image fails its
@@ -420,6 +397,9 @@ where
 /// `restore`'s image, or from scratch; each death plans the next attempt
 /// from the newest viable image (or from scratch). On a launch failure or
 /// a refused snapshot no rank of that attempt ran any application code.
+/// A campaign with faults runs on the pool: a death retires a pool rank
+/// at its next step, while a rank on its own thread would sleep through
+/// it.
 pub(crate) fn run_campaign<B: StepBody>(
     cfg: WorldConfig,
     opts: CkptOptions,
@@ -432,6 +412,10 @@ pub(crate) fn run_campaign<B: StepBody>(
         opts.protocol.supports_checkpoint() || opts.policy.next().is_none(),
         "protocol {} cannot checkpoint",
         opts.protocol.name()
+    );
+    assert!(
+        driver == Driver::Pool || plan.events.is_empty(),
+        "a fault campaign runs on the worker pool"
     );
     let CkptOptions {
         protocol,
@@ -482,13 +466,17 @@ pub(crate) fn run_campaign<B: StepBody>(
 mod tests {
     use super::*;
     use crate::policy::PeriodicInterval;
+    use crate::rank::CcRank;
+    use crate::runner::run_ckpt_world_steps;
     use crate::runner::step::tests_support::SumBody;
-    use crate::runner::{run_ckpt_world, run_ckpt_world_steps};
+    use crate::BodyStep;
     use mpisim::NetParams;
 
-    /// [`SumBody`]'s allreduce loop as a closure body.
-    fn sum(r: &mut CcRank) -> f64 {
-        r.run(&mut SumBody::new(30))
+    /// [`SumBody`]'s allreduce loop as a closure body: the same program,
+    /// stepped on the pool, with no snapshot.
+    fn sum(_rank: usize) -> impl FnMut(&mut CcRank) -> BodyStep<f64> + Send {
+        let mut body = SumBody::new(30);
+        move |r: &mut CcRank| body.step(r)
     }
 
     fn cfg() -> WorldConfig {
@@ -527,7 +515,7 @@ mod tests {
     /// and recovers from scratch all the same.
     #[test]
     fn closure_campaign_recovers_from_scratch() {
-        let native = run_ckpt_world(cfg(), CkptOptions::native(), sum);
+        let native = run_ckpt_world_steps(cfg(), CkptOptions::native(), sum);
         let makespan = native.makespan.as_secs();
         let opts = CkptOptions::native()
             .with_policy(PeriodicInterval::new(VTime::from_secs(makespan / 4.0), 100))
@@ -536,7 +524,7 @@ mod tests {
             FaultTrigger::AtVirtual(VTime::from_secs(makespan * 0.6)),
             FaultScope::Rank(1),
         );
-        let rep = run_available_world(cfg(), opts, plan, sum);
+        let rep = run_available_world_steps(cfg(), opts, plan, sum);
         assert_eq!(rep.attempts, 2);
         assert!(
             !rep.checkpoints.is_empty(),
@@ -553,10 +541,10 @@ mod tests {
         assert_eq!(base, got);
     }
 
-    /// Under either driver: the pool, and threads through [`sum`].
+    /// For a body with a snapshot and one without ([`sum`]) alike.
     #[test]
     fn death_with_no_image_restarts_from_scratch() {
-        let native = run_ckpt_world(cfg(), CkptOptions::native(), sum);
+        let native = run_ckpt_world_steps(cfg(), CkptOptions::native(), sum);
         let makespan = native.makespan.as_secs();
         let opts = || CkptOptions::native().with_tiering(Tiering::fixed(CkptTier::Lustre));
         let plan = || {
@@ -565,9 +553,9 @@ mod tests {
                 FaultScope::Rank(0),
             )
         };
-        let pool = run_available_world_steps(cfg(), opts(), plan(), |_| SumBody::new(30));
-        let threads = run_available_world(cfg(), opts(), plan(), sum);
-        for rep in [pool, threads] {
+        let snapshot = run_available_world_steps(cfg(), opts(), plan(), |_| SumBody::new(30));
+        let none = run_available_world_steps(cfg(), opts(), plan(), sum);
+        for rep in [snapshot, none] {
             assert_eq!(rep.attempts, 2);
             assert_eq!(rep.faults.len(), 1);
             let f = &rep.faults[0];

@@ -78,7 +78,7 @@ pub enum DrainError {
         drained: u64,
     },
     /// An injected fault killed one or more ranks while the checkpoint was
-    /// in flight. The world is poisoned — every rank is unwinding — so the
+    /// in flight. The world is poisoned — every rank is retiring — so the
     /// attempt is abandoned rather than withdrawn; the availability
     /// supervisor owns what happens next.
     RankDeath(RankDeath),
@@ -253,10 +253,9 @@ impl Coordinator {
         // publishes its capture.
         sh.wait_for(|| control.all_quiesced().then_some(()))
             .map_err(|i| self.interrupted(i, before_release))?;
-        // A killed rank unwinds instead of parking, and its thread's
-        // teardown may leave it looking Finished — letting the loop above
-        // exit with no capture published. Re-check before touching the
-        // capture slots.
+        // A killed rank retires instead of parking, which leaves it
+        // looking Finished — letting the loop above exit with no capture
+        // published. Re-check before touching the capture slots.
         if sh.poisoned() {
             return Err(self.interrupted(Interrupted::Died, before_release));
         }

@@ -212,13 +212,12 @@
 //!   `Ready` clears it); `isend`, `irecv` and `compute` never wait.
 //! * **One body shape.** A rank body is a [`StepBody`]: `step` runs until
 //!   the body finishes or an operation is pending, the way an async body
-//!   lowers. A closure `Fn(&mut CcRank) -> R` on a thread of its own
-//!   blocks only through [`CcRank::run`], which steps a whole step body
-//!   to completion there, sleeping while it waits for an event on the
-//!   rank's one event counter ([`mana_core::RankCtl::wait_event_since`]).
-//!   So a program exists once: the `workloads` crate writes each as a
-//!   step body, and its closure-shaped entry point (`scf_loop`,
-//!   `random_workload`, ...) is `rank.run(body)`.
+//!   lowers. So a program exists once: the `workloads` crate writes each
+//!   as a step body. A closure `Fn(&mut CcRank) -> R` on a thread of its
+//!   own ([`run_ckpt_world`]) blocks only through [`CcRank::run`], which
+//!   steps a whole step body to completion there (`|r| r.run(&mut
+//!   body)`), sleeping while it waits for an event on the rank's one
+//!   event counter ([`mana_core::RankCtl::wait_event_since`]).
 //! * **One launcher, one run loop.** `runner::step::run_session` builds
 //!   every rank's continuation all-or-nothing, steps them while
 //!   supervision (restore driving, then the trigger policy) runs on the
@@ -238,9 +237,10 @@
 //!   OS thread exists, which is what carries 65 536-rank worlds. A body
 //!   here must yield, not sleep: a `CcRank::run` that would have to wait
 //!   panics rather than hold a worker.
-//! * **a thread per object** ([`run_ckpt_world`] and the other closure
-//!   forms): [`mpisim::Scheduler::run_threads`], the one place rank
-//!   threads are spawned. The thread *is* the rank's continuation: a
+//! * **a thread per object** ([`run_ckpt_world`], the one closure form:
+//!   a plain run, never a restore or a fault campaign):
+//!   [`mpisim::Scheduler::run_threads`], the one place rank threads are
+//!   spawned. The thread *is* the rank's continuation: a
 //!   plain OS thread whose only sleep is its one event wait, with no
 //!   admission bound — the host multiplexes the runnable ones. With
 //!   128 KiB stacks that carries the paper's 512-rank worlds — and the
@@ -281,14 +281,15 @@
 //! its time strikes it (or the supervisor's waits, for a drain-phase
 //! event) through [`Session::inject_failure`], which
 //! poisons the scheduler's shared fail plane ([`mpisim::FailPlane`]) and
-//! wakes every wait site — mailbox parks, sleeping threads' event
-//! waits, the pool's poison retire, the observer counter — so the whole
-//! world unwinds promptly with a typed [`mpisim::RankDeath`], never a
-//! spurious stall (dead ranks are excluded from the stall rule outright).
+//! wakes every rank and the observer counter. A death is a value, not an
+//! unwind: each woken pool rank reads the poisoned plane before its next
+//! step and retires without a result, so the whole world ends promptly
+//! with a typed [`mpisim::RankDeath`], never a spurious stall (dead ranks
+//! are excluded from the stall rule outright).
 //!
-//! [`run_available_world`] / [`run_available_world_steps`] take the same
-//! [`CkptOptions`] as a plain run plus the plan, and supervise a
-//! workload across such deaths: each one selects the newest *viable*
+//! [`run_available_world_steps`] takes the same [`CkptOptions`] as a
+//! plain run plus the plan, and supervises step bodies on the worker pool
+//! across such deaths: each one selects the newest *viable*
 //! generation from the [`TieredStore`] — skipping images whose modeled
 //! landing post-dates the death (an async drain still in flight is
 //! discarded, its back-pressure released) and falling back past tiers
@@ -331,10 +332,7 @@ pub mod session;
 pub mod store;
 pub mod wire;
 
-pub use avail::{
-    run_available_world, run_available_world_steps, FaultEvent, FaultPlan, FaultRecord,
-    FaultTrigger,
-};
+pub use avail::{run_available_world_steps, FaultEvent, FaultPlan, FaultRecord, FaultTrigger};
 pub use coordinator::{Coordinator, DrainError, ResumeMode};
 pub use image::{
     CaptureOrigin, Checkpoint, DrainedMsg, ImageError, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA,
@@ -352,8 +350,7 @@ pub use restore::{
 };
 pub use runner::step::{BodyStep, StepBody};
 pub use runner::{
-    run_ckpt_world, run_ckpt_world_steps, try_run_ckpt_world, try_run_ckpt_world_steps,
-    CkptOptions, CkptRunReport,
+    run_ckpt_world, run_ckpt_world_steps, try_run_ckpt_world_steps, CkptOptions, CkptRunReport,
 };
 pub use session::Session;
 pub use store::{

@@ -487,9 +487,9 @@ impl CcRank<'_> {
     /// backstop lost a wake only if the poll after it, with no wake since,
     /// goes on — finishes, polls again, or moves the rank's clock, call
     /// counters or published state: a rank that waits out a peer's long
-    /// body sleep lost nothing. This is also a thread's poison observation
-    /// point: a killed world wakes every rank, and the rank unwinds here
-    /// instead of polling a dead peer forever.
+    /// body sleep lost nothing. A world whose ranks block here never dies:
+    /// fault campaigns run on the worker pool, where a death retires the
+    /// rank between steps.
     ///
     /// # Panics
     /// On the `Pending` path, if the rank is stepped by the worker pool:
@@ -522,10 +522,6 @@ impl CcRank<'_> {
                 !ctl.pool_driven(),
                 "blocking call on a pool-driven rank: use `poll_*` or a closure entry point"
             );
-            // Before sleeping as well as after every wake: a kill whose
-            // wake preceded the token would otherwise cost the backstop.
-            let fail = self.core.ctx.world().fail_plane();
-            fail.die_if_poisoned();
             if why == WaitReason::Poll {
                 continue;
             }
@@ -533,7 +529,6 @@ impl CcRank<'_> {
             if !ctl.wait_event_since(token) {
                 expired = Some((token, moved(self)));
             }
-            fail.die_if_poisoned();
         }
     }
 

@@ -6,6 +6,8 @@
 //! which launches the session's ranks (closure bodies one thread each,
 //! step bodies on the worker pool — one launcher, `step::run_session`,
 //! either way) and drives the [`TriggerPolicy`] from the calling thread.
+//! The closure form, [`run_ckpt_world`], is the one entry point that puts
+//! ranks on threads, and it never injects a fault.
 //!
 //! Capture no longer implies a resume decision: the policy only says
 //! *when* to capture, [`CkptOptions::resume`] says what this in-process
@@ -121,7 +123,7 @@ pub(crate) enum RunError {
     /// A rank restored from an image refused it (its body, its
     /// snapshot); the launch was aborted before any application code ran.
     Refused(RestoreError),
-    /// An injected fault killed ranks and the world unwound before the
+    /// An injected fault killed ranks and the world retired before the
     /// workload completed; `out` is what the attempt's supervision
     /// committed before the death, for the campaign to recover from.
     Died {
@@ -204,26 +206,9 @@ impl<R> CkptRunReport<R> {
 /// re-raise only happens once the remaining ranks run to completion.
 ///
 /// # Panics
-/// Panics if a rank thread cannot be spawned; [`try_run_ckpt_world`]
-/// surfaces that case as a typed [`SpawnError`] instead.
+/// Panics if a rank thread cannot be spawned (the launch is
+/// all-or-nothing: ranks spawned before the failing one never run).
 pub fn run_ckpt_world<R, F>(cfg: WorldConfig, opts: CkptOptions, f: F) -> CkptRunReport<R>
-where
-    R: Send,
-    F: Fn(&mut CcRank) -> R + Send + Sync,
-{
-    try_run_ckpt_world(cfg, opts, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_ckpt_world`], with thread-spawn failure surfaced as a typed
-/// [`SpawnError`]. The launch is all-or-nothing: on a failure no rank has
-/// run any application code, no checkpoint supervision has started, and
-/// ranks spawned before the failing one were aborted through the launch
-/// gate.
-pub fn try_run_ckpt_world<R, F>(
-    cfg: WorldConfig,
-    opts: CkptOptions,
-    f: F,
-) -> Result<CkptRunReport<R>, SpawnError>
 where
     R: Send,
     F: Fn(&mut CcRank) -> R + Send + Sync,
@@ -231,7 +216,7 @@ where
     run_campaign(cfg, opts, FaultPlan::none(), None, Driver::Threads, |_| {
         Blocking(&f)
     })
-    .map_err(launch_error)
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_ckpt_world`] for step bodies: builds one [`StepBody`] per rank
@@ -256,8 +241,8 @@ where
 
 /// [`run_ckpt_world_steps`], with launch failure — a panicking body
 /// constructor, e.g. a factory that refuses a rank — surfaced as a typed
-/// [`SpawnError`]. All-or-nothing like the closure form: on `Err` no rank
-/// has run any application code and no checkpoint supervision has started.
+/// [`SpawnError`]. All-or-nothing: on `Err` no rank has run any
+/// application code and no checkpoint supervision has started.
 pub fn try_run_ckpt_world_steps<B, MK>(
     cfg: WorldConfig,
     opts: CkptOptions,
@@ -370,10 +355,10 @@ pub(crate) fn assemble_report<R>(
     rank_build_rss_bytes: Option<u64>,
 ) -> Result<CkptRunReport<R>, RunError> {
     let Some(ranks) = reports.into_iter().collect::<Option<Vec<RankReport<R>>>>() else {
-        // At least one rank unwound (or was retired by the poison abort
-        // point) without a result: the death stands. (If the injection
-        // raced completion and every rank still returned, the run is
-        // simply complete — nothing was lost.)
+        // At least one rank was retired by the poisoned plane without a
+        // result: the death stands. (If the injection raced completion
+        // and every rank still returned, the run is simply complete —
+        // nothing was lost.)
         let death = sh
             .death()
             .expect("rank ended without a result or a recorded death");

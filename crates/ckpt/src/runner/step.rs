@@ -11,9 +11,10 @@
 //! run loop (`crate::avail::run_campaign`, which every plain run, restore
 //! and fault campaign is) — on the
 //! [`mpisim::StepDriver`] worker pool (no per-rank thread or stack: the
-//! 65 536-rank representation) or one thread each
-//! ([`mpisim::Scheduler::run_threads`]: closure bodies, tier-1 sizes),
-//! as fixed by the public entry point that was called.
+//! 65 536-rank representation; every restore and fault campaign) or one
+//! thread each ([`mpisim::Scheduler::run_threads`]: the closure form of a
+//! plain run, [`crate::run_ckpt_world`]), as fixed by the public entry
+//! point that was called.
 //!
 //! The drivers are interchangeable because neither holds protocol logic:
 //! a body polls the machines of [`crate::rank::step`] whichever steps it,
@@ -96,7 +97,7 @@ where
 
 /// A closure body `Fn(&mut CcRank) -> R` as a step body: one `step` that
 /// runs the closure to its end, never yielding — so it belongs on
-/// [`Driver::Threads`], where the closure entry points put it (on the
+/// [`Driver::Threads`], where the closure entry point puts it (on the
 /// pool its first `CcRank::run` that had to wait would panic).
 pub(crate) struct Blocking<'f, F>(pub(crate) &'f F);
 
@@ -113,7 +114,8 @@ where
 }
 
 /// Who steps a session's rank objects. Chosen by the public entry point
-/// (`*_steps` → the pool, closure bodies → threads), never by an option.
+/// (`*_steps` → the pool, [`crate::run_ckpt_world`] → threads), never by
+/// an option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Driver {
     /// The [`StepDriver`] worker pool: a yield returns to the driver.
@@ -150,10 +152,12 @@ impl<B: StepBody> CcStepObj<'_, B> {
 
 impl<B: StepBody> RankStep for CcStepObj<'_, B> {
     fn step(&mut self) -> Step {
-        // A body is never resumed once the world is poisoned, so no engine
-        // state can observe a half-killed world: the rank is retired
-        // quietly, without a result. (A body asleep on its own thread
-        // unwinds out of `CcRank::block_on` to the same effect.)
+        // A death is a value: the injector wakes every rank
+        // (`RankCtl::wake`), and a body is never resumed once the world is
+        // poisoned, so no engine state can observe a half-killed world —
+        // the rank is retired quietly, without a result, and the launcher
+        // reads the death off the plane. Only pool-driven worlds die: a
+        // rank on its own thread runs its whole body in one step.
         if self.fail.poisoned() {
             self.retire();
             return Step::Done;
@@ -285,7 +289,7 @@ where
     };
 
     // Either driver re-raises the first rank-body panic once every rank is
-    // done, and swallows the quiet unwind of a killed world.
+    // done.
     let sup_out = match &pool {
         Some(pool) => {
             let workers = sh.cfg.resolved_workers();

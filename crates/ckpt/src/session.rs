@@ -128,18 +128,17 @@ impl Session {
 
     /// Injects a fault into the running execution: poisons the fail plane
     /// (first injection wins), marks the victim ranks dead so stall
-    /// accounting stops expecting them, and wakes every wait path — ranks
-    /// asleep on their own thread observe the poison and unwind promptly
-    /// with a [`mpisim::KilledByFault`] marker instead of draining a
-    /// backstop timeout; ranks on the worker pool are retired at their
-    /// next step.
+    /// accounting stops expecting them, and wakes every rank
+    /// ([`mana_core::RankCtl::wake`]) and the observer. A woken rank reads
+    /// the poisoned plane before its next step and retires without a
+    /// result; the launcher turns the recorded death into a typed error.
+    /// Only worlds on the worker pool are ever injected into.
     ///
     /// Returns `false` if the plane was already poisoned (the earlier death
     /// stands and this one is dropped).
     pub fn inject_failure(&self, death: RankDeath) -> bool {
-        let world = self.current_world();
         let victims = death.victims.clone();
-        if !world.fail_plane().inject(death) {
+        if !self.current_world().fail_plane().inject(death) {
             return false;
         }
         for &v in &victims {
@@ -147,11 +146,6 @@ impl Session {
                 ctl.mark_dead();
             }
         }
-        // Wake order: lower-half waits first (mailboxes, collective
-        // instances), then the control plane. Every site re-checks the
-        // poison flag on wake, so the order only affects latency, not
-        // correctness.
-        world.poison_wake();
         for ctl in self.control.ranks.iter() {
             ctl.wake();
         }

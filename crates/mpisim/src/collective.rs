@@ -75,8 +75,8 @@ pub struct InstanceEnv {
     /// only wake — but the frozen benchmark builds this struct by literal;
     /// goes with ROADMAP item 6(d).
     pub wake_batch: usize,
-    /// Unused, like `wake_batch`: a waiter's poison check is in
-    /// [`crate::Ctx::wait`].
+    /// Unused, like `wake_batch`: a poisoned world's ranks retire in
+    /// their driver, never inside a rendezvous.
     pub fail: Arc<FailPlane>,
 }
 

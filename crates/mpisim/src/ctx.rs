@@ -139,14 +139,12 @@ impl Ctx {
     }
 
     /// Sleeps until this rank's mailbox sees activity after `token` was
-    /// taken: a deposit, a collective completion (completion pokes every
-    /// participant's mailbox) or the poison broadcast. A poisoned world
-    /// wakes every mailbox and its peers may be dead, so the rank unwinds
-    /// here instead of sleeping again. A sleep that outlasts the
-    /// [`RECV_PARK`] backstop is counted.
+    /// taken: a deposit or a collective completion (completion pokes every
+    /// participant's mailbox). A sleep that outlasts the [`RECV_PARK`]
+    /// backstop is counted. No world that can die has a rank asleep here:
+    /// fault campaigns drive their ranks on the worker pool.
     fn sleep_on_mailbox(&self, token: u64) {
         let world = &self.world;
-        world.fail_plane().die_if_poisoned();
         if !world
             .mailbox(self.world_rank)
             .activity
@@ -350,8 +348,7 @@ impl Ctx {
     /// alike: attempt the completion ([`Ctx::try_complete`], which moves
     /// the clock exactly as a blocking wait would), and while it cannot
     /// complete sleep on this rank's mailbox activity token, which
-    /// deposits, collective completions and the poison broadcast all
-    /// advance. The token is read *before* the attempt, so an event racing
+    /// deposits and collective completions advance. The token is read *before* the attempt, so an event racing
     /// it ends the sleep at once.
     pub fn wait(&mut self, req: &mut Request) -> Completion {
         loop {

@@ -1,30 +1,28 @@
 //! Fault propagation: the per-scheduler **fail plane**.
 //!
 //! A fault injector kills ranks at a virtual time; the runtime's job is to
-//! make everything *currently blocked* on those ranks fail fast with a
-//! typed [`RankDeath`] instead of waiting forever. The mechanism is a
-//! single poison flag shared by every wait path:
+//! end the world promptly with a typed [`RankDeath`] instead of letting
+//! its survivors wait forever on the dead. The mechanism is a single
+//! poison flag:
 //!
 //! * the injector publishes a [`RankDeath`] into the scheduler's
 //!   [`FailPlane`] (first death wins; a world dies once);
-//! * every sleeper is woken through its normal event channel (mailbox
-//!   activity, control parks) — no timed backstop is
-//!   ever relied on, so the zero-backstop-expiry invariant holds through a
-//!   kill;
-//! * each blocking wait checks the plane when it wakes (and at entry) and
-//!   unwinds its rank with a [`KilledByFault`] panic payload. The drivers
-//!   swallow the payload and the launcher turns the recorded death into
-//!   a typed error — the marker never escapes as a user-visible panic.
+//! * it then wakes every rank through its driver's normal wake path — no
+//!   timed backstop is ever relied on, so the zero-backstop-expiry
+//!   invariant holds through a kill;
+//! * a driven rank reads the plane before each step and, once poisoned,
+//!   retires without a result instead of stepping again; the launcher
+//!   turns the recorded death into a typed error. A death is a value:
+//!   no rank unwinds.
 //!
 //! Death is whole-world: as in real MPI, a dead rank aborts the job, and
 //! recovery means restoring a checkpoint image onto the survivors (the
-//! `ckpt` crate's availability loop). Survivor ranks therefore also unwind
-//! — promptly, because the poison wake reaches every park.
+//! `ckpt` crate's availability loop). Survivor ranks therefore retire too
+//! — promptly, because the wake reaches every parked rank.
 
 use netmodel::VTime;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 
 /// What a fault event kills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,29 +68,7 @@ impl std::fmt::Display for RankDeath {
     }
 }
 
-/// The panic payload a rank unwinds with when it observes the poison flag.
-/// Runners downcast for this marker and translate it into a typed
-/// [`RankDeath`] error; it is never re-raised to the caller.
-pub struct KilledByFault;
-
-static QUIET_HOOK: Once = Once::new();
-
-/// Wraps the global panic hook (once per process) so [`KilledByFault`]
-/// unwinds stay silent: a 16-rank kill would otherwise print 16 scary
-/// "thread panicked" reports for what is a typed, recovered-from event.
-/// Every other panic payload still reaches the previous hook untouched.
-pub fn install_quiet_death_hook() {
-    QUIET_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<KilledByFault>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// The poison flag + death record shared by every wait path of one
+/// The poison flag + death record shared by every rank of one
 /// scheduler (and therefore every lower-half generation built on it —
 /// restarts replace the `World`, never the scheduler).
 #[derive(Default)]
@@ -110,10 +86,8 @@ impl FailPlane {
     /// Publishes a death. The first event wins — a world dies once; a
     /// second injection while the first is still unwinding is dropped.
     /// Returns whether this call was the killing one. The caller is
-    /// responsible for waking sleepers afterwards (see
-    /// [`crate::World::poison_wake`]).
+    /// responsible for waking the ranks afterwards.
     pub fn inject(&self, death: RankDeath) -> bool {
-        install_quiet_death_hook();
         let mut d = self.death.lock();
         if d.is_some() {
             return false;
@@ -134,17 +108,6 @@ impl FailPlane {
     /// The published death, if any.
     pub fn death(&self) -> Option<RankDeath> {
         self.death.lock().clone()
-    }
-
-    /// Unwinds the calling rank with the quiet [`KilledByFault`] marker if
-    /// the plane is poisoned. Every blocking wait calls this on wake (and
-    /// at entry), which is what turns one injected death into a prompt
-    /// whole-world abort instead of a hang.
-    #[inline]
-    pub fn die_if_poisoned(&self) {
-        if self.poisoned() {
-            std::panic::panic_any(KilledByFault);
-        }
     }
 }
 
@@ -171,20 +134,6 @@ mod tests {
         assert!(!p.inject(d2));
         assert!(p.poisoned());
         assert_eq!(p.death(), Some(d1));
-    }
-
-    #[test]
-    fn die_if_poisoned_unwinds_with_marker() {
-        let p = FailPlane::new();
-        p.die_if_poisoned(); // healthy: no-op
-        p.inject(RankDeath {
-            victims: vec![0],
-            node: None,
-            at: VTime::ZERO,
-        });
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.die_if_poisoned()))
-            .unwrap_err();
-        assert!(err.downcast_ref::<KilledByFault>().is_some());
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use collective::RedSpec;
 pub use comm::Comm;
 pub use ctx::Ctx;
 pub use dtype::DType;
-pub use fail::{FailPlane, FaultScope, KilledByFault, RankDeath};
+pub use fail::{FailPlane, FaultScope, RankDeath};
 pub use group::Group;
 pub use msg::{SavedMsg, Status};
 pub use reduce_op::ReduceOp;

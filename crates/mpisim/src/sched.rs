@@ -9,9 +9,12 @@
 //!   whose only sleep is its one event wait ([`crate::Ctx::wait`]'s
 //!   mailbox-token sleep, or the checkpoint layer's per-rank event
 //!   counter); there is no admission bound, so a rank that wakes runs at
-//!   once and the host's scheduler multiplexes the runnable ones.
+//!   once and the host's scheduler multiplexes the runnable ones. Its
+//!   worlds never die: a sleeping thread has no way to hear a death.
 //! * [`StepDriver`] resumes heap-allocated step objects on a bounded
-//!   worker pool (below).
+//!   worker pool (below). Fault campaigns run here only: a rank of a
+//!   poisoned world is woken like any other and retires at its next step
+//!   ([`crate::fail`]).
 //!
 //! A thread rank's footprint is its stack. Rank stacks default to
 //! [`crate::world::DEFAULT_RANK_STACK`] (128 KiB, sized to measured
@@ -103,10 +106,11 @@
 //!
 //! Like a thread rank's event wait, idle driver workers park event-driven
 //! with a long counted backstop (a rescue sweep that requeues every
-//! parked rank), so the zero-timed-wakeup contract is asserted for both
-//! representations by the same [`WakeupStats`] block.
+//! parked rank, run only while no rank is inside a step), so the
+//! zero-timed-wakeup contract is asserted for both representations by the
+//! same [`WakeupStats`] block.
 
-use crate::fail::{FailPlane, KilledByFault};
+use crate::fail::FailPlane;
 use crate::world::{LaunchGate, SpawnError, DEFAULT_RANK_STACK};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
@@ -227,7 +231,7 @@ pub struct Scheduler {
 
 /// The wake routing installed via [`Scheduler::install_rank_waker`]:
 /// `f(rank)` tells `rank`'s driver that a lower-half event (mailbox
-/// deposit, collective completion, poison) landed for it.
+/// deposit or collective completion) landed for it.
 pub type RankWakeFn = Arc<dyn Fn(usize) + Send + Sync>;
 
 impl Scheduler {
@@ -327,8 +331,9 @@ impl Scheduler {
     /// spawned before it return unstepped, `launched` never runs and the
     /// typed [`SpawnError`] is returned. Otherwise `launched` runs on the
     /// calling thread while the ranks do, and its value is returned once
-    /// every rank is done. The first rank panic is then re-raised — except
-    /// the quiet [`KilledByFault`] unwind, which is how a killed world ends.
+    /// every rank is done. The first rank panic is then re-raised. A
+    /// world that can die is never run here: its ranks must retire, not
+    /// sleep, so fault campaigns run on [`StepDriver`].
     pub fn run_threads<'a, T>(
         &self,
         objs: Vec<Box<dyn RankStep + 'a>>,
@@ -372,9 +377,7 @@ impl Scheduler {
             let mut panic = None;
             for h in handles {
                 if let Err(p) = h.join().and_then(|stepped| stepped) {
-                    if panic.is_none() && !p.is::<KilledByFault>() {
-                        panic = Some(p);
-                    }
+                    panic.get_or_insert(p);
                 }
             }
             if let Some(p) = panic {
@@ -475,7 +478,8 @@ pub struct StepDriver {
 }
 
 /// Idle-worker backstop: how long a driver worker sleeps on an empty
-/// ready queue before sweeping every parked rank back into the queue.
+/// ready queue, with no rank inside a step, before sweeping every parked
+/// rank back into the queue.
 /// With complete waker coverage the sweep never finds anything to do —
 /// like every other backstop it is defense in depth against a lost
 /// wakeup, and a sweep that requeues parked ranks is counted in
@@ -623,10 +627,10 @@ impl StepDriver {
     /// Runs every step object to completion on `workers` pool threads,
     /// blocking the caller until all ranks are finished. `objs[i]` is
     /// rank `i`'s continuation. The first panic from a body is re-raised
-    /// on the caller after the pool drains — except, as under
-    /// [`Scheduler::run_threads`], the quiet [`KilledByFault`] unwind (the
-    /// panicking rank is marked finished; peers blocked on it
-    /// indefinitely will only make rescue-sweep progress).
+    /// on the caller after the pool drains (the panicking rank is marked
+    /// finished; peers blocked on it indefinitely will only make
+    /// rescue-sweep progress). A rank that must end early — its world
+    /// died — returns [`Step::Done`] from its step: nothing unwinds.
     pub fn run<'a>(&self, workers: usize, objs: Vec<Box<dyn RankStep + 'a>>) {
         assert_eq!(objs.len(), self.n_ranks(), "one step object per rank");
         let workers = workers.max(1);
@@ -640,8 +644,7 @@ impl StepDriver {
                 s.spawn(|| self.worker_loop(workers, &slots, &panics));
             }
         });
-        let loud = |p: &Box<dyn std::any::Any + Send>| !p.is::<KilledByFault>();
-        if let Some(p) = panics.into_inner().into_iter().find(loud) {
+        if let Some(p) = panics.into_inner().into_iter().next() {
             std::panic::resume_unwind(p);
         }
     }
@@ -679,10 +682,12 @@ impl StepDriver {
             q.idle += 1;
             let timed_out = self.cv.wait_for(&mut q, DRIVER_RESCUE).timed_out();
             q.idle -= 1;
-            if timed_out && q.ready.is_empty() {
+            if timed_out && q.ready.is_empty() && !self.any_running() {
                 // Rescue sweep: requeue every parked rank so a lost
                 // wakeup degrades to slow instead of hung. One counted
-                // expiry per productive sweep.
+                // expiry per productive sweep. Not while a rank is inside
+                // a step: its step can still wake the parked ones (a body
+                // that sleeps a while is no lost wakeup).
                 for (rank, state) in self.run.iter().enumerate() {
                     let parked = state
                         .compare_exchange(PARKED, QUEUED, Ordering::AcqRel, Ordering::Relaxed)
@@ -697,6 +702,14 @@ impl StepDriver {
                 }
             }
         }
+    }
+
+    /// Whether some rank is inside its `step()`. Read only by a worker
+    /// that idled out its [`DRIVER_RESCUE`] wait, never on the hot path.
+    fn any_running(&self) -> bool {
+        self.run
+            .iter()
+            .any(|s| matches!(s.load(Ordering::Acquire), RUNNING | RUNNING_WAKE))
     }
 
     /// Runs one `step()` of a rank this worker popped and files the

@@ -214,19 +214,6 @@ impl World {
         self.sched.fail_plane()
     }
 
-    /// Poison broadcast for this lower half: after a fault injector
-    /// publishes a death on the fail plane, this wakes every sleeper that
-    /// parks on lower-half state — every one of them a mailbox activity
-    /// wait ([`crate::Ctx::wait`], [`crate::Ctx::waitany`]; driven ranks
-    /// hear it through the mailbox waker) — so they observe the poison and
-    /// unwind promptly. The caller wakes the checkpoint control plane
-    /// itself.
-    pub fn poison_wake(&self) {
-        for mb in &self.mailboxes {
-            mb.notify_activity();
-        }
-    }
-
     /// The cooperative rank scheduler this world's ranks run under.
     #[inline]
     pub fn scheduler(&self) -> &Arc<Scheduler> {

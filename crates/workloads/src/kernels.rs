@@ -7,9 +7,10 @@
 //! plus locals, with every operation that can wait resumed through the
 //! rank's idempotent-start `poll_*` API, the wrapper's only MPI face. The
 //! worker pool steps the body directly (`run_ckpt_world_steps(.., |_|
-//! ScfStep::new(..))`); a closure on a thread of its own calls the
-//! function of the same program ([`scf_loop`], ...), which is that body
-//! run to completion there ([`CcRank::run`], the one call that blocks).
+//! ScfStep::new(..))`); a closure on a thread of its own runs it to
+//! completion there (`|r| r.run(&mut ScfStep::new(..))`: [`CcRank::run`],
+//! the one call that blocks). [`scf_loop`] and [`halo_exchange`] are that
+//! closure, kept for the host-time benchmark's thread workloads.
 //! Each body's documentation gives the straight-line program it encodes.
 //! Each saves its state ([`StepBody::save`]) — what its constructor does
 //! not rebuild, behind the constructor's arguments, which `load` checks —
@@ -152,19 +153,6 @@ impl StepBody for ScfStep {
     }
 }
 
-/// A broadcast pipeline — the paper's worst case for 2PC (Figure 5a).
-/// The root streams `iters` broadcasts while every rank does skewed local
-/// work between them. `MPI_Bcast` is *non-synchronizing*: the root exits
-/// its binomial tree long before the leaves, so back-to-back broadcasts
-/// pipeline and per-rank jitter is absorbed in slack. A trivial barrier in
-/// front of each call (2PC) forces every rank to meet, de-pipelining the
-/// stream and amplifying jitter by the expected max over all ranks.
-/// Returns a checksum of everything received (identical on every rank).
-/// [`BcastPipelineStep`] run to completion.
-pub fn bcast_pipeline(rank: &mut CcRank, iters: usize, bytes: usize) -> f64 {
-    rank.run(&mut BcastPipelineStep::new(iters, bytes))
-}
-
 enum BcastPc {
     Work,
     Bcast { data: Bytes },
@@ -172,6 +160,16 @@ enum BcastPc {
     Done,
 }
 
+/// A broadcast pipeline — the paper's worst case for 2PC (Figure 5a).
+/// The root streams `iters` broadcasts while every rank does skewed local
+/// work between them. `MPI_Bcast` is *non-synchronizing*: the root exits
+/// its binomial tree long before the leaves, so back-to-back broadcasts
+/// pipeline and per-rank jitter is absorbed in slack. A trivial barrier in
+/// front of each call (2PC) forces every rank to meet, de-pipelining the
+/// stream and amplifying jitter by the expected max over all ranks.
+/// The result is a checksum of everything received (identical on every
+/// rank).
+///
 /// The broadcast-pipeline program, one rank's share:
 ///
 /// ```text
@@ -507,7 +505,7 @@ mod tests {
     fn drivers_agree_on_bcast_pipeline() {
         assert_drivers_agree(
             3,
-            |r| bcast_pipeline(r, 4, 64),
+            |r| r.run(&mut BcastPipelineStep::new(4, 64)),
             |_| BcastPipelineStep::new(4, 64),
         );
     }

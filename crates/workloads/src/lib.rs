@@ -1,9 +1,8 @@
 //! # workloads — synthetic MPI programs for checkpoint testing
 //!
 //! Every program is written once, as a resumable [`ckpt::StepBody`] the
-//! worker pool can step, next to a function of the closure-body shape
-//! that runs it to completion on the calling thread
-//! ([`ckpt::CcRank::run`]).
+//! worker pool can step; a closure body on a thread of its own runs it
+//! to completion there (`|r| r.run(&mut body)`, [`ckpt::CcRank::run`]).
 //!
 //! * [`rng`] — a seeded SplitMix64 generator (no external `rand`).
 //! * [`random`] — the randomized workload generator: all ranks derive one
@@ -20,8 +19,9 @@
 //!   rank's lower half ran, for suites that check a cut against it.
 //!
 //! Every body but the cascade saves its state ([`ckpt::StepBody::save`]),
-//! so images of the step forms restore elsewhere from the image alone;
-//! the closure forms' images restart in-process only.
+//! so images of a run whose driver steps the body restore elsewhere from
+//! the image alone; a closure that runs one through `CcRank::run` leaves
+//! images that restart in-process only.
 
 /// Resolves a poll inside a [`ckpt::StepBody::step`]: evaluates to
 /// `Ready`'s value, or yields out of the enclosing `step` with the
@@ -45,11 +45,9 @@ mod snap;
 
 pub use cascade::Cascade;
 pub use demo::{quickstart, QuickstartOutcome};
-pub use kernels::{
-    bcast_pipeline, halo_exchange, scf_loop, BcastPipelineStep, HaloStep, ScfStep, Then,
-};
+pub use kernels::{halo_exchange, scf_loop, BcastPipelineStep, HaloStep, ScfStep, Then};
 pub use logged::{CallLog, Logged};
-pub use random::{random_workload, RandomWorkloadCfg, RandomWorkloadStep};
+pub use random::{RandomWorkloadCfg, RandomWorkloadStep};
 pub use rng::SplitMix64;
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //!
 //! The program is written once, as the [`StepBody`] [`RandomWorkloadStep`]
 //! (a program counter enum plus locals over the rank's `poll_*` API),
-//! which the worker pool steps directly; [`random_workload`] is that body
-//! run to completion on the calling thread.
+//! which the worker pool steps directly and a closure on a thread of its
+//! own runs to completion (`|r| r.run(&mut RandomWorkloadStep::new(..))`).
 
 use crate::rng::SplitMix64;
 use crate::snap::check_arg;
@@ -64,12 +64,6 @@ impl RandomWorkloadCfg {
         self.blocking_only = true;
         self
     }
-}
-
-/// Runs the workload on one rank; returns the rank's checksum.
-/// [`RandomWorkloadStep`] run to completion.
-pub fn random_workload(cfg: &RandomWorkloadCfg, rank: &mut CcRank) -> f64 {
-    rank.run(&mut RandomWorkloadStep::new(cfg.clone()))
 }
 
 /// Where the program stands: `StepTop` draws the step's arm, the other
@@ -537,7 +531,7 @@ mod tests {
         let wl = RandomWorkloadCfg::new(11, 25);
         assert_drivers_agree(
             4,
-            |r| random_workload(&wl, r),
+            |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
             |_| RandomWorkloadStep::new(wl.clone()),
         );
     }
@@ -547,7 +541,7 @@ mod tests {
         let wl = RandomWorkloadCfg::new(23, 25).with_blocking_only();
         assert_drivers_agree(
             4,
-            |r| random_workload(&wl, r),
+            |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
             |_| RandomWorkloadStep::new(wl.clone()),
         );
     }
@@ -556,11 +550,13 @@ mod tests {
     fn same_seed_same_results() {
         let wl = RandomWorkloadCfg::new(11, 25);
         let run = || {
-            run_ckpt_world(cfg(4), CkptOptions::native(), |r| random_workload(&wl, r))
-                .ranks
-                .into_iter()
-                .map(|r| r.result)
-                .collect::<Vec<f64>>()
+            run_ckpt_world(cfg(4), CkptOptions::native(), |r| {
+                r.run(&mut RandomWorkloadStep::new(wl.clone()))
+            })
+            .ranks
+            .into_iter()
+            .map(|r| r.result)
+            .collect::<Vec<f64>>()
         };
         assert_eq!(run(), run());
     }
@@ -568,10 +564,10 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let a = run_ckpt_world(cfg(2), CkptOptions::native(), |r| {
-            random_workload(&RandomWorkloadCfg::new(1, 25), r)
+            r.run(&mut RandomWorkloadStep::new(RandomWorkloadCfg::new(1, 25)))
         });
         let b = run_ckpt_world(cfg(2), CkptOptions::native(), |r| {
-            random_workload(&RandomWorkloadCfg::new(2, 25), r)
+            r.run(&mut RandomWorkloadStep::new(RandomWorkloadCfg::new(2, 25)))
         });
         let av: Vec<f64> = a.results().copied().collect();
         let bv: Vec<f64> = b.results().copied().collect();

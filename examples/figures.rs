@@ -1,6 +1,6 @@
 //! The paper's figures, one suite each: `protocols` (Figure 5a),
-//! `figure7` and `figure7_huge` (Figure 7 on thread and on step-object
-//! ranks), `figure9` and `availability`. A suite runs its sweep, asserts
+//! `figure7` and `figure7_huge` (Figure 7 to 4096 and to 65 536 ranks),
+//! `figure9` and `availability`. A suite runs its sweep, asserts
 //! its shape through the lib's `assert_*` check, prints the rows it
 //! writes and writes `BENCH_<suite>.json`: at the configuration of its
 //! checked-in file into the current directory, or with `--ci` at the
