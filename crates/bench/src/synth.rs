@@ -20,7 +20,7 @@ use ckpt::{CaptureOrigin, Checkpoint, DrainedMsg};
 use mana_core::RankState;
 use mana_core::{
     ggid_of_sorted, CallCounters, CommOp, CommOpRecord, Cut, Ggid, PendingRecv, Protocol,
-    RuntimeCapture, SeqTable, VComm,
+    RuntimeCapture, SeqTable, VComm, VCommMembers,
 };
 use mpisim::{NetParams, SavedMsg, SrcSel, TagSel, VTime};
 use std::collections::HashMap;
@@ -130,7 +130,7 @@ fn synth_capture(n_ranks: usize, i: usize, rng: &mut SplitMix64) -> RuntimeCaptu
         trivial_barriers: 0,
     };
 
-    let mut vcomm_members = HashMap::new();
+    let mut vcomm_members = VCommMembers::new();
     for v in 0..3u64 {
         vcomm_members.insert(
             v,

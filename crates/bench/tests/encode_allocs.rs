@@ -10,15 +10,22 @@
 //! per doubling of it. A per-rank allocation anywhere on the path shows
 //! as a count that grows with the world. The store's save is that
 //! encoder, so the same holds for it. On the read side, a chain load
-//! decodes every chunk where it lies in the stored bytes: it costs what
-//! decoding the leaf's full image costs, plus a constant per ancestor,
-//! however many chunks the ancestors carry.
+//! decodes every chunk where it lies in the stored bytes and builds no
+//! ancestor's records, only its chunk index: it costs what decoding the
+//! leaf's full image costs, plus a constant per ancestor, however many
+//! chunks and upper halves the ancestors carry.
 
 use bench::{perturbed_checkpoint, synthetic_checkpoint};
-use ckpt::{Checkpoint, CkptTier, TieredStore};
+use ckpt::{
+    run_ckpt_world_steps, Checkpoint, CkptOptions, CkptTier, EveryNCollectives, ResumeMode,
+    TieredStore,
+};
+use mana_core::Protocol;
+use mpisim::{NetParams, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use workloads::{RandomWorkloadCfg, RandomWorkloadStep};
 
 /// Counts every allocation and, apart, every reallocation of the calling
 /// thread, then hands the call to the system allocator.
@@ -115,15 +122,15 @@ fn encode_allocations_do_not_grow_with_ranks() {
     }
 }
 
-/// Allocations one decoded ancestor may add to a chain load: its head's
-/// tables and lists, and its place in the load's chunk index.
+/// Allocations one indexed ancestor may add to a chain load: its head's
+/// tables, and its place in the load's chunk index.
 const PER_ANCESTOR: u64 = 32;
 
-#[test]
-fn a_chain_load_allocates_what_the_leafs_full_decode_does() {
-    let g0 = Arc::new(synthetic_checkpoint(1024, 0xC4A1));
-    let g1 = Arc::new(perturbed_checkpoint(&g0, 7));
-    let g2 = Arc::new(perturbed_checkpoint(&g1, 5));
+/// Asserts that a depth-3 chain of `g0`, `g1`, `g2` loads back as `g2`
+/// with at most the allocations of `g2`'s full decode plus
+/// [`PER_ANCESTOR`] for each of its two ancestors.
+fn assert_chain_load_allocates_as_the_leafs_full_decode(g: [Arc<Checkpoint>; 3]) {
+    let [g0, g1, g2] = g;
     let store = TieredStore::default();
     store.save(CkptTier::Lustre, g0, false, 1);
     store.save(CkptTier::Partner, g1, true, 1);
@@ -139,4 +146,36 @@ fn a_chain_load_allocates_what_the_leafs_full_decode_does() {
         load <= decode + 2 * PER_ANCESTOR,
         "chain load made {load} allocations, the leaf's full decode {decode}"
     );
+}
+
+#[test]
+fn a_chain_load_allocates_what_the_leafs_full_decode_does() {
+    let g0 = Arc::new(synthetic_checkpoint(1024, 0xC4A1));
+    let g1 = Arc::new(perturbed_checkpoint(&g0, 7));
+    let g2 = Arc::new(perturbed_checkpoint(&g1, 5));
+    assert_chain_load_allocates_as_the_leafs_full_decode([g0, g1, g2]);
+}
+
+/// The same budget on three consecutive captures of a real run of step
+/// bodies, whose every rank carries an upper half (body snapshot, ready
+/// outputs): an ancestor is indexed, not decoded, so none of its ranks'
+/// upper halves is built.
+#[test]
+fn a_chain_load_of_images_with_upper_halves_builds_no_ancestor_record() {
+    let cfg = WorldConfig::multi_node(64, 16)
+        .with_params(NetParams::slingshot11().without_jitter())
+        .with_workers(2);
+    let wl = RandomWorkloadCfg::new(193, 60);
+    let opts = CkptOptions::native()
+        .with_protocol(Protocol::Cc)
+        .with_policy(EveryNCollectives::new(10, 3))
+        .with_resume(ResumeMode::Continue);
+    let run = run_ckpt_world_steps(cfg, opts, move |_| RandomWorkloadStep::new(wl.clone()));
+    let images: Vec<Arc<Checkpoint>> = run.checkpoints.into_iter().map(Arc::new).collect();
+    let images: [Arc<Checkpoint>; 3] = images.try_into().expect("three captures");
+    assert!(
+        (images.iter()).all(|g| g.captures.iter().all(|c| c.upper.is_some())),
+        "every rank of every image carries its upper half"
+    );
+    assert_chain_load_allocates_as_the_leafs_full_decode(images);
 }

@@ -39,6 +39,8 @@
 //! state): a forged tag, request id, output index or completion time, a
 //! snapshot length past the record, or an output-table entry no record
 //! names, is `Malformed`.
+//! So are **vcomm-member keys** out of order or repeated: a chunk decodes
+//! to one canonical capture or to an error.
 //!
 //! The **delta image** sections get the same treatment: flips inside
 //! content-addressed chunk bodies (where the head checksum does not
@@ -660,6 +662,58 @@ fn hostile_cut_runs_are_typed_errors() {
         decoded.verify().is_err(),
         "a SEQ past its group is no safe cut"
     );
+}
+
+/// The vcomm-member entries `(key, list reference)` that close rank
+/// `rank`'s stable chunk, as `(key start, entry end)` pairs. The section
+/// is the chunk's tail, so its length is counted from the capture.
+fn vcomm_entries(image: &Checkpoint, chunk: &[u8], rank: usize) -> Vec<(usize, usize)> {
+    let members = &image.captures[rank].vcomm_members;
+    let reference = |m: &[usize]| match m.windows(2).all(|w| w[1] == w[0] + 1) {
+        true => 1 + var_len(m[0] as u64) + var_len(m.len() as u64),
+        false => 1 + 8,
+    };
+    let lens: Vec<usize> = (members.iter())
+        .map(|(v, m)| var_len(*v) + reference(m))
+        .collect();
+    let mut at = chunk.len() - lens.iter().sum::<usize>();
+    assert_eq!(
+        var_at(chunk, at - var_len(lens.len() as u64)).0,
+        lens.len() as u64
+    );
+    lens.into_iter()
+        .map(|n| {
+            at += n;
+            (at - n, at)
+        })
+        .collect()
+}
+
+/// Vcomm-member entries must be strictly ascending by key, as the encoder
+/// writes them, or the chunk decodes to a capture whose re-encode is not
+/// its bytes: two neighbouring entries swapped whole, or the second given
+/// the first's key (a duplicate a map would silently drop), are
+/// `Malformed` once the chunk is re-addressed.
+#[test]
+fn out_of_order_or_duplicate_vcomm_keys_are_malformed() {
+    let image = capture_image();
+    let bytes = image.to_bytes();
+    let rank = (0..image.n_ranks)
+        .find(|&r| image.captures[r].vcomm_members.len() >= 2)
+        .expect("a rank with two vcomms");
+    let chunk = stable_chunk(&bytes, rank);
+    let entries = vcomm_entries(&image, &chunk, rank);
+    let ((a, b), (_, c)) = (entries[0], entries[1]);
+    let swapped = rechunked(&bytes, rank, |chunk| chunk[a..c].rotate_left(b - a));
+    let first_key = var_at(&chunk, a).0;
+    let duplicated = rechunked(&bytes, rank, |chunk| set_var(chunk, b, first_key));
+    for (m, what) in [(swapped, "swapped"), (duplicated, "duplicated")] {
+        assert_eq!(
+            decode_no_panic(&m, what),
+            Err(ImageError::Malformed("vcomm-member order")),
+            "{what} vcomm keys"
+        );
+    }
 }
 
 /// A sequence-table entry is a few bytes whatever it claims, so a forged

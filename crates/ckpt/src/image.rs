@@ -18,7 +18,7 @@ use crate::wire::{fnv1a64, Dec, DecodeError, Fnv1a, FoldMap, Wr};
 use mana_core::capture::PendingRecv;
 use mana_core::{
     ggid_of_sorted, verify_safe_cut, CallCounters, CommOp, CommOpRecord, Cut, CutRun, Ggid,
-    Protocol, RuntimeCapture, SeqTable, UpperHalf, VComm, Violation,
+    Protocol, RuntimeCapture, SeqTable, UpperHalf, VComm, VCommMembers, Violation,
 };
 use mpisim::{SavedMsg, SrcSel, TagSel, VTime};
 use netmodel::NetParams;
@@ -803,8 +803,9 @@ impl MemberIntern {
     /// Reads a table written by [`enc_table`], checking what the encoder
     /// guarantees: ids strictly ascending (so no id names two lists),
     /// every entry's content hashing to its id and not in range form,
-    /// every member inside the world.
-    pub(crate) fn dec_table(&mut self, d: &mut Dec) -> Result<(), ImageError> {
+    /// every member inside the world. Unless `keep`, the entries are
+    /// checked and not held.
+    pub(crate) fn dec_table(&mut self, d: &mut Dec, keep: bool) -> Result<(), ImageError> {
         let n = d.seq_len("member table length")?;
         let mut prev: Option<u64> = None;
         for _ in 0..n {
@@ -820,7 +821,9 @@ impl MemberIntern {
             if list.iter().any(|&r| r >= self.n_ranks) {
                 return Err(ImageError::Malformed("member table entry rank"));
             }
-            self.lists.insert(id, list.into());
+            if keep {
+                self.lists.insert(id, list.into());
+            }
         }
         Ok(())
     }
@@ -1060,22 +1063,14 @@ fn dec_comm_op(d: &mut Dec) -> Result<CommOpRecord, ImageError> {
 /// id order — the id is the list's), communicator creation log, pending
 /// receives, call counters, and each vcomm's member list. This is exactly
 /// the byte span delta images content-address — two ranks whose stable
-/// halves encode identically share one chunk. Each list is noted in
-/// `lists` as it is written; `order` is the caller's scratch for sorting
-/// the two maps, kept across ranks so a rank costs no allocation.
-pub(crate) fn enc_capture_stable<'a, W: Wr>(
-    e: &mut W,
-    lists: &mut MemberIntern,
-    c: &'a RuntimeCapture,
-    order: &mut Vec<(u64, u64, &'a Arc<[usize]>)>,
-) {
-    order.clear();
-    order.extend(c.seq_table.iter().map(|(g, x)| (g.0, x.seq, &x.members)));
-    order.sort_unstable_by_key(|&(g, ..)| g);
-    e.usize(order.len());
-    for &(g, s, members) in order.iter() {
-        e.var(s);
-        enc_member_ref(e, lists.note(members, Some(Ggid(g))));
+/// halves encode identically share one chunk. Both maps are written in
+/// the order they are kept in, ascending by key. Each list is noted in
+/// `lists` as it is written.
+pub(crate) fn enc_capture_stable<W: Wr>(e: &mut W, lists: &mut MemberIntern, c: &RuntimeCapture) {
+    e.usize(c.seq_table.len());
+    for (&g, x) in c.seq_table.iter() {
+        e.var(x.seq);
+        enc_member_ref(e, lists.note(&x.members, Some(g)));
     }
     e.usize(c.comm_log.len());
     for r in &c.comm_log {
@@ -1089,25 +1084,25 @@ pub(crate) fn enc_capture_stable<'a, W: Wr>(
         enc_tag(e, p.tag);
     }
     enc_counters(e, &c.counters);
-    order.clear();
-    order.extend(c.vcomm_members.iter().map(|(v, m)| (*v, 0, m)));
-    order.sort_unstable_by_key(|&(v, ..)| v);
-    e.usize(order.len());
-    for &(v, _, m) in order.iter() {
+    e.usize(c.vcomm_members.len());
+    for (&v, m) in c.vcomm_members.iter() {
         e.var(v);
         enc_member_ref(e, lists.note(m, None));
     }
 }
 
 /// Fills the restart-stable half of `c` — a rank's decoded record — from
-/// its stable chunk, read from `d`.
+/// its stable chunk, read from `d`. Both maps' keys must be strictly
+/// ascending, as the encoder writes them: each entry is checked before it
+/// is appended, so a chunk decodes to one canonical capture or to an
+/// error.
 pub(crate) fn dec_capture(
     d: &mut Dec,
     lists: &mut MemberIntern,
     c: &mut RuntimeCapture,
 ) -> Result<(), ImageError> {
     let n_seq = d.seq_len("seq-table length")?;
-    let mut seq_table = SeqTable::new();
+    let mut seq_table = SeqTable::with_capacity(n_seq);
     let mut prev: Option<Ggid> = None;
     for _ in 0..n_seq {
         let s = d.var("seq-table seq")?;
@@ -1135,9 +1130,14 @@ pub(crate) fn dec_capture(
     }
     let counters = dec_counters(d)?;
     let n_members = d.seq_len("vcomm-member count")?;
-    let mut vcomm_members = HashMap::with_capacity(n_members);
+    let mut vcomm_members = VCommMembers::with_capacity(n_members);
+    let mut prev: Option<u64> = None;
     for _ in 0..n_members {
         let v = d.var("vcomm member key")?;
+        if prev.is_some_and(|p| p >= v) {
+            return Err(ImageError::Malformed("vcomm-member order"));
+        }
+        prev = Some(v);
         vcomm_members.insert(v, dec_members(d, lists, "vcomm member list")?);
     }
     (c.seq_table, c.comm_log, c.pending_recvs) = (seq_table, comm_log, pending_recvs);
@@ -1154,12 +1154,9 @@ pub(crate) fn stable_state_eq(a: &RuntimeCapture, b: &RuntimeCapture) -> bool {
         && a.comm_log == b.comm_log
         && a.pending_recvs == b.pending_recvs
         && a.counters == b.counters
-        && a.vcomm_members.len() == b.vcomm_members.len()
-        && a.vcomm_members.iter().all(|(v, m)| {
-            // By allocation first, like `SeqEntry`: consecutive captures
-            // of one run share their lists.
-            (b.vcomm_members.get(v)).is_some_and(|n| Arc::ptr_eq(m, n) || m == n)
-        })
+        // `Arc`'s equality compares by allocation first, like `SeqEntry`:
+        // consecutive captures of one run share their lists.
+        && a.vcomm_members == b.vcomm_members
 }
 
 /// Writes a rank's upper half: tag `0` for none; else tag `1`, the next
@@ -1188,10 +1185,14 @@ pub(crate) fn enc_upper<W: Wr>(e: &mut W, u: Option<&UpperHalf>, output: impl Fn
 
 /// Reads an upper half written by [`enc_upper`], checking what the encoder
 /// guarantees: request ids strictly ascending within each list and below
-/// the next id, every output index one `output` resolves.
+/// the next id, every output index one `output` accepts (it returns the
+/// entry's position in the output table). With `kept`, the table's
+/// entries, the half is built; without, it is checked only, and `None`
+/// comes back.
 pub(crate) fn dec_upper(
     d: &mut Dec,
-    mut output: impl FnMut(u64) -> Option<bytes::Bytes>,
+    mut output: impl FnMut(u64) -> Option<usize>,
+    kept: Option<&[bytes::Bytes]>,
 ) -> Result<Option<UpperHalf>, ImageError> {
     match d.u8("upper-half tag")? {
         0 => return Ok(None),
@@ -1202,16 +1203,21 @@ pub(crate) fn dec_upper(
     let mut ready = Vec::new();
     dec_vreq_list(d, next_vreq, "upper-half ready vreq", |d, v| {
         let at = d.var("upper-half ready output")?;
-        let data = output(at).ok_or(ImageError::Malformed("upper-half ready output"))?;
-        ready.push((v, data));
+        let at = output(at).ok_or(ImageError::Malformed("upper-half ready output"))?;
+        ready.extend(kept.map(|outputs| (v, outputs[at].clone())));
         Ok(())
     })?;
     let mut sends = Vec::new();
     dec_vreq_list(d, next_vreq, "upper-half send vreq", |d, v| {
-        sends.push((v, dec_vtime(d, "upper-half send completion")?));
+        let at = dec_vtime(d, "upper-half send completion")?;
+        sends.extend(kept.map(|_| (v, at)));
         Ok(())
     })?;
-    let body = d.bytes("upper-half body")?.to_vec();
+    let body = d.bytes("upper-half body")?;
+    if kept.is_none() {
+        return Ok(None);
+    }
+    let body = body.to_vec();
     Ok(Some(UpperHalf {
         body,
         next_vreq,
@@ -1314,7 +1320,7 @@ mod tests {
             counters: CallCounters::default(),
             p2p_sent: 0,
             p2p_delivered: 0,
-            vcomm_members: HashMap::new(),
+            vcomm_members: VCommMembers::new(),
             upper: None,
         }
     }
@@ -1331,6 +1337,43 @@ mod tests {
         }
         c.final_targets.insert(g, 1);
         c
+    }
+
+    /// `cut()` reads the tables in the order they keep, which is the cut's
+    /// canonical order whatever order the groups were entered in: tables
+    /// filled in descending group id give the cut `Cut::from_runs` sorts
+    /// the same runs into, and it passes the oracle.
+    #[test]
+    fn cut_of_tables_filled_in_any_order_is_canonical() {
+        let groups: Vec<(Ggid, Arc<[usize]>)> = [&[0, 1, 2, 3][..], &[0, 2], &[1, 3], &[0, 1]]
+            .iter()
+            .map(|m| (ggid_of_sorted(m), Arc::from(*m)))
+            .collect();
+        let mut descending = groups.clone();
+        descending.sort_by_key(|(g, _)| std::cmp::Reverse(*g));
+        let mut c = ckpt();
+        let mut runs = Vec::new();
+        for rank in 0..4 {
+            let mut t = SeqTable::new();
+            for (g, m) in descending.iter().filter(|(_, m)| m.contains(&rank)) {
+                let seq = m.len() as u64;
+                t.restore(*g, seq, Arc::clone(m));
+                runs.push(CutRun {
+                    rank,
+                    ggid: *g,
+                    first: 1,
+                    last: seq,
+                    members: Arc::clone(m),
+                });
+            }
+            c.captures.push(capture(rank, t));
+        }
+        for (g, m) in &groups {
+            c.final_targets.insert(*g, m.len() as u64);
+        }
+        runs.reverse();
+        assert_eq!(c.cut(), Cut::from_runs(runs));
+        assert!(c.verify().is_ok());
     }
 
     #[test]
@@ -1692,7 +1735,10 @@ mod tests {
         }
         let back = Checkpoint::from_bytes(&bytes).expect("round trip");
         assert_eq!(back, c);
-        assert_eq!(back.captures[3].vcomm_members[&2][..], GROUP_ORDER);
+        assert_eq!(
+            back.captures[3].vcomm_members.get(&2).unwrap()[..],
+            GROUP_ORDER
+        );
         assert_eq!(back.to_bytes(), bytes, "re-serialization must be stable");
     }
 

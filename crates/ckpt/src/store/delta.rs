@@ -38,9 +38,13 @@
 //! the fuzzers edit: that encoder's bytes, decoded.
 //!
 //! So an image needs nothing from its ancestors but chunk bytes.
-//! Resolution ([`crate::store::TieredStore::load`]) decodes every chain
-//! element alike and materializes the leaf reading each chunk where it
-//! lies in its element's stored bytes: nothing is copied into a pool.
+//! Resolution ([`crate::store::TieredStore::load`]) checks every chain
+//! element alike, but decodes the leaf alone. An ancestor is indexed:
+//! its head is walked for its parent link and the ranges of its inline
+//! chunks, every field checked and every chunk re-hashed, and none of its
+//! records, upper halves, member lists or outputs is kept (`Keep::Index`).
+//! The leaf is materialized reading each chunk where it lies in its
+//! element's stored bytes: nothing is copied into a pool.
 //! Every failure mode — a missing parent, a chunk whose bytes do not
 //! match its address, a chunk nowhere in the chain — is a typed
 //! [`ImageError`], never a panic.
@@ -52,7 +56,9 @@ use crate::image::{
     ImageError, MemberIntern, MemberTable, IMAGE_HEADER_LEN, IMAGE_KIND_DELTA, IMAGE_KIND_FULL,
 };
 use crate::wire::{fnv1a64, var_len, CountEnc, Dec, FoldMap, FoldSet, Wr};
-use mana_core::{CallCounters, Cut, Ggid, Protocol, RankState, RuntimeCapture, SeqTable};
+use mana_core::{
+    CallCounters, Cut, Ggid, Protocol, RankState, RuntimeCapture, SeqTable, VCommMembers,
+};
 use mpisim::VTime;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -154,10 +160,9 @@ fn encode_batch(
     refs: &mut Refs,
     mut fresh: impl FnMut(ChunkRef) -> bool,
 ) {
-    let mut order = Vec::new();
     for c in captures {
         let at = out.len();
-        enc_capture_stable(out, lists, c, &mut order);
+        enc_capture_stable(out, lists, c);
         refs.push(seal(out, at, &mut fresh));
     }
 }
@@ -326,6 +331,17 @@ impl ChunkPool {
 /// its inline chunks lies in the buffer.
 pub(crate) type Decoded = (DeltaImage, MemberIntern, Vec<(ChunkRef, Range<usize>)>);
 
+/// What a head walk ([`DeltaImage::decode`]) keeps. It checks every field
+/// either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// The image: its records, upper halves, member lists and outputs.
+    Image,
+    /// The preamble and the chunk index only — what a chain load needs of
+    /// an ancestor, whose records the leaf supersedes.
+    Index,
+}
+
 /// Writes a chunk reference: tag `1` when the chunk's bytes follow in
 /// this image's chunk section, `0` when they are at an earlier reference
 /// or in the ancestor chain; then the address: the 8-byte hash and the
@@ -376,12 +392,18 @@ impl<'a> Outputs<'a> {
     }
 }
 
-/// Reads an output table written by `Outputs::enc`.
-fn dec_outputs(d: &mut Dec) -> Result<Vec<bytes::Bytes>, ImageError> {
+/// Reads an output table written by `Outputs::enc`: its length, and its
+/// entries if `keep` is [`Keep::Image`].
+fn dec_outputs(d: &mut Dec, keep: Keep) -> Result<(usize, Vec<bytes::Bytes>), ImageError> {
     let n = d.seq_len("output table length")?;
-    (0..n)
-        .map(|_| Ok(bytes::Bytes::from(d.bytes("output table entry")?.to_vec())))
-        .collect()
+    let mut kept = Vec::with_capacity(if keep == Keep::Image { n } else { 0 });
+    for _ in 0..n {
+        let entry = d.bytes("output table entry")?;
+        if keep == Keep::Image {
+            kept.push(bytes::Bytes::from(entry.to_vec()));
+        }
+    }
+    Ok((n, kept))
 }
 
 /// Writes a rank's record: the volatile fields of its capture and its
@@ -404,12 +426,13 @@ fn enc_volatile<W: Wr>(e: &mut W, v: &RuntimeCapture, outputs: &Outputs) {
 }
 
 /// Reads a rank's record into a capture whose restart-stable fields are
-/// empty; its ready results resolve through `outputs`, each entry first
-/// referenced in table order (`used` counts the entries referenced so
-/// far), as the encoder writes them.
+/// empty; its ready results resolve into the `n_outputs`-entry output
+/// table, each entry first referenced in table order (`used` counts the
+/// entries referenced so far), as the encoder writes them. The upper half
+/// is built from `kept`, the table's entries, if given; else only checked.
 fn dec_volatile(
     d: &mut Dec,
-    outputs: &[bytes::Bytes],
+    (n_outputs, kept): (usize, Option<&[bytes::Bytes]>),
     used: &mut usize,
 ) -> Result<RuntimeCapture, ImageError> {
     let rank = d.usize("capture rank")?;
@@ -437,12 +460,18 @@ fn dec_volatile(
         counters: CallCounters::default(),
         p2p_sent: d.var("p2p sent")?,
         p2p_delivered: d.var("p2p delivered")?,
-        vcomm_members: HashMap::new(),
-        upper: dec_upper(d, |i| {
-            let i = usize::try_from(i).ok().filter(|&i| i <= *used)?;
-            *used = (*used).max(i + 1);
-            outputs.get(i).cloned()
-        })?,
+        vcomm_members: VCommMembers::new(),
+        upper: dec_upper(
+            d,
+            |i| {
+                let i = usize::try_from(i)
+                    .ok()
+                    .filter(|&i| i <= *used && i < n_outputs)?;
+                *used = (*used).max(i + 1);
+                Some(i)
+            },
+            kept,
+        )?,
     })
 }
 
@@ -698,7 +727,7 @@ impl DeltaImage {
     /// read; every inline chunk is re-hashed against its authenticated
     /// address before it can poison a [`ChunkPool`].
     pub fn from_bytes(buf: &[u8]) -> Result<DeltaImage, ImageError> {
-        let (mut image, _, chunks) = DeltaImage::decode(buf)?;
+        let (mut image, _, chunks) = DeltaImage::decode(buf, Keep::Image)?;
         image.new_chunks = (chunks.into_iter())
             .map(|(r, at)| (r, buf[at].to_vec()))
             .collect();
@@ -709,7 +738,7 @@ impl DeltaImage {
     /// reading every chunk where it lies in `buf`. A delta is refused: it
     /// must be resolved through its parent chain.
     pub(crate) fn checkpoint_from_bytes(buf: &[u8]) -> Result<Checkpoint, ImageError> {
-        let (mut image, lists, chunks) = DeltaImage::decode(buf)?;
+        let (mut image, lists, chunks) = DeltaImage::decode(buf, Keep::Image)?;
         if image.parent.is_some() {
             return Err(ImageError::DeltaChain(
                 "standalone decode of a delta image; resolve it through its parent chain",
@@ -722,8 +751,11 @@ impl DeltaImage {
 
     /// The one decoder: the image without its chunk bytes, the member
     /// lists its head resolved, and where each of its authenticated
-    /// inline chunks lies in `buf`, in `new_chunks` order.
-    pub(crate) fn decode(buf: &[u8]) -> Result<Decoded, ImageError> {
+    /// inline chunks lies in `buf`, in `new_chunks` order. Every field is
+    /// checked and every inline chunk re-hashed whatever `keep` says;
+    /// with [`Keep::Index`] the image comes back with no records and no
+    /// member lists, and no upper half or output was copied.
+    pub(crate) fn decode(buf: &[u8], keep: Keep) -> Result<Decoded, ImageError> {
         let (head, chunk_bytes) = validate_image_header(buf)?;
         let mut d = Dec::new(head);
         let kind = d.u8("image kind")?;
@@ -752,8 +784,9 @@ impl DeltaImage {
             return Err(ImageError::Malformed("world shape"));
         }
         let mut lists = MemberIntern::new(n_ranks);
-        lists.dec_table(&mut d)?;
-        let outputs = dec_outputs(&mut d)?;
+        lists.dec_table(&mut d, keep == Keep::Image)?;
+        let (n_outputs, outputs) = dec_outputs(&mut d, keep)?;
+        let kept = (keep == Keep::Image).then_some(&outputs[..]);
         if d.seq_len("capture count")? != n_ranks {
             return Err(ImageError::Malformed("capture count vs n_ranks"));
         }
@@ -779,14 +812,17 @@ impl DeltaImage {
                 _ => Err(ImageError::Malformed("chunk ref")),
             }
         };
-        let mut volatile = Vec::with_capacity(n_ranks);
+        let mut volatile = Vec::with_capacity(if keep == Keep::Image { n_ranks } else { 0 });
         let mut rank_refs = Vec::with_capacity(n_ranks);
         let mut used = 0;
         for _ in 0..n_ranks {
-            volatile.push(dec_volatile(&mut d, &outputs, &mut used)?);
+            let record = dec_volatile(&mut d, (n_outputs, kept), &mut used)?;
+            if keep == Keep::Image {
+                volatile.push(record);
+            }
             rank_refs.push(dec_chunk_ref(&mut d)?);
         }
-        if used != outputs.len() {
+        if used != n_outputs {
             return Err(ImageError::Malformed("output table entry"));
         }
         let in_flight_ref = dec_chunk_ref(&mut d)?;

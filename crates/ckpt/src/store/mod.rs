@@ -26,6 +26,7 @@ pub use delta::{ChunkPool, ChunkRef, DeltaImage, ParentRef};
 
 use crate::image::{header_checksum, Checkpoint, ImageError, MemberIntern};
 use crate::wire::FoldSet;
+use delta::Keep;
 use netmodel::{LustreModel, MemoryTierModel, PartnerTierModel};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -361,10 +362,13 @@ impl TieredStore {
     /// chain element: a memory-tier ancestor lost with its node fails the
     /// whole load with [`StoreError::NodeLost`].
     ///
-    /// Every element of the chain is authenticated byte for byte and
-    /// decoded alike; an ancestor is asked for nothing but its inline
-    /// chunks, and the requested generation alone is materialized. Each
-    /// chunk is decoded where it lies in its element's stored bytes.
+    /// Every element of the chain is authenticated byte for byte: each
+    /// head field checked, each inline chunk re-hashed against its
+    /// address. The requested generation alone is decoded; an ancestor is
+    /// only indexed — its parent link, world size and where its inline
+    /// chunks lie — and none of its records, upper halves, member lists
+    /// or outputs is built. Each chunk is decoded where it lies in its
+    /// element's stored bytes.
     pub fn load(&self, gen: u64) -> Result<Checkpoint, StoreError> {
         // Every chain element's stored bytes, leaf first, and where each
         // chunk the chain inlines lies in them (the first holder's).
@@ -378,7 +382,12 @@ impl TieredStore {
         let mut cur = gen;
         loop {
             let bytes = self.fetch(cur, child.map(|(generation, _)| generation))?;
-            let (d, lists, inline) = DeltaImage::decode(&bytes)?;
+            let keep = if leaf.is_none() {
+                Keep::Image
+            } else {
+                Keep::Index
+            };
+            let (d, lists, inline) = DeltaImage::decode(&bytes, keep)?;
             if child.is_some_and(|(_, checksum)| checksum != header_checksum(&bytes)) {
                 return Err(ImageError::DeltaChain("parent checksum mismatch").into());
             }

@@ -15,10 +15,11 @@
 use crate::control::RankState;
 use crate::counters::CallCounters;
 use crate::seq::SeqTable;
+use crate::sorted::SortedMap;
 use crate::virt::CommOpRecord;
 use bytes::Bytes;
 use mpisim::{SrcSel, TagSel, VTime};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A pending (unmatched) receive recorded in the image and re-posted at
 /// restart.
@@ -99,12 +100,17 @@ pub struct RuntimeCapture {
     /// collective), so it cannot hang on members that already finished.
     /// Shared storage: every rank capturing the same communicator holds
     /// the same allocation, keeping a world capture O(ranks + members)
-    /// instead of O(ranks × members).
-    pub vcomm_members: HashMap<u64, std::sync::Arc<[usize]>>,
+    /// instead of O(ranks × members). Kept ascending by vcomm id, the
+    /// order the image's wire writes them in.
+    pub vcomm_members: VCommMembers,
     /// The body and request-table state a restore elsewhere resumes from;
     /// `None` for a body with no snapshot.
     pub upper: Option<UpperHalf>,
 }
+
+/// A rank's vcomm member lists: vcomm id → the communicator's members,
+/// ascending by id.
+pub type VCommMembers = SortedMap<u64, Arc<[usize]>>;
 
 #[cfg(test)]
 mod tests {
@@ -128,7 +134,7 @@ mod tests {
             counters: CallCounters::default(),
             p2p_sent: 0,
             p2p_delivered: 0,
-            vcomm_members: HashMap::new(),
+            vcomm_members: VCommMembers::new(),
             upper: None,
         };
         let c2 = cap.clone();

@@ -12,16 +12,18 @@ pub mod counters;
 pub mod ggid;
 pub mod protocol;
 pub mod seq;
+pub mod sorted;
 pub mod topo;
 pub mod trace;
 pub mod virt;
 
-pub use capture::{PendingRecv, RuntimeCapture, UpperHalf};
+pub use capture::{PendingRecv, RuntimeCapture, UpperHalf, VCommMembers};
 pub use control::{CkptControl, CkptPhase, RankCtl, RankState, Threshold};
 pub use counters::CallCounters;
 pub use ggid::{ggid_of, ggid_of_sorted, Ggid};
 pub use protocol::Protocol;
 pub use seq::{SeqEntry, SeqTable, TargetEntry, TargetTable};
+pub use sorted::SortedMap;
 pub use topo::{verify_safe_cut, Cut, CutRun, ExecEvent, ExecutionLog, Node, Violation};
 pub use trace::{DrainEvent, DrainTrace};
 pub use virt::{

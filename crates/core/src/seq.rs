@@ -8,6 +8,7 @@
 //! a member).
 
 use crate::ggid::Ggid;
+use crate::sorted::SortedMap;
 use crate::topo::same_members;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,10 +37,13 @@ impl PartialEq for SeqEntry {
     }
 }
 
-/// A rank's local `SEQ[]` table.
+/// A rank's local `SEQ[]` table, ascending by group id: the order the
+/// image's wire writes it in, so a capture is encoded and a decoded one
+/// filled without sorting, and `SEQ[ggid]` is a binary search over the
+/// handful of groups a rank belongs to.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeqTable {
-    entries: HashMap<Ggid, SeqEntry>,
+    entries: SortedMap<Ggid, SeqEntry>,
 }
 
 impl SeqTable {
@@ -48,13 +52,20 @@ impl SeqTable {
         Self::default()
     }
 
+    /// Empty table with room for `n` groups.
+    pub fn with_capacity(n: usize) -> Self {
+        SeqTable {
+            entries: SortedMap::with_capacity(n),
+        }
+    }
+
     /// Registers a group (on communicator creation). Idempotent; the
     /// sequence number starts at zero, per §4.2.1.
     pub fn register_group(&mut self, ggid: Ggid, members: impl Into<Arc<[usize]>>) {
-        self.entries.entry(ggid).or_insert_with(|| SeqEntry {
-            seq: 0,
-            members: members.into(),
-        });
+        if !self.entries.contains_key(&ggid) {
+            let members = members.into();
+            self.entries.insert(ggid, SeqEntry { seq: 0, members });
+        }
     }
 
     /// Increments `SEQ[ggid]` and returns the new value.
@@ -87,7 +98,7 @@ impl SeqTable {
         self.entries.get(&ggid).map(|e| &e.members)
     }
 
-    /// Iterates `(ggid, entry)`.
+    /// Iterates `(ggid, entry)`, ascending by group id.
     pub fn iter(&self) -> impl Iterator<Item = (&Ggid, &SeqEntry)> {
         self.entries.iter()
     }
@@ -303,6 +314,56 @@ mod tests {
         ahead.increment(g(2));
         assert_ne!(a, ahead);
         assert_ne!(ahead, a);
+    }
+
+    /// The table is kept in wire order, ascending by group id, whatever
+    /// order its groups arrive in; so two tables of the same groups are
+    /// equal however they were filled.
+    #[test]
+    fn tables_iterate_ascending_and_compare_by_content() {
+        let ids = [9, 2, 7, 4, 1];
+        let mut registered = SeqTable::new();
+        let mut restored = SeqTable::new();
+        for &n in &ids {
+            registered.register_group(g(n), vec![n as usize]);
+            restored.restore(g(n), 0, vec![n as usize]);
+        }
+        let mut ascending = SeqTable::new();
+        for n in [1, 2, 4, 7, 9] {
+            ascending.restore(g(n), 0, vec![n as usize]);
+        }
+        let keys = |t: &SeqTable| t.iter().map(|(k, _)| k.0).collect::<Vec<_>>();
+        for t in [&registered, &restored, &ascending] {
+            assert_eq!(keys(t), [1, 2, 4, 7, 9]);
+            for &n in &ids {
+                assert_eq!(t.members(g(n)), Some(&[n as usize][..]));
+            }
+        }
+        assert_eq!(registered, ascending);
+        assert_eq!(restored, ascending);
+    }
+
+    #[test]
+    fn restore_overwrites_and_register_is_idempotent() {
+        let mut t = SeqTable::new();
+        t.restore(g(5), 3, vec![0, 1]);
+        t.restore(g(2), 1, vec![0]);
+        t.restore(g(5), 8, vec![0, 2]);
+        assert_eq!(
+            (t.len(), t.seq(g(5)), t.members(g(5))),
+            (2, 8, Some(&[0, 2][..]))
+        );
+        // Registering a held group keeps its count and its members.
+        t.register_group(g(5), vec![7]);
+        t.register_group(g(2), vec![7]);
+        assert_eq!(
+            (t.len(), t.seq(g(5)), t.members(g(5))),
+            (2, 8, Some(&[0, 2][..]))
+        );
+        assert_eq!((t.seq(g(2)), t.members(g(2))), (1, Some(&[0][..])));
+        assert_eq!(t.increment(g(2)), 2);
+        assert_eq!(t.seq(g(3)), 0);
+        assert_eq!(t.members(g(3)), None);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   to already-completed results (requests completed by the checkpoint
 //!   drain of §4.3.2 before the app ever tested them).
 
+use crate::capture::VCommMembers;
 use crate::ggid::Ggid;
 use mpisim::{Comm, Completion, Request, SrcSel, TagSel};
 use std::collections::HashMap;
@@ -147,8 +148,9 @@ impl VCommTable {
     /// Snapshot of each live vcomm's member world ranks **in group order**
     /// (for the checkpoint image's direct communicator rebuild at restart).
     /// Member lists are shared handles into the lower-half groups — the
-    /// snapshot is O(vcomms), not O(vcomms × members).
-    pub fn members_map(&self) -> HashMap<u64, std::sync::Arc<[usize]>> {
+    /// snapshot is O(vcomms), not O(vcomms × members) — sorted by vcomm id
+    /// once, here.
+    pub fn members_map(&self) -> VCommMembers {
         self.map
             .iter()
             .map(|(v, (c, _))| (v.0, c.group().members_shared()))
