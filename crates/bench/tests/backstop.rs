@@ -22,10 +22,7 @@ fn cfg(n: usize) -> WorldConfig {
 /// One checkpointed run; returns the expiry count after asserting the
 /// checkpoint actually fired (an idle run would trivially count zero).
 fn expiries_of(seed: u64, mode: ResumeMode, protocol: Protocol) -> u64 {
-    let mut wl = RandomWorkloadCfg::new(seed, 25);
-    if protocol == Protocol::TwoPhase {
-        wl = wl.with_blocking_only();
-    }
+    let wl = RandomWorkloadCfg::new(seed, 25);
     let native = run_ckpt_world(cfg(8), CkptOptions::native().with_protocol(protocol), |r| {
         r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
@@ -91,10 +88,7 @@ fn two_phase_runs_pay_no_backstop_expiries() {
 /// step-engine wait that loses its wakeup (and survives only via the
 /// sweep) fails these assertions.
 fn expiries_of_steps(seed: u64, mode: ResumeMode, protocol: Protocol, n: usize) -> u64 {
-    let mut wl = RandomWorkloadCfg::new(seed, 25);
-    if protocol == Protocol::TwoPhase {
-        wl = wl.with_blocking_only();
-    }
+    let wl = RandomWorkloadCfg::new(seed, 25);
     let timing = wl.clone();
     let native = run_ckpt_world_steps(
         cfg(n),

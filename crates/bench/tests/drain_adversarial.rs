@@ -95,6 +95,7 @@ impl StepBody for WildcardRecv {
                     let color = i64::from(me != 0);
                     let sub = ready!(r.poll_comm_split(world, color, me as i64));
                     self.sub = Some(sub.expect("non-negative color"));
+                    assert_split_shape(r, self.sub, 0);
                     self.pc = match me {
                         0 => {
                             r.compute(200e-6);
@@ -119,6 +120,9 @@ impl StepBody for WildcardRecv {
                     self.it += 1;
                 }
                 WildPc::Send => {
+                    // After the restart: resolved through the rebuilt
+                    // lower communicator.
+                    assert_split_shape(r, self.sub, 1);
                     if me == 1 {
                         send(r, world, 0, 7, &[42.5]);
                     }
@@ -127,6 +131,15 @@ impl StepBody for WildcardRecv {
             }
         }
     }
+}
+
+/// [`WildcardRecv`]'s split as the rank sees it in lower-half generation
+/// `epoch`: rank 0 alone, ranks 1–2 ranked 0–1 in a pair.
+fn assert_split_shape(r: &CcRank, sub: Option<VComm>, epoch: u64) {
+    let (me, sub) = (r.rank(), sub.expect("split done"));
+    assert_eq!(r.lower_half().world().epoch, epoch, "rank {me}");
+    let shape = if me == 0 { (0, 1) } else { (me - 1, 2) };
+    assert_eq!((r.comm_rank(sub), r.comm_size(sub)), shape, "rank {me}");
 }
 
 /// Rank 0 blocks in `recv(ANY_SOURCE, ANY_TAG)` whose matching send only

@@ -35,21 +35,11 @@ fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
 }
 
-/// The seed's workload: 2PC schedules are blocking-only.
-fn workload_cfg(seed: u64, protocol: Protocol) -> RandomWorkloadCfg {
-    let wl = RandomWorkloadCfg::new(seed, STEPS);
-    if protocol == Protocol::TwoPhase {
-        wl.with_blocking_only()
-    } else {
-        wl
-    }
-}
-
 /// Native (uncheckpointed) reference results and the seed's trigger time,
 /// from a thread run. The pool run must agree on both before any
 /// checkpointing enters the picture.
 fn native_reference(n: usize, seed: u64, protocol: Protocol) -> (Vec<f64>, VTime) {
-    let wl = workload_cfg(seed, protocol);
+    let wl = RandomWorkloadCfg::new(seed, STEPS);
     let t = run_ckpt_world(cfg(n), CkptOptions::native().with_protocol(protocol), |r| {
         r.run(&mut RandomWorkloadStep::new(wl.clone()))
     });
@@ -82,7 +72,7 @@ fn capture_threads(
     protocol: Protocol,
     at: VTime,
 ) -> (Option<Checkpoint>, Vec<f64>) {
-    let wl = workload_cfg(seed, protocol);
+    let wl = RandomWorkloadCfg::new(seed, STEPS);
     let run = run_ckpt_world(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Restart).with_protocol(protocol),
@@ -95,7 +85,7 @@ fn capture_threads(
 
 /// Captures one checkpoint image on the worker pool.
 fn capture_pool(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Checkpoint> {
-    let wl = workload_cfg(seed, protocol);
+    let wl = RandomWorkloadCfg::new(seed, STEPS);
     let run = run_ckpt_world_steps(
         cfg(n),
         CkptOptions::one_checkpoint(at, ResumeMode::Continue).with_protocol(protocol),
@@ -111,7 +101,7 @@ fn capture_pool(n: usize, seed: u64, protocol: Protocol, at: VTime) -> Option<Ch
 /// results.
 fn cross_replay_case(n: usize, seed: u64, protocol: Protocol) -> bool {
     let (native, at) = native_reference(n, seed, protocol);
-    let wl = workload_cfg(seed, protocol);
+    let wl = RandomWorkloadCfg::new(seed, STEPS);
     let restore = |image: &Checkpoint| {
         try_restore_ckpt_world_steps(image, RestoreConfig::same_packing(), |_rank| {
             RandomWorkloadStep::new(wl.clone())

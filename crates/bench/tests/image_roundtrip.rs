@@ -24,20 +24,11 @@ fn cfg(n: usize) -> WorldConfig {
     WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
 }
 
-fn wl(seed: u64, protocol: Protocol) -> RandomWorkloadCfg {
-    let wl = RandomWorkloadCfg::new(seed, 25);
-    if protocol == Protocol::TwoPhase {
-        wl.with_blocking_only()
-    } else {
-        wl
-    }
-}
-
 /// Captures one image mid-run (with an in-process restart, so the run
 /// itself exercises the reference restart path), returns the image and
 /// both result vectors: `(image, native, in_process_restart)`.
 fn capture(protocol: Protocol, n: usize, seed: u64) -> (Checkpoint, Vec<f64>, Vec<f64>) {
-    let base = wl(seed, protocol);
+    let base = RandomWorkloadCfg::new(seed, 25);
     let native = run_ckpt_world_steps(
         cfg(n),
         CkptOptions::native().with_protocol(protocol),
@@ -102,7 +93,7 @@ fn roundtrip_case(protocol: Protocol, n: usize, seed: u64) {
     assert_eq!(loaded, image);
 
     // restore: bit-identical continuation versus the in-process restart.
-    let base = wl(seed, protocol);
+    let base = RandomWorkloadCfg::new(seed, 25);
     let restored = restore_ckpt_world_steps(&loaded, RestoreConfig::same_packing(), |_| {
         RandomWorkloadStep::new(base.clone())
     });

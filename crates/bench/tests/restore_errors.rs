@@ -58,13 +58,10 @@ fn capture_image() -> (Checkpoint, RandomWorkloadCfg) {
     capture_image_under(Protocol::Cc)
 }
 
-/// [`capture_image`] under `protocol` (2PC runs the blocking-only
-/// schedule: it refuses non-blocking collectives).
+/// [`capture_image`] under `protocol` (under 2PC the schedule maps its
+/// non-blocking collectives onto blocking ones).
 fn capture_image_under(protocol: Protocol) -> (Checkpoint, RandomWorkloadCfg) {
-    let mut wl = RandomWorkloadCfg::new(0xCC, 25);
-    if protocol == Protocol::TwoPhase {
-        wl = wl.with_blocking_only();
-    }
+    let wl = RandomWorkloadCfg::new(0xCC, 25);
     let body = |_| RandomWorkloadStep::new(wl.clone());
     let opts = CkptOptions::native().with_protocol(protocol);
     let native = run_ckpt_world_steps(cfg(), opts, body);

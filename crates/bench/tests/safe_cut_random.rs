@@ -127,8 +127,8 @@ fn one_case_proto(n: usize, seed: u64, protocol: Protocol) -> Option<(Checkpoint
 }
 
 /// The shared seed driver, parameterized over the world configuration and
-/// the coordination protocol. 2PC runs use the blocking-only schedule (it
-/// refuses non-blocking collectives) and compare against a 2PC run without
+/// the coordination protocol. 2PC runs (whose schedule maps non-blocking
+/// collectives onto blocking ones) compare against a 2PC run without
 /// checkpoints, so the only difference is the checkpoint itself.
 fn one_case_sized(
     cfg: WorldConfig,
@@ -137,10 +137,7 @@ fn one_case_sized(
     steps: usize,
 ) -> Option<(Checkpoint, Vec<CallLog>)> {
     let n = cfg.n_ranks;
-    let mut wl = RandomWorkloadCfg::new(seed, steps);
-    if protocol == Protocol::TwoPhase {
-        wl = wl.with_blocking_only();
-    }
+    let wl = RandomWorkloadCfg::new(seed, steps);
     let native = run_ckpt_world(
         cfg.clone(),
         CkptOptions::native().with_protocol(protocol),

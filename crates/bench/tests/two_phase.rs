@@ -34,7 +34,7 @@ fn opts_2pc(schedule: Vec<VTime>, resume: ResumeMode) -> CkptOptions {
 fn two_phase_checkpoint_continue_and_restart_bit_identical() {
     for n in [2, 4] {
         for (seed, mode) in [(3u64, ResumeMode::Continue), (4u64, ResumeMode::Restart)] {
-            let wl = RandomWorkloadCfg::new(seed, 25).with_blocking_only();
+            let wl = RandomWorkloadCfg::new(seed, 25);
             let native = run_ckpt_world(
                 cfg(n),
                 CkptOptions::native().with_protocol(Protocol::TwoPhase),

@@ -43,11 +43,6 @@ impl CallCounters {
         rate(self.coll_total(), runtime)
     }
 
-    /// Point-to-point calls per second of virtual runtime.
-    pub fn p2p_rate(&self, runtime: VTime) -> f64 {
-        rate(self.p2p_total(), runtime)
-    }
-
     /// Element-wise sum (for aggregating across ranks).
     pub fn merge(&mut self, o: &CallCounters) {
         self.coll_blocking += o.coll_blocking;
@@ -98,7 +93,6 @@ mod tests {
         assert_eq!(c.coll_total(), 15);
         assert_eq!(c.p2p_total(), 10);
         assert_eq!(c.coll_rate(VTime::from_secs(3.0)), 5.0);
-        assert_eq!(c.p2p_rate(VTime::from_secs(2.0)), 5.0);
         assert_eq!(c.coll_rate(VTime::ZERO), 0.0);
     }
 

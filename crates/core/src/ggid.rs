@@ -51,7 +51,7 @@ mod tests {
     fn similar_groups_same_ggid() {
         let a = Group::new(vec![3, 1, 5]);
         let b = Group::new(vec![1, 3, 5]);
-        assert!(a.similar(&b));
+        assert_eq!(a.sorted_members(), b.sorted_members());
         assert_eq!(ggid_of(&a), ggid_of(&b));
     }
 

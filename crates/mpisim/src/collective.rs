@@ -23,19 +23,19 @@
 //!   evaluation would serialize the whole world behind it — then writes
 //!   each rank's result back into that rank's slot.
 //! * **Completion is announced one way**: it pokes every participant's
-//!   mailbox activity token. Blocking waiters ([`crate::Ctx::wait`],
-//!   [`crate::Ctx::waitany`]) and driven ranks (through the mailbox
-//!   waker) all learn about it the way they learn about a deposit; the
-//!   instance itself has nothing to sleep on.
+//!   mailbox activity token. A bare rank blocked in [`crate::Ctx::bcast`]
+//!   or [`crate::Ctx::allreduce_f64`] and a driven rank (through the
+//!   mailbox waker) both learn about it the way they learn about a
+//!   deposit; the instance itself has nothing to sleep on.
 //! * **Instance lookup is sharded**: the registry spreads `(comm, seq)`
 //!   keys over independently-locked shards instead of funneling every
 //!   arrival in the world through one registry mutex.
 //!
 //! Every caller holds the instance inside an `MPI_Request` and completes
-//! it with `test`/`wait` — once all participants have *initiated*, the
-//! operation completes "in background" at its modelled time, independent of
-//! further MPI activity, exactly the progress guarantee of MPI Example 6.36
-//! that the paper's §4.3 relies on.
+//! it with `test`/`try_complete` — once all participants have
+//! *initiated*, the operation completes "in background" at its modelled
+//! time, independent of further MPI activity, exactly the progress
+//! guarantee of MPI Example 6.36 that the paper's §4.3 relies on.
 
 use crate::dtype::DType;
 use crate::fail::FailPlane;

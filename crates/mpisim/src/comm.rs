@@ -93,9 +93,9 @@ impl Comm {
 
 /// The `SplitKey::color` disambiguator for `MPI_Comm_create`: a hash of
 /// the target group's member world ranks (order-insensitive). Shared by
-/// live creation (`Ctx::comm_create`) and checkpoint-restart replay so
-/// both derive the same registry key; `|1` keeps it clear of `comm_dup`'s
-/// reserved `i64::MIN`.
+/// live creation (`Ctx::comm_create_finish`) and checkpoint-restart
+/// replay so both derive the same registry key; `|1` keeps it clear of
+/// `comm_dup_finish`'s reserved `i64::MIN`.
 pub fn create_color(members: &[usize]) -> i64 {
     let mut sorted = members.to_vec();
     sorted.sort_unstable();

@@ -1,10 +1,13 @@
 //! `Ctx`: one rank's handle to the simulated MPI library.
 //!
-//! A `Ctx` lives on its rank's thread and is the only way that rank talks
-//! to the lower half. It owns the rank's virtual clock and its per-
-//! communicator collective ordinals. All MPI-like calls are methods here;
-//! the checkpointing layers (`mana-core`) interpose by wrapping these
-//! methods, never by reaching into the lower half.
+//! A `Ctx` is the only way a rank talks to the lower half. It owns the
+//! rank's virtual clock and its per-communicator collective ordinals. Its
+//! MPI face is poll-driven: a call begins an operation and returns a
+//! [`Request`], which [`Ctx::test`] or [`Ctx::try_complete`] completes
+//! without blocking. The checkpoint layer (`ckpt`) interposes by wrapping
+//! these methods, never by reaching into the lower half. Only
+//! [`Ctx::bcast`] and [`Ctx::allreduce_f64`] block, for bare `run_world`
+//! ranks that own a thread.
 
 use crate::collective::{CollResult, RedSpec};
 use crate::comm::{Comm, SplitKey};
@@ -22,9 +25,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Backstop for the mailbox sleep of [`Ctx::wait`] and [`Ctx::waitany`].
-/// *Every* rank of a large world can sit in a blocked receive or
-/// collective at once, so the wait is event-driven — the activity token
+/// Backstop for the mailbox sleep of [`Ctx::wait`], under the two
+/// blocking collectives. *Every* rank of a large world can sit in one at
+/// once, so the wait is event-driven — the activity token
 /// taken before the completion attempt makes deposits and completions
 /// race-proof — and the timeout only guards against a pathological lost
 /// wakeup. It is deliberately long (a short re-check would turn thousands
@@ -138,22 +141,6 @@ impl Ctx {
         (self.p2p_sent, self.p2p_delivered)
     }
 
-    /// Sleeps until this rank's mailbox sees activity after `token` was
-    /// taken: a deposit or a collective completion (completion pokes every
-    /// participant's mailbox). A sleep that outlasts the [`RECV_PARK`]
-    /// backstop is counted. No world that can die has a rank asleep here:
-    /// fault campaigns drive their ranks on the worker pool.
-    fn sleep_on_mailbox(&self, token: u64) {
-        let world = &self.world;
-        if !world
-            .mailbox(self.world_rank)
-            .activity
-            .wait_since(token, RECV_PARK)
-        {
-            world.sched.stats().record_backstop_expiry();
-        }
-    }
-
     fn check_epoch(&self, comm: &Comm) {
         assert_eq!(
             comm.epoch(),
@@ -181,43 +168,12 @@ impl Ctx {
     }
 
     // ------------------------------------------------------------------
-    // Communicator management
+    // Communicators
     // ------------------------------------------------------------------
 
     /// `MPI_COMM_WORLD` for this generation.
     pub fn comm_world(&self) -> Comm {
         Comm::for_world_rank(self.world.comm_inner(COMM_WORLD_ID), self.world_rank)
-    }
-
-    /// `MPI_Comm_split`: collective over `parent`. Ranks passing the same
-    /// non-negative `color` land in the same new communicator, ordered by
-    /// `(key, parent rank)`. A negative color (`MPI_UNDEFINED`) yields
-    /// `None`.
-    pub fn comm_split(&mut self, parent: &Comm, color: i64, key: i64) -> Option<Comm> {
-        let (mut req, seq) = self.comm_split_begin(parent, color, key);
-        let gathered = self.wait(&mut req).data;
-        self.comm_split_finish(parent, seq, color, &gathered)
-    }
-
-    /// `MPI_Comm_dup`: duplicates `parent` (same group, fresh context id).
-    pub fn comm_dup(&mut self, parent: &Comm) -> Comm {
-        let (mut req, seq) = self.comm_dup_begin(parent);
-        self.wait(&mut req);
-        self.comm_dup_finish(parent, seq)
-    }
-
-    /// `MPI_Comm_create`: collective over `parent`; ranks inside `group`
-    /// get the new communicator, others get `None`.
-    pub fn comm_create(&mut self, parent: &Comm, group: &Group) -> Option<Comm> {
-        let (mut req, seq) = self.comm_create_begin(parent);
-        self.wait(&mut req);
-        self.comm_create_finish(parent, seq, group)
-    }
-
-    /// `MPI_Comm_free`.
-    pub fn comm_free(&mut self, comm: Comm) {
-        self.check_epoch(&comm);
-        self.world.free_comm(comm.id());
     }
 
     // ------------------------------------------------------------------
@@ -263,13 +219,8 @@ impl Ctx {
         Request::send(send_done)
     }
 
-    /// `MPI_Send` (blocking, eager semantics: returns once injected).
-    pub fn send(&mut self, comm: &Comm, to: usize, tag: Tag, payload: impl Into<Bytes>) {
-        let mut r = self.isend(comm, to, tag, payload);
-        self.wait(&mut r);
-    }
-
-    /// `MPI_Irecv`: posts a receive. Matching happens at `test`/`wait`.
+    /// `MPI_Irecv`: posts a receive. Matching happens at `test` or
+    /// `try_complete`.
     pub fn irecv(
         &mut self,
         comm: &Comm,
@@ -280,83 +231,28 @@ impl Ctx {
         Request::recv(comm.clone(), src.into(), tag.into())
     }
 
-    /// `MPI_Recv` (blocking): returns the payload and status.
-    pub fn recv(
-        &mut self,
-        comm: &Comm,
-        src: impl Into<SrcSel>,
-        tag: impl Into<TagSel>,
-    ) -> (Bytes, Status) {
-        let mut r = self.irecv(comm, src, tag);
-        let c = self.wait(&mut r);
-        (c.data, c.status.expect("recv completion carries status"))
-    }
-
-    /// `MPI_Sendrecv`: posts both sides, then completes both (deadlock-free
-    /// pairwise exchange).
-    pub fn sendrecv(
-        &mut self,
-        comm: &Comm,
-        to: usize,
-        send_tag: Tag,
-        payload: impl Into<Bytes>,
-        from: impl Into<SrcSel>,
-        recv_tag: impl Into<TagSel>,
-    ) -> (Bytes, Status) {
-        let mut s = self.isend(comm, to, send_tag, payload);
-        let mut r = self.irecv(comm, from, recv_tag);
-        self.wait(&mut s);
-        let c = self.wait(&mut r);
-        (c.data, c.status.expect("recv status"))
-    }
-
-    /// `MPI_Iprobe`: non-blocking check for a matching message. Charges one
-    /// poll. Returns the status of the first match whose data has arrived
-    /// by the current virtual time.
-    pub fn iprobe(
-        &mut self,
-        comm: &Comm,
-        src: impl Into<SrcSel>,
-        tag: impl Into<TagSel>,
-    ) -> Option<Status> {
-        self.check_epoch(comm);
-        self.clock += self.world.params().poll_overhead;
-        let spec = MatchSpec {
-            comm: comm.id(),
-            group: comm.group(),
-            src: src.into(),
-            tag: tag.into(),
-        };
-        let (src_gr, tag, len, arrival) = self.world.mailbox(self.world_rank).peek_match(&spec)?;
-        if arrival <= self.clock {
-            Some(Status {
-                source: src_gr,
-                tag,
-                len,
-            })
-        } else {
-            None
-        }
-    }
-
     // ------------------------------------------------------------------
     // Request completion
     // ------------------------------------------------------------------
 
-    /// `MPI_Wait`: blocks until the request completes; the request becomes
-    /// `MPI_REQUEST_NULL`. One wait for sends, receives and collectives
-    /// alike: attempt the completion ([`Ctx::try_complete`], which moves
-    /// the clock exactly as a blocking wait would), and while it cannot
-    /// complete sleep on this rank's mailbox activity token, which
-    /// deposits and collective completions advance. The token is read *before* the attempt, so an event racing
-    /// it ends the sleep at once.
-    pub fn wait(&mut self, req: &mut Request) -> Completion {
+    /// `MPI_Wait`, for the two blocking collectives below: attempts the
+    /// completion ([`Ctx::try_complete`]) and, while it cannot complete,
+    /// sleeps on this rank's mailbox activity token, which deposits and
+    /// collective completions (they poke every participant's mailbox)
+    /// advance. The token is read *before* the attempt, so an event racing
+    /// it ends the sleep at once. A sleep that outlasts the [`RECV_PARK`]
+    /// backstop is counted. No world that can die has a rank asleep here:
+    /// fault campaigns drive their ranks on the worker pool.
+    fn wait(&mut self, req: &mut Request) -> Completion {
         loop {
             let token = self.world.mailbox(self.world_rank).activity.token();
             if let Some(c) = self.try_complete(req) {
                 return c;
             }
-            self.sleep_on_mailbox(token);
+            let mailbox = self.world.mailbox(self.world_rank);
+            if !mailbox.activity.wait_since(token, RECV_PARK) {
+                self.world.sched.stats().record_backstop_expiry();
+            }
         }
     }
 
@@ -425,14 +321,13 @@ impl Ctx {
         }
     }
 
-    /// **Checkpoint-engine hook.** Attempts to complete `req` like
-    /// [`Ctx::wait`] would, but returns `None` instead of blocking when the
-    /// operation cannot complete yet. Unlike [`Ctx::test`] it charges no
-    /// poll overhead and (like `wait`) advances the clock to the
-    /// operation's completion time, so a polling loop built on it produces
-    /// the same virtual-time trajectory as a blocking wait — the property
-    /// the checkpoint layer needs to interleave drain servicing with
-    /// request completion without perturbing timing.
+    /// **Checkpoint-engine hook.** Completes `req` if it can complete now,
+    /// and returns `None` otherwise. Unlike [`Ctx::test`] it charges no
+    /// poll overhead and advances the clock to the operation's completion
+    /// time, so a polling loop built on it produces the same virtual-time
+    /// trajectory as a blocking wait — the property the checkpoint layer
+    /// needs to interleave drain servicing with request completion
+    /// without perturbing timing.
     pub fn try_complete(&mut self, req: &mut Request) -> Option<Completion> {
         match &mut req.kind {
             None => Some(Completion::empty()),
@@ -486,37 +381,6 @@ impl Ctx {
         }
     }
 
-    /// `MPI_Waitall`.
-    pub fn waitall(&mut self, reqs: &mut [Request]) -> Vec<Completion> {
-        reqs.iter_mut().map(|r| self.wait(r)).collect()
-    }
-
-    /// `MPI_Waitany`: blocks until one non-null request completes; returns
-    /// its index. Returns `None` if every request is null. Each round
-    /// tests every active request, charging its poll. A round that
-    /// completes none sleeps on the mailbox token like [`Ctx::wait`] —
-    /// unless some request already knows its completion time, in which
-    /// case the next round's poll charges are the progress.
-    pub fn waitany(&mut self, reqs: &mut [Request]) -> Option<(usize, Completion)> {
-        if reqs.iter().all(Request::is_null) {
-            return None;
-        }
-        loop {
-            let token = self.world.mailbox(self.world_rank).activity.token();
-            for (i, r) in reqs.iter_mut().enumerate() {
-                if r.is_null() {
-                    continue;
-                }
-                if let Some(c) = self.test(r) {
-                    return Some((i, c));
-                }
-            }
-            if !reqs.iter().any(Request::completion_known) {
-                self.sleep_on_mailbox(token);
-            }
-        }
-    }
-
     fn finish_recv(&mut self, comm: &Comm, msg: InFlightMsg) -> Completion {
         self.p2p_delivered += 1;
         self.clock.advance_to(msg.arrival);
@@ -548,127 +412,38 @@ impl Ctx {
     // ------------------------------------------------------------------
     // Blocking collectives
     // ------------------------------------------------------------------
-
-    /// Blocking collective entry point (all specific calls route here).
-    pub fn collective(
-        &mut self,
-        comm: &Comm,
-        op: CollOp,
-        root: usize,
-        payload: Bytes,
-        red: Option<RedSpec>,
-    ) -> Bytes {
-        let mut req = self.coll_begin(comm, op, root, payload, red);
-        self.wait(&mut req).data
-    }
-
-    /// `MPI_Barrier`.
-    pub fn barrier(&mut self, comm: &Comm) {
-        let _ = self.collective(comm, CollOp::Barrier, 0, Bytes::new(), None);
-    }
+    //
+    // The only two blocking calls: a bare `run_world` rank owns a thread
+    // to block, and the benchmark's lower-half SCF loop runs on one. Each
+    // is `coll_begin` and then `wait`, so it follows the virtual-time
+    // trajectory of the poll face below.
 
     /// `MPI_Bcast`: root supplies `data`; everyone receives it.
     pub fn bcast(&mut self, comm: &Comm, root: usize, data: Bytes) -> Bytes {
-        self.collective(comm, CollOp::Bcast, root, data, None)
+        let mut req = self.coll_begin(comm, CollOp::Bcast, root, data, None);
+        self.wait(&mut req).data
     }
 
-    /// `MPI_Reduce` (root receives the combined payload, others empty).
-    pub fn reduce(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Bytes,
-        dtype: DType,
-        op: ReduceOp,
-    ) -> Bytes {
-        self.collective(
-            comm,
-            CollOp::Reduce,
-            root,
-            data,
-            Some(RedSpec { dtype, op }),
-        )
-    }
-
-    /// `MPI_Allreduce`.
-    pub fn allreduce(&mut self, comm: &Comm, data: Bytes, dtype: DType, op: ReduceOp) -> Bytes {
-        self.collective(
-            comm,
-            CollOp::Allreduce,
-            0,
-            data,
-            Some(RedSpec { dtype, op }),
-        )
-    }
-
-    /// `MPI_Allreduce` on `f64` slices (convenience).
+    /// `MPI_Allreduce` on `f64` slices.
     pub fn allreduce_f64(&mut self, comm: &Comm, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        decode_f64(&self.allreduce(comm, encode_f64(data), DType::F64, op))
-    }
-
-    /// `MPI_Gather` (root receives concatenation in group order).
-    pub fn gather(&mut self, comm: &Comm, root: usize, data: Bytes) -> Bytes {
-        self.collective(comm, CollOp::Gather, root, data, None)
-    }
-
-    /// `MPI_Allgather`.
-    pub fn allgather(&mut self, comm: &Comm, data: Bytes) -> Bytes {
-        self.collective(comm, CollOp::Allgather, 0, data, None)
-    }
-
-    /// `MPI_Alltoall`: `data` is `size()` equal blocks; block `j` goes to
-    /// rank `j`. Returns the blocks received from each rank, concatenated.
-    ///
-    /// # Panics
-    /// Panics if `data` does not divide into `size()` equal blocks.
-    pub fn alltoall(&mut self, comm: &Comm, data: Bytes) -> Bytes {
-        assert!(
-            data.len().is_multiple_of(comm.size()),
-            "alltoall payload must be comm.size() equal blocks"
-        );
-        self.collective(comm, CollOp::Alltoall, 0, data, None)
-    }
-
-    /// `MPI_Scatter` (root supplies `size()` blocks).
-    pub fn scatter(&mut self, comm: &Comm, root: usize, data: Bytes) -> Bytes {
-        if comm.rank() == root {
-            assert!(
-                data.len().is_multiple_of(comm.size()),
-                "scatter payload must be comm.size() equal blocks"
-            );
-        }
-        self.collective(comm, CollOp::Scatter, root, data, None)
-    }
-
-    /// `MPI_Scan` (inclusive prefix reduction).
-    pub fn scan(&mut self, comm: &Comm, data: Bytes, dtype: DType, op: ReduceOp) -> Bytes {
-        self.collective(comm, CollOp::Scan, 0, data, Some(RedSpec { dtype, op }))
-    }
-
-    /// `MPI_Reduce_scatter_block`.
-    pub fn reduce_scatter(
-        &mut self,
-        comm: &Comm,
-        data: Bytes,
-        dtype: DType,
-        op: ReduceOp,
-    ) -> Bytes {
-        assert!(
-            data.len().is_multiple_of(comm.size()),
-            "reduce_scatter payload must be comm.size() equal blocks"
-        );
-        self.collective(
-            comm,
-            CollOp::ReduceScatter,
-            0,
-            data,
-            Some(RedSpec { dtype, op }),
-        )
+        let red = Some(RedSpec {
+            dtype: DType::F64,
+            op,
+        });
+        let mut req = self.coll_begin(comm, CollOp::Allreduce, 0, encode_f64(data), red);
+        decode_f64(&self.wait(&mut req).data)
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking collectives
+    // Collectives and communicator creation, poll-driven
     // ------------------------------------------------------------------
+    //
+    // The face the checkpoint layer drives: a rank on the step pool has no
+    // thread to block, and a rank on its own thread must keep observing
+    // the control plane while it waits. So a call *begins* the operation
+    // here and returns a request, which the caller drives with
+    // [`Ctx::try_complete`] (or [`Ctx::test`]); communicator creation then
+    // builds the new communicator in its `_finish` half.
 
     /// Non-blocking collective entry point: initiates the operation and
     /// returns a request. Once every participant has initiated, the
@@ -694,50 +469,6 @@ impl Ctx {
         self.icollective(comm, CollOp::Barrier, 0, Bytes::new(), None)
     }
 
-    /// `MPI_Ibcast`.
-    pub fn ibcast(&mut self, comm: &Comm, root: usize, data: Bytes) -> Request {
-        self.icollective(comm, CollOp::Bcast, root, data, None)
-    }
-
-    /// `MPI_Iallreduce`.
-    pub fn iallreduce(&mut self, comm: &Comm, data: Bytes, dtype: DType, op: ReduceOp) -> Request {
-        self.icollective(
-            comm,
-            CollOp::Allreduce,
-            0,
-            data,
-            Some(RedSpec { dtype, op }),
-        )
-    }
-
-    /// `MPI_Ialltoall`.
-    pub fn ialltoall(&mut self, comm: &Comm, data: Bytes) -> Request {
-        assert!(
-            data.len().is_multiple_of(comm.size()),
-            "ialltoall payload must be comm.size() equal blocks"
-        );
-        self.icollective(comm, CollOp::Alltoall, 0, data, None)
-    }
-
-    /// `MPI_Iallgather`.
-    pub fn iallgather(&mut self, comm: &Comm, data: Bytes) -> Request {
-        self.icollective(comm, CollOp::Allgather, 0, data, None)
-    }
-
-    // ------------------------------------------------------------------
-    // Poll-driven decompositions
-    // ------------------------------------------------------------------
-    //
-    // Poll-driven halves of the blocking calls above, for the checkpoint
-    // layer's protocol engine: it cannot sit in [`Ctx::wait`] — a rank on
-    // the step pool has no thread to block, and a rank on its own thread
-    // must keep observing the control plane while it waits — so it
-    // *begins* the operation here (entering the instance exactly like the
-    // blocking path — no initiation charge, unlike `icollective`) and
-    // then drives the returned request with [`Ctx::try_complete`], the
-    // same completion `wait` loops on. Both forms therefore produce
-    // bit-identical virtual-time trajectories.
-
     fn begin_collective(
         &mut self,
         comm: &Comm,
@@ -761,9 +492,9 @@ impl Ctx {
     }
 
     /// Begins a *blocking-semantics* collective without blocking: enters
-    /// the instance at the current clock (no initiation charge) and
-    /// returns the request to poll with [`Ctx::try_complete`]. The
-    /// poll-driven counterpart of [`Ctx::collective`].
+    /// the instance at the current clock (no initiation charge, unlike
+    /// [`Ctx::icollective`]) and returns the request to poll with
+    /// [`Ctx::try_complete`].
     pub fn coll_begin(
         &mut self,
         comm: &Comm,
@@ -777,11 +508,10 @@ impl Ctx {
         self.begin_collective(comm, seq, op, root, payload, red)
     }
 
-    /// Begins the allgather phase of `MPI_Comm_split` (poll-driven half of
-    /// [`Ctx::comm_split`]). Returns the request and the parent-comm
-    /// ordinal the split will be registered under; pass both, plus the
-    /// gathered payload from [`Ctx::try_complete`], to
-    /// [`Ctx::comm_split_finish`].
+    /// Begins `MPI_Comm_split` over `parent`: an allgather of every rank's
+    /// `(color, key)`. Returns the request and the parent-comm ordinal the
+    /// split will be registered under; pass both, plus the gathered
+    /// payload from [`Ctx::try_complete`], to [`Ctx::comm_split_finish`].
     pub fn comm_split_begin(&mut self, parent: &Comm, color: i64, key: i64) -> (Request, u64) {
         self.check_epoch(parent);
         let seq = self.bump_comm_seq(parent.id());
@@ -802,8 +532,9 @@ impl Ctx {
     }
 
     /// Builds the split communicator from the gathered `(color, key)`
-    /// pairs. Shared by the blocking [`Ctx::comm_split`] and the
-    /// poll-driven begin/finish pair — the decode is the same either way.
+    /// pairs. Ranks passing the same non-negative `color` land in the same
+    /// new communicator, ordered by `(key, parent rank)`; a negative color
+    /// (`MPI_UNDEFINED`) yields `None`.
     pub fn comm_split_finish(
         &mut self,
         parent: &Comm,
@@ -841,19 +572,18 @@ impl Ctx {
         Some(Comm::for_world_rank(inner, self.world_rank))
     }
 
-    /// Begins the synchronization phase of `MPI_Comm_dup` (poll-driven half
-    /// of [`Ctx::comm_dup`]). Complete the request with
+    /// Begins `MPI_Comm_dup` over `parent`: an empty allgather that
+    /// synchronizes (and charges) the ranks. Complete the request with
     /// [`Ctx::try_complete`], then call [`Ctx::comm_dup_finish`].
     pub fn comm_dup_begin(&mut self, parent: &Comm) -> (Request, u64) {
         self.check_epoch(parent);
         let seq = self.bump_comm_seq(parent.id());
-        // Synchronize (and charge) like a tiny allgather.
         let req = self.begin_collective(parent, seq, CollOp::Allgather, 0, Bytes::new(), None);
         (req, seq)
     }
 
-    /// Builds the duplicate communicator once the dup synchronization
-    /// completed. Shared by [`Ctx::comm_dup`] and the poll-driven pair.
+    /// Builds the duplicate communicator (same group, fresh context id)
+    /// once the dup synchronization completed.
     pub fn comm_dup_finish(&mut self, parent: &Comm, seq: u64) -> Comm {
         let inner = self.world.comm_for_split(
             SplitKey {
@@ -866,17 +596,15 @@ impl Ctx {
         Comm::for_world_rank(inner, self.world_rank)
     }
 
-    /// Begins the synchronization phase of `MPI_Comm_create` (poll-driven
-    /// half of [`Ctx::comm_create`]): the same empty allgather a dup
-    /// synchronizes on. Complete the request with [`Ctx::try_complete`],
-    /// then call [`Ctx::comm_create_finish`].
+    /// Begins `MPI_Comm_create` over `parent`: the same empty allgather a
+    /// dup synchronizes on. Complete the request with
+    /// [`Ctx::try_complete`], then call [`Ctx::comm_create_finish`].
     pub fn comm_create_begin(&mut self, parent: &Comm) -> (Request, u64) {
         self.comm_dup_begin(parent)
     }
 
     /// Builds the created communicator once the synchronization completed;
-    /// `None` on ranks outside `group`. Shared by [`Ctx::comm_create`] and
-    /// the poll-driven pair.
+    /// `None` on ranks outside `group`.
     pub fn comm_create_finish(&mut self, parent: &Comm, seq: u64, group: &Group) -> Option<Comm> {
         if !group.contains_world(self.world_rank) {
             return None;
@@ -905,103 +633,391 @@ impl std::fmt::Debug for Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{RankStep, Step, StepDriver, WaitReason};
     use crate::world::{run_world, WorldConfig};
     use netmodel::NetParams;
+    use parking_lot::Mutex;
+    use std::panic;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn cfg(n: usize) -> WorldConfig {
         WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
     }
 
+    /// A rank of a [`run_polled`] world: its poll is called until it
+    /// returns the rank's result. A poll that moved the clock (a charged
+    /// `test`, a send) made progress of its own and yields `Poll`; one
+    /// that did not waits for the mailbox event that can complete it.
+    /// Once some rank's poll panicked, every rank ends at its next step
+    /// (the driver's rescue sweep reaches parked ones), so a failed
+    /// assertion fails the test instead of leaving its peers waiting.
+    struct Polled<'a, R, P> {
+        ctx: Ctx,
+        poll: P,
+        out: &'a Mutex<Option<R>>,
+        failed: &'a AtomicBool,
+    }
+
+    impl<R: Send, P: FnMut(&mut Ctx) -> Option<R> + Send> RankStep for Polled<'_, R, P> {
+        fn step(&mut self) -> Step {
+            if self.failed.load(Ordering::Relaxed) {
+                return Step::Done;
+            }
+            let before = self.ctx.clock();
+            let polled =
+                panic::catch_unwind(panic::AssertUnwindSafe(|| (self.poll)(&mut self.ctx)));
+            match polled.unwrap_or_else(|p| {
+                self.failed.store(true, Ordering::Relaxed);
+                panic::resume_unwind(p)
+            }) {
+                Some(r) => {
+                    *self.out.lock() = Some(r);
+                    Step::Done
+                }
+                None if self.ctx.clock() != before => Step::Yield(WaitReason::Poll),
+                None => Step::Yield(WaitReason::Event),
+            }
+        }
+    }
+
+    /// Runs `make(rank)`'s poll for every rank of an `n`-rank world on a
+    /// [`StepDriver`], the world's mailboxes waking it through the
+    /// scheduler's rank-waker registry, and returns the world and each
+    /// rank's result. Every wake must reach its rank: a lost one shows as
+    /// a backstop expiry of the driver's rescue sweep.
+    fn run_polled<R, P>(n: usize, make: impl Fn(usize) -> P) -> (Arc<World>, Vec<R>)
+    where
+        R: Send,
+        P: FnMut(&mut Ctx) -> Option<R> + Send,
+    {
+        let world = World::new(cfg(n));
+        let sched = world.scheduler();
+        let driver = StepDriver::new(n, Arc::clone(sched.stats()));
+        let d = Arc::clone(&driver);
+        sched.install_rank_waker(Arc::new(move |rank| d.wake(rank)));
+        world.install_rank_wakers();
+        let outs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let failed = AtomicBool::new(false);
+        let objs = (outs.iter().enumerate())
+            .map(|(rank, out)| {
+                Box::new(Polled {
+                    ctx: Ctx::new(Arc::clone(&world), rank),
+                    poll: make(rank),
+                    out,
+                    failed: &failed,
+                }) as Box<dyn RankStep + '_>
+            })
+            .collect();
+        driver.run(sched.workers(), objs);
+        assert_eq!(sched.stats().backstop_expiries(), 0, "a wake was lost");
+        let results = (outs.into_iter())
+            .map(|o| o.into_inner().expect("every rank finished"))
+            .collect();
+        (world, results)
+    }
+
+    /// One operation of a polled rank's program, which every poll replays
+    /// from the top: the first poll to reach it begins it, the next ones
+    /// complete it with `try_complete`, and once complete its completion
+    /// (with what `begin` returned beside the request) is kept for the
+    /// polls after. A completed request must be `MPI_REQUEST_NULL`, and
+    /// polling it again must give an empty completion.
+    enum Op<T = ()> {
+        Idle,
+        Pending(Request, T),
+        Done(Completion, T),
+    }
+
+    impl<T: Copy> Op<T> {
+        fn poll_with(
+            &mut self,
+            ctx: &mut Ctx,
+            begin: impl FnOnce(&mut Ctx) -> (Request, T),
+        ) -> Option<(Completion, T)> {
+            if let Op::Idle = self {
+                let (req, t) = begin(ctx);
+                *self = Op::Pending(req, t);
+            }
+            if let Op::Pending(req, t) = self {
+                let c = ctx.try_complete(req)?;
+                assert!(req.is_null(), "a completed request is MPI_REQUEST_NULL");
+                let again = ctx
+                    .try_complete(req)
+                    .expect("a null request completes at once");
+                assert!(again.status.is_none() && again.data.is_empty());
+                let t = *t;
+                *self = Op::Done(c, t);
+            }
+            match self {
+                Op::Done(c, t) => Some((c.clone(), *t)),
+                _ => unreachable!("begun and completed above"),
+            }
+        }
+    }
+
+    impl Op {
+        fn poll(
+            &mut self,
+            ctx: &mut Ctx,
+            begin: impl FnOnce(&mut Ctx) -> Request,
+        ) -> Option<Completion> {
+            let (c, ()) = self.poll_with(ctx, |ctx| (begin(ctx), ()))?;
+            Some(c)
+        }
+    }
+
+    const SUM: Option<RedSpec> = Some(RedSpec {
+        dtype: DType::F64,
+        op: ReduceOp::Sum,
+    });
+
+    /// Begins a sum allreduce of `x` on `comm`.
+    fn sum(ctx: &mut Ctx, comm: &Comm, x: f64) -> Request {
+        ctx.coll_begin(comm, CollOp::Allreduce, 0, encode_f64(&[x]), SUM)
+    }
+
     #[test]
     fn p2p_ping() {
-        run_world(cfg(2), |ctx| {
-            let w = ctx.comm_world();
-            if ctx.rank() == 0 {
-                ctx.send(&w, 1, 7, Bytes::from_static(b"ping"));
-            } else {
-                let (data, st) = ctx.recv(&w, 0, 7);
-                assert_eq!(data.as_ref(), b"ping");
-                assert_eq!(st.source, 0);
-                assert_eq!(st.tag, 7);
+        run_polled(2, |me| {
+            let (mut op, mut delay) = (Op::Idle, 100);
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                if me == 0 {
+                    // Polls that move the clock a little, so that rank 1 is
+                    // parked on its receive when the deposit wakes it.
+                    if delay > 0 {
+                        delay -= 1;
+                        ctx.compute(1e-9);
+                        return None;
+                    }
+                    op.poll(ctx, |ctx| ctx.isend(&w, 1, 7, Bytes::from_static(b"ping")))?;
+                    return Some(());
+                }
+                let c = op.poll(ctx, |ctx| ctx.irecv(&w, 0, 7))?;
+                let st = c.status.expect("a receive's status");
+                assert_eq!(c.data.as_ref(), b"ping");
+                assert_eq!((st.source, st.tag), (0, 7));
                 assert!(ctx.clock() > VTime::ZERO, "recv must advance vtime");
+                Some(())
             }
         });
     }
 
     #[test]
     fn p2p_nonovertaking_same_tag() {
-        run_world(cfg(2), |ctx| {
-            let w = ctx.comm_world();
-            if ctx.rank() == 0 {
-                for i in 0..10u8 {
-                    ctx.send(&w, 1, 3, Bytes::from(vec![i]));
+        // The receiver posts while the sends land: 50 worlds of it.
+        for _ in 0..50 {
+            run_polled(2, |me| {
+                let mut ops: Vec<Op> = (0..10).map(|_| Op::Idle).collect();
+                move |ctx: &mut Ctx| {
+                    let w = ctx.comm_world();
+                    for (i, op) in ops.iter_mut().enumerate() {
+                        if me == 0 {
+                            op.poll(ctx, |ctx| ctx.isend(&w, 1, 3, vec![i as u8]))?;
+                        } else {
+                            let c = op.poll(ctx, |ctx| ctx.irecv(&w, 0, 3))?;
+                            assert_eq!(c.data[0], i as u8, "messages must not overtake");
+                        }
+                    }
+                    Some(())
                 }
-            } else {
-                for i in 0..10u8 {
-                    let (data, _) = ctx.recv(&w, 0, 3);
-                    assert_eq!(data[0], i, "messages must not overtake");
-                }
-            }
-        });
+            });
+        }
     }
 
     #[test]
     fn any_source_any_tag() {
-        run_world(cfg(3), |ctx| {
-            let w = ctx.comm_world();
-            if ctx.rank() == 0 {
+        run_polled(3, |me| {
+            let mut ops = [Op::Idle, Op::Idle];
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                if me != 0 {
+                    let tag = me as Tag;
+                    ops[0].poll(ctx, |ctx| ctx.isend(&w, 0, tag, Bytes::from_static(b"x")))?;
+                    return Some(());
+                }
                 let mut seen = [false; 2];
-                for _ in 0..2 {
-                    let (_, st) = ctx.recv(&w, SrcSel::Any, TagSel::Any);
+                for op in &mut ops {
+                    let c = op.poll(ctx, |ctx| ctx.irecv(&w, SrcSel::Any, TagSel::Any))?;
+                    let st = c.status.expect("a receive's status");
+                    assert_eq!(st.tag as usize, st.source, "the sender's tag");
                     seen[st.source - 1] = true;
                 }
                 assert!(seen[0] && seen[1]);
-            } else {
-                ctx.send(&w, 0, ctx.rank() as Tag, Bytes::from_static(b"x"));
+                Some(())
             }
         });
     }
 
     #[test]
-    fn sendrecv_exchange() {
-        run_world(cfg(2), |ctx| {
-            let w = ctx.comm_world();
-            let me = ctx.rank();
-            let peer = 1 - me;
-            let (data, _) = ctx.sendrecv(&w, peer, 1, Bytes::from(vec![me as u8]), peer, 1);
-            assert_eq!(data[0], peer as u8);
+    fn alltoall_exchanges_blocks() {
+        // Rank r sends byte r*4+j to rank j.
+        run_polled(4, |me| {
+            let mut op = Op::Idle;
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let payload: Vec<u8> = (0..4).map(|j| (me * 4 + j) as u8).collect();
+                let got = op.poll(ctx, |ctx| {
+                    ctx.coll_begin(&w, CollOp::Alltoall, 0, payload.into(), None)
+                })?;
+                let expect: Vec<u8> = (0..4).map(|r| (r * 4 + me) as u8).collect();
+                assert_eq!(got.data.as_ref(), &expect[..]);
+                Some(())
+            }
         });
     }
 
     #[test]
-    fn iprobe_sees_arrivals() {
-        run_world(cfg(2), |ctx| {
-            let w = ctx.comm_world();
-            if ctx.rank() == 0 {
-                ctx.send(&w, 1, 9, Bytes::from_static(b"abc"));
-            } else {
-                // Poll until the message is visible.
-                let st = loop {
-                    if let Some(st) = ctx.iprobe(&w, SrcSel::Any, TagSel::Any) {
-                        break st;
-                    }
-                    std::thread::yield_now();
+    fn nonblocking_collective_overlap() {
+        let (_, clocks) = run_polled(4, |_| {
+            let mut op = Op::Idle;
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let c = op.poll(ctx, |ctx| {
+                    let req = ctx.icollective(&w, CollOp::Allreduce, 0, encode_f64(&[1.0]), SUM);
+                    // Overlapped computation.
+                    ctx.compute(100e-6);
+                    req
+                })?;
+                assert_eq!(decode_f64(&c.data), vec![4.0]);
+                Some(ctx.clock())
+            }
+        });
+        // With overlap, total time should be close to the compute time, not
+        // compute + full collective latency.
+        for t in clocks {
+            assert!(t.as_secs() < 150e-6, "overlap failed: {t}");
+        }
+    }
+
+    #[test]
+    fn ibarrier_test_loop() {
+        // The 2PC "trivial barrier" pattern: Ibarrier + Test loop. Each
+        // failed test charges a poll, so the rank polls rather than parks.
+        run_polled(3, |_| {
+            let mut req = None;
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let req = req.get_or_insert_with(|| ctx.ibarrier(&w));
+                ctx.test(req)?;
+                assert!(req.is_null());
+                Some(())
+            }
+        });
+    }
+
+    #[test]
+    fn comm_split_even_odd() {
+        run_polled(6, |me| {
+            let (mut split, mut reduce) = (Op::Idle, Op::Idle);
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let color = (me % 2) as i64;
+                let (c, seq) =
+                    split.poll_with(ctx, |ctx| ctx.comm_split_begin(&w, color, me as i64))?;
+                let sub = (ctx.comm_split_finish(&w, seq, color, &c.data)).expect("color >= 0");
+                assert_eq!((sub.size(), sub.rank()), (3, me / 2));
+                // Sum within my parity class.
+                let s = reduce.poll(ctx, |ctx| sum(ctx, &sub, me as f64))?;
+                let expect = if me % 2 == 0 {
+                    0.0 + 2.0 + 4.0
+                } else {
+                    1.0 + 3.0 + 5.0
                 };
-                assert_eq!(st.tag, 9);
-                assert_eq!(st.len, 3);
-                // Probe does not consume.
-                let (data, _) = ctx.recv(&w, 0, 9);
-                assert_eq!(data.as_ref(), b"abc");
+                assert_eq!(decode_f64(&s.data), vec![expect]);
+                Some(())
             }
         });
     }
+
+    #[test]
+    fn comm_split_undefined_color() {
+        run_polled(4, |me| {
+            let mut split = Op::Idle;
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let color = if me == 0 { -1 } else { 0 };
+                let (c, seq) = split.poll_with(ctx, |ctx| ctx.comm_split_begin(&w, color, 0))?;
+                let sub = ctx.comm_split_finish(&w, seq, color, &c.data);
+                match sub {
+                    None => assert_eq!(me, 0),
+                    Some(sub) => assert_eq!((me > 0, sub.size()), (true, 3)),
+                }
+                Some(())
+            }
+        });
+    }
+
+    #[test]
+    fn comm_dup_independent_context() {
+        run_polled(2, |me| {
+            let (mut dup, mut first, mut second) = (Op::Idle, Op::Idle, Op::Idle);
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let (_, seq) = dup.poll_with(ctx, |ctx| ctx.comm_dup_begin(&w))?;
+                let d = ctx.comm_dup_finish(&w, seq);
+                assert_ne!(d.id(), w.id());
+                assert_eq!(d.group().members(), w.group().members());
+                // A message sent on the dup must not match a receive on
+                // the world.
+                if me == 0 {
+                    first.poll(ctx, |ctx| ctx.isend(&d, 1, 5, Bytes::from_static(b"dup")))?;
+                    second.poll(ctx, |ctx| ctx.isend(&w, 1, 5, Bytes::from_static(b"world")))?;
+                    return Some(());
+                }
+                let c = first.poll(ctx, |ctx| ctx.irecv(&w, 0, 5))?;
+                assert_eq!(c.data.as_ref(), b"world");
+                let c = second.poll(ctx, |ctx| ctx.irecv(&d, 0, 5))?;
+                assert_eq!(c.data.as_ref(), b"dup");
+                Some(())
+            }
+        });
+    }
+
+    #[test]
+    fn comm_create_subset() {
+        run_polled(4, |me| {
+            let (mut create, mut reduce) = (Op::Idle, Op::Idle);
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                let g = Group::new(vec![1, 3]);
+                let (_, seq) = create.poll_with(ctx, |ctx| ctx.comm_create_begin(&w))?;
+                let Some(sub) = ctx.comm_create_finish(&w, seq, &g) else {
+                    assert!(me == 0 || me == 2);
+                    return Some(());
+                };
+                assert_eq!((me % 2, sub.size()), (1, 2));
+                let s = reduce.poll(ctx, |ctx| sum(ctx, &sub, 1.0))?;
+                assert_eq!(decode_f64(&s.data), vec![2.0]);
+                Some(())
+            }
+        });
+    }
+
+    #[test]
+    fn no_live_collectives_after_completion() {
+        let (world, _) = run_polled(4, |_| {
+            let (mut barrier, mut reduce) = (Op::Idle, Op::Idle);
+            move |ctx: &mut Ctx| {
+                let w = ctx.comm_world();
+                barrier.poll(ctx, |ctx| {
+                    ctx.coll_begin(&w, CollOp::Barrier, 0, Bytes::new(), None)
+                })?;
+                reduce.poll(ctx, |ctx| sum(ctx, &w, 1.0))?;
+                Some(())
+            }
+        });
+        assert_eq!(world.live_collectives(), 0);
+    }
+
+    // The thread path: bare `run_world` ranks block in the two blocking
+    // collectives and in `wait`.
 
     #[test]
     fn blocking_collectives_data() {
         run_world(cfg(4), |ctx| {
             let w = ctx.comm_world();
             let me = ctx.rank();
-            // Bcast.
             let data = if me == 2 {
                 Bytes::from_static(b"hello")
             } else {
@@ -1009,168 +1025,25 @@ mod tests {
             };
             let out = ctx.bcast(&w, 2, data);
             assert_eq!(out.as_ref(), b"hello");
-            // Allreduce.
             let s = ctx.allreduce_f64(&w, &[me as f64], ReduceOp::Sum);
             assert_eq!(s, vec![6.0]);
-            // Alltoall: rank r sends byte r*4+j to rank j.
-            let payload: Vec<u8> = (0..4).map(|j| (me * 4 + j) as u8).collect();
-            let got = ctx.alltoall(&w, Bytes::from(payload));
-            let expect: Vec<u8> = (0..4).map(|r| (r * 4 + me) as u8).collect();
-            assert_eq!(got.as_ref(), &expect[..]);
-            // Barrier synchronizes clocks upward.
-            let before = ctx.clock();
-            ctx.barrier(&w);
-            assert!(ctx.clock() >= before);
         });
     }
 
     #[test]
-    fn nonblocking_collective_overlap() {
-        let rep = run_world(cfg(4), |ctx| {
-            let w = ctx.comm_world();
-            let mut req = ctx.iallreduce(&w, encode_f64(&[1.0]), DType::F64, ReduceOp::Sum);
-            // Overlapped computation.
-            ctx.compute(100e-6);
-            let c = ctx.wait(&mut req);
-            assert_eq!(decode_f64(&c.data), vec![4.0]);
-            assert!(req.is_null());
-            ctx.clock()
-        });
-        // With overlap, total time should be close to the compute time, not
-        // compute + full collective latency.
-        for r in &rep.ranks {
-            assert!(r.result.as_secs() < 150e-6, "overlap failed: {}", r.result);
-        }
-    }
-
-    #[test]
-    fn ibarrier_test_loop() {
-        // The 2PC "trivial barrier" pattern: Ibarrier + Test loop.
-        run_world(cfg(3), |ctx| {
-            let w = ctx.comm_world();
-            let mut req = ctx.ibarrier(&w);
-            while ctx.test(&mut req).is_none() {
-                std::thread::yield_now();
-            }
-            assert!(req.is_null());
-        });
-    }
-
-    #[test]
-    fn comm_split_even_odd() {
-        run_world(cfg(6), |ctx| {
-            let w = ctx.comm_world();
-            let me = ctx.rank();
-            let sub = ctx
-                .comm_split(&w, (me % 2) as i64, me as i64)
-                .expect("color >= 0");
-            assert_eq!(sub.size(), 3);
-            assert_eq!(sub.rank(), me / 2);
-            // Sum within my parity class.
-            let s = ctx.allreduce_f64(&sub, &[me as f64], ReduceOp::Sum);
-            let expect = if me % 2 == 0 {
-                0.0 + 2.0 + 4.0
-            } else {
-                1.0 + 3.0 + 5.0
-            };
-            assert_eq!(s, vec![expect]);
-        });
-    }
-
-    #[test]
-    fn comm_split_undefined_color() {
-        run_world(cfg(4), |ctx| {
-            let w = ctx.comm_world();
-            let color = if ctx.rank() == 0 { -1 } else { 0 };
-            let sub = ctx.comm_split(&w, color, 0);
-            if ctx.rank() == 0 {
-                assert!(sub.is_none());
-            } else {
-                assert_eq!(sub.unwrap().size(), 3);
-            }
-        });
-    }
-
-    #[test]
-    fn comm_dup_independent_context() {
-        run_world(cfg(2), |ctx| {
-            let w = ctx.comm_world();
-            let d = ctx.comm_dup(&w);
-            assert_ne!(d.id(), w.id());
-            assert!(d.group().identical(w.group()));
-            // Message sent on dup must not match a recv on world.
-            if ctx.rank() == 0 {
-                ctx.send(&d, 1, 5, Bytes::from_static(b"dup"));
-                ctx.send(&w, 1, 5, Bytes::from_static(b"world"));
-            } else {
-                let (data, _) = ctx.recv(&w, 0, 5);
-                assert_eq!(data.as_ref(), b"world");
-                let (data, _) = ctx.recv(&d, 0, 5);
-                assert_eq!(data.as_ref(), b"dup");
-            }
-        });
-    }
-
-    #[test]
-    fn comm_create_subset() {
-        run_world(cfg(4), |ctx| {
-            let w = ctx.comm_world();
-            let g = Group::new(vec![1, 3]);
-            let sub = ctx.comm_create(&w, &g);
-            match ctx.rank() {
-                1 | 3 => {
-                    let c = sub.unwrap();
-                    assert_eq!(c.size(), 2);
-                    let s = ctx.allreduce_f64(&c, &[1.0], ReduceOp::Sum);
-                    assert_eq!(s, vec![2.0]);
-                }
-                _ => assert!(sub.is_none()),
-            }
-        });
-    }
-
-    #[test]
-    fn waitall_and_waitany() {
-        run_world(cfg(2), |ctx| {
-            let w = ctx.comm_world();
-            if ctx.rank() == 0 {
-                let mut reqs = vec![
-                    ctx.isend(&w, 1, 1, Bytes::from_static(b"a")),
-                    ctx.isend(&w, 1, 2, Bytes::from_static(b"b")),
-                ];
-                let cs = ctx.waitall(&mut reqs);
-                assert_eq!(cs.len(), 2);
-                assert!(reqs.iter().all(Request::is_null));
-            } else {
-                let mut reqs = vec![ctx.irecv(&w, 0, 1), ctx.irecv(&w, 0, 2)];
-                let mut seen = 0;
-                while let Some((i, c)) = ctx.waitany(&mut reqs) {
-                    assert!(!c.data.is_empty());
-                    assert!(reqs[i].is_null());
-                    seen += 1;
-                    if seen == 2 {
-                        break;
-                    }
-                }
-                assert_eq!(seen, 2);
-            }
-        });
-    }
-
-    #[test]
-    fn waitany_sleeps_until_a_deposit() {
-        // Rank 1's only request waits on a send that rank 0 makes after a
-        // wall pause: waitany sleeps on the mailbox token and the deposit
-        // ends the sleep, not the backstop.
+    fn wait_sleeps_until_a_deposit() {
+        // Rank 1 waits on a receive that rank 0 sends after a wall pause:
+        // the wait sleeps on the mailbox token and the deposit ends the
+        // sleep, not the backstop.
         let rep = run_world(cfg(2), |ctx| {
             let w = ctx.comm_world();
             if ctx.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(20));
-                ctx.send(&w, 1, 4, Bytes::from_static(b"late"));
+                ctx.isend(&w, 1, 4, Bytes::from_static(b"late"));
             } else {
-                let mut reqs = vec![ctx.irecv(&w, 0, 4)];
-                let (i, c) = ctx.waitany(&mut reqs).expect("one active request");
-                assert_eq!((i, c.data.as_ref()), (0, &b"late"[..]));
+                let mut req = ctx.irecv(&w, 0, 4);
+                let c = ctx.wait(&mut req);
+                assert_eq!(c.data.as_ref(), b"late");
             }
             ctx.world().scheduler().stats().backstop_expiries()
         });
@@ -1190,20 +1063,5 @@ mod tests {
             .makespan
         };
         assert_eq!(run(), run(), "virtual time must be deterministic");
-    }
-
-    #[test]
-    fn no_live_collectives_after_completion() {
-        let w = std::sync::Arc::new(parking_lot::Mutex::new(None));
-        let w2 = w.clone();
-        run_world(cfg(4), move |ctx| {
-            let world = ctx.world().clone();
-            let c = ctx.comm_world();
-            ctx.barrier(&c);
-            ctx.allreduce_f64(&c, &[1.0], ReduceOp::Sum);
-            *w2.lock() = Some(world);
-        });
-        let world = w.lock().take().unwrap();
-        assert_eq!(world.live_collectives(), 0);
     }
 }

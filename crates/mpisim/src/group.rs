@@ -121,43 +121,6 @@ impl Group {
     pub fn sorted_members(&self) -> Arc<[usize]> {
         Arc::clone(&self.sorted)
     }
-
-    /// `MPI_SIMILAR` (or closer): same member set, order ignored.
-    pub fn similar(&self, other: &Group) -> bool {
-        self.size() == other.size() && self.sorted == other.sorted
-    }
-
-    /// `MPI_IDENT`: same members in the same order.
-    pub fn identical(&self, other: &Group) -> bool {
-        self.members == other.members
-    }
-
-    /// `MPI_Group_incl`: sub-group keeping `ranks` (group ranks) in order.
-    pub fn incl(&self, ranks: &[usize]) -> Group {
-        Group::new(ranks.iter().map(|&r| self.members[r]).collect())
-    }
-
-    /// `MPI_Group_excl`: sub-group dropping `ranks` (group ranks).
-    pub fn excl(&self, ranks: &[usize]) -> Group {
-        let drop: std::collections::HashSet<usize> = ranks.iter().copied().collect();
-        Group::new(
-            self.members
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !drop.contains(i))
-                .map(|(_, &w)| w)
-                .collect(),
-        )
-    }
-
-    /// `MPI_Group_translate_ranks`: maps this group's ranks into `other`'s
-    /// ranks; `None` where a member is absent from `other`.
-    pub fn translate_ranks(&self, ranks: &[usize], other: &Group) -> Vec<Option<usize>> {
-        ranks
-            .iter()
-            .map(|&r| other.group_rank_of_world(self.members[r]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -176,33 +139,29 @@ mod tests {
     fn reordered_groups_similar_not_identical() {
         let a = Group::new(vec![3, 1, 5]);
         let b = Group::new(vec![1, 3, 5]);
-        assert!(a.similar(&b));
-        assert!(!a.identical(&b));
-        assert!(a.identical(&a));
+        assert_eq!(a.sorted_members(), b.sorted_members());
+        assert_ne!(a.members(), b.members());
     }
 
     #[test]
     fn different_sets_not_similar() {
         let a = Group::new(vec![1, 2]);
         let b = Group::new(vec![1, 3]);
-        assert!(!a.similar(&b));
-    }
-
-    #[test]
-    fn incl_excl() {
-        let g = Group::new(vec![10, 20, 30, 40]);
-        assert_eq!(g.incl(&[2, 0]).members(), &[30, 10]);
-        assert_eq!(g.excl(&[1, 3]).members(), &[10, 30]);
+        assert_ne!(a.sorted_members(), b.sorted_members());
     }
 
     #[test]
     fn translate() {
+        // A rank of `a` found in `b` through its world rank: the identity
+        // fast path, the search of a sorted group and the scan of an
+        // unsorted one.
         let a = Group::new(vec![10, 20, 30]);
         let b = Group::new(vec![30, 10]);
-        assert_eq!(
-            a.translate_ranks(&[0, 1, 2], &b),
-            vec![Some(1), None, Some(0)]
-        );
+        let into_b = |r| b.group_rank_of_world(a.world_rank(r));
+        assert_eq!([0, 1, 2].map(into_b), [Some(1), None, Some(0)]);
+        let into_a = |r| a.group_rank_of_world(b.world_rank(r));
+        assert_eq!([0, 1].map(into_a), [Some(2), Some(0)]);
+        assert_eq!(Group::world(4).group_rank_of_world(3), Some(3));
     }
 
     #[test]

@@ -3,48 +3,51 @@
 //! `mpisim` is the "MPI library + network" substrate for the `mana-cc`
 //! reproduction of *Enabling Practical Transparent Checkpointing for MPI: A
 //! Topological Sort Approach* (CLUSTER 2024). A simulated MPI process
-//! (**rank**) has two continuation representations:
+//! (**rank**) is driven one of two ways ([`sched`]):
 //!
-//! * **Thread ranks** (the original, still the test shim): the rank owns
-//!   a plain OS thread whose only sleep is its one event wait; the host's
-//!   scheduler multiplexes whichever ranks are runnable ([`sched`]). With
-//!   128 KiB rank stacks and the lock-free collective rendezvous this
-//!   carries 4096-rank worlds.
-//! * **Step ranks** (the scale representation): a parked rank is a heap
-//!   object implementing [`sched::RankStep`] — a hand-lowered state
-//!   machine, the way async bodies lower — resumed by the
-//!   [`sched::StepDriver`]'s worker pool. No per-rank stack or kernel
+//! * **Step ranks**, which every checkpointed run at scale uses: a parked
+//!   rank is a heap object implementing [`sched::RankStep`] — a
+//!   hand-lowered state machine, the way async bodies lower — resumed by
+//!   the [`sched::StepDriver`]'s worker pool. No per-rank stack or kernel
 //!   thread exists, which is what lets a single host carry 65 536-rank
 //!   worlds; see the step-driver section of [`sched`] for the wake
-//!   protocol.
+//!   protocol. This crate's own MPI-semantics tests run here.
+//! * **Thread ranks**: the rank owns a plain OS thread whose only sleep
+//!   is its one event wait ([`Scheduler::run_threads`]). The checkpoint
+//!   layer's closure bodies run this way, and so do bare [`run_world`]
+//!   ranks, which call the lower half directly.
 //!
 //! Ranks communicate through in-memory mailboxes
 //! and collective rendezvous instances, while a per-rank **virtual clock**
 //! (see [`netmodel`]) accounts for the time a real cluster would spend.
 //! Neither driver touches virtual time, so timing results are
-//! independent of the worker budget — and both continuation
-//! representations drive the same uncharged completion paths
-//! ([`ctx::Ctx::try_complete`], [`ctx::Ctx::coll_begin`]), so they produce
+//! independent of the worker budget — and both drivers complete
+//! operations through the same uncharged path ([`ctx::Ctx::try_complete`],
+//! after [`ctx::Ctx::coll_begin`] for a collective), so they produce
 //! bit-identical virtual-time trajectories.
 //!
 //! The crate implements the slice of the MPI-4.0 semantics that the paper's
-//! checkpointing protocols observe:
+//! checkpointing protocols observe. Its face is poll-driven: a call begins
+//! an operation and returns a request, which `test` or `try_complete`
+//! completes without blocking.
 //!
 //! * groups and communicators ([`group`], [`comm`]): `MPI_COMM_WORLD`,
-//!   `comm_split`/`dup`/`create`, `MPI_Group_translate_ranks`, and
-//!   `MPI_SIMILAR` comparison;
-//! * point-to-point ([`mailbox`], [`ctx`]): eager `send`/`isend`,
-//!   `recv`/`irecv`, `iprobe`, wildcard `ANY_SOURCE`/`ANY_TAG` matching with
-//!   the MPI non-overtaking rule;
-//! * request objects ([`request`]): `test`/`wait`/`waitall`/`waitany`, with
+//!   `comm_split`/`dup`/`create` as begin/finish pairs, and the sorted
+//!   member list that `MPI_SIMILAR` groups share;
+//! * point-to-point ([`mailbox`], [`ctx`]): eager `isend`, `irecv`,
+//!   wildcard `ANY_SOURCE`/`ANY_TAG` matching with the MPI non-overtaking
+//!   rule;
+//! * request objects ([`request`]): `test`/`try_complete`, with
 //!   `MPI_REQUEST_NULL` semantics;
-//! * blocking **and non-blocking collectives** ([`collective`], [`ctx`]):
-//!   barrier, bcast, reduce, allreduce, gather, allgather, alltoall,
-//!   scatter, scan, reduce_scatter and their `I*` variants. Per the MPI
+//! * collectives ([`collective`], [`ctx`]): barrier, bcast, reduce,
+//!   allreduce, gather, allgather, alltoall, scatter, scan and
+//!   reduce_scatter, begun with blocking semantics (`coll_begin`) or as
+//!   non-blocking collectives (`icollective`, `ibarrier`). Per the MPI
 //!   standard (paper §3), blocking collectives *may* synchronize, so correct
 //!   programs must tolerate a barrier at any collective; non-blocking
 //!   collectives progress independently once all participants have initiated
-//!   them.
+//!   them. Only `bcast` and `allreduce_f64` also exist as blocking calls,
+//!   for bare `run_world` ranks.
 //!
 //! ## The split between this crate and `mana-core`
 //!
@@ -83,8 +86,7 @@ pub use request::{Completion, Request};
 pub use sched::{EventCount, RankStep, Scheduler, Step, StepDriver, WaitReason, WakeupStats};
 pub use types::{SrcSel, Tag, TagSel};
 pub use world::{
-    run_world, try_run_world, RankReport, SpawnError, World, WorldConfig, WorldReport,
-    DEFAULT_RANK_STACK,
+    run_world, RankReport, SpawnError, World, WorldConfig, WorldReport, DEFAULT_RANK_STACK,
 };
 
 pub use netmodel::{CollOp, NetParams, Topology, VTime};

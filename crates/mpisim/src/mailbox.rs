@@ -15,7 +15,7 @@ use crate::types::{CommId, SrcSel, TagSel};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
-/// The matching criteria of a receive or probe.
+/// The matching criteria of a receive.
 #[derive(Debug, Clone, Copy)]
 pub struct MatchSpec<'a> {
     /// Communicator to match on.
@@ -95,10 +95,10 @@ impl Mailbox {
 
     /// Records mailbox-visible activity without depositing a message and
     /// wakes every waiter. Used by the collective engine at instance
-    /// completion: ranks blocked in activity waits ([`crate::Ctx::wait`],
-    /// [`crate::Ctx::waitany`]) learn about collective completions the
-    /// same way they learn about deposits, so those waits stay
-    /// event-driven instead of timing out.
+    /// completion: a bare rank blocked in [`crate::Ctx::bcast`] or
+    /// [`crate::Ctx::allreduce_f64`], and a driven rank through its waker,
+    /// learn about collective completions the same way they learn about
+    /// deposits, so those waits stay event-driven instead of timing out.
     pub fn notify_activity(&self) {
         self.activity.bump();
         if let Some(w) = self.waker.get() {
@@ -122,19 +122,6 @@ impl Mailbox {
         let mut q = self.inner.lock();
         let idx = q.iter().position(|m| spec.matches(m).is_some())?;
         Some(q.remove(idx))
-    }
-
-    /// Peeks at the first match without removing it (for `MPI_Iprobe`):
-    /// returns `(source group rank, tag, len, arrival)`.
-    pub fn peek_match(
-        &self,
-        spec: &MatchSpec<'_>,
-    ) -> Option<(usize, crate::types::Tag, usize, netmodel::VTime)> {
-        let q = self.inner.lock();
-        q.iter().find_map(|m| {
-            spec.matches(m)
-                .map(|src| (src, m.tag, m.payload.len(), m.arrival))
-        })
     }
 
     /// Number of queued (unmatched) messages.
@@ -240,19 +227,6 @@ mod tests {
         assert!(mb
             .take_match(&spec(&g, 0, SrcSel::Any, TagSel::Any))
             .is_none());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let g = Group::world(2);
-        let mb = Mailbox::new();
-        mb.deposit(msg(1, 0, 3, 5));
-        let s = spec(&g, 0, SrcSel::Any, TagSel::Any);
-        let (src, tag, len, _) = mb.peek_match(&s).unwrap();
-        assert_eq!((src, tag, len), (1, 3, 1));
-        assert_eq!(mb.len(), 1);
-        assert!(mb.take_match(&s).is_some());
-        assert!(mb.is_empty());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Request objects for non-blocking operations (`MPI_Request`).
 //!
 //! A [`Request`] is owned by the rank that initiated the operation and is
-//! completed through [`crate::Ctx::test`] / [`crate::Ctx::wait`] (which need
-//! the rank's clock and mailbox). A completed or never-initialized request
-//! is `MPI_REQUEST_NULL`: testing it returns an immediate empty completion,
-//! as the MPI standard specifies.
+//! completed through [`crate::Ctx::test`] / [`crate::Ctx::try_complete`]
+//! (which need the rank's clock and mailbox). A completed or
+//! never-initialized request is `MPI_REQUEST_NULL`: testing it returns an
+//! immediate empty completion, as the MPI standard specifies.
 
 use crate::collective::CollInstance;
 use crate::comm::Comm;
@@ -115,21 +115,6 @@ impl Request {
         }
     }
 
-    /// Describes a pending receive so the checkpoint engine can record it
-    /// in the image and re-post it at restart: `(comm, src, tag)`.
-    /// Returns `None` for null, send, or collective requests.
-    pub fn recv_descriptor(&self) -> Option<(Comm, SrcSel, TagSel)> {
-        match &self.kind {
-            Some(ReqKind::Recv {
-                comm,
-                src,
-                tag,
-                matched: None,
-            }) => Some((comm.clone(), *src, *tag)),
-            _ => None,
-        }
-    }
-
     /// **Checkpoint hook.** Pulls out a message this receive request has
     /// already matched (taken from the mailbox) but not yet completed,
     /// reverting the request to its unmatched state. The checkpoint engine
@@ -157,11 +142,6 @@ impl Request {
         }
     }
 
-    /// Whether this request is a non-blocking collective.
-    pub fn is_collective(&self) -> bool {
-        matches!(self.kind, Some(ReqKind::Coll { .. }))
-    }
-
     /// **Checkpoint-engine hook.** Whether this is a collective request
     /// whose instance has completed (every participant has entered), so
     /// [`crate::Ctx::try_complete`] would succeed. Unlike `try_complete`
@@ -187,15 +167,15 @@ mod tests {
     fn null_request() {
         let r = Request::null();
         assert!(r.is_null());
-        assert!(r.recv_descriptor().is_none());
-        assert!(!r.is_collective());
+        assert!(!r.completion_known());
+        assert!(!r.collective_done());
     }
 
     #[test]
     fn send_request_states() {
         let r = Request::send(VTime::from_micros(1.0));
         assert!(!r.is_null());
-        assert!(r.recv_descriptor().is_none());
+        assert!(r.completion_known());
         assert_eq!(r.send_complete_at(), Some(VTime::from_micros(1.0)));
         assert_eq!(Request::null().send_complete_at(), None);
     }

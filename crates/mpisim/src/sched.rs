@@ -2,19 +2,21 @@
 //!
 //! A rank is driven one of two ways.
 //!
-//! * [`Scheduler::run_threads`], the **thread-per-object driver**, is the
-//!   one place rank threads are spawned: bare `run_world` ranks and the
-//!   checkpoint layer's closure bodies both run on it, as step objects
-//!   that block instead of yielding. A thread rank is a plain OS thread
-//!   whose only sleep is its one event wait ([`crate::Ctx::wait`]'s
-//!   mailbox-token sleep, or the checkpoint layer's per-rank event
-//!   counter); there is no admission bound, so a rank that wakes runs at
-//!   once and the host's scheduler multiplexes the runnable ones. Its
-//!   worlds never die: a sleeping thread has no way to hear a death.
 //! * [`StepDriver`] resumes heap-allocated step objects on a bounded
-//!   worker pool (below). Fault campaigns run here only: a rank of a
-//!   poisoned world is woken like any other and retires at its next step
-//!   ([`crate::fail`]).
+//!   worker pool (below). Every restore, fault campaign and figure
+//!   harness runs here, and so do this crate's MPI-semantics tests. Fault
+//!   campaigns run here only: a rank of a poisoned world is woken like
+//!   any other and retires at its next step ([`crate::fail`]).
+//! * [`Scheduler::run_threads`], the **thread-per-object driver**, is the
+//!   one place rank threads are spawned: the checkpoint layer's closure
+//!   bodies and bare `run_world` ranks both run on it, as step objects
+//!   that block instead of yielding. A thread rank is a plain OS thread
+//!   whose only sleep is its one event wait (the checkpoint layer's
+//!   per-rank event counter, or the mailbox-token sleep of a bare rank's
+//!   [`crate::Ctx::bcast`] and [`crate::Ctx::allreduce_f64`]); there is no
+//!   admission bound, so a rank that wakes runs at once and the host's
+//!   scheduler multiplexes the runnable ones. Its worlds never die: a
+//!   sleeping thread has no way to hear a death.
 //!
 //! A thread rank's footprint is its stack. Rank stacks default to
 //! [`crate::world::DEFAULT_RANK_STACK`] (128 KiB, sized to measured
@@ -111,7 +113,7 @@
 //! same [`WakeupStats`] block.
 
 use crate::fail::FailPlane;
-use crate::world::{LaunchGate, SpawnError, DEFAULT_RANK_STACK};
+use crate::world::{SpawnError, DEFAULT_RANK_STACK};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -340,7 +342,7 @@ impl Scheduler {
         launched: impl FnOnce() -> T,
     ) -> Result<T, SpawnError> {
         let n_ranks = objs.len();
-        let gate = LaunchGate::new();
+        let gate = LaunchGate::default();
         std::thread::scope(|s| {
             let gate = &gate;
             let mut handles = Vec::with_capacity(n_ranks);
@@ -385,6 +387,38 @@ impl Scheduler {
             }
             out
         })
+    }
+}
+
+/// The all-or-nothing launch gate of [`Scheduler::run_threads`]: rank
+/// threads block on it before touching application code, and the
+/// spawning thread releases them only once *every* spawn succeeded. On a
+/// spawn failure the gate aborts instead — already-spawned ranks return
+/// at once (they would otherwise block forever in collectives waiting for
+/// peers that never came up) and the launcher reports a typed
+/// [`SpawnError`].
+#[derive(Default)]
+struct LaunchGate {
+    decision: Mutex<Option<bool>>,
+    cv: Condvar,
+}
+
+impl LaunchGate {
+    /// Rank side: blocks until the launch is decided; `true` = go.
+    fn wait(&self) -> bool {
+        let mut d = self.decision.lock();
+        loop {
+            if let Some(go) = *d {
+                return go;
+            }
+            self.cv.wait(&mut d);
+        }
+    }
+
+    /// Launcher side: releases every rank (`go`) or aborts the launch.
+    fn decide(&self, go: bool) {
+        *self.decision.lock() = Some(go);
+        self.cv.notify_all();
     }
 }
 

@@ -306,13 +306,6 @@ impl World {
         self.registered_comm(key, || Group::from_shared(members))
     }
 
-    /// Frees a communicator handle (`MPI_Comm_free`). World itself cannot
-    /// be freed.
-    pub fn free_comm(&self, id: CommId) {
-        assert_ne!(id, COMM_WORLD_ID, "cannot free MPI_COMM_WORLD");
-        self.comms.write().remove(&id);
-    }
-
     /// Allocates a globally unique collective-instance id (jitter key).
     pub(crate) fn alloc_instance(&self) -> u64 {
         self.next_instance.fetch_add(1, Ordering::Relaxed)
@@ -448,45 +441,9 @@ impl std::fmt::Display for SpawnError {
 
 impl std::error::Error for SpawnError {}
 
-/// The all-or-nothing launch gate of the thread-per-object driver: rank
-/// threads block on it before touching the scheduler or application code,
-/// and the spawning thread releases them only once *every* spawn
-/// succeeded. On a spawn failure the gate aborts instead — already-spawned
-/// ranks return immediately (they would otherwise block forever in
-/// collectives waiting for peers that never came up) and the launcher
-/// reports a typed [`SpawnError`].
-#[derive(Default)]
-pub struct LaunchGate {
-    decision: Mutex<Option<bool>>,
-    cv: parking_lot::Condvar,
-}
-
-impl LaunchGate {
-    /// A fresh, undecided gate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rank side: blocks until the launch is decided; `true` = go.
-    pub fn wait(&self) -> bool {
-        let mut d = self.decision.lock();
-        loop {
-            if let Some(go) = *d {
-                return go;
-            }
-            self.cv.wait(&mut d);
-        }
-    }
-
-    /// Launcher side: releases every rank (`go`) or aborts the launch.
-    pub fn decide(&self, go: bool) {
-        *self.decision.lock() = Some(go);
-        self.cv.notify_all();
-    }
-}
-
 /// A bare rank: a `Ctx` closure as a step object that never yields (it
-/// blocks inside [`Ctx::wait`] instead — it owns a thread to block).
+/// blocks inside [`Ctx::bcast`] and [`Ctx::allreduce_f64`] instead — it
+/// owns a thread to block).
 struct BareRank<'a, R, F> {
     ctx: Ctx,
     f: &'a F,
@@ -510,20 +467,10 @@ impl<R: Send, F: Fn(&mut Ctx) -> R + Sync> RankStep for BareRank<'_, R, F> {
 /// has run down.
 ///
 /// # Panics
-/// Panics if a rank thread cannot be spawned; [`try_run_world`] surfaces
-/// that case as a typed [`SpawnError`] instead.
+/// Panics with the [`SpawnError`] if a rank thread cannot be spawned; no
+/// application code has run then — ranks spawned before the failing one
+/// are released without entering `f`.
 pub fn run_world<R, F>(cfg: WorldConfig, f: F) -> WorldReport<R>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Send + Sync,
-{
-    try_run_world(cfg, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_world`], with thread-spawn failure surfaced as a typed
-/// [`SpawnError`]: no application code has run when it is returned — ranks
-/// spawned before the failing one are aborted through the launch gate.
-pub fn try_run_world<R, F>(cfg: WorldConfig, f: F) -> Result<WorldReport<R>, SpawnError>
 where
     R: Send,
     F: Fn(&mut Ctx) -> R + Send + Sync,
@@ -542,13 +489,13 @@ where
             }) as Box<dyn RankStep + '_>
         })
         .collect();
-    world.scheduler().run_threads(objs, || ())?;
+    (world.scheduler().run_threads(objs, || ())).unwrap_or_else(|e| panic!("{e}"));
     let ranks: Vec<RankReport<R>> = outs
         .into_iter()
         .map(|o| o.into_inner().expect("every rank ran to completion"))
         .collect();
     let makespan = VTime::max_of(ranks.iter().map(|r| r.final_clock));
-    Ok(WorldReport { ranks, makespan })
+    WorldReport { ranks, makespan }
 }
 
 #[cfg(test)]
@@ -576,13 +523,6 @@ mod tests {
         let b = w.comm_for_split(key, g);
         assert_eq!(a.id, b.id);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot free MPI_COMM_WORLD")]
-    fn freeing_world_comm_panics() {
-        let w = World::new(WorldConfig::single_node(2));
-        w.free_comm(COMM_WORLD_ID);
     }
 
     /// Messages a restart puts back go ahead of what the new generation

@@ -495,15 +495,22 @@ mod tests {
     use super::*;
     use crate::testutil::{assert_drivers_agree, cfg};
     use ckpt::{run_ckpt_world, CkptOptions};
+    use mana_core::Protocol;
 
     #[test]
     fn drivers_agree_on_scf() {
-        assert_drivers_agree(4, |r| scf_loop(r, 5, 8), |_| ScfStep::new(5, 8));
+        assert_drivers_agree(
+            Protocol::Cc,
+            4,
+            |r| scf_loop(r, 5, 8),
+            |_| ScfStep::new(5, 8),
+        );
     }
 
     #[test]
     fn drivers_agree_on_bcast_pipeline() {
         assert_drivers_agree(
+            Protocol::Cc,
             3,
             |r| r.run(&mut BcastPipelineStep::new(4, 64)),
             |_| BcastPipelineStep::new(4, 64),
@@ -512,7 +519,12 @@ mod tests {
 
     #[test]
     fn drivers_agree_on_halo() {
-        assert_drivers_agree(3, |r| halo_exchange(r, 4, 6), |_| HaloStep::new(4, 6));
+        assert_drivers_agree(
+            Protocol::Cc,
+            3,
+            |r| halo_exchange(r, 4, 6),
+            |_| HaloStep::new(4, 6),
+        );
     }
 
     #[test]

@@ -53,22 +53,25 @@ pub use rng::SplitMix64;
 #[cfg(test)]
 mod testutil {
     use ckpt::{run_ckpt_world, run_ckpt_world_steps, CcRank, CkptOptions, StepBody};
+    use mana_core::Protocol;
     use mpisim::{NetParams, WorldConfig};
 
     pub(crate) fn cfg(n: usize) -> WorldConfig {
         WorldConfig::single_node(n).with_params(NetParams::slingshot11().without_jitter())
     }
 
-    /// Runs one program natively under both drivers — `blocking` on a
-    /// thread per rank, `make(rank)` on the worker pool — and asserts
-    /// bit-identical results and makespan.
+    /// Runs one program natively under `protocol` and both drivers —
+    /// `blocking` on a thread per rank, `make(rank)` on the worker pool —
+    /// and asserts bit-identical results and makespan.
     pub(crate) fn assert_drivers_agree<B: StepBody<Out = f64>>(
+        protocol: Protocol,
         n: usize,
         blocking: impl Fn(&mut CcRank) -> f64 + Send + Sync,
         make: impl Fn(usize) -> B + Send + Sync,
     ) {
-        let t = run_ckpt_world(cfg(n), CkptOptions::native(), blocking);
-        let s = run_ckpt_world_steps(cfg(n), CkptOptions::native(), make);
+        let opts = || CkptOptions::native().with_protocol(protocol);
+        let t = run_ckpt_world(cfg(n), opts(), blocking);
+        let s = run_ckpt_world_steps(cfg(n), opts(), make);
         assert_eq!(
             t.results().copied().collect::<Vec<_>>(),
             s.results().copied().collect::<Vec<_>>(),

@@ -35,11 +35,6 @@ pub struct RandomWorkloadCfg {
     /// a threshold raises the request itself — and it is kept only because
     /// the benchmark's `ckpt_cycle` workload still spells it.
     pub pace_us: u64,
-    /// Remap non-blocking collective steps onto blocking equivalents
-    /// (same rng draw sequence as the unrestricted schedule).
-    /// Required under `Protocol::TwoPhase`, which refuses non-blocking
-    /// collectives.
-    pub blocking_only: bool,
 }
 
 impl RandomWorkloadCfg {
@@ -49,19 +44,12 @@ impl RandomWorkloadCfg {
             seed,
             steps,
             pace_us: 0,
-            blocking_only: false,
         }
     }
 
     /// Adds a per-step wall-clock pace (see [`RandomWorkloadCfg::pace_us`]).
     pub fn with_pace_us(mut self, us: u64) -> Self {
         self.pace_us = us;
-        self
-    }
-
-    /// Restricts the schedule to blocking collectives (2PC-compatible).
-    pub fn with_blocking_only(mut self) -> Self {
-        self.blocking_only = true;
         self
     }
 }
@@ -101,8 +89,8 @@ enum RandPc {
 ///       20 %  acc <- allreduce_sum(world)
 ///        8 %  barrier(world)
 ///       10 %  acc <- bcast(world, random root)
-///       15 %  pending += iallreduce_sum(world)   // blocking_only: allreduce
-///       10 %  acc <- wait(each pending)          // blocking_only: barrier
+///       15 %  pending += iallreduce_sum(world)   // 2PC: allreduce
+///       10 %  acc <- wait(each pending)          // 2PC: barrier
 ///       12 %  ring: isend(right); acc <- recv(left); wait(send)
 ///        7 %  sub = comm_split(world, parity stripe); acc <- allreduce_max(sub)
 ///        5 %  acc <- allreduce_sum(an earlier sub, if any)
@@ -142,12 +130,14 @@ impl RandomWorkloadStep {
     /// Draws the current step's arm and enters it (the p2p arms post their
     /// requests here). Every draw a step makes happens before anything
     /// that depends on the calling rank, so all ranks consume the shared
-    /// generator identically whether or not they act on the arm.
+    /// generator identically whether or not they act on the arm. Under a
+    /// protocol that refuses non-blocking collectives (2PC) their arms map
+    /// onto blocking ones, with the same draws.
     fn draw_arm(&mut self, r: &mut CcRank, acc: f64) -> RandPc {
         let n = r.size();
         let me = r.rank();
         let world = r.world_vcomm();
-        let blocking_only = self.cfg.blocking_only;
+        let blocking_only = !r.protocol().supports_nonblocking_collectives();
         match self.rng.next_range(100) {
             0..=19 => RandPc::Allreduce,
             20..=27 => RandPc::Barrier,
@@ -373,8 +363,10 @@ impl StepBody for RandomWorkloadStep {
         }
     }
 
-    /// The schedule's identity (a fingerprint of the seed, the length and
-    /// the blocking-only flag; not the wall pace, which `make` sets anew),
+    /// The schedule's identity (a fingerprint of the seed, and the length
+    /// shifted left by one, in the layout earlier images wrote: its low
+    /// bit is 0; not the wall pace, which `make` sets anew, nor the
+    /// protocol, which a restore takes from the image),
     /// then the generator as its draw count, the accumulator, the pending
     /// requests, the subcommunicators, the step and the pc. Every rank
     /// saves one, so it is kept small: the subcommunicators — every
@@ -382,7 +374,7 @@ impl StepBody for RandomWorkloadStep {
     /// are the ids `1..=count` the wrapper hands out.
     fn save(&self, w: &mut dyn Wr) -> bool {
         w.u32(seed_fingerprint(self.cfg.seed));
-        w.usize(self.cfg.steps << 1 | usize::from(self.cfg.blocking_only));
+        w.usize(self.cfg.steps << 1);
         w.var(self.rng.draws_since(self.cfg.seed));
         match self.acc {
             None => w.u8(0),
@@ -408,8 +400,7 @@ impl StepBody for RandomWorkloadStep {
         if d.u32("schedule seed")? != seed_fingerprint(self.cfg.seed) {
             return Err("schedule seed");
         }
-        let shape = self.cfg.steps << 1 | usize::from(self.cfg.blocking_only);
-        check_arg(d, shape, "schedule length")?;
+        check_arg(d, self.cfg.steps << 1, "schedule length")?;
         self.rng = SplitMix64::after(self.cfg.seed, d.var("generator draws")?);
         self.acc = match d.u8("accumulator tag")? {
             0 => None,
@@ -525,21 +516,26 @@ mod tests {
     use super::*;
     use crate::testutil::{assert_drivers_agree, cfg};
     use ckpt::{run_ckpt_world, CkptOptions};
+    use mana_core::Protocol;
 
     #[test]
     fn drivers_agree_on_random_workload() {
         let wl = RandomWorkloadCfg::new(11, 25);
         assert_drivers_agree(
+            Protocol::Cc,
             4,
             |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
             |_| RandomWorkloadStep::new(wl.clone()),
         );
     }
 
+    /// 2PC refuses non-blocking collectives: the schedule's blocking-only
+    /// arms.
     #[test]
     fn drivers_agree_on_random_workload_blocking_only() {
-        let wl = RandomWorkloadCfg::new(23, 25).with_blocking_only();
+        let wl = RandomWorkloadCfg::new(23, 25);
         assert_drivers_agree(
+            Protocol::TwoPhase,
             4,
             |r| r.run(&mut RandomWorkloadStep::new(wl.clone())),
             |_| RandomWorkloadStep::new(wl.clone()),
