@@ -205,10 +205,6 @@ impl StepBody for WildcardOrder {
                     let own = ready!(r.poll_comm_split(world, me as i64, 0));
                     self.own = Some(own.expect("own color"));
                     self.pc = OrderPc::Cross;
-                    // The pool hands out the wakes a step issued only when
-                    // it returns: yield, so the split's last member does
-                    // not sleep on the others' wakes.
-                    return BodyStep::Yield(WaitReason::Poll);
                 }
                 OrderPc::Cross => {
                     if me == 1 {

@@ -370,10 +370,6 @@ impl StepBody for GatedSend {
                     } else {
                         self.pc = GatedPc::Initiate;
                     }
-                    // The pool hands out the wakes a step issued only when
-                    // it returns: yield, so the split's last member does
-                    // not sleep on the others' wakes.
-                    return BodyStep::Yield(WaitReason::Poll);
                 }
                 GatedPc::Recv => {
                     let v = self.recv.expect("posted");

@@ -504,6 +504,7 @@ impl CcRank<'_> {
         let mut expired = None;
         loop {
             let token = ctl.park.token();
+            self.relay_node_wakes();
             let polled = poll(self);
             // A park for capture taken inside `run` carries no snapshot:
             // only the rank's own body is its upper half.
@@ -549,6 +550,13 @@ impl CcRank<'_> {
             BodyStep::Done(out) => StepPoll::Ready(out),
             BodyStep::Yield(why) => StepPoll::Pending(why),
         })
+    }
+
+    /// Wakes the node peers of the collectives this rank completed or was
+    /// woken for ([`mpisim::Ctx::relay_node_wakes`]); each resumption of
+    /// the rank calls it, under either driver, before the rank's program.
+    pub(crate) fn relay_node_wakes(&self) {
+        self.core.ctx.relay_node_wakes();
     }
 
     /// One step of the rank's own body — the one its driver holds, whose

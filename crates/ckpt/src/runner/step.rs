@@ -169,6 +169,7 @@ impl<B: StepBody> RankStep for CcStepObj<'_, B> {
             // announces a thread's.
             Driver::Pool => {
                 let token = control.ranks[self.rank].park.token();
+                cc.relay_node_wakes();
                 let out = cc.step_body(body);
                 if let BodyStep::Yield(WaitReason::Event) = out {
                     control.publish_asleep(self.rank, token, false);

@@ -8,8 +8,9 @@
 //! fresh lower half at restart.
 
 use crate::group::Group;
+use crate::mailbox::Mailbox;
 use crate::types::CommId;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shared communicator state.
 #[derive(Debug)]
@@ -20,6 +21,9 @@ pub struct CommInner {
     pub group: Group,
     /// Lower-half generation this communicator belongs to.
     pub epoch: u64,
+    /// The members' mailboxes in group order, made by the first
+    /// collective on the communicator and shared by every later one.
+    pub(crate) mailboxes: OnceLock<Arc<[Arc<Mailbox>]>>,
 }
 
 /// A cheaply clonable communicator handle, as held by one rank.
@@ -129,6 +133,7 @@ mod tests {
                 id: CommId(3),
                 group: Group::new(members),
                 epoch: 0,
+                mailboxes: OnceLock::new(),
             }),
             world_rank,
         )

@@ -9,7 +9,7 @@
 //! [`Ctx::bcast`] and [`Ctx::allreduce_f64`] block, for bare `run_world`
 //! ranks that own a thread.
 
-use crate::collective::{CollResult, RedSpec};
+use crate::collective::{CollInstance, CollResult, RedSpec};
 use crate::comm::{Comm, SplitKey};
 use crate::dtype::{decode_f64, encode_f64, DType};
 use crate::group::Group;
@@ -50,6 +50,10 @@ pub struct Ctx {
     /// Messages this rank completed receiving from the current generation
     /// (drain-accounting; reset at [`Ctx::attach_world`]).
     p2p_delivered: u64,
+    /// The collectives this rank entered and has not collected, with its
+    /// group rank in each: whose node it may have to wake
+    /// ([`Ctx::relay_node_wakes`]).
+    entered: Vec<(Arc<CollInstance>, usize)>,
 }
 
 impl Ctx {
@@ -64,6 +68,7 @@ impl Ctx {
             send_seqs: HashMap::new(),
             p2p_sent: 0,
             p2p_delivered: 0,
+            entered: Vec::new(),
         }
     }
 
@@ -130,6 +135,7 @@ impl Ctx {
         self.send_seqs.clear();
         self.p2p_sent = 0;
         self.p2p_delivered = 0;
+        self.entered.clear();
     }
 
     /// **Checkpoint hook.** This rank's p2p flow against the current
@@ -246,6 +252,7 @@ impl Ctx {
     fn wait(&mut self, req: &mut Request) -> Completion {
         loop {
             let token = self.world.mailbox(self.world_rank).activity.token();
+            self.relay_node_wakes();
             if let Some(c) = self.try_complete(req) {
                 return c;
             }
@@ -313,7 +320,7 @@ impl Ctx {
                         _ => unreachable!(),
                     };
                     let res = inst.try_take(group_rank).expect("checked complete");
-                    Some(self.finish_coll(&inst.key, res))
+                    Some(self.finish_coll(&inst, res))
                 } else {
                     None
                 }
@@ -373,7 +380,7 @@ impl Ctx {
                         Some(ReqKind::Coll { inst, group_rank }) => (inst, group_rank),
                         _ => unreachable!(),
                     };
-                    Some(self.finish_coll(&inst.key, res))
+                    Some(self.finish_coll(&inst, res))
                 } else {
                     None
                 }
@@ -398,9 +405,10 @@ impl Ctx {
         }
     }
 
-    fn finish_coll(&mut self, key: &(CommId, u64), res: CollResult) -> Completion {
+    fn finish_coll(&mut self, inst: &Arc<CollInstance>, res: CollResult) -> Completion {
+        self.entered.retain(|(e, _)| !Arc::ptr_eq(e, inst));
         if res.last {
-            self.world.coll.retire(*key);
+            self.world.coll.retire_handle(inst);
         }
         self.clock.advance_to(res.exit);
         Completion {
@@ -478,17 +486,31 @@ impl Ctx {
         payload: Bytes,
         red: Option<RedSpec>,
     ) -> Request {
-        let inst = self.world.coll.get_or_create(
+        let inst = self.world.coll.get_or_create_on(
             (comm.id(), seq),
+            self.world.topo.node_of(self.world_rank),
             op,
             root,
             red,
             comm.group(),
             || self.world.alloc_instance(),
-            || self.world.instance_env(comm.group()),
+            || self.world.coll_env(&comm.inner),
         );
         inst.enter(comm.rank(), self.clock, payload, op, root, red);
+        self.entered.push((Arc::clone(&inst), comm.rank()));
         Request::coll(inst, comm.rank())
+    }
+
+    /// Wakes the node peers of every collective this rank entered that
+    /// has completed, unless that was done already. A completion wakes one
+    /// member per node and leaves the rest of the node to it
+    /// ([`crate::collective`]), so every driver of a rank calls this each
+    /// time it resumes the rank — before the rank's own program, which
+    /// may be waiting on something else entirely.
+    pub fn relay_node_wakes(&self) {
+        for (inst, group_rank) in &self.entered {
+            inst.relay(*group_rank);
+        }
     }
 
     /// Begins a *blocking-semantics* collective without blocking: enters
@@ -663,6 +685,7 @@ mod tests {
             if self.failed.load(Ordering::Relaxed) {
                 return Step::Done;
             }
+            self.ctx.relay_node_wakes();
             let before = self.ctx.clock();
             let polled =
                 panic::catch_unwind(panic::AssertUnwindSafe(|| (self.poll)(&mut self.ctx)));

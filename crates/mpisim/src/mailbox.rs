@@ -94,15 +94,21 @@ impl Mailbox {
     }
 
     /// Records mailbox-visible activity without depositing a message and
-    /// wakes every waiter. Used by the collective engine at instance
+    /// wakes the rank. Used by the collective engine at instance
     /// completion: a bare rank blocked in [`crate::Ctx::bcast`] or
     /// [`crate::Ctx::allreduce_f64`], and a driven rank through its waker,
     /// learn about collective completions the same way they learn about
     /// deposits, so those waits stay event-driven instead of timing out.
+    ///
+    /// A driven rank hears its mailbox only through the waker, so the
+    /// activity count — whose one sleeper is a bare rank's private wait —
+    /// moves only when no waker is installed.
     pub fn notify_activity(&self) {
-        self.activity.bump();
-        if let Some(w) = self.waker.get() {
-            w();
+        match self.waker.get() {
+            Some(w) => w(),
+            None => {
+                self.activity.bump();
+            }
         }
     }
 
@@ -289,7 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn poke_without_waiter_still_counts_and_calls_the_waker() {
+    fn poke_goes_to_the_waker_else_to_the_count() {
+        // A driven rank hears its mailbox through the waker alone: the
+        // count stays put. Without a waker the count moves with nobody
+        // waiting, and that bump is what a later waiter keys on.
         let mb = Mailbox::new();
         let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let h = Arc::clone(&hits);
@@ -298,14 +307,44 @@ mod tests {
         }));
         let token = mb.activity.token();
         mb.notify_activity();
-        assert_ne!(
-            mb.activity.token(),
-            token,
-            "token bumped with nobody waiting"
-        );
         assert_eq!(hits.load(std::sync::atomic::Ordering::SeqCst), 1);
-        // The bump is what a later waiter keys on: no wait at all.
-        assert!(mb.activity.wait_since(token, Duration::from_secs(5)));
+        assert_eq!(mb.activity.token(), token, "the waker is the only wake");
+
+        let bare = Mailbox::new();
+        let token = bare.activity.token();
+        bare.notify_activity();
+        assert_ne!(bare.activity.token(), token, "counted with nobody waiting");
+        assert!(bare.activity.wait_since(token, Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn bumps_racing_waits_never_time_out() {
+        // One thread bumps 10^5 times, then flags the end and bumps once
+        // more; the other keeps taking a token and waiting on it. Every
+        // wait must end on a bump: one that sleeps through its 5 s
+        // timeout lost the race between its registration and a bump.
+        let ec = EventCount::default();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..100_000 {
+                    ec.bump();
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+                ec.bump();
+            });
+            loop {
+                let token = ec.token();
+                if done.load(std::sync::atomic::Ordering::SeqCst) {
+                    break;
+                }
+                assert!(
+                    ec.wait_since(token, Duration::from_secs(5)),
+                    "a wait timed out"
+                );
+            }
+        });
+        assert_eq!(ec.waiters(), 0);
     }
 
     #[test]

@@ -73,38 +73,44 @@
 //! * **Run state is one atomic per rank** — `Parked`, `Queued`,
 //!   `Running`, `RunningWake`, `Finished` — and every transition is a
 //!   single read-modify-write on it. Only the transitions that put a
-//!   rank *into the ready queue* touch the queue lock; a wake of a
-//!   queued, running or finished rank, a park, and a finish take no lock
-//!   at all. [`StepDriver::wake`] is always a read-modify-write, even
-//!   when the state does not change: its release half pairs with the
-//!   acquire swap of the worker that next runs the rank, so the coming
-//!   step observes whatever the wake announced. (Every event source in
-//!   the system publishes its state *before* waking.)
+//!   rank *onto a deque* touch a deque lock; a wake of a queued, running
+//!   or finished rank, a park, and a finish take no lock at all.
+//!   [`StepDriver::wake`] is always a read-modify-write, even when the
+//!   state does not change: its release half pairs with the acquire swap
+//!   of the worker that next runs the rank, so the coming step observes
+//!   whatever the wake announced. (Every event source in the system
+//!   publishes its state *before* waking.)
 //! * **Lost-wakeup guard.** A wake that lands while the rank is mid-step
 //!   moves it `Running → RunningWake`; a step that returns
 //!   `Yield(Event)` parks with a compare-exchange from `Running`, which
 //!   fails on `RunningWake` and requeues the rank instead. No tokens, no
 //!   lock.
-//! * **Batch pop.** A worker takes `ceil(ready / workers)` ranks (at most
-//!   64) per queue-lock acquisition and runs them from a private batch,
-//!   so the lock is amortized over tens of steps while the queue is
-//!   still split evenly when it is short.
-//! * **Chunked in-step wake flush.** The last arriver of a 4096-rank
-//!   collective wakes 4095 peers from inside its own `step()`. Those
-//!   ranks become `Queued` at once, but the pushes onto the ready queue
-//!   are buffered per worker thread and flushed 32 at a time under one
-//!   lock, plus once when the step ends. They are deliberately **not**
-//!   deferred to the end of the step: the completion sweep takes about a
-//!   millisecond, and holding every wake back until it ends leaves the
-//!   other workers idle for all of it — measured 13 % slower end to end
-//!   than waking one rank per lock. Chunks feed the peers every few
-//!   microseconds at one lock per 32 wakes. Wakes from threads that are
-//!   not a worker of the driver (the coordinator) go
-//!   straight to the queue.
-//! * **Idle-gated notify.** The queue counts the workers parked on its
-//!   condvar; a push notifies only when that count is non-zero, so the
-//!   steady state — every worker busy — makes no futex call.
-//! * `Yield(Poll)` requeues at the FIFO tail, behind every ready rank.
+//! * **Homes.** Each rank is homed on one worker: `W` workers own
+//!   contiguous blocks of `n / W` ranks, so the ranks of a block-mapped
+//!   node share a home, and a collective completes node by node on the
+//!   workers that own the nodes ([`crate::collective`]). Each worker has
+//!   its own ready deque and lock. Every wake, the rescue sweep's
+//!   included, and every requeue goes to the rank's home deque.
+//! * **Pop and steal.** A worker takes up to 16 ranks, at most half of
+//!   what is there, per lock of its own deque. When its deque is empty it
+//!   steals half (rounded up) of the fullest other deque into its own, and
+//!   sleeps only when every deque is empty.
+//! * **In-step wakes leave when issued.** A wake issued inside a `step()`
+//!   on a worker is buffered per home on that thread, and the buffer goes
+//!   to the deques when the step ends — and earlier, at the end of every
+//!   sweep that wakes many ranks (a collective's completion, a node's
+//!   wake: `flush_step_wakes`), and at once when the woken rank's home
+//!   worker idles. So no woken rank waits on the rest of its waker's
+//!   step, while a completion still costs one lock per home. Wakes from
+//!   threads that are not a worker of the driver (the coordinator) go
+//!   straight to the deque.
+//! * **Idle kicks.** A worker announces that it goes idle (a count, and
+//!   a flag on its home) *before* its last scan of every deque, and a
+//!   push reads the announcement *after* it lands; so either the scan
+//!   sees the push or the push kicks a sleeper — its home's worker if
+//!   that one idles, else some idle worker, which then steals. The steady
+//!   state — every worker busy — makes no futex call.
+//! * `Yield(Poll)` requeues at the tail of the rank's home deque.
 //!
 //! Like a thread rank's event wait, idle driver workers park event-driven
 //! with a long counted backstop (a rescue sweep that requeues every
@@ -117,59 +123,67 @@ use crate::world::{SpawnError, DEFAULT_RANK_STACK};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// An event count — the one wait primitive of a mailbox, a thread rank's
 /// park and the checkpoint observer. A waiter takes a token before it
 /// checks its condition and sleeps only while the generation still equals
-/// it; a publisher stores its state before it bumps, under the mutex a
-/// waiter sleeps under, so no bump falls between a check and the sleep.
+/// it; a publisher stores its state before it bumps.
+///
+/// The generation and the sleeper count are `SeqCst` atomics. A waiter
+/// registers as a sleeper (under the mutex it sleeps on) *before* it
+/// re-reads the generation; a bump advances the generation *before* it
+/// reads the sleeper count. In the single order of those four accesses
+/// either the waiter sees the bump or the bump sees the sleeper, and then
+/// notifies under the mutex, which the waiter holds until it sleeps. So a
+/// bump with nobody asleep is one uncontended read-modify-write and one
+/// load: no lock, no futex call.
 #[derive(Default)]
 pub struct EventCount {
-    /// `(generation, threads asleep in wait_since)`: a bump notifies only
-    /// when there are sleepers (an idle `notify_all` is still a futex call).
-    state: Mutex<(u64, usize)>,
+    generation: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl EventCount {
     /// The current generation, to pass to [`EventCount::wait_since`].
     pub fn token(&self) -> u64 {
-        self.state.lock().0
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// Blocks until a bump lands after `token` was taken, or `timeout`
     /// elapses; returns whether one landed.
     pub fn wait_since(&self, token: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock();
-        while s.0 == token {
+        let mut guard = self.lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let seen = loop {
+            if self.generation.load(Ordering::SeqCst) != token {
+                break true;
+            }
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
+                break false;
             };
-            s.1 += 1;
-            self.cv.wait_for(&mut s, left);
-            s.1 -= 1;
-        }
-        true
+            self.cv.wait_for(&mut guard, left);
+        };
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        seen
     }
 
     /// Threads asleep in [`EventCount::wait_since`] right now.
     pub fn waiters(&self) -> usize {
-        self.state.lock().1
+        self.sleepers.load(Ordering::SeqCst)
     }
 
     /// Announces an event, published before the call; returns the new
     /// generation.
     pub fn bump(&self) -> u64 {
-        let (generation, waiting) = {
-            let mut s = self.state.lock();
-            s.0 += 1;
-            (s.0, s.1 > 0)
-        };
-        if waiting {
+        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _held = self.lock.lock();
             self.cv.notify_all();
         }
         generation
@@ -469,11 +483,11 @@ pub trait RankStep: Send {
 
 /// Where one step rank currently stands with the driver, held in a
 /// per-rank atomic so that only transitions which *queue* a rank ever
-/// need the ready-queue lock.
+/// need a deque lock.
 mod run_state {
     /// Waiting for an event; not queued anywhere.
     pub const PARKED: u8 = 0;
-    /// Awaiting a worker: in the ready queue, in a worker's popped batch,
+    /// Awaiting a worker: on a worker's deque, in a worker's popped batch,
     /// or in a worker's not-yet-flushed in-step wake buffer — exactly one
     /// of the three.
     pub const QUEUED: u8 = 1;
@@ -487,33 +501,174 @@ mod run_state {
 }
 use run_state::{FINISHED, PARKED, QUEUED, RUNNING, RUNNING_WAKE};
 
-struct ReadyQueue {
+/// One worker's ready deque: the `QUEUED` ranks waiting on this worker —
+/// its home ranks, plus any it stole.
+#[repr(align(128))]
+struct Home {
+    queue: Mutex<HomeQueue>,
+    cv: Condvar,
+    /// `queue.ready.len()`, readable without the lock: what a thief
+    /// chooses its victim by, and what an idling worker re-scans.
+    len: AtomicUsize,
+    /// The worker is on its way to sleep, or asleep, and nobody has
+    /// kicked it yet: a wake for one of its ranks is pushed at once
+    /// instead of waiting in the waker's buffer.
+    idle: AtomicBool,
+}
+
+struct HomeQueue {
     ready: VecDeque<usize>,
-    /// Workers currently parked on the driver condvar.
-    idle: usize,
+    /// Set by whoever notifies the sleeping worker; the worker clears it
+    /// when it wakes. A kick between the worker's last scan and its sleep
+    /// ends the sleep at once.
+    kicked: bool,
+}
+
+/// The worker pool of one [`StepDriver::run`]: one [`Home`] per worker.
+/// Rank `r` of `n` is homed on worker `r·W/n` — contiguous blocks, so
+/// the ranks of a block-mapped node share a home.
+struct Pool {
+    homes: Vec<Home>,
+    n_ranks: usize,
+    /// Workers between announcing they go idle and waking again.
+    idle: AtomicUsize,
+}
+
+impl Pool {
+    fn new(n_ranks: usize, workers: usize) -> Pool {
+        let pool = Pool {
+            homes: (0..workers)
+                .map(|_| Home {
+                    queue: Mutex::new(HomeQueue {
+                        ready: VecDeque::new(),
+                        kicked: false,
+                    }),
+                    cv: Condvar::new(),
+                    len: AtomicUsize::new(0),
+                    idle: AtomicBool::new(false),
+                })
+                .collect(),
+            n_ranks,
+            idle: AtomicUsize::new(0),
+        };
+        for (w, home) in pool.homes.iter().enumerate() {
+            let mut q = home.queue.lock();
+            q.ready
+                .extend((0..n_ranks).filter(|&r| pool.home_of(r) == w));
+            home.len.store(q.ready.len(), Ordering::SeqCst);
+        }
+        pool
+    }
+
+    #[inline]
+    fn home_of(&self, rank: usize) -> usize {
+        rank * self.homes.len() / self.n_ranks
+    }
+
+    /// Appends `QUEUED` ranks to `home`'s deque under one lock. Kicks the
+    /// home worker if it idles; else, if some other worker idles, kicks
+    /// that one so it can steal.
+    fn push(&self, home: usize, ranks: impl Iterator<Item = usize>) {
+        let h = &self.homes[home];
+        let kicked_home = {
+            let mut q = h.queue.lock();
+            let before = q.ready.len();
+            q.ready.extend(ranks);
+            if q.ready.len() == before {
+                return;
+            }
+            h.len.store(q.ready.len(), Ordering::SeqCst);
+            h.idle.load(Ordering::SeqCst) && self.kick_locked(h, &mut q)
+        };
+        // Pairs with the idle count an idling worker raises before its
+        // last scan of every deque's `len`: either it sees this push, or
+        // this load sees it idle.
+        if !kicked_home && self.idle.load(Ordering::SeqCst) > 0 {
+            if let Some(thief) = (self.homes.iter().enumerate())
+                .find(|&(w, t)| w != home && t.idle.load(Ordering::SeqCst))
+            {
+                self.kick(thief.1);
+            }
+        }
+    }
+
+    /// Ends `home`'s worker's sleep, or the sleep it is about to take.
+    fn kick(&self, home: &Home) {
+        let mut q = home.queue.lock();
+        self.kick_locked(home, &mut q);
+    }
+
+    fn kick_locked(&self, home: &Home, q: &mut HomeQueue) -> bool {
+        home.idle.store(false, Ordering::SeqCst);
+        if q.kicked {
+            return false;
+        }
+        q.kicked = true;
+        home.cv.notify_one();
+        true
+    }
+
+    /// Moves half (rounded up) of the fullest other deque into `me`'s.
+    fn steal(&self, me: usize) -> bool {
+        let victim = (self.homes.iter().enumerate())
+            .filter(|&(w, _)| w != me)
+            .max_by_key(|(_, h)| h.len.load(Ordering::Relaxed));
+        let Some((_, v)) = victim else {
+            return false;
+        };
+        let stolen: Vec<usize> = {
+            let mut q = v.queue.lock();
+            let take = q.ready.len().div_ceil(2);
+            let stolen = q.ready.drain(..take).collect();
+            v.len.store(q.ready.len(), Ordering::SeqCst);
+            stolen
+        };
+        if stolen.is_empty() {
+            return false;
+        }
+        let h = &self.homes[me];
+        let mut q = h.queue.lock();
+        q.ready.extend(stolen);
+        h.len.store(q.ready.len(), Ordering::SeqCst);
+        true
+    }
+
+    fn any_ready(&self) -> bool {
+        self.homes.iter().any(|h| h.len.load(Ordering::SeqCst) > 0)
+    }
+
+    /// Wakes every worker (the last rank finished).
+    fn kick_all(&self) {
+        for h in &self.homes {
+            let _q = h.queue.lock();
+            h.cv.notify_all();
+        }
+    }
 }
 
 /// Resumes [`RankStep`] objects on a bounded worker pool. See the module
 /// docs ("Step-function ranks") for the representation contract and the
 /// wake protocol.
 ///
-/// The driver holds only *wake state* (ready queue + per-rank run state);
-/// the step objects themselves are owned by [`StepDriver::run`]'s scope,
-/// which lets bodies borrow non-`'static` data while wakers installed
-/// into long-lived mailboxes stay `'static`.
+/// The driver holds only *wake state* (per-worker deques + per-rank run
+/// state); the step objects themselves are owned by [`StepDriver::run`]'s
+/// scope, which lets bodies borrow non-`'static` data while wakers
+/// installed into long-lived mailboxes stay `'static`.
 pub struct StepDriver {
     /// Per-rank run state (see [`run_state`]).
     run: Vec<AtomicU8>,
     /// Ranks not yet `FINISHED`.
     live: AtomicUsize,
-    queue: Mutex<ReadyQueue>,
-    cv: Condvar,
+    /// The deques, made by [`StepDriver::run`] for its worker count. Only
+    /// a rank that has run can park, so a wake that must queue always
+    /// finds them.
+    pool: OnceLock<Arc<Pool>>,
     stats: Arc<WakeupStats>,
 }
 
-/// Idle-worker backstop: how long a driver worker sleeps on an empty
-/// ready queue, with no rank inside a step, before sweeping every parked
-/// rank back into the queue.
+/// Idle-worker backstop: how long a driver worker sleeps with nothing to
+/// run or steal, with no rank inside a step, before sweeping every
+/// parked rank back onto its home deque.
 /// With complete waker coverage the sweep never finds anything to do —
 /// like every other backstop it is defense in depth against a lost
 /// wakeup, and a sweep that requeues parked ranks is counted in
@@ -521,35 +676,44 @@ pub struct StepDriver {
 /// representation too.
 const DRIVER_RESCUE: Duration = Duration::from_secs(1);
 
-/// Most ranks a worker takes from the ready queue per lock acquisition:
-/// large enough that the queue lock is amortized over tens of steps,
-/// small enough that a worker's private batch cannot hide more than a
-/// few tens of microseconds of work from an idle peer.
-const POP_BATCH: usize = 64;
+/// Most ranks a worker takes from its own deque per lock acquisition; it
+/// takes at most half of what is there, so a thief always finds the rest.
+const POP_BATCH: usize = 16;
 
-/// In-step wakes are pushed to the ready queue once this many have
-/// accumulated: one lock per chunk instead of one per wake, while a
-/// 4095-rank completion sweep still feeds the other workers every few
-/// microseconds instead of at the end of the step.
-const WAKE_CHUNK: usize = 32;
-
-/// Ranks woken from inside a `step()` on this thread, already `QUEUED`
-/// but not yet pushed to the ready queue of the driver whose worker this
-/// thread is.
+/// Ranks woken from inside a `step()` on a worker thread, already
+/// `QUEUED` but not yet pushed to their homes' deques.
 struct StepWakes {
-    /// Address of the driver this thread is a worker of; 0 on any other
-    /// thread.
-    driver: usize,
-    ranks: Vec<usize>,
+    pool: Arc<Pool>,
+    /// Buffered ranks, by home.
+    by_home: Vec<Vec<usize>>,
+}
+
+impl StepWakes {
+    fn flush(&mut self) {
+        for (home, ranks) in self.by_home.iter_mut().enumerate() {
+            if !ranks.is_empty() {
+                self.pool.push(home, ranks.drain(..));
+            }
+        }
+    }
 }
 
 thread_local! {
-    static STEP_WAKES: RefCell<StepWakes> = const {
-        RefCell::new(StepWakes {
-            driver: 0,
-            ranks: Vec::new(),
-        })
-    };
+    /// Set on a [`StepDriver`] worker thread for the life of its `run`.
+    static STEP_WAKES: RefCell<Option<StepWakes>> = const { RefCell::new(None) };
+}
+
+/// Hands the wakes this thread's current step has issued so far to their
+/// homes' deques. A sweep that wakes many ranks — a collective's
+/// completion, a node's wake — calls it as it ends, so no woken rank waits
+/// for the rest of the waker's step. A no-op off the worker pool.
+pub(crate) fn flush_step_wakes() {
+    // `try_with`: a thread-local being torn down has nothing buffered.
+    let _ = STEP_WAKES.try_with(|w| {
+        if let Some(w) = w.borrow_mut().as_mut() {
+            w.flush();
+        }
+    });
 }
 
 impl StepDriver {
@@ -560,11 +724,7 @@ impl StepDriver {
         Arc::new(StepDriver {
             run: (0..n_ranks).map(|_| AtomicU8::new(QUEUED)).collect(),
             live: AtomicUsize::new(n_ranks),
-            queue: Mutex::new(ReadyQueue {
-                ready: (0..n_ranks).collect(),
-                idle: 0,
-            }),
-            cv: Condvar::new(),
+            pool: OnceLock::new(),
             stats,
         })
     }
@@ -574,16 +734,11 @@ impl StepDriver {
         self.run.len()
     }
 
-    /// This driver's identity for the per-thread in-step wake buffer.
-    fn id(&self) -> usize {
-        self as *const StepDriver as usize
-    }
-
-    /// Event-source hook: makes `rank` runnable. Parked → queued;
-    /// mid-step → wake-pending (requeued when its step yields); queued or
-    /// finished → no-op. Always safe, never blocks on rank state, and
-    /// takes the ready-queue lock only when a parked rank must be queued
-    /// from outside a `step()`.
+    /// Event-source hook: makes `rank` runnable. Parked → queued on its
+    /// home; mid-step → wake-pending (requeued when its step yields);
+    /// queued or finished → no-op. Always safe, never blocks on rank
+    /// state, and takes a deque lock only when a parked rank must be
+    /// queued from outside a `step()`, or its home worker idles.
     pub fn wake(&self, rank: usize) {
         let state = &self.run[rank];
         let mut cur = state.load(Ordering::Relaxed);
@@ -609,45 +764,26 @@ impl StepDriver {
         }
     }
 
-    /// Queues a rank this thread just moved `PARKED → QUEUED`. From
-    /// inside a `step()` on one of this driver's workers the push is
-    /// buffered and flushed a [`WAKE_CHUNK`] at a time (and when the step
-    /// ends); from any other thread it goes straight to the ready queue.
+    /// Queues a rank this thread just moved `PARKED → QUEUED` on its home.
+    /// From inside a `step()` on one of this driver's workers the push is
+    /// buffered until the step, or the sweep that issued it, ends — unless
+    /// the home worker idles, which gets it at once. From any other
+    /// thread it goes straight to the deque.
     fn enqueue_woken(&self, rank: usize) {
-        let me = self.id();
-        let buffered = STEP_WAKES
-            .try_with(|w| {
-                let mut w = w.borrow_mut();
-                if w.driver != me {
-                    return false;
-                }
-                w.ranks.push(rank);
-                if w.ranks.len() >= WAKE_CHUNK {
-                    self.push_ready(w.ranks.drain(..));
-                }
-                true
-            })
-            .unwrap_or(false);
+        let pool = self.pool.get().expect("a parked rank has run");
+        let home = pool.home_of(rank);
+        let buffered = !pool.homes[home].idle.load(Ordering::Relaxed)
+            && STEP_WAKES
+                .try_with(|w| match w.borrow_mut().as_mut() {
+                    Some(w) if Arc::ptr_eq(&w.pool, pool) => {
+                        w.by_home[home].push(rank);
+                        true
+                    }
+                    _ => false,
+                })
+                .unwrap_or(false);
         if !buffered {
-            self.push_ready(std::iter::once(rank));
-        }
-    }
-
-    /// Appends `QUEUED` ranks to the ready queue under one lock and
-    /// notifies only if a worker is actually parked.
-    fn push_ready(&self, ranks: impl ExactSizeIterator<Item = usize>) {
-        let n = ranks.len();
-        if n == 0 {
-            return;
-        }
-        let mut q = self.queue.lock();
-        q.ready.extend(ranks);
-        if q.idle > 0 {
-            if n == 1 {
-                self.cv.notify_one();
-            } else {
-                self.cv.notify_all();
-            }
+            pool.push(home, std::iter::once(rank));
         }
     }
 
@@ -658,25 +794,37 @@ impl StepDriver {
         Arc::new(move || d.wake(rank))
     }
 
-    /// Runs every step object to completion on `workers` pool threads,
-    /// blocking the caller until all ranks are finished. `objs[i]` is
+    /// Runs every step object to completion on `workers` pool threads —
+    /// the caller, as worker 0, and `workers − 1` it spawns — returning
+    /// once all ranks are finished. `objs[i]` is
     /// rank `i`'s continuation. The first panic from a body is re-raised
     /// on the caller after the pool drains (the panicking rank is marked
     /// finished; peers blocked on it indefinitely will only make
     /// rescue-sweep progress). A rank that must end early — its world
     /// died — returns [`Step::Done`] from its step: nothing unwinds.
+    ///
+    /// # Panics
+    /// Panics if the driver already ran.
     pub fn run<'a>(&self, workers: usize, objs: Vec<Box<dyn RankStep + 'a>>) {
         assert_eq!(objs.len(), self.n_ranks(), "one step object per rank");
         let workers = workers.max(1);
+        let pool = Arc::new(Pool::new(self.n_ranks(), workers));
+        assert!(
+            self.pool.set(Arc::clone(&pool)).is_ok(),
+            "a step driver runs once"
+        );
         // Each slot's lock is private to its rank: the run state admits
         // one worker at a time, so the lock only makes that exclusivity
         // visible to the type system.
         let slots: Vec<Mutex<Box<dyn RankStep + 'a>>> = objs.into_iter().map(Mutex::new).collect();
         let panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| self.worker_loop(workers, &slots, &panics));
+            for me in 1..workers {
+                let (pool, slots, panics) = (&pool, &slots, &panics);
+                s.spawn(move || self.worker_loop(pool, me, slots, panics));
             }
+            // Worker 0 is the caller: one thread fewer per run.
+            self.worker_loop(&pool, 0, &slots, &panics);
         });
         if let Some(p) = panics.into_inner().into_iter().next() {
             std::panic::resume_unwind(p);
@@ -685,55 +833,91 @@ impl StepDriver {
 
     fn worker_loop<'a>(
         &self,
-        workers: usize,
+        pool: &Arc<Pool>,
+        me: usize,
         slots: &[Mutex<Box<dyn RankStep + 'a>>],
         panics: &Mutex<Vec<Box<dyn std::any::Any + Send>>>,
     ) {
-        // For the life of the thread: `run` spawns its workers afresh.
-        STEP_WAKES.with(|w| w.borrow_mut().driver = self.id());
+        // The caller may itself be a worker of another driver's run.
+        let outer = STEP_WAKES.with(|w| {
+            w.replace(Some(StepWakes {
+                pool: Arc::clone(pool),
+                by_home: vec![Vec::new(); pool.homes.len()],
+            }))
+        });
         let mut batch: Vec<usize> = Vec::with_capacity(POP_BATCH);
-        while self.pop_batch(workers, &mut batch) {
+        while self.next_batch(pool, me, &mut batch) {
             for rank in batch.drain(..) {
-                self.resume(rank, &slots[rank], panics);
+                self.resume(pool, rank, &slots[rank], panics);
             }
         }
+        STEP_WAKES.with(|w| *w.borrow_mut() = outer);
     }
 
-    /// Fills `batch` with this worker's share of the ready queue
-    /// (`ceil(ready / workers)`, at most [`POP_BATCH`]), parking until
-    /// something is ready. Returns `false` once every rank has finished.
-    fn pop_batch(&self, workers: usize, batch: &mut Vec<usize>) -> bool {
-        let mut q = self.queue.lock();
+    /// Fills `batch` from worker `me`'s own deque, stealing half of the
+    /// fullest other deque when its own is empty and sleeping when every
+    /// deque is. Returns `false` once every rank has finished.
+    fn next_batch(&self, pool: &Pool, me: usize, batch: &mut Vec<usize>) -> bool {
+        let home = &pool.homes[me];
         loop {
             if self.live.load(Ordering::Acquire) == 0 {
                 return false;
             }
-            if !q.ready.is_empty() {
-                let take = q.ready.len().div_ceil(workers).min(POP_BATCH);
-                batch.extend(q.ready.drain(..take));
-                return true;
+            {
+                let mut q = home.queue.lock();
+                if !q.ready.is_empty() {
+                    let take = q.ready.len().div_ceil(2).min(POP_BATCH);
+                    batch.extend(q.ready.drain(..take));
+                    home.len.store(q.ready.len(), Ordering::SeqCst);
+                    return true;
+                }
             }
-            q.idle += 1;
-            let timed_out = self.cv.wait_for(&mut q, DRIVER_RESCUE).timed_out();
-            q.idle -= 1;
-            if timed_out && q.ready.is_empty() && !self.any_running() {
-                // Rescue sweep: requeue every parked rank so a lost
-                // wakeup degrades to slow instead of hung. One counted
-                // expiry per productive sweep. Not while a rank is inside
-                // a step: its step can still wake the parked ones (a body
-                // that sleeps a while is no lost wakeup).
-                for (rank, state) in self.run.iter().enumerate() {
-                    let parked = state
-                        .compare_exchange(PARKED, QUEUED, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok();
-                    if parked {
-                        q.ready.push_back(rank);
+            if pool.steal(me) {
+                continue;
+            }
+
+            // Idle: announce it, then scan every deque once more — a push
+            // that this scan misses sees the announcement and kicks.
+            pool.idle.fetch_add(1, Ordering::SeqCst);
+            home.idle.store(true, Ordering::SeqCst);
+            let mut timed_out = false;
+            if !pool.any_ready() {
+                let mut q = home.queue.lock();
+                while q.ready.is_empty() && !q.kicked && self.live.load(Ordering::Acquire) > 0 {
+                    if home.cv.wait_for(&mut q, DRIVER_RESCUE).timed_out() {
+                        timed_out = true;
+                        break;
                     }
                 }
-                if !q.ready.is_empty() {
-                    self.stats.record_backstop_expiry();
-                    self.cv.notify_all();
-                }
+                q.kicked = false;
+            }
+            home.idle.store(false, Ordering::SeqCst);
+            pool.idle.fetch_sub(1, Ordering::SeqCst);
+            if timed_out && !pool.any_ready() && !self.any_running() {
+                self.rescue_sweep(pool);
+            }
+        }
+    }
+
+    /// Requeues every parked rank on its home, so a lost wakeup degrades
+    /// to slow instead of hung; one counted expiry per productive sweep.
+    /// Run only by a worker that idled out [`DRIVER_RESCUE`] while no
+    /// rank was inside a step: a step can still wake the parked ones (a
+    /// body that sleeps a while is no lost wakeup).
+    fn rescue_sweep(&self, pool: &Pool) {
+        let mut by_home = vec![Vec::new(); pool.homes.len()];
+        for (rank, state) in self.run.iter().enumerate() {
+            let parked = state
+                .compare_exchange(PARKED, QUEUED, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok();
+            if parked {
+                by_home[pool.home_of(rank)].push(rank);
+            }
+        }
+        if by_home.iter().any(|r| !r.is_empty()) {
+            self.stats.record_backstop_expiry();
+            for (home, ranks) in by_home.into_iter().enumerate() {
+                pool.push(home, ranks.into_iter());
             }
         }
     }
@@ -746,11 +930,11 @@ impl StepDriver {
             .any(|s| matches!(s.load(Ordering::Acquire), RUNNING | RUNNING_WAKE))
     }
 
-    /// Runs one `step()` of a rank this worker popped and files the
-    /// outcome — without the queue lock unless the rank must be requeued
-    /// or was the last to finish.
+    /// Runs one `step()` of a rank this worker took and files the
+    /// outcome — without a deque lock unless the rank must be requeued.
     fn resume<'a>(
         &self,
+        pool: &Pool,
         rank: usize,
         slot: &Mutex<Box<dyn RankStep + 'a>>,
         panics: &Mutex<Vec<Box<dyn std::any::Any + Send>>>,
@@ -762,8 +946,7 @@ impl StepDriver {
             let mut obj = slot.lock();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| obj.step()))
         };
-        // Wakes the step issued and did not fill a chunk with.
-        STEP_WAKES.with(|w| self.push_ready(w.borrow_mut().ranks.drain(..)));
+        flush_step_wakes();
         let step = outcome.unwrap_or_else(|payload| {
             panics.lock().push(payload);
             Step::Done
@@ -777,17 +960,14 @@ impl StepDriver {
             Step::Done => {
                 state.store(FINISHED, Ordering::Release);
                 if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Under the queue lock, so a worker between its
-                    // `live` check and its wait cannot miss it.
-                    let _q = self.queue.lock();
-                    self.cv.notify_all();
+                    pool.kick_all();
                 }
                 false
             }
         };
         if requeue {
             state.store(QUEUED, Ordering::Release);
-            self.push_ready(std::iter::once(rank));
+            pool.push(pool.home_of(rank), std::iter::once(rank));
         }
     }
 }
@@ -1005,16 +1185,17 @@ mod tests {
     fn step_driver_stress_loses_no_wakeup() {
         // Token passing with exact totals: every rank must receive
         // `2 * ROUNDS` tokens from two foreign threads plus `FORWARD`
-        // from its predecessor before it is done, and every token is
-        // published (inbox increment) *then* announced (`wake`). A wake
-        // lost anywhere — parked, queued, mid-step, buffered in a
-        // worker's in-step chunk — strands a token in a parked rank's
-        // inbox after the senders have gone quiet, which only the rescue
-        // sweep can recover: a counted expiry.
+        // from its predecessor and `FORWARD` from the rank half the world
+        // away (homed on another worker whenever W > 1) before it is
+        // done, and every token is published (inbox increment) *then*
+        // announced (`wake`). A wake lost anywhere — parked, queued on a
+        // home, stolen, mid-step, buffered on a worker — strands a token
+        // in a parked rank's inbox after the senders have gone quiet,
+        // which only the rescue sweep can recover: a counted expiry.
         const RANKS: usize = 256;
         const ROUNDS: usize = 100;
         const FORWARD: usize = 100;
-        const NEED: usize = 2 * ROUNDS + FORWARD;
+        const NEED: usize = 2 * ROUNDS + 2 * FORWARD;
 
         struct Shared {
             driver: Arc<StepDriver>,
@@ -1030,7 +1211,8 @@ mod tests {
         struct Node {
             rank: usize,
             received: usize,
-            forwarded: usize,
+            /// Tokens sent to the successor and to the far rank.
+            forwarded: [usize; 2],
             rng: u64,
             sh: Arc<Shared>,
         }
@@ -1044,12 +1226,16 @@ mod tests {
                 );
                 self.received += sh.inbox[self.rank].swap(0, Ordering::SeqCst);
                 let done = self.received >= NEED;
-                // Forward one token a step; the remainder all at once
-                // when done, so every rank sends exactly `FORWARD`.
-                let n = if done { FORWARD - self.forwarded } else { 1 };
-                for _ in 0..n.min(FORWARD - self.forwarded) {
-                    sh.send((self.rank + 1) % RANKS);
-                    self.forwarded += 1;
+                let targets = [self.rank + 1, self.rank + RANKS / 2 + 1].map(|t| t % RANKS);
+                // One token to each target a step; the remainder all at
+                // once when done, so every rank sends exactly `FORWARD`
+                // to each.
+                for (sent, to) in self.forwarded.iter_mut().zip(targets) {
+                    let n = if done { FORWARD - *sent } else { 1 };
+                    for _ in 0..n.min(FORWARD - *sent) {
+                        sh.send(to);
+                        *sent += 1;
+                    }
                 }
                 self.rng ^= self.rng << 13;
                 self.rng ^= self.rng >> 7;
@@ -1064,7 +1250,7 @@ mod tests {
                 }
             }
         }
-        for workers in [1, 2, 4] {
+        for workers in [1, 2, 3, 4] {
             let stats = Arc::new(WakeupStats::default());
             let driver = StepDriver::new(RANKS, Arc::clone(&stats));
             let sh = Arc::new(Shared {
@@ -1077,7 +1263,7 @@ mod tests {
                     Box::new(Node {
                         rank,
                         received: 0,
-                        forwarded: 0,
+                        forwarded: [0; 2],
                         rng: 0x9E37_79B9_7F4A_7C15 ^ (rank as u64 + 1),
                         sh: Arc::clone(&sh),
                     }) as Box<dyn RankStep>
@@ -1106,6 +1292,54 @@ mod tests {
                 "a wake was lost and rescued by the sweep (W={workers})"
             );
         }
+    }
+
+    #[test]
+    fn step_driver_idle_worker_steals_from_a_busy_home() {
+        // 128 ranks on 2 workers: ranks 64..128, worker 1's, finish at
+        // their first step; ranks 0..64 are homed on worker 0 and poll
+        // until a second thread has stepped one of them (or 10 s pass).
+        // Worker 1 then has only worker 0's ranks to run, and must steal
+        // them.
+        const RANKS: usize = 128;
+        struct Poller<'a> {
+            polls: bool,
+            threads: &'a Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+            deadline: Instant,
+        }
+        impl RankStep for Poller<'_> {
+            fn step(&mut self) -> Step {
+                if !self.polls {
+                    return Step::Done;
+                }
+                let mut threads = self.threads.lock();
+                threads.insert(std::thread::current().id());
+                if threads.len() > 1 || Instant::now() > self.deadline {
+                    return Step::Done;
+                }
+                Step::Yield(WaitReason::Poll)
+            }
+        }
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let stats = Arc::new(WakeupStats::default());
+        let d = StepDriver::new(RANKS, Arc::clone(&stats));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let objs: Vec<Box<dyn RankStep + '_>> = (0..RANKS)
+            .map(|rank| {
+                Box::new(Poller {
+                    polls: rank < RANKS / 2,
+                    threads: &threads,
+                    deadline,
+                }) as Box<dyn RankStep + '_>
+            })
+            .collect();
+        d.run(2, objs);
+        assert_eq!(
+            threads.lock().len(),
+            2,
+            "worker 1 ran none of worker 0's ranks"
+        );
+        assert_eq!(stats.backstop_expiries(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The scheduler outlives the `World`: restart builds the next generation
 //! onto the same scheduler with [`World::with_epoch_attached`].
 
-use crate::collective::{CollRegistry, InstanceEnv};
+use crate::collective::{CollEnv, CollRegistry};
 use crate::comm::{CommInner, SplitKey};
 use crate::ctx::Ctx;
 use crate::group::Group;
@@ -25,7 +25,7 @@ use netmodel::{NetParams, Topology, VTime};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Stack size of every rank thread the thread-per-object driver
 /// ([`Scheduler::run_threads`]) spawns.
@@ -150,6 +150,7 @@ impl World {
             "scheduler sized for a different world"
         );
         let topo = Topology::new(cfg.n_ranks, cfg.ranks_per_node);
+        let n_nodes = topo.n_nodes();
         let mut comms = HashMap::new();
         comms.insert(
             COMM_WORLD_ID,
@@ -157,6 +158,7 @@ impl World {
                 id: COMM_WORLD_ID,
                 group: Group::world(cfg.n_ranks),
                 epoch,
+                mailboxes: OnceLock::new(),
             }),
         );
         let mailboxes: Vec<Arc<Mailbox>> = (0..cfg.n_ranks)
@@ -181,7 +183,7 @@ impl World {
             comms: RwLock::new(comms),
             split_registry: Mutex::new(HashMap::new()),
             next_comm: AtomicU64::new(1),
-            coll: CollRegistry::new(),
+            coll: CollRegistry::for_nodes(n_nodes),
             next_instance: AtomicU64::new(1),
             redeposited: AtomicU64::new(0),
             drained: AtomicU64::new(0),
@@ -190,20 +192,19 @@ impl World {
         })
     }
 
-    /// The environment a [`crate::collective::CollInstance`] for `group`
+    /// The environment a [`crate::collective::CollInstance`] on `comm`
     /// needs: cost-model inputs and the participants' mailboxes (poked at
-    /// completion).
-    pub(crate) fn instance_env(&self, group: &Group) -> InstanceEnv {
-        InstanceEnv {
+    /// completion), listed once per communicator.
+    pub(crate) fn coll_env(&self, comm: &CommInner) -> CollEnv {
+        let mailboxes = comm.mailboxes.get_or_init(|| {
+            (comm.group.members().iter())
+                .map(|&w| Arc::clone(&self.mailboxes[w]))
+                .collect()
+        });
+        CollEnv {
             params: Arc::clone(&self.params),
             topo: self.topo.clone(),
-            mailboxes: group
-                .members()
-                .iter()
-                .map(|&w| Arc::clone(&self.mailboxes[w]))
-                .collect(),
-            wake_batch: self.sched.workers(),
-            fail: Arc::clone(self.sched.fail_plane()),
+            mailboxes: Arc::clone(mailboxes),
         }
     }
 
@@ -291,6 +292,7 @@ impl World {
                 id,
                 group: group(),
                 epoch: self.epoch,
+                mailboxes: OnceLock::new(),
             })
         });
         Arc::clone(inner)

@@ -251,6 +251,17 @@ fn scan_model(bytes: usize, entries: &[VTime], ctx: &CollCtx<'_>) -> Vec<VTime> 
         .collect()
 }
 
+/// `(v + root) mod p` for `v, root < p`, without a division.
+#[inline]
+fn rotate(v: usize, root: usize, p: usize) -> usize {
+    let a = v + root;
+    if a >= p {
+        a - p
+    } else {
+        a
+    }
+}
+
 /// Binomial-tree distribution (bcast/scatter). `size_of(subtree)` gives the
 /// bytes sent to a child that roots a subtree of that many ranks.
 ///
@@ -266,7 +277,7 @@ fn tree_distribute(
 ) -> Vec<VTime> {
     let p = ctx.p();
     // Virtual ranks: vrank 0 is the root.
-    let to_actual = |v: usize| (v + root) % p;
+    let to_actual = |v: usize| rotate(v, root, p);
     let mut ready = vec![VTime::ZERO; p]; // data-available time, by vrank
     let mut sends_done = vec![0usize; p];
     let mut exits = vec![VTime::ZERO; p]; // by actual group rank
@@ -326,7 +337,7 @@ fn tree_collect(
     ctx: &CollCtx<'_>,
 ) -> Vec<VTime> {
     let p = ctx.p();
-    let to_actual = |v: usize| (v + root) % p;
+    let to_actual = |v: usize| rotate(v, root, p);
     // ready[v] = time at which vrank v's subtree contribution is assembled.
     let mut ready: Vec<VTime> = (0..p).map(|v| entries[to_actual(v)]).collect();
     let mut exits = vec![VTime::ZERO; p];

@@ -9,9 +9,14 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// An immutable, reference-counted byte buffer view.
+///
+/// An empty buffer holds no allocation at all, so making, cloning and
+/// dropping one touches no reference count. (`Arc::<[u8]>::default()`
+/// shares one static allocation among every caller: a count that all
+/// threads of the process would write.)
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Option<Arc<[u8]>>,
     start: usize,
     end: usize,
 }
@@ -53,7 +58,7 @@ impl Bytes {
             self.len()
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + range.start,
             end: self.start + range.end,
         }
@@ -63,7 +68,10 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -75,10 +83,13 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let data: Arc<[u8]> = v.into();
         let end = data.len();
         Bytes {
-            data,
+            data: Some(data),
             start: 0,
             end,
         }
@@ -137,6 +148,19 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.as_ref(), &[1, 2, 3]);
         assert_eq!(Bytes::from_static(b"hi").as_ref(), b"hi");
+    }
+
+    #[test]
+    fn empty_buffers_hold_nothing() {
+        for b in [
+            Bytes::new(),
+            Bytes::from(Vec::new()),
+            Bytes::copy_from_slice(&[]),
+        ] {
+            assert!(b.is_empty() && b.data.is_none());
+            assert_eq!(b.slice(0..0).as_ref(), &[] as &[u8]);
+        }
+        assert_eq!(Bytes::from(vec![4, 5]).slice(1..1).len(), 0);
     }
 
     #[test]
